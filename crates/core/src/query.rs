@@ -9,9 +9,13 @@
 //! The S3 engine (Architecture 1) has no search capability: it can only
 //! HEAD-scan the provenance metadata of every object in the repository.
 //! The SimpleDB engine (Architectures 2 and 3) uses indexed
-//! `QueryWithAttributes` lookups, but has no recursive queries, so Q3
-//! walks the graph one generation of `QueryWithAttributes` at a time —
-//! still orders of magnitude more selective than the scan.
+//! `QueryWithAttributes` lookups — every expression it issues is pinned
+//! down by `=` terms on `type`, `name` or `input`, so the simulated
+//! service answers each from its attribute postings in time
+//! proportional to the answer, and bills it as one request. SimpleDB has
+//! no recursive queries, so Q3 walks the graph one generation of
+//! `QueryWithAttributes` at a time — still orders of magnitude more
+//! selective than the scan.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -469,29 +473,7 @@ impl SimpleDbQueryEngine {
 
     /// Runs one QueryWithAttributes expression across all pages.
     fn query_all_pages(&self, expr: &str) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
-        let mut out = BTreeMap::new();
-        let mut token: Option<String> = None;
-        loop {
-            let page = self.db.query_with_attributes(
-                DOMAIN,
-                Some(expr),
-                None,
-                Some(250),
-                token.as_deref(),
-            )?;
-            for item in &page.items {
-                let Some(object) = ObjectRef::parse_item_name(&item.name) else {
-                    continue;
-                };
-                let records = decode_attributes(&item.attributes, |key| self.fetch_overflow(key))?;
-                out.insert(object, records);
-            }
-            match page.next_token {
-                Some(t) => token = Some(t),
-                None => break,
-            }
-        }
-        Ok(out)
+        self.query_children(expr, &BTreeSet::new())
     }
 
     /// GetAttributes for one item; `None` when the item does not exist.

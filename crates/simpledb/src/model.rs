@@ -120,13 +120,26 @@ pub fn byte_size(item: &ItemState) -> u64 {
 
 /// Flattens an item into `Attribute` pairs in name order.
 pub fn to_attributes(item: &ItemState) -> Vec<Attribute> {
+    attributes_where(item, |_| true)
+}
+
+/// [`to_attributes`] restricted to the attribute names `keep` accepts;
+/// pairs it rejects are never cloned.
+pub(crate) fn attributes_where(item: &ItemState, keep: impl Fn(&str) -> bool) -> Vec<Attribute> {
     item.iter()
+        .filter(|(name, _)| keep(name))
         .flat_map(|(name, values)| {
             values
                 .iter()
                 .map(move |v| Attribute::new(name.clone(), v.clone()))
         })
         .collect()
+}
+
+/// The values an item carries for `attr` — what the store's attribute
+/// postings are built from ([`simworld::ValuesOf`]).
+pub(crate) fn values_of<'a>(item: &'a ItemState, attr: &str) -> Option<&'a BTreeSet<String>> {
+    item.get(attr)
 }
 
 #[cfg(test)]

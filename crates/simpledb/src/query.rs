@@ -22,6 +22,16 @@
 //!   lacking the attribute (the real service requires the sort attribute
 //!   to appear in a predicate; dropping is the equivalent observable
 //!   behaviour).
+//!
+//! # Equality covers
+//!
+//! SimpleDB indexes every attribute, so an expression pinned down by
+//! `=` comparisons is an index lookup, not a scan. [`QueryExpr::cover`]
+//! derives what to look up: a set of `(attribute, value)` pairs of which
+//! every matching item carries at least one. The store draws its
+//! candidates from the postings of those pairs and still evaluates the
+//! full expression on each, so a cover only has to be *necessary* for a
+//! match, never sufficient.
 
 use std::fmt;
 
@@ -75,6 +85,58 @@ impl fmt::Display for CmpOp {
     }
 }
 
+/// An equality cover: every item the covered expression matches carries
+/// at least one of these `(attribute, value)` pairs.
+pub type Cover<'a> = Vec<(&'a str, &'a str)>;
+
+/// Looks up how many items are posted under an `(attribute, value)` pair
+/// — what a cover derivation weighs its alternatives by.
+pub type PostingCount<'f> = &'f mut dyn FnMut(&str, &str) -> usize;
+
+/// A cover together with the postings behind it (the candidates a fetch
+/// over it has to check).
+#[derive(Debug)]
+pub(crate) struct Weighed<'a> {
+    pub(crate) pairs: Cover<'a>,
+    postings: usize,
+}
+
+impl<'a> Weighed<'a> {
+    /// The cover of nothing at all — the identity of [`Weighed::plus`].
+    pub(crate) const EMPTY: Weighed<'static> = Weighed {
+        pairs: Vec::new(),
+        postings: 0,
+    };
+
+    pub(crate) fn pair(attr: &'a str, value: &'a str, count: PostingCount<'_>) -> Weighed<'a> {
+        Weighed {
+            pairs: vec![(attr, value)],
+            postings: count(attr, value),
+        }
+    }
+
+    /// Covers `a and b`: either side's cover will do, so take the one
+    /// with fewer postings.
+    pub(crate) fn either(a: Option<Weighed<'a>>, b: Option<Weighed<'a>>) -> Option<Weighed<'a>> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(if b.postings < a.postings { b } else { a }),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Covers `self or other`: candidates are drawn from both.
+    pub(crate) fn plus(mut self, other: Weighed<'a>) -> Weighed<'a> {
+        self.pairs.extend(other.pairs);
+        self.postings += other.postings;
+        self
+    }
+
+    /// Covers `a or b`, which needs both sides covered.
+    pub(crate) fn both(a: Option<Weighed<'a>>, b: Option<Weighed<'a>>) -> Option<Weighed<'a>> {
+        Some(a?.plus(b?))
+    }
+}
+
 /// One `['attr' op 'value' and/or ...]` predicate.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Predicate {
@@ -94,6 +156,25 @@ impl Predicate {
             return false;
         };
         values.iter().any(|v| self.eval_on_value(v))
+    }
+
+    /// A single value has to satisfy one `or`-separated run of `and`ed
+    /// comparisons; a run containing `= x` pins that value to `x`. So
+    /// the predicate is covered when every run has an `=`.
+    fn cover(&self, count: PostingCount<'_>) -> Option<Weighed<'_>> {
+        let mut cover = Some(Weighed::EMPTY);
+        let mut run = None;
+        for (i, (op, operand)) in self.comparisons.iter().enumerate() {
+            if *op == CmpOp::Eq {
+                let pair = Weighed::pair(&self.attribute, operand, count);
+                run = Weighed::either(run, Some(pair));
+            }
+            // `connectives[i]` joins comparison `i` to `i + 1`; `false` is `or`.
+            if self.connectives.get(i) != Some(&true) {
+                cover = Weighed::both(cover, run.take());
+            }
+        }
+        cover
     }
 
     fn eval_on_value(&self, v: &str) -> bool {
@@ -151,6 +232,25 @@ impl QueryExpr {
             };
         }
         acc
+    }
+
+    /// The expression's equality cover, or `None` when it has none and
+    /// only a scan can answer it: `intersection` keeps whichever side's
+    /// cover has fewer postings (by `count`), `union` needs both sides
+    /// covered, and `not`, `!=`, ranges and `starts-with` cover nothing.
+    /// A `sort` clause plays no part: sorted queries are served by offset
+    /// over the whole view and never ask.
+    pub fn cover(&self, count: PostingCount<'_>) -> Option<Cover<'_>> {
+        let mut acc = None;
+        for (setop, negated, pred) in &self.terms {
+            let term = if *negated { None } else { pred.cover(count) };
+            acc = match setop {
+                SetOp::First => term,
+                SetOp::Intersection => Weighed::either(acc, term),
+                SetOp::Union => Weighed::both(acc, term),
+            };
+        }
+        acc.map(|w| w.pairs)
     }
 
     /// The sort clause: `(attribute, ascending)` if present.
@@ -554,5 +654,99 @@ mod tests {
         // why callers zero-pad numbers.
         let q = QueryExpr::parse("['v' < '9']").unwrap();
         assert!(q.matches(&item(&[("v", "10")])));
+    }
+
+    // --- equality covers ---
+
+    /// Posting counts for the cover tests: `type` values are common,
+    /// everything else is rare.
+    fn counts(attr: &str, _value: &str) -> usize {
+        if attr == "type" {
+            1_000
+        } else {
+            5
+        }
+    }
+
+    fn assert_cover(expr: &str, expected: Option<&[(&str, &str)]>) {
+        let q = QueryExpr::parse(expr).unwrap();
+        assert_eq!(q.cover(&mut counts).as_deref(), expected, "{expr}");
+    }
+
+    #[test]
+    fn equality_terms_cover_themselves() {
+        assert_cover("['type' = 'file']", Some(&[("type", "file")]));
+        assert_cover("['x' = 'a' or 'x' = 'b']", Some(&[("x", "a"), ("x", "b")]));
+        // One `=` pins the value; the range beside it is the re-check's job.
+        assert_cover("['x' = 'a' and 'x' starts-with 'a']", Some(&[("x", "a")]));
+    }
+
+    #[test]
+    fn intersection_keeps_the_side_with_fewer_postings() {
+        let rare: &[(&str, &str)] = &[("name", "blast")];
+        assert_cover(
+            "['type' = 'process'] intersection ['name' = 'blast']",
+            Some(rare),
+        );
+        assert_cover(
+            "['name' = 'blast'] intersection ['type' = 'process']",
+            Some(rare),
+        );
+        // An uncoverable side just drops out.
+        assert_cover(
+            "['rank' > '4'] intersection ['type' = 'file']",
+            Some(&[("type", "file")]),
+        );
+        assert_cover(
+            "['type' = 'file'] intersection not ['name' = 'n3']",
+            Some(&[("type", "file")]),
+        );
+    }
+
+    #[test]
+    fn union_needs_every_side_covered() {
+        assert_cover(
+            "['a' = '1'] union ['b' = '2']",
+            Some(&[("a", "1"), ("b", "2")]),
+        );
+        assert_cover("['a' = '1'] union ['b' > '2']", None);
+        assert_cover("['a' = '1'] union not ['b' = '2']", None);
+        assert_cover("['x' = 'a' or 'x' > 'b']", None);
+    }
+
+    #[test]
+    fn set_operators_fold_left() {
+        // (type ∩ name) ∪ input: the intersection resolves first.
+        assert_cover(
+            "['type' = 'file'] intersection ['name' = 'n'] union ['input' = 'i']",
+            Some(&[("name", "n"), ("input", "i")]),
+        );
+        // (name ∪ input) ∩ type: 10 postings beat 1 000.
+        assert_cover(
+            "['name' = 'n'] union ['input' = 'i'] intersection ['type' = 'file']",
+            Some(&[("name", "n"), ("input", "i")]),
+        );
+    }
+
+    #[test]
+    fn negation_ranges_and_inequality_cover_nothing() {
+        for expr in [
+            "not ['type' = 'file']",
+            "['v' > '5']",
+            "['v' >= '1' and 'v' <= '3']",
+            "['v' != 'x']",
+            "['name' starts-with 'blast']",
+        ] {
+            assert_cover(expr, None);
+        }
+    }
+
+    #[test]
+    fn a_cover_is_necessary_not_sufficient() {
+        // No single value equals both, so nothing matches — but the
+        // cover still names a pair the item carries. The re-check decides.
+        let q = QueryExpr::parse("['x' = 'a' and 'x' = 'b']").unwrap();
+        assert_eq!(q.cover(&mut counts), Some(vec![("x", "a")]));
+        assert!(!q.matches(&item(&[("x", "a"), ("x", "b")])));
     }
 }

@@ -26,7 +26,7 @@ use std::fmt;
 
 use crate::error::{Result, SdbError};
 use crate::model::ItemState;
-use crate::query::CmpOp;
+use crate::query::{CmpOp, Cover, PostingCount, Weighed};
 
 /// Default page size when no `limit` clause is given.
 pub const DEFAULT_LIMIT: usize = 100;
@@ -112,6 +112,36 @@ impl Cond {
             Cond::Not(inner) => !inner.matches(name, item),
             Cond::And(parts) => parts.iter().all(|c| c.matches(name, item)),
             Cond::Or(parts) => parts.iter().any(|c| c.matches(name, item)),
+        }
+    }
+
+    /// The condition's equality cover (see [`crate::QueryExpr::cover`]),
+    /// or `None` when only a scan can answer it: `=` and `in` on a plain
+    /// attribute yield their pairs, `and` keeps the covered side with the
+    /// fewest postings (by `count`), `or` needs every side covered, and
+    /// everything else — `not`, `!=`, ranges, `like`, `is [not] null`,
+    /// `every()`, `itemName()` — covers nothing.
+    pub fn cover(&self, count: PostingCount<'_>) -> Option<Cover<'_>> {
+        self.weighed_cover(count).map(|w| w.pairs)
+    }
+
+    fn weighed_cover(&self, count: PostingCount<'_>) -> Option<Weighed<'_>> {
+        match self {
+            Cond::Cmp(Operand::Attr(attr), CmpOp::Eq, value) => {
+                Some(Weighed::pair(attr, value, count))
+            }
+            Cond::In(Operand::Attr(attr), values) => {
+                Some(values.iter().fold(Weighed::EMPTY, |acc, value| {
+                    acc.plus(Weighed::pair(attr, value, count))
+                }))
+            }
+            Cond::And(parts) => parts.iter().fold(None, |acc, part| {
+                Weighed::either(acc, part.weighed_cover(count))
+            }),
+            Cond::Or(parts) => parts.iter().try_fold(Weighed::EMPTY, |acc, part| {
+                Some(acc.plus(part.weighed_cover(count)?))
+            }),
+            _ => None,
         }
     }
 }
@@ -814,5 +844,73 @@ mod tests {
                 "should fail: {bad}"
             );
         }
+    }
+
+    // --- equality covers ---
+
+    fn assert_cover(where_clause: &str, expected: Option<&[(&str, &str)]>) {
+        let stmt = parses(&format!("select * from d where {where_clause}"));
+        // `type` values are common, everything else is rare.
+        let mut counts = |attr: &str, _: &str| if attr == "type" { 1_000 } else { 5 };
+        let cover = stmt.condition.as_ref().unwrap().cover(&mut counts);
+        assert_eq!(cover.as_deref(), expected, "{where_clause}");
+    }
+
+    #[test]
+    fn equality_and_in_cover_themselves() {
+        assert_cover("type = 'file'", Some(&[("type", "file")]));
+        assert_cover("name in ('a', 'b')", Some(&[("name", "a"), ("name", "b")]));
+    }
+
+    #[test]
+    fn and_keeps_the_covered_side_with_fewest_postings() {
+        assert_cover(
+            "type = 'process' and name = 'blast'",
+            Some(&[("name", "blast")]),
+        );
+        assert_cover("rank > '4' and type = 'file'", Some(&[("type", "file")]));
+        // 10 postings across the `or` still beat 1 000.
+        assert_cover(
+            "(name = 'a' or name = 'b') and type = 'process'",
+            Some(&[("name", "a"), ("name", "b")]),
+        );
+    }
+
+    #[test]
+    fn or_needs_every_side_covered() {
+        assert_cover(
+            "type = 'file' or input = 'i'",
+            Some(&[("type", "file"), ("input", "i")]),
+        );
+        assert_cover("type = 'file' or rank > '7'", None);
+    }
+
+    #[test]
+    fn everything_else_covers_nothing() {
+        for clause in [
+            "not type = 'file'",
+            "type != 'file'",
+            "rank > '4'",
+            "rank between '1' and '3'",
+            "name like 'bla%'",
+            "name is not null",
+            "every(name) = 'n1'",
+            "itemName() = 'i005'",
+            "itemName() in ('a', 'b')",
+        ] {
+            assert_cover(clause, None);
+        }
+    }
+
+    #[test]
+    fn a_cover_is_necessary_not_sufficient() {
+        // Unlike the bracket language, `and` spans values here: an item
+        // carrying both values matches, one carrying only the covered
+        // value does not — the re-check decides.
+        let stmt = parses("select * from d where x = 'a' and x = 'b'");
+        let cond = stmt.condition.as_ref().unwrap();
+        assert_eq!(cond.cover(&mut |_, _| 1), Some(vec![("x", "a")]));
+        assert!(cond.matches("i", &item(&[("x", "a"), ("x", "b")])));
+        assert!(!cond.matches("i", &item(&[("x", "a")])));
     }
 }

@@ -45,10 +45,10 @@ use simworld::{
 
 use crate::error::{Result, SdbError};
 use crate::model::{
-    byte_size, pair_count, to_attributes, Attribute, ItemState, ReplaceableAttribute,
-    ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
+    attributes_where, byte_size, pair_count, to_attributes, values_of, Attribute, ItemState,
+    ReplaceableAttribute, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
 };
-use crate::query::QueryExpr;
+use crate::query::{Cover, PostingCount, QueryExpr};
 use crate::select::{Output, SelectStatement};
 
 /// Default page size for `Query`/`QueryWithAttributes`.
@@ -364,7 +364,7 @@ impl SimpleDb {
             });
         }
         let shard = dom.with_cells(item_name, |shard, map| -> Result<u32> {
-            let current = map.read_latest(&item_name.to_string());
+            let current = map.read_latest(item_name);
             let before_bytes = current.as_ref().map(byte_size).unwrap_or(0);
             let item = apply_put(item_name, current, attrs)?;
             let after_bytes = byte_size(&item);
@@ -394,17 +394,16 @@ impl SimpleDb {
         names: Option<&[&str]>,
     ) -> Result<Vec<Attribute>> {
         let dom = self.domain(domain)?;
-        let (shard, item) = dom.with_cells(item_name, |shard, map| {
-            (
-                shard,
-                map.read(&self.world, &item_name.to_string())
-                    .unwrap_or_default(),
-            )
+        // Flatten straight out of the stored state, under the shard lock:
+        // the pairs returned are the only ones ever cloned.
+        let (shard, attrs) = dom.with_cells(item_name, |shard, map| {
+            let attrs = map.read_with(&self.world, item_name, |item| {
+                item.map_or_else(Vec::new, |item| {
+                    attributes_where(item, |name| names.is_none_or(|f| f.contains(&name)))
+                })
+            });
+            (shard, attrs)
         });
-        let mut attrs = to_attributes(&item);
-        if let Some(filter) = names {
-            attrs.retain(|a| filter.contains(&a.name.as_str()));
-        }
         let bytes: u64 = attrs
             .iter()
             .map(|a| (a.name.len() + a.value.len()) as u64)
@@ -444,7 +443,7 @@ impl SimpleDb {
             self.world
                 .record_op(Op::SdbDeleteAttributes, item_name.len() as u64, 0);
             self.world.record_shard_touch(Service::SimpleDb, shard);
-            let Some(item) = map.read_latest(&item_name.to_string()) else {
+            let Some(item) = map.read_latest(item_name) else {
                 return shard;
             };
             let before_bytes = byte_size(&item);
@@ -539,7 +538,7 @@ impl SimpleDb {
             let mut per_shard = BTreeMap::<u32, u64>::new();
             for ((item_name, attrs), &shard) in items.iter().zip(&shards) {
                 let map = guards.get_mut(shard);
-                let current = map.read_latest(&item_name.to_string());
+                let current = map.read_latest(item_name.as_str());
                 let before_bytes = current.as_ref().map(byte_size).unwrap_or(0);
                 let item = apply_put(item_name, current, attrs)?;
                 stored_delta += byte_size(&item) as i64 - before_bytes as i64;
@@ -622,7 +621,7 @@ impl SimpleDb {
             let now = self.world.now();
             for ((item_name, specs), &shard) in items.iter().zip(&shards) {
                 let map = guards.get_mut(shard);
-                let Some(item) = map.read_latest(&item_name.to_string()) else {
+                let Some(item) = map.read_latest(item_name.as_str()) else {
                     continue;
                 };
                 let before_bytes = byte_size(&item);
@@ -689,12 +688,11 @@ impl SimpleDb {
         let (rows, next, scanned) = self.run_query(domain, expression, max_items, next_token)?;
         let items: Vec<ResultItem> = rows
             .into_iter()
-            .map(|(name, state)| {
-                let mut attributes = to_attributes(&state);
-                if let Some(filter) = attribute_filter {
-                    attributes.retain(|a| filter.contains(&a.name));
-                }
-                ResultItem { name, attributes }
+            .map(|(name, state)| ResultItem {
+                name,
+                attributes: attributes_where(&state, |attr| {
+                    attribute_filter.is_none_or(|f| f.iter().any(|n| n == attr))
+                }),
             })
             .collect();
         let bytes: u64 = items
@@ -782,16 +780,14 @@ impl SimpleDb {
                     Some(_) => return Err(SdbError::InvalidNextToken),
                     None => (view.pin_replicas(&self.world), 0),
                 };
-                let (rows, scanned) = self.collect_entries(view, &pin, |_, _| true)?;
+                let (rows, scanned) =
+                    self.collect_entries(view, &pin, |name, item| stmt.selects_row(name, item))?;
                 let matched = stmt.apply(rows);
-                let page: Vec<(String, ItemState)> = matched
-                    .iter()
-                    .skip(offset)
-                    .take(stmt.limit)
-                    .cloned()
-                    .collect();
+                let total = matched.len();
+                let page: Vec<(String, ItemState)> =
+                    matched.into_iter().skip(offset).take(stmt.limit).collect();
                 let consumed = offset + page.len();
-                let next = (consumed < matched.len()).then(|| {
+                let next = (consumed < total).then(|| {
                     PageToken {
                         pin,
                         cursor: Cursor::Offset(consumed),
@@ -801,13 +797,14 @@ impl SimpleDb {
                 (page, next, scanned)
             } else {
                 // Name-ordered output: cursor-based merge across shards.
-                let condition = stmt.condition.clone();
-                self.merged_page(view, token, stmt.limit, |name, item| {
-                    condition
-                        .as_ref()
-                        .map(|c| c.matches(name, item))
-                        .unwrap_or(true)
-                })?
+                let condition = stmt.condition.as_ref();
+                self.merged_page(
+                    view,
+                    token,
+                    stmt.limit,
+                    |count| condition.and_then(|c| c.cover(count)),
+                    |name, item| condition.is_none_or(|c| c.matches(name, item)),
+                )?
             };
 
             let items: Vec<ResultItem> = page
@@ -816,10 +813,9 @@ impl SimpleDb {
                     let attributes = match &stmt.output {
                         Output::ItemName => Vec::new(),
                         Output::All => to_attributes(&state),
-                        Output::Attrs(list) => to_attributes(&state)
-                            .into_iter()
-                            .filter(|a| list.contains(&a.name))
-                            .collect(),
+                        Output::Attrs(list) => {
+                            attributes_where(&state, |attr| list.iter().any(|n| n == attr))
+                        }
                         Output::Count => unreachable!("count handled above"),
                     };
                     ResultItem { name, attributes }
@@ -858,8 +854,7 @@ impl SimpleDb {
     pub fn latest_item(&self, domain: &str, item_name: &str) -> Option<Vec<Attribute>> {
         let dom = self.domain(domain).ok()?;
         dom.with_cells(item_name, |_, map| {
-            map.read_latest(&item_name.to_string())
-                .map(|s| to_attributes(&s))
+            map.read_latest(item_name).map(|s| to_attributes(&s))
         })
     }
 
@@ -897,7 +892,8 @@ impl SimpleDb {
 
     /// Fans out over every shard, collecting the entries visible on each
     /// shard's pinned replica that `pred` accepts, merged in item-name
-    /// order. Records one shard touch per shard.
+    /// order; only accepted entries are cloned out of the shard. Records
+    /// one shard touch per shard.
     fn collect_entries<F>(
         &self,
         view: &MapView<'_, ItemState>,
@@ -919,11 +915,9 @@ impl SimpleDb {
             view.with_cells_at(pos, |map| {
                 // Shards scan in parallel: the largest one gates the call.
                 scanned = scanned.max(map.cell_count() as u64);
-                rows.extend(
-                    map.visible_entries_on(replica, now)
-                        .into_iter()
-                        .filter(|(k, v)| pred(k, v)),
-                );
+                let (matched, _) =
+                    map.visible_page_on(replica, now, None, usize::MAX, None, |k, v| pred(k, v));
+                rows.extend(matched);
             });
         }
         // Shards hold disjoint key ranges only in hash space; restore
@@ -940,14 +934,23 @@ impl SimpleDb {
     /// name served, carrying the same replica pin — so a shard that
     /// splits between pages keeps serving the walk from its parent's
     /// pinned replica.
-    fn merged_page<F>(
+    ///
+    /// `cover` derives `pred`'s equality cover against one shard's
+    /// posting counts ([`QueryExpr::cover`]); a covered fetch draws its
+    /// candidates from that shard's attribute postings — built, under
+    /// the shard lock, the first time an equality term names the
+    /// attribute — and an uncovered one scans. Either way every
+    /// candidate is re-checked against `pred` on the pinned replica.
+    fn merged_page<'q, C, F>(
         &self,
         view: &MapView<'_, ItemState>,
         token: Option<PageToken>,
         page_size: usize,
+        cover: C,
         mut pred: F,
     ) -> Result<(Vec<(String, ItemState)>, Option<String>, u64)>
     where
+        C: Fn(PostingCount<'_>) -> Option<Cover<'q>>,
         F: FnMut(&str, &ItemState) -> bool,
     {
         let (pin, after) = match token {
@@ -973,7 +976,15 @@ impl SimpleDb {
             page_size,
             |i, cursor, quota| {
                 view.with_cells_at(i, |map| {
-                    map.visible_page_on(replicas[i], now, cursor, quota, |k, v| pred(k, v))
+                    let cover = cover(&mut |attr, value| map.posting_count(values_of, attr, value));
+                    map.visible_page_on(
+                        replicas[i],
+                        now,
+                        cursor,
+                        quota,
+                        cover.as_deref(),
+                        |k, v| pred(k, v),
+                    )
                 })
             },
         );
@@ -1027,10 +1038,11 @@ impl SimpleDb {
                 let (rows, scanned) =
                     self.collect_entries(view, &pin, |_, item| q.matches(item))?;
                 let rows = q.apply_sort(rows);
+                let total = rows.len();
                 let page: Vec<(String, ItemState)> =
-                    rows.iter().skip(offset).take(page_size).cloned().collect();
+                    rows.into_iter().skip(offset).take(page_size).collect();
                 let consumed = offset + page.len();
-                let next = (consumed < rows.len()).then(|| {
+                let next = (consumed < total).then(|| {
                     PageToken {
                         pin,
                         cursor: Cursor::Offset(consumed),
@@ -1040,9 +1052,13 @@ impl SimpleDb {
                 return Ok(((page, next, scanned), touched));
             }
 
-            let page = self.merged_page(view, token, page_size, |_, item| {
-                parsed.as_ref().map(|q| q.matches(item)).unwrap_or(true)
-            })?;
+            let page = self.merged_page(
+                view,
+                token,
+                page_size,
+                |count| parsed.as_ref().and_then(|q| q.cover(count)),
+                |_, item| parsed.as_ref().is_none_or(|q| q.matches(item)),
+            )?;
             Ok((page, touched))
         })?;
         dom.note_ops(&touched);

@@ -239,6 +239,65 @@ fn query_filters_and_returns_names() {
 }
 
 #[test]
+fn covered_queries_follow_writes_made_after_their_postings_exist() {
+    let (_, db) = counting();
+    let files = |db: &SimpleDb| {
+        db.query("d", Some("['type' = 'file']"), None, None)
+            .unwrap()
+            .item_names
+    };
+    db.put_attributes("d", "f1", &[add("type", "file")])
+        .unwrap();
+    db.put_attributes("d", "p1", &[add("type", "process")])
+        .unwrap();
+    // The first equality query on `type` builds its postings; every
+    // later write has to keep them current.
+    assert_eq!(files(&db), vec!["f1"]);
+    db.put_attributes("d", "f2", &[add("type", "file")])
+        .unwrap();
+    db.put_attributes("d", "p1", &[ReplaceableAttribute::replace("type", "file")])
+        .unwrap();
+    assert_eq!(files(&db), vec!["f1", "f2", "p1"]);
+    db.delete_attributes("d", "f1", None).unwrap();
+    db.delete_attributes("d", "f2", Some(&[DeletableAttribute::pair("type", "file")]))
+        .unwrap();
+    db.batch_put_attributes("d", &[("f3".to_string(), vec![add("type", "file")])])
+        .unwrap();
+    assert_eq!(files(&db), vec!["f3", "p1"]);
+    let sql = "select itemName() from d where type in ('file', 'process')";
+    let names: Vec<String> = db
+        .select(sql, None)
+        .unwrap()
+        .items
+        .into_iter()
+        .map(|i| i.name)
+        .collect();
+    assert_eq!(names, vec!["f3", "p1"]);
+}
+
+#[test]
+fn one_value_cannot_equal_two_things_even_through_the_postings() {
+    let (_, db) = counting();
+    db.put_attributes("d", "i", &[add("x", "a"), add("x", "b")])
+        .unwrap();
+    // `i` is posted under ('x','a'), which covers this expression — and
+    // the re-check still throws it out: no single value equals both.
+    let both = db
+        .query("d", Some("['x' = 'a' and 'x' = 'b']"), None, None)
+        .unwrap();
+    assert!(both.item_names.is_empty());
+    let spanning = db
+        .query(
+            "d",
+            Some("['x' = 'a'] intersection ['x' = 'b']"),
+            None,
+            None,
+        )
+        .unwrap();
+    assert_eq!(spanning.item_names, vec!["i"]);
+}
+
+#[test]
 fn query_none_matches_all() {
     let (_, db) = counting();
     db.put_attributes("d", "a", &[add("x", "1")]).unwrap();

@@ -8,8 +8,24 @@
 //! previous value — exactly the anomaly the paper's consistency property
 //! is about. Writes are last-writer-wins, deletes are tombstones, and
 //! fully-propagated history is compacted away.
+//!
+//! # Attribute postings
+//!
+//! A map whose values are attribute sets (SimpleDB items) can answer
+//! "which keys carry `(attribute, value)`?" from a secondary index
+//! instead of a scan. Postings are **lazy per attribute**: nothing is
+//! kept until [`EcMap::posting_count`] is first asked about an
+//! attribute; from then on every write maintains that attribute's
+//! postings. They cover a cell's whole *history*, not just its newest
+//! write — a replica may still serve an older one — so they are a
+//! superset of what any replica can see, and the page fetch re-checks
+//! visibility and the caller's predicate on every candidate. A pair
+//! leaves the postings only when compaction drops the last write that
+//! carried it.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use crate::clock::SimInstant;
 use crate::world::SimWorld;
@@ -21,6 +37,13 @@ struct Write<V> {
     visible_at: Vec<SimInstant>,
     /// `None` is a delete tombstone.
     value: Option<V>,
+}
+
+impl<V> Write<V> {
+    /// The values this write's state carries for `attr`.
+    fn values(&self, values_of: ValuesOf<V>, attr: &str) -> Option<&BTreeSet<String>> {
+        values_of(self.value.as_ref()?, attr)
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -43,8 +66,9 @@ impl<V> Cell<V> {
             .expect("cells always hold at least one write")
     }
 
-    /// Drops history that every replica has moved past.
-    fn compact(&mut self, now: SimInstant) {
+    /// Drops history that every replica has moved past, returning the
+    /// dropped writes (no allocation when there are none).
+    fn compact(&mut self, now: SimInstant) -> Vec<Write<V>> {
         // Find the newest write fully propagated everywhere; anything
         // older can never be served again.
         let mut cut = 0;
@@ -53,9 +77,7 @@ impl<V> Cell<V> {
                 cut = i;
             }
         }
-        if cut > 0 {
-            self.writes.drain(..cut);
-        }
+        self.writes.drain(..cut).collect()
     }
 
     /// True when the only remaining state is a fully-propagated tombstone.
@@ -63,6 +85,117 @@ impl<V> Cell<V> {
         self.writes.len() == 1
             && self.writes[0].value.is_none()
             && self.writes[0].visible_at.iter().all(|t| *t <= now)
+    }
+}
+
+/// Reads the values `state` carries for an attribute — how an [`EcMap`]
+/// looks inside an otherwise opaque `V` to keep attribute postings.
+pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> Option<&'a BTreeSet<String>>;
+
+/// The secondary index: attribute → value → the keys, ascending, whose
+/// write history carries the pair (see the module docs).
+#[derive(Clone, Debug)]
+struct Postings<K, V> {
+    by_attr: BTreeMap<String, BTreeMap<String, Vec<K>>>,
+    /// Set by the first build; `by_attr` is empty until then.
+    values_of: Option<ValuesOf<V>>,
+}
+
+impl<K, V> Default for Postings<K, V> {
+    fn default() -> Self {
+        Postings {
+            by_attr: BTreeMap::new(),
+            values_of: None,
+        }
+    }
+}
+
+/// Posts `key` under `value`, keeping the key list ascending and
+/// duplicate-free.
+fn post<K: Ord + Clone>(by_value: &mut BTreeMap<String, Vec<K>>, value: &String, key: &K) {
+    match by_value.get_mut(value) {
+        Some(keys) => {
+            if let Err(at) = keys.binary_search(key) {
+                keys.insert(at, key.clone());
+            }
+        }
+        None => {
+            by_value.insert(value.clone(), vec![key.clone()]);
+        }
+    }
+}
+
+impl<K: Ord + Clone, V> Postings<K, V> {
+    /// Posts `key` under every indexed pair `state` carries.
+    fn add(&mut self, key: &K, state: &V) {
+        let Some(values_of) = self.values_of else {
+            return;
+        };
+        for (attr, by_value) in &mut self.by_attr {
+            for value in values_of(state, attr).into_iter().flatten() {
+                post(by_value, value, key);
+            }
+        }
+    }
+
+    /// Unposts `key` from every indexed pair that a `dropped` write
+    /// carried and no `kept` write of the same cell still does.
+    fn forget(&mut self, key: &K, dropped: &[Write<V>], kept: &[Write<V>]) {
+        let (false, Some(values_of)) = (dropped.is_empty(), self.values_of) else {
+            return;
+        };
+        for (attr, by_value) in &mut self.by_attr {
+            let carried = |w| Write::values(w, values_of, attr);
+            for value in dropped.iter().filter_map(carried).flatten() {
+                if kept.iter().filter_map(carried).any(|v| v.contains(value)) {
+                    continue;
+                }
+                let Some(keys) = by_value.get_mut(value) else {
+                    continue;
+                };
+                if let Ok(at) = keys.binary_search(key) {
+                    keys.remove(at);
+                }
+                if keys.is_empty() {
+                    by_value.remove(value);
+                }
+            }
+        }
+    }
+
+    /// The keys from `start` on posted under any pair of `cover`,
+    /// ascending and deduplicated — or `None` when the cover names an
+    /// attribute that has no postings (yet).
+    fn candidates<'a>(
+        &'a self,
+        cover: &[(&str, &str)],
+        start: Bound<&K>,
+    ) -> Option<impl Iterator<Item = &'a K>> {
+        let mut heads = Vec::with_capacity(cover.len());
+        for (attr, value) in cover {
+            let keys = self
+                .by_attr
+                .get(*attr)?
+                .get(*value)
+                .map_or(&[][..], Vec::as_slice);
+            let from = match start {
+                Bound::Unbounded => 0,
+                Bound::Included(s) => keys.partition_point(|k| k < s),
+                Bound::Excluded(s) => keys.partition_point(|k| k <= s),
+            };
+            heads.push(keys[from..].iter().peekable());
+        }
+        // A merge of the sorted lists; an item carrying two pairs of the
+        // cover is posted under both and must come out once.
+        Some(std::iter::from_fn(move || {
+            let next = heads.iter_mut().filter_map(|h| h.peek().copied()).min()?;
+            for head in &mut heads {
+                if head.peek() == Some(&next) {
+                    head.next();
+                }
+            }
+            Some(next)
+        }))
     }
 }
 
@@ -84,6 +217,7 @@ impl<V> Cell<V> {
 pub struct EcMap<K: Ord, V> {
     cells: BTreeMap<K, Cell<V>>,
     next_seq: u64,
+    postings: Postings<K, V>,
 }
 
 impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
@@ -92,6 +226,7 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         EcMap {
             cells: BTreeMap::new(),
             next_seq: 0,
+            postings: Postings::default(),
         }
     }
 
@@ -114,6 +249,11 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         value: Option<V>,
     ) {
         self.next_seq += 1;
+        // A map nobody has queried by attribute pays this one branch.
+        let posted_key = (!self.postings.by_attr.is_empty()).then(|| key.clone());
+        if let (Some(key), Some(state)) = (&posted_key, &value) {
+            self.postings.add(key, state);
+        }
         let write = Write {
             seq: self.next_seq,
             visible_at,
@@ -124,41 +264,84 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
             .entry(key)
             .or_insert_with(|| Cell { writes: Vec::new() });
         cell.writes.push(write);
-        cell.compact(now);
+        let dropped = cell.compact(now);
+        if let Some(key) = &posted_key {
+            self.postings.forget(key, &dropped, &cell.writes);
+        }
     }
 
     /// Serves a read from a randomly chosen replica; may return stale
     /// state under eventual consistency.
-    pub fn read(&self, world: &SimWorld, key: &K) -> Option<V> {
-        self.read_on(world.sample_read_replica(), world.now(), key)
+    pub fn read<Q>(&self, world: &SimWorld, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.read_with(world, key, |value| value.cloned())
+    }
+
+    /// [`EcMap::read`] without the clone: `f` sees the served value in
+    /// place (`None` for an absent, deleted or not-yet-visible key). The
+    /// replica is drawn before the clock is read, exactly as `read` does.
+    pub fn read_with<Q, R>(&self, world: &SimWorld, key: &Q, f: impl FnOnce(Option<&V>) -> R) -> R
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let replica = world.sample_read_replica();
+        let now = world.now();
+        f(self.visible_value(replica, now, key))
     }
 
     /// Serves a read from an explicitly chosen replica at an explicit
     /// instant. A paginated scan that pins one replica per shard uses
     /// this to keep every page of one logical scan on the same view.
-    pub fn read_on(&self, replica: usize, now: SimInstant, key: &K) -> Option<V> {
-        self.cells
-            .get(key)?
-            .visible(replica, now)
-            .and_then(|w| w.value.clone())
+    pub fn read_on<Q>(&self, replica: usize, now: SimInstant, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.visible_value(replica, now, key).cloned()
+    }
+
+    fn visible_value<Q>(&self, replica: usize, now: SimInstant, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.cells.get(key)?.visible(replica, now)?.value.as_ref()
     }
 
     /// The authoritative newest value, ignoring propagation (what every
     /// replica will eventually serve). Use for invariant checks, not for
     /// simulated client reads.
-    pub fn read_latest(&self, key: &K) -> Option<V> {
+    pub fn read_latest<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.cells.get(key).and_then(|c| c.latest().value.clone())
     }
 
     /// Sequence number of the newest write to `key`, if any. Higher means
     /// newer across the whole map.
-    pub fn latest_seq(&self, key: &K) -> Option<u64> {
+    pub fn latest_seq<Q>(&self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         self.cells.get(key).map(|c| c.latest().seq)
     }
 
     /// `true` if the newest write to `key` is a value (not a tombstone).
-    pub fn contains_latest(&self, key: &K) -> bool {
-        self.read_latest(key).is_some()
+    pub fn contains_latest<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.cells
+            .get(key)
+            .is_some_and(|c| c.latest().value.is_some())
     }
 
     /// Number of keys whose newest write is a value.
@@ -213,6 +396,28 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
             .collect()
     }
 
+    /// Number of keys posted under `(attr, value)` — an upper bound on the
+    /// candidates a page fetch covered by that pair has to check. The
+    /// first call naming `attr` builds its postings from every cell's
+    /// full history; writes keep them current from then on.
+    pub fn posting_count(&mut self, values_of: ValuesOf<V>, attr: &str, value: &str) -> usize {
+        if let Some(by_value) = self.postings.by_attr.get(attr) {
+            return by_value.get(value).map_or(0, Vec::len);
+        }
+        let mut by_value = BTreeMap::new();
+        for (key, cell) in &self.cells {
+            for values in cell.writes.iter().filter_map(|w| w.values(values_of, attr)) {
+                for value in values {
+                    post(&mut by_value, value, key);
+                }
+            }
+        }
+        let count = by_value.get(value).map_or(0, Vec::len);
+        self.postings.values_of = Some(values_of);
+        self.postings.by_attr.insert(attr.to_string(), by_value);
+        count
+    }
+
     /// Up to `limit` live entries visible on `replica`, in key order,
     /// strictly after `after` (`None` starts from the beginning), keeping
     /// only entries `pred` accepts. This is the per-shard building block
@@ -220,26 +425,35 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// served can neither skip nor duplicate a key, no matter what was
     /// inserted or deleted between pages.
     ///
-    /// Also returns how many cells the scan examined, so callers can
-    /// charge a scan cost proportional to work done, not results
-    /// returned.
+    /// `cover` is an *equality cover* of `pred`: `(attribute, value)`
+    /// pairs of which every entry `pred` accepts carries at least one.
+    /// With a cover whose attributes all have postings (see
+    /// [`EcMap::posting_count`]) the candidates come from the postings
+    /// instead of a walk over every cell; the result is the same either
+    /// way, because every candidate still passes through the visibility
+    /// check and `pred`.
+    ///
+    /// Also returns how many cells a scan of the range examines — up to
+    /// and including the entry that filled the page, else to the end —
+    /// so callers can charge a scan cost proportional to the modelled
+    /// work, whichever way the candidates were found.
     pub fn visible_page_on<F>(
         &self,
         replica: usize,
         now: SimInstant,
         after: Option<&K>,
         limit: usize,
+        cover: Option<&[(&str, &str)]>,
         pred: F,
     ) -> (Vec<(K, V)>, u64)
     where
         F: FnMut(&K, &V) -> bool,
     {
-        use std::ops::Bound;
         let start = match after {
             Some(k) => Bound::Excluded(k),
             None => Bound::Unbounded,
         };
-        self.visible_page_from(replica, now, start, limit, |_| false, pred)
+        self.page(replica, now, start, limit, cover, |_| false, pred)
     }
 
     /// Range-bounded form of [`EcMap::visible_page_on`]: the scan starts
@@ -251,8 +465,31 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         &self,
         replica: usize,
         now: SimInstant,
-        start: std::ops::Bound<&K>,
+        start: Bound<&K>,
         limit: usize,
+        beyond: G,
+        pred: F,
+    ) -> (Vec<(K, V)>, u64)
+    where
+        F: FnMut(&K, &V) -> bool,
+        G: FnMut(&K) -> bool,
+    {
+        self.page(replica, now, start, limit, None, beyond, pred)
+    }
+
+    /// The one page loop. Candidates are every cell from `start`, or —
+    /// under a posted `cover` — only the cells posted under it; what
+    /// happens to a candidate does not depend on where it came from.
+    /// (`beyond` and `cover` never meet: a posted fetch cannot tell how
+    /// many unposted cells lie before the first key `beyond` accepts.)
+    #[allow(clippy::too_many_arguments)]
+    fn page<F, G>(
+        &self,
+        replica: usize,
+        now: SimInstant,
+        start: Bound<&K>,
+        limit: usize,
+        cover: Option<&[(&str, &str)]>,
         mut beyond: G,
         mut pred: F,
     ) -> (Vec<(K, V)>, u64)
@@ -260,14 +497,20 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         F: FnMut(&K, &V) -> bool,
         G: FnMut(&K) -> bool,
     {
-        use std::ops::Bound;
-        let mut scanned = 0u64;
+        let mut posted = cover.and_then(|c| self.postings.candidates(c, start));
+        let from_postings = posted.is_some();
+        let mut scan = self.cells.range::<K, _>((start, Bound::Unbounded));
+        let candidates = std::iter::from_fn(|| match &mut posted {
+            Some(keys) => keys.find_map(|k| self.cells.get_key_value(k)),
+            None => scan.next(),
+        });
+        let mut examined = 0u64;
         let mut out = Vec::new();
-        for (k, c) in self.cells.range::<K, _>((start, Bound::Unbounded)) {
+        for (k, c) in candidates {
             if beyond(k) {
                 break;
             }
-            scanned += 1;
+            examined += 1;
             let Some(v) = c.visible(replica, now).and_then(|w| w.value.as_ref()) else {
                 continue;
             };
@@ -279,7 +522,20 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
                 break;
             }
         }
-        (out, scanned)
+        if from_postings {
+            // Charge what the scan would have examined: the cells up to
+            // the entry that filled the page, else all of them — a count
+            // over keys alone, and no walk at all from the very start.
+            examined = match (start, out.last().filter(|_| out.len() >= limit)) {
+                (Bound::Unbounded, None) => self.cells.len() as u64,
+                (_, None) => self.cells.range::<K, _>((start, Bound::Unbounded)).count() as u64,
+                (_, Some((last, _))) => self
+                    .cells
+                    .range::<K, _>((start, Bound::Included(last)))
+                    .count() as u64,
+            };
+        }
+        (out, examined)
     }
 
     /// Number of cells currently stored, live or tombstoned — the rows
@@ -299,7 +555,8 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// the moved cells behave exactly as they would have in place. Both
     /// halves keep the original sequence counter, preserving global
     /// last-writer-wins order across the split. This is the migration
-    /// engine under hot-shard splitting in [`crate::ShardMap`].
+    /// engine under hot-shard splitting in [`crate::ShardMap`]. Attribute
+    /// postings are dropped on both halves and rebuilt lazily.
     pub fn split_off_by<F>(&mut self, mut pred: F) -> EcMap<K, V>
     where
         F: FnMut(&K) -> bool,
@@ -311,9 +568,13 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
                 moved.insert(key, cell);
             }
         }
+        // Neither half keeps postings: each rebuilds an attribute's from
+        // its own cells the next time a query names it.
+        self.postings.by_attr.clear();
         EcMap {
             cells: moved,
             next_seq: self.next_seq,
+            postings: Postings::default(),
         }
     }
 
@@ -340,8 +601,12 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// Drops tombstoned keys whose deletion has reached every replica and
     /// compacts remaining history. Call opportunistically.
     pub fn gc(&mut self, now: SimInstant) {
-        self.cells.retain(|_, cell| {
-            cell.compact(now);
+        let postings = &mut self.postings;
+        self.cells.retain(|key, cell| {
+            let dropped = cell.compact(now);
+            // A cell about to be reclaimed is down to one tombstone, which
+            // carries no pairs: `dropped` is everything left to unpost.
+            postings.forget(key, &dropped, &cell.writes);
             !cell.fully_deleted(now)
         });
     }
@@ -349,6 +614,8 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::clock::SimDuration;
     use crate::latency::LatencyModel;
@@ -531,5 +798,180 @@ mod tests {
         map.write(&world, "b", Some(2));
         let s2 = map.latest_seq(&"b").unwrap();
         assert!(s2 > s1);
+    }
+
+    // --- attribute postings ---
+
+    type Item = BTreeMap<String, BTreeSet<String>>;
+
+    fn item(pairs: &[(&str, &str)]) -> Item {
+        let mut item = Item::new();
+        for (attr, value) in pairs {
+            item.entry(attr.to_string())
+                .or_default()
+                .insert(value.to_string());
+        }
+        item
+    }
+
+    fn item_values<'a>(item: &'a Item, attr: &str) -> Option<&'a BTreeSet<String>> {
+        item.get(attr)
+    }
+
+    fn carries(item: &Item, attr: &str, value: &str) -> bool {
+        item.get(attr).is_some_and(|values| values.contains(value))
+    }
+
+    #[test]
+    fn unqueried_maps_keep_no_postings() {
+        let world = SimWorld::counting();
+        let mut map = EcMap::new();
+        map.write(&world, "k", Some(item(&[("a", "x")])));
+        assert!(map.postings.by_attr.is_empty());
+        // A cover over an attribute nobody asked about falls back to the scan.
+        let cover = [("a", "x")];
+        let now = world.now();
+        let (hits, examined) = map.visible_page_on(0, now, None, 10, Some(&cover), |_, _| true);
+        assert_eq!((hits.len(), examined), (1, 1));
+        assert!(map.postings.by_attr.is_empty());
+    }
+
+    #[test]
+    fn postings_reach_an_older_write_a_lagging_replica_still_serves() {
+        let t0 = SimInstant::EPOCH;
+        let later = t0 + SimDuration::from_secs(10);
+        let mut map = EcMap::new();
+        map.write_at(t0, vec![t0, t0], "k", Some(item(&[("a", "x")])));
+        map.write_at(t0, vec![t0, t0], "other", Some(item(&[("a", "z")])));
+        assert_eq!(map.posting_count(item_values, "a", "x"), 1);
+        // The overwrite reaches replica 0 at once and replica 1 in 10 s.
+        map.write_at(t0, vec![t0, later], "k", Some(item(&[("a", "y")])));
+        assert_eq!(map.posting_count(item_values, "a", "x"), 1);
+        assert_eq!(map.posting_count(item_values, "a", "y"), 1);
+
+        let cover = [("a", "x")];
+        let is_x = |_: &&str, v: &Item| carries(v, "a", "x");
+        // Replica 1 still serves a=x, though the newest write says a=y.
+        let (hits, examined) = map.visible_page_on(1, t0, None, 10, Some(&cover), is_x);
+        assert_eq!(hits, vec![("k", item(&[("a", "x")]))]);
+        assert_eq!(examined, 2, "charged as the scan of both cells");
+        // Replica 0 has moved on: the candidate fails the re-check.
+        let (hits, _) = map.visible_page_on(0, t0, None, 10, Some(&cover), is_x);
+        assert!(hits.is_empty());
+
+        // Once every replica serves a=y the old write compacts away, and
+        // with it the last reason to post `k` under a=x.
+        map.gc(later);
+        assert_eq!(map.posting_count(item_values, "a", "x"), 0);
+        assert_eq!(map.posting_count(item_values, "a", "y"), 1);
+    }
+
+    #[test]
+    fn split_drops_postings_and_both_halves_rebuild() {
+        let world = SimWorld::counting();
+        let mut map = EcMap::new();
+        for k in 0..10u64 {
+            map.write(&world, k, Some(item(&[("a", "x")])));
+        }
+        assert_eq!(map.posting_count(item_values, "a", "x"), 10);
+        let mut moved = map.split_off_by(|k| k % 2 == 1);
+        assert!(map.postings.by_attr.is_empty() && moved.postings.by_attr.is_empty());
+        assert_eq!(map.posting_count(item_values, "a", "x"), 5);
+        assert_eq!(moved.posting_count(item_values, "a", "x"), 5);
+    }
+
+    /// The covers the proptest probes with; every `pred` it pairs them
+    /// with implies "carries one of these pairs".
+    const COVERS: &[&[(&str, &str)]] = &[
+        &[("a", "x")],
+        &[("a", "x"), ("a", "y")],
+        &[("b", "p")],
+        &[("a", "y"), ("b", "q")],
+        &[("a", "nobody-has-this-value")],
+        &[("c", "nobody-has-this-attribute")],
+        &[("a", "x"), ("a", "x")],
+    ];
+
+    /// Index-fed and scan-fed fetches of one map must agree on entries
+    /// *and* on the examined count, and the postings must be exactly
+    /// what a rebuild from the surviving histories would give.
+    fn check_postings(
+        map: &mut EcMap<u64, Item>,
+        now: SimInstant,
+        (replica, cursor, limit, shape): (usize, u64, usize, usize),
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let cover = COVERS[shape % COVERS.len()];
+        for (attr, value) in cover {
+            map.posting_count(item_values, attr, value);
+        }
+        prop_assert!(map.postings.candidates(cover, Bound::Unbounded).is_some());
+        let after = (cursor < 12).then_some(cursor);
+        let pred = |_: &u64, v: &Item| {
+            cover.iter().any(|(attr, value)| carries(v, attr, value))
+                && (limit % 2 == 0 || carries(v, "b", "p"))
+        };
+        let posted = map.visible_page_on(replica, now, after.as_ref(), limit, Some(cover), pred);
+        let scanned = map.visible_page_on(replica, now, after.as_ref(), limit, None, pred);
+        prop_assert_eq!(posted, scanned);
+
+        let mut rebuilt = map.clone();
+        rebuilt.postings = Postings::default();
+        for attr in map.postings.by_attr.keys() {
+            rebuilt.posting_count(item_values, attr, "");
+        }
+        prop_assert_eq!(&rebuilt.postings.by_attr, &map.postings.by_attr);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn posted_fetch_equals_scanned_fetch(
+            ops in proptest::collection::vec(
+                (
+                    (0u64..12, 0u8..8, 0u8..8),
+                    (0u64..5_000, 0u64..5_000, 0u64..5_000),
+                    (0usize..3, 0u64..14, 1usize..6, 0usize..7),
+                ),
+                1..60,
+            ),
+        ) {
+            let ms = SimDuration::from_millis;
+            let mut now = SimInstant::EPOCH;
+            let mut map: EcMap<u64, Item> = EcMap::new();
+            for ((key, kind, bits), (l0, l1, l2), probe) in ops {
+                // Adversarial, even out-of-order, propagation: an older
+                // write can outlive a newer one on some replica.
+                let visible_at = vec![now + ms(l0), now + ms(l1), now + ms(l2)];
+                match kind {
+                    0..=3 => {
+                        let mut state = item(&[("b", if bits & 4 == 0 { "p" } else { "q" })]);
+                        for (bit, value) in [(1, "x"), (2, "y")] {
+                            if bits & bit != 0 {
+                                state.entry("a".into()).or_default().insert(value.into());
+                            }
+                        }
+                        map.write_at(now, visible_at, key, Some(state));
+                    }
+                    4 => map.write_at(now, visible_at, key, None),
+                    5 | 6 => {
+                        now += ms(l0);
+                        map.gc(now);
+                    }
+                    _ => {
+                        // The child is checked once and retired; the
+                        // parent carries on (and may be re-sent its keys).
+                        let mut moved = map.split_off_by(|k| k % 2 == l0 % 2);
+                        check_postings(&mut moved, now, probe)?;
+                    }
+                }
+                // Skipping some probes varies how much history exists
+                // when an attribute's postings are first built.
+                if l2 % 3 != 0 {
+                    check_postings(&mut map, now, probe)?;
+                }
+            }
+        }
     }
 }

@@ -61,7 +61,7 @@ mod world;
 pub use adaptive::AdaptiveDepth;
 pub use blob::{Blob, Chunks, CHUNK};
 pub use clock::{SimDuration, SimInstant};
-pub use ecstore::EcMap;
+pub use ecstore::{EcMap, ValuesOf};
 pub use faults::{CrashSite, Crashed, FaultPlan};
 pub use hash::{fnv1a_64, splitmix64};
 pub use latency::{LatencyModel, ServiceLatency};

@@ -671,10 +671,16 @@ impl<V: Clone> MapView<'_, V> {
         ids
     }
 
-    /// Runs `f` against the cell map at range `position`.
-    pub fn with_cells_at<R>(&self, position: usize, f: impl FnOnce(&EcMap<String, V>) -> R) -> R {
-        let cells = self.state.shards[position].cells.lock();
-        f(&cells)
+    /// Runs `f` against the cell map at range `position`, under its
+    /// lock — mutably, so a scan can build the attribute postings it is
+    /// about to read ([`EcMap::posting_count`]).
+    pub fn with_cells_at<R>(
+        &self,
+        position: usize,
+        f: impl FnOnce(&mut EcMap<String, V>) -> R,
+    ) -> R {
+        let mut cells = self.state.shards[position].cells.lock();
+        f(&mut cells)
     }
 
     /// Pins one read replica per current shard: `n` draws from the
