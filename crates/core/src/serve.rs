@@ -13,9 +13,11 @@
 //! * **Reads and queries** never touch that mutex. The handle captures
 //!   cloned service handles ([`ServeParts`]) at construction and builds
 //!   a fresh [`ReadContext`]/[`SimpleDbQueryEngine`] per call, so they
-//!   take `&self` and contend only on the services' own per-shard
-//!   locks — the concurrency the sharding layer (PRs 2–3, 8) was built
-//!   to exploit.
+//!   take `&self` and never wait for a writer at this level. They are
+//!   not lock-free below it: beside the services' own per-shard locks,
+//!   every service request takes the one global [`SimWorld`] lock
+//!   (clock, RNG, meters, fault plan), several times per request, so
+//!   concurrent reads still serialize there whatever the shard count.
 //!
 //! The handle is `Clone + Send + Sync`; every clone shares the same
 //! store. [`ServeHandle::fingerprint`] hashes the authoritative
@@ -52,8 +54,9 @@ pub struct ServeParts {
     pub(crate) serve_closure: bool,
 }
 
-/// A store that can hand out the pieces of its (lock-free) read path,
-/// making it servable through [`ServeHandle`]. Implemented by the two
+/// A store that can hand out the pieces of its read path (which never
+/// takes the writer mutex), making it servable through
+/// [`ServeHandle`]. Implemented by the two
 /// architectures whose read side is the shared §4.2 verified read.
 pub trait Serveable: ProvenanceStore + Send {
     /// Snapshots the service handles and read configuration. The parts
@@ -214,8 +217,8 @@ impl ServeHandle {
     }
 
     /// The §4.2 verified read, built fresh from the captured parts —
-    /// no handle-level lock, so N threads read concurrently against
-    /// the services' per-shard locks.
+    /// no handle-level lock, so N threads read concurrently, contending
+    /// on the services' per-shard locks and the global `SimWorld` lock.
     ///
     /// # Errors
     ///

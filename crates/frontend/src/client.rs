@@ -10,7 +10,8 @@ use pass::FileFlush;
 use provenance_cloud::{ProvQuery, QueryAnswer, ReadOutcome, ServeStats};
 
 use crate::codec::{
-    decode_reply, encode_command, read_frame, write_frame, Command, FrameError, Reply, WireFault,
+    decode_reply, encode_command_into, write_frame, Command, FrameError, FrameReader, Reply,
+    WireFault,
 };
 
 /// Why a client call failed.
@@ -21,7 +22,9 @@ pub enum ClientError {
     /// The server answered with a structured fault.
     Remote(WireFault),
     /// The server answered with bytes this client could not interpret,
-    /// or a reply of the wrong shape for the command.
+    /// or a reply of the wrong shape for the command — or the command
+    /// itself cannot be framed (over [`crate::MAX_FRAME`]) and was not
+    /// sent.
     Protocol(String),
 }
 
@@ -43,6 +46,15 @@ impl From<io::Error> for ClientError {
     }
 }
 
+impl From<FrameError> for ClientError {
+    fn from(e: FrameError) -> ClientError {
+        match e {
+            FrameError::Io(e) => ClientError::Io(e),
+            e => ClientError::Protocol(e.to_string()),
+        }
+    }
+}
+
 impl ClientError {
     /// The structured fault, when the failure was a server-side error
     /// reply.
@@ -54,10 +66,15 @@ impl ClientError {
     }
 }
 
-/// A blocking protocol client over any bidirectional stream.
+/// A blocking protocol client over any bidirectional stream. Each
+/// request leaves in one `write`; a reply the server wrote whole
+/// arrives in one `read`.
 #[derive(Debug)]
 pub struct Client<S> {
     stream: S,
+    reader: FrameReader,
+    /// The reusable write buffer [`write_frame`] builds requests in.
+    frame: Vec<u8>,
 }
 
 impl Client<TcpStream> {
@@ -69,7 +86,7 @@ impl Client<TcpStream> {
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<Client<TcpStream>> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client::over(stream))
     }
 }
 
@@ -80,33 +97,26 @@ impl Client<UnixStream> {
     ///
     /// Socket connect errors.
     pub fn connect_unix(path: impl AsRef<Path>) -> io::Result<Client<UnixStream>> {
-        Ok(Client {
-            stream: UnixStream::connect(path)?,
-        })
+        Ok(Client::over(UnixStream::connect(path)?))
     }
 }
 
 impl<S: Read + Write> Client<S> {
     /// Wraps an already-connected stream.
     pub fn over(stream: S) -> Client<S> {
-        Client { stream }
+        Client {
+            stream,
+            reader: FrameReader::new(),
+            frame: Vec::new(),
+        }
     }
 
     /// One request/reply round trip.
     fn call(&mut self, command: &Command) -> Result<Reply, ClientError> {
-        write_frame(&mut self.stream, &encode_command(command))?;
-        let payload = match read_frame(&mut self.stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed before replying",
-                )))
-            }
-            Err(FrameError::Io(e)) => return Err(ClientError::Io(e)),
-            Err(e) => return Err(ClientError::Protocol(e.to_string())),
-        };
-        match decode_reply(&payload).map_err(|e| ClientError::Protocol(e.to_string()))? {
+        write_frame(&mut self.stream, &mut self.frame, |out| {
+            encode_command_into(out, command)
+        })?;
+        match self.read_reply()? {
             Reply::Err(fault) => Err(ClientError::Remote(fault)),
             reply => Ok(reply),
         }
@@ -191,21 +201,33 @@ impl<S: Read + Write> Client<S> {
     ///
     /// # Errors
     ///
-    /// [`ClientError`] as for typed calls.
+    /// [`ClientError`] as for typed calls, except that a fault reply is
+    /// returned as `Ok(Reply::Err(_))`.
     pub fn raw_round_trip(&mut self, payload: &[u8]) -> Result<Reply, ClientError> {
-        write_frame(&mut self.stream, payload)?;
-        let reply = match read_frame(&mut self.stream) {
-            Ok(Some(bytes)) => bytes,
-            Ok(None) => {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed before replying",
-                )))
-            }
-            Err(FrameError::Io(e)) => return Err(ClientError::Io(e)),
-            Err(e) => return Err(ClientError::Protocol(e.to_string())),
-        };
-        decode_reply(&reply).map_err(|e| ClientError::Protocol(e.to_string()))
+        write_frame(&mut self.stream, &mut self.frame, |out| {
+            out.extend_from_slice(payload)
+        })?;
+        self.read_reply()
+    }
+
+    /// Reads the next reply frame without sending anything: the other
+    /// half of [`Client::raw_round_trip`], for replies to bytes written
+    /// straight to [`Client::stream_mut`]. Replies the client has
+    /// already buffered are only reachable through here, not by reading
+    /// the stream.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Io`] with `UnexpectedEof` if the server closed
+    /// before replying; otherwise as for [`Client::raw_round_trip`].
+    pub fn read_reply(&mut self) -> Result<Reply, ClientError> {
+        match self.reader.next_frame(&mut self.stream, decode_reply)? {
+            Some(reply) => reply.map_err(|e| ClientError::Protocol(e.to_string())),
+            None => Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed before replying",
+            ))),
+        }
     }
 
     /// The underlying stream, for tests that need to mangle the

@@ -188,7 +188,7 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Why a frame could not be read off the stream.
+/// Why a frame could not be read off, or written to, the stream.
 #[derive(Debug)]
 pub enum FrameError {
     /// Transport error.
@@ -198,9 +198,12 @@ pub enum FrameError {
     /// The length prefix announced zero payload bytes (every payload
     /// carries at least a tag). The stream is still in sync — the
     /// server answers with a [`FaultCode::BadFrame`] and carries on.
+    /// Writing, the frame had no payload and nothing was sent.
     Empty,
     /// The length prefix exceeded [`MAX_FRAME`]. The payload is not
     /// consumed, so the connection cannot resync and must close.
+    /// Writing, the payload was that long and nothing was sent, so the
+    /// stream is still in sync.
     TooLarge(u32),
 }
 
@@ -225,57 +228,181 @@ impl From<io::Error> for FrameError {
 
 // ---- frame transport ----------------------------------------------------
 
-/// Writes one frame: `u32` big-endian payload length, then the payload.
+/// Bytes of the length prefix that opens every frame.
+const PREFIX: usize = 4;
+
+/// What a connection's buffers rest at between frames: the span of a
+/// [`FrameReader`], and the most a [`write_frame`] buffer keeps. A
+/// frame up to this size can cross in one `read`; a larger one grows
+/// its buffer only while it is in flight, so an idle connection holds
+/// this much per direction, never [`MAX_FRAME`].
+pub const REST_CAPACITY: usize = 64 * 1024;
+
+/// Writes one frame — `u32` big-endian payload length, then the
+/// payload — with exactly one `write_all`.
+///
+/// `frame` is the connection's reusable write buffer; its previous
+/// contents are discarded. `encode` appends the payload behind the four
+/// bytes reserved for the prefix ([`encode_command_into`] and
+/// [`encode_reply_into`] are such encoders), the prefix is stamped in
+/// place, and prefix and payload leave together without the payload
+/// being copied again. Whatever an unusually large frame made the
+/// buffer grow to beyond [`REST_CAPACITY`] is released before
+/// returning, so a connection that once carried an 8 MiB frame does
+/// not hold 8 MiB while idle.
 ///
 /// # Errors
 ///
-/// Transport errors from `w`.
-///
-/// # Panics
-///
-/// If `payload` is empty or longer than [`MAX_FRAME`] — encoders in
-/// this module never produce either.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    assert!(
-        !payload.is_empty() && payload.len() <= MAX_FRAME,
-        "frame payload out of bounds"
-    );
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+/// [`FrameError::Empty`] for a frame with no payload and
+/// [`FrameError::TooLarge`] for one over [`MAX_FRAME`] (a `Read` of a
+/// huge object, a `ProvenanceOfAll` answer); nothing is written in
+/// either case, so the stream stays in sync. [`FrameError::Io`] on
+/// transport errors from `w`.
+pub fn write_frame(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
+    frame.clear();
+    frame.extend_from_slice(&[0; PREFIX]);
+    encode(frame);
+    let len = frame.len() - PREFIX;
+    let result = if len == 0 {
+        Err(FrameError::Empty)
+    } else if len > MAX_FRAME {
+        Err(FrameError::TooLarge(u32::try_from(len).unwrap_or(u32::MAX)))
+    } else {
+        frame[..PREFIX].copy_from_slice(&(len as u32).to_be_bytes());
+        w.write_all(frame)
+            .and_then(|()| w.flush())
+            .map_err(FrameError::Io)
+    };
+    if frame.capacity() > REST_CAPACITY {
+        frame.clear();
+        frame.shrink_to(REST_CAPACITY);
+    }
+    result
 }
 
-/// Reads one frame's payload. `Ok(None)` is a clean end of stream (the
-/// peer closed between frames); ending anywhere *inside* a frame is
-/// [`FrameError::Truncated`].
+/// The receiving end of one connection: a reusable buffer that turns a
+/// byte stream into frames with, in the common case, one `read` per
+/// frame.
 ///
-/// # Errors
-///
-/// [`FrameError`] as described on its variants.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < prefix.len() {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
+/// Each [`FrameReader::next_frame`] first serves what earlier reads
+/// already buffered — several frames that arrived together come out
+/// strictly in order, with no further I/O — and otherwise issues one
+/// `read` at a time into all the free space, reassembling a frame that
+/// arrives in arbitrary pieces. The buffer rests at [`REST_CAPACITY`],
+/// grows to exactly the frame being received when that is larger, and
+/// is back at rest as soon as that frame has been handed over.
+#[derive(Debug)]
+pub struct FrameReader {
+    /// Fully initialised; `buf[start..end]` holds bytes received but
+    /// not yet handed over.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> FrameReader {
+        FrameReader::new()
+    }
+}
+
+impl FrameReader {
+    /// A reader at resting capacity, holding no bytes.
+    pub fn new() -> FrameReader {
+        FrameReader {
+            buf: vec![0; REST_CAPACITY],
+            start: 0,
+            end: 0,
         }
     }
-    let len = u32::from_be_bytes(prefix);
-    if len == 0 {
-        return Err(FrameError::Empty);
+
+    /// Bytes the buffer currently spans ([`REST_CAPACITY`] at rest).
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
     }
-    if len as usize > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
+
+    /// Receives the next frame from `r` and hands its payload, borrowed
+    /// from the buffer, to `decode`. `Ok(None)` is a clean end of
+    /// stream (the peer closed between frames); ending anywhere
+    /// *inside* a frame is [`FrameError::Truncated`].
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError`] as described on its variants. After
+    /// [`FrameError::Empty`] the reader is in sync and the next call
+    /// continues with the following frame; [`FrameError::TooLarge`] is
+    /// raised from the prefix alone, before the buffer grows, and
+    /// consumes nothing.
+    pub fn next_frame<T>(
+        &mut self,
+        r: &mut impl Read,
+        decode: impl FnOnce(&[u8]) -> T,
+    ) -> Result<Option<T>, FrameError> {
+        let total = loop {
+            let have = self.end - self.start;
+            let need = match self.buf[self.start..self.end].first_chunk::<PREFIX>() {
+                None => PREFIX,
+                Some(&prefix) => {
+                    let len = u32::from_be_bytes(prefix);
+                    if len == 0 {
+                        self.start += PREFIX;
+                        return Err(FrameError::Empty);
+                    }
+                    if len as usize > MAX_FRAME {
+                        return Err(FrameError::TooLarge(len));
+                    }
+                    let total = PREFIX + len as usize;
+                    if have >= total {
+                        break total;
+                    }
+                    total
+                }
+            };
+            self.make_room(need);
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        };
+        let decoded = decode(&self.buf[self.start + PREFIX..self.start + total]);
+        self.start += total;
+        if self.buf.len() > REST_CAPACITY {
+            self.rest();
+        }
+        Ok(Some(decoded))
     }
-    let mut payload = vec![0u8; len as usize];
-    match r.read_exact(&mut payload) {
-        Ok(()) => Ok(Some(payload)),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(FrameError::Truncated),
-        Err(e) => Err(e.into()),
+
+    /// Makes `buf[start..]` at least `need` bytes long — by moving the
+    /// buffered bytes to the front, and growing only if a whole
+    /// buffer is still too short — so a frame of `need` bytes fits and
+    /// at least one byte past `end` is free to read into.
+    fn make_room(&mut self, need: usize) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        } else if self.buf.len() - self.start < need {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        }
+    }
+
+    /// Back to [`REST_CAPACITY`] (or to the bytes still buffered, if
+    /// those are more) after a frame that outgrew it.
+    fn rest(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        let len = self.end.max(REST_CAPACITY);
+        self.buf.truncate(len);
+        self.buf.shrink_to(len);
     }
 }
 
@@ -438,30 +565,36 @@ fn get_query(cur: &mut Cur<'_>) -> Result<ProvQuery, DecodeError> {
 /// Encodes a command into a frame payload (tag byte + body).
 pub fn encode_command(command: &Command) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_command_into(&mut out, command);
+    out
+}
+
+/// Appends a command's frame payload (tag byte + body) to `out` — the
+/// encoder to hand [`write_frame`].
+pub fn encode_command_into(out: &mut Vec<u8>, command: &Command) {
     match command {
         Command::Record(flush) => {
             out.push(CMD_RECORD);
-            put_flush(&mut out, flush);
+            put_flush(out, flush);
         }
         Command::RecordBatch(flushes) => {
             out.push(CMD_RECORD_BATCH);
-            put_u32(&mut out, flushes.len() as u32);
+            put_u32(out, flushes.len() as u32);
             for flush in flushes {
-                put_flush(&mut out, flush);
+                put_flush(out, flush);
             }
         }
         Command::Flush => out.push(CMD_FLUSH),
         Command::Read(name) => {
             out.push(CMD_READ);
-            put_str(&mut out, name);
+            put_str(out, name);
         }
         Command::Query(query) => {
             out.push(CMD_QUERY);
-            put_query(&mut out, query);
+            put_query(out, query);
         }
         Command::Stats => out.push(CMD_STATS),
     }
-    out
 }
 
 /// Decodes a frame payload as a command.
@@ -535,41 +668,47 @@ fn get_status(cur: &mut Cur<'_>) -> Result<ReadStatus, DecodeError> {
 /// Encodes a reply into a frame payload (tag byte + body).
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_reply_into(&mut out, reply);
+    out
+}
+
+/// Appends a reply's frame payload (tag byte + body) to `out` — the
+/// encoder to hand [`write_frame`].
+pub fn encode_reply_into(out: &mut Vec<u8>, reply: &Reply) {
     match reply {
         Reply::Unit => out.push(REP_UNIT),
         Reply::Read(outcome) => {
             out.push(REP_READ);
-            put_str(&mut out, &outcome.object.name);
-            put_u32(&mut out, outcome.object.version);
-            put_blob(&mut out, &outcome.data);
-            put_records(&mut out, &outcome.records);
-            put_status(&mut out, outcome.status);
+            put_str(out, &outcome.object.name);
+            put_u32(out, outcome.object.version);
+            put_blob(out, &outcome.data);
+            put_records(out, &outcome.records);
+            put_status(out, outcome.status);
         }
         Reply::Query(answer) => {
             out.push(REP_QUERY);
-            put_u32(&mut out, answer.items.len() as u32);
+            put_u32(out, answer.items.len() as u32);
             for item in &answer.items {
-                put_str(&mut out, &item.object.name);
-                put_u32(&mut out, item.object.version);
-                put_records(&mut out, &item.records);
+                put_str(out, &item.object.name);
+                put_u32(out, item.object.version);
+                put_records(out, &item.records);
             }
         }
         Reply::Stats(stats) => {
             out.push(REP_STATS);
-            put_str(&mut out, &stats.architecture);
-            put_u64(&mut out, stats.requests);
-            put_u64(&mut out, stats.store_ops);
-            put_u64(&mut out, stats.bytes_in);
-            put_u64(&mut out, stats.bytes_out);
-            put_u64(&mut out, stats.fingerprint);
+            put_str(out, &stats.architecture);
+            put_u64(out, stats.requests);
+            put_u64(out, stats.store_ops);
+            put_u64(out, stats.bytes_in);
+            put_u64(out, stats.bytes_out);
+            put_u64(out, stats.fingerprint);
         }
         Reply::Err(fault) => {
             out.push(REP_ERR);
             out.push(fault.code as u8);
-            put_str(&mut out, &fault.message);
+            put_str(out, &fault.message);
         }
     }
-    out
 }
 
 /// Decodes a frame payload as a reply.
@@ -703,45 +842,105 @@ mod tests {
         }
     }
 
+    fn write_raw(wire: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError> {
+        write_frame(wire, &mut Vec::new(), |out| out.extend_from_slice(payload))
+    }
+
+    fn next_payload(
+        reader: &mut FrameReader,
+        r: &mut &[u8],
+    ) -> Result<Option<Vec<u8>>, FrameError> {
+        reader.next_frame(r, <[u8]>::to_vec)
+    }
+
     #[test]
     fn frame_round_trips_over_a_buffer() {
         let payload = encode_command(&Command::Flush);
         let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        write_frame(&mut wire, &payload).unwrap();
-        let mut reader = wire.as_slice();
-        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), payload);
-        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), payload);
-        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
+        let mut frame = Vec::new();
+        for _ in 0..2 {
+            write_frame(&mut wire, &mut frame, |out| {
+                encode_command_into(out, &Command::Flush)
+            })
+            .unwrap();
+        }
+        assert_eq!(wire.len(), 2 * (4 + payload.len()));
+        let mut stream = wire.as_slice();
+        let mut reader = FrameReader::new();
+        assert_eq!(
+            next_payload(&mut reader, &mut stream).unwrap().unwrap(),
+            payload
+        );
+        assert_eq!(
+            next_payload(&mut reader, &mut stream).unwrap().unwrap(),
+            payload
+        );
+        assert!(
+            next_payload(&mut reader, &mut stream).unwrap().is_none(),
+            "clean EOF"
+        );
     }
 
     #[test]
     fn truncated_prefix_and_payload_are_distinguished_from_eof() {
         // Two bytes of a four-byte prefix.
-        let mut reader: &[u8] = &[0x00, 0x01];
+        let mut stream: &[u8] = &[0x00, 0x01];
         assert!(matches!(
-            read_frame(&mut reader),
+            next_payload(&mut FrameReader::new(), &mut stream),
             Err(FrameError::Truncated)
         ));
         // Full prefix announcing 100 bytes, only 3 present.
         let mut wire = 100u32.to_be_bytes().to_vec();
         wire.extend_from_slice(&[1, 2, 3]);
-        let mut reader = wire.as_slice();
+        let mut stream = wire.as_slice();
         assert!(matches!(
-            read_frame(&mut reader),
+            next_payload(&mut FrameReader::new(), &mut stream),
             Err(FrameError::Truncated)
         ));
     }
 
     #[test]
     fn zero_and_oversized_lengths_are_structured_errors() {
-        let mut reader: &[u8] = &0u32.to_be_bytes();
-        assert!(matches!(read_frame(&mut reader), Err(FrameError::Empty)));
-        let mut reader: &[u8] = &u32::MAX.to_be_bytes();
+        // A zero prefix is consumed: the frame behind it is served next.
+        let mut wire = 0u32.to_be_bytes().to_vec();
+        write_raw(&mut wire, &[CMD_FLUSH]).unwrap();
+        let mut stream = wire.as_slice();
+        let mut reader = FrameReader::new();
         assert!(matches!(
-            read_frame(&mut reader),
-            Err(FrameError::TooLarge(_))
+            next_payload(&mut reader, &mut stream),
+            Err(FrameError::Empty)
         ));
+        assert_eq!(
+            next_payload(&mut reader, &mut stream).unwrap().unwrap(),
+            [CMD_FLUSH]
+        );
+        // An oversized prefix is refused before the buffer grows for it.
+        let mut stream: &[u8] = &u32::MAX.to_be_bytes();
+        let mut reader = FrameReader::new();
+        assert!(matches!(
+            next_payload(&mut reader, &mut stream),
+            Err(FrameError::TooLarge(u32::MAX))
+        ));
+        assert_eq!(reader.capacity(), REST_CAPACITY);
+    }
+
+    #[test]
+    fn writing_an_empty_or_oversized_frame_sends_nothing() {
+        let mut wire = Vec::new();
+        assert!(matches!(write_raw(&mut wire, &[]), Err(FrameError::Empty)));
+        let mut frame = Vec::new();
+        let sent = write_frame(&mut wire, &mut frame, |out| {
+            out.resize(out.len() + MAX_FRAME + 1, 7)
+        });
+        assert!(matches!(sent, Err(FrameError::TooLarge(len)) if len as usize == MAX_FRAME + 1));
+        assert!(wire.is_empty());
+        assert!(frame.capacity() <= REST_CAPACITY, "the 8 MiB is let go");
+        // The largest legal frame still goes.
+        write_frame(&mut wire, &mut frame, |out| {
+            out.resize(out.len() + MAX_FRAME, 7)
+        })
+        .unwrap();
+        assert_eq!(wire.len(), 4 + MAX_FRAME);
     }
 
     #[test]

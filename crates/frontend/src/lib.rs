@@ -6,10 +6,11 @@
 //! **Unix-domain sockets** through one shared command layer.
 //!
 //! * [`codec`] — the wire format: frames, command/reply encodings,
-//!   structured error replies.
+//!   structured error replies, and the frame I/O both ends share.
 //! * [`server`] — a fixed pool of connection-handler threads over a
-//!   shared [`provenance_cloud::ServeHandle`]; reads and queries run
-//!   concurrently against the store's per-shard locks.
+//!   shared [`provenance_cloud::ServeHandle`]; reads and queries never
+//!   wait for the writer mutex (they still meet at the global
+//!   `SimWorld` lock).
 //! * [`client`] — a blocking client speaking the same codec, generic
 //!   over the stream type.
 //!
@@ -32,6 +33,36 @@
 //! `0x04` Read, `0x05` Query, `0x06` Stats. Reply tags: `0x80` Unit,
 //! `0x81` Read, `0x82` Query, `0x83` Stats, `0x7F` Error (code byte +
 //! message). See [`codec`] for the full layouts.
+//!
+//! ## Frame I/O
+//!
+//! A frame crosses the socket in **one `write` and, in the common case,
+//! one `read`**, on both ends:
+//!
+//! * [`write_frame`] builds prefix and payload in the connection's one
+//!   reusable buffer and sends them with a single `write_all` — the
+//!   peer is never woken by a bare prefix. A payload over
+//!   [`codec::MAX_FRAME`] is refused before anything is written: the
+//!   server sends a `FrameTooLarge` fault in the reply's place and
+//!   keeps the connection, the client returns
+//!   [`ClientError::Protocol`].
+//! * [`FrameReader`], one per connection, is the only read path. It
+//!   fills a reusable buffer with one `read` per call, hands the
+//!   decoder a payload slice borrowed from it, serves frames that
+//!   arrived together in order without further I/O, and reassembles a
+//!   frame that arrives in pieces. A zero-length prefix is
+//!   `FrameError::Empty` and leaves the stream in sync; a prefix over
+//!   `MAX_FRAME` is `TooLarge`, raised before the buffer grows; EOF
+//!   inside a frame is `Truncated`, between frames `Ok(None)`.
+//! * Both buffers rest at [`codec::REST_CAPACITY`] (64 KiB). A larger
+//!   frame grows its buffer only while it is in flight, so an idle
+//!   connection holds at most 128 KiB at each end, never 2 × 8 MiB.
+//!   Neither size is configurable.
+//!
+//! Because the client buffers, bytes of a reply it has already read
+//! are not on the stream any more: tests that write raw bytes through
+//! [`Client::stream_mut`] collect the answers with
+//! [`Client::read_reply`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,7 +74,8 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use codec::{
-    decode_command, decode_reply, encode_command, encode_reply, read_frame, write_frame, Command,
-    DecodeError, FaultCode, FrameError, Reply, WireFault, MAX_FRAME,
+    decode_command, decode_reply, encode_command, encode_command_into, encode_reply,
+    encode_reply_into, write_frame, Command, DecodeError, FaultCode, FrameError, FrameReader,
+    Reply, WireFault, MAX_FRAME, REST_CAPACITY,
 };
 pub use server::{Endpoint, Server};

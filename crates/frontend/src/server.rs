@@ -4,9 +4,10 @@
 //! Every worker thread blocks in `accept` on its own clone of the
 //! listener and handles one connection at a time, so up to `threads`
 //! connections are served concurrently; reads and queries go straight
-//! through the handle's `&self` path and contend only on the store's
-//! per-shard locks, while record/flush serialize on the handle's
-//! writer mutex — the same semantics an in-process driver gets.
+//! through the handle's `&self` path and contend on the store's
+//! per-shard locks and the global `SimWorld` lock, while record/flush
+//! serialize on the handle's writer mutex — the same semantics an
+//! in-process driver gets.
 //!
 //! Fault handling per connection:
 //!
@@ -16,10 +17,18 @@
 //! * oversized length prefix → structured error reply, then the
 //!   connection closes (the payload was never consumed, so the stream
 //!   cannot resync);
+//! * a reply too large to frame (a `Read` of an object, or a
+//!   `ProvenanceOfAll` answer, over [`crate::MAX_FRAME`]) → a
+//!   `FrameTooLarge` fault in its place; nothing of the oversized
+//!   frame was written, so the connection stays up;
 //! * truncated frame or transport error → the connection drops.
 //!
 //! A dying connection never takes a worker with it: the worker loops
-//! back into `accept`. The pool only exits on [`Server::shutdown`].
+//! back into `accept`, pausing a few milliseconds first if `accept`
+//! itself failed. The pool only exits on [`Server::shutdown`].
+//!
+//! Each connection owns one [`FrameReader`] and one write buffer, so a
+//! request costs the worker one `read` and its reply one `write`.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -29,12 +38,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use provenance_cloud::ServeHandle;
 
 use crate::codec::{
-    decode_command, encode_reply, read_frame, write_frame, Command, FaultCode, FrameError, Reply,
-    WireFault,
+    decode_command, encode_reply_into, write_frame, Command, FaultCode, FrameError, FrameReader,
+    Reply, WireFault,
 };
 
 /// Where a running server is listening.
@@ -107,11 +117,20 @@ impl Acceptor {
 
     fn accept(&self) -> io::Result<Conn> {
         Ok(match self {
-            Acceptor::Tcp(l) => Conn::Tcp(l.accept()?.0),
+            Acceptor::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                // Every frame leaves in one write; Nagle would only hold
+                // a reply back behind the previous one's ACK.
+                stream.set_nodelay(true)?;
+                Conn::Tcp(stream)
+            }
             Acceptor::Unix(l) => Conn::Unix(l.accept()?.0),
         })
     }
 }
+
+/// How long a worker pauses after a failed `accept` before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Live connections, indexed so [`Server::shutdown`] can force-close
 /// them and unblock workers parked in a read.
@@ -213,6 +232,10 @@ impl Server {
                     .spawn(move || {
                         while !stop.load(Ordering::Acquire) {
                             let Ok(conn) = acceptor.accept() else {
+                                // A persistent failure (EMFILE) must
+                                // not spin a core; `stop` is looked at
+                                // again after the pause.
+                                std::thread::sleep(ACCEPT_BACKOFF);
                                 continue;
                             };
                             if stop.load(Ordering::Acquire) {
@@ -282,42 +305,49 @@ impl Server {
 /// Runs one connection to completion. Never panics outward; never
 /// takes down the worker.
 fn serve_connection(handle: &ServeHandle, mut conn: Conn) {
+    let mut reader = FrameReader::new();
+    let mut frame = Vec::new();
     loop {
-        let payload = match read_frame(&mut conn) {
-            Ok(Some(payload)) => payload,
+        let reply = match reader.next_frame(&mut conn, decode_command) {
+            Ok(Some(Ok(command))) => execute(handle, &command),
+            Ok(Some(Err(e))) => Reply::Err(WireFault::new(FaultCode::BadCommand, e.to_string())),
             // Clean close between frames.
             Ok(None) => return,
             // In sync (the zero-length prefix was fully consumed):
             // answer and keep serving.
             Err(FrameError::Empty) => {
-                let fault = WireFault::new(FaultCode::BadFrame, "zero-length frame");
-                if reply_to(&mut conn, &Reply::Err(fault)).is_err() {
-                    return;
-                }
-                continue;
+                Reply::Err(WireFault::new(FaultCode::BadFrame, "zero-length frame"))
             }
             // The announced payload was never consumed — no way to
             // resync. Say why, then drop the connection.
             Err(e @ FrameError::TooLarge(_)) => {
                 let fault = WireFault::new(FaultCode::FrameTooLarge, e.to_string());
-                let _ = reply_to(&mut conn, &Reply::Err(fault));
+                let _ = reply_to(&mut conn, &mut frame, &Reply::Err(fault));
                 return;
             }
             // Peer died mid-frame or the transport failed: drop.
             Err(FrameError::Truncated | FrameError::Io(_)) => return,
         };
-        let reply = match decode_command(&payload) {
-            Ok(command) => execute(handle, &command),
-            Err(e) => Reply::Err(WireFault::new(FaultCode::BadCommand, e.to_string())),
-        };
-        if reply_to(&mut conn, &reply).is_err() {
+        if reply_to(&mut conn, &mut frame, &reply).is_err() {
             return;
         }
     }
 }
 
-fn reply_to(conn: &mut Conn, reply: &Reply) -> io::Result<()> {
-    write_frame(conn, &encode_reply(reply))
+/// Sends `reply` as one frame. A reply too large to frame goes out as
+/// a [`FaultCode::FrameTooLarge`] fault in its place: nothing of the
+/// oversized frame was written, so the connection stays in sync.
+fn reply_to(conn: &mut Conn, frame: &mut Vec<u8>, reply: &Reply) -> Result<(), FrameError> {
+    match write_frame(conn, frame, |out| encode_reply_into(out, reply)) {
+        Err(e @ FrameError::TooLarge(_)) => {
+            let fault = Reply::Err(WireFault::new(
+                FaultCode::FrameTooLarge,
+                format!("reply not sent: {e}"),
+            ));
+            write_frame(conn, frame, |out| encode_reply_into(out, &fault))
+        }
+        sent => sent,
+    }
 }
 
 /// Executes one decoded command against the handle, mapping store

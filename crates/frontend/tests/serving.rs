@@ -2,12 +2,16 @@
 //! typed surface over TCP and Unix sockets, and every way a client can
 //! speak the protocol badly without taking the server down.
 
-use std::io::Write;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use frontend::{Client, ClientError, Command, FaultCode, Reply, Server, MAX_FRAME};
+use frontend::{
+    encode_command_into, write_frame, Client, ClientError, Command, FaultCode, Reply, Server,
+    MAX_FRAME,
+};
 use pass::FileFlush;
 use provenance_cloud::{ProvQuery, S3SimpleDb, S3SimpleDbSqs, ServeHandle};
 use simworld::{Blob, SimWorld};
@@ -134,12 +138,7 @@ fn zero_length_frame_gets_bad_frame_error_and_connection_survives() {
     assert_eq!(fault.code, FaultCode::BadFrame);
 
     // The flush command that followed the bad frame is answered next.
-    let reply = {
-        use frontend::read_frame;
-        let payload = read_frame(client.stream_mut()).unwrap().unwrap();
-        frontend::decode_reply(&payload).unwrap()
-    };
-    assert_eq!(reply, Reply::Unit);
+    assert_eq!(client.read_reply().unwrap(), Reply::Unit);
     server.shutdown();
 }
 
@@ -150,13 +149,16 @@ fn oversized_frame_gets_structured_error_then_close() {
 
     let huge = (MAX_FRAME as u32) + 1;
     client.stream_mut().write_all(&huge.to_be_bytes()).unwrap();
-    let payload = frontend::read_frame(client.stream_mut()).unwrap().unwrap();
-    let Reply::Err(fault) = frontend::decode_reply(&payload).unwrap() else {
+    let Reply::Err(fault) = client.read_reply().unwrap() else {
         panic!("expected error reply");
     };
     assert_eq!(fault.code, FaultCode::FrameTooLarge);
     // Then the server closes its end.
-    assert!(frontend::read_frame(client.stream_mut()).unwrap().is_none());
+    let closed = client.read_reply().unwrap_err();
+    assert!(
+        matches!(&closed, ClientError::Io(e) if e.kind() == ErrorKind::UnexpectedEof),
+        "got {closed:?}"
+    );
 
     // The pool is still up: a fresh connection serves.
     let mut client2 = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
@@ -263,4 +265,170 @@ fn client_reports_server_closing_mid_reply_as_transport_error() {
     // The pool is gone; the next call fails with Io, not a panic or hang.
     let err = client.read("x.dat").unwrap_err();
     assert!(matches!(err, ClientError::Io(_)), "got {err:?}");
+}
+
+/// A stream that counts the `read` and `write` calls made on it — each
+/// is one syscall on the socket underneath.
+struct Counted {
+    stream: UnixStream,
+    reads: usize,
+    writes: usize,
+}
+
+impl Read for Counted {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads += 1;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+fn counted_client(path: &std::path::Path) -> Client<Counted> {
+    Client::over(Counted {
+        stream: UnixStream::connect(path).unwrap(),
+        reads: 0,
+        writes: 0,
+    })
+}
+
+#[test]
+fn a_round_trip_is_one_write_and_one_read_on_the_client() {
+    let path = unique_socket_path("count");
+    let server = Server::bind_unix(arch2_handle(), &path, 1).unwrap();
+    let mut client = counted_client(&path);
+    let q1 = ProvQuery::ProvenanceOf {
+        name: "counted.dat".into(),
+        version: 1,
+    };
+
+    // Every reply here is far below a socket buffer, and the server
+    // writes it whole: one `write` out, one `read` back, per request.
+    let mut calls = 0;
+    client.record(&flush("counted.dat", 1, None)).unwrap();
+    calls += 1;
+    for _ in 0..3 {
+        assert!(client.read("counted.dat").unwrap().consistent());
+        assert_eq!(client.query(&q1).unwrap().items.len(), 1);
+        client.flush().unwrap();
+        calls += 3;
+    }
+    // A fault reply is a frame like any other.
+    assert!(client.read("absent.dat").is_err());
+    client.raw_round_trip(&[0x42]).unwrap();
+    calls += 2;
+
+    let stream = client.stream_mut();
+    assert_eq!(stream.writes, calls, "one write per request");
+    assert_eq!(stream.reads, calls, "one read per whole-frame reply");
+    server.shutdown();
+}
+
+#[test]
+fn two_commands_in_one_write_get_two_replies_in_order() {
+    let server = Server::bind_tcp(arch2_handle(), "127.0.0.1:0", 1).unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    client.record(&flush("first.dat", 1, None)).unwrap();
+    client.record(&flush("second.dat", 2, None)).unwrap();
+
+    let mut wire = Vec::new();
+    let mut frame = Vec::new();
+    for name in ["first.dat", "second.dat"] {
+        write_frame(&mut wire, &mut frame, |out| {
+            encode_command_into(out, &Command::Read(name.into()))
+        })
+        .unwrap();
+    }
+    client.stream_mut().write_all(&wire).unwrap();
+
+    for name in ["first.dat", "second.dat"] {
+        let Reply::Read(outcome) = client.read_reply().unwrap() else {
+            panic!("expected a read reply for {name}");
+        };
+        assert_eq!(outcome.object.name, name);
+    }
+    // Nothing else is owed: the connection is still request/reply.
+    assert!(client.read("first.dat").unwrap().consistent());
+    server.shutdown();
+}
+
+#[test]
+fn large_record_batch_then_q1_on_one_connection() {
+    let path = unique_socket_path("big");
+    let server = Server::bind_unix(arch2_handle(), &path, 1).unwrap();
+    let mut client = Client::connect_unix(&path).unwrap();
+
+    // ~1 MiB in one frame: the worker's reader grows for it, then a
+    // small frame follows on the same connection.
+    let batch: Vec<FileFlush> = (0..16u64)
+        .map(|i| {
+            FileFlush::builder(format!("big{i}.dat"))
+                .data(Blob::synthetic(i, 64 * 1024))
+                .build()
+        })
+        .collect();
+    client.record_batch(&batch).unwrap();
+    let answer = client
+        .query(&ProvQuery::ProvenanceOf {
+            name: "big7.dat".into(),
+            version: 1,
+        })
+        .unwrap();
+    assert_eq!(answer.items.len(), 1);
+    assert_eq!(client.read("big7.dat").unwrap().data.len(), 64 * 1024);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_reply_becomes_a_fault_and_the_connection_survives() {
+    let handle = arch2_handle();
+    // Too big to have arrived over the wire: stored in process.
+    let huge = FileFlush::builder("huge.dat")
+        .data(Blob::synthetic(9, MAX_FRAME as u64 + 1024))
+        .build();
+    handle.record(&huge).unwrap();
+    let server = Server::bind_tcp(handle, "127.0.0.1:0", 1).unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+
+    let err = client.read("huge.dat").unwrap_err();
+    let fault = err.fault().expect("a structured fault, not a dead worker");
+    assert_eq!(fault.code, FaultCode::FrameTooLarge);
+
+    // Same connection, same (only) worker: a Q1 is answered next.
+    let answer = client
+        .query(&ProvQuery::ProvenanceOf {
+            name: "huge.dat".into(),
+            version: 1,
+        })
+        .unwrap();
+    assert_eq!(answer.items.len(), 1);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_command_is_a_protocol_error_and_nothing_is_written() {
+    let path = unique_socket_path("bigcmd");
+    let server = Server::bind_unix(arch2_handle(), &path, 1).unwrap();
+    let mut client = counted_client(&path);
+
+    let huge = FileFlush::builder("huge.dat")
+        .data(Blob::synthetic(9, MAX_FRAME as u64 + 1024))
+        .build();
+    let err = client.record(&huge).unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "got {err:?}");
+    assert_eq!(client.stream_mut().writes, 0);
+
+    // The stream is untouched, so the connection still works.
+    client.record(&flush("small.dat", 1, None)).unwrap();
+    assert!(client.read("small.dat").unwrap().consistent());
+    server.shutdown();
 }

@@ -1,8 +1,11 @@
-//! Serving over the wire: start a Unix-domain-socket server on the
-//! store, then record a pipeline, flush, and run a Q3 descendants
-//! query through the network client.
+//! Serving over the wire: start a server on the store — on a
+//! Unix-domain socket, or with `--tcp` on an ephemeral TCP port — then
+//! record a pipeline, flush, and run a Q3 descendants query through
+//! the network client.
 //!
-//! Run with: `cargo run --example serve_client`
+//! Run with: `cargo run --example serve_client [-- --tcp]`
+
+use std::io::{Read, Write};
 
 use pass_cloud::cloud::{ProvQuery, S3SimpleDb, ServeHandle};
 use pass_cloud::frontend::{Client, Server};
@@ -10,17 +13,31 @@ use pass_cloud::pass::{Observer, TraceEvent};
 use pass_cloud::simworld::{Blob, SimWorld};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The store and its serving facade, then a 2-worker server pool on
-    // a Unix-domain socket. TCP works identically via `bind_tcp`.
+    // The store and its serving facade, then a 2-worker server pool.
+    // Both transports serve the same protocol through the same code.
     let handle = ServeHandle::new(S3SimpleDb::new(&SimWorld::counting()));
-    let socket = std::env::temp_dir().join(format!("pass-cloud-serve-{}.sock", std::process::id()));
-    let server = Server::bind_unix(handle, &socket, 2)?;
-    println!("serving on {}", socket.display());
+    if std::env::args().any(|arg| arg == "--tcp") {
+        let server = Server::bind_tcp(handle, "127.0.0.1:0", 2)?;
+        let addr = server.tcp_addr().expect("a TCP server has an address");
+        println!("serving on {addr}");
+        drive(Client::connect_tcp(addr)?)?;
+        server.shutdown();
+    } else {
+        let socket =
+            std::env::temp_dir().join(format!("pass-cloud-serve-{}.sock", std::process::id()));
+        let server = Server::bind_unix(handle, &socket, 2)?;
+        println!("serving on {}", socket.display());
+        drive(Client::connect_unix(&socket)?)?;
+        server.shutdown();
+        assert!(!socket.exists(), "shutdown removes the socket file");
+    }
+    Ok(())
+}
 
-    // A client process connects and records a two-stage pipeline:
-    // `etl` derives staged.csv from raw.csv, `report` derives
-    // summary.txt from staged.csv.
-    let mut client = Client::connect_unix(&socket)?;
+fn drive<S: Read + Write>(mut client: Client<S>) -> Result<(), Box<dyn std::error::Error>> {
+    // The client records a two-stage pipeline: `etl` derives
+    // staged.csv from raw.csv, `report` derives summary.txt from
+    // staged.csv.
     let mut observer = Observer::new();
     for event in [
         TraceEvent::source("raw.csv", Blob::synthetic(1, 64 * 1024)),
@@ -66,8 +83,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "server handled {} requests on {}; store fingerprint {:016x}",
         stats.requests, stats.architecture, stats.fingerprint
     );
-
-    server.shutdown();
-    assert!(!socket.exists(), "shutdown removes the socket file");
     Ok(())
 }
