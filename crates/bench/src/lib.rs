@@ -9,7 +9,7 @@
 //! | Table 2 — storage cost | `table2` | [`table2`] |
 //! | Table 3 — query cost | `table3` | [`table3`] |
 //! | §5 USD discussion | `costs` | [`costs`] |
-//! | design ablations (DESIGN.md) | `ablations` | [`ablations`] |
+//! | design ablations (DESIGN.md) | `ablations` | [`ablations()`] |
 //!
 //! Each function returns a typed result plus a rendered table that
 //! prints the measured values next to the paper's reported numbers.

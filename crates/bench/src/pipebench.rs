@@ -2,20 +2,22 @@
 //! sweep behind the event-driven completion scheduler.
 //!
 //! The batched path (PR 4) cut round trips; this sweep cuts *waiting*.
-//! The same flush groups drive `ProvenanceStore::persist_pipelined`
-//! with up to `depth` requests per service in flight: completion time
+//! The same flush groups drive `provenance_cloud::persist_groups` with
+//! up to `depth` requests per service in flight: completion time
 //! follows the scheduler's event order (`max(channel-free, issue) +
 //! latency`) instead of the serial latency sum, so virtual completion
 //! time falls as the depth rises while the final store stays identical.
-//! [`DepthSpec::Sync`] denotes the synchronous batch baseline
-//! (`persist_batch`, one group at a time, serial commit daemon).
+//! [`DepthSpec::Sync`] denotes the synchronous batch baseline (no
+//! region, serial commit daemon).
 //!
-//! On Architecture 3 the depth applies to *both* ends of the WAL: the
-//! client's persist pipeline and the commit daemon's
-//! receive/assemble/apply loop ([`DaemonDepth`]), so the sweep measures
-//! true end-to-end time instead of plateauing on a serial daemon.
-//! [`DepthSpec::Adaptive`] replaces the hand-tuned depth with the AIMD
-//! [`AdaptiveDepth`] controller on both ends.
+//! Each row's [`DepthSpec`] names one depth policy
+//! ([`DepthSpec::depth`], an `Option<AdaptiveDepth>`), and on
+//! Architecture 3 that same policy goes to *both* ends of the WAL: the
+//! client's persist region and the commit daemon's
+//! receive/assemble/apply loop (`Arch3Config::daemon_depth`), so the
+//! sweep measures true end-to-end time instead of plateauing on a
+//! serial daemon. [`DepthSpec::Adaptive`] replaces the hand-tuned depth
+//! with the AIMD controller on both ends.
 //!
 //! Request *issue order* within each service is identical on every row,
 //! and the stores' protocols are order-insensitive at the points where
@@ -28,8 +30,8 @@ use std::fmt;
 
 use pass::FileFlush;
 use provenance_cloud::{
-    persist_groups_adaptive, Arch3Config, ArchKind, DaemonDepth, ProvGraph, ProvQuery,
-    ProvenanceStore, Result, S3SimpleDbSqs,
+    persist_groups, Arch3Config, ArchKind, ProvGraph, ProvQuery, ProvenanceStore, Result,
+    S3SimpleDbSqs,
 };
 use simworld::AdaptiveDepth;
 use workloads::Combined;
@@ -45,6 +47,17 @@ pub enum DepthSpec {
     Fixed(usize),
     /// AIMD-controlled depth ([`AdaptiveDepth`]) on client and daemon.
     Adaptive,
+}
+
+impl DepthSpec {
+    /// The depth policy this row runs under, client and daemon alike.
+    pub fn depth(self) -> Option<AdaptiveDepth> {
+        match self {
+            DepthSpec::Sync => None,
+            DepthSpec::Fixed(d) => Some(AdaptiveDepth::fixed(d)),
+            DepthSpec::Adaptive => Some(AdaptiveDepth::new()),
+        }
+    }
 }
 
 impl fmt::Display for DepthSpec {
@@ -109,11 +122,7 @@ fn build_store(
     if kind == ArchKind::S3SimpleDbSqs {
         let mut store = S3SimpleDbSqs::new(world, "prop-client");
         store.set_config(Arch3Config {
-            daemon_depth: match spec {
-                DepthSpec::Sync => DaemonDepth::Serial,
-                DepthSpec::Fixed(d) => DaemonDepth::Fixed(d),
-                DepthSpec::Adaptive => DaemonDepth::Adaptive,
-            },
+            daemon_depth: spec.depth(),
             ..Arch3Config::default()
         });
         Box::new(store)
@@ -141,23 +150,11 @@ pub fn persist_with_spec(
     let groups = grouped(&flushes, group_size);
     let before_meters = world.meters();
     let before_clock = world.now();
-    let final_depth = match spec {
-        DepthSpec::Sync => {
-            for group in &groups {
-                store.persist_batch(group)?;
-            }
-            None
-        }
-        DepthSpec::Fixed(depth) => {
-            store.persist_pipelined(&groups, depth)?;
-            None
-        }
-        DepthSpec::Adaptive => {
-            let mut ctl = AdaptiveDepth::new();
-            persist_groups_adaptive(&world, store.as_mut(), &groups, &mut ctl)?;
-            Some(ctl.depth())
-        }
-    };
+    let mut depth = spec.depth();
+    persist_groups(&world, store.as_mut(), &groups, depth.as_mut())?;
+    let final_depth = depth
+        .filter(|_| spec == DepthSpec::Adaptive)
+        .map(|ctl| ctl.depth());
     store.run_daemons_until_idle()?;
     let meters = world.meters() - before_meters;
     let virtual_secs = (world.now() - before_clock).as_secs_f64();

@@ -19,11 +19,12 @@
 
 use pass::{FileFlush, Observer, TraceEvent};
 use provenance_cloud::layout::{BUCKET, DOMAIN};
-use provenance_cloud::{Arch2Config, ClosureMode, ProvQuery, ProvenanceStore, Result, S3SimpleDb};
+use provenance_cloud::{
+    domain_fingerprint, Arch2Config, ClosureMode, ProvQuery, ProvenanceStore, Result, S3SimpleDb,
+};
 use simworld::{Blob, Consistency, LatencyModel, SimConfig, SimWorld};
 
 use crate::harness::count;
-use crate::shardbench::domain_fingerprint;
 
 /// Corpus sizes of the full sweep (`--smoke` runs the same list; the
 /// whole sweep is seconds-scale because the world is simulated).

@@ -19,7 +19,7 @@
 use std::thread;
 use std::time::Instant;
 
-use provenance_cloud::{layout, ProvenanceStore, Result, S3SimpleDb};
+use provenance_cloud::{domain_fingerprint, layout, ProvenanceStore, Result, S3SimpleDb};
 use sim_s3::{Metadata, S3};
 use sim_simpledb::{ReplaceableAttribute, SimpleDb};
 use sim_sqs::Sqs;
@@ -489,28 +489,6 @@ pub fn window_imbalance(
         max_ops,
         max_shard,
     }
-}
-
-/// FNV-1a fingerprint of a domain's authoritative latest state: every
-/// live item name with its attributes, in name order. Placement is
-/// invisible to it — identical state fingerprints identically at any
-/// shard layout.
-pub fn domain_fingerprint(db: &SimpleDb, domain: &str) -> u64 {
-    let mut acc = String::new();
-    for name in db.latest_item_names(domain) {
-        acc.push_str(&name);
-        acc.push('\x1f');
-        if let Some(attrs) = db.latest_item(domain, &name) {
-            for a in &attrs {
-                acc.push_str(&a.name);
-                acc.push('=');
-                acc.push_str(&a.value);
-                acc.push('\x1e');
-            }
-        }
-        acc.push('\n');
-    }
-    simworld::fnv1a_64(&acc)
 }
 
 /// Runs one leg of the split experiment: `SPLIT_WARMUP_OPS` zipf(θ)

@@ -24,8 +24,8 @@ use crate::error::Result;
 use crate::layout::{
     data_key, nonce_for, ATTR_MD5, ATTR_NONCE, BUCKET, DOMAIN, META_NONCE, META_VERSION,
 };
-use crate::query::{ProvQuery, QueryAnswer, SimpleDbQueryEngine};
-use crate::readpath::{verified_read, ReadContext};
+use crate::query::{ProvQuery, QueryAnswer};
+use crate::readpath::consistency_md5;
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::serialize::{encode_records, fit_item_pairs, pack_attr_batches, read_version};
 use crate::serve::{ServeParts, Serveable};
@@ -168,16 +168,6 @@ impl S3SimpleDb {
         &self.cache
     }
 
-    /// The consistency token stored in SimpleDB: `MD5(data ‖ nonce)`,
-    /// or `MD5(data)` under the no-nonce ablation.
-    fn consistency_md5(&self, flush_data: &simworld::Blob, nonce: &str) -> String {
-        if self.config.use_nonce {
-            flush_data.md5_with_suffix(nonce.as_bytes()).to_hex()
-        } else {
-            flush_data.md5().to_hex()
-        }
-    }
-
     /// Protocol steps 1–2 for one flush: cache it, store its overflow
     /// and continuation objects, and return the finished provenance
     /// item (name plus its ≤ 256 attributes, MD5/nonce included) ready
@@ -211,7 +201,7 @@ impl S3SimpleDb {
             .collect();
         attrs.push(ReplaceableAttribute::add(
             ATTR_MD5,
-            self.consistency_md5(&flush.data, &nonce),
+            consistency_md5(&flush.data, &nonce, self.config.use_nonce),
         ));
         attrs.push(ReplaceableAttribute::add(ATTR_NONCE, nonce));
         Ok((flush.object.item_name(), attrs))
@@ -331,44 +321,12 @@ impl ProvenanceStore for S3SimpleDb {
         Ok(())
     }
 
-    /// The pipelined §4.2 persist path: groups issue back to back with
-    /// up to `max_in_flight` requests per service in flight, so batch
-    /// N+1's requests no longer wait for batch N's completions. Issue
-    /// order — and therefore every service's final state — is identical
-    /// to the synchronous batch path; only the completion accounting
-    /// overlaps, which is where the virtual-time win lives.
-    fn persist_pipelined(&mut self, groups: &[Vec<FileFlush>], max_in_flight: usize) -> Result<()> {
-        self.world.begin_pipeline(max_in_flight);
-        let result = groups.iter().try_for_each(|g| self.persist_batch(g));
-        // Drain even when a crash fired: issued requests are on the
-        // wire regardless of the client dying.
-        self.world.drain_pipeline();
-        result
-    }
-
-    /// §4.2 read: fetch data from S3 and provenance from SimpleDB, then
-    /// compare `MD5(data ‖ nonce)` against the stored record; on
-    /// mismatch, reissue both reads until they agree or the retry budget
-    /// is spent.
     fn read(&mut self, name: &str) -> Result<ReadOutcome> {
-        let ctx = ReadContext {
-            world: &self.world,
-            s3: &self.s3,
-            db: &self.db,
-            retry: self.config.retry,
-            verify_md5: self.config.verify_md5,
-            use_nonce: self.config.use_nonce,
-        };
-        verified_read(&ctx, name)
+        self.serve_parts().read(name)
     }
 
     fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer> {
-        let mut engine =
-            SimpleDbQueryEngine::new(&self.db, &self.s3, &self.world, self.config.retry);
-        if self.config.closure.serves() {
-            engine = engine.serving_closure();
-        }
-        engine.execute(query)
+        self.serve_parts().query(query)
     }
 
     /// The orphan-provenance scan the paper calls inelegant (§4.2): walk

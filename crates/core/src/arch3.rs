@@ -23,7 +23,7 @@ use pass::{CacheDir, FileFlush};
 use sim_s3::{Metadata, MetadataDirective, S3Error, MAX_DELETE_KEYS, S3};
 use sim_simpledb::{ReplaceableAttribute, SimpleDb};
 use sim_sqs::{Sqs, MAX_BATCH_ENTRIES, RETENTION};
-use simworld::{AdaptiveDepth, CrashSite, SimInstant, SimWorld};
+use simworld::{AdaptiveDepth, Blob, CrashSite, SimInstant, SimWorld};
 
 use crate::closure::{ClosureIndex, ClosureMode};
 use crate::error::{CloudError, Result};
@@ -31,8 +31,8 @@ use crate::layout::{
     data_key, nonce_for, pointer, tmp_prefix, ATTR_MD5, ATTR_NONCE, BUCKET, DOMAIN, META_NONCE,
     META_VERSION, TMP_PREFIX,
 };
-use crate::query::{ProvQuery, QueryAnswer, SimpleDbQueryEngine};
-use crate::readpath::{verified_read, ReadContext};
+use crate::query::{ProvQuery, QueryAnswer};
+use crate::readpath::consistency_md5;
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::serialize::{encode_records, fit_item_pairs, pack_attr_batches};
 use crate::serve::{ServeParts, Serveable};
@@ -81,25 +81,6 @@ pub const D3_BEFORE_INDEX_PUT: CrashSite = CrashSite::new("daemon3.before_index_
 /// Daemon crash site: between closure-index `BatchPutAttributes` calls.
 pub const D3_MID_INDEX_PUT: CrashSite = CrashSite::new("daemon3.mid_index_put");
 
-/// How the commit daemon overlaps its receive/assemble/apply loop.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum DaemonDepth {
-    /// One receive round and serial applies per step — the classic
-    /// daemon, and the baseline every pipelined mode must match byte
-    /// for byte.
-    #[default]
-    Serial,
-    /// Each step runs inside a pipeline region with a fixed per-service
-    /// in-flight cap: up to `depth` receive rounds issue back to back,
-    /// and the apply chains of the ready transactions overlap up to the
-    /// same cap.
-    Fixed(usize),
-    /// Like `Fixed`, but the depth is steered per step by an AIMD
-    /// [`AdaptiveDepth`] controller reading the region's stall counts —
-    /// no hand-tuned `max_in_flight`.
-    Adaptive,
-}
-
 /// Tunables for [`S3SimpleDbSqs`].
 #[derive(Copy, Clone, Debug)]
 pub struct Arch3Config {
@@ -117,8 +98,17 @@ pub struct Arch3Config {
     /// [`S3SimpleDbSqs::run_daemons_until_idle`] declares quiescence
     /// (SQS sampling means one empty receive proves nothing).
     pub drain_idle_rounds: u32,
-    /// How the commit daemon pipelines its step (default: serial).
-    pub daemon_depth: DaemonDepth,
+    /// How the commit daemon overlaps its receive/assemble/apply loop.
+    /// `None` (the default) is the paper's serial daemon: one receive
+    /// round and serial applies per step, no region — the baseline
+    /// every pipelined run must match byte for byte. `Some(controller)`
+    /// runs each step inside a pipeline region at the controller's
+    /// depth: up to that many receive rounds issue back to back, the
+    /// apply chains of the ready transactions overlap up to the same
+    /// per-service cap, and the controller reads the region's stall
+    /// counts after every step ([`AdaptiveDepth::fixed`] for a fixed
+    /// depth, [`AdaptiveDepth::new`] for an AIMD-steered one).
+    pub daemon_depth: Option<AdaptiveDepth>,
     /// Ancestry-closure index behaviour (off by default, so the
     /// request counts and fingerprints of the plain §4.3 protocol are
     /// untouched).
@@ -133,7 +123,7 @@ impl Default for Arch3Config {
             use_nonce: true,
             commit_threshold: 8,
             drain_idle_rounds: 16,
-            daemon_depth: DaemonDepth::Serial,
+            daemon_depth: None,
             closure: ClosureMode::Off,
         }
     }
@@ -206,9 +196,10 @@ pub struct CommitDaemon {
     config: Arch3Config,
     assemblies: HashMap<u64, Assembly>,
     applied_total: u64,
-    /// AIMD depth state for [`DaemonDepth::Adaptive`]; reset on a
+    /// The live copy of [`Arch3Config::daemon_depth`], carrying what
+    /// the controller has learned; reset to the configured one on a
     /// crash, like the rest of the daemon's memory.
-    controller: AdaptiveDepth,
+    controller: Option<AdaptiveDepth>,
     /// Closure-index maintenance state; its ancestor cache is reset on
     /// a crash, like the rest of the daemon's memory.
     closure: ClosureIndex,
@@ -232,7 +223,7 @@ impl CommitDaemon {
             config,
             assemblies: HashMap::new(),
             applied_total: 0,
-            controller: AdaptiveDepth::new(),
+            controller: config.daemon_depth,
             closure: ClosureIndex::new(world, db),
         }
     }
@@ -248,19 +239,19 @@ impl CommitDaemon {
         self.assemblies.len()
     }
 
-    /// The in-flight depth the adaptive controller has converged to
-    /// (only meaningful under [`DaemonDepth::Adaptive`]).
-    pub fn adaptive_depth(&self) -> usize {
-        self.controller.depth()
+    /// The in-flight depth the daemon's controller has converged to;
+    /// `None` for the serial daemon.
+    pub fn adaptive_depth(&self) -> Option<usize> {
+        self.controller.map(|ctl| ctl.depth())
     }
 
     /// One daemon iteration: check the queue depth (unless `force`),
-    /// receive, assemble, apply complete transactions. Under
-    /// [`DaemonDepth::Fixed`] or [`DaemonDepth::Adaptive`] the whole
-    /// step runs inside a pipeline region — several receive rounds
-    /// issue back to back, and the apply chains of the ready
-    /// transactions overlap with the region's per-service cap, each
-    /// transaction's copies completion-ordered by txid.
+    /// receive, assemble, apply complete transactions. With a
+    /// [`Arch3Config::daemon_depth`] controller the whole step runs
+    /// inside a pipeline region — several receive rounds issue back to
+    /// back, and the apply chains of the ready transactions overlap
+    /// with the region's per-service cap, each transaction's copies
+    /// completion-ordered by txid.
     ///
     /// # Errors
     ///
@@ -268,33 +259,37 @@ impl CommitDaemon {
     /// site fires — in-memory assembly state is dropped, as a process
     /// death would.
     pub fn step(&mut self, force: bool) -> Result<DaemonProgress> {
-        let result = match self.config.daemon_depth {
-            DaemonDepth::Serial => self.step_inner(force, 1),
-            DaemonDepth::Fixed(depth) => self.step_pipelined(force, depth.max(1)),
-            DaemonDepth::Adaptive => self.step_pipelined(force, self.controller.depth()),
+        let result = match self.controller {
+            None => self.step_inner(force, 1),
+            Some(controller) => self.step_pipelined(force, controller),
         };
         if let Err(e) = &result {
             if e.is_crash() {
                 // The daemon process died: its in-memory assemblies —
-                // and the adaptive controller's learned depth — are
-                // gone. Undelivered messages become visible again after
-                // the visibility timeout.
+                // and the controller's learned depth — are gone.
+                // Undelivered messages become visible again after the
+                // visibility timeout.
                 self.assemblies.clear();
-                self.controller = AdaptiveDepth::new();
+                self.controller = self.config.daemon_depth;
                 self.closure.reset();
             }
         }
         result
     }
 
-    /// One step inside a pipeline region of `depth` requests per
-    /// service. Receives are idempotent (an undeleted message simply
-    /// redelivers) and every apply step already is, so overlapping them
-    /// cannot change the final store — only when the requests complete.
-    /// When the shared world already has a region open (a pipelined
-    /// client driving `poll_daemon` mid-burst), the step rides that
-    /// region instead: pipelines do not nest.
-    fn step_pipelined(&mut self, force: bool, depth: usize) -> Result<DaemonProgress> {
+    /// One step inside a pipeline region of `controller.depth()`
+    /// requests per service. Receives are idempotent (an undeleted
+    /// message simply redelivers) and every apply step already is, so
+    /// overlapping them cannot change the final store — only when the
+    /// requests complete. When the shared world already has a region
+    /// open (a pipelined client driving `poll_daemon` mid-burst), the
+    /// step rides that region instead: pipelines do not nest.
+    fn step_pipelined(
+        &mut self,
+        force: bool,
+        mut controller: AdaptiveDepth,
+    ) -> Result<DaemonProgress> {
+        let depth = controller.depth();
         let opened = self.world.pipeline_depth().is_none();
         if opened {
             self.world.begin_pipeline(depth);
@@ -304,10 +299,9 @@ impl CommitDaemon {
             // Drain even when a crash fired: issued requests are on the
             // wire regardless of the daemon dying.
             let stats = self.world.drain_pipeline();
-            if self.config.daemon_depth == DaemonDepth::Adaptive {
-                self.controller.observe(&stats);
-                self.controller.region_complete();
-            }
+            controller.observe(&stats);
+            controller.region_complete();
+            self.controller = Some(controller);
         }
         result
     }
@@ -336,7 +330,7 @@ impl CommitDaemon {
         // pipeline region. An empty round ends the step early — the
         // queue may still hold unsampled messages, but the next step
         // will see them.
-        for _ in 0..rounds.max(1) {
+        for _ in 0..rounds {
             let now = self.world.now();
             let msgs = self.sqs.receive_message(&self.wal_url, 10)?;
             if msgs.is_empty() {
@@ -685,10 +679,12 @@ impl S3SimpleDbSqs {
         }
     }
 
-    /// Replaces the configuration (also reconfigures the daemon).
+    /// Replaces the configuration (also reconfigures the daemon, whose
+    /// depth controller restarts from the configured one).
     pub fn set_config(&mut self, config: Arch3Config) {
         self.config = config;
         self.daemon.config = config;
+        self.daemon.controller = config.daemon_depth;
     }
 
     /// The underlying S3 handle (shared).
@@ -777,6 +773,87 @@ impl S3SimpleDbSqs {
         Ok(removed)
     }
 
+    /// Stages one flush as a transaction — the part of the log phase
+    /// the point and the batched protocol share. Returns the temporary
+    /// objects to PUT before any record pointing at them is logged (the
+    /// data first, then one per overflow value) and the WAL records in
+    /// log order: BEGIN, data pointer, provenance chunks, MD5, COMMIT.
+    /// Touches the world only to draw the txid; every request is the
+    /// caller's to issue.
+    fn stage_tx(&mut self, flush: &FileFlush) -> (Vec<(String, Blob)>, Vec<WalRecord>) {
+        self.cache.store(flush);
+        // Random transaction ids stay unique across client restarts.
+        let txid = self.world.rand_u64();
+        let tmp = tmp_prefix(&self.client_id, txid);
+        let nonce = nonce_for(&flush.object);
+        let item_name = flush.object.item_name();
+
+        // Serialise provenance; oversized values are staged as temp
+        // objects now and COPYed to their permanent keys at commit.
+        let encoded = encode_records(&flush.object, &flush.records);
+        let mut pairs = encoded.pairs;
+        let temp_key = format!("{tmp}data");
+        let mut temps = vec![(temp_key.clone(), flush.data.clone())];
+        for (i, (perm_key, blob)) in encoded.overflows.iter().enumerate() {
+            let tmp_key = format!("{tmp}ovf{i}");
+            for (_, value) in pairs.iter_mut() {
+                if value == &pointer(perm_key) {
+                    *value = format!("@tmp:{tmp_key}|{perm_key}");
+                }
+            }
+            temps.push((tmp_key, blob.clone()));
+        }
+
+        let prov_chunks = chunk_pairs(txid, &item_name, &pairs);
+        let mut records = vec![
+            WalRecord::Begin {
+                txid,
+                records: 1 + prov_chunks.len() as u32 + 1, // data + chunks + md5
+            },
+            WalRecord::Data {
+                txid,
+                temp_key,
+                name: flush.object.name.clone(),
+                version: flush.object.version,
+                nonce: nonce.clone(),
+            },
+        ];
+        records.extend(prov_chunks);
+        records.push(WalRecord::Md5 {
+            txid,
+            item_name,
+            md5_hex: consistency_md5(&flush.data, &nonce, self.config.use_nonce),
+            nonce,
+        });
+        records.push(WalRecord::Commit { txid });
+        (temps, records)
+    }
+
+    /// Stores a staged transaction's temporaries (the data and any
+    /// overflow values), so that no record of it can be committed
+    /// before they exist.
+    fn put_temps(&self, temps: &[(String, Blob)]) -> Result<()> {
+        self.world.crash_point(A3_BEFORE_TEMP_PUT)?;
+        for (key, blob) in temps {
+            with_throttle_retry(&self.world, &self.config.retry, || {
+                Ok(self
+                    .s3
+                    .put_object(BUCKET, key, blob.clone(), Metadata::new())?)
+            })?;
+        }
+        self.world.crash_point(A3_AFTER_TEMP_PUT)?;
+        Ok(())
+    }
+
+    /// Logs one WAL record with its own `SendMessage` — the point
+    /// protocol's unit of logging.
+    fn log(&self, record: &WalRecord) -> Result<()> {
+        with_throttle_retry(&self.world, &self.config.retry, || {
+            Ok(self.sqs.send_message(&self.wal_url, record.encode())?)
+        })?;
+        Ok(())
+    }
+
     /// Exact number of messages currently on the WAL queue (authoritative
     /// test view, unbilled).
     pub fn wal_depth_exact(&self) -> usize {
@@ -807,99 +884,30 @@ impl ProvenanceStore for S3SimpleDbSqs {
     /// provenance chunks → MD5 record → commit. Nothing touches the
     /// final S3/SimpleDB locations; that is the commit daemon's job.
     fn persist(&mut self, flush: &FileFlush) -> Result<()> {
-        self.cache.store(flush);
-        // Random transaction ids stay unique across client restarts.
-        let txid = self.world.rand_u64();
-        let tmp = tmp_prefix(&self.client_id, txid);
-        let nonce = nonce_for(&flush.object);
-        let item_name = flush.object.item_name();
-
-        // Serialise provenance; oversized values are staged as temp
-        // objects now and COPYed to their permanent keys at commit.
-        let encoded = encode_records(&flush.object, &flush.records);
-        let mut pairs = encoded.pairs.clone();
-        let mut staged: Vec<(String, simworld::Blob)> = Vec::new();
-        for (i, (perm_key, blob)) in encoded.overflows.iter().enumerate() {
-            let tmp_key = format!("{tmp}ovf{i}");
-            for (_, value) in pairs.iter_mut() {
-                if value == &pointer(perm_key) {
-                    *value = format!("@tmp:{tmp_key}|{perm_key}");
-                }
-            }
-            staged.push((tmp_key, blob.clone()));
-        }
-
-        let md5_hex = if self.config.use_nonce {
-            flush.data.md5_with_suffix(nonce.as_bytes()).to_hex()
-        } else {
-            flush.data.md5().to_hex()
+        let (temps, records) = self.stage_tx(flush);
+        let [begin, data, chunks @ .., md5, commit] = records.as_slice() else {
+            unreachable!("a staged transaction has its four framing records");
         };
-        let prov_chunks = chunk_pairs(txid, &item_name, &pairs);
-        let payload_count = 1 + prov_chunks.len() as u32 + 1; // data + chunks + md5
 
         // Log phase step (b): the begin record.
         self.world.crash_point(A3_BEFORE_BEGIN)?;
-        let begin = WalRecord::Begin {
-            txid,
-            records: payload_count,
-        };
-        with_throttle_retry(&self.world, &self.config.retry, || {
-            Ok(self.sqs.send_message(&self.wal_url, begin.encode())?)
-        })?;
+        self.log(begin)?;
 
         // Step (c): stage the data (and overflow values) as temporary
         // objects, then log the pointer.
-        self.world.crash_point(A3_BEFORE_TEMP_PUT)?;
-        let temp_key = format!("{tmp}data");
-        with_throttle_retry(&self.world, &self.config.retry, || {
-            Ok(self
-                .s3
-                .put_object(BUCKET, &temp_key, flush.data.clone(), Metadata::new())?)
-        })?;
-        for (tmp_key, blob) in &staged {
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self
-                    .s3
-                    .put_object(BUCKET, tmp_key, blob.clone(), Metadata::new())?)
-            })?;
-        }
-        self.world.crash_point(A3_AFTER_TEMP_PUT)?;
-        let data_record = WalRecord::Data {
-            txid,
-            temp_key,
-            name: flush.object.name.clone(),
-            version: flush.object.version,
-            nonce: nonce.clone(),
-        };
-        with_throttle_retry(&self.world, &self.config.retry, || {
-            Ok(self.sqs.send_message(&self.wal_url, data_record.encode())?)
-        })?;
+        self.put_temps(&temps)?;
+        self.log(data)?;
 
         // Step (d): provenance chunks + the MD5 record.
-        for chunk in prov_chunks {
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self.sqs.send_message(&self.wal_url, chunk.encode())?)
-            })?;
+        for chunk in chunks {
+            self.log(chunk)?;
             self.world.crash_point(A3_MID_PROV_LOG)?;
         }
-        let md5_record = WalRecord::Md5 {
-            txid,
-            item_name,
-            md5_hex,
-            nonce,
-        };
-        with_throttle_retry(&self.world, &self.config.retry, || {
-            Ok(self.sqs.send_message(&self.wal_url, md5_record.encode())?)
-        })?;
+        self.log(md5)?;
 
         // Step (e): commit.
         self.world.crash_point(A3_BEFORE_COMMIT)?;
-        with_throttle_retry(&self.world, &self.config.retry, || {
-            Ok(self
-                .sqs
-                .send_message(&self.wal_url, WalRecord::Commit { txid }.encode())?)
-        })?;
-        Ok(())
+        self.log(commit)
     }
 
     /// The batched §4.3 log phase. Every flush's temporaries are staged
@@ -912,7 +920,12 @@ impl ProvenanceStore for S3SimpleDbSqs {
     /// made it onto the queue is complete, and any transaction cut off
     /// mid-payload is missing its COMMIT and is ignored forever — the
     /// §4.3 atomicity argument is untouched, while a typical 5-record
-    /// transaction costs ⌈5/10⌉ send requests instead of 5.
+    /// transaction costs ⌈5/10⌉ send requests instead of 5. The same
+    /// holds inside a pipelined region ([`crate::persist_groups`]): the
+    /// WAL queue's sends are completion-ordered per queue by the
+    /// scheduler (see [`simworld::SimWorld::record_batch_keyed`]), so
+    /// however deep the pipeline runs, BEGIN/payload/COMMIT never
+    /// complete out of order.
     fn persist_batch(&mut self, flushes: &[FileFlush]) -> Result<()> {
         if flushes.is_empty() {
             return Ok(());
@@ -920,72 +933,9 @@ impl ProvenanceStore for S3SimpleDbSqs {
         self.world.crash_point(A3_BEFORE_BEGIN)?;
         let mut records: Vec<WalRecord> = Vec::new();
         for flush in flushes {
-            self.cache.store(flush);
-            // Random transaction ids stay unique across client restarts.
-            let txid = self.world.rand_u64();
-            let tmp = tmp_prefix(&self.client_id, txid);
-            let nonce = nonce_for(&flush.object);
-            let item_name = flush.object.item_name();
-
-            // Serialise provenance; oversized values are staged as temp
-            // objects now and COPYed to permanent keys at commit.
-            let encoded = encode_records(&flush.object, &flush.records);
-            let mut pairs = encoded.pairs.clone();
-            let mut staged: Vec<(String, simworld::Blob)> = Vec::new();
-            for (i, (perm_key, blob)) in encoded.overflows.iter().enumerate() {
-                let tmp_key = format!("{tmp}ovf{i}");
-                for (_, value) in pairs.iter_mut() {
-                    if value == &pointer(perm_key) {
-                        *value = format!("@tmp:{tmp_key}|{perm_key}");
-                    }
-                }
-                staged.push((tmp_key, blob.clone()));
-            }
-
-            // Stage the data and overflow temporaries before any record
-            // of this transaction can be committed.
-            self.world.crash_point(A3_BEFORE_TEMP_PUT)?;
-            let temp_key = format!("{tmp}data");
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self
-                    .s3
-                    .put_object(BUCKET, &temp_key, flush.data.clone(), Metadata::new())?)
-            })?;
-            for (tmp_key, blob) in &staged {
-                with_throttle_retry(&self.world, &self.config.retry, || {
-                    Ok(self
-                        .s3
-                        .put_object(BUCKET, tmp_key, blob.clone(), Metadata::new())?)
-                })?;
-            }
-            self.world.crash_point(A3_AFTER_TEMP_PUT)?;
-
-            let md5_hex = if self.config.use_nonce {
-                flush.data.md5_with_suffix(nonce.as_bytes()).to_hex()
-            } else {
-                flush.data.md5().to_hex()
-            };
-            let prov_chunks = chunk_pairs(txid, &item_name, &pairs);
-            let payload_count = 1 + prov_chunks.len() as u32 + 1; // data + chunks + md5
-            records.push(WalRecord::Begin {
-                txid,
-                records: payload_count,
-            });
-            records.push(WalRecord::Data {
-                txid,
-                temp_key,
-                name: flush.object.name.clone(),
-                version: flush.object.version,
-                nonce: nonce.clone(),
-            });
-            records.extend(prov_chunks);
-            records.push(WalRecord::Md5 {
-                txid,
-                item_name,
-                md5_hex,
-                nonce,
-            });
-            records.push(WalRecord::Commit { txid });
+            let (temps, tx_records) = self.stage_tx(flush);
+            self.put_temps(&temps)?;
+            records.extend(tx_records);
         }
 
         let batches = pack_wal_batches(&records);
@@ -1010,42 +960,12 @@ impl ProvenanceStore for S3SimpleDbSqs {
         Ok(())
     }
 
-    /// The pipelined §4.3 log phase: groups issue back to back with up
-    /// to `max_in_flight` requests per service in flight. The WAL
-    /// queue's sends are completion-ordered per queue by the scheduler
-    /// (see [`simworld::SimWorld::record_batch_keyed`]), so however
-    /// deep the pipeline runs, BEGIN/payload/COMMIT never complete out
-    /// of order and the commit-less-suffix atomicity argument is
-    /// untouched. Issue order — and the final state — is identical to
-    /// the synchronous batch path.
-    fn persist_pipelined(&mut self, groups: &[Vec<FileFlush>], max_in_flight: usize) -> Result<()> {
-        self.world.begin_pipeline(max_in_flight);
-        let result = groups.iter().try_for_each(|g| self.persist_batch(g));
-        // Drain even when a crash fired: issued requests are on the
-        // wire regardless of the client dying.
-        self.world.drain_pipeline();
-        result
-    }
-
     fn read(&mut self, name: &str) -> Result<ReadOutcome> {
-        let ctx = ReadContext {
-            world: &self.world,
-            s3: &self.s3,
-            db: &self.db,
-            retry: self.config.retry,
-            verify_md5: self.config.verify_md5,
-            use_nonce: self.config.use_nonce,
-        };
-        verified_read(&ctx, name)
+        self.serve_parts().read(name)
     }
 
     fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer> {
-        let mut engine =
-            SimpleDbQueryEngine::new(&self.db, &self.s3, &self.world, self.config.retry);
-        if self.config.closure.serves() {
-            engine = engine.serving_closure();
-        }
-        engine.execute(query)
+        self.serve_parts().query(query)
     }
 
     /// Recovery after a crash (client or daemon): replay the WAL — the

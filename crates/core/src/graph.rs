@@ -175,7 +175,7 @@ impl ProvGraph {
 
     /// Kahn topological order (ancestors before descendants), or `None`
     /// if the graph contains a cycle — which PASS versioning is designed
-    /// to prevent (§2.4, and Braun et al. [4]).
+    /// to prevent (§2.4, and Braun et al. \[4\]).
     pub fn topological_order(&self) -> Option<Vec<ObjectRef>> {
         // In-degree = number of *present* parents.
         let mut indegree: BTreeMap<&ObjectRef, usize> = BTreeMap::new();

@@ -85,17 +85,11 @@ pub fn closure_name_row(program: &str) -> String {
 /// after crashes, or interleaved — there is no read-modify-write in the
 /// maintenance path.
 pub fn closure_bucket(attr: &str, value: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in attr
-        .as_bytes()
-        .iter()
-        .chain([0x1f].iter())
-        .chain(value.as_bytes())
-    {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash % CLOSURE_FRAG_BUCKETS
+    let mut hash = simworld::Fnv1a::new();
+    hash.write(attr.as_bytes());
+    hash.write(b"\x1f");
+    hash.write(value.as_bytes());
+    hash.finish() % CLOSURE_FRAG_BUCKETS
 }
 
 /// Metadata key carrying the stored version on a data object.

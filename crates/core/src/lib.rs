@@ -79,17 +79,17 @@ pub use arch2::{
     A2_BEFORE_PROV_PUT, A2_MID_INDEX_PUT, A2_MID_PROV_PUT,
 };
 pub use arch3::{
-    Arch3Config, CommitDaemon, DaemonDepth, DaemonProgress, S3SimpleDbSqs, A3_AFTER_TEMP_PUT,
-    A3_BEFORE_BEGIN, A3_BEFORE_COMMIT, A3_BEFORE_TEMP_PUT, A3_MID_PROV_LOG, D3_AFTER_COPY,
-    D3_BEFORE_COPY, D3_BEFORE_INDEX_PUT, D3_BEFORE_MSG_DELETE, D3_BEFORE_TMP_DELETE,
-    D3_MID_INDEX_PUT, D3_MID_PUTATTRS,
+    Arch3Config, CommitDaemon, DaemonProgress, S3SimpleDbSqs, A3_AFTER_TEMP_PUT, A3_BEFORE_BEGIN,
+    A3_BEFORE_COMMIT, A3_BEFORE_TEMP_PUT, A3_MID_PROV_LOG, D3_AFTER_COPY, D3_BEFORE_COPY,
+    D3_BEFORE_INDEX_PUT, D3_BEFORE_MSG_DELETE, D3_BEFORE_TMP_DELETE, D3_MID_INDEX_PUT,
+    D3_MID_PUTATTRS,
 };
 pub use closure::{ClosureIndex, ClosureMode};
 pub use error::{CloudError, Result};
 pub use graph::{GraphDiff, NodeDiff, ProvGraph};
 pub use pipeline::{
-    drive_pipelined, drive_pipelined_adaptive, persist_groups_adaptive, PipelineReport,
-    PIPE_AFTER_GROUP_ISSUE, PIPE_AFTER_TIMER_FIRE, PIPE_BEFORE_DRAIN,
+    drive_pipelined, persist_groups, PipelineReport, PIPE_AFTER_GROUP_ISSUE, PIPE_AFTER_TIMER_FIRE,
+    PIPE_BEFORE_DRAIN,
 };
 pub use prefetch::{record_value, PrefetchPolicy, PrefetchStats, PrefetchingReader};
 pub use properties::{
@@ -102,7 +102,9 @@ pub use serialize::{
     decode_attributes, decode_metadata, encode_metadata, encode_records, pack_attr_batches,
     read_nonce, read_version, to_simpledb_attributes, EncodedProvenance,
 };
-pub use serve::{store_fingerprint, ServeHandle, ServeParts, ServeStats, Serveable};
+pub use serve::{
+    domain_fingerprint, store_fingerprint, ServeHandle, ServeParts, ServeStats, Serveable,
+};
 pub use store::{ProvenanceStore, ReadOutcome, ReadStatus, RecoveryReport};
 pub use wal::{chunk_pairs, pack_wal_batches, WalRecord};
 

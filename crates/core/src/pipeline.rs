@@ -8,9 +8,11 @@
 //! deadline registered as a timer event in the world's deterministic
 //! scheduler), and every due group issues through
 //! [`ProvenanceStore::persist_batch`] while the pipeline keeps up to
-//! `max_in_flight` requests per service outstanding — batches overlap
-//! in flight instead of draining synchronously in the submitting
-//! client.
+//! the controller's depth of requests per service outstanding — batches
+//! overlap in flight instead of draining synchronously in the
+//! submitting client. How deep is one policy, `Option<AdaptiveDepth>`:
+//! `None` for no region at all, [`AdaptiveDepth::fixed`] for a fixed
+//! depth, any other controller for an AIMD-steered one.
 //!
 //! Crash sites cover the daemon's three step boundaries: after a timer
 //! fires but before its group issues, after a group's requests are
@@ -21,7 +23,7 @@
 //! synchronous paths, now with overlap.
 
 use pass::{FileFlush, FlushDaemon, FlushPolicy};
-use simworld::{AdaptiveDepth, CrashSite, SimDuration, SimWorld};
+use simworld::{AdaptiveDepth, CrashSite, PipelineStats, SimDuration, SimWorld};
 
 use crate::error::Result;
 use crate::store::ProvenanceStore;
@@ -54,12 +56,41 @@ pub struct PipelineReport {
     pub elapsed: SimDuration,
 }
 
+/// Persists pre-formed `groups` through [`ProvenanceStore::persist_batch`]
+/// under one depth policy: `None` is the synchronous client — one group
+/// at a time, no region, the serial latency sum; `Some(controller)`
+/// opens a pipelined region in which each group's requests *issue*
+/// without waiting for the previous group's completions, steered by the
+/// controller ([`AdaptiveDepth::fixed`] for a fixed depth). Requests
+/// issue in the same order either way, so the final store state is
+/// identical; only the completion accounting — the virtual clock —
+/// differs. The controller is borrowed so a caller can read the depth
+/// it converged to, or reuse the learned state on a later call.
+///
+/// # Errors
+///
+/// Service errors, or [`crate::CloudError::Crashed`] when a client
+/// crash site fires; requests issued before the crash stay on the wire
+/// either way, so earlier groups — and part of the failing one — may
+/// already be durable.
+pub fn persist_groups(
+    world: &SimWorld,
+    store: &mut dyn ProvenanceStore,
+    groups: &[Vec<FileFlush>],
+    depth: Option<&mut AdaptiveDepth>,
+) -> Result<()> {
+    in_region(world, store, depth, |issue| {
+        groups.iter().try_for_each(|g| issue(g))
+    })
+    .0
+}
+
 /// Drives `flushes` through a timer-driven [`FlushDaemon`] into
-/// `store`, with up to `max_in_flight` requests per service overlapping
-/// in flight. `inter_flush_gap` models the client's think time between
-/// `close()` calls — with a nonzero gap and a `max_age` deadline, slow
-/// producers see their small groups drained by the timer instead of
-/// waiting for the count threshold.
+/// `store` under the same depth policy as [`persist_groups`].
+/// `inter_flush_gap` models the client's think time between `close()`
+/// calls — with a nonzero gap and a `max_age` deadline, slow producers
+/// see their small groups drained by the timer instead of waiting for
+/// the count threshold.
 ///
 /// The final store state is identical to feeding the same groups
 /// through the synchronous batch path; only the completion accounting
@@ -75,95 +106,13 @@ pub fn drive_pipelined(
     store: &mut dyn ProvenanceStore,
     flushes: &[FileFlush],
     policy: FlushPolicy,
-    max_in_flight: usize,
+    depth: Option<&mut AdaptiveDepth>,
     inter_flush_gap: SimDuration,
-) -> Result<PipelineReport> {
-    drive_inner(
-        world,
-        store,
-        flushes,
-        policy,
-        max_in_flight,
-        inter_flush_gap,
-        |_| {},
-    )
-}
-
-/// [`drive_pipelined`] with the in-flight depth steered by an AIMD
-/// [`AdaptiveDepth`] controller instead of a fixed knob: the region
-/// opens at `controller.depth()` and, after every issued group, the
-/// controller observes the region's cumulative stall evidence
-/// ([`SimWorld::pipeline_stats`]) and resizes the open window in place
-/// ([`SimWorld::set_pipeline_depth`]). The controller is borrowed so a
-/// caller can read the converged depth — and reuse the learned state on
-/// a later drive.
-///
-/// # Errors
-///
-/// As [`drive_pipelined`].
-pub fn drive_pipelined_adaptive(
-    world: &SimWorld,
-    store: &mut dyn ProvenanceStore,
-    flushes: &[FileFlush],
-    policy: FlushPolicy,
-    controller: &mut AdaptiveDepth,
-    inter_flush_gap: SimDuration,
-) -> Result<PipelineReport> {
-    let start = controller.depth();
-    let report = drive_inner(world, store, flushes, policy, start, inter_flush_gap, |w| {
-        if let Some(stats) = w.pipeline_stats() {
-            controller.observe(&stats);
-            w.set_pipeline_depth(controller.depth());
-        }
-    });
-    controller.region_complete();
-    report
-}
-
-/// Persists pre-formed `groups` through one pipelined region with the
-/// depth steered by `controller` — the group-list counterpart of
-/// [`drive_pipelined_adaptive`], matching the shape of
-/// [`ProvenanceStore::persist_pipelined`].
-///
-/// # Errors
-///
-/// Service errors, or [`crate::CloudError::Crashed`] when a client
-/// crash site fires; issued requests stay on the wire either way.
-pub fn persist_groups_adaptive(
-    world: &SimWorld,
-    store: &mut dyn ProvenanceStore,
-    groups: &[Vec<FileFlush>],
-    controller: &mut AdaptiveDepth,
-) -> Result<()> {
-    world.begin_pipeline(controller.depth());
-    let result = groups.iter().try_for_each(|g| {
-        store.persist_batch(g)?;
-        if let Some(stats) = world.pipeline_stats() {
-            controller.observe(&stats);
-            world.set_pipeline_depth(controller.depth());
-        }
-        Ok(())
-    });
-    // Drain even when a crash fired: issued requests are on the wire.
-    world.drain_pipeline();
-    controller.region_complete();
-    result
-}
-
-fn drive_inner(
-    world: &SimWorld,
-    store: &mut dyn ProvenanceStore,
-    flushes: &[FileFlush],
-    policy: FlushPolicy,
-    initial_depth: usize,
-    inter_flush_gap: SimDuration,
-    mut after_group: impl FnMut(&SimWorld),
 ) -> Result<PipelineReport> {
     let t0 = world.now();
     let mut daemon = FlushDaemon::new(world, policy);
     let mut groups_issued = 0u64;
-    world.begin_pipeline(initial_depth);
-    let result = (|| -> Result<()> {
+    let (result, stats) = in_region(world, store, depth, |issue| {
         for flush in flushes {
             if inter_flush_gap > SimDuration::ZERO {
                 world.advance(inter_flush_gap);
@@ -172,31 +121,24 @@ fn drive_inner(
                 // The deadline passed between closes: the background
                 // daemon wakes and drains the aged group.
                 world.crash_point(PIPE_AFTER_TIMER_FIRE)?;
-                store.persist_batch(&group)?;
+                issue(&group)?;
                 groups_issued += 1;
-                after_group(world);
                 world.crash_point(PIPE_AFTER_GROUP_ISSUE)?;
             }
             for group in daemon.submit(flush.clone()) {
-                store.persist_batch(&group)?;
+                issue(&group)?;
                 groups_issued += 1;
-                after_group(world);
                 world.crash_point(PIPE_AFTER_GROUP_ISSUE)?;
             }
         }
         let tail = daemon.drain();
         if !tail.is_empty() {
-            store.persist_batch(&tail)?;
+            issue(&tail)?;
             groups_issued += 1;
-            after_group(world);
         }
         world.crash_point(PIPE_BEFORE_DRAIN)?;
         Ok(())
-    })();
-    // Drain even when a crash fired: issued requests are on the wire
-    // regardless of the client dying, and the world's pipeline must
-    // close either way.
-    let stats = world.drain_pipeline();
+    });
     result?;
     Ok(PipelineReport {
         groups_issued,
@@ -206,6 +148,41 @@ fn drive_inner(
         peak_in_flight: stats.peak_in_flight,
         elapsed: world.now() - t0,
     })
+}
+
+/// The one client-side pipeline region. Runs `body`, handing it the
+/// `issue` step (one group through `persist_batch`), and returns its
+/// result with the region's statistics. Under `Some(controller)` the
+/// region opens at `controller.depth()`; after every issued group the
+/// controller observes the region's cumulative stall evidence
+/// ([`SimWorld::pipeline_stats`]) and resizes the open window in place
+/// ([`SimWorld::set_pipeline_depth`]). Under `None` there is no region
+/// and `issue` is the bare synchronous call.
+fn in_region(
+    world: &SimWorld,
+    store: &mut dyn ProvenanceStore,
+    depth: Option<&mut AdaptiveDepth>,
+    body: impl FnOnce(&mut dyn FnMut(&[FileFlush]) -> Result<()>) -> Result<()>,
+) -> (Result<()>, PipelineStats) {
+    let Some(controller) = depth else {
+        let result = body(&mut |group| store.persist_batch(group));
+        return (result, PipelineStats::default());
+    };
+    world.begin_pipeline(controller.depth());
+    let result = body(&mut |group| {
+        store.persist_batch(group)?;
+        if let Some(stats) = world.pipeline_stats() {
+            controller.observe(&stats);
+            world.set_pipeline_depth(controller.depth());
+        }
+        Ok(())
+    });
+    // Drain even when a crash fired: issued requests are on the wire
+    // regardless of the client dying, and the world's pipeline must
+    // close either way.
+    let stats = world.drain_pipeline();
+    controller.region_complete();
+    (result, stats)
 }
 
 #[cfg(test)]
@@ -225,120 +202,107 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn fast_producer_drains_on_the_count_threshold() {
-        let world = SimWorld::counting();
-        let mut store = S3SimpleDb::new(&world);
-        let report = drive_pipelined(
-            &world,
-            &mut store,
-            &flushes(20),
-            FlushPolicy::every(5),
-            4,
-            SimDuration::ZERO,
-        )
-        .unwrap();
-        assert_eq!(report.groups_issued, 4);
-        assert_eq!(report.timer_drains, 0);
-        assert!(report.requests > 0);
-        for i in 0..20 {
+    fn assert_all_readable(store: &mut S3SimpleDb, n: usize) {
+        for i in 0..n {
             assert!(store.read(&format!("f{i:03}")).unwrap().consistent());
         }
     }
 
+    /// Drives `n` flushes into a fresh arch2 store on `world`; every one
+    /// of them must read back consistent afterwards.
+    fn drive(
+        world: &SimWorld,
+        n: usize,
+        policy: FlushPolicy,
+        depth: Option<&mut AdaptiveDepth>,
+        gap_ms: u64,
+    ) -> PipelineReport {
+        let mut store = S3SimpleDb::new(world);
+        let gap = SimDuration::from_millis(gap_ms);
+        let report = drive_pipelined(world, &mut store, &flushes(n), policy, depth, gap).unwrap();
+        assert_all_readable(&mut store, n);
+        report
+    }
+
+    fn fixed(depth: usize) -> Option<AdaptiveDepth> {
+        Some(AdaptiveDepth::fixed(depth))
+    }
+
+    #[test]
+    fn fast_producer_drains_on_the_count_threshold() {
+        let world = SimWorld::counting();
+        let report = drive(&world, 20, FlushPolicy::every(5), fixed(4).as_mut(), 0);
+        assert_eq!(report.groups_issued, 4);
+        assert_eq!(report.timer_drains, 0);
+        assert!(report.requests > 0);
+    }
+
     #[test]
     fn slow_producer_is_drained_by_the_timer() {
-        let world = SimWorld::counting();
-        let mut store = S3SimpleDb::new(&world);
         // Think time (200 ms) × 3 pending crosses the 500 ms deadline
         // long before the 100-flush count threshold.
         let policy = FlushPolicy::new(100, u64::MAX).with_max_age(SimDuration::from_millis(500));
-        let report = drive_pipelined(
-            &world,
-            &mut store,
-            &flushes(12),
-            policy,
-            4,
-            SimDuration::from_millis(200),
-        )
-        .unwrap();
+        let report = drive(&SimWorld::counting(), 12, policy, fixed(4).as_mut(), 200);
         assert!(report.timer_drains > 0, "{report:?}");
         assert!(
             report.groups_issued > 12 / 100,
             "groups must come from deadlines, not the count threshold: {report:?}"
         );
-        for i in 0..12 {
-            assert!(store.read(&format!("f{i:03}")).unwrap().consistent());
-        }
     }
 
     #[test]
     fn adaptive_drive_matches_fixed_state_and_raises_the_depth() {
-        let fixed_world = SimWorld::new(2009);
-        let mut fixed_store = S3SimpleDb::new(&fixed_world);
-        drive_pipelined(
-            &fixed_world,
-            &mut fixed_store,
-            &flushes(40),
+        drive(
+            &SimWorld::new(2009),
+            40,
             FlushPolicy::every(5),
-            8,
-            SimDuration::ZERO,
-        )
-        .unwrap();
+            fixed(8).as_mut(),
+            0,
+        );
 
-        let world = SimWorld::new(2009);
-        let mut store = S3SimpleDb::new(&world);
         let mut ctl = AdaptiveDepth::with_bounds(1, 1, 32);
-        let report = drive_pipelined_adaptive(
-            &world,
-            &mut store,
-            &flushes(40),
+        let report = drive(
+            &SimWorld::new(2009),
+            40,
             FlushPolicy::every(5),
-            &mut ctl,
-            SimDuration::ZERO,
-        )
-        .unwrap();
+            Some(&mut ctl),
+            0,
+        );
         assert!(
             ctl.depth() > 1,
             "stalled windows must have grown the depth: {}",
             ctl.depth()
         );
         assert_eq!(report.groups_issued, 8);
-        for i in 0..40 {
-            let name = format!("f{i:03}");
-            assert!(store.read(&name).unwrap().consistent());
-            assert!(fixed_store.read(&name).unwrap().consistent());
-        }
     }
 
     #[test]
-    fn persist_groups_adaptive_lands_every_group() {
+    fn persist_groups_lands_every_group_and_closes_the_region() {
         let world = SimWorld::new(7);
         let mut store = S3SimpleDb::new(&world);
         let all = flushes(30);
         let groups: Vec<Vec<FileFlush>> = all.chunks(6).map(<[FileFlush]>::to_vec).collect();
         let mut ctl = AdaptiveDepth::new();
-        persist_groups_adaptive(&world, &mut store, &groups, &mut ctl).unwrap();
+        persist_groups(&world, &mut store, &groups, Some(&mut ctl)).unwrap();
         assert!(world.pipeline_depth().is_none(), "the region must close");
-        for i in 0..30 {
-            assert!(store.read(&format!("f{i:03}")).unwrap().consistent());
-        }
+        assert_all_readable(&mut store, 30);
     }
 
     #[test]
     fn report_measures_overlap_on_a_priced_world() {
-        let world = SimWorld::new(2009);
-        let mut store = S3SimpleDb::new(&world);
-        let report = drive_pipelined(
-            &world,
-            &mut store,
-            &flushes(20),
+        let piped = drive(
+            &SimWorld::new(2009),
+            20,
             FlushPolicy::every(5),
-            4,
-            SimDuration::ZERO,
-        )
-        .unwrap();
-        assert!(report.peak_in_flight > 1, "{report:?}");
-        assert!(report.elapsed > SimDuration::ZERO);
+            fixed(4).as_mut(),
+            0,
+        );
+        assert!(piped.peak_in_flight > 1, "{piped:?}");
+        assert!(piped.elapsed > SimDuration::ZERO);
+        // No depth, no region: nothing overlaps and nothing is counted.
+        let sync = drive(&SimWorld::new(2009), 20, FlushPolicy::every(5), None, 0);
+        assert_eq!((sync.requests, sync.peak_in_flight), (0, 0), "{sync:?}");
+        assert_eq!(sync.groups_issued, piped.groups_issued);
+        assert!(sync.elapsed > piped.elapsed, "{sync:?} vs {piped:?}");
     }
 }

@@ -5,38 +5,29 @@
 
 use pass::ObjectRef;
 use sim_s3::{S3Error, S3};
-use sim_simpledb::SimpleDb;
 use simworld::{Blob, SimWorld};
 
 use crate::error::{CloudError, Result};
 use crate::layout::{data_key, ATTR_MD5, BUCKET, DOMAIN};
 use crate::retry::RetryPolicy;
 use crate::serialize::{decode_attributes, read_nonce, read_version};
+use crate::serve::ServeParts;
 use crate::store::{ReadOutcome, ReadStatus};
 
-/// Everything the verified read needs.
-pub(crate) struct ReadContext<'a> {
-    pub world: &'a SimWorld,
-    pub s3: &'a S3,
-    pub db: &'a SimpleDb,
-    pub retry: RetryPolicy,
-    pub verify_md5: bool,
-    pub use_nonce: bool,
-}
-
-impl ReadContext<'_> {
-    pub(crate) fn consistency_md5(&self, data: &Blob, nonce: &str) -> String {
-        if self.use_nonce {
-            data.md5_with_suffix(nonce.as_bytes()).to_hex()
-        } else {
-            data.md5().to_hex()
-        }
+/// The consistency token stored in SimpleDB and recomputed by every
+/// verified read: `MD5(data ‖ nonce)`, or `MD5(data)` under the
+/// no-nonce ablation.
+pub(crate) fn consistency_md5(data: &Blob, nonce: &str, use_nonce: bool) -> String {
+    if use_nonce {
+        data.md5_with_suffix(nonce.as_bytes()).to_hex()
+    } else {
+        data.md5().to_hex()
     }
 }
 
 /// Fetches data + provenance for `name`, enforcing the MD5+nonce
 /// consistency check with retries.
-pub(crate) fn verified_read(ctx: &ReadContext<'_>, name: &str) -> Result<ReadOutcome> {
+pub(crate) fn verified_read(ctx: &ServeParts, name: &str) -> Result<ReadOutcome> {
     let key = data_key(name);
     let mut retries = 0u32;
     loop {
@@ -44,7 +35,7 @@ pub(crate) fn verified_read(ctx: &ReadContext<'_>, name: &str) -> Result<ReadOut
             Ok(o) => o,
             Err(S3Error::NoSuchKey { .. }) if retries < ctx.retry.max_retries => {
                 retries += 1;
-                ctx.retry.pause(ctx.world, retries);
+                ctx.retry.pause(&ctx.world, retries);
                 continue;
             }
             // Budget spent on a key that never appeared: that is a
@@ -83,7 +74,7 @@ pub(crate) fn verified_read(ctx: &ReadContext<'_>, name: &str) -> Result<ReadOut
         if !ctx.verify_md5 {
             return finish(ReadStatus::Unverified);
         }
-        let computed = ctx.consistency_md5(&object.body, &nonce);
+        let computed = consistency_md5(&object.body, &nonce, ctx.use_nonce);
         if stored_md5.as_deref() == Some(computed.as_str()) {
             return finish(ReadStatus::VerifiedConsistent { retries });
         }
@@ -91,7 +82,7 @@ pub(crate) fn verified_read(ctx: &ReadContext<'_>, name: &str) -> Result<ReadOut
             return finish(ReadStatus::InconsistencyDetected { retries });
         }
         retries += 1;
-        ctx.retry.pause(ctx.world, retries);
+        ctx.retry.pause(&ctx.world, retries);
     }
 }
 
@@ -134,7 +125,7 @@ pub(crate) fn overflow_to_string(key: &str, obj: sim_s3::Object) -> Result<Strin
 
 /// Fetches one overflow chunk, riding out eventual consistency the same
 /// way the main object read does.
-pub(crate) fn fetch_overflow(ctx: &ReadContext<'_>, key: &str) -> Result<String> {
-    let obj = get_object_with_retry(ctx.s3, ctx.world, &ctx.retry, key, key)?;
+fn fetch_overflow(ctx: &ServeParts, key: &str) -> Result<String> {
+    let obj = get_object_with_retry(&ctx.s3, &ctx.world, &ctx.retry, key, key)?;
     overflow_to_string(key, obj)
 }

@@ -12,7 +12,7 @@
 //!   one writer at a time, unchanged crash-ordering story.
 //! * **Reads and queries** never touch that mutex. The handle captures
 //!   cloned service handles ([`ServeParts`]) at construction and builds
-//!   a fresh [`ReadContext`]/[`SimpleDbQueryEngine`] per call, so they
+//!   a fresh [`SimpleDbQueryEngine`] per query from them, so they
 //!   take `&self` and never wait for a writer at this level. They are
 //!   not lock-free below it: beside the services' own per-shard locks,
 //!   every service request takes the one global [`SimWorld`] lock
@@ -31,12 +31,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use pass::FileFlush;
 use sim_s3::S3;
 use sim_simpledb::SimpleDb;
-use simworld::{fnv1a_64, SimWorld};
+use simworld::{Fnv1a, SimWorld};
 
 use crate::error::Result;
 use crate::layout::{BUCKET, CLOSURE_DOMAIN, DOMAIN, TMP_PREFIX};
 use crate::query::{ProvQuery, QueryAnswer, SimpleDbQueryEngine};
-use crate::readpath::{verified_read, ReadContext};
+use crate::readpath::verified_read;
 use crate::retry::RetryPolicy;
 use crate::store::{ProvenanceStore, ReadOutcome, RecoveryReport};
 
@@ -52,6 +52,26 @@ pub struct ServeParts {
     pub(crate) verify_md5: bool,
     pub(crate) use_nonce: bool,
     pub(crate) serve_closure: bool,
+}
+
+impl ServeParts {
+    /// The §4.2 read: fetch data from S3 and provenance from SimpleDB,
+    /// then compare `MD5(data ‖ nonce)` against the stored record; on
+    /// mismatch, reissue both reads until they agree or the retry
+    /// budget is spent.
+    pub(crate) fn read(&self, name: &str) -> Result<ReadOutcome> {
+        verified_read(self, name)
+    }
+
+    /// Executes `query` on a per-call SimpleDB engine (closure-index
+    /// `Serve` mode included when the store was configured for it).
+    pub(crate) fn query(&self, query: &ProvQuery) -> Result<QueryAnswer> {
+        let mut engine = SimpleDbQueryEngine::new(&self.db, &self.s3, &self.world, self.retry);
+        if self.serve_closure {
+            engine = engine.serving_closure();
+        }
+        engine.execute(query)
+    }
 }
 
 /// A store that can hand out the pieces of its read path (which never
@@ -225,16 +245,7 @@ impl ServeHandle {
     /// As [`ProvenanceStore::read`].
     pub fn read(&self, name: &str) -> Result<ReadOutcome> {
         self.count();
-        let p = &self.inner.parts;
-        let ctx = ReadContext {
-            world: &p.world,
-            s3: &p.s3,
-            db: &p.db,
-            retry: p.retry,
-            verify_md5: p.verify_md5,
-            use_nonce: p.use_nonce,
-        };
-        verified_read(&ctx, name)
+        self.inner.parts.read(name)
     }
 
     /// Executes a provenance query on a per-call engine (closure-index
@@ -245,12 +256,7 @@ impl ServeHandle {
     /// As [`ProvenanceStore::query`].
     pub fn query(&self, query: &ProvQuery) -> Result<QueryAnswer> {
         self.count();
-        let p = &self.inner.parts;
-        let mut engine = SimpleDbQueryEngine::new(&p.db, &p.s3, &p.world, p.retry);
-        if p.serve_closure {
-            engine = engine.serving_closure();
-        }
-        engine.execute(query)
+        self.inner.parts.query(query)
     }
 
     /// Requests served through this handle so far.
@@ -286,31 +292,13 @@ impl ServeHandle {
 /// FNV-1a fingerprint of a store's authoritative state: all committed
 /// SimpleDB items in the provenance and closure domains plus all
 /// non-`tmp/` S3 objects, via the services' unbilled latest-state
-/// views. Shared by [`ServeHandle::fingerprint`] and the wall-clock
-/// harness's in-process driver.
+/// views, folded straight into the hash state. Shared by
+/// [`ServeHandle::fingerprint`] and the wall-clock harness's in-process
+/// driver.
 pub fn store_fingerprint(s3: &S3, db: &SimpleDb) -> u64 {
-    let mut acc = String::new();
+    let mut hash = Fnv1a::new();
     for domain in [DOMAIN, CLOSURE_DOMAIN] {
-        let mut names = db.latest_item_names(domain);
-        names.sort_unstable();
-        for name in &names {
-            let Some(mut attrs) = db.latest_item(domain, name) else {
-                continue;
-            };
-            attrs.sort_unstable_by(|a, b| {
-                (a.name.as_str(), a.value.as_str()).cmp(&(b.name.as_str(), b.value.as_str()))
-            });
-            for attr in &attrs {
-                acc.push_str(domain);
-                acc.push('\u{1f}');
-                acc.push_str(name);
-                acc.push('\u{1f}');
-                acc.push_str(&attr.name);
-                acc.push('\u{1f}');
-                acc.push_str(&attr.value);
-                acc.push('\u{1e}');
-            }
-        }
+        fold_domain(&mut hash, db, domain);
     }
     let mut keys = s3.latest_keys(BUCKET, "");
     keys.sort_unstable();
@@ -321,18 +309,51 @@ pub fn store_fingerprint(s3: &S3, db: &SimpleDb) -> u64 {
         let Some(object) = s3.latest_object(BUCKET, key) else {
             continue;
         };
-        acc.push_str(key);
-        acc.push('\u{1f}');
-        acc.push_str(&object.etag.to_hex());
+        hash.write(key.as_bytes());
+        hash.write(b"\x1f");
+        hash.write(object.etag.to_hex().as_bytes());
         for (meta_key, meta_value) in object.metadata.iter() {
-            acc.push('\u{1f}');
-            acc.push_str(meta_key);
-            acc.push('=');
-            acc.push_str(meta_value);
+            hash.write(b"\x1f");
+            hash.write(meta_key.as_bytes());
+            hash.write(b"=");
+            hash.write(meta_value.as_bytes());
         }
-        acc.push('\u{1e}');
+        hash.write(b"\x1e");
     }
-    fnv1a_64(&acc)
+    hash.finish()
+}
+
+/// FNV-1a fingerprint of one SimpleDB domain's authoritative latest
+/// state. Placement is invisible to it — identical state fingerprints
+/// identically at any shard layout, split or not.
+pub fn domain_fingerprint(db: &SimpleDb, domain: &str) -> u64 {
+    let mut hash = Fnv1a::new();
+    fold_domain(&mut hash, db, domain);
+    hash.finish()
+}
+
+/// The one walk over a SimpleDB domain for fingerprinting: every live
+/// item in name order, its attributes in `(name, value)` order, one
+/// `domain ␟ item ␟ attribute ␟ value ␞` record per pair.
+fn fold_domain(hash: &mut Fnv1a, db: &SimpleDb, domain: &str) {
+    let mut names = db.latest_item_names(domain);
+    names.sort_unstable();
+    for name in &names {
+        let Some(mut attrs) = db.latest_item(domain, name) else {
+            continue;
+        };
+        attrs.sort_unstable_by(|a, b| {
+            (a.name.as_str(), a.value.as_str()).cmp(&(b.name.as_str(), b.value.as_str()))
+        });
+        for attr in &attrs {
+            for field in [domain, name.as_str(), attr.name.as_str()] {
+                hash.write(field.as_bytes());
+                hash.write(b"\x1f");
+            }
+            hash.write(attr.value.as_bytes());
+            hash.write(b"\x1e");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -406,6 +427,52 @@ mod tests {
         serve.record(&flush("b.dat", 2, Some("a.dat"))).unwrap();
         serve.flush().unwrap();
         assert_ne!(before, serve.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_and_moves_with_exactly_the_authoritative_state() {
+        use crate::layout::{data_key, ATTR_NONCE, CLOSURE_ATTR_NODE, META_NONCE};
+        use sim_simpledb::ReplaceableAttribute;
+
+        let world = SimWorld::counting();
+        let mut store = S3SimpleDb::new(&world);
+        store.set_config(crate::Arch2Config {
+            closure: crate::ClosureMode::Maintain,
+            ..crate::Arch2Config::default()
+        });
+        store.persist(&flush("a.dat", 1, None)).unwrap();
+        store.persist(&flush("b.dat", 2, Some("a.dat"))).unwrap();
+        let (s3, db) = (store.s3(), store.simpledb());
+        // What the build-one-string-then-hash implementation returned
+        // for this store: streaming must not change the value.
+        let mut last = store_fingerprint(s3, db);
+        assert_eq!(last, 0x1913_eebe_d313_2268);
+        let mut moved = |what: &str, expected: bool| {
+            let now = store_fingerprint(s3, db);
+            assert_eq!(now != last, expected, "{what}");
+            last = now;
+        };
+
+        let data = s3.latest_object(BUCKET, &data_key("a.dat")).unwrap();
+        s3.put_object(
+            BUCKET,
+            "tmp/c/1/data",
+            data.body.clone(),
+            data.metadata.clone(),
+        )
+        .unwrap();
+        moved("temporaries are not authoritative state", false);
+        let nonce = [ReplaceableAttribute::replace(ATTR_NONCE, "other")];
+        db.put_attributes(DOMAIN, "a.dat 1", &nonce).unwrap();
+        moved("one attribute value", true);
+        let node = [ReplaceableAttribute::add(CLOSURE_ATTR_NODE, "1")];
+        db.put_attributes(CLOSURE_DOMAIN, "stray 1", &node).unwrap();
+        moved("one closure-domain row", true);
+        let mut meta = data.metadata;
+        meta.insert(META_NONCE, "other");
+        s3.put_object(BUCKET, &data_key("a.dat"), data.body, meta)
+            .unwrap();
+        moved("one S3 metadata value", true);
     }
 
     #[test]

@@ -102,7 +102,11 @@ pub trait ProvenanceStore {
     fn architecture(&self) -> &'static str;
 
     /// Persists one object version and its provenance (PASS calls this on
-    /// `close`).
+    /// `close`) with the paper's *point protocol* — the request sequence
+    /// Tables 1–3 count. This and [`ProvenanceStore::persist_batch`] are
+    /// the only two write methods; overlap in flight is not a third one
+    /// but a region opened around them ([`crate::persist_groups`],
+    /// [`crate::drive_pipelined`]).
     ///
     /// # Errors
     ///
@@ -116,7 +120,10 @@ pub trait ProvenanceStore {
     /// order; architectures with native batch support override this to
     /// ship the group in far fewer billable requests (arch2 packs up to
     /// 25 provenance items per `BatchPutAttributes`, arch3 packs WAL
-    /// records 10 per `SendMessageBatch`). The default simply loops over
+    /// records 10 per `SendMessageBatch`). That is a different request
+    /// sequence from the point protocol, not a configuration of it, so a
+    /// group of one is state-identical to [`ProvenanceStore::persist`]
+    /// but not request-identical. The default simply loops over
     /// [`ProvenanceStore::persist`].
     ///
     /// # Errors
@@ -127,33 +134,6 @@ pub trait ProvenanceStore {
     fn persist_batch(&mut self, flushes: &[FileFlush]) -> Result<()> {
         for flush in flushes {
             self.persist(flush)?;
-        }
-        Ok(())
-    }
-
-    /// Persists several groups with up to `max_in_flight` requests per
-    /// service overlapping in flight: each group's batch calls *issue*
-    /// without waiting for the previous batch's completion, and the
-    /// virtual clock follows the event-driven completion schedule
-    /// instead of the serial latency sum. The final store state is
-    /// identical to calling [`ProvenanceStore::persist_batch`] on each
-    /// group in order (requests still issue in the same order — only
-    /// their completion accounting overlaps); architectures wired to
-    /// the shared [`simworld::SimWorld`] pipeline override this. The
-    /// default is the synchronous path: one group at a time, no
-    /// overlap. When no good `max_in_flight` is known up front,
-    /// [`crate::persist_groups_adaptive`] drives the same group list
-    /// with an AIMD-controlled depth instead of a fixed knob.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProvenanceStore::persist_batch`]. On error, groups earlier
-    /// in the slice — and any request of the failing group issued
-    /// before the crash — may already be durable.
-    fn persist_pipelined(&mut self, groups: &[Vec<FileFlush>], max_in_flight: usize) -> Result<()> {
-        let _ = max_in_flight;
-        for group in groups {
-            self.persist_batch(group)?;
         }
         Ok(())
     }
@@ -186,10 +166,11 @@ pub trait ProvenanceStore {
     /// Drives any background daemons until quiescent. A no-op for
     /// architectures without daemons. Architecture 3's commit daemon
     /// honours [`crate::Arch3Config::daemon_depth`] here: with
-    /// [`crate::DaemonDepth::Fixed`] or [`crate::DaemonDepth::Adaptive`]
-    /// each step runs its receive/assemble/apply loop inside a
-    /// pipelined region, overlapping WAL drains and per-transaction
-    /// applies instead of paying the serial latency sum.
+    /// `Some(controller)` each step runs its receive/assemble/apply
+    /// loop inside a pipelined region steered by that controller,
+    /// overlapping WAL drains and per-transaction applies instead of
+    /// paying the serial latency sum; `None` is the paper's serial
+    /// daemon.
     ///
     /// # Errors
     ///

@@ -12,10 +12,12 @@
 //! background commit daemon, applied to the client-side flush path.
 //!
 //! Like the flusher it wraps, the daemon is backend-agnostic: it owns
-//! *when to drain*, never a service handle. The cloud layer's pipelined
-//! persist path (`provenance_cloud::drive_pipelined`) pumps it and
-//! pushes each due group through `ProvenanceStore::persist_batch` while
-//! earlier groups are still in flight.
+//! *when to drain*, never a service handle. The cloud layer's
+//! timer-driven client (`provenance_cloud::drive_pipelined`) pumps it
+//! and pushes each due group through `ProvenanceStore::persist_batch`;
+//! under a depth policy of `Some(controller)` that happens inside a
+//! pipeline region, so earlier groups are still in flight, and under
+//! `None` each group completes before the next is issued.
 
 use simworld::{SimWorld, TimerId};
 

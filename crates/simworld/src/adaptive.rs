@@ -82,6 +82,23 @@ impl AdaptiveDepth {
         }
     }
 
+    /// The degenerate controller: bounds `[depth, depth]`, so every
+    /// observation answers `depth` and a region steered by it is a
+    /// fixed-depth region. This is the one place a caller-chosen depth
+    /// is checked: "no region at all" is spelled `None` by the callers
+    /// that take an `Option<AdaptiveDepth>`, never a depth of zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero.
+    pub fn fixed(depth: usize) -> AdaptiveDepth {
+        assert!(
+            depth >= 1,
+            "a fixed in-flight depth must be positive (no region is `None`, not depth 0)"
+        );
+        AdaptiveDepth::with_bounds(depth, depth, depth)
+    }
+
     /// The depth the next window should run at.
     pub fn depth(&self) -> usize {
         self.depth
@@ -164,6 +181,23 @@ mod tests {
                 "decay must be additive, floored at min"
             );
         }
+    }
+
+    #[test]
+    fn a_fixed_controller_never_moves() {
+        let mut ctl = AdaptiveDepth::fixed(4);
+        // Stalls would double it, an idle window would shed a channel.
+        ctl.observe(&window(10, 5, 4));
+        assert_eq!(ctl.depth(), 4);
+        ctl.region_complete();
+        ctl.observe(&window(10, 0, 1));
+        assert_eq!(ctl.depth(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn a_fixed_depth_of_zero_is_rejected() {
+        let _ = AdaptiveDepth::fixed(0);
     }
 
     #[test]

@@ -7,12 +7,42 @@
 /// using one shared implementation keeps shard layouts comparable across
 /// services and experiments.
 pub fn fnv1a_64(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::new();
+    hash.write(s.as_bytes());
+    hash.finish()
+}
+
+/// The streaming form of [`fnv1a_64`]: feed the input in any number of
+/// pieces and the result equals hashing their concatenation, so a
+/// caller folding a large structure (a whole store's fingerprint) never
+/// has to materialise it as one string first.
+#[derive(Copy, Clone, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of the empty input.
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Folds `bytes` into the running hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
 }
 
 /// One SplitMix64 step: advances `state` by the golden gamma and
@@ -38,6 +68,25 @@ mod tests {
         assert_eq!(fnv1a_64(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64("a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64("foobar"), 0x85944171f73967e8);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streaming_in_arbitrary_pieces_equals_one_shot(
+            bytes in proptest::collection::vec(0u8..128, 0..200),
+            cuts in proptest::collection::vec(0usize..200, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut hash = Fnv1a::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                hash.write(&bytes[from..cut]);
+                from = cut;
+            }
+            let text = String::from_utf8(bytes).expect("ASCII");
+            proptest::prop_assert_eq!(hash.finish(), fnv1a_64(&text));
+        }
     }
 
     #[test]

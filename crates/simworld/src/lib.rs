@@ -63,7 +63,7 @@ pub use blob::{Blob, Chunks, CHUNK};
 pub use clock::{SimDuration, SimInstant};
 pub use ecstore::{EcMap, ValuesOf};
 pub use faults::{CrashSite, Crashed, FaultPlan};
-pub use hash::{fnv1a_64, splitmix64};
+pub use hash::{fnv1a_64, splitmix64, Fnv1a};
 pub use latency::{LatencyModel, ServiceLatency};
 pub use md5::{Md5, Md5Digest};
 pub use merge::merged_shard_page;

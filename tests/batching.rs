@@ -6,7 +6,9 @@
 //! sooner in (deterministic) virtual time. This is the acceptance bar
 //! of the batching issue; `BASELINE.md` records the medium-scale sweep.
 
-use pass_cloud::cloud::{layout, ProvGraph, ProvQuery, ProvenanceStore, S3SimpleDb, S3SimpleDbSqs};
+use pass_cloud::cloud::{
+    layout, store_fingerprint, ProvGraph, ProvQuery, ProvenanceStore, S3SimpleDb, S3SimpleDbSqs,
+};
 use pass_cloud::pass::{FileFlush, FlushPolicy, GroupCommitFlusher};
 use pass_cloud::simworld::{SimDuration, SimWorld};
 use pass_cloud::workloads::Combined;
@@ -48,24 +50,6 @@ fn drive(
     (flush_path_requests(&delta), elapsed)
 }
 
-/// Authoritative (unbilled) fingerprint of the cloud's final state:
-/// every S3 key, every SimpleDB item with its full attribute set.
-fn state_fingerprint(s3: &pass_cloud::s3::S3, db: &pass_cloud::simpledb::SimpleDb) -> String {
-    let mut out = String::new();
-    for key in s3.latest_keys(layout::BUCKET, "") {
-        let obj = s3.latest_object(layout::BUCKET, &key).unwrap();
-        out.push_str(&format!("s3 {key} {}\n", obj.etag.to_hex()));
-    }
-    for item in db.latest_item_names(layout::DOMAIN) {
-        out.push_str(&format!("sdb {item}"));
-        for attr in db.latest_item(layout::DOMAIN, &item).unwrap() {
-            out.push_str(&format!(" {}={}", attr.name, attr.value));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 fn graph_of(store: &mut dyn ProvenanceStore) -> ProvGraph {
     ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll).unwrap())
 }
@@ -85,9 +69,15 @@ fn batched_arch2_matches_point_path_with_5x_fewer_flush_requests() {
     point_world.settle();
     batch_world.settle();
     assert_eq!(
-        state_fingerprint(point.s3(), point.simpledb()),
-        state_fingerprint(batch.s3(), batch.simpledb()),
+        store_fingerprint(point.s3(), point.simpledb()),
+        store_fingerprint(batch.s3(), batch.simpledb()),
         "batching must not change a single byte of the final store"
+    );
+    // The fingerprint leaves `tmp/` out by design; arch2 stages no
+    // temporaries on either path.
+    assert_eq!(
+        point.s3().latest_keys(layout::BUCKET, layout::TMP_PREFIX),
+        batch.s3().latest_keys(layout::BUCKET, layout::TMP_PREFIX),
     );
     assert!(
         graph_of(&mut point).diff(&graph_of(&mut batch)).is_empty(),
@@ -127,27 +117,15 @@ fn batched_arch3_matches_point_path_with_5x_fewer_flush_requests() {
         0,
         "batched path must drain its WAL completely"
     );
-    // The WAL's temp keys embed random txids, so compare the *durable*
-    // namespace (data + provenance), not tmp residue — the cleaner owns
-    // that either way.
-    let durable = |s: &S3SimpleDbSqs| {
-        let mut keys = s.s3().latest_keys(layout::BUCKET, layout::DATA_PREFIX);
-        keys.extend(s.s3().latest_keys(layout::BUCKET, layout::PROV_PREFIX));
-        keys
-    };
-    assert_eq!(durable(&point), durable(&batch));
-    let items = |s: &S3SimpleDbSqs| {
-        s.simpledb()
-            .latest_item_names(layout::DOMAIN)
-            .into_iter()
-            .map(|item| {
-                let mut attrs = s.simpledb().latest_item(layout::DOMAIN, &item).unwrap();
-                attrs.sort();
-                (item, attrs)
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(items(&point), items(&batch));
+    // The WAL's temp keys embed random txids and the two protocols
+    // draw them at different points, so compare the *durable* state
+    // (data + provenance, which is what the fingerprint covers), not
+    // tmp residue — the cleaner owns that either way.
+    assert_eq!(
+        store_fingerprint(point.s3(), point.simpledb()),
+        store_fingerprint(batch.s3(), batch.simpledb()),
+        "batching must not change a single byte of the durable store"
+    );
     assert!(
         graph_of(&mut point).diff(&graph_of(&mut batch)).is_empty(),
         "provenance graphs diverged"

@@ -5,11 +5,11 @@
 //! sites between timer fire, batch issue, and completion.
 
 use pass_cloud::cloud::{
-    drive_pipelined, Arch3Config, ArchKind, CloudError, DaemonDepth, ProvQuery, ProvenanceStore,
-    S3SimpleDbSqs, PIPE_AFTER_GROUP_ISSUE, PIPE_AFTER_TIMER_FIRE, PIPE_BEFORE_DRAIN,
+    drive_pipelined, Arch3Config, ArchKind, CloudError, ProvQuery, ProvenanceStore, S3SimpleDbSqs,
+    PIPE_AFTER_GROUP_ISSUE, PIPE_AFTER_TIMER_FIRE, PIPE_BEFORE_DRAIN,
 };
 use pass_cloud::pass::{FileFlush, FlushPolicy};
-use pass_cloud::simworld::{Blob, CrashSite, Op, SimDuration, SimWorld};
+use pass_cloud::simworld::{AdaptiveDepth, Blob, CrashSite, Op, SimDuration, SimWorld};
 
 fn flushes() -> Vec<FileFlush> {
     // Three chained files plus a process with an oversized env, so every
@@ -138,7 +138,7 @@ fn every_daemon_crash_site_replays_under_a_pipelined_daemon() {
                 let world = SimWorld::counting();
                 let mut store = S3SimpleDbSqs::new(&world, "piped");
                 store.set_config(Arch3Config {
-                    daemon_depth: DaemonDepth::Fixed(depth),
+                    daemon_depth: Some(AdaptiveDepth::fixed(depth)),
                     ..Arch3Config::default()
                 });
                 for flush in flushes() {
@@ -317,7 +317,7 @@ fn every_pipelined_crash_site_recovers_after_a_client_restart() {
                     store.as_mut(),
                     &flushes(),
                     trickle_policy(),
-                    4,
+                    Some(&mut AdaptiveDepth::fixed(4)),
                     SimDuration::from_millis(200),
                 ) {
                     Ok(_) => false,
@@ -328,7 +328,7 @@ fn every_pipelined_crash_site_recovers_after_a_client_restart() {
                             store.as_mut(),
                             &flushes(),
                             trickle_policy(),
-                            4,
+                            Some(&mut AdaptiveDepth::fixed(4)),
                             SimDuration::from_millis(200),
                         )
                         .expect("retry after restart succeeds");
@@ -377,7 +377,7 @@ fn pipelined_groups_issued_before_a_crash_survive_it() {
             store.as_mut(),
             &independent_flushes(),
             FlushPolicy::new(2, u64::MAX).without_max_age(),
-            4,
+            Some(&mut AdaptiveDepth::fixed(4)),
             SimDuration::ZERO,
         )
         .expect_err("the armed site must fire");
@@ -417,7 +417,7 @@ fn pipelined_commitless_suffix_is_ignored_by_the_commit_daemon() {
         store.as_mut(),
         &independent_flushes(),
         FlushPolicy::new(2, u64::MAX).without_max_age(),
-        4,
+        Some(&mut AdaptiveDepth::fixed(4)),
         SimDuration::ZERO,
     )
     .expect_err("the armed site must fire");
@@ -439,7 +439,7 @@ fn pipelined_commitless_suffix_is_ignored_by_the_commit_daemon() {
         store.as_mut(),
         &independent_flushes(),
         FlushPolicy::new(2, u64::MAX).without_max_age(),
-        4,
+        Some(&mut AdaptiveDepth::fixed(4)),
         SimDuration::ZERO,
     )
     .expect("retry succeeds");
@@ -491,31 +491,15 @@ fn repeated_whole_dataset_persist_is_idempotent() {
 fn index_crash_sites_replay_to_a_from_scratch_closure() {
     use pass_cloud::cloud::layout::CLOSURE_DOMAIN;
     use pass_cloud::cloud::{
-        Arch2Config, ClosureMode, S3SimpleDb, A2_BEFORE_INDEX_PUT, A2_MID_INDEX_PUT,
-        D3_BEFORE_INDEX_PUT, D3_MID_INDEX_PUT,
+        domain_fingerprint, Arch2Config, ClosureMode, S3SimpleDb, A2_BEFORE_INDEX_PUT,
+        A2_MID_INDEX_PUT, D3_BEFORE_INDEX_PUT, D3_MID_INDEX_PUT,
     };
 
-    // Reduce the closure domain to bytes: every live item with its
-    // attribute pairs, sorted — grouping and replay history must be
-    // invisible at this level.
-    fn closure_bytes(db: &pass_cloud::simpledb::SimpleDb) -> String {
-        let mut acc = String::new();
-        for name in db.latest_item_names(CLOSURE_DOMAIN) {
-            let mut attrs: Vec<(String, String)> = db
-                .latest_item(CLOSURE_DOMAIN, &name)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|a| (a.name, a.value))
-                .collect();
-            attrs.sort();
-            acc.push_str(&name);
-            for (k, v) in attrs {
-                acc.push_str(&format!("|{k}={v}"));
-            }
-            acc.push('\n');
-        }
-        acc
-    }
+    // The closure domain reduced to its fingerprint (every live item
+    // with its attribute pairs, sorted): grouping and replay history
+    // must be invisible at this level.
+    let closure_bytes =
+        |db: &pass_cloud::simpledb::SimpleDb| domain_fingerprint(db, CLOSURE_DOMAIN);
 
     // The from-scratch rebuild: the same corpus, no crash.
     let reference = {
@@ -529,9 +513,15 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
             store.persist(&flush).unwrap();
         }
         world.settle();
+        assert!(
+            !store
+                .simpledb()
+                .latest_item_names(CLOSURE_DOMAIN)
+                .is_empty(),
+            "the corpus must build a closure"
+        );
         closure_bytes(store.simpledb())
     };
-    assert!(!reference.is_empty(), "the corpus must build a closure");
 
     // Arch2: the client crashes around its index write and re-flushes
     // from cache, like every other client site.
@@ -653,33 +643,19 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
 /// when the WAL records were written.
 #[test]
 fn daemon_crashes_with_splitting_converge_to_the_static_store() {
-    use pass_cloud::cloud::layout::{BUCKET, DOMAIN};
+    use pass_cloud::cloud::layout::{BUCKET, DOMAIN, TMP_PREFIX};
+    use pass_cloud::cloud::store_fingerprint;
     use pass_cloud::simworld::{ShardPlan, SplitPolicy};
 
-    // Reduce a converged store to bytes: every live object's MD5 plus
-    // every live provenance item's attribute set, in name order.
-    fn state_bytes(store: &S3SimpleDbSqs) -> String {
-        let mut acc = String::new();
-        for key in store.s3().latest_keys(BUCKET, "") {
-            let obj = store
-                .s3()
-                .latest_object(BUCKET, &key)
-                .expect("listed key has a latest version");
-            acc.push_str(&format!("{key}={}\n", obj.etag.to_hex()));
-        }
-        for name in store.simpledb().latest_item_names(DOMAIN) {
-            acc.push_str(&name);
-            for attr in store
-                .simpledb()
-                .latest_item(DOMAIN, &name)
-                .unwrap_or_default()
-            {
-                acc.push_str(&format!("|{}={}", attr.name, attr.value));
-            }
-            acc.push('\n');
-        }
-        acc
-    }
+    // A converged store reduced to its fingerprint, plus the `tmp/`
+    // residue the fingerprint leaves out (both runs draw the same
+    // txids, so a crashed drain strands the same temporaries).
+    let state_bytes = |store: &S3SimpleDbSqs| {
+        (
+            store_fingerprint(store.s3(), store.simpledb()),
+            store.s3().latest_keys(BUCKET, TMP_PREFIX),
+        )
+    };
 
     let aggressive = SplitPolicy::by_share(0.3)
         .with_min_ops(8)

@@ -1,18 +1,22 @@
 //! The pipelined persist path, end to end: driving arch2/arch3 through
-//! `persist_pipelined` (and the timer-driven background flush daemon)
-//! must produce **byte-identical** final store state and provenance
-//! graph to the synchronous batch path — while virtual completion time
-//! strictly falls as the in-flight depth rises, and the event-driven
-//! scheduler replays bit-for-bit at a fixed seed. This is the
-//! acceptance bar of the pipelining issue; `BASELINE.md` records the
-//! medium-scale depth sweep.
+//! `persist_groups` inside a pipeline region (and the timer-driven
+//! background flush daemon) must produce **byte-identical** final store
+//! state and provenance graph to the synchronous batch path — while
+//! virtual completion time strictly falls as the in-flight depth rises,
+//! and the event-driven scheduler replays bit-for-bit at a fixed seed.
+//! This is the acceptance bar of the pipelining issue; `BASELINE.md`
+//! records the medium-scale depth sweep.
+//!
+//! Every run takes one depth policy, `Option<AdaptiveDepth>`: `None` is
+//! the synchronous client / serial daemon, `AdaptiveDepth::fixed(n)` a
+//! fixed depth, `AdaptiveDepth::new()` the AIMD controller.
 
 use pass_cloud::cloud::{
-    drive_pipelined, layout, persist_groups_adaptive, Arch3Config, DaemonDepth, ProvGraph,
-    ProvQuery, ProvenanceStore, S3SimpleDb, S3SimpleDbSqs,
+    drive_pipelined, layout, persist_groups, store_fingerprint, Arch3Config, PipelineReport,
+    ProvGraph, ProvQuery, ProvenanceStore, S3SimpleDb, S3SimpleDbSqs,
 };
 use pass_cloud::pass::{FileFlush, FlushPolicy};
-use pass_cloud::simworld::{AdaptiveDepth, SimDuration, SimWorld};
+use pass_cloud::simworld::{fnv1a_64, AdaptiveDepth, SimDuration, SimWorld};
 use pass_cloud::workloads::Combined;
 // The bench harness owns the priced world; reusing it keeps the
 // acceptance test and the BASELINE sweep measuring identical
@@ -25,144 +29,136 @@ fn groups_of(flushes: &[FileFlush], n: usize) -> Vec<Vec<FileFlush>> {
     flushes.chunks(n).map(<[FileFlush]>::to_vec).collect()
 }
 
-/// Authoritative (unbilled) fingerprint of the cloud's final state:
-/// every S3 key with its etag, every SimpleDB item with its full
-/// attribute set. Pipelined and synchronous runs draw the identical
-/// seeded RNG stream (same ops, same order), so even arch3's random
-/// transaction ids line up and the fingerprints compare byte for byte.
-fn state_fingerprint(s3: &pass_cloud::s3::S3, db: &pass_cloud::simpledb::SimpleDb) -> String {
-    let mut out = String::new();
-    for key in s3.latest_keys(layout::BUCKET, "") {
-        let obj = s3.latest_object(layout::BUCKET, &key).unwrap();
-        out.push_str(&format!("s3 {key} {}\n", obj.etag.to_hex()));
-    }
-    for item in db.latest_item_names(layout::DOMAIN) {
-        out.push_str(&format!("sdb {item}"));
-        let mut attrs = db.latest_item(layout::DOMAIN, &item).unwrap();
-        attrs.sort();
-        for attr in attrs {
-            out.push_str(&format!(" {}={}", attr.name, attr.value));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 fn graph_of(store: &mut dyn ProvenanceStore) -> ProvGraph {
     ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll).unwrap())
 }
 
-/// One arch2 run at `depth` (None = synchronous batch path). Returns
-/// the state fingerprint, graph, and elapsed virtual time.
-fn run_arch2(depth: Option<usize>) -> (String, ProvGraph, SimDuration) {
+/// What a run's schedule came to: the virtual clock (µs), the billable
+/// requests, and an FNV-1a digest of the scheduler's fired-event trace.
+type Pin = (u64, u64, u64);
+
+fn pin_of(world: &SimWorld) -> Pin {
+    (
+        world.now().as_micros(),
+        world.meters().total_ops(),
+        fnv1a_64(&format!("{:?}", world.take_event_trace())),
+    )
+}
+
+fn traced_world() -> SimWorld {
     let world = priced_world();
-    let mut store = S3SimpleDb::new(&world);
+    world.set_event_trace(true);
+    world
+}
+
+/// One run of the combined workload, reduced to what the tests compare.
+struct Run {
+    /// The authoritative fingerprint (every durable S3 object and
+    /// SimpleDB item) plus the `tmp/` residue, which the fingerprint
+    /// excludes by design. Pipelined and synchronous runs draw the
+    /// identical seeded RNG stream (same ops, same order), so even
+    /// arch3's random transaction ids line up and the temporaries
+    /// compare key for key.
+    state: (u64, Vec<String>),
+    graph: ProvGraph,
+    elapsed: SimDuration,
+    pin: Pin,
+}
+
+/// Persists `Combined::small` in groups of 25 under the `client` depth
+/// policy and drains the daemons.
+fn run(
+    world: &SimWorld,
+    store: &mut dyn ProvenanceStore,
+    (s3, db): (pass_cloud::s3::S3, pass_cloud::simpledb::SimpleDb),
+    mut client: Option<AdaptiveDepth>,
+) -> Run {
     let (flushes, _) = Combined::small().flushes();
     let groups = groups_of(&flushes, 25);
     let t0 = world.now();
-    match depth {
-        None => {
-            for group in &groups {
-                store.persist_batch(group).unwrap();
-            }
-        }
-        Some(d) => store.persist_pipelined(&groups, d).unwrap(),
-    }
+    persist_groups(world, store, &groups, client.as_mut()).unwrap();
     store.run_daemons_until_idle().unwrap();
     let elapsed = world.now() - t0;
+    let pin = pin_of(world);
     world.settle();
-    let fp = state_fingerprint(store.s3(), store.simpledb());
-    (fp, graph_of(&mut store), elapsed)
+    Run {
+        state: (
+            store_fingerprint(&s3, &db),
+            s3.latest_keys(layout::BUCKET, layout::TMP_PREFIX),
+        ),
+        graph: graph_of(store),
+        elapsed,
+        pin,
+    }
 }
 
-/// How one arch3 run drives its client-side persist path.
-#[derive(Copy, Clone)]
-enum ClientDrive {
-    /// Synchronous batch path, one group at a time.
-    Sync,
-    /// `persist_pipelined` at a fixed in-flight depth.
-    Fixed(usize),
-    /// `persist_groups_adaptive` with a fresh AIMD controller.
-    Adaptive,
+fn run_arch2(depth: Option<AdaptiveDepth>) -> Run {
+    let world = traced_world();
+    let mut store = S3SimpleDb::new(&world);
+    let services = (store.s3().clone(), store.simpledb().clone());
+    run(&world, &mut store, services, depth)
 }
 
-/// One arch3 run: the client persists under `drive`, the commit daemon
-/// steps under `daemon` ([`DaemonDepth::Serial`] is the pre-pipelining
-/// behaviour).
-fn run_arch3(drive: ClientDrive, daemon: DaemonDepth) -> (String, ProvGraph, SimDuration) {
-    let world = priced_world();
-    let mut store = S3SimpleDbSqs::new(&world, "pipe");
+/// The client persists under `client`, the commit daemon steps under
+/// `daemon` (`None` is the pre-pipelining behaviour).
+fn run_arch3(client: Option<AdaptiveDepth>, daemon: Option<AdaptiveDepth>) -> Run {
+    let world = traced_world();
+    let mut store = S3SimpleDbSqs::new(&world, "pin");
     store.set_config(Arch3Config {
         daemon_depth: daemon,
         ..Arch3Config::default()
     });
-    let (flushes, _) = Combined::small().flushes();
-    let groups = groups_of(&flushes, 25);
-    let t0 = world.now();
-    match drive {
-        ClientDrive::Sync => {
-            for group in &groups {
-                store.persist_batch(group).unwrap();
-            }
-        }
-        ClientDrive::Fixed(d) => store.persist_pipelined(&groups, d).unwrap(),
-        ClientDrive::Adaptive => {
-            let mut ctl = AdaptiveDepth::new();
-            persist_groups_adaptive(&world, &mut store, &groups, &mut ctl).unwrap();
-        }
-    }
-    store.run_daemons_until_idle().unwrap();
+    let services = (store.s3().clone(), store.simpledb().clone());
+    let run = run(&world, &mut store, services, client);
     assert_eq!(store.wal_depth_exact(), 0, "WAL must drain completely");
-    let elapsed = world.now() - t0;
-    world.settle();
-    let fp = state_fingerprint(store.s3(), store.simpledb());
-    (fp, graph_of(&mut store), elapsed)
+    run
+}
+
+fn fixed(depth: usize) -> Option<AdaptiveDepth> {
+    Some(AdaptiveDepth::fixed(depth))
+}
+
+/// The bar every depth sweep shares: at each depth in `[1, 2, 4, 8]`
+/// the run left the same bytes and the same graph as `sync`, and
+/// finished strictly sooner than the run before it. Returns the four
+/// times.
+fn assert_identical_and_strictly_faster(
+    what: &str,
+    sync: &Run,
+    run_at: impl Fn(usize) -> Run,
+) -> Vec<SimDuration> {
+    let mut times = vec![sync.elapsed];
+    for depth in [1, 2, 4, 8] {
+        let run = run_at(depth);
+        assert_eq!(
+            run.state, sync.state,
+            "{what} depth {depth}: pipelining must not change a single byte of the final store"
+        );
+        assert!(
+            run.graph.diff(&sync.graph).is_empty(),
+            "{what} depth {depth}: provenance graphs diverged"
+        );
+        let last = *times.last().expect("starts non-empty");
+        assert!(
+            run.elapsed < last,
+            "{what} depth {depth}: virtual completion time must strictly fall \
+             ({:?} !< {last:?})",
+            run.elapsed
+        );
+        times.push(run.elapsed);
+    }
+    times.split_off(1)
 }
 
 #[test]
 fn pipelined_arch2_is_byte_identical_and_strictly_faster_with_depth() {
-    let (sync_fp, sync_graph, sync_time) = run_arch2(None);
-    let mut last_time = sync_time;
-    for depth in [1, 2, 4, 8] {
-        let (fp, graph, time) = run_arch2(Some(depth));
-        assert_eq!(
-            fp, sync_fp,
-            "arch2 depth {depth}: pipelining must not change a single byte of the final store"
-        );
-        assert!(
-            graph.diff(&sync_graph).is_empty(),
-            "arch2 depth {depth}: provenance graphs diverged"
-        );
-        assert!(
-            time < last_time,
-            "arch2 depth {depth}: virtual completion time must strictly fall \
-             ({time:?} !< {last_time:?})"
-        );
-        last_time = time;
-    }
+    assert_identical_and_strictly_faster("arch2", &run_arch2(None), |d| run_arch2(fixed(d)));
 }
 
 #[test]
 fn pipelined_arch3_is_byte_identical_and_strictly_faster_with_depth() {
-    let (sync_fp, sync_graph, sync_time) = run_arch3(ClientDrive::Sync, DaemonDepth::Serial);
-    let mut last_time = sync_time;
-    for depth in [1, 2, 4, 8] {
-        let (fp, graph, time) = run_arch3(ClientDrive::Fixed(depth), DaemonDepth::Serial);
-        assert_eq!(
-            fp, sync_fp,
-            "arch3 depth {depth}: pipelining must not change a single byte of the final store"
-        );
-        assert!(
-            graph.diff(&sync_graph).is_empty(),
-            "arch3 depth {depth}: provenance graphs diverged"
-        );
-        assert!(
-            time < last_time,
-            "arch3 depth {depth}: virtual completion time must strictly fall \
-             ({time:?} !< {last_time:?})"
-        );
-        last_time = time;
-    }
+    let sync = run_arch3(None, None);
+    assert_identical_and_strictly_faster("arch3", &sync, |d| run_arch3(fixed(d), None));
 }
 
 /// The tentpole acceptance bar: pipelining the commit daemon's
@@ -170,61 +166,46 @@ fn pipelined_arch3_is_byte_identical_and_strictly_faster_with_depth() {
 /// leaves the final cloud state byte-identical to the fully serial run,
 /// end-to-end time strictly falls with depth, the depth-8 run clears
 /// 3x, and the adaptive controller lands within 10% of the best fixed
-/// depth without anyone hand-tuning `max_in_flight`.
+/// depth without anyone hand-tuning the depth.
 #[test]
 fn daemon_pipelined_arch3_is_byte_identical_and_clears_3x() {
-    let (sync_fp, sync_graph, sync_time) = run_arch3(ClientDrive::Sync, DaemonDepth::Serial);
-    let mut last_time = sync_time;
-    let mut best_fixed = sync_time;
-    for depth in [1, 2, 4, 8] {
-        let (fp, graph, time) = run_arch3(ClientDrive::Fixed(depth), DaemonDepth::Fixed(depth));
-        assert_eq!(
-            fp, sync_fp,
-            "arch3 daemon depth {depth}: the pipelined daemon must not change \
-             a single byte of the final store"
-        );
-        assert!(
-            graph.diff(&sync_graph).is_empty(),
-            "arch3 daemon depth {depth}: provenance graphs diverged"
-        );
-        assert!(
-            time < last_time,
-            "arch3 daemon depth {depth}: end-to-end time must strictly fall \
-             ({time:?} !< {last_time:?})"
-        );
-        last_time = time;
-        best_fixed = best_fixed.min(time);
-        if depth == 8 {
-            assert!(
-                time.as_secs_f64() * 3.0 <= sync_time.as_secs_f64(),
-                "arch3 at daemon depth 8 must clear 3x over the serial daemon \
-                 ({time:?} vs {sync_time:?})"
-            );
-        }
-    }
-
-    let (fp, graph, time) = run_arch3(ClientDrive::Adaptive, DaemonDepth::Adaptive);
-    assert_eq!(fp, sync_fp, "adaptive: final store diverged");
+    let sync = run_arch3(None, None);
+    let times = assert_identical_and_strictly_faster("arch3 daemon", &sync, |d| {
+        run_arch3(fixed(d), fixed(d))
+    });
+    let at_8 = times[3];
     assert!(
-        graph.diff(&sync_graph).is_empty(),
+        at_8.as_secs_f64() * 3.0 <= sync.elapsed.as_secs_f64(),
+        "arch3 at daemon depth 8 must clear 3x over the serial daemon \
+         ({at_8:?} vs {:?})",
+        sync.elapsed
+    );
+
+    let adaptive = Some(AdaptiveDepth::new());
+    let run = run_arch3(adaptive, adaptive);
+    assert_eq!(run.state, sync.state, "adaptive: final store diverged");
+    assert!(
+        run.graph.diff(&sync.graph).is_empty(),
         "adaptive: graph diverged"
     );
+    // Strictly falling, so the deepest fixed run is the best one.
     assert!(
-        time.as_secs_f64() <= best_fixed.as_secs_f64() * 1.10,
+        run.elapsed.as_secs_f64() <= at_8.as_secs_f64() * 1.10,
         "adaptive must land within 10% of the best fixed depth \
-         ({time:?} vs best {best_fixed:?})"
+         ({:?} vs best {at_8:?})",
+        run.elapsed
     );
 }
 
 #[test]
 fn scheduler_event_order_is_deterministic_at_fixed_seed() {
     let run = || {
-        let world = priced_world();
-        world.set_event_trace(true);
+        let world = traced_world();
         let mut store = S3SimpleDbSqs::new(&world, "det");
         let (flushes, _) = Combined::small().flushes();
         let groups = groups_of(&flushes[..100], 10);
-        store.persist_pipelined(&groups, 4).unwrap();
+        let fixed = &mut AdaptiveDepth::fixed(4);
+        persist_groups(&world, &mut store, &groups, Some(fixed)).unwrap();
         store.run_daemons_until_idle().unwrap();
         (world.now(), world.take_event_trace())
     };
@@ -254,7 +235,7 @@ fn background_daemon_timer_bounds_flush_latency() {
         &mut store,
         slice,
         policy,
-        4,
+        Some(&mut AdaptiveDepth::fixed(4)),
         SimDuration::from_millis(150),
     )
     .unwrap();
@@ -290,7 +271,13 @@ fn pipelined_run_survives_eventual_consistency() {
     let mut store = S3SimpleDbSqs::new(&world, "ec");
     let (flushes, _) = Combined::small().flushes();
     let groups = groups_of(&flushes[..60], 10);
-    store.persist_pipelined(&groups, 4).unwrap();
+    persist_groups(
+        &world,
+        &mut store,
+        &groups,
+        Some(&mut AdaptiveDepth::fixed(4)),
+    )
+    .unwrap();
     store.run_daemons_until_idle().unwrap();
     world.settle();
     let mut checked = 0;
@@ -302,4 +289,78 @@ fn pipelined_run_survives_eventual_consistency() {
         }
     }
     assert!(checked > 10, "the trace prefix must contain real files");
+}
+
+/// Virtual time is a *value*, not just an ordering. These constants
+/// were captured at the last commit that still had one entry point per
+/// mode (synchronous, fixed-depth and adaptive, for client and daemon
+/// separately); the one depth policy that replaced them must land on
+/// every one of them. The other tests in this file only assert
+/// `time < last_time`; a change that reorders one request, one RNG draw
+/// or one controller observation moves these numbers and nothing else.
+#[test]
+fn virtual_time_bill_and_event_trace_are_pinned_per_depth_policy() {
+    let adaptive = Some(AdaptiveDepth::new());
+    // The same policy on the client and (arch3) on the daemon.
+    let arch2: [(Option<AdaptiveDepth>, Pin); 4] = [
+        (None, (14_125_008, 256, 5460834121658852689)),
+        (fixed(1), (13_616_829, 256, 14806679240028899493)),
+        (fixed(4), (3_509_189, 256, 12448829594715870539)),
+        (adaptive, (1_736_294, 256, 14202720938543594552)),
+    ];
+    for (depth, pin) in arch2 {
+        assert_eq!(run_arch2(depth).pin, pin, "arch2 under {depth:?}");
+    }
+    let arch3: [(Option<AdaptiveDepth>, Pin); 4] = [
+        (None, (51_657_076, 1036, 5615200506171380020)),
+        (fixed(1), (39_917_848, 1036, 10423331348871585515)),
+        (fixed(4), (9_754_002, 958, 16982933936697771235)),
+        (adaptive, (4_152_832, 919, 4772439730463418679)),
+    ];
+    for (depth, pin) in arch3 {
+        assert_eq!(run_arch3(depth, depth).pin, pin, "arch3 under {depth:?}");
+    }
+
+    // The timer-driven client: a `max_age` policy and a think-time gap,
+    // arch3 with its default (serial) daemon. 20 groups, 19 of them
+    // drained by the deadline, 118 requests inside the region.
+    let drives: [(Option<AdaptiveDepth>, Pin, (u64, usize, u64)); 2] = [
+        (
+            fixed(4),
+            (24_641_696, 366, 12410785321096960546),
+            (6, 6, 9_308_683),
+        ),
+        (
+            adaptive,
+            (24_467_135, 366, 7848101715777394923),
+            (2, 7, 9_134_122),
+        ),
+    ];
+    let (flushes, _) = Combined::small().flushes();
+    for (mut depth, pin, (stalls, peak_in_flight, elapsed)) in drives {
+        let world = traced_world();
+        let mut store = S3SimpleDbSqs::new(&world, "pin");
+        let policy = FlushPolicy::new(100, u64::MAX).with_max_age(SimDuration::from_millis(400));
+        let gap = SimDuration::from_millis(150);
+        let report = drive_pipelined(
+            &world,
+            &mut store,
+            &flushes[..60],
+            policy,
+            depth.as_mut(),
+            gap,
+        )
+        .unwrap();
+        store.run_daemons_until_idle().unwrap();
+        let expected = PipelineReport {
+            groups_issued: 20,
+            timer_drains: 19,
+            requests: 118,
+            stalls,
+            peak_in_flight,
+            elapsed: SimDuration::from_micros(elapsed),
+        };
+        assert_eq!(report, expected, "drive under {depth:?}");
+        assert_eq!(pin_of(&world), pin, "drive under {depth:?}");
+    }
 }
