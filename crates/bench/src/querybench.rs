@@ -297,4 +297,18 @@ mod tests {
             "maintenance must show up on the bill"
         );
     }
+
+    #[test]
+    fn index_q3_request_counts_are_pinned() {
+        // The index reads one attribute per row: the projected base
+        // plus that attribute's fragments. `q3` is three such row reads
+        // (name row `p`, process row `o`, seed row `d`) and the two
+        // answer items; `bulk` is one row read per process and per seed
+        // plus the name row's `p` fragments. With fragments shared by
+        // all attributes these were 15 and 381.
+        let (rows, _) = query_sweep(&[50]).unwrap();
+        assert_eq!((rows[0].engine, rows[1].engine), ("walk", "index"));
+        assert_eq!((rows[0].q3_ops, rows[0].bulk_ops), (5, 54), "walk moved");
+        assert_eq!((rows[1].q3_ops, rows[1].bulk_ops), (9, 189), "index moved");
+    }
 }

@@ -31,14 +31,28 @@
 //! # The 256-pair cap, without read-modify-write
 //!
 //! SimpleDB rejects items beyond 256 pairs, and a popular ancestor
-//! accumulates one `d` value per descendant. Each logical row therefore
-//! spreads its values across [`CLOSURE_FRAG_BUCKETS`] physical items:
-//! the pair `(attr, value)` lives in fragment `closure_bucket(attr,
-//! value)` (0 = the base item). The bucket is a pure function of the
-//! pair, so the final row bytes are independent of commit grouping,
-//! crash replays, and interleavings — maintenance is nothing but
-//! idempotent multi-value adds, which is what makes the crash story
-//! work. Fragments in use are listed as `f` values on the base item.
+//! accumulates one `d` value per descendant. Each attribute of a logical
+//! row therefore spreads its values across [`CLOSURE_FRAG_BUCKETS`]
+//! buckets: the pair `(attr, value)` lives in bucket
+//! `closure_bucket(attr, value)`. Bucket 0 is the base item; any other
+//! bucket is the physical item `closure_frag_name(base, attr, bucket)`,
+//! which holds values of that one attribute only. The placement is a pure
+//! function of the pair, so the final row bytes are independent of commit
+//! grouping, crash replays, and interleavings — maintenance is nothing
+//! but idempotent multi-value adds, which is what makes the crash story
+//! work. Fragments in use are listed on the base item as `f` marks that
+//! carry the attribute (`"d17"`), so reading attribute `x` costs the base
+//! — projected to `x` and `f` — plus one `GetAttributes` per `x` mark:
+//! `1 + (distinct non-zero buckets of x's values)` requests, whatever the
+//! row's other attributes hold. [`read_row_attr`] is the only reader.
+//!
+//! **Capacity.** A fragment fills at 256 values, but the base fills
+//! first: it holds the `n` marker, up to 63 marks *per attribute* (189
+//! on a node row with `a`, `d` and `o` all spread out), and the bucket-0
+//! share — 1/64 in expectation — of every attribute's values. A node row
+//! therefore takes about `(256 - 1 - 189) * 64 ≈ 4 200` values summed
+//! over its three attributes before the base overflows, and a name row
+//! (`p` only) about `(256 - 63) * 64 ≈ 12 300`.
 //!
 //! # Crash consistency
 //!
@@ -72,14 +86,14 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pass::ObjectRef;
-use sim_simpledb::{ReplaceableAttribute, SimpleDb};
+use sim_simpledb::{Attribute, ReplaceableAttribute, SimpleDb};
 use simworld::{CrashSite, SimWorld};
 
 use crate::error::Result;
 use crate::layout::{
-    closure_bucket, closure_frag_name, closure_name_row, CLOSURE_ATTR_ANC, CLOSURE_ATTR_DESC,
-    CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_NODE, CLOSURE_ATTR_OUT, CLOSURE_ATTR_PROC, CLOSURE_DOMAIN,
-    DOMAIN,
+    closure_bucket, closure_frag_mark, closure_frag_name, closure_mark_bucket, closure_name_row,
+    CLOSURE_ATTR_ANC, CLOSURE_ATTR_DESC, CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_NODE, CLOSURE_ATTR_OUT,
+    CLOSURE_ATTR_PROC, CLOSURE_DOMAIN, DOMAIN,
 };
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::serialize::pack_attr_batches;
@@ -326,26 +340,23 @@ impl ClosureIndex {
         // of (attr, value), so the converged bytes are independent of
         // grouping and replays.
         let mut adds: BTreeMap<String, BTreeSet<(String, String)>> = BTreeMap::new();
-        let mut frag_marks: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
         let add = |adds: &mut BTreeMap<String, BTreeSet<(String, String)>>,
-                   frag_marks: &mut BTreeMap<String, BTreeSet<u64>>,
                    base: &str,
                    attr: &str,
                    value: String| {
             let bucket = closure_bucket(attr, &value);
-            if bucket == 0 {
+            let item = if bucket == 0 {
+                base.to_string()
+            } else {
+                let mark = closure_frag_mark(attr, bucket);
                 adds.entry(base.to_string())
                     .or_default()
-                    .insert((attr.to_string(), value));
-            } else {
-                adds.entry(closure_frag_name(base, bucket))
-                    .or_default()
-                    .insert((attr.to_string(), value));
-                frag_marks
-                    .entry(base.to_string())
-                    .or_default()
-                    .insert(bucket);
-            }
+                    .insert((CLOSURE_ATTR_FRAGS.to_string(), mark));
+                closure_frag_name(base, attr, bucket)
+            };
+            adds.entry(item)
+                .or_default()
+                .insert((attr.to_string(), value));
         };
         for (item, ancestors) in &full {
             let Some(object) = ObjectRef::parse_item_name(item) else {
@@ -353,17 +364,10 @@ impl ClosureIndex {
             };
             let render = object.render();
             for anc in ancestors {
-                add(
-                    &mut adds,
-                    &mut frag_marks,
-                    item,
-                    CLOSURE_ATTR_ANC,
-                    anc.clone(),
-                );
+                add(&mut adds, item, CLOSURE_ATTR_ANC, anc.clone());
                 if let Some(anc_obj) = parse_render(anc) {
                     add(
                         &mut adds,
-                        &mut frag_marks,
                         &anc_obj.item_name(),
                         CLOSURE_ATTR_DESC,
                         render.clone(),
@@ -393,7 +397,6 @@ impl ClosureIndex {
                     if let Some(parent_obj) = parse_render(parent) {
                         add(
                             &mut adds,
-                            &mut frag_marks,
                             &parent_obj.item_name(),
                             CLOSURE_ATTR_OUT,
                             render.clone(),
@@ -405,7 +408,6 @@ impl ClosureIndex {
                 for name in &info.names {
                     add(
                         &mut adds,
-                        &mut frag_marks,
                         &closure_name_row(name),
                         CLOSURE_ATTR_PROC,
                         render.clone(),
@@ -413,13 +415,6 @@ impl ClosureIndex {
                 }
             }
         }
-        for (base, buckets) in frag_marks {
-            let entry = adds.entry(base).or_default();
-            for bucket in buckets {
-                entry.insert((CLOSURE_ATTR_FRAGS.to_string(), bucket.to_string()));
-            }
-        }
-
         let batch_items: Vec<(String, Vec<ReplaceableAttribute>)> = adds
             .into_iter()
             .map(|(item, pairs)| {
@@ -523,31 +518,10 @@ impl ClosureIndex {
     /// closure row: the children that committed before the node itself
     /// and recorded themselves prematurely. Absent rows read as empty.
     fn read_row_desc(&self, item: &str, retry: RetryPolicy) -> Result<BTreeSet<String>> {
-        let base = with_throttle_retry(&self.world, &retry, || {
-            Ok(self.db.get_attributes(CLOSURE_DOMAIN, item, None)?)
+        let row = read_row_attr(item, CLOSURE_ATTR_DESC, false, |item, names| {
+            self.get_with_retry(item, names, retry)
         })?;
-        let mut desc: BTreeSet<String> = base
-            .iter()
-            .filter(|a| a.name == CLOSURE_ATTR_DESC)
-            .map(|a| a.value.clone())
-            .collect();
-        let buckets: BTreeSet<u64> = base
-            .iter()
-            .filter(|a| a.name == CLOSURE_ATTR_FRAGS)
-            .filter_map(|a| a.value.parse().ok())
-            .collect();
-        for bucket in buckets {
-            let frag_item = closure_frag_name(item, bucket);
-            let frag = with_throttle_retry(&self.world, &retry, || {
-                Ok(self.db.get_attributes(CLOSURE_DOMAIN, &frag_item, None)?)
-            })?;
-            desc.extend(
-                frag.iter()
-                    .filter(|a| a.name == CLOSURE_ATTR_DESC)
-                    .map(|a| a.value.clone()),
-            );
-        }
-        Ok(desc)
+        Ok(row.unwrap_or_default())
     }
 
     /// Reads the stored ancestor set of a marked closure row; `None`
@@ -557,35 +531,63 @@ impl ClosureIndex {
         item: &str,
         retry: RetryPolicy,
     ) -> Result<Option<BTreeSet<String>>> {
-        let base = with_throttle_retry(&self.world, &retry, || {
-            Ok(self.db.get_attributes(CLOSURE_DOMAIN, item, None)?)
-        })?;
-        if !base.iter().any(|a| a.name == CLOSURE_ATTR_NODE) {
-            return Ok(None);
-        }
-        let mut ancestors: BTreeSet<String> = base
-            .iter()
-            .filter(|a| a.name == CLOSURE_ATTR_ANC)
-            .map(|a| a.value.clone())
-            .collect();
-        let buckets: BTreeSet<u64> = base
-            .iter()
-            .filter(|a| a.name == CLOSURE_ATTR_FRAGS)
-            .filter_map(|a| a.value.parse().ok())
-            .collect();
-        for bucket in buckets {
-            let frag_item = closure_frag_name(item, bucket);
-            let frag = with_throttle_retry(&self.world, &retry, || {
-                Ok(self.db.get_attributes(CLOSURE_DOMAIN, &frag_item, None)?)
-            })?;
-            ancestors.extend(
-                frag.iter()
-                    .filter(|a| a.name == CLOSURE_ATTR_ANC)
-                    .map(|a| a.value.clone()),
-            );
-        }
-        Ok(Some(ancestors))
+        read_row_attr(item, CLOSURE_ATTR_ANC, true, |item, names| {
+            self.get_with_retry(item, names, retry)
+        })
     }
+
+    /// The maintenance path's `GetAttributes`: throttles are retried.
+    fn get_with_retry(
+        &self,
+        item: &str,
+        names: Option<&[&str]>,
+        retry: RetryPolicy,
+    ) -> Result<Vec<Attribute>> {
+        with_throttle_retry(&self.world, &retry, || {
+            Ok(self.db.get_attributes(CLOSURE_DOMAIN, item, names)?)
+        })
+    }
+}
+
+/// The one reader of the fragment layout: all values of `attr` on the
+/// logical row `base`, as `1 + (fragments of attr in use)` point reads.
+/// The base read is a projection — `attr`, the `f` marks and, with
+/// `need_marker`, the `n` marker — so the row's other attributes are
+/// neither fetched nor billed; then one read per mark that names `attr`.
+/// `get` issues each `GetAttributes` against [`CLOSURE_DOMAIN`] under the
+/// caller's own error and retry policy.
+///
+/// `None` only when `need_marker` is set and the row is missing or
+/// unmarked (its fragments are then not read); an absent row otherwise
+/// reads as empty.
+pub(crate) fn read_row_attr(
+    base: &str,
+    attr: &str,
+    need_marker: bool,
+    mut get: impl FnMut(&str, Option<&[&str]>) -> Result<Vec<Attribute>>,
+) -> Result<Option<BTreeSet<String>>> {
+    let projection = [attr, CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_NODE];
+    let names = &projection[..if need_marker { 3 } else { 2 }];
+    let mut values = BTreeSet::new();
+    let mut buckets = Vec::new();
+    let mut marked = false;
+    for pair in get(base, Some(names))? {
+        if pair.name == attr {
+            values.insert(pair.value);
+        } else if pair.name == CLOSURE_ATTR_FRAGS {
+            buckets.extend(closure_mark_bucket(&pair.value, attr));
+        } else {
+            marked = true;
+        }
+    }
+    if need_marker && !marked {
+        return Ok(None);
+    }
+    for bucket in buckets {
+        let frag = get(&closure_frag_name(base, attr, bucket), None)?;
+        values.extend(frag.into_iter().map(|pair| pair.value));
+    }
+    Ok(Some(values))
 }
 
 #[cfg(test)]
@@ -706,6 +708,180 @@ mod tests {
             }
         }
         assert_eq!(fa, fb, "commit order changed the closure bytes");
+    }
+
+    /// The point of per-attribute fragments: reading one attribute of a
+    /// row that also carries others costs the base plus that attribute's
+    /// fragments, and ships none of the other attributes' bytes.
+    #[test]
+    fn reading_one_attribute_fetches_only_its_own_fragments() {
+        use crate::layout::parse_closure_frag_name;
+        use simworld::Op;
+
+        // 12 sources -> one process -> 12 outputs -> one child each: the
+        // process row carries 12 `a`, 24 `d` and 12 `o` values.
+        let node = |name: String, kind: &str, inputs: Vec<String>| {
+            let mut attrs = vec![ReplaceableAttribute::add("type", kind)];
+            attrs.extend(
+                inputs
+                    .iter()
+                    .map(|i| ReplaceableAttribute::add("input", i.as_str())),
+            );
+            (format!("{name} 1"), attrs)
+        };
+        let mut items = Vec::new();
+        for i in 0..12 {
+            items.push(node(format!("src{i}"), "file", vec![]));
+            items.push(node(format!("out{i}"), "file", vec!["tool:1".into()]));
+            items.push(node(format!("kid{i}"), "file", vec![format!("out{i}:1")]));
+        }
+        let sources = (0..12).map(|i| format!("src{i}:1")).collect();
+        items.push(node("tool".into(), "process", sources));
+
+        let world = SimWorld::counting();
+        let db = SimpleDb::new(&world);
+        ClosureIndex::new(&world, &db)
+            .index_items(
+                &items,
+                RetryPolicy::default(),
+                CrashSite::new("test.unarmed"),
+            )
+            .unwrap();
+        world.settle();
+
+        let get = |item: &str, names: Option<&[&str]>| -> Result<Vec<Attribute>> {
+            Ok(db.get_attributes(CLOSURE_DOMAIN, item, names)?)
+        };
+        let outs: BTreeSet<String> = (0..12).map(|i| format!("out{i}:1")).collect();
+        let o_frags: BTreeSet<u64> = outs
+            .iter()
+            .map(|o| closure_bucket(CLOSURE_ATTR_OUT, o))
+            .filter(|b| *b != 0)
+            .collect();
+        assert!(o_frags.len() > 1, "the row must actually be fragmented");
+
+        let before = world.meters();
+        let read = read_row_attr("tool 1", CLOSURE_ATTR_OUT, false, get).unwrap();
+        let o_read = world.meters() - before;
+        assert_eq!(read, Some(outs.clone()));
+        assert_eq!(
+            o_read.op_count(Op::SdbGetAttributes),
+            1 + o_frags.len() as u64
+        );
+        // Exactly the `o` pairs and the base's marks came back.
+        let base = db.latest_item(CLOSURE_DOMAIN, "tool 1").unwrap();
+        let marks = base.iter().filter(|a| a.name == CLOSURE_ATTR_FRAGS);
+        let mark_bytes: usize = marks.map(|a| a.name.len() + a.value.len()).sum();
+        let o_bytes: usize = outs.iter().map(|o| CLOSURE_ATTR_OUT.len() + o.len()).sum();
+        assert_eq!(o_read.bytes_out(), (mark_bytes + o_bytes) as u64);
+
+        // A full-row read: every physical item of the row, unprojected.
+        let before = world.meters();
+        let mut full = get("tool 1", None).unwrap();
+        for item in db.latest_item_names(CLOSURE_DOMAIN) {
+            if parse_closure_frag_name(&item).is_some_and(|(base, _, _)| base == "tool 1") {
+                full.extend(get(&item, None).unwrap());
+            }
+        }
+        let full_read = world.meters() - before;
+        let count = |attr: &str| full.iter().filter(|a| a.name == attr).count();
+        assert_eq!(
+            (count("a"), count("d"), count("o"), count("n")),
+            (12, 24, 12, 1)
+        );
+        assert!(o_read.bytes_out() < full_read.bytes_out());
+        assert!(o_read.total_ops() < full_read.total_ops());
+    }
+
+    /// One ancestor, 1 000 descendants, committed in several groups: the
+    /// row spreads over per-attribute fragments, so no physical item —
+    /// least of all the base, which also carries the marks — reaches
+    /// SimpleDB's 256-pair cap, on either commit path.
+    #[test]
+    fn a_thousand_descendants_stay_under_the_256_pair_cap() {
+        use crate::arch2::{Arch2Config, S3SimpleDb};
+        use crate::arch3::{Arch3Config, S3SimpleDbSqs};
+        use crate::query::{ProvQuery, SimpleDbQueryEngine};
+        use crate::store::ProvenanceStore;
+        use pass::FileFlush;
+        use simworld::Blob;
+
+        const LEAVES: usize = 1000;
+        let mut flushes = vec![
+            FileFlush::builder("fan")
+                .process()
+                .record("name", "fan")
+                .build(),
+            FileFlush::builder("seed.dat")
+                .data(Blob::synthetic(0, 64))
+                .record("input", "fan:1")
+                .build(),
+        ];
+        flushes.extend((0..LEAVES).map(|i| {
+            FileFlush::builder(format!("leaf/{i}.dat"))
+                .data(Blob::synthetic(i as u64 + 1, 64))
+                .record("input", "seed.dat:1")
+                .build()
+        }));
+        let leaves: BTreeSet<String> = (0..LEAVES).map(|i| format!("leaf/{i}.dat:1")).collect();
+
+        let drive = |store: &mut dyn ProvenanceStore| {
+            for (round, group) in flushes.chunks(167).enumerate() {
+                store.persist_batch(group).unwrap();
+                if round % 2 == 1 {
+                    store.run_daemons_until_idle().unwrap();
+                }
+            }
+            store.run_daemons_until_idle().unwrap();
+        };
+        let check = |world: &SimWorld, db: &SimpleDb, s3: &sim_s3::S3| {
+            world.settle();
+            for item in db.latest_item_names(CLOSURE_DOMAIN) {
+                let pairs = db.latest_item(CLOSURE_DOMAIN, &item).unwrap().len();
+                assert!(pairs <= 256, "{item:?} holds {pairs} pairs");
+            }
+            let base = db.latest_item(CLOSURE_DOMAIN, "seed.dat 1").unwrap();
+            // The leaves are the seed's descendants *and* its direct file
+            // children: 1 000 values use every fragment of both.
+            for attr in [CLOSURE_ATTR_DESC, CLOSURE_ATTR_OUT] {
+                let marks = base.iter().filter(|a| {
+                    a.name == CLOSURE_ATTR_FRAGS && closure_mark_bucket(&a.value, attr).is_some()
+                });
+                assert_eq!(marks.count(), 63, "marks of {attr:?}");
+            }
+
+            let read = read_row_attr("seed.dat 1", CLOSURE_ATTR_DESC, false, |item, names| {
+                Ok(db.get_attributes(CLOSURE_DOMAIN, item, names)?)
+            });
+            assert_eq!(read.unwrap(), Some(leaves.clone()));
+
+            let walk = SimpleDbQueryEngine::new(db, s3, world, RetryPolicy::default());
+            let index = walk.clone().serving_closure();
+            let q = ProvQuery::DescendantsOf {
+                program: "fan".into(),
+            };
+            let walked = walk.execute(&q).unwrap();
+            assert_eq!(walked.len(), LEAVES);
+            assert_eq!(index.execute(&q).unwrap(), walked);
+        };
+
+        let world = SimWorld::counting();
+        let mut arch2 = S3SimpleDb::new(&world);
+        arch2.set_config(Arch2Config {
+            closure: ClosureMode::Maintain,
+            ..Arch2Config::default()
+        });
+        drive(&mut arch2);
+        check(&world, arch2.simpledb(), arch2.s3());
+
+        let world = SimWorld::counting();
+        let mut arch3 = S3SimpleDbSqs::new(&world, "fan-out");
+        arch3.set_config(Arch3Config {
+            closure: ClosureMode::Maintain,
+            ..Arch3Config::default()
+        });
+        drive(&mut arch3);
+        check(&world, arch3.simpledb(), arch3.s3());
     }
 
     #[test]

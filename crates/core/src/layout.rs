@@ -47,17 +47,21 @@ pub const CLOSURE_ATTR_OUT: &str = "o";
 /// name (on name rows only; see [`closure_name_row`]).
 pub const CLOSURE_ATTR_PROC: &str = "p";
 
-/// Closure attribute (base rows only): the fragment indices of this
-/// logical row that hold at least one value.
+/// Closure attribute (base rows only): one *mark* per fragment of this
+/// logical row that holds at least one value. A mark is the fragment's
+/// attribute followed by its bucket (`"d17"`), so a reader that wants one
+/// attribute fetches only that attribute's fragments.
 pub const CLOSURE_ATTR_FRAGS: &str = "f";
 
-/// How many hash fragments a logical closure row spreads across (the
-/// base item plus `CLOSURE_FRAG_BUCKETS - 1` fragment items). Each
-/// physical item respects SimpleDB's 256-pair cap, so one logical row
-/// holds roughly `64 * 250` values before overflowing.
+/// How many hash buckets each attribute of a logical closure row spreads
+/// across: bucket 0 is the base item, buckets `1..CLOSURE_FRAG_BUCKETS`
+/// are one fragment item each, per attribute. Every physical item
+/// respects SimpleDB's 256-pair cap; the base item, which also carries up
+/// to 63 marks per attribute, is the one that fills first (see the
+/// capacity bound in the `closure` module docs).
 pub const CLOSURE_FRAG_BUCKETS: u64 = 64;
 
-/// Separator between a closure base item name and a fragment index
+/// Separator between a closure base item name and a fragment mark
 /// (`\u{1f}` cannot appear in object names that survive the record
 /// escaper, so fragment names never collide with node rows).
 pub const CLOSURE_FRAG_SEP: char = '\u{1f}';
@@ -66,10 +70,45 @@ pub const CLOSURE_FRAG_SEP: char = '\u{1f}';
 /// domain.
 pub const CLOSURE_NAME_PREFIX: &str = "\u{1f}name\u{1f}";
 
-/// Item name of the `idx`-th fragment of a logical closure row
-/// (`idx >= 1`; fragment 0 is the base item itself).
-pub fn closure_frag_name(base: &str, idx: u64) -> String {
-    format!("{base}{CLOSURE_FRAG_SEP}{idx}")
+/// The `f` value on the base item that announces fragment `bucket` of
+/// attribute `attr`.
+pub(crate) fn closure_frag_mark(attr: &str, bucket: u64) -> String {
+    format!("{attr}{bucket}")
+}
+
+/// The bucket a mark names, when it is a mark of `attr`.
+pub(crate) fn closure_mark_bucket(mark: &str, attr: &str) -> Option<u64> {
+    mark.strip_prefix(attr)?.parse().ok()
+}
+
+/// Item name of the fragment holding the values of `attr` that hash to
+/// `bucket` (`bucket >= 1`; bucket 0 is the base item itself): the base
+/// name, the separator, then the fragment's mark. A fragment holds
+/// values of exactly one attribute.
+pub fn closure_frag_name(base: &str, attr: &str, bucket: u64) -> String {
+    format!(
+        "{base}{CLOSURE_FRAG_SEP}{}",
+        closure_frag_mark(attr, bucket)
+    )
+}
+
+/// Inverse of [`closure_frag_name`]: the `(base, attr, bucket)` of a
+/// fragment item; `None` for base items and name rows.
+pub fn parse_closure_frag_name(item: &str) -> Option<(&str, &str, u64)> {
+    // A name row's own prefix ends in the separator; only a separator
+    // after it can start a mark.
+    let body = item.strip_prefix(CLOSURE_NAME_PREFIX).unwrap_or(item);
+    let (_, mark) = body.rsplit_once(CLOSURE_FRAG_SEP)?;
+    let base = &item[..item.len() - mark.len() - CLOSURE_FRAG_SEP.len_utf8()];
+    let (attr, bucket) = mark.split_at(mark.find(|c: char| c.is_ascii_digit())?);
+    let bucket = bucket.parse().ok()?;
+    // The mark must be the canonical rendering ("d017" and "d+17" parse
+    // but name no fragment the writer would produce).
+    let canonical = !base.is_empty()
+        && !attr.is_empty()
+        && (1..CLOSURE_FRAG_BUCKETS).contains(&bucket)
+        && closure_frag_mark(attr, bucket) == mark;
+    canonical.then_some((base, attr, bucket))
 }
 
 /// Item name of the closure row listing the process versions named
@@ -200,7 +239,53 @@ mod tests {
     fn closure_names_cannot_collide_with_node_rows() {
         // Node rows are "{name} {version}"; fragment and name rows carry
         // the \u{1f} separator, which parse_item_name-able names never do.
-        assert_eq!(closure_frag_name("f 1", 3), "f 1\u{1f}3");
+        assert_eq!(closure_frag_name("f 1", "d", 3), "f 1\u{1f}d3");
         assert_eq!(closure_name_row("blastall"), "\u{1f}name\u{1f}blastall");
+    }
+
+    #[test]
+    fn closure_frag_names_round_trip_and_marks_name_their_attribute() {
+        let bases = [
+            "f 1".to_string(),
+            "run 7/out 2.dat 12".to_string(),
+            "proc:1:tool:2 3".to_string(),
+            closure_name_row("blastall"),
+            closure_name_row("tool 9"),
+            closure_name_row("d7"),
+            closure_name_row(""),
+        ];
+        let attrs = [
+            CLOSURE_ATTR_ANC,
+            CLOSURE_ATTR_DESC,
+            CLOSURE_ATTR_OUT,
+            CLOSURE_ATTR_PROC,
+        ];
+        for base in &bases {
+            assert_eq!(parse_closure_frag_name(base), None, "{base:?} is a base");
+            for attr in attrs {
+                for bucket in [1, 9, 10, CLOSURE_FRAG_BUCKETS - 1] {
+                    let frag = closure_frag_name(base, attr, bucket);
+                    assert_eq!(
+                        parse_closure_frag_name(&frag),
+                        Some((base.as_str(), attr, bucket))
+                    );
+                    let mark = closure_frag_mark(attr, bucket);
+                    assert_eq!(closure_mark_bucket(&mark, attr), Some(bucket));
+                    for other in attrs.into_iter().filter(|o| *o != attr) {
+                        assert_eq!(closure_mark_bucket(&mark, other), None);
+                    }
+                }
+            }
+        }
+        // Bucket 0 is the base item; nothing non-canonical is a fragment.
+        for not_a_frag in [
+            "f 1\u{1f}d0",
+            "f 1\u{1f}d64",
+            "f 1\u{1f}d07",
+            "f 1\u{1f}7",
+            "\u{1f}d7",
+        ] {
+            assert_eq!(parse_closure_frag_name(not_a_frag), None, "{not_a_frag:?}");
+        }
     }
 }

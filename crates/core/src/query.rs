@@ -25,11 +25,11 @@ use sim_s3::{S3Error, S3};
 use sim_simpledb::SimpleDb;
 use simworld::SimWorld;
 
-use crate::closure::parse_render;
-use crate::error::{CloudError, Result};
+use crate::closure::{parse_render, read_row_attr};
+use crate::error::Result;
 use crate::layout::{
-    closure_frag_name, closure_name_row, data_key, parse_data_key, BUCKET, CLOSURE_ATTR_DESC,
-    CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_OUT, CLOSURE_ATTR_PROC, CLOSURE_DOMAIN, DOMAIN,
+    closure_name_row, data_key, parse_data_key, BUCKET, CLOSURE_ATTR_DESC, CLOSURE_ATTR_OUT,
+    CLOSURE_ATTR_PROC, CLOSURE_DOMAIN, DOMAIN,
 };
 use crate::readpath::{get_object_with_retry, overflow_to_string};
 use crate::retry::RetryPolicy;
@@ -403,36 +403,17 @@ impl SimpleDbQueryEngine {
         Ok(result)
     }
 
-    /// All values of `attr` on one logical closure row: the base item
-    /// plus every fragment the base's `f` list names. An absent row —
-    /// or an index domain that was never created — contributes nothing.
+    /// All values of `attr` on one logical closure row, through the
+    /// shared fragment reader. The serve path does not retry, and an
+    /// index domain that was never created reads as an empty row.
     fn closure_row_values(&self, item: &str, attr: &str) -> Result<BTreeSet<String>> {
-        let base = match self.db.get_attributes(CLOSURE_DOMAIN, item, None) {
-            Ok(attrs) => attrs,
-            Err(sim_simpledb::SdbError::NoSuchDomain { .. }) => return Ok(BTreeSet::new()),
-            Err(e) => return Err(CloudError::from(e)),
-        };
-        let mut values: BTreeSet<String> = base
-            .iter()
-            .filter(|a| a.name == attr)
-            .map(|a| a.value.clone())
-            .collect();
-        let buckets: BTreeSet<u64> = base
-            .iter()
-            .filter(|a| a.name == CLOSURE_ATTR_FRAGS)
-            .filter_map(|a| a.value.parse().ok())
-            .collect();
-        for bucket in buckets {
-            let frag =
-                self.db
-                    .get_attributes(CLOSURE_DOMAIN, &closure_frag_name(item, bucket), None)?;
-            values.extend(
-                frag.iter()
-                    .filter(|a| a.name == attr)
-                    .map(|a| a.value.clone()),
-            );
-        }
-        Ok(values)
+        let row = read_row_attr(item, attr, false, |item, names| {
+            match self.db.get_attributes(CLOSURE_DOMAIN, item, names) {
+                Err(sim_simpledb::SdbError::NoSuchDomain { .. }) => Ok(Vec::new()),
+                reply => Ok(reply?),
+            }
+        })?;
+        Ok(row.unwrap_or_default())
     }
 
     /// Runs one QueryWithAttributes expression across all pages,

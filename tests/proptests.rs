@@ -541,8 +541,8 @@ proptest! {
         // closure, and the index engine must answer Q3 exactly like the
         // walk engine.
         use pass_cloud::cloud::layout::{
-            closure_name_row, CLOSURE_ATTR_ANC, CLOSURE_ATTR_DESC, CLOSURE_ATTR_OUT,
-            CLOSURE_ATTR_PROC, CLOSURE_DOMAIN, CLOSURE_FRAG_SEP,
+            closure_name_row, parse_closure_frag_name, CLOSURE_ATTR_ANC, CLOSURE_ATTR_DESC,
+            CLOSURE_ATTR_OUT, CLOSURE_ATTR_PROC, CLOSURE_DOMAIN,
         };
         use pass_cloud::cloud::{Arch3Config, ClosureMode, ProvQuery, ProvenanceStore, S3SimpleDbSqs};
         use std::collections::{BTreeMap, BTreeSet};
@@ -622,17 +622,12 @@ proptest! {
         world.settle();
 
         // Reassemble the logical closure rows from the fragmented
-        // physical items: `{base}\u{1f}{bucket}` folds into `base`.
+        // physical items: every fragment folds into its base.
         let db = store.simpledb().clone();
         let mut logical: BTreeMap<String, BTreeMap<String, BTreeSet<String>>> = BTreeMap::new();
         for item in db.latest_item_names(CLOSURE_DOMAIN) {
-            let base = match item.rsplit_once(CLOSURE_FRAG_SEP) {
-                Some((base, suffix)) if suffix.parse::<u64>().is_ok() && !base.is_empty() => {
-                    base.to_string()
-                }
-                _ => item.clone(),
-            };
-            let row = logical.entry(base).or_default();
+            let base = parse_closure_frag_name(&item).map_or(item.as_str(), |(base, _, _)| base);
+            let row = logical.entry(base.to_string()).or_default();
             for attr in db.latest_item(CLOSURE_DOMAIN, &item).unwrap_or_default() {
                 row.entry(attr.name).or_default().insert(attr.value);
             }
