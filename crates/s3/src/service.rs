@@ -713,10 +713,11 @@ impl S3 {
     ) -> Result<Listing> {
         let bkt = self.bucket(bucket)?;
         let (listing, touched) = bkt.read_view(|view| {
-            let pin = view.pin_replicas(&self.world);
+            let ids = view.sorted_ids();
+            let pin = view.pin_replicas(&self.world, &ids);
             (
-                self.list_page_on(view, &pin, prefix, marker, max_keys),
-                view.sorted_ids(),
+                self.list_page_on(view, &ids, &pin, prefix, marker, max_keys),
+                ids,
             )
         });
         bkt.note_ops(&touched);
@@ -736,15 +737,15 @@ impl S3 {
     /// [`S3Error::NoSuchBucket`].
     pub fn list_all(&self, bucket: &str, prefix: &str) -> Result<Vec<ObjectSummary>> {
         let bkt = self.bucket(bucket)?;
-        let pin = bkt.read_view(|view| view.pin_replicas(&self.world));
+        let pin = bkt.read_view(|view| view.pin_replicas(&self.world, &view.sorted_ids()));
         let mut out = Vec::new();
         let mut marker: Option<String> = None;
         loop {
             let (page, touched) = bkt.read_view(|view| {
-                (
-                    self.list_page_on(view, &pin, prefix, marker.as_deref(), MAX_LIST_KEYS),
-                    view.sorted_ids(),
-                )
+                let ids = view.sorted_ids();
+                let page =
+                    self.list_page_on(view, &ids, &pin, prefix, marker.as_deref(), MAX_LIST_KEYS);
+                (page, ids)
             });
             bkt.note_ops(&touched);
             let truncated = page.is_truncated;
@@ -763,10 +764,11 @@ impl S3 {
     /// ([`simworld::merged_shard_page`]); per shard, the scan is
     /// range-bounded to the prefix's contiguous key range, so a
     /// narrow-prefix LIST examines (and is charged for) only the cells
-    /// that could match.
+    /// that could match. `ids` are the view's stable shard ids, ascending.
     fn list_page_on(
         &self,
         view: &simworld::MapView<'_, Stored>,
+        ids: &[u32],
         pin: &ReplicaPin,
         prefix: &str,
         marker: Option<&str>,
@@ -776,8 +778,7 @@ impl S3 {
         let cap = max_keys.clamp(1, MAX_LIST_KEYS);
         let now = self.world.now();
         let shard_count = view.shard_count();
-        self.world
-            .record_shard_touches(Service::S3, &view.sorted_ids());
+        self.world.record_shard_touches(Service::S3, ids);
         let replicas: Vec<usize> = (0..shard_count)
             .map(|pos| {
                 view.resolve_pin(pin, pos)

@@ -5,11 +5,11 @@
 //!
 //! * **items** described by multi-valued **attribute** pairs, grouped in
 //!   **domains**, with SimpleDB's automatic indexing: each shard keeps
-//!   `attribute → value → items` postings (built the first time a query
+//!   `attribute → value hash → items` postings (built the first time a query
 //!   names the attribute, maintained by writes from then on), so a
 //!   `Query`/`Select` pinned down by `=` terms costs time proportional
 //!   to its answer, not to the domain — while being *billed and timed*
-//!   exactly like the scan it replaces ([`QueryExpr::cover`]);
+//!   exactly like the scan it replaces;
 //! * the 2009 limits that shape the paper's protocols: 1 KB attribute
 //!   names and values (provenance larger than this spills to S3), 256
 //!   pairs per item, **100 attributes per `PutAttributes`** (so storing a
@@ -60,7 +60,7 @@ pub use model::{
     byte_size, pair_count, to_attributes, Attribute, ItemState, ReplaceableAttribute, ATTR_LIMIT,
     ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
 };
-pub use query::{CmpOp, Cover, PostingCount, Predicate, QueryExpr};
+pub use query::{CmpOp, Predicate, QueryExpr};
 pub use select::{Cond, Operand, Output, SelectStatement, DEFAULT_LIMIT, MAX_LIMIT};
 pub use service::{
     DeletableAttribute, QueryResult, QueryWithAttributesResult, ResultItem, SelectResult, SimpleDb,

@@ -26,11 +26,11 @@
 //! # Equality covers
 //!
 //! SimpleDB indexes every attribute, so an expression pinned down by
-//! `=` comparisons is an index lookup, not a scan. [`QueryExpr::cover`]
-//! derives what to look up: a set of `(attribute, value)` pairs of which
-//! every matching item carries at least one. The store draws its
-//! candidates from the postings of those pairs and still evaluates the
-//! full expression on each, so a cover only has to be *necessary* for a
+//! `=` comparisons is an index lookup, not a scan. [`EqCover`] derives
+//! what to look up: a set of `(attribute, value)` pairs of which every
+//! matching item carries at least one. The store draws its candidates
+//! from the postings of those pairs and still evaluates the full
+//! expression on each, so a cover only has to be *necessary* for a
 //! match, never sufficient.
 
 use std::fmt;
@@ -85,39 +85,25 @@ impl fmt::Display for CmpOp {
     }
 }
 
-/// An equality cover: every item the covered expression matches carries
-/// at least one of these `(attribute, value)` pairs.
-pub type Cover<'a> = Vec<(&'a str, &'a str)>;
-
-/// Looks up how many items are posted under an `(attribute, value)` pair
-/// — what a cover derivation weighs its alternatives by.
-pub type PostingCount<'f> = &'f mut dyn FnMut(&str, &str) -> usize;
-
-/// A cover together with the postings behind it (the candidates a fetch
-/// over it has to check).
+/// A cover — equality pairs, named by their index in
+/// [`EqCover::eq_pairs`] — together with the postings behind it (the
+/// candidates a fetch over it has to check).
 #[derive(Debug)]
-pub(crate) struct Weighed<'a> {
-    pub(crate) pairs: Cover<'a>,
+pub(crate) struct Weighed {
+    pairs: Vec<usize>,
     postings: usize,
 }
 
-impl<'a> Weighed<'a> {
+impl Weighed {
     /// The cover of nothing at all — the identity of [`Weighed::plus`].
-    pub(crate) const EMPTY: Weighed<'static> = Weighed {
+    pub(crate) const EMPTY: Weighed = Weighed {
         pairs: Vec::new(),
         postings: 0,
     };
 
-    pub(crate) fn pair(attr: &'a str, value: &'a str, count: PostingCount<'_>) -> Weighed<'a> {
-        Weighed {
-            pairs: vec![(attr, value)],
-            postings: count(attr, value),
-        }
-    }
-
     /// Covers `a and b`: either side's cover will do, so take the one
     /// with fewer postings.
-    pub(crate) fn either(a: Option<Weighed<'a>>, b: Option<Weighed<'a>>) -> Option<Weighed<'a>> {
+    pub(crate) fn either(a: Option<Weighed>, b: Option<Weighed>) -> Option<Weighed> {
         match (a, b) {
             (Some(a), Some(b)) => Some(if b.postings < a.postings { b } else { a }),
             (a, b) => a.or(b),
@@ -125,15 +111,55 @@ impl<'a> Weighed<'a> {
     }
 
     /// Covers `self or other`: candidates are drawn from both.
-    pub(crate) fn plus(mut self, other: Weighed<'a>) -> Weighed<'a> {
+    pub(crate) fn plus(mut self, other: Weighed) -> Weighed {
         self.pairs.extend(other.pairs);
         self.postings += other.postings;
         self
     }
 
     /// Covers `a or b`, which needs both sides covered.
-    pub(crate) fn both(a: Option<Weighed<'a>>, b: Option<Weighed<'a>>) -> Option<Weighed<'a>> {
+    pub(crate) fn both(a: Option<Weighed>, b: Option<Weighed>) -> Option<Weighed> {
         Some(a?.plus(b?))
+    }
+}
+
+/// Weighs one `(attribute, value)` pair for [`EqCover::derive`].
+pub(crate) type WeighPair<'f, 'a> = &'f mut dyn FnMut(&'a str, &'a str) -> Weighed;
+
+/// An expression the store can serve from attribute postings.
+pub(crate) trait EqCover {
+    /// The one walk behind both methods below: folds the expression's
+    /// `=` pairs into a cover, or `None` when it has none and only a scan
+    /// can answer it. `pair` is asked about every pair a cover could draw
+    /// on, once each, in an order (and with a `None`-or-not outcome) that
+    /// the expression alone decides — never what `pair` answers.
+    fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed>;
+
+    /// The `(attribute, value)` pairs a cover could draw on, in the
+    /// order [`EqCover::derive`] meets them.
+    fn eq_pairs(&self) -> Vec<(&str, &str)> {
+        let mut pairs = Vec::new();
+        self.derive(&mut |attr, value| {
+            pairs.push((attr, value));
+            Weighed::EMPTY
+        });
+        pairs
+    }
+
+    /// The equality cover, as indices into [`EqCover::eq_pairs`], where
+    /// `postings[i]` items are posted under pair `i`.
+    fn cover(&self, postings: &[usize]) -> Option<Vec<usize>> {
+        let mut met = 0;
+        let cover = self.derive(&mut |_, _| {
+            let pair = met;
+            met += 1;
+            Weighed {
+                pairs: vec![pair],
+                postings: postings[pair],
+            }
+        });
+        debug_assert_eq!(met, postings.len(), "one weight per pair of eq_pairs()");
+        cover.map(|w| w.pairs)
     }
 }
 
@@ -161,13 +187,12 @@ impl Predicate {
     /// A single value has to satisfy one `or`-separated run of `and`ed
     /// comparisons; a run containing `= x` pins that value to `x`. So
     /// the predicate is covered when every run has an `=`.
-    fn cover(&self, count: PostingCount<'_>) -> Option<Weighed<'_>> {
+    fn cover<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
         let mut cover = Some(Weighed::EMPTY);
         let mut run = None;
         for (i, (op, operand)) in self.comparisons.iter().enumerate() {
             if *op == CmpOp::Eq {
-                let pair = Weighed::pair(&self.attribute, operand, count);
-                run = Weighed::either(run, Some(pair));
+                run = Weighed::either(run, Some(pair(&self.attribute, operand)));
             }
             // `connectives[i]` joins comparison `i` to `i + 1`; `false` is `or`.
             if self.connectives.get(i) != Some(&true) {
@@ -234,25 +259,6 @@ impl QueryExpr {
         acc
     }
 
-    /// The expression's equality cover, or `None` when it has none and
-    /// only a scan can answer it: `intersection` keeps whichever side's
-    /// cover has fewer postings (by `count`), `union` needs both sides
-    /// covered, and `not`, `!=`, ranges and `starts-with` cover nothing.
-    /// A `sort` clause plays no part: sorted queries are served by offset
-    /// over the whole view and never ask.
-    pub fn cover(&self, count: PostingCount<'_>) -> Option<Cover<'_>> {
-        let mut acc = None;
-        for (setop, negated, pred) in &self.terms {
-            let term = if *negated { None } else { pred.cover(count) };
-            acc = match setop {
-                SetOp::First => term,
-                SetOp::Intersection => Weighed::either(acc, term),
-                SetOp::Union => Weighed::both(acc, term),
-            };
-        }
-        acc.map(|w| w.pairs)
-    }
-
     /// The sort clause: `(attribute, ascending)` if present.
     pub fn sort(&self) -> Option<(&str, bool)> {
         self.sort.as_ref().map(|(a, asc)| (a.as_str(), *asc))
@@ -278,6 +284,25 @@ impl QueryExpr {
             }
         });
         rows
+    }
+}
+
+/// `intersection` keeps whichever side's cover has fewer postings,
+/// `union` needs both sides covered, and `not`, `!=`, ranges and
+/// `starts-with` cover nothing. A `sort` clause plays no part: sorted
+/// queries are served by offset over the whole view and never ask.
+impl EqCover for QueryExpr {
+    fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
+        let mut acc = None;
+        for (setop, negated, pred) in &self.terms {
+            let term = if *negated { None } else { pred.cover(pair) };
+            acc = match setop {
+                SetOp::First => term,
+                SetOp::Intersection => Weighed::either(acc, term),
+                SetOp::Union => Weighed::both(acc, term),
+            };
+        }
+        acc
     }
 }
 
@@ -516,7 +541,7 @@ fn lex(input: &str) -> Vec<Tok> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn item(pairs: &[(&str, &str)]) -> ItemState {
@@ -668,9 +693,20 @@ mod tests {
         }
     }
 
+    /// An expression's cover by name, weighing each pair with `counts`.
+    pub(crate) fn cover_of(
+        expr: &impl EqCover,
+        counts: impl Fn(&str, &str) -> usize,
+    ) -> Option<Vec<(&str, &str)>> {
+        let pairs = expr.eq_pairs();
+        let postings: Vec<usize> = pairs.iter().map(|(a, v)| counts(a, v)).collect();
+        let cover = expr.cover(&postings)?;
+        Some(cover.into_iter().map(|i| pairs[i]).collect())
+    }
+
     fn assert_cover(expr: &str, expected: Option<&[(&str, &str)]>) {
         let q = QueryExpr::parse(expr).unwrap();
-        assert_eq!(q.cover(&mut counts).as_deref(), expected, "{expr}");
+        assert_eq!(cover_of(&q, counts).as_deref(), expected, "{expr}");
     }
 
     #[test]
@@ -746,7 +782,7 @@ mod tests {
         // No single value equals both, so nothing matches — but the
         // cover still names a pair the item carries. The re-check decides.
         let q = QueryExpr::parse("['x' = 'a' and 'x' = 'b']").unwrap();
-        assert_eq!(q.cover(&mut counts), Some(vec![("x", "a")]));
+        assert_eq!(cover_of(&q, counts), Some(vec![("x", "a")]));
         assert!(!q.matches(&item(&[("x", "a"), ("x", "b")])));
     }
 }

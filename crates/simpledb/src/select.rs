@@ -26,7 +26,7 @@ use std::fmt;
 
 use crate::error::{Result, SdbError};
 use crate::model::ItemState;
-use crate::query::{CmpOp, Cover, PostingCount, Weighed};
+use crate::query::{CmpOp, EqCover, WeighPair, Weighed};
 
 /// Default page size when no `limit` clause is given.
 pub const DEFAULT_LIMIT: usize = 100;
@@ -114,32 +114,25 @@ impl Cond {
             Cond::Or(parts) => parts.iter().any(|c| c.matches(name, item)),
         }
     }
+}
 
-    /// The condition's equality cover (see [`crate::QueryExpr::cover`]),
-    /// or `None` when only a scan can answer it: `=` and `in` on a plain
-    /// attribute yield their pairs, `and` keeps the covered side with the
-    /// fewest postings (by `count`), `or` needs every side covered, and
-    /// everything else — `not`, `!=`, ranges, `like`, `is [not] null`,
-    /// `every()`, `itemName()` — covers nothing.
-    pub fn cover(&self, count: PostingCount<'_>) -> Option<Cover<'_>> {
-        self.weighed_cover(count).map(|w| w.pairs)
-    }
-
-    fn weighed_cover(&self, count: PostingCount<'_>) -> Option<Weighed<'_>> {
+/// `=` and `in` on a plain attribute yield their pairs, `and` keeps the
+/// covered side with the fewest postings, `or` needs every side covered,
+/// and everything else — `not`, `!=`, ranges, `like`, `is [not] null`,
+/// `every()`, `itemName()` — covers nothing.
+impl EqCover for Cond {
+    fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
         match self {
-            Cond::Cmp(Operand::Attr(attr), CmpOp::Eq, value) => {
-                Some(Weighed::pair(attr, value, count))
-            }
+            Cond::Cmp(Operand::Attr(attr), CmpOp::Eq, value) => Some(pair(attr, value)),
             Cond::In(Operand::Attr(attr), values) => {
-                Some(values.iter().fold(Weighed::EMPTY, |acc, value| {
-                    acc.plus(Weighed::pair(attr, value, count))
-                }))
+                let pairs = values.iter().map(|value| pair(attr, value));
+                Some(pairs.fold(Weighed::EMPTY, Weighed::plus))
             }
-            Cond::And(parts) => parts.iter().fold(None, |acc, part| {
-                Weighed::either(acc, part.weighed_cover(count))
-            }),
+            Cond::And(parts) => parts
+                .iter()
+                .fold(None, |acc, part| Weighed::either(acc, part.derive(pair))),
             Cond::Or(parts) => parts.iter().try_fold(Weighed::EMPTY, |acc, part| {
-                Some(acc.plus(part.weighed_cover(count)?))
+                Some(acc.plus(part.derive(pair)?))
             }),
             _ => None,
         }
@@ -660,6 +653,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::tests::cover_of;
 
     fn item(pairs: &[(&str, &str)]) -> ItemState {
         let mut m = ItemState::new();
@@ -851,8 +845,8 @@ mod tests {
     fn assert_cover(where_clause: &str, expected: Option<&[(&str, &str)]>) {
         let stmt = parses(&format!("select * from d where {where_clause}"));
         // `type` values are common, everything else is rare.
-        let mut counts = |attr: &str, _: &str| if attr == "type" { 1_000 } else { 5 };
-        let cover = stmt.condition.as_ref().unwrap().cover(&mut counts);
+        let counts = |attr: &str, _: &str| if attr == "type" { 1_000 } else { 5 };
+        let cover = cover_of(stmt.condition.as_ref().unwrap(), counts);
         assert_eq!(cover.as_deref(), expected, "{where_clause}");
     }
 
@@ -909,7 +903,7 @@ mod tests {
         // value does not — the re-check decides.
         let stmt = parses("select * from d where x = 'a' and x = 'b'");
         let cond = stmt.condition.as_ref().unwrap();
-        assert_eq!(cond.cover(&mut |_, _| 1), Some(vec![("x", "a")]));
+        assert_eq!(cover_of(cond, |_, _| 1), Some(vec![("x", "a")]));
         assert!(cond.matches("i", &item(&[("x", "a"), ("x", "b")])));
         assert!(!cond.matches("i", &item(&[("x", "a")])));
     }

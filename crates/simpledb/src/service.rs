@@ -8,8 +8,14 @@
 //! configurable via [`SimpleDb::with_shards`] /
 //! [`SimpleDb::with_shard_plan`]). Point operations
 //! (`PutAttributes`/`GetAttributes`/`DeleteAttributes`) contend only for
-//! one shard while `Query`/`Select` fan out across all shards and merge
-//! the per-shard results in item-name order. With a
+//! one shard. `Query`/`Select` merge per-shard results in item-name
+//! order: an expression with `=` terms *weighs* every shard — one probe
+//! of its attribute postings per term — then *fetches* only where the
+//! chosen cover has something posted; anything else scans every shard.
+//! Shards are visited one at a time, never under a cross-shard snapshot,
+//! and a covered shard's read point is its weigh visit: an item a
+//! concurrent writer lands on a shard already weighed can miss the page
+//! being served, exactly as it could land behind a scan's cursor. With a
 //! [`simworld::SplitPolicy`] armed, a hot shard splits its range in two
 //! in the background — placement changes, but converged state is
 //! byte-identical with splitting on or off.
@@ -48,7 +54,7 @@ use crate::model::{
     attributes_where, byte_size, pair_count, to_attributes, values_of, Attribute, ItemState,
     ReplaceableAttribute, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
 };
-use crate::query::{Cover, PostingCount, QueryExpr};
+use crate::query::{EqCover, QueryExpr};
 use crate::select::{Output, SelectStatement};
 
 /// Default page size for `Query`/`QueryWithAttributes`.
@@ -653,8 +659,9 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
     ) -> Result<QueryResult> {
-        let (rows, next, scanned) = self.run_query(domain, expression, max_items, next_token)?;
-        let item_names: Vec<String> = rows.into_iter().map(|(n, _)| n).collect();
+        let (rows, next, scanned) =
+            self.run_query(domain, expression, max_items, next_token, |_| ())?;
+        let item_names: Vec<String> = rows.into_iter().map(|(n, ())| n).collect();
         let bytes: u64 = item_names
             .iter()
             .map(|n| n.len() as u64 + ITEM_ENTRY_OVERHEAD)
@@ -685,15 +692,14 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
     ) -> Result<QueryWithAttributesResult> {
-        let (rows, next, scanned) = self.run_query(domain, expression, max_items, next_token)?;
+        let keep = |attr: &str| attribute_filter.is_none_or(|f| f.iter().any(|n| n == attr));
+        let (rows, next, scanned) =
+            self.run_query(domain, expression, max_items, next_token, |item| {
+                attributes_where(item, keep)
+            })?;
         let items: Vec<ResultItem> = rows
             .into_iter()
-            .map(|(name, state)| ResultItem {
-                name,
-                attributes: attributes_where(&state, |attr| {
-                    attribute_filter.is_none_or(|f| f.iter().any(|n| n == attr))
-                }),
-            })
+            .map(|(name, attributes)| ResultItem { name, attributes })
             .collect();
         let bytes: u64 = items
             .iter()
@@ -739,7 +745,7 @@ impl SimpleDb {
                 // count(*) is unpaginated: one fan-out over freshly
                 // sampled replica views, counting matches without
                 // materialising a single item.
-                let pin = view.pin_replicas(&self.world);
+                let pin = view.pin_replicas(&self.world, &touched);
                 let now = self.world.now();
                 self.world.record_shard_touches(Service::SimpleDb, &touched);
                 let mut matched = 0u64;
@@ -769,6 +775,14 @@ impl SimpleDb {
                 ));
             }
 
+            let project = |item: &ItemState| match &stmt.output {
+                Output::ItemName => Vec::new(),
+                Output::All => to_attributes(item),
+                Output::Attrs(list) => {
+                    attributes_where(item, |attr| list.iter().any(|n| n == attr))
+                }
+                Output::Count => unreachable!("count handled above"),
+            };
             let (page, next, scanned) = if stmt.order_by.is_some() {
                 // Sorted output: global order can interleave shards
                 // arbitrarily, so paginate by offset over the pinned views.
@@ -778,14 +792,20 @@ impl SimpleDb {
                         cursor: Cursor::Offset(o),
                     }) => (pin, o),
                     Some(_) => return Err(SdbError::InvalidNextToken),
-                    None => (view.pin_replicas(&self.world), 0),
+                    None => (view.pin_replicas(&self.world, &touched), 0),
                 };
                 let (rows, scanned) =
-                    self.collect_entries(view, &pin, |name, item| stmt.selects_row(name, item))?;
+                    self.collect_entries(view, &touched, &pin, |name, item| {
+                        stmt.selects_row(name, item)
+                    })?;
                 let matched = stmt.apply(rows);
                 let total = matched.len();
-                let page: Vec<(String, ItemState)> =
-                    matched.into_iter().skip(offset).take(stmt.limit).collect();
+                let page: Vec<(String, Vec<Attribute>)> = matched
+                    .into_iter()
+                    .skip(offset)
+                    .take(stmt.limit)
+                    .map(|(name, state)| (name, project(&state)))
+                    .collect();
                 let consumed = offset + page.len();
                 let next = (consumed < total).then(|| {
                     PageToken {
@@ -797,29 +817,16 @@ impl SimpleDb {
                 (page, next, scanned)
             } else {
                 // Name-ordered output: cursor-based merge across shards.
-                let condition = stmt.condition.as_ref();
-                self.merged_page(
-                    view,
-                    token,
-                    stmt.limit,
-                    |count| condition.and_then(|c| c.cover(count)),
-                    |name, item| condition.is_none_or(|c| c.matches(name, item)),
-                )?
+                let cond = stmt.condition.as_ref();
+                self.merged_page(view, &touched, token, stmt.limit, cond, |name, item| {
+                    let matches = cond.is_none_or(|c| c.matches(name, item));
+                    matches.then(|| project(item))
+                })?
             };
 
             let items: Vec<ResultItem> = page
                 .into_iter()
-                .map(|(name, state)| {
-                    let attributes = match &stmt.output {
-                        Output::ItemName => Vec::new(),
-                        Output::All => to_attributes(&state),
-                        Output::Attrs(list) => {
-                            attributes_where(&state, |attr| list.iter().any(|n| n == attr))
-                        }
-                        Output::Count => unreachable!("count handled above"),
-                    };
-                    ResultItem { name, attributes }
-                })
+                .map(|(name, attributes)| ResultItem { name, attributes })
                 .collect();
             let bytes: u64 = items
                 .iter()
@@ -890,13 +897,14 @@ impl SimpleDb {
             })
     }
 
-    /// Fans out over every shard, collecting the entries visible on each
-    /// shard's pinned replica that `pred` accepts, merged in item-name
-    /// order; only accepted entries are cloned out of the shard. Records
-    /// one shard touch per shard.
+    /// Fans out over every shard (`ids`: their stable ids, ascending),
+    /// collecting the entries visible on each shard's pinned replica that
+    /// `pred` accepts, merged in item-name order; only accepted entries
+    /// are cloned out of the shard. Records one shard touch per shard.
     fn collect_entries<F>(
         &self,
         view: &MapView<'_, ItemState>,
+        ids: &[u32],
         pin: &ReplicaPin,
         mut pred: F,
     ) -> Result<(Vec<(String, ItemState)>, u64)>
@@ -904,8 +912,7 @@ impl SimpleDb {
         F: FnMut(&str, &ItemState) -> bool,
     {
         let now = self.world.now();
-        self.world
-            .record_shard_touches(Service::SimpleDb, &view.sorted_ids());
+        self.world.record_shard_touches(Service::SimpleDb, ids);
         let mut rows: Vec<(String, ItemState)> = Vec::new();
         let mut scanned = 0u64;
         for pos in 0..view.shard_count() {
@@ -916,7 +923,9 @@ impl SimpleDb {
                 // Shards scan in parallel: the largest one gates the call.
                 scanned = scanned.max(map.cell_count() as u64);
                 let (matched, _) =
-                    map.visible_page_on(replica, now, None, usize::MAX, None, |k, v| pred(k, v));
+                    map.visible_page_on(replica, now, None, usize::MAX, None, |k, v| {
+                        pred(k, v).then(|| v.clone())
+                    });
                 rows.extend(matched);
             });
         }
@@ -930,64 +939,88 @@ impl SimpleDb {
     /// visible matches after the cursor under the shared adaptive-quota
     /// merge ([`simworld::merged_shard_page`] — the same machinery the
     /// sharded S3 LIST runs on), and the page is the first `page_size`
-    /// of the merge. The returned token resumes strictly after the last
-    /// name served, carrying the same replica pin — so a shard that
+    /// of the merge. `select` sees each visible item under its shard's
+    /// lock and returns the row to serve for a match, so nothing but the
+    /// row is copied out. The returned token resumes strictly after the
+    /// last name served, carrying the same replica pin — so a shard that
     /// splits between pages keeps serving the walk from its parent's
     /// pinned replica.
     ///
-    /// `cover` derives `pred`'s equality cover against one shard's
-    /// posting counts ([`QueryExpr::cover`]); a covered fetch draws its
-    /// candidates from that shard's attribute postings — built, under
-    /// the shard lock, the first time an equality term names the
-    /// attribute — and an uncovered one scans. Either way every
-    /// candidate is re-checked against `pred` on the pinned replica.
-    fn merged_page<'q, C, F>(
+    /// When `expr` has `=` pairs, a **weigh** pass first probes every
+    /// shard's attribute postings — built, under the shard lock, the
+    /// first time an equality term names the attribute — once per pair,
+    /// each value hashed once for the page, and one equality cover is
+    /// derived from the counts summed over shards. The fetch then returns
+    /// to a shard only if it posts a pair of that cover (or, past the
+    /// first page, to price the scan behind the cursor): a shard with
+    /// nothing posted is charged its cell count, which is what fetching
+    /// nothing from it charged. Every candidate is re-checked by `select`
+    /// on the pinned replica, whichever cover found it. `ids` are the
+    /// view's stable shard ids, ascending.
+    fn merged_page<T>(
         &self,
         view: &MapView<'_, ItemState>,
+        ids: &[u32],
         token: Option<PageToken>,
         page_size: usize,
-        cover: C,
-        mut pred: F,
-    ) -> Result<(Vec<(String, ItemState)>, Option<String>, u64)>
-    where
-        C: Fn(PostingCount<'_>) -> Option<Cover<'q>>,
-        F: FnMut(&str, &ItemState) -> bool,
-    {
+        expr: Option<&impl EqCover>,
+        mut select: impl FnMut(&str, &ItemState) -> Option<T>,
+    ) -> Result<Page<T>> {
         let (pin, after) = match token {
             Some(PageToken {
                 pin,
                 cursor: Cursor::After(name),
             }) => (pin, Some(name)),
             Some(_) => return Err(SdbError::InvalidNextToken),
-            None => (view.pin_replicas(&self.world), None),
+            None => (view.pin_replicas(&self.world, ids), None),
         };
         let now = self.world.now();
-        self.world
-            .record_shard_touches(Service::SimpleDb, &view.sorted_ids());
-        let replicas: Vec<usize> = (0..view.shard_count())
+        self.world.record_shard_touches(Service::SimpleDb, ids);
+        let shards = view.shard_count();
+        let replicas: Vec<usize> = (0..shards)
             .map(|pos| {
                 view.resolve_pin(&pin, pos)
                     .ok_or(SdbError::InvalidNextToken)
             })
             .collect::<Result<_>>()?;
-        let (candidates, more, scanned) = simworld::merged_shard_page(
-            view.shard_count(),
-            after,
-            page_size,
-            |i, cursor, quota| {
+
+        let probes: Vec<(&str, u64)> = expr.map_or_else(Vec::new, |e| {
+            let hashed = |(attr, value): (_, &str)| (attr, simworld::value_hash(value));
+            e.eq_pairs().into_iter().map(hashed).collect()
+        });
+        let pairs = probes.len();
+        let mut posted = vec![0usize; shards * pairs]; // [shard * pairs + pair]
+        let mut cells = vec![0u64; shards];
+        let mut totals = vec![0usize; pairs];
+        if pairs > 0 {
+            for pos in 0..shards {
+                view.with_cells_at(pos, |map| {
+                    cells[pos] = map.cell_count() as u64;
+                    for (pair, (attr, hash)) in probes.iter().enumerate() {
+                        let count = map.posting_count(values_of, attr, *hash);
+                        posted[pos * pairs + pair] = count;
+                        totals[pair] += count;
+                    }
+                });
+            }
+        }
+        let cover = expr.and_then(|e| e.cover(&totals));
+        let cover_probes: Option<Vec<(&str, u64)>> = cover
+            .as_ref()
+            .map(|cover| cover.iter().map(|&pair| probes[pair]).collect());
+
+        let (candidates, more, scanned) =
+            simworld::merged_shard_page(shards, after, page_size, |i, cursor, quota| {
+                let idle =
+                    |cover: &Vec<usize>| cover.iter().all(|pair| posted[i * pairs + pair] == 0);
+                if cursor.is_none() && cover.as_ref().is_some_and(idle) {
+                    return (Vec::new(), cells[i]);
+                }
                 view.with_cells_at(i, |map| {
-                    let cover = cover(&mut |attr, value| map.posting_count(values_of, attr, value));
-                    map.visible_page_on(
-                        replicas[i],
-                        now,
-                        cursor,
-                        quota,
-                        cover.as_deref(),
-                        |k, v| pred(k, v),
-                    )
+                    let cover = cover_probes.as_deref();
+                    map.visible_page_on(replicas[i], now, cursor, quota, cover, |k, v| select(k, v))
                 })
-            },
-        );
+            });
         let next = if more {
             let last = candidates
                 .last()
@@ -1006,21 +1039,22 @@ impl SimpleDb {
         Ok((candidates, next, scanned))
     }
 
-    /// Shared implementation of `Query`/`QueryWithAttributes`.
-    fn run_query(
+    /// Shared implementation of `Query`/`QueryWithAttributes`: `emit`
+    /// builds what a call returns of a matching item.
+    fn run_query<T>(
         &self,
         domain: &str,
         expression: Option<&str>,
         max_items: Option<usize>,
         next_token: Option<&str>,
-    ) -> Result<(Vec<(String, ItemState)>, Option<String>, u64)> {
+        emit: impl Fn(&ItemState) -> T,
+    ) -> Result<Page<T>> {
         let parsed = expression.map(QueryExpr::parse).transpose()?;
         let page_size = max_items
             .unwrap_or(QUERY_DEFAULT_PAGE)
             .clamp(1, QUERY_MAX_PAGE);
         let dom = self.domain(domain)?;
-        type Page = (Vec<(String, ItemState)>, Option<String>, u64);
-        let (out, touched) = dom.read_view(|view| -> Result<(Page, Vec<u32>)> {
+        let (out, touched) = dom.read_view(|view| -> Result<(Page<T>, Vec<u32>)> {
             let token = decode_token(next_token, view, &self.world)?;
             let touched = view.sorted_ids();
 
@@ -1033,14 +1067,18 @@ impl SimpleDb {
                         cursor: Cursor::Offset(o),
                     }) => (pin, o),
                     Some(_) => return Err(SdbError::InvalidNextToken),
-                    None => (view.pin_replicas(&self.world), 0),
+                    None => (view.pin_replicas(&self.world, &touched), 0),
                 };
                 let (rows, scanned) =
-                    self.collect_entries(view, &pin, |_, item| q.matches(item))?;
+                    self.collect_entries(view, &touched, &pin, |_, item| q.matches(item))?;
                 let rows = q.apply_sort(rows);
                 let total = rows.len();
-                let page: Vec<(String, ItemState)> =
-                    rows.into_iter().skip(offset).take(page_size).collect();
+                let page: Vec<(String, T)> = rows
+                    .into_iter()
+                    .skip(offset)
+                    .take(page_size)
+                    .map(|(name, state)| (name, emit(&state)))
+                    .collect();
                 let consumed = offset + page.len();
                 let next = (consumed < total).then(|| {
                     PageToken {
@@ -1052,19 +1090,20 @@ impl SimpleDb {
                 return Ok(((page, next, scanned), touched));
             }
 
-            let page = self.merged_page(
-                view,
-                token,
-                page_size,
-                |count| parsed.as_ref().and_then(|q| q.cover(count)),
-                |_, item| parsed.as_ref().is_none_or(|q| q.matches(item)),
-            )?;
+            let query = parsed.as_ref();
+            let page = self.merged_page(view, &touched, token, page_size, query, |_, item| {
+                query.is_none_or(|q| q.matches(item)).then(|| emit(item))
+            })?;
             Ok((page, touched))
         })?;
         dom.note_ops(&touched);
         Ok(out)
     }
 }
+
+/// One page of rows, the token resuming after it (if more remain), and
+/// the cells the busiest shard examined.
+type Page<T> = (Vec<(String, T)>, Option<String>, u64);
 
 /// Applies one `PutAttributes` attribute list to an item's current
 /// state: the replace-once rule (existing values of a `replace`d name

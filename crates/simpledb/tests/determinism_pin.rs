@@ -59,6 +59,25 @@ const SELECTS: &[&str] = &[
     "select * from d limit 50",
 ];
 
+/// Covered expressions for the small-page walks over 16 shards, where
+/// most shards post nothing under the cover and, from the second page
+/// on, sit behind a cursor: what a page charges for them is pinned here.
+const COVERED: &[&str] = &[
+    "['input' = 'i005']",
+    "['type' = 'process'] intersection ['name' = 'n3']",
+    "['input' = 'i005'] union ['input' = 'i010'] union ['input' = 'i115'] \
+     union ['input' = 'i001'] union ['input' = 'i002']",
+    "['name' = 'n1' or 'name' = 'n2']",
+    "['type' = 'file'] intersection not ['name' = 'n3']",
+    "['name' = 'absent']",
+];
+
+const COVERED_SELECTS: &[&str] = &[
+    "select name from d where input in ('i005', 'i010', 'i115') limit 2",
+    "select * from d where (name = 'n1' or name = 'n2') and type = 'process' limit 3",
+    "select itemName() from d where type = 'file' and input = 'i005' limit 1",
+];
+
 fn item_name(k: usize) -> String {
     format!("i{k:03}")
 }
@@ -194,7 +213,48 @@ fn query_sweep(log: &mut String, db: &SimpleDb, phase: &str, split_during: Optio
     }
 }
 
-fn transcript() -> (String, SimWorld) {
+fn covered_sweep(log: &mut String, db: &SimpleDb, phase: &str, split_during: Option<usize>) {
+    for (qi, expr) in COVERED.iter().enumerate() {
+        for max_items in [1usize, 2, 3] {
+            let split_here = split_during.map(|q| q % COVERED.len()) == Some(qi) && max_items == 2;
+            walk(
+                log,
+                &format!("{phase} covered#{qi} max{max_items}"),
+                |token| {
+                    let r = db.query("d", Some(expr), Some(max_items), token).unwrap();
+                    (r.item_names.join(","), r.next_token)
+                },
+                split_here.then_some(db),
+            );
+        }
+        walk(
+            log,
+            &format!("{phase} covered qwa#{qi}"),
+            |token| {
+                let r = db
+                    .query_with_attributes("d", Some(expr), None, Some(2), token)
+                    .unwrap();
+                (format!("{:?}", r.items), r.next_token)
+            },
+            None,
+        );
+    }
+    for (si, sql) in COVERED_SELECTS.iter().enumerate() {
+        walk(
+            log,
+            &format!("{phase} covered select#{si}"),
+            |token| {
+                let r = db.select(sql, token).unwrap();
+                (format!("{:?}", r.items), r.next_token)
+            },
+            None,
+        );
+    }
+}
+
+type Sweep = fn(&mut String, &SimpleDb, &str, Option<usize>);
+
+fn transcript(shards: usize, sweep: Sweep) -> (String, SimWorld) {
     let world = SimWorld::with_config(SimConfig {
         seed: 2009,
         consistency: Consistency::eventual(SimDuration::from_secs(30)),
@@ -202,7 +262,7 @@ fn transcript() -> (String, SimWorld) {
         replicas: 3,
     });
     world.set_event_trace(true);
-    let db = SimpleDb::with_shards(&world, 4);
+    let db = SimpleDb::with_shards(&world, shards);
     db.create_domain("d").unwrap();
     let mut log = String::new();
 
@@ -210,13 +270,13 @@ fn transcript() -> (String, SimWorld) {
     churn(&db, 0);
     // Everything above is at most ~10 virtual seconds old: replicas
     // disagree, and older writes still serve.
-    query_sweep(&mut log, &db, "fresh", Some(3));
+    sweep(&mut log, &db, "fresh", Some(3));
     churn(&db, 1);
     world.advance(SimDuration::from_secs(12));
-    query_sweep(&mut log, &db, "lagging", Some(8));
+    sweep(&mut log, &db, "lagging", Some(8));
     churn(&db, 2);
     world.settle();
-    query_sweep(&mut log, &db, "settled", None);
+    sweep(&mut log, &db, "settled", None);
 
     writeln!(log, "shards {:?}", db.domain_shard_ids("d")).unwrap();
     writeln!(log, "meters {:?}", world.meters()).unwrap();
@@ -229,7 +289,7 @@ fn transcript() -> (String, SimWorld) {
 
 #[test]
 fn scripted_run_matches_the_scan_era_constants() {
-    let (log, world) = transcript();
+    let (log, world) = transcript(4, query_sweep);
     let digest = (log.lines().count(), log.len(), fnv1a_64(&log));
     // Captured on the parent commit (full-scan Query/Select). A change
     // here means the *modelled service* moved — an answer, a token, a
@@ -238,5 +298,18 @@ fn scripted_run_matches_the_scan_era_constants() {
         (digest, world.now().as_micros()),
         ((2522, 764_932, 8_613_194_485_308_022_018), 126_131_995),
         "SimpleDB's observable behaviour diverged from the pinned script"
+    );
+}
+
+#[test]
+fn covered_small_page_walks_match_the_fetch_everywhere_constants() {
+    let (log, world) = transcript(16, covered_sweep);
+    let digest = (log.lines().count(), log.len(), fnv1a_64(&log));
+    // Captured on 64e282d, where a covered page still derived its cover
+    // and fetched on every shard.
+    assert_eq!(
+        (digest, world.now().as_micros()),
+        ((1996, 304_155, 5_922_911_941_620_439_376), 109_806_347),
+        "covered pagination diverged from the pinned script"
     );
 }

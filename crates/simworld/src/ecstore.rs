@@ -22,12 +22,22 @@
 //! visibility and the caller's predicate on every candidate. A pair
 //! leaves the postings only when compaction drops the last write that
 //! carried it.
+//!
+//! Values are posted under a 64-bit hash ([`value_hash`]), not under a
+//! copy of the string: a query hashes each value it asks about once and
+//! every shard is probed with that integer. Two values that collide share
+//! a key list, which only makes the list a larger superset — the extra
+//! candidates carry some other value and fail the predicate re-check like
+//! any stale one, and [`EcMap::posting_count`] stays the upper bound it
+//! is documented to be. The hash map is only ever probed, never
+//! iterated, so its order cannot reach an answer, a charge or a token.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
 use crate::clock::SimInstant;
+use crate::hash::fnv1a_64;
 use crate::world::SimWorld;
 
 #[derive(Clone, Debug)]
@@ -92,13 +102,22 @@ impl<V> Cell<V> {
 /// looks inside an otherwise opaque `V` to keep attribute postings.
 pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> Option<&'a BTreeSet<String>>;
 
-/// The secondary index: attribute → value → the keys, ascending, whose
-/// write history carries the pair (see the module docs).
+/// The hash attribute values are posted under (see the module docs).
+/// Callers hash a value once and probe every shard with the result.
+pub fn value_hash(value: &str) -> u64 {
+    fnv1a_64(value)
+}
+
+/// The secondary index: attribute → value hash → the keys, ascending,
+/// whose write history carries a pair hashing there (see the module docs).
 #[derive(Clone, Debug)]
 struct Postings<K, V> {
-    by_attr: BTreeMap<String, BTreeMap<String, Vec<K>>>,
+    by_attr: BTreeMap<String, HashMap<u64, Vec<K>>>,
     /// Set by the first build; `by_attr` is empty until then.
     values_of: Option<ValuesOf<V>>,
+    /// And-ed onto every hash, stored or probed. All ones, except in the
+    /// tests that narrow it until nearly every probe collides.
+    mask: u64,
 }
 
 impl<K, V> Default for Postings<K, V> {
@@ -106,23 +125,32 @@ impl<K, V> Default for Postings<K, V> {
         Postings {
             by_attr: BTreeMap::new(),
             values_of: None,
+            mask: u64::MAX,
         }
     }
 }
 
-/// Posts `key` under `value`, keeping the key list ascending and
+/// Posts `key` under `hash`, keeping the key list ascending and
 /// duplicate-free.
-fn post<K: Ord + Clone>(by_value: &mut BTreeMap<String, Vec<K>>, value: &String, key: &K) {
-    match by_value.get_mut(value) {
-        Some(keys) => {
-            if let Err(at) = keys.binary_search(key) {
-                keys.insert(at, key.clone());
-            }
-        }
-        None => {
-            by_value.insert(value.clone(), vec![key.clone()]);
-        }
+fn post<K: Ord + Clone>(by_value: &mut HashMap<u64, Vec<K>>, hash: u64, key: &K) {
+    // Most values are carried by one key: a first push would reserve four.
+    let keys = by_value
+        .entry(hash)
+        .or_insert_with(|| Vec::with_capacity(1));
+    if let Err(at) = keys.binary_search(key) {
+        keys.insert(at, key.clone());
     }
+}
+
+/// Where the pairs `writes` carry for `attr` are posted.
+fn posted_hashes<'a, V>(
+    writes: &'a [Write<V>],
+    values_of: ValuesOf<V>,
+    attr: &'a str,
+    mask: u64,
+) -> impl Iterator<Item = u64> + 'a {
+    let carried = writes.iter().filter_map(move |w| w.values(values_of, attr));
+    carried.flatten().map(move |v| value_hash(v) & mask)
 }
 
 impl<K: Ord + Clone, V> Postings<K, V> {
@@ -131,52 +159,55 @@ impl<K: Ord + Clone, V> Postings<K, V> {
         let Some(values_of) = self.values_of else {
             return;
         };
+        let mask = self.mask;
         for (attr, by_value) in &mut self.by_attr {
             for value in values_of(state, attr).into_iter().flatten() {
-                post(by_value, value, key);
+                post(by_value, value_hash(value) & mask, key);
             }
         }
     }
 
-    /// Unposts `key` from every indexed pair that a `dropped` write
-    /// carried and no `kept` write of the same cell still does.
+    /// Unposts `key` from every indexed hash that a pair of a `dropped`
+    /// write landed on and no pair of a `kept` write of the same cell
+    /// still does.
     fn forget(&mut self, key: &K, dropped: &[Write<V>], kept: &[Write<V>]) {
         let (false, Some(values_of)) = (dropped.is_empty(), self.values_of) else {
             return;
         };
+        let mask = self.mask;
         for (attr, by_value) in &mut self.by_attr {
-            let carried = |w| Write::values(w, values_of, attr);
-            for value in dropped.iter().filter_map(carried).flatten() {
-                if kept.iter().filter_map(carried).any(|v| v.contains(value)) {
+            let hashes = |writes| posted_hashes(writes, values_of, attr, mask);
+            for hash in hashes(dropped) {
+                if hashes(kept).any(|k| k == hash) {
                     continue;
                 }
-                let Some(keys) = by_value.get_mut(value) else {
+                let Some(keys) = by_value.get_mut(&hash) else {
                     continue;
                 };
                 if let Ok(at) = keys.binary_search(key) {
                     keys.remove(at);
                 }
                 if keys.is_empty() {
-                    by_value.remove(value);
+                    by_value.remove(&hash);
                 }
             }
         }
     }
 
-    /// The keys from `start` on posted under any pair of `cover`,
-    /// ascending and deduplicated — or `None` when the cover names an
-    /// attribute that has no postings (yet).
+    /// The keys from `start` on posted under any `(attribute, value
+    /// hash)` pair of `cover`, ascending and deduplicated — or `None`
+    /// when the cover names an attribute that has no postings (yet).
     fn candidates<'a>(
         &'a self,
-        cover: &[(&str, &str)],
+        cover: &[(&str, u64)],
         start: Bound<&K>,
     ) -> Option<impl Iterator<Item = &'a K>> {
         let mut heads = Vec::with_capacity(cover.len());
-        for (attr, value) in cover {
+        for (attr, hash) in cover {
             let keys = self
                 .by_attr
                 .get(*attr)?
-                .get(*value)
+                .get(&(hash & self.mask))
                 .map_or(&[][..], Vec::as_slice);
             let from = match start {
                 Bound::Unbounded => 0,
@@ -396,71 +427,72 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
             .collect()
     }
 
-    /// Number of keys posted under `(attr, value)` — an upper bound on the
-    /// candidates a page fetch covered by that pair has to check. The
-    /// first call naming `attr` builds its postings from every cell's
-    /// full history; writes keep them current from then on.
-    pub fn posting_count(&mut self, values_of: ValuesOf<V>, attr: &str, value: &str) -> usize {
+    /// Number of keys posted under `attr` at `hash` (the [`value_hash`]
+    /// of the value asked about) — an upper bound on the candidates a page
+    /// fetch covered by that pair has to check. The first call naming
+    /// `attr` builds its postings from every cell's full history; writes
+    /// keep them current from then on.
+    pub fn posting_count(&mut self, values_of: ValuesOf<V>, attr: &str, hash: u64) -> usize {
+        let mask = self.postings.mask;
+        let hash = hash & mask;
         if let Some(by_value) = self.postings.by_attr.get(attr) {
-            return by_value.get(value).map_or(0, Vec::len);
+            return by_value.get(&hash).map_or(0, Vec::len);
         }
-        let mut by_value = BTreeMap::new();
+        let mut by_value = HashMap::new();
         for (key, cell) in &self.cells {
-            for values in cell.writes.iter().filter_map(|w| w.values(values_of, attr)) {
-                for value in values {
-                    post(&mut by_value, value, key);
-                }
+            for posted in posted_hashes(&cell.writes, values_of, attr, mask) {
+                post(&mut by_value, posted, key);
             }
         }
-        let count = by_value.get(value).map_or(0, Vec::len);
+        let count = by_value.get(&hash).map_or(0, Vec::len);
         self.postings.values_of = Some(values_of);
         self.postings.by_attr.insert(attr.to_string(), by_value);
         count
     }
 
     /// Up to `limit` live entries visible on `replica`, in key order,
-    /// strictly after `after` (`None` starts from the beginning), keeping
-    /// only entries `pred` accepts. This is the per-shard building block
-    /// of cursor-based pagination: resuming strictly after the last key
-    /// served can neither skip nor duplicate a key, no matter what was
-    /// inserted or deleted between pages.
+    /// strictly after `after` (`None` starts from the beginning). `select`
+    /// sees each visible entry in place and returns the row to serve for
+    /// it, or `None` to pass it over — so only what a caller keeps of a
+    /// matching value is ever copied out of the map. This is the
+    /// per-shard building block of cursor-based pagination: resuming
+    /// strictly after the last key served can neither skip nor duplicate
+    /// a key, no matter what was inserted or deleted between pages.
     ///
-    /// `cover` is an *equality cover* of `pred`: `(attribute, value)`
-    /// pairs of which every entry `pred` accepts carries at least one.
-    /// With a cover whose attributes all have postings (see
+    /// `cover` is an *equality cover* of `select`: `(attribute, value
+    /// hash)` pairs of which every entry `select` keeps carries at least
+    /// one. With a cover whose attributes all have postings (see
     /// [`EcMap::posting_count`]) the candidates come from the postings
     /// instead of a walk over every cell; the result is the same either
     /// way, because every candidate still passes through the visibility
-    /// check and `pred`.
+    /// check and `select`.
     ///
     /// Also returns how many cells a scan of the range examines — up to
     /// and including the entry that filled the page, else to the end —
     /// so callers can charge a scan cost proportional to the modelled
     /// work, whichever way the candidates were found.
-    pub fn visible_page_on<F>(
+    pub fn visible_page_on<T>(
         &self,
         replica: usize,
         now: SimInstant,
         after: Option<&K>,
         limit: usize,
-        cover: Option<&[(&str, &str)]>,
-        pred: F,
-    ) -> (Vec<(K, V)>, u64)
-    where
-        F: FnMut(&K, &V) -> bool,
-    {
+        cover: Option<&[(&str, u64)]>,
+        select: impl FnMut(&K, &V) -> Option<T>,
+    ) -> (Vec<(K, T)>, u64) {
         let start = match after {
             Some(k) => Bound::Excluded(k),
             None => Bound::Unbounded,
         };
-        self.page(replica, now, start, limit, cover, |_| false, pred)
+        self.page(replica, now, start, limit, cover, |_| false, select)
     }
 
-    /// Range-bounded form of [`EcMap::visible_page_on`]: the scan starts
-    /// at `start` and stops at the first key `beyond` accepts, without
-    /// charging for cells past it. Keys scan in order, so a caller whose
-    /// matches form a contiguous key range — e.g. an S3 prefix LIST —
-    /// avoids examining (and being billed for) the rest of the shard.
+    /// Range-bounded form of [`EcMap::visible_page_on`], serving whole
+    /// values `pred` accepts: the scan starts at `start` and stops at the
+    /// first key `beyond` accepts, without charging for cells past it.
+    /// Keys scan in order, so a caller whose matches form a contiguous
+    /// key range — e.g. an S3 prefix LIST — avoids examining (and being
+    /// billed for) the rest of the shard.
     pub fn visible_page_from<F, G>(
         &self,
         replica: usize,
@@ -468,13 +500,14 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         start: Bound<&K>,
         limit: usize,
         beyond: G,
-        pred: F,
+        mut pred: F,
     ) -> (Vec<(K, V)>, u64)
     where
         F: FnMut(&K, &V) -> bool,
         G: FnMut(&K) -> bool,
     {
-        self.page(replica, now, start, limit, None, beyond, pred)
+        let whole = |k: &K, v: &V| pred(k, v).then(|| v.clone());
+        self.page(replica, now, start, limit, None, beyond, whole)
     }
 
     /// The one page loop. Candidates are every cell from `start`, or —
@@ -483,20 +516,16 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// (`beyond` and `cover` never meet: a posted fetch cannot tell how
     /// many unposted cells lie before the first key `beyond` accepts.)
     #[allow(clippy::too_many_arguments)]
-    fn page<F, G>(
+    fn page<T>(
         &self,
         replica: usize,
         now: SimInstant,
         start: Bound<&K>,
         limit: usize,
-        cover: Option<&[(&str, &str)]>,
-        mut beyond: G,
-        mut pred: F,
-    ) -> (Vec<(K, V)>, u64)
-    where
-        F: FnMut(&K, &V) -> bool,
-        G: FnMut(&K) -> bool,
-    {
+        cover: Option<&[(&str, u64)]>,
+        mut beyond: impl FnMut(&K) -> bool,
+        mut select: impl FnMut(&K, &V) -> Option<T>,
+    ) -> (Vec<(K, T)>, u64) {
         let mut posted = cover.and_then(|c| self.postings.candidates(c, start));
         let from_postings = posted.is_some();
         let mut scan = self.cells.range::<K, _>((start, Bound::Unbounded));
@@ -514,10 +543,10 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
             let Some(v) = c.visible(replica, now).and_then(|w| w.value.as_ref()) else {
                 continue;
             };
-            if !pred(k, v) {
+            let Some(row) = select(k, v) else {
                 continue;
-            }
-            out.push((k.clone(), v.clone()));
+            };
+            out.push((k.clone(), row));
             if out.len() >= limit {
                 break;
             }
@@ -574,7 +603,10 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         EcMap {
             cells: moved,
             next_seq: self.next_seq,
-            postings: Postings::default(),
+            postings: Postings {
+                by_attr: BTreeMap::new(),
+                ..self.postings
+            },
         }
     }
 
@@ -822,6 +854,21 @@ mod tests {
         item.get(attr).is_some_and(|values| values.contains(value))
     }
 
+    /// A cover as the map takes it: values replaced by their hashes.
+    fn hashed<'a>(cover: &[(&'a str, &str)]) -> Vec<(&'a str, u64)> {
+        let hash = |(attr, value): &(&'a str, &str)| (*attr, value_hash(value));
+        cover.iter().map(hash).collect()
+    }
+
+    fn count(map: &mut EcMap<impl Ord + Clone, Item>, attr: &str, value: &str) -> usize {
+        map.posting_count(item_values, attr, value_hash(value))
+    }
+
+    /// Serves whole items `pred` accepts.
+    fn whole<K>(mut pred: impl FnMut(&K, &Item) -> bool) -> impl FnMut(&K, &Item) -> Option<Item> {
+        move |k, v| pred(k, v).then(|| v.clone())
+    }
+
     #[test]
     fn unqueried_maps_keep_no_postings() {
         let world = SimWorld::counting();
@@ -829,9 +876,10 @@ mod tests {
         map.write(&world, "k", Some(item(&[("a", "x")])));
         assert!(map.postings.by_attr.is_empty());
         // A cover over an attribute nobody asked about falls back to the scan.
-        let cover = [("a", "x")];
+        let cover = hashed(&[("a", "x")]);
         let now = world.now();
-        let (hits, examined) = map.visible_page_on(0, now, None, 10, Some(&cover), |_, _| true);
+        let all = whole(|_, _| true);
+        let (hits, examined) = map.visible_page_on(0, now, None, 10, Some(&cover), all);
         assert_eq!((hits.len(), examined), (1, 1));
         assert!(map.postings.by_attr.is_empty());
     }
@@ -843,27 +891,27 @@ mod tests {
         let mut map = EcMap::new();
         map.write_at(t0, vec![t0, t0], "k", Some(item(&[("a", "x")])));
         map.write_at(t0, vec![t0, t0], "other", Some(item(&[("a", "z")])));
-        assert_eq!(map.posting_count(item_values, "a", "x"), 1);
+        assert_eq!(count(&mut map, "a", "x"), 1);
         // The overwrite reaches replica 0 at once and replica 1 in 10 s.
         map.write_at(t0, vec![t0, later], "k", Some(item(&[("a", "y")])));
-        assert_eq!(map.posting_count(item_values, "a", "x"), 1);
-        assert_eq!(map.posting_count(item_values, "a", "y"), 1);
+        assert_eq!(count(&mut map, "a", "x"), 1);
+        assert_eq!(count(&mut map, "a", "y"), 1);
 
-        let cover = [("a", "x")];
+        let cover = hashed(&[("a", "x")]);
         let is_x = |_: &&str, v: &Item| carries(v, "a", "x");
         // Replica 1 still serves a=x, though the newest write says a=y.
-        let (hits, examined) = map.visible_page_on(1, t0, None, 10, Some(&cover), is_x);
+        let (hits, examined) = map.visible_page_on(1, t0, None, 10, Some(&cover), whole(is_x));
         assert_eq!(hits, vec![("k", item(&[("a", "x")]))]);
         assert_eq!(examined, 2, "charged as the scan of both cells");
         // Replica 0 has moved on: the candidate fails the re-check.
-        let (hits, _) = map.visible_page_on(0, t0, None, 10, Some(&cover), is_x);
+        let (hits, _) = map.visible_page_on(0, t0, None, 10, Some(&cover), whole(is_x));
         assert!(hits.is_empty());
 
         // Once every replica serves a=y the old write compacts away, and
         // with it the last reason to post `k` under a=x.
         map.gc(later);
-        assert_eq!(map.posting_count(item_values, "a", "x"), 0);
-        assert_eq!(map.posting_count(item_values, "a", "y"), 1);
+        assert_eq!(count(&mut map, "a", "x"), 0);
+        assert_eq!(count(&mut map, "a", "y"), 1);
     }
 
     #[test]
@@ -873,11 +921,33 @@ mod tests {
         for k in 0..10u64 {
             map.write(&world, k, Some(item(&[("a", "x")])));
         }
-        assert_eq!(map.posting_count(item_values, "a", "x"), 10);
+        assert_eq!(count(&mut map, "a", "x"), 10);
         let mut moved = map.split_off_by(|k| k % 2 == 1);
         assert!(map.postings.by_attr.is_empty() && moved.postings.by_attr.is_empty());
-        assert_eq!(map.posting_count(item_values, "a", "x"), 5);
-        assert_eq!(moved.posting_count(item_values, "a", "x"), 5);
+        assert_eq!(count(&mut map, "a", "x"), 5);
+        assert_eq!(count(&mut moved, "a", "x"), 5);
+    }
+
+    #[test]
+    fn a_collision_inflates_the_count_but_not_the_page() {
+        let world = SimWorld::counting();
+        let mut map = EcMap::new();
+        map.postings.mask = 0; // every value of an attribute shares one key list
+        for k in 0..9u64 {
+            let value = ["x", "y", "z"][k as usize % 3];
+            map.write(&world, k, Some(item(&[("a", value)])));
+        }
+        assert_eq!(count(&mut map, "a", "x"), 9, "an upper bound: 3 carry a=x");
+        assert_eq!(count(&mut map, "a", "nobody-has-this-value"), 9);
+        let cover = hashed(&[("a", "x")]);
+        let is_x = whole(|_: &u64, v: &Item| carries(v, "a", "x"));
+        let (hits, examined) = map.visible_page_on(0, world.now(), None, 10, Some(&cover), is_x);
+        let keys: Vec<u64> = hits.into_iter().map(|(k, _)| k).collect();
+        assert_eq!((keys, examined), (vec![0, 3, 6], 9));
+        // Overwriting a=x with a=y drops a pair whose hash a kept one
+        // still lands on: the key must stay posted there.
+        map.write(&world, 0, Some(item(&[("a", "y")])));
+        assert_eq!(count(&mut map, "a", "y"), 9);
     }
 
     /// The covers the proptest probes with; every `pred` it pairs them
@@ -901,23 +971,33 @@ mod tests {
         (replica, cursor, limit, shape): (usize, u64, usize, usize),
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         let cover = COVERS[shape % COVERS.len()];
+        let mut true_counts = Vec::new();
         for (attr, value) in cover {
-            map.posting_count(item_values, attr, value);
+            let carrying = map.cells.values().filter(|c| {
+                let states = c.writes.iter().filter_map(|w| w.value.as_ref());
+                states.into_iter().any(|v| carries(v, attr, value))
+            });
+            true_counts.push(carrying.count());
         }
-        prop_assert!(map.postings.candidates(cover, Bound::Unbounded).is_some());
+        for ((attr, value), carrying) in cover.iter().zip(true_counts) {
+            prop_assert!(count(map, attr, value) >= carrying);
+        }
+        let hashes = hashed(cover);
+        prop_assert!(map.postings.candidates(&hashes, Bound::Unbounded).is_some());
         let after = (cursor < 12).then_some(cursor);
         let pred = |_: &u64, v: &Item| {
             cover.iter().any(|(attr, value)| carries(v, attr, value))
                 && (limit % 2 == 0 || carries(v, "b", "p"))
         };
-        let posted = map.visible_page_on(replica, now, after.as_ref(), limit, Some(cover), pred);
-        let scanned = map.visible_page_on(replica, now, after.as_ref(), limit, None, pred);
+        let (after, cover) = (after.as_ref(), Some(&hashes[..]));
+        let posted = map.visible_page_on(replica, now, after, limit, cover, whole(pred));
+        let scanned = map.visible_page_on(replica, now, after, limit, None, whole(pred));
         prop_assert_eq!(posted, scanned);
 
         let mut rebuilt = map.clone();
-        rebuilt.postings = Postings::default();
+        rebuilt.postings.by_attr.clear();
         for attr in map.postings.by_attr.keys() {
-            rebuilt.posting_count(item_values, attr, "");
+            rebuilt.posting_count(item_values, attr, 0);
         }
         prop_assert_eq!(&rebuilt.postings.by_attr, &map.postings.by_attr);
         Ok(())
@@ -937,41 +1017,54 @@ mod tests {
                 1..60,
             ),
         ) {
-            let ms = SimDuration::from_millis;
-            let mut now = SimInstant::EPOCH;
-            let mut map: EcMap<u64, Item> = EcMap::new();
-            for ((key, kind, bits), (l0, l1, l2), probe) in ops {
-                // Adversarial, even out-of-order, propagation: an older
-                // write can outlive a newer one on some replica.
-                let visible_at = vec![now + ms(l0), now + ms(l1), now + ms(l2)];
-                match kind {
-                    0..=3 => {
-                        let mut state = item(&[("b", if bits & 4 == 0 { "p" } else { "q" })]);
-                        for (bit, value) in [(1, "x"), (2, "y")] {
-                            if bits & bit != 0 {
-                                state.entry("a".into()).or_default().insert(value.into());
-                            }
-                        }
-                        map.write_at(now, visible_at, key, Some(state));
-                    }
-                    4 => map.write_at(now, visible_at, key, None),
-                    5 | 6 => {
-                        now += ms(l0);
-                        map.gc(now);
-                    }
-                    _ => {
-                        // The child is checked once and retired; the
-                        // parent carries on (and may be re-sent its keys).
-                        let mut moved = map.split_off_by(|k| k % 2 == l0 % 2);
-                        check_postings(&mut moved, now, probe)?;
-                    }
-                }
-                // Skipping some probes varies how much history exists
-                // when an attribute's postings are first built.
-                if l2 % 3 != 0 {
-                    check_postings(&mut map, now, probe)?;
-                }
+            // Once as deployed, once with the hash cut to two bits — two
+            // on which `x`, `y` and the value nobody has all agree — so
+            // nearly every probe lands on a list other values share.
+            for mask in [u64::MAX, 0x84] {
+                run_ops(&ops, mask)?;
             }
         }
+    }
+
+    type Op = ((u64, u8, u8), (u64, u64, u64), (usize, u64, usize, usize));
+
+    fn run_ops(ops: &[Op], mask: u64) -> Result<(), proptest::test_runner::TestCaseError> {
+        let ms = SimDuration::from_millis;
+        let mut now = SimInstant::EPOCH;
+        let mut map: EcMap<u64, Item> = EcMap::new();
+        map.postings.mask = mask;
+        for &((key, kind, bits), (l0, l1, l2), probe) in ops {
+            // Adversarial, even out-of-order, propagation: an older
+            // write can outlive a newer one on some replica.
+            let visible_at = vec![now + ms(l0), now + ms(l1), now + ms(l2)];
+            match kind {
+                0..=3 => {
+                    let mut state = item(&[("b", if bits & 4 == 0 { "p" } else { "q" })]);
+                    for (bit, value) in [(1, "x"), (2, "y")] {
+                        if bits & bit != 0 {
+                            state.entry("a".into()).or_default().insert(value.into());
+                        }
+                    }
+                    map.write_at(now, visible_at, key, Some(state));
+                }
+                4 => map.write_at(now, visible_at, key, None),
+                5 | 6 => {
+                    now += ms(l0);
+                    map.gc(now);
+                }
+                _ => {
+                    // The child is checked once and retired; the
+                    // parent carries on (and may be re-sent its keys).
+                    let mut moved = map.split_off_by(|k| k % 2 == l0 % 2);
+                    check_postings(&mut moved, now, probe)?;
+                }
+            }
+            // Skipping some probes varies how much history exists
+            // when an attribute's postings are first built.
+            if l2 % 3 != 0 {
+                check_postings(&mut map, now, probe)?;
+            }
+        }
+        Ok(())
     }
 }

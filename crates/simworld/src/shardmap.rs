@@ -684,13 +684,14 @@ impl<V: Clone> MapView<'_, V> {
     }
 
     /// Pins one read replica per current shard: `n` draws from the
-    /// world, assigned in ascending-id order — which on a fresh
-    /// power-of-two layout reproduces the historical draw-per-index
-    /// assignment exactly.
-    pub fn pin_replicas(&self, world: &SimWorld) -> ReplicaPin {
-        let draws = world.sample_read_replicas(self.state.shards.len());
+    /// world, assigned in ascending-id order (`ids` is
+    /// [`MapView::sorted_ids`], which a fan-out has already built to
+    /// record its touches) — which on a fresh power-of-two layout
+    /// reproduces the historical draw-per-index assignment exactly.
+    pub fn pin_replicas(&self, world: &SimWorld, ids: &[u32]) -> ReplicaPin {
+        let draws = world.sample_read_replicas(ids.len());
         let mut pin = ReplicaPin::new();
-        for (id, replica) in self.sorted_ids().into_iter().zip(draws) {
+        for (&id, replica) in ids.iter().zip(draws) {
             pin.insert(id, replica);
         }
         pin
@@ -863,7 +864,7 @@ mod tests {
         for k in keys(128) {
             map.with_cells(&k, |_, c| c.write(&world, k.clone(), Some(9)));
         }
-        let pin = map.read_view(|v| v.pin_replicas(&world));
+        let pin = map.read_view(|v| v.pin_replicas(&world, &v.sorted_ids()));
         assert_eq!(pin.len(), 2);
         map.force_split().expect("split 1");
         map.force_split().expect("split 2");
