@@ -5,21 +5,24 @@
 //! combined workload's flushes into groups and drains each group through
 //! `ProvenanceStore::persist_batch`, which rides the services' native
 //! batch APIs (`BatchPutAttributes`, `SendMessageBatch`, multi-object
-//! delete). The sweep varies the group size; group size 1 is the
-//! point-op path, the baseline every other row must beat. Two invariants
-//! hold on every row, and the smoke mode asserts them: the final store
-//! state (provenance graph included) is identical to the point-op
-//! path's, and the batched rows issue strictly fewer billable requests
-//! — with the provenance *flush* path (SimpleDB writes + SQS sends)
-//! shrinking ≥ 5x at full batch fill.
+//! delete). The sweep varies the group size on Architectures 2 and 3;
+//! group size 1 is the point-op path, the baseline every other row must
+//! beat. [`BatchSweep::check`] asserts, per architecture:
+//!
+//! * every row's provenance graph is identical to the point-op row's;
+//! * every batched row issues strictly fewer billable requests than the
+//!   point-op row and finishes sooner in virtual time (between batch
+//!   sizes the daemon's sampled receives add noise, so no monotonicity
+//!   is claimed there);
+//! * at full batch fill the provenance *flush* path (SimpleDB writes +
+//!   SQS sends) is ≥ 5x smaller.
 
 use pass::{FlushPolicy, GroupCommitFlusher};
 use provenance_cloud::{ArchKind, ProvGraph, ProvQuery, Result};
-use simworld::{Consistency, LatencyModel, MeterSnapshot, Op, SimConfig, SimWorld};
+use simworld::{MeterSnapshot, Op};
 use workloads::Combined;
 
-/// The group sizes the sweep visits by default (1 = point-op baseline).
-pub const DEFAULT_GROUP_SIZES: &[usize] = &[1, 5, 10, 25];
+use crate::harness::{ensure, metered, priced_world, Size, Sweep};
 
 /// One row of the batch-size sweep.
 #[derive(Clone, Debug)]
@@ -34,22 +37,9 @@ pub struct BatchRow {
     pub flush_requests: u64,
     /// Virtual seconds the persist phase consumed.
     pub virtual_secs: f64,
-    /// Provenance items/WAL records shipped through batch entries —
-    /// constant across rows (same workload), or batching dropped work.
-    pub graph_nodes: u64,
-}
-
-/// A world that prices every call (default 2009 latency model) but keeps
-/// results layout-invariant (strong consistency) and deterministic
-/// (fixed seed). Shared with the acceptance tests, so the bench and the
-/// test measure on identical terms.
-pub fn priced_world() -> SimWorld {
-    SimWorld::with_config(SimConfig {
-        seed: 2009,
-        consistency: Consistency::Strong,
-        latency: LatencyModel::default(),
-        replicas: 1,
-    })
+    /// The final provenance graph — identical across rows (same
+    /// workload), or batching changed the store.
+    pub graph: ProvGraph,
 }
 
 /// Requests on the provenance flush path: every SimpleDB write request
@@ -68,106 +58,128 @@ pub fn flush_path_requests(meters: &MeterSnapshot) -> u64 {
 
 /// Persists `dataset` into a fresh `kind` store, coalescing flushes
 /// into groups of `group_size` (1 = point persists), and returns the
-/// sweep row plus the final provenance graph for cross-row equality
-/// checks.
+/// sweep row.
 ///
 /// # Errors
 ///
 /// Propagates service errors.
-pub fn persist_grouped(
-    kind: ArchKind,
-    dataset: &Combined,
-    group_size: usize,
-) -> Result<(BatchRow, ProvGraph)> {
-    let world = priced_world();
+pub fn persist_grouped(kind: ArchKind, dataset: &Combined, group_size: usize) -> Result<BatchRow> {
+    let world = priced_world(2009);
     let mut store = kind.build(&world);
     let (flushes, _) = dataset.flushes();
-    let before_meters = world.meters();
-    let before_clock = world.now();
-    if group_size <= 1 {
-        for flush in &flushes {
-            store.persist(flush)?;
-        }
-    } else {
-        let mut flusher = GroupCommitFlusher::new(FlushPolicy::every(group_size));
-        for flush in &flushes {
-            if let Some(group) = flusher.submit(flush.clone()) {
-                store.persist_batch(&group)?;
+    let ((), meters, elapsed) = metered(&world, || {
+        if group_size <= 1 {
+            for flush in &flushes {
+                store.persist(flush)?;
             }
+        } else {
+            let mut flusher = GroupCommitFlusher::new(FlushPolicy::every(group_size));
+            for flush in &flushes {
+                if let Some(group) = flusher.submit(flush.clone()) {
+                    store.persist_batch(&group)?;
+                }
+            }
+            let tail = flusher.drain();
+            store.persist_batch(&tail)?;
         }
-        let tail = flusher.drain();
-        store.persist_batch(&tail)?;
-    }
-    store.run_daemons_until_idle()?;
-    let meters = world.meters() - before_meters;
-    let virtual_secs = (world.now() - before_clock).as_secs_f64();
+        store.run_daemons_until_idle()
+    })?;
     world.settle();
-    let graph = ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll)?);
-    Ok((
-        BatchRow {
-            group_size,
-            requests: meters.total_ops(),
-            flush_requests: flush_path_requests(&meters),
-            virtual_secs,
-            graph_nodes: graph.len() as u64,
-        },
-        graph,
-    ))
+    Ok(BatchRow {
+        group_size,
+        requests: meters.total_ops(),
+        flush_requests: flush_path_requests(&meters),
+        virtual_secs: elapsed.as_secs_f64(),
+        graph: ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll)?),
+    })
 }
 
-/// Runs the sweep for one architecture. The returned graphs (one per
-/// row) must be pairwise identical — the caller-visible form of
-/// "batching changes the bill, never the store".
-///
-/// # Errors
-///
-/// Propagates service errors.
-pub fn batch_sweep(
-    kind: ArchKind,
-    dataset: &Combined,
-    group_sizes: &[usize],
-) -> Result<(Vec<BatchRow>, Vec<ProvGraph>)> {
-    let mut rows = Vec::with_capacity(group_sizes.len());
-    let mut graphs = Vec::with_capacity(group_sizes.len());
-    for &n in group_sizes {
-        let (row, graph) = persist_grouped(kind, dataset, n)?;
-        rows.push(row);
-        graphs.push(graph);
-    }
-    Ok((rows, graphs))
+/// `--mode=batch`: the group-size sweep on Architectures 2 and 3.
+#[derive(Clone, Debug)]
+pub struct BatchSweep {
+    /// Per architecture, one row per group size; the first is size 1.
+    pub legs: Vec<(ArchKind, Vec<BatchRow>)>,
 }
 
-/// Renders a sweep with request-count and virtual-time speedup columns
-/// against the point-op (group size 1) row.
-pub fn render_batch(kind: ArchKind, rows: &[BatchRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Batch-size sweep — {} persist path, combined workload, group-commit flusher\n",
-        kind.label()
-    ));
-    out.push_str(
-        "group | requests | req speedup | flush reqs | flush speedup | virt (s) | time speedup | graph\n",
-    );
-    out.push_str(
-        "------|----------|-------------|------------|---------------|----------|--------------|------\n",
-    );
-    let base_req = rows.first().map(|r| r.requests).unwrap_or(1);
-    let base_flush = rows.first().map(|r| r.flush_requests).unwrap_or(1);
-    let base_virt = rows.first().map(|r| r.virtual_secs).unwrap_or(1.0);
-    for r in rows {
-        out.push_str(&format!(
-            "{:>5} | {:>8} | {:>10.2}x | {:>10} | {:>12.2}x | {:>8.2} | {:>11.2}x | {:>5}\n",
-            r.group_size,
-            r.requests,
-            base_req as f64 / (r.requests as f64).max(1.0),
-            r.flush_requests,
-            base_flush as f64 / (r.flush_requests as f64).max(1.0),
-            r.virtual_secs,
-            base_virt / r.virtual_secs.max(f64::EPSILON),
-            r.graph_nodes,
-        ));
+impl Sweep for BatchSweep {
+    fn run(size: Size) -> Result<Self> {
+        let group_sizes: &[usize] = match size {
+            Size::Smoke => &[1, 10, 25],
+            Size::Full(_) => &[1, 5, 10, 25],
+        };
+        let dataset = size.dataset();
+        let mut legs = Vec::new();
+        for kind in [ArchKind::S3SimpleDb, ArchKind::S3SimpleDbSqs] {
+            let rows: Result<Vec<BatchRow>> = group_sizes
+                .iter()
+                .map(|&n| persist_grouped(kind, &dataset, n))
+                .collect();
+            legs.push((kind, rows?));
+        }
+        Ok(BatchSweep { legs })
     }
-    out
+
+    /// One table per architecture, with request-count and virtual-time
+    /// speedup columns against the point-op (group size 1) row.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        for (kind, rows) in &self.legs {
+            out.push_str(&format!(
+                "Batch-size sweep — {} persist path, combined workload, group-commit flusher\n",
+                kind.label()
+            ));
+            out.push_str(
+                "group | requests | req speedup | flush reqs | flush speedup | virt (s) | time speedup | graph\n",
+            );
+            out.push_str(
+                "------|----------|-------------|------------|---------------|----------|--------------|------\n",
+            );
+            let base = &rows[0];
+            for r in rows {
+                out.push_str(&format!(
+                    "{:>5} | {:>8} | {:>10.2}x | {:>10} | {:>12.2}x | {:>8.2} | {:>11.2}x | {:>5}\n",
+                    r.group_size,
+                    r.requests,
+                    base.requests as f64 / (r.requests as f64).max(1.0),
+                    r.flush_requests,
+                    base.flush_requests as f64 / (r.flush_requests as f64).max(1.0),
+                    r.virtual_secs,
+                    base.virtual_secs / r.virtual_secs.max(f64::EPSILON),
+                    r.graph.len(),
+                ));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    fn check(&self) -> std::result::Result<(), String> {
+        for (kind, rows) in &self.legs {
+            let (kind, point, batched) = (kind.label(), &rows[0], &rows[1..]);
+            ensure!(
+                batched
+                    .iter()
+                    .all(|r| r.graph.diff(&point.graph).is_empty()),
+                "{kind}: batching changed the provenance graph"
+            );
+            ensure!(
+                batched.iter().all(|r| r.requests < point.requests),
+                "{kind}: a batched row did not issue strictly fewer requests than the point path"
+            );
+            ensure!(
+                batched.iter().all(|r| r.virtual_secs < point.virtual_secs),
+                "{kind}: a batched row was not faster in virtual time than the point path"
+            );
+            let full = batched.last().expect("sweep has batched rows");
+            ensure!(
+                full.flush_requests * 5 <= point.flush_requests,
+                "{kind}: provenance flush path did not shrink >=5x at full fill ({} vs {})",
+                full.flush_requests,
+                point.flush_requests
+            );
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -176,35 +188,16 @@ mod tests {
 
     #[test]
     fn batched_rows_match_point_state_and_cut_requests() {
-        let dataset = Combined::small();
-        for kind in [ArchKind::S3SimpleDb, ArchKind::S3SimpleDbSqs] {
-            let (rows, graphs) = batch_sweep(kind, &dataset, &[1, 25]).unwrap();
-            assert!(
-                graphs[0].diff(&graphs[1]).is_empty(),
-                "{kind:?}: batching changed the provenance graph"
-            );
-            assert!(
-                rows[1].requests < rows[0].requests,
-                "{kind:?}: batched path must issue strictly fewer requests: {rows:?}"
-            );
-            assert!(
-                rows[1].flush_requests * 5 <= rows[0].flush_requests,
-                "{kind:?}: flush path must shrink >=5x: {rows:?}"
-            );
-            assert!(
-                rows[1].virtual_secs < rows[0].virtual_secs,
-                "{kind:?}: batched path must be faster in virtual time: {rows:?}"
-            );
-        }
+        BatchSweep::run(Size::Smoke).unwrap().check().unwrap();
     }
 
     #[test]
     fn group_size_one_is_the_point_path() {
         // The sweep's baseline row must not touch a batch API.
         let dataset = Combined::small();
-        let (rows, _) = batch_sweep(ArchKind::S3SimpleDb, &dataset, &[1]).unwrap();
-        assert_eq!(rows[0].group_size, 1);
-        let world = priced_world();
+        let row = persist_grouped(ArchKind::S3SimpleDb, &dataset, 1).unwrap();
+        assert_eq!(row.group_size, 1);
+        let world = priced_world(2009);
         let mut store = ArchKind::S3SimpleDb.build(&world);
         let (flushes, _) = dataset.flushes();
         for flush in &flushes {

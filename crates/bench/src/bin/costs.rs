@@ -4,10 +4,8 @@
 //! Usage: `cargo run --release -p prov-bench --bin costs [--scale=small|medium|paper]`
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = prov_bench::parse_scale(&args);
-    let dataset = scale.dataset();
-    match prov_bench::costs(&dataset) {
+    let cli = prov_bench::harness::cli(&["--scale"], &[]);
+    match prov_bench::costs(&cli.size.dataset()) {
         Ok(costs) => print!("{}", costs.render()),
         Err(e) => {
             eprintln!("costs failed: {e}");

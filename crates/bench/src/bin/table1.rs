@@ -3,12 +3,8 @@
 //! Usage: `cargo run --release -p prov-bench --bin table1 [--seed=N]`
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--seed=").and_then(|v| v.parse().ok()))
-        .unwrap_or(2009);
-    match prov_bench::table1(seed) {
+    let cli = prov_bench::harness::cli(&["--seed"], &[]);
+    match prov_bench::table1(cli.seed) {
         Ok((_, rendered)) => print!("{rendered}"),
         Err(e) => {
             eprintln!("table1 failed: {e}");

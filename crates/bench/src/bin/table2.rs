@@ -3,10 +3,8 @@
 //! Usage: `cargo run --release -p prov-bench --bin table2 [--scale=small|medium|paper]`
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = prov_bench::parse_scale(&args);
-    let dataset = scale.dataset();
-    match prov_bench::table2(&dataset) {
+    let cli = prov_bench::harness::cli(&["--scale"], &[]);
+    match prov_bench::table2(&cli.size.dataset()) {
         Ok(table) => print!("{}", table.render()),
         Err(e) => {
             eprintln!("table2 failed: {e}");

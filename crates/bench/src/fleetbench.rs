@@ -15,17 +15,31 @@
 //! backoff and rejected attempts included. The invariant under test:
 //! throttling moves the percentiles and the bill, never the final
 //! store ([`FleetFingerprint`]).
+//!
+//! [`FleetSweep`] runs six scenarios per tenant count ([`FleetGroup`]);
+//! [`FleetSweep::check`] asserts, per group:
+//!
+//! * every service's percentiles are ordered (p50 ≤ p99 ≤ p999 ≤ max)
+//!   and no persist exhausted its retry budget;
+//! * uniform and zipf fleets alike: the unthrottled run sees no 503s,
+//!   its throttled twin sees 503s and retries yet converges to the same
+//!   store fingerprint;
+//! * under the same throttle the skewed fleet's overall p99 is above
+//!   the uniform fleet's;
+//! * on the store-only-throttled hot fleet the static run rejects and
+//!   never splits, the split run splits, sheds 503s, lowers the overall
+//!   p99 and converges to the static run's store fingerprint.
 
 use pass::FileFlush;
 use provenance_cloud::layout::{BUCKET, DOMAIN};
 use provenance_cloud::{CloudError, ProvGraph, ProvQuery, ProvenanceStore, Result, S3SimpleDbSqs};
-use simworld::{
-    Blob, Consistency, LatencyModel, Percentiles, Service, ShardPlan, SimConfig, SimWorld,
-    SplitPolicy, ThrottleConfig,
-};
+use simworld::{Blob, Percentiles, Service, ShardPlan, SplitPolicy, ThrottleConfig};
 use workloads::{fleet_schedule, ArrivalProcess, FleetSpec};
 
-use crate::harness::{overall_percentiles, per_service_percentiles, render_percentile_rows};
+use crate::harness::{
+    ensure, overall_percentiles, per_service_percentiles, priced_world, render_percentile_rows,
+    Size, Sweep,
+};
 
 /// Ring capacity for the per-request sample log.
 const SAMPLE_CAPACITY: usize = 1 << 17;
@@ -121,16 +135,6 @@ pub struct FleetRow {
     pub virtual_secs: f64,
 }
 
-impl FleetRow {
-    /// Percentiles for one service, if it recorded samples.
-    pub fn service_percentiles(&self, service: Service) -> Option<&Percentiles> {
-        self.per_service
-            .iter()
-            .find(|(s, _)| *s == service)
-            .map(|(_, p)| p)
-    }
-}
-
 /// The state a fleet run converged to, reduced for cross-run equality:
 /// per-tenant provenance graphs and the MD5 of every stored object.
 /// Two runs with the same schedule must match fingerprints no matter
@@ -176,6 +180,9 @@ fn fleet_flush(tenant: usize, seq: usize, seed: u64) -> FileFlush {
     builder.build()
 }
 
+/// What one scenario measured and what its store converged to.
+pub type FleetRun = (FleetRow, FleetFingerprint);
+
 /// Runs one fleet scenario to quiescence and reduces it to a row and a
 /// state fingerprint.
 ///
@@ -183,13 +190,8 @@ fn fleet_flush(tenant: usize, seq: usize, seed: u64) -> FileFlush {
 ///
 /// Propagates service errors other than retry exhaustion (which is
 /// counted, not fatal — an exhausted persist abandons that arrival).
-pub fn run_fleet(params: &FleetParams) -> Result<(FleetRow, FleetFingerprint)> {
-    let world = SimWorld::with_config(SimConfig {
-        seed: params.seed,
-        consistency: Consistency::Strong,
-        latency: LatencyModel::default(),
-        replicas: 1,
-    });
+pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
+    let world = priced_world(params.seed);
     world.enable_latency_samples(SAMPLE_CAPACITY);
 
     let plan = params.shard_plan();
@@ -296,51 +298,204 @@ pub fn run_fleet(params: &FleetParams) -> Result<(FleetRow, FleetFingerprint)> {
     Ok((row, FleetFingerprint { graphs, data }))
 }
 
-/// Runs each scenario in order and returns the rows plus fingerprints.
-///
-/// # Errors
-///
-/// Propagates service errors.
-pub fn fleet_sweep(scenarios: &[FleetParams]) -> Result<(Vec<FleetRow>, Vec<FleetFingerprint>)> {
-    let mut rows = Vec::with_capacity(scenarios.len());
-    let mut prints = Vec::with_capacity(scenarios.len());
-    for params in scenarios {
-        let (row, print) = run_fleet(params)?;
-        rows.push(row);
-        prints.push(print);
-    }
-    Ok((rows, prints))
+/// The six scenarios `--mode=fleet` runs at one tenant count: 16 shards,
+/// 50 arrivals/s per tenant, seed 2009.
+#[derive(Clone, Debug)]
+pub struct FleetGroup {
+    /// Uniform tenants, no throttle.
+    pub uniform: FleetRun,
+    /// Uniform tenants, every service throttled at 4/s per shard.
+    pub uniform_throttled: FleetRun,
+    /// zipf(0.99) tenants, no throttle.
+    pub zipf: FleetRun,
+    /// zipf(0.99) tenants under the same throttle.
+    pub zipf_throttled: FleetRun,
+    /// The hot fleet for the split comparison: 8x the arrivals, and only
+    /// the range-sharded stores throttled (the WAL queue has no shard
+    /// map to grow) at 1/s per shard — tight enough that the hot
+    /// tenant's shards reject, sustained enough that a split's doubled
+    /// refill matters (a single pending retry per shard gains nothing
+    /// from one).
+    pub hot_static: FleetRun,
+    /// The same hot fleet with every rejecting shard splitting (up to
+    /// 64), doubling that range's admission capacity until the 503s dry
+    /// up.
+    pub hot_split: FleetRun,
 }
 
-/// Renders the fleet sweep: one percentile table per row, then the
-/// throttle/retry/bill summary.
-pub fn render_fleet(rows: &[FleetRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        out.push_str(&format!(
-            "fleet {} — {} tenants, {} persists, {:.1} virtual s\n",
-            row.label, row.tenants, row.persisted, row.virtual_secs
-        ));
-        let mut latency_rows: Vec<(String, Percentiles)> = row
-            .per_service
-            .iter()
-            .map(|(service, p)| (format!("{service:?}"), *p))
-            .collect();
-        if let Some(p) = row.overall {
-            latency_rows.push(("all".to_string(), p));
-        }
-        out.push_str(&render_percentile_rows("service", &latency_rows));
-        out.push_str(&format!(
-            "503s {} | retries {} | exhausted {} | splits {} | requests {} | ops bill {}\n\n",
-            row.throttled,
-            row.retries,
-            row.exhausted,
-            row.splits,
-            row.requests,
-            costmodel::format_usd(row.bill_usd),
-        ));
+impl FleetGroup {
+    fn run(tenants: usize, arrivals: usize) -> Result<FleetGroup> {
+        let base = FleetParams {
+            tenants,
+            arrivals_per_tenant: arrivals,
+            rate_per_sec: 50.0,
+            shards: 16,
+            skew: None,
+            throttle: None,
+            throttle_wal: true,
+            split: None,
+            seed: 2009,
+        };
+        let throttle = Some(ThrottleConfig::per_shard(4.0).with_burst(8.0));
+        let hot = FleetParams {
+            arrivals_per_tenant: arrivals * 8,
+            skew: Some(0.99),
+            throttle: Some(ThrottleConfig::per_shard(1.0).with_burst(2.0)),
+            throttle_wal: false,
+            ..base
+        };
+        Ok(FleetGroup {
+            uniform: run_fleet(&base)?,
+            uniform_throttled: run_fleet(&FleetParams { throttle, ..base })?,
+            zipf: run_fleet(&FleetParams {
+                skew: Some(0.99),
+                ..base
+            })?,
+            zipf_throttled: run_fleet(&FleetParams {
+                skew: Some(0.99),
+                throttle,
+                ..base
+            })?,
+            hot_static: run_fleet(&hot)?,
+            hot_split: run_fleet(&FleetParams {
+                split: Some(SplitPolicy::by_rejections(1).with_max_shards(64)),
+                ..hot
+            })?,
+        })
     }
-    out
+
+    /// The runs in table order.
+    fn runs(&self) -> [&FleetRun; 6] {
+        [
+            &self.uniform,
+            &self.uniform_throttled,
+            &self.zipf,
+            &self.zipf_throttled,
+            &self.hot_static,
+            &self.hot_split,
+        ]
+    }
+}
+
+/// `--mode=fleet`: one [`FleetGroup`] per tenant count.
+#[derive(Clone, Debug)]
+pub struct FleetSweep {
+    /// The groups, by ascending tenant count.
+    pub groups: Vec<FleetGroup>,
+}
+
+impl Sweep for FleetSweep {
+    fn run(size: Size) -> Result<Self> {
+        let (tenant_counts, arrivals): (&[usize], usize) = match size {
+            Size::Smoke => (&[8], 4),
+            Size::Full(_) => (&[4, 8, 16], 8),
+        };
+        let groups: Result<Vec<FleetGroup>> = tenant_counts
+            .iter()
+            .map(|&tenants| FleetGroup::run(tenants, arrivals))
+            .collect();
+        Ok(FleetSweep { groups: groups? })
+    }
+
+    /// Per run: one percentile table, then the throttle/retry/bill
+    /// summary.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        for group in &self.groups {
+            for (row, _) in group.runs() {
+                out.push_str(&format!(
+                    "fleet {} — {} tenants, {} persists, {:.1} virtual s\n",
+                    row.label, row.tenants, row.persisted, row.virtual_secs
+                ));
+                let mut latency_rows: Vec<(String, Percentiles)> = row
+                    .per_service
+                    .iter()
+                    .map(|(service, p)| (format!("{service:?}"), *p))
+                    .collect();
+                if let Some(p) = row.overall {
+                    latency_rows.push(("all".to_string(), p));
+                }
+                out.push_str(&render_percentile_rows(&latency_rows));
+                out.push_str(&format!(
+                    "503s {} | retries {} | exhausted {} | splits {} | requests {} | ops bill {}\n\n",
+                    row.throttled,
+                    row.retries,
+                    row.exhausted,
+                    row.splits,
+                    row.requests,
+                    costmodel::format_usd(row.bill_usd),
+                ));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    fn check(&self) -> std::result::Result<(), String> {
+        for group in &self.groups {
+            for (row, _) in group.runs() {
+                for (service, p) in &row.per_service {
+                    ensure!(
+                        p.p50 <= p.p99 && p.p99 <= p.p999 && p.p999 <= p.max,
+                        "{} {service:?} percentiles out of order: {p:?}",
+                        row.label
+                    );
+                }
+                ensure!(
+                    row.exhausted == 0,
+                    "{}: a persist exhausted its retry budget",
+                    row.label
+                );
+            }
+            for ((plain, plain_store), (throttled, throttled_store)) in [
+                (&group.uniform, &group.uniform_throttled),
+                (&group.zipf, &group.zipf_throttled),
+            ] {
+                let label = &throttled.label;
+                ensure!(
+                    throttled.throttled > 0 && throttled.retries > 0,
+                    "{label} saw no 503s/retries"
+                );
+                ensure!(plain.throttled == 0, "{} saw 503s", plain.label);
+                ensure!(
+                    throttled_store.matches(plain_store),
+                    "{label}: throttling changed the fleet's final store"
+                );
+            }
+            // The hot tenant's contention shows in the tail.
+            let p99 = |run: &FleetRun| run.0.overall.as_ref().expect("samples recorded").p99;
+            ensure!(
+                p99(&group.zipf_throttled) > p99(&group.uniform_throttled),
+                "zipf p99 {:?} not above uniform p99 {:?} under throttle",
+                p99(&group.zipf_throttled),
+                p99(&group.uniform_throttled)
+            );
+            let ((stat, stat_store), (split, split_store)) = (&group.hot_static, &group.hot_split);
+            ensure!(stat.throttled > 0, "the store-only throttle never rejected");
+            ensure!(stat.splits == 0, "the static fleet grew shards");
+            ensure!(
+                split.splits > 0,
+                "the hot fleet's rejections never triggered a split"
+            );
+            ensure!(
+                split.throttled < stat.throttled,
+                "splitting did not shed 503s ({} vs {})",
+                split.throttled,
+                stat.throttled
+            );
+            ensure!(
+                p99(&group.hot_split) < p99(&group.hot_static),
+                "split fleet p99 {:?} not below static p99 {:?}",
+                p99(&group.hot_split),
+                p99(&group.hot_static)
+            );
+            ensure!(
+                split_store.matches(stat_store),
+                "splitting changed the hot fleet's final store"
+            );
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -401,43 +556,7 @@ mod tests {
 
     #[test]
     fn rejection_triggered_splits_fire_without_changing_state() {
-        // A tight store-only throttle (the WAL queue is exempt so the
-        // 503s land on the shard-mapped bucket and domain) under enough
-        // sustained arrivals that a split's doubled refill matters.
-        let stat = FleetParams {
-            arrivals_per_tenant: 32,
-            throttle_wal: false,
-            ..small(
-                Some(0.99),
-                Some(ThrottleConfig::per_shard(1.0).with_burst(2.0)),
-            )
-        };
-        let split = FleetParams {
-            split: Some(SplitPolicy::by_rejections(1)),
-            ..stat
-        };
-        let (srow, sprint) = run_fleet(&stat).unwrap();
-        let (drow, dprint) = run_fleet(&split).unwrap();
-        assert_eq!(srow.splits, 0, "static fleet must not split");
-        assert!(srow.throttled > 0, "the throttle must bite: {srow:?}");
-        assert!(drow.splits > 0, "rejections must trigger splits: {drow:?}");
-        assert!(
-            drow.throttled < srow.throttled,
-            "splitting must shed 503s: {} vs {}",
-            drow.throttled,
-            srow.throttled
-        );
-        let p99 = |row: &FleetRow| row.overall.as_ref().expect("samples recorded").p99;
-        assert!(
-            p99(&drow) < p99(&srow),
-            "splitting must pull the tail down: {:?} vs {:?}",
-            p99(&drow),
-            p99(&srow)
-        );
-        assert!(
-            dprint.matches(&sprint),
-            "splitting must not change the converged store"
-        );
+        FleetSweep::run(Size::Smoke).unwrap().check().unwrap();
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Shared experiment plumbing: scales, dataset persistence, meter
-//! bracketing, and the percentile table every latency bench prints.
+//! Shared experiment plumbing: the [`Sweep`] shape and its sizes, the
+//! binaries' strict command line, the priced world and the meter/clock
+//! bracket every sweep measures with, dataset persistence, and the
+//! fleet's percentile table.
 
 use provenance_cloud::{ArchKind, ProvenanceStore, Result};
 use sim_s3::{Metadata, S3};
 use simworld::{
-    format_bytes, percentiles, LatencySample, MeterSnapshot, Percentiles, Service, SimDuration,
-    SimWorld,
+    format_bytes, percentiles, Consistency, LatencyModel, LatencySample, MeterSnapshot,
+    Percentiles, Service, SimConfig, SimDuration, SimWorld,
 };
 use workloads::{Combined, DatasetStats};
 
@@ -31,22 +33,162 @@ impl Scale {
     }
 }
 
-/// Parses `--scale=small|medium|paper` from argv (default medium).
-pub fn parse_scale(args: &[String]) -> Scale {
-    for arg in args {
-        if let Some(v) = arg.strip_prefix("--scale=") {
-            return match v {
-                "small" => Scale::Small,
-                "medium" => Scale::Medium,
-                "paper" => Scale::Paper,
-                other => {
-                    eprintln!("unknown scale {other:?}; using medium");
-                    Scale::Medium
-                }
-            };
+/// How much work a sweep does.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Size {
+    /// The seconds-scale run `cargo test` and CI check and the goldens pin.
+    Smoke,
+    /// The run BASELINE.md records; sweeps over the combined workload
+    /// take their dataset from the scale.
+    Full(Scale),
+}
+
+impl Size {
+    /// The combined-workload dataset a sweep of this size persists.
+    pub fn dataset(self) -> Combined {
+        match self {
+            Size::Smoke => Combined::small(),
+            Size::Full(scale) => scale.dataset(),
         }
     }
-    Scale::Medium
+}
+
+/// One `shards --mode=…` experiment: how to run it, how to print it and
+/// what must hold of it, each stated once in the module that owns it.
+/// The `shards` binary prints `render` and exits 1 on `check`'s
+/// message; the module's unit test is `run(Size::Smoke)?.check()`;
+/// `tests/golden.rs` pins `run(Size::Smoke)?.render()`.
+pub trait Sweep: Sized {
+    /// Runs the experiment at `size`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates service errors.
+    fn run(size: Size) -> Result<Self>;
+
+    /// The table(s), as committed to BASELINE.md and `golden/`.
+    fn render(&self) -> String;
+
+    /// The invariants the table must satisfy, at either size.
+    ///
+    /// # Errors
+    ///
+    /// The first violated invariant, as a message for the operator.
+    fn check(&self) -> std::result::Result<(), String>;
+}
+
+/// `return Err(format!(…))` unless the condition holds — the one way a
+/// [`Sweep::check`] states an invariant.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {{
+        let holds: bool = $cond;
+        if !holds {
+            return Err(format!($($msg)+));
+        }
+    }};
+}
+pub(crate) use ensure;
+
+/// What the bench binaries read from their command line.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Cli {
+    /// `--mode=…`: one of the binary's modes (default: the first).
+    pub mode: String,
+    /// `--smoke`, else `--scale=small|medium|paper` (default medium).
+    pub size: Size,
+    /// `--seed=N` (default 2009).
+    pub seed: u64,
+}
+
+/// Parses `args` strictly: only the `flags` this binary takes, only the
+/// `modes` it has, only known scales and numeric seeds.
+///
+/// # Errors
+///
+/// Names the argument that is not understood.
+pub fn parse_cli(
+    args: &[String],
+    flags: &[&str],
+    modes: &[&str],
+) -> std::result::Result<Cli, String> {
+    let mut mode = modes.first().copied().unwrap_or_default();
+    let (mut smoke, mut scale, mut seed) = (false, Scale::Medium, 2009);
+    for arg in args {
+        let (flag, value) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        ensure!(flags.contains(&flag), "unknown flag {arg:?}");
+        match (flag, value) {
+            ("--smoke", None) => smoke = true,
+            ("--mode", Some(v)) if modes.contains(&v) => mode = v,
+            ("--scale", Some("small")) => scale = Scale::Small,
+            ("--scale", Some("medium")) => scale = Scale::Medium,
+            ("--scale", Some("paper")) => scale = Scale::Paper,
+            ("--seed", Some(v)) => {
+                seed = v
+                    .parse()
+                    .map_err(|_| format!("unparseable seed in {arg:?}"))?;
+            }
+            _ => return Err(format!("unknown value in {arg:?}")),
+        }
+    }
+    Ok(Cli {
+        mode: mode.to_string(),
+        size: if smoke {
+            Size::Smoke
+        } else {
+            Size::Full(scale)
+        },
+        seed,
+    })
+}
+
+/// [`parse_cli`] over the process arguments; on a rejected argument
+/// prints the reason and the usage to stderr and exits 2.
+pub fn cli(flags: &[&str], modes: &[&str]) -> Cli {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_cli(&args, flags, modes).unwrap_or_else(|reason| {
+        let usage: Vec<String> = flags
+            .iter()
+            .map(|flag| match *flag {
+                "--mode" => format!("[--mode={}]", modes.join("|")),
+                "--scale" => "[--scale=small|medium|paper]".to_string(),
+                "--seed" => "[--seed=N]".to_string(),
+                flag => format!("[{flag}]"),
+            })
+            .collect();
+        eprintln!("{reason}\nusage: {}", usage.join(" "));
+        std::process::exit(2);
+    })
+}
+
+/// A world that prices every call (default 2009 latency model) but keeps
+/// results layout-invariant (strong consistency) and deterministic
+/// (fixed seed): the world every virtual-time sweep and the batching /
+/// pipelining acceptance tests measure on.
+pub fn priced_world(seed: u64) -> SimWorld {
+    SimWorld::with_config(SimConfig {
+        seed,
+        consistency: Consistency::Strong,
+        latency: LatencyModel::default(),
+        replicas: 1,
+    })
+}
+
+/// Runs `phase` and returns its value with the meters it moved and the
+/// virtual time it took.
+///
+/// # Errors
+///
+/// Propagates `phase`'s error.
+pub fn metered<T>(
+    world: &SimWorld,
+    phase: impl FnOnce() -> Result<T>,
+) -> Result<(T, MeterSnapshot, SimDuration)> {
+    let (meters, clock) = (world.meters(), world.now());
+    let value = phase()?;
+    Ok((value, world.meters() - meters, world.now() - clock))
 }
 
 /// A store with a dataset persisted into it, plus the meters the persist
@@ -79,29 +221,15 @@ impl std::fmt::Debug for PersistedStore {
 ///
 /// Propagates service errors.
 pub fn persist_dataset(kind: ArchKind, dataset: &Combined) -> Result<PersistedStore> {
-    persist_dataset_sharded(kind, dataset, sim_simpledb::DEFAULT_SHARDS)
-}
-
-/// [`persist_dataset`] with an explicit SimpleDB shard count — the entry
-/// point of the shard-scaling experiments.
-///
-/// # Errors
-///
-/// Propagates service errors.
-pub fn persist_dataset_sharded(
-    kind: ArchKind,
-    dataset: &Combined,
-    shards: usize,
-) -> Result<PersistedStore> {
     let world = SimWorld::counting();
-    let mut store = kind.build_with_shards(&world, shards);
+    let mut store = kind.build(&world);
     let (flushes, stats) = dataset.flushes();
-    let before = world.meters();
-    for flush in &flushes {
-        store.persist(flush)?;
-    }
-    store.run_daemons_until_idle()?;
-    let persist_meters = world.meters() - before;
+    let ((), persist_meters, _) = metered(&world, || {
+        for flush in &flushes {
+            store.persist(flush)?;
+        }
+        store.run_daemons_until_idle()
+    })?;
     world.settle();
     Ok(PersistedStore {
         store,
@@ -122,18 +250,21 @@ pub fn persist_raw_baseline(dataset: &Combined) -> Result<(MeterSnapshot, Datase
     let s3 = S3::new(&world);
     s3.create_bucket("raw")?;
     let (flushes, stats) = dataset.flushes();
-    let before = world.meters(); // bucket creation excluded from the baseline
-    for flush in &flushes {
-        if flush.kind == pass::ObjectKind::File {
-            s3.put_object(
-                "raw",
-                &flush.object.name,
-                flush.data.clone(),
-                Metadata::new(),
-            )?;
+    // Bucket creation is outside the bracket: excluded from the baseline.
+    let ((), meters, _) = metered(&world, || {
+        for flush in &flushes {
+            if flush.kind == pass::ObjectKind::File {
+                s3.put_object(
+                    "raw",
+                    &flush.object.name,
+                    flush.data.clone(),
+                    Metadata::new(),
+                )?;
+            }
         }
-    }
-    Ok((world.meters() - before, stats))
+        Ok(())
+    })?;
+    Ok((meters, stats))
 }
 
 /// Reduces a per-request sample log to `(service, percentiles)` rows.
@@ -159,17 +290,12 @@ pub fn overall_percentiles(samples: &[LatencySample]) -> Option<Percentiles> {
     percentiles(samples.iter().map(|s| s.latency()).collect())
 }
 
-/// Renders labelled percentile rows as the latency table every bench
-/// prints (`<heading> | samples | p50 | p99 | p999 | max`, in
-/// milliseconds). The virtual-time fleet bench and the wall-clock
-/// loadgen both go through this, so their tables line up column for
-/// column.
-pub fn render_percentile_rows(heading: &str, rows: &[(String, Percentiles)]) -> String {
+/// Renders labelled percentile rows as the fleet's latency table
+/// (`service | samples | p50 | p99 | p999 | max`, in milliseconds).
+pub fn render_percentile_rows(rows: &[(String, Percentiles)]) -> String {
     let ms = |d: SimDuration| d.as_micros() as f64 / 1_000.0;
     let mut out = String::new();
-    out.push_str(&format!(
-        "{heading:<8} | samples |  p50 ms |  p99 ms | p999 ms |  max ms\n"
-    ));
+    out.push_str("service  | samples |  p50 ms |  p99 ms | p999 ms |  max ms\n");
     out.push_str("---------|---------|---------|---------|---------|--------\n");
     for (label, p) in rows {
         out.push_str(&format!(
@@ -226,11 +352,30 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        let args = |s: &str| vec![format!("--scale={s}")];
-        assert_eq!(parse_scale(&args("small")), Scale::Small);
-        assert_eq!(parse_scale(&args("paper")), Scale::Paper);
-        assert_eq!(parse_scale(&args("bogus")), Scale::Medium);
-        assert_eq!(parse_scale(&[]), Scale::Medium);
+        let flags = ["--mode", "--smoke", "--scale", "--seed"];
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_cli(&args, &flags, &["simpledb", "s3"])
+        };
+        let cli = parse(&[]).unwrap();
+        assert_eq!((cli.mode.as_str(), cli.seed), ("simpledb", 2009));
+        assert_eq!(cli.size, Size::Full(Scale::Medium));
+        let cli = parse(&["--scale=paper", "--mode=s3", "--seed=7"]).unwrap();
+        assert_eq!((cli.mode.as_str(), cli.seed), ("s3", 7));
+        assert_eq!(cli.size, Size::Full(Scale::Paper));
+        assert_eq!(parse(&["--smoke"]).unwrap().size, Size::Smoke);
+        // Typos are rejected, not defaulted.
+        assert!(parse(&["--queries=9"])
+            .unwrap_err()
+            .contains("unknown flag"));
+        assert!(parse(&["--scale=papr"])
+            .unwrap_err()
+            .contains("--scale=papr"));
+        assert!(parse(&["--mode=sdb"]).unwrap_err().contains("--mode=sdb"));
+        assert!(parse(&["--seed=abc"]).unwrap_err().contains("--seed=abc"));
+        // A binary takes only its own flags.
+        let args = ["--scale=small".to_string()];
+        assert!(parse_cli(&args, &["--seed"], &[]).is_err());
     }
 
     #[test]
@@ -270,7 +415,7 @@ mod tests {
             .iter()
             .map(|(s, p)| (format!("{s:?}"), *p))
             .collect();
-        let table = render_percentile_rows("service", &rows);
+        let table = render_percentile_rows(&rows);
         assert!(table.starts_with("service  | samples |"));
         assert!(table.contains("S3       |       2 |"));
     }

@@ -13,6 +13,10 @@
 //!
 //! Each function returns a typed result plus a rendered table that
 //! prints the measured values next to the paper's reported numbers.
+//! The experiments that grew past the paper (sharding, batching,
+//! pipelining, splitting, the fleet, the closure index) are
+//! [`Sweep`]s — `run`, `render`, `check` — behind the `shards` binary's
+//! `--mode`.
 //! Absolute values differ (the paper ran a 2009 PASS kernel against the
 //! real AWS); the *shape* — who wins, by what factor, where the
 //! crossovers are — is the reproduction target, and the root-level
@@ -26,15 +30,11 @@ pub mod ablations;
 pub mod batchbench;
 pub mod fleetbench;
 pub mod harness;
-pub mod loadgen;
 pub mod pipebench;
 pub mod querybench;
 pub mod shardbench;
 pub mod tables;
 
 pub use ablations::{ablations, AblationResults};
-pub use harness::{parse_scale, persist_dataset, persist_dataset_sharded, PersistedStore, Scale};
-pub use loadgen::{
-    loadgen_sweep, render_loadgen, run_loadgen, LoadArch, LoadgenParams, LoadgenRow,
-};
+pub use harness::{persist_dataset, PersistedStore, Scale, Size, Sweep};
 pub use tables::{costs, table1, table2, table3, CostResults, Table2, Table3};

@@ -14,21 +14,32 @@
 //!
 //! Each corpus size runs twice — closure maintenance off (`walk` leg)
 //! and on (`index` leg) — so the sweep also measures what the index
-//! costs at persist time and proves the data + provenance stores are
-//! byte-identical either way.
+//! costs at persist time. [`QuerySweep::check`] asserts:
+//!
+//! * at every corpus size the index answers both queries item-for-item
+//!   what the walk answers, the data + provenance stores are
+//!   byte-identical with maintenance on or off, and maintenance is
+//!   billed (the index leg's persist phase issues more requests);
+//! * the index's `q3 ops` is the same at every corpus size and below
+//!   15 (a row read fetches one attribute's fragments, not the row's);
+//! * the walk's `q3 ms` grows from 50 to 2000 chains while the index's
+//!   grows by at most 2x.
+//!
+//! The wall-clock side of the same curve is the `query` criterion
+//! group (BASELINE.md).
 
 use pass::{FileFlush, Observer, TraceEvent};
 use provenance_cloud::layout::{BUCKET, DOMAIN};
 use provenance_cloud::{
     domain_fingerprint, Arch2Config, ClosureMode, ProvQuery, ProvenanceStore, Result, S3SimpleDb,
 };
-use simworld::{Blob, Consistency, LatencyModel, SimConfig, SimWorld};
+use simworld::{Blob, MeterSnapshot, SimWorld};
 
-use crate::harness::count;
+use crate::harness::{count, ensure, metered, priced_world, Size, Sweep};
 
-/// Corpus sizes of the full sweep (`--smoke` runs the same list; the
-/// whole sweep is seconds-scale because the world is simulated).
-pub const DEFAULT_QUERY_CHAINS: &[u32] = &[50, 200, 500, 2000];
+/// Corpus sizes of the sweep, at either size (the whole sweep is
+/// seconds-scale because the world is simulated).
+const QUERY_CHAINS: [u32; 4] = [50, 200, 500, 2000];
 
 /// Builds the query corpus: `chains` one-tool pipelines
 /// (`raw/i.dat -> churn -> cooked/i.dat`) plus one blast pipeline
@@ -113,33 +124,36 @@ pub struct QueryLegState {
     pub bulk_names: Vec<String>,
 }
 
-fn run_leg(chains: u32, mode: ClosureMode) -> Result<(QueryScalingRow, QueryLegState)> {
-    let world = SimWorld::with_config(SimConfig {
-        seed: 2009,
-        consistency: Consistency::Strong,
-        latency: LatencyModel::default(),
-        replicas: 1,
-    });
+/// Persists the `chains`-chain corpus into a fresh arch2 store on a
+/// priced world under closure `mode`; returns the world, the store and
+/// the meters of the persist phase.
+fn persist_corpus(chains: u32, mode: ClosureMode) -> Result<(SimWorld, S3SimpleDb, MeterSnapshot)> {
+    let world = priced_world(2009);
     let mut store = S3SimpleDb::new(&world);
     store.set_config(Arch2Config {
         closure: mode,
         ..Arch2Config::default()
     });
-    let flushes = query_corpus(chains);
-    let before = world.meters();
-    for flush in &flushes {
-        store.persist(flush)?;
-    }
-    let persist_ops = (world.meters() - before).total_ops();
+    let ((), phase, _) = metered(&world, || {
+        query_corpus(chains)
+            .iter()
+            .try_for_each(|flush| store.persist(flush))
+    })?;
+    Ok((world, store, phase))
+}
+
+fn run_leg(chains: u32, mode: ClosureMode) -> Result<(QueryScalingRow, QueryLegState)> {
+    let (world, mut store, phase) = persist_corpus(chains, mode)?;
+    let persist_ops = phase.total_ops();
     world.settle();
 
     let mut timed = |query: &ProvQuery| -> Result<(f64, u64, Vec<String>)> {
-        let before = world.meters();
-        let start = world.now();
-        let answer = store.query(query)?;
-        let ms = world.now().saturating_since(start).as_secs_f64() * 1000.0;
-        let ops = (world.meters() - before).total_ops();
-        Ok((ms, ops, answer.names()))
+        let (answer, meters, elapsed) = metered(&world, || store.query(query))?;
+        Ok((
+            elapsed.as_secs_f64() * 1000.0,
+            meters.total_ops(),
+            answer.names(),
+        ))
     };
     let (q3_ms, q3_ops, q3_names) = timed(&ProvQuery::DescendantsOf {
         program: "blastall".into(),
@@ -183,57 +197,118 @@ fn run_leg(chains: u32, mode: ClosureMode) -> Result<(QueryScalingRow, QueryLegS
     ))
 }
 
-/// Runs walk and index legs at every corpus size. Rows come in
-/// `(walk, index)` pairs per size, matching `states`.
-///
-/// # Errors
-///
-/// Propagates service errors.
-pub fn query_sweep(sizes: &[u32]) -> Result<(Vec<QueryScalingRow>, Vec<QueryLegState>)> {
-    let mut rows = Vec::new();
-    let mut states = Vec::new();
-    for &chains in sizes {
-        for mode in [ClosureMode::Off, ClosureMode::Serve] {
-            let (row, state) = run_leg(chains, mode)?;
-            rows.push(row);
-            states.push(state);
-        }
-    }
-    Ok((rows, states))
+/// `--mode=query`: walk and index legs at 50, 200, 500 and 2000 chains.
+/// The same run at both sizes.
+#[derive(Clone, Debug)]
+pub struct QuerySweep {
+    /// `(walk, index)` row pairs, one pair per corpus size.
+    pub rows: Vec<QueryScalingRow>,
+    /// What each leg converged to, matching `rows`.
+    pub states: Vec<QueryLegState>,
 }
 
-/// Renders the sweep. `maintain Δops` is the extra billable requests
-/// the index leg's persist phase paid over the walk leg's — the price
-/// of keeping the closure current.
-pub fn render_query(rows: &[QueryScalingRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Q3 scaling: SimpleDB walk vs materialized closure index (virtual time)\n");
-    out.push_str(
-        " chains | engine | persist ops | maintain Δops |  q3 ms | q3 ops | q3 hits | bulk ms | bulk ops | bulk hits\n",
-    );
-    for pair in rows.chunks(2) {
-        for row in pair {
-            let delta = if row.engine == "index" {
-                count(row.persist_ops.saturating_sub(pair[0].persist_ops))
-            } else {
-                "-".to_string()
-            };
-            out.push_str(&format!(
-                " {:>6} | {:<6} | {:>11} | {:>13} | {:>6.1} | {:>6} | {:>7} | {:>7.1} | {:>8} | {:>9}\n",
-                row.chains,
-                row.engine,
-                count(row.persist_ops),
-                delta,
-                row.q3_ms,
-                count(row.q3_ops),
-                row.q3_results,
-                row.bulk_ms,
-                count(row.bulk_ops),
-                row.bulk_results,
-            ));
+impl Sweep for QuerySweep {
+    fn run(_size: Size) -> Result<Self> {
+        let mut sweep = QuerySweep {
+            rows: Vec::new(),
+            states: Vec::new(),
+        };
+        for chains in QUERY_CHAINS {
+            for mode in [ClosureMode::Off, ClosureMode::Serve] {
+                let (row, state) = run_leg(chains, mode)?;
+                sweep.rows.push(row);
+                sweep.states.push(state);
+            }
         }
+        Ok(sweep)
     }
-    out
+
+    /// `maintain Δops` is the extra billable requests the index leg's
+    /// persist phase paid over the walk leg's — the price of keeping the
+    /// closure current.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        out.push_str("Q3 scaling: SimpleDB walk vs materialized closure index (virtual time)\n");
+        out.push_str(
+            " chains | engine | persist ops | maintain Δops |  q3 ms | q3 ops | q3 hits | bulk ms | bulk ops | bulk hits\n",
+        );
+        for pair in self.rows.chunks(2) {
+            for row in pair {
+                let delta = if row.engine == "index" {
+                    count(row.persist_ops.saturating_sub(pair[0].persist_ops))
+                } else {
+                    "-".to_string()
+                };
+                out.push_str(&format!(
+                    " {:>6} | {:<6} | {:>11} | {:>13} | {:>6.1} | {:>6} | {:>7} | {:>7.1} | {:>8} | {:>9}\n",
+                    row.chains,
+                    row.engine,
+                    count(row.persist_ops),
+                    delta,
+                    row.q3_ms,
+                    count(row.q3_ops),
+                    row.q3_results,
+                    row.bulk_ms,
+                    count(row.bulk_ops),
+                    row.bulk_results,
+                ));
+            }
+        }
+        out
+    }
+
+    fn check(&self) -> std::result::Result<(), String> {
+        for (rows, states) in self.rows.chunks(2).zip(self.states.chunks(2)) {
+            let chains = rows[0].chains;
+            let (walk, index) = (&states[0], &states[1]);
+            ensure!(
+                walk.q3_names == index.q3_names && walk.bulk_names == index.bulk_names,
+                "index answers diverge from the walk at {chains} chains"
+            );
+            ensure!(
+                walk.prov_fingerprint == index.prov_fingerprint && walk.data == index.data,
+                "closure maintenance changed the store at {chains} chains"
+            );
+            ensure!(
+                rows[1].persist_ops > rows[0].persist_ops,
+                "index maintenance was not billed at {chains} chains"
+            );
+        }
+        // The index's fixed-answer Q3 touches the same rows no matter
+        // how large the corpus grows (O(answer), not O(graph)); the
+        // walk's scans keep growing with the domain.
+        let leg = |chains: u32, engine: &str| {
+            let found = self
+                .rows
+                .iter()
+                .find(|r| r.chains == chains && r.engine == engine);
+            found.expect("sweep covers the size")
+        };
+        let (walk_small, index_small) = (leg(50, "walk"), leg(50, "index"));
+        let (walk_large, index_large) = (leg(2000, "walk"), leg(2000, "index"));
+        let index_ops = index_small.q3_ops;
+        ensure!(
+            self.rows
+                .iter()
+                .all(|r| r.engine != "index" || r.q3_ops == index_ops),
+            "index q3 op count moved with the corpus size"
+        );
+        // With fragments shared by all attributes this query cost 15.
+        ensure!(
+            index_ops < 15,
+            "index q3 costs {index_ops} requests; fragments are shredding rows again"
+        );
+        ensure!(
+            walk_large.q3_ms > walk_small.q3_ms,
+            "the walk's scan cost did not grow with the corpus"
+        );
+        ensure!(
+            index_large.q3_ms <= index_small.q3_ms * 2.0,
+            "index q3 virtual time scaled {:.2}x from 50 to 2000 chains",
+            index_large.q3_ms / index_small.q3_ms
+        );
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -251,15 +326,9 @@ mod tests {
 
     #[test]
     fn walk_and_index_agree_on_a_small_corpus() {
-        let (rows, states) = query_sweep(&[10]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(states[0].q3_names, states[1].q3_names);
-        assert_eq!(states[0].bulk_names, states[1].bulk_names);
-        assert_eq!(states[0].prov_fingerprint, states[1].prov_fingerprint);
-        assert_eq!(states[0].data, states[1].data);
-        assert_eq!(rows[0].q3_results, 2);
-        // Maintenance is billed: the index leg pays extra persist ops.
-        assert!(rows[1].persist_ops > rows[0].persist_ops);
+        let sweep = QuerySweep::run(Size::Smoke).unwrap();
+        sweep.check().unwrap();
+        assert!(sweep.rows.iter().all(|r| r.q3_results == 2));
     }
 
     #[test]
@@ -270,22 +339,7 @@ mod tests {
         // land on the operations line of the bill.
         let mut legs = Vec::new();
         for mode in [ClosureMode::Off, ClosureMode::Maintain] {
-            let world = SimWorld::with_config(SimConfig {
-                seed: 2009,
-                consistency: Consistency::Strong,
-                latency: LatencyModel::default(),
-                replicas: 1,
-            });
-            let mut store = S3SimpleDb::new(&world);
-            store.set_config(Arch2Config {
-                closure: mode,
-                ..Arch2Config::default()
-            });
-            let before = world.meters();
-            for flush in &query_corpus(50) {
-                store.persist(flush).unwrap();
-            }
-            let phase = world.meters() - before;
+            let (_, _, phase) = persist_corpus(50, mode).unwrap();
             let bill = costmodel::cost_of(&phase, 0.0, &costmodel::PriceBook::january_2009());
             legs.push((phase.total_ops(), bill.operations_total()));
         }
@@ -306,9 +360,10 @@ mod tests {
         // answer items; `bulk` is one row read per process and per seed
         // plus the name row's `p` fragments. With fragments shared by
         // all attributes these were 15 and 381.
-        let (rows, _) = query_sweep(&[50]).unwrap();
-        assert_eq!((rows[0].engine, rows[1].engine), ("walk", "index"));
-        assert_eq!((rows[0].q3_ops, rows[0].bulk_ops), (5, 54), "walk moved");
-        assert_eq!((rows[1].q3_ops, rows[1].bulk_ops), (9, 189), "index moved");
+        let (walk, _) = run_leg(50, ClosureMode::Off).unwrap();
+        let (index, _) = run_leg(50, ClosureMode::Serve).unwrap();
+        assert_eq!((walk.engine, index.engine), ("walk", "index"));
+        assert_eq!((walk.q3_ops, walk.bulk_ops), (5, 54), "walk moved");
+        assert_eq!((index.q3_ops, index.bulk_ops), (9, 189), "index moved");
     }
 }

@@ -1,20 +1,33 @@
-//! Shard-scaling experiments: multi-thread throughput and deterministic
-//! virtual-time latency against the shard/queue count, for all three
-//! sharded backends.
+//! Shard-scaling sweeps: deterministic virtual-time latency against the
+//! shard/queue count for all three sharded backends, plus the key-skew
+//! and hot-shard-splitting pictures of one SimpleDB domain.
 //!
-//! The tentpole claim behind per-shard locking is that it unlocks
-//! parallel service paths: with one global lock every call serialises,
-//! with N shards (SimpleDB domains, S3 buckets) or per-queue locks (SQS)
-//! concurrent calls interleave. This harness measures that three ways —
-//! SimpleDB `Query`/`Select` bursts ([`shard_scaling`]), an S3
-//! LIST/GET/HEAD mix ([`s3_scaling`], [`s3_virtual_scaling`]) and an SQS
-//! multi-queue receive sweep ([`sqs_scaling`], [`sqs_virtual_scaling`]).
+//! The claim behind per-shard locking is that it unlocks parallel
+//! service paths: with N shards (SimpleDB domains, S3 buckets) or
+//! per-queue locks (SQS) a fan-out call is charged its *largest*
+//! partition's share of the scan. Everything here is deterministic
+//! (fixed dataset seed, strongly-consistent worlds), so each sweep's
+//! [`Sweep::check`] states its invariants exactly:
 //!
-//! Everything except the thread scheduling is deterministic (fixed
-//! dataset seed, strongly-consistent worlds), so the per-call *result*
-//! counts must agree across shard/queue layouts — the smoke tests and
-//! the CI steps assert that while the throughput and virtual-latency
-//! columns tell the scaling story.
+//! * [`SimpleDbSweep`] (`--mode=simpledb`): the query mix returns rows,
+//!   the hit count is the same at every shard count, and mean virtual
+//!   query latency falls strictly as shards grow.
+//! * [`SkewSweep`] (second table of `--mode=simpledb`): every op lands
+//!   on exactly one shard, every Zipf row is more imbalanced than the
+//!   uniform control, and zipf(0.99) by more than 1.5x.
+//! * [`SplitSweep`] (`--mode=split`): static legs never split, split
+//!   legs do, splitting lowers the windowed imbalance and leaves the
+//!   converged state fingerprint unchanged; the 100k-key corpus goes
+//!   from ≥ 1.9x to ≤ 1.3x and the 5k-key corpus stays ≤ 1.8x (its
+//!   hottest single key is an unsplittable ~1.7x floor).
+//! * [`S3Sweep`] (`--mode=s3`): hits agree across shard counts and
+//!   LIST-class virtual latency falls strictly.
+//! * [`SqsSweep`] (`--mode=sqs`): every layout receives every message
+//!   and mean virtual receive latency falls strictly as queues grow.
+//!
+//! Wall-clock scaling of the same bursts ([`burst`], [`s3_burst`]) is
+//! the criterion groups in `benches/shards.rs`; thread scaling of the
+//! whole stack is `benchmark/`.
 
 use std::thread;
 use std::time::Instant;
@@ -24,52 +37,27 @@ use sim_s3::{Metadata, S3};
 use sim_simpledb::{ReplaceableAttribute, SimpleDb};
 use sim_sqs::Sqs;
 use simworld::{
-    Blob, Consistency, LatencyModel, MeterSnapshot, Service, ShardImbalance, ShardPlan, SimConfig,
-    SimDuration, SimWorld, SplitPolicy,
+    Blob, MeterSnapshot, Service, ShardImbalance, ShardPlan, SimDuration, SimWorld, SplitPolicy,
 };
 use workloads::{Combined, ZipfKeys};
 
-/// The shard counts the scaling sweep visits by default.
-pub const DEFAULT_SHARD_COUNTS: &[usize] = &[1, 2, 4, 8, 16];
+use crate::harness::{ensure, priced_world, Size, Sweep};
 
-/// The queue counts the SQS multi-queue sweep visits by default.
-pub const DEFAULT_QUEUE_COUNTS: &[usize] = &[1, 2, 4, 8];
-
-/// Objects in the S3 sweep's bucket by default.
-pub const DEFAULT_S3_OBJECTS: usize = 2000;
-
-/// Messages spread over the SQS sweep's queues by default.
-pub const DEFAULT_SQS_MESSAGES: usize = 2400;
+/// The shard counts the full SimpleDB and S3 sweeps visit.
+const FULL_SHARD_COUNTS: &[usize] = &[1, 2, 4, 8, 16];
 
 /// Bucket the S3 sweep fills.
 const S3_BENCH_BUCKET: &str = "shardbench";
 
-/// A fresh world for virtual-time sweeps: strong consistency so results
-/// are layout-invariant, the default latency model so the virtual clock
-/// prices every call.
-fn virtual_world() -> SimWorld {
-    SimWorld::with_config(SimConfig {
-        seed: 2009,
-        consistency: Consistency::Strong,
-        latency: LatencyModel::default(),
-        replicas: 1,
-    })
-}
-
-/// One row of the scaling table.
-#[derive(Clone, Debug)]
-pub struct ShardRow {
-    /// Shard count of this run.
-    pub shards: usize,
-    /// Queries issued (threads × queries-per-thread).
-    pub queries: u64,
-    /// Total result rows returned — identical across shard counts for
-    /// the same corpus, or the sharding broke query semantics.
-    pub hits: u64,
-    /// Wall-clock seconds for the whole burst.
-    pub wall_secs: f64,
-    /// Queries per wall-clock second.
-    pub throughput: f64,
+/// Persists `dataset` into a fresh Architecture-2 store on `world`
+/// whose SimpleDB runs `shards` hash shards.
+fn persist_corpus(world: &SimWorld, shards: usize, dataset: &Combined) -> Result<SimpleDb> {
+    let mut store = S3SimpleDb::with_shards(world, shards);
+    let (flushes, _) = dataset.flushes();
+    for flush in &flushes {
+        store.persist(flush)?;
+    }
+    Ok(store.simpledb().clone())
 }
 
 /// Persists `dataset` into a fresh Architecture-2 store whose SimpleDB
@@ -81,13 +69,9 @@ pub struct ShardRow {
 /// Propagates service errors from the persist phase.
 pub fn prepare(shards: usize, dataset: &Combined) -> Result<SimpleDb> {
     let world = SimWorld::counting();
-    let mut store = S3SimpleDb::with_shards(&world, shards);
-    let (flushes, _) = dataset.flushes();
-    for flush in &flushes {
-        store.persist(flush)?;
-    }
+    let db = persist_corpus(&world, shards, dataset)?;
     world.settle();
-    Ok(store.simpledb().clone())
+    Ok(db)
 }
 
 /// One query of the benchmark mix, selected by `slot`: an indexed
@@ -157,58 +141,6 @@ pub fn burst(db: &SimpleDb, threads: usize, queries_per_thread: usize) -> (u64, 
     (hits, start.elapsed().as_secs_f64())
 }
 
-/// Runs the full sweep: for each shard count, persist the corpus and
-/// fire the multi-thread query burst.
-///
-/// # Errors
-///
-/// Propagates service errors.
-pub fn shard_scaling(
-    dataset: &Combined,
-    shard_counts: &[usize],
-    threads: usize,
-    queries_per_thread: usize,
-) -> Result<Vec<ShardRow>> {
-    let mut rows = Vec::with_capacity(shard_counts.len());
-    for &shards in shard_counts {
-        let db = prepare(shards, dataset)?;
-        let (hits, wall_secs) = burst(&db, threads, queries_per_thread);
-        let queries = (threads * queries_per_thread) as u64;
-        rows.push(ShardRow {
-            shards,
-            queries,
-            hits,
-            wall_secs,
-            throughput: queries as f64 / wall_secs.max(f64::EPSILON),
-        });
-    }
-    Ok(rows)
-}
-
-/// Renders the sweep like the paper renders its tables, with a speedup
-/// column against the single-shard row.
-pub fn render(rows: &[ShardRow], threads: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Shard scaling — {threads} threads, query/select mix, fixed corpus\n"
-    ));
-    out.push_str("shards | queries |    hits | wall (s) | queries/s | speedup\n");
-    out.push_str("-------|---------|---------|----------|-----------|--------\n");
-    let base = rows.first().map(|r| r.throughput).unwrap_or(1.0);
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>7} | {:>7} | {:>8.3} | {:>9.1} | {:>6.2}x\n",
-            r.shards,
-            r.queries,
-            r.hits,
-            r.wall_secs,
-            r.throughput,
-            r.throughput / base,
-        ));
-    }
-    out
-}
-
 /// One row of the virtual-time scaling table.
 #[derive(Clone, Debug)]
 pub struct VirtualRow {
@@ -228,93 +160,97 @@ pub struct VirtualRow {
     pub scan_query_ms: f64,
 }
 
-/// Like [`prepare`], but on a world with the default latency model and
-/// strong consistency, so the virtual clock prices every call and every
-/// query sees the full corpus.
-///
-/// # Errors
-///
-/// Propagates service errors from the persist phase.
-pub fn prepare_virtual(shards: usize, dataset: &Combined) -> Result<(SimWorld, SimpleDb)> {
-    let world = virtual_world();
-    let mut store = S3SimpleDb::with_shards(&world, shards);
-    let (flushes, _) = dataset.flushes();
-    for flush in &flushes {
-        store.persist(flush)?;
-    }
-    let db = store.simpledb().clone();
-    Ok((world, db))
-}
-
-/// The deterministic half of the experiment: the same query mix, priced
+/// `--mode=simpledb`, first table: the query mix of [`run_one`] priced
 /// in virtual time by the latency model's parallel scan term. A sharded
 /// query charges the largest partition's share of the scan, so the mean
 /// virtual query latency must fall as the shard count grows — on any
 /// host, regardless of core count.
-///
-/// # Errors
-///
-/// Propagates service errors.
-pub fn virtual_scaling(
-    dataset: &Combined,
-    shard_counts: &[usize],
-    queries: usize,
-) -> Result<Vec<VirtualRow>> {
-    let mut rows = Vec::with_capacity(shard_counts.len());
-    for &shards in shard_counts {
-        let (world, db) = prepare_virtual(shards, dataset)?;
-        let start = world.now();
-        let mut hits = 0u64;
-        let mut scan_secs = 0.0f64;
-        let mut scan_queries = 0u64;
-        for slot in 0..queries {
-            let before = world.now();
-            hits += run_one(&db, slot)?;
-            if slot % 4 == 3 {
-                scan_secs += (world.now() - before).as_secs_f64();
-                scan_queries += 1;
-            }
-        }
-        let virtual_secs = (world.now() - start).as_secs_f64();
-        rows.push(VirtualRow {
-            shards,
-            queries: queries as u64,
-            hits,
-            virtual_secs,
-            avg_query_ms: virtual_secs * 1_000.0 / (queries as f64).max(1.0),
-            scan_query_ms: scan_secs * 1_000.0 / (scan_queries as f64).max(1.0),
-        });
-    }
-    Ok(rows)
+#[derive(Clone, Debug)]
+pub struct SimpleDbSweep {
+    /// One row per shard count, ascending.
+    pub rows: Vec<VirtualRow>,
 }
 
-/// Renders the virtual-time sweep with a speedup column against the
-/// single-shard row.
-pub fn render_virtual(rows: &[VirtualRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Virtual-time query latency — parallel scan model, fixed corpus\n");
-    out.push_str(
-        "shards | queries |    hits | virt (s) | ms/query | speedup | scan ms | scan speedup\n",
-    );
-    out.push_str(
-        "-------|---------|---------|----------|----------|---------|---------|-------------\n",
-    );
-    let base = rows.first().map(|r| r.avg_query_ms).unwrap_or(1.0);
-    let scan_base = rows.first().map(|r| r.scan_query_ms).unwrap_or(1.0);
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>7} | {:>7} | {:>8.2} | {:>8.2} | {:>6.2}x | {:>7.2} | {:>11.2}x\n",
-            r.shards,
-            r.queries,
-            r.hits,
-            r.virtual_secs,
-            r.avg_query_ms,
-            base / r.avg_query_ms.max(f64::EPSILON),
-            r.scan_query_ms,
-            scan_base / r.scan_query_ms.max(f64::EPSILON),
-        ));
+impl Sweep for SimpleDbSweep {
+    fn run(size: Size) -> Result<Self> {
+        let (shard_counts, queries): (&[usize], usize) = match size {
+            Size::Smoke => (&[1, 4, 16], 6),
+            Size::Full(_) => (FULL_SHARD_COUNTS, 60),
+        };
+        let dataset = size.dataset();
+        let mut rows = Vec::with_capacity(shard_counts.len());
+        for &shards in shard_counts {
+            let world = priced_world(2009);
+            let db = persist_corpus(&world, shards, &dataset)?;
+            let start = world.now();
+            let mut hits = 0u64;
+            let mut scan_secs = 0.0f64;
+            let mut scan_queries = 0u64;
+            for slot in 0..queries {
+                let before = world.now();
+                hits += run_one(&db, slot)?;
+                if slot % 4 == 3 {
+                    scan_secs += (world.now() - before).as_secs_f64();
+                    scan_queries += 1;
+                }
+            }
+            let virtual_secs = (world.now() - start).as_secs_f64();
+            rows.push(VirtualRow {
+                shards,
+                queries: queries as u64,
+                hits,
+                virtual_secs,
+                avg_query_ms: virtual_secs * 1_000.0 / (queries as f64).max(1.0),
+                scan_query_ms: scan_secs * 1_000.0 / (scan_queries as f64).max(1.0),
+            });
+        }
+        Ok(SimpleDbSweep { rows })
     }
-    out
+
+    /// Speedup columns are against the single-shard row.
+    fn render(&self) -> String {
+        let rows = &self.rows;
+        let mut out = String::new();
+        out.push_str("Virtual-time query latency — parallel scan model, fixed corpus\n");
+        out.push_str(
+            "shards | queries |    hits | virt (s) | ms/query | speedup | scan ms | scan speedup\n",
+        );
+        out.push_str(
+            "-------|---------|---------|----------|----------|---------|---------|-------------\n",
+        );
+        let base = rows.first().map(|r| r.avg_query_ms).unwrap_or(1.0);
+        let scan_base = rows.first().map(|r| r.scan_query_ms).unwrap_or(1.0);
+        for r in rows {
+            out.push_str(&format!(
+                "{:>6} | {:>7} | {:>7} | {:>8.2} | {:>8.2} | {:>6.2}x | {:>7.2} | {:>11.2}x\n",
+                r.shards,
+                r.queries,
+                r.hits,
+                r.virtual_secs,
+                r.avg_query_ms,
+                base / r.avg_query_ms.max(f64::EPSILON),
+                r.scan_query_ms,
+                scan_base / r.scan_query_ms.max(f64::EPSILON),
+            ));
+        }
+        out
+    }
+
+    fn check(&self) -> std::result::Result<(), String> {
+        let rows = &self.rows;
+        ensure!(rows[0].hits > 0, "the query mix returned nothing");
+        // Query semantics must be independent of the shard layout.
+        ensure!(
+            rows.windows(2).all(|w| w[0].hits == w[1].hits),
+            "hit counts diverged across shard counts: {rows:?}"
+        );
+        ensure!(
+            rows.windows(2)
+                .all(|w| w[1].avg_query_ms < w[0].avg_query_ms),
+            "virtual query latency did not fall with shards: {rows:?}"
+        );
+        Ok(())
+    }
 }
 
 // --- Key-skew shard imbalance ---
@@ -377,35 +313,63 @@ pub fn shard_skew(shards: usize, ops: usize, keys: usize, theta: Option<f64>) ->
     })
 }
 
-/// Runs the skew experiment at one shard count: a uniform control row
-/// plus one row per requested θ.
-///
-/// # Errors
-///
-/// Propagates SimpleDB errors.
-pub fn skew_sweep(shards: usize, ops: usize, keys: usize, thetas: &[f64]) -> Result<Vec<SkewRow>> {
-    let mut rows = vec![shard_skew(shards, ops, keys, None)?];
-    for &theta in thetas {
-        rows.push(shard_skew(shards, ops, keys, Some(theta))?);
-    }
-    Ok(rows)
+/// `--mode=simpledb`, second table: how a hot-key stream loads the 16
+/// shards of one domain — a uniform control row plus zipf(0.9) and
+/// zipf(0.99). `max/mean` is the number shard rebalancing needs data
+/// for: hashing balances *keys*, not *popularity*.
+#[derive(Clone, Debug)]
+pub struct SkewSweep {
+    /// The uniform control row, then one row per θ, ascending.
+    pub rows: Vec<SkewRow>,
 }
 
-/// Renders the skew table. `shard_op_count` imbalance (max/mean) is the
-/// number the ROADMAP's shard-rebalancing item needs data for: hashing
-/// balances *keys*, not *popularity*.
-pub fn render_skew(rows: &[SkewRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Key-skew shard imbalance — point writes, hash placement\n");
-    out.push_str("distribution | shards |  ops | max shard ops | mean shard ops | max/mean\n");
-    out.push_str("-------------|--------|------|---------------|----------------|---------\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>12} | {:>6} | {:>4} | {:>13} | {:>14.1} | {:>7.2}x\n",
-            r.label, r.shards, r.ops, r.max_shard_ops, r.mean_shard_ops, r.imbalance,
-        ));
+impl Sweep for SkewSweep {
+    fn run(size: Size) -> Result<Self> {
+        let (ops, keys) = match size {
+            Size::Smoke => (4_000, 1_000),
+            Size::Full(_) => (20_000, 5_000),
+        };
+        let mut rows = vec![shard_skew(16, ops, keys, None)?];
+        for theta in [0.9, 0.99] {
+            rows.push(shard_skew(16, ops, keys, Some(theta))?);
+        }
+        Ok(SkewSweep { rows })
     }
-    out
+
+    fn render(&self) -> String {
+        let mut out = String::new();
+        out.push_str("Key-skew shard imbalance — point writes, hash placement\n");
+        out.push_str("distribution | shards |  ops | max shard ops | mean shard ops | max/mean\n");
+        out.push_str("-------------|--------|------|---------------|----------------|---------\n");
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{:>12} | {:>6} | {:>4} | {:>13} | {:>14.1} | {:>7.2}x\n",
+                r.label, r.shards, r.ops, r.max_shard_ops, r.mean_shard_ops, r.imbalance,
+            ));
+        }
+        out
+    }
+
+    fn check(&self) -> std::result::Result<(), String> {
+        let (uniform, zipf) = (&self.rows[0], &self.rows[1..]);
+        ensure!(
+            (uniform.mean_shard_ops - uniform.ops as f64 / uniform.shards as f64).abs() < 1e-9,
+            "an op landed on no shard, or on two: {uniform:?}"
+        );
+        ensure!(
+            zipf.iter().all(|r| r.imbalance > uniform.imbalance),
+            "zipfian keys did not imbalance the shards: {:?}",
+            self.rows
+        );
+        let hottest = zipf.last().expect("sweep has zipf rows");
+        ensure!(
+            hottest.imbalance > uniform.imbalance * 1.5,
+            "{} must load its hottest shard >1.5x harder than uniform: {:?}",
+            hottest.label,
+            self.rows
+        );
+        Ok(())
+    }
 }
 
 // --- Hot-shard splitting sweep ---
@@ -547,55 +511,106 @@ pub fn split_leg(
     })
 }
 
-/// The full split sweep at zipf(0.99): static and split legs over a
-/// small (hot single key dominates — splitting is floor-limited by the
-/// unsplittable item) and a large corpus (where the ≤1.3x target is
-/// honestly reachable).
-///
-/// # Errors
-///
-/// Propagates SimpleDB errors.
-pub fn split_sweep(shards: usize, key_counts: &[usize]) -> Result<Vec<SplitRow>> {
-    let mut rows = Vec::new();
-    for &keys in key_counts {
-        rows.push(split_leg(shards, keys, 0.99, None)?);
-        rows.push(split_leg(shards, keys, 0.99, Some(sweep_split_policy()))?);
-    }
-    Ok(rows)
+/// `--mode=split`: static and split legs of a zipf(0.99) point-write
+/// stream over a 16-shard domain, for a 5k-key corpus (the top key alone
+/// carries ~10.7% of ops — an item can't be split, so ~1.7x of a
+/// 16-shard fair share is irreducible) and a 100k-key corpus (where the
+/// ≤ 1.3x target is honestly reachable). The same run at both sizes.
+#[derive(Clone, Debug)]
+pub struct SplitSweep {
+    /// `(static, split)` row pairs, one pair per corpus.
+    pub rows: Vec<SplitRow>,
 }
 
-/// Renders the split sweep table.
-pub fn render_split(rows: &[SplitRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Hot-shard splitting — zipf(0.99) point writes, windowed imbalance\n");
-    out.push_str(&format!(
-        "(warmup {SPLIT_WARMUP_OPS} ops, window {SPLIT_WINDOW_OPS} ops; imbalance vs the starting fair share)\n",
-    ));
-    out.push_str(
-        "  mode |   keys | shards start→final | splits | max shard ops | max/mean | state fingerprint\n",
-    );
-    out.push_str(
-        "-------|--------|--------------------|--------|---------------|----------|------------------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>6} | {:>11}→{:<6} | {:>6} | {:>13} | {:>7.2}x | {:016x}\n",
-            r.label,
-            r.keys,
-            r.shards_start,
-            r.shards_final,
-            r.splits,
-            r.max_ops,
-            r.imbalance,
-            r.fingerprint,
-        ));
+impl Sweep for SplitSweep {
+    fn run(_size: Size) -> Result<Self> {
+        let mut rows = Vec::new();
+        for keys in [5_000, 100_000] {
+            rows.push(split_leg(16, keys, 0.99, None)?);
+            rows.push(split_leg(16, keys, 0.99, Some(sweep_split_policy()))?);
+        }
+        Ok(SplitSweep { rows })
     }
-    out
+
+    fn render(&self) -> String {
+        let mut out = String::new();
+        out.push_str("Hot-shard splitting — zipf(0.99) point writes, windowed imbalance\n");
+        out.push_str(&format!(
+            "(warmup {SPLIT_WARMUP_OPS} ops, window {SPLIT_WINDOW_OPS} ops; imbalance vs the starting fair share)\n",
+        ));
+        out.push_str(
+            "  mode |   keys | shards start→final | splits | max shard ops | max/mean | state fingerprint\n",
+        );
+        out.push_str(
+            "-------|--------|--------------------|--------|---------------|----------|------------------\n",
+        );
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{:>6} | {:>6} | {:>11}→{:<6} | {:>6} | {:>13} | {:>7.2}x | {:016x}\n",
+                r.label,
+                r.keys,
+                r.shards_start,
+                r.shards_final,
+                r.splits,
+                r.max_ops,
+                r.imbalance,
+                r.fingerprint,
+            ));
+        }
+        out
+    }
+
+    fn check(&self) -> std::result::Result<(), String> {
+        for pair in self.rows.chunks(2) {
+            let (stat, split) = (&pair[0], &pair[1]);
+            ensure!(
+                stat.shards_final == stat.shards_start && stat.splits == 0,
+                "the static leg grew shards: {stat:?}"
+            );
+            ensure!(
+                split.splits > 0 && split.shards_final > split.shards_start,
+                "the split policy never fired: {split:?}"
+            );
+            ensure!(
+                split.imbalance < stat.imbalance,
+                "splitting did not reduce imbalance at {} keys ({:.2}x vs {:.2}x)",
+                split.keys,
+                split.imbalance,
+                stat.imbalance
+            );
+            ensure!(
+                split.fingerprint == stat.fingerprint,
+                "splitting changed the converged state at {} keys",
+                split.keys
+            );
+        }
+        let [_, small_split, large_static, large_split] = &self.rows[..] else {
+            return Err(format!(
+                "expected two corpora, two legs each: {:?}",
+                self.rows
+            ));
+        };
+        ensure!(
+            large_static.imbalance >= 1.9,
+            "static 100k-key imbalance unexpectedly below 1.9x: {large_static:?}"
+        );
+        ensure!(
+            large_split.imbalance <= 1.3,
+            "split 100k-key imbalance {:.2}x above the 1.3x target",
+            large_split.imbalance
+        );
+        ensure!(
+            small_split.imbalance <= 1.8,
+            "split 5k-key imbalance {:.2}x above the ~1.7x single-key floor",
+            small_split.imbalance
+        );
+        Ok(())
+    }
 }
 
 // --- S3 LIST/mixed sweep ---
 
-/// One row of the S3 scaling tables.
+/// One row of the S3 scaling table.
 #[derive(Clone, Debug)]
 pub struct S3Row {
     /// Bucket shard count of this run.
@@ -612,9 +627,6 @@ pub struct S3Row {
     /// Mean virtual milliseconds of the LIST class alone (single pages
     /// and full `list_all` walks) — where the fan-out scan term pays.
     pub list_op_ms: f64,
-    /// Wall-clock seconds of the multi-thread burst (0 for
-    /// virtual-only runs).
-    pub wall_secs: f64,
 }
 
 /// Fills a fresh `shards`-sharded bucket with `objects` small objects
@@ -624,7 +636,7 @@ pub struct S3Row {
 ///
 /// Propagates S3 errors from the fill phase.
 pub fn prepare_s3(shards: usize, objects: usize) -> Result<(SimWorld, S3)> {
-    let world = virtual_world();
+    let world = priced_world(2009);
     let s3 = S3::with_shards(&world, shards);
     s3.create_bucket(S3_BENCH_BUCKET)?;
     for i in 0..objects {
@@ -692,130 +704,98 @@ pub fn s3_burst(s3: &S3, objects: usize, threads: usize, ops_per_thread: usize) 
     (hits, start.elapsed().as_secs_f64())
 }
 
-/// The deterministic half of the S3 experiment: the same op mix, priced
-/// in virtual time. A sharded LIST charges the busiest shard's share of
-/// the index scan, so LIST-class virtual latency must fall as the shard
-/// count grows — on any host.
-///
-/// # Errors
-///
-/// Propagates S3 errors.
-pub fn s3_virtual_scaling(
-    shard_counts: &[usize],
-    objects: usize,
-    ops: usize,
-) -> Result<Vec<S3Row>> {
-    let mut rows = Vec::with_capacity(shard_counts.len());
-    for &shards in shard_counts {
-        let (world, s3) = prepare_s3(shards, objects)?;
-        let start = world.now();
-        let mut hits = 0u64;
-        let mut list_secs = 0.0f64;
-        let mut list_ops = 0u64;
-        for slot in 0..ops {
-            let before = world.now();
-            hits += run_one_s3(&s3, slot, objects)?;
-            if s3_list_class(slot) {
-                list_secs += (world.now() - before).as_secs_f64();
-                list_ops += 1;
+/// `--mode=s3`: the op mix of [`run_one_s3`] priced in virtual time. A
+/// sharded LIST charges the busiest shard's share of the index scan, so
+/// LIST-class virtual latency must fall as the shard count grows — on
+/// any host.
+#[derive(Clone, Debug)]
+pub struct S3Sweep {
+    /// One row per bucket shard count, ascending.
+    pub rows: Vec<S3Row>,
+}
+
+impl Sweep for S3Sweep {
+    fn run(size: Size) -> Result<Self> {
+        let (shard_counts, objects, ops): (&[usize], usize, usize) = match size {
+            Size::Smoke => (&[1, 4, 16], 400, 8),
+            Size::Full(_) => (FULL_SHARD_COUNTS, 2000, 40),
+        };
+        let mut rows = Vec::with_capacity(shard_counts.len());
+        for &shards in shard_counts {
+            let (world, s3) = prepare_s3(shards, objects)?;
+            let start = world.now();
+            let mut hits = 0u64;
+            let mut list_secs = 0.0f64;
+            let mut list_ops = 0u64;
+            for slot in 0..ops {
+                let before = world.now();
+                hits += run_one_s3(&s3, slot, objects)?;
+                if s3_list_class(slot) {
+                    list_secs += (world.now() - before).as_secs_f64();
+                    list_ops += 1;
+                }
             }
+            let virtual_secs = (world.now() - start).as_secs_f64();
+            rows.push(S3Row {
+                shards,
+                ops: ops as u64,
+                hits,
+                virtual_secs,
+                avg_op_ms: virtual_secs * 1_000.0 / (ops as f64).max(1.0),
+                list_op_ms: list_secs * 1_000.0 / (list_ops as f64).max(1.0),
+            });
         }
-        let virtual_secs = (world.now() - start).as_secs_f64();
-        rows.push(S3Row {
-            shards,
-            ops: ops as u64,
-            hits,
-            virtual_secs,
-            avg_op_ms: virtual_secs * 1_000.0 / (ops as f64).max(1.0),
-            list_op_ms: list_secs * 1_000.0 / (list_ops as f64).max(1.0),
-            wall_secs: 0.0,
-        });
+        Ok(S3Sweep { rows })
     }
-    Ok(rows)
-}
 
-/// The wall-clock half: persist the corpus per shard count and fire the
-/// multi-thread mixed burst.
-///
-/// # Errors
-///
-/// Propagates S3 errors.
-pub fn s3_scaling(
-    shard_counts: &[usize],
-    objects: usize,
-    threads: usize,
-    ops_per_thread: usize,
-) -> Result<Vec<S3Row>> {
-    let mut rows = Vec::with_capacity(shard_counts.len());
-    for &shards in shard_counts {
-        let (_, s3) = prepare_s3(shards, objects)?;
-        let (hits, wall_secs) = s3_burst(&s3, objects, threads, ops_per_thread);
-        rows.push(S3Row {
-            shards,
-            ops: (threads * ops_per_thread) as u64,
-            hits,
-            virtual_secs: 0.0,
-            avg_op_ms: 0.0,
-            list_op_ms: 0.0,
-            wall_secs,
-        });
+    /// Speedup columns are against the single-shard row.
+    fn render(&self) -> String {
+        let rows = &self.rows;
+        let mut out = String::new();
+        out.push_str("S3 virtual-time latency — LIST fan-out scan model, fixed corpus\n");
+        out.push_str(
+            "shards |  ops |    hits | virt (s) |  ms/op | speedup | list ms | list speedup\n",
+        );
+        out.push_str(
+            "-------|------|---------|----------|--------|---------|---------|-------------\n",
+        );
+        let base = rows.first().map(|r| r.avg_op_ms).unwrap_or(1.0);
+        let list_base = rows.first().map(|r| r.list_op_ms).unwrap_or(1.0);
+        for r in rows {
+            out.push_str(&format!(
+                "{:>6} | {:>4} | {:>7} | {:>8.2} | {:>6.2} | {:>6.2}x | {:>7.2} | {:>11.2}x\n",
+                r.shards,
+                r.ops,
+                r.hits,
+                r.virtual_secs,
+                r.avg_op_ms,
+                base / r.avg_op_ms.max(f64::EPSILON),
+                r.list_op_ms,
+                list_base / r.list_op_ms.max(f64::EPSILON),
+            ));
+        }
+        out
     }
-    Ok(rows)
-}
 
-/// Renders the S3 virtual-time sweep with speedup columns against the
-/// single-shard row.
-pub fn render_s3_virtual(rows: &[S3Row]) -> String {
-    let mut out = String::new();
-    out.push_str("S3 virtual-time latency — LIST fan-out scan model, fixed corpus\n");
-    out.push_str(
-        "shards |  ops |    hits | virt (s) |  ms/op | speedup | list ms | list speedup\n",
-    );
-    out.push_str(
-        "-------|------|---------|----------|--------|---------|---------|-------------\n",
-    );
-    let base = rows.first().map(|r| r.avg_op_ms).unwrap_or(1.0);
-    let list_base = rows.first().map(|r| r.list_op_ms).unwrap_or(1.0);
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>4} | {:>7} | {:>8.2} | {:>6.2} | {:>6.2}x | {:>7.2} | {:>11.2}x\n",
-            r.shards,
-            r.ops,
-            r.hits,
-            r.virtual_secs,
-            r.avg_op_ms,
-            base / r.avg_op_ms.max(f64::EPSILON),
-            r.list_op_ms,
-            list_base / r.list_op_ms.max(f64::EPSILON),
-        ));
+    fn check(&self) -> std::result::Result<(), String> {
+        let rows = &self.rows;
+        ensure!(rows[0].hits > 0, "the op mix returned nothing");
+        // LIST semantics must be independent of the bucket shard layout.
+        ensure!(
+            rows.windows(2).all(|w| w[0].hits == w[1].hits),
+            "S3 hit counts diverged across shard counts: {rows:?}"
+        );
+        ensure!(
+            rows.windows(2).all(|w| w[1].list_op_ms < w[0].list_op_ms),
+            "S3 LIST latency did not fall with shards: {rows:?}"
+        );
+        Ok(())
     }
-    out
-}
-
-/// Renders the S3 wall-clock burst table.
-pub fn render_s3_wall(rows: &[S3Row], threads: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "S3 wall-clock — {threads} threads, LIST/GET/HEAD mix, fixed corpus\n"
-    ));
-    out.push_str("shards |  ops |    hits | wall (s) |  ops/s\n");
-    out.push_str("-------|------|---------|----------|-------\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>4} | {:>7} | {:>8.3} | {:>6.1}\n",
-            r.shards,
-            r.ops,
-            r.hits,
-            r.wall_secs,
-            r.ops as f64 / r.wall_secs.max(f64::EPSILON),
-        ));
-    }
-    out
 }
 
 // --- SQS multi-queue sweep ---
 
-/// One row of the SQS multi-queue tables.
+/// One row of the SQS multi-queue table.
 #[derive(Clone, Debug)]
 pub struct SqsRow {
     /// Queue count the message load is spread over.
@@ -834,9 +814,6 @@ pub struct SqsRow {
     /// spreading load over more queues shrinks the busiest server's
     /// share and this must fall.
     pub avg_receive_ms: f64,
-    /// Wall-clock seconds of the multi-thread drain (0 for virtual-only
-    /// runs).
-    pub wall_secs: f64,
 }
 
 /// Creates `queues` queues on a virtual-pricing world and spreads
@@ -847,7 +824,7 @@ pub struct SqsRow {
 ///
 /// Propagates SQS errors.
 pub fn prepare_sqs(queues: usize, messages: usize) -> Result<(SimWorld, Sqs, Vec<String>)> {
-    let world = virtual_world();
+    let world = priced_world(2009);
     let sqs = Sqs::new(&world);
     let urls: Vec<String> = (0..queues)
         .map(|q| sqs.create_queue(format!("sweep-{q}")))
@@ -887,131 +864,83 @@ fn queue_load(messages: usize, queues: usize, q: usize) -> usize {
     messages / queues + usize::from(q < messages % queues)
 }
 
-/// The deterministic half of the SQS experiment: spread a fixed message
-/// load over more queues and sweep every queue. Each receive is charged
-/// the busiest sampled server's share of *its own queue's* messages, so
-/// the mean virtual receive latency must fall as the queue count grows.
-///
-/// # Errors
-///
-/// Propagates SQS errors.
-pub fn sqs_virtual_scaling(queue_counts: &[usize], messages: usize) -> Result<Vec<SqsRow>> {
-    let mut rows = Vec::with_capacity(queue_counts.len());
-    for &queues in queue_counts {
-        let (world, sqs, urls) = prepare_sqs(queues, messages)?;
-        let start = world.now();
-        let mut received = 0u64;
-        let mut receives = 0u64;
-        for (q, url) in urls.iter().enumerate() {
-            let (seen, calls) = sweep_queue(&sqs, url, queue_load(messages, queues, q))?;
-            received += seen;
-            receives += calls;
+/// `--mode=sqs`: a fixed message load spread over more queues, every
+/// queue swept once. Each receive is charged the busiest sampled
+/// server's share of *its own queue's* messages, so the mean virtual
+/// receive latency must fall as the queue count grows.
+#[derive(Clone, Debug)]
+pub struct SqsSweep {
+    /// One row per queue count, ascending.
+    pub rows: Vec<SqsRow>,
+}
+
+impl Sweep for SqsSweep {
+    fn run(size: Size) -> Result<Self> {
+        let (queue_counts, messages): (&[usize], usize) = match size {
+            Size::Smoke => (&[1, 2, 4], 480),
+            Size::Full(_) => (&[1, 2, 4, 8], 2400),
+        };
+        let mut rows = Vec::with_capacity(queue_counts.len());
+        for &queues in queue_counts {
+            let (world, sqs, urls) = prepare_sqs(queues, messages)?;
+            let start = world.now();
+            let mut received = 0u64;
+            let mut receives = 0u64;
+            for (q, url) in urls.iter().enumerate() {
+                let (seen, calls) = sweep_queue(&sqs, url, queue_load(messages, queues, q))?;
+                received += seen;
+                receives += calls;
+            }
+            let virtual_secs = (world.now() - start).as_secs_f64();
+            rows.push(SqsRow {
+                queues,
+                messages: messages as u64,
+                received,
+                receives,
+                virtual_secs,
+                avg_receive_ms: virtual_secs * 1_000.0 / (receives as f64).max(1.0),
+            });
         }
-        let virtual_secs = (world.now() - start).as_secs_f64();
-        rows.push(SqsRow {
-            queues,
-            messages: messages as u64,
-            received,
-            receives,
-            virtual_secs,
-            avg_receive_ms: virtual_secs * 1_000.0 / (receives as f64).max(1.0),
-            wall_secs: 0.0,
-        });
+        Ok(SqsSweep { rows })
     }
-    Ok(rows)
-}
 
-/// The wall-clock half: `threads` OS threads sweep disjoint queue
-/// subsets concurrently — with per-queue locks they no longer serialise
-/// on one service mutex.
-///
-/// # Errors
-///
-/// Propagates SQS errors.
-pub fn sqs_scaling(queue_counts: &[usize], messages: usize, threads: usize) -> Result<Vec<SqsRow>> {
-    let mut rows = Vec::with_capacity(queue_counts.len());
-    for &queues in queue_counts {
-        let (_, sqs, urls) = prepare_sqs(queues, messages)?;
-        let start = Instant::now();
-        let (received, receives) = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(queues))
-                .map(|t| {
-                    let sqs = sqs.clone();
-                    let urls = &urls;
-                    scope.spawn(move || -> (u64, u64) {
-                        let mut totals = (0u64, 0u64);
-                        let stride = threads.min(queues);
-                        for (q, url) in urls.iter().enumerate().skip(t).step_by(stride) {
-                            let (seen, calls) =
-                                sweep_queue(&sqs, url, queue_load(messages, queues, q))
-                                    .expect("sweep failed");
-                            totals.0 += seen;
-                            totals.1 += calls;
-                        }
-                        totals
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bench thread panicked"))
-                .fold((0, 0), |acc, (s, c)| (acc.0 + s, acc.1 + c))
-        });
-        rows.push(SqsRow {
-            queues,
-            messages: messages as u64,
-            received,
-            receives,
-            virtual_secs: 0.0,
-            avg_receive_ms: 0.0,
-            wall_secs: start.elapsed().as_secs_f64(),
-        });
+    /// The speedup column is on the receive class, against the
+    /// single-queue row.
+    fn render(&self) -> String {
+        let rows = &self.rows;
+        let mut out = String::new();
+        out.push_str("SQS virtual-time receive latency — per-queue server scan, fixed load\n");
+        out.push_str("queues |  msgs | received | receives | virt (s) | ms/receive | speedup\n");
+        out.push_str("-------|-------|----------|----------|----------|------------|--------\n");
+        let base = rows.first().map(|r| r.avg_receive_ms).unwrap_or(1.0);
+        for r in rows {
+            out.push_str(&format!(
+                "{:>6} | {:>5} | {:>8} | {:>8} | {:>8.2} | {:>10.2} | {:>6.2}x\n",
+                r.queues,
+                r.messages,
+                r.received,
+                r.receives,
+                r.virtual_secs,
+                r.avg_receive_ms,
+                base / r.avg_receive_ms.max(f64::EPSILON),
+            ));
+        }
+        out
     }
-    Ok(rows)
-}
 
-/// Renders the SQS virtual-time sweep with a speedup column on the
-/// receive class against the single-queue row.
-pub fn render_sqs_virtual(rows: &[SqsRow]) -> String {
-    let mut out = String::new();
-    out.push_str("SQS virtual-time receive latency — per-queue server scan, fixed load\n");
-    out.push_str("queues |  msgs | received | receives | virt (s) | ms/receive | speedup\n");
-    out.push_str("-------|-------|----------|----------|----------|------------|--------\n");
-    let base = rows.first().map(|r| r.avg_receive_ms).unwrap_or(1.0);
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>5} | {:>8} | {:>8} | {:>8.2} | {:>10.2} | {:>6.2}x\n",
-            r.queues,
-            r.messages,
-            r.received,
-            r.receives,
-            r.virtual_secs,
-            r.avg_receive_ms,
-            base / r.avg_receive_ms.max(f64::EPSILON),
-        ));
+    fn check(&self) -> std::result::Result<(), String> {
+        let rows = &self.rows;
+        ensure!(
+            rows.iter().all(|r| r.received == r.messages),
+            "an SQS sweep lost messages: {rows:?}"
+        );
+        ensure!(
+            rows.windows(2)
+                .all(|w| w[1].avg_receive_ms < w[0].avg_receive_ms),
+            "SQS receive latency did not fall with queues: {rows:?}"
+        );
+        Ok(())
     }
-    out
-}
-
-/// Renders the SQS wall-clock sweep table.
-pub fn render_sqs_wall(rows: &[SqsRow], threads: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "SQS wall-clock — {threads} threads sweeping disjoint queues, fixed load\n"
-    ));
-    out.push_str("queues |  msgs | received | wall (s) | msgs/s\n");
-    out.push_str("-------|-------|----------|----------|-------\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>5} | {:>8} | {:>8.3} | {:>6.1}\n",
-            r.queues,
-            r.messages,
-            r.received,
-            r.wall_secs,
-            r.received as f64 / r.wall_secs.max(f64::EPSILON),
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1019,117 +948,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hits_agree_across_shard_counts() {
-        // Query *semantics* must be independent of the shard layout:
-        // same corpus, same queries, same result counts.
-        let dataset = Combined::small();
-        let rows = shard_scaling(&dataset, &[1, 4, 16], 2, 3).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert!(rows[0].hits > 0, "the query mix must return results");
-        assert!(
-            rows.windows(2).all(|w| w[0].hits == w[1].hits),
-            "hit counts diverged across shard counts: {rows:?}"
-        );
-    }
-
-    #[test]
     fn virtual_query_latency_improves_with_shards() {
-        // The acceptance bar of the sharding issue, in the simulator's
-        // own currency: more shards → parallel scan → lower virtual
-        // query latency, deterministically on any host.
-        let dataset = Combined::small();
-        let rows = virtual_scaling(&dataset, &[1, 4, 16], 9).unwrap();
-        assert!(
-            rows.windows(2).all(|w| w[0].hits == w[1].hits),
-            "hit counts diverged: {rows:?}"
-        );
-        assert!(
-            rows.windows(2)
-                .all(|w| w[1].avg_query_ms < w[0].avg_query_ms),
-            "virtual latency must fall as shards grow: {rows:?}"
-        );
-    }
-
-    #[test]
-    fn s3_hits_agree_and_list_latency_falls() {
-        // LIST semantics must be independent of the bucket shard layout,
-        // while the fan-out scan term makes the LIST class faster.
-        let rows = s3_virtual_scaling(&[1, 4, 16], 400, 8).unwrap();
-        assert!(rows[0].hits > 0, "the op mix must return results");
-        assert!(
-            rows.windows(2).all(|w| w[0].hits == w[1].hits),
-            "hit counts diverged across shard counts: {rows:?}"
-        );
-        assert!(
-            rows.windows(2).all(|w| w[1].list_op_ms < w[0].list_op_ms),
-            "LIST-class virtual latency must fall as shards grow: {rows:?}"
-        );
-    }
-
-    #[test]
-    fn s3_wall_burst_hits_agree() {
-        let rows = s3_scaling(&[1, 16], 200, 2, 4).unwrap();
-        assert!(rows[0].hits > 0);
-        assert_eq!(rows[0].hits, rows[1].hits);
-    }
-
-    #[test]
-    fn sqs_sweep_is_lossless_and_receive_latency_falls() {
-        // Spreading a fixed load over more queues must lose nothing and
-        // must shrink the per-receive server-scan share.
-        let rows = sqs_virtual_scaling(&[1, 2, 4], 240).unwrap();
-        assert!(
-            rows.iter().all(|r| r.received == r.messages),
-            "a sweep lost messages: {rows:?}"
-        );
-        assert!(
-            rows.windows(2)
-                .all(|w| w[1].avg_receive_ms < w[0].avg_receive_ms),
-            "receive latency must fall as queues grow: {rows:?}"
-        );
-    }
-
-    #[test]
-    fn sqs_wall_sweep_is_lossless() {
-        let rows = sqs_scaling(&[2, 4], 160, 2).unwrap();
-        assert!(rows.iter().all(|r| r.received == r.messages), "{rows:?}");
+        SimpleDbSweep::run(Size::Smoke).unwrap().check().unwrap();
     }
 
     #[test]
     fn zipfian_keys_imbalance_the_shards() {
-        // Hash placement balances keys, not popularity: the skewed
-        // stream must load its hottest shard measurably harder than
-        // the uniform control does.
-        let rows = skew_sweep(16, 4000, 1000, &[0.99]).unwrap();
-        assert_eq!(rows.len(), 2);
-        let (uniform, zipf) = (&rows[0], &rows[1]);
-        assert_eq!(uniform.ops, zipf.ops);
-        assert!(
-            (uniform.mean_shard_ops - 4000.0 / 16.0).abs() < 1e-9,
-            "every op lands on exactly one shard: {uniform:?}"
-        );
-        assert!(
-            zipf.imbalance > uniform.imbalance * 1.5,
-            "zipf must skew the shard load: {rows:?}"
-        );
+        SkewSweep::run(Size::Smoke).unwrap().check().unwrap();
     }
 
     #[test]
     fn splitting_collapses_the_imbalance_without_touching_state() {
-        // The tentpole's two promises at once: hot-shard splitting must
-        // shrink the windowed imbalance, and the converged domain state
-        // must be byte-identical with splitting on or off.
-        let stat = split_leg(16, 5000, 0.99, None).unwrap();
-        let split = split_leg(16, 5000, 0.99, Some(sweep_split_policy())).unwrap();
-        assert_eq!(stat.shards_final, 16, "static runs must not split");
-        assert!(split.splits > 0, "the policy must fire: {split:?}");
-        assert!(
-            split.imbalance < stat.imbalance,
-            "splitting must reduce the imbalance: {stat:?} vs {split:?}"
-        );
-        assert_eq!(
-            stat.fingerprint, split.fingerprint,
-            "converged state must not depend on splitting"
-        );
+        SplitSweep::run(Size::Smoke).unwrap().check().unwrap();
+    }
+
+    #[test]
+    fn s3_hits_agree_and_list_latency_falls() {
+        S3Sweep::run(Size::Smoke).unwrap().check().unwrap();
+    }
+
+    #[test]
+    fn sqs_sweep_is_lossless_and_receive_latency_falls() {
+        SqsSweep::run(Size::Smoke).unwrap().check().unwrap();
+    }
+
+    // The sweeps drive one thread; the criterion bursts drive several.
+    // Hit counts must not depend on the shard layout there either.
+
+    #[test]
+    fn hits_agree_across_shard_counts() {
+        let dataset = Combined::small();
+        let hits: Vec<u64> = [1, 4, 16]
+            .iter()
+            .map(|&shards| burst(&prepare(shards, &dataset).unwrap(), 2, 3).0)
+            .collect();
+        assert!(hits[0] > 0, "the query mix must return results");
+        assert!(hits.windows(2).all(|w| w[0] == w[1]), "{hits:?}");
+    }
+
+    #[test]
+    fn s3_wall_burst_hits_agree() {
+        let hits: Vec<u64> = [1, 16]
+            .iter()
+            .map(|&shards| s3_burst(&prepare_s3(shards, 200).unwrap().1, 200, 2, 4).0)
+            .collect();
+        assert!(hits[0] > 0);
+        assert_eq!(hits[0], hits[1]);
     }
 }

@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 use simworld::MeterSnapshot;
 use workloads::Combined;
 
-use crate::harness::{bytes, count, percent, persist_dataset, persist_raw_baseline, ratio};
+use crate::harness::{
+    bytes, count, metered, percent, persist_dataset, persist_raw_baseline, ratio,
+};
 
 /// The program Q2/Q3 target — "outputs of blast" in the paper.
 pub const QUERY_PROGRAM: &str = "blastall";
@@ -186,9 +188,7 @@ fn run_query(
     world: &simworld::SimWorld,
     query: &ProvQuery,
 ) -> Result<QueryCell> {
-    let before = world.meters();
-    let answer = store.query(query)?;
-    let delta = world.meters() - before;
+    let (answer, delta, _) = metered(world, || store.query(query))?;
     Ok(QueryCell {
         data_out: delta.bytes_out(),
         ops: delta.total_ops(),

@@ -163,7 +163,7 @@ impl Registry {
 
 /// A running frontend: a listener plus its pool of handler threads.
 /// Dropping without [`Server::shutdown`] leaks the (daemon-like)
-/// threads until process exit; tests and the loadgen always shut down.
+/// threads until process exit; the tests and the benchmark always shut down.
 #[derive(Debug)]
 pub struct Server {
     endpoint: Endpoint,

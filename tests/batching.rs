@@ -15,7 +15,8 @@ use pass_cloud::workloads::Combined;
 // The bench harness owns the priced world and the flush-path request
 // definition; reusing them keeps the acceptance test and the BASELINE
 // sweep measuring identical quantities.
-use prov_bench::batchbench::{flush_path_requests, priced_world};
+use prov_bench::batchbench::flush_path_requests;
+use prov_bench::harness::priced_world;
 
 /// Drives `flushes` into `store` — point persists, or groups of
 /// `group_size` through the group-commit flusher — and returns the
@@ -58,11 +59,11 @@ fn graph_of(store: &mut dyn ProvenanceStore) -> ProvGraph {
 fn batched_arch2_matches_point_path_with_5x_fewer_flush_requests() {
     let (flushes, _) = Combined::small().flushes();
 
-    let point_world = priced_world();
+    let point_world = priced_world(2009);
     let mut point = S3SimpleDb::new(&point_world);
     let (point_reqs, point_time) = drive(&point_world, &mut point, &flushes, None);
 
-    let batch_world = priced_world();
+    let batch_world = priced_world(2009);
     let mut batch = S3SimpleDb::new(&batch_world);
     let (batch_reqs, batch_time) = drive(&batch_world, &mut batch, &flushes, Some(25));
 
@@ -97,11 +98,11 @@ fn batched_arch2_matches_point_path_with_5x_fewer_flush_requests() {
 fn batched_arch3_matches_point_path_with_5x_fewer_flush_requests() {
     let (flushes, _) = Combined::small().flushes();
 
-    let point_world = priced_world();
+    let point_world = priced_world(2009);
     let mut point = S3SimpleDbSqs::new(&point_world, "bench");
     let (point_reqs, point_time) = drive(&point_world, &mut point, &flushes, None);
 
-    let batch_world = priced_world();
+    let batch_world = priced_world(2009);
     let mut batch = S3SimpleDbSqs::new(&batch_world, "bench");
     let (batch_reqs, batch_time) = drive(&batch_world, &mut batch, &flushes, Some(25));
 

@@ -21,7 +21,7 @@ use pass_cloud::workloads::Combined;
 // The bench harness owns the priced world; reusing it keeps the
 // acceptance test and the BASELINE sweep measuring identical
 // quantities.
-use prov_bench::batchbench::priced_world;
+use prov_bench::harness::priced_world;
 
 /// The persist groups every run of one comparison uses: the same
 /// partition of the flush stream, so only the overlap differs.
@@ -46,7 +46,7 @@ fn pin_of(world: &SimWorld) -> Pin {
 }
 
 fn traced_world() -> SimWorld {
-    let world = priced_world();
+    let world = priced_world(2009);
     world.set_event_trace(true);
     world
 }
@@ -225,7 +225,7 @@ fn background_daemon_timer_bounds_flush_latency() {
     // threshold: without the deadline every flush would wait for 100
     // closes; with it, groups drain on the max_age timer and the final
     // state still matches a plain point-persisted control run.
-    let world = priced_world();
+    let world = priced_world(2009);
     let mut store = S3SimpleDb::new(&world);
     let (flushes, _) = Combined::small().flushes();
     let slice = &flushes[..60];
@@ -248,7 +248,7 @@ fn background_daemon_timer_bounds_flush_latency() {
         "the stream must not wait for one giant group: {report:?}"
     );
 
-    let control_world = priced_world();
+    let control_world = priced_world(2009);
     let mut control = S3SimpleDb::new(&control_world);
     for flush in slice {
         control.persist(flush).unwrap();
