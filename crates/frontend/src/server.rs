@@ -21,7 +21,10 @@
 //!   `ProvenanceOfAll` answer, over [`crate::MAX_FRAME`]) → a
 //!   `FrameTooLarge` fault in its place; nothing of the oversized
 //!   frame was written, so the connection stays up;
-//! * truncated frame or transport error → the connection drops.
+//! * truncated frame or transport error → the connection drops;
+//! * a panic while executing a request → the connection drops (the
+//!   peer sees EOF); [`ServeHandle`] recovers its poisoned writer lock,
+//!   so the next connection is served normally.
 //!
 //! A dying connection never takes a worker with it: the worker loops
 //! back into `accept`, pausing a few milliseconds first if `accept`
@@ -34,6 +37,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -242,7 +246,15 @@ impl Server {
                                 break;
                             }
                             let id = registry.insert(&conn);
-                            serve_connection(&handle, conn);
+                            // A request that panics below `execute`
+                            // loses its connection, not the worker: the
+                            // unwind drops `conn`, and deregistering
+                            // drops the clone that would otherwise hold
+                            // the socket open with the peer still in
+                            // `read`.
+                            let _ = catch_unwind(AssertUnwindSafe(|| {
+                                serve_connection(&handle, conn);
+                            }));
                             registry.remove(id);
                         }
                     })?,
@@ -302,8 +314,9 @@ impl Server {
     }
 }
 
-/// Runs one connection to completion. Never panics outward; never
-/// takes down the worker.
+/// Runs one connection to completion. A panic from the store unwinds
+/// out of here and is caught by the worker loop, which closes the
+/// connection and goes back to `accept`.
 fn serve_connection(handle: &ServeHandle, mut conn: Conn) {
     let mut reader = FrameReader::new();
     let mut frame = Vec::new();

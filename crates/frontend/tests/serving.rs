@@ -7,13 +7,17 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use frontend::{
     encode_command_into, write_frame, Client, ClientError, Command, FaultCode, Reply, Server,
     MAX_FRAME,
 };
 use pass::FileFlush;
-use provenance_cloud::{ProvQuery, S3SimpleDb, S3SimpleDbSqs, ServeHandle};
+use provenance_cloud::{
+    ProvQuery, ProvenanceStore, QueryAnswer, ReadOutcome, RecoveryReport, S3SimpleDb,
+    S3SimpleDbSqs, ServeHandle, ServeParts, Serveable,
+};
 use simworld::{Blob, SimWorld};
 
 fn arch2_handle() -> ServeHandle {
@@ -430,5 +434,78 @@ fn oversized_command_is_a_protocol_error_and_nothing_is_written() {
     // The stream is untouched, so the connection still works.
     client.record(&flush("small.dat", 1, None)).unwrap();
     assert!(client.read("small.dat").unwrap().consistent());
+    server.shutdown();
+}
+
+/// An arch2 store whose `persist` panics on one object name: a stand-in
+/// for any `expect` below the server's `execute`.
+struct PanicsOn {
+    inner: S3SimpleDb,
+    sentinel: &'static str,
+}
+
+impl ProvenanceStore for PanicsOn {
+    fn architecture(&self) -> &'static str {
+        self.inner.architecture()
+    }
+
+    fn persist(&mut self, flush: &FileFlush) -> provenance_cloud::Result<()> {
+        assert_ne!(flush.object.name, self.sentinel, "sentinel object recorded");
+        self.inner.persist(flush)
+    }
+
+    fn read(&mut self, name: &str) -> provenance_cloud::Result<ReadOutcome> {
+        self.inner.read(name)
+    }
+
+    fn query(&mut self, query: &ProvQuery) -> provenance_cloud::Result<QueryAnswer> {
+        self.inner.query(query)
+    }
+
+    fn recover(&mut self) -> provenance_cloud::Result<RecoveryReport> {
+        self.inner.recover()
+    }
+}
+
+impl Serveable for PanicsOn {
+    fn serve_parts(&self) -> ServeParts {
+        self.inner.serve_parts()
+    }
+}
+
+#[test]
+fn a_panicking_request_closes_its_connection_and_spares_the_worker() {
+    let store = PanicsOn {
+        inner: S3SimpleDb::new(&SimWorld::counting()),
+        sentinel: "poison.dat",
+    };
+    // One worker: if the panic takes it, nobody is left to serve B.
+    let server = Server::bind_tcp(ServeHandle::new(store), "127.0.0.1:0", 1).unwrap();
+    let addr = server.tcp_addr().unwrap();
+    // A regression leaves a client blocked in `read` for good; the
+    // timeout turns that into a failure.
+    let connect = || {
+        let mut client = Client::connect_tcp(addr).unwrap();
+        let stream = client.stream_mut();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        client
+    };
+
+    let mut a = connect();
+    let err = a.record(&flush("poison.dat", 1, None)).unwrap_err();
+    let ClientError::Io(e) = &err else {
+        panic!("expected a transport error, got {err:?}");
+    };
+    assert!(
+        !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "the connection was left open until the read timed out: {e}"
+    );
+
+    let mut b = connect();
+    b.record(&flush("ok.dat", 2, None)).unwrap();
+    assert!(b.read("ok.dat").unwrap().consistent());
+    assert!(b.stats().unwrap().requests >= 3);
     server.shutdown();
 }

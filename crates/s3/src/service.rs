@@ -32,15 +32,14 @@
 //! splits mid-walk keeps serving the walk from its parent's pinned
 //! replica: the walk neither skips nor duplicates a key.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use simworld::{
-    Blob, Md5Digest, Op, ReplicaPin, Service, ShardMap, ShardPlan, SimInstant, SimWorld,
-    SplitEvent, ThrottleConfig,
+    Blob, Charge, Cost, Md5Digest, Op, ReplicaPin, ShardMap, ShardPlan, ShardRegistry, SimInstant,
+    SimWorld, SplitEvent, ThrottleConfig,
 };
 
 use crate::error::{Result, S3Error};
@@ -139,14 +138,6 @@ impl Stored {
 
 type Bucket = ShardMap<Stored>;
 
-struct Inner {
-    buckets: RwLock<BTreeMap<String, Arc<Bucket>>>,
-    /// One optional throttle config for the endpoint; the per-shard
-    /// token buckets live inside each bucket's [`ShardMap`], keyed by
-    /// stable shard id so they survive (and are re-keyed across) splits.
-    throttle: Mutex<Option<ThrottleConfig>>,
-}
-
 /// The simulated Simple Storage Service.
 ///
 /// All clones share one backing store (they are handles to the same
@@ -169,30 +160,10 @@ struct Inner {
 /// assert_eq!(&obj.body.to_bytes()[..], b"hi");
 /// # Ok::<(), sim_s3::S3Error>(())
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct S3 {
     world: SimWorld,
-    plan: ShardPlan,
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for S3 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let buckets = self.inner.buckets.read();
-        f.debug_struct("S3")
-            .field("buckets", &buckets.len())
-            .field("plan", &self.plan)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Meters one COPY request, keyed for completion order when the caller
-/// supplied an `order_key` (see [`S3::copy_object_ordered`]).
-fn record_copy(world: &SimWorld, order_key: Option<u64>) {
-    match order_key {
-        Some(key) => world.record_op_keyed(Op::S3Copy, 0, 0, key),
-        None => world.record_op(Op::S3Copy, 0, 0),
-    }
+    buckets: Arc<ShardRegistry<Stored>>,
 }
 
 impl S3 {
@@ -218,11 +189,7 @@ impl S3 {
     pub fn with_shard_plan(world: &SimWorld, plan: ShardPlan) -> S3 {
         S3 {
             world: world.clone(),
-            plan,
-            inner: Arc::new(Inner {
-                buckets: RwLock::new(BTreeMap::new()),
-                throttle: Mutex::new(None),
-            }),
+            buckets: Arc::new(ShardRegistry::new(plan)),
         }
     }
 
@@ -230,37 +197,37 @@ impl S3 {
     /// Splitting can grow an individual bucket past this — see
     /// [`S3::bucket_shard_count`].
     pub fn shard_count(&self) -> usize {
-        simworld::clamp_shards(self.plan.shards)
+        simworld::clamp_shards(self.buckets.plan().shards)
     }
 
     /// The shard plan buckets are provisioned with.
     pub fn shard_plan(&self) -> ShardPlan {
-        self.plan
+        self.buckets.plan()
     }
 
     /// Shards `bucket` currently holds (grows as hot shards split), or
     /// `None` for an unknown bucket. Unbilled.
     pub fn bucket_shard_count(&self, bucket: &str) -> Option<usize> {
-        Some(self.bucket(bucket).ok()?.shard_count())
+        Some(self.buckets.get(bucket)?.shard_count())
     }
 
     /// Splits performed on `bucket` so far, or `None` for an unknown
     /// bucket. Unbilled.
     pub fn bucket_split_count(&self, bucket: &str) -> Option<u64> {
-        Some(self.bucket(bucket).ok()?.split_count())
+        Some(self.buckets.get(bucket)?.split_count())
     }
 
     /// Stable ids of `bucket`'s current shards in hash-range order, or
     /// `None` for an unknown bucket. Unbilled.
     pub fn bucket_shard_ids(&self, bucket: &str) -> Option<Vec<u32>> {
-        Some(self.bucket(bucket).ok()?.shard_ids())
+        Some(self.buckets.get(bucket)?.shard_ids())
     }
 
     /// Test/bench hook: force-splits the shard of `bucket` currently
     /// holding the most cells, policy or not. Returns the split record,
     /// or `None` when the bucket is unknown or nothing can split.
     pub fn split_hottest(&self, bucket: &str) -> Option<SplitEvent> {
-        self.bucket(bucket).ok()?.force_split()
+        self.buckets.get(bucket)?.force_split()
     }
 
     /// Installs (or, with `None`, removes) a per-shard write-rate limit.
@@ -270,25 +237,22 @@ impl S3 {
     /// are not throttled. Replaces any prior limit and resets bucket
     /// state.
     pub fn set_throttle(&self, config: Option<ThrottleConfig>) {
-        *self.inner.throttle.lock() = config;
-        for bkt in self.inner.buckets.read().values() {
-            bkt.reset_throttle();
-        }
+        self.buckets.set_throttle(config);
     }
 
     /// The active per-shard write-rate limit, if any.
     pub fn throttle(&self) -> Option<ThrottleConfig> {
-        *self.inner.throttle.lock()
+        self.buckets.throttle()
     }
 
-    /// All-or-nothing admission for a request landing on `shards` of
-    /// `bkt`: every touched shard's token bucket must hold a token, or
-    /// the whole request is rejected and no bucket is drained (a
-    /// rejected batch must not consume the budget of the shards it
-    /// missed).
-    fn admit(&self, bkt: &Bucket, shards: &[u32]) -> bool {
-        let config = *self.inner.throttle.lock();
-        bkt.admit(self.world.now(), config, shards)
+    /// [`ShardMap::admit_or_reject`] under this endpoint's throttle.
+    fn admit(&self, bkt: &Bucket, bucket: &str, op: Op, bytes_in: u64, ids: &[u32]) -> Result<()> {
+        if bkt.admit_or_reject(&self.world, self.buckets.throttle(), op, bytes_in, ids) {
+            return Ok(());
+        }
+        Err(S3Error::ServiceUnavailable {
+            bucket: bucket.to_string(),
+        })
     }
 
     /// Creates a bucket.
@@ -302,13 +266,14 @@ impl S3 {
         if bucket.is_empty() || bucket.len() > 255 {
             return Err(S3Error::InvalidBucketName { bucket });
         }
-        let mut buckets = self.inner.buckets.write();
-        if buckets.contains_key(&bucket) {
-            return Err(S3Error::BucketAlreadyExists { bucket });
-        }
-        self.world.record_op(Op::S3Put, bucket.len() as u64, 0);
-        buckets.insert(bucket, Arc::new(ShardMap::new(self.plan)));
-        Ok(())
+        self.buckets.create(bucket, |bucket, exists, _| {
+            if exists {
+                let bucket = bucket.to_string();
+                return Err(S3Error::BucketAlreadyExists { bucket });
+            }
+            self.world.record_op(Op::S3Put, bucket.len() as u64, 0);
+            Ok(true)
+        })
     }
 
     /// Stores an object, overwriting any existing object at the key.
@@ -335,7 +300,6 @@ impl S3 {
         }
         metadata.check_limit()?;
         let bkt = self.bucket(bucket)?;
-        let shard = bkt.route(key);
         let stored = Stored {
             etag: body.md5(),
             last_modified: self.world.now(),
@@ -343,27 +307,9 @@ impl S3 {
             metadata,
         };
         let bytes_in = stored.footprint();
-        if !self.admit(&bkt, &[shard]) {
-            self.world.record_throttled(Op::S3Put, bytes_in);
-            self.world.record_shard_touch(Service::S3, shard);
-            bkt.maybe_split();
-            return Err(S3Error::ServiceUnavailable {
-                bucket: bucket.to_string(),
-            });
-        }
-        let shard = bkt.with_cells(key, |shard, map| {
-            let prev_footprint = map
-                .read_latest(&key.to_string())
-                .map(|s| s.footprint())
-                .unwrap_or(0);
-            self.world.record_op(Op::S3Put, bytes_in, 0);
-            self.world.record_shard_touch(Service::S3, shard);
-            self.world
-                .adjust_stored(Service::S3, bytes_in as i64 - prev_footprint as i64);
-            map.write(&self.world, key.to_string(), Some(stored));
-            shard
-        });
-        bkt.note_ops(&[shard]);
+        self.admit(&bkt, bucket, Op::S3Put, bytes_in, &[bkt.route(key)])?;
+        let put = Charge::point(Op::S3Put, bytes_in, 0);
+        self.write(&bkt, key, Some(stored), put);
         Ok(())
     }
 
@@ -374,26 +320,7 @@ impl S3 {
     /// [`S3Error::NoSuchKey`] when absent *or not yet visible on the
     /// sampled replica* — retrying after the propagation lag succeeds.
     pub fn get_object(&self, bucket: &str, key: &str) -> Result<Object> {
-        let bkt = self.bucket(bucket)?;
-        let shard = bkt.route(key);
-        self.world.record_shard_touch(Service::S3, shard);
-        let stored = bkt.with_cells(key, |_, map| map.read(&self.world, &key.to_string()));
-        bkt.note_ops(&[shard]);
-        let stored = stored.ok_or_else(|| {
-            self.world.record_op(Op::S3Get, 0, 0);
-            S3Error::NoSuchKey {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-            }
-        })?;
-        let bytes_out = stored.footprint();
-        self.world.record_op(Op::S3Get, 0, bytes_out);
-        Ok(Object {
-            body: stored.body,
-            metadata: stored.metadata,
-            etag: stored.etag,
-            last_modified: stored.last_modified,
-        })
+        self.get(bucket, key, None)
     }
 
     /// Retrieves a byte range of an object. Metadata and the full-body
@@ -404,34 +331,63 @@ impl S3 {
     /// [`S3Error::InvalidRange`] if the range does not fit the object;
     /// otherwise as [`S3::get_object`].
     pub fn get_object_range(&self, bucket: &str, key: &str, range: Range<u64>) -> Result<Object> {
+        self.get(bucket, key, Some(range))
+    }
+
+    fn get(&self, bucket: &str, key: &str, range: Option<Range<u64>>) -> Result<Object> {
         let bkt = self.bucket(bucket)?;
-        let shard = bkt.route(key);
-        self.world.record_shard_touch(Service::S3, shard);
-        let stored = bkt.with_cells(key, |_, map| map.read(&self.world, &key.to_string()));
-        bkt.note_ops(&[shard]);
-        let stored = stored.ok_or_else(|| {
-            self.world.record_op(Op::S3Get, 0, 0);
-            S3Error::NoSuchKey {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
+        let miss = Charge::point(Op::S3Get, 0, 0);
+        let (shard, stored) = self.read_visible(&bkt, bucket, key, miss)?;
+        let body = match range {
+            None => stored.body,
+            Some(range) if range.start > range.end || range.end > stored.body.len() => {
+                return Err(S3Error::InvalidRange {
+                    start: range.start,
+                    end: range.end,
+                    len: stored.body.len(),
+                });
             }
-        })?;
-        if range.start > range.end || range.end > stored.body.len() {
-            return Err(S3Error::InvalidRange {
-                start: range.start,
-                end: range.end,
-                len: stored.body.len(),
-            });
-        }
-        let body = stored.body.slice(range);
+            Some(range) => stored.body.slice(range),
+        };
         let bytes_out = body.len() + stored.metadata.byte_size();
-        self.world.record_op(Op::S3Get, 0, bytes_out);
+        self.world.charge(Charge {
+            shards: &[shard],
+            ..Charge::point(Op::S3Get, 0, bytes_out)
+        });
         Ok(Object {
             body,
             metadata: stored.metadata,
             etag: stored.etag,
             last_modified: stored.last_modified,
         })
+    }
+
+    /// The body GET, ranged GET, HEAD and the source side of COPY share:
+    /// the version of `key` visible on a sampled replica, and the shard
+    /// it lives on for the caller's charge. A miss is itself a billed
+    /// request — `miss` is charged with that shard — and returns
+    /// [`S3Error::NoSuchKey`].
+    fn read_visible(
+        &self,
+        bkt: &Bucket,
+        bucket: &str,
+        key: &str,
+        miss: Charge<'_>,
+    ) -> Result<(u32, Stored)> {
+        let (shard, stored) = bkt.point_op(key, |shard, map| {
+            (shard, map.read(&self.world, &key.to_string()))
+        });
+        let Some(stored) = stored else {
+            self.world.charge(Charge {
+                shards: &[shard],
+                ..miss
+            });
+            return Err(S3Error::NoSuchKey {
+                bucket: bucket.to_string(),
+                key: key.to_string(),
+            });
+        };
+        Ok((shard, stored))
     }
 
     /// Retrieves only the metadata of an object — the sole provenance
@@ -442,19 +398,12 @@ impl S3 {
     /// As [`S3::get_object`].
     pub fn head_object(&self, bucket: &str, key: &str) -> Result<Head> {
         let bkt = self.bucket(bucket)?;
-        let shard = bkt.route(key);
-        self.world.record_shard_touch(Service::S3, shard);
-        let stored = bkt.with_cells(key, |_, map| map.read(&self.world, &key.to_string()));
-        bkt.note_ops(&[shard]);
-        let stored = stored.ok_or_else(|| {
-            self.world.record_op(Op::S3Head, 0, 0);
-            S3Error::NoSuchKey {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-            }
-        })?;
-        self.world
-            .record_op(Op::S3Head, 0, stored.metadata.byte_size());
+        let miss = Charge::point(Op::S3Head, 0, 0);
+        let (shard, stored) = self.read_visible(&bkt, bucket, key, miss)?;
+        self.world.charge(Charge {
+            shards: &[shard],
+            ..Charge::point(Op::S3Head, 0, stored.metadata.byte_size())
+        });
         Ok(Head {
             content_length: stored.body.len(),
             metadata: stored.metadata,
@@ -486,7 +435,7 @@ impl S3 {
 
     /// [`S3::copy_object`] with a completion-order key: pipelined
     /// copies carrying the same `order_key` complete in issue order
-    /// (see [`simworld::SimWorld::record_op_keyed`]). Architecture 3's
+    /// (see [`simworld::Charge::order_key`]). Architecture 3's
     /// commit daemon keys a transaction's apply-chain copies by txid so
     /// they stay ordered however deep its pipeline runs, while copies
     /// of different transactions overlap freely. Serial behaviour is
@@ -528,65 +477,60 @@ impl S3 {
                 length: dst_key.len(),
             });
         }
-        // Resolve both buckets before touching any state, so a copy
-        // into a missing bucket leaves no fingerprints (no shard touch,
-        // no RNG draw) on the simulation.
+        if let MetadataDirective::Replace(m) = &directive {
+            m.check_limit()?;
+        }
+        // Validate and resolve both buckets before touching any state,
+        // so an unbilled refusal leaves no fingerprints (no throttle
+        // token, no shard touch, no RNG draw) on the simulation.
         let src_bkt = self.bucket(src_bucket)?;
         let dst_bkt = self.bucket(dst_bucket)?;
         // Throttling gates the *write* side: admission is checked on the
         // destination shard before the source is even read, so a rejected
         // copy burns no source shard touch or replica sample.
         let dst_shard = dst_bkt.route(dst_key);
-        if !self.admit(&dst_bkt, &[dst_shard]) {
-            self.world.record_throttled(Op::S3Copy, 0);
-            self.world.record_shard_touch(Service::S3, dst_shard);
-            dst_bkt.maybe_split();
-            return Err(S3Error::ServiceUnavailable {
-                bucket: dst_bucket.to_string(),
-            });
-        }
-        let src_shard = src_bkt.route(src_key);
-        self.world.record_shard_touch(Service::S3, src_shard);
-        let src = src_bkt.with_cells(src_key, |_, map| {
-            map.read(&self.world, &src_key.to_string())
-        });
-        src_bkt.note_ops(&[src_shard]);
-        let src = src.ok_or_else(|| {
-            record_copy(&self.world, order_key);
-            S3Error::NoSuchKey {
-                bucket: src_bucket.to_string(),
-                key: src_key.to_string(),
-            }
-        })?;
-        let metadata = match directive {
-            MetadataDirective::Copy => src.metadata.clone(),
-            MetadataDirective::Replace(m) => {
-                m.check_limit()?;
-                m
-            }
+        self.admit(&dst_bkt, dst_bucket, Op::S3Copy, 0, &[dst_shard])?;
+        let copy = Charge {
+            order_key,
+            ..Charge::point(Op::S3Copy, 0, 0)
         };
+        let (src_shard, src) = self.read_visible(&src_bkt, src_bucket, src_key, copy)?;
         let stored = Stored {
             etag: src.etag,
             last_modified: self.world.now(),
             body: src.body,
-            metadata,
+            metadata: match directive {
+                MetadataDirective::Copy => src.metadata,
+                MetadataDirective::Replace(m) => m,
+            },
         };
-        let dst_shard = dst_bkt.with_cells(dst_key, |shard, map| {
-            let prev_footprint = map
-                .read_latest(&dst_key.to_string())
-                .map(|s| s.footprint())
-                .unwrap_or(0);
-            record_copy(&self.world, order_key);
-            self.world.record_shard_touch(Service::S3, shard);
-            self.world.adjust_stored(
-                Service::S3,
-                stored.footprint() as i64 - prev_footprint as i64,
-            );
-            map.write(&self.world, dst_key.to_string(), Some(stored));
-            shard
-        });
-        dst_bkt.note_ops(&[dst_shard]);
+        let copy = Charge {
+            shards: &[src_shard],
+            ..copy
+        };
+        self.write(&dst_bkt, dst_key, Some(stored), copy);
         Ok(())
+    }
+
+    /// The tail PUT, COPY and DELETE share: under `key`'s shard lock,
+    /// `charge` goes out carrying that shard's touch (beside the source
+    /// shard's a copy put there) and the stored-bytes delta of replacing
+    /// whatever `key` held, then `value` — `None` deletes — is written.
+    /// Deleting an absent key is billed and writes nothing.
+    fn write(&self, bkt: &Bucket, key: &str, value: Option<Stored>, charge: Charge<'_>) {
+        bkt.point_op(key, |shard, map| {
+            let prev = map.read_latest(&key.to_string()).map(|s| s.footprint());
+            let next = value.as_ref().map(Stored::footprint);
+            let touched: Vec<u32> = charge.shards.iter().copied().chain([shard]).collect();
+            self.world.charge(Charge {
+                shards: &touched,
+                stored_delta: next.unwrap_or(0) as i64 - prev.unwrap_or(0) as i64,
+                ..charge
+            });
+            if prev.or(next).is_some() {
+                map.write(&self.world, key.to_string(), value);
+            }
+        });
     }
 
     /// Deletes an object. Idempotent: deleting an absent key succeeds,
@@ -597,26 +541,8 @@ impl S3 {
     /// [`S3Error::NoSuchBucket`] only.
     pub fn delete_object(&self, bucket: &str, key: &str) -> Result<()> {
         let bkt = self.bucket(bucket)?;
-        let shard = bkt.route(key);
-        if !self.admit(&bkt, &[shard]) {
-            self.world.record_throttled(Op::S3Delete, 0);
-            self.world.record_shard_touch(Service::S3, shard);
-            bkt.maybe_split();
-            return Err(S3Error::ServiceUnavailable {
-                bucket: bucket.to_string(),
-            });
-        }
-        let shard = bkt.with_cells(key, |shard, map| {
-            let prev = map.read_latest(&key.to_string()).map(|s| s.footprint());
-            self.world.record_op(Op::S3Delete, 0, 0);
-            self.world.record_shard_touch(Service::S3, shard);
-            if let Some(footprint) = prev {
-                self.world.adjust_stored(Service::S3, -(footprint as i64));
-                map.write(&self.world, key.to_string(), None);
-            }
-            shard
-        });
-        bkt.note_ops(&[shard]);
+        self.admit(&bkt, bucket, Op::S3Delete, 0, &[bkt.route(key)])?;
+        self.write(&bkt, key, None, Charge::point(Op::S3Delete, 0, 0));
         Ok(())
     }
 
@@ -660,37 +586,37 @@ impl S3 {
         let gating = by_shard.values().map(Vec::len).max().unwrap_or(0) as u64;
         let bytes_in: u64 = keys.iter().map(|k| k.len() as u64).sum();
         let shards: Vec<u32> = by_shard.keys().copied().collect();
-        if !self.admit(&bkt, &shards) {
-            self.world.record_throttled(Op::S3DeleteObjects, bytes_in);
-            for &shard in &shards {
-                self.world.record_shard_touch(Service::S3, shard);
-            }
-            bkt.maybe_split();
-            return Err(S3Error::ServiceUnavailable {
-                bucket: bucket.to_string(),
-            });
-        }
-        self.world
-            .record_batch(Op::S3DeleteObjects, keys.len() as u64, bytes_in, 0, gating);
+        self.admit(&bkt, bucket, Op::S3DeleteObjects, bytes_in, &shards)?;
         let removed = bkt.with_cells_multi(&shards, |guards| {
-            let mut removed = 0u64;
+            // Stage: the keys that hold an object (a key submitted twice
+            // is deleted once) and the bytes deleting them frees.
+            let mut doomed: Vec<(u32, &String)> = Vec::new();
+            let mut seen = BTreeSet::new();
             let mut freed = 0i64;
             for (shard, shard_keys) in &by_shard {
                 let map = guards.get_mut(*shard);
-                self.world.record_shard_touch(Service::S3, *shard);
                 for key in shard_keys {
-                    let prev = map.read_latest(&key.to_string()).map(|s| s.footprint());
-                    if let Some(footprint) = prev {
-                        freed += footprint as i64;
-                        removed += 1;
-                        map.write(&self.world, key.to_string(), None);
+                    if let Some(s) = map.read_latest(*key).filter(|_| seen.insert(*key)) {
+                        freed += s.footprint() as i64;
+                        doomed.push((*shard, key));
                     }
                 }
             }
-            if freed > 0 {
-                self.world.adjust_stored(Service::S3, -freed);
+            self.world.charge(Charge {
+                cost: Cost::Batch {
+                    entries: keys.len() as u64,
+                    gating,
+                },
+                shards: &shards,
+                stored_delta: -freed,
+                ..Charge::point(Op::S3DeleteObjects, bytes_in, 0)
+            });
+            for (shard, key) in &doomed {
+                guards
+                    .get_mut(*shard)
+                    .write(&self.world, key.to_string(), None);
             }
-            removed
+            doomed.len() as u64
         });
         bkt.note_ops(&shards);
         Ok(removed)
@@ -778,7 +704,6 @@ impl S3 {
         let cap = max_keys.clamp(1, MAX_LIST_KEYS);
         let now = self.world.now();
         let shard_count = view.shard_count();
-        self.world.record_shard_touches(Service::S3, ids);
         let replicas: Vec<usize> = (0..shard_count)
             .map(|pos| {
                 view.resolve_pin(pin, pos)
@@ -825,7 +750,11 @@ impl S3 {
         // Shards scan in parallel: the busiest shard's examined rows
         // gate the response — this is where bucket sharding buys
         // deterministic virtual-time LIST speedup.
-        self.world.record_scan(Op::S3List, 0, bytes_out, scanned);
+        self.world.charge(Charge {
+            cost: Cost::Scan { rows: scanned },
+            shards: ids,
+            ..Charge::point(Op::S3List, 0, bytes_out)
+        });
         Listing {
             objects,
             is_truncated: more,
@@ -851,34 +780,14 @@ impl S3 {
     /// Authoritative list of live keys with `prefix`, unbilled. For tests
     /// and property validators only.
     pub fn latest_keys(&self, bucket: &str, prefix: &str) -> Vec<String> {
-        let Ok(bkt) = self.bucket(bucket) else {
-            return Vec::new();
-        };
-        let mut keys: Vec<String> = bkt.read_view(|view| {
-            let mut keys = Vec::new();
-            for pos in 0..view.shard_count() {
-                view.with_cells_at(pos, |map| {
-                    keys.extend(
-                        map.iter_latest()
-                            .filter(|(k, _)| k.starts_with(prefix))
-                            .map(|(k, _)| k.clone()),
-                    );
-                });
-            }
-            keys
-        });
-        keys.sort_unstable();
-        keys
+        self.buckets.get(bucket).map_or_else(Vec::new, |bkt| {
+            bkt.latest_keys(|key| key.starts_with(prefix))
+        })
     }
 
-    /// Looks a bucket up, cloning its handle out so the buckets map lock
-    /// is held only for the lookup.
     fn bucket(&self, bucket: &str) -> Result<Arc<Bucket>> {
-        self.inner
-            .buckets
-            .read()
+        self.buckets
             .get(bucket)
-            .cloned()
             .ok_or_else(|| S3Error::NoSuchBucket {
                 bucket: bucket.to_string(),
             })

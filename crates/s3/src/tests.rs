@@ -183,13 +183,16 @@ fn ranged_get_returns_slice_and_bills_slice() {
 
 #[test]
 fn ranged_get_out_of_bounds_is_invalid_range() {
-    let (_, s3) = counting();
+    let (world, s3) = counting();
     s3.put_object("b", "k", Blob::from("abc"), Metadata::new())
         .unwrap();
+    let before = world.meters();
     assert!(matches!(
         s3.get_object_range("b", "k", 2..9),
         Err(S3Error::InvalidRange { len: 3, .. })
     ));
+    // The refusal is unbilled, so it is not counted as shard load either.
+    assert_eq!(world.meters(), before);
 }
 
 #[test]
@@ -841,6 +844,35 @@ mod throttle {
             (world.now(), world.rand_u64())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn copy_refused_for_oversized_metadata_leaves_no_fingerprints() {
+        // Twin worlds: one issues a COPY whose replacement metadata is
+        // over the limit, the other never does. The refusal is unbilled,
+        // so it must not draw a replica, touch a shard, feed the split
+        // window or take the destination shard's one throttle token.
+        let run = |refused_copy: bool| {
+            let world = SimWorld::new(77);
+            let s3 = S3::new(&world);
+            s3.create_bucket("b").unwrap();
+            s3.put_object("b", "src", Blob::from("v"), Metadata::new())
+                .unwrap();
+            world.settle();
+            s3.set_throttle(Some(ThrottleConfig::per_shard(1.0)));
+            if refused_copy {
+                let fat = Metadata::from_pairs([("k", "v".repeat(3000))]);
+                let err = s3
+                    .copy_object("b", "src", "b", "dst", MetadataDirective::Replace(fat))
+                    .unwrap_err();
+                assert!(matches!(err, S3Error::MetadataTooLarge { .. }), "{err}");
+            }
+            // The destination shard's single token is still there.
+            s3.put_object("b", "dst", Blob::from("w"), Metadata::new())
+                .unwrap();
+            (world.meters(), world.now(), world.rand_u64())
+        };
+        assert_eq!(run(true), run(false));
     }
 }
 

@@ -40,13 +40,13 @@
 //! order can shift under writes) fall back to an offset cursor over the
 //! pinned views.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use simworld::{
-    MapView, Op, ReplicaPin, Service, ShardMap, ShardPlan, SimWorld, SplitEvent, ThrottleConfig,
+    Charge, Cost, MapView, Op, ReplicaPin, ShardMap, ShardPlan, ShardRegistry, SimWorld,
+    SplitEvent, ThrottleConfig,
 };
 
 use crate::error::{Result, SdbError};
@@ -150,14 +150,6 @@ pub struct SelectResult {
 
 type Domain = ShardMap<ItemState>;
 
-struct Inner {
-    domains: RwLock<BTreeMap<String, Arc<Domain>>>,
-    /// One optional throttle config for the endpoint; the per-shard
-    /// token buckets live inside each domain's [`ShardMap`], keyed by
-    /// stable shard id so they survive (and are re-keyed across) splits.
-    throttle: Mutex<Option<ThrottleConfig>>,
-}
-
 /// The simulated SimpleDB service.
 ///
 /// Clones share one backing store. Every call is metered and advances the
@@ -183,21 +175,10 @@ struct Inner {
 /// assert_eq!(names.item_names, vec!["foo_2"]);
 /// # Ok::<(), sim_simpledb::SdbError>(())
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SimpleDb {
     world: SimWorld,
-    plan: ShardPlan,
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for SimpleDb {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let domains = self.inner.domains.read();
-        f.debug_struct("SimpleDb")
-            .field("domains", &domains.len())
-            .field("plan", &self.plan)
-            .finish_non_exhaustive()
-    }
+    domains: Arc<ShardRegistry<ItemState>>,
 }
 
 impl SimpleDb {
@@ -223,11 +204,7 @@ impl SimpleDb {
     pub fn with_shard_plan(world: &SimWorld, plan: ShardPlan) -> SimpleDb {
         SimpleDb {
             world: world.clone(),
-            plan,
-            inner: Arc::new(Inner {
-                domains: RwLock::new(BTreeMap::new()),
-                throttle: Mutex::new(None),
-            }),
+            domains: Arc::new(ShardRegistry::new(plan)),
         }
     }
 
@@ -235,37 +212,37 @@ impl SimpleDb {
     /// Splitting can grow an individual domain past this — see
     /// [`SimpleDb::domain_shard_count`].
     pub fn shard_count(&self) -> usize {
-        simworld::clamp_shards(self.plan.shards)
+        simworld::clamp_shards(self.domains.plan().shards)
     }
 
     /// The shard plan domains are provisioned with.
     pub fn shard_plan(&self) -> ShardPlan {
-        self.plan
+        self.domains.plan()
     }
 
     /// Shards `domain` currently holds (grows as hot shards split), or
     /// `None` for an unknown domain. Unbilled.
     pub fn domain_shard_count(&self, domain: &str) -> Option<usize> {
-        Some(self.domain(domain).ok()?.shard_count())
+        Some(self.domains.get(domain)?.shard_count())
     }
 
     /// Splits performed on `domain` so far, or `None` for an unknown
     /// domain. Unbilled.
     pub fn domain_split_count(&self, domain: &str) -> Option<u64> {
-        Some(self.domain(domain).ok()?.split_count())
+        Some(self.domains.get(domain)?.split_count())
     }
 
     /// Stable ids of `domain`'s current shards in hash-range order, or
     /// `None` for an unknown domain. Unbilled.
     pub fn domain_shard_ids(&self, domain: &str) -> Option<Vec<u32>> {
-        Some(self.domain(domain).ok()?.shard_ids())
+        Some(self.domains.get(domain)?.shard_ids())
     }
 
     /// Test/bench hook: force-splits the shard of `domain` currently
     /// holding the most cells, policy or not. Returns the split record,
     /// or `None` when the domain is unknown or nothing can split.
     pub fn split_hottest(&self, domain: &str) -> Option<SplitEvent> {
-        self.domain(domain).ok()?.force_split()
+        self.domains.get(domain)?.force_split()
     }
 
     /// Installs (or, with `None`, removes) a per-shard write-rate limit.
@@ -274,24 +251,12 @@ impl SimpleDb {
     /// is still a billable, metered request. Read paths are not
     /// throttled. Replaces any prior limit and resets bucket state.
     pub fn set_throttle(&self, config: Option<ThrottleConfig>) {
-        *self.inner.throttle.lock() = config;
-        for dom in self.inner.domains.read().values() {
-            dom.reset_throttle();
-        }
+        self.domains.set_throttle(config);
     }
 
     /// The active per-shard write-rate limit, if any.
     pub fn throttle(&self) -> Option<ThrottleConfig> {
-        *self.inner.throttle.lock()
-    }
-
-    /// All-or-nothing admission for a request landing on `shards` of
-    /// `dom`: every touched shard's bucket must hold a token, or the
-    /// whole request is rejected and no bucket is drained (a rejected
-    /// batch must not consume the budget of the shards it missed).
-    fn admit(&self, dom: &Domain, shards: &[u32]) -> bool {
-        let config = *self.inner.throttle.lock();
-        dom.admit(self.world.now(), config, shards)
+        self.domains.throttle()
     }
 
     /// Creates a domain. Idempotent, as in the real service.
@@ -300,24 +265,19 @@ impl SimpleDb {
     ///
     /// [`SdbError::TooManyDomains`] past the account limit.
     pub fn create_domain(&self, domain: impl Into<String>) -> Result<()> {
-        let domain = domain.into();
-        let mut domains = self.inner.domains.write();
-        self.world
-            .record_op(Op::SdbCreateDomain, domain.len() as u64, 0);
-        if domains.contains_key(&domain) {
-            return Ok(());
-        }
-        if domains.len() >= MAX_DOMAINS {
-            return Err(SdbError::TooManyDomains { limit: MAX_DOMAINS });
-        }
-        domains.insert(domain, Arc::new(ShardMap::new(self.plan)));
-        Ok(())
+        self.domains.create(domain.into(), |domain, exists, count| {
+            self.world
+                .record_op(Op::SdbCreateDomain, domain.len() as u64, 0);
+            if !exists && count >= MAX_DOMAINS {
+                return Err(SdbError::TooManyDomains { limit: MAX_DOMAINS });
+            }
+            Ok(!exists)
+        })
     }
 
     /// Lists domain names.
     pub fn list_domains(&self) -> Vec<String> {
-        let domains = self.inner.domains.read();
-        let names: Vec<String> = domains.keys().cloned().collect();
+        let names = self.domains.names();
         let bytes: u64 = names.iter().map(|n| n.len() as u64).sum();
         self.world.record_op(Op::SdbListDomains, 0, bytes);
         names
@@ -338,51 +298,35 @@ impl SimpleDb {
         item_name: &str,
         attrs: &[ReplaceableAttribute],
     ) -> Result<()> {
-        if attrs.is_empty() {
-            return Err(SdbError::EmptyAttributeList);
-        }
         if attrs.len() > MAX_ATTRS_PER_CALL {
             return Err(SdbError::TooManyAttributesInCall {
                 submitted: attrs.len(),
             });
         }
-        if item_name.len() > ITEM_NAME_LIMIT {
-            return Err(SdbError::ItemNameTooLong {
-                length: item_name.len(),
-            });
-        }
-        for a in attrs {
-            a.check_limits()?;
-        }
+        let bytes_in = check_put(item_name, attrs)?;
         let dom = self.domain(domain)?;
-        let shard = dom.route(item_name);
-        let bytes_in: u64 = attrs
-            .iter()
-            .map(|a| (a.name.len() + a.value.len()) as u64)
-            .sum::<u64>()
-            + item_name.len() as u64;
-        if !self.admit(&dom, &[shard]) {
-            self.world.record_throttled(Op::SdbPutAttributes, bytes_in);
-            self.world.record_shard_touch(Service::SimpleDb, shard);
-            dom.maybe_split();
-            return Err(SdbError::ServiceUnavailable {
-                domain: domain.to_string(),
+        let op = Op::SdbPutAttributes;
+        self.admit(&dom, domain, op, bytes_in, &[dom.route(item_name)])?;
+        dom.point_op(item_name, |shard, map| {
+            let (item, stored_delta) = apply_put(item_name, map.read_latest(item_name), attrs)?;
+            self.world.charge(Charge {
+                shards: &[shard],
+                stored_delta,
+                ..Charge::point(op, bytes_in, 0)
             });
-        }
-        let shard = dom.with_cells(item_name, |shard, map| -> Result<u32> {
-            let current = map.read_latest(item_name);
-            let before_bytes = current.as_ref().map(byte_size).unwrap_or(0);
-            let item = apply_put(item_name, current, attrs)?;
-            let after_bytes = byte_size(&item);
-            self.world.record_op(Op::SdbPutAttributes, bytes_in, 0);
-            self.world.record_shard_touch(Service::SimpleDb, shard);
-            self.world
-                .adjust_stored(Service::SimpleDb, after_bytes as i64 - before_bytes as i64);
             map.write(&self.world, item_name.to_string(), Some(item));
-            Ok(shard)
-        })?;
-        dom.note_ops(&[shard]);
-        Ok(())
+            Ok(())
+        })
+    }
+
+    /// [`ShardMap::admit_or_reject`] under this endpoint's throttle.
+    fn admit(&self, dom: &Domain, domain: &str, op: Op, bytes_in: u64, ids: &[u32]) -> Result<()> {
+        if dom.admit_or_reject(&self.world, self.domains.throttle(), op, bytes_in, ids) {
+            return Ok(());
+        }
+        Err(SdbError::ServiceUnavailable {
+            domain: domain.to_string(),
+        })
     }
 
     /// Reads an item's attributes, optionally filtered to a set of names.
@@ -402,7 +346,7 @@ impl SimpleDb {
         let dom = self.domain(domain)?;
         // Flatten straight out of the stored state, under the shard lock:
         // the pairs returned are the only ones ever cloned.
-        let (shard, attrs) = dom.with_cells(item_name, |shard, map| {
+        let (shard, attrs) = dom.point_op(item_name, |shard, map| {
             let attrs = map.read_with(&self.world, item_name, |item| {
                 item.map_or_else(Vec::new, |item| {
                     attributes_where(item, |name| names.is_none_or(|f| f.contains(&name)))
@@ -414,10 +358,10 @@ impl SimpleDb {
             .iter()
             .map(|a| (a.name.len() + a.value.len()) as u64)
             .sum();
-        self.world
-            .record_op(Op::SdbGetAttributes, item_name.len() as u64, bytes);
-        self.world.record_shard_touch(Service::SimpleDb, shard);
-        dom.note_ops(&[shard]);
+        self.world.charge(Charge {
+            shards: &[shard],
+            ..Charge::point(Op::SdbGetAttributes, item_name.len() as u64, bytes)
+        });
         Ok(attrs)
     }
 
@@ -435,33 +379,23 @@ impl SimpleDb {
         attrs: Option<&[DeletableAttribute]>,
     ) -> Result<()> {
         let dom = self.domain(domain)?;
-        let shard = dom.route(item_name);
-        if !self.admit(&dom, &[shard]) {
-            self.world
-                .record_throttled(Op::SdbDeleteAttributes, item_name.len() as u64);
-            self.world.record_shard_touch(Service::SimpleDb, shard);
-            dom.maybe_split();
-            return Err(SdbError::ServiceUnavailable {
-                domain: domain.to_string(),
+        let op = Op::SdbDeleteAttributes;
+        let bytes_in = item_name.len() as u64;
+        self.admit(&dom, domain, op, bytes_in, &[dom.route(item_name)])?;
+        dom.point_op(item_name, |shard, map| {
+            let change = map
+                .read_latest(item_name)
+                .map(|item| apply_delete(item, attrs));
+            self.world.charge(Charge {
+                shards: &[shard],
+                stored_delta: change.as_ref().map_or(0, |(_, delta)| *delta),
+                ..Charge::point(op, bytes_in, 0)
             });
-        }
-        let shard = dom.with_cells(item_name, |shard, map| {
-            self.world
-                .record_op(Op::SdbDeleteAttributes, item_name.len() as u64, 0);
-            self.world.record_shard_touch(Service::SimpleDb, shard);
-            let Some(item) = map.read_latest(item_name) else {
-                return shard;
-            };
-            let before_bytes = byte_size(&item);
-            let new_state = apply_delete(item, attrs);
-            let after_bytes = new_state.as_ref().map(byte_size).unwrap_or(0);
-            self.world
-                .adjust_stored(Service::SimpleDb, after_bytes as i64 - before_bytes as i64);
-            map.write(&self.world, item_name.to_string(), new_state);
-            map.gc(self.world.now());
-            shard
+            if let Some((new_state, _)) = change {
+                map.write(&self.world, item_name.to_string(), new_state);
+                map.gc(self.world.now());
+            }
         });
-        dom.note_ops(&[shard]);
         Ok(())
     }
 
@@ -494,43 +428,15 @@ impl SimpleDb {
         if submitted > MAX_PAIRS_PER_BATCH {
             return Err(SdbError::TooManyAttributesInBatch { submitted });
         }
+        let mut bytes_in = 0u64;
         for (item_name, attrs) in items {
-            if attrs.is_empty() {
-                return Err(SdbError::EmptyAttributeList);
-            }
-            if item_name.len() > ITEM_NAME_LIMIT {
-                return Err(SdbError::ItemNameTooLong {
-                    length: item_name.len(),
-                });
-            }
-            for a in attrs {
-                a.check_limits()?;
-            }
+            bytes_in += check_put(item_name, attrs)?;
         }
         let dom = self.domain(domain)?;
 
         let shards: Vec<u32> = dom.route_all(items.iter().map(|(n, _)| n.as_str()));
-        let bytes_in: u64 = items
-            .iter()
-            .map(|(name, attrs)| {
-                name.len() as u64
-                    + attrs
-                        .iter()
-                        .map(|a| (a.name.len() + a.value.len()) as u64)
-                        .sum::<u64>()
-            })
-            .sum();
-        if !self.admit(&dom, &shards) {
-            self.world
-                .record_throttled(Op::SdbBatchPutAttributes, bytes_in);
-            for &shard in &BTreeSet::from_iter(shards.iter().copied()) {
-                self.world.record_shard_touch(Service::SimpleDb, shard);
-            }
-            dom.maybe_split();
-            return Err(SdbError::ServiceUnavailable {
-                domain: domain.to_string(),
-            });
-        }
+        let op = Op::SdbBatchPutAttributes;
+        self.admit(&dom, domain, op, bytes_in, &shards)?;
 
         // Every touched shard's lock is taken exactly once, in ascending
         // id order (a deterministic order keeps concurrent batches
@@ -541,39 +447,46 @@ impl SimpleDb {
             // written.
             let mut staged: Vec<(u32, &str, ItemState)> = Vec::with_capacity(items.len());
             let mut stored_delta = 0i64;
-            let mut per_shard = BTreeMap::<u32, u64>::new();
             for ((item_name, attrs), &shard) in items.iter().zip(&shards) {
-                let map = guards.get_mut(shard);
-                let current = map.read_latest(item_name.as_str());
-                let before_bytes = current.as_ref().map(byte_size).unwrap_or(0);
-                let item = apply_put(item_name, current, attrs)?;
-                stored_delta += byte_size(&item) as i64 - before_bytes as i64;
+                let current = guards.get_mut(shard).read_latest(item_name.as_str());
+                let (item, delta) = apply_put(item_name, current, attrs)?;
+                stored_delta += delta;
                 staged.push((shard, item_name, item));
-                *per_shard.entry(shard).or_insert(0) += 1;
             }
-
             // Apply phase: meter one request, then write every entry.
-            let gating = per_shard.values().copied().max().unwrap_or(0);
-            self.world.record_batch(
-                Op::SdbBatchPutAttributes,
-                items.len() as u64,
-                bytes_in,
-                0,
-                gating,
-            );
-            for &shard in per_shard.keys() {
-                self.world.record_shard_touch(Service::SimpleDb, shard);
-            }
-            self.world.adjust_stored(Service::SimpleDb, stored_delta);
+            let touched = self.charge_batch(op, bytes_in, &shards, stored_delta);
             for (shard, item_name, item) in staged {
                 guards
                     .get_mut(shard)
                     .write(&self.world, item_name.to_string(), Some(item));
             }
-            Ok(per_shard.keys().copied().collect())
+            Ok(touched)
         })?;
         dom.note_ops(&touched);
         Ok(())
+    }
+
+    /// Charges one batch request whose entries landed on `shards` (one
+    /// routed id per entry): shards apply their entries in parallel, so
+    /// the busiest one's entry count gates the response. Returns the
+    /// distinct shards touched.
+    fn charge_batch(&self, op: Op, bytes_in: u64, shards: &[u32], stored_delta: i64) -> Vec<u32> {
+        let mut per_shard = BTreeMap::<u32, u64>::new();
+        for &shard in shards {
+            *per_shard.entry(shard).or_insert(0) += 1;
+        }
+        let gating = per_shard.values().copied().max().unwrap_or(0);
+        let touched: Vec<u32> = per_shard.into_keys().collect();
+        self.world.charge(Charge {
+            cost: Cost::Batch {
+                entries: shards.len() as u64,
+                gating,
+            },
+            shards: &touched,
+            stored_delta,
+            ..Charge::point(op, bytes_in, 0)
+        });
+        touched
     }
 
     /// `BatchDeleteAttributes`: deletes attributes (or, with `None`
@@ -596,49 +509,30 @@ impl SimpleDb {
         let dom = self.domain(domain)?;
         let shards: Vec<u32> = dom.route_all(items.iter().map(|(n, _)| n.as_str()));
         let bytes_in: u64 = items.iter().map(|(name, _)| name.len() as u64).sum();
-        if !self.admit(&dom, &shards) {
-            self.world
-                .record_throttled(Op::SdbBatchDeleteAttributes, bytes_in);
-            for &shard in &BTreeSet::from_iter(shards.iter().copied()) {
-                self.world.record_shard_touch(Service::SimpleDb, shard);
-            }
-            dom.maybe_split();
-            return Err(SdbError::ServiceUnavailable {
-                domain: domain.to_string(),
-            });
-        }
+        let op = Op::SdbBatchDeleteAttributes;
+        self.admit(&dom, domain, op, bytes_in, &shards)?;
         let touched = dom.with_cells_multi(&shards, |guards| {
-            let mut per_shard = BTreeMap::<u32, u64>::new();
-            for &shard in &shards {
-                *per_shard.entry(shard).or_insert(0) += 1;
-            }
-            let gating = per_shard.values().copied().max().unwrap_or(0);
-            self.world.record_batch(
-                Op::SdbBatchDeleteAttributes,
-                items.len() as u64,
-                bytes_in,
-                0,
-                gating,
-            );
-            for &shard in per_shard.keys() {
-                self.world.record_shard_touch(Service::SimpleDb, shard);
-            }
+            // Stage, then charge, then write, as in the batch put; a
+            // batch names an item at most once, so staged states are
+            // what a one-by-one apply would compute.
+            let mut staged: Vec<(u32, &str, Option<ItemState>)> = Vec::new();
             let mut stored_delta = 0i64;
-            let now = self.world.now();
             for ((item_name, specs), &shard) in items.iter().zip(&shards) {
-                let map = guards.get_mut(shard);
-                let Some(item) = map.read_latest(item_name.as_str()) else {
+                let Some(item) = guards.get_mut(shard).read_latest(item_name.as_str()) else {
                     continue;
                 };
-                let before_bytes = byte_size(&item);
-                let new_state = apply_delete(item, specs.as_deref());
-                stored_delta +=
-                    new_state.as_ref().map(byte_size).unwrap_or(0) as i64 - before_bytes as i64;
+                let (new_state, delta) = apply_delete(item, specs.as_deref());
+                stored_delta += delta;
+                staged.push((shard, item_name, new_state));
+            }
+            let touched = self.charge_batch(op, bytes_in, &shards, stored_delta);
+            let now = self.world.now();
+            for (shard, item_name, new_state) in staged {
+                let map = guards.get_mut(shard);
                 map.write(&self.world, item_name.to_string(), new_state);
                 map.gc(now);
             }
-            self.world.adjust_stored(Service::SimpleDb, stored_delta);
-            per_shard.keys().copied().collect::<Vec<u32>>()
+            touched
         });
         dom.note_ops(&touched);
         Ok(())
@@ -659,19 +553,15 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
     ) -> Result<QueryResult> {
-        let (rows, next, scanned) =
+        let ((rows, next, scanned), touched) =
             self.run_query(domain, expression, max_items, next_token, |_| ())?;
         let item_names: Vec<String> = rows.into_iter().map(|(n, ())| n).collect();
         let bytes: u64 = item_names
             .iter()
             .map(|n| n.len() as u64 + ITEM_ENTRY_OVERHEAD)
             .sum();
-        self.world.record_scan(
-            Op::SdbQuery,
-            expression.map(|e| e.len() as u64).unwrap_or(0),
-            bytes,
-            scanned,
-        );
+        let request = expression.map_or(0, str::len);
+        self.charge_scan(Op::SdbQuery, request, bytes, scanned, &touched);
         Ok(QueryResult {
             item_names,
             next_token: next,
@@ -693,30 +583,19 @@ impl SimpleDb {
         next_token: Option<&str>,
     ) -> Result<QueryWithAttributesResult> {
         let keep = |attr: &str| attribute_filter.is_none_or(|f| f.iter().any(|n| n == attr));
-        let (rows, next, scanned) =
+        let ((rows, next, scanned), touched) =
             self.run_query(domain, expression, max_items, next_token, |item| {
                 attributes_where(item, keep)
             })?;
-        let items: Vec<ResultItem> = rows
-            .into_iter()
-            .map(|(name, attributes)| ResultItem { name, attributes })
-            .collect();
-        let bytes: u64 = items
-            .iter()
-            .map(|i| {
-                i.name.len() as u64
-                    + ITEM_ENTRY_OVERHEAD
-                    + i.attributes
-                        .iter()
-                        .map(|a| (a.name.len() + a.value.len()) as u64)
-                        .sum::<u64>()
-            })
-            .sum();
-        self.world.record_scan(
+        let items = result_items(rows);
+        let request = expression.map_or(0, str::len);
+        let bytes = result_bytes(&items);
+        self.charge_scan(
             Op::SdbQueryWithAttributes,
-            expression.map(|e| e.len() as u64).unwrap_or(0),
+            request,
             bytes,
             scanned,
+            &touched,
         );
         Ok(QueryWithAttributesResult {
             items,
@@ -741,13 +620,12 @@ impl SimpleDb {
             let token = decode_token(next_token, view, &self.world)?;
             let touched = view.sorted_ids();
 
-            if stmt.output == Output::Count {
+            let (items, count, next_token, bytes, scanned) = if stmt.output == Output::Count {
                 // count(*) is unpaginated: one fan-out over freshly
                 // sampled replica views, counting matches without
                 // materialising a single item.
                 let pin = view.pin_replicas(&self.world, &touched);
                 let now = self.world.now();
-                self.world.record_shard_touches(Service::SimpleDb, &touched);
                 let mut matched = 0u64;
                 let mut scanned = 0u64;
                 for pos in 0..view.shard_count() {
@@ -763,95 +641,52 @@ impl SimpleDb {
                     });
                 }
                 let count = matched.min(stmt.limit as u64);
-                self.world
-                    .record_scan(Op::SdbSelect, sql.len() as u64, 16, scanned);
-                return Ok((
-                    SelectResult {
-                        items: Vec::new(),
-                        count: Some(count),
-                        next_token: None,
-                    },
-                    touched,
-                ));
-            }
-
-            let project = |item: &ItemState| match &stmt.output {
-                Output::ItemName => Vec::new(),
-                Output::All => to_attributes(item),
-                Output::Attrs(list) => {
-                    attributes_where(item, |attr| list.iter().any(|n| n == attr))
-                }
-                Output::Count => unreachable!("count handled above"),
-            };
-            let (page, next, scanned) = if stmt.order_by.is_some() {
-                // Sorted output: global order can interleave shards
-                // arbitrarily, so paginate by offset over the pinned views.
-                let (pin, offset) = match token {
-                    Some(PageToken {
-                        pin,
-                        cursor: Cursor::Offset(o),
-                    }) => (pin, o),
-                    Some(_) => return Err(SdbError::InvalidNextToken),
-                    None => (view.pin_replicas(&self.world, &touched), 0),
-                };
-                let (rows, scanned) =
-                    self.collect_entries(view, &touched, &pin, |name, item| {
-                        stmt.selects_row(name, item)
-                    })?;
-                let matched = stmt.apply(rows);
-                let total = matched.len();
-                let page: Vec<(String, Vec<Attribute>)> = matched
-                    .into_iter()
-                    .skip(offset)
-                    .take(stmt.limit)
-                    .map(|(name, state)| (name, project(&state)))
-                    .collect();
-                let consumed = offset + page.len();
-                let next = (consumed < total).then(|| {
-                    PageToken {
-                        pin,
-                        cursor: Cursor::Offset(consumed),
-                    }
-                    .encode()
-                });
-                (page, next, scanned)
+                (Vec::new(), Some(count), None, 16, scanned)
             } else {
-                // Name-ordered output: cursor-based merge across shards.
-                let cond = stmt.condition.as_ref();
-                self.merged_page(view, &touched, token, stmt.limit, cond, |name, item| {
-                    let matches = cond.is_none_or(|c| c.matches(name, item));
-                    matches.then(|| project(item))
-                })?
+                let project = |item: &ItemState| match &stmt.output {
+                    Output::ItemName => Vec::new(),
+                    Output::All => to_attributes(item),
+                    Output::Attrs(list) => {
+                        attributes_where(item, |attr| list.iter().any(|n| n == attr))
+                    }
+                    Output::Count => unreachable!("count handled above"),
+                };
+                let (page, next, scanned) = if stmt.order_by.is_some() {
+                    let matches = |name: &str, item: &ItemState| stmt.selects_row(name, item);
+                    let sort = |rows| stmt.apply(rows);
+                    self.sorted_page(view, token, stmt.limit, matches, sort, project)?
+                } else {
+                    // Name-ordered output: cursor-based merge across shards.
+                    let cond = stmt.condition.as_ref();
+                    self.merged_page(view, &touched, token, stmt.limit, cond, |name, item| {
+                        let matches = cond.is_none_or(|c| c.matches(name, item));
+                        matches.then(|| project(item))
+                    })?
+                };
+                let items = result_items(page);
+                let bytes = result_bytes(&items);
+                (items, None, next, bytes, scanned)
             };
-
-            let items: Vec<ResultItem> = page
-                .into_iter()
-                .map(|(name, attributes)| ResultItem { name, attributes })
-                .collect();
-            let bytes: u64 = items
-                .iter()
-                .map(|i| {
-                    i.name.len() as u64
-                        + ITEM_ENTRY_OVERHEAD
-                        + i.attributes
-                            .iter()
-                            .map(|a| (a.name.len() + a.value.len()) as u64)
-                            .sum::<u64>()
-                })
-                .sum();
-            self.world
-                .record_scan(Op::SdbSelect, sql.len() as u64, bytes, scanned);
-            Ok((
-                SelectResult {
-                    items,
-                    count: None,
-                    next_token: next,
-                },
-                touched,
-            ))
+            self.charge_scan(Op::SdbSelect, sql.len(), bytes, scanned, &touched);
+            let result = SelectResult {
+                items,
+                count,
+                next_token,
+            };
+            Ok((result, touched))
         })?;
         dom.note_ops(&touched);
         Ok(result)
+    }
+
+    /// Charges one `Query`/`Select` page: a scan whose busiest shard
+    /// examined `scanned` cells, touching every shard of the fan-out.
+    fn charge_scan(&self, op: Op, request: usize, bytes_out: u64, scanned: u64, touched: &[u32]) {
+        self.world.charge(Charge {
+            cost: Cost::Scan { rows: scanned },
+            shards: touched,
+            ..Charge::point(op, request as u64, bytes_out)
+        });
     }
 
     // --- authoritative (non-billed) views for invariant checks ---
@@ -868,43 +703,25 @@ impl SimpleDb {
     /// Authoritative list of live item names, unbilled. For tests and
     /// property validators only.
     pub fn latest_item_names(&self, domain: &str) -> Vec<String> {
-        let Ok(dom) = self.domain(domain) else {
-            return Vec::new();
-        };
-        let mut names: Vec<String> = dom.read_view(|view| {
-            let mut names = Vec::new();
-            for pos in 0..view.shard_count() {
-                view.with_cells_at(pos, |map| {
-                    names.extend(map.iter_latest().map(|(k, _)| k.clone()));
-                });
-            }
-            names
-        });
-        names.sort_unstable();
-        names
+        self.domains
+            .get(domain)
+            .map_or_else(Vec::new, |dom| dom.latest_keys(|_| true))
     }
 
-    /// Looks a domain up, cloning its handle out so the domains map lock
-    /// is held only for the lookup.
     fn domain(&self, domain: &str) -> Result<Arc<Domain>> {
-        self.inner
-            .domains
-            .read()
+        self.domains
             .get(domain)
-            .cloned()
             .ok_or_else(|| SdbError::NoSuchDomain {
                 domain: domain.to_string(),
             })
     }
 
-    /// Fans out over every shard (`ids`: their stable ids, ascending),
-    /// collecting the entries visible on each shard's pinned replica that
-    /// `pred` accepts, merged in item-name order; only accepted entries
-    /// are cloned out of the shard. Records one shard touch per shard.
+    /// Fans out over every shard, collecting the entries visible on each
+    /// shard's pinned replica that `pred` accepts, merged in item-name
+    /// order; only accepted entries are cloned out of the shard.
     fn collect_entries<F>(
         &self,
         view: &MapView<'_, ItemState>,
-        ids: &[u32],
         pin: &ReplicaPin,
         mut pred: F,
     ) -> Result<(Vec<(String, ItemState)>, u64)>
@@ -912,7 +729,6 @@ impl SimpleDb {
         F: FnMut(&str, &ItemState) -> bool,
     {
         let now = self.world.now();
-        self.world.record_shard_touches(Service::SimpleDb, ids);
         let mut rows: Vec<(String, ItemState)> = Vec::new();
         let mut scanned = 0u64;
         for pos in 0..view.shard_count() {
@@ -933,6 +749,47 @@ impl SimpleDb {
         // global item-name order.
         rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         Ok((rows, scanned))
+    }
+
+    /// One page of a sorted scan. Global order can interleave shards
+    /// arbitrarily, so the page is an offset into everything `matches`
+    /// accepts on the pinned views, ordered by `sort`; the returned token
+    /// carries the same pin and the next offset.
+    fn sorted_page<T>(
+        &self,
+        view: &MapView<'_, ItemState>,
+        token: Option<PageToken>,
+        page_size: usize,
+        matches: impl FnMut(&str, &ItemState) -> bool,
+        sort: impl FnOnce(Vec<(String, ItemState)>) -> Vec<(String, ItemState)>,
+        emit: impl Fn(&ItemState) -> T,
+    ) -> Result<Page<T>> {
+        let (pin, offset) = match token {
+            Some(PageToken {
+                pin,
+                cursor: Cursor::Offset(o),
+            }) => (pin, o),
+            Some(_) => return Err(SdbError::InvalidNextToken),
+            None => (view.pin_replicas(&self.world, &view.sorted_ids()), 0),
+        };
+        let (rows, scanned) = self.collect_entries(view, &pin, matches)?;
+        let rows = sort(rows);
+        let total = rows.len();
+        let page: Vec<(String, T)> = rows
+            .into_iter()
+            .skip(offset)
+            .take(page_size)
+            .map(|(name, state)| (name, emit(&state)))
+            .collect();
+        let consumed = offset + page.len();
+        let next = (consumed < total).then(|| {
+            PageToken {
+                pin,
+                cursor: Cursor::Offset(consumed),
+            }
+            .encode()
+        });
+        Ok((page, next, scanned))
     }
 
     /// One page of a name-ordered scan: each shard contributes its next
@@ -975,7 +832,6 @@ impl SimpleDb {
             None => (view.pin_replicas(&self.world, ids), None),
         };
         let now = self.world.now();
-        self.world.record_shard_touches(Service::SimpleDb, ids);
         let shards = view.shard_count();
         let replicas: Vec<usize> = (0..shards)
             .map(|pos| {
@@ -1040,7 +896,8 @@ impl SimpleDb {
     }
 
     /// Shared implementation of `Query`/`QueryWithAttributes`: `emit`
-    /// builds what a call returns of a matching item.
+    /// builds what a call returns of a matching item. Returns the page
+    /// and the shards the fan-out touched, for the caller's charge.
     fn run_query<T>(
         &self,
         domain: &str,
@@ -1048,72 +905,90 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
         emit: impl Fn(&ItemState) -> T,
-    ) -> Result<Page<T>> {
+    ) -> Result<(Page<T>, Vec<u32>)> {
         let parsed = expression.map(QueryExpr::parse).transpose()?;
         let page_size = max_items
             .unwrap_or(QUERY_DEFAULT_PAGE)
             .clamp(1, QUERY_MAX_PAGE);
         let dom = self.domain(domain)?;
-        let (out, touched) = dom.read_view(|view| -> Result<(Page<T>, Vec<u32>)> {
+        let out = dom.read_view(|view| -> Result<(Page<T>, Vec<u32>)> {
             let token = decode_token(next_token, view, &self.world)?;
             let touched = view.sorted_ids();
-
-            if parsed.as_ref().and_then(|q| q.sort()).is_some() {
-                // Sorted output: offset cursor over the pinned views.
-                let q = parsed.as_ref().expect("sort implies a parsed expression");
-                let (pin, offset) = match token {
-                    Some(PageToken {
-                        pin,
-                        cursor: Cursor::Offset(o),
-                    }) => (pin, o),
-                    Some(_) => return Err(SdbError::InvalidNextToken),
-                    None => (view.pin_replicas(&self.world, &touched), 0),
-                };
-                let (rows, scanned) =
-                    self.collect_entries(view, &touched, &pin, |_, item| q.matches(item))?;
-                let rows = q.apply_sort(rows);
-                let total = rows.len();
-                let page: Vec<(String, T)> = rows
-                    .into_iter()
-                    .skip(offset)
-                    .take(page_size)
-                    .map(|(name, state)| (name, emit(&state)))
-                    .collect();
-                let consumed = offset + page.len();
-                let next = (consumed < total).then(|| {
-                    PageToken {
-                        pin,
-                        cursor: Cursor::Offset(consumed),
-                    }
-                    .encode()
-                });
-                return Ok(((page, next, scanned), touched));
-            }
-
             let query = parsed.as_ref();
-            let page = self.merged_page(view, &touched, token, page_size, query, |_, item| {
-                query.is_none_or(|q| q.matches(item)).then(|| emit(item))
-            })?;
+            let page = match query.filter(|q| q.sort().is_some()) {
+                Some(q) => {
+                    let matches = |_: &str, item: &ItemState| q.matches(item);
+                    let sort = |rows| q.apply_sort(rows);
+                    self.sorted_page(view, token, page_size, matches, sort, emit)?
+                }
+                None => self.merged_page(view, &touched, token, page_size, query, |_, item| {
+                    query.is_none_or(|q| q.matches(item)).then(|| emit(item))
+                })?,
+            };
             Ok((page, touched))
         })?;
-        dom.note_ops(&touched);
+        dom.note_ops(&out.1);
         Ok(out)
     }
+}
+
+/// Pairs each row's name with its attributes.
+fn result_items(rows: Vec<(String, Vec<Attribute>)>) -> Vec<ResultItem> {
+    rows.into_iter()
+        .map(|(name, attributes)| ResultItem { name, attributes })
+        .collect()
+}
+
+/// Response size of `items`: per item its name, the fixed entry
+/// overhead, and the name and value of every pair returned with it.
+fn result_bytes(items: &[ResultItem]) -> u64 {
+    items
+        .iter()
+        .map(|i| {
+            i.name.len() as u64
+                + ITEM_ENTRY_OVERHEAD
+                + i.attributes
+                    .iter()
+                    .map(|a| (a.name.len() + a.value.len()) as u64)
+                    .sum::<u64>()
+        })
+        .sum()
 }
 
 /// One page of rows, the token resuming after it (if more remain), and
 /// the cells the busiest shard examined.
 type Page<T> = (Vec<(String, T)>, Option<String>, u64);
 
+/// Validates one item's put — a non-empty attribute list, the item-name
+/// limit, each attribute's own limits — and returns its request bytes.
+fn check_put(item_name: &str, attrs: &[ReplaceableAttribute]) -> Result<u64> {
+    if attrs.is_empty() {
+        return Err(SdbError::EmptyAttributeList);
+    }
+    if item_name.len() > ITEM_NAME_LIMIT {
+        return Err(SdbError::ItemNameTooLong {
+            length: item_name.len(),
+        });
+    }
+    let mut bytes = item_name.len();
+    for a in attrs {
+        a.check_limits()?;
+        bytes += a.name.len() + a.value.len();
+    }
+    Ok(bytes as u64)
+}
+
 /// Applies one `PutAttributes` attribute list to an item's current
 /// state: the replace-once rule (existing values of a `replace`d name
 /// drop once per call, before any of this call's values land), then the
-/// 256-pair item cap.
+/// 256-pair item cap. Returns the new state and the change in the item's
+/// stored bytes.
 fn apply_put(
     item_name: &str,
     current: Option<ItemState>,
     attrs: &[ReplaceableAttribute],
-) -> Result<ItemState> {
+) -> Result<(ItemState, i64)> {
+    let before_bytes = current.as_ref().map_or(0, byte_size) as i64;
     let mut item = current.unwrap_or_default();
     let mut replaced: Vec<&str> = Vec::new();
     for a in attrs {
@@ -1134,13 +1009,21 @@ fn apply_put(
             pairs,
         });
     }
-    Ok(item)
+    let stored_delta = byte_size(&item) as i64 - before_bytes;
+    Ok((item, stored_delta))
 }
 
 /// Applies `DeleteAttributes` specs to an item's current state; `None`
-/// specs (or an emptied item) erase the item entirely.
-fn apply_delete(mut item: ItemState, specs: Option<&[DeletableAttribute]>) -> Option<ItemState> {
-    let specs = specs?;
+/// specs (or an emptied item) erase the item entirely. Returns the new
+/// state and the change in the item's stored bytes.
+fn apply_delete(
+    mut item: ItemState,
+    specs: Option<&[DeletableAttribute]>,
+) -> (Option<ItemState>, i64) {
+    let before_bytes = byte_size(&item) as i64;
+    let Some(specs) = specs else {
+        return (None, -before_bytes);
+    };
     for spec in specs {
         match &spec.value {
             None => {
@@ -1158,10 +1041,10 @@ fn apply_delete(mut item: ItemState, specs: Option<&[DeletableAttribute]>) -> Op
     }
     // An item with no attributes ceases to exist.
     if item.is_empty() {
-        None
-    } else {
-        Some(item)
+        return (None, -before_bytes);
     }
+    let stored_delta = byte_size(&item) as i64 - before_bytes;
+    (Some(item), stored_delta)
 }
 
 /// Shared batch-shape validation: item count, duplicate names.

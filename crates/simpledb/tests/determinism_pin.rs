@@ -8,9 +8,10 @@
 //! of everything observable against constants captured on the commit
 //! before postings existed (b63e004).
 //!
-//! `record_scan`'s `scanned` argument feeds the scan term of the latency
-//! model, so every query's examined-cell count is folded into the final
-//! clock and the completion instants of the event trace.
+//! A query's `scanned` count is the `rows` of its `Cost::Scan` charge,
+//! which feeds the scan term of the latency model, so every query's
+//! examined-cell count is folded into the final clock and the
+//! completion instants of the event trace.
 
 use std::fmt::Write as _;
 

@@ -23,15 +23,48 @@ pub struct ServiceLatency {
     /// Server-side cost per row a scan examines. Unlike the transfer
     /// term this parallelises across storage partitions: a sharded
     /// query charges the *largest partition's share* of the scan (see
-    /// [`LatencyModel::sample_scan`]).
+    /// [`Cost::Scan`]).
     pub per_scanned_row: SimDuration,
     /// Marginal server-side cost per entry of a *batch* request
     /// (`BatchPutAttributes`, `SendMessageBatch`, multi-object delete).
     /// The batch pays one base round trip; each entry then adds this
     /// term — and like the scan term it parallelises across storage
     /// partitions, so a batch spread over shards charges only the
-    /// busiest shard's entry share (see [`LatencyModel::sample_batch`]).
+    /// busiest shard's entry share (see [`Cost::Batch`]).
     pub per_batch_entry: SimDuration,
+}
+
+/// The shape of one request's cost: what the ledger meters it as and
+/// what the latency model adds to the plain round trip. Server-side
+/// partitions (shards, SQS storage servers) work in parallel, so elapsed
+/// time follows the slowest: callers pass the *largest* partition's
+/// share, which they know exactly, and a skewed layout is charged
+/// honestly.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Cost {
+    /// One request, one round trip.
+    Point,
+    /// A scanning call (`Query`/`Select`/`LIST`/`ReceiveMessage`):
+    /// [`ServiceLatency::per_scanned_row`] for each of the `rows` the
+    /// largest partition examined.
+    Scan {
+        /// Rows examined by the busiest partition.
+        rows: u64,
+    },
+    /// A batch call: **one** billable request carrying `entries`
+    /// entries, plus [`ServiceLatency::per_batch_entry`] for each of the
+    /// `gating` entries the busiest partition applies (all of them for
+    /// an unsharded target).
+    Batch {
+        /// Entries the request carried (metered, not priced).
+        entries: u64,
+        /// Entries landing on the busiest partition.
+        gating: u64,
+    },
+    /// A request the provider refused with a 503: metered and billed —
+    /// AWS charges for throttled requests — and a full round trip on the
+    /// clock, but nothing is applied and no response bytes flow.
+    Rejected,
 }
 
 /// Latency model for the whole cloud.
@@ -111,58 +144,23 @@ impl LatencyModel {
         }
     }
 
-    /// Latency of one call moving `payload_bytes`, before jitter.
-    /// `jitter_draw` must be uniform in `[0, 1]`.
-    pub fn sample(&self, op: Op, payload_bytes: u64, jitter_draw: f64) -> SimDuration {
+    /// Latency of one call moving `payload_bytes`: the base round trip,
+    /// the transfer term and the jitter (`jitter_draw` uniform in
+    /// `[0, 1]`) are serial; what `cost` adds on top parallelises across
+    /// storage partitions, so only the busiest partition's share is
+    /// charged (see [`Cost`]).
+    pub fn sample(&self, op: Op, payload_bytes: u64, cost: Cost, jitter_draw: f64) -> SimDuration {
         let p = self.service(op.service());
         let chunks = payload_bytes.div_ceil(8 * 1024);
         let jitter = SimDuration::from_micros(
             (p.jitter.as_micros() as f64 * jitter_draw.clamp(0.0, 1.0)) as u64,
         );
-        p.base + p.per_8kb.saturating_mul(chunks) + jitter
-    }
-
-    /// Latency of a scanning call (`Query`/`Select`/`LIST`) whose
-    /// server-side partitions scan in parallel. `scan_share_rows` is
-    /// the rows the *largest* partition examined — the caller knows the
-    /// real per-partition split, and elapsed time follows the slowest
-    /// partition, so a skewed shard layout is charged honestly. The
-    /// base round trip, the client-bound transfer term and the jitter
-    /// stay serial. This is where sharding buys virtual-time query
-    /// speedup.
-    pub fn sample_scan(
-        &self,
-        op: Op,
-        payload_bytes: u64,
-        scan_share_rows: u64,
-        jitter_draw: f64,
-    ) -> SimDuration {
-        let p = self.service(op.service());
-        self.sample(op, payload_bytes, jitter_draw)
-            + p.per_scanned_row.saturating_mul(scan_share_rows)
-    }
-
-    /// Latency of a batch call carrying many entries in one request.
-    /// The batch pays one base round trip plus the transfer term for the
-    /// whole payload; each entry then adds the marginal
-    /// [`ServiceLatency::per_batch_entry`] cost. `gating_entries` is the
-    /// entry count of the *busiest* storage partition the batch lands on
-    /// (all entries, for an unsharded target like a single SQS queue):
-    /// partitions apply their entries in parallel, so the busiest one
-    /// gates the response — the same honesty rule as
-    /// [`LatencyModel::sample_scan`]. This is where batching buys its
-    /// virtual-time win: N point ops pay N round trips, one batch pays
-    /// one round trip plus N marginal terms.
-    pub fn sample_batch(
-        &self,
-        op: Op,
-        payload_bytes: u64,
-        gating_entries: u64,
-        jitter_draw: f64,
-    ) -> SimDuration {
-        let p = self.service(op.service());
-        self.sample(op, payload_bytes, jitter_draw)
-            + p.per_batch_entry.saturating_mul(gating_entries)
+        let server_side = match cost {
+            Cost::Point | Cost::Rejected => SimDuration::ZERO,
+            Cost::Scan { rows } => p.per_scanned_row.saturating_mul(rows),
+            Cost::Batch { gating, .. } => p.per_batch_entry.saturating_mul(gating),
+        };
+        p.base + p.per_8kb.saturating_mul(chunks) + jitter + server_side
     }
 }
 
@@ -170,38 +168,51 @@ impl LatencyModel {
 mod tests {
     use super::*;
 
+    fn batch(gating: u64) -> Cost {
+        Cost::Batch {
+            entries: gating,
+            gating,
+        }
+    }
+
     #[test]
     fn zero_model_is_zero() {
         let m = LatencyModel::zero();
-        assert_eq!(m.sample(Op::S3Put, 1 << 20, 1.0), SimDuration::ZERO);
-        assert_eq!(m.sample(Op::SqsSendMessage, 0, 0.5), SimDuration::ZERO);
+        assert_eq!(
+            m.sample(Op::S3Put, 1 << 20, Cost::Point, 1.0),
+            SimDuration::ZERO
+        );
+        assert_eq!(
+            m.sample(Op::SqsSendMessage, 0, Cost::Point, 0.5),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
     fn payload_increases_latency() {
         let m = LatencyModel::default();
-        let small = m.sample(Op::S3Put, 1024, 0.0);
-        let large = m.sample(Op::S3Put, 10 * 1024 * 1024, 0.0);
+        let small = m.sample(Op::S3Put, 1024, Cost::Point, 0.0);
+        let large = m.sample(Op::S3Put, 10 * 1024 * 1024, Cost::Point, 0.0);
         assert!(large > small);
     }
 
     #[test]
     fn jitter_draw_bounds_respected() {
         let m = LatencyModel::default();
-        let lo = m.sample(Op::SdbQuery, 0, 0.0);
-        let hi = m.sample(Op::SdbQuery, 0, 1.0);
+        let lo = m.sample(Op::SdbQuery, 0, Cost::Point, 0.0);
+        let hi = m.sample(Op::SdbQuery, 0, Cost::Point, 1.0);
         assert_eq!(
             hi.as_micros() - lo.as_micros(),
             m.simpledb.jitter.as_micros()
         );
         // Out-of-range draws clamp rather than extrapolate.
-        assert_eq!(m.sample(Op::SdbQuery, 0, 7.5), hi);
+        assert_eq!(m.sample(Op::SdbQuery, 0, Cost::Point, 7.5), hi);
     }
 
     #[test]
     fn zero_payload_charges_no_transfer_term() {
         let m = LatencyModel::default();
-        assert_eq!(m.sample(Op::S3Head, 0, 0.0), m.s3.base);
+        assert_eq!(m.sample(Op::S3Head, 0, Cost::Point, 0.0), m.s3.base);
     }
 
     #[test]
@@ -209,24 +220,26 @@ mod tests {
         // One 10-entry batch must be cheaper than 10 point round trips
         // moving the same payload — the tentpole claim in miniature.
         let m = LatencyModel::default();
-        let point_total = m.sample(Op::SqsSendMessage, 1024, 0.0).saturating_mul(10);
-        let batch = m.sample_batch(Op::SqsSendMessageBatch, 10 * 1024, 10, 0.0);
+        let point_total = m
+            .sample(Op::SqsSendMessage, 1024, Cost::Point, 0.0)
+            .saturating_mul(10);
+        let batch = m.sample(Op::SqsSendMessageBatch, 10 * 1024, batch(10), 0.0);
         assert!(batch < point_total, "{batch:?} !< {point_total:?}");
     }
 
     #[test]
     fn batch_gating_entries_charge_marginally() {
         let m = LatencyModel::default();
-        let one = m.sample_batch(Op::SdbBatchPutAttributes, 0, 1, 0.0);
-        let ten = m.sample_batch(Op::SdbBatchPutAttributes, 0, 10, 0.0);
+        let one = m.sample(Op::SdbBatchPutAttributes, 0, batch(1), 0.0);
+        let ten = m.sample(Op::SdbBatchPutAttributes, 0, batch(10), 0.0);
         assert_eq!(
             ten.as_micros() - one.as_micros(),
             m.simpledb.per_batch_entry.as_micros() * 9
         );
         // A zero-entry gate collapses to the plain request latency.
         assert_eq!(
-            m.sample_batch(Op::S3DeleteObjects, 0, 0, 0.0),
-            m.sample(Op::S3DeleteObjects, 0, 0.0)
+            m.sample(Op::S3DeleteObjects, 0, batch(0), 0.0),
+            m.sample(Op::S3DeleteObjects, 0, Cost::Point, 0.0)
         );
     }
 }

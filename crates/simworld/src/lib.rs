@@ -64,7 +64,7 @@ pub use clock::{SimDuration, SimInstant};
 pub use ecstore::{value_hash, EcMap, ValuesOf};
 pub use faults::{CrashSite, Crashed, FaultPlan};
 pub use hash::{fnv1a_64, splitmix64, Fnv1a};
-pub use latency::{LatencyModel, ServiceLatency};
+pub use latency::{Cost, LatencyModel, ServiceLatency};
 pub use md5::{Md5, Md5Digest};
 pub use merge::merged_shard_page;
 pub use metering::{
@@ -73,8 +73,8 @@ pub use metering::{
 pub use samples::{percentiles, LatencySample, Percentiles, SampleLog};
 pub use sched::{FiredEvent, SchedEvent, Scheduler, TimerId};
 pub use shardmap::{
-    clamp_shards, ring_position, MapView, ReplicaPin, ShardCells, ShardMap, ShardPlan, SplitEvent,
-    SplitPolicy, MAX_SHARDS,
+    clamp_shards, ring_position, MapView, ReplicaPin, ShardCells, ShardMap, ShardPlan,
+    ShardRegistry, SplitEvent, SplitPolicy, MAX_SHARDS,
 };
 pub use throttle::{ThrottleConfig, TokenBucket};
-pub use world::{Consistency, PipelineStats, SimConfig, SimWorld};
+pub use world::{Charge, Consistency, PipelineStats, SimConfig, SimWorld};

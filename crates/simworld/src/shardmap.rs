@@ -45,14 +45,17 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::clock::SimInstant;
 use crate::ecstore::EcMap;
 use crate::hash::fnv1a_64;
+use crate::latency::Cost;
+use crate::metering::Op;
 use crate::throttle::{ThrottleConfig, TokenBucket};
-use crate::world::SimWorld;
+use crate::world::{Charge, SimWorld};
 
 /// Hard cap on the number of shards a map may hold, whether provisioned
 /// up front or grown by splitting. Requests beyond it are silently
@@ -390,6 +393,16 @@ impl<V: Clone> ShardMap<V> {
         f(shard.id, &mut cells)
     }
 
+    /// A billed point operation on `key`: [`ShardMap::with_cells`], then
+    /// — the guards released, as a split needs the layout write lock —
+    /// the shard's touch goes into the split window
+    /// ([`ShardMap::note_ops`]).
+    pub fn point_op<R>(&self, key: &str, f: impl FnOnce(u32, &mut EcMap<String, V>) -> R) -> R {
+        let (shard, out) = self.with_cells(key, |shard, cells| (shard, f(shard, cells)));
+        self.note_ops(&[shard]);
+        out
+    }
+
     /// Locks the listed shards in ascending-id order — the one global
     /// order that keeps concurrent batches deadlock-free — and hands `f`
     /// an accessor over all of them (the shared replacement for the
@@ -420,6 +433,26 @@ impl<V: Clone> ShardMap<V> {
         f(&mut cells)
     }
 
+    /// Keys whose newest value is live and that `keep` accepts, ascending
+    /// — the authoritative, unbilled listing behind the services'
+    /// test-only `latest_*` views.
+    pub fn latest_keys(&self, mut keep: impl FnMut(&str) -> bool) -> Vec<String> {
+        let st = self.state.read();
+        let mut keys: Vec<String> = Vec::new();
+        for shard in &st.shards {
+            let cells = shard.cells.lock();
+            keys.extend(
+                cells
+                    .iter_latest()
+                    .map(|(k, _)| k)
+                    .filter(|k| keep(k))
+                    .cloned(),
+            );
+        }
+        keys.sort_unstable();
+        keys
+    }
+
     /// Runs `f` over a consistent view of the current range layout.
     /// Splits are excluded for the duration; individual cell maps still
     /// lock per access.
@@ -428,27 +461,21 @@ impl<V: Clone> ShardMap<V> {
         f(&MapView { state: &st })
     }
 
-    /// Clears all token-bucket state (a service replacing its throttle
+    /// Clears all token-bucket state (an endpoint replacing its throttle
     /// config starts every bucket full again).
-    pub fn reset_throttle(&self) {
+    fn reset_throttle(&self) {
         self.gov.lock().buckets.clear();
     }
 
-    /// All-or-nothing admission across the listed shard ids (duplicates
-    /// collapse): either every distinct shard has a token — and one is
-    /// taken from each — or no bucket is touched and the request is
-    /// rejected. `None` config admits everything. Rejections are
-    /// remembered per starved shard for the split policy's rejection
-    /// trigger.
-    pub fn admit(&self, now: SimInstant, config: Option<ThrottleConfig>, ids: &[u32]) -> bool {
-        let Some(cfg) = config else { return true };
-        let mut distinct: Vec<u32> = ids.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
+    /// All-or-nothing admission across `distinct` shard ids: either every
+    /// shard has a token — and one is taken from each — or no bucket is
+    /// touched and the request is rejected. Rejections are remembered per
+    /// starved shard for the split policy's rejection trigger.
+    fn admit(&self, now: SimInstant, cfg: ThrottleConfig, distinct: &[u32]) -> bool {
         let mut gov = self.gov.lock();
         let mut ok = true;
         let mut starved = Vec::new();
-        for &id in &distinct {
+        for &id in distinct {
             let bucket = gov
                 .buckets
                 .entry(id)
@@ -459,7 +486,7 @@ impl<V: Clone> ShardMap<V> {
             }
         }
         if ok {
-            for id in &distinct {
+            for id in distinct {
                 gov.buckets
                     .get_mut(id)
                     .expect("bucket created during peek")
@@ -471,6 +498,39 @@ impl<V: Clone> ShardMap<V> {
             }
         }
         ok
+    }
+
+    /// The write path's admission step under the endpoint's throttle
+    /// `config` (`None` admits everything): the request needs a token
+    /// from every distinct shard in `ids`, as of the world's clock, and a
+    /// rejected batch drains none. On rejection this is the whole 503 —
+    /// one [`Cost::Rejected`] charge of `op` carrying those shards
+    /// (billed, one latency draw, nothing else), then
+    /// [`ShardMap::maybe_split`], since a rejection can be the one that
+    /// trips the split policy — and `false` tells the caller to return
+    /// its `ServiceUnavailable`.
+    pub fn admit_or_reject(
+        &self,
+        world: &SimWorld,
+        config: Option<ThrottleConfig>,
+        op: Op,
+        bytes_in: u64,
+        ids: &[u32],
+    ) -> bool {
+        let Some(cfg) = config else { return true };
+        let mut distinct: Vec<u32> = ids.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if self.admit(world.now(), cfg, &distinct) {
+            return true;
+        }
+        world.charge(Charge {
+            cost: Cost::Rejected,
+            shards: &distinct,
+            ..Charge::point(op, bytes_in, 0)
+        });
+        self.maybe_split();
+        false
     }
 
     /// Records shard touches into the split-governance window and then
@@ -578,6 +638,89 @@ impl<V: Clone> ShardMap<V> {
             at: mid,
             moved_cells,
         })
+    }
+}
+
+/// The named [`ShardMap`]s of one service endpoint — S3's buckets,
+/// SimpleDB's domains — with the [`ShardPlan`] new maps are provisioned
+/// by and the endpoint's one optional [`ThrottleConfig`] (the per-shard
+/// token buckets live inside each map, keyed by stable shard id so they
+/// survive splits). Lookups clone the map's `Arc` out, so the name table
+/// is locked only for the lookup.
+pub struct ShardRegistry<V> {
+    plan: ShardPlan,
+    maps: RwLock<BTreeMap<String, Arc<ShardMap<V>>>>,
+    throttle: Mutex<Option<ThrottleConfig>>,
+}
+
+impl<V> fmt::Debug for ShardRegistry<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardRegistry")
+            .field("maps", &self.maps.read().len())
+            .field("plan", &self.plan)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<V: Clone> ShardRegistry<V> {
+    /// An empty registry whose maps will be built per `plan`.
+    pub fn new(plan: ShardPlan) -> ShardRegistry<V> {
+        ShardRegistry {
+            plan,
+            maps: RwLock::new(BTreeMap::new()),
+            throttle: Mutex::new(None),
+        }
+    }
+
+    /// The shard plan maps are provisioned with.
+    pub fn plan(&self) -> ShardPlan {
+        self.plan
+    }
+
+    /// The map called `name`, if one was created.
+    pub fn get(&self, name: &str) -> Option<Arc<ShardMap<V>>> {
+        self.maps.read().get(name).cloned()
+    }
+
+    /// Names of every map, ascending.
+    pub fn names(&self) -> Vec<String> {
+        self.maps.read().keys().cloned().collect()
+    }
+
+    /// Creates the map `name`, built per the plan, if `gate` allows it.
+    /// `gate` is told whether `name` already exists and how many maps
+    /// there are, and runs with the name table write-locked, so no
+    /// concurrent create can slip between its checks, the billing it
+    /// does and the insert. `Ok(false)` is success without a new map.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `gate` refuses with; nothing is inserted.
+    pub fn create<E>(
+        &self,
+        name: String,
+        gate: impl FnOnce(&str, bool, usize) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let mut maps = self.maps.write();
+        if gate(&name, maps.contains_key(&name), maps.len())? {
+            maps.insert(name, Arc::new(ShardMap::new(self.plan)));
+        }
+        Ok(())
+    }
+
+    /// Installs (or, with `None`, removes) the endpoint's per-shard
+    /// write-rate limit, replacing any prior one and refilling every
+    /// token bucket.
+    pub fn set_throttle(&self, config: Option<ThrottleConfig>) {
+        *self.throttle.lock() = config;
+        for map in self.maps.read().values() {
+            map.reset_throttle();
+        }
+    }
+
+    /// The active per-shard write-rate limit, if any.
+    pub fn throttle(&self) -> Option<ThrottleConfig> {
+        *self.throttle.lock()
     }
 }
 
@@ -838,7 +981,7 @@ mod tests {
         for k in &ks {
             map.with_cells(k, |_, c| c.write(&world, k.clone(), Some(0)));
         }
-        let cfg = Some(ThrottleConfig::per_shard(1.0));
+        let cfg = ThrottleConfig::per_shard(1.0);
         let now = SimInstant::EPOCH;
         let id = map.route(&ks[0]);
         // Burn the bucket, then keep knocking: after 3 rejections the

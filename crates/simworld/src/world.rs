@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::{SimDuration, SimInstant};
 use crate::faults::{CrashSite, Crashed, FaultPlan};
-use crate::latency::LatencyModel;
+use crate::latency::{Cost, LatencyModel};
 use crate::metering::{MeterBook, MeterSnapshot, Op, Service};
 use crate::samples::{LatencySample, SampleLog};
 use crate::sched::{FiredEvent, SchedEvent, Scheduler, TimerId};
@@ -139,11 +139,78 @@ struct PipelineState {
     stats: PipelineStats,
 }
 
+impl PipelineState {
+    /// Requests of every service still on the wire at `now`.
+    fn in_flight(&self, now: SimInstant) -> usize {
+        let pending = |q: &Vec<SimInstant>| q.iter().filter(|t| **t > now).count();
+        self.inflight.iter().map(pending).sum()
+    }
+}
+
 fn service_index(service: Service) -> usize {
     match service {
         Service::S3 => 0,
         Service::SimpleDb => 1,
         Service::Sqs => 2,
+    }
+}
+
+/// Everything one request tells the ledger, applied by
+/// [`SimWorld::charge`] under one lock acquisition. Fields a request
+/// has nothing to say about keep [`Charge::point`]'s defaults:
+///
+/// ```
+/// use simworld::{Charge, Cost, Op, Service, SimWorld};
+///
+/// let world = SimWorld::counting();
+/// world.charge(Charge {
+///     cost: Cost::Batch { entries: 3, gating: 2 },
+///     shards: &[0, 5],
+///     stored_delta: 300,
+///     ..Charge::point(Op::SdbBatchPutAttributes, 300, 0)
+/// });
+/// let m = world.meters();
+/// assert_eq!(m.batch_entry_count(Op::SdbBatchPutAttributes), 3);
+/// assert_eq!(m.shard_op_count(Service::SimpleDb, 5), 1);
+/// assert_eq!(m.stored_bytes(Service::SimpleDb), 300);
+/// ```
+#[derive(Copy, Clone, Debug)]
+pub struct Charge<'a> {
+    /// The billable API call.
+    pub op: Op,
+    /// Request payload bytes.
+    pub bytes_in: u64,
+    /// Response payload bytes (none flow for [`Cost::Rejected`]).
+    pub bytes_out: u64,
+    /// How the request is metered and priced.
+    pub cost: Cost,
+    /// Completion-order key: requests of one service carrying the same
+    /// key complete in issue order even when pipelined (WAL sends to one
+    /// SQS queue, a transaction's apply-chain copies). Serial behaviour
+    /// is identical with or without it. A rejected request carries
+    /// none: one that did not land constrains no successor.
+    pub order_key: Option<u64>,
+    /// Stable ids of the storage shards of `op`'s service the request
+    /// touched, one touch counted per listed id — load accounting,
+    /// unbilled.
+    pub shards: &'a [u32],
+    /// Change of the service's stored-bytes gauge.
+    pub stored_delta: i64,
+}
+
+impl Charge<'_> {
+    /// A point request touching no shard and storing nothing — what
+    /// [`SimWorld::record_op`] charges.
+    pub const fn point(op: Op, bytes_in: u64, bytes_out: u64) -> Charge<'static> {
+        Charge {
+            op,
+            bytes_in,
+            bytes_out,
+            cost: Cost::Point,
+            order_key: None,
+            shards: &[],
+            stored_delta: 0,
+        }
     }
 }
 
@@ -168,7 +235,7 @@ struct WorldState {
 }
 
 impl WorldState {
-    /// Charges one request of `latency` against the clock. Serial mode
+    /// Issues one request of `latency` against the clock. Serial mode
     /// (no open pipeline): the clock advances to the completion — the
     /// classic behaviour, now expressed as "issue, schedule the
     /// completion event, wait for it". Pipeline mode: the request takes
@@ -176,7 +243,7 @@ impl WorldState {
     /// issue time (advancing only on backpressure, when every channel
     /// is busy), and the completion is left pending in the scheduler
     /// until [`SimWorld::drain_pipeline`].
-    fn charge(&mut self, op: Op, latency: SimDuration, order_key: Option<u64>) {
+    fn issue(&mut self, op: Op, latency: SimDuration, order_key: Option<u64>) {
         // Completion events exist for the deterministic trace (and for
         // a pipeline's drain ordering); with tracing off they would be
         // scheduled and immediately discarded, so the hot path skips
@@ -225,13 +292,7 @@ impl WorldState {
                 if tracing {
                     self.sched.schedule(completes, SchedEvent::Completion(op));
                 }
-                let now = self.now;
-                let in_flight: usize = p
-                    .inflight
-                    .iter()
-                    .map(|q| q.iter().filter(|t| **t > now).count())
-                    .sum();
-                p.stats.peak_in_flight = p.stats.peak_in_flight.max(in_flight);
+                p.stats.peak_in_flight = p.stats.peak_in_flight.max(p.in_flight(self.now));
                 (start, completes)
             }
         };
@@ -366,95 +427,43 @@ impl SimWorld {
         self.inner.lock().rng.gen()
     }
 
-    /// Records a billable API call: increments meters and charges the
-    /// sampled request latency through the completion scheduler. With no
-    /// pipeline open the clock advances to the completion (the serial
-    /// behaviour); inside [`SimWorld::begin_pipeline`] the request joins
-    /// the in-flight set instead and the clock stays at issue time.
+    /// Charges one request — the single place a simulated service call
+    /// meets the world. Under one lock acquisition, in this order: the
+    /// request is metered per its [`Cost`] (a batch also counts its
+    /// entries, a rejection also bumps the 503 counter), one jitter draw
+    /// prices it through [`LatencyModel::sample`], and the latency goes
+    /// through the completion scheduler — with no pipeline open the
+    /// clock advances to the completion; inside
+    /// [`SimWorld::begin_pipeline`] the request joins the in-flight set
+    /// and the clock stays at issue time. Then the commutative counters:
+    /// one touch per listed shard and the stored-bytes delta.
+    pub fn charge(&self, c: Charge<'_>) {
+        let mut st = self.inner.lock();
+        match c.cost {
+            Cost::Point | Cost::Scan { .. } => st.meters.record(c.op, c.bytes_in, c.bytes_out),
+            Cost::Batch { entries, .. } => {
+                st.meters
+                    .record_batch(c.op, entries, c.bytes_in, c.bytes_out);
+            }
+            Cost::Rejected => st.meters.record_throttled(c.op, c.bytes_in),
+        }
+        let draw: f64 = st.rng.gen();
+        let latency = st
+            .config
+            .latency
+            .sample(c.op, c.bytes_in + c.bytes_out, c.cost, draw);
+        st.issue(c.op, latency, c.order_key);
+        let service = c.op.service();
+        for &shard in c.shards {
+            st.meters.record_shard_touch(service, shard);
+        }
+        st.meters.adjust_stored(service, c.stored_delta);
+    }
+
+    /// [`SimWorld::charge`] for a plain point request: no shard, no
+    /// stored bytes, no order key.
     pub fn record_op(&self, op: Op, bytes_in: u64, bytes_out: u64) {
-        let mut st = self.inner.lock();
-        st.meters.record(op, bytes_in, bytes_out);
-        let draw: f64 = st.rng.gen();
-        let latency = st.config.latency.sample(op, bytes_in + bytes_out, draw);
-        st.charge(op, latency, None);
-    }
-
-    /// [`SimWorld::record_op`] with a completion-order key: requests
-    /// carrying the same `order_key` complete in issue order even when
-    /// pipelined (e.g. WAL sends to one SQS queue). Serial behaviour is
-    /// identical to the unkeyed call.
-    pub fn record_op_keyed(&self, op: Op, bytes_in: u64, bytes_out: u64, order_key: u64) {
-        let mut st = self.inner.lock();
-        st.meters.record(op, bytes_in, bytes_out);
-        let draw: f64 = st.rng.gen();
-        let latency = st.config.latency.sample(op, bytes_in + bytes_out, draw);
-        st.charge(op, latency, Some(order_key));
-    }
-
-    /// Records a billable scanning API call (e.g. a sharded
-    /// `Query`/`Select`): meters like [`SimWorld::record_op`], but the
-    /// clock additionally advances by the server-side scan cost of
-    /// `scan_share_rows` — the rows the largest partition examined,
-    /// since partitions scan in parallel and the slowest one gates the
-    /// response.
-    pub fn record_scan(&self, op: Op, bytes_in: u64, bytes_out: u64, scan_share_rows: u64) {
-        let mut st = self.inner.lock();
-        st.meters.record(op, bytes_in, bytes_out);
-        let draw: f64 = st.rng.gen();
-        let latency =
-            st.config
-                .latency
-                .sample_scan(op, bytes_in + bytes_out, scan_share_rows, draw);
-        st.charge(op, latency, None);
-    }
-
-    /// Records a billable batch API call (`BatchPutAttributes`,
-    /// `SendMessageBatch`, multi-object delete): meters **one** request
-    /// carrying `entries` entries, and advances the clock by one round
-    /// trip plus the per-entry marginal cost of `gating_entries` — the
-    /// entry count of the busiest storage partition the batch lands on,
-    /// since partitions apply their entries in parallel and the busiest
-    /// one gates the response (consistent with [`SimWorld::record_scan`]
-    /// pricing).
-    pub fn record_batch(
-        &self,
-        op: Op,
-        entries: u64,
-        bytes_in: u64,
-        bytes_out: u64,
-        gating_entries: u64,
-    ) {
-        let mut st = self.inner.lock();
-        st.meters.record_batch(op, entries, bytes_in, bytes_out);
-        let draw: f64 = st.rng.gen();
-        let latency =
-            st.config
-                .latency
-                .sample_batch(op, bytes_in + bytes_out, gating_entries, draw);
-        st.charge(op, latency, None);
-    }
-
-    /// [`SimWorld::record_batch`] with a completion-order key (see
-    /// [`SimWorld::record_op_keyed`]): batches on the same key complete
-    /// in issue order even when pipelined, which is how a pipelined WAL
-    /// keeps its BEGIN/payload/COMMIT batches ordered per queue.
-    pub fn record_batch_keyed(
-        &self,
-        op: Op,
-        entries: u64,
-        bytes_in: u64,
-        bytes_out: u64,
-        gating_entries: u64,
-        order_key: u64,
-    ) {
-        let mut st = self.inner.lock();
-        st.meters.record_batch(op, entries, bytes_in, bytes_out);
-        let draw: f64 = st.rng.gen();
-        let latency =
-            st.config
-                .latency
-                .sample_batch(op, bytes_in + bytes_out, gating_entries, draw);
-        st.charge(op, latency, Some(order_key));
+        self.charge(Charge::point(op, bytes_in, bytes_out));
     }
 
     /// Opens a pipelined region: until [`SimWorld::drain_pipeline`],
@@ -545,14 +554,7 @@ impl SimWorld {
     /// Requests currently in flight (0 outside a pipelined region).
     pub fn in_flight(&self) -> usize {
         let st = self.inner.lock();
-        let Some(p) = st.pipeline.as_ref() else {
-            return 0;
-        };
-        let now = st.now;
-        p.inflight
-            .iter()
-            .map(|q| q.iter().filter(|t| **t > now).count())
-            .sum()
+        st.pipeline.as_ref().map_or(0, |p| p.in_flight(st.now))
     }
 
     /// Schedules a timer to fire `after` from now; returns its id. The
@@ -667,20 +669,6 @@ impl SimWorld {
         }
     }
 
-    /// Records a request the provider *rejected* with a 503: the
-    /// rejection is metered (and therefore billed — AWS charges for
-    /// throttled requests) and costs a full round trip on the clock,
-    /// but the caller's state machine sees an error and nothing is
-    /// applied. Rejections are never order-keyed: a request that did
-    /// not land constrains no successor.
-    pub fn record_throttled(&self, op: Op, bytes_in: u64) {
-        let mut st = self.inner.lock();
-        st.meters.record_throttled(op, bytes_in);
-        let draw: f64 = st.rng.gen();
-        let latency = st.config.latency.sample(op, bytes_in, draw);
-        st.charge(op, latency, None);
-    }
-
     /// Counts one client-side backoff retry after a 503 (called by the
     /// retry machinery in `core`; pure accounting).
     pub fn note_throttle_retry(&self) {
@@ -692,33 +680,9 @@ impl SimWorld {
         self.inner.lock().throttle_retries
     }
 
-    /// Records that an operation touched one storage shard of `service`
-    /// (no billing, no clock movement — pure load accounting).
-    pub fn record_shard_touch(&self, service: Service, shard: u32) {
-        self.inner.lock().meters.record_shard_touch(service, shard);
-    }
-
-    /// Records that a fan-out operation touched every shard in
-    /// `0..shards` of `service`, under one lock acquisition.
-    pub fn record_shard_fanout(&self, service: Service, shards: u32) {
-        let mut st = self.inner.lock();
-        for shard in 0..shards {
-            st.meters.record_shard_touch(service, shard);
-        }
-    }
-
-    /// Records that a fan-out operation touched each listed shard id of
-    /// `service`, under one lock acquisition — the sparse companion to
-    /// [`SimWorld::record_shard_fanout`] for range-routed maps, whose
-    /// stable ids stop being dense indices once a shard has split.
-    pub fn record_shard_touches(&self, service: Service, shards: &[u32]) {
-        let mut st = self.inner.lock();
-        for &shard in shards {
-            st.meters.record_shard_touch(service, shard);
-        }
-    }
-
-    /// Adjusts a service's stored-bytes gauge.
+    /// Adjusts a service's stored-bytes gauge outside any request —
+    /// SQS retention expiry is the one caller; a request's own delta
+    /// rides its [`Charge`].
     pub fn adjust_stored(&self, service: Service, delta: i64) {
         self.inner.lock().meters.adjust_stored(service, delta);
     }
@@ -989,7 +953,10 @@ mod tests {
         w.set_event_trace(true);
         w.begin_pipeline(8);
         for _ in 0..20 {
-            w.record_op_keyed(Op::SqsSendMessage, 64, 0, 42);
+            w.charge(Charge {
+                order_key: Some(42),
+                ..Charge::point(Op::SqsSendMessage, 64, 0)
+            });
         }
         w.drain_pipeline();
         let trace = w.take_event_trace();
@@ -1233,7 +1200,10 @@ mod tests {
     fn throttled_requests_cost_time_and_meter_but_apply_nothing() {
         let w = flat_world();
         let t0 = w.now();
-        w.record_throttled(Op::SdbPutAttributes, 256);
+        w.charge(Charge {
+            cost: Cost::Rejected,
+            ..Charge::point(Op::SdbPutAttributes, 256, 0)
+        });
         assert_eq!(w.now() - t0, SimDuration::from_millis(10));
         let m = w.meters();
         assert_eq!(m.op_count(Op::SdbPutAttributes), 1);

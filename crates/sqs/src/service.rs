@@ -17,7 +17,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use simworld::{
-    fnv1a_64, Op, Service, SimDuration, SimInstant, SimWorld, ThrottleConfig, TokenBucket,
+    fnv1a_64, Charge, Cost, Op, Service, SimDuration, SimInstant, SimWorld, ThrottleConfig,
+    TokenBucket,
 };
 
 use crate::error::{Result, SqsError};
@@ -186,17 +187,29 @@ impl Sqs {
 
     /// Admission check for one request against `url`'s token bucket.
     /// Checked *before* any RNG draw or sequence-number reservation, so
-    /// a rejected request leaves the simulation exactly as it found it.
-    fn admit(&self, url: &str) -> bool {
+    /// a rejected request leaves the simulation exactly as it found it
+    /// but for its own 503: billed, one round trip, nothing applied.
+    fn admit(&self, url: &str, op: Op, bytes_in: u64) -> Result<()> {
         let mut t = self.inner.throttle.lock();
         let Some(cfg) = t.config else {
-            return true;
+            return Ok(());
         };
         let now = self.world.now();
-        t.buckets
+        let bucket = t
+            .buckets
             .entry(url.to_string())
-            .or_insert_with(|| TokenBucket::new(cfg, now))
-            .try_admit(now)
+            .or_insert_with(|| TokenBucket::new(cfg, now));
+        if bucket.try_admit(now) {
+            return Ok(());
+        }
+        drop(t);
+        self.world.charge(Charge {
+            cost: Cost::Rejected,
+            ..Charge::point(op, bytes_in, 0)
+        });
+        Err(SqsError::ServiceUnavailable {
+            url: url.to_string(),
+        })
     }
 
     /// Creates a queue (idempotent) and returns its URL.
@@ -246,43 +259,55 @@ impl Sqs {
             });
         }
         let queue = self.queue(url)?;
-        if !self.admit(url) {
-            self.world
-                .record_throttled(Op::SqsSendMessage, body.len() as u64);
-            return Err(SqsError::ServiceUnavailable {
-                url: url.to_string(),
-            });
-        }
-        let server = self.world.rand_below(QUEUE_SERVERS as u64) as usize;
-        let now = self.world.now();
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let message_id = format!("msg-{seq:016x}");
+        self.admit(url, Op::SqsSendMessage, body.len() as u64)?;
         let size = body.len() as u64;
-        let mut queue = queue.lock();
-        let freed = expire_old_messages(&mut queue, now);
-        queue.messages.insert(
-            seq,
-            StoredMessage {
-                seq,
-                message_id: message_id.clone(),
-                body,
-                sent_at: now,
-                visible_at: now,
-                server,
-                deliveries: 0,
-            },
-        );
-        drop(queue);
-        if freed > 0 {
-            self.world.adjust_stored(Service::Sqs, -(freed as i64));
-        }
+        let (mut ids, _) = self.enqueue(&queue, vec![body]);
         // Keyed by queue: pipelined sends to one queue complete in
         // issue order, so a WAL's BEGIN..COMMIT sequence stays ordered
         // however many sends are in flight.
-        self.world
-            .record_op_keyed(Op::SqsSendMessage, size, 0, fnv1a_64(url));
-        self.world.adjust_stored(Service::Sqs, size as i64);
-        Ok(message_id)
+        self.world.charge(Charge {
+            order_key: Some(fnv1a_64(url)),
+            stored_delta: size as i64,
+            ..Charge::point(Op::SqsSendMessage, size, 0)
+        });
+        Ok(ids.remove(0))
+    }
+
+    /// The storage half of both sends: one server draw per body, one
+    /// contiguous reservation of sequence numbers (`fetch_add(k)` hands
+    /// out `base+1 ..= base+k`), then — the queue lock taken once —
+    /// retention expiry and the inserts. Returns the message ids and the
+    /// busiest storage server's share of the new messages.
+    fn enqueue(&self, queue: &Mutex<Queue>, bodies: Vec<String>) -> (Vec<String>, u64) {
+        let servers: Vec<usize> = bodies
+            .iter()
+            .map(|_| self.world.rand_below(QUEUE_SERVERS as u64) as usize)
+            .collect();
+        let reserve = bodies.len() as u64;
+        let base = self.inner.next_seq.fetch_add(reserve, Ordering::Relaxed);
+        let now = self.world.now();
+        let mut per_server = [0u64; QUEUE_SERVERS];
+        let mut queue = queue.lock();
+        self.expire_old_messages(&mut queue, now);
+        let ids = (base + 1..)
+            .zip(bodies.into_iter().zip(servers))
+            .map(|(seq, (body, server))| {
+                let message_id = format!("msg-{seq:016x}");
+                per_server[server] += 1;
+                let stored = StoredMessage {
+                    seq,
+                    message_id: message_id.clone(),
+                    body,
+                    sent_at: now,
+                    visible_at: now,
+                    server,
+                    deliveries: 0,
+                };
+                queue.messages.insert(seq, stored);
+                message_id
+            })
+            .collect();
+        (ids, per_server.iter().copied().max().unwrap_or(0))
     }
 
     /// Enqueues up to [`MAX_BATCH_ENTRIES`] messages in **one billable
@@ -325,31 +350,16 @@ impl Sqs {
             });
         }
         let queue = self.queue(url)?;
-        if !self.admit(url) {
-            self.world
-                .record_throttled(Op::SqsSendMessageBatch, total as u64);
-            return Err(SqsError::ServiceUnavailable {
-                url: url.to_string(),
-            });
-        }
+        self.admit(url, Op::SqsSendMessageBatch, total as u64)?;
 
         // Per-entry validation first: only the accepted entries draw
         // RNG (server placement) and consume sequence numbers.
         let accepted: Vec<usize> = (0..bodies.len())
             .filter(|i| bodies[*i].len() <= MAX_MESSAGE_SIZE)
             .collect();
-        let servers: Vec<usize> = accepted
-            .iter()
-            .map(|_| self.world.rand_below(QUEUE_SERVERS as u64) as usize)
-            .collect();
-        // One batched reservation: `fetch_add(k)` hands this batch the
-        // contiguous range `base+1 ..= base+k`.
-        let base = self
-            .inner
-            .next_seq
-            .fetch_add(accepted.len() as u64, Ordering::Relaxed);
-        let now = self.world.now();
-
+        let bytes_in: u64 = accepted.iter().map(|&i| bodies[i].len() as u64).sum();
+        let placed = accepted.iter().map(|&i| bodies[i].clone()).collect();
+        let (ids, gating) = self.enqueue(&queue, placed);
         let mut out: Vec<BatchEntryOutcome<String>> = bodies
             .iter()
             .map(|b| {
@@ -359,50 +369,22 @@ impl Sqs {
                 })
             })
             .collect();
-        let mut per_server = [0u64; QUEUE_SERVERS];
-        let mut bytes_in = 0u64;
-        let mut queue = queue.lock();
-        let freed = expire_old_messages(&mut queue, now);
-        for (k, (&i, &server)) in accepted.iter().zip(&servers).enumerate() {
-            let seq = base + 1 + k as u64;
-            let message_id = format!("msg-{seq:016x}");
-            per_server[server] += 1;
-            bytes_in += bodies[i].len() as u64;
-            queue.messages.insert(
-                seq,
-                StoredMessage {
-                    seq,
-                    message_id: message_id.clone(),
-                    body: bodies[i].clone(),
-                    sent_at: now,
-                    visible_at: now,
-                    server,
-                    deliveries: 0,
-                },
-            );
+        for (&i, message_id) in accepted.iter().zip(ids) {
             out[i] = Ok(message_id);
-        }
-        drop(queue);
-        if freed > 0 {
-            self.world.adjust_stored(Service::Sqs, -(freed as i64));
         }
         // Storage servers append their entries in parallel; the busiest
         // one gates the response (the receive-path rule, applied to the
-        // write path).
-        let gating = per_server.iter().copied().max().unwrap_or(0);
-        // Queue-keyed like the point send: a pipelined client's batches
-        // to one queue complete in issue order.
-        self.world.record_batch_keyed(
-            Op::SqsSendMessageBatch,
-            accepted.len() as u64,
-            bytes_in,
-            0,
-            gating,
-            fnv1a_64(url),
-        );
-        if bytes_in > 0 {
-            self.world.adjust_stored(Service::Sqs, bytes_in as i64);
-        }
+        // write path). Queue-keyed like the point send: a pipelined
+        // client's batches to one queue complete in issue order.
+        self.world.charge(Charge {
+            cost: Cost::Batch {
+                entries: accepted.len() as u64,
+                gating,
+            },
+            order_key: Some(fnv1a_64(url)),
+            stored_delta: bytes_in as i64,
+            ..Charge::point(Op::SqsSendMessageBatch, bytes_in, 0)
+        });
         Ok(out)
     }
 
@@ -437,7 +419,7 @@ impl Sqs {
         };
         let now = self.world.now();
         let mut queue = queue.lock();
-        let freed = expire_old_messages(&mut queue, now);
+        self.expire_old_messages(&mut queue, now);
         let timeout = queue.visibility_timeout;
         // Each sampled server scans its own messages (in parallel with
         // the others); the busiest sampled server gates the response.
@@ -469,11 +451,10 @@ impl Sqs {
             });
         }
         drop(queue);
-        if freed > 0 {
-            self.world.adjust_stored(Service::Sqs, -(freed as i64));
-        }
-        self.world
-            .record_scan(Op::SqsReceiveMessage, 0, bytes_out, scan_share);
+        self.world.charge(Charge {
+            cost: Cost::Scan { rows: scan_share },
+            ..Charge::point(Op::SqsReceiveMessage, 0, bytes_out)
+        });
         Ok(out)
     }
 
@@ -487,22 +468,13 @@ impl Sqs {
     pub fn delete_message(&self, url: &str, receipt_handle: &str) -> Result<()> {
         let seq = parse_receipt_seq(receipt_handle)?;
         let queue = self.queue(url)?;
-        if !self.admit(url) {
-            self.world
-                .record_throttled(Op::SqsDeleteMessage, receipt_handle.len() as u64);
-            return Err(SqsError::ServiceUnavailable {
-                url: url.to_string(),
-            });
-        }
-        let mut queue = queue.lock();
-        let removed = queue.messages.remove(&seq);
-        drop(queue);
-        self.world
-            .record_op(Op::SqsDeleteMessage, receipt_handle.len() as u64, 0);
-        if let Some(msg) = removed {
-            self.world
-                .adjust_stored(Service::Sqs, -(msg.body.len() as i64));
-        }
+        let bytes_in = receipt_handle.len() as u64;
+        self.admit(url, Op::SqsDeleteMessage, bytes_in)?;
+        let removed = queue.lock().messages.remove(&seq);
+        self.world.charge(Charge {
+            stored_delta: -(removed.map_or(0, |msg| msg.body.len()) as i64),
+            ..Charge::point(Op::SqsDeleteMessage, bytes_in, 0)
+        });
         Ok(())
     }
 
@@ -532,25 +504,15 @@ impl Sqs {
         }
         let queue = self.queue(url)?;
         let bytes_in: u64 = receipt_handles.iter().map(|h| h.len() as u64).sum();
-        if !self.admit(url) {
-            self.world
-                .record_throttled(Op::SqsDeleteMessageBatch, bytes_in);
-            return Err(SqsError::ServiceUnavailable {
-                url: url.to_string(),
-            });
-        }
-        let parsed: Vec<BatchEntryOutcome<u64>> = receipt_handles
-            .iter()
-            .map(|h| parse_receipt_seq(h))
-            .collect();
+        self.admit(url, Op::SqsDeleteMessageBatch, bytes_in)?;
         let mut freed = 0u64;
         let mut per_server = [0u64; QUEUE_SERVERS];
         let mut entries = 0u64;
         let mut queue = queue.lock();
-        let out: Vec<BatchEntryOutcome<()>> = parsed
-            .into_iter()
-            .map(|entry| {
-                let seq = entry?;
+        let out: Vec<BatchEntryOutcome<()>> = receipt_handles
+            .iter()
+            .map(|handle| {
+                let seq = parse_receipt_seq(handle)?;
                 entries += 1;
                 if let Some(msg) = queue.messages.remove(&seq) {
                     freed += msg.body.len() as u64;
@@ -561,12 +523,14 @@ impl Sqs {
             .collect();
         drop(queue);
         // Servers drop their entries in parallel; the busiest gates.
-        let gating = per_server.iter().copied().max().unwrap_or(0);
-        self.world
-            .record_batch(Op::SqsDeleteMessageBatch, entries, bytes_in, 0, gating);
-        if freed > 0 {
-            self.world.adjust_stored(Service::Sqs, -(freed as i64));
-        }
+        self.world.charge(Charge {
+            cost: Cost::Batch {
+                entries,
+                gating: per_server.iter().copied().max().unwrap_or(0),
+            },
+            stored_delta: -(freed as i64),
+            ..Charge::point(Op::SqsDeleteMessageBatch, bytes_in, 0)
+        });
         Ok(out)
     }
 
@@ -585,7 +549,7 @@ impl Sqs {
             .collect();
         let now = self.world.now();
         let mut queue = queue.lock();
-        let freed = expire_old_messages(&mut queue, now);
+        self.expire_old_messages(&mut queue, now);
         let mut per_server = [0u64; QUEUE_SERVERS];
         for m in queue.messages.values() {
             if sampled.contains(&m.server) {
@@ -593,12 +557,11 @@ impl Sqs {
             }
         }
         drop(queue);
-        if freed > 0 {
-            self.world.adjust_stored(Service::Sqs, -(freed as i64));
-        }
         let scan_share = per_server.iter().copied().max().unwrap_or(0);
-        self.world
-            .record_scan(Op::SqsGetQueueAttributes, 0, 16, scan_share);
+        self.world.charge(Charge {
+            cost: Cost::Scan { rows: scan_share },
+            ..Charge::point(Op::SqsGetQueueAttributes, 0, 16)
+        });
         if sampled.is_empty() {
             return Ok(0);
         }
@@ -611,39 +574,52 @@ impl Sqs {
     /// Exact live message count, ignoring sampling and without billing.
     /// For tests and property validators only.
     pub fn exact_message_count(&self, url: &str) -> usize {
-        let now = self.world.now();
-        match self.queue(url) {
-            Ok(queue) => {
-                let mut queue = queue.lock();
-                let freed = expire_old_messages(&mut queue, now);
-                let len = queue.messages.len();
-                drop(queue);
-                if freed > 0 {
-                    self.world.adjust_stored(Service::Sqs, -(freed as i64));
-                }
-                len
-            }
-            Err(_) => 0,
-        }
+        self.peek(url, |queue| queue.messages.len()).unwrap_or(0)
     }
 
     /// All live message bodies, unbilled and ignoring visibility. For
     /// tests and property validators only.
     pub fn peek_all(&self, url: &str) -> Vec<String> {
+        let bodies = |queue: &Queue| queue.messages.values().map(|m| m.body.clone()).collect();
+        self.peek(url, bodies).unwrap_or_default()
+    }
+
+    /// `f` over `url`'s queue as of now (retention applied), unbilled.
+    fn peek<R>(&self, url: &str, f: impl FnOnce(&Queue) -> R) -> Option<R> {
         let now = self.world.now();
-        match self.queue(url) {
-            Ok(queue) => {
-                let mut queue = queue.lock();
-                let freed = expire_old_messages(&mut queue, now);
-                let bodies = queue.messages.values().map(|m| m.body.clone()).collect();
-                drop(queue);
-                if freed > 0 {
-                    self.world.adjust_stored(Service::Sqs, -(freed as i64));
-                }
-                bodies
-            }
-            Err(_) => Vec::new(),
+        let queue = self.queue(url).ok()?;
+        let mut queue = queue.lock();
+        self.expire_old_messages(&mut queue, now);
+        Some(f(&queue))
+    }
+
+    /// Drops messages past the retention window and takes their bytes
+    /// off the stored-bytes gauge — the one gauge change that is not
+    /// part of a request's charge: retention is the provider's doing,
+    /// merely noticed on the next call that looks at the queue.
+    ///
+    /// O(1) in the common case: messages arrive in sequence order and the
+    /// clock is monotone, so the lowest-seq message is the oldest — if it
+    /// is still inside the retention window, nothing needs reaping.
+    /// (Concurrent sends can invert `sent_at` across adjacent sequence
+    /// numbers by the width of their interleaving; such a message is
+    /// reaped one early-out later, which the four-day window renders
+    /// unobservable.) This keeps expiry-on-send from turning every send
+    /// into a full queue scan.
+    fn expire_old_messages(&self, queue: &mut Queue, now: SimInstant) {
+        match queue.messages.values().next() {
+            Some(oldest) if now.saturating_since(oldest.sent_at) > RETENTION => {}
+            _ => return,
         }
+        let mut freed = 0i64;
+        queue.messages.retain(|_, m| {
+            let keep = now.saturating_since(m.sent_at) <= RETENTION;
+            if !keep {
+                freed += m.body.len() as i64;
+            }
+            keep
+        });
+        self.world.adjust_stored(Service::Sqs, -freed);
     }
 
     /// Looks a queue up, cloning its handle out so the queue-map lock is
@@ -658,32 +634,6 @@ impl Sqs {
                 url: url.to_string(),
             })
     }
-}
-
-/// Drops messages past the retention window; returns the freed bytes so
-/// the caller can settle the stored-bytes gauge.
-///
-/// O(1) in the common case: messages arrive in sequence order and the
-/// clock is monotone, so the lowest-seq message is the oldest — if it is
-/// still inside the retention window, nothing needs reaping. (Concurrent
-/// sends can invert `sent_at` across adjacent sequence numbers by the
-/// width of their interleaving; such a message is reaped one early-out
-/// later, which the four-day window renders unobservable.) This keeps
-/// expiry-on-send from turning every send into a full queue scan.
-fn expire_old_messages(queue: &mut Queue, now: SimInstant) -> u64 {
-    match queue.messages.values().next() {
-        Some(oldest) if now.saturating_since(oldest.sent_at) > RETENTION => {}
-        _ => return 0,
-    }
-    let mut freed = 0;
-    queue.messages.retain(|_, m| {
-        let keep = now.saturating_since(m.sent_at) <= RETENTION;
-        if !keep {
-            freed += m.body.len() as u64;
-        }
-        keep
-    });
-    freed
 }
 
 /// Parses the sequence number out of a `rh/{name}/{seq}/{deliveries}`
