@@ -1,8 +1,8 @@
 //! Criterion bench: the Table 3 queries on three engines — S3 scan,
 //! SimpleDB walk, and the materialized closure index — at corpus sizes
 //! from 50 to 2000 chains. The wall-clock view of scan vs walk vs
-//! index: the walk grows with the corpus (every query page scans the
-//! domain), the index stays flat (point reads sized by the answer).
+//! index: the scan grows with the corpus; the walk issues one posted
+//! query per frontier node, the index one per twenty seeds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prov_bench::querybench::query_corpus;

@@ -1,26 +1,31 @@
 //! Incrementally materialized ancestry-closure index (PR 9).
 //!
 //! The paper's Q3 ("all descendants of files derived from blast") is the
-//! one query class whose walk engine scales with the *whole graph*: each
-//! generation costs one `QueryWithAttributes`, and every such query is a
-//! scan of the domain. This module maintains, at commit time, a closure
-//! index in its own SimpleDB domain ([`CLOSURE_DOMAIN`]) so that Q3 can
-//! be answered with point reads only — O(answer), not O(graph).
+//! one query class SimpleDB cannot answer in one step: it has no recursive
+//! queries, so the walk engine issues one `QueryWithAttributes` per
+//! frontier node, generation after generation. This module maintains, at
+//! commit time, a closure index in its own SimpleDB domain
+//! ([`CLOSURE_DOMAIN`]) so that Q3 is three posted lookups — whatever the
+//! depth of the graph — plus one point read per answer item.
 //!
 //! # Layout
 //!
-//! One *logical row* per committed object version, keyed by the node's
-//! item name, holding multi-valued attributes:
+//! The index is one relation — "Y descends from X" — stored once, on
+//! the descendant's side. One *logical row* per committed object
+//! version, keyed by the node's item name, holds:
 //!
 //! * `n` — marker: the row was written by the indexer;
 //! * `a` — renders of the node's transitive *ancestors*;
-//! * `d` — renders of the node's transitive *descendants*;
-//! * `o` — renders of the node's *direct file children* (the Q2 seed
-//!   set, materialized so the serve path never scans).
+//! * `f` — the marks of the fragments `a` spilled into (below).
 //!
-//! A reserved row per process name (`\u{1f}name\u{1f}{program}`) lists
-//! the process versions carrying that name (`p` values) — the phase-1
-//! lookup of the walk engine, again as a point read.
+//! No row holds descendants. SimpleDB indexes every attribute, so
+//! "descendants of X" is the posted equality lookup `['a' = 'X']` on this
+//! domain — one request per page, O(answer) — with each returned physical
+//! item name folded to its row by `closure_row_name`. The Q3 serve
+//! path (`SimpleDbQueryEngine`) and the repair rule below both read
+//! descendants that way; the program-name and direct-output lookups that
+//! seed Q3 are the walk engine's own two indexed queries on the main
+//! domain, so the index stores no copy of those either.
 //!
 //! Ancestry follows the same edge relation the walk engine traverses:
 //! stored `input` attribute values that round-trip through
@@ -30,29 +35,24 @@
 //!
 //! # The 256-pair cap, without read-modify-write
 //!
-//! SimpleDB rejects items beyond 256 pairs, and a popular ancestor
-//! accumulates one `d` value per descendant. Each attribute of a logical
-//! row therefore spreads its values across [`CLOSURE_FRAG_BUCKETS`]
-//! buckets: the pair `(attr, value)` lives in bucket
-//! `closure_bucket(attr, value)`. Bucket 0 is the base item; any other
-//! bucket is the physical item `closure_frag_name(base, attr, bucket)`,
-//! which holds values of that one attribute only. The placement is a pure
-//! function of the pair, so the final row bytes are independent of commit
+//! SimpleDB rejects items beyond 256 pairs, and a node deep in a wide
+//! graph accumulates one `a` value per ancestor. A logical row therefore
+//! spreads its `a` values across [`CLOSURE_FRAG_BUCKETS`] buckets: the
+//! value lives in bucket `closure_bucket("a", value)`. Bucket 0 is the
+//! base item; any other bucket is the physical item
+//! `closure_frag_name(base, "a", bucket)`. The placement is a pure
+//! function of the value, so the final row bytes are independent of commit
 //! grouping, crash replays, and interleavings — maintenance is nothing
 //! but idempotent multi-value adds, which is what makes the crash story
-//! work. Fragments in use are listed on the base item as `f` marks that
-//! carry the attribute (`"d17"`), so reading attribute `x` costs the base
-//! — projected to `x` and `f` — plus one `GetAttributes` per `x` mark:
-//! `1 + (distinct non-zero buckets of x's values)` requests, whatever the
-//! row's other attributes hold. [`read_row_attr`] is the only reader.
+//! work. Fragments in use are listed on the base item as `f` marks
+//! (`"a17"`), so the maintenance path reads a node's ancestors as the base
+//! plus one `GetAttributes` per mark.
 //!
 //! **Capacity.** A fragment fills at 256 values, but the base fills
-//! first: it holds the `n` marker, up to 63 marks *per attribute* (189
-//! on a node row with `a`, `d` and `o` all spread out), and the bucket-0
-//! share — 1/64 in expectation — of every attribute's values. A node row
-//! therefore takes about `(256 - 1 - 189) * 64 ≈ 4 200` values summed
-//! over its three attributes before the base overflows, and a name row
-//! (`p` only) about `(256 - 63) * 64 ≈ 12 300`.
+//! first: it holds the `n` marker, up to 63 marks, and the bucket-0 share
+//! — 1/64 in expectation — of the values. A row therefore takes about
+//! `(256 - 1 - 63) * 64 ≈ 12 300` ancestors before the base overflows.
+//! Descendants are unbounded: no row holds them.
 //!
 //! # Crash consistency
 //!
@@ -71,11 +71,11 @@
 //!
 //! The arch3 daemon applies whichever transaction assemblies complete
 //! first, so a child can commit *before* its parent. The child still
-//! adds its render under the missing parent's row (a blind add needs no
-//! row to exist), but it cannot know the parent's ancestors yet. The
-//! repair rule closes the gap: when a node is indexed, it reads the
-//! descendants already recorded on its own row — premature children and
-//! their subtrees — and re-propagates them through its ancestor set.
+//! records the missing parent among its own ancestors, but it cannot know
+//! the parent's ancestors yet. The repair rule closes the gap: when a node
+//! is indexed, it looks up the descendants the index already holds for it
+//! — premature children and their subtrees, one `['a' = …]` lookup per
+//! ≤ 20 group nodes — and re-propagates them through its ancestor set.
 //! Because a group node's own resolved set can be completed by a
 //! sibling's repair inside the same group (its parent committed late,
 //! as part of this very group), the propagation runs to a fixpoint over
@@ -86,15 +86,15 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pass::ObjectRef;
-use sim_simpledb::{Attribute, ReplaceableAttribute, SimpleDb};
+use sim_simpledb::{ReplaceableAttribute, SimpleDb};
 use simworld::{CrashSite, SimWorld};
 
 use crate::error::Result;
 use crate::layout::{
-    closure_bucket, closure_frag_mark, closure_frag_name, closure_mark_bucket, closure_name_row,
-    CLOSURE_ATTR_ANC, CLOSURE_ATTR_DESC, CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_NODE, CLOSURE_ATTR_OUT,
-    CLOSURE_ATTR_PROC, CLOSURE_DOMAIN, DOMAIN,
+    closure_bucket, closure_frag_mark, closure_frag_name, closure_mark_bucket, closure_row_name,
+    CLOSURE_ATTR_ANC, CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_NODE, CLOSURE_DOMAIN, DOMAIN,
 };
+use crate::query::{union_of_equals, UNION_BATCH};
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::serialize::pack_attr_batches;
 
@@ -128,7 +128,7 @@ impl ClosureMode {
 /// Parses a stored attribute value as an object reference, requiring an
 /// exact round-trip — the same equality the walk engine's
 /// `['input' = '...']` queries apply to stored values.
-pub(crate) fn parse_render(value: &str) -> Option<ObjectRef> {
+fn parse_render(value: &str) -> Option<ObjectRef> {
     let obj = ObjectRef::parse(value)?;
     (obj.render() == value).then_some(obj)
 }
@@ -140,41 +140,16 @@ struct NodeInfo {
     /// Stored `input` values that round-trip as refs (the walk's edge
     /// relation), deduplicated.
     parents: BTreeSet<String>,
-    /// The node carries `type = file`.
-    is_file: bool,
-    /// The node carries `type = process`.
-    is_process: bool,
-    /// Stored `name` values.
-    names: BTreeSet<String>,
 }
 
 impl NodeInfo {
     fn from_attrs(attrs: &[ReplaceableAttribute]) -> NodeInfo {
-        let mut info = NodeInfo::default();
-        for a in attrs {
-            match a.name.as_str() {
-                "input" if parse_render(&a.value).is_some() => {
-                    info.parents.insert(a.value.clone());
-                }
-                "type" => match a.value.as_str() {
-                    "file" => info.is_file = true,
-                    "process" => info.is_process = true,
-                    _ => {}
-                },
-                "name" => {
-                    info.names.insert(a.value.clone());
-                }
-                _ => {}
-            }
+        let inputs = attrs
+            .iter()
+            .filter(|a| a.name == "input" && parse_render(&a.value).is_some());
+        NodeInfo {
+            parents: inputs.map(|a| a.value.clone()).collect(),
         }
-        info
-    }
-
-    fn merge(&mut self, other: NodeInfo) {
-        self.parents.extend(other.parents);
-        self.is_file |= other.is_file;
-        self.is_process |= other.is_process;
-        self.names.extend(other.names);
     }
 }
 
@@ -238,7 +213,9 @@ impl ClosureIndex {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(info);
                 }
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(info),
+                std::collections::btree_map::Entry::Occupied(mut e) => {
+                    e.get_mut().parents.extend(info.parents)
+                }
             }
         }
         if group.is_empty() {
@@ -271,15 +248,11 @@ impl ClosureIndex {
         }
 
         // Premature descendants: commits can land out of order, so a
-        // child may already have recorded itself under a group node's
-        // row before the node itself was indexed. Read what is there
-        // now (before this group's writes) so the repair fixpoint below
-        // can re-propagate it through the ancestors resolved in this
-        // step.
-        let mut descs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for item in group.keys() {
-            descs.insert(item.clone(), self.read_row_desc(item, retry)?);
-        }
+        // child may already list a group node among its ancestors before
+        // the node itself was indexed. Look up what is there now (before
+        // this group's writes) so the repair fixpoint below can
+        // re-propagate it through the ancestors resolved in this step.
+        let mut descs = self.stored_descendants(group.keys(), retry)?;
 
         // Repair fixpoint. Seed a working ancestor map with the group's
         // resolved sets, and a descendant map with each group row's
@@ -337,42 +310,24 @@ impl ClosureIndex {
 
         // Emit the adds from the converged sets. Everything is an
         // idempotent set-add; the physical placement is a pure function
-        // of (attr, value), so the converged bytes are independent of
+        // of the value, so the converged bytes are independent of
         // grouping and replays.
-        let mut adds: BTreeMap<String, BTreeSet<(String, String)>> = BTreeMap::new();
-        let add = |adds: &mut BTreeMap<String, BTreeSet<(String, String)>>,
-                   base: &str,
-                   attr: &str,
-                   value: String| {
-            let bucket = closure_bucket(attr, &value);
-            let item = if bucket == 0 {
-                base.to_string()
-            } else {
-                let mark = closure_frag_mark(attr, bucket);
-                adds.entry(base.to_string())
-                    .or_default()
-                    .insert((CLOSURE_ATTR_FRAGS.to_string(), mark));
-                closure_frag_name(base, attr, bucket)
-            };
-            adds.entry(item)
-                .or_default()
-                .insert((attr.to_string(), value));
-        };
+        let mut adds: BTreeMap<String, BTreeSet<(&str, String)>> = BTreeMap::new();
         for (item, ancestors) in &full {
-            let Some(object) = ObjectRef::parse_item_name(item) else {
-                continue;
-            };
-            let render = object.render();
             for anc in ancestors {
-                add(&mut adds, item, CLOSURE_ATTR_ANC, anc.clone());
-                if let Some(anc_obj) = parse_render(anc) {
-                    add(
-                        &mut adds,
-                        &anc_obj.item_name(),
-                        CLOSURE_ATTR_DESC,
-                        render.clone(),
-                    );
-                }
+                let bucket = closure_bucket(CLOSURE_ATTR_ANC, anc);
+                let physical = if bucket == 0 {
+                    item.clone()
+                } else {
+                    let mark = closure_frag_mark(CLOSURE_ATTR_ANC, bucket);
+                    adds.entry(item.clone())
+                        .or_default()
+                        .insert((CLOSURE_ATTR_FRAGS, mark));
+                    closure_frag_name(item, CLOSURE_ATTR_ANC, bucket)
+                };
+                adds.entry(physical)
+                    .or_default()
+                    .insert((CLOSURE_ATTR_ANC, anc.clone()));
             }
             // Keep later groups in this daemon's lifetime seeing the
             // repaired sets: replace group rows (their converged set is
@@ -384,36 +339,10 @@ impl ClosureIndex {
                 cached.extend(ancestors.iter().cloned());
             }
         }
-        for (item, info) in &group {
-            let Some(object) = ObjectRef::parse_item_name(item) else {
-                continue;
-            };
-            let render = object.render();
+        for item in group.keys() {
             adds.entry(item.clone())
                 .or_default()
-                .insert((CLOSURE_ATTR_NODE.to_string(), "1".to_string()));
-            if info.is_file {
-                for parent in &info.parents {
-                    if let Some(parent_obj) = parse_render(parent) {
-                        add(
-                            &mut adds,
-                            &parent_obj.item_name(),
-                            CLOSURE_ATTR_OUT,
-                            render.clone(),
-                        );
-                    }
-                }
-            }
-            if info.is_process {
-                for name in &info.names {
-                    add(
-                        &mut adds,
-                        &closure_name_row(name),
-                        CLOSURE_ATTR_PROC,
-                        render.clone(),
-                    );
-                }
-            }
+                .insert((CLOSURE_ATTR_NODE, "1".to_string()));
         }
         let batch_items: Vec<(String, Vec<ReplaceableAttribute>)> = adds
             .into_iter()
@@ -514,80 +443,91 @@ impl ClosureIndex {
         self.resolve(item, retry, group, resolved, stack)
     }
 
-    /// Reads the stored descendant renders of a (possibly unmarked)
-    /// closure row: the children that committed before the node itself
-    /// and recorded themselves prematurely. Absent rows read as empty.
-    fn read_row_desc(&self, item: &str, retry: RetryPolicy) -> Result<BTreeSet<String>> {
-        let row = read_row_attr(item, CLOSURE_ATTR_DESC, false, |item, names| {
-            self.get_with_retry(item, names, retry)
-        })?;
-        Ok(row.unwrap_or_default())
+    /// The descendants the index already holds for each of `items`, keyed
+    /// by item name: the children that committed before the node itself
+    /// and recorded it among their ancestors. One `['a' = …] union …`
+    /// lookup per [`UNION_BATCH`] nodes; a hit is attributed to the terms
+    /// found among the `a` values it comes back with.
+    fn stored_descendants<'a>(
+        &self,
+        items: impl Iterator<Item = &'a String>,
+        retry: RetryPolicy,
+    ) -> Result<BTreeMap<String, BTreeSet<String>>> {
+        let by_render: BTreeMap<String, &String> = items
+            .filter_map(|item| Some((ObjectRef::parse_item_name(item)?.render(), item)))
+            .collect();
+        let renders: Vec<&String> = by_render.keys().collect();
+        let filter = [CLOSURE_ATTR_ANC.to_string()];
+        let mut descs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for batch in renders.chunks(UNION_BATCH) {
+            let expr = union_of_equals(CLOSURE_ATTR_ANC, batch.iter().copied());
+            let mut token: Option<String> = None;
+            loop {
+                let page = with_throttle_retry(&self.world, &retry, || {
+                    Ok(self.db.query_with_attributes(
+                        CLOSURE_DOMAIN,
+                        Some(&expr),
+                        Some(&filter),
+                        Some(250),
+                        token.as_deref(),
+                    )?)
+                })?;
+                for hit in page.items {
+                    let Some(desc) = ObjectRef::parse_item_name(closure_row_name(&hit.name)) else {
+                        continue;
+                    };
+                    for term in hit.attributes {
+                        if let Some(&item) = by_render.get(&term.value) {
+                            descs.entry(item.clone()).or_default().insert(desc.render());
+                        }
+                    }
+                }
+                token = page.next_token;
+                if token.is_none() {
+                    break;
+                }
+            }
+        }
+        Ok(descs)
     }
 
-    /// Reads the stored ancestor set of a marked closure row; `None`
-    /// when the row is missing or unmarked (stale).
+    /// Reads the stored ancestor set of a marked closure row — the base
+    /// item plus one `GetAttributes` per fragment mark on it; `None` when
+    /// the row is missing or unmarked (stale; its fragments are then not
+    /// read).
     fn read_row_ancestors(
         &self,
         item: &str,
         retry: RetryPolicy,
     ) -> Result<Option<BTreeSet<String>>> {
-        read_row_attr(item, CLOSURE_ATTR_ANC, true, |item, names| {
-            self.get_with_retry(item, names, retry)
-        })
-    }
-
-    /// The maintenance path's `GetAttributes`: throttles are retried.
-    fn get_with_retry(
-        &self,
-        item: &str,
-        names: Option<&[&str]>,
-        retry: RetryPolicy,
-    ) -> Result<Vec<Attribute>> {
-        with_throttle_retry(&self.world, &retry, || {
-            Ok(self.db.get_attributes(CLOSURE_DOMAIN, item, names)?)
-        })
-    }
-}
-
-/// The one reader of the fragment layout: all values of `attr` on the
-/// logical row `base`, as `1 + (fragments of attr in use)` point reads.
-/// The base read is a projection — `attr`, the `f` marks and, with
-/// `need_marker`, the `n` marker — so the row's other attributes are
-/// neither fetched nor billed; then one read per mark that names `attr`.
-/// `get` issues each `GetAttributes` against [`CLOSURE_DOMAIN`] under the
-/// caller's own error and retry policy.
-///
-/// `None` only when `need_marker` is set and the row is missing or
-/// unmarked (its fragments are then not read); an absent row otherwise
-/// reads as empty.
-pub(crate) fn read_row_attr(
-    base: &str,
-    attr: &str,
-    need_marker: bool,
-    mut get: impl FnMut(&str, Option<&[&str]>) -> Result<Vec<Attribute>>,
-) -> Result<Option<BTreeSet<String>>> {
-    let projection = [attr, CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_NODE];
-    let names = &projection[..if need_marker { 3 } else { 2 }];
-    let mut values = BTreeSet::new();
-    let mut buckets = Vec::new();
-    let mut marked = false;
-    for pair in get(base, Some(names))? {
-        if pair.name == attr {
-            values.insert(pair.value);
-        } else if pair.name == CLOSURE_ATTR_FRAGS {
-            buckets.extend(closure_mark_bucket(&pair.value, attr));
-        } else {
-            marked = true;
+        let get = |item: &str| {
+            with_throttle_retry(&self.world, &retry, || {
+                Ok(self.db.get_attributes(CLOSURE_DOMAIN, item, None)?)
+            })
+        };
+        let mut ancestors = BTreeSet::new();
+        let mut buckets = Vec::new();
+        let mut marked = false;
+        for pair in get(item)? {
+            match pair.name.as_str() {
+                CLOSURE_ATTR_ANC => {
+                    ancestors.insert(pair.value);
+                }
+                CLOSURE_ATTR_FRAGS => {
+                    buckets.extend(closure_mark_bucket(&pair.value, CLOSURE_ATTR_ANC))
+                }
+                _ => marked = true,
+            }
         }
+        if !marked {
+            return Ok(None);
+        }
+        for bucket in buckets {
+            let frag = get(&closure_frag_name(item, CLOSURE_ATTR_ANC, bucket))?;
+            ancestors.extend(frag.into_iter().map(|pair| pair.value));
+        }
+        Ok(Some(ancestors))
     }
-    if need_marker && !marked {
-        return Ok(None);
-    }
-    for bucket in buckets {
-        let frag = get(&closure_frag_name(base, attr, bucket), None)?;
-        values.extend(frag.into_iter().map(|pair| pair.value));
-    }
-    Ok(Some(values))
 }
 
 #[cfg(test)]
@@ -710,93 +650,71 @@ mod tests {
         assert_eq!(fa, fb, "commit order changed the closure bytes");
     }
 
-    /// The point of per-attribute fragments: reading one attribute of a
-    /// row that also carries others costs the base plus that attribute's
-    /// fragments, and ships none of the other attributes' bytes.
+    /// What the maintenance path pays to learn a parent's ancestors after
+    /// losing its cache: the base item plus one read per fragment in use,
+    /// and a single read when the row is unmarked.
     #[test]
-    fn reading_one_attribute_fetches_only_its_own_fragments() {
-        use crate::layout::parse_closure_frag_name;
+    fn reading_ancestors_costs_the_base_plus_one_read_per_fragment() {
         use simworld::Op;
 
-        // 12 sources -> one process -> 12 outputs -> one child each: the
-        // process row carries 12 `a`, 24 `d` and 12 `o` values.
-        let node = |name: String, kind: &str, inputs: Vec<String>| {
-            let mut attrs = vec![ReplaceableAttribute::add("type", kind)];
-            attrs.extend(
-                inputs
-                    .iter()
-                    .map(|i| ReplaceableAttribute::add("input", i.as_str())),
-            );
-            (format!("{name} 1"), attrs)
+        // 12 sources -> one process: the process row carries 12 `a` values.
+        let node = |name: String, inputs: Vec<String>| {
+            let attrs = inputs.iter().map(|i| ReplaceableAttribute::add("input", i));
+            (format!("{name} 1"), attrs.collect::<Vec<_>>())
         };
-        let mut items = Vec::new();
-        for i in 0..12 {
-            items.push(node(format!("src{i}"), "file", vec![]));
-            items.push(node(format!("out{i}"), "file", vec!["tool:1".into()]));
-            items.push(node(format!("kid{i}"), "file", vec![format!("out{i}:1")]));
-        }
-        let sources = (0..12).map(|i| format!("src{i}:1")).collect();
-        items.push(node("tool".into(), "process", sources));
+        let sources: BTreeSet<String> = (0..12).map(|i| format!("src{i}:1")).collect();
+        let mut items: Vec<_> = (0..12).map(|i| node(format!("src{i}"), vec![])).collect();
+        items.push(node("tool".into(), sources.iter().cloned().collect()));
 
         let world = SimWorld::counting();
         let db = SimpleDb::new(&world);
-        ClosureIndex::new(&world, &db)
-            .index_items(
-                &items,
-                RetryPolicy::default(),
-                CrashSite::new("test.unarmed"),
-            )
+        let retry = RetryPolicy::default();
+        let mut index = ClosureIndex::new(&world, &db);
+        index
+            .index_items(&items, retry, CrashSite::new("test.unarmed"))
+            .unwrap();
+        // A child that committed ahead of its parent leaves an unmarked row.
+        let orphan = [ReplaceableAttribute::add(CLOSURE_ATTR_ANC, "tool:1")];
+        db.put_attributes(CLOSURE_DOMAIN, "ghost 1", &orphan)
             .unwrap();
         world.settle();
+        index.reset();
 
-        let get = |item: &str, names: Option<&[&str]>| -> Result<Vec<Attribute>> {
-            Ok(db.get_attributes(CLOSURE_DOMAIN, item, names)?)
-        };
-        let outs: BTreeSet<String> = (0..12).map(|i| format!("out{i}:1")).collect();
-        let o_frags: BTreeSet<u64> = outs
+        let frags: BTreeSet<u64> = sources
             .iter()
-            .map(|o| closure_bucket(CLOSURE_ATTR_OUT, o))
+            .map(|s| closure_bucket(CLOSURE_ATTR_ANC, s))
             .filter(|b| *b != 0)
             .collect();
-        assert!(o_frags.len() > 1, "the row must actually be fragmented");
+        assert!(frags.len() > 1, "the row must actually be fragmented");
 
         let before = world.meters();
-        let read = read_row_attr("tool 1", CLOSURE_ATTR_OUT, false, get).unwrap();
-        let o_read = world.meters() - before;
-        assert_eq!(read, Some(outs.clone()));
+        let read = index.read_row_ancestors("tool 1", retry).unwrap();
+        let cost = world.meters() - before;
+        assert_eq!(read, Some(sources.clone()));
+        assert_eq!(cost.op_count(Op::SdbGetAttributes), 1 + frags.len() as u64);
+        assert_eq!(cost.total_ops(), 1 + frags.len() as u64);
+        // The row is `n`, the marks and the values, and nothing else.
+        let pair_bytes = |name: &str, value: &str| (name.len() + value.len()) as u64;
+        let marks = frags
+            .iter()
+            .map(|b| pair_bytes(CLOSURE_ATTR_FRAGS, &closure_frag_mark(CLOSURE_ATTR_ANC, *b)));
+        let values = sources.iter().map(|s| pair_bytes(CLOSURE_ATTR_ANC, s));
         assert_eq!(
-            o_read.op_count(Op::SdbGetAttributes),
-            1 + o_frags.len() as u64
+            cost.bytes_out(),
+            pair_bytes(CLOSURE_ATTR_NODE, "1") + marks.sum::<u64>() + values.sum::<u64>()
         );
-        // Exactly the `o` pairs and the base's marks came back.
-        let base = db.latest_item(CLOSURE_DOMAIN, "tool 1").unwrap();
-        let marks = base.iter().filter(|a| a.name == CLOSURE_ATTR_FRAGS);
-        let mark_bytes: usize = marks.map(|a| a.name.len() + a.value.len()).sum();
-        let o_bytes: usize = outs.iter().map(|o| CLOSURE_ATTR_OUT.len() + o.len()).sum();
-        assert_eq!(o_read.bytes_out(), (mark_bytes + o_bytes) as u64);
 
-        // A full-row read: every physical item of the row, unprojected.
         let before = world.meters();
-        let mut full = get("tool 1", None).unwrap();
-        for item in db.latest_item_names(CLOSURE_DOMAIN) {
-            if parse_closure_frag_name(&item).is_some_and(|(base, _, _)| base == "tool 1") {
-                full.extend(get(&item, None).unwrap());
-            }
-        }
-        let full_read = world.meters() - before;
-        let count = |attr: &str| full.iter().filter(|a| a.name == attr).count();
-        assert_eq!(
-            (count("a"), count("d"), count("o"), count("n")),
-            (12, 24, 12, 1)
-        );
-        assert!(o_read.bytes_out() < full_read.bytes_out());
-        assert!(o_read.total_ops() < full_read.total_ops());
+        assert_eq!(index.read_row_ancestors("ghost 1", retry).unwrap(), None);
+        assert_eq!(index.read_row_ancestors("nobody 1", retry).unwrap(), None);
+        assert_eq!((world.meters() - before).total_ops(), 2);
     }
 
-    /// One ancestor, 1 000 descendants, committed in several groups: the
-    /// row spreads over per-attribute fragments, so no physical item —
-    /// least of all the base, which also carries the marks — reaches
-    /// SimpleDB's 256-pair cap, on either commit path.
+    /// One ancestor, 1 000 descendants, committed in several groups. No
+    /// row holds descendants, so the popular ancestor's row stays as small
+    /// as any other and no physical item comes near SimpleDB's 256-pair
+    /// cap; the index answer is a paged lookup that equals the walk, on
+    /// either commit path.
     #[test]
     fn a_thousand_descendants_stay_under_the_256_pair_cap() {
         use crate::arch2::{Arch2Config, S3SimpleDb};
@@ -804,7 +722,7 @@ mod tests {
         use crate::query::{ProvQuery, SimpleDbQueryEngine};
         use crate::store::ProvenanceStore;
         use pass::FileFlush;
-        use simworld::Blob;
+        use simworld::{Blob, Op};
 
         const LEAVES: usize = 1000;
         let mut flushes = vec![
@@ -823,7 +741,6 @@ mod tests {
                 .record("input", "seed.dat:1")
                 .build()
         }));
-        let leaves: BTreeSet<String> = (0..LEAVES).map(|i| format!("leaf/{i}.dat:1")).collect();
 
         let drive = |store: &mut dyn ProvenanceStore| {
             for (round, group) in flushes.chunks(167).enumerate() {
@@ -836,24 +753,25 @@ mod tests {
         };
         let check = |world: &SimWorld, db: &SimpleDb, s3: &sim_s3::S3| {
             world.settle();
+            // Every logical row is `n`, at most two ancestors and their
+            // marks — the popular seed's included.
+            let mut seed = BTreeSet::new();
             for item in db.latest_item_names(CLOSURE_DOMAIN) {
-                let pairs = db.latest_item(CLOSURE_DOMAIN, &item).unwrap().len();
-                assert!(pairs <= 256, "{item:?} holds {pairs} pairs");
+                let attrs = db.latest_item(CLOSURE_DOMAIN, &item).unwrap();
+                assert!(attrs.len() <= 5, "{item:?} holds {} pairs", attrs.len());
+                if closure_row_name(&item) == "seed.dat 1" {
+                    let row = attrs.into_iter().filter(|a| a.name != CLOSURE_ATTR_FRAGS);
+                    seed.extend(row.map(|a| (a.name, a.value)));
+                }
             }
-            let base = db.latest_item(CLOSURE_DOMAIN, "seed.dat 1").unwrap();
-            // The leaves are the seed's descendants *and* its direct file
-            // children: 1 000 values use every fragment of both.
-            for attr in [CLOSURE_ATTR_DESC, CLOSURE_ATTR_OUT] {
-                let marks = base.iter().filter(|a| {
-                    a.name == CLOSURE_ATTR_FRAGS && closure_mark_bucket(&a.value, attr).is_some()
-                });
-                assert_eq!(marks.count(), 63, "marks of {attr:?}");
-            }
-
-            let read = read_row_attr("seed.dat 1", CLOSURE_ATTR_DESC, false, |item, names| {
-                Ok(db.get_attributes(CLOSURE_DOMAIN, item, names)?)
-            });
-            assert_eq!(read.unwrap(), Some(leaves.clone()));
+            let pair = |name: &str, value: &str| (name.to_string(), value.to_string());
+            assert_eq!(
+                seed,
+                BTreeSet::from([
+                    pair(CLOSURE_ATTR_ANC, "fan:1"),
+                    pair(CLOSURE_ATTR_NODE, "1")
+                ])
+            );
 
             let walk = SimpleDbQueryEngine::new(db, s3, world, RetryPolicy::default());
             let index = walk.clone().serving_closure();
@@ -862,7 +780,13 @@ mod tests {
             };
             let walked = walk.execute(&q).unwrap();
             assert_eq!(walked.len(), LEAVES);
+            let before = world.meters();
             assert_eq!(index.execute(&q).unwrap(), walked);
+            let cost = world.meters() - before;
+            // Two lookups on the main domain, then 1 000 hits at 250 a page.
+            assert_eq!(cost.op_count(Op::SdbQuery), 2 + 4);
+            assert_eq!(cost.op_count(Op::SdbGetAttributes), LEAVES as u64);
+            assert_eq!(cost.total_ops(), 2 + 4 + LEAVES as u64);
         };
 
         let world = SimWorld::counting();
@@ -888,15 +812,12 @@ mod tests {
     fn node_info_extracts_the_walk_edge_relation() {
         let attrs = vec![
             ReplaceableAttribute::add("input", "a:1"),
+            ReplaceableAttribute::add("input", "a:1"),
             ReplaceableAttribute::add("input", "not a ref"),
             ReplaceableAttribute::add("type", "file"),
-            ReplaceableAttribute::add("name", "tool"),
-            ReplaceableAttribute::add("md5", "ffff"),
+            ReplaceableAttribute::add("name", "b:1"),
         ];
         let info = NodeInfo::from_attrs(&attrs);
-        assert_eq!(info.parents.len(), 1);
-        assert!(info.is_file);
-        assert!(!info.is_process);
-        assert!(info.names.contains("tool"));
+        assert_eq!(info.parents, BTreeSet::from(["a:1".to_string()]));
     }
 }

@@ -24,6 +24,11 @@ pub const DOMAIN: &str = "provenance";
 /// shardmap layer routes and splits it like any other domain — and so
 /// the data/provenance fingerprints are byte-identical whether the
 /// index exists or not.
+///
+/// The index is one relation, stored once: a node's logical row holds
+/// its ancestors. "Descendants of X" is not stored anywhere — it is the
+/// posted lookup `['a' = 'X']` on this domain, with each returned
+/// physical item name folded to its row by [`closure_row_name`].
 pub const CLOSURE_DOMAIN: &str = "closure";
 
 /// Closure attribute: node marker. Present exactly when the node's
@@ -35,40 +40,23 @@ pub const CLOSURE_ATTR_NODE: &str = "n";
 /// `ObjectRef` of the ancestor).
 pub const CLOSURE_ATTR_ANC: &str = "a";
 
-/// Closure attribute: one value per transitive descendant.
-pub const CLOSURE_ATTR_DESC: &str = "d";
-
-/// Closure attribute: one value per *direct* file child — the Q2 seed
-/// set ("outputs of"), materialized so the index-backed Q3 engine can
-/// seed itself with point reads instead of scans.
-pub const CLOSURE_ATTR_OUT: &str = "o";
-
-/// Closure attribute: one value per process version carrying a given
-/// name (on name rows only; see [`closure_name_row`]).
-pub const CLOSURE_ATTR_PROC: &str = "p";
-
 /// Closure attribute (base rows only): one *mark* per fragment of this
 /// logical row that holds at least one value. A mark is the fragment's
-/// attribute followed by its bucket (`"d17"`), so a reader that wants one
-/// attribute fetches only that attribute's fragments.
+/// attribute followed by its bucket (`"a17"`).
 pub const CLOSURE_ATTR_FRAGS: &str = "f";
 
-/// How many hash buckets each attribute of a logical closure row spreads
+/// How many hash buckets the values of a logical closure row spread
 /// across: bucket 0 is the base item, buckets `1..CLOSURE_FRAG_BUCKETS`
-/// are one fragment item each, per attribute. Every physical item
-/// respects SimpleDB's 256-pair cap; the base item, which also carries up
-/// to 63 marks per attribute, is the one that fills first (see the
-/// capacity bound in the `closure` module docs).
+/// are one fragment item each. Every physical item respects SimpleDB's
+/// 256-pair cap; the base item, which also carries up to 63 marks, is
+/// the one that fills first (see the capacity bound in the `closure`
+/// module docs).
 pub const CLOSURE_FRAG_BUCKETS: u64 = 64;
 
 /// Separator between a closure base item name and a fragment mark
 /// (`\u{1f}` cannot appear in object names that survive the record
 /// escaper, so fragment names never collide with node rows).
 pub const CLOSURE_FRAG_SEP: char = '\u{1f}';
-
-/// Item-name prefix reserved for process-name rows in the closure
-/// domain.
-pub const CLOSURE_NAME_PREFIX: &str = "\u{1f}name\u{1f}";
 
 /// The `f` value on the base item that announces fragment `bucket` of
 /// attribute `attr`.
@@ -93,17 +81,13 @@ pub fn closure_frag_name(base: &str, attr: &str, bucket: u64) -> String {
 }
 
 /// Inverse of [`closure_frag_name`]: the `(base, attr, bucket)` of a
-/// fragment item; `None` for base items and name rows.
+/// fragment item; `None` for base items.
 pub fn parse_closure_frag_name(item: &str) -> Option<(&str, &str, u64)> {
-    // A name row's own prefix ends in the separator; only a separator
-    // after it can start a mark.
-    let body = item.strip_prefix(CLOSURE_NAME_PREFIX).unwrap_or(item);
-    let (_, mark) = body.rsplit_once(CLOSURE_FRAG_SEP)?;
-    let base = &item[..item.len() - mark.len() - CLOSURE_FRAG_SEP.len_utf8()];
+    let (base, mark) = item.rsplit_once(CLOSURE_FRAG_SEP)?;
     let (attr, bucket) = mark.split_at(mark.find(|c: char| c.is_ascii_digit())?);
     let bucket = bucket.parse().ok()?;
-    // The mark must be the canonical rendering ("d017" and "d+17" parse
-    // but name no fragment the writer would produce).
+    // The mark must be the canonical rendering ("a017" parses but names
+    // no fragment the writer would produce).
     let canonical = !base.is_empty()
         && !attr.is_empty()
         && (1..CLOSURE_FRAG_BUCKETS).contains(&bucket)
@@ -111,10 +95,11 @@ pub fn parse_closure_frag_name(item: &str) -> Option<(&str, &str, u64)> {
     canonical.then_some((base, attr, bucket))
 }
 
-/// Item name of the closure row listing the process versions named
-/// `program`.
-pub fn closure_name_row(program: &str) -> String {
-    format!("{CLOSURE_NAME_PREFIX}{program}")
+/// The logical row a physical closure item belongs to: a fragment's base,
+/// or the item itself. What a lookup on [`CLOSURE_DOMAIN`] returns is
+/// physical item names; this folds them.
+pub fn closure_row_name(item: &str) -> &str {
+    parse_closure_frag_name(item).map_or(item, |(base, _, _)| base)
 }
 
 /// Which fragment of a logical closure row an `(attribute, value)` pair
@@ -228,47 +213,32 @@ mod tests {
 
     #[test]
     fn closure_buckets_are_stable_and_bounded() {
-        let b = closure_bucket("d", "cooked/0.dat:1");
-        assert_eq!(b, closure_bucket("d", "cooked/0.dat:1"));
+        let b = closure_bucket("a", "cooked/0.dat:1");
+        assert_eq!(b, closure_bucket("a", "cooked/0.dat:1"));
         assert!(b < CLOSURE_FRAG_BUCKETS);
         // Different attributes route the same value independently.
-        assert!(closure_bucket("a", "x:1") < CLOSURE_FRAG_BUCKETS);
+        assert!(closure_bucket("x", "x:1") < CLOSURE_FRAG_BUCKETS);
     }
 
     #[test]
     fn closure_names_cannot_collide_with_node_rows() {
-        // Node rows are "{name} {version}"; fragment and name rows carry
-        // the \u{1f} separator, which parse_item_name-able names never do.
-        assert_eq!(closure_frag_name("f 1", "d", 3), "f 1\u{1f}d3");
-        assert_eq!(closure_name_row("blastall"), "\u{1f}name\u{1f}blastall");
+        // Node rows are "{name} {version}"; fragments carry the \u{1f}
+        // separator, which parse_item_name-able names never do.
+        assert_eq!(closure_frag_name("f 1", "a", 3), "f 1\u{1f}a3");
     }
 
     #[test]
     fn closure_frag_names_round_trip_and_marks_name_their_attribute() {
-        let bases = [
-            "f 1".to_string(),
-            "run 7/out 2.dat 12".to_string(),
-            "proc:1:tool:2 3".to_string(),
-            closure_name_row("blastall"),
-            closure_name_row("tool 9"),
-            closure_name_row("d7"),
-            closure_name_row(""),
-        ];
-        let attrs = [
-            CLOSURE_ATTR_ANC,
-            CLOSURE_ATTR_DESC,
-            CLOSURE_ATTR_OUT,
-            CLOSURE_ATTR_PROC,
-        ];
-        for base in &bases {
+        let bases = ["f 1", "run 7/out 2.dat 12", "proc:1:tool:2 3"];
+        let attrs = [CLOSURE_ATTR_ANC, "x"];
+        for base in bases {
             assert_eq!(parse_closure_frag_name(base), None, "{base:?} is a base");
+            assert_eq!(closure_row_name(base), base);
             for attr in attrs {
                 for bucket in [1, 9, 10, CLOSURE_FRAG_BUCKETS - 1] {
                     let frag = closure_frag_name(base, attr, bucket);
-                    assert_eq!(
-                        parse_closure_frag_name(&frag),
-                        Some((base.as_str(), attr, bucket))
-                    );
+                    assert_eq!(parse_closure_frag_name(&frag), Some((base, attr, bucket)));
+                    assert_eq!(closure_row_name(&frag), base);
                     let mark = closure_frag_mark(attr, bucket);
                     assert_eq!(closure_mark_bucket(&mark, attr), Some(bucket));
                     for other in attrs.into_iter().filter(|o| *o != attr) {
@@ -279,11 +249,11 @@ mod tests {
         }
         // Bucket 0 is the base item; nothing non-canonical is a fragment.
         for not_a_frag in [
-            "f 1\u{1f}d0",
-            "f 1\u{1f}d64",
-            "f 1\u{1f}d07",
+            "f 1\u{1f}a0",
+            "f 1\u{1f}a64",
+            "f 1\u{1f}a07",
             "f 1\u{1f}7",
-            "\u{1f}d7",
+            "\u{1f}a7",
         ] {
             assert_eq!(parse_closure_frag_name(not_a_frag), None, "{not_a_frag:?}");
         }

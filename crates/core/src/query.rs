@@ -15,7 +15,11 @@
 //! proportional to the answer, and bills it as one request. SimpleDB has
 //! no recursive queries, so Q3 walks the graph one generation of
 //! `QueryWithAttributes` at a time — still orders of magnitude more
-//! selective than the scan.
+//! selective than the scan. With the closure index served
+//! ([`SimpleDbQueryEngine::serving_closure`]) Q3 is instead the walk's
+//! two seed lookups, issued names-only, and one posted
+//! `['a' = seed] union …` lookup on the closure domain for every
+//! generation at once, then one `GetAttributes` per answer item.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -25,19 +29,17 @@ use sim_s3::{S3Error, S3};
 use sim_simpledb::SimpleDb;
 use simworld::SimWorld;
 
-use crate::closure::{parse_render, read_row_attr};
 use crate::error::Result;
 use crate::layout::{
-    closure_name_row, data_key, parse_data_key, BUCKET, CLOSURE_ATTR_DESC, CLOSURE_ATTR_OUT,
-    CLOSURE_ATTR_PROC, CLOSURE_DOMAIN, DOMAIN,
+    closure_row_name, data_key, parse_data_key, BUCKET, CLOSURE_ATTR_ANC, CLOSURE_DOMAIN, DOMAIN,
 };
 use crate::readpath::{get_object_with_retry, overflow_to_string};
 use crate::retry::RetryPolicy;
 use crate::serialize::{decode_attributes, decode_metadata, read_version};
 
 /// How many `union` predicates we pack into one SimpleDB query
-/// expression when looking up many `input` values at once.
-const UNION_BATCH: usize = 20;
+/// expression when looking up many values of one attribute at once.
+pub(crate) const UNION_BATCH: usize = 20;
 
 /// A provenance query.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -136,6 +138,26 @@ fn is_file(records: &[ProvenanceRecord]) -> bool {
 /// Escapes a value for the SimpleDB query language ('' doubling).
 fn quote(value: &str) -> String {
     value.replace('\'', "''")
+}
+
+/// `['attr' = v1] union ['attr' = v2] union …`: the items carrying any of
+/// `values` under `attr`, as one posted lookup.
+pub(crate) fn union_of_equals<V: AsRef<str>>(
+    attr: &str,
+    values: impl IntoIterator<Item = V>,
+) -> String {
+    let terms = values
+        .into_iter()
+        .map(|v| format!("['{attr}' = '{}']", quote(v.as_ref())));
+    terms.collect::<Vec<_>>().join(" union ")
+}
+
+/// The walk's phase-1 expression: the process versions running `program`.
+fn processes_named(program: &str) -> String {
+    format!(
+        "['type' = 'process'] intersection ['name' = '{}']",
+        quote(program)
+    )
 }
 
 // --- the S3 scan engine (Architecture 1) ---
@@ -256,10 +278,10 @@ impl SimpleDbQueryEngine {
         }
     }
 
-    /// Switches Q3 to the closure-index path: point reads over
-    /// [`CLOSURE_DOMAIN`] — O(answer) requests — instead of one
-    /// domain-scanning `QueryWithAttributes` per frontier node. The
-    /// other queries are unchanged.
+    /// Switches Q3 to the closure-index path: one posted lookup over
+    /// [`CLOSURE_DOMAIN`] for all descendants at once instead of one
+    /// `QueryWithAttributes` per frontier node, generation after
+    /// generation. The other queries are unchanged.
     pub fn serving_closure(mut self) -> SimpleDbQueryEngine {
         self.serve_closure = true;
         self
@@ -338,19 +360,11 @@ impl SimpleDbQueryEngine {
     /// Q2 in two indexed phases (§5): find the program's process
     /// versions, then everything that lists one of them as `input`.
     fn outputs_of(&self, program: &str) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
-        let phase1 = format!(
-            "['type' = 'process'] intersection ['name' = '{}']",
-            quote(program)
-        );
-        let processes = self.query_all_pages(&phase1)?;
+        let processes = self.query_all_pages(&processes_named(program))?;
         let mut outputs = BTreeMap::new();
         let refs: Vec<String> = processes.keys().map(|o| o.render()).collect();
         for batch in refs.chunks(UNION_BATCH) {
-            let expr = batch
-                .iter()
-                .map(|r| format!("['input' = '{}']", quote(r)))
-                .collect::<Vec<_>>()
-                .join(" union ");
+            let expr = union_of_equals("input", batch);
             for (object, records) in self.query_all_pages(&expr)? {
                 if is_file(&records) {
                     outputs.insert(object, records);
@@ -360,60 +374,86 @@ impl SimpleDbQueryEngine {
         Ok(outputs)
     }
 
-    /// Q3 over the closure index: every step is a point read.
+    /// Q3 over the closure index: three names-only posted lookups, then
+    /// the answer.
     ///
-    /// 1. the name row lists the program's process versions;
-    /// 2. their `o` values are the seed files (the walk's Q2 phase);
-    /// 3. the seeds' `d` values are the transitive descendants;
+    /// 1. the walk's phase 1 on the main domain: the program's process
+    ///    versions;
+    /// 2. the walk's phase 2: the files listing one of them as `input` —
+    ///    the seeds;
+    /// 3. `['a' = seed] union …` on the closure domain: every node with a
+    ///    seed among its ancestors, i.e. the transitive descendants;
     /// 4. one `GetAttributes` per answer object fetches its records.
     ///
-    /// Requests scale with the answer, never with the corpus. The
-    /// answer matches the walk engine item for item: the index
-    /// maintains exactly the walk's edge relation (stored inline
-    /// `input` values that round-trip as refs), and seeds are excluded
-    /// from the result just as the walk pre-loads them into `visited`.
+    /// Steps 2 and 3 take [`UNION_BATCH`] terms per expression and page at
+    /// 250, so requests scale with the answer, never with the corpus or
+    /// the depth of the graph. The answer matches the walk engine item
+    /// for item: the index maintains exactly the walk's edge relation
+    /// (stored inline `input` values that round-trip as refs), and seeds
+    /// are excluded from the result just as the walk pre-loads them into
+    /// `visited`.
     fn descendants_via_index(
         &self,
         program: &str,
     ) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
-        let procs = self.closure_row_values(&closure_name_row(program), CLOSURE_ATTR_PROC)?;
-        let mut seeds: BTreeSet<String> = BTreeSet::new();
-        for proc in &procs {
-            if let Some(obj) = parse_render(proc) {
-                seeds.extend(self.closure_row_values(&obj.item_name(), CLOSURE_ATTR_OUT)?);
-            }
-        }
-        let mut hits: BTreeSet<String> = BTreeSet::new();
-        for seed in &seeds {
-            if let Some(obj) = parse_render(seed) {
-                hits.extend(self.closure_row_values(&obj.item_name(), CLOSURE_ATTR_DESC)?);
-            }
-        }
+        let procs = self.query_refs(DOMAIN, &processes_named(program))?;
+        let seeds =
+            self.refs_carrying(DOMAIN, "input", &procs, " intersection ['type' = 'file']")?;
+        let hits = self.refs_carrying(CLOSURE_DOMAIN, CLOSURE_ATTR_ANC, &seeds, "")?;
         let mut result = BTreeMap::new();
-        for hit in hits.difference(&seeds) {
-            let Some(object) = parse_render(hit) else {
-                continue;
-            };
+        for object in hits.difference(&seeds) {
             // A missing main-domain item here is a stale phantom (the
             // closure outlived a deleted row); skip it rather than fail.
-            if let Some(records) = self.fetch_item(&object)? {
-                result.insert(object, records);
+            if let Some(records) = self.fetch_item(object)? {
+                result.insert(object.clone(), records);
             }
         }
         Ok(result)
     }
 
-    /// All values of `attr` on one logical closure row, through the
-    /// shared fragment reader. The serve path does not retry, and an
-    /// index domain that was never created reads as an empty row.
-    fn closure_row_values(&self, item: &str, attr: &str) -> Result<BTreeSet<String>> {
-        let row = read_row_attr(item, attr, false, |item, names| {
-            match self.db.get_attributes(CLOSURE_DOMAIN, item, names) {
-                Err(sim_simpledb::SdbError::NoSuchDomain { .. }) => Ok(Vec::new()),
-                reply => Ok(reply?),
+    /// The objects in `domain` carrying the render of any of `values`
+    /// under `attr` (and satisfying `suffix`, a trailing
+    /// ` intersection …` clause or nothing).
+    fn refs_carrying(
+        &self,
+        domain: &str,
+        attr: &str,
+        values: &BTreeSet<ObjectRef>,
+        suffix: &str,
+    ) -> Result<BTreeSet<ObjectRef>> {
+        let renders: Vec<String> = values.iter().map(ObjectRef::render).collect();
+        let mut out = BTreeSet::new();
+        for batch in renders.chunks(UNION_BATCH) {
+            let expr = union_of_equals(attr, batch) + suffix;
+            out.append(&mut self.query_refs(domain, &expr)?);
+        }
+        Ok(out)
+    }
+
+    /// Runs one names-only `Query` across all pages. Closure fragments
+    /// fold into the row they belong to, and an index domain that was
+    /// never created matches nothing.
+    fn query_refs(&self, domain: &str, expr: &str) -> Result<BTreeSet<ObjectRef>> {
+        let mut out = BTreeSet::new();
+        let mut token: Option<String> = None;
+        loop {
+            let page = match self
+                .db
+                .query(domain, Some(expr), Some(250), token.as_deref())
+            {
+                Err(sim_simpledb::SdbError::NoSuchDomain { .. }) if domain == CLOSURE_DOMAIN => {
+                    break
+                }
+                reply => reply?,
+            };
+            let rows = page.item_names.iter().map(|name| closure_row_name(name));
+            out.extend(rows.filter_map(ObjectRef::parse_item_name));
+            match page.next_token {
+                Some(t) => token = Some(t),
+                None => break,
             }
-        })?;
-        Ok(row.unwrap_or_default())
+        }
+        Ok(out)
     }
 
     /// Runs one QueryWithAttributes expression across all pages,
@@ -642,6 +682,94 @@ mod tests {
     #[test]
     fn quote_escapes_quotes() {
         assert_eq!(quote("o'brien"), "o''brien");
+    }
+
+    /// The benchmark's corpus shape: `runs` pipelines of
+    /// `in -> s0 -> f0 -> s1 -> f1 -> s2 -> f2 -> s3 -> f3`, persisted
+    /// one pipeline per batch into an arch2 store that maintains the index.
+    fn staged_corpus(runs: u32) -> (SimWorld, crate::S3SimpleDb) {
+        use crate::{Arch2Config, ClosureMode, ProvenanceStore};
+        use pass::{Observer, TraceEvent};
+        use simworld::Blob;
+
+        let world = SimWorld::counting();
+        let mut store = crate::S3SimpleDb::new(&world);
+        store.set_config(Arch2Config {
+            closure: ClosureMode::Maintain,
+            ..Arch2Config::default()
+        });
+        for run in 0..runs {
+            let mut observer = Observer::new();
+            let mut prev = format!("r{run}/in.dat");
+            let mut events = vec![TraceEvent::source(&prev, Blob::synthetic(0, 64))];
+            for stage in 0..4 {
+                let pid = run * 4 + stage + 1;
+                let next = format!("r{run}/f{stage}.dat");
+                events.extend([
+                    TraceEvent::exec(pid, format!("s{stage}"), "cmd", "PATH=/bin", None),
+                    TraceEvent::read(pid, &prev),
+                    TraceEvent::write(pid, &next),
+                    TraceEvent::close(pid, &next, Blob::synthetic(u64::from(pid), 64)),
+                    TraceEvent::exit(pid),
+                ]);
+                prev = next;
+            }
+            let flushes: Vec<_> = events
+                .into_iter()
+                .flat_map(|event| observer.observe(event).unwrap())
+                .collect();
+            store.persist_batch(&flushes).unwrap();
+        }
+        world.settle();
+        (world, store)
+    }
+
+    #[test]
+    fn index_served_q3_bills_three_lookups_plus_the_answer() {
+        use simworld::Service;
+
+        let (world, store) = staged_corpus(5);
+        let walk =
+            SimpleDbQueryEngine::new(store.simpledb(), store.s3(), &world, RetryPolicy::default());
+        let index = walk.clone().serving_closure();
+        let bill = |program: String| {
+            let q = ProvQuery::DescendantsOf { program };
+            let before = world.meters();
+            let answer = index.execute(&q).unwrap();
+            let cost = world.meters() - before;
+            assert_eq!(answer, walk.execute(&q).unwrap(), "{q:?}");
+            assert_eq!(cost.service_ops(Service::S3), 0, "{q:?}");
+            (answer.len() as u64, cost.service_ops(Service::SimpleDb))
+        };
+        // Stage k's outputs have the 2 * (3 - k) later nodes of each of
+        // the five runs as descendants.
+        for (stage, hits) in [(0, 30), (1, 20), (2, 10), (3, 0)] {
+            assert_eq!(bill(format!("s{stage}")), (hits, 3 + hits), "stage {stage}");
+        }
+        // Nobody ran it: phase 1 finds no process and nothing else is asked.
+        assert_eq!(bill("s9".into()), (0, 1));
+    }
+
+    #[test]
+    fn a_hit_whose_item_was_deleted_is_skipped() {
+        let (world, store) = staged_corpus(1);
+        let index =
+            SimpleDbQueryEngine::new(store.simpledb(), store.s3(), &world, RetryPolicy::default())
+                .serving_closure();
+        let q = ProvQuery::DescendantsOf {
+            program: "s1".into(),
+        };
+        assert_eq!(index.execute(&q).unwrap().len(), 4);
+        // The closure row outlives the main-domain item it describes.
+        let none = None::<&[sim_simpledb::DeletableAttribute]>;
+        store
+            .simpledb()
+            .delete_attributes(DOMAIN, "r0/f3.dat 1", none)
+            .unwrap();
+        world.settle();
+        let names = index.execute(&q).unwrap().names();
+        assert_eq!(names.len(), 3);
+        assert!(!names.contains(&"r0/f3.dat:1".to_string()));
     }
 
     #[test]

@@ -444,12 +444,12 @@ mod tests {
         store.persist(&flush("b.dat", 2, Some("a.dat"))).unwrap();
         let (s3, db) = (store.s3(), store.simpledb());
         // Pins the encoding. The value covers the closure domain's
-        // physical items, so it moves with the fragment layout (last
-        // re-captured when fragments became per-attribute; the same
-        // store with the index off still hashed to 0x69fa8215fa440eeb
-        // before and after).
+        // physical items, so it moves with the closure layout (last
+        // re-captured when rows stopped holding descendants, outputs
+        // and process names; the same store with the index off still
+        // hashed to 0x69fa8215fa440eeb before and after).
         let mut last = store_fingerprint(s3, db);
-        assert_eq!(last, 0x4fde_20a0_2c27_756e);
+        assert_eq!(last, 0x2f9a_4389_d4ff_c18b);
         let mut moved = |what: &str, expected: bool| {
             let now = store_fingerprint(s3, db);
             assert_eq!(now != last, expected, "{what}");

@@ -540,10 +540,7 @@ proptest! {
         // must still equal an exact from-first-principles transitive
         // closure, and the index engine must answer Q3 exactly like the
         // walk engine.
-        use pass_cloud::cloud::layout::{
-            closure_name_row, parse_closure_frag_name, CLOSURE_ATTR_ANC, CLOSURE_ATTR_DESC,
-            CLOSURE_ATTR_OUT, CLOSURE_ATTR_PROC, CLOSURE_DOMAIN,
-        };
+        use pass_cloud::cloud::layout::{closure_row_name, CLOSURE_ATTR_ANC, CLOSURE_DOMAIN};
         use pass_cloud::cloud::{Arch3Config, ClosureMode, ProvQuery, ProvenanceStore, S3SimpleDbSqs};
         use std::collections::{BTreeMap, BTreeSet};
 
@@ -621,56 +618,30 @@ proptest! {
         store.run_daemons_until_idle().unwrap();
         world.settle();
 
-        // Reassemble the logical closure rows from the fragmented
-        // physical items: every fragment folds into its base.
+        // Every fragment folds into its base: a logical row is the
+        // node's ancestors, and the posted lookup on `a` — what the serve
+        // path and the repair rule issue — is its descendants.
         let db = store.simpledb().clone();
-        let mut logical: BTreeMap<String, BTreeMap<String, BTreeSet<String>>> = BTreeMap::new();
+        let mut stored_anc: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for item in db.latest_item_names(CLOSURE_DOMAIN) {
-            let base = parse_closure_frag_name(&item).map_or(item.as_str(), |(base, _, _)| base);
-            let row = logical.entry(base.to_string()).or_default();
-            for attr in db.latest_item(CLOSURE_DOMAIN, &item).unwrap_or_default() {
-                row.entry(attr.name).or_default().insert(attr.value);
-            }
+            let pairs = db.latest_item(CLOSURE_DOMAIN, &item).unwrap_or_default();
+            let values = pairs.into_iter().filter(|a| a.name == CLOSURE_ATTR_ANC);
+            stored_anc.entry(closure_row_name(&item).to_string()).or_default().extend(values.map(|a| a.value));
         }
-        let values = |base: &str, attr: &str| -> BTreeSet<String> {
-            logical
-                .get(base)
-                .and_then(|row| row.get(attr))
-                .cloned()
-                .unwrap_or_default()
-        };
-
         for i in 0..n {
             let item = format!("{} 1", name(i, nodes[i].0));
-            prop_assert_eq!(
-                values(&item, CLOSURE_ATTR_ANC),
-                anc[i].clone()
-            );
-            prop_assert_eq!(
-                values(&item, CLOSURE_ATTR_DESC),
-                desc[i].clone()
-            );
-            if nodes[i].0 {
-                let out: BTreeSet<String> = (0..n)
-                    .filter(|&j| !nodes[j].0 && parents[j].contains(&i))
-                    .map(render)
-                    .collect();
-                prop_assert_eq!(
-                    values(&item, CLOSURE_ATTR_OUT),
-                    out
-                );
-            }
-        }
-        for (p, prog) in PROGRAMS.iter().enumerate() {
-            let procs: BTreeSet<String> = (0..n)
-                .filter(|&i| nodes[i].0 && nodes[i].2 == p as u8)
-                .map(render)
+            prop_assert_eq!(stored_anc.get(&item), Some(&anc[i]));
+            let expr = format!("['{CLOSURE_ATTR_ANC}' = '{}']", render(i));
+            let found = db.query(CLOSURE_DOMAIN, Some(&expr), Some(250), None).unwrap();
+            prop_assert!(found.next_token.is_none());
+            let looked_up: BTreeSet<String> = found
+                .item_names
+                .iter()
+                .filter_map(|hit| Some(ObjectRef::parse_item_name(closure_row_name(hit))?.render()))
                 .collect();
-            prop_assert_eq!(
-                values(&closure_name_row(prog), CLOSURE_ATTR_PROC),
-                procs
-            );
+            prop_assert_eq!(&looked_up, &desc[i]);
         }
+        prop_assert_eq!(stored_anc.len(), n);
 
         // The index engine answers Q3 item-for-item like the walk.
         for prog in PROGRAMS.iter().chain(["delta"].iter()) {
