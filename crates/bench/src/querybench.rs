@@ -179,7 +179,11 @@ fn run_leg(chains: u32, mode: ClosureMode) -> Result<(QueryScalingRow, QueryLegS
     Ok((
         QueryScalingRow {
             chains,
-            engine: if mode.serves() { "index" } else { "walk" },
+            engine: if mode == ClosureMode::Serve {
+                "index"
+            } else {
+                "walk"
+            },
             persist_ops,
             q3_ms,
             q3_ops,
@@ -348,7 +352,7 @@ mod tests {
         // pinned number of extra billable requests, and those requests
         // land on the operations line of the bill.
         let mut legs = Vec::new();
-        for mode in [ClosureMode::Off, ClosureMode::Maintain] {
+        for mode in [ClosureMode::Off, ClosureMode::Serve] {
             let (_, _, phase) = persist_corpus(50, mode).unwrap();
             let bill = costmodel::cost_of(&phase, 0.0, &costmodel::PriceBook::january_2009());
             legs.push((phase.total_ops(), bill.operations_total()));

@@ -15,7 +15,7 @@
 
 use pass::{CacheDir, FileFlush, ObjectRef};
 use sim_s3::{Metadata, S3Error, S3};
-use simworld::{CrashSite, SimWorld};
+use simworld::{Blob, CrashSite, SimWorld};
 
 use crate::error::Result;
 use crate::layout::{data_key, BUCKET, PROV_PREFIX};
@@ -31,6 +31,21 @@ pub const A1_BEFORE_OVERFLOW_PUT: CrashSite = CrashSite::new("arch1.before_overf
 /// Crash site: client dies after the overflow objects but before the
 /// data+provenance PUT.
 pub const A1_BEFORE_DATA_PUT: CrashSite = CrashSite::new("arch1.before_data_put");
+
+/// PUTs an object that carries no metadata — a provenance overflow or
+/// continuation object, an arch3 temporary — riding out 503s. The one
+/// such PUT in the crate: every architecture's write path calls it.
+pub(crate) fn put_plain(
+    world: &SimWorld,
+    s3: &S3,
+    retry: &RetryPolicy,
+    key: &str,
+    blob: &Blob,
+) -> Result<()> {
+    with_throttle_retry(world, retry, || {
+        Ok(s3.put_object(BUCKET, key, blob.clone(), Metadata::new())?)
+    })
+}
 
 /// The Standalone-S3 provenance store.
 ///
@@ -123,11 +138,7 @@ impl ProvenanceStore for StandaloneS3 {
         let (metadata, overflows) = encode_metadata(&flush.object, encoded);
         for (key, blob) in overflows {
             self.world.crash_point(A1_BEFORE_OVERFLOW_PUT)?;
-            with_throttle_retry(&self.world, &self.retry, || {
-                Ok(self
-                    .s3
-                    .put_object(BUCKET, &key, blob.clone(), Metadata::new())?)
-            })?;
+            put_plain(&self.world, &self.s3, &self.retry, &key, &blob)?;
         }
 
         // Step 3: data and provenance in a single PUT — the atomicity

@@ -17,8 +17,9 @@
 use pass::{CacheDir, FileFlush, ObjectRef};
 use sim_s3::{Metadata, S3Error, S3};
 use sim_simpledb::{DeletableAttribute, ReplaceableAttribute, SimpleDb, MAX_ATTRS_PER_CALL};
-use simworld::{CrashSite, SimWorld};
+use simworld::{CrashSite, ShardPlan, SimWorld};
 
+use crate::arch1::put_plain;
 use crate::closure::{ClosureIndex, ClosureMode};
 use crate::error::Result;
 use crate::layout::{
@@ -26,7 +27,7 @@ use crate::layout::{
 };
 use crate::query::{ProvQuery, QueryAnswer};
 use crate::readpath::consistency_md5;
-use crate::retry::{with_throttle_retry, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::serialize::{encode_records, fit_item_pairs, pack_attr_batches, read_version};
 use crate::serve::{ServeParts, Serveable};
 use crate::store::{ProvenanceStore, ReadOutcome, RecoveryReport};
@@ -81,6 +82,162 @@ impl Default for Arch2Config {
     }
 }
 
+/// A finished provenance item: its SimpleDB item name and attributes.
+pub(crate) type ProvItem = (String, Vec<ReplaceableAttribute>);
+
+/// How [`WriteSide::put_items`] ships items to SimpleDB.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum PutProtocol {
+    /// The paper's: one `PutAttributes` per ≤ 100-attribute chunk per
+    /// item — what Tables 1–3 count.
+    Point,
+    /// `BatchPutAttributes`, ≤ 25 items / ≤ 256 summed pairs per request
+    /// ([`pack_attr_batches`]; a repeated item name closes a batch early,
+    /// preserving the sequential-application result).
+    Batched,
+}
+
+/// The crash windows of [`WriteSide::put_items`], named by its caller.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct PutSites {
+    /// After each provenance put lands.
+    pub(crate) mid_put: CrashSite,
+    /// Edges committed, closure-index rows not yet written.
+    pub(crate) before_index: CrashSite,
+    /// Between closure-index `BatchPutAttributes` calls.
+    pub(crate) mid_index: CrashSite,
+}
+
+/// The S3 + SimpleDB side of a store. §4.3 stores exactly what §4.2
+/// stores, so the arch2 client and the arch3 commit daemon own one of
+/// these each and write through it: `parts` is the only copy of the
+/// service handles and read knobs (the read side, cloned out to
+/// [`crate::ServeHandle`]), and the closure index exists exactly when the
+/// configuration says [`ClosureMode::Serve`].
+#[derive(Debug)]
+pub(crate) struct WriteSide {
+    pub(crate) parts: ServeParts,
+    closure: Option<ClosureIndex>,
+}
+
+impl WriteSide {
+    /// Fresh S3 and SimpleDB endpoints provisioned per `plan`, holding
+    /// the bucket and the provenance domain.
+    pub(crate) fn provision(world: &SimWorld, plan: ShardPlan) -> (S3, SimpleDb) {
+        let s3 = S3::with_shard_plan(world, plan);
+        s3.create_bucket(BUCKET)
+            .expect("fresh endpoint has no buckets");
+        let db = SimpleDb::with_shard_plan(world, plan);
+        db.create_domain(DOMAIN)
+            .expect("fresh endpoint has no domains");
+        (s3, db)
+    }
+
+    /// The side over existing endpoints (bucket and domain must exist).
+    pub(crate) fn new(world: &SimWorld, s3: &S3, db: &SimpleDb, config: Arch2Config) -> WriteSide {
+        let serve_closure = config.closure == ClosureMode::Serve;
+        WriteSide {
+            parts: ServeParts {
+                world: world.clone(),
+                s3: s3.clone(),
+                db: db.clone(),
+                retry: config.retry,
+                verify_md5: config.verify_md5,
+                use_nonce: config.use_nonce,
+                serve_closure,
+            },
+            closure: serve_closure.then(|| ClosureIndex::new(world, db)),
+        }
+    }
+
+    /// Replaces the configuration. An index that stays configured keeps
+    /// its ancestor cache.
+    pub(crate) fn configure(&mut self, config: Arch2Config) {
+        let ServeParts { world, s3, db, .. } = &self.parts;
+        let kept = self.closure.take();
+        *self = WriteSide::new(world, s3, db, config);
+        if self.closure.is_some() && kept.is_some() {
+            self.closure = kept;
+        }
+    }
+
+    /// Drops the index's in-memory state, as a process crash would.
+    pub(crate) fn forget(&mut self) {
+        if let Some(index) = &mut self.closure {
+            index.reset();
+        }
+    }
+
+    /// Finishes an item: caps `pairs` at SimpleDB's 256-pair limit,
+    /// storing the spilled tail of a massive item as a continuation
+    /// object (an idempotent PUT, `before_put` firing first), and returns
+    /// the attributes to put.
+    pub(crate) fn finish_item(
+        &self,
+        object: &ObjectRef,
+        pairs: Vec<(String, String)>,
+        before_put: Option<CrashSite>,
+    ) -> Result<Vec<ReplaceableAttribute>> {
+        let parts = &self.parts;
+        let (pairs, continuation) = fit_item_pairs(object, pairs);
+        if let Some((key, blob)) = continuation {
+            if let Some(site) = before_put {
+                parts.world.crash_point(site)?;
+            }
+            put_plain(&parts.world, &parts.s3, &parts.retry, &key, &blob)?;
+        }
+        let add = |(name, value)| ReplaceableAttribute::add(name, value);
+        Ok(pairs.into_iter().map(add).collect())
+    }
+
+    /// Puts finished items to [`DOMAIN`] by `protocol`, then — when the
+    /// store keeps the closure index — indexes their edges. The index
+    /// write sits after the provenance rows and before the caller's point
+    /// of no return (arch2: the data PUT a client retries from its cache;
+    /// arch3: the WAL deletes), so a crash in either window replays the
+    /// whole step, and every write in it is an idempotent add.
+    pub(crate) fn put_items(
+        &mut self,
+        items: Vec<ProvItem>,
+        protocol: PutProtocol,
+        sites: PutSites,
+    ) -> Result<()> {
+        let parts = &self.parts;
+        let index_src = self.closure.as_mut().map(|index| (index, items.clone()));
+        match protocol {
+            PutProtocol::Point => {
+                for (item_name, attrs) in &items {
+                    for chunk in attrs.chunks(MAX_ATTRS_PER_CALL) {
+                        parts.retrying(|| {
+                            Ok(parts.db.put_attributes(DOMAIN, item_name, chunk)?)
+                        })?;
+                        parts.world.crash_point(sites.mid_put)?;
+                    }
+                }
+            }
+            PutProtocol::Batched => {
+                for group in pack_attr_batches(items) {
+                    parts.retrying(|| Ok(parts.db.batch_put_attributes(DOMAIN, &group)?))?;
+                    parts.world.crash_point(sites.mid_put)?;
+                }
+            }
+        }
+        if let Some((index, src)) = index_src {
+            parts.world.crash_point(sites.before_index)?;
+            index.index_items(&src, parts.retry, sites.mid_index)?;
+        }
+        Ok(())
+    }
+}
+
+/// The metadata of a data object: its version and the consistency nonce.
+pub(crate) fn data_meta(version: u32, nonce: &str) -> Metadata {
+    let mut meta = Metadata::new();
+    meta.insert(META_VERSION, version.to_string());
+    meta.insert(META_NONCE, nonce);
+    meta
+}
+
 /// The S3 + SimpleDB provenance store.
 ///
 /// # Examples
@@ -99,13 +256,15 @@ impl Default for Arch2Config {
 /// ```
 #[derive(Debug)]
 pub struct S3SimpleDb {
-    world: SimWorld,
-    s3: S3,
-    db: SimpleDb,
+    side: WriteSide,
     cache: CacheDir,
-    config: Arch2Config,
-    closure: ClosureIndex,
 }
+
+const PUT_SITES: PutSites = PutSites {
+    mid_put: A2_MID_PROV_PUT,
+    before_index: A2_BEFORE_INDEX_PUT,
+    mid_index: A2_MID_INDEX_PUT,
+};
 
 impl S3SimpleDb {
     /// Creates the store with fresh S3/SimpleDB endpoints (default
@@ -119,19 +278,14 @@ impl S3SimpleDb {
     /// behind the parallel query/select and multi-client scaling
     /// experiments.
     pub fn with_shards(world: &SimWorld, shards: usize) -> S3SimpleDb {
-        S3SimpleDb::with_shard_plan(world, simworld::ShardPlan::fixed(shards))
+        S3SimpleDb::with_shard_plan(world, ShardPlan::fixed(shards))
     }
 
     /// Creates the store with fresh endpoints provisioned per `plan` —
     /// initial shard count plus an optional hot-shard split policy,
     /// applied to both the S3 bucket and the SimpleDB domain.
-    pub fn with_shard_plan(world: &SimWorld, plan: simworld::ShardPlan) -> S3SimpleDb {
-        let s3 = S3::with_shard_plan(world, plan);
-        s3.create_bucket(BUCKET)
-            .expect("fresh endpoint has no buckets");
-        let db = SimpleDb::with_shard_plan(world, plan);
-        db.create_domain(DOMAIN)
-            .expect("fresh endpoint has no domains");
+    pub fn with_shard_plan(world: &SimWorld, plan: ShardPlan) -> S3SimpleDb {
+        let (s3, db) = WriteSide::provision(world, plan);
         S3SimpleDb::with_services(world, &s3, &db)
     }
 
@@ -139,28 +293,24 @@ impl S3SimpleDb {
     /// exist).
     pub fn with_services(world: &SimWorld, s3: &S3, db: &SimpleDb) -> S3SimpleDb {
         S3SimpleDb {
-            world: world.clone(),
-            s3: s3.clone(),
-            db: db.clone(),
+            side: WriteSide::new(world, s3, db, Arch2Config::default()),
             cache: CacheDir::new(),
-            config: Arch2Config::default(),
-            closure: ClosureIndex::new(world, db),
         }
     }
 
     /// Replaces the configuration.
     pub fn set_config(&mut self, config: Arch2Config) {
-        self.config = config;
+        self.side.configure(config);
     }
 
     /// The underlying S3 handle (shared).
     pub fn s3(&self) -> &S3 {
-        &self.s3
+        &self.side.parts.s3
     }
 
     /// The underlying SimpleDB handle (shared).
     pub fn simpledb(&self) -> &SimpleDb {
-        &self.db
+        &self.side.parts.db
     }
 
     /// The local cache directory.
@@ -172,70 +322,58 @@ impl S3SimpleDb {
     /// and continuation objects, and return the finished provenance
     /// item (name plus its ≤ 256 attributes, MD5/nonce included) ready
     /// for SimpleDB.
-    fn stage_item(&mut self, flush: &FileFlush) -> Result<(String, Vec<ReplaceableAttribute>)> {
+    fn stage_item(&mut self, flush: &FileFlush) -> Result<ProvItem> {
         self.cache.store(flush);
         let encoded = encode_records(&flush.object, &flush.records);
+        let parts = &self.side.parts;
         for (key, blob) in &encoded.overflows {
-            self.world.crash_point(A2_BEFORE_OVERFLOW_PUT)?;
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self
-                    .s3
-                    .put_object(BUCKET, key, blob.clone(), Metadata::new())?)
-            })?;
+            parts.world.crash_point(A2_BEFORE_OVERFLOW_PUT)?;
+            put_plain(&parts.world, &parts.s3, &parts.retry, key, blob)?;
         }
+        let before_put = Some(A2_BEFORE_OVERFLOW_PUT);
+        let mut attrs = self
+            .side
+            .finish_item(&flush.object, encoded.pairs, before_put)?;
         let nonce = nonce_for(&flush.object);
-        // SimpleDB caps items at 256 pairs; excess (massive fan-in)
-        // spills to a continuation object.
-        let (pairs, continuation) = fit_item_pairs(&flush.object, encoded.pairs);
-        if let Some((key, blob)) = continuation {
-            self.world.crash_point(A2_BEFORE_OVERFLOW_PUT)?;
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self
-                    .s3
-                    .put_object(BUCKET, &key, blob.clone(), Metadata::new())?)
-            })?;
-        }
-        let mut attrs: Vec<ReplaceableAttribute> = pairs
-            .into_iter()
-            .map(|(name, value)| ReplaceableAttribute::add(name, value))
-            .collect();
-        attrs.push(ReplaceableAttribute::add(
-            ATTR_MD5,
-            consistency_md5(&flush.data, &nonce, self.config.use_nonce),
-        ));
+        let md5 = consistency_md5(&flush.data, &nonce, parts.use_nonce);
+        attrs.push(ReplaceableAttribute::add(ATTR_MD5, md5));
         attrs.push(ReplaceableAttribute::add(ATTR_NONCE, nonce));
         Ok((flush.object.item_name(), attrs))
     }
 
-    /// Protocol step 4 for one flush: the data PUT carrying the nonce.
+    /// Protocol step 4 for one flush: the data PUT carrying the nonce. A
+    /// crash just before it is the §4.2 atomicity violation.
     fn put_data(&mut self, flush: &FileFlush) -> Result<()> {
-        self.world.crash_point(A2_BEFORE_DATA_PUT)?;
-        let mut meta = Metadata::new();
-        meta.insert(META_VERSION, flush.object.version.to_string());
-        meta.insert(META_NONCE, nonce_for(&flush.object));
-        with_throttle_retry(&self.world, &self.config.retry, || {
-            Ok(self.s3.put_object(
-                BUCKET,
-                &data_key(&flush.object.name),
-                flush.data.clone(),
-                meta.clone(),
-            )?)
-        })?;
-        Ok(())
+        let parts = &self.side.parts;
+        parts.world.crash_point(A2_BEFORE_DATA_PUT)?;
+        let key = data_key(&flush.object.name);
+        let meta = data_meta(flush.object.version, &nonce_for(&flush.object));
+        parts.retrying(|| {
+            Ok(parts
+                .s3
+                .put_object(BUCKET, &key, flush.data.clone(), meta.clone())?)
+        })
+    }
+
+    /// Steps 1–4 for a group of flushes: every item is staged, then all
+    /// provenance lands by `protocol` (and is indexed), then the data.
+    fn persist_group(&mut self, flushes: &[FileFlush], protocol: PutProtocol) -> Result<()> {
+        if flushes.is_empty() {
+            return Ok(());
+        }
+        let mut items = Vec::with_capacity(flushes.len());
+        for flush in flushes {
+            items.push(self.stage_item(flush)?);
+        }
+        self.side.parts.world.crash_point(A2_BEFORE_PROV_PUT)?;
+        self.side.put_items(items, protocol, PUT_SITES)?;
+        flushes.iter().try_for_each(|flush| self.put_data(flush))
     }
 }
 
 impl Serveable for S3SimpleDb {
     fn serve_parts(&self) -> ServeParts {
-        ServeParts {
-            world: self.world.clone(),
-            s3: self.s3.clone(),
-            db: self.db.clone(),
-            retry: self.config.retry,
-            verify_md5: self.config.verify_md5,
-            use_nonce: self.config.use_nonce,
-            serve_closure: self.config.closure.serves(),
-        }
+        self.side.parts.clone()
     }
 }
 
@@ -249,31 +387,7 @@ impl ProvenanceStore for S3SimpleDb {
     /// (possibly several calls — 100-attribute limit), (4) PUT the data
     /// with the nonce in its metadata.
     fn persist(&mut self, flush: &FileFlush) -> Result<()> {
-        // Steps 1–2: cache, overflow objects, finished attribute list.
-        let (item_name, attrs) = self.stage_item(flush)?;
-
-        // Step 3: store the provenance item in ≤ 100-attribute batches.
-        self.world.crash_point(A2_BEFORE_PROV_PUT)?;
-        for chunk in attrs.chunks(MAX_ATTRS_PER_CALL) {
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self.db.put_attributes(DOMAIN, &item_name, chunk)?)
-            })?;
-            self.world.crash_point(A2_MID_PROV_PUT)?;
-        }
-
-        // Step 3b: closure-index maintenance rides the same flush. A
-        // crash in this window is healed by the client's cache
-        // re-flush, which replays the idempotent index adds.
-        if self.config.closure.maintains() {
-            self.world.crash_point(A2_BEFORE_INDEX_PUT)?;
-            let group = vec![(item_name.clone(), attrs.clone())];
-            self.closure
-                .index_items(&group, self.config.retry, A2_MID_INDEX_PUT)?;
-        }
-
-        // Step 4: the data PUT, with the nonce as metadata. A crash just
-        // before this line is the §4.2 atomicity violation.
-        self.put_data(flush)
+        self.persist_group(std::slice::from_ref(flush), PutProtocol::Point)
     }
 
     /// The batched §4.2 protocol: stage every flush's overflow objects
@@ -285,65 +399,33 @@ impl ProvenanceStore for S3SimpleDb {
     /// calls (provenance still lands before data, so the crash-ordering
     /// story is unchanged); only the request count drops.
     fn persist_batch(&mut self, flushes: &[FileFlush]) -> Result<()> {
-        if flushes.is_empty() {
-            return Ok(());
-        }
-        // Steps 1–2 for the whole group.
-        let mut items: Vec<(String, Vec<ReplaceableAttribute>)> = Vec::with_capacity(flushes.len());
-        for flush in flushes {
-            items.push(self.stage_item(flush)?);
-        }
-
-        // Step 3, grouped: greedy first-fit into BatchPutAttributes
-        // calls under both service limits (a repeated item name — the
-        // same object version flushed twice in one group — closes the
-        // group early, since the batch API rejects duplicates per call).
-        self.world.crash_point(A2_BEFORE_PROV_PUT)?;
-        let closure_src = self.config.closure.maintains().then(|| items.clone());
-        for group in pack_attr_batches(items) {
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self.db.batch_put_attributes(DOMAIN, &group)?)
-            })?;
-            self.world.crash_point(A2_MID_PROV_PUT)?;
-        }
-
-        // Step 3b: index the whole group's edges at once.
-        if let Some(src) = closure_src {
-            self.world.crash_point(A2_BEFORE_INDEX_PUT)?;
-            self.closure
-                .index_items(&src, self.config.retry, A2_MID_INDEX_PUT)?;
-        }
-
-        // Step 4 for the whole group.
-        for flush in flushes {
-            self.put_data(flush)?;
-        }
-        Ok(())
+        self.persist_group(flushes, PutProtocol::Batched)
     }
 
     fn read(&mut self, name: &str) -> Result<ReadOutcome> {
-        self.serve_parts().read(name)
+        self.side.parts.read(name)
     }
 
     fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer> {
-        self.serve_parts().query(query)
+        self.side.parts.query(query)
     }
 
     /// The orphan-provenance scan the paper calls inelegant (§4.2): walk
     /// every SimpleDB item and delete those describing versions newer
     /// than the data S3 actually holds.
     fn recover(&mut self) -> Result<RecoveryReport> {
+        let parts = &self.side.parts;
         let mut report = RecoveryReport::default();
         let mut token: Option<String> = None;
         let mut orphans: Vec<String> = Vec::new();
         loop {
-            let page = self.db.query(DOMAIN, None, Some(250), token.as_deref())?;
+            let page = parts.db.query(DOMAIN, None, Some(250), token.as_deref())?;
             for item_name in &page.item_names {
                 report.items_scanned += 1;
                 let Some(object) = ObjectRef::parse_item_name(item_name) else {
                     continue;
                 };
-                let current = match self.s3.head_object(BUCKET, &data_key(&object.name)) {
+                let current = match parts.s3.head_object(BUCKET, &data_key(&object.name)) {
                     Ok(head) => Some(read_version(&head.metadata)?),
                     Err(S3Error::NoSuchKey { .. }) => None,
                     Err(e) => return Err(e.into()),
@@ -361,11 +443,8 @@ impl ProvenanceStore for S3SimpleDb {
             }
         }
         for item_name in orphans {
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self
-                    .db
-                    .delete_attributes(DOMAIN, &item_name, None::<&[DeletableAttribute]>)?)
-            })?;
+            let whole = None::<&[DeletableAttribute]>;
+            parts.retrying(|| Ok(parts.db.delete_attributes(DOMAIN, &item_name, whole)?))?;
             report.orphan_provenance_removed += 1;
         }
         Ok(report)

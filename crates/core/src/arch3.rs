@@ -19,22 +19,23 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use pass::{CacheDir, FileFlush};
+use pass::{CacheDir, FileFlush, ObjectRef};
 use sim_s3::{Metadata, MetadataDirective, S3Error, MAX_DELETE_KEYS, S3};
-use sim_simpledb::{ReplaceableAttribute, SimpleDb};
+use sim_simpledb::SimpleDb;
 use sim_sqs::{Sqs, MAX_BATCH_ENTRIES, RETENTION};
-use simworld::{AdaptiveDepth, Blob, CrashSite, SimInstant, SimWorld};
+use simworld::{AdaptiveDepth, Blob, CrashSite, ShardPlan, SimInstant, SimWorld};
 
-use crate::closure::{ClosureIndex, ClosureMode};
+use crate::arch1::put_plain;
+use crate::arch2::{data_meta, Arch2Config, ProvItem, PutProtocol, PutSites, WriteSide};
+use crate::closure::ClosureMode;
 use crate::error::{CloudError, Result};
 use crate::layout::{
-    data_key, nonce_for, pointer, tmp_prefix, ATTR_MD5, ATTR_NONCE, BUCKET, DOMAIN, META_NONCE,
-    META_VERSION, TMP_PREFIX,
+    data_key, nonce_for, pointer, tmp_prefix, ATTR_MD5, ATTR_NONCE, BUCKET, TMP_PREFIX,
 };
 use crate::query::{ProvQuery, QueryAnswer};
 use crate::readpath::consistency_md5;
-use crate::retry::{with_throttle_retry, RetryPolicy};
-use crate::serialize::{encode_records, fit_item_pairs, pack_attr_batches};
+use crate::retry::RetryPolicy;
+use crate::serialize::encode_records;
 use crate::serve::{ServeParts, Serveable};
 use crate::store::{ProvenanceStore, ReadOutcome, RecoveryReport};
 use crate::wal::{chunk_pairs, pack_wal_batches, WalRecord};
@@ -129,6 +130,19 @@ impl Default for Arch3Config {
     }
 }
 
+impl Arch3Config {
+    /// The values §4.3 shares with §4.2: the configuration of the S3 +
+    /// SimpleDB side.
+    fn store_side(&self) -> Arch2Config {
+        Arch2Config {
+            retry: self.retry,
+            verify_md5: self.verify_md5,
+            use_nonce: self.use_nonce,
+            closure: self.closure,
+        }
+    }
+}
+
 /// What one daemon step accomplished.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DaemonProgress {
@@ -188,43 +202,42 @@ impl Assembly {
 /// on a crash, exactly like the real daemon process.
 #[derive(Debug)]
 pub struct CommitDaemon {
-    world: SimWorld,
-    s3: S3,
-    db: SimpleDb,
+    /// The S3 + SimpleDB side — the store's only one: the client half of
+    /// [`S3SimpleDbSqs`] reaches the services through it. Its closure
+    /// index's ancestor cache is reset on a crash, like the rest of the
+    /// daemon's memory.
+    side: WriteSide,
     sqs: Sqs,
     wal_url: String,
-    config: Arch3Config,
+    /// [`Arch3Config::commit_threshold`].
+    commit_threshold: usize,
+    /// [`Arch3Config::daemon_depth`] as configured.
+    configured_depth: Option<AdaptiveDepth>,
     assemblies: HashMap<u64, Assembly>,
     applied_total: u64,
-    /// The live copy of [`Arch3Config::daemon_depth`], carrying what
-    /// the controller has learned; reset to the configured one on a
-    /// crash, like the rest of the daemon's memory.
+    /// The live copy of `configured_depth`, carrying what the controller
+    /// has learned; reset to the configured one on a crash, like the rest
+    /// of the daemon's memory.
     controller: Option<AdaptiveDepth>,
-    /// Closure-index maintenance state; its ancestor cache is reset on
-    /// a crash, like the rest of the daemon's memory.
-    closure: ClosureIndex,
 }
 
+const PUT_SITES: PutSites = PutSites {
+    mid_put: D3_MID_PUTATTRS,
+    before_index: D3_BEFORE_INDEX_PUT,
+    mid_index: D3_MID_INDEX_PUT,
+};
+
 impl CommitDaemon {
-    fn new(
-        world: &SimWorld,
-        s3: &S3,
-        db: &SimpleDb,
-        sqs: &Sqs,
-        wal_url: &str,
-        config: Arch3Config,
-    ) -> CommitDaemon {
+    fn new(side: WriteSide, sqs: &Sqs, wal_url: String, config: Arch3Config) -> CommitDaemon {
         CommitDaemon {
-            world: world.clone(),
-            s3: s3.clone(),
-            db: db.clone(),
+            side,
             sqs: sqs.clone(),
-            wal_url: wal_url.to_string(),
-            config,
+            wal_url,
+            commit_threshold: config.commit_threshold,
+            configured_depth: config.daemon_depth,
             assemblies: HashMap::new(),
             applied_total: 0,
             controller: config.daemon_depth,
-            closure: ClosureIndex::new(world, db),
         }
     }
 
@@ -270,8 +283,8 @@ impl CommitDaemon {
                 // Undelivered messages become visible again after the
                 // visibility timeout.
                 self.assemblies.clear();
-                self.controller = self.config.daemon_depth;
-                self.closure.reset();
+                self.controller = self.configured_depth;
+                self.side.forget();
             }
         }
         result
@@ -290,15 +303,16 @@ impl CommitDaemon {
         mut controller: AdaptiveDepth,
     ) -> Result<DaemonProgress> {
         let depth = controller.depth();
-        let opened = self.world.pipeline_depth().is_none();
+        let world = self.side.parts.world.clone();
+        let opened = world.pipeline_depth().is_none();
         if opened {
-            self.world.begin_pipeline(depth);
+            world.begin_pipeline(depth);
         }
         let result = self.step_inner(force, depth);
         if opened {
             // Drain even when a crash fired: issued requests are on the
             // wire regardless of the daemon dying.
-            let stats = self.world.drain_pipeline();
+            let stats = world.drain_pipeline();
             controller.observe(&stats);
             controller.region_complete();
             self.controller = Some(controller);
@@ -313,14 +327,15 @@ impl CommitDaemon {
         // retention window can never complete — its messages are gone
         // from the queue, so holding the assembly only leaks memory in
         // a long-running daemon.
-        let now = self.world.now();
+        let world = &self.side.parts.world;
+        let now = world.now();
         let before = self.assemblies.len();
         self.assemblies
             .retain(|_, a| now.saturating_since(a.first_seen) <= RETENTION);
         progress.evicted = before - self.assemblies.len();
         if !force {
             let depth = self.sqs.approximate_number_of_messages(&self.wal_url)?;
-            if depth <= self.config.commit_threshold {
+            if depth <= self.commit_threshold {
                 return Ok(progress);
             }
         }
@@ -331,7 +346,7 @@ impl CommitDaemon {
         // queue may still hold unsampled messages, but the next step
         // will see them.
         for _ in 0..rounds {
-            let now = self.world.now();
+            let now = world.now();
             let msgs = self.sqs.receive_message(&self.wal_url, 10)?;
             if msgs.is_empty() {
                 break;
@@ -409,12 +424,13 @@ impl CommitDaemon {
     /// as a completion-order key: one transaction's apply chain stays
     /// ordered while different transactions overlap freely.
     fn apply_group(&mut self, assemblies: &[(u64, Assembly)]) -> Result<()> {
+        let world = &self.side.parts.world;
         let mut temp_keys: Vec<String> = Vec::new();
-        let mut items: Vec<(String, Vec<ReplaceableAttribute>)> = Vec::new();
+        let mut items: Vec<ProvItem> = Vec::new();
 
-        self.world.crash_point(D3_BEFORE_COPY)?;
+        world.crash_point(D3_BEFORE_COPY)?;
         for (txid, assembly) in assemblies {
-            let mut attr_batches: BTreeMap<String, Vec<ReplaceableAttribute>> = BTreeMap::new();
+            let mut tx_items: BTreeMap<&str, Vec<(String, String)>> = BTreeMap::new();
             for record in &assembly.payload {
                 match record {
                     WalRecord::Data {
@@ -424,17 +440,15 @@ impl CommitDaemon {
                         nonce,
                         ..
                     } => {
-                        let mut meta = Metadata::new();
-                        meta.insert(META_VERSION, version.to_string());
-                        meta.insert(META_NONCE, nonce.clone());
+                        let meta = data_meta(*version, nonce);
                         self.copy_with_retry(*txid, temp_key, &data_key(name), meta)?;
                         temp_keys.push(temp_key.clone());
-                        self.world.crash_point(D3_AFTER_COPY)?;
+                        world.crash_point(D3_AFTER_COPY)?;
                     }
                     WalRecord::Prov {
                         item_name, pairs, ..
                     } => {
-                        let batch = attr_batches.entry(item_name.clone()).or_default();
+                        let item = tx_items.entry(item_name).or_default();
                         for (name, value) in pairs {
                             let resolved = match parse_staged(value) {
                                 Some((tmp, perm)) => {
@@ -444,7 +458,7 @@ impl CommitDaemon {
                                 }
                                 None => value.clone(),
                             };
-                            batch.push(ReplaceableAttribute::add(name.clone(), resolved));
+                            item.push((name.clone(), resolved));
                         }
                     }
                     WalRecord::Md5 {
@@ -453,74 +467,41 @@ impl CommitDaemon {
                         nonce,
                         ..
                     } => {
-                        let batch = attr_batches.entry(item_name.clone()).or_default();
-                        batch.push(ReplaceableAttribute::add(ATTR_MD5, md5_hex.clone()));
-                        batch.push(ReplaceableAttribute::add(ATTR_NONCE, nonce.clone()));
+                        let item = tx_items.entry(item_name).or_default();
+                        item.push((ATTR_MD5.to_string(), md5_hex.clone()));
+                        item.push((ATTR_NONCE.to_string(), nonce.clone()));
                     }
                     WalRecord::Begin { .. } | WalRecord::Commit { .. } => {}
                 }
             }
-            for (item_name, attrs) in attr_batches {
-                // Respect SimpleDB's 256-pair item cap: spill the tail
-                // of a massive item into a continuation object
-                // (idempotent PUT).
-                let object = pass::ObjectRef::parse_item_name(&item_name)
-                    .unwrap_or_else(|| pass::ObjectRef::new(item_name.clone(), 0));
-                let pairs: Vec<(String, String)> = attrs
-                    .iter()
-                    .map(|a| (a.name.clone(), a.value.clone()))
-                    .collect();
-                let (pairs, continuation) = fit_item_pairs(&object, pairs);
-                if let Some((key, blob)) = continuation {
-                    with_throttle_retry(&self.world, &self.config.retry, || {
-                        Ok(self
-                            .s3
-                            .put_object(BUCKET, &key, blob.clone(), Metadata::new())?)
-                    })?;
-                }
-                items.push((
-                    item_name,
-                    pairs
-                        .into_iter()
-                        .map(|(name, value)| ReplaceableAttribute::add(name, value))
-                        .collect(),
-                ));
+            for (item_name, pairs) in tx_items {
+                let object = ObjectRef::parse_item_name(item_name)
+                    .unwrap_or_else(|| ObjectRef::new(item_name, 0));
+                let attrs = self.side.finish_item(&object, pairs, None)?;
+                items.push((item_name.to_string(), attrs));
             }
         }
-        // Two transactions re-flushing the same item version land in
-        // separate packed groups (pack_attr_batches splits duplicates),
-        // preserving the sequential-application result.
-        let closure_src = self.config.closure.maintains().then(|| items.clone());
-        for group in pack_attr_batches(items) {
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self.db.batch_put_attributes(DOMAIN, &group)?)
-            })?;
-            self.world.crash_point(D3_MID_PUTATTRS)?;
-        }
-        // Closure-index maintenance sits before the message deletes: a
-        // crash anywhere in this window leaves the WAL records in
-        // place, so the restarted daemon replays both the provenance
-        // puts and the (idempotent) index adds.
-        if let Some(src) = closure_src {
-            self.world.crash_point(D3_BEFORE_INDEX_PUT)?;
-            self.closure
-                .index_items(&src, self.config.retry, D3_MID_INDEX_PUT)?;
-        }
-        self.world.crash_point(D3_BEFORE_MSG_DELETE)?;
+        // Everything that came ready in this step goes out together (two
+        // transactions re-flushing one item version land in separate
+        // batches). The WAL records are still in place, so a crash in
+        // here makes the restarted daemon replay the whole apply.
+        self.side
+            .put_items(items, PutProtocol::Batched, PUT_SITES)?;
+        let parts = &self.side.parts;
+        parts.world.crash_point(D3_BEFORE_MSG_DELETE)?;
         // Log records go 10 handles per DeleteMessageBatch — a
         // transaction's ≥ 4 records cost one round trip, not four.
         for (_, assembly) in assemblies {
             let handles = assembly.handles();
             for chunk in handles.chunks(MAX_BATCH_ENTRIES) {
-                let outcomes = with_throttle_retry(&self.world, &self.config.retry, || {
-                    Ok(self.sqs.delete_message_batch(&self.wal_url, chunk)?)
-                })?;
+                let outcomes = parts
+                    .retrying(|| Ok(self.sqs.delete_message_batch(&self.wal_url, chunk)?))?;
                 for outcome in outcomes {
                     outcome?;
                 }
             }
         }
-        self.world.crash_point(D3_BEFORE_TMP_DELETE)?;
+        parts.world.crash_point(D3_BEFORE_TMP_DELETE)?;
         // Temp objects go through multi-object delete from two keys up:
         // these deletes sit on the commit path, where the saved round
         // trips outweigh multi-delete's pricier put-class request rate
@@ -529,14 +510,10 @@ impl CommitDaemon {
         // point DELETE: same round trip, cheaper request class.
         match temp_keys.len() {
             0 => {}
-            1 => with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self.s3.delete_object(BUCKET, &temp_keys[0])?)
-            })?,
+            1 => parts.retrying(|| Ok(parts.s3.delete_object(BUCKET, &temp_keys[0])?))?,
             _ => {
                 for chunk in temp_keys.chunks(MAX_DELETE_KEYS) {
-                    with_throttle_retry(&self.world, &self.config.retry, || {
-                        Ok(self.s3.delete_objects(BUCKET, chunk)?)
-                    })?;
+                    parts.retrying(|| Ok(parts.s3.delete_objects(BUCKET, chunk)?))?;
                 }
             }
         }
@@ -550,10 +527,11 @@ impl CommitDaemon {
     /// `txid` so a pipelined step keeps one transaction's copies in
     /// completion order.
     fn copy_with_retry(&self, txid: u64, src: &str, dst: &str, meta: Metadata) -> Result<()> {
+        let parts = &self.side.parts;
         let mut attempts = 0;
         loop {
-            let outcome = with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self.s3.copy_object_ordered(
+            let outcome = parts.retrying(|| {
+                Ok(parts.s3.copy_object_ordered(
                     BUCKET,
                     src,
                     BUCKET,
@@ -568,10 +546,10 @@ impl CommitDaemon {
                     // Replayed transaction whose temp was already
                     // garbage-collected: the destination exists, so the
                     // work is done.
-                    if self.s3.latest_object(BUCKET, dst).is_some() {
+                    if parts.s3.latest_object(BUCKET, dst).is_some() {
                         return Ok(());
                     }
-                    if attempts >= self.config.retry.max_retries {
+                    if attempts >= parts.retry.max_retries {
                         return Err(CloudError::give_up(
                             attempts + 1,
                             CloudError::NotFound {
@@ -580,7 +558,7 @@ impl CommitDaemon {
                         ));
                     }
                     attempts += 1;
-                    self.config.retry.pause(&self.world, attempts);
+                    parts.retry.pause(&parts.world, attempts);
                 }
                 Err(e) => return Err(e),
             }
@@ -613,14 +591,12 @@ fn parse_staged(value: &str) -> Option<(&str, &str)> {
 /// ```
 #[derive(Debug)]
 pub struct S3SimpleDbSqs {
-    world: SimWorld,
-    s3: S3,
-    db: SimpleDb,
-    sqs: Sqs,
-    wal_url: String,
     client_id: String,
     cache: CacheDir,
-    config: Arch3Config,
+    /// [`Arch3Config::drain_idle_rounds`].
+    drain_idle_rounds: u32,
+    /// Holds the services, the WAL queue and the rest of the
+    /// configuration; the client half reaches them through it.
     daemon: CommitDaemon,
 }
 
@@ -634,25 +610,15 @@ impl S3SimpleDbSqs {
     /// Creates the store with fresh endpoints whose SimpleDB domains
     /// *and* S3 buckets are split into `shards` hash shards.
     pub fn with_shards(world: &SimWorld, client_id: &str, shards: usize) -> S3SimpleDbSqs {
-        S3SimpleDbSqs::with_shard_plan(world, client_id, simworld::ShardPlan::fixed(shards))
+        S3SimpleDbSqs::with_shard_plan(world, client_id, ShardPlan::fixed(shards))
     }
 
     /// Creates the store with fresh endpoints provisioned per `plan` —
     /// initial shard count plus an optional hot-shard split policy,
     /// applied to both the S3 bucket and the SimpleDB domain.
-    pub fn with_shard_plan(
-        world: &SimWorld,
-        client_id: &str,
-        plan: simworld::ShardPlan,
-    ) -> S3SimpleDbSqs {
-        let s3 = S3::with_shard_plan(world, plan);
-        s3.create_bucket(BUCKET)
-            .expect("fresh endpoint has no buckets");
-        let db = SimpleDb::with_shard_plan(world, plan);
-        db.create_domain(DOMAIN)
-            .expect("fresh endpoint has no domains");
-        let sqs = Sqs::new(world);
-        S3SimpleDbSqs::with_services(world, &s3, &db, &sqs, client_id)
+    pub fn with_shard_plan(world: &SimWorld, client_id: &str, plan: ShardPlan) -> S3SimpleDbSqs {
+        let (s3, db) = WriteSide::provision(world, plan);
+        S3SimpleDbSqs::with_services(world, &s3, &db, &Sqs::new(world), client_id)
     }
 
     /// Creates the store over existing endpoints (bucket and domain must
@@ -666,45 +632,48 @@ impl S3SimpleDbSqs {
     ) -> S3SimpleDbSqs {
         let wal_url = sqs.create_queue(format!("wal-{client_id}"));
         let config = Arch3Config::default();
+        let side = WriteSide::new(world, s3, db, config.store_side());
         S3SimpleDbSqs {
-            world: world.clone(),
-            s3: s3.clone(),
-            db: db.clone(),
-            sqs: sqs.clone(),
-            daemon: CommitDaemon::new(world, s3, db, sqs, &wal_url, config),
-            wal_url,
             client_id: client_id.to_string(),
             cache: CacheDir::new(),
-            config,
+            drain_idle_rounds: config.drain_idle_rounds,
+            daemon: CommitDaemon::new(side, sqs, wal_url, config),
         }
     }
 
     /// Replaces the configuration (also reconfigures the daemon, whose
     /// depth controller restarts from the configured one).
     pub fn set_config(&mut self, config: Arch3Config) {
-        self.config = config;
-        self.daemon.config = config;
+        self.drain_idle_rounds = config.drain_idle_rounds;
+        self.daemon.side.configure(config.store_side());
+        self.daemon.commit_threshold = config.commit_threshold;
+        self.daemon.configured_depth = config.daemon_depth;
         self.daemon.controller = config.daemon_depth;
+    }
+
+    /// The read side: the service handles and read knobs.
+    fn parts(&self) -> &ServeParts {
+        &self.daemon.side.parts
     }
 
     /// The underlying S3 handle (shared).
     pub fn s3(&self) -> &S3 {
-        &self.s3
+        &self.parts().s3
     }
 
     /// The underlying SimpleDB handle (shared).
     pub fn simpledb(&self) -> &SimpleDb {
-        &self.db
+        &self.parts().db
     }
 
     /// The underlying SQS handle (shared).
     pub fn sqs(&self) -> &Sqs {
-        &self.sqs
+        &self.daemon.sqs
     }
 
     /// This client's WAL queue URL.
     pub fn wal_url(&self) -> &str {
-        &self.wal_url
+        &self.daemon.wal_url
     }
 
     /// The local cache directory.
@@ -737,11 +706,12 @@ impl S3SimpleDbSqs {
     ///
     /// S3 service errors.
     pub fn run_cleaner(&mut self) -> Result<u64> {
+        let parts = self.parts();
         let mut removed = 0;
-        let now = self.world.now();
+        let now = parts.world.now();
         let mut doomed: Vec<String> = Vec::new();
-        for summary in self.s3.list_all(BUCKET, TMP_PREFIX)? {
-            let head = match self.s3.head_object(BUCKET, &summary.key) {
+        for summary in parts.s3.list_all(BUCKET, TMP_PREFIX)? {
+            let head = match parts.s3.head_object(BUCKET, &summary.key) {
                 Ok(h) => h,
                 Err(S3Error::NoSuchKey { .. }) => continue,
                 Err(e) => return Err(e.into()),
@@ -758,16 +728,12 @@ impl S3SimpleDbSqs {
         const MULTI_DELETE_BREAK_EVEN: usize = 10;
         if doomed.len() < MULTI_DELETE_BREAK_EVEN {
             for key in &doomed {
-                with_throttle_retry(&self.world, &self.config.retry, || {
-                    Ok(self.s3.delete_object(BUCKET, key)?)
-                })?;
+                parts.retrying(|| Ok(parts.s3.delete_object(BUCKET, key)?))?;
                 removed += 1;
             }
         } else {
             for chunk in doomed.chunks(MAX_DELETE_KEYS) {
-                removed += with_throttle_retry(&self.world, &self.config.retry, || {
-                    Ok(self.s3.delete_objects(BUCKET, chunk)?)
-                })?;
+                removed += parts.retrying(|| Ok(parts.s3.delete_objects(BUCKET, chunk)?))?;
             }
         }
         Ok(removed)
@@ -783,7 +749,7 @@ impl S3SimpleDbSqs {
     fn stage_tx(&mut self, flush: &FileFlush) -> (Vec<(String, Blob)>, Vec<WalRecord>) {
         self.cache.store(flush);
         // Random transaction ids stay unique across client restarts.
-        let txid = self.world.rand_u64();
+        let txid = self.parts().world.rand_u64();
         let tmp = tmp_prefix(&self.client_id, txid);
         let nonce = nonce_for(&flush.object);
         let item_name = flush.object.item_name();
@@ -822,7 +788,7 @@ impl S3SimpleDbSqs {
         records.push(WalRecord::Md5 {
             txid,
             item_name,
-            md5_hex: consistency_md5(&flush.data, &nonce, self.config.use_nonce),
+            md5_hex: consistency_md5(&flush.data, &nonce, self.parts().use_nonce),
             nonce,
         });
         records.push(WalRecord::Commit { txid });
@@ -833,45 +799,33 @@ impl S3SimpleDbSqs {
     /// overflow values), so that no record of it can be committed
     /// before they exist.
     fn put_temps(&self, temps: &[(String, Blob)]) -> Result<()> {
-        self.world.crash_point(A3_BEFORE_TEMP_PUT)?;
+        let parts = self.parts();
+        parts.world.crash_point(A3_BEFORE_TEMP_PUT)?;
         for (key, blob) in temps {
-            with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self
-                    .s3
-                    .put_object(BUCKET, key, blob.clone(), Metadata::new())?)
-            })?;
+            put_plain(&parts.world, &parts.s3, &parts.retry, key, blob)?;
         }
-        self.world.crash_point(A3_AFTER_TEMP_PUT)?;
+        parts.world.crash_point(A3_AFTER_TEMP_PUT)?;
         Ok(())
     }
 
     /// Logs one WAL record with its own `SendMessage` — the point
     /// protocol's unit of logging.
     fn log(&self, record: &WalRecord) -> Result<()> {
-        with_throttle_retry(&self.world, &self.config.retry, || {
-            Ok(self.sqs.send_message(&self.wal_url, record.encode())?)
-        })?;
+        let send = || Ok(self.sqs().send_message(self.wal_url(), record.encode())?);
+        self.parts().retrying(send)?;
         Ok(())
     }
 
     /// Exact number of messages currently on the WAL queue (authoritative
     /// test view, unbilled).
     pub fn wal_depth_exact(&self) -> usize {
-        self.sqs.exact_message_count(&self.wal_url)
+        self.sqs().exact_message_count(self.wal_url())
     }
 }
 
 impl Serveable for S3SimpleDbSqs {
     fn serve_parts(&self) -> ServeParts {
-        ServeParts {
-            world: self.world.clone(),
-            s3: self.s3.clone(),
-            db: self.db.clone(),
-            retry: self.config.retry,
-            verify_md5: self.config.verify_md5,
-            use_nonce: self.config.use_nonce,
-            serve_closure: self.config.closure.serves(),
-        }
+        self.parts().clone()
     }
 }
 
@@ -890,7 +844,7 @@ impl ProvenanceStore for S3SimpleDbSqs {
         };
 
         // Log phase step (b): the begin record.
-        self.world.crash_point(A3_BEFORE_BEGIN)?;
+        self.parts().world.crash_point(A3_BEFORE_BEGIN)?;
         self.log(begin)?;
 
         // Step (c): stage the data (and overflow values) as temporary
@@ -901,12 +855,12 @@ impl ProvenanceStore for S3SimpleDbSqs {
         // Step (d): provenance chunks + the MD5 record.
         for chunk in chunks {
             self.log(chunk)?;
-            self.world.crash_point(A3_MID_PROV_LOG)?;
+            self.parts().world.crash_point(A3_MID_PROV_LOG)?;
         }
         self.log(md5)?;
 
         // Step (e): commit.
-        self.world.crash_point(A3_BEFORE_COMMIT)?;
+        self.parts().world.crash_point(A3_BEFORE_COMMIT)?;
         self.log(commit)
     }
 
@@ -930,7 +884,7 @@ impl ProvenanceStore for S3SimpleDbSqs {
         if flushes.is_empty() {
             return Ok(());
         }
-        self.world.crash_point(A3_BEFORE_BEGIN)?;
+        self.parts().world.crash_point(A3_BEFORE_BEGIN)?;
         let mut records: Vec<WalRecord> = Vec::new();
         for flush in flushes {
             let (temps, tx_records) = self.stage_tx(flush);
@@ -943,29 +897,28 @@ impl ProvenanceStore for S3SimpleDbSqs {
         for (i, batch) in batches.iter().enumerate() {
             if i == last {
                 // The group's final commit rides in this batch.
-                self.world.crash_point(A3_BEFORE_COMMIT)?;
+                self.parts().world.crash_point(A3_BEFORE_COMMIT)?;
             }
-            let outcomes = with_throttle_retry(&self.world, &self.config.retry, || {
-                Ok(self.sqs.send_message_batch(&self.wal_url, batch)?)
-            })?;
+            let send = || Ok(self.sqs().send_message_batch(self.wal_url(), batch)?);
+            let outcomes = self.parts().retrying(send)?;
             // Entry failures cannot happen (the chunker caps every
             // record at one message); surface them if they ever do.
             for outcome in outcomes {
                 outcome?;
             }
             if i != last {
-                self.world.crash_point(A3_MID_PROV_LOG)?;
+                self.parts().world.crash_point(A3_MID_PROV_LOG)?;
             }
         }
         Ok(())
     }
 
     fn read(&mut self, name: &str) -> Result<ReadOutcome> {
-        self.serve_parts().read(name)
+        self.parts().read(name)
     }
 
     fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer> {
-        self.serve_parts().query(query)
+        self.parts().query(query)
     }
 
     /// Recovery after a crash (client or daemon): replay the WAL — the
@@ -993,12 +946,14 @@ impl ProvenanceStore for S3SimpleDbSqs {
     /// empty receives instead of a fixed multi-second confirmation tail.
     fn run_daemons_until_idle(&mut self) -> Result<()> {
         let mut idle_rounds = 0;
-        while idle_rounds < self.config.drain_idle_rounds {
+        while idle_rounds < self.drain_idle_rounds {
             let progress = self.daemon.step(true)?;
             if progress.received == 0 && progress.applied == 0 {
                 idle_rounds += 1;
-                if self.sqs.approximate_number_of_messages(&self.wal_url)? > 0 {
-                    self.world.advance(simworld::SimDuration::from_secs(5));
+                if self.sqs().approximate_number_of_messages(self.wal_url())? > 0 {
+                    self.parts()
+                        .world
+                        .advance(simworld::SimDuration::from_secs(5));
                 }
             } else {
                 idle_rounds = 0;

@@ -38,9 +38,9 @@
 //! SimpleDB rejects items beyond 256 pairs, and a node deep in a wide
 //! graph accumulates one `a` value per ancestor. A logical row therefore
 //! spreads its `a` values across [`CLOSURE_FRAG_BUCKETS`] buckets: the
-//! value lives in bucket `closure_bucket("a", value)`. Bucket 0 is the
+//! value lives in bucket `closure_bucket(value)`. Bucket 0 is the
 //! base item; any other bucket is the physical item
-//! `closure_frag_name(base, "a", bucket)`. The placement is a pure
+//! `closure_frag_name(base, bucket)`. The placement is a pure
 //! function of the value, so the final row bytes are independent of commit
 //! grouping, crash replays, and interleavings — maintenance is nothing
 //! but idempotent multi-value adds, which is what makes the crash story
@@ -98,7 +98,12 @@ use crate::query::{union_of_equals, UNION_BATCH};
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::serialize::pack_attr_batches;
 
-/// How a store treats the closure index.
+/// Whether a store keeps the closure index.
+///
+/// Two values, because the index is a store property: a store that
+/// writes it answers Q3 from it. The walk stays available as the oracle
+/// on any store — build a [`crate::SimpleDbQueryEngine`] over the store's
+/// handles and it walks, whatever the store is configured to do.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum ClosureMode {
     /// No index: nothing is written, queries use the walk engine. The
@@ -106,23 +111,8 @@ pub enum ClosureMode {
     /// repo is untouched unless a caller opts in.
     #[default]
     Off,
-    /// Maintain the index at commit time; queries still use the walk
-    /// engine (the oracle configuration for equivalence tests).
-    Maintain,
-    /// Maintain the index and serve Q3 from it.
+    /// Maintain the index at commit time and serve Q3 from it.
     Serve,
-}
-
-impl ClosureMode {
-    /// Whether commits should write index rows.
-    pub fn maintains(self) -> bool {
-        self != ClosureMode::Off
-    }
-
-    /// Whether Q3 should be answered from the index.
-    pub fn serves(self) -> bool {
-        self == ClosureMode::Serve
-    }
 }
 
 /// Parses a stored attribute value as an object reference, requiring an
@@ -315,15 +305,15 @@ impl ClosureIndex {
         let mut adds: BTreeMap<String, BTreeSet<(&str, String)>> = BTreeMap::new();
         for (item, ancestors) in &full {
             for anc in ancestors {
-                let bucket = closure_bucket(CLOSURE_ATTR_ANC, anc);
+                let bucket = closure_bucket(anc);
                 let physical = if bucket == 0 {
                     item.clone()
                 } else {
-                    let mark = closure_frag_mark(CLOSURE_ATTR_ANC, bucket);
+                    let mark = closure_frag_mark(bucket);
                     adds.entry(item.clone())
                         .or_default()
                         .insert((CLOSURE_ATTR_FRAGS, mark));
-                    closure_frag_name(item, CLOSURE_ATTR_ANC, bucket)
+                    closure_frag_name(item, bucket)
                 };
                 adds.entry(physical)
                     .or_default()
@@ -513,9 +503,7 @@ impl ClosureIndex {
                 CLOSURE_ATTR_ANC => {
                     ancestors.insert(pair.value);
                 }
-                CLOSURE_ATTR_FRAGS => {
-                    buckets.extend(closure_mark_bucket(&pair.value, CLOSURE_ATTR_ANC))
-                }
+                CLOSURE_ATTR_FRAGS => buckets.extend(closure_mark_bucket(&pair.value)),
                 _ => marked = true,
             }
         }
@@ -523,7 +511,7 @@ impl ClosureIndex {
             return Ok(None);
         }
         for bucket in buckets {
-            let frag = get(&closure_frag_name(item, CLOSURE_ATTR_ANC, bucket))?;
+            let frag = get(&closure_frag_name(item, bucket))?;
             ancestors.extend(frag.into_iter().map(|pair| pair.value));
         }
         Ok(Some(ancestors))
@@ -682,7 +670,7 @@ mod tests {
 
         let frags: BTreeSet<u64> = sources
             .iter()
-            .map(|s| closure_bucket(CLOSURE_ATTR_ANC, s))
+            .map(|s| closure_bucket(s))
             .filter(|b| *b != 0)
             .collect();
         assert!(frags.len() > 1, "the row must actually be fragmented");
@@ -697,7 +685,7 @@ mod tests {
         let pair_bytes = |name: &str, value: &str| (name.len() + value.len()) as u64;
         let marks = frags
             .iter()
-            .map(|b| pair_bytes(CLOSURE_ATTR_FRAGS, &closure_frag_mark(CLOSURE_ATTR_ANC, *b)));
+            .map(|b| pair_bytes(CLOSURE_ATTR_FRAGS, &closure_frag_mark(*b)));
         let values = sources.iter().map(|s| pair_bytes(CLOSURE_ATTR_ANC, s));
         assert_eq!(
             cost.bytes_out(),
@@ -792,7 +780,7 @@ mod tests {
         let world = SimWorld::counting();
         let mut arch2 = S3SimpleDb::new(&world);
         arch2.set_config(Arch2Config {
-            closure: ClosureMode::Maintain,
+            closure: ClosureMode::Serve,
             ..Arch2Config::default()
         });
         drive(&mut arch2);
@@ -801,7 +789,7 @@ mod tests {
         let world = SimWorld::counting();
         let mut arch3 = S3SimpleDbSqs::new(&world, "fan-out");
         arch3.set_config(Arch3Config {
-            closure: ClosureMode::Maintain,
+            closure: ClosureMode::Serve,
             ..Arch3Config::default()
         });
         drive(&mut arch3);

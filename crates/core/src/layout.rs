@@ -58,59 +58,54 @@ pub const CLOSURE_FRAG_BUCKETS: u64 = 64;
 /// escaper, so fragment names never collide with node rows).
 pub const CLOSURE_FRAG_SEP: char = '\u{1f}';
 
-/// The `f` value on the base item that announces fragment `bucket` of
-/// attribute `attr`.
-pub(crate) fn closure_frag_mark(attr: &str, bucket: u64) -> String {
-    format!("{attr}{bucket}")
+/// The `f` value on the base item that announces fragment `bucket`: the
+/// fragmented attribute ([`CLOSURE_ATTR_ANC`], the only one) followed by
+/// the bucket.
+pub(crate) fn closure_frag_mark(bucket: u64) -> String {
+    format!("{CLOSURE_ATTR_ANC}{bucket}")
 }
 
-/// The bucket a mark names, when it is a mark of `attr`.
-pub(crate) fn closure_mark_bucket(mark: &str, attr: &str) -> Option<u64> {
-    mark.strip_prefix(attr)?.parse().ok()
+/// The bucket a mark names.
+pub(crate) fn closure_mark_bucket(mark: &str) -> Option<u64> {
+    mark.strip_prefix(CLOSURE_ATTR_ANC)?.parse().ok()
 }
 
-/// Item name of the fragment holding the values of `attr` that hash to
+/// Item name of the fragment holding the `a` values that hash to
 /// `bucket` (`bucket >= 1`; bucket 0 is the base item itself): the base
-/// name, the separator, then the fragment's mark. A fragment holds
-/// values of exactly one attribute.
-pub fn closure_frag_name(base: &str, attr: &str, bucket: u64) -> String {
-    format!(
-        "{base}{CLOSURE_FRAG_SEP}{}",
-        closure_frag_mark(attr, bucket)
-    )
+/// name, the separator, then the fragment's mark.
+pub fn closure_frag_name(base: &str, bucket: u64) -> String {
+    format!("{base}{CLOSURE_FRAG_SEP}{}", closure_frag_mark(bucket))
 }
 
-/// Inverse of [`closure_frag_name`]: the `(base, attr, bucket)` of a
-/// fragment item; `None` for base items.
-pub fn parse_closure_frag_name(item: &str) -> Option<(&str, &str, u64)> {
+/// Inverse of [`closure_frag_name`]: the `(base, bucket)` of a fragment
+/// item; `None` for base items.
+pub fn parse_closure_frag_name(item: &str) -> Option<(&str, u64)> {
     let (base, mark) = item.rsplit_once(CLOSURE_FRAG_SEP)?;
-    let (attr, bucket) = mark.split_at(mark.find(|c: char| c.is_ascii_digit())?);
-    let bucket = bucket.parse().ok()?;
+    let bucket = closure_mark_bucket(mark)?;
     // The mark must be the canonical rendering ("a017" parses but names
     // no fragment the writer would produce).
     let canonical = !base.is_empty()
-        && !attr.is_empty()
         && (1..CLOSURE_FRAG_BUCKETS).contains(&bucket)
-        && closure_frag_mark(attr, bucket) == mark;
-    canonical.then_some((base, attr, bucket))
+        && closure_frag_mark(bucket) == mark;
+    canonical.then_some((base, bucket))
 }
 
 /// The logical row a physical closure item belongs to: a fragment's base,
 /// or the item itself. What a lookup on [`CLOSURE_DOMAIN`] returns is
 /// physical item names; this folds them.
 pub fn closure_row_name(item: &str) -> &str {
-    parse_closure_frag_name(item).map_or(item, |(base, _, _)| base)
+    parse_closure_frag_name(item).map_or(item, |(base, _)| base)
 }
 
-/// Which fragment of a logical closure row an `(attribute, value)` pair
-/// lives in: 0 is the base item, anything else the matching fragment
-/// item. The bucket is a pure function of the pair (FNV-1a), so closure
-/// rows are byte-identical no matter how commits were grouped, replayed
-/// after crashes, or interleaved — there is no read-modify-write in the
-/// maintenance path.
-pub fn closure_bucket(attr: &str, value: &str) -> u64 {
+/// Which fragment of a logical closure row an ancestor `value` lives in:
+/// 0 is the base item, anything else the matching fragment item. The
+/// bucket is a pure function of the value (FNV-1a over `"a" ␟ value`), so
+/// closure rows are byte-identical no matter how commits were grouped,
+/// replayed after crashes, or interleaved — there is no
+/// read-modify-write in the maintenance path.
+pub fn closure_bucket(value: &str) -> u64 {
     let mut hash = simworld::Fnv1a::new();
-    hash.write(attr.as_bytes());
+    hash.write(CLOSURE_ATTR_ANC.as_bytes());
     hash.write(b"\x1f");
     hash.write(value.as_bytes());
     hash.finish() % CLOSURE_FRAG_BUCKETS
@@ -213,46 +208,41 @@ mod tests {
 
     #[test]
     fn closure_buckets_are_stable_and_bounded() {
-        let b = closure_bucket("a", "cooked/0.dat:1");
-        assert_eq!(b, closure_bucket("a", "cooked/0.dat:1"));
+        let b = closure_bucket("cooked/0.dat:1");
+        assert_eq!(b, closure_bucket("cooked/0.dat:1"));
         assert!(b < CLOSURE_FRAG_BUCKETS);
-        // Different attributes route the same value independently.
-        assert!(closure_bucket("x", "x:1") < CLOSURE_FRAG_BUCKETS);
     }
 
     #[test]
     fn closure_names_cannot_collide_with_node_rows() {
         // Node rows are "{name} {version}"; fragments carry the \u{1f}
         // separator, which parse_item_name-able names never do.
-        assert_eq!(closure_frag_name("f 1", "a", 3), "f 1\u{1f}a3");
+        assert_eq!(closure_frag_name("f 1", 3), "f 1\u{1f}a3");
     }
 
     #[test]
     fn closure_frag_names_round_trip_and_marks_name_their_attribute() {
         let bases = ["f 1", "run 7/out 2.dat 12", "proc:1:tool:2 3"];
-        let attrs = [CLOSURE_ATTR_ANC, "x"];
         for base in bases {
             assert_eq!(parse_closure_frag_name(base), None, "{base:?} is a base");
             assert_eq!(closure_row_name(base), base);
-            for attr in attrs {
-                for bucket in [1, 9, 10, CLOSURE_FRAG_BUCKETS - 1] {
-                    let frag = closure_frag_name(base, attr, bucket);
-                    assert_eq!(parse_closure_frag_name(&frag), Some((base, attr, bucket)));
-                    assert_eq!(closure_row_name(&frag), base);
-                    let mark = closure_frag_mark(attr, bucket);
-                    assert_eq!(closure_mark_bucket(&mark, attr), Some(bucket));
-                    for other in attrs.into_iter().filter(|o| *o != attr) {
-                        assert_eq!(closure_mark_bucket(&mark, other), None);
-                    }
-                }
+            for bucket in [1, 9, 10, CLOSURE_FRAG_BUCKETS - 1] {
+                let frag = closure_frag_name(base, bucket);
+                assert_eq!(parse_closure_frag_name(&frag), Some((base, bucket)));
+                assert_eq!(closure_row_name(&frag), base);
+                let mark = closure_frag_mark(bucket);
+                assert_eq!(mark, format!("a{bucket}"));
+                assert_eq!(closure_mark_bucket(&mark), Some(bucket));
             }
         }
-        // Bucket 0 is the base item; nothing non-canonical is a fragment.
+        // Bucket 0 is the base item; nothing non-canonical is a fragment,
+        // and no other attribute has fragments.
         for not_a_frag in [
             "f 1\u{1f}a0",
             "f 1\u{1f}a64",
             "f 1\u{1f}a07",
             "f 1\u{1f}7",
+            "f 1\u{1f}x7",
             "\u{1f}a7",
         ] {
             assert_eq!(parse_closure_frag_name(not_a_frag), None, "{not_a_frag:?}");

@@ -695,7 +695,7 @@ mod tests {
         let world = SimWorld::counting();
         let mut store = crate::S3SimpleDb::new(&world);
         store.set_config(Arch2Config {
-            closure: ClosureMode::Maintain,
+            closure: ClosureMode::Serve,
             ..Arch2Config::default()
         });
         for run in 0..runs {

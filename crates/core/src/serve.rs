@@ -37,7 +37,7 @@ use crate::error::Result;
 use crate::layout::{BUCKET, CLOSURE_DOMAIN, DOMAIN, TMP_PREFIX};
 use crate::query::{ProvQuery, QueryAnswer, SimpleDbQueryEngine};
 use crate::readpath::verified_read;
-use crate::retry::RetryPolicy;
+use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::store::{ProvenanceStore, ReadOutcome, RecoveryReport};
 
 /// The cloned service handles and read-path knobs a [`ServeHandle`]
@@ -55,6 +55,12 @@ pub struct ServeParts {
 }
 
 impl ServeParts {
+    /// Runs one service write under this side's retry policy, riding out
+    /// 503s ([`with_throttle_retry`]).
+    pub(crate) fn retrying<T>(&self, op: impl FnMut() -> Result<T>) -> Result<T> {
+        with_throttle_retry(&self.world, &self.retry, op)
+    }
+
     /// The §4.2 read: fetch data from S3 and provenance from SimpleDB,
     /// then compare `MD5(data ‖ nonce)` against the stored record; on
     /// mismatch, reissue both reads until they agree or the retry
@@ -437,7 +443,7 @@ mod tests {
         let world = SimWorld::counting();
         let mut store = S3SimpleDb::new(&world);
         store.set_config(crate::Arch2Config {
-            closure: crate::ClosureMode::Maintain,
+            closure: crate::ClosureMode::Serve,
             ..crate::Arch2Config::default()
         });
         store.persist(&flush("a.dat", 1, None)).unwrap();
@@ -476,6 +482,70 @@ mod tests {
         s3.put_object(BUCKET, &data_key("a.dat"), data.body, meta)
             .unwrap();
         moved("one S3 metadata value", true);
+    }
+
+    /// §4.3 stores exactly what §4.2 stores: with the index on, the
+    /// groups the arch3 daemon happened to apply (its receives are
+    /// sampled, so it picks them) and the same groups persisted by the
+    /// arch2 client go through one put-then-index step — same bytes in
+    /// both domains, same `BatchPutAttributes` requests carrying them.
+    #[test]
+    fn both_architectures_commit_indexed_groups_through_one_step() {
+        use crate::{Arch2Config, Arch3Config, ClosureMode};
+        use simworld::Op;
+
+        let corpus: Vec<FileFlush> = (0..6u64)
+            .map(|i| {
+                let parent = i.checked_sub(1).map(|p| format!("f{p}.dat"));
+                flush(&format!("f{i}.dat"), i, parent.as_deref())
+            })
+            .collect();
+        let closure = ClosureMode::Serve;
+        let batch_puts = |world: &SimWorld| {
+            let op = Op::SdbBatchPutAttributes;
+            let meters = world.meters();
+            (meters.op_count(op), meters.batch_entry_count(op))
+        };
+
+        let world3 = SimWorld::counting();
+        let mut arch3 = S3SimpleDbSqs::new(&world3, "seam");
+        arch3.set_config(Arch3Config {
+            closure,
+            ..Arch3Config::default()
+        });
+        arch3.persist_batch(&corpus).unwrap();
+        let mut groups: Vec<Vec<String>> = Vec::new();
+        let mut applied = std::collections::BTreeSet::new();
+        for _ in 0..100 {
+            if arch3.daemon().step(true).unwrap().applied > 0 {
+                let mut items = arch3.simpledb().latest_item_names(DOMAIN);
+                items.retain(|item| applied.insert(item.clone()));
+                groups.push(items);
+            }
+        }
+        assert_eq!(applied.len(), corpus.len(), "the daemon drained the log");
+
+        let world2 = SimWorld::counting();
+        let mut arch2 = S3SimpleDb::new(&world2);
+        arch2.set_config(Arch2Config {
+            closure,
+            ..Arch2Config::default()
+        });
+        for group in &groups {
+            let in_group = |f: &&FileFlush| group.contains(&f.object.item_name());
+            let flushes: Vec<FileFlush> = corpus.iter().filter(in_group).cloned().collect();
+            arch2.persist_batch(&flushes).unwrap();
+        }
+
+        assert_eq!(
+            store_fingerprint(arch2.s3(), arch2.simpledb()),
+            store_fingerprint(arch3.s3(), arch3.simpledb())
+        );
+        let rows = arch2.simpledb().latest_item_names(CLOSURE_DOMAIN);
+        assert!(rows.len() >= corpus.len(), "every node has a closure row");
+        assert_eq!(batch_puts(&world2), batch_puts(&world3));
+        // One put to each domain per group.
+        assert_eq!(batch_puts(&world2).0, 2 * groups.len() as u64);
     }
 
     #[test]

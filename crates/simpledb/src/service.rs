@@ -30,7 +30,8 @@
 //! A `next_token` encodes one **pinned replica per shard, keyed by
 //! stable shard id**, and a cursor. Pinning replicas means every page of
 //! one logical scan reads the same replica view per shard (the
-//! `visible_entries` single-replica contract, stretched across pages);
+//! single-replica contract of one `EcMap::visible_page_on` call,
+//! stretched across pages);
 //! keying by stable id — rather than by shard index, as before range
 //! routing — means the pin survives shards splitting mid-scan: a shard
 //! born after the token was minted resolves to its nearest pinned
@@ -527,10 +528,17 @@ impl SimpleDb {
             }
             let touched = self.charge_batch(op, bytes_in, &shards, stored_delta);
             let now = self.world.now();
+            // One sweep per written shard, after its writes: `gc` walks
+            // the whole shard.
+            let mut written: Vec<u32> = staged.iter().map(|(shard, ..)| *shard).collect();
+            written.sort_unstable();
+            written.dedup();
             for (shard, item_name, new_state) in staged {
                 let map = guards.get_mut(shard);
                 map.write(&self.world, item_name.to_string(), new_state);
-                map.gc(now);
+            }
+            for shard in written {
+                guards.get_mut(shard).gc(now);
             }
             touched
         });
@@ -706,6 +714,17 @@ impl SimpleDb {
         self.domains
             .get(domain)
             .map_or_else(Vec::new, |dom| dom.latest_keys(|_| true))
+    }
+
+    /// Cells `domain` physically holds, live or tombstoned, summed over
+    /// its shards — what a full scan examines; unbilled. For tests and
+    /// property validators only.
+    pub fn domain_cell_count(&self, domain: &str) -> Option<usize> {
+        let dom = self.domains.get(domain)?;
+        Some(dom.read_view(|view| {
+            let cells = |pos| view.with_cells_at(pos, |map| map.cell_count());
+            (0..view.shard_count()).map(cells).sum()
+        }))
     }
 
     fn domain(&self, domain: &str) -> Result<Arc<Domain>> {

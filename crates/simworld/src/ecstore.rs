@@ -42,7 +42,6 @@ use crate::world::SimWorld;
 
 #[derive(Clone, Debug)]
 struct Write<V> {
-    seq: u64,
     /// `visible_at[r]` is when replica `r` starts serving this write.
     visible_at: Vec<SimInstant>,
     /// `None` is a delete tombstone.
@@ -247,7 +246,6 @@ impl<K: Ord + Clone, V> Postings<K, V> {
 #[derive(Clone, Debug, Default)]
 pub struct EcMap<K: Ord, V> {
     cells: BTreeMap<K, Cell<V>>,
-    next_seq: u64,
     postings: Postings<K, V>,
 }
 
@@ -256,7 +254,6 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     pub fn new() -> EcMap<K, V> {
         EcMap {
             cells: BTreeMap::new(),
-            next_seq: 0,
             postings: Postings::default(),
         }
     }
@@ -279,17 +276,12 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         key: K,
         value: Option<V>,
     ) {
-        self.next_seq += 1;
         // A map nobody has queried by attribute pays this one branch.
         let posted_key = (!self.postings.by_attr.is_empty()).then(|| key.clone());
         if let (Some(key), Some(state)) = (&posted_key, &value) {
             self.postings.add(key, state);
         }
-        let write = Write {
-            seq: self.next_seq,
-            visible_at,
-            value,
-        };
+        let write = Write { visible_at, value };
         let cell = self
             .cells
             .entry(key)
@@ -354,77 +346,11 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         self.cells.get(key).and_then(|c| c.latest().value.clone())
     }
 
-    /// Sequence number of the newest write to `key`, if any. Higher means
-    /// newer across the whole map.
-    pub fn latest_seq<Q>(&self, key: &Q) -> Option<u64>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.cells.get(key).map(|c| c.latest().seq)
-    }
-
-    /// `true` if the newest write to `key` is a value (not a tombstone).
-    pub fn contains_latest<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.cells
-            .get(key)
-            .is_some_and(|c| c.latest().value.is_some())
-    }
-
-    /// Number of keys whose newest write is a value.
-    pub fn len_latest(&self) -> usize {
-        self.cells
-            .values()
-            .filter(|c| c.latest().value.is_some())
-            .count()
-    }
-
     /// Iterates the authoritative live entries in key order.
     pub fn iter_latest(&self) -> impl Iterator<Item = (&K, V)> + '_ {
         self.cells
             .iter()
             .filter_map(|(k, c)| c.latest().value.clone().map(|v| (k, v)))
-    }
-
-    /// One replica's view of the key set only — cheap relative to
-    /// [`EcMap::visible_entries`] when values are heavyweight, which is
-    /// what makes paginated LIST/Query over large stores affordable.
-    pub fn visible_keys(&self, world: &SimWorld) -> Vec<K> {
-        self.visible_keys_on(world.sample_read_replica(), world.now())
-    }
-
-    /// [`EcMap::visible_keys`] on an explicitly chosen replica.
-    pub fn visible_keys_on(&self, replica: usize, now: SimInstant) -> Vec<K> {
-        self.cells
-            .iter()
-            .filter_map(|(k, c)| {
-                c.visible(replica, now)
-                    .and_then(|w| w.value.as_ref())
-                    .map(|_| k.clone())
-            })
-            .collect()
-    }
-
-    /// One replica's view of the whole map, as a simulated `LIST` would
-    /// see it: a single replica is sampled for the entire scan.
-    pub fn visible_entries(&self, world: &SimWorld) -> Vec<(K, V)> {
-        self.visible_entries_on(world.sample_read_replica(), world.now())
-    }
-
-    /// [`EcMap::visible_entries`] on an explicitly chosen replica.
-    pub fn visible_entries_on(&self, replica: usize, now: SimInstant) -> Vec<(K, V)> {
-        self.cells
-            .iter()
-            .filter_map(|(k, c)| {
-                c.visible(replica, now)
-                    .and_then(|w| w.value.clone())
-                    .map(|v| (k.clone(), v))
-            })
-            .collect()
     }
 
     /// Number of keys posted under `attr` at `hash` (the [`value_hash`]
@@ -581,11 +507,10 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// Moves every cell whose key `pred` accepts into a new map,
     /// carrying its full write history — values, tombstones, and
     /// per-replica visibility schedules — untouched, so reads against
-    /// the moved cells behave exactly as they would have in place. Both
-    /// halves keep the original sequence counter, preserving global
-    /// last-writer-wins order across the split. This is the migration
-    /// engine under hot-shard splitting in [`crate::ShardMap`]. Attribute
-    /// postings are dropped on both halves and rebuilt lazily.
+    /// the moved cells behave exactly as they would have in place. This
+    /// is the migration engine under hot-shard splitting in
+    /// [`crate::ShardMap`]. Attribute postings are dropped on both halves
+    /// and rebuilt lazily.
     pub fn split_off_by<F>(&mut self, mut pred: F) -> EcMap<K, V>
     where
         F: FnMut(&K) -> bool,
@@ -602,7 +527,6 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         self.postings.by_attr.clear();
         EcMap {
             cells: moved,
-            next_seq: self.next_seq,
             postings: Postings {
                 by_attr: BTreeMap::new(),
                 ..self.postings
@@ -720,7 +644,7 @@ mod tests {
         let _ = map.read(&world, &"k");
         world.settle();
         assert_eq!(map.read(&world, &"k"), None);
-        assert!(!map.contains_latest(&"k"));
+        assert_eq!(map.read_latest(&"k"), None);
     }
 
     #[test]
@@ -755,21 +679,38 @@ mod tests {
         map.write(&world, "b", Some(2));
         map.write(&world, "c", Some(3));
         map.write(&world, "b", None);
-        assert_eq!(map.len_latest(), 2);
-        let keys: Vec<_> = map.iter_latest().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec!["a", "c"]);
+        let live: Vec<_> = map.iter_latest().map(|(k, v)| (*k, v)).collect();
+        assert_eq!(live, vec![("a", 1), ("c", 3)]);
+        // The tombstone is still a cell until it is swept.
+        assert_eq!(map.cell_count(), 3);
     }
 
     #[test]
     fn visible_entries_respect_replica_lag() {
         let world = eventual_world(21, 60);
         let mut map = EcMap::new();
+        let wrote_at = world.now();
         map.write(&world, "a", Some(1));
-        // Before settling, a list may or may not include "a"; afterwards
-        // it must.
+        let list = |replica, now| {
+            let (page, _) = map.visible_page_on(replica, now, None, 10, None, |_, v| Some(*v));
+            page
+        };
+        // Before settling, a list includes "a" on the replicas the write
+        // has reached and on no other — the accepting replica at once.
+        let reached = (0..3).filter(|r| !list(*r, wrote_at).is_empty()).count();
+        assert!((1..3).contains(&reached), "{reached} of 3 replicas");
+        for replica in 0..3 {
+            let served = map.read_on(replica, wrote_at, &"a");
+            assert_eq!(
+                list(replica, wrote_at),
+                Vec::from_iter(served.map(|v| ("a", v)))
+            );
+        }
+        // Afterwards it must, everywhere.
         world.settle();
-        let entries = map.visible_entries(&world);
-        assert_eq!(entries, vec![("a", 1)]);
+        for replica in 0..3 {
+            assert_eq!(list(replica, world.now()), vec![("a", 1)]);
+        }
     }
 
     #[test]
@@ -781,10 +722,9 @@ mod tests {
         map.write(&world, "a", None);
         world.settle();
         map.gc(world.now());
-        assert_eq!(map.len_latest(), 1);
         // The tombstoned cell is physically gone.
-        assert!(map.latest_seq(&"a").is_none());
-        assert!(map.latest_seq(&"b").is_some());
+        assert_eq!(map.cell_keys().collect::<Vec<_>>(), vec![&"b"]);
+        assert_eq!(map.iter_latest().count(), 1);
     }
 
     #[test]
@@ -807,29 +747,27 @@ mod tests {
             map.write(&world, format!("k{i:02}"), Some(i));
         }
         map.write(&world, "k05".to_string(), None); // delete one
-                                                    // At any staleness level the key listing agrees with the full
-                                                    // entry listing taken under the same conditions after settling.
+        let keys_on = |replica, now| {
+            let (page, _) = map.visible_page_on(replica, now, None, 100, None, |_, _| Some(()));
+            page.into_iter().map(|(k, ())| k).collect::<Vec<String>>()
+        };
+        // At any staleness level a key listing agrees, key for key, with
+        // the point reads taken on the same replica at the same instant.
+        let stale = world.now();
         world.settle();
-        let keys = map.visible_keys(&world);
-        let entries: Vec<String> = map
-            .visible_entries(&world)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys, entries);
+        for now in [stale, world.now()] {
+            for replica in 0..3 {
+                let keys = keys_on(replica, now);
+                for i in 0..20 {
+                    let key = format!("k{i:02}");
+                    let served = map.read_on(replica, now, &key).is_some();
+                    assert_eq!(keys.contains(&key), served, "{key} on replica {replica}");
+                }
+            }
+        }
+        let keys = keys_on(0, world.now());
         assert_eq!(keys.len(), 19);
         assert!(!keys.contains(&"k05".to_string()));
-    }
-
-    #[test]
-    fn seq_numbers_increase_monotonically() {
-        let world = SimWorld::counting();
-        let mut map = EcMap::new();
-        map.write(&world, "a", Some(1));
-        let s1 = map.latest_seq(&"a").unwrap();
-        map.write(&world, "b", Some(2));
-        let s2 = map.latest_seq(&"b").unwrap();
-        assert!(s2 > s1);
     }
 
     // --- attribute postings ---

@@ -506,7 +506,7 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
         let world = SimWorld::counting();
         let mut store = S3SimpleDb::new(&world);
         store.set_config(Arch2Config {
-            closure: ClosureMode::Maintain,
+            closure: ClosureMode::Serve,
             ..Arch2Config::default()
         });
         for flush in flushes() {
@@ -531,7 +531,7 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
             world.with_faults(|f| f.arm_after(site, ordinal));
             let mut store = S3SimpleDb::new(&world);
             store.set_config(Arch2Config {
-                closure: ClosureMode::Maintain,
+                closure: ClosureMode::Serve,
                 ..Arch2Config::default()
             });
             let mut crashed = false;
@@ -568,7 +568,7 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
         world.with_faults(|f| f.arm_after(A2_BEFORE_INDEX_PUT, 1));
         let mut store = S3SimpleDb::new(&world);
         store.set_config(Arch2Config {
-            closure: ClosureMode::Maintain,
+            closure: ClosureMode::Serve,
             ..Arch2Config::default()
         });
         let mut crashed = false;
@@ -594,7 +594,7 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
         let world = SimWorld::counting();
         let mut store = S3SimpleDbSqs::new(&world, "closure-ref");
         store.set_config(Arch3Config {
-            closure: ClosureMode::Maintain,
+            closure: ClosureMode::Serve,
             ..Arch3Config::default()
         });
         for flush in flushes() {
@@ -612,7 +612,7 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
             let world = SimWorld::counting();
             let mut store = S3SimpleDbSqs::new(&world, "closure-crash");
             store.set_config(Arch3Config {
-                closure: ClosureMode::Maintain,
+                closure: ClosureMode::Serve,
                 ..Arch3Config::default()
             });
             for flush in flushes() {

@@ -541,7 +541,11 @@ proptest! {
         // closure, and the index engine must answer Q3 exactly like the
         // walk engine.
         use pass_cloud::cloud::layout::{closure_row_name, CLOSURE_ATTR_ANC, CLOSURE_DOMAIN};
-        use pass_cloud::cloud::{Arch3Config, ClosureMode, ProvQuery, ProvenanceStore, S3SimpleDbSqs};
+        use pass_cloud::cloud::{
+            Arch3Config, ClosureMode, ProvQuery, ProvenanceStore, RetryPolicy, S3SimpleDbSqs,
+            SimpleDbQueryEngine,
+        };
+        use pass_cloud::simworld::Op;
         use std::collections::{BTreeMap, BTreeSet};
 
         const PROGRAMS: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -597,7 +601,7 @@ proptest! {
         let world = SimWorld::counting();
         let mut store = S3SimpleDbSqs::new(&world, "closure-prop");
         store.set_config(Arch3Config {
-            closure: ClosureMode::Maintain,
+            closure: ClosureMode::Serve,
             ..Arch3Config::default()
         });
         let mut cursor = 0usize;
@@ -643,20 +647,20 @@ proptest! {
         }
         prop_assert_eq!(stored_anc.len(), n);
 
-        // The index engine answers Q3 item-for-item like the walk.
+        // The store answers Q3 from its index, item for item like the
+        // walk — an engine built over the store's handles, which walks
+        // whatever the store is configured to do.
+        let walk = SimpleDbQueryEngine::new(store.simpledb(), store.s3(), &world, RetryPolicy::default());
         for prog in PROGRAMS.iter().chain(["delta"].iter()) {
             let q = ProvQuery::DescendantsOf { program: (*prog).to_string() };
-            store.set_config(Arch3Config {
-                closure: ClosureMode::Serve,
-                ..Arch3Config::default()
-            });
-            let indexed = store.query(&q).unwrap().names();
-            store.set_config(Arch3Config {
-                closure: ClosureMode::Off,
-                ..Arch3Config::default()
-            });
-            let walked = store.query(&q).unwrap().names();
-            prop_assert_eq!(indexed, walked);
+            let before = world.meters();
+            let indexed = store.query(&q).unwrap();
+            let cost = world.meters() - before;
+            // Names-only lookups are the index engine's; the walk reads
+            // attributes with every generation.
+            prop_assert!(cost.op_count(Op::SdbQuery) > 0);
+            prop_assert_eq!(cost.op_count(Op::SdbQueryWithAttributes), 0);
+            prop_assert_eq!(indexed, walk.execute(&q).unwrap());
         }
     }
 }
