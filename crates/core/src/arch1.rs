@@ -13,14 +13,14 @@
 //! if the total still exceeds the cap (§4.1 discusses why this workaround
 //! is unattractive).
 
-use pass::{CacheDir, FileFlush, ObjectRef};
+use pass::{FileFlush, ObjectRef};
 use sim_s3::{Metadata, S3Error, S3};
 use simworld::{Blob, CrashSite, SimWorld};
 
 use crate::error::Result;
 use crate::layout::{data_key, BUCKET, PROV_PREFIX};
 use crate::query::{ProvQuery, QueryAnswer, S3QueryEngine};
-use crate::readpath::{get_object_with_retry, overflow_to_string};
+use crate::readpath::{fetch_overflow, get_object_with_retry};
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::serialize::{decode_metadata, encode_metadata, encode_records, read_version};
 use crate::store::{ProvenanceStore, ReadOutcome, ReadStatus, RecoveryReport};
@@ -68,7 +68,6 @@ pub(crate) fn put_plain(
 pub struct StandaloneS3 {
     world: SimWorld,
     s3: S3,
-    cache: CacheDir,
     retry: RetryPolicy,
 }
 
@@ -101,24 +100,13 @@ impl StandaloneS3 {
         StandaloneS3 {
             world: world.clone(),
             s3: s3.clone(),
-            cache: CacheDir::new(),
             retry: RetryPolicy::default(),
         }
-    }
-
-    /// Replaces the read-retry policy.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// The underlying S3 handle (shared).
     pub fn s3(&self) -> &S3 {
         &self.s3
-    }
-
-    /// The local cache directory.
-    pub fn cache(&self) -> &CacheDir {
-        &self.cache
     }
 }
 
@@ -127,12 +115,10 @@ impl ProvenanceStore for StandaloneS3 {
         "s3"
     }
 
-    /// §4.1 protocol: (1) read the cache files, (2) convert provenance to
-    /// attribute-value pairs, (3) one PUT carrying object + provenance.
+    /// §4.1 protocol: (1) read the cache files — `flush` *is* the data
+    /// cache file plus the hidden provenance file — (2) convert provenance
+    /// to attribute-value pairs, (3) one PUT carrying object + provenance.
     fn persist(&mut self, flush: &FileFlush) -> Result<()> {
-        // Step 1: the flush *is* the cache content; mirror it locally.
-        self.cache.store(flush);
-
         // Step 2: serialise, spilling oversized records.
         let encoded = encode_records(&flush.object, &flush.records);
         let (metadata, overflows) = encode_metadata(&flush.object, encoded);
@@ -157,13 +143,12 @@ impl ProvenanceStore for StandaloneS3 {
 
     fn read(&mut self, name: &str) -> Result<ReadOutcome> {
         let key = data_key(name);
-        let object = get_object_with_retry(&self.s3, &self.world, &self.retry, &key, name)?;
+        let object = get_object_with_retry(&self.s3, &self.world, &self.retry, &key, name, &mut 0)?;
         let version = read_version(&object.metadata)?;
         // Overflow chunks ride the same retry: they were PUT before the
         // main object, but a different replica may serve their GET.
         let records = decode_metadata(&object.metadata, |k| {
-            let o = get_object_with_retry(&self.s3, &self.world, &self.retry, k, k)?;
-            overflow_to_string(k, o)
+            fetch_overflow(&self.s3, &self.world, &self.retry, k)
         })?;
         Ok(ReadOutcome {
             object: ObjectRef::new(name.to_string(), version),

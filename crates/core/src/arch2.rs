@@ -14,7 +14,7 @@
 //! (implemented as [`S3SimpleDb::recover`]), which is exactly the
 //! deficiency Architecture 3 fixes.
 
-use pass::{CacheDir, FileFlush, ObjectRef};
+use pass::{FileFlush, ObjectRef};
 use sim_s3::{Metadata, S3Error, S3};
 use sim_simpledb::{DeletableAttribute, ReplaceableAttribute, SimpleDb, MAX_ATTRS_PER_CALL};
 use simworld::{CrashSite, ShardPlan, SimWorld};
@@ -58,10 +58,6 @@ pub const A2_MID_INDEX_PUT: CrashSite = CrashSite::new("arch2.mid_index_put");
 pub struct Arch2Config {
     /// Read retry policy.
     pub retry: RetryPolicy,
-    /// Verify `MD5(data ‖ nonce)` on reads. Disabling this is the
-    /// consistency ablation: reads then trust whatever the replicas
-    /// return.
-    pub verify_md5: bool,
     /// Include the nonce in the hash. Disabling reproduces the paper's
     /// remark that a bare data MD5 misses same-content overwrites.
     pub use_nonce: bool,
@@ -75,7 +71,6 @@ impl Default for Arch2Config {
     fn default() -> Self {
         Arch2Config {
             retry: RetryPolicy::default(),
-            verify_md5: true,
             use_nonce: true,
             closure: ClosureMode::Off,
         }
@@ -142,7 +137,6 @@ impl WriteSide {
                 s3: s3.clone(),
                 db: db.clone(),
                 retry: config.retry,
-                verify_md5: config.verify_md5,
                 use_nonce: config.use_nonce,
                 serve_closure,
             },
@@ -257,7 +251,6 @@ pub(crate) fn data_meta(version: u32, nonce: &str) -> Metadata {
 #[derive(Debug)]
 pub struct S3SimpleDb {
     side: WriteSide,
-    cache: CacheDir,
 }
 
 const PUT_SITES: PutSites = PutSites {
@@ -294,7 +287,6 @@ impl S3SimpleDb {
     pub fn with_services(world: &SimWorld, s3: &S3, db: &SimpleDb) -> S3SimpleDb {
         S3SimpleDb {
             side: WriteSide::new(world, s3, db, Arch2Config::default()),
-            cache: CacheDir::new(),
         }
     }
 
@@ -313,17 +305,12 @@ impl S3SimpleDb {
         &self.side.parts.db
     }
 
-    /// The local cache directory.
-    pub fn cache(&self) -> &CacheDir {
-        &self.cache
-    }
-
-    /// Protocol steps 1–2 for one flush: cache it, store its overflow
-    /// and continuation objects, and return the finished provenance
-    /// item (name plus its ≤ 256 attributes, MD5/nonce included) ready
-    /// for SimpleDB.
+    /// Protocol steps 1–2 for one flush — which *is* step 1's two cache
+    /// files, the data and the hidden provenance: store its overflow and
+    /// continuation objects, and return the finished provenance item
+    /// (name plus its ≤ 256 attributes, MD5/nonce included) ready for
+    /// SimpleDB.
     fn stage_item(&mut self, flush: &FileFlush) -> Result<ProvItem> {
-        self.cache.store(flush);
         let encoded = encode_records(&flush.object, &flush.records);
         let parts = &self.side.parts;
         for (key, blob) in &encoded.overflows {
@@ -382,10 +369,10 @@ impl ProvenanceStore for S3SimpleDb {
         "s3+simpledb"
     }
 
-    /// §4.2 protocol: (1) read cache, (2) build the provenance item
-    /// (overflow > 1 KB to S3, add the MD5 record), (3) PutAttributes
-    /// (possibly several calls — 100-attribute limit), (4) PUT the data
-    /// with the nonce in its metadata.
+    /// §4.2 protocol: (1) read the cache files (`flush`), (2) build the
+    /// provenance item (overflow > 1 KB to S3, add the MD5 record),
+    /// (3) PutAttributes (possibly several calls — 100-attribute limit),
+    /// (4) PUT the data with the nonce in its metadata.
     fn persist(&mut self, flush: &FileFlush) -> Result<()> {
         self.persist_group(std::slice::from_ref(flush), PutProtocol::Point)
     }

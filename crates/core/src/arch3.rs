@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use pass::{CacheDir, FileFlush, ObjectRef};
+use pass::{FileFlush, ObjectRef};
 use sim_s3::{Metadata, MetadataDirective, S3Error, MAX_DELETE_KEYS, S3};
 use sim_simpledb::SimpleDb;
 use sim_sqs::{Sqs, MAX_BATCH_ENTRIES, RETENTION};
@@ -30,7 +30,8 @@ use crate::arch2::{data_meta, Arch2Config, ProvItem, PutProtocol, PutSites, Writ
 use crate::closure::ClosureMode;
 use crate::error::{CloudError, Result};
 use crate::layout::{
-    data_key, nonce_for, pointer, tmp_prefix, ATTR_MD5, ATTR_NONCE, BUCKET, TMP_PREFIX,
+    data_key, nonce_for, parse_staged_pointer, pointer, staged_pointer, tmp_prefix, ATTR_MD5,
+    ATTR_NONCE, BUCKET, TMP_PREFIX,
 };
 use crate::query::{ProvQuery, QueryAnswer};
 use crate::readpath::consistency_md5;
@@ -87,18 +88,12 @@ pub const D3_MID_INDEX_PUT: CrashSite = CrashSite::new("daemon3.mid_index_put");
 pub struct Arch3Config {
     /// Read retry policy.
     pub retry: RetryPolicy,
-    /// Verify `MD5(data ‖ nonce)` on reads.
-    pub verify_md5: bool,
     /// Include the nonce in the hash (ablation: without it, overwriting
     /// a file with identical content is undetectable).
     pub use_nonce: bool,
     /// The commit daemon runs its commit phase once
     /// `ApproximateNumberOfMessages` exceeds this (§4.3).
     pub commit_threshold: usize,
-    /// Consecutive empty drain rounds before
-    /// [`S3SimpleDbSqs::run_daemons_until_idle`] declares quiescence
-    /// (SQS sampling means one empty receive proves nothing).
-    pub drain_idle_rounds: u32,
     /// How the commit daemon overlaps its receive/assemble/apply loop.
     /// `None` (the default) is the paper's serial daemon: one receive
     /// round and serial applies per step, no region — the baseline
@@ -120,10 +115,8 @@ impl Default for Arch3Config {
     fn default() -> Self {
         Arch3Config {
             retry: RetryPolicy::default(),
-            verify_md5: true,
             use_nonce: true,
             commit_threshold: 8,
-            drain_idle_rounds: 16,
             daemon_depth: None,
             closure: ClosureMode::Off,
         }
@@ -136,7 +129,6 @@ impl Arch3Config {
     fn store_side(&self) -> Arch2Config {
         Arch2Config {
             retry: self.retry,
-            verify_md5: self.verify_md5,
             use_nonce: self.use_nonce,
             closure: self.closure,
         }
@@ -250,12 +242,6 @@ impl CommitDaemon {
     /// their missing records.
     pub fn pending_assemblies(&self) -> usize {
         self.assemblies.len()
-    }
-
-    /// The in-flight depth the daemon's controller has converged to;
-    /// `None` for the serial daemon.
-    pub fn adaptive_depth(&self) -> Option<usize> {
-        self.controller.map(|ctl| ctl.depth())
     }
 
     /// One daemon iteration: check the queue depth (unless `force`),
@@ -450,7 +436,7 @@ impl CommitDaemon {
                     } => {
                         let item = tx_items.entry(item_name).or_default();
                         for (name, value) in pairs {
-                            let resolved = match parse_staged(value) {
+                            let resolved = match parse_staged_pointer(value) {
                                 Some((tmp, perm)) => {
                                     self.copy_with_retry(*txid, tmp, perm, Metadata::new())?;
                                     temp_keys.push(tmp.to_string());
@@ -566,11 +552,10 @@ impl CommitDaemon {
     }
 }
 
-/// Parses a staged overflow pointer `@tmp:{tmp_key}|{perm_key}`.
-fn parse_staged(value: &str) -> Option<(&str, &str)> {
-    let rest = value.strip_prefix("@tmp:")?;
-    rest.split_once('|')
-}
+/// Consecutive empty drain rounds before
+/// [`S3SimpleDbSqs::run_daemons_until_idle`] declares quiescence (SQS
+/// sampling means one empty receive proves nothing).
+const DRAIN_IDLE_ROUNDS: u32 = 16;
 
 /// The S3 + SimpleDB + SQS provenance store.
 ///
@@ -592,9 +577,6 @@ fn parse_staged(value: &str) -> Option<(&str, &str)> {
 #[derive(Debug)]
 pub struct S3SimpleDbSqs {
     client_id: String,
-    cache: CacheDir,
-    /// [`Arch3Config::drain_idle_rounds`].
-    drain_idle_rounds: u32,
     /// Holds the services, the WAL queue and the rest of the
     /// configuration; the client half reaches them through it.
     daemon: CommitDaemon,
@@ -635,8 +617,6 @@ impl S3SimpleDbSqs {
         let side = WriteSide::new(world, s3, db, config.store_side());
         S3SimpleDbSqs {
             client_id: client_id.to_string(),
-            cache: CacheDir::new(),
-            drain_idle_rounds: config.drain_idle_rounds,
             daemon: CommitDaemon::new(side, sqs, wal_url, config),
         }
     }
@@ -644,7 +624,6 @@ impl S3SimpleDbSqs {
     /// Replaces the configuration (also reconfigures the daemon, whose
     /// depth controller restarts from the configured one).
     pub fn set_config(&mut self, config: Arch3Config) {
-        self.drain_idle_rounds = config.drain_idle_rounds;
         self.daemon.side.configure(config.store_side());
         self.daemon.commit_threshold = config.commit_threshold;
         self.daemon.configured_depth = config.daemon_depth;
@@ -674,11 +653,6 @@ impl S3SimpleDbSqs {
     /// This client's WAL queue URL.
     pub fn wal_url(&self) -> &str {
         &self.daemon.wal_url
-    }
-
-    /// The local cache directory.
-    pub fn cache(&self) -> &CacheDir {
-        &self.cache
     }
 
     /// Mutable access to the commit daemon (to drive it step by step in
@@ -739,7 +713,8 @@ impl S3SimpleDbSqs {
         Ok(removed)
     }
 
-    /// Stages one flush as a transaction — the part of the log phase
+    /// Stages one flush (§4.3 step 1's two cache files: the data and the
+    /// hidden provenance) as a transaction — the part of the log phase
     /// the point and the batched protocol share. Returns the temporary
     /// objects to PUT before any record pointing at them is logged (the
     /// data first, then one per overflow value) and the WAL records in
@@ -747,7 +722,6 @@ impl S3SimpleDbSqs {
     /// Touches the world only to draw the txid; every request is the
     /// caller's to issue.
     fn stage_tx(&mut self, flush: &FileFlush) -> (Vec<(String, Blob)>, Vec<WalRecord>) {
-        self.cache.store(flush);
         // Random transaction ids stay unique across client restarts.
         let txid = self.parts().world.rand_u64();
         let tmp = tmp_prefix(&self.client_id, txid);
@@ -764,7 +738,7 @@ impl S3SimpleDbSqs {
             let tmp_key = format!("{tmp}ovf{i}");
             for (_, value) in pairs.iter_mut() {
                 if value == &pointer(perm_key) {
-                    *value = format!("@tmp:{tmp_key}|{perm_key}");
+                    *value = staged_pointer(&tmp_key, perm_key);
                 }
             }
             temps.push((tmp_key, blob.clone()));
@@ -946,7 +920,7 @@ impl ProvenanceStore for S3SimpleDbSqs {
     /// empty receives instead of a fixed multi-second confirmation tail.
     fn run_daemons_until_idle(&mut self) -> Result<()> {
         let mut idle_rounds = 0;
-        while idle_rounds < self.drain_idle_rounds {
+        while idle_rounds < DRAIN_IDLE_ROUNDS {
             let progress = self.daemon.step(true)?;
             if progress.received == 0 && progress.applied == 0 {
                 idle_rounds += 1;
@@ -970,12 +944,12 @@ mod tests {
     #[test]
     fn staged_pointer_parsing() {
         assert_eq!(
-            parse_staged("@tmp:tmp/c/1/ovf0|prov/foo 1/0"),
+            parse_staged_pointer("@tmp:tmp/c/1/ovf0|prov/foo 1/0"),
             Some(("tmp/c/1/ovf0", "prov/foo 1/0"))
         );
-        assert_eq!(parse_staged("@s3:prov/foo 1/0"), None);
-        assert_eq!(parse_staged("plain"), None);
-        assert_eq!(parse_staged("@tmp:no-separator"), None);
+        assert_eq!(parse_staged_pointer("@s3:prov/foo 1/0"), None);
+        assert_eq!(parse_staged_pointer("plain"), None);
+        assert_eq!(parse_staged_pointer("@tmp:no-separator"), None);
     }
 
     #[test]

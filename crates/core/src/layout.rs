@@ -160,14 +160,16 @@ pub fn parse_pointer(value: &str) -> Option<&str> {
     value.strip_prefix("@s3:")
 }
 
-/// Renders a staged (temporary) pointer value: `@tmp:{key}`.
-pub fn tmp_pointer(key: &str) -> String {
-    format!("@tmp:{key}")
+/// Renders a staged overflow pointer, `@tmp:{tmp_key}|{perm_key}`: what
+/// an Architecture 3 WAL record carries for a value whose temporary
+/// object the commit daemon COPYs to `perm_key`.
+pub fn staged_pointer(tmp_key: &str, perm_key: &str) -> String {
+    format!("@tmp:{tmp_key}|{perm_key}")
 }
 
-/// Parses a staged pointer value.
-pub fn parse_tmp_pointer(value: &str) -> Option<&str> {
-    value.strip_prefix("@tmp:")
+/// Parses a staged overflow pointer into `(tmp_key, perm_key)`.
+pub fn parse_staged_pointer(value: &str) -> Option<(&str, &str)> {
+    value.strip_prefix("@tmp:")?.split_once('|')
 }
 
 /// The nonce for a version: the paper uses the file version (§4.2,
@@ -191,9 +193,16 @@ mod tests {
         let key = overflow_key(&ObjectRef::new("foo", 2), 3);
         assert_eq!(key, "prov/foo 2/3");
         assert_eq!(parse_pointer(&pointer(&key)), Some(key.as_str()));
-        assert_eq!(parse_tmp_pointer(&tmp_pointer(&key)), Some(key.as_str()));
         assert_eq!(parse_pointer("plain value"), None);
-        assert_eq!(parse_tmp_pointer(&pointer(&key)), None);
+        let tmp = format!("{}ovf3", tmp_prefix("c1", 9));
+        let staged = staged_pointer(&tmp, &key);
+        assert_eq!(staged, "@tmp:tmp/c1/9/ovf3|prov/foo 2/3");
+        assert_eq!(
+            parse_staged_pointer(&staged),
+            Some((tmp.as_str(), key.as_str()))
+        );
+        assert_eq!(parse_staged_pointer(&pointer(&key)), None);
+        assert_eq!(parse_pointer(&staged), None);
     }
 
     #[test]

@@ -63,7 +63,6 @@ mod error;
 mod graph;
 pub mod layout;
 mod pipeline;
-mod prefetch;
 pub mod properties;
 mod query;
 mod readpath;
@@ -91,7 +90,6 @@ pub use pipeline::{
     drive_pipelined, persist_groups, PipelineReport, PIPE_AFTER_GROUP_ISSUE, PIPE_AFTER_TIMER_FIRE,
     PIPE_BEFORE_DRAIN,
 };
-pub use prefetch::{record_value, PrefetchPolicy, PrefetchStats, PrefetchingReader};
 pub use properties::{
     check_atomicity, check_causal_ordering, check_consistency, check_efficient_query,
     full_property_table, property_matrix, ArchKind, AtomicityReport, PropertyMatrix,

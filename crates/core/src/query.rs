@@ -33,7 +33,7 @@ use crate::error::Result;
 use crate::layout::{
     closure_row_name, data_key, parse_data_key, BUCKET, CLOSURE_ATTR_ANC, CLOSURE_DOMAIN, DOMAIN,
 };
-use crate::readpath::{get_object_with_retry, overflow_to_string};
+use crate::readpath::fetch_overflow;
 use crate::retry::RetryPolicy;
 use crate::serialize::{decode_attributes, decode_metadata, read_version};
 
@@ -221,14 +221,10 @@ impl S3QueryEngine {
             Err(e) => return Err(e.into()),
         };
         let version = read_version(&head.metadata)?;
-        let records = decode_metadata(&head.metadata, |key| self.fetch_overflow(key))?;
+        let records = decode_metadata(&head.metadata, |key| {
+            fetch_overflow(&self.s3, &self.world, &self.retry, key)
+        })?;
         Ok(Some((ObjectRef::new(name.to_string(), version), records)))
-    }
-
-    /// One overflow chunk, with stale-replica GETs retried.
-    fn fetch_overflow(&self, key: &str) -> Result<String> {
-        let obj = get_object_with_retry(&self.s3, &self.world, &self.retry, key, key)?;
-        overflow_to_string(key, obj)
     }
 
     /// The full repository scan: LIST pages + one HEAD per object.
@@ -509,8 +505,7 @@ impl SimpleDbQueryEngine {
     }
 
     fn fetch_overflow(&self, key: &str) -> Result<String> {
-        let obj = get_object_with_retry(&self.s3, &self.world, &self.retry, key, key)?;
-        overflow_to_string(key, obj)
+        fetch_overflow(&self.s3, &self.world, &self.retry, key)
     }
 }
 

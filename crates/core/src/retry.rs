@@ -29,12 +29,6 @@ pub struct RetryPolicy {
     pub initial_backoff: SimDuration,
     /// Upper clamp on the per-attempt pause.
     pub max_backoff: SimDuration,
-    /// Randomise each throttle-backoff pause over `[base/2, base]` using
-    /// the world's seeded RNG ("equal jitter") so a fleet of clients
-    /// rejected together does not retry in lockstep. Off by default;
-    /// when off, no RNG is drawn, so enabling jitter never perturbs a
-    /// no-jitter run's draw sequence.
-    pub jitter: bool,
 }
 
 impl Default for RetryPolicy {
@@ -43,7 +37,6 @@ impl Default for RetryPolicy {
             max_retries: 50,
             initial_backoff: SimDuration::from_millis(1),
             max_backoff: SimDuration::from_millis(100),
-            jitter: false,
         }
     }
 }
@@ -55,7 +48,6 @@ impl RetryPolicy {
             max_retries: 0,
             initial_backoff: SimDuration::ZERO,
             max_backoff: SimDuration::ZERO,
-            jitter: false,
         }
     }
 
@@ -67,14 +59,7 @@ impl RetryPolicy {
             max_retries,
             initial_backoff: backoff,
             max_backoff: backoff,
-            jitter: false,
         }
-    }
-
-    /// Enables seeded backoff jitter (see [`RetryPolicy::jitter`]).
-    pub fn with_jitter(mut self) -> RetryPolicy {
-        self.jitter = true;
-        self
     }
 
     /// The pause before retry attempt `attempt` (1-based):
@@ -106,25 +91,6 @@ impl RetryPolicy {
             world.advance(backoff);
         }
     }
-
-    /// [`RetryPolicy::pause`] with the policy's jitter applied: with
-    /// jitter on, the pause is drawn uniformly from `[base/2, base]`
-    /// using the world's seeded RNG; with jitter off (the default) this
-    /// is exactly `pause` and draws nothing, so disabled jitter leaves
-    /// the RNG stream untouched.
-    pub fn pause_jittered(&self, world: &SimWorld, attempt: u32) {
-        let base = self.backoff_for(attempt);
-        if base == SimDuration::ZERO {
-            return;
-        }
-        if !self.jitter {
-            world.advance(base);
-            return;
-        }
-        let draw = world.rand_f64();
-        let micros = (base.as_micros() as f64 * (0.5 + 0.5 * draw)).round() as u64;
-        world.advance(SimDuration::from_micros(micros.max(1)));
-    }
 }
 
 /// Runs `op`, retrying provider-side 503 rate rejections
@@ -154,7 +120,7 @@ pub fn with_throttle_retry<T>(
                 }
                 retries += 1;
                 world.note_throttle_retry();
-                policy.pause_jittered(world, retries);
+                policy.pause(world, retries);
             }
             other => {
                 if retries > 0 {
@@ -224,53 +190,6 @@ mod tests {
         assert_eq!(p.backoff_for(1), SimDuration::from_millis(100));
         assert_eq!(p.backoff_for(3), SimDuration::from_millis(100));
         assert_eq!(p.total_bound(), SimDuration::from_millis(300));
-    }
-
-    #[test]
-    fn disabled_jitter_draws_no_rng_and_matches_plain_pause() {
-        // Two identically-seeded worlds: one pauses plainly, the other
-        // through pause_jittered with jitter off. Clock and RNG stream
-        // must be indistinguishable — the satellite pin for "jitter off
-        // by default changes nothing".
-        let plain = SimWorld::new(42);
-        let unjittered = SimWorld::new(42);
-        let p = RetryPolicy::default();
-        for attempt in 1..=6 {
-            p.pause(&plain, attempt);
-            p.pause_jittered(&unjittered, attempt);
-        }
-        assert_eq!(plain.now(), unjittered.now());
-        assert_eq!(plain.rand_u64(), unjittered.rand_u64());
-    }
-
-    #[test]
-    fn jittered_backoff_is_seeded_bounded_and_deterministic() {
-        let run = |seed: u64| {
-            let world = SimWorld::new(seed);
-            let p = RetryPolicy::default().with_jitter();
-            let mut pauses = Vec::new();
-            for attempt in 1..=8 {
-                let t0 = world.now();
-                p.pause_jittered(&world, attempt);
-                pauses.push(world.now() - t0);
-            }
-            pauses
-        };
-        let a = run(7);
-        // Equal jitter: each pause lands in [base/2, base].
-        let p = RetryPolicy::default();
-        for (attempt, pause) in (1u32..).zip(&a) {
-            let base = p.backoff_for(attempt).as_micros();
-            let got = pause.as_micros();
-            assert!(
-                got * 2 >= base && got <= base,
-                "attempt {attempt}: {got}µs outside [{}, {base}]µs",
-                base / 2
-            );
-        }
-        // Same seed, same schedule; a different seed moves it.
-        assert_eq!(a, run(7));
-        assert_ne!(a, run(8));
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub struct ServeParts {
     pub(crate) s3: S3,
     pub(crate) db: SimpleDb,
     pub(crate) retry: RetryPolicy,
-    pub(crate) verify_md5: bool,
     pub(crate) use_nonce: bool,
     pub(crate) serve_closure: bool,
 }

@@ -28,13 +28,10 @@ pub enum ReadStatus {
         /// Retries attempted before giving up.
         retries: u32,
     },
-    /// Verification was disabled (the `verify_md5 = false` ablation);
-    /// the pairing is whatever the replicas returned.
-    Unverified,
 }
 
 impl ReadStatus {
-    /// `true` unless an inconsistency was (or could silently be) served.
+    /// `true` unless a detected inconsistency was served.
     pub fn is_consistent(self) -> bool {
         !matches!(self, ReadStatus::InconsistencyDetected { .. })
     }
@@ -50,7 +47,6 @@ impl fmt::Display for ReadStatus {
             ReadStatus::InconsistencyDetected { retries } => {
                 write!(f, "inconsistency-detected(retries={retries})")
             }
-            ReadStatus::Unverified => f.write_str("unverified"),
         }
     }
 }
@@ -188,7 +184,6 @@ mod tests {
     fn read_status_consistency() {
         assert!(ReadStatus::AtomicUnit.is_consistent());
         assert!(ReadStatus::VerifiedConsistent { retries: 3 }.is_consistent());
-        assert!(ReadStatus::Unverified.is_consistent());
         assert!(!ReadStatus::InconsistencyDetected { retries: 8 }.is_consistent());
     }
 

@@ -410,19 +410,46 @@ fn md5_detects_stale_provenance_and_retry_converges() {
 }
 
 #[test]
-fn disabling_md5_serves_unverified_reads() {
-    let world = eventual(11, 30);
+fn key_miss_and_stale_md5_share_one_retry_counter() {
+    // Seed 43, read straight after the persist: the first GET samples a
+    // replica the data key has not reached, the second finds it but
+    // SimpleDB answers from a replica without the item (no MD5 to match),
+    // the third round agrees. Both kinds of retry pace off one counter,
+    // so the pauses are backoff 1 then backoff 2 — not 1 and 1.
+    use simworld::{Op, SchedEvent};
+    let world = eventual(43, 30);
     let mut store = S3SimpleDb::new(&world);
-    let config = Arch2Config {
-        verify_md5: false,
-        ..Arch2Config::default()
-    };
-    store.set_config(config);
     let flush = FileFlush::builder("f").data(Blob::from("data")).build();
     store.persist(&flush).unwrap();
-    world.settle();
+
+    let t0 = world.now();
+    world.set_event_trace(true);
     let read = store.read("f").unwrap();
-    assert_eq!(read.status, ReadStatus::Unverified);
+    let requests: Vec<(u64, Op)> = world
+        .take_event_trace()
+        .into_iter()
+        .map(|fired| match fired.event {
+            SchedEvent::Completion(op) => ((fired.at - t0).as_micros(), op),
+            SchedEvent::Timer => panic!("no timers on the read path"),
+        })
+        .collect();
+
+    assert_eq!(read.status, ReadStatus::VerifiedConsistent { retries: 2 });
+    assert_eq!(
+        requests,
+        [
+            (0, Op::S3Get), // NoSuchKey
+            (1_000, Op::S3Get),
+            (1_000, Op::SdbGetAttributes), // stale: no MD5 yet
+            (3_000, Op::S3Get),
+            (3_000, Op::SdbGetAttributes),
+        ]
+    );
+    let policy = RetryPolicy::default();
+    assert_eq!(
+        world.now() - t0,
+        policy.backoff_for(1) + policy.backoff_for(2)
+    );
 }
 
 #[test]

@@ -642,7 +642,6 @@ fn put_status(out: &mut Vec<u8>, status: ReadStatus) {
             out.push(2);
             put_u32(out, retries);
         }
-        ReadStatus::Unverified => out.push(3),
     }
 }
 
@@ -655,7 +654,6 @@ fn get_status(cur: &mut Cur<'_>) -> Result<ReadStatus, DecodeError> {
         2 => ReadStatus::InconsistencyDetected {
             retries: cur.u32()?,
         },
-        3 => ReadStatus::Unverified,
         tag => {
             return Err(DecodeError::BadTag {
                 kind: "status",

@@ -281,14 +281,6 @@ impl Server {
         }
     }
 
-    /// The bound socket path, if this is a Unix server.
-    pub fn unix_path(&self) -> Option<&Path> {
-        match &self.endpoint {
-            Endpoint::Tcp(_) => None,
-            Endpoint::Unix(path) => Some(path),
-        }
-    }
-
     /// Stops accepting, force-closes live connections, wakes every
     /// worker, and joins the pool. In-flight requests race the close:
     /// one being written when the socket dies is simply dropped with

@@ -4,7 +4,7 @@
 
 use frontend::{
     decode_command, decode_reply, encode_command, encode_command_into, encode_reply, write_frame,
-    Command, FrameError, FrameReader, Reply, WireFault,
+    Command, DecodeError, FrameError, FrameReader, Reply, WireFault,
 };
 use frontend::{FaultCode, MAX_FRAME, REST_CAPACITY};
 use pass::{FileFlush, ObjectKind, ObjectRef, ProvenanceRecord};
@@ -128,6 +128,27 @@ fn reader_rests_again_after_a_large_frame() {
     }
 }
 
+/// Status bytes 0/1/2 are the three read statuses; the next byte is an
+/// unknown tag, not a fourth status.
+#[test]
+fn status_byte_3_is_a_bad_tag() {
+    let mut payload = encode_reply(&Reply::Read(ReadOutcome {
+        object: ObjectRef::new("f", 1),
+        data: Blob::from("data"),
+        records: Vec::new(),
+        status: ReadStatus::AtomicUnit,
+    }));
+    assert_eq!(payload.pop(), Some(0), "the status byte ends the frame");
+    payload.push(3);
+    assert_eq!(
+        decode_reply(&payload),
+        Err(DecodeError::BadTag {
+            kind: "status",
+            tag: 3
+        })
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -193,11 +214,10 @@ proptest! {
                 object: ObjectRef::new(name, version),
                 data: Blob::from_bytes(data),
                 records,
-                status: match retries % 4 {
+                status: match retries % 3 {
                     0 => ReadStatus::AtomicUnit,
                     1 => ReadStatus::VerifiedConsistent { retries },
-                    2 => ReadStatus::InconsistencyDetected { retries },
-                    _ => ReadStatus::Unverified,
+                    _ => ReadStatus::InconsistencyDetected { retries },
                 },
             }),
             2 => Reply::Query(QueryAnswer {

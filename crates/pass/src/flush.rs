@@ -5,6 +5,14 @@
 //! a file, we send both the file and its provenance"). A [`FileFlush`]
 //! is exactly that bundle — for files it carries data and records, for
 //! transient processes records only.
+//!
+//! It is also the local cache the cloud protocols start from. The paper's
+//! client keeps "the data file and its provenance in a local cache
+//! directory", the provenance "in a file hidden from the user" (§4.1),
+//! and every protocol's step 1 reads those two files: here `data` is the
+//! one, `records` the other, and the caller that holds the flush holds
+//! the cache. No store keeps a second copy — a client restarted after a
+//! crash re-flushes by handing the same `FileFlush` to `persist` again.
 
 use serde::{Deserialize, Serialize};
 use simworld::Blob;

@@ -11,9 +11,9 @@
 //! * an **observer** ([`Observer`]) that watches a stream of process/file
 //!   events (the stand-in for syscall interception) and produces
 //!   causally-ordered [`FileFlush`]es with PASS's freeze-then-version
-//!   cycle avoidance;
-//! * the **local cache directory** ([`CacheDir`]) the cloud protocols
-//!   read from.
+//!   cycle avoidance. A [`FileFlush`] is also the paper's local cache —
+//!   the data file plus the hidden provenance file the cloud protocols
+//!   read first — so the caller that holds it holds the cache.
 //!
 //! The `provenance-cloud` crate consumes [`FileFlush`]es and persists
 //! them with one of the paper's three architectures.
@@ -47,7 +47,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod cache;
 mod daemon;
 mod flush;
 mod group;
@@ -55,7 +54,6 @@ mod model;
 mod observer;
 mod records;
 
-pub use cache::{CacheDir, CacheEntry};
 pub use daemon::FlushDaemon;
 pub use flush::{FileFlush, FileFlushBuilder};
 pub use group::{FlushPolicy, GroupCommitFlusher};

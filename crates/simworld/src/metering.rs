@@ -434,14 +434,6 @@ impl MeterSnapshot {
         self.book.service(service).stored_bytes
     }
 
-    /// Bytes stored across all services.
-    pub fn total_stored_bytes(&self) -> u64 {
-        Service::ALL
-            .iter()
-            .map(|s| self.book.service(*s).stored_bytes)
-            .sum()
-    }
-
     /// Per-service view.
     pub fn service(&self, service: Service) -> &ServiceMeter {
         self.book.service(service)

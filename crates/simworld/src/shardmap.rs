@@ -801,11 +801,6 @@ impl<V: Clone> MapView<'_, V> {
         self.state.shards.len()
     }
 
-    /// Stable id of the shard at range `position`.
-    pub fn id_at(&self, position: usize) -> u32 {
-        self.state.shards[position].id
-    }
-
     /// Stable ids in ascending **id** order (the deterministic order
     /// replica draws are assigned in).
     pub fn sorted_ids(&self) -> Vec<u32> {

@@ -65,11 +65,6 @@ impl ZipfKeys {
         }
     }
 
-    /// Key-space size.
-    pub fn key_space(&self) -> usize {
-        self.n
-    }
-
     /// Skew parameter.
     pub fn theta(&self) -> f64 {
         self.theta
