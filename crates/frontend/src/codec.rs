@@ -422,9 +422,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn put_blob(out: &mut Vec<u8>, blob: &Blob) {
-    let bytes = blob.to_bytes();
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(&bytes);
+    put_u64(out, blob.len());
+    out.reserve(blob.len() as usize);
+    for chunk in blob.chunks() {
+        out.extend_from_slice(&chunk);
+    }
 }
 
 fn put_records(out: &mut Vec<u8>, records: &[ProvenanceRecord]) {

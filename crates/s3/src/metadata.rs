@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use simworld::Pair;
 
 use crate::error::{Result, S3Error};
 
@@ -32,9 +33,11 @@ pub const METADATA_LIMIT: u64 = 2048;
 /// assert_eq!(meta.get("x-amz-meta-nonce"), Some("42"));
 /// assert_eq!(meta.byte_size(), "x-amz-meta-nonce42".len() as u64);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Metadata {
-    entries: BTreeMap<String, String>,
+    /// Ascending by key, one pair per key, sized to exactly the pairs
+    /// held: a data object's two cost one small block, not a map node.
+    entries: Box<[Pair]>,
 }
 
 impl Metadata {
@@ -57,19 +60,39 @@ impl Metadata {
         m
     }
 
+    /// Where `key`'s pair is, or where it would go.
+    fn position(&self, key: &str) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by(|p| (*p.name).cmp(key))
+    }
+
     /// Inserts or replaces one pair, returning the previous value if any.
     pub fn insert(&mut self, key: impl Into<String>, value: impl Into<String>) -> Option<String> {
-        self.entries.insert(key.into(), value.into())
+        let (key, value) = (key.into(), value.into().into_boxed_str());
+        match self.position(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].value, value).into()),
+            Err(at) => {
+                let mut entries = std::mem::take(&mut self.entries).into_vec();
+                entries.reserve_exact(1);
+                entries.insert(at, Pair::new(key, value));
+                self.entries = entries.into();
+                None
+            }
+        }
     }
 
     /// Looks up a value.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.entries.get(key).map(String::as_str)
+        let at = self.position(key).ok()?;
+        Some(&self.entries[at].value)
     }
 
     /// Removes a pair, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<String> {
-        self.entries.remove(key)
+        let at = self.position(key).ok()?;
+        let mut entries = std::mem::take(&mut self.entries).into_vec();
+        let removed = entries.remove(at);
+        self.entries = entries.into();
+        Some(removed.value.into())
     }
 
     /// Number of pairs.
@@ -84,15 +107,12 @@ impl Metadata {
 
     /// Iterates pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.entries.iter().map(|p| (&*p.name, &*p.value))
     }
 
     /// Total size as S3 accounts it: UTF-8 bytes of all keys and values.
     pub fn byte_size(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|(k, v)| (k.len() + v.len()) as u64)
-            .sum()
+        self.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum()
     }
 
     /// Enforces the service limit.
@@ -109,6 +129,17 @@ impl Metadata {
             });
         }
         Ok(())
+    }
+}
+
+/// Renders the entries as the map they are, whatever holds them:
+/// `Metadata { entries: {"k": "v"} }`. Scripted runs digest this text.
+impl fmt::Debug for Metadata {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries: BTreeMap<&str, &str> = self.iter().collect();
+        f.debug_struct("Metadata")
+            .field("entries", &entries)
+            .finish()
     }
 }
 
@@ -134,6 +165,8 @@ impl<K: Into<String>, V: Into<String>> Extend<(K, V)> for Metadata {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -177,6 +210,16 @@ mod tests {
     }
 
     #[test]
+    fn debug_renders_a_map() {
+        let m = Metadata::from_pairs([("b", "2"), ("a", "1")]);
+        assert_eq!(
+            format!("{m:?}"),
+            r#"Metadata { entries: {"a": "1", "b": "2"} }"#
+        );
+        assert_eq!(format!("{:?}", Metadata::new()), "Metadata { entries: {} }");
+    }
+
+    #[test]
     fn collect_and_extend() {
         let mut m: Metadata = [("a", "1")].into_iter().collect();
         m.extend([("b", "2")]);
@@ -187,5 +230,53 @@ mod tests {
     fn multibyte_values_counted_in_utf8_bytes() {
         let m = Metadata::from_pairs([("k", "é")]); // 'é' is 2 bytes
         assert_eq!(m.byte_size(), 3);
+    }
+
+    // The map the pair slice replaced, kept as its oracle: random
+    // `insert`s (new keys and overwrites, keys that are prefixes of each
+    // other, an empty one, non-ASCII ones), `remove`s (present and
+    // absent) and `extend`s answer alike through every method.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_pair_slice_is_the_map(
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec((0usize..8, "[a-c]{0,3}"), 1..4)),
+                1..40,
+            ),
+        ) {
+            const KEYS: &[&str] = &["k", "ke", "key", "nonce", "version", "", "é", "名"];
+            let mut meta = Metadata::new();
+            let mut model = BTreeMap::<String, String>::new();
+            for (kind, picks) in ops {
+                let pairs = picks.iter().map(|(k, v)| (KEYS[*k], v.as_str()));
+                match kind {
+                    0..=2 => for (k, v) in pairs {
+                        prop_assert_eq!(meta.insert(k, v), model.insert(k.into(), v.into()));
+                    },
+                    3 => for (k, _) in pairs {
+                        prop_assert_eq!(meta.remove(k), model.remove(k));
+                    },
+                    4 => {
+                        meta.extend(pairs.clone());
+                        model.extend(pairs.map(|(k, v)| (k.to_string(), v.to_string())));
+                    }
+                    _ => {
+                        meta = pairs.clone().collect();
+                        model = pairs.map(|(k, v)| (k.to_string(), v.to_string())).collect();
+                    }
+                }
+                let entries = model.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                prop_assert_eq!(meta.iter().collect::<Vec<_>>(), entries.clone().collect::<Vec<_>>());
+                prop_assert_eq!(&meta, &Metadata::from_pairs(entries.clone()));
+                prop_assert_eq!((meta.len(), meta.is_empty()), (model.len(), model.is_empty()));
+                let bytes = entries.map(|(k, v)| (k.len() + v.len()) as u64);
+                prop_assert_eq!(meta.byte_size(), bytes.sum::<u64>());
+                for key in KEYS.iter().copied().chain(["j", "kf", "z"]) {
+                    prop_assert_eq!(meta.get(key), model.get(key).map(String::as_str));
+                }
+            }
+        }
     }
 }

@@ -57,15 +57,15 @@ mod service;
 
 pub use error::{Result, SdbError};
 pub use model::{
-    byte_size, pair_count, to_attributes, Attribute, ItemState, ReplaceableAttribute, ATTR_LIMIT,
-    ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
+    byte_size, pair_count, to_attributes, Attribute, DeletableAttribute, ItemState,
+    ReplaceableAttribute, ATTR_LIMIT, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS,
+    MAX_PAIRS_PER_ITEM,
 };
 pub use query::{CmpOp, Predicate, QueryExpr};
 pub use select::{Cond, Operand, Output, SelectStatement, DEFAULT_LIMIT, MAX_LIMIT};
 pub use service::{
-    DeletableAttribute, QueryResult, QueryWithAttributesResult, ResultItem, SelectResult, SimpleDb,
-    DEFAULT_SHARDS, MAX_BATCH_ITEMS, MAX_PAIRS_PER_BATCH, MAX_SHARDS, QUERY_DEFAULT_PAGE,
-    QUERY_MAX_PAGE,
+    QueryResult, QueryWithAttributesResult, ResultItem, SelectResult, SimpleDb, DEFAULT_SHARDS,
+    MAX_BATCH_ITEMS, MAX_PAIRS_PER_BATCH, MAX_SHARDS, QUERY_DEFAULT_PAGE, QUERY_MAX_PAGE,
 };
 
 #[cfg(test)]

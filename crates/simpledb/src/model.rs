@@ -1,8 +1,7 @@
 //! Data model: items described by multi-valued attribute pairs.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use serde::{Deserialize, Serialize};
+use simworld::Pair;
 
 use crate::error::{Result, SdbError};
 
@@ -93,28 +92,153 @@ impl ReplaceableAttribute {
     }
 }
 
-/// The stored state of one item: name → set of values.
+/// One attribute to remove in a `DeleteAttributes` call.
+#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub struct DeletableAttribute {
+    /// Attribute name.
+    pub name: String,
+    /// `Some(v)`: delete only the pair `(name, v)`;
+    /// `None`: delete every value of `name`.
+    pub value: Option<String>,
+}
+
+impl DeletableAttribute {
+    /// Deletes every value of `name`.
+    pub fn all_of(name: impl Into<String>) -> DeletableAttribute {
+        DeletableAttribute {
+            name: name.into(),
+            value: None,
+        }
+    }
+
+    /// Deletes one `(name, value)` pair.
+    pub fn pair(name: impl Into<String>, value: impl Into<String>) -> DeletableAttribute {
+        DeletableAttribute {
+            name: name.into(),
+            value: Some(value.into()),
+        }
+    }
+}
+
+/// The stored state of one item: its attribute name–value pairs.
 ///
-/// SimpleDB attributes are multi-valued; the pair set per name is
-/// unordered and duplicate-free, which is what makes `PutAttributes`
-/// idempotent (§2.2 of the paper).
-pub type ItemState = BTreeMap<String, BTreeSet<String>>;
+/// SimpleDB attributes are multi-valued; the pair set is unordered and
+/// duplicate-free, which is what makes `PutAttributes` idempotent (§2.2
+/// of the paper). It is held as one slice sorted by name, then value,
+/// sized to exactly the pairs it holds: the values of a name are one
+/// run of it.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct ItemState {
+    pairs: Box<[Pair]>,
+}
+
+impl ItemState {
+    /// An item holding `pairs`, each once.
+    pub fn from_pairs<N, V>(pairs: impl IntoIterator<Item = (N, V)>) -> ItemState
+    where
+        N: Into<Box<str>>,
+        V: Into<Box<str>>,
+    {
+        let mut pairs: Vec<Pair> = pairs.into_iter().map(|(n, v)| Pair::new(n, v)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        ItemState {
+            pairs: pairs.into(),
+        }
+    }
+
+    /// The pairs named `attr`, values ascending; empty when the item
+    /// carries none. This is the [`simworld::ValuesOf`] the store's
+    /// attribute postings are built from.
+    pub fn get(&self, attr: &str) -> &[Pair] {
+        Pair::run(&self.pairs, attr)
+    }
+
+    /// `true` when the item carries a pair named `attr`.
+    pub fn contains_key(&self, attr: &str) -> bool {
+        !self.get(attr).is_empty()
+    }
+
+    /// Every pair, by name, then value.
+    pub fn iter(&self) -> std::slice::Iter<'_, Pair> {
+        self.pairs.iter()
+    }
+
+    /// `true` when the item carries no pair.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    fn carries(&self, name: &str, value: &str) -> bool {
+        let sought = (name, value);
+        let order = |p: &Pair| (&*p.name, &*p.value).cmp(&sought);
+        self.pairs.binary_search_by(order).is_ok()
+    }
+
+    /// Applies one `PutAttributes` attribute list: the replace-once rule
+    /// (existing values of a `replace`d name drop once per call, before
+    /// any of this call's values land), then the 256-pair item cap. The
+    /// slice is sized once, to the pairs the call leaves.
+    ///
+    /// # Errors
+    ///
+    /// The pair count the call would leave, when over
+    /// [`MAX_PAIRS_PER_ITEM`]; the item is unchanged.
+    pub(crate) fn put(&mut self, attrs: &[ReplaceableAttribute]) -> std::result::Result<(), usize> {
+        let replace = attrs.iter().filter(|a| a.replace);
+        let replaced: Vec<&str> = replace.map(|a| a.name.as_str()).collect();
+        let replaced = |name: &str| replaced.contains(&name);
+        let dropped = self.iter().filter(|p| replaced(&p.name)).count();
+        // What the call adds: its pairs, each once, that the item will
+        // not still be carrying when they land.
+        let mut added: Vec<(&str, &str)> = attrs
+            .iter()
+            .map(|a| (a.name.as_str(), a.value.as_str()))
+            .filter(|&(n, v)| replaced(n) || !self.carries(n, v))
+            .collect();
+        added.sort_unstable();
+        added.dedup();
+        let pairs = self.pairs.len() - dropped + added.len();
+        if pairs > MAX_PAIRS_PER_ITEM {
+            return Err(pairs);
+        }
+        if dropped + added.len() > 0 {
+            let mut edited = std::mem::take(&mut self.pairs).into_vec();
+            edited.retain(|p| !replaced(&p.name));
+            edited.reserve_exact(added.len());
+            edited.extend(added.into_iter().map(|(n, v)| Pair::new(n, v)));
+            edited.sort_unstable();
+            self.pairs = edited.into();
+        }
+        Ok(())
+    }
+
+    /// Applies `DeleteAttributes` specs; pairs the item does not carry
+    /// are passed over.
+    pub(crate) fn delete(&mut self, specs: &[DeletableAttribute]) {
+        let doomed = |p: &Pair| {
+            let names = |s: &&DeletableAttribute| *s.name == *p.name;
+            let mut named = specs.iter().filter(names);
+            named.any(|s| s.value.as_deref().is_none_or(|v| *v == *p.value))
+        };
+        if self.iter().any(doomed) {
+            let mut edited = std::mem::take(&mut self.pairs).into_vec();
+            edited.retain(|p| !doomed(p));
+            self.pairs = edited.into();
+        }
+    }
+}
 
 /// Total name-value pairs in an item.
 pub fn pair_count(item: &ItemState) -> usize {
-    item.values().map(BTreeSet::len).sum()
+    item.pairs.len()
 }
 
 /// Serialized size of an item in bytes (names + values), used for
 /// storage accounting.
 pub fn byte_size(item: &ItemState) -> u64 {
     item.iter()
-        .map(|(name, values)| {
-            values
-                .iter()
-                .map(|v| (name.len() + v.len()) as u64)
-                .sum::<u64>()
-        })
+        .map(|p| (p.name.len() + p.value.len()) as u64)
         .sum()
 }
 
@@ -127,23 +251,17 @@ pub fn to_attributes(item: &ItemState) -> Vec<Attribute> {
 /// pairs it rejects are never cloned.
 pub(crate) fn attributes_where(item: &ItemState, keep: impl Fn(&str) -> bool) -> Vec<Attribute> {
     item.iter()
-        .filter(|(name, _)| keep(name))
-        .flat_map(|(name, values)| {
-            values
-                .iter()
-                .map(move |v| Attribute::new(name.clone(), v.clone()))
-        })
+        .filter(|p| keep(&p.name))
+        .map(|p| Attribute::new(&*p.name, &*p.value))
         .collect()
-}
-
-/// The values an item carries for `attr` — what the store's attribute
-/// postings are built from ([`simworld::ValuesOf`]).
-pub(crate) fn values_of<'a>(item: &'a ItemState, attr: &str) -> Option<&'a BTreeSet<String>> {
-    item.get(attr)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -170,26 +288,157 @@ mod tests {
 
     #[test]
     fn pair_count_and_size_sum_over_values() {
-        let mut item = ItemState::new();
-        item.entry("phone".into())
-            .or_default()
-            .extend(["111".to_string(), "222".to_string()]);
-        item.entry("name".into())
-            .or_default()
-            .insert("bob".to_string());
+        let item = ItemState::from_pairs([("phone", "111"), ("phone", "222"), ("name", "bob")]);
         assert_eq!(pair_count(&item), 3);
         assert_eq!(byte_size(&item), (5 + 3) + (5 + 3) + (4 + 3));
     }
 
     #[test]
     fn to_attributes_flattens_in_order() {
-        let mut item = ItemState::new();
-        item.entry("b".into()).or_default().insert("2".to_string());
-        item.entry("a".into()).or_default().insert("1".to_string());
+        let item = ItemState::from_pairs([("b", "2"), ("a", "1"), ("b", "2")]);
         let attrs = to_attributes(&item);
         assert_eq!(
             attrs,
             vec![Attribute::new("a", "1"), Attribute::new("b", "2")]
         );
+    }
+
+    // --- the tree of trees the pair slice replaced, kept as its oracle ---
+
+    type Model = BTreeMap<String, BTreeSet<String>>;
+
+    /// `PutAttributes` as it was written against the map of sets.
+    fn model_put(
+        model: &mut Model,
+        attrs: &[ReplaceableAttribute],
+    ) -> std::result::Result<(), usize> {
+        let mut next = model.clone();
+        let mut replaced: Vec<&str> = Vec::new();
+        for a in attrs {
+            if a.replace && !replaced.contains(&a.name.as_str()) {
+                next.remove(&a.name);
+                replaced.push(&a.name);
+            }
+        }
+        for a in attrs {
+            next.entry(a.name.clone())
+                .or_default()
+                .insert(a.value.clone());
+        }
+        let pairs = next.values().map(BTreeSet::len).sum();
+        if pairs > MAX_PAIRS_PER_ITEM {
+            return Err(pairs);
+        }
+        *model = next;
+        Ok(())
+    }
+
+    /// `DeleteAttributes` as it was written against the map of sets.
+    fn model_delete(model: &mut Model, specs: &[DeletableAttribute]) {
+        for spec in specs {
+            match &spec.value {
+                None => {
+                    model.remove(&spec.name);
+                }
+                Some(v) => {
+                    if let Some(values) = model.get_mut(&spec.name) {
+                        values.remove(v);
+                        if values.is_empty() {
+                            model.remove(&spec.name);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Names that are prefixes of each other, an empty one, non-ASCII
+    /// ones sorting after every ASCII one.
+    const NAMES: &[&str] = &["a", "ab", "abc", "b", "", "é", "éa", "名"];
+    const VALUES: &[&str] = &["", "1", "10", "2", "x", "xy", "é", "値"];
+
+    fn check(item: &ItemState, model: &Model) -> std::result::Result<(), TestCaseError> {
+        let flat = || {
+            let runs = model.iter();
+            runs.flat_map(|(n, vs)| vs.iter().map(move |v| (n.as_str(), v.as_str())))
+        };
+        let pairs: Vec<(&str, &str)> = item.iter().map(|p| (&*p.name, &*p.value)).collect();
+        prop_assert_eq!(&pairs, &flat().collect::<Vec<_>>());
+        prop_assert_eq!(item, &ItemState::from_pairs(flat()));
+        prop_assert_eq!(item.is_empty(), model.is_empty());
+        prop_assert_eq!(pair_count(item), flat().count());
+        let bytes = flat().map(|(n, v)| (n.len() + v.len()) as u64);
+        prop_assert_eq!(byte_size(item), bytes.sum::<u64>());
+        let attributes: Vec<Attribute> = flat().map(|(n, v)| Attribute::new(n, v)).collect();
+        prop_assert_eq!(to_attributes(item), attributes);
+        for name in NAMES.iter().copied().chain(["a\0", "c", "z"]) {
+            let values: Vec<&str> = item.get(name).iter().map(|p| &*p.value).collect();
+            let expected = model.get(name).into_iter().flatten();
+            prop_assert_eq!(values, expected.collect::<Vec<_>>());
+            prop_assert!(item.get(name).iter().all(|p| &*p.name == name));
+            prop_assert_eq!(item.contains_key(name), model.contains_key(name));
+        }
+        Ok(())
+    }
+
+    // Random `put`s (adds and replaces, repeated pairs, many-valued
+    // names, enough values to cross the 256-pair cap) and `delete`s
+    // (a whole name, one pair, pairs and names the item lacks, the
+    // whole item) leave the pair slice holding exactly what the map
+    // of sets holds, in its order, after every call. The slice is a
+    // `Box<[Pair]>`: it has no capacity beyond its length to drift.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_pair_slice_is_the_map_of_sets(
+            ops in proptest::collection::vec(
+                (
+                    0u8..10,
+                    proptest::collection::vec((0usize..8, 0usize..8, 0u8..4), 1..7),
+                    (0usize..8, 0usize..300, 0usize..101),
+                ),
+                1..40,
+            ),
+        ) {
+            let mut item = ItemState::default();
+            let mut model = Model::new();
+            for (kind, picks, (name, first, count)) in ops {
+                match kind {
+                    0..=2 => {
+                        let attrs: Vec<_> = picks.iter().map(|&(n, v, flags)| ReplaceableAttribute {
+                            name: NAMES[n].into(),
+                            value: VALUES[v].into(),
+                            replace: flags == 0,
+                        }).collect();
+                        prop_assert_eq!(item.put(&attrs), model_put(&mut model, &attrs));
+                    }
+                    3..=5 => {
+                        // Up to 100 numbered values of one name in one call.
+                        let attrs: Vec<_> = (first..first + count).map(|v| ReplaceableAttribute {
+                            name: NAMES[name].into(),
+                            value: format!("v{v}"),
+                            replace: first % 5 == 0,
+                        }).collect();
+                        prop_assert_eq!(item.put(&attrs), model_put(&mut model, &attrs));
+                    }
+                    6..=8 => {
+                        let specs: Vec<_> = picks.iter().map(|&(n, v, flags)| match flags {
+                            0 => DeletableAttribute::all_of(NAMES[n]),
+                            1 => DeletableAttribute::pair(NAMES[n], format!("v{}", first + v)),
+                            _ => DeletableAttribute::pair(NAMES[n], VALUES[v]),
+                        }).collect();
+                        item.delete(&specs);
+                        model_delete(&mut model, &specs);
+                    }
+                    _ => {
+                        // `DeleteAttributes` without specs erases the item.
+                        item = ItemState::default();
+                        model.clear();
+                    }
+                }
+                check(&item, &model)?;
+            }
+        }
     }
 }

@@ -178,10 +178,8 @@ pub struct Predicate {
 impl Predicate {
     /// Does any single attribute value satisfy the combination?
     pub fn matches(&self, item: &ItemState) -> bool {
-        let Some(values) = item.get(&self.attribute) else {
-            return false;
-        };
-        values.iter().any(|v| self.eval_on_value(v))
+        let values = item.get(&self.attribute);
+        values.iter().any(|p| self.eval_on_value(&p.value))
     }
 
     /// A single value has to satisfy one `or`-separated run of `and`ed
@@ -274,8 +272,8 @@ impl QueryExpr {
         };
         rows.retain(|(_, item)| item.contains_key(attr));
         rows.sort_by(|(an, a), (bn, b)| {
-            let av = a.get(attr).and_then(|s| s.iter().next());
-            let bv = b.get(attr).and_then(|s| s.iter().next());
+            let av = a.get(attr).first().map(|p| &p.value);
+            let bv = b.get(attr).first().map(|p| &p.value);
             let ord = av.cmp(&bv).then_with(|| an.cmp(bn));
             if asc {
                 ord
@@ -545,13 +543,7 @@ pub(crate) mod tests {
     use super::*;
 
     fn item(pairs: &[(&str, &str)]) -> ItemState {
-        let mut m = ItemState::new();
-        for (k, v) in pairs {
-            m.entry((*k).to_string())
-                .or_default()
-                .insert((*v).to_string());
-        }
-        m
+        ItemState::from_pairs(pairs.iter().copied())
     }
 
     #[test]

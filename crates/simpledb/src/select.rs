@@ -159,14 +159,11 @@ fn eval_operand(
 ) -> bool {
     match operand {
         Operand::ItemName => pred(name),
-        Operand::Attr(attr) => item
-            .get(attr)
-            .map(|vs| vs.iter().any(|v| pred(v)))
-            .unwrap_or(false),
-        Operand::Every(attr) => item
-            .get(attr)
-            .map(|vs| !vs.is_empty() && vs.iter().all(|v| pred(v)))
-            .unwrap_or(false),
+        Operand::Attr(attr) => item.get(attr).iter().any(|p| pred(&p.value)),
+        Operand::Every(attr) => {
+            let values = item.get(attr);
+            !values.is_empty() && values.iter().all(|p| pred(&p.value))
+        }
     }
 }
 
@@ -243,8 +240,8 @@ impl SelectStatement {
                 Operand::ItemName => out.sort_by(|(a, _), (b, _)| a.cmp(b)),
                 Operand::Attr(attr) | Operand::Every(attr) => {
                     out.sort_by(|(an, a), (bn, b)| {
-                        let av = a.get(attr).and_then(|s| s.iter().next());
-                        let bv = b.get(attr).and_then(|s| s.iter().next());
+                        let av = a.get(attr).first().map(|p| &p.value);
+                        let bv = b.get(attr).first().map(|p| &p.value);
                         av.cmp(&bv).then_with(|| an.cmp(bn))
                     });
                 }
@@ -656,13 +653,7 @@ mod tests {
     use crate::query::tests::cover_of;
 
     fn item(pairs: &[(&str, &str)]) -> ItemState {
-        let mut m = ItemState::new();
-        for (k, v) in pairs {
-            m.entry((*k).to_string())
-                .or_default()
-                .insert((*v).to_string());
-        }
-        m
+        ItemState::from_pairs(pairs.iter().copied())
     }
 
     fn parses(sql: &str) -> SelectStatement {

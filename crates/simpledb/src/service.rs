@@ -52,8 +52,8 @@ use simworld::{
 
 use crate::error::{Result, SdbError};
 use crate::model::{
-    attributes_where, byte_size, pair_count, to_attributes, values_of, Attribute, ItemState,
-    ReplaceableAttribute, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
+    attributes_where, byte_size, to_attributes, Attribute, DeletableAttribute, ItemState,
+    ReplaceableAttribute, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS,
 };
 use crate::query::{EqCover, QueryExpr};
 use crate::select::{Output, SelectStatement};
@@ -81,34 +81,6 @@ pub const MAX_SHARDS: usize = simworld::MAX_SHARDS;
 
 /// Approximate fixed response overhead per returned item name.
 const ITEM_ENTRY_OVERHEAD: u64 = 32;
-
-/// One attribute to remove in a `DeleteAttributes` call.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct DeletableAttribute {
-    /// Attribute name.
-    pub name: String,
-    /// `Some(v)`: delete only the pair `(name, v)`;
-    /// `None`: delete every value of `name`.
-    pub value: Option<String>,
-}
-
-impl DeletableAttribute {
-    /// Deletes every value of `name`.
-    pub fn all_of(name: impl Into<String>) -> DeletableAttribute {
-        DeletableAttribute {
-            name: name.into(),
-            value: None,
-        }
-    }
-
-    /// Deletes one `(name, value)` pair.
-    pub fn pair(name: impl Into<String>, value: impl Into<String>) -> DeletableAttribute {
-        DeletableAttribute {
-            name: name.into(),
-            value: Some(value.into()),
-        }
-    }
-}
 
 /// Result of `Query`: item names only.
 #[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
@@ -872,7 +844,7 @@ impl SimpleDb {
                 view.with_cells_at(pos, |map| {
                     cells[pos] = map.cell_count() as u64;
                     for (pair, (attr, hash)) in probes.iter().enumerate() {
-                        let count = map.posting_count(values_of, attr, *hash);
+                        let count = map.posting_count(ItemState::get, attr, *hash);
                         posted[pos * pairs + pair] = count;
                         totals[pair] += count;
                     }
@@ -998,10 +970,8 @@ fn check_put(item_name: &str, attrs: &[ReplaceableAttribute]) -> Result<u64> {
 }
 
 /// Applies one `PutAttributes` attribute list to an item's current
-/// state: the replace-once rule (existing values of a `replace`d name
-/// drop once per call, before any of this call's values land), then the
-/// 256-pair item cap. Returns the new state and the change in the item's
-/// stored bytes.
+/// state ([`ItemState::put`]). Returns the new state and the change in
+/// the item's stored bytes.
 fn apply_put(
     item_name: &str,
     current: Option<ItemState>,
@@ -1009,25 +979,11 @@ fn apply_put(
 ) -> Result<(ItemState, i64)> {
     let before_bytes = current.as_ref().map_or(0, byte_size) as i64;
     let mut item = current.unwrap_or_default();
-    let mut replaced: Vec<&str> = Vec::new();
-    for a in attrs {
-        if a.replace && !replaced.contains(&a.name.as_str()) {
-            item.remove(&a.name);
-            replaced.push(&a.name);
-        }
-    }
-    for a in attrs {
-        item.entry(a.name.clone())
-            .or_default()
-            .insert(a.value.clone());
-    }
-    let pairs = pair_count(&item);
-    if pairs > MAX_PAIRS_PER_ITEM {
-        return Err(SdbError::TooManyAttributesOnItem {
+    item.put(attrs)
+        .map_err(|pairs| SdbError::TooManyAttributesOnItem {
             item: item_name.to_string(),
             pairs,
-        });
-    }
+        })?;
     let stored_delta = byte_size(&item) as i64 - before_bytes;
     Ok((item, stored_delta))
 }
@@ -1043,21 +999,7 @@ fn apply_delete(
     let Some(specs) = specs else {
         return (None, -before_bytes);
     };
-    for spec in specs {
-        match &spec.value {
-            None => {
-                item.remove(&spec.name);
-            }
-            Some(v) => {
-                if let Some(values) = item.get_mut(&spec.name) {
-                    values.remove(v);
-                    if values.is_empty() {
-                        item.remove(&spec.name);
-                    }
-                }
-            }
-        }
-    }
+    item.delete(specs);
     // An item with no attributes ceases to exist.
     if item.is_empty() {
         return (None, -before_bytes);

@@ -22,8 +22,8 @@ pub const CHUNK: usize = 8 * 1024;
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 enum Repr {
     Inline(#[serde(with = "serde_bytes_compat")] Bytes),
-    /// `len` pseudo-random bytes; byte `i` of the stream is
-    /// `synthetic_byte(seed, start + i)`.
+    /// `len` pseudo-random bytes: bytes `start .. start + len` of the
+    /// stream [`extend_synthetic`] generates for `seed`.
     Synthetic {
         seed: u64,
         start: u64,
@@ -122,11 +122,9 @@ impl Blob {
     pub fn to_bytes(&self) -> Bytes {
         match &self.repr {
             Repr::Inline(b) => b.clone(),
-            Repr::Synthetic { .. } => {
-                let mut out = Vec::with_capacity(self.len() as usize);
-                for chunk in self.chunks() {
-                    out.extend_from_slice(&chunk);
-                }
+            Repr::Synthetic { seed, start, len } => {
+                let mut out = Vec::with_capacity(*len as usize);
+                extend_synthetic(&mut out, *seed, *start, *len);
                 Bytes::from(out)
             }
         }
@@ -220,10 +218,7 @@ impl Iterator for Chunks<'_> {
             Repr::Inline(b) => b.slice(self.offset as usize..(self.offset + take) as usize),
             Repr::Synthetic { seed, start, .. } => {
                 let mut buf = Vec::with_capacity(take as usize);
-                let abs = start + self.offset;
-                for i in 0..take {
-                    buf.push(synthetic_byte(*seed, abs + i));
-                }
+                extend_synthetic(&mut buf, *seed, start + self.offset, take);
                 Bytes::from(buf)
             }
         };
@@ -232,15 +227,28 @@ impl Iterator for Chunks<'_> {
     }
 }
 
-/// Byte `index` of the synthetic stream for `seed`.
+/// Bytes `8 * block .. 8 * block + 8` of the synthetic stream for `seed`.
 ///
 /// SplitMix64 over the 8-byte block index, so any byte is addressable in
 /// O(1) — which is what makes `slice` cheap.
-fn synthetic_byte(seed: u64, index: u64) -> u8 {
-    let block = index / 8;
+fn synthetic_block(seed: u64, block: u64) -> [u8; 8] {
     let mut state = seed ^ block.wrapping_mul(0x9e3779b97f4a7c15);
-    let word = crate::hash::splitmix64(&mut state);
-    word.to_le_bytes()[(index % 8) as usize]
+    crate::hash::splitmix64(&mut state).to_le_bytes()
+}
+
+/// Appends bytes `from .. from + len` of the synthetic stream for `seed`,
+/// one SplitMix64 step per 8-byte block touched; `from` and the end need
+/// not fall on block boundaries.
+fn extend_synthetic(out: &mut Vec<u8>, seed: u64, from: u64, len: u64) {
+    let end = from + len;
+    let mut at = from;
+    while at < end {
+        let block = synthetic_block(seed, at / 8);
+        let block_start = at - at % 8;
+        let upto = (end - block_start).min(8);
+        out.extend_from_slice(&block[(at - block_start) as usize..upto as usize]);
+        at = block_start + upto;
+    }
 }
 
 // Only reachable through the `#[serde(with = ...)]` attribute, which the
@@ -265,6 +273,38 @@ mod serde_bytes_compat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Byte `index` of the synthetic stream for `seed`, one SplitMix64
+    /// step per byte: what the block filler has to reproduce.
+    fn synthetic_byte(seed: u64, index: u64) -> u8 {
+        let block = index / 8;
+        let mut state = seed ^ block.wrapping_mul(0x9e3779b97f4a7c15);
+        let word = crate::hash::splitmix64(&mut state);
+        word.to_le_bytes()[(index % 8) as usize]
+    }
+
+    #[test]
+    fn block_filler_matches_the_bytewise_stream_on_unaligned_slices() {
+        for seed in [0, 7, u64::MAX] {
+            for from in (0..20).chain([CHUNK as u64 - 3, CHUNK as u64 + 5]) {
+                for len in (0..27).chain([CHUNK as u64 - 1, CHUNK as u64 + 9]) {
+                    let expected: Vec<u8> = (from..from + len)
+                        .map(|i| synthetic_byte(seed, i))
+                        .collect();
+                    let mut filled = vec![0xAA];
+                    extend_synthetic(&mut filled, seed, from, len);
+                    assert_eq!(filled[0], 0xAA, "appends, never overwrites");
+                    assert_eq!(filled[1..], expected, "seed {seed} from {from} len {len}");
+                    // And through the public surface: a slice's bytes,
+                    // chunked or whole.
+                    let blob = Blob::synthetic(seed, from + len).slice(from..from + len);
+                    assert_eq!(blob.to_bytes(), expected);
+                    let chunked: Vec<u8> = blob.chunks().flat_map(|c| c.to_vec()).collect();
+                    assert_eq!(chunked, expected);
+                }
+            }
+        }
+    }
 
     #[test]
     fn inline_round_trip() {

@@ -33,12 +33,42 @@
 //! iterated, so its order cannot reach an answer, a charge or a token.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use crate::clock::SimInstant;
 use crate::hash::fnv1a_64;
 use crate::world::SimWorld;
+
+/// One attribute name–value pair. Ordered by name, then value: a slice
+/// sorted that way keeps every pair of one name in one run, values
+/// ascending — the order a map from name to a set of values iterates in.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct Pair {
+    /// Attribute name.
+    pub name: Box<str>,
+    /// Attribute value.
+    pub value: Box<str>,
+}
+
+impl Pair {
+    /// Builds a pair.
+    pub fn new(name: impl Into<Box<str>>, value: impl Into<Box<str>>) -> Pair {
+        Pair {
+            name: name.into(),
+            value: value.into(),
+        }
+    }
+
+    /// The run of `sorted` (ascending, see [`Pair`]) named `name`; empty
+    /// when no pair is.
+    pub fn run<'a>(sorted: &'a [Pair], name: &str) -> &'a [Pair] {
+        let from = sorted.partition_point(|p| *p.name < *name);
+        let len = sorted[from..].partition_point(|p| *p.name == *name);
+        &sorted[from..from + len]
+    }
+}
 
 #[derive(Clone, Debug)]
 struct Write<V> {
@@ -49,57 +79,67 @@ struct Write<V> {
 }
 
 impl<V> Write<V> {
-    /// The values this write's state carries for `attr`.
-    fn values(&self, values_of: ValuesOf<V>, attr: &str) -> Option<&BTreeSet<String>> {
-        values_of(self.value.as_ref()?, attr)
+    /// The pairs this write's state carries for `attr`.
+    fn values(&self, values_of: ValuesOf<V>, attr: &str) -> &[Pair] {
+        self.value.as_ref().map_or(&[], |v| values_of(v, attr))
+    }
+
+    /// True once every replica serves this write.
+    fn settled(&self, now: SimInstant) -> bool {
+        self.visible_at.iter().all(|t| *t <= now)
     }
 }
 
+/// One key's write history. The newest write lives in the cell itself;
+/// `older` holds what some replica may still serve instead, oldest
+/// first, and owns no allocation once the newest has reached them all.
 #[derive(Clone, Debug)]
 struct Cell<V> {
-    writes: Vec<Write<V>>,
+    older: Vec<Write<V>>,
+    latest: Write<V>,
 }
 
 impl<V> Cell<V> {
+    /// The whole history, oldest first.
+    fn writes(&self) -> impl DoubleEndedIterator<Item = &Write<V>> + Clone {
+        self.older.iter().chain(std::iter::once(&self.latest))
+    }
+
     /// The newest write visible on `replica` at `now`.
     fn visible(&self, replica: usize, now: SimInstant) -> Option<&Write<V>> {
-        self.writes
-            .iter()
+        self.writes()
             .rev()
             .find(|w| w.visible_at.get(replica).map(|t| *t <= now).unwrap_or(true))
     }
 
-    fn latest(&self) -> &Write<V> {
-        self.writes
-            .last()
-            .expect("cells always hold at least one write")
+    /// How many of the oldest writes can never be served again: all
+    /// those before the newest one that every replica has reached.
+    fn settled_prefix(&self, now: SimInstant) -> usize {
+        if self.latest.settled(now) {
+            return self.older.len();
+        }
+        self.older.iter().rposition(|w| w.settled(now)).unwrap_or(0)
     }
 
-    /// Drops history that every replica has moved past, returning the
-    /// dropped writes (no allocation when there are none).
-    fn compact(&mut self, now: SimInstant) -> Vec<Write<V>> {
-        // Find the newest write fully propagated everywhere; anything
-        // older can never be served again.
-        let mut cut = 0;
-        for (i, w) in self.writes.iter().enumerate() {
-            if w.visible_at.iter().all(|t| *t <= now) {
-                cut = i;
-            }
+    /// Drops the first `cut` writes (at most all of `older`).
+    fn drop_oldest(&mut self, cut: usize) {
+        if cut == self.older.len() {
+            self.older = Vec::new();
+        } else {
+            self.older.drain(..cut);
         }
-        self.writes.drain(..cut).collect()
     }
 
     /// True when the only remaining state is a fully-propagated tombstone.
     fn fully_deleted(&self, now: SimInstant) -> bool {
-        self.writes.len() == 1
-            && self.writes[0].value.is_none()
-            && self.writes[0].visible_at.iter().all(|t| *t <= now)
+        self.older.is_empty() && self.latest.value.is_none() && self.latest.settled(now)
     }
 }
 
-/// Reads the values `state` carries for an attribute — how an [`EcMap`]
-/// looks inside an otherwise opaque `V` to keep attribute postings.
-pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> Option<&'a BTreeSet<String>>;
+/// Reads the run of pairs `state` carries for an attribute (empty when
+/// it carries none) — how an [`EcMap`] looks inside an otherwise opaque
+/// `V` to keep attribute postings.
+pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> &'a [Pair];
 
 /// The hash attribute values are posted under (see the module docs).
 /// Callers hash a value once and probe every shard with the result.
@@ -142,14 +182,14 @@ fn post<K: Ord + Clone>(by_value: &mut HashMap<u64, Vec<K>>, hash: u64, key: &K)
 }
 
 /// Where the pairs `writes` carry for `attr` are posted.
-fn posted_hashes<'a, V>(
-    writes: &'a [Write<V>],
+fn posted_hashes<'a, V: 'a>(
+    writes: impl Iterator<Item = &'a Write<V>> + 'a,
     values_of: ValuesOf<V>,
     attr: &'a str,
     mask: u64,
 ) -> impl Iterator<Item = u64> + 'a {
-    let carried = writes.iter().filter_map(move |w| w.values(values_of, attr));
-    carried.flatten().map(move |v| value_hash(v) & mask)
+    let carried = writes.flat_map(move |w| w.values(values_of, attr));
+    carried.map(move |pair| value_hash(&pair.value) & mask)
 }
 
 impl<K: Ord + Clone, V> Postings<K, V> {
@@ -160,24 +200,24 @@ impl<K: Ord + Clone, V> Postings<K, V> {
         };
         let mask = self.mask;
         for (attr, by_value) in &mut self.by_attr {
-            for value in values_of(state, attr).into_iter().flatten() {
-                post(by_value, value_hash(value) & mask, key);
+            for pair in values_of(state, attr) {
+                post(by_value, value_hash(&pair.value) & mask, key);
             }
         }
     }
 
-    /// Unposts `key` from every indexed hash that a pair of a `dropped`
-    /// write landed on and no pair of a `kept` write of the same cell
-    /// still does.
-    fn forget(&mut self, key: &K, dropped: &[Write<V>], kept: &[Write<V>]) {
-        let (false, Some(values_of)) = (dropped.is_empty(), self.values_of) else {
+    /// Unposts `key` from every indexed hash that a pair of one of its
+    /// cell's first `cut` writes — the ones about to be dropped — landed
+    /// on and no pair of a later write still does.
+    fn forget(&mut self, key: &K, cell: &Cell<V>, cut: usize) {
+        let (true, Some(values_of)) = (cut > 0, self.values_of) else {
             return;
         };
         let mask = self.mask;
         for (attr, by_value) in &mut self.by_attr {
-            let hashes = |writes| posted_hashes(writes, values_of, attr, mask);
-            for hash in hashes(dropped) {
-                if hashes(kept).any(|k| k == hash) {
+            for hash in posted_hashes(cell.writes().take(cut), values_of, attr, mask) {
+                let mut kept = posted_hashes(cell.writes().skip(cut), values_of, attr, mask);
+                if kept.any(|k| k == hash) {
                     continue;
                 }
                 let Some(keys) = by_value.get_mut(&hash) else {
@@ -276,20 +316,25 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         key: K,
         value: Option<V>,
     ) {
-        // A map nobody has queried by attribute pays this one branch.
-        let posted_key = (!self.postings.by_attr.is_empty()).then(|| key.clone());
-        if let (Some(key), Some(state)) = (&posted_key, &value) {
-            self.postings.add(key, state);
+        if let Some(state) = &value {
+            self.postings.add(&key, state);
         }
         let write = Write { visible_at, value };
-        let cell = self
-            .cells
-            .entry(key)
-            .or_insert_with(|| Cell { writes: Vec::new() });
-        cell.writes.push(write);
-        let dropped = cell.compact(now);
-        if let Some(key) = &posted_key {
-            self.postings.forget(key, &dropped, &cell.writes);
+        match self.cells.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(Cell {
+                    older: Vec::new(),
+                    latest: write,
+                });
+            }
+            Entry::Occupied(mut slot) => {
+                let cell = slot.get_mut();
+                let previous = std::mem::replace(&mut cell.latest, write);
+                cell.older.push(previous);
+                let cut = cell.settled_prefix(now);
+                self.postings.forget(slot.key(), slot.get(), cut);
+                slot.get_mut().drop_oldest(cut);
+            }
         }
     }
 
@@ -343,14 +388,14 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.cells.get(key).and_then(|c| c.latest().value.clone())
+        self.cells.get(key).and_then(|c| c.latest.value.clone())
     }
 
     /// Iterates the authoritative live entries in key order.
     pub fn iter_latest(&self) -> impl Iterator<Item = (&K, V)> + '_ {
         self.cells
             .iter()
-            .filter_map(|(k, c)| c.latest().value.clone().map(|v| (k, v)))
+            .filter_map(|(k, c)| c.latest.value.clone().map(|v| (k, v)))
     }
 
     /// Number of keys posted under `attr` at `hash` (the [`value_hash`]
@@ -366,7 +411,7 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         }
         let mut by_value = HashMap::new();
         for (key, cell) in &self.cells {
-            for posted in posted_hashes(&cell.writes, values_of, attr, mask) {
+            for posted in posted_hashes(cell.writes(), values_of, attr, mask) {
                 post(&mut by_value, posted, key);
             }
         }
@@ -559,10 +604,11 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     pub fn gc(&mut self, now: SimInstant) {
         let postings = &mut self.postings;
         self.cells.retain(|key, cell| {
-            let dropped = cell.compact(now);
+            let cut = cell.settled_prefix(now);
             // A cell about to be reclaimed is down to one tombstone, which
-            // carries no pairs: `dropped` is everything left to unpost.
-            postings.forget(key, &dropped, &cell.writes);
+            // carries no pairs: the writes cut are everything left to unpost.
+            postings.forget(key, cell, cut);
+            cell.drop_oldest(cut);
             !cell.fully_deleted(now)
         });
     }
@@ -728,6 +774,32 @@ mod tests {
     }
 
     #[test]
+    fn a_settled_cell_owns_no_history_allocation() {
+        // Strong consistency: every overwrite settles as it lands.
+        let world = SimWorld::counting();
+        let mut map = EcMap::new();
+        for i in 0..10 {
+            map.write(&world, "k", Some(i));
+            assert_eq!(map.cells[&"k"].older.capacity(), 0);
+        }
+        // Eventual: history is held while a replica may serve it...
+        let world = eventual_world(6, 60);
+        let mut map = EcMap::new();
+        map.write(&world, "k", Some(0));
+        world.settle();
+        for i in 1..4 {
+            map.write(&world, "k", Some(i));
+        }
+        assert!(!map.cells[&"k"].older.is_empty());
+        // ...and given back, buffer and all, by the write or the sweep
+        // that finds the newest write everywhere.
+        world.settle();
+        map.gc(world.now());
+        assert_eq!(map.cells[&"k"].older.capacity(), 0);
+        assert_eq!(map.read(&world, &"k"), Some(3));
+    }
+
+    #[test]
     fn compaction_preserves_served_values() {
         let world = eventual_world(4, 1);
         let mut map = EcMap::new();
@@ -772,24 +844,22 @@ mod tests {
 
     // --- attribute postings ---
 
-    type Item = BTreeMap<String, BTreeSet<String>>;
+    /// Sorted and duplicate-free, as `ValuesOf` needs it.
+    type Item = Vec<Pair>;
 
     fn item(pairs: &[(&str, &str)]) -> Item {
-        let mut item = Item::new();
-        for (attr, value) in pairs {
-            item.entry(attr.to_string())
-                .or_default()
-                .insert(value.to_string());
-        }
+        let mut item: Item = pairs.iter().map(|(a, v)| Pair::new(*a, *v)).collect();
+        item.sort();
+        item.dedup();
         item
     }
 
-    fn item_values<'a>(item: &'a Item, attr: &str) -> Option<&'a BTreeSet<String>> {
-        item.get(attr)
+    fn item_values<'a>(item: &'a Item, attr: &str) -> &'a [Pair] {
+        Pair::run(item, attr)
     }
 
     fn carries(item: &Item, attr: &str, value: &str) -> bool {
-        item.get(attr).is_some_and(|values| values.contains(value))
+        item_values(item, attr).iter().any(|p| *p.value == *value)
     }
 
     /// A cover as the map takes it: values replaced by their hashes.
@@ -912,8 +982,8 @@ mod tests {
         let mut true_counts = Vec::new();
         for (attr, value) in cover {
             let carrying = map.cells.values().filter(|c| {
-                let states = c.writes.iter().filter_map(|w| w.value.as_ref());
-                states.into_iter().any(|v| carries(v, attr, value))
+                let mut states = c.writes().filter_map(|w| w.value.as_ref());
+                states.any(|v| carries(v, attr, value))
             });
             true_counts.push(carrying.count());
         }
@@ -977,13 +1047,13 @@ mod tests {
             let visible_at = vec![now + ms(l0), now + ms(l1), now + ms(l2)];
             match kind {
                 0..=3 => {
-                    let mut state = item(&[("b", if bits & 4 == 0 { "p" } else { "q" })]);
+                    let mut pairs = vec![("b", if bits & 4 == 0 { "p" } else { "q" })];
                     for (bit, value) in [(1, "x"), (2, "y")] {
                         if bits & bit != 0 {
-                            state.entry("a".into()).or_default().insert(value.into());
+                            pairs.push(("a", value));
                         }
                     }
-                    map.write_at(now, visible_at, key, Some(state));
+                    map.write_at(now, visible_at, key, Some(item(&pairs)));
                 }
                 4 => map.write_at(now, visible_at, key, None),
                 5 | 6 => {

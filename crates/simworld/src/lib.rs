@@ -61,7 +61,7 @@ mod world;
 pub use adaptive::AdaptiveDepth;
 pub use blob::{Blob, Chunks, CHUNK};
 pub use clock::{SimDuration, SimInstant};
-pub use ecstore::{value_hash, EcMap, ValuesOf};
+pub use ecstore::{value_hash, EcMap, Pair, ValuesOf};
 pub use faults::{CrashSite, Crashed, FaultPlan};
 pub use hash::{fnv1a_64, splitmix64, Fnv1a};
 pub use latency::{Cost, LatencyModel, ServiceLatency};

@@ -84,7 +84,34 @@ struct StoredMessage {
 struct Queue {
     name: String,
     messages: BTreeMap<u64, StoredMessage>,
+    /// How many of `messages` each storage server holds — what a scan
+    /// of that server examines. Kept by [`Queue::insert`],
+    /// [`Queue::remove`] and retention expiry.
+    per_server: [u64; QUEUE_SERVERS],
     visibility_timeout: SimDuration,
+}
+
+impl Queue {
+    fn insert(&mut self, message: StoredMessage) {
+        self.per_server[message.server] += 1;
+        self.messages.insert(message.seq, message);
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<StoredMessage> {
+        let message = self.messages.remove(&seq)?;
+        self.per_server[message.server] -= 1;
+        Some(message)
+    }
+
+    /// The busiest of the servers `sampled` accepts: servers scan their
+    /// own messages in parallel, so it gates a response that polls them.
+    fn scan_share(&self, sampled: impl Fn(usize) -> bool) -> u64 {
+        let polled = (0..QUEUE_SERVERS).filter(|server| sampled(*server));
+        polled
+            .map(|server| self.per_server[server])
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// Provider-side rate limiting: one lazily-created token bucket per
@@ -223,6 +250,7 @@ impl Sqs {
             Arc::new(Mutex::new(Queue {
                 name,
                 messages: BTreeMap::new(),
+                per_server: [0; QUEUE_SERVERS],
                 visibility_timeout: DEFAULT_VISIBILITY_TIMEOUT,
             }))
         });
@@ -303,7 +331,7 @@ impl Sqs {
                     server,
                     deliveries: 0,
                 };
-                queue.messages.insert(seq, stored);
+                queue.insert(stored);
                 message_id
             })
             .collect();
@@ -423,30 +451,22 @@ impl Sqs {
         let timeout = queue.visibility_timeout;
         // Each sampled server scans its own messages (in parallel with
         // the others); the busiest sampled server gates the response.
-        let mut per_server = [0u64; QUEUE_SERVERS];
-        let mut picked: Vec<u64> = Vec::new();
-        for m in queue.messages.values() {
-            if sample_mask[m.server] {
-                per_server[m.server] += 1;
-                if m.visible_at <= now {
-                    picked.push(m.seq);
-                }
-            }
-        }
-        let scan_share = per_server.iter().copied().max().unwrap_or(0);
-        picked.sort_unstable(); // best-effort FIFO within the sample
-        picked.truncate(max);
-        let name = queue.name.clone();
-        let mut out = Vec::with_capacity(picked.len());
+        let scan_share = queue.scan_share(|server| sample_mask[server]);
+        let Queue { name, messages, .. } = &mut *queue;
+        // Best-effort FIFO within the sample: the map is in sequence
+        // order, and the walk ends at the last message served.
+        let visible = messages
+            .values_mut()
+            .filter(|m| sample_mask[m.server] && m.visible_at <= now);
+        let mut out = Vec::with_capacity(max);
         let mut bytes_out = 0u64;
-        for seq in picked {
-            let msg = queue.messages.get_mut(&seq).expect("picked from this map");
+        for msg in visible.take(max) {
             msg.deliveries += 1;
             msg.visible_at = now + timeout;
             bytes_out += msg.body.len() as u64;
             out.push(ReceivedMessage {
                 message_id: msg.message_id.clone(),
-                receipt_handle: format!("rh/{name}/{seq}/{}", msg.deliveries),
+                receipt_handle: format!("rh/{name}/{}/{}", msg.seq, msg.deliveries),
                 body: msg.body.clone(),
             });
         }
@@ -470,7 +490,7 @@ impl Sqs {
         let queue = self.queue(url)?;
         let bytes_in = receipt_handle.len() as u64;
         self.admit(url, Op::SqsDeleteMessage, bytes_in)?;
-        let removed = queue.lock().messages.remove(&seq);
+        let removed = queue.lock().remove(seq);
         self.world.charge(Charge {
             stored_delta: -(removed.map_or(0, |msg| msg.body.len()) as i64),
             ..Charge::point(Op::SqsDeleteMessage, bytes_in, 0)
@@ -514,7 +534,7 @@ impl Sqs {
             .map(|handle| {
                 let seq = parse_receipt_seq(handle)?;
                 entries += 1;
-                if let Some(msg) = queue.messages.remove(&seq) {
+                if let Some(msg) = queue.remove(seq) {
                     freed += msg.body.len() as u64;
                     per_server[msg.server] += 1;
                 }
@@ -550,14 +570,9 @@ impl Sqs {
         let now = self.world.now();
         let mut queue = queue.lock();
         self.expire_old_messages(&mut queue, now);
-        let mut per_server = [0u64; QUEUE_SERVERS];
-        for m in queue.messages.values() {
-            if sampled.contains(&m.server) {
-                per_server[m.server] += 1;
-            }
-        }
+        let scan_share = queue.scan_share(|server| sampled.contains(&server));
+        let on_sample: u64 = sampled.iter().map(|s| queue.per_server[*s]).sum();
         drop(queue);
-        let scan_share = per_server.iter().copied().max().unwrap_or(0);
         self.world.charge(Charge {
             cost: Cost::Scan { rows: scan_share },
             ..Charge::point(Op::SqsGetQueueAttributes, 0, 16)
@@ -565,8 +580,7 @@ impl Sqs {
         if sampled.is_empty() {
             return Ok(0);
         }
-        let on_sample: usize = per_server.iter().sum::<u64>() as usize;
-        Ok(on_sample * QUEUE_SERVERS / sampled.len())
+        Ok(on_sample as usize * QUEUE_SERVERS / sampled.len())
     }
 
     // --- authoritative (non-billed) views for invariant checks ---
@@ -612,10 +626,16 @@ impl Sqs {
             _ => return,
         }
         let mut freed = 0i64;
-        queue.messages.retain(|_, m| {
+        let Queue {
+            messages,
+            per_server,
+            ..
+        } = queue;
+        messages.retain(|_, m| {
             let keep = now.saturating_since(m.sent_at) <= RETENTION;
             if !keep {
                 freed += m.body.len() as i64;
+                per_server[m.server] -= 1;
             }
             keep
         });
@@ -669,5 +689,42 @@ mod tests {
         assert!(parse_receipt_seq("rh/q/1/notanumber").is_err());
         assert!(parse_receipt_seq("rh//1/1").is_err());
         assert!(parse_receipt_seq("rh/1/2").is_err());
+    }
+
+    #[test]
+    fn per_server_counts_follow_every_way_a_message_comes_and_goes() {
+        let world = SimWorld::counting();
+        let sqs = Sqs::new(&world);
+        let url = sqs.create_queue("q");
+        let recounted = |what: &str| {
+            let queue = sqs.queue(&url).unwrap();
+            let queue = queue.lock();
+            let mut recount = [0u64; QUEUE_SERVERS];
+            for m in queue.messages.values() {
+                recount[m.server] += 1;
+            }
+            assert_eq!(queue.per_server, recount, "{what}");
+            recount.iter().sum::<u64>()
+        };
+        for i in 0..30 {
+            sqs.send_message(&url, format!("m{i}")).unwrap();
+        }
+        let bodies: Vec<String> = (0..10).map(|i| format!("b{i}")).collect();
+        sqs.send_message_batch(&url, &bodies).unwrap();
+        assert_eq!(recounted("after sends"), 40);
+
+        let mut handles = Vec::new();
+        while handles.len() < 8 {
+            let got = sqs.receive_message(&url, 3).unwrap();
+            handles.extend(got.into_iter().map(|m| m.receipt_handle));
+        }
+        sqs.delete_message(&url, &handles[0]).unwrap();
+        sqs.delete_message(&url, &handles[0]).unwrap(); // already gone
+        sqs.delete_message_batch(&url, &handles[1..]).unwrap();
+        assert_eq!(recounted("after deletes"), 40 - handles.len() as u64);
+
+        world.advance(RETENTION + SimDuration::from_secs(1));
+        assert_eq!(sqs.exact_message_count(&url), 0);
+        assert_eq!(recounted("after retention"), 0);
     }
 }

@@ -52,6 +52,8 @@
 //! assert_eq!(store.stats().fingerprint, store.fingerprint());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use costmodel;
 pub use frontend;
 pub use pass;

@@ -1,0 +1,189 @@
+//! What a stored record costs in heap, by layer.
+//!
+//! The benchmark's `live_heap_mib` is an end-to-end figure with a 10 %
+//! bound; it cannot say *which* layer grew. This test can: it counts the
+//! bytes the process holds allocated (requested sizes, through a wrapper
+//! around the system allocator) before and after a store takes a known
+//! number of records, with everything but the store dropped, and holds
+//! the difference per record to a budget. The simulated services keep
+//! every item, object and message on the heap, so that difference is
+//! their representation: pairs, cells, metadata.
+//!
+//! Both measurements live in one `#[test]`: the counter is process-wide,
+//! and a second test running beside it would be counted too.
+
+// The workspace denies `unsafe`; a `GlobalAlloc` cannot be written
+// without it.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use pass::{FileFlush, Observer, TraceEvent};
+use provenance_cloud::{
+    Arch2Config, Arch3Config, ClosureMode, ProvQuery, S3SimpleDb, S3SimpleDbSqs, ServeHandle,
+};
+use simworld::{splitmix64, Blob, SimWorld};
+
+/// Bytes requested from the system allocator and not yet given back.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is handed to `System` unchanged, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic and touches no
+// memory the allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` is passed through as received.
+        let block = unsafe { System.alloc(layout) };
+        if !block.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        block
+    }
+
+    unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
+        // SAFETY: `block` came from `alloc`/`realloc` above, which is to
+        // say from `System`, with this `layout`.
+        unsafe { System.dealloc(block, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        let moved = unsafe { System.realloc(block, layout, new_size) };
+        if !moved.is_null() {
+            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const STAGES: usize = 4;
+
+/// One pipeline shaped like the benchmark's `corpus_std`: a 2 KiB source,
+/// then four stages, each a process that reads the previous file and
+/// writes a 1 KiB one — nine flushes, a program shared by every fifth
+/// pipeline of a group of 80.
+fn pipeline(p: usize, seed: &mut u64) -> Vec<FileFlush> {
+    let mut observer = Observer::new();
+    let mut flushes = Vec::new();
+    let mut feed = |event| flushes.extend(observer.observe(event).expect("a well-formed trace"));
+    let mut prev = format!("p{p}/in.dat");
+    feed(TraceEvent::source(
+        &prev,
+        Blob::synthetic(splitmix64(seed), 2048),
+    ));
+    for stage in 0..STAGES {
+        let pid = (p * STAGES + stage) as u32 + 1;
+        let exe = format!("s{stage}g{}", p % 80);
+        let next = format!("p{p}/f{stage}.dat");
+        feed(TraceEvent::exec(
+            pid,
+            &exe,
+            format!("{exe} {prev}"),
+            "PATH=/bin",
+            None,
+        ));
+        feed(TraceEvent::read(pid, &prev));
+        feed(TraceEvent::write(pid, &next));
+        feed(TraceEvent::close(
+            pid,
+            &next,
+            Blob::synthetic(splitmix64(seed), 1024),
+        ));
+        feed(TraceEvent::exit(pid));
+        prev = next;
+    }
+    flushes
+}
+
+/// Bytes the store behind `handle` holds once `fill` has run and all it
+/// allocated for itself is dropped.
+fn held_by_store(build: impl FnOnce() -> ServeHandle, fill: impl FnOnce(&ServeHandle)) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    let handle = build();
+    fill(&handle);
+    let held = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    drop(handle);
+    held
+}
+
+#[test]
+fn a_stored_record_stays_within_its_heap_budget() {
+    // arch3, the `ingest_wal` shape: point records through the WAL, a
+    // flush (commit-daemon drain) every 64. 2 000 records and up.
+    // Measured 1 092 B; 4 289 B when an item was a map of sets, a cell a
+    // `Vec` of writes and metadata a map.
+    const RECORD_BUDGET: usize = 1_260;
+    let mut records = 0usize;
+    let arch3 = || {
+        let world = SimWorld::counting();
+        let mut store = S3SimpleDbSqs::new(&world, "budget");
+        store.set_config(Arch3Config {
+            closure: ClosureMode::Off,
+            ..Arch3Config::default()
+        });
+        ServeHandle::new(store)
+    };
+    let held = held_by_store(arch3, |handle| {
+        let mut seed = 7u64;
+        for p in 0.. {
+            for flush in pipeline(p, &mut seed) {
+                handle.record(&flush).expect("record");
+                records += 1;
+                if records.is_multiple_of(64) {
+                    handle.flush().expect("flush");
+                }
+            }
+            if records >= 2_000 {
+                break;
+            }
+        }
+        handle.flush().expect("flush");
+    });
+    let per_record = held / records;
+    assert!(
+        per_record <= RECORD_BUDGET,
+        "arch3 holds {per_record} B per record ({held} B / {records}), budget {RECORD_BUDGET}"
+    );
+
+    // arch2 with the closure served, the `mixed_closure` preload shape:
+    // 100 pipelines in batches, then the index read back. An item here
+    // is one flush: its object, its provenance item, its closure rows
+    // and their postings. Measured 3 053 B; 10 654 B before.
+    const ITEM_BUDGET: usize = 3_500;
+    let mut items = 0usize;
+    let arch2 = || {
+        let mut store = S3SimpleDb::new(&SimWorld::counting());
+        store.set_config(Arch2Config {
+            closure: ClosureMode::Serve,
+            ..Arch2Config::default()
+        });
+        ServeHandle::new(store)
+    };
+    let held = held_by_store(arch2, |handle| {
+        let mut seed = 7u64;
+        for p in 0..100 {
+            let flushes = pipeline(p, &mut seed);
+            handle.record_batch(&flushes).expect("record_batch");
+            items += flushes.len();
+        }
+        for stage in 0..STAGES {
+            let program = format!("s{stage}g0");
+            let q3 = ProvQuery::DescendantsOf { program };
+            let answer = handle.query(&q3).expect("index-served Q3");
+            assert!(!answer.items.is_empty() || stage == STAGES - 1);
+        }
+    });
+    let per_item = held / items;
+    assert!(
+        per_item <= ITEM_BUDGET,
+        "arch2 + closure holds {per_item} B per item ({held} B / {items}), budget {ITEM_BUDGET}"
+    );
+}
