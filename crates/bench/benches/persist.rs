@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use pass::FileFlush;
-use provenance_cloud::ArchKind;
+use provenance_cloud::{chunk_pairs, ArchKind, WalRecord};
 use simworld::{Blob, SimWorld};
+use std::hint::black_box;
 
 fn flush_batch(n: usize) -> Vec<FileFlush> {
     (0..n)
@@ -72,5 +73,35 @@ fn bench_read(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_persist, bench_read);
+/// The WAL codec alone — what arch3's log and drain phases spend outside
+/// the services: 6 pairs is the benchmark's `ingest_wal` item (one SQS
+/// message), 200 pairs a fan-in item the chunker has to split.
+fn bench_wal_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wal_codec");
+    for n in [6usize, 200] {
+        let pairs: Vec<(String, String)> = (0..n)
+            .map(|i| {
+                (
+                    format!("input{}", i % 7),
+                    format!("bench/src{i:04}/stage.dat:{i}"),
+                )
+            })
+            .collect();
+        let item = "bench/f0001.dat 1";
+        let record = chunk_pairs(7, item, &pairs).swap_remove(0);
+        let encoded = record.encode();
+        group.bench_function(BenchmarkId::new("encode", n), |b| {
+            b.iter(|| black_box(&record).encode());
+        });
+        group.bench_function(BenchmarkId::new("decode", n), |b| {
+            b.iter(|| WalRecord::decode(black_box(&encoded)));
+        });
+        group.bench_function(BenchmarkId::new("chunk_pairs", n), |b| {
+            b.iter(|| chunk_pairs(7, item, black_box(&pairs)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_persist, bench_read, bench_wal_codec);
 criterion_main!(benches);

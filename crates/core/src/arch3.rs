@@ -157,11 +157,13 @@ struct Assembly {
     committed: bool,
     payload: Vec<WalRecord>,
     payload_count: u32,
-    /// `(message id, newest receipt handle)` per log record, in receive
-    /// order. A redelivery *replaces* the handle in place: SQS only
-    /// honours the newest handle, so keeping a superseded one would
+    /// Message id per log record, in receive order.
+    message_ids: Vec<String>,
+    /// The newest receipt handle of the record at the same index of
+    /// `message_ids`. A redelivery *replaces* the handle in place: SQS
+    /// only honours the newest handle, so keeping a superseded one would
     /// bill dead `DeleteMessageBatch` entries on every apply.
-    records: Vec<(String, String)>,
+    handles: Vec<String>,
 }
 
 impl Assembly {
@@ -172,7 +174,8 @@ impl Assembly {
             committed: false,
             payload: Vec::new(),
             payload_count: 0,
-            records: Vec::new(),
+            message_ids: Vec::new(),
+            handles: Vec::new(),
         }
     }
 
@@ -182,10 +185,6 @@ impl Assembly {
                 .expected
                 .map(|n| self.payload_count == n)
                 .unwrap_or(false)
-    }
-
-    fn handles(&self) -> Vec<String> {
-        self.records.iter().map(|(_, h)| h.clone()).collect()
     }
 }
 
@@ -345,10 +344,10 @@ impl CommitDaemon {
                     .assemblies
                     .entry(record.txid())
                     .or_insert_with(|| Assembly::new(now));
-                if let Some(slot) = assembly
-                    .records
-                    .iter_mut()
-                    .find(|(id, _)| *id == msg.message_id)
+                if let Some(held) = assembly
+                    .message_ids
+                    .iter()
+                    .position(|id| *id == msg.message_id)
                 {
                     // Redelivery of a record we already hold (visibility
                     // timeout expired while the transaction waits for its
@@ -356,18 +355,17 @@ impl CommitDaemon {
                     // newer one — SQS only honours the newest, so the
                     // superseded handle would sit in every future
                     // DeleteMessageBatch as a dead billable entry.
-                    slot.1 = msg.receipt_handle.clone();
+                    assembly.handles[held] = msg.receipt_handle;
                     continue;
                 }
                 progress.received += 1;
-                assembly
-                    .records
-                    .push((msg.message_id.clone(), msg.receipt_handle.clone()));
-                match &record {
-                    WalRecord::Begin { records, .. } => assembly.expected = Some(*records),
+                assembly.message_ids.push(msg.message_id);
+                assembly.handles.push(msg.receipt_handle);
+                match record {
+                    WalRecord::Begin { records, .. } => assembly.expected = Some(records),
                     WalRecord::Commit { .. } => assembly.committed = true,
                     payload => {
-                        assembly.payload.push(payload.clone());
+                        assembly.payload.push(payload);
                         assembly.payload_count += 1;
                     }
                 }
@@ -389,9 +387,9 @@ impl CommitDaemon {
                 .iter()
                 .map(|txid| (*txid, self.assemblies.remove(txid).expect("listed above")))
                 .collect();
-            self.apply_group(&group)?;
-            self.applied_total += group.len() as u64;
-            progress.applied += group.len();
+            self.apply_group(group)?;
+            self.applied_total += ready.len() as u64;
+            progress.applied += ready.len();
         }
         Ok(progress)
     }
@@ -409,15 +407,22 @@ impl CommitDaemon {
     /// Inside a pipelined step each transaction's copies carry its txid
     /// as a completion-order key: one transaction's apply chain stays
     /// ordered while different transactions overlap freely.
-    fn apply_group(&mut self, assemblies: &[(u64, Assembly)]) -> Result<()> {
+    ///
+    /// The group is consumed: what the daemon decoded — item names,
+    /// pairs, temp keys, receipt handles — moves into the requests that
+    /// carry it. An error drops what is left of it: the log records are
+    /// still on the queue, and their redelivery rebuilds the assemblies.
+    fn apply_group(&mut self, assemblies: Vec<(u64, Assembly)>) -> Result<()> {
         let world = &self.side.parts.world;
         let mut temp_keys: Vec<String> = Vec::new();
         let mut items: Vec<ProvItem> = Vec::new();
+        let mut tx_handles: Vec<Vec<String>> = Vec::with_capacity(assemblies.len());
 
         world.crash_point(D3_BEFORE_COPY)?;
         for (txid, assembly) in assemblies {
-            let mut tx_items: BTreeMap<&str, Vec<(String, String)>> = BTreeMap::new();
-            for record in &assembly.payload {
+            tx_handles.push(assembly.handles);
+            let mut tx_items: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
+            for record in assembly.payload {
                 match record {
                     WalRecord::Data {
                         temp_key,
@@ -426,9 +431,9 @@ impl CommitDaemon {
                         nonce,
                         ..
                     } => {
-                        let meta = data_meta(*version, nonce);
-                        self.copy_with_retry(*txid, temp_key, &data_key(name), meta)?;
-                        temp_keys.push(temp_key.clone());
+                        let meta = data_meta(version, &nonce);
+                        self.copy_with_retry(txid, &temp_key, &data_key(&name), meta)?;
+                        temp_keys.push(temp_key);
                         world.crash_point(D3_AFTER_COPY)?;
                     }
                     WalRecord::Prov {
@@ -436,15 +441,15 @@ impl CommitDaemon {
                     } => {
                         let item = tx_items.entry(item_name).or_default();
                         for (name, value) in pairs {
-                            let resolved = match parse_staged_pointer(value) {
+                            let resolved = match parse_staged_pointer(&value) {
                                 Some((tmp, perm)) => {
-                                    self.copy_with_retry(*txid, tmp, perm, Metadata::new())?;
+                                    self.copy_with_retry(txid, tmp, perm, Metadata::new())?;
                                     temp_keys.push(tmp.to_string());
                                     pointer(perm)
                                 }
-                                None => value.clone(),
+                                None => value,
                             };
-                            item.push((name.clone(), resolved));
+                            item.push((name, resolved));
                         }
                     }
                     WalRecord::Md5 {
@@ -454,17 +459,17 @@ impl CommitDaemon {
                         ..
                     } => {
                         let item = tx_items.entry(item_name).or_default();
-                        item.push((ATTR_MD5.to_string(), md5_hex.clone()));
-                        item.push((ATTR_NONCE.to_string(), nonce.clone()));
+                        item.push((ATTR_MD5.to_string(), md5_hex));
+                        item.push((ATTR_NONCE.to_string(), nonce));
                     }
                     WalRecord::Begin { .. } | WalRecord::Commit { .. } => {}
                 }
             }
             for (item_name, pairs) in tx_items {
-                let object = ObjectRef::parse_item_name(item_name)
-                    .unwrap_or_else(|| ObjectRef::new(item_name, 0));
+                let object = ObjectRef::parse_item_name(&item_name)
+                    .unwrap_or_else(|| ObjectRef::new(&item_name, 0));
                 let attrs = self.side.finish_item(&object, pairs, None)?;
-                items.push((item_name.to_string(), attrs));
+                items.push((item_name, attrs));
             }
         }
         // Everything that came ready in this step goes out together (two
@@ -477,8 +482,7 @@ impl CommitDaemon {
         parts.world.crash_point(D3_BEFORE_MSG_DELETE)?;
         // Log records go 10 handles per DeleteMessageBatch — a
         // transaction's ≥ 4 records cost one round trip, not four.
-        for (_, assembly) in assemblies {
-            let handles = assembly.handles();
+        for handles in tx_handles {
             for chunk in handles.chunks(MAX_BATCH_ENTRIES) {
                 let outcomes = parts
                     .retrying(|| Ok(self.sqs.delete_message_batch(&self.wal_url, chunk)?))?;

@@ -12,6 +12,7 @@ use crate::layout::{
     overflow_key, parse_pointer, pointer, ATTR_MD5, ATTR_NONCE, META_NONCE, META_VERSION,
     OVERFLOW_THRESHOLD,
 };
+use crate::wal::esc_into;
 
 /// Provenance serialised for the wire: attribute pairs (with oversized
 /// values replaced by pointers) plus the overflow objects that must be
@@ -60,16 +61,34 @@ fn continuation_key(object: &ObjectRef) -> String {
     format!("{}{}/more", crate::layout::PROV_PREFIX, object.item_name())
 }
 
-fn esc(s: &str) -> String {
-    s.replace('%', "%25")
-        .replace('\u{1f}', "%1F")
-        .replace('\u{1e}', "%1E")
+/// Separates the fields of a continuation entry.
+const FIELD_SEP: char = '\u{1f}';
+
+/// Separates the entries of a continuation object.
+const ENTRY_SEP: char = '\u{1e}';
+
+/// The bytes a continuation field escapes: the escape character and the
+/// two separators (one more than the WAL's set — its records have no
+/// entry separator).
+const ESCAPED: &[u8] = b"%\x1f\x1e";
+
+/// Appends one entry — `fields`, escaped, [`FIELD_SEP`] between them — to
+/// a continuation `body`, behind an [`ENTRY_SEP`] unless it is the first.
+/// (An entry has two fields or more, so only an empty body has none.)
+fn push_entry(body: &mut String, fields: &[&str]) {
+    if !body.is_empty() {
+        body.push(ENTRY_SEP);
+    }
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            body.push(FIELD_SEP);
+        }
+        esc_into(body, field, ESCAPED);
+    }
 }
 
-fn unesc(s: &str) -> String {
-    s.replace("%1E", "\u{1e}")
-        .replace("%1F", "\u{1f}")
-        .replace("%25", "%")
+fn unesc(field: &str) -> String {
+    crate::wal::unesc(field, ESCAPED).into_owned()
 }
 
 /// Lays encoded pairs into S3 user metadata for Architecture 1.
@@ -105,7 +124,7 @@ pub fn encode_metadata(
     meta.insert(META_VERSION, object.version.to_string());
     meta.insert(META_MORE, pointer(&key));
     let mut inline_budget = METADATA_LIMIT.saturating_sub(meta.byte_size());
-    let mut spilled: Vec<String> = Vec::new();
+    let mut spilled = String::new();
     for (i, (name, value)) in encoded.pairs.iter().enumerate() {
         let meta_key = format!("p{i}-{name}");
         let cost = (meta_key.len() + value.len()) as u64;
@@ -113,10 +132,10 @@ pub fn encode_metadata(
             inline_budget -= cost;
             meta.insert(meta_key, value.clone());
         } else {
-            spilled.push(format!("{i}\u{1f}{}\u{1f}{}", esc(name), esc(value)));
+            push_entry(&mut spilled, &[&i.to_string(), name, value]);
         }
     }
-    overflows.push((key, Blob::from(spilled.join("\u{1e}"))));
+    overflows.push((key, Blob::from(spilled)));
     debug_assert!(meta.byte_size() <= METADATA_LIMIT);
     (meta, overflows)
 }
@@ -151,8 +170,8 @@ pub fn decode_metadata(
             message: "malformed continuation pointer".into(),
         })?;
         let body = fetch(key)?;
-        for entry in body.split('\u{1e}').filter(|e| !e.is_empty()) {
-            let mut fields = entry.splitn(3, '\u{1f}');
+        for entry in body.split(ENTRY_SEP).filter(|e| !e.is_empty()) {
+            let mut fields = entry.splitn(3, FIELD_SEP);
             let (idx, name, value) = (fields.next(), fields.next(), fields.next());
             match (idx.and_then(|i| i.parse::<usize>().ok()), name, value) {
                 (Some(idx), Some(name), Some(value)) => {
@@ -216,11 +235,10 @@ pub fn fit_item_pairs(
         crate::layout::PROV_PREFIX,
         object.item_name()
     );
-    let body = tail
-        .iter()
-        .map(|(n, v)| format!("{}\u{1f}{}", esc(n), esc(v)))
-        .collect::<Vec<_>>()
-        .join("\u{1e}");
+    let mut body = String::new();
+    for (name, value) in &tail {
+        push_entry(&mut body, &[name, value]);
+    }
     pairs.push((ATTR_MORE.to_string(), pointer(&key)));
     (pairs, Some((key, Blob::from(body))))
 }
@@ -277,8 +295,8 @@ pub fn decode_attributes(
                 message: "malformed continuation pointer".into(),
             })?;
             let body = fetch(key)?;
-            for entry in body.split('\u{1e}').filter(|e| !e.is_empty()) {
-                let Some((name, value)) = entry.split_once('\u{1f}') else {
+            for entry in body.split(ENTRY_SEP).filter(|e| !e.is_empty()) {
+                let Some((name, value)) = entry.split_once(FIELD_SEP) else {
                     return Err(CloudError::Corrupt {
                         message: format!("malformed continuation entry {entry:?}"),
                     });

@@ -12,6 +12,9 @@
 //! it is trivially reversible and keeps every record well under SQS's
 //! limit except for the payload itself (the chunker guarantees that).
 
+use std::borrow::Cow;
+use std::fmt::Write;
+
 use serde::{Deserialize, Serialize};
 use sim_sqs::{MAX_BATCH_ENTRIES, MAX_BATCH_PAYLOAD, MAX_MESSAGE_SIZE};
 
@@ -69,12 +72,95 @@ pub enum WalRecord {
 
 const SEP: char = '\u{1f}';
 
-fn esc(s: &str) -> String {
-    s.replace('%', "%25").replace(SEP, "%1F")
+/// The bytes a WAL field escapes: the escape character and the field
+/// separator. Widening the set would change bytes already on queues.
+const ESCAPED: &[u8] = b"%\x1f";
+
+/// `%XX`, upper-case, for an escaped byte.
+fn code(b: u8) -> [u8; 2] {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    [HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]]
 }
 
-fn unesc(s: &str) -> String {
-    s.replace("%1F", "\u{1f}").replace("%25", "%")
+/// Appends `s` to `out` with every byte of `set` (ASCII; `%` must be a
+/// member) written as `%XX`. One pass; a clean field is one `push_str`.
+/// Inlined, as [`escaped_len`] is, so that each caller's constant set
+/// folds into the byte test.
+#[inline]
+pub(crate) fn esc_into(out: &mut String, s: &str, set: &[u8]) {
+    debug_assert!(set.is_ascii() && set.contains(&b'%'));
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if set.contains(&b) {
+            let [hi, lo] = code(b);
+            out.push_str(&s[clean..i]);
+            out.extend(['%', char::from(hi), char::from(lo)]);
+            clean = i + 1;
+        }
+    }
+    out.push_str(&s[clean..]);
+}
+
+/// Bytes [`esc_into`] appends for `s`.
+#[inline]
+fn escaped_len(s: &str, set: &[u8]) -> usize {
+    s.len() + 2 * s.bytes().filter(|b| set.contains(b)).count()
+}
+
+/// Inverse of [`esc_into`]: every `%XX` naming a byte of `set` becomes
+/// that byte, any other `%` stays. Borrows a field that has no `%`.
+pub(crate) fn unesc<'a>(s: &'a str, set: &[u8]) -> Cow<'a, str> {
+    if !s.contains('%') {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        let tail = &rest.as_bytes()[at + 1..];
+        match set.iter().find(|b| tail.starts_with(&code(**b))) {
+            Some(&b) => {
+                out.push(char::from(b));
+                // Both code bytes are ASCII, so this is a char boundary.
+                rest = &rest[at + 3..];
+            }
+            None => {
+                out.push('%');
+                rest = &rest[at + 1..];
+            }
+        }
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
+}
+
+/// Encoded bytes of a number field and its leading separator.
+fn num_len(n: u64) -> usize {
+    1 + n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Encoded bytes of a text field and its leading separator.
+fn text_len(s: &str) -> usize {
+    1 + escaped_len(s, ESCAPED)
+}
+
+/// Encoded bytes of a `Prov` record before its first pair.
+fn prov_header_len(txid: u64, item_name: &str) -> usize {
+    1 + num_len(txid) + text_len(item_name)
+}
+
+/// Encoded bytes one pair adds to a `Prov` record.
+fn pair_len((k, v): &(String, String)) -> usize {
+    text_len(k) + text_len(v)
+}
+
+fn push_num(out: &mut String, n: u64) {
+    write!(out, "{SEP}{n}").expect("writing to a String cannot fail");
+}
+
+fn push_text(out: &mut String, s: &str) {
+    out.push(SEP);
+    esc_into(out, s, ESCAPED);
 }
 
 impl WalRecord {
@@ -97,12 +183,49 @@ impl WalRecord {
         )
     }
 
-    /// Serialises to the queue wire form.
+    /// `self.encode().len()`, by arithmetic: what sizes the encoder's
+    /// buffer and lets [`chunk_pairs`] close a chunk without encoding it.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            WalRecord::Begin { txid, records } => 1 + num_len(*txid) + num_len((*records).into()),
+            WalRecord::Data {
+                txid,
+                temp_key,
+                name,
+                version,
+                nonce,
+            } => {
+                1 + num_len(*txid)
+                    + text_len(temp_key)
+                    + text_len(name)
+                    + num_len((*version).into())
+                    + text_len(nonce)
+            }
+            WalRecord::Prov {
+                txid,
+                item_name,
+                pairs,
+            } => prov_header_len(*txid, item_name) + pairs.iter().map(pair_len).sum::<usize>(),
+            WalRecord::Md5 {
+                txid,
+                item_name,
+                md5_hex,
+                nonce,
+            } => 1 + num_len(*txid) + text_len(item_name) + text_len(md5_hex) + text_len(nonce),
+            WalRecord::Commit { txid } => 1 + num_len(*txid),
+        }
+    }
+
+    /// Serialises to the queue wire form: the tag, then each field behind
+    /// a separator, written straight into one buffer of
+    /// [`WalRecord::encoded_len`] bytes.
     pub fn encode(&self) -> String {
-        let mut fields: Vec<String> = Vec::new();
+        let mut out = String::with_capacity(self.encoded_len());
         match self {
             WalRecord::Begin { txid, records } => {
-                fields.extend(["B".into(), txid.to_string(), records.to_string()]);
+                out.push('B');
+                push_num(&mut out, *txid);
+                push_num(&mut out, (*records).into());
             }
             WalRecord::Data {
                 txid,
@@ -111,24 +234,24 @@ impl WalRecord {
                 version,
                 nonce,
             } => {
-                fields.extend([
-                    "D".into(),
-                    txid.to_string(),
-                    esc(temp_key),
-                    esc(name),
-                    version.to_string(),
-                    esc(nonce),
-                ]);
+                out.push('D');
+                push_num(&mut out, *txid);
+                push_text(&mut out, temp_key);
+                push_text(&mut out, name);
+                push_num(&mut out, (*version).into());
+                push_text(&mut out, nonce);
             }
             WalRecord::Prov {
                 txid,
                 item_name,
                 pairs,
             } => {
-                fields.extend(["P".into(), txid.to_string(), esc(item_name)]);
+                out.push('P');
+                push_num(&mut out, *txid);
+                push_text(&mut out, item_name);
                 for (k, v) in pairs {
-                    fields.push(esc(k));
-                    fields.push(esc(v));
+                    push_text(&mut out, k);
+                    push_text(&mut out, v);
                 }
             }
             WalRecord::Md5 {
@@ -137,105 +260,91 @@ impl WalRecord {
                 md5_hex,
                 nonce,
             } => {
-                fields.extend([
-                    "M".into(),
-                    txid.to_string(),
-                    esc(item_name),
-                    esc(md5_hex),
-                    esc(nonce),
-                ]);
+                out.push('M');
+                push_num(&mut out, *txid);
+                push_text(&mut out, item_name);
+                push_text(&mut out, md5_hex);
+                push_text(&mut out, nonce);
             }
             WalRecord::Commit { txid } => {
-                fields.extend(["C".into(), txid.to_string()]);
+                out.push('C');
+                push_num(&mut out, *txid);
             }
         }
-        fields.join(&SEP.to_string())
+        debug_assert_eq!(out.len(), self.encoded_len());
+        out
     }
 
     /// Parses the wire form; `None` for anything malformed (foreign
-    /// messages on the queue are skipped, not fatal).
+    /// messages on the queue are skipped, not fatal). One walk over the
+    /// separators; the only allocations are the fields it returns.
     pub fn decode(s: &str) -> Option<WalRecord> {
-        let fields: Vec<&str> = s.split(SEP).collect();
-        let txid: u64 = fields.get(1)?.parse().ok()?;
-        match *fields.first()? {
-            "B" => {
-                let records: u32 = fields.get(2)?.parse().ok()?;
-                (fields.len() == 3).then_some(WalRecord::Begin { txid, records })
-            }
-            "D" => {
-                if fields.len() != 6 {
-                    return None;
-                }
-                Some(WalRecord::Data {
-                    txid,
-                    temp_key: unesc(fields[2]),
-                    name: unesc(fields[3]),
-                    version: fields[4].parse().ok()?,
-                    nonce: unesc(fields[5]),
-                })
-            }
+        let mut fields = s.split(SEP);
+        let tag = fields.next()?;
+        let txid: u64 = fields.next()?.parse().ok()?;
+        let text = |field: &str| unesc(field, ESCAPED).into_owned();
+        let record = match tag {
+            "B" => WalRecord::Begin {
+                txid,
+                records: fields.next()?.parse().ok()?,
+            },
+            "D" => WalRecord::Data {
+                txid,
+                temp_key: text(fields.next()?),
+                name: text(fields.next()?),
+                version: fields.next()?.parse().ok()?,
+                nonce: text(fields.next()?),
+            },
             "P" => {
-                if fields.len() < 3 || !(fields.len() - 3).is_multiple_of(2) {
-                    return None;
+                let item_name = text(fields.next()?);
+                let mut pairs = Vec::new();
+                while let Some(k) = fields.next() {
+                    pairs.push((text(k), text(fields.next()?)));
                 }
-                let item_name = unesc(fields[2]);
-                let pairs = fields[3..]
-                    .chunks_exact(2)
-                    .map(|c| (unesc(c[0]), unesc(c[1])))
-                    .collect();
-                Some(WalRecord::Prov {
+                WalRecord::Prov {
                     txid,
                     item_name,
                     pairs,
-                })
-            }
-            "M" => {
-                if fields.len() != 5 {
-                    return None;
                 }
-                Some(WalRecord::Md5 {
-                    txid,
-                    item_name: unesc(fields[2]),
-                    md5_hex: unesc(fields[3]),
-                    nonce: unesc(fields[4]),
-                })
             }
-            "C" => (fields.len() == 2).then_some(WalRecord::Commit { txid }),
-            _ => None,
-        }
+            "M" => WalRecord::Md5 {
+                txid,
+                item_name: text(fields.next()?),
+                md5_hex: text(fields.next()?),
+                nonce: text(fields.next()?),
+            },
+            "C" => WalRecord::Commit { txid },
+            _ => return None,
+        };
+        fields.next().is_none().then_some(record)
     }
 }
 
 /// Splits attribute pairs into `Prov` records whose encoded form fits in
 /// an SQS message ("group the provenance records into chunks of 8KB",
 /// §4.3). Oversized single pairs must have been pointered beforehand —
-/// the overflow rule keeps values ≤ 1 KB, so any pair fits.
+/// the overflow rule keeps values ≤ 1 KB, so any pair fits. A chunk
+/// closes when its header plus its pairs' encoded lengths would pass the
+/// limit: counted, never encoded, so linear in the pairs.
 pub fn chunk_pairs(txid: u64, item_name: &str, pairs: &[(String, String)]) -> Vec<WalRecord> {
+    let prov = |pairs: &[(String, String)]| WalRecord::Prov {
+        txid,
+        item_name: item_name.to_string(),
+        pairs: pairs.to_vec(),
+    };
+    let header = prov_header_len(txid, item_name);
     let mut out = Vec::new();
-    let mut current: Vec<(String, String)> = Vec::new();
-    for pair in pairs {
-        current.push(pair.clone());
-        let candidate = WalRecord::Prov {
-            txid,
-            item_name: item_name.to_string(),
-            pairs: current.clone(),
-        };
-        if candidate.encode().len() > MAX_MESSAGE_SIZE && current.len() > 1 {
-            let overflowed = current.pop().expect("non-empty");
-            out.push(WalRecord::Prov {
-                txid,
-                item_name: item_name.to_string(),
-                pairs: std::mem::take(&mut current),
-            });
-            current.push(overflowed);
+    let (mut from, mut len) = (0, header);
+    for (i, pair) in pairs.iter().enumerate() {
+        let pair = pair_len(pair);
+        if len + pair > MAX_MESSAGE_SIZE && i > from {
+            out.push(prov(&pairs[from..i]));
+            (from, len) = (i, header);
         }
+        len += pair;
     }
-    if !current.is_empty() {
-        out.push(WalRecord::Prov {
-            txid,
-            item_name: item_name.to_string(),
-            pairs: current,
-        });
+    if from < pairs.len() {
+        out.push(prov(&pairs[from..]));
     }
     out
 }
@@ -326,6 +435,47 @@ mod tests {
             item_name: "weird\u{1f}name 1".into(),
             pairs: vec![("env".into(), "A=100%\u{1f}B=2".into())],
         });
+    }
+
+    #[test]
+    fn escaping_equals_chained_replaces_for_either_set() {
+        // What both callers did before they shared a routine: `%` first
+        // on the way out, last on the way back.
+        let code = |b: &u8| format!("%{b:02X}");
+        let replaced = |s: &str, set: &[u8]| {
+            let out = |s: String, b: &u8| s.replace(char::from(*b), &code(b));
+            set.iter().fold(s.to_string(), out)
+        };
+        let restored = |s: &str, set: &[u8]| {
+            let back = |s: String, b: &u8| s.replace(&code(b), &char::from(*b).to_string());
+            set.iter().rev().fold(s.to_string(), back)
+        };
+        let fields = [
+            "",
+            "plain",
+            "%",
+            "%%1F",
+            "100%",
+            "%25",
+            "%251F",
+            "%1F%1E%1f",
+            "a\u{1f}b\u{1e}c%",
+            "%1",
+            "%1é",
+            "é%1F→\u{1f}",
+            "%2%25",
+        ];
+        for set in [ESCAPED, b"%\x1f\x1e"] {
+            for field in fields {
+                let mut escaped = String::new();
+                esc_into(&mut escaped, field, set);
+                assert_eq!(escaped, replaced(field, set), "{field:?}");
+                assert_eq!(escaped.len(), escaped_len(field, set), "{field:?}");
+                assert_eq!(unesc(&escaped, set), field);
+                assert_eq!(unesc(field, set), restored(field, set), "{field:?}");
+            }
+        }
+        assert!(matches!(unesc("no percent", ESCAPED), Cow::Borrowed(_)));
     }
 
     #[test]

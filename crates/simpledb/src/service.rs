@@ -843,10 +843,10 @@ impl SimpleDb {
             for pos in 0..shards {
                 view.with_cells_at(pos, |map| {
                     cells[pos] = map.cell_count() as u64;
-                    for (pair, (attr, hash)) in probes.iter().enumerate() {
-                        let count = map.posting_count(ItemState::get, attr, *hash);
-                        posted[pos * pairs + pair] = count;
-                        totals[pair] += count;
+                    let posted = &mut posted[pos * pairs..][..pairs];
+                    map.posting_counts(ItemState::get, &probes, posted);
+                    for (total, count) in totals.iter_mut().zip(posted) {
+                        *total += *count;
                     }
                 });
             }

@@ -14,7 +14,7 @@
 //! A map whose values are attribute sets (SimpleDB items) can answer
 //! "which keys carry `(attribute, value)`?" from a secondary index
 //! instead of a scan. Postings are **lazy per attribute**: nothing is
-//! kept until [`EcMap::posting_count`] is first asked about an
+//! kept until [`EcMap::posting_counts`] is first asked about an
 //! attribute; from then on every write maintains that attribute's
 //! postings. They cover a cell's whole *history*, not just its newest
 //! write — a replica may still serve an older one — so they are a
@@ -28,13 +28,16 @@
 //! every shard is probed with that integer. Two values that collide share
 //! a key list, which only makes the list a larger superset — the extra
 //! candidates carry some other value and fail the predicate re-check like
-//! any stale one, and [`EcMap::posting_count`] stays the upper bound it
+//! any stale one, and [`EcMap::posting_counts`] stays the upper bound it
 //! is documented to be. The hash map is only ever probed, never
-//! iterated, so its order cannot reach an answer, a charge or a token.
+//! iterated, so its order cannot reach an answer, a charge or a token —
+//! which is also why it can take its key, a hash already, as the table
+//! hash ([`PostedHash`]) instead of running SipHash over it.
 
 use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 
 use crate::clock::SimInstant;
@@ -147,11 +150,34 @@ pub fn value_hash(value: &str) -> u64 {
     fnv1a_64(value)
 }
 
+/// The table hash of a [`value_hash`]: the key itself, times an odd
+/// constant so that the table's control bits (the top seven) depend on
+/// every bit of a key and a narrowed [`Postings::mask`] still spreads.
+#[derive(Clone, Copy, Default, Debug)]
+struct PostedHash(u64);
+
+impl Hasher for PostedHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a posting table is keyed by u64 alone");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One attribute's postings: value hash → the keys, ascending.
+type PostedKeys<K> = HashMap<u64, Vec<K>, BuildHasherDefault<PostedHash>>;
+
 /// The secondary index: attribute → value hash → the keys, ascending,
 /// whose write history carries a pair hashing there (see the module docs).
 #[derive(Clone, Debug)]
 struct Postings<K, V> {
-    by_attr: BTreeMap<String, HashMap<u64, Vec<K>>>,
+    by_attr: BTreeMap<String, PostedKeys<K>>,
     /// Set by the first build; `by_attr` is empty until then.
     values_of: Option<ValuesOf<V>>,
     /// And-ed onto every hash, stored or probed. All ones, except in the
@@ -171,7 +197,7 @@ impl<K, V> Default for Postings<K, V> {
 
 /// Posts `key` under `hash`, keeping the key list ascending and
 /// duplicate-free.
-fn post<K: Ord + Clone>(by_value: &mut HashMap<u64, Vec<K>>, hash: u64, key: &K) {
+fn post<K: Ord + Clone>(by_value: &mut PostedKeys<K>, hash: u64, key: &K) {
     // Most values are carried by one key: a first push would reserve four.
     let keys = by_value
         .entry(hash)
@@ -398,27 +424,43 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
             .filter_map(|(k, c)| c.latest.value.clone().map(|v| (k, v)))
     }
 
-    /// Number of keys posted under `attr` at `hash` (the [`value_hash`]
-    /// of the value asked about) — an upper bound on the candidates a page
-    /// fetch covered by that pair has to check. The first call naming
-    /// `attr` builds its postings from every cell's full history; writes
-    /// keep them current from then on.
-    pub fn posting_count(&mut self, values_of: ValuesOf<V>, attr: &str, hash: u64) -> usize {
+    /// For each `(attribute, hash)` probe — the [`value_hash`] of the
+    /// value asked about — the number of keys posted there, written to
+    /// the same index of `counts`: an upper bound on the candidates a page
+    /// fetch covered by that pair has to check. Consecutive probes of one
+    /// attribute (the terms of a `union`) share one lookup of it. The
+    /// first probe naming an attribute builds its postings from every
+    /// cell's full history; writes keep them current from then on.
+    pub fn posting_counts(
+        &mut self,
+        values_of: ValuesOf<V>,
+        probes: &[(&str, u64)],
+        counts: &mut [usize],
+    ) {
         let mask = self.postings.mask;
-        let hash = hash & mask;
-        if let Some(by_value) = self.postings.by_attr.get(attr) {
-            return by_value.get(&hash).map_or(0, Vec::len);
-        }
-        let mut by_value = HashMap::new();
-        for (key, cell) in &self.cells {
-            for posted in posted_hashes(cell.writes(), values_of, attr, mask) {
-                post(&mut by_value, posted, key);
+        let mut counts = counts.iter_mut();
+        for run in probes.chunk_by(|a, b| a.0 == b.0) {
+            let attr = run[0].0;
+            let by_value = match self.postings.by_attr.get(attr) {
+                Some(by_value) => by_value,
+                None => {
+                    let mut by_value = PostedKeys::default();
+                    for (key, cell) in &self.cells {
+                        for posted in posted_hashes(cell.writes(), values_of, attr, mask) {
+                            post(&mut by_value, posted, key);
+                        }
+                    }
+                    self.postings.values_of = Some(values_of);
+                    self.postings
+                        .by_attr
+                        .entry(attr.to_string())
+                        .or_insert(by_value)
+                }
+            };
+            for ((_, hash), count) in run.iter().zip(&mut counts) {
+                *count = by_value.get(&(hash & mask)).map_or(0, Vec::len);
             }
         }
-        let count = by_value.get(&hash).map_or(0, Vec::len);
-        self.postings.values_of = Some(values_of);
-        self.postings.by_attr.insert(attr.to_string(), by_value);
-        count
     }
 
     /// Up to `limit` live entries visible on `replica`, in key order,
@@ -433,7 +475,7 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// `cover` is an *equality cover* of `select`: `(attribute, value
     /// hash)` pairs of which every entry `select` keeps carries at least
     /// one. With a cover whose attributes all have postings (see
-    /// [`EcMap::posting_count`]) the candidates come from the postings
+    /// [`EcMap::posting_counts`]) the candidates come from the postings
     /// instead of a walk over every cell; the result is the same either
     /// way, because every candidate still passes through the visibility
     /// check and `select`.
@@ -869,7 +911,9 @@ mod tests {
     }
 
     fn count(map: &mut EcMap<impl Ord + Clone, Item>, attr: &str, value: &str) -> usize {
-        map.posting_count(item_values, attr, value_hash(value))
+        let mut count = [0];
+        map.posting_counts(item_values, &[(attr, value_hash(value))], &mut count);
+        count[0]
     }
 
     /// Serves whole items `pred` accepts.
@@ -1005,7 +1049,7 @@ mod tests {
         let mut rebuilt = map.clone();
         rebuilt.postings.by_attr.clear();
         for attr in map.postings.by_attr.keys() {
-            rebuilt.posting_count(item_values, attr, 0);
+            rebuilt.posting_counts(item_values, &[(attr, 0)], &mut [0]);
         }
         prop_assert_eq!(&rebuilt.postings.by_attr, &map.postings.by_attr);
         Ok(())

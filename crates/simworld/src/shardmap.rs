@@ -811,7 +811,7 @@ impl<V: Clone> MapView<'_, V> {
 
     /// Runs `f` against the cell map at range `position`, under its
     /// lock — mutably, so a scan can build the attribute postings it is
-    /// about to read ([`EcMap::posting_count`]).
+    /// about to read ([`EcMap::posting_counts`]).
     pub fn with_cells_at<R>(
         &self,
         position: usize,

@@ -15,11 +15,12 @@
 //! PROPTEST_SEED=7 PROPTEST_CASES=2000 cargo test --test proptests  # new universe
 //! ```
 
-use pass_cloud::cloud::{encode_metadata, encode_records, CloudError, WalRecord};
+use pass_cloud::cloud::{chunk_pairs, encode_metadata, encode_records, CloudError, WalRecord};
 use pass_cloud::pass::{FileFlush, ObjectRef, ProvenanceRecord};
 use pass_cloud::simworld::{
     Blob, Consistency, EcMap, LatencyModel, Md5, SimConfig, SimDuration, SimInstant, SimWorld,
 };
+use pass_cloud::sqs::MAX_MESSAGE_SIZE;
 use proptest::prelude::*;
 
 // --- Blob / MD5 ---
@@ -213,6 +214,73 @@ proptest! {
     #[test]
     fn wal_decode_never_panics(garbage in "\\PC{0,300}") {
         let _ = WalRecord::decode(&garbage); // must not panic
+    }
+
+    #[test]
+    fn wal_codec_equals_the_join_and_replace_codec(
+        variant in 0usize..5,
+        txid in any::<u64>(),
+        number in any::<u32>(),
+        texts in proptest::collection::vec("[a-z%\\u{1f}\\u{1e}é→🦀]{0,12}", 3..4),
+        pairs in proptest::collection::vec(("[a-z%\\u{1f}]{0,8}", "[ -~\\u{1f}λ中]{0,40}"), 0..12),
+    ) {
+        let record = wal_record(variant, txid, number, texts, pairs);
+        let encoded = record.encode();
+        prop_assert_eq!(&encoded, &wal_oracle::encode(&record));
+        prop_assert_eq!(record.encoded_len(), encoded.len());
+        prop_assert_eq!(WalRecord::decode(&encoded), Some(record));
+    }
+
+    #[test]
+    fn wal_decode_agrees_with_the_collecting_decoder(
+        variant in 0usize..5,
+        txid in any::<u64>(),
+        number in any::<u32>(),
+        texts in proptest::collection::vec("[a-z%\\u{1f}é]{0,12}", 3..4),
+        pairs in proptest::collection::vec(("[a-z%]{0,8}", "[ -~λ]{0,40}"), 0..4),
+        mutation in 0usize..8,
+        at in 0usize..8,
+        junk in "[0-9a-zBDPMC\\u{1f}é]{0,4}",
+        codes in proptest::collection::vec(
+            proptest::sample::select(vec!["%1F", "%25", "%1f", "%1E", "%", "1F", "25", "é"]),
+            0..5,
+        ),
+    ) {
+        // A record as the encoder writes it, then bent: a trailing
+        // separator, an extra field (a dangling key, on a `Prov`), a
+        // missing one, a txid, version or tag that is not one, a field of
+        // escape-code fragments.
+        let encoded = wal_record(variant, txid, number, texts, pairs).encode();
+        let codes = codes.concat();
+        let mut fields: Vec<&str> = encoded.split('\u{1f}').collect();
+        let slot = at % fields.len();
+        match mutation {
+            0 => {}
+            1 => fields.push(""),
+            2 => fields.push(&junk),
+            3 => drop(fields.pop()),
+            4 => fields[slot] = &junk,
+            _ => fields[slot] = &codes,
+        }
+        let message = fields.join("\u{1f}");
+        prop_assert_eq!(WalRecord::decode(&message), wal_oracle::decode(&message));
+    }
+
+    #[test]
+    fn wal_chunker_equals_the_trial_encoding_chunker(
+        txid in any::<u64>(),
+        item in "[a-z%\\u{1f}]{1,20}",
+        sizes in proptest::collection::vec(0usize..1200, 0..40),
+        escapes in 0usize..3,
+    ) {
+        // Values up to the 1 KB overflow rule, some of them growing when
+        // escaped: a dozen chunk boundaries per case.
+        let pairs: Vec<(String, String)> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, size)| (format!("k{i}"), ["v", "%", "\u{1f}"][(i + escapes) % 3].repeat(*size)))
+            .collect();
+        prop_assert_eq!(chunk_pairs(txid, &item, &pairs), wal_oracle::chunk_pairs(txid, &item, &pairs));
     }
 
     // --- SimpleDB query parsers never panic ---
@@ -701,5 +769,240 @@ proptest! {
             want.sort();
             prop_assert_eq!(got, want);
         }
+    }
+}
+
+// --- WAL codec: the codec this one replaced, kept as the oracle ---
+
+/// One record of each variant from generated parts.
+fn wal_record(
+    variant: usize,
+    txid: u64,
+    number: u32,
+    texts: Vec<String>,
+    pairs: Vec<(String, String)>,
+) -> WalRecord {
+    let [a, b, c] = <[String; 3]>::try_from(texts).expect("three texts");
+    match variant {
+        0 => WalRecord::Begin {
+            txid,
+            records: number,
+        },
+        1 => WalRecord::Data {
+            txid,
+            temp_key: a,
+            name: b,
+            version: number,
+            nonce: c,
+        },
+        2 => WalRecord::Prov {
+            txid,
+            item_name: a,
+            pairs,
+        },
+        3 => WalRecord::Md5 {
+            txid,
+            item_name: a,
+            md5_hex: b,
+            nonce: c,
+        },
+        _ => WalRecord::Commit { txid },
+    }
+}
+
+/// Nine pairs that make `Prov { txid: 7, item_name: "item 1", .. }` encode
+/// to exactly `len` bytes, the last one's value padded to fit.
+fn pairs_encoding_to(len: usize) -> Vec<(String, String)> {
+    let mut pairs: Vec<(String, String)> =
+        (0..9).map(|i| (format!("k{i}"), "v".repeat(100))).collect();
+    let record = |pairs: &[(String, String)]| WalRecord::Prov {
+        txid: 7,
+        item_name: "item 1".to_string(),
+        pairs: pairs.to_vec(),
+    };
+    let pad = len
+        .checked_sub(record(&pairs).encoded_len())
+        .expect("len covers the unpadded record");
+    pairs[8].1.push_str(&"p".repeat(pad));
+    assert_eq!(record(&pairs).encode().len(), len);
+    pairs
+}
+
+#[test]
+fn wal_chunker_equals_the_oracle_at_the_message_limit() {
+    let same = |pairs: &[(String, String)]| {
+        let chunks = chunk_pairs(7, "item 1", pairs);
+        assert_eq!(chunks, wal_oracle::chunk_pairs(7, "item 1", pairs));
+        chunks.len()
+    };
+    // Exactly on the limit and one under stay one chunk; one over splits.
+    assert_eq!(same(&pairs_encoding_to(MAX_MESSAGE_SIZE)), 1);
+    assert_eq!(same(&pairs_encoding_to(MAX_MESSAGE_SIZE - 1)), 1);
+    assert_eq!(same(&pairs_encoding_to(MAX_MESSAGE_SIZE + 1)), 2);
+    // A pair that alone exceeds the limit is left alone in its chunk,
+    // wherever it falls.
+    let huge = ("env".to_string(), "e".repeat(MAX_MESSAGE_SIZE + 10));
+    let small = ("type".to_string(), "file".to_string());
+    assert_eq!(same(std::slice::from_ref(&huge)), 1);
+    assert_eq!(same(&[small.clone(), huge.clone(), small.clone()]), 3);
+    assert_eq!(same(&[huge.clone(), huge, small]), 3);
+    // 200 × 500 B, where the oracle re-encodes the chunk per pair.
+    let many: Vec<(String, String)> = (0..200)
+        .map(|i| (format!("env{i}"), "v".repeat(500)))
+        .collect();
+    assert!(same(&many) > 10);
+    assert_eq!(same(&[]), 0);
+}
+
+/// The WAL codec as it was before the encoder streamed and the chunker
+/// counted (commit `e0adccb`): a `Vec<String>` of escaped fields joined,
+/// a field `Vec` indexed, a chunk trial-encoded per pair. Slow, obvious,
+/// and the definition of the bytes on the queue.
+mod wal_oracle {
+    use super::{WalRecord, MAX_MESSAGE_SIZE};
+
+    const SEP: char = '\u{1f}';
+
+    fn esc(s: &str) -> String {
+        s.replace('%', "%25").replace(SEP, "%1F")
+    }
+
+    fn unesc(s: &str) -> String {
+        s.replace("%1F", "\u{1f}").replace("%25", "%")
+    }
+
+    pub fn encode(record: &WalRecord) -> String {
+        let mut fields: Vec<String> = Vec::new();
+        match record {
+            WalRecord::Begin { txid, records } => {
+                fields.extend(["B".into(), txid.to_string(), records.to_string()]);
+            }
+            WalRecord::Data {
+                txid,
+                temp_key,
+                name,
+                version,
+                nonce,
+            } => {
+                fields.extend([
+                    "D".into(),
+                    txid.to_string(),
+                    esc(temp_key),
+                    esc(name),
+                    version.to_string(),
+                    esc(nonce),
+                ]);
+            }
+            WalRecord::Prov {
+                txid,
+                item_name,
+                pairs,
+            } => {
+                fields.extend(["P".into(), txid.to_string(), esc(item_name)]);
+                for (k, v) in pairs {
+                    fields.push(esc(k));
+                    fields.push(esc(v));
+                }
+            }
+            WalRecord::Md5 {
+                txid,
+                item_name,
+                md5_hex,
+                nonce,
+            } => {
+                fields.extend([
+                    "M".into(),
+                    txid.to_string(),
+                    esc(item_name),
+                    esc(md5_hex),
+                    esc(nonce),
+                ]);
+            }
+            WalRecord::Commit { txid } => {
+                fields.extend(["C".into(), txid.to_string()]);
+            }
+        }
+        fields.join(&SEP.to_string())
+    }
+
+    pub fn decode(s: &str) -> Option<WalRecord> {
+        let fields: Vec<&str> = s.split(SEP).collect();
+        let txid: u64 = fields.get(1)?.parse().ok()?;
+        match *fields.first()? {
+            "B" => {
+                let records: u32 = fields.get(2)?.parse().ok()?;
+                (fields.len() == 3).then_some(WalRecord::Begin { txid, records })
+            }
+            "D" => {
+                if fields.len() != 6 {
+                    return None;
+                }
+                Some(WalRecord::Data {
+                    txid,
+                    temp_key: unesc(fields[2]),
+                    name: unesc(fields[3]),
+                    version: fields[4].parse().ok()?,
+                    nonce: unesc(fields[5]),
+                })
+            }
+            "P" => {
+                if fields.len() < 3 || !(fields.len() - 3).is_multiple_of(2) {
+                    return None;
+                }
+                let item_name = unesc(fields[2]);
+                let pairs = fields[3..]
+                    .chunks_exact(2)
+                    .map(|c| (unesc(c[0]), unesc(c[1])))
+                    .collect();
+                Some(WalRecord::Prov {
+                    txid,
+                    item_name,
+                    pairs,
+                })
+            }
+            "M" => {
+                if fields.len() != 5 {
+                    return None;
+                }
+                Some(WalRecord::Md5 {
+                    txid,
+                    item_name: unesc(fields[2]),
+                    md5_hex: unesc(fields[3]),
+                    nonce: unesc(fields[4]),
+                })
+            }
+            "C" => (fields.len() == 2).then_some(WalRecord::Commit { txid }),
+            _ => None,
+        }
+    }
+
+    pub fn chunk_pairs(txid: u64, item_name: &str, pairs: &[(String, String)]) -> Vec<WalRecord> {
+        let mut out = Vec::new();
+        let mut current: Vec<(String, String)> = Vec::new();
+        for pair in pairs {
+            current.push(pair.clone());
+            let candidate = WalRecord::Prov {
+                txid,
+                item_name: item_name.to_string(),
+                pairs: current.clone(),
+            };
+            if encode(&candidate).len() > MAX_MESSAGE_SIZE && current.len() > 1 {
+                let overflowed = current.pop().expect("non-empty");
+                out.push(WalRecord::Prov {
+                    txid,
+                    item_name: item_name.to_string(),
+                    pairs: std::mem::take(&mut current),
+                });
+                current.push(overflowed);
+            }
+        }
+        if !current.is_empty() {
+            out.push(WalRecord::Prov {
+                txid,
+                item_name: item_name.to_string(),
+                pairs: current,
+            });
+        }
+        out
     }
 }
