@@ -88,7 +88,7 @@ fn bench_wal_codec(c: &mut Criterion) {
             })
             .collect();
         let item = "bench/f0001.dat 1";
-        let record = chunk_pairs(7, item, &pairs).swap_remove(0);
+        let record = chunk_pairs(7, item, pairs.clone()).swap_remove(0);
         let encoded = record.encode();
         group.bench_function(BenchmarkId::new("encode", n), |b| {
             b.iter(|| black_box(&record).encode());
@@ -97,7 +97,8 @@ fn bench_wal_codec(c: &mut Criterion) {
             b.iter(|| WalRecord::decode(black_box(&encoded)));
         });
         group.bench_function(BenchmarkId::new("chunk_pairs", n), |b| {
-            b.iter(|| chunk_pairs(7, item, black_box(&pairs)));
+            let chunk = |pairs| chunk_pairs(7, item, black_box(pairs));
+            b.iter_batched(|| pairs.clone(), chunk, BatchSize::SmallInput);
         });
     }
     group.finish();

@@ -115,6 +115,17 @@ fn bench_md5(c: &mut Criterion) {
         let data = vec![0xa5u8; 4096];
         b.iter_batched(|| data.clone(), |d| Md5::digest(&d), BatchSize::SmallInput);
     });
+    // What a decoded `Record` frame hands S3 (the ETag) and the
+    // consistency token: an inline blob of about 1 KiB.
+    group.bench_function("inline_1k", |b| {
+        let blob = Blob::from_bytes(vec![0x5au8; 1024]);
+        b.iter(|| blob.md5());
+    });
+    // Every process flush hashes the empty blob.
+    group.bench_function("empty", |b| {
+        let blob = Blob::empty();
+        b.iter(|| blob.md5());
+    });
     group.finish();
 }
 

@@ -162,18 +162,18 @@ impl WriteSide {
         }
     }
 
-    /// Finishes an item: caps `pairs` at SimpleDB's 256-pair limit,
-    /// storing the spilled tail of a massive item as a continuation
-    /// object (an idempotent PUT, `before_put` firing first), and returns
-    /// the attributes to put.
+    /// Finishes item `item_name`: caps `pairs` at SimpleDB's 256-pair
+    /// limit, storing the spilled tail of a massive item as a
+    /// continuation object (an idempotent PUT, `before_put` firing
+    /// first), and returns the attributes to put.
     pub(crate) fn finish_item(
         &self,
-        object: &ObjectRef,
+        item_name: &str,
         pairs: Vec<(String, String)>,
         before_put: Option<CrashSite>,
     ) -> Result<Vec<ReplaceableAttribute>> {
         let parts = &self.parts;
-        let (pairs, continuation) = fit_item_pairs(object, pairs);
+        let (pairs, continuation) = fit_item_pairs(item_name, pairs);
         if let Some((key, blob)) = continuation {
             if let Some(site) = before_put {
                 parts.world.crash_point(site)?;
@@ -226,10 +226,10 @@ impl WriteSide {
 
 /// The metadata of a data object: its version and the consistency nonce.
 pub(crate) fn data_meta(version: u32, nonce: &str) -> Metadata {
-    let mut meta = Metadata::new();
-    meta.insert(META_VERSION, version.to_string());
-    meta.insert(META_NONCE, nonce);
-    meta
+    Metadata::from_pairs([
+        (META_VERSION, version.to_string()),
+        (META_NONCE, nonce.to_string()),
+    ])
 }
 
 /// The S3 + SimpleDB provenance store.
@@ -317,15 +317,16 @@ impl S3SimpleDb {
             parts.world.crash_point(A2_BEFORE_OVERFLOW_PUT)?;
             put_plain(&parts.world, &parts.s3, &parts.retry, key, blob)?;
         }
+        let item_name = flush.object.item_name();
         let before_put = Some(A2_BEFORE_OVERFLOW_PUT);
         let mut attrs = self
             .side
-            .finish_item(&flush.object, encoded.pairs, before_put)?;
+            .finish_item(&item_name, encoded.pairs, before_put)?;
         let nonce = nonce_for(&flush.object);
         let md5 = consistency_md5(&flush.data, &nonce, parts.use_nonce);
         attrs.push(ReplaceableAttribute::add(ATTR_MD5, md5));
         attrs.push(ReplaceableAttribute::add(ATTR_NONCE, nonce));
-        Ok((flush.object.item_name(), attrs))
+        Ok((item_name, attrs))
     }
 
     /// Protocol step 4 for one flush: the data PUT carrying the nonce. A
@@ -334,11 +335,13 @@ impl S3SimpleDb {
         let parts = &self.side.parts;
         parts.world.crash_point(A2_BEFORE_DATA_PUT)?;
         let key = data_key(&flush.object.name);
-        let meta = data_meta(flush.object.version, &nonce_for(&flush.object));
+        let nonce = nonce_for(&flush.object);
+        // Built per attempt: the first one takes it, nothing is cloned.
+        let meta = || data_meta(flush.object.version, &nonce);
         parts.retrying(|| {
             Ok(parts
                 .s3
-                .put_object(BUCKET, &key, flush.data.clone(), meta.clone())?)
+                .put_object(BUCKET, &key, flush.data.clone(), meta())?)
         })
     }
 

@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use pass::{FileFlush, ObjectRef};
+use pass::FileFlush;
 use sim_s3::{Metadata, MetadataDirective, S3Error, MAX_DELETE_KEYS, S3};
 use sim_simpledb::SimpleDb;
 use sim_sqs::{Sqs, MAX_BATCH_ENTRIES, RETENTION};
@@ -166,6 +166,10 @@ struct Assembly {
     handles: Vec<String>,
 }
 
+/// Log records of the usual transaction: BEGIN, the data pointer, one
+/// provenance chunk, MD5, COMMIT — what an assembly makes room for.
+const USUAL_TX_RECORDS: usize = 5;
+
 impl Assembly {
     fn new(first_seen: SimInstant) -> Assembly {
         Assembly {
@@ -174,8 +178,8 @@ impl Assembly {
             committed: false,
             payload: Vec::new(),
             payload_count: 0,
-            message_ids: Vec::new(),
-            handles: Vec::new(),
+            message_ids: Vec::with_capacity(USUAL_TX_RECORDS),
+            handles: Vec::with_capacity(USUAL_TX_RECORDS),
         }
     }
 
@@ -431,25 +435,29 @@ impl CommitDaemon {
                         nonce,
                         ..
                     } => {
-                        let meta = data_meta(version, &nonce);
+                        let meta = || data_meta(version, &nonce);
                         self.copy_with_retry(txid, &temp_key, &data_key(&name), meta)?;
                         temp_keys.push(temp_key);
                         world.crash_point(D3_AFTER_COPY)?;
                     }
                     WalRecord::Prov {
-                        item_name, pairs, ..
+                        item_name,
+                        mut pairs,
+                        ..
                     } => {
+                        for (_, value) in &mut pairs {
+                            if let Some((tmp, perm)) = parse_staged_pointer(value) {
+                                self.copy_with_retry(txid, tmp, perm, Metadata::new)?;
+                                temp_keys.push(tmp.to_string());
+                                *value = pointer(perm);
+                            }
+                        }
+                        // An item's first chunk is its pair list.
                         let item = tx_items.entry(item_name).or_default();
-                        for (name, value) in pairs {
-                            let resolved = match parse_staged_pointer(&value) {
-                                Some((tmp, perm)) => {
-                                    self.copy_with_retry(txid, tmp, perm, Metadata::new())?;
-                                    temp_keys.push(tmp.to_string());
-                                    pointer(perm)
-                                }
-                                None => value,
-                            };
-                            item.push((name, resolved));
+                        if item.is_empty() {
+                            *item = pairs;
+                        } else {
+                            item.append(&mut pairs);
                         }
                     }
                     WalRecord::Md5 {
@@ -466,9 +474,7 @@ impl CommitDaemon {
                 }
             }
             for (item_name, pairs) in tx_items {
-                let object = ObjectRef::parse_item_name(&item_name)
-                    .unwrap_or_else(|| ObjectRef::new(&item_name, 0));
-                let attrs = self.side.finish_item(&object, pairs, None)?;
+                let attrs = self.side.finish_item(&item_name, pairs, None)?;
                 items.push((item_name, attrs));
             }
         }
@@ -515,8 +521,15 @@ impl CommitDaemon {
     /// deleted by a previous life of the daemon (replay) — in which case
     /// the destination already carries the data. The copy is keyed by
     /// `txid` so a pipelined step keeps one transaction's copies in
-    /// completion order.
-    fn copy_with_retry(&self, txid: u64, src: &str, dst: &str, meta: Metadata) -> Result<()> {
+    /// completion order. Every attempt replaces the metadata with a fresh
+    /// `meta()`, which the request then owns.
+    fn copy_with_retry(
+        &self,
+        txid: u64,
+        src: &str,
+        dst: &str,
+        meta: impl Fn() -> Metadata,
+    ) -> Result<()> {
         let parts = &self.side.parts;
         let mut attempts = 0;
         loop {
@@ -526,7 +539,7 @@ impl CommitDaemon {
                     src,
                     BUCKET,
                     dst,
-                    MetadataDirective::Replace(meta.clone()),
+                    MetadataDirective::Replace(meta()),
                     txid,
                 )?)
             });
@@ -736,7 +749,7 @@ impl S3SimpleDbSqs {
         // objects now and COPYed to their permanent keys at commit.
         let encoded = encode_records(&flush.object, &flush.records);
         let mut pairs = encoded.pairs;
-        let temp_key = format!("{tmp}data");
+        let temp_key = [tmp.as_str(), "data"].concat();
         let mut temps = vec![(temp_key.clone(), flush.data.clone())];
         for (i, (perm_key, blob)) in encoded.overflows.iter().enumerate() {
             let tmp_key = format!("{tmp}ovf{i}");
@@ -748,7 +761,7 @@ impl S3SimpleDbSqs {
             temps.push((tmp_key, blob.clone()));
         }
 
-        let prov_chunks = chunk_pairs(txid, &item_name, &pairs);
+        let prov_chunks = chunk_pairs(txid, &item_name, pairs);
         let mut records = vec![
             WalRecord::Begin {
                 txid,

@@ -1,6 +1,8 @@
 //! Naming conventions shared by all three architectures: bucket/domain
 //! names, S3 key prefixes, metadata keys, and overflow pointers.
 
+use std::fmt::Write;
+
 use pass::ObjectRef;
 
 /// The single S3 bucket all architectures store into.
@@ -132,7 +134,7 @@ pub const OVERFLOW_THRESHOLD: usize = 1024;
 
 /// S3 key of a data object.
 pub fn data_key(name: &str) -> String {
-    format!("{DATA_PREFIX}{name}")
+    [DATA_PREFIX, name].concat()
 }
 
 /// Object name from a data key, if it is one.
@@ -147,12 +149,15 @@ pub fn overflow_key(object: &ObjectRef, idx: usize) -> String {
 
 /// S3 key prefix for Architecture 3 temp objects of one transaction.
 pub fn tmp_prefix(client: &str, txid: u64) -> String {
-    format!("{TMP_PREFIX}{client}/{txid}/")
+    // Room for any txid (twenty digits) and both slashes.
+    let mut prefix = String::with_capacity(TMP_PREFIX.len() + client.len() + 22);
+    write!(prefix, "{TMP_PREFIX}{client}/{txid}/").expect("writing to a String cannot fail");
+    prefix
 }
 
 /// Renders an overflow pointer value: `@s3:{key}`.
 pub fn pointer(key: &str) -> String {
-    format!("@s3:{key}")
+    ["@s3:", key].concat()
 }
 
 /// Parses an overflow pointer value.

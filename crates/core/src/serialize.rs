@@ -220,9 +220,10 @@ const ITEM_ATTR_RESERVE: usize = 3;
 /// by a single `more` pointer attribute. Massive fan-in (a linker
 /// reading thousands of objects) would otherwise be unstorable — the
 /// trade-off is that spilled `input` records are invisible to SimpleDB's
-/// index, exactly as they would be on the real service.
+/// index, exactly as they would be on the real service. `item_name` is
+/// the item's SimpleDB name, which names the continuation object.
 pub fn fit_item_pairs(
-    object: &ObjectRef,
+    item_name: &str,
     mut pairs: Vec<(String, String)>,
 ) -> (Vec<(String, String)>, Option<(String, Blob)>) {
     let max_inline = sim_simpledb::MAX_PAIRS_PER_ITEM - ITEM_ATTR_RESERVE;
@@ -230,11 +231,7 @@ pub fn fit_item_pairs(
         return (pairs, None);
     }
     let tail: Vec<(String, String)> = pairs.split_off(max_inline);
-    let key = format!(
-        "{}{}/more-attrs",
-        crate::layout::PROV_PREFIX,
-        object.item_name()
-    );
+    let key = format!("{}{item_name}/more-attrs", crate::layout::PROV_PREFIX);
     let mut body = String::new();
     for (name, value) in &tail {
         push_entry(&mut body, &[name, value]);

@@ -325,27 +325,35 @@ impl WalRecord {
 /// §4.3). Oversized single pairs must have been pointered beforehand —
 /// the overflow rule keeps values ≤ 1 KB, so any pair fits. A chunk
 /// closes when its header plus its pairs' encoded lengths would pass the
-/// limit: counted, never encoded, so linear in the pairs.
-pub fn chunk_pairs(txid: u64, item_name: &str, pairs: &[(String, String)]) -> Vec<WalRecord> {
-    let prov = |pairs: &[(String, String)]| WalRecord::Prov {
-        txid,
-        item_name: item_name.to_string(),
-        pairs: pairs.to_vec(),
-    };
+/// limit: counted, never encoded, so linear in the pairs. The pairs move
+/// into their chunks — one chunk is the caller's `Vec` itself.
+pub fn chunk_pairs(txid: u64, item_name: &str, mut pairs: Vec<(String, String)>) -> Vec<WalRecord> {
     let header = prov_header_len(txid, item_name);
-    let mut out = Vec::new();
+    // Where every chunk after the first starts.
+    let mut starts = Vec::new();
     let (mut from, mut len) = (0, header);
     for (i, pair) in pairs.iter().enumerate() {
         let pair = pair_len(pair);
         if len + pair > MAX_MESSAGE_SIZE && i > from {
-            out.push(prov(&pairs[from..i]));
+            starts.push(i);
             (from, len) = (i, header);
         }
         len += pair;
     }
-    if from < pairs.len() {
-        out.push(prov(&pairs[from..]));
+    let prov = |pairs| WalRecord::Prov {
+        txid,
+        item_name: item_name.to_string(),
+        pairs,
+    };
+    // Split from the back, so every split moves only its own chunk.
+    let mut out = Vec::with_capacity(starts.len() + 1);
+    for &start in starts.iter().rev() {
+        out.push(prov(pairs.split_off(start)));
     }
+    if !pairs.is_empty() {
+        out.push(prov(pairs));
+    }
+    out.reverse();
     out
 }
 
@@ -514,7 +522,7 @@ mod tests {
         let pairs: Vec<(String, String)> = (0..200)
             .map(|i| (format!("env{i}"), "v".repeat(500)))
             .collect();
-        let chunks = chunk_pairs(9, "item 1", &pairs);
+        let chunks = chunk_pairs(9, "item 1", pairs.clone());
         assert!(chunks.len() > 1, "200 × ~500B pairs cannot fit one message");
         let mut reassembled = Vec::new();
         for c in &chunks {
@@ -535,7 +543,7 @@ mod tests {
     #[test]
     fn small_sets_fit_one_chunk() {
         let pairs = vec![("type".to_string(), "file".to_string())];
-        let chunks = chunk_pairs(1, "i 1", &pairs);
+        let chunks = chunk_pairs(1, "i 1", pairs);
         assert_eq!(chunks.len(), 1);
     }
 

@@ -6,7 +6,7 @@
 //! record says `(input, bar:2)` — referencing the *version*, not just the
 //! name, so later changes to `bar` cannot corrupt `foo`'s history.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +41,7 @@ impl ObjectRef {
 
     /// Renders as `name:version`.
     pub fn render(&self) -> String {
-        format!("{}:{}", self.name, self.version)
+        self.joined(':')
     }
 
     /// Parses `name:version`, splitting at the *last* colon (names may
@@ -62,7 +62,15 @@ impl ObjectRef {
     /// The SimpleDB item name for this object version: the paper
     /// concatenates name and version (its example is `ItemName=foo 2`).
     pub fn item_name(&self) -> String {
-        format!("{} {}", self.name, self.version)
+        self.joined(' ')
+    }
+
+    /// `name`, `sep`, `version`, written into one buffer with room for
+    /// any version (ten digits).
+    fn joined(&self, sep: char) -> String {
+        let mut out = String::with_capacity(self.name.len() + 11);
+        write!(out, "{}{sep}{}", self.name, self.version).expect("writing to a String cannot fail");
+        out
     }
 
     /// Parses an item name back (inverse of [`ObjectRef::item_name`]).

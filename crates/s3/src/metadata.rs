@@ -46,18 +46,32 @@ impl Metadata {
         Metadata::default()
     }
 
-    /// Builds metadata from `(key, value)` pairs.
+    /// Builds metadata from `(key, value)` pairs; a repeated key keeps
+    /// its last value, as repeated [`Metadata::insert`]s would. The pairs
+    /// are collected once and sorted, not inserted one by one.
     pub fn from_pairs<K, V, I>(pairs: I) -> Metadata
     where
         K: Into<String>,
         V: Into<String>,
         I: IntoIterator<Item = (K, V)>,
     {
-        let mut m = Metadata::new();
-        for (k, v) in pairs {
-            m.insert(k, v);
+        let mut entries: Vec<Pair> = pairs
+            .into_iter()
+            .map(|(k, v)| Pair::new(k.into(), v.into()))
+            .collect();
+        // Stable, so a run of one key stays in insertion order; each run
+        // then collapses onto its first slot carrying its last value.
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
+        entries.dedup_by(|later, kept| {
+            let same = later.name == kept.name;
+            if same {
+                std::mem::swap(&mut later.value, &mut kept.value);
+            }
+            same
+        });
+        Metadata {
+            entries: entries.into(),
         }
-        m
     }
 
     /// Where `key`'s pair is, or where it would go.
@@ -207,6 +221,25 @@ mod tests {
         let m = Metadata::from_pairs([("b", "2"), ("a", "1"), ("c", "3")]);
         let keys: Vec<_> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn from_pairs_equals_inserting_in_order() {
+        let pairs = [
+            ("b", "1"),
+            ("a", "1"),
+            ("b", "2"),
+            ("c", "1"),
+            ("b", "3"),
+            ("a", "2"),
+        ];
+        let mut inserted = Metadata::new();
+        for (k, v) in pairs {
+            inserted.insert(k, v);
+        }
+        let built = Metadata::from_pairs(pairs);
+        assert_eq!(built, inserted);
+        assert_eq!((built.get("a"), built.get("b")), (Some("2"), Some("3")));
     }
 
     #[test]

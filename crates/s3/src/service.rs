@@ -374,9 +374,7 @@ impl S3 {
         key: &str,
         miss: Charge<'_>,
     ) -> Result<(u32, Stored)> {
-        let (shard, stored) = bkt.point_op(key, |shard, map| {
-            (shard, map.read(&self.world, &key.to_string()))
-        });
+        let (shard, stored) = bkt.point_op(key, |shard, map| (shard, map.read(&self.world, key)));
         let Some(stored) = stored else {
             self.world.charge(Charge {
                 shards: &[shard],
@@ -518,12 +516,14 @@ impl S3 {
     /// whatever `key` held, then `value` — `None` deletes — is written.
     /// Deleting an absent key is billed and writes nothing.
     fn write(&self, bkt: &Bucket, key: &str, value: Option<Stored>, charge: Charge<'_>) {
+        debug_assert!(charge.shards.len() <= 1, "at most a copy's source shard");
         bkt.point_op(key, |shard, map| {
-            let prev = map.read_latest(&key.to_string()).map(|s| s.footprint());
+            let prev = map.read_latest_with(key, Stored::footprint);
             let next = value.as_ref().map(Stored::footprint);
-            let touched: Vec<u32> = charge.shards.iter().copied().chain([shard]).collect();
+            let mut touched = [shard; 2];
+            touched[..charge.shards.len()].copy_from_slice(charge.shards);
             self.world.charge(Charge {
-                shards: &touched,
+                shards: &touched[..=charge.shards.len()],
                 stored_delta: next.unwrap_or(0) as i64 - prev.unwrap_or(0) as i64,
                 ..charge
             });
@@ -768,7 +768,7 @@ impl S3 {
     pub fn latest_object(&self, bucket: &str, key: &str) -> Option<Object> {
         let bkt = self.bucket(bucket).ok()?;
         bkt.with_cells(key, |_, map| {
-            map.read_latest(&key.to_string()).map(|s| Object {
+            map.read_latest(key).map(|s| Object {
                 body: s.body,
                 metadata: s.metadata,
                 etag: s.etag,

@@ -414,7 +414,17 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.cells.get(key).and_then(|c| c.latest.value.clone())
+        self.read_latest_with(key, V::clone)
+    }
+
+    /// [`EcMap::read_latest`] without the clone: `f` of the newest value
+    /// in place, `None` for an absent or deleted key.
+    pub fn read_latest_with<Q, R>(&self, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.cells.get(key)?.latest.value.as_ref().map(f)
     }
 
     /// Iterates the authoritative live entries in key order.

@@ -140,6 +140,12 @@ impl FaultPlan {
         Ok(())
     }
 
+    /// `true` when [`FaultPlan::check`] can change nothing and fail
+    /// nothing: visits are not recorded and every armed site has fired.
+    pub(crate) fn is_idle(&self) -> bool {
+        !self.record_visits && self.armed.values().all(|armed| armed.fired)
+    }
+
     /// `true` if `site` was armed and has fired.
     pub fn has_fired(&self, site: CrashSite) -> bool {
         self.armed.get(&site).map(|a| a.fired).unwrap_or(false)
@@ -206,6 +212,18 @@ mod tests {
         assert_eq!(plan.visits(), &[SITE_A, SITE_B, SITE_A]);
         plan.record_visits(false);
         assert!(plan.visits().is_empty());
+    }
+
+    #[test]
+    fn idle_means_nothing_to_fire_or_record() {
+        let mut plan = FaultPlan::new();
+        assert!(plan.is_idle());
+        plan.arm(SITE_A);
+        assert!(!plan.is_idle());
+        let _ = plan.check(SITE_A);
+        assert!(plan.is_idle(), "a fired site passes from now on");
+        plan.record_visits(true);
+        assert!(!plan.is_idle());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! timeline and reads one ledger, deterministically for a given seed.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -336,7 +337,26 @@ impl WorldState {
 /// ```
 #[derive(Clone)]
 pub struct SimWorld {
-    inner: Arc<Mutex<WorldState>>,
+    inner: Arc<Shared>,
+}
+
+/// What every clone of a [`SimWorld`] shares: the state behind its one
+/// lock, and beside it whether the fault plan is idle.
+struct Shared {
+    state: Mutex<WorldState>,
+    /// [`FaultPlan::is_idle`] as of the last [`SimWorld::with_faults`]:
+    /// `true` lets [`SimWorld::crash_point`] pass without taking the lock
+    /// — outside crash tests, every visit. Stored (`Release`) while
+    /// `with_faults` still holds the lock, loaded (`Acquire`) by
+    /// `crash_point`: a visit ordered after an arming sees the plan
+    /// un-idle and takes the lock.
+    faults_idle: AtomicBool,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, WorldState> {
+        self.state.lock()
+    }
 }
 
 impl std::fmt::Debug for SimWorld {
@@ -361,20 +381,23 @@ impl SimWorld {
     /// A world with explicit configuration.
     pub fn with_config(config: SimConfig) -> SimWorld {
         SimWorld {
-            inner: Arc::new(Mutex::new(WorldState {
-                now: SimInstant::EPOCH,
-                rng: SmallRng::seed_from_u64(config.seed),
-                meters: MeterBook::new(),
-                faults: FaultPlan::new(),
-                config,
-                sched: Scheduler::new(),
-                timers: HashMap::new(),
-                pipeline: None,
-                trace: None,
-                tenant: 0,
-                samples: None,
-                throttle_retries: 0,
-            })),
+            inner: Arc::new(Shared {
+                state: Mutex::new(WorldState {
+                    now: SimInstant::EPOCH,
+                    rng: SmallRng::seed_from_u64(config.seed),
+                    meters: MeterBook::new(),
+                    faults: FaultPlan::new(),
+                    config,
+                    sched: Scheduler::new(),
+                    timers: HashMap::new(),
+                    pipeline: None,
+                    trace: None,
+                    tenant: 0,
+                    samples: None,
+                    throttle_retries: 0,
+                }),
+                faults_idle: AtomicBool::new(true),
+            }),
         }
     }
 
@@ -744,12 +767,20 @@ impl SimWorld {
     /// [`Crashed`] when the fault plan fires; the caller must abandon the
     /// protocol immediately, leaving remote state as-is.
     pub fn crash_point(&self, site: CrashSite) -> Result<(), Crashed> {
+        if self.inner.faults_idle.load(Ordering::Acquire) {
+            return Ok(());
+        }
         self.inner.lock().faults.check(site)
     }
 
     /// Mutates the fault plan (arming/disarming sites).
     pub fn with_faults<T>(&self, f: impl FnOnce(&mut FaultPlan) -> T) -> T {
-        f(&mut self.inner.lock().faults)
+        let mut st = self.inner.lock();
+        let out = f(&mut st.faults);
+        self.inner
+            .faults_idle
+            .store(st.faults.is_idle(), Ordering::Release);
+        out
     }
 
     /// The upper bound on replication lag under the current config
@@ -858,6 +889,29 @@ mod tests {
         w.with_faults(|f| f.arm(SITE));
         assert!(w.crash_point(SITE).is_err());
         assert!(w.crash_point(SITE).is_ok(), "fires only once");
+    }
+
+    #[test]
+    fn arming_after_an_idle_stretch_fires_on_the_counted_visit() {
+        const SITE: CrashSite = CrashSite::new("world.idle");
+        let w = SimWorld::new(0);
+        for _ in 0..5 {
+            assert!(w.crash_point(SITE).is_ok(), "idle plan: nothing fires");
+        }
+        w.with_faults(|f| f.arm(SITE));
+        assert!(w.crash_point(SITE).is_err(), "the next visit fires");
+        // Idle again (the one armed site has fired): skipped visits
+        // before a new arming are not counted against it.
+        for _ in 0..5 {
+            assert!(w.crash_point(SITE).is_ok());
+        }
+        w.with_faults(|f| f.arm_after(SITE, 2));
+        assert!(w.crash_point(SITE).is_ok());
+        assert!(w.crash_point(SITE).is_ok());
+        assert!(w.crash_point(SITE).is_err(), "the third visit after arming");
+        w.with_faults(|f| f.record_visits(true));
+        w.crash_point(SITE).expect("fired already");
+        assert_eq!(w.with_faults(|f| f.visits().to_vec()), [SITE]);
     }
 
     #[test]

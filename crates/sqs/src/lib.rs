@@ -4,7 +4,9 @@
 //! *Making a Cloud Provenance-Aware* (TaPP '09) builds its third
 //! architecture on:
 //!
-//! * 8 KB Unicode message bodies;
+//! * 8 KB Unicode message bodies, stored once and **shared** with every
+//!   delivery ([`ReceivedMessage::body`] is an `Arc<str>` pointing at the
+//!   queue's copy, not a copy of it);
 //! * sampled `ReceiveMessage` (1–10 messages; one call may miss messages
 //!   that exist — callers repeat until done);
 //! * **per-queue locking** under a shared queue map, so operations on

@@ -62,15 +62,17 @@ pub struct ReceivedMessage {
     pub message_id: String,
     /// Receipt handle for this delivery; required by `DeleteMessage`.
     pub receipt_handle: String,
-    /// Message body.
-    pub body: String,
+    /// Message body: shared with the queue's stored copy (and with every
+    /// other delivery of the message), not copied out of it.
+    pub body: Arc<str>,
 }
 
+/// A message as the queue holds it. Its id is not kept: it is
+/// [`message_id`] of `seq`, rendered when a send or a receive hands it out.
 #[derive(Clone, Debug)]
 struct StoredMessage {
     seq: u64,
-    message_id: String,
-    body: String,
+    body: Arc<str>,
     sent_at: SimInstant,
     /// Hidden until this instant (visibility timeout after a delivery).
     visible_at: SimInstant,
@@ -289,7 +291,7 @@ impl Sqs {
         let queue = self.queue(url)?;
         self.admit(url, Op::SqsSendMessage, body.len() as u64)?;
         let size = body.len() as u64;
-        let (mut ids, _) = self.enqueue(&queue, vec![body]);
+        let (seq, _) = self.enqueue(&queue, 1, [Arc::from(body)]);
         // Keyed by queue: pipelined sends to one queue complete in
         // issue order, so a WAL's BEGIN..COMMIT sequence stays ordered
         // however many sends are in flight.
@@ -298,44 +300,47 @@ impl Sqs {
             stored_delta: size as i64,
             ..Charge::point(Op::SqsSendMessage, size, 0)
         });
-        Ok(ids.remove(0))
+        Ok(message_id(seq))
     }
 
-    /// The storage half of both sends: one server draw per body, one
-    /// contiguous reservation of sequence numbers (`fetch_add(k)` hands
-    /// out `base+1 ..= base+k`), then — the queue lock taken once —
-    /// retention expiry and the inserts. Returns the message ids and the
+    /// The storage half of both sends, for the `count` (at most
+    /// [`MAX_BATCH_ENTRIES`]) messages `bodies` yields: one server draw
+    /// per message, one contiguous reservation of sequence numbers
+    /// (`fetch_add(count)` hands out `base+1 ..= base+count`), then — the
+    /// queue lock taken once — retention expiry and the inserts. Returns
+    /// the first message's sequence number (the rest follow it) and the
     /// busiest storage server's share of the new messages.
-    fn enqueue(&self, queue: &Mutex<Queue>, bodies: Vec<String>) -> (Vec<String>, u64) {
-        let servers: Vec<usize> = bodies
-            .iter()
-            .map(|_| self.world.rand_below(QUEUE_SERVERS as u64) as usize)
-            .collect();
-        let reserve = bodies.len() as u64;
-        let base = self.inner.next_seq.fetch_add(reserve, Ordering::Relaxed);
+    fn enqueue(
+        &self,
+        queue: &Mutex<Queue>,
+        count: usize,
+        bodies: impl IntoIterator<Item = Arc<str>>,
+    ) -> (u64, u64) {
+        let mut servers = [0usize; MAX_BATCH_ENTRIES];
+        let servers = &mut servers[..count];
+        for server in servers.iter_mut() {
+            *server = self.world.rand_below(QUEUE_SERVERS as u64) as usize;
+        }
+        let base = self
+            .inner
+            .next_seq
+            .fetch_add(count as u64, Ordering::Relaxed);
         let now = self.world.now();
         let mut per_server = [0u64; QUEUE_SERVERS];
         let mut queue = queue.lock();
         self.expire_old_messages(&mut queue, now);
-        let ids = (base + 1..)
-            .zip(bodies.into_iter().zip(servers))
-            .map(|(seq, (body, server))| {
-                let message_id = format!("msg-{seq:016x}");
-                per_server[server] += 1;
-                let stored = StoredMessage {
-                    seq,
-                    message_id: message_id.clone(),
-                    body,
-                    sent_at: now,
-                    visible_at: now,
-                    server,
-                    deliveries: 0,
-                };
-                queue.insert(stored);
-                message_id
-            })
-            .collect();
-        (ids, per_server.iter().copied().max().unwrap_or(0))
+        for ((seq, body), &server) in (base + 1..).zip(bodies).zip(&*servers) {
+            per_server[server] += 1;
+            queue.insert(StoredMessage {
+                seq,
+                body,
+                sent_at: now,
+                visible_at: now,
+                server,
+                deliveries: 0,
+            });
+        }
+        (base + 1, per_server.iter().copied().max().unwrap_or(0))
     }
 
     /// Enqueues up to [`MAX_BATCH_ENTRIES`] messages in **one billable
@@ -382,31 +387,33 @@ impl Sqs {
 
         // Per-entry validation first: only the accepted entries draw
         // RNG (server placement) and consume sequence numbers.
-        let accepted: Vec<usize> = (0..bodies.len())
-            .filter(|i| bodies[*i].len() <= MAX_MESSAGE_SIZE)
-            .collect();
-        let bytes_in: u64 = accepted.iter().map(|&i| bodies[i].len() as u64).sum();
-        let placed = accepted.iter().map(|&i| bodies[i].clone()).collect();
-        let (ids, gating) = self.enqueue(&queue, placed);
-        let mut out: Vec<BatchEntryOutcome<String>> = bodies
+        let fits = |body: &&String| body.len() <= MAX_MESSAGE_SIZE;
+        let accepted = bodies.iter().filter(fits);
+        let entries = accepted.clone().count();
+        let bytes_in: u64 = accepted.clone().map(|b| b.len() as u64).sum();
+        let placed = accepted.map(|body| Arc::from(body.as_str()));
+        let (mut seq, gating) = self.enqueue(&queue, entries, placed);
+        let out: Vec<BatchEntryOutcome<String>> = bodies
             .iter()
-            .map(|b| {
-                Err(SqsError::MessageTooLong {
-                    size: b.len(),
-                    limit: MAX_MESSAGE_SIZE,
-                })
+            .map(|body| {
+                if !fits(&body) {
+                    return Err(SqsError::MessageTooLong {
+                        size: body.len(),
+                        limit: MAX_MESSAGE_SIZE,
+                    });
+                }
+                let id = message_id(seq);
+                seq += 1;
+                Ok(id)
             })
             .collect();
-        for (&i, message_id) in accepted.iter().zip(ids) {
-            out[i] = Ok(message_id);
-        }
         // Storage servers append their entries in parallel; the busiest
         // one gates the response (the receive-path rule, applied to the
         // write path). Queue-keyed like the point send: a pipelined
         // client's batches to one queue complete in issue order.
         self.world.charge(Charge {
             cost: Cost::Batch {
-                entries: accepted.len() as u64,
+                entries: entries as u64,
                 gating,
             },
             order_key: Some(fnv1a_64(url)),
@@ -465,9 +472,9 @@ impl Sqs {
             msg.visible_at = now + timeout;
             bytes_out += msg.body.len() as u64;
             out.push(ReceivedMessage {
-                message_id: msg.message_id.clone(),
-                receipt_handle: format!("rh/{name}/{}/{}", msg.seq, msg.deliveries),
-                body: msg.body.clone(),
+                message_id: message_id(msg.seq),
+                receipt_handle: receipt_handle(name, msg.seq, msg.deliveries),
+                body: Arc::clone(&msg.body),
             });
         }
         drop(queue);
@@ -564,23 +571,28 @@ impl Sqs {
     pub fn approximate_number_of_messages(&self, url: &str) -> Result<usize> {
         let queue = self.queue(url)?;
         // Sample half of the servers and extrapolate.
-        let sampled: Vec<usize> = (0..QUEUE_SERVERS)
-            .filter(|_| self.world.rand_below(2) == 1)
-            .collect();
+        let mut sampled = [false; QUEUE_SERVERS];
+        for s in sampled.iter_mut() {
+            *s = self.world.rand_below(2) == 1;
+        }
+        let polled = sampled.iter().filter(|s| **s).count();
         let now = self.world.now();
         let mut queue = queue.lock();
         self.expire_old_messages(&mut queue, now);
-        let scan_share = queue.scan_share(|server| sampled.contains(&server));
-        let on_sample: u64 = sampled.iter().map(|s| queue.per_server[*s]).sum();
+        let scan_share = queue.scan_share(|server| sampled[server]);
+        let on_sample: u64 = (0..QUEUE_SERVERS)
+            .filter(|server| sampled[*server])
+            .map(|server| queue.per_server[server])
+            .sum();
         drop(queue);
         self.world.charge(Charge {
             cost: Cost::Scan { rows: scan_share },
             ..Charge::point(Op::SqsGetQueueAttributes, 0, 16)
         });
-        if sampled.is_empty() {
+        if polled == 0 {
             return Ok(0);
         }
-        Ok(on_sample as usize * QUEUE_SERVERS / sampled.len())
+        Ok(on_sample as usize * QUEUE_SERVERS / polled)
     }
 
     // --- authoritative (non-billed) views for invariant checks ---
@@ -594,7 +606,13 @@ impl Sqs {
     /// All live message bodies, unbilled and ignoring visibility. For
     /// tests and property validators only.
     pub fn peek_all(&self, url: &str) -> Vec<String> {
-        let bodies = |queue: &Queue| queue.messages.values().map(|m| m.body.clone()).collect();
+        let bodies = |queue: &Queue| {
+            queue
+                .messages
+                .values()
+                .map(|m| m.body.to_string())
+                .collect()
+        };
         self.peek(url, bodies).unwrap_or_default()
     }
 
@@ -656,6 +674,55 @@ impl Sqs {
     }
 }
 
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut String, n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Decimal digits of `n`.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// The message id of sequence number `seq`: `msg-` and the number as 16
+/// lower-case hex digits.
+fn message_id(seq: u64) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut id = String::with_capacity(20);
+    id.push_str("msg-");
+    id.extend(
+        (0..16)
+            .rev()
+            .map(|i| char::from(HEX[(seq >> (4 * i)) as usize & 15])),
+    );
+    id
+}
+
+/// The receipt handle of delivery number `deliveries` of message `seq`
+/// from queue `name`: `rh/{name}/{seq}/{deliveries}`.
+fn receipt_handle(name: &str, seq: u64, deliveries: u64) -> String {
+    let len = "rh/".len() + name.len() + 1 + decimal_len(seq) + 1 + decimal_len(deliveries);
+    let mut handle = String::with_capacity(len);
+    handle.push_str("rh/");
+    handle.push_str(name);
+    handle.push('/');
+    push_decimal(&mut handle, seq);
+    handle.push('/');
+    push_decimal(&mut handle, deliveries);
+    handle
+}
+
 /// Parses the sequence number out of a `rh/{name}/{seq}/{deliveries}`
 /// receipt handle. Parsed from the *ends* — prefix first, then the two
 /// trailing numeric fields — so queue names containing `/` produce
@@ -689,6 +756,42 @@ mod tests {
         assert!(parse_receipt_seq("rh/q/1/notanumber").is_err());
         assert!(parse_receipt_seq("rh//1/1").is_err());
         assert!(parse_receipt_seq("rh/1/2").is_err());
+    }
+
+    #[test]
+    fn ids_and_handles_render_as_their_format_strings_did() {
+        for seq in [0, 1, 1 << 32, u64::MAX] {
+            assert_eq!(message_id(seq), format!("msg-{seq:016x}"));
+            for deliveries in [0, 1, 99] {
+                for name in ["q", "team/alpha/wal", "wal-client-1"] {
+                    let handle = receipt_handle(name, seq, deliveries);
+                    assert_eq!(handle, format!("rh/{name}/{seq}/{deliveries}"));
+                    assert_eq!(handle.len(), handle.capacity(), "{handle}");
+                    assert_eq!(parse_receipt_seq(&handle), Ok(seq));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deliveries_share_the_sent_body() {
+        let world = SimWorld::counting();
+        let sqs = Sqs::new(&world);
+        let url = sqs.create_queue("shared/bodies");
+        let id = sqs.send_message(&url, "payload").unwrap();
+        // A receive samples servers: repeat until it finds the message.
+        let receive = || loop {
+            if let Some(msg) = sqs.receive_message(&url, 1).unwrap().pop() {
+                break msg;
+            }
+        };
+        let first = receive();
+        world.advance(DEFAULT_VISIBILITY_TIMEOUT);
+        let second = receive();
+        assert_eq!((&*first.body, &first.message_id), ("payload", &id));
+        assert_eq!(second.message_id, id);
+        assert!(Arc::ptr_eq(&first.body, &second.body));
+        assert_ne!(first.receipt_handle, second.receipt_handle);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn drain(sqs: &Sqs, url: &str, expected: usize) -> Vec<String> {
         }
         idle_rounds = 0;
         for msg in got {
-            bodies.push(msg.body.clone());
+            bodies.push(msg.body.to_string());
             sqs.delete_message(url, &msg.receipt_handle).unwrap();
         }
     }
@@ -95,7 +95,7 @@ fn sampling_can_miss_messages_but_repetition_finds_all() {
         .iter()
         .map(|m| {
             sqs.delete_message(&url, &m.receipt_handle).unwrap();
-            m.body.clone()
+            m.body.to_string()
         })
         .collect();
     bodies.extend(drain(&sqs, &url, 40 - bodies.len()));
@@ -248,7 +248,7 @@ fn best_effort_fifo_within_sample() {
     // Every batch is internally ordered by send sequence.
     for _ in 0..10 {
         let got = sqs.receive_message(&url, 10).unwrap();
-        let bodies: Vec<&str> = got.iter().map(|m| m.body.as_str()).collect();
+        let bodies: Vec<&str> = got.iter().map(|m| &*m.body).collect();
         let mut sorted = bodies.clone();
         sorted.sort();
         assert_eq!(bodies, sorted);

@@ -191,7 +191,7 @@ fn sqs_concurrent_clients_on_distinct_queues_do_not_interfere() {
                     while bodies.len() < MSGS {
                         for msg in sqs.receive_message(&url, 10).unwrap() {
                             sqs.delete_message(&url, &msg.receipt_handle).unwrap();
-                            bodies.push(msg.body);
+                            bodies.push(msg.body.to_string());
                         }
                     }
                     bodies.sort();

@@ -280,7 +280,7 @@ proptest! {
             .enumerate()
             .map(|(i, size)| (format!("k{i}"), ["v", "%", "\u{1f}"][(i + escapes) % 3].repeat(*size)))
             .collect();
-        prop_assert_eq!(chunk_pairs(txid, &item, &pairs), wal_oracle::chunk_pairs(txid, &item, &pairs));
+        prop_assert_eq!(wal_oracle::chunk_pairs(txid, &item, &pairs), chunk_pairs(txid, &item, pairs));
     }
 
     // --- SimpleDB query parsers never panic ---
@@ -831,7 +831,7 @@ fn pairs_encoding_to(len: usize) -> Vec<(String, String)> {
 #[test]
 fn wal_chunker_equals_the_oracle_at_the_message_limit() {
     let same = |pairs: &[(String, String)]| {
-        let chunks = chunk_pairs(7, "item 1", pairs);
+        let chunks = chunk_pairs(7, "item 1", pairs.to_vec());
         assert_eq!(chunks, wal_oracle::chunk_pairs(7, "item 1", pairs));
         chunks.len()
     };
