@@ -75,7 +75,7 @@ pub fn persist_grouped(kind: ArchKind, dataset: &Combined, group_size: usize) ->
         } else {
             let mut flusher = GroupCommitFlusher::new(FlushPolicy::every(group_size));
             for flush in &flushes {
-                if let Some(group) = flusher.submit(flush.clone()) {
+                for group in flusher.submit(flush.clone(), world.now()) {
                     store.persist_batch(&group)?;
                 }
             }

@@ -1,12 +1,12 @@
-//! The pipelined persist client: a timer-driven background flush
-//! daemon feeding batches into an open request pipeline.
+//! The pipelined persist client: a group-commit flusher with an age
+//! deadline feeding batches into an open request pipeline.
 //!
 //! The paper's protocols assume provenance reaches the cloud
 //! *asynchronously* from the client's critical path. This module is
-//! that client: a [`pass::FlushDaemon`] coalesces `close()` flushes
-//! under a [`pass::FlushPolicy`] (count, bytes, **and** a `max_age`
-//! deadline registered as a timer event in the world's deterministic
-//! scheduler), and every due group issues through
+//! that client: a [`pass::GroupCommitFlusher`] coalesces `close()`
+//! flushes under a [`pass::FlushPolicy`] (count, bytes, **and** a
+//! `max_age` deadline, checked against the world's clock before every
+//! close), and every due group issues through
 //! [`ProvenanceStore::persist_batch`] while the pipeline keeps up to
 //! the controller's depth of requests per service outstanding — batches
 //! overlap in flight instead of draining synchronously in the
@@ -14,15 +14,15 @@
 //! `None` for no region at all, [`AdaptiveDepth::fixed`] for a fixed
 //! depth, any other controller for an AIMD-steered one.
 //!
-//! Crash sites cover the daemon's three step boundaries: after a timer
-//! fires but before its group issues, after a group's requests are
-//! issued, and after the last issue but before the in-flight tail
-//! completes. A crash anywhere loses at most the un-issued buffer (and
-//! on Architecture 3 any half-issued group is a commit-less suffix the
-//! commit daemon ignores) — the same durability story as the
-//! synchronous paths, now with overlap.
+//! Crash sites cover the client's three step boundaries: after a
+//! deadline passes but before its group issues, after a group's
+//! requests are issued, and after the last issue but before the
+//! in-flight tail completes. A crash anywhere loses at most the
+//! un-issued buffer (and on Architecture 3 any half-issued group is a
+//! commit-less suffix the commit daemon ignores) — the same durability
+//! story as the synchronous paths, now with overlap.
 
-use pass::{FileFlush, FlushDaemon, FlushPolicy};
+use pass::{FileFlush, FlushPolicy, GroupCommitFlusher};
 use simworld::{AdaptiveDepth, CrashSite, PipelineStats, SimDuration, SimWorld};
 
 use crate::error::Result;
@@ -42,7 +42,7 @@ pub const PIPE_BEFORE_DRAIN: CrashSite = CrashSite::new("pipeline.before_drain")
 /// What a pipelined drive accomplished.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineReport {
-    /// Groups issued (threshold, timer, and tail drains).
+    /// Groups issued (threshold, deadline and tail drains).
     pub groups_issued: u64,
     /// Groups drained by the age deadline rather than a size threshold.
     pub timer_drains: u64,
@@ -85,12 +85,12 @@ pub fn persist_groups(
     .0
 }
 
-/// Drives `flushes` through a timer-driven [`FlushDaemon`] into
-/// `store` under the same depth policy as [`persist_groups`].
+/// Drives `flushes` through a [`GroupCommitFlusher`] into `store`
+/// under the same depth policy as [`persist_groups`].
 /// `inter_flush_gap` models the client's think time between `close()`
 /// calls — with a nonzero gap and a `max_age` deadline, slow producers
-/// see their small groups drained by the timer instead of waiting for
-/// the count threshold.
+/// see their small groups drained once the deadline passes instead of
+/// waiting for the count threshold.
 ///
 /// The final store state is identical to feeding the same groups
 /// through the synchronous batch path; only the completion accounting
@@ -110,28 +110,28 @@ pub fn drive_pipelined(
     inter_flush_gap: SimDuration,
 ) -> Result<PipelineReport> {
     let t0 = world.now();
-    let mut daemon = FlushDaemon::new(world, policy);
+    let mut flusher = GroupCommitFlusher::new(policy);
     let mut groups_issued = 0u64;
     let (result, stats) = in_region(world, store, depth, |issue| {
         for flush in flushes {
             if inter_flush_gap > SimDuration::ZERO {
                 world.advance(inter_flush_gap);
             }
-            if let Some(group) = daemon.poll() {
-                // The deadline passed between closes: the background
-                // daemon wakes and drains the aged group.
+            if let Some(group) = flusher.poll(world.now()) {
+                // The deadline passed between closes: the aged group
+                // drains before the next flush is buffered.
                 world.crash_point(PIPE_AFTER_TIMER_FIRE)?;
                 issue(&group)?;
                 groups_issued += 1;
                 world.crash_point(PIPE_AFTER_GROUP_ISSUE)?;
             }
-            for group in daemon.submit(flush.clone()) {
+            for group in flusher.submit(flush.clone(), world.now()) {
                 issue(&group)?;
                 groups_issued += 1;
                 world.crash_point(PIPE_AFTER_GROUP_ISSUE)?;
             }
         }
-        let tail = daemon.drain();
+        let tail = flusher.drain();
         if !tail.is_empty() {
             issue(&tail)?;
             groups_issued += 1;
@@ -142,7 +142,7 @@ pub fn drive_pipelined(
     result?;
     Ok(PipelineReport {
         groups_issued,
-        timer_drains: daemon.timer_drains(),
+        timer_drains: flusher.timer_drains(),
         requests: stats.requests,
         stalls: stats.stalls,
         peak_in_flight: stats.peak_in_flight,

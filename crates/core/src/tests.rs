@@ -428,9 +428,9 @@ fn key_miss_and_stale_md5_share_one_retry_counter() {
     let requests: Vec<(u64, Op)> = world
         .take_event_trace()
         .into_iter()
-        .map(|fired| match fired.event {
-            SchedEvent::Completion(op) => ((fired.at - t0).as_micros(), op),
-            SchedEvent::Timer => panic!("no timers on the read path"),
+        .map(|fired| {
+            let SchedEvent::Completion(op) = fired.event;
+            ((fired.at - t0).as_micros(), op)
         })
         .collect();
 

@@ -175,14 +175,6 @@ impl WalRecord {
         }
     }
 
-    /// `true` for the records counted by `Begin::records`.
-    pub fn is_payload(&self) -> bool {
-        matches!(
-            self,
-            WalRecord::Data { .. } | WalRecord::Prov { .. } | WalRecord::Md5 { .. }
-        )
-    }
-
     /// `self.encode().len()`, by arithmetic: what sizes the encoder's
     /// buffer and lets [`chunk_pairs`] close a chunk without encoding it.
     pub fn encoded_len(&self) -> usize {
@@ -498,23 +490,6 @@ mod tests {
             None
         );
         assert_eq!(WalRecord::decode("arbitrary user message"), None);
-    }
-
-    #[test]
-    fn payload_classification() {
-        assert!(!WalRecord::Begin {
-            txid: 1,
-            records: 0
-        }
-        .is_payload());
-        assert!(!WalRecord::Commit { txid: 1 }.is_payload());
-        assert!(WalRecord::Md5 {
-            txid: 1,
-            item_name: "i".into(),
-            md5_hex: String::new(),
-            nonce: String::new()
-        }
-        .is_payload());
     }
 
     #[test]

@@ -8,24 +8,25 @@
 //! front end needs a place where consecutive closes *coalesce* before
 //! they ship. [`GroupCommitFlusher`] is that place: `submit` buffers a
 //! flush and hands back a full group the moment a count or byte
-//! threshold trips; the caller (the cloud layer's `persist_batch`, or
-//! the bench harness) pushes each group through the batch APIs in one
-//! round trip per service.
+//! threshold trips, or the oldest pending flush has waited out the
+//! policy's `max_age`; the caller (the cloud layer's `persist_batch` and
+//! `drive_pipelined`, or the bench harness) pushes each group through
+//! the batch APIs in one round trip per service.
 //!
 //! The flusher is deliberately backend-agnostic: it owns the
-//! *when-to-drain* policy only, never a service handle, so the same
-//! buffering drives every architecture — and tests can pin the policy
-//! without a cloud in sight.
+//! *when-to-drain* policy only, never a service handle or a clock. The
+//! caller passes `now`; an age deadline is one instant the flusher
+//! holds, so the same buffering drives every architecture — and tests
+//! can pin the policy without a cloud in sight.
 
 use serde::{Deserialize, Serialize};
-use simworld::SimDuration;
+use simworld::{SimDuration, SimInstant};
 
 use crate::flush::FileFlush;
 
 /// When a [`GroupCommitFlusher`] drains: whichever threshold trips
-/// first. The optional [`FlushPolicy::max_age`] deadline is honoured by
-/// the timer-driven [`crate::FlushDaemon`] (the plain flusher has no
-/// clock), bounding flush *latency* as well as group size.
+/// first. The optional [`FlushPolicy::max_age`] deadline bounds flush
+/// *latency* as well as group size.
 ///
 /// # Examples
 ///
@@ -46,11 +47,9 @@ pub struct FlushPolicy {
     /// in memory waiting for the count threshold. Must be positive.
     pub max_bytes: u64,
     /// Drain once the oldest pending flush has waited this long, even
-    /// if neither size threshold tripped — the latency bound a
-    /// background [`crate::FlushDaemon`] enforces with a timer event.
-    /// `None` disables the deadline (drain on size thresholds only);
-    /// when set, it must be positive (a zero age would flush every
-    /// submit, defeating coalescing).
+    /// if neither size threshold tripped. `None` disables the deadline
+    /// (drain on size thresholds only); when set, it must be positive
+    /// (a zero age would flush every submit, defeating coalescing).
     pub max_age: Option<SimDuration>,
 }
 
@@ -112,9 +111,8 @@ impl FlushPolicy {
         self
     }
 
-    /// Panics when a threshold is degenerate. Called by every consumer
-    /// of a policy ([`GroupCommitFlusher::new`],
-    /// [`crate::FlushDaemon::new`]), so a zero threshold smuggled in
+    /// Panics when a threshold is degenerate. Called by
+    /// [`GroupCommitFlusher::new`], so a zero threshold smuggled in
     /// through a struct literal is rejected at construction instead of
     /// silently flushing every submit or never.
     ///
@@ -140,20 +138,24 @@ impl FlushPolicy {
     }
 }
 
-/// Coalesces pending flushes into drain-ready groups.
+/// Coalesces pending flushes into drain-ready groups: a group drains on
+/// a count/byte threshold **or** once the oldest pending flush has
+/// waited [`FlushPolicy::max_age`] by the `now` the caller passes.
 ///
 /// # Examples
 ///
 /// ```
 /// use pass::{FileFlush, FlushPolicy, GroupCommitFlusher};
-/// use simworld::Blob;
+/// use simworld::{Blob, SimInstant};
 ///
+/// let t0 = SimInstant::EPOCH;
 /// let mut flusher = GroupCommitFlusher::new(FlushPolicy::every(2));
 /// let a = FileFlush::builder("a").data(Blob::from("1")).build();
 /// let b = FileFlush::builder("b").data(Blob::from("2")).build();
-/// assert!(flusher.submit(a).is_none()); // buffered
-/// let group = flusher.submit(b).expect("second flush trips the policy");
-/// assert_eq!(group.len(), 2);
+/// assert!(flusher.submit(a, t0).is_empty()); // buffered
+/// let due = flusher.submit(b, t0); // the second flush trips the policy
+/// assert_eq!(due.len(), 1);
+/// assert_eq!(due[0].len(), 2);
 /// assert_eq!(flusher.pending(), 0);
 /// ```
 #[derive(Clone, Debug)]
@@ -161,6 +163,10 @@ pub struct GroupCommitFlusher {
     policy: FlushPolicy,
     pending: Vec<FileFlush>,
     pending_bytes: u64,
+    /// When the oldest pending flush has waited out `max_age`: set as
+    /// the buffer goes non-empty, cleared by every drain.
+    deadline: Option<SimInstant>,
+    timer_drains: u64,
 }
 
 impl GroupCommitFlusher {
@@ -176,6 +182,8 @@ impl GroupCommitFlusher {
             policy,
             pending: Vec::new(),
             pending_bytes: 0,
+            deadline: None,
+            timer_drains: 0,
         }
     }
 
@@ -194,27 +202,76 @@ impl GroupCommitFlusher {
         self.pending_bytes
     }
 
-    /// Buffers one flush. Returns `Some(group)` — every pending flush,
-    /// submission order preserved — the moment a threshold trips; the
-    /// caller must persist the group (it is no longer buffered).
-    /// Durability therefore lags `close()` by at most one group: a
-    /// client crash loses only the un-drained tail, which is the same
-    /// window a crash between point persists already had.
-    #[must_use = "a returned group is no longer buffered; it must be persisted"]
-    pub fn submit(&mut self, flush: FileFlush) -> Option<Vec<FileFlush>> {
+    /// When the pending group drains by age, if the policy has a
+    /// deadline and something is buffered.
+    pub fn deadline(&self) -> Option<SimInstant> {
+        self.deadline
+    }
+
+    /// Groups drained because their deadline passed rather than a size
+    /// threshold tripped.
+    pub fn timer_drains(&self) -> u64 {
+        self.timer_drains
+    }
+
+    /// Buffers one flush at `now` and returns every group that is now
+    /// due, in submission order: first the pending group if its
+    /// deadline passed before this flush arrived, then the group this
+    /// flush completes if it trips a threshold. Usually zero or one
+    /// group; the caller must persist each (they are no longer
+    /// buffered). Durability therefore lags `close()` by at most one
+    /// group: a client crash loses only the un-drained tail, which is
+    /// the same window a crash between point persists already had.
+    #[must_use = "returned groups are no longer buffered; they must be persisted"]
+    pub fn submit(&mut self, flush: FileFlush, now: SimInstant) -> Vec<Vec<FileFlush>> {
+        let mut due: Vec<Vec<FileFlush>> = self.poll(now).into_iter().collect();
+        if self.pending.is_empty() {
+            // The deadline tracks the *oldest* pending flush.
+            self.deadline = self.policy.max_age.map(|age| now + age);
+        }
         self.pending_bytes += flush.data.len() + flush.provenance_bytes();
         self.pending.push(flush);
         if self.pending.len() >= self.policy.max_flushes
             || self.pending_bytes >= self.policy.max_bytes
         {
-            return Some(self.drain());
+            due.push(self.drain());
         }
-        None
+        due
     }
 
-    /// Hands back everything buffered (possibly empty) — the shutdown /
-    /// sync path, and the tail of every experiment.
+    /// Returns the pending group when the oldest buffered flush has
+    /// waited past [`FlushPolicy::max_age`] at `now`. Call between
+    /// submissions (or from an idle loop) to bound flush latency.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pass::{FileFlush, FlushPolicy, GroupCommitFlusher};
+    /// use simworld::{Blob, SimDuration, SimInstant};
+    ///
+    /// let t0 = SimInstant::EPOCH;
+    /// let policy = FlushPolicy::new(100, u64::MAX).with_max_age(SimDuration::from_millis(500));
+    /// let mut flusher = GroupCommitFlusher::new(policy);
+    /// let flush = FileFlush::builder("a").data(Blob::from("1")).build();
+    /// assert!(flusher.submit(flush, t0).is_empty()); // buffered, deadline set
+    /// let group = flusher
+    ///     .poll(t0 + SimDuration::from_secs(1))
+    ///     .expect("deadline passed: the group drains");
+    /// assert_eq!(group.len(), 1);
+    /// ```
+    #[must_use = "a returned group is no longer buffered; it must be persisted"]
+    pub fn poll(&mut self, now: SimInstant) -> Option<Vec<FileFlush>> {
+        if self.deadline? > now {
+            return None;
+        }
+        self.timer_drains += 1;
+        Some(self.drain())
+    }
+
+    /// Hands back everything buffered (possibly empty) and clears the
+    /// deadline — the shutdown / sync path, and the tail of every run.
     pub fn drain(&mut self) -> Vec<FileFlush> {
+        self.deadline = None;
         self.pending_bytes = 0;
         std::mem::take(&mut self.pending)
     }
@@ -225,6 +282,8 @@ mod tests {
     use super::*;
     use simworld::Blob;
 
+    const T0: SimInstant = SimInstant::EPOCH;
+
     fn flush_of(name: &str, bytes: u64) -> FileFlush {
         FileFlush::builder(name)
             .data(Blob::synthetic(1, bytes))
@@ -232,14 +291,22 @@ mod tests {
             .build()
     }
 
+    fn at_ms(ms: u64) -> SimInstant {
+        T0 + SimDuration::from_millis(ms)
+    }
+
+    fn policy(max_flushes: usize, age_ms: u64) -> FlushPolicy {
+        FlushPolicy::new(max_flushes, u64::MAX).with_max_age(SimDuration::from_millis(age_ms))
+    }
+
     #[test]
     fn count_threshold_trips_in_submission_order() {
         let mut f = GroupCommitFlusher::new(FlushPolicy::every(3));
-        assert!(f.submit(flush_of("a", 10)).is_none());
-        assert!(f.submit(flush_of("b", 10)).is_none());
+        assert!(f.submit(flush_of("a", 10), T0).is_empty());
+        assert!(f.submit(flush_of("b", 10), T0).is_empty());
         assert_eq!(f.pending(), 2);
-        let group = f.submit(flush_of("c", 10)).unwrap();
-        let names: Vec<&str> = group.iter().map(|g| g.object.name.as_str()).collect();
+        let due = f.submit(flush_of("c", 10), T0);
+        let names: Vec<&str> = due[0].iter().map(|g| g.object.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
         assert_eq!(f.pending(), 0);
         assert_eq!(f.pending_bytes(), 0);
@@ -248,9 +315,9 @@ mod tests {
     #[test]
     fn byte_threshold_trips_before_count() {
         let mut f = GroupCommitFlusher::new(FlushPolicy::new(100, 1000));
-        assert!(f.submit(flush_of("small", 10)).is_none());
-        let group = f.submit(flush_of("big", 2000)).unwrap();
-        assert_eq!(group.len(), 2, "the oversized flush drains immediately");
+        assert!(f.submit(flush_of("small", 10), T0).is_empty());
+        let due = f.submit(flush_of("big", 2000), T0);
+        assert_eq!(due[0].len(), 2, "the oversized flush drains immediately");
     }
 
     #[test]
@@ -258,14 +325,14 @@ mod tests {
         let mut f = GroupCommitFlusher::new(FlushPolicy::every(10));
         let flush = flush_of("x", 100);
         let expected = flush.data.len() + flush.provenance_bytes();
-        assert!(f.submit(flush).is_none());
+        assert!(f.submit(flush, T0).is_empty());
         assert_eq!(f.pending_bytes(), expected);
     }
 
     #[test]
     fn drain_empties_and_is_idempotent() {
         let mut f = GroupCommitFlusher::new(FlushPolicy::default());
-        assert!(f.submit(flush_of("a", 10)).is_none());
+        assert!(f.submit(flush_of("a", 10), T0).is_empty());
         assert_eq!(f.drain().len(), 1);
         assert!(f.drain().is_empty());
     }
@@ -273,11 +340,95 @@ mod tests {
     #[test]
     fn every_clamps_to_one() {
         let mut f = GroupCommitFlusher::new(FlushPolicy::every(0));
+        let due = f.submit(flush_of("a", 1), T0);
         assert_eq!(
-            f.submit(flush_of("a", 1)).map(|g| g.len()),
-            Some(1),
+            due.iter().map(Vec::len).collect::<Vec<_>>(),
+            [1],
             "degenerate policy degrades to point flushing, never to stalling"
         );
+    }
+
+    #[test]
+    fn count_threshold_still_drains_eagerly() {
+        let mut d = GroupCommitFlusher::new(policy(2, 1_000));
+        assert!(d.submit(flush_of("a", 1), T0).is_empty());
+        let due = d.submit(flush_of("b", 1), T0);
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].len(), 2);
+        assert_eq!(d.pending(), 0);
+        assert_eq!(d.timer_drains(), 0);
+        assert!(d.deadline().is_none(), "drain disarms the timer");
+    }
+
+    #[test]
+    fn deadline_drains_a_small_group() {
+        let mut d = GroupCommitFlusher::new(policy(100, 500));
+        assert!(d.submit(flush_of("a", 1), T0).is_empty());
+        assert!(d.poll(T0).is_none(), "deadline not reached yet");
+        let group = d.poll(at_ms(501)).expect("deadline passed");
+        assert_eq!(group.len(), 1);
+        assert_eq!(d.timer_drains(), 1);
+        assert!(d.poll(at_ms(501)).is_none(), "nothing left to drain");
+    }
+
+    #[test]
+    fn deadline_tracks_the_oldest_pending_flush() {
+        let mut d = GroupCommitFlusher::new(policy(100, 500));
+        let _ = d.submit(flush_of("a", 1), T0);
+        let deadline = d.deadline().expect("timer armed on first flush");
+        let _ = d.submit(flush_of("b", 1), at_ms(400));
+        assert_eq!(
+            d.deadline(),
+            Some(deadline),
+            "a second flush must not push the first one's deadline out"
+        );
+        assert_eq!(d.poll(at_ms(501)).map(|g| g.len()), Some(2));
+    }
+
+    #[test]
+    fn submit_after_expiry_returns_old_group_then_buffers() {
+        let mut d = GroupCommitFlusher::new(policy(100, 500));
+        let _ = d.submit(flush_of("a", 1), T0);
+        // The deadline passed while the client was away: the stale group
+        // drains before the new flush is buffered.
+        let due = d.submit(flush_of("b", 1), at_ms(1_000));
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0][0].object.name, "a");
+        assert_eq!(d.pending(), 1, "the new flush is buffered afresh");
+        assert!(d.deadline().is_some(), "with a fresh deadline");
+    }
+
+    #[test]
+    fn explicit_drain_disarms_and_empties() {
+        let mut d = GroupCommitFlusher::new(policy(100, 500));
+        let _ = d.submit(flush_of("a", 1), T0);
+        assert_eq!(d.drain().len(), 1);
+        assert!(d.deadline().is_none());
+        assert!(
+            d.poll(at_ms(5_000)).is_none(),
+            "no ghost deadline after an explicit drain"
+        );
+    }
+
+    #[test]
+    fn byte_threshold_drains_under_a_deadline() {
+        let mut d = GroupCommitFlusher::new(
+            FlushPolicy::new(100, 1000).with_max_age(SimDuration::from_secs(10)),
+        );
+        assert!(d.submit(flush_of("small", 10), T0).is_empty());
+        let due = d.submit(flush_of("big", 2000), T0);
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].len(), 2);
+    }
+
+    #[test]
+    fn no_max_age_means_no_deadline() {
+        let mut d = GroupCommitFlusher::new(FlushPolicy::every(100));
+        let _ = d.submit(flush_of("a", 1), T0);
+        assert!(d.deadline().is_none());
+        let a_day = T0 + SimDuration::from_days(1);
+        assert!(d.poll(a_day).is_none(), "size thresholds only");
+        assert_eq!(d.pending(), 1);
     }
 
     #[test]
@@ -306,6 +457,16 @@ mod tests {
         GroupCommitFlusher::new(FlushPolicy {
             max_flushes: 0,
             max_bytes: 1024,
+            max_age: None,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_bytes must be positive")]
+    fn flusher_rejects_a_smuggled_zero_byte_policy() {
+        GroupCommitFlusher::new(FlushPolicy {
+            max_flushes: 10,
+            max_bytes: 0,
             max_age: None,
         });
     }

@@ -13,7 +13,11 @@
 //!   causally-ordered [`FileFlush`]es with PASS's freeze-then-version
 //!   cycle avoidance. A [`FileFlush`] is also the paper's local cache —
 //!   the data file plus the hidden provenance file the cloud protocols
-//!   read first — so the caller that holds it holds the cache.
+//!   read first — so the caller that holds it holds the cache;
+//! * a **group-commit flusher** ([`GroupCommitFlusher`]) that coalesces
+//!   flushes into batches under a [`FlushPolicy`]: a count or byte
+//!   threshold, or an age deadline the flusher holds as an instant and
+//!   checks against the `now` its caller passes.
 //!
 //! The `provenance-cloud` crate consumes [`FileFlush`]es and persists
 //! them with one of the paper's three architectures.
@@ -47,14 +51,12 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod daemon;
 mod flush;
 mod group;
 mod model;
 mod observer;
 mod records;
 
-pub use daemon::FlushDaemon;
 pub use flush::{FileFlush, FileFlushBuilder};
 pub use group::{FlushPolicy, GroupCommitFlusher};
 pub use model::{process_name, ObjectKind, ObjectRef};

@@ -6,10 +6,10 @@
 //!
 //! * a **virtual clock** ([`SimInstant`], [`SimDuration`]) — nothing reads
 //!   wall time, so runs replay bit-for-bit;
-//! * an **event-driven completion scheduler** ([`Scheduler`], with the
-//!   pipelined in-flight model on [`SimWorld::begin_pipeline`]) so
-//!   overlapping requests and background timers share one deterministic
-//!   `(instant, seq)` event order;
+//! * an **event-driven completion scheduler** (the pipelined in-flight
+//!   model on [`SimWorld::begin_pipeline`]) so overlapping requests
+//!   complete in one deterministic `(instant, seq)` order, which
+//!   [`SimWorld::set_event_trace`] records as [`FiredEvent`]s;
 //! * a **seeded RNG** and **latency model** so request timing is realistic
 //!   yet reproducible;
 //! * **metering** ([`MeterBook`], [`MeterSnapshot`]) of every billable
@@ -71,7 +71,7 @@ pub use metering::{
     format_bytes, MeterBook, MeterSnapshot, Op, Service, ServiceMeter, ShardImbalance,
 };
 pub use samples::{percentiles, LatencySample, Percentiles, SampleLog};
-pub use sched::{FiredEvent, SchedEvent, Scheduler, TimerId};
+pub use sched::{FiredEvent, SchedEvent};
 pub use shardmap::{
     clamp_shards, ring_position, MapView, ReplicaPin, ShardCells, ShardMap, ShardPlan,
     ShardRegistry, SplitEvent, SplitPolicy, MAX_SHARDS,

@@ -5,15 +5,10 @@
 //! requests in flight at once, and the clock must follow the event
 //! order of their completions, not the sum of their latencies. The
 //! [`Scheduler`] is the substrate for that: a deterministic event queue
-//! keyed by [`SimInstant`] and tie-broken by a monotonically increasing
-//! sequence number, so two events at the same instant always fire in
-//! the order they were scheduled — on every run of the same seed.
-//!
-//! Two kinds of event live here: **completions** of in-flight requests
-//! (scheduled by [`crate::SimWorld`]'s pipelined accounting) and
-//! **timers** (scheduled by background daemons such as a group-commit
-//! flush daemon). The queue itself does not interpret them; it only
-//! guarantees deterministic `(instant, seq)` order.
+//! of request completions keyed by [`SimInstant`] and tie-broken by a
+//! monotonically increasing sequence number, so two completions at the
+//! same instant always fire in the order they were scheduled — on every
+//! run of the same seed. [`crate::SimWorld`] is its one user.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,25 +16,11 @@ use std::collections::BinaryHeap;
 use crate::clock::SimInstant;
 use crate::metering::Op;
 
-/// Handle to a scheduled timer event (see [`crate::SimWorld::schedule_timer`]).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(pub(crate) u64);
-
-impl TimerId {
-    /// The scheduler sequence number backing this timer — its tie-break
-    /// rank among events at the same instant.
-    pub fn seq(self) -> u64 {
-        self.0
-    }
-}
-
 /// What a scheduled event was about.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum SchedEvent {
     /// An in-flight request of the given kind completed.
     Completion(Op),
-    /// A timer deadline passed.
-    Timer,
 }
 
 /// One fired event, as recorded in the deterministic event trace
@@ -74,61 +55,25 @@ impl PartialOrd for Entry {
 }
 
 /// A deterministic event queue: min-ordered by `(instant, seq)`.
-///
-/// # Examples
-///
-/// ```
-/// use simworld::{SchedEvent, Scheduler, SimInstant};
-///
-/// let mut sched = Scheduler::new();
-/// let t = SimInstant::from_micros(10);
-/// sched.schedule(t, SchedEvent::Timer);
-/// sched.schedule(t, SchedEvent::Timer); // same instant: seq breaks the tie
-/// let first = sched.pop_due(t).unwrap();
-/// let second = sched.pop_due(t).unwrap();
-/// assert!(first.seq < second.seq);
-/// assert!(sched.pop_due(t).is_none());
-/// ```
 #[derive(Debug, Default)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
 }
 
 impl Scheduler {
-    /// An empty queue.
-    pub fn new() -> Scheduler {
-        Scheduler::default()
-    }
-
     /// Schedules `event` at `at`; returns its sequence number. Sequence
     /// numbers increase in call order and break ties between events
     /// scheduled for the same instant.
-    pub fn schedule(&mut self, at: SimInstant, event: SchedEvent) -> u64 {
+    pub(crate) fn schedule(&mut self, at: SimInstant, event: SchedEvent) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry { at, seq, event }));
         seq
     }
 
-    /// Cancels the event with sequence number `seq` (lazily: the heap
-    /// entry is skipped when it surfaces).
-    pub fn cancel(&mut self, seq: u64) {
-        if seq < self.next_seq {
-            self.cancelled.insert(seq);
-        }
-    }
-
-    /// The instant of the earliest pending event, if any.
-    pub fn next_at(&mut self) -> Option<SimInstant> {
-        self.skim_cancelled();
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     /// Pops the earliest event with `at <= now`, in `(at, seq)` order.
-    pub fn pop_due(&mut self, now: SimInstant) -> Option<FiredEvent> {
-        self.skim_cancelled();
+    pub(crate) fn pop_due(&mut self, now: SimInstant) -> Option<FiredEvent> {
         match self.heap.peek() {
             Some(Reverse(e)) if e.at <= now => {
                 let Reverse(e) = self.heap.pop().expect("peeked above");
@@ -141,49 +86,24 @@ impl Scheduler {
             _ => None,
         }
     }
-
-    /// Events still pending. Lazily-cancelled entries are *not*
-    /// counted: a caller polling "is the queue idle?" must never spin
-    /// on ghosts that will be skipped the moment they surface.
-    pub fn len(&self) -> usize {
-        self.heap
-            .iter()
-            .filter(|Reverse(e)| !self.cancelled.contains(&e.seq))
-            .count()
-    }
-
-    /// `true` when nothing is pending (cancelled entries excluded).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops cancelled entries sitting at the head of the heap.
-    fn skim_cancelled(&mut self) {
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if self.cancelled.remove(&e.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimDuration;
 
     fn t(us: u64) -> SimInstant {
         SimInstant::from_micros(us)
     }
 
+    const PUT: SchedEvent = SchedEvent::Completion(Op::S3Put);
+
     #[test]
     fn pops_in_instant_order() {
-        let mut s = Scheduler::new();
-        s.schedule(t(30), SchedEvent::Timer);
-        s.schedule(t(10), SchedEvent::Timer);
-        s.schedule(t(20), SchedEvent::Timer);
+        let mut s = Scheduler::default();
+        s.schedule(t(30), PUT);
+        s.schedule(t(10), PUT);
+        s.schedule(t(20), PUT);
         let order: Vec<u64> = std::iter::from_fn(|| s.pop_due(t(100)))
             .map(|e| e.at.as_micros())
             .collect();
@@ -192,7 +112,7 @@ mod tests {
 
     #[test]
     fn equal_instants_fire_in_schedule_order() {
-        let mut s = Scheduler::new();
+        let mut s = Scheduler::default();
         let a = s.schedule(t(5), SchedEvent::Completion(Op::S3Put));
         let b = s.schedule(t(5), SchedEvent::Completion(Op::S3Get));
         let first = s.pop_due(t(5)).unwrap();
@@ -203,58 +123,10 @@ mod tests {
 
     #[test]
     fn nothing_due_before_its_instant() {
-        let mut s = Scheduler::new();
-        s.schedule(t(50), SchedEvent::Timer);
+        let mut s = Scheduler::default();
+        s.schedule(t(50), PUT);
         assert!(s.pop_due(t(49)).is_none());
-        assert_eq!(s.next_at(), Some(t(50)));
         assert!(s.pop_due(t(50)).is_some());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn cancelled_events_never_fire() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(t(1), SchedEvent::Timer);
-        s.schedule(t(2), SchedEvent::Timer);
-        s.cancel(a);
-        let fired = s.pop_due(t(10)).unwrap();
-        assert_ne!(fired.seq, a);
-        assert!(s.pop_due(t(10)).is_none());
-    }
-
-    #[test]
-    fn cancel_of_unknown_seq_is_ignored() {
-        let mut s = Scheduler::new();
-        s.cancel(99);
-        s.schedule(t(1), SchedEvent::Timer);
-        assert!(s.pop_due(t(1) + SimDuration::ZERO).is_some());
-    }
-
-    #[test]
-    fn len_and_is_empty_ignore_cancelled_entries() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(t(1), SchedEvent::Timer);
-        let b = s.schedule(t(2), SchedEvent::Timer);
-        assert_eq!(s.len(), 2);
-        s.cancel(a);
-        // The heap still physically holds the cancelled entry (lazy
-        // cancellation), but an idle poller must not see it.
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-        s.cancel(b);
-        assert_eq!(s.len(), 0);
-        assert!(s.is_empty());
-        // Popping skips both ghosts; emptiness is unchanged.
-        assert!(s.pop_due(t(10)).is_none());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn next_at_skips_cancelled_head() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(t(1), SchedEvent::Timer);
-        s.schedule(t(7), SchedEvent::Timer);
-        s.cancel(a);
-        assert_eq!(s.next_at(), Some(t(7)));
+        assert!(s.pop_due(t(50)).is_none());
     }
 }

@@ -271,7 +271,6 @@ pub struct ShardMap<V> {
     state: RwLock<MapState<V>>,
     gov: Mutex<GovState>,
     policy: Option<SplitPolicy>,
-    initial_shards: usize,
 }
 
 impl<V> fmt::Debug for ShardMap<V> {
@@ -333,15 +332,7 @@ impl<V: Clone> ShardMap<V> {
             }),
             gov: Mutex::new(GovState::default()),
             policy,
-            initial_shards: n,
         }
-    }
-
-    /// The initial (post-clamp) shard count the map was provisioned with
-    /// — the denominator for imbalance comparisons against the static
-    /// layout.
-    pub fn initial_shards(&self) -> usize {
-        self.initial_shards
     }
 
     /// Shards currently live.

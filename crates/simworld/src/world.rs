@@ -20,7 +20,7 @@ use crate::faults::{CrashSite, Crashed, FaultPlan};
 use crate::latency::{Cost, LatencyModel};
 use crate::metering::{MeterBook, MeterSnapshot, Op, Service};
 use crate::samples::{LatencySample, SampleLog};
-use crate::sched::{FiredEvent, SchedEvent, Scheduler, TimerId};
+use crate::sched::{FiredEvent, SchedEvent, Scheduler};
 
 /// The consistency regime the simulated services run under.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -92,31 +92,10 @@ pub struct PipelineStats {
     /// Times the issuer blocked because every channel of a service was
     /// busy (the `max_in_flight` cap doing its job).
     pub stalls: u64,
-    /// [`PipelineStats::stalls`] attributed to the service that caused
-    /// each block, indexed S3 / SimpleDB / SQS — the evidence an
-    /// adaptive-depth controller reads to find the gating service.
-    pub stalls_by_service: [u64; 3],
     /// Largest number of requests simultaneously in flight.
     pub peak_in_flight: usize,
     /// When the last in-flight request completed (the drain instant).
     pub completed_at: SimInstant,
-}
-
-impl PipelineStats {
-    /// Stalls attributed to `service`.
-    pub fn stalls_for(&self, service: Service) -> u64 {
-        self.stalls_by_service[service_index(service)]
-    }
-
-    /// The service that blocked the issuer most often — the one whose
-    /// channel set saturates first — or `None` for a stall-free region.
-    pub fn gating_service(&self) -> Option<Service> {
-        const SERVICES: [Service; 3] = [Service::S3, Service::SimpleDb, Service::Sqs];
-        SERVICES
-            .into_iter()
-            .max_by_key(|s| self.stalls_by_service[service_index(*s)])
-            .filter(|s| self.stalls_by_service[service_index(*s)] > 0)
-    }
 }
 
 /// Per-service in-flight request sets: each entry is the completion
@@ -222,9 +201,6 @@ struct WorldState {
     faults: FaultPlan,
     config: SimConfig,
     sched: Scheduler,
-    /// Live timer deadlines, keyed by scheduler seq (cancelled/consumed
-    /// timers are removed; their heap entries are cancelled lazily).
-    timers: HashMap<u64, SimInstant>,
     pipeline: Option<PipelineState>,
     trace: Option<Vec<FiredEvent>>,
     /// Tenant id stamped onto latency samples (0 outside fleet runs).
@@ -274,7 +250,6 @@ impl WorldState {
                         .expect("a full service has in-flight requests");
                     self.now = free;
                     p.stats.stalls += 1;
-                    p.stats.stalls_by_service[svc] += 1;
                     let now = self.now;
                     p.inflight[svc].retain(|t| *t > now);
                 }
@@ -388,8 +363,7 @@ impl SimWorld {
                     meters: MeterBook::new(),
                     faults: FaultPlan::new(),
                     config,
-                    sched: Scheduler::new(),
-                    timers: HashMap::new(),
+                    sched: Scheduler::default(),
                     pipeline: None,
                     trace: None,
                     tenant: 0,
@@ -443,11 +417,6 @@ impl SimWorld {
     pub fn rand_below(&self, bound: u64) -> u64 {
         assert!(bound > 0, "rand_below bound must be positive");
         self.inner.lock().rng.gen_range(0..bound)
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn rand_f64(&self) -> f64 {
-        self.inner.lock().rng.gen()
     }
 
     /// Charges one request — the single place a simulated service call
@@ -574,57 +543,9 @@ impl SimWorld {
         st.pipeline.as_ref().map(|p| p.depth)
     }
 
-    /// Requests currently in flight (0 outside a pipelined region).
-    pub fn in_flight(&self) -> usize {
-        let st = self.inner.lock();
-        st.pipeline.as_ref().map_or(0, |p| p.in_flight(st.now))
-    }
-
-    /// Schedules a timer to fire `after` from now; returns its id. The
-    /// timer fires when the clock reaches the deadline (checked with
-    /// [`SimWorld::timer_due`]); it also appears in the deterministic
-    /// event trace.
-    pub fn schedule_timer(&self, after: SimDuration) -> TimerId {
-        let mut st = self.inner.lock();
-        let at = st.now + after;
-        let seq = st.sched.schedule(at, SchedEvent::Timer);
-        st.timers.insert(seq, at);
-        // A zero-delay timer is due immediately: fire it now so the
-        // heap never holds entries at or before the current instant
-        // (the invariant cancel_timer's fired/unfired test relies on).
-        st.fire_due_events();
-        TimerId(seq)
-    }
-
-    /// `true` once `timer`'s deadline has passed (and it has not been
-    /// cancelled or consumed).
-    pub fn timer_due(&self, timer: TimerId) -> bool {
-        let st = self.inner.lock();
-        st.timers.get(&timer.0).is_some_and(|at| *at <= st.now)
-    }
-
-    /// The deadline of a live timer (`None` once cancelled/consumed).
-    pub fn timer_deadline(&self, timer: TimerId) -> Option<SimInstant> {
-        self.inner.lock().timers.get(&timer.0).copied()
-    }
-
-    /// Cancels (or consumes) a timer. Idempotent.
-    pub fn cancel_timer(&self, timer: TimerId) {
-        let mut st = self.inner.lock();
-        if let Some(at) = st.timers.remove(&timer.0) {
-            // Only an unfired entry (deadline still ahead) remains in
-            // the heap and needs a cancellation mark. A fired entry was
-            // already popped — marking it would park its seq in the
-            // scheduler's cancelled set forever.
-            if at > st.now {
-                st.sched.cancel(timer.0);
-            }
-        }
-    }
-
     /// Turns the deterministic event trace on or off. While on, every
-    /// fired scheduler event (request completions, timers) is appended
-    /// to a log retrievable with [`SimWorld::take_event_trace`] —
+    /// request completion is scheduled, and appended as it fires to a
+    /// log retrievable with [`SimWorld::take_event_trace`] —
     /// equal seeds and equal call sequences produce equal traces.
     pub fn set_event_trace(&self, on: bool) {
         let mut st = self.inner.lock();
@@ -665,11 +586,6 @@ impl SimWorld {
     /// Panics if `capacity` is zero.
     pub fn enable_latency_samples(&self, capacity: usize) {
         self.inner.lock().samples = Some(SampleLog::new(capacity));
-    }
-
-    /// Turns latency sampling off, discarding any held samples.
-    pub fn disable_latency_samples(&self) {
-        self.inner.lock().samples = None;
     }
 
     /// Takes the samples recorded so far (oldest survivor first) and
@@ -949,7 +865,7 @@ mod tests {
             w.record_op(Op::S3Put, 0, 0);
         }
         // Four 10 ms requests on four channels: all issued at t=0.
-        assert_eq!(w.in_flight(), 4);
+        assert_eq!(w.pipeline_stats().map(|s| s.peak_in_flight), Some(4));
         assert_eq!(w.now(), SimInstant::EPOCH);
         let stats = w.drain_pipeline();
         assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(10));
@@ -1071,7 +987,7 @@ mod tests {
         w.record_op(Op::S3Put, 0, 0);
         w.record_op(Op::S3Put, 0, 0);
         assert_eq!(w.now(), SimInstant::EPOCH);
-        assert_eq!(w.in_flight(), 4);
+        assert_eq!(w.pipeline_stats().map(|s| s.peak_in_flight), Some(4));
         let stats = w.drain_pipeline();
         assert_eq!(stats.stalls, 0);
         assert_eq!(stats.peak_in_flight, 4);
@@ -1103,11 +1019,7 @@ mod tests {
         w.record_op(Op::SqsSendMessage, 0, 0);
         w.record_op(Op::SqsSendMessage, 0, 0);
         let stats = w.drain_pipeline();
-        assert_eq!(stats.stalls, 3);
-        assert_eq!(stats.stalls_by_service, [2, 0, 1]);
-        assert_eq!(stats.stalls_for(Service::S3), 2);
-        assert_eq!(stats.gating_service(), Some(Service::S3));
-        assert_eq!(PipelineStats::default().gating_service(), None);
+        assert_eq!(stats.stalls, 3, "two S3 stalls and one SQS stall");
     }
 
     #[test]
@@ -1141,39 +1053,11 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_when_the_clock_passes_them() {
-        let w = SimWorld::counting();
-        let timer = w.schedule_timer(SimDuration::from_secs(1));
-        assert!(!w.timer_due(timer));
-        assert_eq!(
-            w.timer_deadline(timer),
-            Some(SimInstant::EPOCH + SimDuration::from_secs(1))
-        );
-        w.advance(SimDuration::from_secs(1));
-        assert!(w.timer_due(timer));
-        w.cancel_timer(timer);
-        assert!(!w.timer_due(timer), "consumed timers never re-fire");
-        assert_eq!(w.timer_deadline(timer), None);
-    }
-
-    #[test]
-    fn cancelled_timer_is_not_due_and_leaves_no_trace() {
-        let w = SimWorld::counting();
-        w.set_event_trace(true);
-        let timer = w.schedule_timer(SimDuration::from_secs(1));
-        w.cancel_timer(timer);
-        w.advance(SimDuration::from_secs(5));
-        assert!(!w.timer_due(timer));
-        assert!(w.take_event_trace().is_empty());
-    }
-
-    #[test]
     fn event_trace_is_deterministic_across_runs() {
         let run = || {
             let w = SimWorld::new(7);
             w.set_event_trace(true);
             w.begin_pipeline(3);
-            let timer = w.schedule_timer(SimDuration::from_millis(1));
             for i in 0..12u64 {
                 let op = if i % 2 == 0 {
                     Op::S3Put
@@ -1182,7 +1066,6 @@ mod tests {
                 };
                 w.record_op(op, i * 512, 0);
             }
-            let _ = timer;
             w.drain_pipeline();
             (w.now(), w.take_event_trace())
         };
@@ -1245,9 +1128,6 @@ mod tests {
         w.record_op(Op::S3Put, 0, 0);
         let samples = w.take_latency_samples();
         assert_eq!(samples[0].tenant, 7);
-        w.disable_latency_samples();
-        w.record_op(Op::S3Put, 0, 0);
-        assert!(w.take_latency_samples().is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn drive(
         Some(n) => {
             let mut flusher = GroupCommitFlusher::new(FlushPolicy::every(n));
             for flush in flushes {
-                if let Some(group) = flusher.submit(flush.clone()) {
+                for group in flusher.submit(flush.clone(), world.now()) {
                     store.persist_batch(&group).unwrap();
                 }
             }
@@ -150,7 +150,7 @@ fn batched_path_survives_eventual_consistency() {
     let (flushes, _) = Combined::small().flushes();
     let mut flusher = GroupCommitFlusher::new(FlushPolicy::default());
     for flush in flushes.iter().take(60) {
-        if let Some(group) = flusher.submit(flush.clone()) {
+        for group in flusher.submit(flush.clone(), world.now()) {
             store.persist_batch(&group).unwrap();
         }
     }

@@ -1,6 +1,6 @@
 //! The pipelined persist path, end to end: driving arch2/arch3 through
-//! `persist_groups` inside a pipeline region (and the timer-driven
-//! background flush daemon) must produce **byte-identical** final store
+//! `persist_groups` inside a pipeline region (and `drive_pipelined`, the
+//! client whose flusher also drains on an age deadline) must produce **byte-identical** final store
 //! state and provenance graph to the synchronous batch path — while
 //! virtual completion time strictly falls as the in-flight depth rises,
 //! and the event-driven scheduler replays bit-for-bit at a fixed seed.
@@ -223,7 +223,7 @@ fn scheduler_event_order_is_deterministic_at_fixed_seed() {
 fn background_daemon_timer_bounds_flush_latency() {
     // A slow producer (think time between closes) with a generous count
     // threshold: without the deadline every flush would wait for 100
-    // closes; with it, groups drain on the max_age timer and the final
+    // closes; with it, groups drain on the max_age deadline and the final
     // state still matches a plain point-persisted control run.
     let world = priced_world(2009);
     let mut store = S3SimpleDb::new(&world);
@@ -321,18 +321,22 @@ fn virtual_time_bill_and_event_trace_are_pinned_per_depth_policy() {
         assert_eq!(run_arch3(depth, depth).pin, pin, "arch3 under {depth:?}");
     }
 
-    // The timer-driven client: a `max_age` policy and a think-time gap,
-    // arch3 with its default (serial) daemon. 20 groups, 19 of them
-    // drained by the deadline, 118 requests inside the region.
+    // The deadline-driven client: a `max_age` policy and a think-time
+    // gap, arch3 with its default (serial) daemon. 20 groups, 19 of them
+    // drained by the deadline, 118 requests inside the region. The two
+    // trace digests were re-captured when the age deadline stopped being
+    // a scheduler timer: each equals the older trace with its `Timer`
+    // events dropped and every completion's `seq` replaced by its rank
+    // among the completion seqs (checked against that older build).
     let drives: [(Option<AdaptiveDepth>, Pin, (u64, usize, u64)); 2] = [
         (
             fixed(4),
-            (24_641_696, 366, 12410785321096960546),
+            (24_641_696, 366, 7743565677641262325),
             (6, 6, 9_308_683),
         ),
         (
             adaptive,
-            (24_467_135, 366, 7848101715777394923),
+            (24_467_135, 366, 12512435041858769335),
             (2, 7, 9_134_122),
         ),
     ];
