@@ -1,8 +1,9 @@
 //! Batched vs point persist experiments: the request-count and
 //! virtual-time story behind the batched request path.
 //!
-//! A group-commit flusher ([`pass::GroupCommitFlusher`]) coalesces the
-//! combined workload's flushes into groups and drains each group through
+//! The combined workload's flush stream is cut into groups of a fixed
+//! size (`chunks(n)`: consecutive closes coalesce, the last group takes
+//! the remainder), and each group drains through
 //! `ProvenanceStore::persist_batch`, which rides the services' native
 //! batch APIs (`BatchPutAttributes`, `SendMessageBatch`, multi-object
 //! delete). The sweep varies the group size on Architectures 2 and 3;
@@ -17,7 +18,6 @@
 //! * at full batch fill the provenance *flush* path (SimpleDB writes +
 //!   SQS sends) is ≥ 5x smaller.
 
-use pass::{FlushPolicy, GroupCommitFlusher};
 use provenance_cloud::{ArchKind, ProvGraph, ProvQuery, Result};
 use simworld::{MeterSnapshot, Op};
 use workloads::Combined;
@@ -73,14 +73,9 @@ pub fn persist_grouped(kind: ArchKind, dataset: &Combined, group_size: usize) ->
                 store.persist(flush)?;
             }
         } else {
-            let mut flusher = GroupCommitFlusher::new(FlushPolicy::every(group_size));
-            for flush in &flushes {
-                for group in flusher.submit(flush.clone(), world.now()) {
-                    store.persist_batch(&group)?;
-                }
+            for group in flushes.chunks(group_size) {
+                store.persist_batch(group)?;
             }
-            let tail = flusher.drain();
-            store.persist_batch(&tail)?;
         }
         store.run_daemons_until_idle()
     })?;

@@ -75,31 +75,12 @@ impl StandaloneS3 {
     /// Creates the store with its own S3 endpoint and bucket (default
     /// S3 shard count).
     pub fn new(world: &SimWorld) -> StandaloneS3 {
-        StandaloneS3::with_shards(world, sim_s3::DEFAULT_SHARDS)
-    }
-
-    /// Creates the store with an S3 endpoint whose buckets are split
-    /// into `shards` hash shards — the knob behind the concurrent
-    /// multi-client experiments.
-    pub fn with_shards(world: &SimWorld, shards: usize) -> StandaloneS3 {
-        StandaloneS3::with_shard_plan(world, simworld::ShardPlan::fixed(shards))
-    }
-
-    /// Creates the store with an S3 endpoint provisioned per `plan` —
-    /// initial shard count plus an optional hot-shard split policy.
-    pub fn with_shard_plan(world: &SimWorld, plan: simworld::ShardPlan) -> StandaloneS3 {
-        let s3 = S3::with_shard_plan(world, plan);
+        let s3 = S3::new(world);
         s3.create_bucket(BUCKET)
             .expect("fresh endpoint has no buckets");
-        StandaloneS3::with_s3(world, &s3)
-    }
-
-    /// Creates the store over an existing S3 endpoint (the bucket must
-    /// exist).
-    pub fn with_s3(world: &SimWorld, s3: &S3) -> StandaloneS3 {
         StandaloneS3 {
             world: world.clone(),
-            s3: s3.clone(),
+            s3,
             retry: RetryPolicy::default(),
         }
     }

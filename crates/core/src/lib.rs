@@ -86,10 +86,7 @@ pub use arch3::{
 pub use closure::{ClosureIndex, ClosureMode};
 pub use error::{CloudError, Result};
 pub use graph::{GraphDiff, NodeDiff, ProvGraph};
-pub use pipeline::{
-    drive_pipelined, persist_groups, PipelineReport, PIPE_AFTER_GROUP_ISSUE, PIPE_AFTER_TIMER_FIRE,
-    PIPE_BEFORE_DRAIN,
-};
+pub use pipeline::persist_groups;
 pub use properties::{
     check_atomicity, check_causal_ordering, check_consistency, check_efficient_query,
     full_property_table, property_matrix, ArchKind, AtomicityReport, PropertyMatrix,

@@ -71,36 +71,13 @@ impl ArchKind {
         }
     }
 
-    /// Builds a store of this kind on `world` (default SimpleDB shard
-    /// count for the architectures that carry one).
+    /// Builds a store of this kind on `world` with each store's `new`
+    /// (default shard count on every sharded backend).
     pub fn build(self, world: &SimWorld) -> Box<dyn ProvenanceStore> {
-        self.build_with_shards(world, sim_simpledb::DEFAULT_SHARDS)
-    }
-
-    /// Builds a store of this kind with an explicit shard count, applied
-    /// to every sharded backend the architecture uses (S3 buckets, and
-    /// SimpleDB domains where present).
-    pub fn build_with_shards(self, world: &SimWorld, shards: usize) -> Box<dyn ProvenanceStore> {
-        self.build_with_shard_plan(world, simworld::ShardPlan::fixed(shards))
-    }
-
-    /// Builds a store of this kind provisioned per `plan` — initial
-    /// shard count plus an optional hot-shard split policy, applied to
-    /// every sharded backend the architecture uses. All three
-    /// architectures run unchanged on a fixed plan; with a split policy
-    /// armed, hot shards split in the background without altering
-    /// converged store state.
-    pub fn build_with_shard_plan(
-        self,
-        world: &SimWorld,
-        plan: simworld::ShardPlan,
-    ) -> Box<dyn ProvenanceStore> {
         match self {
-            ArchKind::S3 => Box::new(StandaloneS3::with_shard_plan(world, plan)),
-            ArchKind::S3SimpleDb => Box::new(S3SimpleDb::with_shard_plan(world, plan)),
-            ArchKind::S3SimpleDbSqs => {
-                Box::new(S3SimpleDbSqs::with_shard_plan(world, "prop-client", plan))
-            }
+            ArchKind::S3 => Box::new(StandaloneS3::new(world)),
+            ArchKind::S3SimpleDb => Box::new(S3SimpleDb::new(world)),
+            ArchKind::S3SimpleDbSqs => Box::new(S3SimpleDbSqs::new(world, "prop-client")),
         }
     }
 
@@ -371,9 +348,7 @@ pub fn check_atomicity(kind: ArchKind, seed: u64) -> Result<AtomicityReport> {
     for &site in kind.client_crash_sites() {
         let world = SimWorld::with_config(SimConfig {
             seed,
-            consistency: Consistency::Strong,
-            latency: LatencyModel::zero(),
-            replicas: 1,
+            ..SimConfig::counting()
         });
         world.with_faults(|f| f.arm(site));
         let mut store = Store::build(kind, &world);
@@ -398,9 +373,7 @@ pub fn check_atomicity(kind: ArchKind, seed: u64) -> Result<AtomicityReport> {
     for &site in kind.daemon_crash_sites() {
         let world = SimWorld::with_config(SimConfig {
             seed,
-            consistency: Consistency::Strong,
-            latency: LatencyModel::zero(),
-            replicas: 1,
+            ..SimConfig::counting()
         });
         let mut store = Store::build(kind, &world);
         for flush in standard_flushes() {
@@ -471,9 +444,7 @@ pub fn check_causal_ordering(kind: ArchKind, seed: u64) -> Result<bool> {
     for site in sites {
         let world = SimWorld::with_config(SimConfig {
             seed,
-            consistency: Consistency::Strong,
-            latency: LatencyModel::zero(),
-            replicas: 1,
+            ..SimConfig::counting()
         });
         if let Some(site) = site {
             world.with_faults(|f| f.arm(site));
@@ -515,9 +486,7 @@ pub fn check_efficient_query(kind: ArchKind, seed: u64) -> Result<bool> {
     let ops_at = |n_chains: u32| -> Result<u64> {
         let world = SimWorld::with_config(SimConfig {
             seed,
-            consistency: Consistency::Strong,
-            latency: LatencyModel::zero(),
-            replicas: 1,
+            ..SimConfig::counting()
         });
         let mut store = Store::build(kind, &world);
         let mut obs = Observer::new();

@@ -101,8 +101,7 @@ pub trait ProvenanceStore {
     /// `close`) with the paper's *point protocol* — the request sequence
     /// Tables 1–3 count. This and [`ProvenanceStore::persist_batch`] are
     /// the only two write methods; overlap in flight is not a third one
-    /// but a region opened around them ([`crate::persist_groups`],
-    /// [`crate::drive_pipelined`]).
+    /// but a region opened around them ([`crate::persist_groups`]).
     ///
     /// # Errors
     ///
@@ -110,8 +109,8 @@ pub trait ProvenanceStore {
     /// injection kills the client mid-protocol.
     fn persist(&mut self, flush: &FileFlush) -> Result<()>;
 
-    /// Persists a *group* of flushes in one go — the sink of the
-    /// group-commit flusher (`pass::GroupCommitFlusher`). The final
+    /// Persists a *group* of flushes in one go — a slice of the flush
+    /// stream, as [`crate::persist_groups`] issues it. The final
     /// store state is identical to persisting the flushes one by one in
     /// order; architectures with native batch support override this to
     /// ship the group in far fewer billable requests (arch2 packs up to

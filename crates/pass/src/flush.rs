@@ -65,11 +65,6 @@ impl FileFlush {
     pub fn ancestors(&self) -> Vec<&ObjectRef> {
         crate::records::references(&self.records)
     }
-
-    /// Total serialised size of the provenance records, in bytes.
-    pub fn provenance_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.byte_len() as u64).sum()
-    }
 }
 
 /// Builder for [`FileFlush`]; see [`FileFlush::builder`].
@@ -175,12 +170,5 @@ mod tests {
             .build();
         let names: Vec<String> = f.ancestors().iter().map(|r| r.render()).collect();
         assert_eq!(names, vec!["in:1", "proc:1:sh:1"]);
-    }
-
-    #[test]
-    fn provenance_bytes_sums_records() {
-        let f = FileFlush::builder("x").record("name", "x").build();
-        // (name, x) = 5 bytes; auto (type, file) = 8 bytes.
-        assert_eq!(f.provenance_bytes(), 5 + 8);
     }
 }

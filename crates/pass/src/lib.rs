@@ -13,14 +13,11 @@
 //!   causally-ordered [`FileFlush`]es with PASS's freeze-then-version
 //!   cycle avoidance. A [`FileFlush`] is also the paper's local cache —
 //!   the data file plus the hidden provenance file the cloud protocols
-//!   read first — so the caller that holds it holds the cache;
-//! * a **group-commit flusher** ([`GroupCommitFlusher`]) that coalesces
-//!   flushes into batches under a [`FlushPolicy`]: a count or byte
-//!   threshold, or an age deadline the flusher holds as an instant and
-//!   checks against the `now` its caller passes.
+//!   read first — so the caller that holds it holds the cache.
 //!
 //! The `provenance-cloud` crate consumes [`FileFlush`]es and persists
-//! them with one of the paper's three architectures.
+//! them with one of the paper's three architectures — one per `close()`,
+//! or a slice of them as one group.
 //!
 //! # Examples
 //!
@@ -52,13 +49,11 @@
 #![forbid(unsafe_code)]
 
 mod flush;
-mod group;
 mod model;
 mod observer;
 mod records;
 
 pub use flush::{FileFlush, FileFlushBuilder};
-pub use group::{FlushPolicy, GroupCommitFlusher};
 pub use model::{process_name, ObjectKind, ObjectRef};
 pub use observer::{Observer, ObserverError, Result, TraceEvent};
 pub use records::{references, ProvenanceRecord, RecordKey, RecordValue};

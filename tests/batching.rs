@@ -1,5 +1,5 @@
 //! The batched request path, end to end: for the combined workload,
-//! driving arch2/arch3 through the group-commit flusher and the
+//! driving arch2/arch3 in fixed-size groups (`chunks(n)`) through the
 //! services' native batch APIs must produce **identical** final store
 //! state and provenance graph to the point-op path — while issuing ≥ 5x
 //! fewer billable requests on the provenance flush path and finishing
@@ -9,7 +9,7 @@
 use pass_cloud::cloud::{
     layout, store_fingerprint, ProvGraph, ProvQuery, ProvenanceStore, S3SimpleDb, S3SimpleDbSqs,
 };
-use pass_cloud::pass::{FileFlush, FlushPolicy, GroupCommitFlusher};
+use pass_cloud::pass::FileFlush;
 use pass_cloud::simworld::{SimDuration, SimWorld};
 use pass_cloud::workloads::Combined;
 // The bench harness owns the priced world and the flush-path request
@@ -19,7 +19,7 @@ use prov_bench::batchbench::flush_path_requests;
 use prov_bench::harness::priced_world;
 
 /// Drives `flushes` into `store` — point persists, or groups of
-/// `group_size` through the group-commit flusher — and returns the
+/// `group_size` through `persist_batch` — and returns the
 /// requests on the provenance flush path plus the elapsed virtual time.
 fn drive(
     world: &SimWorld,
@@ -36,13 +36,9 @@ fn drive(
             }
         }
         Some(n) => {
-            let mut flusher = GroupCommitFlusher::new(FlushPolicy::every(n));
-            for flush in flushes {
-                for group in flusher.submit(flush.clone(), world.now()) {
-                    store.persist_batch(&group).unwrap();
-                }
+            for group in flushes.chunks(n) {
+                store.persist_batch(group).unwrap();
             }
-            store.persist_batch(&flusher.drain()).unwrap();
         }
     }
     store.run_daemons_until_idle().unwrap();
@@ -148,13 +144,9 @@ fn batched_path_survives_eventual_consistency() {
     let world = SimWorld::new(7);
     let mut store = S3SimpleDbSqs::new(&world, "ec");
     let (flushes, _) = Combined::small().flushes();
-    let mut flusher = GroupCommitFlusher::new(FlushPolicy::default());
-    for flush in flushes.iter().take(60) {
-        for group in flusher.submit(flush.clone(), world.now()) {
-            store.persist_batch(&group).unwrap();
-        }
+    for group in flushes[..60].chunks(25) {
+        store.persist_batch(group).unwrap();
     }
-    store.persist_batch(&flusher.drain()).unwrap();
     store.run_daemons_until_idle().unwrap();
     world.settle();
     let mut checked = 0;

@@ -1,14 +1,13 @@
-//! Tier-1 ledger of every option the stores and the client's flusher take.
+//! Tier-1 ledger of every option the stores take.
 //!
 //! Each literal below is exhaustive (no `..Default::default()`), so a new
-//! field on `Arch2Config`, `Arch3Config`, `RetryPolicy` or `FlushPolicy`
-//! does not compile until it is written here — with a comment answering
+//! field on `Arch2Config`, `Arch3Config` or `RetryPolicy` does not
+//! compile until it is written here — with a comment answering
 //! "who, outside the tests, sets it to something else?". An option nobody
 //! sets is a constant with a field; PR 22 removed four of those
 //! (CHANGES.md names them).
 //! The values are the defaults, checked against `Default`.
 
-use pass::FlushPolicy;
 use provenance_cloud::{Arch2Config, Arch3Config, ClosureMode, RetryPolicy};
 use simworld::SimDuration;
 
@@ -70,20 +69,4 @@ fn arch3_config_has_five_options() {
     assert_eq!(ledger.commit_threshold, default.commit_threshold);
     assert!(ledger.daemon_depth.is_none() && default.daemon_depth.is_none());
     assert_eq!(ledger.closure, default.closure);
-}
-
-#[test]
-fn flush_policy_has_three_options() {
-    let ledger = FlushPolicy {
-        // batchbench.rs: `FlushPolicy::every(group_size)`.
-        max_flushes: 25,
-        // No caller outside tests sets a finite value (`every` sets
-        // `u64::MAX`); a candidate for deletion.
-        max_bytes: 4 * 1024 * 1024,
-        // No caller outside tests sets one (`every` sets `None`; only
-        // `drive_pipelined`'s tests pass `with_max_age`); a candidate
-        // for deletion.
-        max_age: Some(SimDuration::from_millis(500)),
-    };
-    assert_eq!(ledger, FlushPolicy::default());
 }

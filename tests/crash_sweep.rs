@@ -1,14 +1,16 @@
 //! Exhaustive crash-injection sweep across every architecture, every
 //! protocol crash site, and several crash ordinals — verifying the
 //! invariants the paper's Table 1 claims, plus full recovery afterwards.
-//! The pipelined background-flush path gets the same treatment: crash
-//! sites between timer fire, batch issue, and completion.
+//! The pipelined client gets the same treatment: each architecture's
+//! client sites fire inside groups issued through `persist_groups`.
+
+use std::collections::BTreeSet;
 
 use pass_cloud::cloud::{
-    drive_pipelined, Arch3Config, ArchKind, CloudError, ProvQuery, ProvenanceStore, S3SimpleDbSqs,
-    PIPE_AFTER_GROUP_ISSUE, PIPE_AFTER_TIMER_FIRE, PIPE_BEFORE_DRAIN,
+    persist_groups, Arch3Config, ArchKind, CloudError, ProvQuery, ProvenanceStore, Result,
+    S3SimpleDbSqs, A3_BEFORE_COMMIT,
 };
-use pass_cloud::pass::{FileFlush, FlushPolicy};
+use pass_cloud::pass::FileFlush;
 use pass_cloud::simworld::{AdaptiveDepth, Blob, CrashSite, Op, SimDuration, SimWorld};
 
 fn flushes() -> Vec<FileFlush> {
@@ -30,6 +32,19 @@ fn flushes() -> Vec<FileFlush> {
             .record("input", "proc:1:tool:1")
             .build(),
     ]
+}
+
+/// Fails if version 1 of `name` holds any provenance record twice.
+fn assert_no_duplicate_records(store: &mut dyn ProvenanceStore, name: &str, tag: &str) {
+    let q = store
+        .query(&ProvQuery::ProvenanceOf {
+            name: name.into(),
+            version: 1,
+        })
+        .expect("query succeeds");
+    let records = &q.items[0].records;
+    let unique: BTreeSet<_> = records.iter().map(|r| r.to_pair()).collect();
+    assert_eq!(records.len(), unique.len(), "{tag}: duplicated records");
 }
 
 /// Runs the workload with a crash armed at (`site`, `ordinal`); the
@@ -106,20 +121,7 @@ fn every_daemon_crash_site_replays_to_the_same_state() {
             let read = store.read("b").unwrap();
             assert!(read.consistent(), "{site}/{ordinal} (crashed={crashed})");
             // Idempotent replay: record sets contain no duplicates.
-            let q = store
-                .query(&ProvQuery::ProvenanceOf {
-                    name: "b".into(),
-                    version: 1,
-                })
-                .unwrap();
-            let records = &q.items[0].records;
-            let unique: std::collections::BTreeSet<_> =
-                records.iter().map(|r| r.to_pair()).collect();
-            assert_eq!(
-                records.len(),
-                unique.len(),
-                "{site}/{ordinal}: duplicated records"
-            );
+            assert_no_duplicate_records(store.as_mut(), "b", &format!("{site}/{ordinal}"));
         }
     }
 }
@@ -160,16 +162,7 @@ fn every_daemon_crash_site_replays_under_a_pipelined_daemon() {
                     })
                     .unwrap();
                 assert_eq!(q.names(), vec!["b:1"], "{tag}: lost the chain");
-                let q = store
-                    .query(&ProvQuery::ProvenanceOf {
-                        name: "b".into(),
-                        version: 1,
-                    })
-                    .unwrap();
-                let records = &q.items[0].records;
-                let unique: std::collections::BTreeSet<_> =
-                    records.iter().map(|r| r.to_pair()).collect();
-                assert_eq!(records.len(), unique.len(), "{tag}: duplicated records");
+                assert_no_duplicate_records(&mut store, "b", &tag);
             }
         }
     }
@@ -227,7 +220,7 @@ fn redelivered_records_replace_stale_receipt_handles() {
 fn abandoned_assemblies_are_evicted_past_retention() {
     let world = SimWorld::counting();
     let mut store = S3SimpleDbSqs::new(&world, "leak");
-    world.with_faults(|f| f.arm(pass_cloud::cloud::A3_BEFORE_COMMIT));
+    world.with_faults(|f| f.arm(A3_BEFORE_COMMIT));
     let err = store
         .persist(&flushes()[0])
         .expect_err("the armed client crash must fire");
@@ -253,7 +246,7 @@ fn double_crash_client_then_daemon_still_recovers() {
     let world = SimWorld::counting();
     let mut store = kind.build(&world);
     world.with_faults(|f| {
-        f.arm(pass_cloud::cloud::A3_BEFORE_COMMIT);
+        f.arm(A3_BEFORE_COMMIT);
         f.arm(pass_cloud::cloud::D3_BEFORE_MSG_DELETE);
     });
     for flush in flushes() {
@@ -274,13 +267,6 @@ fn double_crash_client_then_daemon_still_recovers() {
     assert_eq!(report.transactions_replayed, 0);
 }
 
-/// A pipelined-client policy under which the deadline timer genuinely
-/// fires: a generous count threshold, a 300 ms age bound, and (in the
-/// driver) 200 ms of think time between closes.
-fn trickle_policy() -> FlushPolicy {
-    FlushPolicy::new(100, u64::MAX).with_max_age(SimDuration::from_millis(300))
-}
-
 /// Ten independent single-record files, so any prefix of issued groups
 /// is self-contained (no dangling ancestor references).
 fn independent_flushes() -> Vec<FileFlush> {
@@ -293,163 +279,142 @@ fn independent_flushes() -> Vec<FileFlush> {
         .collect()
 }
 
+/// The pipelined client: `flushes` in groups of two, issued through
+/// `persist_groups` at a fixed depth of 4.
+fn persist_in_pairs(
+    world: &SimWorld,
+    store: &mut dyn ProvenanceStore,
+    flushes: &[FileFlush],
+) -> Result<()> {
+    let groups: Vec<Vec<FileFlush>> = flushes.chunks(2).map(<[FileFlush]>::to_vec).collect();
+    persist_groups(world, store, &groups, Some(&mut AdaptiveDepth::fixed(4)))
+}
+
+/// How often a clean `kind` client visits `site` while it persists the
+/// first pair of `flushes`: `arm_after(site, that)` crashes a later group.
+fn visits_in_first_pair(kind: ArchKind, flushes: &[FileFlush], site: CrashSite) -> u64 {
+    let world = SimWorld::counting();
+    world.with_faults(|f| f.record_visits(true));
+    let mut store = kind.build(&world);
+    persist_in_pairs(&world, store.as_mut(), &flushes[..2]).unwrap();
+    world.with_faults(|f| f.visits().iter().filter(|&&v| v == site).count() as u64)
+}
+
 #[test]
 fn every_pipelined_crash_site_recovers_after_a_client_restart() {
-    // The union of the pipeline's own step boundaries (timer fire →
-    // batch issue → completion) and the per-architecture client sites,
-    // which now fire *inside* a pipelined issue. After the crash the
-    // client restarts and re-flushes everything from its cache; the
-    // full chain must come back consistent, with no duplicate records.
+    // Each client site of the architecture fires *inside* a pipelined
+    // group — at every visit of the first group and at the first visit
+    // of the second. The client restarts in the same world and
+    // re-flushes everything from its cache; the full chain must come
+    // back consistent, with no duplicate records.
     for kind in [ArchKind::S3SimpleDb, ArchKind::S3SimpleDbSqs] {
-        let mut sites: Vec<CrashSite> = vec![
-            PIPE_AFTER_TIMER_FIRE,
-            PIPE_AFTER_GROUP_ISSUE,
-            PIPE_BEFORE_DRAIN,
-        ];
-        sites.extend(kind.client_crash_sites().iter().copied());
-        for site in sites {
-            for ordinal in 0..2 {
+        let mut later_group_crashes = 0;
+        for &site in kind.client_crash_sites() {
+            let first = visits_in_first_pair(kind, &flushes(), site);
+            for ordinal in 0..=first {
                 let world = SimWorld::counting();
                 world.with_faults(|f| f.arm_after(site, ordinal));
                 let mut store = kind.build(&world);
-                let crashed = match drive_pipelined(
-                    &world,
-                    store.as_mut(),
-                    &flushes(),
-                    trickle_policy(),
-                    Some(&mut AdaptiveDepth::fixed(4)),
-                    SimDuration::from_millis(200),
-                ) {
-                    Ok(_) => false,
+                match persist_in_pairs(&world, store.as_mut(), &flushes()) {
+                    Ok(()) => continue, // the site is not on this group's path
                     Err(e) if e.is_crash() => {
                         // Client restart: PASS re-flushes from cache.
-                        drive_pipelined(
-                            &world,
-                            store.as_mut(),
-                            &flushes(),
-                            trickle_policy(),
-                            Some(&mut AdaptiveDepth::fixed(4)),
-                            SimDuration::from_millis(200),
-                        )
-                        .expect("retry after restart succeeds");
-                        true
+                        persist_in_pairs(&world, store.as_mut(), &flushes())
+                            .expect("retry after restart succeeds");
                     }
                     Err(e) => panic!("unexpected error: {e}"),
-                };
-                if !crashed {
-                    continue;
+                }
+                if ordinal == first {
+                    later_group_crashes += 1;
                 }
                 store.run_daemons_until_idle().expect("daemons drain");
                 world.settle();
+                let tag = format!("{kind:?}/{site}/{ordinal}");
                 let read = store.read("b").expect("b readable after recovery");
-                assert!(read.consistent(), "{kind:?}/{site}/{ordinal}");
-                let q = store
-                    .query(&ProvQuery::ProvenanceOf {
-                        name: "b".into(),
-                        version: 1,
-                    })
-                    .expect("query succeeds");
-                let records = &q.items[0].records;
-                let unique: std::collections::BTreeSet<_> =
-                    records.iter().map(|r| r.to_pair()).collect();
-                assert_eq!(
-                    records.len(),
-                    unique.len(),
-                    "{kind:?}/{site}/{ordinal}: duplicated records after pipelined re-flush"
-                );
+                assert!(read.consistent(), "{tag}");
+                assert_no_duplicate_records(store.as_mut(), "b", &tag);
             }
         }
+        assert!(
+            later_group_crashes > 0,
+            "{kind:?}: no crash hit a later group"
+        );
     }
 }
 
 #[test]
 fn pipelined_groups_issued_before_a_crash_survive_it() {
-    // Crash between batch issues: groups already issued are on the
-    // wire and must be durable once the daemons drain; groups never
-    // issued must leave no trace. (Groups of 2 over independent files,
-    // crash after the first issue.)
+    // Each client site fires on its first visit in the second group
+    // (ind2, ind3): the first group is on the wire and must be durable
+    // once the daemons drain; the groups never issued (ind4..) must
+    // leave no trace.
     for kind in [ArchKind::S3SimpleDb, ArchKind::S3SimpleDbSqs] {
-        let world = SimWorld::counting();
-        world.with_faults(|f| f.arm(PIPE_AFTER_GROUP_ISSUE));
-        let mut store = kind.build(&world);
-        let err = drive_pipelined(
-            &world,
-            store.as_mut(),
-            &independent_flushes(),
-            FlushPolicy::new(2, u64::MAX).without_max_age(),
-            Some(&mut AdaptiveDepth::fixed(4)),
-            SimDuration::ZERO,
-        )
-        .expect_err("the armed site must fire");
-        assert!(err.is_crash(), "{kind:?}: {err}");
-        store.run_daemons_until_idle().expect("daemons drain");
-        world.settle();
-        // The issued group (ind0, ind1) is durable…
-        for name in ["ind0", "ind1"] {
-            let read = store.read(name).expect("issued group durable");
-            assert!(read.consistent(), "{kind:?}/{name}");
+        let mut crashes = 0;
+        for &site in kind.client_crash_sites() {
+            let first = visits_in_first_pair(kind, &independent_flushes(), site);
+            let world = SimWorld::counting();
+            world.with_faults(|f| f.arm_after(site, first));
+            let mut store = kind.build(&world);
+            match persist_in_pairs(&world, store.as_mut(), &independent_flushes()) {
+                Ok(()) => continue, // the site is not on this workload's path
+                Err(e) => assert!(e.is_crash(), "{kind:?}/{site}: {e}"),
+            }
+            crashes += 1;
+            store.run_daemons_until_idle().expect("daemons drain");
+            world.settle();
+            for name in ["ind0", "ind1"] {
+                let read = store.read(name).expect("issued group durable");
+                assert!(read.consistent(), "{kind:?}/{site}/{name}");
+            }
+            for i in 4..10 {
+                assert!(
+                    matches!(
+                        store.read(&format!("ind{i}")),
+                        Err(CloudError::NotFound { .. })
+                    ),
+                    "{kind:?}/{site}: un-issued flush ind{i} must not surface"
+                );
+            }
         }
-        // …and the un-issued suffix is wholly absent.
-        for i in 2..10 {
-            assert!(
-                matches!(
-                    store.read(&format!("ind{i}")),
-                    Err(CloudError::NotFound { .. })
-                ),
-                "{kind:?}: un-issued flush ind{i} must not surface"
-            );
-        }
+        assert!(crashes > 0, "{kind:?}: no site fired in the second group");
     }
 }
 
 #[test]
 fn pipelined_commitless_suffix_is_ignored_by_the_commit_daemon() {
-    // A crash *inside* a pipelined arch3 issue, before the group's
-    // final COMMIT batch ships: every transaction of that group is a
-    // commit-less suffix the daemon must ignore forever — no data
-    // object may surface. A client restart then recovers everything.
+    // A crash *inside* the second pipelined arch3 group, before its
+    // COMMIT batch ships: that group is a commit-less suffix the daemon
+    // must ignore forever, after the first group committed. A client
+    // restart in the same world then recovers everything.
     let kind = ArchKind::S3SimpleDbSqs;
     let world = SimWorld::counting();
-    world.with_faults(|f| f.arm(pass_cloud::cloud::A3_BEFORE_COMMIT));
+    world.with_faults(|f| f.arm_after(A3_BEFORE_COMMIT, 1));
     let mut store = kind.build(&world);
-    let err = drive_pipelined(
-        &world,
-        store.as_mut(),
-        &independent_flushes(),
-        FlushPolicy::new(2, u64::MAX).without_max_age(),
-        Some(&mut AdaptiveDepth::fixed(4)),
-        SimDuration::ZERO,
-    )
-    .expect_err("the armed site must fire");
+    let err = persist_in_pairs(&world, store.as_mut(), &independent_flushes())
+        .expect_err("the armed site must fire");
     assert!(err.is_crash());
     store.run_daemons_until_idle().expect("daemons drain");
     world.settle();
-    for i in 0..10 {
+    for name in ["ind0", "ind1"] {
+        assert!(store.read(name).unwrap().consistent(), "{name} committed");
+    }
+    for i in 2..10 {
         assert!(
             matches!(
                 store.read(&format!("ind{i}")),
                 Err(CloudError::NotFound { .. })
             ),
-            "commit-less transaction ind{i} must stay invisible"
+            "commit-less or un-issued ind{i} must stay invisible"
         );
     }
     // Client restart: the cached flushes go out again, cleanly.
-    drive_pipelined(
-        &world,
-        store.as_mut(),
-        &independent_flushes(),
-        FlushPolicy::new(2, u64::MAX).without_max_age(),
-        Some(&mut AdaptiveDepth::fixed(4)),
-        SimDuration::ZERO,
-    )
-    .expect("retry succeeds");
+    persist_in_pairs(&world, store.as_mut(), &independent_flushes()).expect("retry succeeds");
     store.run_daemons_until_idle().expect("daemons drain");
     world.settle();
     for i in 0..10 {
-        assert!(
-            store.read(&format!("ind{i}")).unwrap().consistent(),
-            "ind{i} recovered"
-        );
+        let name = format!("ind{i}");
+        assert!(store.read(&name).unwrap().consistent(), "{name} recovered");
+        assert_no_duplicate_records(store.as_mut(), &name, "after the restart");
     }
 }
 
@@ -467,19 +432,7 @@ fn repeated_whole_dataset_persist_is_idempotent() {
             store.run_daemons_until_idle().unwrap();
         }
         world.settle();
-        let q = store
-            .query(&ProvQuery::ProvenanceOf {
-                name: "b".into(),
-                version: 1,
-            })
-            .unwrap();
-        let records = &q.items[0].records;
-        let unique: std::collections::BTreeSet<_> = records.iter().map(|r| r.to_pair()).collect();
-        assert_eq!(
-            records.len(),
-            unique.len(),
-            "{kind:?}: duplicate records after re-run"
-        );
+        assert_no_duplicate_records(store.as_mut(), "b", &format!("{kind:?} after re-run"));
     }
 }
 

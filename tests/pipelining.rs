@@ -1,9 +1,9 @@
 //! The pipelined persist path, end to end: driving arch2/arch3 through
-//! `persist_groups` inside a pipeline region (and `drive_pipelined`, the
-//! client whose flusher also drains on an age deadline) must produce **byte-identical** final store
-//! state and provenance graph to the synchronous batch path — while
-//! virtual completion time strictly falls as the in-flight depth rises,
-//! and the event-driven scheduler replays bit-for-bit at a fixed seed.
+//! `persist_groups` inside a pipeline region must produce
+//! **byte-identical** final store state and provenance graph to the
+//! synchronous batch path — while virtual completion time strictly
+//! falls as the in-flight depth rises, and the event-driven scheduler
+//! replays bit-for-bit at a fixed seed.
 //! This is the acceptance bar of the pipelining issue; `BASELINE.md`
 //! records the medium-scale depth sweep.
 //!
@@ -12,10 +12,10 @@
 //! fixed depth, `AdaptiveDepth::new()` the AIMD controller.
 
 use pass_cloud::cloud::{
-    drive_pipelined, layout, persist_groups, store_fingerprint, Arch3Config, PipelineReport,
-    ProvGraph, ProvQuery, ProvenanceStore, S3SimpleDb, S3SimpleDbSqs,
+    layout, persist_groups, store_fingerprint, Arch3Config, ProvGraph, ProvQuery, ProvenanceStore,
+    S3SimpleDb, S3SimpleDbSqs,
 };
-use pass_cloud::pass::{FileFlush, FlushPolicy};
+use pass_cloud::pass::FileFlush;
 use pass_cloud::simworld::{fnv1a_64, AdaptiveDepth, SimDuration, SimWorld};
 use pass_cloud::workloads::Combined;
 // The bench harness owns the priced world; reusing it keeps the
@@ -220,50 +220,6 @@ fn scheduler_event_order_is_deterministic_at_fixed_seed() {
 }
 
 #[test]
-fn background_daemon_timer_bounds_flush_latency() {
-    // A slow producer (think time between closes) with a generous count
-    // threshold: without the deadline every flush would wait for 100
-    // closes; with it, groups drain on the max_age deadline and the final
-    // state still matches a plain point-persisted control run.
-    let world = priced_world(2009);
-    let mut store = S3SimpleDb::new(&world);
-    let (flushes, _) = Combined::small().flushes();
-    let slice = &flushes[..60];
-    let policy = FlushPolicy::new(100, u64::MAX).with_max_age(SimDuration::from_millis(400));
-    let report = drive_pipelined(
-        &world,
-        &mut store,
-        slice,
-        policy,
-        Some(&mut AdaptiveDepth::fixed(4)),
-        SimDuration::from_millis(150),
-    )
-    .unwrap();
-    assert!(
-        report.timer_drains > 0,
-        "the deadline must fire for a slow producer: {report:?}"
-    );
-    assert!(
-        report.groups_issued > 1,
-        "the stream must not wait for one giant group: {report:?}"
-    );
-
-    let control_world = priced_world(2009);
-    let mut control = S3SimpleDb::new(&control_world);
-    for flush in slice {
-        control.persist(flush).unwrap();
-    }
-    world.settle();
-    control_world.settle();
-    assert!(
-        graph_of(&mut store)
-            .diff(&graph_of(&mut control))
-            .is_empty(),
-        "timer-driven grouping must not change the provenance graph"
-    );
-}
-
-#[test]
 fn pipelined_run_survives_eventual_consistency() {
     // The overlap story on a laggy, jittery world: after the daemons
     // settle, every object reads back verified-consistent.
@@ -319,52 +275,5 @@ fn virtual_time_bill_and_event_trace_are_pinned_per_depth_policy() {
     ];
     for (depth, pin) in arch3 {
         assert_eq!(run_arch3(depth, depth).pin, pin, "arch3 under {depth:?}");
-    }
-
-    // The deadline-driven client: a `max_age` policy and a think-time
-    // gap, arch3 with its default (serial) daemon. 20 groups, 19 of them
-    // drained by the deadline, 118 requests inside the region. The two
-    // trace digests were re-captured when the age deadline stopped being
-    // a scheduler timer: each equals the older trace with its `Timer`
-    // events dropped and every completion's `seq` replaced by its rank
-    // among the completion seqs (checked against that older build).
-    let drives: [(Option<AdaptiveDepth>, Pin, (u64, usize, u64)); 2] = [
-        (
-            fixed(4),
-            (24_641_696, 366, 7743565677641262325),
-            (6, 6, 9_308_683),
-        ),
-        (
-            adaptive,
-            (24_467_135, 366, 12512435041858769335),
-            (2, 7, 9_134_122),
-        ),
-    ];
-    let (flushes, _) = Combined::small().flushes();
-    for (mut depth, pin, (stalls, peak_in_flight, elapsed)) in drives {
-        let world = traced_world();
-        let mut store = S3SimpleDbSqs::new(&world, "pin");
-        let policy = FlushPolicy::new(100, u64::MAX).with_max_age(SimDuration::from_millis(400));
-        let gap = SimDuration::from_millis(150);
-        let report = drive_pipelined(
-            &world,
-            &mut store,
-            &flushes[..60],
-            policy,
-            depth.as_mut(),
-            gap,
-        )
-        .unwrap();
-        store.run_daemons_until_idle().unwrap();
-        let expected = PipelineReport {
-            groups_issued: 20,
-            timer_drains: 19,
-            requests: 118,
-            stalls,
-            peak_in_flight,
-            elapsed: SimDuration::from_micros(elapsed),
-        };
-        assert_eq!(report, expected, "drive under {depth:?}");
-        assert_eq!(pin_of(&world), pin, "drive under {depth:?}");
     }
 }
