@@ -282,7 +282,7 @@ fn collect_db_corpus(
         let Some(attrs) = db.latest_item(DOMAIN, &item_name) else {
             continue;
         };
-        let records = decode_attributes(&attrs, |k| {
+        let records = decode_attributes(attrs, |k| {
             s3.latest_object(BUCKET, k)
                 .map(|o| String::from_utf8_lossy(&o.body.to_bytes()).into_owned())
                 .ok_or_else(|| crate::error::CloudError::NotFound {

@@ -22,6 +22,7 @@
 //! generation at once, then one `GetAttributes` per answer item.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::{self, Write as _};
 
 use pass::{ObjectRef, ProvenanceRecord, RecordKey};
 use serde::{Deserialize, Serialize};
@@ -135,29 +136,52 @@ fn is_file(records: &[ProvenanceRecord]) -> bool {
     })
 }
 
-/// Escapes a value for the SimpleDB query language ('' doubling).
-fn quote(value: &str) -> String {
-    value.replace('\'', "''")
+/// Writes into an expression with every `'` doubled, the escape the
+/// SimpleDB query language reads inside a quoted string.
+struct Quoting<'a>(&'a mut String);
+
+impl fmt::Write for Quoting<'_> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for (i, part) in text.split('\'').enumerate() {
+            if i > 0 {
+                self.0.push_str("''");
+            }
+            self.0.push_str(part);
+        }
+        Ok(())
+    }
 }
 
 /// `['attr' = v1] union ['attr' = v2] union …`: the items carrying any of
-/// `values` under `attr`, as one posted lookup.
-pub(crate) fn union_of_equals<V: AsRef<str>>(
+/// `values` under `attr`, as one posted lookup, each value written
+/// straight into the one string. `Query` bills the expression's length,
+/// so this text is part of the bill.
+pub(crate) fn union_of_equals<V: fmt::Display>(
     attr: &str,
     values: impl IntoIterator<Item = V>,
 ) -> String {
-    let terms = values
-        .into_iter()
-        .map(|v| format!("['{attr}' = '{}']", quote(v.as_ref())));
-    terms.collect::<Vec<_>>().join(" union ")
+    let values = values.into_iter();
+    // Room for terms with values of about an object reference's length.
+    let mut expr = String::with_capacity(values.size_hint().0 * (attr.len() + 32));
+    for value in values {
+        if !expr.is_empty() {
+            expr.push_str(" union ");
+        }
+        expr.push_str("['");
+        expr.push_str(attr);
+        expr.push_str("' = '");
+        write!(Quoting(&mut expr), "{value}").expect("writing to a String cannot fail");
+        expr.push_str("']");
+    }
+    expr
 }
 
 /// The walk's phase-1 expression: the process versions running `program`.
 fn processes_named(program: &str) -> String {
-    format!(
-        "['type' = 'process'] intersection ['name' = '{}']",
-        quote(program)
-    )
+    let mut expr = String::from("['type' = 'process'] intersection ['name' = '");
+    write!(Quoting(&mut expr), "{program}").expect("writing to a String cannot fail");
+    expr.push_str("']");
+    expr
 }
 
 // --- the S3 scan engine (Architecture 1) ---
@@ -331,19 +355,21 @@ impl SimpleDbQueryEngine {
                 // "does not support recursive queries or stored
                 // procedures" (§5).
                 let seeds = self.outputs_of(program)?;
+                let children_of = |parent: &ObjectRef| union_of_equals("input", [parent]);
                 let mut visited: BTreeSet<ObjectRef> = seeds.keys().cloned().collect();
                 let mut result: BTreeMap<ObjectRef, Vec<ProvenanceRecord>> = BTreeMap::new();
-                let mut frontier: VecDeque<ObjectRef> = seeds.keys().cloned().collect();
-                while let Some(parent) = frontier.pop_front() {
+                // Each frontier item as the expression that asks for its
+                // children.
+                let mut frontier: VecDeque<String> = seeds.keys().map(children_of).collect();
+                while let Some(expr) = frontier.pop_front() {
                     // One QueryWithAttributes per frontier item, as the
                     // paper describes. Objects already visited are
                     // skipped before decoding, so a diamond in the graph
                     // costs one record fetch, not one per path.
-                    let expr = format!("['input' = '{}']", quote(&parent.render()));
                     let children = self.query_children(&expr, &visited)?;
                     for (object, records) in children {
                         if visited.insert(object.clone()) {
-                            frontier.push_back(object.clone());
+                            frontier.push_back(children_of(&object));
                             result.insert(object, records);
                         }
                     }
@@ -358,7 +384,7 @@ impl SimpleDbQueryEngine {
     fn outputs_of(&self, program: &str) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
         let processes = self.query_all_pages(&processes_named(program))?;
         let mut outputs = BTreeMap::new();
-        let refs: Vec<String> = processes.keys().map(|o| o.render()).collect();
+        let refs: Vec<&ObjectRef> = processes.keys().collect();
         for batch in refs.chunks(UNION_BATCH) {
             let expr = union_of_equals("input", batch);
             for (object, records) in self.query_all_pages(&expr)? {
@@ -417,9 +443,9 @@ impl SimpleDbQueryEngine {
         values: &BTreeSet<ObjectRef>,
         suffix: &str,
     ) -> Result<BTreeSet<ObjectRef>> {
-        let renders: Vec<String> = values.iter().map(ObjectRef::render).collect();
+        let values: Vec<&ObjectRef> = values.iter().collect();
         let mut out = BTreeSet::new();
-        for batch in renders.chunks(UNION_BATCH) {
+        for batch in values.chunks(UNION_BATCH) {
             let expr = union_of_equals(attr, batch) + suffix;
             out.append(&mut self.query_refs(domain, &expr)?);
         }
@@ -470,14 +496,14 @@ impl SimpleDbQueryEngine {
                 Some(250),
                 token.as_deref(),
             )?;
-            for item in &page.items {
+            for item in page.items {
                 let Some(object) = ObjectRef::parse_item_name(&item.name) else {
                     continue;
                 };
                 if skip.contains(&object) || out.contains_key(&object) {
                     continue;
                 }
-                let records = decode_attributes(&item.attributes, |key| self.fetch_overflow(key))?;
+                let records = decode_attributes(item.attributes, |key| self.fetch_overflow(key))?;
                 out.insert(object, records);
             }
             match page.next_token {
@@ -499,7 +525,7 @@ impl SimpleDbQueryEngine {
         if attrs.is_empty() {
             return Ok(None);
         }
-        Ok(Some(decode_attributes(&attrs, |key| {
+        Ok(Some(decode_attributes(attrs, |key| {
             self.fetch_overflow(key)
         })?))
     }
@@ -676,7 +702,27 @@ mod tests {
 
     #[test]
     fn quote_escapes_quotes() {
-        assert_eq!(quote("o'brien"), "o''brien");
+        let mut expr = String::from("'");
+        let (name, version) = ("o'brien''", 1);
+        write!(Quoting(&mut expr), "{name}:{version}").unwrap();
+        assert_eq!(expr, "'o''brien'''':1");
+    }
+
+    /// `Query` bills `expression.len()` as request bytes: the text of a
+    /// lookup is pinned, byte for byte.
+    #[test]
+    fn lookup_expressions_render_their_billed_text() {
+        assert_eq!(
+            union_of_equals("input", ["a:1", "o'b:2"]),
+            "['input' = 'a:1'] union ['input' = 'o''b:2']"
+        );
+        let object = ObjectRef::new("it's", 3);
+        assert_eq!(union_of_equals("input", [&object]), "['input' = 'it''s:3']");
+        assert_eq!(union_of_equals("input", [""; 0]), "");
+        assert_eq!(
+            processes_named("it's"),
+            "['type' = 'process'] intersection ['name' = 'it''s']"
+        );
     }
 
     /// The benchmark's corpus shape: `runs` pipelines of

@@ -52,7 +52,7 @@ pub(crate) fn verified_read(ctx: &ServeParts, name: &str) -> Result<ReadOutcome>
             ctx.retry.pause(&ctx.world, retries);
             continue;
         };
-        let records = decode_attributes(&attrs, |k| {
+        let records = decode_attributes(attrs, |k| {
             fetch_overflow(&ctx.s3, &ctx.world, &ctx.retry, k)
         })?;
         return Ok(ReadOutcome {

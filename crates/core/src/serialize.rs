@@ -188,11 +188,8 @@ pub fn decode_metadata(
     indexed.sort_by_key(|(i, _, _)| *i);
     let mut records = Vec::with_capacity(indexed.len());
     for (_, attr, value) in indexed {
-        let resolved = match parse_pointer(&value) {
-            Some(key) => fetch(key)?,
-            None => value.clone(),
-        };
-        records.push(ProvenanceRecord::from_pair(&attr, &resolved));
+        let value = resolve(value, &mut fetch)?;
+        records.push(ProvenanceRecord::from_pair(&attr, value));
     }
     Ok(records)
 }
@@ -278,7 +275,7 @@ pub fn pack_attr_batches(
 ///
 /// Propagates `fetch` failures.
 pub fn decode_attributes(
-    attrs: &[sim_simpledb::Attribute],
+    attrs: Vec<sim_simpledb::Attribute>,
     mut fetch: impl FnMut(&str) -> Result<String>,
 ) -> Result<Vec<ProvenanceRecord>> {
     let mut records = Vec::with_capacity(attrs.len());
@@ -302,20 +299,23 @@ pub fn decode_attributes(
             }
             continue;
         }
-        let resolved = match parse_pointer(&attr.value) {
-            Some(key) => fetch(key)?,
-            None => attr.value.clone(),
-        };
-        records.push(ProvenanceRecord::from_pair(&attr.name, &resolved));
+        let value = resolve(attr.value, &mut fetch)?;
+        records.push(ProvenanceRecord::from_pair(&attr.name, value));
     }
     for (name, value) in continuation {
-        let resolved = match parse_pointer(&value) {
-            Some(key) => fetch(key)?,
-            None => value,
-        };
-        records.push(ProvenanceRecord::from_pair(&name, &resolved));
+        let value = resolve(value, &mut fetch)?;
+        records.push(ProvenanceRecord::from_pair(&name, value));
     }
     Ok(records)
+}
+
+/// A stored value as its record holds it: moved as it is, or replaced by
+/// the overflow object its pointer names.
+fn resolve(value: String, fetch: impl FnOnce(&str) -> Result<String>) -> Result<String> {
+    match parse_pointer(&value) {
+        Some(key) => fetch(key),
+        None => Ok(value),
+    }
 }
 
 /// Extracts the nonce a data object was stored with.
@@ -450,7 +450,7 @@ mod tests {
             .iter()
             .map(|a| sim_simpledb::Attribute::new(a.name.clone(), a.value.clone()))
             .collect();
-        let decoded = decode_attributes(&stored, |_| panic!("no overflow expected")).unwrap();
+        let decoded = decode_attributes(stored, |_| panic!("no overflow expected")).unwrap();
         // SimpleDB sets are unordered; compare as sets.
         let mut want = records.clone();
         want.sort();
@@ -466,7 +466,7 @@ mod tests {
             sim_simpledb::Attribute::new("nonce", "2"),
             sim_simpledb::Attribute::new("type", "file"),
         ];
-        let decoded = decode_attributes(&stored, |_| unreachable!()).unwrap();
+        let decoded = decode_attributes(stored, |_| unreachable!()).unwrap();
         assert_eq!(decoded, vec![rec("type", "file")]);
     }
 

@@ -11,7 +11,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use pass::{FileFlush, ObjectKind, ObjectRef, ProvenanceRecord};
+use pass::{FileFlush, ObjectKind, ObjectRef, ProvenanceRecord, RecordValue};
 use provenance_cloud::{
     CloudError, ProvQuery, QueryAnswer, QueryItem, ReadOutcome, ReadStatus, ServeStats,
 };
@@ -429,12 +429,23 @@ fn put_blob(out: &mut Vec<u8>, blob: &Blob) {
     }
 }
 
+/// Each record as its [`ProvenanceRecord::to_pair`] strings, written in
+/// place: a text value as it is stored, a reference rendered straight
+/// into the frame behind a length patched in after it.
 fn put_records(out: &mut Vec<u8>, records: &[ProvenanceRecord]) {
     put_u32(out, records.len() as u32);
     for record in records {
-        let (name, value) = record.to_pair();
-        put_str(out, &name);
-        put_str(out, &value);
+        put_str(out, record.key.attr_name());
+        match &record.value {
+            RecordValue::Text(text) => put_str(out, text),
+            RecordValue::Ref(object) => {
+                let at = out.len();
+                put_u32(out, 0);
+                write!(out, "{object}").expect("writing to a Vec cannot fail");
+                let len = (out.len() - at - 4) as u32;
+                out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+            }
+        }
     }
 }
 
@@ -478,9 +489,13 @@ impl<'a> Cur<'a> {
     }
 
     fn str(&mut self) -> Result<String, DecodeError> {
+        self.borrowed_str().map(str::to_string)
+    }
+
+    /// The next string, borrowed from the payload.
+    fn borrowed_str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::BadUtf8)
     }
 
     fn blob(&mut self) -> Result<Blob, DecodeError> {
@@ -492,9 +507,9 @@ impl<'a> Cur<'a> {
         let count = self.u32()? as usize;
         let mut records = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            let name = self.str()?;
-            let value = self.str()?;
-            records.push(ProvenanceRecord::from_pair(&name, &value));
+            let name = self.borrowed_str()?;
+            let value = self.borrowed_str()?;
+            records.push(ProvenanceRecord::from_pair(name, value));
         }
         Ok(records)
     }
@@ -840,6 +855,33 @@ mod tests {
             let payload = encode_reply(&reply);
             assert_eq!(decode_reply(&payload).unwrap(), reply);
         }
+    }
+
+    /// Records go on the wire as their `to_pair` strings: the bytes
+    /// `put_records` writes in place are the bytes putting each pair
+    /// wrote, for text values and references alike.
+    #[test]
+    fn records_are_written_as_their_pairs() {
+        let records = vec![
+            ProvenanceRecord::from_pair("input", "dir/b.dat:3"),
+            ProvenanceRecord::input(ObjectRef::new("proc:1:a b", u32::MAX)),
+            ProvenanceRecord::from_pair("forkparent", "proc:1:make:0"),
+            ProvenanceRecord::from_pair("input", "not-a-ref"),
+            ProvenanceRecord::from_pair("env", "PATH=/bin"),
+            ProvenanceRecord::from_pair("kernel", "2.6 é"),
+            ProvenanceRecord::from_pair("name", ""),
+        ];
+        let mut via_pairs = Vec::new();
+        put_u32(&mut via_pairs, records.len() as u32);
+        for record in &records {
+            let (name, value) = record.to_pair();
+            put_str(&mut via_pairs, &name);
+            put_str(&mut via_pairs, &value);
+        }
+        let mut written = Vec::new();
+        put_records(&mut written, &records);
+        assert_eq!(written, via_pairs);
+        assert_eq!(Cur { buf: &written }.records().unwrap(), records);
     }
 
     fn write_raw(wire: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError> {

@@ -205,7 +205,7 @@ proptest! {
         code in 1u8..9,
     ) {
         let records = vec![
-            ProvenanceRecord::from_pair("input", &format!("{name}:{version}")),
+            ProvenanceRecord::from_pair("input", format!("{name}:{version}")),
             ProvenanceRecord::from_pair("type", "file"),
         ];
         let reply = match which {

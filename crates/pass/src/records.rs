@@ -157,16 +157,14 @@ impl ProvenanceRecord {
 
     /// Parses a record from an attribute pair. Values under reference
     /// keys that parse as `name:version` become [`RecordValue::Ref`];
-    /// everything else is text.
-    pub fn from_pair(name: &str, value: &str) -> ProvenanceRecord {
+    /// everything else is text, and an owned `String` value becomes that
+    /// text without a copy.
+    pub fn from_pair(name: &str, value: impl AsRef<str> + Into<String>) -> ProvenanceRecord {
         let key = RecordKey::from_attr_name(name);
-        let value = if key.is_reference() {
-            match ObjectRef::parse(value) {
-                Some(r) => RecordValue::Ref(r),
-                None => RecordValue::Text(value.to_string()),
-            }
-        } else {
-            RecordValue::Text(value.to_string())
+        let reference = key.is_reference().then(|| ObjectRef::parse(value.as_ref()));
+        let value = match reference.flatten() {
+            Some(r) => RecordValue::Ref(r),
+            None => RecordValue::Text(value.into()),
         };
         ProvenanceRecord { key, value }
     }

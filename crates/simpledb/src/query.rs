@@ -33,10 +33,17 @@
 //! expression on each, so a cover only has to be *necessary* for a
 //! match, never sufficient.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::iter::Peekable;
+
+use simworld::Pair;
 
 use crate::error::{Result, SdbError};
 use crate::model::ItemState;
+
+#[cfg(test)]
+mod oracle;
 
 /// Comparison operators available in Query predicates.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -87,19 +94,37 @@ impl fmt::Display for CmpOp {
 
 /// A cover — equality pairs, named by their index in
 /// [`EqCover::eq_pairs`] — together with the postings behind it (the
-/// candidates a fetch over it has to check).
+/// candidates a fetch over it has to check). The first pair is held
+/// inline, so a cover of one pair allocates nothing.
 #[derive(Debug)]
 pub(crate) struct Weighed {
-    pairs: Vec<usize>,
+    /// `None` only for the empty cover, whose `rest` is empty too.
+    first: Option<usize>,
+    rest: Vec<usize>,
     postings: usize,
 }
 
 impl Weighed {
     /// The cover of nothing at all — the identity of [`Weighed::plus`].
     pub(crate) const EMPTY: Weighed = Weighed {
-        pairs: Vec::new(),
+        first: None,
+        rest: Vec::new(),
         postings: 0,
     };
+
+    /// The cover of pair `pair` alone, with `postings` behind it.
+    pub(crate) fn pair(pair: usize, postings: usize) -> Weighed {
+        Weighed {
+            first: Some(pair),
+            rest: Vec::new(),
+            postings,
+        }
+    }
+
+    /// The cover's pairs, in the order they were met.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
 
     /// Covers `a and b`: either side's cover will do, so take the one
     /// with fewer postings.
@@ -112,8 +137,14 @@ impl Weighed {
 
     /// Covers `self or other`: candidates are drawn from both.
     pub(crate) fn plus(mut self, other: Weighed) -> Weighed {
-        self.pairs.extend(other.pairs);
         self.postings += other.postings;
+        if self.first.is_none() {
+            return Weighed {
+                postings: self.postings,
+                ..other
+            };
+        }
+        self.rest.extend(other.pairs());
         self
     }
 
@@ -136,30 +167,28 @@ pub(crate) trait EqCover {
     fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed>;
 
     /// The `(attribute, value)` pairs a cover could draw on, in the
-    /// order [`EqCover::derive`] meets them.
-    fn eq_pairs(&self) -> Vec<(&str, &str)> {
+    /// order [`EqCover::derive`] meets them, each as `each` makes it.
+    fn eq_pairs<'a, T>(&'a self, mut each: impl FnMut(&'a str, &'a str) -> T) -> Vec<T> {
         let mut pairs = Vec::new();
         self.derive(&mut |attr, value| {
-            pairs.push((attr, value));
+            pairs.push(each(attr, value));
             Weighed::EMPTY
         });
         pairs
     }
 
-    /// The equality cover, as indices into [`EqCover::eq_pairs`], where
-    /// `postings[i]` items are posted under pair `i`.
-    fn cover(&self, postings: &[usize]) -> Option<Vec<usize>> {
+    /// The equality cover, its [`Weighed::pairs`] indices into
+    /// [`EqCover::eq_pairs`], where `postings[i]` items are posted under
+    /// pair `i`.
+    fn cover(&self, postings: &[usize]) -> Option<Weighed> {
         let mut met = 0;
         let cover = self.derive(&mut |_, _| {
             let pair = met;
             met += 1;
-            Weighed {
-                pairs: vec![pair],
-                postings: postings[pair],
-            }
+            Weighed::pair(pair, postings[pair])
         });
         debug_assert_eq!(met, postings.len(), "one weight per pair of eq_pairs()");
-        cover.map(|w| w.pairs)
+        cover
     }
 }
 
@@ -178,7 +207,11 @@ pub struct Predicate {
 impl Predicate {
     /// Does any single attribute value satisfy the combination?
     pub fn matches(&self, item: &ItemState) -> bool {
-        let values = item.get(&self.attribute);
+        self.matches_run(item.get(&self.attribute))
+    }
+
+    /// [`Predicate::matches`] on the item's run of this attribute.
+    fn matches_run(&self, values: &[Pair]) -> bool {
         values.iter().any(|p| self.eval_on_value(&p.value))
     }
 
@@ -242,17 +275,29 @@ impl QueryExpr {
         Parser::new(input).parse_query()
     }
 
-    /// Evaluates against one item.
+    /// Evaluates against one item. Terms fold left, so a `union` term
+    /// after a true result and an `intersection` term after a false one
+    /// cannot change it and are skipped; every other term decides the
+    /// result alone. Consecutive terms on one attribute share one lookup
+    /// of its run.
     pub fn matches(&self, item: &ItemState) -> bool {
         let mut acc = false;
-        for (i, (setop, negated, pred)) in self.terms.iter().enumerate() {
-            let hit = pred.matches(item) != *negated;
-            acc = match (i, setop) {
-                (0, _) => hit,
-                (_, SetOp::Intersection) => acc && hit,
-                (_, SetOp::Union) => acc || hit,
-                (_, SetOp::First) => unreachable!("First only at index 0"),
+        let mut run: Option<(&str, &[Pair])> = None;
+        for (setop, negated, pred) in &self.terms {
+            match setop {
+                SetOp::Union if acc => continue,
+                SetOp::Intersection if !acc => continue,
+                _ => {}
+            }
+            let values = match run {
+                Some((attr, values)) if attr == pred.attribute => values,
+                _ => {
+                    let values = item.get(&pred.attribute);
+                    run = Some((&pred.attribute, values));
+                    values
+                }
             };
+            acc = pred.matches_run(values) != *negated;
         }
         acc
     }
@@ -306,37 +351,38 @@ impl EqCover for QueryExpr {
 
 // --- lexer / parser ---
 
+/// One token, borrowed from the expression text unless lexing changed
+/// it: a string with `''` escapes, or a word with upper-case letters.
 #[derive(Clone, PartialEq, Eq, Debug)]
-enum Tok {
+enum Tok<'a> {
     LBracket,
     RBracket,
-    Str(String),
-    Word(String), // lowercased keyword or operator
+    Str(Cow<'a, str>),
+    Word(Cow<'a, str>), // lowercased keyword or operator
 }
 
-struct Parser {
-    toks: Vec<Tok>,
-    pos: usize,
+/// Tokens are lexed as the parser asks for them and handed over by
+/// value.
+struct Parser<'a> {
+    toks: Peekable<Lexer<'a>>,
+    /// At most as many terms as the text has `[`s.
+    brackets: usize,
 }
 
-impl Parser {
-    fn new(input: &str) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Parser<'a> {
         Parser {
-            toks: lex(input),
-            pos: 0,
+            toks: Lexer { input, at: 0 }.peekable(),
+            brackets: input.bytes().filter(|&b| b == b'[').count(),
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+    fn peek(&mut self) -> Option<&Tok<'a>> {
+        self.toks.peek()
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn next(&mut self) -> Option<Tok<'a>> {
+        self.toks.next()
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T> {
@@ -346,7 +392,7 @@ impl Parser {
     }
 
     fn parse_query(&mut self) -> Result<QueryExpr> {
-        let mut terms = Vec::new();
+        let mut terms = Vec::with_capacity(self.brackets);
         let (negated, pred) = self.parse_term()?;
         terms.push((SetOp::First, negated, pred));
         let mut sort = None;
@@ -364,7 +410,7 @@ impl Parser {
                 }
                 Some(Tok::Word(w)) if w == "sort" => {
                     let attr = match self.next() {
-                        Some(Tok::Str(s)) => s,
+                        Some(Tok::Str(s)) => s.into_owned(),
                         other => {
                             return self
                                 .err(format!("sort expects a quoted attribute, got {other:?}"))
@@ -383,7 +429,8 @@ impl Parser {
                     };
                     sort = Some((attr, asc));
                     if let Some(t) = self.peek() {
-                        return self.err(format!("unexpected token after sort: {t:?}"));
+                        let message = format!("unexpected token after sort: {t:?}");
+                        return self.err(message);
                     }
                     break;
                 }
@@ -415,7 +462,7 @@ impl Parser {
                 other => return self.err(format!("expected quoted attribute name, got {other:?}")),
             };
             match &attribute {
-                None => attribute = Some(attr.clone()),
+                None => attribute = Some(attr.into_owned()),
                 Some(a) if *a == attr => {}
                 Some(a) => {
                     return self.err(format!(
@@ -425,7 +472,7 @@ impl Parser {
                 }
             }
             let op = match self.next() {
-                Some(Tok::Word(w)) => match w.as_str() {
+                Some(Tok::Word(w)) => match &*w {
                     "=" => CmpOp::Eq,
                     "!=" => CmpOp::Ne,
                     "<" => CmpOp::Lt,
@@ -438,7 +485,7 @@ impl Parser {
                 other => return self.err(format!("expected operator, got {other:?}")),
             };
             let value = match self.next() {
-                Some(Tok::Str(s)) => s,
+                Some(Tok::Str(s)) => s.into_owned(),
                 other => return self.err(format!("expected quoted value, got {other:?}")),
             };
             comparisons.push((op, value));
@@ -457,85 +504,85 @@ impl Parser {
     }
 }
 
-fn lex(input: &str) -> Vec<Tok> {
-    let mut toks = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            ' ' | '\t' | '\n' | '\r' => {
-                chars.next();
-            }
-            '[' => {
-                chars.next();
-                toks.push(Tok::LBracket);
-            }
-            ']' => {
-                chars.next();
-                toks.push(Tok::RBracket);
-            }
+/// The expression's tokens from byte offset `at` on, one per `next`.
+struct Lexer<'a> {
+    input: &'a str,
+    at: usize,
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Tok<'a>;
+
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let input = self.input;
+        let rest = input[self.at..].trim_start_matches([' ', '\t', '\n', '\r']);
+        let start = input.len() - rest.len();
+        let c = rest.chars().next()?;
+        let mut end = start + c.len_utf8();
+        let tok = match c {
+            '[' => Tok::LBracket,
+            ']' => Tok::RBracket,
             '\'' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('\'') => {
-                            // '' escapes a literal quote
-                            if chars.peek() == Some(&'\'') {
-                                chars.next();
-                                s.push('\'');
-                            } else {
-                                break;
-                            }
-                        }
-                        Some(ch) => s.push(ch),
-                        None => break, // unterminated; parser will complain downstream
-                    }
-                }
-                toks.push(Tok::Str(s));
+                let (text, past) = quoted(input, end);
+                end = past;
+                Tok::Str(text)
             }
-            '=' => {
-                chars.next();
-                toks.push(Tok::Word("=".into()));
-            }
-            '!' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    toks.push(Tok::Word("!=".into()));
-                } else {
-                    toks.push(Tok::Word("!".into()));
+            '=' => Tok::Word(Cow::Borrowed("=")),
+            // `!=`, `<=` and `>=`, or the character alone.
+            '!' | '<' | '>' => {
+                if input.as_bytes().get(end) == Some(&b'=') {
+                    end += 1;
                 }
-            }
-            '<' | '>' => {
-                chars.next();
-                let mut w = c.to_string();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    w.push('=');
-                }
-                toks.push(Tok::Word(w));
+                Tok::Word(Cow::Borrowed(&input[start..end]))
             }
             _ => {
-                let mut w = String::new();
-                while let Some(&ch) = chars.peek() {
-                    if ch.is_alphanumeric() || ch == '-' || ch == '_' {
-                        w.push(ch);
-                        chars.next();
-                    } else {
-                        break;
+                let word_char = |ch: char| ch.is_alphanumeric() || ch == '-' || ch == '_';
+                match rest.find(|ch| !word_char(ch)).unwrap_or(rest.len()) {
+                    // An unknown character is a word of its own, as is.
+                    0 => Tok::Word(Cow::Borrowed(&input[start..end])),
+                    len => {
+                        end = start + len;
+                        Tok::Word(lowercased(&input[start..end]))
                     }
                 }
-                if w.is_empty() {
-                    // Unknown character: consume to avoid an infinite loop.
-                    chars.next();
-                    toks.push(Tok::Word(c.to_string()));
-                } else {
-                    toks.push(Tok::Word(w.to_lowercase()));
-                }
             }
-        }
+        };
+        self.at = end;
+        Some(tok)
     }
-    toks
+}
+
+/// The text of the string whose body starts at byte `from` (just past
+/// its opening quote) and the offset just past its closing quote. `''`
+/// is a quote in the text; an unterminated string runs to the end, and
+/// the parser complains downstream.
+fn quoted(input: &str, from: usize) -> (Cow<'_, str>, usize) {
+    let mut unescaped = String::new();
+    let mut segment = from;
+    let (text_end, past) = loop {
+        let Some(q) = input[segment..].find('\'').map(|i| segment + i) else {
+            break (input.len(), input.len());
+        };
+        if input.as_bytes().get(q + 1) != Some(&b'\'') {
+            break (q, q + 1);
+        }
+        unescaped.push_str(&input[segment..=q]);
+        segment = q + 2;
+    };
+    if unescaped.is_empty() {
+        return (Cow::Borrowed(&input[from..text_end]), past);
+    }
+    unescaped.push_str(&input[segment..text_end]);
+    (Cow::Owned(unescaped), past)
+}
+
+/// `word.to_lowercase()`, borrowed when that changes no character.
+fn lowercased(word: &str) -> Cow<'_, str> {
+    if word.chars().all(|c| c.to_lowercase().eq([c])) {
+        Cow::Borrowed(word)
+    } else {
+        Cow::Owned(word.to_lowercase())
+    }
 }
 
 #[cfg(test)]
@@ -690,10 +737,10 @@ pub(crate) mod tests {
         expr: &impl EqCover,
         counts: impl Fn(&str, &str) -> usize,
     ) -> Option<Vec<(&str, &str)>> {
-        let pairs = expr.eq_pairs();
+        let pairs = expr.eq_pairs(|attr, value| (attr, value));
         let postings: Vec<usize> = pairs.iter().map(|(a, v)| counts(a, v)).collect();
         let cover = expr.cover(&postings)?;
-        Some(cover.into_iter().map(|i| pairs[i]).collect())
+        Some(cover.pairs().map(|i| pairs[i]).collect())
     }
 
     fn assert_cover(expr: &str, expected: Option<&[(&str, &str)]>) {
@@ -776,5 +823,187 @@ pub(crate) mod tests {
         let q = QueryExpr::parse("['x' = 'a' and 'x' = 'b']").unwrap();
         assert_eq!(cover_of(&q, counts), Some(vec![("x", "a")]));
         assert!(!q.matches(&item(&[("x", "a"), ("x", "b")])));
+    }
+
+    // --- the borrowing lexer and the short-circuit matcher, held to the
+    // owning lexer and the every-term matcher they replaced (`oracle`) ---
+
+    use proptest::prelude::*;
+
+    /// Attributes as quoted in an expression, and the names they denote.
+    /// Two share a prefix; one needs `''`; one has upper-case letters.
+    const ATTRS: &[(&str, &str)] = &[
+        ("a", "a"),
+        ("ab", "ab"),
+        ("input", "input"),
+        ("o''q", "o'q"),
+        ("Type", "Type"),
+    ];
+    const VALUES: &[(&str, &str)] = &[
+        ("", ""),
+        ("1", "1"),
+        ("10", "10"),
+        ("x", "x"),
+        ("o''b", "o'b"),
+        ("é", "é"),
+        ("a:1", "a:1"),
+        ("ΣA", "ΣA"),
+    ];
+    const OPS: &[&str] = &["=", "!=", "<", ">", "<=", ">=", "starts-with"];
+
+    /// `word` as written: lower, upper or capitalised, by `case`.
+    fn cased(word: &str, case: u8) -> String {
+        match case % 3 {
+            0 => word.to_string(),
+            1 => word.to_uppercase(),
+            _ => word[..1].to_uppercase() + &word[1..],
+        }
+    }
+
+    /// One term: `(set operator, not, comparisons)`. A comparison is
+    /// `(attribute, operator, value, flags)`; its flags pick the `and` /
+    /// `or` after it, their case, and now and then a second attribute,
+    /// which the parser must refuse.
+    type Term = (u8, u8, Vec<(usize, usize, usize, u8)>);
+
+    /// Renders generated terms, a `sort` clause when `sort.0` is odd
+    /// (its case and direction picked by the rest of `sort.0`), and cuts
+    /// the text to `cut.1` characters when `cut.0 == 0`.
+    fn render(terms: &[Term], sort: (u8, usize), cut: (u8, usize)) -> String {
+        let mut out = String::new();
+        for (i, (setop, not, comparisons)) in terms.iter().enumerate() {
+            if i > 0 {
+                let op = if setop % 2 == 0 {
+                    "intersection"
+                } else {
+                    "union"
+                };
+                out += &format!(" {} ", cased(op, setop / 2));
+            }
+            if not % 2 == 1 {
+                out += &cased("not", not / 2);
+                out += " ";
+            }
+            out += "[";
+            let own = comparisons[0].0;
+            for (j, &(attr, op, value, flags)) in comparisons.iter().enumerate() {
+                if j > 0 {
+                    let word = if flags % 2 == 0 { "and" } else { "or" };
+                    out += &format!(" {} ", cased(word, flags / 2));
+                }
+                let attr = if flags % 16 == 15 { attr } else { own };
+                out += &format!("'{}' {} '{}'", ATTRS[attr].0, OPS[op], VALUES[value].0);
+            }
+            out += "]";
+        }
+        if sort.0 % 2 == 1 {
+            let direction = ["", " asc", " desc", " DESC"][usize::from(sort.0 / 6) % 4];
+            out += &format!(
+                " {} '{}'{direction}",
+                cased("sort", sort.0 / 2),
+                ATTRS[sort.1].0
+            );
+        }
+        if cut.0 == 0 {
+            out = out
+                .chars()
+                .take(cut.1 % (out.chars().count() + 1))
+                .collect();
+        }
+        out
+    }
+
+    fn terms() -> impl Strategy<Value = Vec<Term>> {
+        let comparison = (0..ATTRS.len(), 0..OPS.len(), 0..VALUES.len(), 0u8..16);
+        proptest::collection::vec(
+            (0u8..6, 0u8..6, proptest::collection::vec(comparison, 1..4)),
+            1..7,
+        )
+    }
+
+    /// Garbage built from the language's own pieces and a few characters
+    /// whose lower case differs or takes more bytes.
+    fn shards() -> impl Strategy<Value = Vec<&'static str>> {
+        let pieces = vec![
+            "[", "]", "'", "''", " ", "\t", "=", "!", "!=", "<", ">=", "and", "OR", "Union", "not",
+            "sort", "DESC", "x", "é", "İ", "ǅ", "Σ", "?", "-", "_9",
+        ];
+        proptest::collection::vec(proptest::sample::select(pieces), 0..24)
+    }
+
+    fn parsed(input: &str) -> std::result::Result<QueryExpr, String> {
+        QueryExpr::parse(input).map_err(|e| e.to_string())
+    }
+
+    fn parsed_by_oracle(input: &str) -> std::result::Result<QueryExpr, String> {
+        oracle::parse(input).map_err(|e| e.to_string())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Well-formed and truncated expressions: 1–6 terms, `union`,
+        // `intersection` and `not`, `and`/`or` inside brackets, `''`
+        // escapes, upper-case keywords, `sort 'x' desc`.
+        #[test]
+        fn the_parser_reads_expressions_as_the_oracle_does(
+            terms in terms(),
+            sort in (0u8..24, 0..ATTRS.len()),
+            cut in (0u8..4, 0usize..400),
+        ) {
+            let input = render(&terms, sort, cut);
+            let (new, old) = (parsed(&input), parsed_by_oracle(&input));
+            prop_assert!(new == old, "{input:?}\n  parsed: {new:?}\n  oracle: {old:?}");
+        }
+
+        #[test]
+        fn the_parser_refuses_garbage_as_the_oracle_does(
+            pieces in shards(),
+            noise in "\\PC{0,24}",
+        ) {
+            for input in [pieces.concat(), noise] {
+                let (new, old) = (parsed(&input), parsed_by_oracle(&input));
+                prop_assert!(new == old, "{input:?}\n  parsed: {new:?}\n  oracle: {old:?}");
+            }
+        }
+
+        // Items carry several values per attribute, so `intersection`
+        // across terms and `and` inside one disagree; every term of the
+        // reference is evaluated.
+        #[test]
+        fn matches_agrees_with_evaluating_every_term(
+            terms in terms(),
+            items in proptest::collection::vec(
+                proptest::collection::vec((0..ATTRS.len(), 0..VALUES.len()), 0..10),
+                1..6,
+            ),
+        ) {
+            let Ok(expr) = QueryExpr::parse(&render(&terms, (0, 0), (1, 0))) else {
+                return Ok(()); // two attributes in one predicate
+            };
+            for pairs in items {
+                let item = ItemState::from_pairs(pairs.iter().map(|&(a, v)| (ATTRS[a].1, VALUES[v].1)));
+                let (new, old) = (expr.matches(&item), oracle::matches(&expr, &item));
+                prop_assert!(new == old, "{expr:?} on {item:?}: {new} against {old}");
+            }
+        }
+    }
+
+    #[test]
+    fn generated_expressions_cover_the_grammar() {
+        let text = render(
+            &[
+                (0, 3, vec![(3, 0, 4, 1), (3, 6, 7, 3)]),
+                (1, 0, vec![(4, 5, 0, 0)]),
+            ],
+            (13, 0),
+            (1, 0),
+        );
+        assert_eq!(
+            text,
+            "NOT ['o''q' = 'o''b' OR 'o''q' starts-with 'ΣA'] union ['Type' >= ''] sort 'a' desc"
+        );
+        assert_eq!(parsed(&text), parsed_by_oracle(&text));
+        assert!(parsed(&text).is_ok());
     }
 }

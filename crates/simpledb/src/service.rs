@@ -55,7 +55,7 @@ use crate::model::{
     attributes_where, byte_size, to_attributes, Attribute, DeletableAttribute, ItemState,
     ReplaceableAttribute, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS,
 };
-use crate::query::{EqCover, QueryExpr};
+use crate::query::{EqCover, QueryExpr, Weighed};
 use crate::select::{Output, SelectStatement};
 
 /// Default page size for `Query`/`QueryWithAttributes`.
@@ -824,25 +824,31 @@ impl SimpleDb {
         };
         let now = self.world.now();
         let shards = view.shard_count();
-        let replicas: Vec<usize> = (0..shards)
-            .map(|pos| {
-                view.resolve_pin(&pin, pos)
-                    .ok_or(SdbError::InvalidNextToken)
-            })
-            .collect::<Result<_>>()?;
+        let mut replicas = Vec::with_capacity(shards);
+        for pos in 0..shards {
+            let replica = view.resolve_pin(&pin, pos);
+            replicas.push(replica.ok_or(SdbError::InvalidNextToken)?);
+        }
 
         let probes: Vec<(&str, u64)> = expr.map_or_else(Vec::new, |e| {
-            let hashed = |(attr, value): (_, &str)| (attr, simworld::value_hash(value));
-            e.eq_pairs().into_iter().map(hashed).collect()
+            e.eq_pairs(|attr, value| (attr, simworld::value_hash(value)))
         });
         let pairs = probes.len();
-        let mut posted = vec![0usize; shards * pairs]; // [shard * pairs + pair]
-        let mut cells = vec![0u64; shards];
-        let mut totals = vec![0usize; pairs];
+        // One buffer, weighed only when there are pairs: per shard its
+        // postings of each pair (`posted[shard * pairs + pair]`), per pair
+        // their sum over shards, per shard its cell count.
+        let weighed = if pairs > 0 {
+            (shards + 1) * pairs + shards
+        } else {
+            0
+        };
+        let mut weights = vec![0usize; weighed];
+        let (posted, rest) = weights.split_at_mut(shards * pairs);
+        let (totals, cells) = rest.split_at_mut(pairs);
         if pairs > 0 {
             for pos in 0..shards {
                 view.with_cells_at(pos, |map| {
-                    cells[pos] = map.cell_count() as u64;
+                    cells[pos] = map.cell_count();
                     let posted = &mut posted[pos * pairs..][..pairs];
                     map.posting_counts(ItemState::get, &probes, posted);
                     for (total, count) in totals.iter_mut().zip(posted) {
@@ -851,17 +857,17 @@ impl SimpleDb {
                 });
             }
         }
-        let cover = expr.and_then(|e| e.cover(&totals));
+        let cover = expr.and_then(|e| e.cover(totals));
         let cover_probes: Option<Vec<(&str, u64)>> = cover
             .as_ref()
-            .map(|cover| cover.iter().map(|&pair| probes[pair]).collect());
+            .map(|cover| cover.pairs().map(|pair| probes[pair]).collect());
 
         let (candidates, more, scanned) =
             simworld::merged_shard_page(shards, after, page_size, |i, cursor, quota| {
                 let idle =
-                    |cover: &Vec<usize>| cover.iter().all(|pair| posted[i * pairs + pair] == 0);
+                    |cover: &Weighed| cover.pairs().all(|pair| posted[i * pairs + pair] == 0);
                 if cursor.is_none() && cover.as_ref().is_some_and(idle) {
-                    return (Vec::new(), cells[i]);
+                    return (Vec::new(), cells[i] as u64);
                 }
                 view.with_cells_at(i, |map| {
                     let cover = cover_probes.as_deref();

@@ -31,45 +31,47 @@ pub fn merged_shard_page<K, V, F>(
     mut fetch: F,
 ) -> (Vec<(K, V)>, bool, u64)
 where
-    K: Ord + Clone,
+    K: Ord,
     F: FnMut(usize, Option<&K>, usize) -> (Vec<(K, V)>, u64),
 {
     let need = page_size + 1;
-    let mut cursors: Vec<(Option<K>, bool)> = vec![(after, false); shard_count];
+    // Per shard: the pool index of the last key it returned (`None`:
+    // nothing yet, so it resumes after `after`), whether it is
+    // exhausted, and the cells it examined. Entries are only ever
+    // appended to the pool, so an index stays valid while the merge runs.
+    let mut cursors: Vec<(Option<usize>, bool, u64)> = vec![(None, false, 0); shard_count];
     let mut pool: Vec<(K, V)> = Vec::new();
-    let mut examined_per_shard = vec![0u64; shard_count];
     let mut quota = need.div_ceil(shard_count).max(1);
     // First round: every shard contributes its proportional share.
     // Refill rounds: keys below the finalization boundary can only come
     // from the *gating* shard (the unexhausted shard with the smallest
     // fetch horizon), so only it is fetched again, with a doubled quota
     // while it blocks.
-    let mut targets: Vec<usize> = (0..shard_count).collect();
+    let mut targets = 0..shard_count;
     loop {
-        for &i in &targets {
-            let (cursor, exhausted) = &mut cursors[i];
+        for i in targets {
+            let (cursor, exhausted, examined_here) = &mut cursors[i];
             if *exhausted {
                 continue;
             }
-            let (items, examined) = fetch(i, cursor.as_ref(), quota);
-            examined_per_shard[i] += examined;
+            let from = cursor.map_or(after.as_ref(), |at| Some(&pool[at].0));
+            let (items, examined) = fetch(i, from, quota);
+            *examined_here += examined;
             if items.len() < quota {
                 *exhausted = true;
             }
-            if let Some((last, _)) = items.last() {
-                *cursor = Some(last.clone());
+            if !items.is_empty() {
+                *cursor = Some(pool.len() + items.len() - 1);
             }
             pool.extend(items);
         }
         let gate: Option<(usize, &K)> = cursors
             .iter()
             .enumerate()
-            .filter(|(_, (_, exhausted))| !exhausted)
-            .map(|(i, (c, _))| {
-                (
-                    i,
-                    c.as_ref().expect("unexhausted shards have fetched a page"),
-                )
+            .filter(|(_, (_, exhausted, _))| !exhausted)
+            .map(|(i, (at, _, _))| {
+                let at = at.expect("unexhausted shards have fetched a page");
+                (i, &pool[at].0)
             })
             .min_by(|a, b| a.1.cmp(b.1));
         let Some((gate, horizon)) = gate else {
@@ -79,14 +81,14 @@ where
         if finalized >= need {
             break;
         }
-        targets = vec![gate];
+        targets = gate..gate + 1;
         quota = quota.saturating_mul(2);
     }
     let mut candidates = pool;
     candidates.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
     let more = candidates.len() > page_size;
     candidates.truncate(page_size);
-    let scanned = examined_per_shard.iter().copied().max().unwrap_or(0);
+    let scanned = cursors.iter().map(|c| c.2).max().unwrap_or(0);
     (candidates, more, scanned)
 }
 

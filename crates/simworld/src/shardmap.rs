@@ -190,7 +190,8 @@ pub struct SplitEvent {
 /// ancestor, so the whole walk stays on one consistent view.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplicaPin {
-    entries: BTreeMap<u32, usize>,
+    /// `(shard id, replica)`, ascending by id, each id once.
+    entries: Vec<(u32, usize)>,
 }
 
 impl ReplicaPin {
@@ -201,12 +202,16 @@ impl ReplicaPin {
 
     /// Pins `replica` for shard `id` (overwrites any prior pin).
     pub fn insert(&mut self, id: u32, replica: usize) {
-        self.entries.insert(id, replica);
+        match self.entries.binary_search_by_key(&id, |&(id, _)| id) {
+            Ok(at) => self.entries[at].1 = replica,
+            Err(at) => self.entries.insert(at, (id, replica)),
+        }
     }
 
     /// The replica pinned for shard `id`, if any.
     pub fn get(&self, id: u32) -> Option<usize> {
-        self.entries.get(&id).copied()
+        let at = self.entries.binary_search_by_key(&id, |&(id, _)| id);
+        at.ok().map(|at| self.entries[at].1)
     }
 
     /// Number of pinned shards.
@@ -221,7 +226,7 @@ impl ReplicaPin {
 
     /// Iterates `(shard id, replica)` in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        self.entries.iter().map(|(id, r)| (*id, *r))
+        self.entries.iter().copied()
     }
 }
 
@@ -818,12 +823,11 @@ impl<V: Clone> MapView<'_, V> {
     /// record its touches) — which on a fresh power-of-two layout
     /// reproduces the historical draw-per-index assignment exactly.
     pub fn pin_replicas(&self, world: &SimWorld, ids: &[u32]) -> ReplicaPin {
+        debug_assert!(ids.is_sorted_by(|a, b| a < b), "ids are sorted_ids()");
         let draws = world.sample_read_replicas(ids.len());
-        let mut pin = ReplicaPin::new();
-        for (&id, replica) in ids.iter().zip(draws) {
-            pin.insert(id, replica);
+        ReplicaPin {
+            entries: ids.iter().copied().zip(draws).collect(),
         }
-        pin
     }
 
     /// Resolves the pinned replica for the shard at range `position`,

@@ -7,10 +7,12 @@
 //! number of records, with everything but the store dropped, and holds
 //! the difference per record to a budget. The simulated services keep
 //! every item, object and message on the heap, so that difference is
-//! their representation: pairs, cells, metadata.
+//! their representation: pairs, cells, metadata. Around the same runs it
+//! counts allocator calls, per record written and per query answered.
 //!
-//! Both measurements live in one `#[test]`: the counter is process-wide,
-//! and a second test running beside it would be counted too.
+//! Every measurement lives in one `#[test]`: the counters are
+//! process-wide, and a second test running beside it would be counted
+//! too.
 
 // The workspace denies `unsafe`; a `GlobalAlloc` cannot be written
 // without it.
@@ -21,7 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pass::{FileFlush, Observer, TraceEvent};
 use provenance_cloud::{
-    Arch2Config, Arch3Config, ClosureMode, ProvQuery, S3SimpleDb, S3SimpleDbSqs, ServeHandle,
+    Arch2Config, Arch3Config, ClosureMode, ProvQuery, RetryPolicy, S3SimpleDb, S3SimpleDbSqs,
+    ServeHandle, SimpleDbQueryEngine,
 };
 use simworld::{splitmix64, Blob, SimWorld};
 
@@ -192,12 +195,24 @@ fn a_stored_record_stays_within_its_heap_budget() {
     // and their postings. Measured 3 053 B; 10 654 B before.
     const ITEM_BUDGET: usize = 3_500;
     let mut items = 0usize;
+    // The walk oracle and a second handle share the store's services and
+    // allocate nothing of their own; they keep the store for the read
+    // path's count below.
+    let (mut walk, mut kept) = (None, None);
     let arch2 = || {
-        let mut store = S3SimpleDb::new(&SimWorld::counting());
+        let world = SimWorld::counting();
+        let mut store = S3SimpleDb::new(&world);
         store.set_config(Arch2Config {
             closure: ClosureMode::Serve,
             ..Arch2Config::default()
         });
+        let retry = RetryPolicy::default();
+        walk = Some(SimpleDbQueryEngine::new(
+            store.simpledb(),
+            store.s3(),
+            &world,
+            retry,
+        ));
         ServeHandle::new(store)
     };
     let held = held_by_store(arch2, |handle| {
@@ -213,10 +228,57 @@ fn a_stored_record_stays_within_its_heap_budget() {
             let answer = handle.query(&q3).expect("index-served Q3");
             assert!(!answer.items.is_empty() || stage == STAGES - 1);
         }
+        kept = Some(handle.clone());
     });
     let per_item = held / items;
     assert!(
         per_item <= ITEM_BUDGET,
         "arch2 + closure holds {per_item} B per item ({held} B / {items}), budget {ITEM_BUDGET}"
     );
+
+    // The read path on that corpus: allocator calls per query, for the
+    // 20 programs of each stage that two pipelines run, once every
+    // attribute's postings are built. Q2 is two posted lookups; a
+    // walk-served Q3 one more per descendant; an index-served Q3 three
+    // lookups and one `GetAttributes` per descendant. Measured 121.0 /
+    // 442.3 / 263.4; 222.0 / 830.3 / 449.5 while the lexer built a
+    // `String` per token and the parser cloned it, `matches` evaluated
+    // every term, a replica pin was a `BTreeMap`, a cover a `Vec` per
+    // pair, the merge cloned a cursor key per fetch, each expression was
+    // joined from `format!`ed terms and each decoded value was copied
+    // twice. Over a third of what is left is `QueryWithAttributes`
+    // copying each answer's pairs out of the store.
+    const Q2_BUDGET: usize = 133;
+    const Q3_WALK_BUDGET: usize = 487;
+    const Q3_INDEX_BUDGET: usize = 290;
+    let (walk, index) = (walk.expect("built"), kept.expect("filled"));
+    let programs =
+        |stages: usize| (0..stages).flat_map(|s| (0..20).map(move |g| format!("s{s}g{g}")));
+    let q2s: Vec<_> = programs(STAGES)
+        .map(|program| ProvQuery::OutputsOf { program })
+        .collect();
+    // The last stage's outputs have no descendants.
+    let q3s: Vec<_> = programs(STAGES - 1)
+        .map(|program| ProvQuery::DescendantsOf { program })
+        .collect();
+    let by_handle = |q: &ProvQuery| assert!(!index.query(q).expect("served").is_empty());
+    let by_walk = |q: &ProvQuery| assert!(!walk.execute(q).expect("walk").is_empty());
+    let per_query = |queries: &[ProvQuery], engine: &dyn Fn(&ProvQuery)| {
+        queries.iter().for_each(engine);
+        calls_in(|| queries.iter().for_each(engine)) as f64 / queries.len() as f64
+    };
+    for (what, calls, budget) in [
+        ("Q2", per_query(&q2s, &by_handle), Q2_BUDGET),
+        ("walk-served Q3", per_query(&q3s, &by_walk), Q3_WALK_BUDGET),
+        (
+            "index-served Q3",
+            per_query(&q3s, &by_handle),
+            Q3_INDEX_BUDGET,
+        ),
+    ] {
+        assert!(
+            calls <= budget as f64,
+            "{what} makes {calls:.1} allocator calls per query, budget {budget}"
+        );
+    }
 }
