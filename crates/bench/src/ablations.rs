@@ -120,10 +120,11 @@ fn nonce_ablation(seed: u64) -> Result<(u32, u32, u32)> {
                     .simpledb()
                     .latest_item("provenance", &format!("{name} {version}"))
                     .expect("item stored")
-                    .into_iter()
-                    .find(|a| a.name == "md5")
+                    .get("md5")
+                    .first()
                     .expect("md5 attribute")
                     .value
+                    .to_string()
             };
             if token(1) == token(2) {
                 if use_nonce {

@@ -133,12 +133,11 @@ struct NodeInfo {
 }
 
 impl NodeInfo {
-    fn from_attrs(attrs: &[ReplaceableAttribute]) -> NodeInfo {
-        let inputs = attrs
-            .iter()
-            .filter(|a| a.name == "input" && parse_render(&a.value).is_some());
+    /// The facts of a node whose `input` values are `inputs`.
+    fn from_inputs<'a>(inputs: impl IntoIterator<Item = &'a str>) -> NodeInfo {
+        let parents = inputs.into_iter().filter(|v| parse_render(v).is_some());
         NodeInfo {
-            parents: inputs.map(|a| a.value.clone()).collect(),
+            parents: parents.map(str::to_string).collect(),
         }
     }
 }
@@ -198,7 +197,8 @@ impl ClosureIndex {
             if ObjectRef::parse_item_name(item_name).is_none() {
                 continue;
             }
-            let info = NodeInfo::from_attrs(attrs);
+            let inputs = attrs.iter().filter(|a| a.name == "input");
+            let info = NodeInfo::from_inputs(inputs.map(|a| a.value.as_str()));
             match group.entry(item_name.clone()) {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(info);
@@ -419,17 +419,14 @@ impl ClosureIndex {
         // domain (eventual consistency may also return nothing here; an
         // absent node then contributes no ancestors, which a later
         // commit through this path will heal again).
-        let attrs = with_throttle_retry(&self.world, &retry, || {
+        let stored = with_throttle_retry(&self.world, &retry, || {
             Ok(self.db.get_attributes(DOMAIN, item, None)?)
         })?;
-        if attrs.is_empty() {
+        if stored.is_empty() {
             return Ok(BTreeSet::new());
         }
-        let replaceable: Vec<ReplaceableAttribute> = attrs
-            .into_iter()
-            .map(|a| ReplaceableAttribute::add(a.name, a.value))
-            .collect();
-        group.insert(item.to_string(), NodeInfo::from_attrs(&replaceable));
+        let inputs = stored.get("input").iter().map(|p| &*p.value);
+        group.insert(item.to_string(), NodeInfo::from_inputs(inputs));
         self.resolve(item, retry, group, resolved, stack)
     }
 
@@ -466,8 +463,8 @@ impl ClosureIndex {
                     let Some(desc) = ObjectRef::parse_item_name(closure_row_name(&hit.name)) else {
                         continue;
                     };
-                    for term in hit.attributes {
-                        if let Some(&item) = by_render.get(&term.value) {
+                    for term in hit.attributes.iter() {
+                        if let Some(&item) = by_render.get(&*term.value) {
                             descs.entry(item.clone()).or_default().insert(desc.render());
                         }
                     }
@@ -498,10 +495,10 @@ impl ClosureIndex {
         let mut ancestors = BTreeSet::new();
         let mut buckets = Vec::new();
         let mut marked = false;
-        for pair in get(item)? {
-            match pair.name.as_str() {
+        for pair in get(item)?.iter() {
+            match &*pair.name {
                 CLOSURE_ATTR_ANC => {
-                    ancestors.insert(pair.value);
+                    ancestors.insert(pair.value.to_string());
                 }
                 CLOSURE_ATTR_FRAGS => buckets.extend(closure_mark_bucket(&pair.value)),
                 _ => marked = true,
@@ -512,7 +509,7 @@ impl ClosureIndex {
         }
         for bucket in buckets {
             let frag = get(&closure_frag_name(item, bucket))?;
-            ancestors.extend(frag.into_iter().map(|pair| pair.value));
+            ancestors.extend(frag.iter().map(|pair| pair.value.to_string()));
         }
         Ok(Some(ancestors))
     }
@@ -521,6 +518,7 @@ impl ClosureIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_simpledb::pairs;
 
     #[test]
     fn parse_render_requires_exact_round_trip() {
@@ -619,11 +617,9 @@ mod tests {
                 names.extend(pb.db.latest_item_names(domain));
                 for name in names {
                     let get = |db: &SimpleDb| -> BTreeSet<(String, String)> {
-                        db.latest_item(domain, &name)
-                            .unwrap_or_default()
-                            .into_iter()
-                            .map(|a| (a.name, a.value))
-                            .collect()
+                        let item = db.latest_item(domain, &name).unwrap_or_default();
+                        let owned = |(n, v): (&str, &str)| (n.to_string(), v.to_string());
+                        pairs(&item).into_iter().map(owned).collect()
                     };
                     let (sa, sb) = (get(&pa.db), get(&pb.db));
                     for p in sa.difference(&sb) {
@@ -748,8 +744,9 @@ mod tests {
                 let attrs = db.latest_item(CLOSURE_DOMAIN, &item).unwrap();
                 assert!(attrs.len() <= 5, "{item:?} holds {} pairs", attrs.len());
                 if closure_row_name(&item) == "seed.dat 1" {
-                    let row = attrs.into_iter().filter(|a| a.name != CLOSURE_ATTR_FRAGS);
-                    seed.extend(row.map(|a| (a.name, a.value)));
+                    let row = pairs(&attrs).into_iter();
+                    let row = row.filter(|(name, _)| *name != CLOSURE_ATTR_FRAGS);
+                    seed.extend(row.map(|(n, v)| (n.to_string(), v.to_string())));
                 }
             }
             let pair = |name: &str, value: &str| (name.to_string(), value.to_string());
@@ -798,14 +795,7 @@ mod tests {
 
     #[test]
     fn node_info_extracts_the_walk_edge_relation() {
-        let attrs = vec![
-            ReplaceableAttribute::add("input", "a:1"),
-            ReplaceableAttribute::add("input", "a:1"),
-            ReplaceableAttribute::add("input", "not a ref"),
-            ReplaceableAttribute::add("type", "file"),
-            ReplaceableAttribute::add("name", "b:1"),
-        ];
-        let info = NodeInfo::from_attrs(&attrs);
+        let info = NodeInfo::from_inputs(["a:1", "a:1", "not a ref", "@s3:prov/a 1/0"]);
         assert_eq!(info.parents, BTreeSet::from(["a:1".to_string()]));
     }
 }

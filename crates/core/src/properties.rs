@@ -282,7 +282,7 @@ fn collect_db_corpus(
         let Some(attrs) = db.latest_item(DOMAIN, &item_name) else {
             continue;
         };
-        let records = decode_attributes(attrs, |k| {
+        let records = decode_attributes(&attrs, |k| {
             s3.latest_object(BUCKET, k)
                 .map(|o| String::from_utf8_lossy(&o.body.to_bytes()).into_owned())
                 .ok_or_else(|| crate::error::CloudError::NotFound {
@@ -307,7 +307,7 @@ fn db_atomicity_violation(s3: &sim_s3::S3, db: &sim_simpledb::SimpleDb) -> bool 
         let Some(attrs) = db.latest_item(DOMAIN, &item_name) else {
             continue;
         };
-        if !attrs.iter().any(|a| a.name == ATTR_MD5) {
+        if !attrs.contains_key(ATTR_MD5) {
             return true;
         }
         let data_version = s3
@@ -330,7 +330,7 @@ fn db_atomicity_violation(s3: &sim_s3::S3, db: &sim_simpledb::SimpleDb) -> bool 
         };
         let item = ObjectRef::new(name.to_string(), version).item_name();
         match db.latest_item(DOMAIN, &item) {
-            Some(attrs) if attrs.iter().any(|a| a.name == ATTR_MD5) => {}
+            Some(attrs) if attrs.contains_key(ATTR_MD5) => {}
             _ => return true,
         }
     }

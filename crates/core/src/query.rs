@@ -356,22 +356,21 @@ impl SimpleDbQueryEngine {
                 // procedures" (§5).
                 let seeds = self.outputs_of(program)?;
                 let children_of = |parent: &ObjectRef| union_of_equals("input", [parent]);
-                let mut visited: BTreeSet<ObjectRef> = seeds.keys().cloned().collect();
                 let mut result: BTreeMap<ObjectRef, Vec<ProvenanceRecord>> = BTreeMap::new();
                 // Each frontier item as the expression that asks for its
                 // children.
                 let mut frontier: VecDeque<String> = seeds.keys().map(children_of).collect();
                 while let Some(expr) = frontier.pop_front() {
                     // One QueryWithAttributes per frontier item, as the
-                    // paper describes. Objects already visited are
-                    // skipped before decoding, so a diamond in the graph
-                    // costs one record fetch, not one per path.
-                    let children = self.query_children(&expr, &visited)?;
-                    for (object, records) in children {
-                        if visited.insert(object.clone()) {
-                            frontier.push_back(children_of(&object));
-                            result.insert(object, records);
-                        }
+                    // paper describes. Objects already visited — the seeds
+                    // and everything found so far — are skipped before
+                    // decoding, so a diamond in the graph costs one record
+                    // fetch, not one per path, and every child returned is
+                    // new.
+                    let visited = |o: &ObjectRef| seeds.contains_key(o) || result.contains_key(o);
+                    for (object, records) in self.query_children(&expr, visited)? {
+                        frontier.push_back(children_of(&object));
+                        result.insert(object, records);
                     }
                 }
                 Ok(QueryAnswer::from_map(result))
@@ -479,12 +478,12 @@ impl SimpleDbQueryEngine {
     }
 
     /// Runs one QueryWithAttributes expression across all pages,
-    /// skipping the decode (and its overflow GETs) for objects already
-    /// in `skip`.
+    /// skipping the decode (and its overflow GETs) for objects `skip`
+    /// accepts.
     fn query_children(
         &self,
         expr: &str,
-        skip: &BTreeSet<ObjectRef>,
+        skip: impl Fn(&ObjectRef) -> bool,
     ) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
         let mut out = BTreeMap::new();
         let mut token: Option<String> = None;
@@ -500,10 +499,10 @@ impl SimpleDbQueryEngine {
                 let Some(object) = ObjectRef::parse_item_name(&item.name) else {
                     continue;
                 };
-                if skip.contains(&object) || out.contains_key(&object) {
+                if skip(&object) || out.contains_key(&object) {
                     continue;
                 }
-                let records = decode_attributes(item.attributes, |key| self.fetch_overflow(key))?;
+                let records = decode_attributes(&item.attributes, |key| self.fetch_overflow(key))?;
                 out.insert(object, records);
             }
             match page.next_token {
@@ -516,16 +515,16 @@ impl SimpleDbQueryEngine {
 
     /// Runs one QueryWithAttributes expression across all pages.
     fn query_all_pages(&self, expr: &str) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
-        self.query_children(expr, &BTreeSet::new())
+        self.query_children(expr, |_| false)
     }
 
     /// GetAttributes for one item; `None` when the item does not exist.
     fn fetch_item(&self, object: &ObjectRef) -> Result<Option<Vec<ProvenanceRecord>>> {
-        let attrs = self.db.get_attributes(DOMAIN, &object.item_name(), None)?;
-        if attrs.is_empty() {
+        let item = self.db.get_attributes(DOMAIN, &object.item_name(), None)?;
+        if item.is_empty() {
             return Ok(None);
         }
-        Ok(Some(decode_attributes(attrs, |key| {
+        Ok(Some(decode_attributes(&item, |key| {
             self.fetch_overflow(key)
         })?))
     }

@@ -37,13 +37,13 @@ pub(crate) fn verified_read(ctx: &ServeParts, name: &str) -> Result<ReadOutcome>
         let version = read_version(&object.metadata)?;
         let nonce = read_nonce(&object.metadata)?;
         let object_ref = ObjectRef::new(name.to_string(), version);
-        let attrs = ctx
+        let item = ctx
             .db
             .get_attributes(DOMAIN, &object_ref.item_name(), None)?;
-        let stored_md5 = attrs.iter().find(|a| a.name == ATTR_MD5).map(|a| &a.value);
+        let stored_md5 = item.get(ATTR_MD5).first().map(|p| &*p.value);
 
         let computed = consistency_md5(&object.body, &nonce, ctx.use_nonce);
-        let status = if stored_md5 == Some(&computed) {
+        let status = if stored_md5 == Some(computed.as_str()) {
             ReadStatus::VerifiedConsistent { retries }
         } else if retries >= ctx.retry.max_retries {
             ReadStatus::InconsistencyDetected { retries }
@@ -52,7 +52,7 @@ pub(crate) fn verified_read(ctx: &ServeParts, name: &str) -> Result<ReadOutcome>
             ctx.retry.pause(&ctx.world, retries);
             continue;
         };
-        let records = decode_attributes(attrs, |k| {
+        let records = decode_attributes(&item, |k| {
             fetch_overflow(&ctx.s3, &ctx.world, &ctx.retry, k)
         })?;
         return Ok(ReadOutcome {

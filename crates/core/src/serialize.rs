@@ -2,9 +2,11 @@
 //! metadata (Architecture 1) and SimpleDB attributes (Architectures 2/3)
 //! — including the overflow rules both impose.
 
+use std::borrow::Cow;
+
 use pass::{ObjectRef, ProvenanceRecord};
 use sim_s3::{Metadata, METADATA_LIMIT};
-use sim_simpledb::ReplaceableAttribute;
+use sim_simpledb::{ItemState, ReplaceableAttribute};
 use simworld::Blob;
 
 use crate::error::{CloudError, Result};
@@ -152,7 +154,7 @@ pub fn decode_metadata(
     metadata: &Metadata,
     mut fetch: impl FnMut(&str) -> Result<String>,
 ) -> Result<Vec<ProvenanceRecord>> {
-    let mut indexed: Vec<(usize, String, String)> = Vec::new();
+    let mut indexed: Vec<(usize, Cow<str>, Cow<str>)> = Vec::new();
     for (key, value) in metadata.iter() {
         let Some(rest) = key.strip_prefix('p') else {
             continue;
@@ -163,7 +165,7 @@ pub fn decode_metadata(
         let Ok(idx) = idx.parse::<usize>() else {
             continue;
         };
-        indexed.push((idx, attr.to_string(), value.to_string()));
+        indexed.push((idx, Cow::Borrowed(attr), Cow::Borrowed(value)));
     }
     if let Some(more) = metadata.get(META_MORE) {
         let key = parse_pointer(more).ok_or_else(|| CloudError::Corrupt {
@@ -175,7 +177,7 @@ pub fn decode_metadata(
             let (idx, name, value) = (fields.next(), fields.next(), fields.next());
             match (idx.and_then(|i| i.parse::<usize>().ok()), name, value) {
                 (Some(idx), Some(name), Some(value)) => {
-                    indexed.push((idx, unesc(name), unesc(value)));
+                    indexed.push((idx, unesc(name).into(), unesc(value).into()));
                 }
                 _ => {
                     return Err(CloudError::Corrupt {
@@ -269,23 +271,25 @@ pub fn pack_attr_batches(
 
 /// Reads provenance records back from a SimpleDB item's attributes,
 /// resolving overflow pointers through `fetch` and skipping the
-/// consistency attributes (`md5`, `nonce`).
+/// consistency attributes (`md5`, `nonce`). Values are read in place: a
+/// text record copies its value once, a reference record not at all.
 ///
 /// # Errors
 ///
 /// Propagates `fetch` failures.
 pub fn decode_attributes(
-    attrs: Vec<sim_simpledb::Attribute>,
+    item: &ItemState,
     mut fetch: impl FnMut(&str) -> Result<String>,
 ) -> Result<Vec<ProvenanceRecord>> {
-    let mut records = Vec::with_capacity(attrs.len());
+    let mut records = Vec::with_capacity(item.len());
     let mut continuation: Vec<(String, String)> = Vec::new();
-    for attr in attrs {
-        if attr.name == ATTR_MD5 || attr.name == ATTR_NONCE {
+    for pair in item.iter() {
+        let (name, value) = (&*pair.name, &*pair.value);
+        if name == ATTR_MD5 || name == ATTR_NONCE {
             continue;
         }
-        if attr.name == ATTR_MORE {
-            let key = parse_pointer(&attr.value).ok_or_else(|| CloudError::Corrupt {
+        if name == ATTR_MORE {
+            let key = parse_pointer(value).ok_or_else(|| CloudError::Corrupt {
                 message: "malformed continuation pointer".into(),
             })?;
             let body = fetch(key)?;
@@ -299,21 +303,24 @@ pub fn decode_attributes(
             }
             continue;
         }
-        let value = resolve(attr.value, &mut fetch)?;
-        records.push(ProvenanceRecord::from_pair(&attr.name, value));
+        let value = resolve(Cow::Borrowed(value), &mut fetch)?;
+        records.push(ProvenanceRecord::from_pair(name, value));
     }
     for (name, value) in continuation {
-        let value = resolve(value, &mut fetch)?;
+        let value = resolve(Cow::Owned(value), &mut fetch)?;
         records.push(ProvenanceRecord::from_pair(&name, value));
     }
     Ok(records)
 }
 
-/// A stored value as its record holds it: moved as it is, or replaced by
-/// the overflow object its pointer names.
-fn resolve(value: String, fetch: impl FnOnce(&str) -> Result<String>) -> Result<String> {
+/// A stored value as its record holds it: passed on as it is, or
+/// replaced by the overflow object its pointer names.
+fn resolve<'a>(
+    value: Cow<'a, str>,
+    fetch: impl FnOnce(&str) -> Result<String>,
+) -> Result<Cow<'a, str>> {
     match parse_pointer(&value) {
-        Some(key) => fetch(key),
+        Some(key) => fetch(key).map(Cow::Owned),
         None => Ok(value),
     }
 }
@@ -446,11 +453,8 @@ mod tests {
             "adds, never replaces (idempotency)"
         );
 
-        let stored: Vec<sim_simpledb::Attribute> = attrs
-            .iter()
-            .map(|a| sim_simpledb::Attribute::new(a.name.clone(), a.value.clone()))
-            .collect();
-        let decoded = decode_attributes(stored, |_| panic!("no overflow expected")).unwrap();
+        let stored = ItemState::from_pairs(attrs.iter().map(|a| (&*a.name, &*a.value)));
+        let decoded = decode_attributes(&stored, |_| panic!("no overflow expected")).unwrap();
         // SimpleDB sets are unordered; compare as sets.
         let mut want = records.clone();
         want.sort();
@@ -461,12 +465,8 @@ mod tests {
 
     #[test]
     fn decode_attributes_skips_consistency_attrs() {
-        let stored = vec![
-            sim_simpledb::Attribute::new("md5", "abc"),
-            sim_simpledb::Attribute::new("nonce", "2"),
-            sim_simpledb::Attribute::new("type", "file"),
-        ];
-        let decoded = decode_attributes(stored, |_| unreachable!()).unwrap();
+        let stored = ItemState::from_pairs([("md5", "abc"), ("nonce", "2"), ("type", "file")]);
+        let decoded = decode_attributes(&stored, |_| unreachable!()).unwrap();
         assert_eq!(decoded, vec![rec("type", "file")]);
     }
 

@@ -344,18 +344,16 @@ fn fold_domain(hash: &mut Fnv1a, db: &SimpleDb, domain: &str) {
     let mut names = db.latest_item_names(domain);
     names.sort_unstable();
     for name in &names {
-        let Some(mut attrs) = db.latest_item(domain, name) else {
+        // An item's pairs are stored in `(name, value)` order.
+        let Some(item) = db.latest_item(domain, name) else {
             continue;
         };
-        attrs.sort_unstable_by(|a, b| {
-            (a.name.as_str(), a.value.as_str()).cmp(&(b.name.as_str(), b.value.as_str()))
-        });
-        for attr in &attrs {
-            for field in [domain, name.as_str(), attr.name.as_str()] {
+        for pair in item.iter() {
+            for field in [domain, name.as_str(), &pair.name] {
                 hash.write(field.as_bytes());
                 hash.write(b"\x1f");
             }
-            hash.write(attr.value.as_bytes());
+            hash.write(pair.value.as_bytes());
             hash.write(b"\x1e");
         }
     }

@@ -462,10 +462,9 @@ fn nonce_distinguishes_same_content_overwrites() {
             .simpledb()
             .latest_item(DOMAIN, item)
             .unwrap()
-            .into_iter()
-            .find(|a| a.name == "md5")
-            .unwrap()
+            .get("md5")[0]
             .value
+            .to_string()
     }
     let v1 = FileFlush::builder("f")
         .version(1)

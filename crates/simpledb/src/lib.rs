@@ -57,9 +57,8 @@ mod service;
 
 pub use error::{Result, SdbError};
 pub use model::{
-    byte_size, pair_count, to_attributes, Attribute, DeletableAttribute, ItemState,
-    ReplaceableAttribute, ATTR_LIMIT, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS,
-    MAX_PAIRS_PER_ITEM,
+    byte_size, pairs, DeletableAttribute, ItemState, ReplaceableAttribute, ATTR_LIMIT,
+    ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
 };
 pub use query::{CmpOp, Predicate, QueryExpr};
 pub use select::{Cond, Operand, Output, SelectStatement, DEFAULT_LIMIT, MAX_LIMIT};

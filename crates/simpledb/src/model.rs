@@ -1,5 +1,7 @@
 //! Data model: items described by multi-valued attribute pairs.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use simworld::Pair;
 
@@ -19,25 +21,6 @@ pub const MAX_ATTRS_PER_CALL: usize = 100;
 
 /// Maximum domains per account (2009 default).
 pub const MAX_DOMAINS: usize = 100;
-
-/// One attribute name-value pair as returned by reads.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub struct Attribute {
-    /// Attribute name.
-    pub name: String,
-    /// Attribute value.
-    pub value: String,
-}
-
-impl Attribute {
-    /// Builds a pair.
-    pub fn new(name: impl Into<String>, value: impl Into<String>) -> Attribute {
-        Attribute {
-            name: name.into(),
-            value: value.into(),
-        }
-    }
-}
 
 /// One attribute in a `PutAttributes` call: the `replace` flag decides
 /// whether existing values of the name are dropped first.
@@ -126,10 +109,12 @@ impl DeletableAttribute {
 /// duplicate-free, which is what makes `PutAttributes` idempotent (§2.2
 /// of the paper). It is held as one slice sorted by name, then value,
 /// sized to exactly the pairs it holds: the values of a name are one
-/// run of it.
+/// run of it. The slice is shared: every read hands out the stored item
+/// itself (a clone is a reference-count bump), and a write builds a new
+/// slice rather than editing one a reader may hold.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ItemState {
-    pairs: Box<[Pair]>,
+    pairs: Arc<[Pair]>,
 }
 
 impl ItemState {
@@ -164,9 +149,33 @@ impl ItemState {
         self.pairs.iter()
     }
 
+    /// Name-value pairs in the item.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
     /// `true` when the item carries no pair.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
+    }
+
+    /// The pairs `keep` accepts: this same shared item when it accepts
+    /// every pair, otherwise a new item holding only those.
+    pub fn only(&self, keep: impl Fn(&Pair) -> bool) -> ItemState {
+        let kept = self.iter().filter(|p| keep(p)).count();
+        if kept == self.len() {
+            return self.clone();
+        }
+        if kept == 0 {
+            return ItemState::default();
+        }
+        let mut pairs = self.iter().filter(|p| keep(p)).cloned();
+        // A counted range has an exact length, so the slice is allocated
+        // once, at the size it keeps.
+        let pairs = (0..kept).map(|_| pairs.next().expect("counted above"));
+        ItemState {
+            pairs: pairs.collect(),
+        }
     }
 
     fn carries(&self, name: &str, value: &str) -> bool {
@@ -178,7 +187,8 @@ impl ItemState {
     /// Applies one `PutAttributes` attribute list: the replace-once rule
     /// (existing values of a `replace`d name drop once per call, before
     /// any of this call's values land), then the 256-pair item cap. The
-    /// slice is sized once, to the pairs the call leaves.
+    /// new slice is laid out as borrows first, then allocated once, at
+    /// the size the call leaves.
     ///
     /// # Errors
     ///
@@ -189,26 +199,23 @@ impl ItemState {
         let replaced: Vec<&str> = replace.map(|a| a.name.as_str()).collect();
         let replaced = |name: &str| replaced.contains(&name);
         let dropped = self.iter().filter(|p| replaced(&p.name)).count();
+        let kept = self.len() - dropped;
         // What the call adds: its pairs, each once, that the item will
         // not still be carrying when they land.
-        let mut added: Vec<(&str, &str)> = attrs
-            .iter()
-            .map(|a| (a.name.as_str(), a.value.as_str()))
-            .filter(|&(n, v)| replaced(n) || !self.carries(n, v))
-            .collect();
-        added.sort_unstable();
-        added.dedup();
-        let pairs = self.pairs.len() - dropped + added.len();
-        if pairs > MAX_PAIRS_PER_ITEM {
-            return Err(pairs);
+        let mut laid: Vec<(&str, &str)> = Vec::with_capacity(kept + attrs.len());
+        let pairs = attrs.iter().map(|a| (a.name.as_str(), a.value.as_str()));
+        laid.extend(pairs.filter(|&(n, v)| replaced(n) || !self.carries(n, v)));
+        laid.sort_unstable();
+        laid.dedup();
+        let added = laid.len();
+        if kept + added > MAX_PAIRS_PER_ITEM {
+            return Err(kept + added);
         }
-        if dropped + added.len() > 0 {
-            let mut edited = std::mem::take(&mut self.pairs).into_vec();
-            edited.retain(|p| !replaced(&p.name));
-            edited.reserve_exact(added.len());
-            edited.extend(added.into_iter().map(|(n, v)| Pair::new(n, v)));
-            edited.sort_unstable();
-            self.pairs = edited.into();
+        if dropped + added > 0 {
+            let kept = self.iter().filter(|p| !replaced(&p.name));
+            laid.extend(kept.map(|p| (&*p.name, &*p.value)));
+            laid.sort_unstable();
+            self.pairs = laid.iter().map(|&(n, v)| Pair::new(n, v)).collect();
         }
         Ok(())
     }
@@ -216,44 +223,26 @@ impl ItemState {
     /// Applies `DeleteAttributes` specs; pairs the item does not carry
     /// are passed over.
     pub(crate) fn delete(&mut self, specs: &[DeletableAttribute]) {
-        let doomed = |p: &Pair| {
+        *self = self.only(|p| {
             let names = |s: &&DeletableAttribute| *s.name == *p.name;
             let mut named = specs.iter().filter(names);
-            named.any(|s| s.value.as_deref().is_none_or(|v| *v == *p.value))
-        };
-        if self.iter().any(doomed) {
-            let mut edited = std::mem::take(&mut self.pairs).into_vec();
-            edited.retain(|p| !doomed(p));
-            self.pairs = edited.into();
-        }
+            !named.any(|s| s.value.as_deref().is_none_or(|v| *v == *p.value))
+        });
     }
 }
 
-/// Total name-value pairs in an item.
-pub fn pair_count(item: &ItemState) -> usize {
-    item.pairs.len()
-}
-
 /// Serialized size of an item in bytes (names + values), used for
-/// storage accounting.
+/// storage accounting and for billing the pairs a read returns.
 pub fn byte_size(item: &ItemState) -> u64 {
     item.iter()
         .map(|p| (p.name.len() + p.value.len()) as u64)
         .sum()
 }
 
-/// Flattens an item into `Attribute` pairs in name order.
-pub fn to_attributes(item: &ItemState) -> Vec<Attribute> {
-    attributes_where(item, |_| true)
-}
-
-/// [`to_attributes`] restricted to the attribute names `keep` accepts;
-/// pairs it rejects are never cloned.
-pub(crate) fn attributes_where(item: &ItemState, keep: impl Fn(&str) -> bool) -> Vec<Attribute> {
-    item.iter()
-        .filter(|p| keep(&p.name))
-        .map(|p| Attribute::new(&*p.name, &*p.value))
-        .collect()
+/// Every pair of `item` as borrowed `(name, value)`, in order: an answer
+/// in the shape a literal is written in.
+pub fn pairs(item: &ItemState) -> Vec<(&str, &str)> {
+    item.iter().map(|p| (&*p.name, &*p.value)).collect()
 }
 
 #[cfg(test)]
@@ -287,20 +276,16 @@ mod tests {
     }
 
     #[test]
-    fn pair_count_and_size_sum_over_values() {
+    fn len_and_size_sum_over_values() {
         let item = ItemState::from_pairs([("phone", "111"), ("phone", "222"), ("name", "bob")]);
-        assert_eq!(pair_count(&item), 3);
+        assert_eq!(item.len(), 3);
         assert_eq!(byte_size(&item), (5 + 3) + (5 + 3) + (4 + 3));
     }
 
     #[test]
-    fn to_attributes_flattens_in_order() {
+    fn pairs_flatten_in_order() {
         let item = ItemState::from_pairs([("b", "2"), ("a", "1"), ("b", "2")]);
-        let attrs = to_attributes(&item);
-        assert_eq!(
-            attrs,
-            vec![Attribute::new("a", "1"), Attribute::new("b", "2")]
-        );
+        assert_eq!(pairs(&item), vec![("a", "1"), ("b", "2")]);
     }
 
     // --- the tree of trees the pair slice replaced, kept as its oracle ---
@@ -362,15 +347,12 @@ mod tests {
             let runs = model.iter();
             runs.flat_map(|(n, vs)| vs.iter().map(move |v| (n.as_str(), v.as_str())))
         };
-        let pairs: Vec<(&str, &str)> = item.iter().map(|p| (&*p.name, &*p.value)).collect();
-        prop_assert_eq!(&pairs, &flat().collect::<Vec<_>>());
+        prop_assert_eq!(pairs(item), flat().collect::<Vec<_>>());
         prop_assert_eq!(item, &ItemState::from_pairs(flat()));
         prop_assert_eq!(item.is_empty(), model.is_empty());
-        prop_assert_eq!(pair_count(item), flat().count());
+        prop_assert_eq!(item.len(), flat().count());
         let bytes = flat().map(|(n, v)| (n.len() + v.len()) as u64);
         prop_assert_eq!(byte_size(item), bytes.sum::<u64>());
-        let attributes: Vec<Attribute> = flat().map(|(n, v)| Attribute::new(n, v)).collect();
-        prop_assert_eq!(to_attributes(item), attributes);
         for name in NAMES.iter().copied().chain(["a\0", "c", "z"]) {
             let values: Vec<&str> = item.get(name).iter().map(|p| &*p.value).collect();
             let expected = model.get(name).into_iter().flatten();
@@ -385,8 +367,8 @@ mod tests {
     // names, enough values to cross the 256-pair cap) and `delete`s
     // (a whole name, one pair, pairs and names the item lacks, the
     // whole item) leave the pair slice holding exactly what the map
-    // of sets holds, in its order, after every call. The slice is a
-    // `Box<[Pair]>`: it has no capacity beyond its length to drift.
+    // of sets holds, in its order, after every call. The slice is an
+    // `Arc<[Pair]>`: it has no capacity beyond its length to drift.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -439,6 +421,30 @@ mod tests {
                 }
                 check(&item, &model)?;
             }
+        }
+    }
+
+    // `only` keeps exactly what a plain filter keeps, in order; it hands
+    // back the very slice it was called on when `keep` accepts every
+    // pair, and a new one otherwise.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn only_is_a_filter_that_shares_when_it_keeps_everything(
+            picks in proptest::collection::vec((0usize..8, 0usize..8), 0..24),
+            kept_names in proptest::collection::vec(any::<bool>(), 8..9),
+        ) {
+            let item = ItemState::from_pairs(picks.iter().map(|&(n, v)| (NAMES[n], VALUES[v])));
+            let keep = |p: &Pair| NAMES.iter().position(|n| *n == &*p.name).is_some_and(|i| kept_names[i]);
+            let only = item.only(keep);
+            let filtered: Vec<(&str, &str)> =
+                pairs(&item).into_iter().filter(|&(n, v)| keep(&Pair::new(n, v))).collect();
+            prop_assert_eq!(pairs(&only), filtered);
+            let everything = item.iter().all(keep);
+            prop_assert_eq!(Arc::ptr_eq(&only.pairs, &item.pairs), everything);
+            let all = item.only(|_| true);
+            prop_assert!(Arc::ptr_eq(&all.pairs, &item.pairs));
         }
     }
 }

@@ -46,14 +46,14 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use simworld::{
-    Charge, Cost, MapView, Op, ReplicaPin, ShardMap, ShardPlan, ShardRegistry, SimWorld,
+    Charge, Cost, MapView, Op, Pair, ReplicaPin, ShardMap, ShardPlan, ShardRegistry, SimWorld,
     SplitEvent, ThrottleConfig,
 };
 
 use crate::error::{Result, SdbError};
 use crate::model::{
-    attributes_where, byte_size, to_attributes, Attribute, DeletableAttribute, ItemState,
-    ReplaceableAttribute, ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS,
+    byte_size, DeletableAttribute, ItemState, ReplaceableAttribute, ITEM_NAME_LIMIT,
+    MAX_ATTRS_PER_CALL, MAX_DOMAINS,
 };
 use crate::query::{EqCover, QueryExpr, Weighed};
 use crate::select::{Output, SelectStatement};
@@ -97,8 +97,9 @@ pub struct QueryResult {
 pub struct ResultItem {
     /// Item name.
     pub name: String,
-    /// The item's attributes (possibly filtered/projected).
-    pub attributes: Vec<Attribute>,
+    /// The item's attributes (possibly filtered/projected): the stored
+    /// item itself when nothing was filtered out.
+    pub attributes: ItemState,
 }
 
 /// Result of `QueryWithAttributes`.
@@ -304,8 +305,8 @@ impl SimpleDb {
 
     /// Reads an item's attributes, optionally filtered to a set of names.
     /// Served from a sampled replica; a freshly written item may be
-    /// missing or stale. Absent items return an empty list, as in the
-    /// real service. Touches exactly one shard.
+    /// missing or stale. Absent items return an empty item, as the real
+    /// service returns an empty list. Touches exactly one shard.
     ///
     /// # Errors
     ///
@@ -315,27 +316,25 @@ impl SimpleDb {
         domain: &str,
         item_name: &str,
         names: Option<&[&str]>,
-    ) -> Result<Vec<Attribute>> {
+    ) -> Result<ItemState> {
         let dom = self.domain(domain)?;
-        // Flatten straight out of the stored state, under the shard lock:
-        // the pairs returned are the only ones ever cloned.
-        let (shard, attrs) = dom.point_op(item_name, |shard, map| {
-            let attrs = map.read_with(&self.world, item_name, |item| {
-                item.map_or_else(Vec::new, |item| {
-                    attributes_where(item, |name| names.is_none_or(|f| f.contains(&name)))
-                })
+        // The stored item itself, unless `names` filters pairs out.
+        let (shard, item) = dom.point_op(item_name, |shard, map| {
+            let item = map.read_with(&self.world, item_name, |item| {
+                let keep = |p: &Pair| names.is_none_or(|f| f.contains(&&*p.name));
+                item.map_or_else(ItemState::default, |item| item.only(keep))
             });
-            (shard, attrs)
+            (shard, item)
         });
-        let bytes: u64 = attrs
-            .iter()
-            .map(|a| (a.name.len() + a.value.len()) as u64)
-            .sum();
         self.world.charge(Charge {
             shards: &[shard],
-            ..Charge::point(Op::SdbGetAttributes, item_name.len() as u64, bytes)
+            ..Charge::point(
+                Op::SdbGetAttributes,
+                item_name.len() as u64,
+                byte_size(&item),
+            )
         });
-        Ok(attrs)
+        Ok(item)
     }
 
     /// Deletes attributes (or, with `attrs = None`, the entire item).
@@ -562,10 +561,10 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
     ) -> Result<QueryWithAttributesResult> {
-        let keep = |attr: &str| attribute_filter.is_none_or(|f| f.iter().any(|n| n == attr));
+        let keep = |p: &Pair| attribute_filter.is_none_or(|f| f.iter().any(|n| *n == *p.name));
         let ((rows, next, scanned), touched) =
             self.run_query(domain, expression, max_items, next_token, |item| {
-                attributes_where(item, keep)
+                item.only(keep)
             })?;
         let items = result_items(rows);
         let request = expression.map_or(0, str::len);
@@ -624,11 +623,9 @@ impl SimpleDb {
                 (Vec::new(), Some(count), None, 16, scanned)
             } else {
                 let project = |item: &ItemState| match &stmt.output {
-                    Output::ItemName => Vec::new(),
-                    Output::All => to_attributes(item),
-                    Output::Attrs(list) => {
-                        attributes_where(item, |attr| list.iter().any(|n| n == attr))
-                    }
+                    Output::ItemName => ItemState::default(),
+                    Output::All => item.clone(),
+                    Output::Attrs(list) => item.only(|p| list.iter().any(|n| *n == *p.name)),
                     Output::Count => unreachable!("count handled above"),
                 };
                 let (page, next, scanned) = if stmt.order_by.is_some() {
@@ -673,11 +670,9 @@ impl SimpleDb {
 
     /// The newest committed attributes of an item, ignoring replication
     /// lag and without billing. For tests and property validators only.
-    pub fn latest_item(&self, domain: &str, item_name: &str) -> Option<Vec<Attribute>> {
+    pub fn latest_item(&self, domain: &str, item_name: &str) -> Option<ItemState> {
         let dom = self.domain(domain).ok()?;
-        dom.with_cells(item_name, |_, map| {
-            map.read_latest(item_name).map(|s| to_attributes(&s))
-        })
+        dom.with_cells(item_name, |_, map| map.read_latest(item_name))
     }
 
     /// Authoritative list of live item names, unbilled. For tests and
@@ -930,7 +925,7 @@ impl SimpleDb {
 }
 
 /// Pairs each row's name with its attributes.
-fn result_items(rows: Vec<(String, Vec<Attribute>)>) -> Vec<ResultItem> {
+fn result_items(rows: Vec<(String, ItemState)>) -> Vec<ResultItem> {
     rows.into_iter()
         .map(|(name, attributes)| ResultItem { name, attributes })
         .collect()
@@ -941,14 +936,7 @@ fn result_items(rows: Vec<(String, Vec<Attribute>)>) -> Vec<ResultItem> {
 fn result_bytes(items: &[ResultItem]) -> u64 {
     items
         .iter()
-        .map(|i| {
-            i.name.len() as u64
-                + ITEM_ENTRY_OVERHEAD
-                + i.attributes
-                    .iter()
-                    .map(|a| (a.name.len() + a.value.len()) as u64)
-                    .sum::<u64>()
-        })
+        .map(|i| i.name.len() as u64 + ITEM_ENTRY_OVERHEAD + byte_size(&i.attributes))
         .sum()
 }
 

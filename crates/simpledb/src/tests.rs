@@ -3,7 +3,7 @@
 use simworld::{Consistency, LatencyModel, Op, Service, SimConfig, SimDuration, SimWorld};
 
 use crate::{
-    Attribute, DeletableAttribute, ReplaceableAttribute, SdbError, SimpleDb, DEFAULT_SHARDS,
+    pairs, DeletableAttribute, ReplaceableAttribute, SdbError, SimpleDb, DEFAULT_SHARDS,
     MAX_DOMAINS, QUERY_MAX_PAGE,
 };
 
@@ -36,10 +36,7 @@ fn put_and_get_round_trip() {
     db.put_attributes("d", "item", &[add("a", "1"), add("b", "2")])
         .unwrap();
     let attrs = db.get_attributes("d", "item", None).unwrap();
-    assert_eq!(
-        attrs,
-        vec![Attribute::new("a", "1"), Attribute::new("b", "2")]
-    );
+    assert_eq!(pairs(&attrs), vec![("a", "1"), ("b", "2")]);
 }
 
 #[test]
@@ -48,7 +45,7 @@ fn get_with_name_filter() {
     db.put_attributes("d", "item", &[add("a", "1"), add("b", "2")])
         .unwrap();
     let attrs = db.get_attributes("d", "item", Some(&["b"])).unwrap();
-    assert_eq!(attrs, vec![Attribute::new("b", "2")]);
+    assert_eq!(pairs(&attrs), vec![("b", "2")]);
 }
 
 #[test]
@@ -74,7 +71,7 @@ fn replace_drops_previous_values() {
     db.put_attributes("d", "i", &[ReplaceableAttribute::replace("phone", "333")])
         .unwrap();
     let attrs = db.get_attributes("d", "i", None).unwrap();
-    assert_eq!(attrs, vec![Attribute::new("phone", "333")]);
+    assert_eq!(pairs(&attrs), vec![("phone", "333")]);
 }
 
 #[test]
@@ -186,15 +183,15 @@ fn delete_attribute_variants() {
     db.delete_attributes("d", "i", Some(&[DeletableAttribute::pair("a", "1")]))
         .unwrap();
     assert_eq!(
-        db.get_attributes("d", "i", None).unwrap(),
-        vec![Attribute::new("a", "2"), Attribute::new("b", "3")]
+        pairs(&db.get_attributes("d", "i", None).unwrap()),
+        vec![("a", "2"), ("b", "3")]
     );
     // delete all values of a name
     db.delete_attributes("d", "i", Some(&[DeletableAttribute::all_of("a")]))
         .unwrap();
     assert_eq!(
-        db.get_attributes("d", "i", None).unwrap(),
-        vec![Attribute::new("b", "3")]
+        pairs(&db.get_attributes("d", "i", None).unwrap()),
+        vec![("b", "3")]
     );
     // delete the whole item
     db.delete_attributes("d", "i", None).unwrap();
@@ -370,7 +367,7 @@ fn query_with_attributes_and_filter() {
         )
         .unwrap();
     assert_eq!(r.items.len(), 1);
-    assert_eq!(r.items[0].attributes, vec![Attribute::new("b", "2")]);
+    assert_eq!(pairs(&r.items[0].attributes), vec![("b", "2")]);
 }
 
 #[test]
@@ -388,7 +385,7 @@ fn select_projection_forms() {
     assert_eq!(names.items.len(), 2);
 
     let proj = db.select("select b from d where a = '1'", None).unwrap();
-    assert_eq!(proj.items[0].attributes, vec![Attribute::new("b", "2")]);
+    assert_eq!(pairs(&proj.items[0].attributes), vec![("b", "2")]);
 
     let count = db.select("select count(*) from d", None).unwrap();
     assert_eq!(count.count, Some(2));
@@ -803,10 +800,7 @@ mod batch {
         )
         .unwrap();
         let got = db.latest_item("d", "x").unwrap();
-        assert_eq!(
-            got,
-            vec![Attribute::new("k", "new1"), Attribute::new("k", "new2")]
-        );
+        assert_eq!(pairs(&got), vec![("k", "new1"), ("k", "new2")]);
     }
 
     #[test]
@@ -998,7 +992,7 @@ mod throttle {
         assert_eq!(phase.throttled(Service::SimpleDb), 1);
         // …but nothing was applied.
         let attrs = db.latest_item("d", "item").unwrap();
-        assert_eq!(attrs, vec![Attribute::new("a", "1")]);
+        assert_eq!(pairs(&attrs), vec![("a", "1")]);
     }
 
     #[test]
@@ -1158,4 +1152,82 @@ fn select_pagination_spans_a_split() {
     assert!(db.domain_shard_count("d").unwrap() > 4, "splits happened");
     assert_eq!(names.len(), 23, "no skips, no duplicates");
     assert!(names.windows(2).all(|w| w[0] < w[1]), "still name-ordered");
+}
+
+mod sharing {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::ItemState;
+
+    const ITEMS: [&str; 3] = ["i0", "i1", "i2"];
+    const NAMES: [&str; 3] = ["a", "b", "c"];
+    const VALUES: [&str; 4] = ["1", "2", "3", "4"];
+
+    /// An answer, beside the pairs it held when it was read.
+    fn snapshot(answer: &ItemState) -> (ItemState, BTreeSet<(String, String)>) {
+        let owned = pairs(answer).into_iter();
+        let owned = owned.map(|(n, v)| (n.to_string(), v.to_string()));
+        (answer.clone(), owned.collect())
+    }
+
+    // Every read hands out the stored slice itself, so a write that edited
+    // a slice in place would show through each answer read before it.
+    // Random puts, replaces, deletes and batch puts, each preceded by a read
+    // of every item through `GetAttributes`, `QueryWithAttributes` and
+    // `Select`: after each op, every answer read so far still holds exactly
+    // the pairs it was read with.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn an_answer_keeps_the_pairs_it_was_read_with(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..3, proptest::collection::vec((0usize..3, 0usize..4), 1..4)),
+                1..20,
+            ),
+        ) {
+            let (_, db) = counting();
+            let mut answers = Vec::new();
+            for (kind, item, picks) in ops {
+                for name in ITEMS {
+                    answers.push(snapshot(&db.get_attributes("d", name, None).unwrap()));
+                }
+                let query = db.query_with_attributes("d", None, None, None, None).unwrap();
+                let select = db.select("select * from d", None).unwrap();
+                let rows = query.items.iter().chain(&select.items);
+                answers.extend(rows.map(|row| snapshot(&row.attributes)));
+
+                let attrs: Vec<ReplaceableAttribute> = picks
+                    .iter()
+                    .map(|&(n, v)| ReplaceableAttribute {
+                        name: NAMES[n].into(),
+                        value: VALUES[v].into(),
+                        replace: kind == 1,
+                    })
+                    .collect();
+                match kind {
+                    0 | 1 => db.put_attributes("d", ITEMS[item], &attrs).unwrap(),
+                    2 => {
+                        let spec = |&(n, v): &(usize, usize)| match v {
+                            0 => DeletableAttribute::all_of(NAMES[n]),
+                            _ => DeletableAttribute::pair(NAMES[n], VALUES[v]),
+                        };
+                        let specs: Vec<_> = picks.iter().map(spec).collect();
+                        db.delete_attributes("d", ITEMS[item], Some(&specs)).unwrap();
+                    }
+                    _ => {
+                        let entry = |name: &str| (name.to_string(), attrs.clone());
+                        let batch: Vec<_> = ITEMS.iter().map(|name| entry(name)).collect();
+                        db.batch_put_attributes("d", &batch).unwrap();
+                    }
+                }
+                for (answer, held) in &answers {
+                    prop_assert_eq!(&snapshot(answer).1, held);
+                }
+            }
+        }
+    }
 }

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use sim_simpledb::{DeletableAttribute, ReplaceableAttribute, SimpleDb};
+use sim_simpledb::{DeletableAttribute, ReplaceableAttribute, ResultItem, SimpleDb};
 use simworld::{fnv1a_64, Consistency, LatencyModel, SimConfig, SimDuration, SimWorld};
 
 const ITEMS: usize = 120;
@@ -147,6 +147,30 @@ fn churn(db: &SimpleDb, round: usize) {
     db.batch_put_attributes("d", &batch).unwrap();
 }
 
+/// `items` in the text the digests were captured over: the `Debug` of a
+/// `Vec<ResultItem>` when each item carried its pairs as a
+/// `Vec<Attribute { name, value }>`.
+fn render(items: &[ResultItem]) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(
+            out,
+            "{sep}ResultItem {{ name: {:?}, attributes: [",
+            item.name
+        )
+        .unwrap();
+        for (j, p) in item.attributes.iter().enumerate() {
+            let sep = if j > 0 { ", " } else { "" };
+            let (name, value) = (&p.name, &p.value);
+            write!(out, "{sep}Attribute {{ name: {name:?}, value: {value:?} }}").unwrap();
+        }
+        out.push_str("] }");
+    }
+    out.push(']');
+    out
+}
+
 /// Pages `fetch` to the end, logging every page. With `split`, the
 /// domain's fullest shard is force-split after the second page, so the
 /// rest of the walk resumes its token on a changed layout.
@@ -196,7 +220,7 @@ fn query_sweep(log: &mut String, db: &SimpleDb, phase: &str, split_during: Optio
                 let r = db
                     .query_with_attributes("d", *expr, Some(&filter), Some(40), token)
                     .unwrap();
-                (format!("{:?}", r.items), r.next_token)
+                (render(&r.items), r.next_token)
             },
             None,
         );
@@ -207,7 +231,7 @@ fn query_sweep(log: &mut String, db: &SimpleDb, phase: &str, split_during: Optio
             &format!("{phase} select#{si}"),
             |token| {
                 let r = db.select(sql, token).unwrap();
-                (format!("{:?} {:?}", r.count, r.items), r.next_token)
+                (format!("{:?} {}", r.count, render(&r.items)), r.next_token)
             },
             None,
         );
@@ -235,7 +259,7 @@ fn covered_sweep(log: &mut String, db: &SimpleDb, phase: &str, split_during: Opt
                 let r = db
                     .query_with_attributes("d", Some(expr), None, Some(2), token)
                     .unwrap();
-                (format!("{:?}", r.items), r.next_token)
+                (render(&r.items), r.next_token)
             },
             None,
         );
@@ -246,7 +270,7 @@ fn covered_sweep(log: &mut String, db: &SimpleDb, phase: &str, split_during: Opt
             &format!("{phase} covered select#{si}"),
             |token| {
                 let r = db.select(sql, token).unwrap();
-                (format!("{:?}", r.items), r.next_token)
+                (render(&r.items), r.next_token)
             },
             None,
         );

@@ -133,15 +133,17 @@ fn calls_in(work: impl FnOnce()) -> usize {
 fn a_stored_record_stays_within_its_heap_budget() {
     // arch3, the `ingest_wal` shape: point records through the WAL, a
     // flush (commit-daemon drain) every 64. 2 000 records and up.
-    // Measured 1 092 B; 4 289 B when an item was a map of sets, a cell a
+    // Measured 1 108 B; 1 092 B before an item's shared slice carried its
+    // reference counts; 4 289 B when an item was a map of sets, a cell a
     // `Vec` of writes and metadata a map.
     const RECORD_BUDGET: usize = 1_260;
     // The same run also counts allocator calls: what the write path costs
     // in `malloc`s, where the bytes above are what it leaves behind. A
     // record is logged by `record` and applied by its share of a `flush`.
-    // Measured 114.4 (43.2 + 71.3); 179.4 (83.6 + 95.8) while SQS built
-    // three `Vec`s per send, formatted every id and handle and copied each
-    // body out per delivery, `chunk_pairs` copied its pairs, S3 looked keys
+    // Measured 113.6 (43.2 + 70.4); 114.4 (43.2 + 71.3) while a put
+    // gathered its pairs in a growing `Vec`; 179.4 (83.6 + 95.8) while SQS
+    // built three `Vec`s per send, formatted every id and handle and copied
+    // each body out per delivery, `chunk_pairs` copied its pairs, S3 looked keys
     // up by `key.to_string()` and the daemon cloned each data object's
     // metadata per copy; 394.2 (234.6 + 159.6) when the WAL codec built a
     // `Vec<String>` per record, the chunker trial-encoded per pair and the
@@ -192,7 +194,8 @@ fn a_stored_record_stays_within_its_heap_budget() {
     // arch2 with the closure served, the `mixed_closure` preload shape:
     // 100 pipelines in batches, then the index read back. An item here
     // is one flush: its object, its provenance item, its closure rows
-    // and their postings. Measured 3 053 B; 10 654 B before.
+    // and their postings. Measured 3 140 B (the items' shared slices carry
+    // their reference counts); 3 047 B with unshared ones; 10 654 B before.
     const ITEM_BUDGET: usize = 3_500;
     let mut items = 0usize;
     // The walk oracle and a second handle share the store's services and
@@ -240,17 +243,18 @@ fn a_stored_record_stays_within_its_heap_budget() {
     // 20 programs of each stage that two pipelines run, once every
     // attribute's postings are built. Q2 is two posted lookups; a
     // walk-served Q3 one more per descendant; an index-served Q3 three
-    // lookups and one `GetAttributes` per descendant. Measured 121.0 /
-    // 442.3 / 263.4; 222.0 / 830.3 / 449.5 while the lexer built a
-    // `String` per token and the parser cloned it, `matches` evaluated
-    // every term, a replica pin was a `BTreeMap`, a cover a `Vec` per
-    // pair, the merge cloned a cursor key per fetch, each expression was
-    // joined from `format!`ed terms and each decoded value was copied
-    // twice. Over a third of what is left is `QueryWithAttributes`
-    // copying each answer's pairs out of the store.
-    const Q2_BUDGET: usize = 133;
-    const Q3_WALK_BUDGET: usize = 487;
-    const Q3_INDEX_BUDGET: usize = 290;
+    // lookups and one `GetAttributes` per descendant. Measured 77.0 /
+    // 297.7 / 175.4; 121.0 / 442.3 / 263.4 (at `b8cc04f`, where this test
+    // fails) while every read copied each returned pair into an owned
+    // `Attribute`, the decode copied each value again and the walk cloned
+    // every answer's `ObjectRef` into a `visited` set; 222.0 / 830.3 /
+    // 449.5 while the lexer built a `String` per token and the parser
+    // cloned it, `matches` evaluated every term, a replica pin was a
+    // `BTreeMap`, a cover a `Vec` per pair, the merge cloned a cursor key
+    // per fetch and each expression was joined from `format!`ed terms.
+    const Q2_BUDGET: usize = 85;
+    const Q3_WALK_BUDGET: usize = 327;
+    const Q3_INDEX_BUDGET: usize = 193;
     let (walk, index) = (walk.expect("built"), kept.expect("filled"));
     let programs =
         |stages: usize| (0..stages).flat_map(|s| (0..20).map(move |g| format!("s{s}g{g}")));

@@ -613,6 +613,7 @@ proptest! {
             Arch3Config, ClosureMode, ProvQuery, ProvenanceStore, RetryPolicy, S3SimpleDbSqs,
             SimpleDbQueryEngine,
         };
+        use pass_cloud::simpledb::pairs;
         use pass_cloud::simworld::Op;
         use std::collections::{BTreeMap, BTreeSet};
 
@@ -696,9 +697,9 @@ proptest! {
         let db = store.simpledb().clone();
         let mut stored_anc: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for item in db.latest_item_names(CLOSURE_DOMAIN) {
-            let pairs = db.latest_item(CLOSURE_DOMAIN, &item).unwrap_or_default();
-            let values = pairs.into_iter().filter(|a| a.name == CLOSURE_ATTR_ANC);
-            stored_anc.entry(closure_row_name(&item).to_string()).or_default().extend(values.map(|a| a.value));
+            let stored = db.latest_item(CLOSURE_DOMAIN, &item).unwrap_or_default();
+            let values = pairs(&stored).into_iter().filter(|(name, _)| *name == CLOSURE_ATTR_ANC);
+            stored_anc.entry(closure_row_name(&item).to_string()).or_default().extend(values.map(|(_, v)| v.to_string()));
         }
         for i in 0..n {
             let item = format!("{} 1", name(i, nodes[i].0));
