@@ -133,11 +133,13 @@ struct NodeInfo {
 }
 
 impl NodeInfo {
-    /// The facts of a node whose `input` values are `inputs`.
-    fn from_inputs<'a>(inputs: impl IntoIterator<Item = &'a str>) -> NodeInfo {
-        let parents = inputs.into_iter().filter(|v| parse_render(v).is_some());
+    /// The facts of a node whose stored `(name, value)` pairs are `pairs`.
+    fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> NodeInfo {
+        let inputs = pairs
+            .into_iter()
+            .filter(|(n, v)| *n == "input" && parse_render(v).is_some());
         NodeInfo {
-            parents: parents.map(str::to_string).collect(),
+            parents: inputs.map(|(_, v)| v.to_string()).collect(),
         }
     }
 }
@@ -197,8 +199,7 @@ impl ClosureIndex {
             if ObjectRef::parse_item_name(item_name).is_none() {
                 continue;
             }
-            let inputs = attrs.iter().filter(|a| a.name == "input");
-            let info = NodeInfo::from_inputs(inputs.map(|a| a.value.as_str()));
+            let info = NodeInfo::from_pairs(attrs.iter().map(|a| (&*a.name, &*a.value)));
             match group.entry(item_name.clone()) {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(info);
@@ -425,8 +426,8 @@ impl ClosureIndex {
         if stored.is_empty() {
             return Ok(BTreeSet::new());
         }
-        let inputs = stored.get("input").iter().map(|p| &*p.value);
-        group.insert(item.to_string(), NodeInfo::from_inputs(inputs));
+        let pairs = stored.iter().map(|p| (&*p.name, &*p.value));
+        group.insert(item.to_string(), NodeInfo::from_pairs(pairs));
         self.resolve(item, retry, group, resolved, stack)
     }
 
@@ -795,7 +796,14 @@ mod tests {
 
     #[test]
     fn node_info_extracts_the_walk_edge_relation() {
-        let info = NodeInfo::from_inputs(["a:1", "a:1", "not a ref", "@s3:prov/a 1/0"]);
+        let info = NodeInfo::from_pairs([
+            ("input", "a:1"),
+            ("input", "a:1"),
+            ("input", "not a ref"),
+            ("input", "@s3:prov/a 1/0"),
+            ("type", "file"),
+            ("name", "b:1"),
+        ]);
         assert_eq!(info.parents, BTreeSet::from(["a:1".to_string()]));
     }
 }

@@ -161,7 +161,7 @@ impl ItemState {
 
     /// The pairs `keep` accepts: this same shared item when it accepts
     /// every pair, otherwise a new item holding only those.
-    pub fn only(&self, keep: impl Fn(&Pair) -> bool) -> ItemState {
+    pub(crate) fn only(&self, keep: impl Fn(&Pair) -> bool) -> ItemState {
         let kept = self.iter().filter(|p| keep(p)).count();
         if kept == self.len() {
             return self.clone();

@@ -93,7 +93,7 @@ pub struct QueryResult {
 }
 
 /// One item of a `QueryWithAttributes`/`Select` response.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ResultItem {
     /// Item name.
     pub name: String,
@@ -103,7 +103,7 @@ pub struct ResultItem {
 }
 
 /// Result of `QueryWithAttributes`.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct QueryWithAttributesResult {
     /// Matching items with their attributes.
     pub items: Vec<ResultItem>,
@@ -112,7 +112,7 @@ pub struct QueryWithAttributesResult {
 }
 
 /// Result of `Select`.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SelectResult {
     /// Matching items (empty for `count(*)`).
     pub items: Vec<ResultItem>,
