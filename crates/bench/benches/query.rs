@@ -68,7 +68,7 @@ fn bench_queries(c: &mut Criterion) {
             if engine == Engine::S3Scan && chains > 200 {
                 continue;
             }
-            let (_world, mut store) = prepared(engine, chains);
+            let (_world, store) = prepared(engine, chains);
             group.bench_function(BenchmarkId::new("q3_descendants", engine.label()), |b| {
                 b.iter(|| {
                     let answer = store

@@ -14,7 +14,7 @@
 //! first issue, so p50/p99/p999 report *client-observed* latency —
 //! backoff and rejected attempts included. The invariant under test:
 //! throttling moves the percentiles and the bill, never the final
-//! store ([`FleetFingerprint`]).
+//! store ([`FleetFingerprint`], one [`store_fingerprint`] per tenant).
 //!
 //! [`FleetSweep`] runs six scenarios per tenant count ([`FleetGroup`]);
 //! [`FleetSweep::check`] asserts, per group:
@@ -32,7 +32,7 @@
 
 use pass::FileFlush;
 use provenance_cloud::layout::{BUCKET, DOMAIN};
-use provenance_cloud::{CloudError, ProvGraph, ProvQuery, ProvenanceStore, Result, S3SimpleDbSqs};
+use provenance_cloud::{store_fingerprint, CloudError, ProvenanceStore, Result, S3SimpleDbSqs};
 use simworld::{Blob, Percentiles, Service, ShardPlan, SplitPolicy, ThrottleConfig};
 use workloads::{fleet_schedule, ArrivalProcess, FleetSpec};
 
@@ -136,33 +136,12 @@ pub struct FleetRow {
 }
 
 /// The state a fleet run converged to, reduced for cross-run equality:
-/// per-tenant provenance graphs and the MD5 of every stored object.
-/// Two runs with the same schedule must match fingerprints no matter
-/// how much throttling slowed one of them down.
-#[derive(Clone, Debug)]
-pub struct FleetFingerprint {
-    graphs: Vec<ProvGraph>,
-    /// Sorted `(tenant, object name, md5)` triples.
-    data: Vec<(usize, String, String)>,
-}
-
-impl FleetFingerprint {
-    /// `true` when both runs converged to byte-identical stores.
-    pub fn matches(&self, other: &FleetFingerprint) -> bool {
-        self.data == other.data
-            && self.graphs.len() == other.graphs.len()
-            && self
-                .graphs
-                .iter()
-                .zip(&other.graphs)
-                .all(|(a, b)| a.diff(b).is_empty())
-    }
-
-    /// Total provenance nodes across the fleet.
-    pub fn graph_nodes(&self) -> usize {
-        self.graphs.iter().map(ProvGraph::len).sum()
-    }
-}
+/// each tenant's [`store_fingerprint`], in tenant order — unbilled, over
+/// every committed item, object, ETag and metadata value, and blind to
+/// shard placement. Two runs with the same schedule must match
+/// fingerprints no matter how much throttling slowed one of them down or
+/// how far its shards split.
+pub type FleetFingerprint = Vec<u64>;
 
 /// The flush tenant `t` persists as its `seq`-th arrival: a fresh file
 /// derived from the tenant's previous one, so each tenant grows a
@@ -244,7 +223,7 @@ pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
     world.settle();
     let virtual_secs = world.now().saturating_since(start).as_secs_f64();
 
-    // Reduce the samples before fingerprint reads add read-path noise.
+    // The row is read off the world before the (unbilled) fingerprint.
     let samples = world.take_latency_samples();
     let per_service = per_service_percentiles(&samples);
     let overall = overall_percentiles(&samples);
@@ -272,30 +251,11 @@ pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
         virtual_secs,
     };
 
-    // Fingerprint the converged state: every tenant's provenance graph
-    // and the MD5 of every object its arrivals stored.
-    let mut graphs = Vec::with_capacity(params.tenants);
-    let mut data = Vec::new();
-    let mut per_tenant = vec![0usize; params.tenants];
-    for arrival in &schedule {
-        per_tenant[arrival.tenant] = per_tenant[arrival.tenant].max(arrival.seq + 1);
-    }
-    for (t, store) in stores.iter_mut().enumerate() {
-        graphs.push(ProvGraph::from_answer(
-            &store.query(&ProvQuery::ProvenanceOfAll)?,
-        ));
-        for seq in 0..per_tenant[t] {
-            let name = format!("t{t}/f{seq}.dat");
-            match store.read(&name) {
-                Ok(outcome) => data.push((t, name, outcome.data.md5().to_hex())),
-                // An exhausted persist legitimately left no object.
-                Err(e) if e.is_not_found() => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    data.sort();
-    Ok((row, FleetFingerprint { graphs, data }))
+    let fingerprint = stores
+        .iter()
+        .map(|store| store_fingerprint(store.s3(), store.simpledb()))
+        .collect();
+    Ok((row, fingerprint))
 }
 
 /// The six scenarios `--mode=fleet` runs at one tenant count: 16 shards,
@@ -458,7 +418,7 @@ impl Sweep for FleetSweep {
                 );
                 ensure!(plain.throttled == 0, "{} saw 503s", plain.label);
                 ensure!(
-                    throttled_store.matches(plain_store),
+                    throttled_store == plain_store,
                     "{label}: throttling changed the fleet's final store"
                 );
             }
@@ -490,7 +450,7 @@ impl Sweep for FleetSweep {
                 p99(&group.hot_static)
             );
             ensure!(
-                split_store.matches(stat_store),
+                split_store == stat_store,
                 "splitting changed the hot fleet's final store"
             );
         }
@@ -502,6 +462,7 @@ impl Sweep for FleetSweep {
 mod tests {
     use super::*;
     use simworld::SimDuration;
+    use std::collections::BTreeSet;
 
     fn small(skew: Option<f64>, throttle: Option<ThrottleConfig>) -> FleetParams {
         FleetParams {
@@ -530,7 +491,7 @@ mod tests {
             format!("{b:?}"),
             "rows must replay exactly"
         );
-        assert!(fa.matches(&fb));
+        assert_eq!(fa, fb);
         assert_eq!(a.retries, b.retries);
     }
 
@@ -539,7 +500,8 @@ mod tests {
         let (row, print) = run_fleet(&small(None, None)).unwrap();
         assert_eq!(row.exhausted, 0);
         assert_eq!(row.persisted, 16);
-        assert!(print.graph_nodes() > 0);
+        // Four tenants, each holding its own chain: four distinct stores.
+        assert_eq!(print.iter().collect::<BTreeSet<_>>().len(), 4);
         assert_eq!(row.per_service.len(), 3, "all three services sampled");
         for (service, p) in &row.per_service {
             assert!(p.count > 0);
@@ -571,8 +533,8 @@ mod tests {
         assert!(hrow.throttled > 0, "the throttle must bite: {hrow:?}");
         assert!(hrow.retries > 0);
         assert_eq!(prow.throttled, 0);
-        assert!(
-            hprint.matches(&pprint),
+        assert_eq!(
+            hprint, pprint,
             "throttling must not change the converged store"
         );
         // Satellite: the 503s are billable, so equal useful work costs

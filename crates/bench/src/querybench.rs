@@ -143,11 +143,11 @@ fn persist_corpus(chains: u32, mode: ClosureMode) -> Result<(SimWorld, S3SimpleD
 }
 
 fn run_leg(chains: u32, mode: ClosureMode) -> Result<(QueryScalingRow, QueryLegState)> {
-    let (world, mut store, phase) = persist_corpus(chains, mode)?;
+    let (world, store, phase) = persist_corpus(chains, mode)?;
     let persist_ops = phase.total_ops();
     world.settle();
 
-    let mut timed = |query: &ProvQuery| -> Result<(f64, u64, Vec<String>)> {
+    let timed = |query: &ProvQuery| -> Result<(f64, u64, Vec<String>)> {
         let (answer, meters, elapsed) = metered(&world, || store.query(query))?;
         Ok((
             elapsed.as_secs_f64() * 1000.0,

@@ -13,13 +13,16 @@
 //! if the total still exceeds the cap (§4.1 discusses why this workaround
 //! is unattractive).
 
-use pass::{FileFlush, ObjectRef};
+use std::collections::BTreeMap;
+
+use pass::{FileFlush, ObjectRef, ProvenanceRecord};
 use sim_s3::{Metadata, S3Error, S3};
 use simworld::{Blob, CrashSite, SimWorld};
 
 use crate::error::Result;
-use crate::layout::{data_key, BUCKET, PROV_PREFIX};
-use crate::query::{ProvQuery, QueryAnswer, S3QueryEngine};
+use crate::graph::ProvGraph;
+use crate::layout::{data_key, parse_data_key, BUCKET, DATA_PREFIX, PROV_PREFIX};
+use crate::query::{graph_query, ProvQuery, QueryAnswer};
 use crate::readpath::{fetch_overflow, get_object_with_retry};
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::serialize::{decode_metadata, encode_metadata, encode_records, read_version};
@@ -89,6 +92,35 @@ impl StandaloneS3 {
     pub fn s3(&self) -> &S3 {
         &self.s3
     }
+
+    /// HEAD one object and decode its provenance (overflow values are
+    /// fetched with GETs).
+    fn head_one(&self, name: &str) -> Result<Option<(ObjectRef, Vec<ProvenanceRecord>)>> {
+        let head = match self.s3.head_object(BUCKET, &data_key(name)) {
+            Ok(h) => h,
+            Err(S3Error::NoSuchKey { .. }) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let version = read_version(&head.metadata)?;
+        let records = decode_metadata(&head.metadata, |key| {
+            fetch_overflow(&self.s3, &self.world, &self.retry, key)
+        })?;
+        Ok(Some((ObjectRef::new(name.to_string(), version), records)))
+    }
+
+    /// The full repository scan: LIST pages + one HEAD per object.
+    fn scan(&self) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
+        let mut out = BTreeMap::new();
+        for summary in self.s3.list_all(BUCKET, DATA_PREFIX)? {
+            let Some(name) = parse_data_key(&summary.key) else {
+                continue;
+            };
+            if let Some((object, records)) = self.head_one(name)? {
+                out.insert(object, records);
+            }
+        }
+        Ok(out)
+    }
 }
 
 impl ProvenanceStore for StandaloneS3 {
@@ -122,7 +154,7 @@ impl ProvenanceStore for StandaloneS3 {
         Ok(())
     }
 
-    fn read(&mut self, name: &str) -> Result<ReadOutcome> {
+    fn read(&self, name: &str) -> Result<ReadOutcome> {
         let key = data_key(name);
         let object = get_object_with_retry(&self.s3, &self.world, &self.retry, &key, name, &mut 0)?;
         let version = read_version(&object.metadata)?;
@@ -139,8 +171,23 @@ impl ProvenanceStore for StandaloneS3 {
         })
     }
 
-    fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer> {
-        S3QueryEngine::new(&self.s3, &self.world, self.retry).execute(query)
+    /// Every query is a full HEAD scan — §4.1: "we might need to iterate
+    /// over the provenance of every object in the repository, which is
+    /// so inefficient as to be impractical". Q2 and Q3 are then
+    /// evaluated on the scanned corpus as a [`ProvGraph`].
+    fn query(&self, query: &ProvQuery) -> Result<QueryAnswer> {
+        let (program, descendants) = match query {
+            ProvQuery::ProvenanceOf { name, version } => {
+                let hit = self.head_one(name)?;
+                let hit = hit.filter(|(object, _)| object.version == *version);
+                return Ok(QueryAnswer::from_map(hit.into_iter().collect()));
+            }
+            ProvQuery::ProvenanceOfAll => return Ok(QueryAnswer::from_map(self.scan()?)),
+            ProvQuery::OutputsOf { program } => (program, false),
+            ProvQuery::DescendantsOf { program } => (program, true),
+        };
+        let graph = ProvGraph::from_records(self.scan()?);
+        Ok(graph_query(&graph, program, descendants))
     }
 
     /// Architecture 1 has no protocol-level recovery to run; the only
@@ -170,7 +217,9 @@ impl ProvenanceStore for StandaloneS3 {
             // Live overflow objects describe the version the data object
             // currently has; anything else is residue.
             if current != Some(object.version) {
-                self.s3.delete_object(BUCKET, &summary.key)?;
+                with_throttle_retry(&self.world, &self.retry, || {
+                    Ok(self.s3.delete_object(BUCKET, &summary.key)?)
+                })?;
                 report.objects_removed += 1;
             }
         }

@@ -25,7 +25,7 @@ use crate::error::Result;
 use crate::layout::{
     data_key, nonce_for, ATTR_MD5, ATTR_NONCE, BUCKET, DOMAIN, META_NONCE, META_VERSION,
 };
-use crate::query::{ProvQuery, QueryAnswer};
+use crate::query::{page_through, ProvQuery, QueryAnswer};
 use crate::readpath::consistency_md5;
 use crate::retry::RetryPolicy;
 use crate::serialize::{encode_records, fit_item_pairs, pack_attr_batches, read_version};
@@ -140,7 +140,7 @@ impl WriteSide {
                 use_nonce: config.use_nonce,
                 serve_closure,
             },
-            closure: serve_closure.then(|| ClosureIndex::new(world, db)),
+            closure: serve_closure.then(ClosureIndex::default),
         }
     }
 
@@ -218,7 +218,7 @@ impl WriteSide {
         }
         if let Some((index, src)) = index_src {
             parts.world.crash_point(sites.before_index)?;
-            index.index_items(&src, parts.retry, sites.mid_index)?;
+            index.index_items(parts, &src, sites.mid_index)?;
         }
         Ok(())
     }
@@ -392,11 +392,11 @@ impl ProvenanceStore for S3SimpleDb {
         self.persist_group(flushes, PutProtocol::Batched)
     }
 
-    fn read(&mut self, name: &str) -> Result<ReadOutcome> {
+    fn read(&self, name: &str) -> Result<ReadOutcome> {
         self.side.parts.read(name)
     }
 
-    fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer> {
+    fn query(&self, query: &ProvQuery) -> Result<QueryAnswer> {
         self.side.parts.query(query)
     }
 
@@ -406,10 +406,9 @@ impl ProvenanceStore for S3SimpleDb {
     fn recover(&mut self) -> Result<RecoveryReport> {
         let parts = &self.side.parts;
         let mut report = RecoveryReport::default();
-        let mut token: Option<String> = None;
         let mut orphans: Vec<String> = Vec::new();
-        loop {
-            let page = parts.db.query(DOMAIN, None, Some(250), token.as_deref())?;
+        page_through(|token| {
+            let page = parts.db.query(DOMAIN, None, Some(250), token)?;
             for item_name in &page.item_names {
                 report.items_scanned += 1;
                 let Some(object) = ObjectRef::parse_item_name(item_name) else {
@@ -427,11 +426,8 @@ impl ProvenanceStore for S3SimpleDb {
                     orphans.push(item_name.clone());
                 }
             }
-            match page.next_token {
-                Some(t) => token = Some(t),
-                None => break,
-            }
-        }
+            Ok(page.next_token)
+        })?;
         for item_name in orphans {
             let whole = None::<&[DeletableAttribute]>;
             parts.retrying(|| Ok(parts.db.delete_attributes(DOMAIN, &item_name, whole)?))?;

@@ -904,11 +904,11 @@ impl ProvenanceStore for S3SimpleDbSqs {
         Ok(())
     }
 
-    fn read(&mut self, name: &str) -> Result<ReadOutcome> {
+    fn read(&self, name: &str) -> Result<ReadOutcome> {
         self.parts().read(name)
     }
 
-    fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer> {
+    fn query(&self, query: &ProvQuery) -> Result<QueryAnswer> {
         self.parts().query(query)
     }
 

@@ -22,7 +22,7 @@
 //! "descendants of X" is the posted equality lookup `['a' = 'X']` on this
 //! domain — one request per page, O(answer) — with each returned physical
 //! item name folded to its row by `closure_row_name`. The Q3 serve
-//! path (`SimpleDbQueryEngine`) and the repair rule below both read
+//! path (`ServeParts::query`) and the repair rule below both read
 //! descendants that way; the program-name and direct-output lookups that
 //! seed Q3 are the walk engine's own two indexed queries on the main
 //! domain, so the index stores no copy of those either.
@@ -86,24 +86,24 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pass::ObjectRef;
-use sim_simpledb::{ReplaceableAttribute, SimpleDb};
-use simworld::{CrashSite, SimWorld};
+use sim_simpledb::ReplaceableAttribute;
+use simworld::CrashSite;
 
 use crate::error::Result;
 use crate::layout::{
     closure_bucket, closure_frag_mark, closure_frag_name, closure_mark_bucket, closure_row_name,
     CLOSURE_ATTR_ANC, CLOSURE_ATTR_FRAGS, CLOSURE_ATTR_NODE, CLOSURE_DOMAIN, DOMAIN,
 };
-use crate::query::{union_of_equals, UNION_BATCH};
-use crate::retry::{with_throttle_retry, RetryPolicy};
+use crate::query::{page_through, union_of_equals, UNION_BATCH};
 use crate::serialize::pack_attr_batches;
+use crate::serve::ServeParts;
 
 /// Whether a store keeps the closure index.
 ///
 /// Two values, because the index is a store property: a store that
 /// writes it answers Q3 from it. The walk stays available as the oracle
-/// on any store — build a [`crate::SimpleDbQueryEngine`] over the store's
-/// handles and it walks, whatever the store is configured to do.
+/// on any store — `store.serve_parts().walking()` walks, whatever the
+/// store is configured to do ([`crate::ServeParts::walking`]).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum ClosureMode {
     /// No index: nothing is written, queries use the walk engine. The
@@ -145,11 +145,10 @@ impl NodeInfo {
 }
 
 /// The maintenance engine: computes ancestor sets for a commit group and
-/// writes the index rows through the batch API.
-#[derive(Debug)]
-pub struct ClosureIndex {
-    world: SimWorld,
-    db: SimpleDb,
+/// writes the index rows through the batch API of the store's services
+/// ([`ServeParts`], passed in by the write side that owns both).
+#[derive(Debug, Default)]
+pub(crate) struct ClosureIndex {
     /// `CreateDomain` already issued (it is idempotent but billable, so
     /// it runs once per indexer).
     domain_ready: bool,
@@ -162,34 +161,24 @@ pub struct ClosureIndex {
 }
 
 impl ClosureIndex {
-    /// An indexer writing through `db` on `world`.
-    pub fn new(world: &SimWorld, db: &SimpleDb) -> ClosureIndex {
-        ClosureIndex {
-            world: world.clone(),
-            db: db.clone(),
-            domain_ready: false,
-            cache: HashMap::new(),
-        }
-    }
-
     /// Drops all in-memory state, as a process crash would.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.cache.clear();
     }
 
-    /// Indexes one commit group: the `(item name, stored attributes)`
-    /// pairs exactly as they were written to the provenance domain.
-    /// Fires `mid_site` after each index batch lands (the
+    /// Indexes one commit group through `parts`: the `(item name, stored
+    /// attributes)` pairs exactly as they were written to the provenance
+    /// domain. Fires `mid_site` after each index batch lands (the
     /// mid-index-batch crash window).
     ///
     /// # Errors
     ///
     /// Service errors, and [`simworld::Crashed`] when an armed site
     /// fires.
-    pub fn index_items(
+    pub(crate) fn index_items(
         &mut self,
+        parts: &ServeParts,
         items: &[(String, Vec<ReplaceableAttribute>)],
-        retry: RetryPolicy,
         mid_site: CrashSite,
     ) -> Result<()> {
         // Gather the group's nodes (merging duplicate item entries —
@@ -213,7 +202,7 @@ impl ClosureIndex {
             return Ok(());
         }
         if !self.domain_ready {
-            self.db.create_domain(CLOSURE_DOMAIN)?;
+            parts.db.create_domain(CLOSURE_DOMAIN)?;
             self.domain_ready = true;
         }
 
@@ -233,7 +222,7 @@ impl ClosureIndex {
             }
             for item in pending {
                 let mut stack = BTreeSet::new();
-                self.resolve(&item, retry, &mut group, &mut resolved, &mut stack)?;
+                self.resolve(parts, &item, &mut group, &mut resolved, &mut stack)?;
                 done.insert(item);
             }
         }
@@ -243,7 +232,7 @@ impl ClosureIndex {
         // the node itself was indexed. Look up what is there now (before
         // this group's writes) so the repair fixpoint below can
         // re-propagate it through the ancestors resolved in this step.
-        let mut descs = self.stored_descendants(group.keys(), retry)?;
+        let mut descs = self.stored_descendants(parts, group.keys())?;
 
         // Repair fixpoint. Seed a working ancestor map with the group's
         // resolved sets, and a descendant map with each group row's
@@ -348,10 +337,8 @@ impl ClosureIndex {
             })
             .collect();
         for batch in pack_attr_batches(batch_items) {
-            with_throttle_retry(&self.world, &retry, || {
-                Ok(self.db.batch_put_attributes(CLOSURE_DOMAIN, &batch)?)
-            })?;
-            self.world.crash_point(mid_site)?;
+            parts.retrying(|| Ok(parts.db.batch_put_attributes(CLOSURE_DOMAIN, &batch)?))?;
+            parts.world.crash_point(mid_site)?;
         }
         Ok(())
     }
@@ -361,8 +348,8 @@ impl ClosureIndex {
     /// stored closure row, then a heal for out-of-group parents.
     fn resolve(
         &mut self,
+        parts: &ServeParts,
         item: &str,
-        retry: RetryPolicy,
         group: &mut BTreeMap<String, NodeInfo>,
         resolved: &mut BTreeMap<String, BTreeSet<String>>,
         stack: &mut BTreeSet<String>,
@@ -384,7 +371,7 @@ impl ClosureIndex {
                 continue;
             };
             let parent_item = parent_obj.item_name();
-            let parent_anc = self.ancestors_of(&parent_item, retry, group, resolved, stack)?;
+            let parent_anc = self.ancestors_of(parts, &parent_item, group, resolved, stack)?;
             ancestors.insert(parent.clone());
             ancestors.extend(parent_anc);
         }
@@ -399,19 +386,19 @@ impl ClosureIndex {
     /// rows are (re)written: the self-heal rule.
     fn ancestors_of(
         &mut self,
+        parts: &ServeParts,
         item: &str,
-        retry: RetryPolicy,
         group: &mut BTreeMap<String, NodeInfo>,
         resolved: &mut BTreeMap<String, BTreeSet<String>>,
         stack: &mut BTreeSet<String>,
     ) -> Result<BTreeSet<String>> {
         if group.contains_key(item) {
-            return self.resolve(item, retry, group, resolved, stack);
+            return self.resolve(parts, item, group, resolved, stack);
         }
         if let Some(cached) = self.cache.get(item) {
             return Ok(cached.clone());
         }
-        if let Some(stored) = self.read_row_ancestors(item, retry)? {
+        if let Some(stored) = self.read_row_ancestors(parts, item)? {
             self.cache.insert(item.to_string(), stored.clone());
             return Ok(stored);
         }
@@ -420,15 +407,13 @@ impl ClosureIndex {
         // domain (eventual consistency may also return nothing here; an
         // absent node then contributes no ancestors, which a later
         // commit through this path will heal again).
-        let stored = with_throttle_retry(&self.world, &retry, || {
-            Ok(self.db.get_attributes(DOMAIN, item, None)?)
-        })?;
+        let stored = parts.retrying(|| Ok(parts.db.get_attributes(DOMAIN, item, None)?))?;
         if stored.is_empty() {
             return Ok(BTreeSet::new());
         }
         let pairs = stored.iter().map(|p| (&*p.name, &*p.value));
         group.insert(item.to_string(), NodeInfo::from_pairs(pairs));
-        self.resolve(item, retry, group, resolved, stack)
+        self.resolve(parts, item, group, resolved, stack)
     }
 
     /// The descendants the index already holds for each of `items`, keyed
@@ -438,8 +423,8 @@ impl ClosureIndex {
     /// found among the `a` values it comes back with.
     fn stored_descendants<'a>(
         &self,
+        parts: &ServeParts,
         items: impl Iterator<Item = &'a String>,
-        retry: RetryPolicy,
     ) -> Result<BTreeMap<String, BTreeSet<String>>> {
         let by_render: BTreeMap<String, &String> = items
             .filter_map(|item| Some((ObjectRef::parse_item_name(item)?.render(), item)))
@@ -449,15 +434,14 @@ impl ClosureIndex {
         let mut descs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for batch in renders.chunks(UNION_BATCH) {
             let expr = union_of_equals(CLOSURE_ATTR_ANC, batch.iter().copied());
-            let mut token: Option<String> = None;
-            loop {
-                let page = with_throttle_retry(&self.world, &retry, || {
-                    Ok(self.db.query_with_attributes(
+            page_through(|token| {
+                let page = parts.retrying(|| {
+                    Ok(parts.db.query_with_attributes(
                         CLOSURE_DOMAIN,
                         Some(&expr),
                         Some(&filter),
                         Some(250),
-                        token.as_deref(),
+                        token,
                     )?)
                 })?;
                 for hit in page.items {
@@ -470,11 +454,8 @@ impl ClosureIndex {
                         }
                     }
                 }
-                token = page.next_token;
-                if token.is_none() {
-                    break;
-                }
-            }
+                Ok(page.next_token)
+            })?;
         }
         Ok(descs)
     }
@@ -485,13 +466,11 @@ impl ClosureIndex {
     /// read).
     fn read_row_ancestors(
         &self,
+        parts: &ServeParts,
         item: &str,
-        retry: RetryPolicy,
     ) -> Result<Option<BTreeSet<String>>> {
         let get = |item: &str| {
-            with_throttle_retry(&self.world, &retry, || {
-                Ok(self.db.get_attributes(CLOSURE_DOMAIN, item, None)?)
-            })
+            parts.retrying(|| Ok(parts.db.get_attributes(CLOSURE_DOMAIN, item, None)?))
         };
         let mut ancestors = BTreeSet::new();
         let mut buckets = Vec::new();
@@ -519,7 +498,7 @@ impl ClosureIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_simpledb::pairs;
+    use sim_simpledb::{pairs, SimpleDb};
 
     #[test]
     fn parse_render_requires_exact_round_trip() {
@@ -640,7 +619,9 @@ mod tests {
     /// and a single read when the row is unmarked.
     #[test]
     fn reading_ancestors_costs_the_base_plus_one_read_per_fragment() {
-        use simworld::Op;
+        use crate::arch2::S3SimpleDb;
+        use crate::serve::Serveable;
+        use simworld::{Op, SimWorld};
 
         // 12 sources -> one process: the process row carries 12 `a` values.
         let node = |name: String, inputs: Vec<String>| {
@@ -652,11 +633,11 @@ mod tests {
         items.push(node("tool".into(), sources.iter().cloned().collect()));
 
         let world = SimWorld::counting();
-        let db = SimpleDb::new(&world);
-        let retry = RetryPolicy::default();
-        let mut index = ClosureIndex::new(&world, &db);
+        let parts = S3SimpleDb::new(&world).serve_parts();
+        let db = &parts.db;
+        let mut index = ClosureIndex::default();
         index
-            .index_items(&items, retry, CrashSite::new("test.unarmed"))
+            .index_items(&parts, &items, CrashSite::new("test.unarmed"))
             .unwrap();
         // A child that committed ahead of its parent leaves an unmarked row.
         let orphan = [ReplaceableAttribute::add(CLOSURE_ATTR_ANC, "tool:1")];
@@ -673,7 +654,7 @@ mod tests {
         assert!(frags.len() > 1, "the row must actually be fragmented");
 
         let before = world.meters();
-        let read = index.read_row_ancestors("tool 1", retry).unwrap();
+        let read = index.read_row_ancestors(&parts, "tool 1").unwrap();
         let cost = world.meters() - before;
         assert_eq!(read, Some(sources.clone()));
         assert_eq!(cost.op_count(Op::SdbGetAttributes), 1 + frags.len() as u64);
@@ -690,8 +671,8 @@ mod tests {
         );
 
         let before = world.meters();
-        assert_eq!(index.read_row_ancestors("ghost 1", retry).unwrap(), None);
-        assert_eq!(index.read_row_ancestors("nobody 1", retry).unwrap(), None);
+        assert_eq!(index.read_row_ancestors(&parts, "ghost 1").unwrap(), None);
+        assert_eq!(index.read_row_ancestors(&parts, "nobody 1").unwrap(), None);
         assert_eq!((world.meters() - before).total_ops(), 2);
     }
 
@@ -704,10 +685,11 @@ mod tests {
     fn a_thousand_descendants_stay_under_the_256_pair_cap() {
         use crate::arch2::{Arch2Config, S3SimpleDb};
         use crate::arch3::{Arch3Config, S3SimpleDbSqs};
-        use crate::query::{ProvQuery, SimpleDbQueryEngine};
+        use crate::query::ProvQuery;
+        use crate::serve::Serveable;
         use crate::store::ProvenanceStore;
         use pass::FileFlush;
-        use simworld::{Blob, Op};
+        use simworld::{Blob, Op, SimWorld};
 
         const LEAVES: usize = 1000;
         let mut flushes = vec![
@@ -736,7 +718,8 @@ mod tests {
             }
             store.run_daemons_until_idle().unwrap();
         };
-        let check = |world: &SimWorld, db: &SimpleDb, s3: &sim_s3::S3| {
+        let check = |world: &SimWorld, index: ServeParts| {
+            let db = &index.db;
             world.settle();
             // Every logical row is `n`, at most two ancestors and their
             // marks — the popular seed's included.
@@ -759,15 +742,13 @@ mod tests {
                 ])
             );
 
-            let walk = SimpleDbQueryEngine::new(db, s3, world, RetryPolicy::default());
-            let index = walk.clone().serving_closure();
             let q = ProvQuery::DescendantsOf {
                 program: "fan".into(),
             };
-            let walked = walk.execute(&q).unwrap();
+            let walked = index.walking().query(&q).unwrap();
             assert_eq!(walked.len(), LEAVES);
             let before = world.meters();
-            assert_eq!(index.execute(&q).unwrap(), walked);
+            assert_eq!(index.query(&q).unwrap(), walked);
             let cost = world.meters() - before;
             // Two lookups on the main domain, then 1 000 hits at 250 a page.
             assert_eq!(cost.op_count(Op::SdbQuery), 2 + 4);
@@ -782,7 +763,7 @@ mod tests {
             ..Arch2Config::default()
         });
         drive(&mut arch2);
-        check(&world, arch2.simpledb(), arch2.s3());
+        check(&world, arch2.serve_parts());
 
         let world = SimWorld::counting();
         let mut arch3 = S3SimpleDbSqs::new(&world, "fan-out");
@@ -791,7 +772,7 @@ mod tests {
             ..Arch3Config::default()
         });
         drive(&mut arch3);
-        check(&world, arch3.simpledb(), arch3.s3());
+        check(&world, arch3.serve_parts());
     }
 
     #[test]

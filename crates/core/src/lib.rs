@@ -18,8 +18,10 @@
 //! * [`properties`] — machine-checked versions of the §3 properties
 //!   (read correctness = atomicity + consistency, causal ordering,
 //!   efficient query), regenerating **Table 1**;
-//! * [`ProvQuery`] and the two query engines — the Q1/Q2/Q3 workloads
-//!   behind **Table 3**;
+//! * [`ProvQuery`] and its two query paths — Architecture 1's HEAD scan
+//!   and the indexed SimpleDB lookups of [`ServeParts::query`], which
+//!   Architectures 2 and 3 share — the Q1/Q2/Q3 workloads behind
+//!   **Table 3**;
 //! * the metering built into the simulated services — the op/byte
 //!   accounting behind **Table 2**.
 //!
@@ -83,7 +85,7 @@ pub use arch3::{
     D3_BEFORE_INDEX_PUT, D3_BEFORE_MSG_DELETE, D3_BEFORE_TMP_DELETE, D3_MID_INDEX_PUT,
     D3_MID_PUTATTRS,
 };
-pub use closure::{ClosureIndex, ClosureMode};
+pub use closure::ClosureMode;
 pub use error::{CloudError, Result};
 pub use graph::{GraphDiff, NodeDiff, ProvGraph};
 pub use pipeline::persist_groups;
@@ -91,7 +93,7 @@ pub use properties::{
     check_atomicity, check_causal_ordering, check_consistency, check_efficient_query,
     full_property_table, property_matrix, ArchKind, AtomicityReport, PropertyMatrix,
 };
-pub use query::{ProvQuery, QueryAnswer, QueryItem, S3QueryEngine, SimpleDbQueryEngine};
+pub use query::{ProvQuery, QueryAnswer, QueryItem};
 pub use retry::{with_throttle_retry, RetryPolicy};
 pub use serialize::{
     decode_attributes, decode_metadata, encode_metadata, encode_records, pack_attr_batches,

@@ -42,6 +42,7 @@ use crate::arch3::{
     D3_BEFORE_TMP_DELETE, D3_MID_INDEX_PUT, D3_MID_PUTATTRS,
 };
 use crate::error::Result;
+use crate::graph::ProvGraph;
 use crate::layout::{data_key, ATTR_MD5, BUCKET, DATA_PREFIX, DOMAIN};
 use crate::query::ProvQuery;
 use crate::serialize::{decode_attributes, decode_metadata, read_version};
@@ -463,14 +464,11 @@ pub fn check_causal_ordering(kind: ArchKind, seed: u64) -> Result<bool> {
         }
         store.run_designed_recovery()?;
         world.settle();
-        let corpus = store.corpus();
-        for (object, records) in &corpus {
-            for ancestor in records.iter().filter_map(ProvenanceRecord::reference) {
-                if !corpus.contains_key(ancestor) {
-                    let _ = object;
-                    return Ok(false);
-                }
-            }
+        if !ProvGraph::from_records(store.corpus())
+            .dangling_references()
+            .is_empty()
+        {
+            return Ok(false);
         }
     }
     Ok(true)

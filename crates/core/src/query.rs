@@ -1,42 +1,40 @@
 //! The three provenance queries of the paper's evaluation (§5, Table 3)
-//! and the two engines that execute them.
+//! and the SimpleDB engine that executes them.
 //!
 //! * **Q1** — given an object and version, retrieve its provenance (the
 //!   paper runs it over *all* objects);
 //! * **Q2** — find all files that were outputs of `blast`;
 //! * **Q3** — find all the descendants of files derived from `blast`.
 //!
-//! The S3 engine (Architecture 1) has no search capability: it can only
-//! HEAD-scan the provenance metadata of every object in the repository.
-//! The SimpleDB engine (Architectures 2 and 3) uses indexed
+//! Architecture 1 has no search capability: [`crate::StandaloneS3`] can
+//! only HEAD-scan the provenance metadata of every object in the
+//! repository, and evaluates Q2 and Q3 on the scanned corpus as a
+//! [`ProvGraph`]. Architectures 2 and 3 share one read side,
+//! [`ServeParts`], whose [`ServeParts::query`] issues indexed
 //! `QueryWithAttributes` lookups — every expression it issues is pinned
 //! down by `=` terms on `type`, `name` or `input`, so the simulated
 //! service answers each from its attribute postings in time
 //! proportional to the answer, and bills it as one request. SimpleDB has
 //! no recursive queries, so Q3 walks the graph one generation of
 //! `QueryWithAttributes` at a time — still orders of magnitude more
-//! selective than the scan. With the closure index served
-//! ([`SimpleDbQueryEngine::serving_closure`]) Q3 is instead the walk's
-//! two seed lookups, issued names-only, and one posted
+//! selective than the scan. When the store keeps the closure index Q3 is
+//! instead the walk's two seed lookups, issued names-only, and one posted
 //! `['a' = seed] union …` lookup on the closure domain for every
-//! generation at once, then one `GetAttributes` per answer item.
+//! generation at once, then one `GetAttributes` per answer item;
+//! [`ServeParts::walking`] turns the index off again.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
 
 use pass::{ObjectRef, ProvenanceRecord, RecordKey};
 use serde::{Deserialize, Serialize};
-use sim_s3::{S3Error, S3};
-use sim_simpledb::SimpleDb;
-use simworld::SimWorld;
 
 use crate::error::Result;
-use crate::layout::{
-    closure_row_name, data_key, parse_data_key, BUCKET, CLOSURE_ATTR_ANC, CLOSURE_DOMAIN, DOMAIN,
-};
+use crate::graph::ProvGraph;
+use crate::layout::{closure_row_name, CLOSURE_ATTR_ANC, CLOSURE_DOMAIN, DOMAIN};
 use crate::readpath::fetch_overflow;
-use crate::retry::RetryPolicy;
-use crate::serialize::{decode_attributes, decode_metadata, read_version};
+use crate::serialize::decode_attributes;
+use crate::serve::ServeParts;
 
 /// How many `union` predicates we pack into one SimpleDB query
 /// expression when looking up many values of one attribute at once.
@@ -86,7 +84,7 @@ pub struct QueryAnswer {
 }
 
 impl QueryAnswer {
-    fn from_map(map: BTreeMap<ObjectRef, Vec<ProvenanceRecord>>) -> QueryAnswer {
+    pub(crate) fn from_map(map: BTreeMap<ObjectRef, Vec<ProvenanceRecord>>) -> QueryAnswer {
         QueryAnswer {
             items: map
                 .into_iter()
@@ -111,7 +109,7 @@ impl QueryAnswer {
     }
 }
 
-// --- helpers shared by both engines ---
+// --- helpers shared by both query paths ---
 
 /// The value of the first `name` record, if any.
 fn name_record(records: &[ProvenanceRecord]) -> Option<&str> {
@@ -184,151 +182,82 @@ fn processes_named(program: &str) -> String {
     expr
 }
 
-// --- the S3 scan engine (Architecture 1) ---
+// --- Q2 and Q3 on an in-memory graph (Architecture 1) ---
 
-/// Query engine over provenance stored as S3 metadata. Every query is a
-/// full HEAD scan — §4.1: "we might need to iterate over the provenance
-/// of every object in the repository, which is so inefficient as to be
-/// impractical".
-#[derive(Clone, Debug)]
-pub struct S3QueryEngine {
-    s3: S3,
-    world: SimWorld,
-    retry: RetryPolicy,
-}
-
-impl S3QueryEngine {
-    /// An engine reading from `s3`, retrying stale overflow GETs under
-    /// `retry`.
-    pub fn new(s3: &S3, world: &SimWorld, retry: RetryPolicy) -> S3QueryEngine {
-        S3QueryEngine {
-            s3: s3.clone(),
-            world: world.clone(),
-            retry,
-        }
-    }
-
-    /// Executes a query.
-    ///
-    /// # Errors
-    ///
-    /// S3 service errors.
-    pub fn execute(&self, query: &ProvQuery) -> Result<QueryAnswer> {
-        match query {
-            ProvQuery::ProvenanceOf { name, version } => {
-                let mut map = BTreeMap::new();
-                if let Some((object, records)) = self.head_one(name)? {
-                    if object.version == *version {
-                        map.insert(object, records);
-                    }
-                }
-                Ok(QueryAnswer::from_map(map))
-            }
-            ProvQuery::ProvenanceOfAll => Ok(QueryAnswer::from_map(self.scan()?)),
-            ProvQuery::OutputsOf { program } => {
-                let corpus = self.scan()?;
-                Ok(QueryAnswer::from_map(outputs_of(&corpus, program)))
-            }
-            ProvQuery::DescendantsOf { program } => {
-                let corpus = self.scan()?;
-                Ok(QueryAnswer::from_map(descendants_of(&corpus, program)))
-            }
-        }
-    }
-
-    /// HEAD one object and decode its provenance (overflow values are
-    /// fetched with GETs).
-    fn head_one(&self, name: &str) -> Result<Option<(ObjectRef, Vec<ProvenanceRecord>)>> {
-        let head = match self.s3.head_object(BUCKET, &data_key(name)) {
-            Ok(h) => h,
-            Err(S3Error::NoSuchKey { .. }) => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let version = read_version(&head.metadata)?;
-        let records = decode_metadata(&head.metadata, |key| {
-            fetch_overflow(&self.s3, &self.world, &self.retry, key)
-        })?;
-        Ok(Some((ObjectRef::new(name.to_string(), version), records)))
-    }
-
-    /// The full repository scan: LIST pages + one HEAD per object.
-    fn scan(&self) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
-        let mut out = BTreeMap::new();
-        for summary in self.s3.list_all(BUCKET, crate::layout::DATA_PREFIX)? {
-            let Some(name) = parse_data_key(&summary.key) else {
-                continue;
-            };
-            if let Some((object, records)) = self.head_one(name)? {
-                out.insert(object, records);
-            }
-        }
-        Ok(out)
+/// Q2 (`descendants` false) or Q3 on an in-memory graph, the corpus the
+/// S3 scan reads: Q2 is the file children of the program's process nodes,
+/// Q3 every descendant of those seeds except the seeds themselves.
+pub(crate) fn graph_query(graph: &ProvGraph, program: &str, descendants: bool) -> QueryAnswer {
+    let processes = graph
+        .iter()
+        .filter(|(_, records)| is_process_named(records, program));
+    let seeds: BTreeSet<ObjectRef> = processes
+        .flat_map(|(process, _)| graph.children(process))
+        .filter(|child| graph.records(child).is_some_and(is_file))
+        .collect();
+    let hits = if descendants {
+        let reached: BTreeSet<ObjectRef> =
+            seeds.iter().flat_map(|s| graph.descendants(s)).collect();
+        &reached - &seeds
+    } else {
+        seeds
+    };
+    let item = |object: ObjectRef| QueryItem {
+        records: graph.records(&object).unwrap_or_default().to_vec(),
+        object,
+    };
+    QueryAnswer {
+        items: hits.into_iter().map(item).collect(),
     }
 }
 
 // --- the SimpleDB engine (Architectures 2 and 3) ---
 
-/// Query engine over provenance stored as SimpleDB items.
-#[derive(Clone, Debug)]
-pub struct SimpleDbQueryEngine {
-    db: SimpleDb,
-    s3: S3,
-    world: SimWorld,
-    retry: RetryPolicy,
-    /// Serve Q3 from the materialized closure index ([`CLOSURE_DOMAIN`])
-    /// instead of the generation-at-a-time walk.
-    serve_closure: bool,
+/// Pages one SimpleDB request to its end: `page` issues the request from
+/// a token (`None` for the first page), consumes the page and returns its
+/// next token; the first `None` ends the loop.
+pub(crate) fn page_through(
+    mut page: impl FnMut(Option<&str>) -> Result<Option<String>>,
+) -> Result<()> {
+    let mut token = page(None)?;
+    while let Some(next) = token {
+        token = page(Some(&next))?;
+    }
+    Ok(())
 }
 
-impl SimpleDbQueryEngine {
-    /// An engine reading items from `db` and overflow values from `s3`,
-    /// retrying stale overflow GETs under `retry`.
-    pub fn new(
-        db: &SimpleDb,
-        s3: &S3,
-        world: &SimWorld,
-        retry: RetryPolicy,
-    ) -> SimpleDbQueryEngine {
-        SimpleDbQueryEngine {
-            db: db.clone(),
-            s3: s3.clone(),
-            world: world.clone(),
-            retry,
+impl ServeParts {
+    /// These parts with the closure index off: Q3 walks the graph one
+    /// generation at a time whatever the store keeps — the oracle the
+    /// index-served Q3 is checked against.
+    pub fn walking(&self) -> ServeParts {
+        ServeParts {
             serve_closure: false,
+            ..self.clone()
         }
     }
 
-    /// Switches Q3 to the closure-index path: one posted lookup over
-    /// [`CLOSURE_DOMAIN`] for all descendants at once instead of one
-    /// `QueryWithAttributes` per frontier node, generation after
-    /// generation. The other queries are unchanged.
-    pub fn serving_closure(mut self) -> SimpleDbQueryEngine {
-        self.serve_closure = true;
-        self
-    }
-
-    /// Executes a query.
+    /// Executes a query against SimpleDB, reading overflow values from S3
+    /// and retrying stale overflow GETs under the store's retry policy. Q3
+    /// is served from the closure index ([`CLOSURE_DOMAIN`]) when the
+    /// store keeps one and walked otherwise.
     ///
     /// # Errors
     ///
     /// SimpleDB/S3 service errors.
-    pub fn execute(&self, query: &ProvQuery) -> Result<QueryAnswer> {
+    pub fn query(&self, query: &ProvQuery) -> Result<QueryAnswer> {
         match query {
             ProvQuery::ProvenanceOf { name, version } => {
                 let object = ObjectRef::new(name.clone(), *version);
-                let mut map = BTreeMap::new();
-                if let Some(records) = self.fetch_item(&object)? {
-                    map.insert(object, records);
-                }
-                Ok(QueryAnswer::from_map(map))
+                let hit = self.fetch_item(&object)?.map(|records| (object, records));
+                Ok(QueryAnswer::from_map(hit.into_iter().collect()))
             }
             ProvQuery::ProvenanceOfAll => {
                 // No way to generalise: enumerate items, then one
                 // GetAttributes per item (the paper's ~72K ops for Q1).
                 let mut map = BTreeMap::new();
-                let mut token: Option<String> = None;
-                loop {
-                    let page = self.db.query(DOMAIN, None, Some(250), token.as_deref())?;
+                page_through(|token| {
+                    let page = self.db.query(DOMAIN, None, Some(250), token)?;
                     for item_name in &page.item_names {
                         let Some(object) = ObjectRef::parse_item_name(item_name) else {
                             continue;
@@ -337,11 +266,8 @@ impl SimpleDbQueryEngine {
                             map.insert(object, records);
                         }
                     }
-                    match page.next_token {
-                        Some(t) => token = Some(t),
-                        None => break,
-                    }
-                }
+                    Ok(page.next_token)
+                })?;
                 Ok(QueryAnswer::from_map(map))
             }
             ProvQuery::OutputsOf { program } => {
@@ -408,11 +334,10 @@ impl SimpleDbQueryEngine {
     ///
     /// Steps 2 and 3 take [`UNION_BATCH`] terms per expression and page at
     /// 250, so requests scale with the answer, never with the corpus or
-    /// the depth of the graph. The answer matches the walk engine item
-    /// for item: the index maintains exactly the walk's edge relation
-    /// (stored inline `input` values that round-trip as refs), and seeds
-    /// are excluded from the result just as the walk pre-loads them into
-    /// `visited`.
+    /// the depth of the graph. The answer matches the walk item for item:
+    /// the index maintains exactly the walk's edge relation (stored inline
+    /// `input` values that round-trip as refs), and seeds are excluded
+    /// from the result just as the walk pre-loads them into `visited`.
     fn descendants_via_index(
         &self,
         program: &str,
@@ -456,24 +381,17 @@ impl SimpleDbQueryEngine {
     /// never created matches nothing.
     fn query_refs(&self, domain: &str, expr: &str) -> Result<BTreeSet<ObjectRef>> {
         let mut out = BTreeSet::new();
-        let mut token: Option<String> = None;
-        loop {
-            let page = match self
-                .db
-                .query(domain, Some(expr), Some(250), token.as_deref())
-            {
+        page_through(|token| {
+            let page = match self.db.query(domain, Some(expr), Some(250), token) {
                 Err(sim_simpledb::SdbError::NoSuchDomain { .. }) if domain == CLOSURE_DOMAIN => {
-                    break
+                    return Ok(None)
                 }
                 reply => reply?,
             };
             let rows = page.item_names.iter().map(|name| closure_row_name(name));
             out.extend(rows.filter_map(ObjectRef::parse_item_name));
-            match page.next_token {
-                Some(t) => token = Some(t),
-                None => break,
-            }
-        }
+            Ok(page.next_token)
+        })?;
         Ok(out)
     }
 
@@ -486,15 +404,10 @@ impl SimpleDbQueryEngine {
         skip: impl Fn(&ObjectRef) -> bool,
     ) -> Result<BTreeMap<ObjectRef, Vec<ProvenanceRecord>>> {
         let mut out = BTreeMap::new();
-        let mut token: Option<String> = None;
-        loop {
-            let page = self.db.query_with_attributes(
-                DOMAIN,
-                Some(expr),
-                None,
-                Some(250),
-                token.as_deref(),
-            )?;
+        page_through(|token| {
+            let page = self
+                .db
+                .query_with_attributes(DOMAIN, Some(expr), None, Some(250), token)?;
             for item in page.items {
                 let Some(object) = ObjectRef::parse_item_name(&item.name) else {
                     continue;
@@ -505,11 +418,8 @@ impl SimpleDbQueryEngine {
                 let records = decode_attributes(&item.attributes, |key| self.fetch_overflow(key))?;
                 out.insert(object, records);
             }
-            match page.next_token {
-                Some(t) => token = Some(t),
-                None => break,
-            }
-        }
+            Ok(page.next_token)
+        })?;
         Ok(out)
     }
 
@@ -534,63 +444,11 @@ impl SimpleDbQueryEngine {
     }
 }
 
-// --- pure-graph evaluation shared by the S3 scan path ---
-
-/// Q2 evaluated over an in-memory corpus (used after the S3 full scan).
-fn outputs_of(
-    corpus: &BTreeMap<ObjectRef, Vec<ProvenanceRecord>>,
-    program: &str,
-) -> BTreeMap<ObjectRef, Vec<ProvenanceRecord>> {
-    let processes: BTreeSet<ObjectRef> = corpus
-        .iter()
-        .filter(|(_, records)| is_process_named(records, program))
-        .map(|(object, _)| object.clone())
-        .collect();
-    corpus
-        .iter()
-        .filter(|(_, records)| {
-            is_file(records)
-                && records
-                    .iter()
-                    .filter_map(ProvenanceRecord::reference)
-                    .any(|r| processes.contains(r))
-        })
-        .map(|(o, r)| (o.clone(), r.clone()))
-        .collect()
-}
-
-/// Q3 evaluated over an in-memory corpus.
-fn descendants_of(
-    corpus: &BTreeMap<ObjectRef, Vec<ProvenanceRecord>>,
-    program: &str,
-) -> BTreeMap<ObjectRef, Vec<ProvenanceRecord>> {
-    let seeds = outputs_of(corpus, program);
-    // Build the child index: parent -> children.
-    let mut children: BTreeMap<&ObjectRef, Vec<&ObjectRef>> = BTreeMap::new();
-    for (object, records) in corpus {
-        for parent in records.iter().filter_map(ProvenanceRecord::reference) {
-            children.entry(parent).or_default().push(object);
-        }
-    }
-    let mut visited: BTreeSet<ObjectRef> = seeds.keys().cloned().collect();
-    let mut frontier: VecDeque<ObjectRef> = seeds.keys().cloned().collect();
-    let mut result = BTreeMap::new();
-    while let Some(parent) = frontier.pop_front() {
-        if let Some(kids) = children.get(&parent) {
-            for kid in kids {
-                if visited.insert((*kid).clone()) {
-                    frontier.push_back((*kid).clone());
-                    result.insert((*kid).clone(), corpus[*kid].clone());
-                }
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Serveable;
+    use simworld::SimWorld;
 
     fn rec(k: &str, v: &str) -> ProvenanceRecord {
         ProvenanceRecord::from_pair(k, v)
@@ -660,32 +518,40 @@ mod tests {
         m
     }
 
+    /// Q2 (`descendants` false) or Q3 for `program` on [`corpus`].
+    fn on_graph(program: &str, descendants: bool) -> QueryAnswer {
+        graph_query(&ProvGraph::from_records(corpus()), program, descendants)
+    }
+
     #[test]
     fn outputs_of_finds_direct_children_files_only() {
-        let result = outputs_of(&corpus(), "blastall");
-        let names: Vec<String> = result.keys().map(|o| o.render()).collect();
-        assert_eq!(names, vec!["hits.txt:1", "log.txt:1"]);
+        let answer = on_graph("blastall", false);
+        assert_eq!(answer.names(), vec!["hits.txt:1", "log.txt:1"]);
+        let c = corpus();
+        for item in &answer.items {
+            assert_eq!(item.records, c[&item.object], "{:?}", item.object);
+        }
     }
 
     #[test]
     fn outputs_of_unknown_program_is_empty() {
-        assert!(outputs_of(&corpus(), "nonexistent").is_empty());
+        assert!(on_graph("nonexistent", false).is_empty());
+        assert!(on_graph("nonexistent", true).is_empty());
     }
 
     #[test]
     fn descendants_walk_through_processes() {
-        let result = descendants_of(&corpus(), "blastall");
-        let names: Vec<String> = result.keys().map(|o| o.render()).collect();
         // Descendants of {hits.txt, log.txt}: the awk process and top.txt.
-        assert_eq!(names, vec!["proc:2:awk:1", "top.txt:1"]);
+        let answer = on_graph("blastall", true);
+        assert_eq!(answer.names(), vec!["proc:2:awk:1", "top.txt:1"]);
     }
 
     #[test]
     fn descendants_exclude_unrelated_branches() {
-        let result = descendants_of(&corpus(), "blastall");
-        assert!(!result.keys().any(|o| o.name == "unrelated.txt"));
+        let names = on_graph("blastall", true).names();
+        assert!(!names.iter().any(|n| n.starts_with("unrelated.txt")));
         assert!(
-            !result.keys().any(|o| o.name == "in.fa"),
+            !names.iter().any(|n| n.starts_with("in.fa")),
             "ancestors are not descendants"
         );
     }
@@ -769,15 +635,14 @@ mod tests {
         use simworld::Service;
 
         let (world, store) = staged_corpus(5);
-        let walk =
-            SimpleDbQueryEngine::new(store.simpledb(), store.s3(), &world, RetryPolicy::default());
-        let index = walk.clone().serving_closure();
+        let index = store.serve_parts();
+        let walk = index.walking();
         let bill = |program: String| {
             let q = ProvQuery::DescendantsOf { program };
             let before = world.meters();
-            let answer = index.execute(&q).unwrap();
+            let answer = index.query(&q).unwrap();
             let cost = world.meters() - before;
-            assert_eq!(answer, walk.execute(&q).unwrap(), "{q:?}");
+            assert_eq!(answer, walk.query(&q).unwrap(), "{q:?}");
             assert_eq!(cost.service_ops(Service::S3), 0, "{q:?}");
             (answer.len() as u64, cost.service_ops(Service::SimpleDb))
         };
@@ -793,13 +658,11 @@ mod tests {
     #[test]
     fn a_hit_whose_item_was_deleted_is_skipped() {
         let (world, store) = staged_corpus(1);
-        let index =
-            SimpleDbQueryEngine::new(store.simpledb(), store.s3(), &world, RetryPolicy::default())
-                .serving_closure();
+        let index = store.serve_parts();
         let q = ProvQuery::DescendantsOf {
             program: "s1".into(),
         };
-        assert_eq!(index.execute(&q).unwrap().len(), 4);
+        assert_eq!(index.query(&q).unwrap().len(), 4);
         // The closure row outlives the main-domain item it describes.
         let none = None::<&[sim_simpledb::DeletableAttribute]>;
         store
@@ -807,7 +670,7 @@ mod tests {
             .delete_attributes(DOMAIN, "r0/f3.dat 1", none)
             .unwrap();
         world.settle();
-        let names = index.execute(&q).unwrap().names();
+        let names = index.query(&q).unwrap().names();
         assert_eq!(names.len(), 3);
         assert!(!names.contains(&"r0/f3.dat:1".to_string()));
     }

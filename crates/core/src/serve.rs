@@ -1,23 +1,24 @@
 //! The serving facade: a thread-safe, shared handle over a
 //! [`ProvenanceStore`].
 //!
-//! The store trait itself is object-safe but `&mut self` throughout —
-//! the right shape for a single-client experiment driver, and the wrong
-//! one for a network frontend where N connection-handler threads want
-//! to serve reads and queries concurrently. [`ServeHandle`] fixes the
-//! seam without touching the trait:
+//! The store trait itself is object-safe, and its writes take
+//! `&mut self` — the right shape for a single-client experiment driver,
+//! and the wrong one for a network frontend where N connection-handler
+//! threads want to serve reads and queries concurrently while writes
+//! land. [`ServeHandle`] fixes the seam without touching the trait:
 //!
 //! * **Writes** (record / flush / recover) serialize through one
 //!   internal mutex around the boxed store — exactly the §4 protocols,
 //!   one writer at a time, unchanged crash-ordering story.
 //! * **Reads and queries** never touch that mutex. The handle captures
-//!   cloned service handles ([`ServeParts`]) at construction and builds
-//!   a fresh [`SimpleDbQueryEngine`] per query from them, so they
-//!   take `&self` and never wait for a writer at this level. They are
-//!   not lock-free below it: beside the services' own per-shard locks,
-//!   every service request takes the one global [`SimWorld`] lock
-//!   (clock, RNG, meters, fault plan), several times per request, so
-//!   concurrent reads still serialize there whatever the shard count.
+//!   the store's read side ([`ServeParts`]: cloned service handles plus
+//!   the read knobs) at construction, and [`ServeParts`] *is* the
+//!   SimpleDB query engine, so reads and queries take `&self` and never
+//!   wait for a writer at this level. They are not lock-free below it:
+//!   beside the services' own per-shard locks, every service request
+//!   takes the one global [`SimWorld`] lock (clock, RNG, meters, fault
+//!   plan), several times per request, so concurrent reads still
+//!   serialize there whatever the shard count.
 //!
 //! The handle is `Clone + Send + Sync`; every clone shares the same
 //! store. [`ServeHandle::fingerprint`] hashes the authoritative
@@ -35,14 +36,16 @@ use simworld::{Fnv1a, SimWorld};
 
 use crate::error::Result;
 use crate::layout::{BUCKET, CLOSURE_DOMAIN, DOMAIN, TMP_PREFIX};
-use crate::query::{ProvQuery, QueryAnswer, SimpleDbQueryEngine};
+use crate::query::{ProvQuery, QueryAnswer};
 use crate::readpath::verified_read;
 use crate::retry::{with_throttle_retry, RetryPolicy};
 use crate::store::{ProvenanceStore, ReadOutcome, RecoveryReport};
 
-/// The cloned service handles and read-path knobs a [`ServeHandle`]
-/// captures from a store at construction. Produced by
-/// [`Serveable::serve_parts`]; opaque outside the crate.
+/// The read side of an arch2/arch3 store: its service handles and
+/// read-path knobs, which a [`ServeHandle`] captures at construction.
+/// It is the one SimpleDB query engine ([`ServeParts::query`], and
+/// [`ServeParts::walking`] for the walk oracle). Produced by
+/// [`Serveable::serve_parts`]; its fields are opaque outside the crate.
 #[derive(Clone, Debug)]
 pub struct ServeParts {
     pub(crate) world: SimWorld,
@@ -66,16 +69,6 @@ impl ServeParts {
     /// budget is spent.
     pub(crate) fn read(&self, name: &str) -> Result<ReadOutcome> {
         verified_read(self, name)
-    }
-
-    /// Executes `query` on a per-call SimpleDB engine (closure-index
-    /// `Serve` mode included when the store was configured for it).
-    pub(crate) fn query(&self, query: &ProvQuery) -> Result<QueryAnswer> {
-        let mut engine = SimpleDbQueryEngine::new(&self.db, &self.s3, &self.world, self.retry);
-        if self.serve_closure {
-            engine = engine.serving_closure();
-        }
-        engine.execute(query)
     }
 }
 
@@ -253,7 +246,7 @@ impl ServeHandle {
         self.inner.parts.read(name)
     }
 
-    /// Executes a provenance query on a per-call engine (closure-index
+    /// Executes a provenance query ([`ServeParts::query`]; closure-index
     /// `Serve` mode included when the store was configured for it).
     ///
     /// # Errors

@@ -140,14 +140,14 @@ pub trait ProvenanceStore {
     ///
     /// [`crate::CloudError::NotFound`] when the object has no data
     /// stored; service errors.
-    fn read(&mut self, name: &str) -> Result<ReadOutcome>;
+    fn read(&self, name: &str) -> Result<ReadOutcome>;
 
     /// Executes a provenance query with the architecture's query engine.
     ///
     /// # Errors
     ///
     /// Service errors.
-    fn query(&mut self, query: &ProvQuery) -> Result<QueryAnswer>;
+    fn query(&self, query: &ProvQuery) -> Result<QueryAnswer>;
 
     /// Post-crash recovery: whatever the architecture prescribes (orphan
     /// scan for Architecture 2, WAL replay + temp cleanup for

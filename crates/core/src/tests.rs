@@ -537,7 +537,7 @@ fn permanently_missing_key_costs_bounded_sublinear_virtual_time() {
     // A missing object exhausts the retry budget; exponential pacing
     // keeps the total within the old flat 5 s envelope...
     let world = eventual(23, 1);
-    let mut store = S3SimpleDb::new(&world);
+    let store = S3SimpleDb::new(&world);
     let t0 = world.now();
     assert!(store.read("ghost.dat").unwrap_err().is_not_found());
     let elapsed = world.now() - t0;
@@ -683,6 +683,35 @@ fn arch1_recover_cleans_orphaned_overflow_objects() {
     );
 }
 
+/// Recovery's deletes are writes, so the S3 throttle admits them; a 503
+/// must cost a backoff, not abort the scan. The counting world's clock
+/// stands still between deletes, so with a burst of 1 the second residue
+/// object on any shard is rejected — and 20 objects over 16 shards put
+/// at least two on one.
+#[test]
+fn arch1_recover_rides_out_throttled_deletes() {
+    let world = counting();
+    let mut store = StandaloneS3::new(&world);
+    world.with_faults(|f| f.arm_after(crate::A1_BEFORE_DATA_PUT, 0));
+    let mut builder = FileFlush::builder("f").data(Blob::from("content"));
+    for i in 0..20 {
+        builder = builder.record(&format!("note{i}"), &"n".repeat(1100));
+    }
+    assert!(store.persist(&builder.build()).unwrap_err().is_crash());
+    let residue = store.s3().latest_keys(BUCKET, crate::layout::PROV_PREFIX);
+    assert_eq!(residue.len(), 20, "one overflow object per record");
+
+    let throttle = simworld::ThrottleConfig::per_shard(100.0).with_burst(1.0);
+    store.s3().set_throttle(Some(throttle));
+    let report = store.recover().unwrap();
+    assert_eq!(report.objects_removed, 20);
+    assert!(world.throttle_retries() > 0, "the throttle must bite");
+    assert!(store
+        .s3()
+        .latest_keys(BUCKET, crate::layout::PROV_PREFIX)
+        .is_empty());
+}
+
 #[test]
 fn arch3_cleaner_spares_fresh_temp_objects() {
     let world = counting();
@@ -734,8 +763,8 @@ mod throttled_writes {
             store.run_daemons_until_idle().unwrap();
             (world, store, persist_done)
         };
-        let (plain_world, mut plain, plain_elapsed) = run(false);
-        let (slow_world, mut slow, slow_elapsed) = run(true);
+        let (plain_world, plain, plain_elapsed) = run(false);
+        let (slow_world, slow, slow_elapsed) = run(true);
 
         assert_eq!(plain_world.throttle_retries(), 0);
         assert!(
@@ -823,7 +852,7 @@ mod batched_persist {
     #[test]
     fn batch_equals_point_for_every_architecture() {
         for kind in ArchKind::ALL {
-            let (_, mut point, _, mut batch) = both_paths(kind);
+            let (_, point, _, batch) = both_paths(kind);
             // Same data, same provenance, same graph.
             for name in ["in.dat", "mid.dat", "out.dat"] {
                 let p = point.read(name).unwrap();

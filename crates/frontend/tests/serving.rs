@@ -454,11 +454,11 @@ impl ProvenanceStore for PanicsOn {
         self.inner.persist(flush)
     }
 
-    fn read(&mut self, name: &str) -> provenance_cloud::Result<ReadOutcome> {
+    fn read(&self, name: &str) -> provenance_cloud::Result<ReadOutcome> {
         self.inner.read(name)
     }
 
-    fn query(&mut self, query: &ProvQuery) -> provenance_cloud::Result<QueryAnswer> {
+    fn query(&self, query: &ProvQuery) -> provenance_cloud::Result<QueryAnswer> {
         self.inner.query(query)
     }
 

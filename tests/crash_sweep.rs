@@ -80,7 +80,7 @@ fn every_client_crash_site_recovers_to_a_queryable_state() {
     for kind in ArchKind::ALL {
         for &site in kind.client_crash_sites() {
             for ordinal in 0..3 {
-                let (_world, mut store, crashed) = run_with_crash(kind, site, ordinal);
+                let (_world, store, crashed) = run_with_crash(kind, site, ordinal);
                 if !crashed {
                     continue;
                 }

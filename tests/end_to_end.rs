@@ -1,8 +1,13 @@
 //! Workspace-level end-to-end tests: the full pipeline from workload
 //! generator through PASS to each cloud architecture, across crates.
 
-use pass_cloud::cloud::{ArchKind, ProvQuery, ProvenanceStore};
-use pass_cloud::pass::ObjectKind;
+use std::collections::BTreeSet;
+
+use pass_cloud::cloud::{
+    Arch2Config, ArchKind, ClosureMode, ProvQuery, ProvenanceStore, QueryAnswer, S3SimpleDb,
+    Serveable,
+};
+use pass_cloud::pass::{FileFlush, ObjectKind, RecordKey};
 use pass_cloud::simworld::{Consistency, LatencyModel, SimConfig, SimDuration, SimWorld};
 use pass_cloud::workloads::Combined;
 
@@ -10,17 +15,21 @@ fn counting() -> SimWorld {
     SimWorld::counting()
 }
 
-/// Persists the small combined dataset into a store of `kind` and
-/// returns the store plus its world.
+/// Persists the small combined dataset into a fresh store of `kind`.
 fn loaded(kind: ArchKind, world: &SimWorld) -> Box<dyn ProvenanceStore> {
-    let (flushes, _) = Combined::small().flushes();
     let mut store = kind.build(world);
+    load(&mut *store, world);
+    store
+}
+
+/// Persists the small combined dataset into `store` on `world`.
+fn load(store: &mut dyn ProvenanceStore, world: &SimWorld) {
+    let (flushes, _) = Combined::small().flushes();
     for flush in &flushes {
         store.persist(flush).expect("persist succeeds");
     }
     store.run_daemons_until_idle().expect("daemons drain");
     world.settle();
-    store
 }
 
 #[test]
@@ -53,42 +62,85 @@ fn combined_dataset_round_trips_on_every_architecture() {
     }
 }
 
+/// Every program the small dataset runs: the `name` of each process.
+fn programs(flushes: &[FileFlush]) -> BTreeSet<String> {
+    let processes = flushes.iter().filter(|f| f.kind == ObjectKind::Process);
+    let names = processes.flat_map(|f| f.records.iter().filter(|r| r.key == RecordKey::Name));
+    names.map(|r| r.to_pair().1).collect()
+}
+
+/// Whole answers, records included, for Q1-all, one Q1, and Q2 and Q3
+/// for every program: the S3 scan evaluated on a `ProvGraph`, both
+/// SimpleDB architectures, and arch2 serving Q3 from the closure index
+/// — plus that store's walk.
 #[test]
 fn architectures_agree_on_all_three_queries() {
-    let mut per_arch = Vec::new();
+    let (flushes, _) = Combined::small().flushes();
+    let mut queries = vec![
+        ProvQuery::ProvenanceOfAll,
+        ProvQuery::ProvenanceOf {
+            name: "linux/vmlinux".into(),
+            version: 1,
+        },
+    ];
+    for program in programs(&flushes) {
+        queries.push(ProvQuery::OutputsOf {
+            program: program.clone(),
+        });
+        queries.push(ProvQuery::DescendantsOf { program });
+    }
+    let answers = |query: &dyn Fn(&ProvQuery) -> QueryAnswer| -> Vec<QueryAnswer> {
+        queries.iter().map(query).collect()
+    };
+
+    let mut legs = Vec::new();
     for kind in ArchKind::ALL {
         let world = counting();
-        let mut store = loaded(kind, &world);
-        let q1 = store
-            .query(&ProvQuery::ProvenanceOf {
-                name: "linux/vmlinux".into(),
-                version: 1,
-            })
-            .unwrap();
-        let q2 = store
-            .query(&ProvQuery::OutputsOf {
-                program: "blastall".into(),
-            })
-            .unwrap();
-        let q3 = store
-            .query(&ProvQuery::DescendantsOf {
-                program: "formatdb".into(),
-            })
-            .unwrap();
-        per_arch.push((q1.names(), q2.names(), q3.names()));
+        let store = loaded(kind, &world);
+        legs.push((kind.label(), answers(&|q| store.query(q).unwrap())));
     }
-    assert_eq!(per_arch[0], per_arch[1]);
-    assert_eq!(per_arch[1], per_arch[2]);
+    let world = counting();
+    let mut indexed = S3SimpleDb::new(&world);
+    indexed.set_config(Arch2Config {
+        closure: ClosureMode::Serve,
+        ..Arch2Config::default()
+    });
+    load(&mut indexed, &world);
+    let walk = indexed.serve_parts().walking();
+    legs.push(("closure", answers(&|q| indexed.query(q).unwrap())));
+    legs.push(("closure walk", answers(&|q| walk.query(q).unwrap())));
+
+    // The SimpleDB legs agree exactly. The scan agrees up to the order of
+    // an item's records: S3 metadata keeps them in the order they were
+    // written, SimpleDB stores an item's pairs sorted.
+    let ((_, scan), (_, simpledb)) = (&legs[0], &legs[1]);
+    for (leg, got) in &legs[1..] {
+        for (i, query) in queries.iter().enumerate() {
+            assert_eq!(got[i], simpledb[i], "{leg}: {query:?}");
+            assert_eq!(sorted(&got[i]), sorted(&scan[i]), "{leg} vs S3: {query:?}");
+        }
+    }
     // And the answers are non-trivial.
-    assert!(!per_arch[0].0.is_empty());
-    assert!(!per_arch[0].1.is_empty());
-    assert!(!per_arch[0].2.is_empty());
+    assert!(scan.iter().take(2).all(|answer| !answer.is_empty()));
+    for kind in 0..2 {
+        let hits = scan[2..].iter().skip(kind).step_by(2);
+        assert!(hits.filter(|answer| !answer.is_empty()).count() > 1);
+    }
+}
+
+/// `answer` with each item's records in `(key, value)` order.
+fn sorted(answer: &QueryAnswer) -> QueryAnswer {
+    let mut answer = answer.clone();
+    for item in &mut answer.items {
+        item.records.sort_by_key(|record| record.to_pair());
+    }
+    answer
 }
 
 #[test]
 fn blast_outputs_match_the_generator() {
     let world = counting();
-    let mut store = loaded(ArchKind::S3SimpleDb, &world);
+    let store = loaded(ArchKind::S3SimpleDb, &world);
     let q2 = store
         .query(&ProvQuery::OutputsOf {
             program: "blastall".into(),
@@ -140,7 +192,7 @@ fn provenance_chain_depth_spans_the_fmri_workflow() {
     // convert ← pgm ← slicer ← atlas ← softmean ← resliced ← reslice ←
     // warp ← align_warp ← anatomy. Walk it end to end through the store.
     let world = counting();
-    let mut store = loaded(ArchKind::S3SimpleDb, &world);
+    let store = loaded(ArchKind::S3SimpleDb, &world);
     let jpg = "fmri/s000/atlas-x.jpg";
     let mut depth = 0;
     let mut current = vec![pass_cloud::pass::ObjectRef::new(jpg, 1)];

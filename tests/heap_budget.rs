@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pass::{FileFlush, Observer, TraceEvent};
 use provenance_cloud::{
-    Arch2Config, Arch3Config, ClosureMode, ProvQuery, RetryPolicy, S3SimpleDb, S3SimpleDbSqs,
-    ServeHandle, SimpleDbQueryEngine,
+    Arch2Config, Arch3Config, ClosureMode, ProvQuery, S3SimpleDb, S3SimpleDbSqs, ServeHandle,
+    Serveable,
 };
 use simworld::{splitmix64, Blob, SimWorld};
 
@@ -209,13 +209,7 @@ fn a_stored_record_stays_within_its_heap_budget() {
             closure: ClosureMode::Serve,
             ..Arch2Config::default()
         });
-        let retry = RetryPolicy::default();
-        walk = Some(SimpleDbQueryEngine::new(
-            store.simpledb(),
-            store.s3(),
-            &world,
-            retry,
-        ));
+        walk = Some(store.serve_parts().walking());
         ServeHandle::new(store)
     };
     let held = held_by_store(arch2, |handle| {
@@ -266,7 +260,7 @@ fn a_stored_record_stays_within_its_heap_budget() {
         .map(|program| ProvQuery::DescendantsOf { program })
         .collect();
     let by_handle = |q: &ProvQuery| assert!(!index.query(q).expect("served").is_empty());
-    let by_walk = |q: &ProvQuery| assert!(!walk.execute(q).expect("walk").is_empty());
+    let by_walk = |q: &ProvQuery| assert!(!walk.query(q).expect("walk").is_empty());
     let per_query = |queries: &[ProvQuery], engine: &dyn Fn(&ProvQuery)| {
         queries.iter().for_each(engine);
         calls_in(|| queries.iter().for_each(engine)) as f64 / queries.len() as f64

@@ -610,8 +610,7 @@ proptest! {
         // walk engine.
         use pass_cloud::cloud::layout::{closure_row_name, CLOSURE_ATTR_ANC, CLOSURE_DOMAIN};
         use pass_cloud::cloud::{
-            Arch3Config, ClosureMode, ProvQuery, ProvenanceStore, RetryPolicy, S3SimpleDbSqs,
-            SimpleDbQueryEngine,
+            Arch3Config, ClosureMode, ProvQuery, ProvenanceStore, S3SimpleDbSqs, Serveable,
         };
         use pass_cloud::simpledb::pairs;
         use pass_cloud::simworld::Op;
@@ -717,9 +716,8 @@ proptest! {
         prop_assert_eq!(stored_anc.len(), n);
 
         // The store answers Q3 from its index, item for item like the
-        // walk — an engine built over the store's handles, which walks
-        // whatever the store is configured to do.
-        let walk = SimpleDbQueryEngine::new(store.simpledb(), store.s3(), &world, RetryPolicy::default());
+        // walk — the store's read side with the index off.
+        let walk = store.serve_parts().walking();
         for prog in PROGRAMS.iter().chain(["delta"].iter()) {
             let q = ProvQuery::DescendantsOf { program: (*prog).to_string() };
             let before = world.meters();
@@ -729,7 +727,7 @@ proptest! {
             // attributes with every generation.
             prop_assert!(cost.op_count(Op::SdbQuery) > 0);
             prop_assert_eq!(cost.op_count(Op::SdbQueryWithAttributes), 0);
-            prop_assert_eq!(indexed, walk.execute(&q).unwrap());
+            prop_assert_eq!(indexed, walk.query(&q).unwrap());
         }
     }
 }
