@@ -1,4 +1,5 @@
-//! Ablation benches for the design decisions DESIGN.md calls out.
+//! `--mode=ablations`: five design decisions of the architectures, each
+//! varied on its own (the printed results: `golden/ablations_smoke.txt`).
 //!
 //! 1. **MD5 vs MD5+nonce** — same-content overwrites are invisible to a
 //!    bare data hash (§4.2's remark), visible with the nonce;
@@ -16,14 +17,15 @@ use provenance_cloud::{
     Arch3Config, ArchKind, ProvenanceStore, ReadStatus, Result, RetryPolicy, S3SimpleDb,
     S3SimpleDbSqs,
 };
-use serde::{Deserialize, Serialize};
 use sim_sqs::Sqs;
 use simworld::{Blob, Consistency, LatencyModel, Op, SimConfig, SimDuration, SimWorld};
 use workloads::{Combined, LinuxCompile};
 
-/// Results of all five ablations, with rendered text.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct AblationResults {
+use crate::harness::{ensure, persist_dataset, Size, Sweep, SEED};
+
+/// All five ablations, each at a small, fixed scale.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Ablations {
     /// `(same-content overwrites, token collisions with nonce, without)`.
     pub nonce: (u32, u32, u32),
     /// Per threshold: `(threshold, daemon poll ops, mean WAL depth)`.
@@ -36,9 +38,19 @@ pub struct AblationResults {
     pub lag_retries: Vec<(u64, f64)>,
 }
 
-impl AblationResults {
-    /// Renders every ablation as text.
-    pub fn render(&self) -> String {
+impl Sweep for Ablations {
+    /// The ablations have one fixed scale, so every size runs the same.
+    fn run(_: Size) -> Result<Self> {
+        Ok(Ablations {
+            nonce: nonce_ablation(SEED)?,
+            commit_threshold: commit_threshold_ablation(SEED)?,
+            overflow_pressure: overflow_pressure_ablation(SEED)?,
+            visibility: visibility_ablation(SEED)?,
+            lag_retries: lag_retries_ablation(SEED)?,
+        })
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("Ablation 1: consistency token vs same-content overwrites\n");
         let (pairs, with_nonce, without) = self.nonce;
@@ -74,21 +86,62 @@ impl AblationResults {
         }
         out
     }
+
+    fn check(&self) -> Verdict {
+        check_nonce(self.nonce)?;
+        check_commit_threshold(&self.commit_threshold)?;
+        check_overflow_pressure(&self.overflow_pressure)?;
+        check_visibility(&self.visibility)?;
+        check_lag_retries(&self.lag_retries)
+    }
 }
 
-/// Runs all five ablations at a small, fixed scale.
-///
-/// # Errors
-///
-/// Service errors.
-pub fn ablations(seed: u64) -> Result<AblationResults> {
-    Ok(AblationResults {
-        nonce: nonce_ablation(seed)?,
-        commit_threshold: commit_threshold_ablation(seed)?,
-        overflow_pressure: overflow_pressure_ablation(seed)?,
-        visibility: visibility_ablation(seed)?,
-        lag_retries: lag_retries_ablation(seed)?,
-    })
+// `check`, one ablation at a time: the unit tests hold each ablation to
+// its part at a seed of their own.
+type Verdict = std::result::Result<(), String>;
+
+fn check_nonce((pairs, with_nonce, without): (u32, u32, u32)) -> Verdict {
+    ensure!(
+        with_nonce == 0 && without == pairs,
+        "{pairs} same-content overwrites: {with_nonce} collisions with the nonce, {without} without"
+    );
+    Ok(())
+}
+
+fn check_commit_threshold(rows: &[(usize, u64, f64)]) -> Verdict {
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    ensure!(
+        last.1 <= first.1 && last.2 > first.2,
+        "a higher threshold must not add polling work and must grow the backlog: {rows:?}"
+    );
+    Ok(())
+}
+
+fn check_overflow_pressure(rows: &[(usize, u64, u64)]) -> Verdict {
+    ensure!(
+        rows[0].1 < rows[rows.len() - 1].1,
+        "overflow records did not grow with the environment size: {rows:?}"
+    );
+    Ok(())
+}
+
+/// A timeout shorter than the 10 s processing redelivers; the longest
+/// delivers every message once.
+fn check_visibility(rows: &[(u64, u64, u64)]) -> Verdict {
+    let (short, long) = (&rows[0], &rows[rows.len() - 1]);
+    ensure!(
+        short.1 > short.2 && long.1 == long.2 && short.1 > long.1,
+        "visibility timeouts (secs, deliveries, unique): {rows:?}"
+    );
+    Ok(())
+}
+
+fn check_lag_retries(rows: &[(u64, f64)]) -> Verdict {
+    ensure!(
+        rows[0].1 == 0.0 && rows[rows.len() - 1].1 > rows[0].1,
+        "retries must start at 0 without lag and grow with it: {rows:?}"
+    );
+    Ok(())
 }
 
 /// Same-content overwrites: how often do consecutive versions produce
@@ -194,7 +247,7 @@ fn overflow_pressure_ablation(_seed: u64) -> Result<Vec<(usize, u64, u64)>> {
                 ..workloads::ProvenanceChallenge::default().scaled(0.2)
             },
         };
-        let persisted = crate::harness::persist_dataset(ArchKind::S3SimpleDb, &dataset)?;
+        let persisted = persist_dataset(ArchKind::S3SimpleDb, &dataset)?;
         rows.push((
             hi,
             persisted.stats.records_over_1kb,
@@ -298,55 +351,26 @@ mod tests {
 
     #[test]
     fn nonce_ablation_shows_the_papers_remark() {
-        let (pairs, with_nonce, without) = nonce_ablation(3).unwrap();
-        assert_eq!(with_nonce, 0, "nonce makes every overwrite distinguishable");
-        assert_eq!(
-            without, pairs,
-            "bare MD5 collides on every same-content overwrite"
-        );
+        check_nonce(nonce_ablation(3).unwrap()).unwrap();
     }
 
     #[test]
     fn higher_threshold_fewer_daemon_ops_more_backlog() {
-        let rows = commit_threshold_ablation(1).unwrap();
-        let first = &rows[0];
-        let last = &rows[rows.len() - 1];
-        assert!(
-            last.1 <= first.1,
-            "polling work must not grow with the threshold"
-        );
-        assert!(last.2 > first.2, "backlog grows with the threshold");
+        check_commit_threshold(&commit_threshold_ablation(1).unwrap()).unwrap();
     }
 
     #[test]
     fn bigger_envs_more_overflow() {
-        let rows = overflow_pressure_ablation(1).unwrap();
-        assert!(rows[0].1 < rows[2].1, "overflow records grow with env size");
+        check_overflow_pressure(&overflow_pressure_ablation(1).unwrap()).unwrap();
     }
 
     #[test]
     fn short_visibility_timeouts_cause_duplicates() {
-        let rows = visibility_ablation(5).unwrap();
-        let short = &rows[0];
-        let long = &rows[rows.len() - 1];
-        assert!(
-            short.1 > short.2,
-            "5s timeout + 10s processing → redeliveries"
-        );
-        assert_eq!(
-            long.1, long.2,
-            "120s timeout → every message delivered once"
-        );
-        assert!(
-            short.1 > long.1,
-            "shorter timeout → strictly more deliveries"
-        );
+        check_visibility(&visibility_ablation(5).unwrap()).unwrap();
     }
 
     #[test]
     fn retries_grow_with_lag() {
-        let rows = lag_retries_ablation(7).unwrap();
-        assert_eq!(rows[0].1, 0.0, "no lag → no retries");
-        assert!(rows[rows.len() - 1].1 > rows[0].1);
+        check_lag_retries(&lag_retries_ablation(7).unwrap()).unwrap();
     }
 }

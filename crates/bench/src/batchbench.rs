@@ -1,9 +1,11 @@
 //! Batched vs point persist experiments: the request-count and
 //! virtual-time story behind the batched request path.
 //!
-//! The combined workload's flush stream is cut into groups of a fixed
-//! size (`chunks(n)`: consecutive closes coalesce, the last group takes
-//! the remainder), and each group drains through
+//! [`persist_grouped`] is the one persist both this sweep and the
+//! in-flight depth sweep (`crate::pipebench`) run. The combined
+//! workload's flush stream is cut into groups of a fixed size
+//! (`provenance_cloud::persist_groups`: consecutive closes coalesce, the
+//! last group takes the remainder), and each group drains through
 //! `ProvenanceStore::persist_batch`, which rides the services' native
 //! batch APIs (`BatchPutAttributes`, `SendMessageBatch`, multi-object
 //! delete). The sweep varies the group size on Architectures 2 and 3;
@@ -18,17 +20,24 @@
 //! * at full batch fill the provenance *flush* path (SimpleDB writes +
 //!   SQS sends) is ≥ 5x smaller.
 
-use provenance_cloud::{ArchKind, ProvGraph, ProvQuery, Result};
-use simworld::{MeterSnapshot, Op};
+use provenance_cloud::{
+    persist_groups, Arch3Config, ArchKind, ProvGraph, ProvQuery, ProvenanceStore, Result,
+    S3SimpleDbSqs,
+};
+use simworld::{MeterSnapshot, Op, SimWorld};
 use workloads::Combined;
 
-use crate::harness::{ensure, metered, priced_world, Size, Sweep};
+use crate::harness::{ensure, metered, priced_world, Size, Sweep, SEED};
+use crate::pipebench::DepthSpec;
 
-/// One row of the batch-size sweep.
+/// One persist of the combined workload: a row of the batch-size sweep
+/// and of the in-flight depth sweep alike.
 #[derive(Clone, Debug)]
-pub struct BatchRow {
-    /// Group-commit threshold (flushes per drain); 1 is the point path.
+pub struct PersistRow {
+    /// Flushes per group; 1 is the point path.
     pub group_size: usize,
+    /// How the row sized its in-flight window.
+    pub spec: DepthSpec,
     /// Total billable requests of the persist phase (client + daemons).
     pub requests: u64,
     /// Requests on the provenance flush path alone: SimpleDB write
@@ -37,9 +46,12 @@ pub struct BatchRow {
     pub flush_requests: u64,
     /// Virtual seconds the persist phase consumed.
     pub virtual_secs: f64,
-    /// The final provenance graph — identical across rows (same
-    /// workload), or batching changed the store.
+    /// The final provenance graph — identical across the rows of a
+    /// sweep (same workload), or grouping or overlap changed the store.
     pub graph: ProvGraph,
+    /// The depth the adaptive controller converged to (client side);
+    /// `None` unless the spec is [`DepthSpec::Adaptive`].
+    pub final_depth: Option<usize>,
 }
 
 /// Requests on the provenance flush path: every SimpleDB write request
@@ -56,36 +68,60 @@ pub fn flush_path_requests(meters: &MeterSnapshot) -> u64 {
     .sum()
 }
 
-/// Persists `dataset` into a fresh `kind` store, coalescing flushes
-/// into groups of `group_size` (1 = point persists), and returns the
-/// sweep row.
+/// Builds the store for one row. Architecture 3 gets its commit daemon
+/// depth wired to the spec; the other architectures have no daemon to
+/// pipeline.
+fn build_store(kind: ArchKind, world: &SimWorld, spec: DepthSpec) -> Box<dyn ProvenanceStore> {
+    if kind == ArchKind::S3SimpleDbSqs {
+        let mut store = S3SimpleDbSqs::new(world, "prop-client");
+        store.set_config(Arch3Config {
+            daemon_depth: spec.depth(),
+            ..Arch3Config::default()
+        });
+        Box::new(store)
+    } else {
+        kind.build(world)
+    }
+}
+
+/// Persists `dataset` into a fresh `kind` store on a priced world and
+/// returns the sweep row. Group size 1 is the point path, one `persist`
+/// per flush; a larger size drives [`persist_groups`] under `spec`'s
+/// depth policy. On Architecture 3 the spec sizes the commit daemon's
+/// window too.
 ///
 /// # Errors
 ///
 /// Propagates service errors.
-pub fn persist_grouped(kind: ArchKind, dataset: &Combined, group_size: usize) -> Result<BatchRow> {
-    let world = priced_world(2009);
-    let mut store = kind.build(&world);
+pub fn persist_grouped(
+    kind: ArchKind,
+    dataset: &Combined,
+    group_size: usize,
+    spec: DepthSpec,
+) -> Result<PersistRow> {
+    let world = priced_world(SEED);
+    let mut store = build_store(kind, &world, spec);
     let (flushes, _) = dataset.flushes();
+    let mut depth = spec.depth();
     let ((), meters, elapsed) = metered(&world, || {
-        if group_size <= 1 {
-            for flush in &flushes {
-                store.persist(flush)?;
-            }
+        if group_size == 1 {
+            flushes.iter().try_for_each(|flush| store.persist(flush))?;
         } else {
-            for group in flushes.chunks(group_size) {
-                store.persist_batch(group)?;
-            }
+            persist_groups(&world, store.as_mut(), &flushes, group_size, depth.as_mut())?;
         }
         store.run_daemons_until_idle()
     })?;
     world.settle();
-    Ok(BatchRow {
+    Ok(PersistRow {
         group_size,
+        spec,
         requests: meters.total_ops(),
         flush_requests: flush_path_requests(&meters),
         virtual_secs: elapsed.as_secs_f64(),
         graph: ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll)?),
+        final_depth: depth
+            .filter(|_| spec == DepthSpec::Adaptive)
+            .map(|ctl| ctl.depth()),
     })
 }
 
@@ -93,7 +129,7 @@ pub fn persist_grouped(kind: ArchKind, dataset: &Combined, group_size: usize) ->
 #[derive(Clone, Debug)]
 pub struct BatchSweep {
     /// Per architecture, one row per group size; the first is size 1.
-    pub legs: Vec<(ArchKind, Vec<BatchRow>)>,
+    pub legs: Vec<(ArchKind, Vec<PersistRow>)>,
 }
 
 impl Sweep for BatchSweep {
@@ -105,9 +141,9 @@ impl Sweep for BatchSweep {
         let dataset = size.dataset();
         let mut legs = Vec::new();
         for kind in [ArchKind::S3SimpleDb, ArchKind::S3SimpleDbSqs] {
-            let rows: Result<Vec<BatchRow>> = group_sizes
+            let rows: Result<Vec<PersistRow>> = group_sizes
                 .iter()
-                .map(|&n| persist_grouped(kind, &dataset, n))
+                .map(|&n| persist_grouped(kind, &dataset, n, DepthSpec::Sync))
                 .collect();
             legs.push((kind, rows?));
         }
@@ -182,17 +218,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batched_rows_match_point_state_and_cut_requests() {
-        BatchSweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
-
-    #[test]
     fn group_size_one_is_the_point_path() {
         // The sweep's baseline row must not touch a batch API.
         let dataset = Combined::small();
-        let row = persist_grouped(ArchKind::S3SimpleDb, &dataset, 1).unwrap();
+        let row = persist_grouped(ArchKind::S3SimpleDb, &dataset, 1, DepthSpec::Sync).unwrap();
         assert_eq!(row.group_size, 1);
-        let world = priced_world(2009);
+        let world = priced_world(SEED);
         let mut store = ArchKind::S3SimpleDb.build(&world);
         let (flushes, _) = dataset.flushes();
         for flush in &flushes {

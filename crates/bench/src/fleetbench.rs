@@ -517,11 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn rejection_triggered_splits_fire_without_changing_state() {
-        FleetSweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
-
-    #[test]
     fn throttling_costs_latency_and_money_but_not_state() {
         let plain = small(Some(0.99), None);
         let hot = small(

@@ -1,5 +1,5 @@
 //! Shared experiment plumbing: the [`Sweep`] shape and its sizes, the
-//! binaries' strict command line, the priced world and the meter/clock
+//! binary's strict command line, the priced world and the meter/clock
 //! bracket every sweep measures with, dataset persistence, and the
 //! fleet's percentile table.
 
@@ -11,7 +11,7 @@ use simworld::{
 };
 use workloads::{Combined, DatasetStats};
 
-/// Dataset scale selection for the table binaries.
+/// Dataset scale selection (`--scale`).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Unit-test size (seconds).
@@ -53,11 +53,16 @@ impl Size {
     }
 }
 
-/// One `shards --mode=…` experiment: how to run it, how to print it and
-/// what must hold of it, each stated once in the module that owns it.
-/// The `shards` binary prints `render` and exits 1 on `check`'s
-/// message; the module's unit test is `run(Size::Smoke)?.check()`;
-/// `tests/golden.rs` pins `run(Size::Smoke)?.render()`.
+/// The seed of every deterministic artefact: the property validators,
+/// the ablations' worlds and the priced worlds of the sweeps.
+pub const SEED: u64 = 2009;
+
+/// One experiment behind a `tables --mode=…` ([`crate::MODES`]): how to
+/// run it, how to print it and what must hold of it, each stated once in
+/// the module that owns it. The binary prints `render` and exits 1 on
+/// `check`'s message; `tests/golden.rs` runs every mode once at
+/// [`Size::Smoke`], compares `render` with `golden/<mode>_smoke.txt` and
+/// runs `check`.
 pub trait Sweep: Sized {
     /// Runs the experiment at `size`.
     ///
@@ -89,48 +94,33 @@ macro_rules! ensure {
 }
 pub(crate) use ensure;
 
-/// What the bench binaries read from their command line.
+/// What the `tables` binary reads from its command line.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Cli {
-    /// `--mode=…`: one of the binary's modes (default: the first).
+    /// `--mode=…`: one of the modes, or `all` (default: the first).
     pub mode: String,
     /// `--smoke`, else `--scale=small|medium|paper` (default medium).
     pub size: Size,
-    /// `--seed=N` (default 2009).
-    pub seed: u64,
 }
 
-/// Parses `args` strictly: only the `flags` this binary takes, only the
-/// `modes` it has, only known scales and numeric seeds.
+/// Parses `args` strictly: only `--mode` with one of `modes`, `--smoke`,
+/// and `--scale` with a known scale.
 ///
 /// # Errors
 ///
 /// Names the argument that is not understood.
-pub fn parse_cli(
-    args: &[String],
-    flags: &[&str],
-    modes: &[&str],
-) -> std::result::Result<Cli, String> {
+pub fn parse_cli(args: &[String], modes: &[&str]) -> std::result::Result<Cli, String> {
     let mut mode = modes.first().copied().unwrap_or_default();
-    let (mut smoke, mut scale, mut seed) = (false, Scale::Medium, 2009);
+    let (mut smoke, mut scale) = (false, Scale::Medium);
     for arg in args {
-        let (flag, value) = match arg.split_once('=') {
-            Some((flag, value)) => (flag, Some(value)),
-            None => (arg.as_str(), None),
-        };
-        ensure!(flags.contains(&flag), "unknown flag {arg:?}");
-        match (flag, value) {
-            ("--smoke", None) => smoke = true,
-            ("--mode", Some(v)) if modes.contains(&v) => mode = v,
-            ("--scale", Some("small")) => scale = Scale::Small,
-            ("--scale", Some("medium")) => scale = Scale::Medium,
-            ("--scale", Some("paper")) => scale = Scale::Paper,
-            ("--seed", Some(v)) => {
-                seed = v
-                    .parse()
-                    .map_err(|_| format!("unparseable seed in {arg:?}"))?;
-            }
-            _ => return Err(format!("unknown value in {arg:?}")),
+        match arg.split_once('=') {
+            None if arg == "--smoke" => smoke = true,
+            Some(("--mode", v)) if modes.contains(&v) => mode = v,
+            Some(("--scale", "small")) => scale = Scale::Small,
+            Some(("--scale", "medium")) => scale = Scale::Medium,
+            Some(("--scale", "paper")) => scale = Scale::Paper,
+            Some(("--mode" | "--scale", _)) => return Err(format!("unknown value in {arg:?}")),
+            _ => return Err(format!("unknown flag {arg:?}")),
         }
     }
     Ok(Cli {
@@ -140,25 +130,18 @@ pub fn parse_cli(
         } else {
             Size::Full(scale)
         },
-        seed,
     })
 }
 
 /// [`parse_cli`] over the process arguments; on a rejected argument
 /// prints the reason and the usage to stderr and exits 2.
-pub fn cli(flags: &[&str], modes: &[&str]) -> Cli {
+pub fn cli(modes: &[&str]) -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_cli(&args, flags, modes).unwrap_or_else(|reason| {
-        let usage: Vec<String> = flags
-            .iter()
-            .map(|flag| match *flag {
-                "--mode" => format!("[--mode={}]", modes.join("|")),
-                "--scale" => "[--scale=small|medium|paper]".to_string(),
-                "--seed" => "[--seed=N]".to_string(),
-                flag => format!("[{flag}]"),
-            })
-            .collect();
-        eprintln!("{reason}\nusage: {}", usage.join(" "));
+    parse_cli(&args, modes).unwrap_or_else(|reason| {
+        eprintln!(
+            "{reason}\nusage: [--mode={}] [--smoke] [--scale=small|medium|paper]",
+            modes.join("|")
+        );
         std::process::exit(2);
     })
 }
@@ -352,16 +335,15 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        let flags = ["--mode", "--smoke", "--scale", "--seed"];
         let parse = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            parse_cli(&args, &flags, &["simpledb", "s3"])
+            parse_cli(&args, &["simpledb", "s3"])
         };
         let cli = parse(&[]).unwrap();
-        assert_eq!((cli.mode.as_str(), cli.seed), ("simpledb", 2009));
+        assert_eq!(cli.mode, "simpledb");
         assert_eq!(cli.size, Size::Full(Scale::Medium));
-        let cli = parse(&["--scale=paper", "--mode=s3", "--seed=7"]).unwrap();
-        assert_eq!((cli.mode.as_str(), cli.seed), ("s3", 7));
+        let cli = parse(&["--scale=paper", "--mode=s3"]).unwrap();
+        assert_eq!(cli.mode, "s3");
         assert_eq!(cli.size, Size::Full(Scale::Paper));
         assert_eq!(parse(&["--smoke"]).unwrap().size, Size::Smoke);
         // Typos are rejected, not defaulted.
@@ -372,10 +354,8 @@ mod tests {
             .unwrap_err()
             .contains("--scale=papr"));
         assert!(parse(&["--mode=sdb"]).unwrap_err().contains("--mode=sdb"));
-        assert!(parse(&["--seed=abc"]).unwrap_err().contains("--seed=abc"));
-        // A binary takes only its own flags.
-        let args = ["--scale=small".to_string()];
-        assert!(parse_cli(&args, &["--seed"], &[]).is_err());
+        assert!(parse(&["--smoke=1"]).unwrap_err().contains("unknown flag"));
+        assert!(parse(&["--seed=7"]).unwrap_err().contains("unknown flag"));
     }
 
     #[test]

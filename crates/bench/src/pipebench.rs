@@ -1,12 +1,13 @@
 //! Pipelined vs synchronous persist experiments: the in-flight depth
 //! sweep behind the event-driven completion scheduler.
 //!
-//! The batched path (PR 4) cut round trips; this sweep cuts *waiting*.
-//! The same flush groups drive `provenance_cloud::persist_groups` with
-//! up to `depth` requests per service in flight: completion time
-//! follows the scheduler's event order (`max(channel-free, issue) +
-//! latency`) instead of the serial latency sum, so virtual completion
-//! time falls as the depth rises while the final store stays identical.
+//! The batched path cut round trips; this sweep cuts *waiting*. The
+//! same flush groups drive `provenance_cloud::persist_groups` (through
+//! [`persist_grouped`], the batch sweep's persist) with up to `depth`
+//! requests per service in flight: completion time follows the
+//! scheduler's event order (`max(channel-free, issue) + latency`)
+//! instead of the serial latency sum, so virtual completion time falls
+//! as the depth rises while the final store stays identical.
 //! [`DepthSpec::Sync`] denotes the synchronous batch baseline (no
 //! region, serial commit daemon).
 //!
@@ -37,15 +38,11 @@
 
 use std::fmt;
 
-use pass::FileFlush;
-use provenance_cloud::{
-    persist_groups, Arch3Config, ArchKind, ProvGraph, ProvQuery, ProvenanceStore, Result,
-    S3SimpleDbSqs,
-};
+use provenance_cloud::{ArchKind, Result};
 use simworld::AdaptiveDepth;
-use workloads::Combined;
 
-use crate::harness::{ensure, metered, priced_world, Size, Sweep};
+use crate::batchbench::{persist_grouped, PersistRow};
+use crate::harness::{ensure, Size, Sweep};
 
 /// How one sweep row sizes its in-flight window.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -93,95 +90,12 @@ pub const DEFAULT_SPECS: &[DepthSpec] = &[
 /// Flushes per group in the sweep (the full SimpleDB batch fill).
 pub const DEFAULT_PIPELINE_GROUP: usize = 25;
 
-/// One row of the in-flight depth sweep.
-#[derive(Clone, Debug)]
-pub struct PipelineRow {
-    /// How this row sized its window.
-    pub spec: DepthSpec,
-    /// Total billable requests of the persist phase (client + daemons).
-    /// Identical across rows on daemon-less architectures; on arch3 the
-    /// pipelined daemon re-cuts its receive rounds, so only the applied
-    /// *state* is invariant, not the polling bill.
-    pub requests: u64,
-    /// Virtual seconds the persist phase consumed.
-    pub virtual_secs: f64,
-    /// The final provenance graph — identical across rows, or
-    /// pipelining changed the store.
-    pub graph: ProvGraph,
-    /// The depth the adaptive controller converged to (client side);
-    /// `None` on sync/fixed rows.
-    pub final_depth: Option<usize>,
-}
-
-/// Splits `flushes` into persist groups of `group_size` — the same
-/// grouping on every row, so only the overlap differs.
-fn grouped(flushes: &[FileFlush], group_size: usize) -> Vec<Vec<FileFlush>> {
-    flushes
-        .chunks(group_size.max(1))
-        .map(<[FileFlush]>::to_vec)
-        .collect()
-}
-
-/// Builds the store for one row. Architecture 3 gets its commit daemon
-/// depth wired to the spec; the other architectures have no daemon to
-/// pipeline.
-fn build_store(
-    kind: ArchKind,
-    world: &simworld::SimWorld,
-    spec: DepthSpec,
-) -> Box<dyn ProvenanceStore> {
-    if kind == ArchKind::S3SimpleDbSqs {
-        let mut store = S3SimpleDbSqs::new(world, "prop-client");
-        store.set_config(Arch3Config {
-            daemon_depth: spec.depth(),
-            ..Arch3Config::default()
-        });
-        Box::new(store)
-    } else {
-        kind.build(world)
-    }
-}
-
-/// Persists `dataset` into a fresh `kind` store under `spec` —
-/// synchronously, at a fixed in-flight depth, or adaptively — and
-/// returns the sweep row.
-///
-/// # Errors
-///
-/// Propagates service errors.
-pub fn persist_with_spec(
-    kind: ArchKind,
-    dataset: &Combined,
-    group_size: usize,
-    spec: DepthSpec,
-) -> Result<PipelineRow> {
-    let world = priced_world(2009);
-    let mut store = build_store(kind, &world, spec);
-    let (flushes, _) = dataset.flushes();
-    let groups = grouped(&flushes, group_size);
-    let mut depth = spec.depth();
-    let ((), meters, elapsed) = metered(&world, || {
-        persist_groups(&world, store.as_mut(), &groups, depth.as_mut())?;
-        store.run_daemons_until_idle()
-    })?;
-    world.settle();
-    Ok(PipelineRow {
-        spec,
-        requests: meters.total_ops(),
-        virtual_secs: elapsed.as_secs_f64(),
-        graph: ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll)?),
-        final_depth: depth
-            .filter(|_| spec == DepthSpec::Adaptive)
-            .map(|ctl| ctl.depth()),
-    })
-}
-
 /// `--mode=pipeline`: [`DEFAULT_SPECS`] on Architectures 2 and 3, in
 /// groups of [`DEFAULT_PIPELINE_GROUP`].
 #[derive(Clone, Debug)]
 pub struct PipelineSweep {
     /// Per architecture, one row per spec.
-    pub legs: Vec<(ArchKind, Vec<PipelineRow>)>,
+    pub legs: Vec<(ArchKind, Vec<PersistRow>)>,
 }
 
 impl Sweep for PipelineSweep {
@@ -189,9 +103,9 @@ impl Sweep for PipelineSweep {
         let dataset = size.dataset();
         let mut legs = Vec::new();
         for kind in [ArchKind::S3SimpleDb, ArchKind::S3SimpleDbSqs] {
-            let rows: Result<Vec<PipelineRow>> = DEFAULT_SPECS
+            let rows: Result<Vec<PersistRow>> = DEFAULT_SPECS
                 .iter()
-                .map(|&spec| persist_with_spec(kind, &dataset, DEFAULT_PIPELINE_GROUP, spec))
+                .map(|&spec| persist_grouped(kind, &dataset, DEFAULT_PIPELINE_GROUP, spec))
                 .collect();
             legs.push((kind, rows?));
         }
@@ -259,27 +173,5 @@ impl Sweep for PipelineSweep {
             );
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn depth_sweep_matches_sync_state_and_cuts_time() {
-        PipelineSweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
-
-    #[test]
-    fn grouping_is_stable() {
-        let (flushes, _) = Combined::small().flushes();
-        let groups = grouped(&flushes, 25);
-        assert_eq!(
-            groups.iter().map(Vec::len).sum::<usize>(),
-            flushes.len(),
-            "grouping must partition the flush stream"
-        );
-        assert!(groups[..groups.len() - 1].iter().all(|g| g.len() == 25));
     }
 }

@@ -41,7 +41,7 @@ use simworld::{
 };
 use workloads::{Combined, ZipfKeys};
 
-use crate::harness::{ensure, priced_world, Size, Sweep};
+use crate::harness::{ensure, priced_world, Size, Sweep, SEED};
 
 /// The shard counts the full SimpleDB and S3 sweeps visit.
 const FULL_SHARD_COUNTS: &[usize] = &[1, 2, 4, 8, 16];
@@ -180,7 +180,7 @@ impl Sweep for SimpleDbSweep {
         let dataset = size.dataset();
         let mut rows = Vec::with_capacity(shard_counts.len());
         for &shards in shard_counts {
-            let world = priced_world(2009);
+            let world = priced_world(SEED);
             let db = persist_corpus(&world, shards, &dataset)?;
             let start = world.now();
             let mut hits = 0u64;
@@ -636,7 +636,7 @@ pub struct S3Row {
 ///
 /// Propagates S3 errors from the fill phase.
 pub fn prepare_s3(shards: usize, objects: usize) -> Result<(SimWorld, S3)> {
-    let world = priced_world(2009);
+    let world = priced_world(SEED);
     let s3 = S3::with_shards(&world, shards);
     s3.create_bucket(S3_BENCH_BUCKET)?;
     for i in 0..objects {
@@ -824,7 +824,7 @@ pub struct SqsRow {
 ///
 /// Propagates SQS errors.
 pub fn prepare_sqs(queues: usize, messages: usize) -> Result<(SimWorld, Sqs, Vec<String>)> {
-    let world = priced_world(2009);
+    let world = priced_world(SEED);
     let sqs = Sqs::new(&world);
     let urls: Vec<String> = (0..queues)
         .map(|q| sqs.create_queue(format!("sweep-{q}")))
@@ -946,31 +946,6 @@ impl Sweep for SqsSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn virtual_query_latency_improves_with_shards() {
-        SimpleDbSweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
-
-    #[test]
-    fn zipfian_keys_imbalance_the_shards() {
-        SkewSweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
-
-    #[test]
-    fn splitting_collapses_the_imbalance_without_touching_state() {
-        SplitSweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
-
-    #[test]
-    fn s3_hits_agree_and_list_latency_falls() {
-        S3Sweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
-
-    #[test]
-    fn sqs_sweep_is_lossless_and_receive_latency_falls() {
-        SqsSweep::run(Size::Smoke).unwrap().check().unwrap();
-    }
 
     // The sweeps drive one thread; the criterion bursts drive several.
     // Hit counts must not depend on the shard layout there either.

@@ -1,121 +1,95 @@
-//! The deterministic tables, byte for byte.
+//! Every mode of `tables`, byte for byte, and its checks.
 //!
-//! Tables 1–3, `costs`, `ablations` and every `shards --mode=*` sweep
-//! are pure functions of a seed: they count requests, bytes and virtual
-//! time on a simulated world, so a change that claims to move only
-//! wall-clock time must leave every character of them alone. The files
-//! under `golden/` are the binaries' stdout at the default seed (2009)
-//! and `--scale=small` / `--smoke`; to move one on purpose, regenerate
-//! it with the binary named in its row below and say why in the PR.
+//! Each mode is a pure function of the seed (2009): it counts requests,
+//! bytes and virtual time on a simulated world, so a change that claims
+//! to move only wall-clock time must leave every character of it alone.
+//! `golden/<mode>_smoke.txt` is what `tables --mode=<mode> --smoke`
+//! prints: the mode's sweeps, a blank line between them. Each test runs
+//! its mode once at `Size::Smoke`, compares the output with the file and
+//! runs the sweeps' checks; a new mode needs a test here and a file. To
+//! move a file on purpose, regenerate it with the command in the failure
+//! message and say why in the PR.
 
-use prov_bench::batchbench::BatchSweep;
-use prov_bench::fleetbench::FleetSweep;
-use prov_bench::pipebench::PipelineSweep;
-use prov_bench::querybench::QuerySweep;
-use prov_bench::shardbench::{S3Sweep, SimpleDbSweep, SkewSweep, SplitSweep, SqsSweep};
-use prov_bench::{ablations, costs, table1, table2, table3, Scale, Size, Sweep};
+use prov_bench::{Size, MODES};
 
-const SEED: u64 = 2009;
-
-fn assert_golden(file: &str, rendered: String, regenerate: &str) {
-    let path = format!("{}/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+fn assert_mode(mode: &str) {
+    let (_, drives) = MODES
+        .iter()
+        .find(|(name, _)| *name == mode)
+        .unwrap_or_else(|| panic!("no mode {mode}"));
+    let mut rendered = Vec::new();
+    for drive in *drives {
+        let (text, verdict) = drive(Size::Smoke);
+        verdict.unwrap_or_else(|violation| panic!("{mode}: {violation}"));
+        rendered.push(text);
+    }
+    let rendered = rendered.join("\n");
+    let path = format!("{}/golden/{mode}_smoke.txt", env!("CARGO_MANIFEST_DIR"));
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     assert!(
         rendered == golden,
-        "{file} moved; if intended: cargo run --release -p prov-bench --bin {regenerate} > {path}\n\
+        "{mode} moved; if intended: \
+         cargo run --release -p prov-bench --bin tables -- --mode={mode} --smoke > {path}\n\
          --- golden\n{golden}--- rendered\n{rendered}"
     );
 }
 
 #[test]
 fn table1_matches_golden() {
-    let (_, rendered) = table1(SEED).unwrap();
-    assert_golden("table1.txt", rendered, "table1");
+    assert_mode("table1");
 }
 
 #[test]
 fn table2_small_matches_golden() {
-    let table = table2(&Scale::Small.dataset()).unwrap();
-    assert_golden(
-        "table2_small.txt",
-        table.render(),
-        "table2 -- --scale=small",
-    );
+    assert_mode("table2");
 }
 
 #[test]
 fn table3_small_matches_golden() {
-    let table = table3(&Scale::Small.dataset()).unwrap();
-    assert_golden(
-        "table3_small.txt",
-        table.render(),
-        "table3 -- --scale=small",
-    );
-}
-
-#[test]
-fn costs_small_matches_golden() {
-    let costs = costs(&Scale::Small.dataset()).unwrap();
-    assert_golden("costs_small.txt", costs.render(), "costs -- --scale=small");
+    assert_mode("table3");
 }
 
 #[test]
 fn ablations_match_golden() {
-    let results = ablations(SEED).unwrap();
-    assert_golden("ablations.txt", results.render(), "ablations");
-}
-
-fn smoke<S: Sweep>() -> String {
-    S::run(Size::Smoke).unwrap().render()
-}
-
-/// `golden/shards_<mode>_smoke.txt` is what `shards --mode=<mode>
-/// --smoke` prints: the mode's sweeps, a blank line between them.
-fn assert_sweep_golden(mode: &str, rendered: String) {
-    assert_golden(
-        &format!("shards_{mode}_smoke.txt"),
-        rendered,
-        &format!("shards -- --mode={mode} --smoke"),
-    );
+    assert_mode("ablations");
 }
 
 #[test]
 fn shards_simpledb_smoke_matches_golden() {
-    let rendered = smoke::<SimpleDbSweep>() + "\n" + &smoke::<SkewSweep>();
-    assert_sweep_golden("simpledb", rendered);
+    assert_mode("simpledb");
 }
 
 #[test]
 fn shards_s3_smoke_matches_golden() {
-    assert_sweep_golden("s3", smoke::<S3Sweep>());
+    assert_mode("s3");
 }
 
 #[test]
 fn shards_sqs_smoke_matches_golden() {
-    assert_sweep_golden("sqs", smoke::<SqsSweep>());
+    assert_mode("sqs");
 }
 
 #[test]
 fn shards_batch_smoke_matches_golden() {
-    assert_sweep_golden("batch", smoke::<BatchSweep>());
+    assert_mode("batch");
 }
 
 #[test]
 fn shards_pipeline_smoke_matches_golden() {
-    assert_sweep_golden("pipeline", smoke::<PipelineSweep>());
+    assert_mode("pipeline");
 }
 
 #[test]
 fn shards_split_smoke_matches_golden() {
-    assert_sweep_golden("split", smoke::<SplitSweep>());
+    assert_mode("split");
 }
 
 #[test]
 fn shards_query_smoke_matches_golden() {
-    assert_sweep_golden("query", smoke::<QuerySweep>());
+    assert_mode("query");
 }
 
 #[test]
 fn shards_fleet_smoke_matches_golden() {
-    assert_sweep_golden("fleet", smoke::<FleetSweep>());
+    assert_mode("fleet");
 }

@@ -44,6 +44,24 @@ pub struct ProvGraph {
     children: BTreeMap<ObjectRef, BTreeSet<ObjectRef>>,
 }
 
+/// Every node reachable in one or more `edges` steps from any of
+/// `start`; the walk borrows the edge sets and clones only the answer.
+fn closure<'a>(
+    edges: &'a BTreeMap<ObjectRef, BTreeSet<ObjectRef>>,
+    start: impl IntoIterator<Item = &'a ObjectRef>,
+) -> BTreeSet<ObjectRef> {
+    let mut seen = BTreeSet::new();
+    let mut frontier: VecDeque<&ObjectRef> = start.into_iter().collect();
+    while let Some(current) = frontier.pop_front() {
+        for next in edges.get(current).into_iter().flatten() {
+            if seen.insert(next) {
+                frontier.push_back(next);
+            }
+        }
+    }
+    seen.into_iter().cloned().collect()
+}
+
 impl ProvGraph {
     /// Builds a graph from `(object, records)` pairs.
     pub fn from_records(
@@ -114,29 +132,21 @@ impl ProvGraph {
     /// present as nodes — because *detecting* those is how causal-
     /// ordering violations surface.
     pub fn ancestors(&self, object: &ObjectRef) -> BTreeSet<ObjectRef> {
-        self.closure(object, |o| self.parents(o))
+        closure(&self.parents, [object])
     }
 
     /// Transitive descendant closure (excluding `object` itself).
     pub fn descendants(&self, object: &ObjectRef) -> BTreeSet<ObjectRef> {
-        self.closure(object, |o| self.children(o))
+        closure(&self.children, [object])
     }
 
-    fn closure(
-        &self,
-        start: &ObjectRef,
-        step: impl Fn(&ObjectRef) -> BTreeSet<ObjectRef>,
+    /// Every node one or more child steps below any of `seeds`, in one
+    /// walk: the union of their [`ProvGraph::descendants`].
+    pub(crate) fn descendants_of_any<'a>(
+        &'a self,
+        seeds: impl IntoIterator<Item = &'a ObjectRef>,
     ) -> BTreeSet<ObjectRef> {
-        let mut seen = BTreeSet::new();
-        let mut frontier = VecDeque::from([start.clone()]);
-        while let Some(current) = frontier.pop_front() {
-            for next in step(&current) {
-                if seen.insert(next.clone()) {
-                    frontier.push_back(next);
-                }
-            }
-        }
-        seen
+        closure(&self.children, seeds)
     }
 
     /// Nodes with no ancestors: the primary inputs of the experiment.

@@ -1,5 +1,5 @@
-//! The pipelined persist client: pre-formed groups of flushes issued
-//! into an open request pipeline.
+//! The pipelined persist client: a flush stream cut into groups and
+//! issued into an open request pipeline.
 //!
 //! In the paper the client persists one flush per `close()` through the
 //! point protocol. Grouping and overlap are this reproduction's
@@ -10,8 +10,9 @@
 //! synchronously in the submitting client. How deep is one policy,
 //! `Option<AdaptiveDepth>`: `None` for no region at all,
 //! [`AdaptiveDepth::fixed`] for a fixed depth, any other controller for
-//! an AIMD-steered one. A group is a run of consecutive flushes; callers
-//! cut the stream with `chunks(n)`.
+//! an AIMD-steered one. A group is a run of consecutive flushes: the
+//! stream cut with `chunks(group_size)`, the last group taking the
+//! remainder.
 //!
 //! A client crash inside a group fires at that architecture's own crash
 //! sites. It loses at most the groups not yet issued (and on
@@ -25,12 +26,12 @@ use simworld::{AdaptiveDepth, SimWorld};
 use crate::error::Result;
 use crate::store::ProvenanceStore;
 
-/// Persists pre-formed `groups` through [`ProvenanceStore::persist_batch`]
-/// under one depth policy: `None` is the synchronous client — one group
-/// at a time, no region, the serial latency sum; `Some(controller)`
-/// opens a pipelined region at `controller.depth()` in which each
-/// group's requests *issue* without waiting for the previous group's
-/// completions. After every issued group the controller observes the
+/// Persists `flushes` in groups of `group_size` (`chunks(group_size)`)
+/// through [`ProvenanceStore::persist_batch`] under one depth policy:
+/// `None` is the synchronous client — one group at a time, no region,
+/// the serial latency sum; `Some(controller)` opens a pipelined region
+/// at `controller.depth()` in which each group's requests *issue*
+/// without waiting for the previous group's completions. After every issued group the controller observes the
 /// region's cumulative stall evidence ([`SimWorld::pipeline_stats`]) and
 /// resizes the open window in place ([`SimWorld::set_pipeline_depth`]).
 /// Requests issue in the same order either way, so the final store
@@ -44,17 +45,23 @@ use crate::store::ProvenanceStore;
 /// crash site fires; requests issued before the crash stay on the wire
 /// either way, so earlier groups — and part of the failing one — may
 /// already be durable.
+///
+/// # Panics
+///
+/// When `group_size` is 0.
 pub fn persist_groups(
     world: &SimWorld,
     store: &mut dyn ProvenanceStore,
-    groups: &[Vec<FileFlush>],
+    flushes: &[FileFlush],
+    group_size: usize,
     depth: Option<&mut AdaptiveDepth>,
 ) -> Result<()> {
+    let mut groups = flushes.chunks(group_size);
     let Some(controller) = depth else {
-        return groups.iter().try_for_each(|g| store.persist_batch(g));
+        return groups.try_for_each(|g| store.persist_batch(g));
     };
     world.begin_pipeline(controller.depth());
-    let result = groups.iter().try_for_each(|g| {
+    let result = groups.try_for_each(|g| {
         store.persist_batch(g)?;
         if let Some(stats) = world.pipeline_stats() {
             controller.observe(&stats);
@@ -92,9 +99,7 @@ mod tests {
     /// region must close. Returns the store's fingerprint.
     fn drive(world: &SimWorld, n: usize, size: usize, depth: Option<&mut AdaptiveDepth>) -> u64 {
         let mut store = S3SimpleDb::new(world);
-        let all = flushes(n);
-        let groups: Vec<Vec<FileFlush>> = all.chunks(size).map(<[FileFlush]>::to_vec).collect();
-        persist_groups(world, &mut store, &groups, depth).unwrap();
+        persist_groups(world, &mut store, &flushes(n), size, depth).unwrap();
         assert!(world.pipeline_depth().is_none(), "the region must close");
         for i in 0..n {
             assert!(store.read(&format!("f{i:03}")).unwrap().consistent());

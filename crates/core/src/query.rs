@@ -196,9 +196,7 @@ pub(crate) fn graph_query(graph: &ProvGraph, program: &str, descendants: bool) -
         .filter(|child| graph.records(child).is_some_and(is_file))
         .collect();
     let hits = if descendants {
-        let reached: BTreeSet<ObjectRef> =
-            seeds.iter().flat_map(|s| graph.descendants(s)).collect();
-        &reached - &seeds
+        &graph.descendants_of_any(&seeds) - &seeds
     } else {
         seeds
     };

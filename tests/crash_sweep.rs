@@ -286,8 +286,7 @@ fn persist_in_pairs(
     store: &mut dyn ProvenanceStore,
     flushes: &[FileFlush],
 ) -> Result<()> {
-    let groups: Vec<Vec<FileFlush>> = flushes.chunks(2).map(<[FileFlush]>::to_vec).collect();
-    persist_groups(world, store, &groups, Some(&mut AdaptiveDepth::fixed(4)))
+    persist_groups(world, store, flushes, 2, Some(&mut AdaptiveDepth::fixed(4)))
 }
 
 /// How often a clean `kind` client visits `site` while it persists the

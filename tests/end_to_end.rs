@@ -126,6 +126,19 @@ fn architectures_agree_on_all_three_queries() {
         let hits = scan[2..].iter().skip(kind).step_by(2);
         assert!(hits.filter(|answer| !answer.is_empty()).count() > 1);
     }
+    // Blast's outputs, and formatdb's multi-generation descendant walk —
+    // the deepest Q3 in the set — in particular.
+    for query in [
+        ProvQuery::OutputsOf {
+            program: "blastall".into(),
+        },
+        ProvQuery::DescendantsOf {
+            program: "formatdb".into(),
+        },
+    ] {
+        let at = queries.iter().position(|q| *q == query).expect("queried");
+        assert!(!scan[at].is_empty(), "{query:?} answered nothing");
+    }
 }
 
 /// `answer` with each item's records in `(key, value)` order.

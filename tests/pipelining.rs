@@ -15,19 +15,12 @@ use pass_cloud::cloud::{
     layout, persist_groups, store_fingerprint, Arch3Config, ProvGraph, ProvQuery, ProvenanceStore,
     S3SimpleDb, S3SimpleDbSqs,
 };
-use pass_cloud::pass::FileFlush;
 use pass_cloud::simworld::{fnv1a_64, AdaptiveDepth, SimDuration, SimWorld};
 use pass_cloud::workloads::Combined;
 // The bench harness owns the priced world; reusing it keeps the
 // acceptance test and the BASELINE sweep measuring identical
 // quantities.
 use prov_bench::harness::priced_world;
-
-/// The persist groups every run of one comparison uses: the same
-/// partition of the flush stream, so only the overlap differs.
-fn groups_of(flushes: &[FileFlush], n: usize) -> Vec<Vec<FileFlush>> {
-    flushes.chunks(n).map(<[FileFlush]>::to_vec).collect()
-}
 
 fn graph_of(store: &mut dyn ProvenanceStore) -> ProvGraph {
     ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll).unwrap())
@@ -66,7 +59,8 @@ struct Run {
 }
 
 /// Persists `Combined::small` in groups of 25 under the `client` depth
-/// policy and drains the daemons.
+/// policy and drains the daemons. Every run of one comparison cuts the
+/// same groups, so only the overlap differs.
 fn run(
     world: &SimWorld,
     store: &mut dyn ProvenanceStore,
@@ -74,9 +68,8 @@ fn run(
     mut client: Option<AdaptiveDepth>,
 ) -> Run {
     let (flushes, _) = Combined::small().flushes();
-    let groups = groups_of(&flushes, 25);
     let t0 = world.now();
-    persist_groups(world, store, &groups, client.as_mut()).unwrap();
+    persist_groups(world, store, &flushes, 25, client.as_mut()).unwrap();
     store.run_daemons_until_idle().unwrap();
     let elapsed = world.now() - t0;
     let pin = pin_of(world);
@@ -203,9 +196,8 @@ fn scheduler_event_order_is_deterministic_at_fixed_seed() {
         let world = traced_world();
         let mut store = S3SimpleDbSqs::new(&world, "det");
         let (flushes, _) = Combined::small().flushes();
-        let groups = groups_of(&flushes[..100], 10);
         let fixed = &mut AdaptiveDepth::fixed(4);
-        persist_groups(&world, &mut store, &groups, Some(fixed)).unwrap();
+        persist_groups(&world, &mut store, &flushes[..100], 10, Some(fixed)).unwrap();
         store.run_daemons_until_idle().unwrap();
         (world.now(), world.take_event_trace())
     };
@@ -226,11 +218,11 @@ fn pipelined_run_survives_eventual_consistency() {
     let world = SimWorld::new(7);
     let mut store = S3SimpleDbSqs::new(&world, "ec");
     let (flushes, _) = Combined::small().flushes();
-    let groups = groups_of(&flushes[..60], 10);
     persist_groups(
         &world,
         &mut store,
-        &groups,
+        &flushes[..60],
+        10,
         Some(&mut AdaptiveDepth::fixed(4)),
     )
     .unwrap();
