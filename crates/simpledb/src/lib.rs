@@ -15,7 +15,8 @@
 //!   pairs per item, **100 attributes per `PutAttributes`** (so storing a
 //!   big provenance record may take several calls — §4.2 step 3);
 //! * `Query` (bracket syntax), `QueryWithAttributes` and SQL-form
-//!   `Select`, all paginated;
+//!   `Select`, all paginated in item-name order (the `sort` / `order by`
+//!   clauses are not simulated and fail to parse);
 //! * **idempotent** `PutAttributes`/`DeleteAttributes` (§2.2) — the
 //!   property Architecture 3's replaying commit daemon relies on;
 //! * **eventual consistency**: an insert may not appear in an immediately

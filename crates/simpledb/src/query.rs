@@ -1,8 +1,8 @@
 //! The 2009 SimpleDB *Query* language: bracketed predicates combined with
-//! `intersection`, `union` and `not`, plus an optional trailing `sort`.
+//! `intersection`, `union` and `not`.
 //!
 //! ```text
-//! ['type' = 'file'] intersection ['input' starts-with 'blast'] sort 'name' desc
+//! ['type' = 'file'] intersection ['input' starts-with 'blast']
 //! ```
 //!
 //! Semantics faithful to the 2009 service:
@@ -18,10 +18,9 @@
 //! * `not` negates the following predicate; `intersection`/`union`
 //!   associate left with equal precedence;
 //! * all values compare lexicographically as strings;
-//! * `sort` orders by the attribute's smallest value and drops items
-//!   lacking the attribute (the real service requires the sort attribute
-//!   to appear in a predicate; dropping is the equivalent observable
-//!   behaviour).
+//! * answers come in item-name order. The 2009 service's trailing
+//!   `sort 'attr'` clause is not simulated: it is an
+//!   [`SdbError::InvalidQuery`] like any other unknown syntax.
 //!
 //! # Equality covers
 //!
@@ -255,7 +254,6 @@ impl Predicate {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct QueryExpr {
     terms: Vec<(SetOp, bool, Predicate)>, // (combine-with-previous, negated, pred)
-    sort: Option<(String, bool)>,         // (attribute, ascending)
 }
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -301,39 +299,11 @@ impl QueryExpr {
         }
         acc
     }
-
-    /// The sort clause: `(attribute, ascending)` if present.
-    pub fn sort(&self) -> Option<(&str, bool)> {
-        self.sort.as_ref().map(|(a, asc)| (a.as_str(), *asc))
-    }
-
-    /// Applies the sort clause to `(name, item)` pairs: orders by the
-    /// attribute's smallest value (then item name for stability) and
-    /// drops items lacking the attribute. Without a sort clause the
-    /// input order (item-name order) is preserved.
-    pub fn apply_sort(&self, mut rows: Vec<(String, ItemState)>) -> Vec<(String, ItemState)> {
-        let Some((attr, asc)) = self.sort() else {
-            return rows;
-        };
-        rows.retain(|(_, item)| item.contains_key(attr));
-        rows.sort_by(|(an, a), (bn, b)| {
-            let av = a.get(attr).first().map(|p| &p.value);
-            let bv = b.get(attr).first().map(|p| &p.value);
-            let ord = av.cmp(&bv).then_with(|| an.cmp(bn));
-            if asc {
-                ord
-            } else {
-                ord.reverse()
-            }
-        });
-        rows
-    }
 }
 
 /// `intersection` keeps whichever side's cover has fewer postings,
 /// `union` needs both sides covered, and `not`, `!=`, ranges and
-/// `starts-with` cover nothing. A `sort` clause plays no part: sorted
-/// queries are served by offset over the whole view and never ask.
+/// `starts-with` cover nothing.
 impl EqCover for QueryExpr {
     fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
         let mut acc = None;
@@ -395,7 +365,6 @@ impl<'a> Parser<'a> {
         let mut terms = Vec::with_capacity(self.brackets);
         let (negated, pred) = self.parse_term()?;
         terms.push((SetOp::First, negated, pred));
-        let mut sort = None;
         loop {
             match self.next() {
                 None => break,
@@ -408,36 +377,10 @@ impl<'a> Parser<'a> {
                     let (negated, pred) = self.parse_term()?;
                     terms.push((setop, negated, pred));
                 }
-                Some(Tok::Word(w)) if w == "sort" => {
-                    let attr = match self.next() {
-                        Some(Tok::Str(s)) => s.into_owned(),
-                        other => {
-                            return self
-                                .err(format!("sort expects a quoted attribute, got {other:?}"))
-                        }
-                    };
-                    let asc = match self.peek() {
-                        Some(Tok::Word(w)) if w == "asc" => {
-                            self.next();
-                            true
-                        }
-                        Some(Tok::Word(w)) if w == "desc" => {
-                            self.next();
-                            false
-                        }
-                        _ => true,
-                    };
-                    sort = Some((attr, asc));
-                    if let Some(t) = self.peek() {
-                        let message = format!("unexpected token after sort: {t:?}");
-                        return self.err(message);
-                    }
-                    break;
-                }
-                Some(t) => return self.err(format!("expected intersection/union/sort, got {t:?}")),
+                Some(t) => return self.err(format!("expected intersection/union, got {t:?}")),
             }
         }
-        Ok(QueryExpr { terms, sort })
+        Ok(QueryExpr { terms })
     }
 
     fn parse_term(&mut self) -> Result<(bool, Predicate)> {
@@ -680,6 +623,7 @@ pub(crate) mod tests {
             "['a' ?? 'b']",
             "['a' = 'b'] nonsense ['c' = 'd']",
             "['a' = 'b'] sort",
+            "['a' = 'b'] sort 'x'",
             "['a' = 'b'] sort 'x' asc trailing",
         ] {
             let err = QueryExpr::parse(bad).unwrap_err();
@@ -691,25 +635,6 @@ pub(crate) mod tests {
     fn quoted_escapes() {
         let q = QueryExpr::parse("['name' = 'o''brien']").unwrap();
         assert!(q.matches(&item(&[("name", "o'brien")])));
-    }
-
-    #[test]
-    fn sort_orders_and_drops_missing() {
-        let q = QueryExpr::parse("['t' starts-with ''] sort 'rank' desc").unwrap();
-        let rows = vec![
-            ("low".to_string(), item(&[("t", "x"), ("rank", "1")])),
-            ("none".to_string(), item(&[("t", "x")])),
-            ("high".to_string(), item(&[("t", "x"), ("rank", "9")])),
-        ];
-        let sorted = q.apply_sort(rows);
-        let names: Vec<_> = sorted.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["high", "low"]);
-    }
-
-    #[test]
-    fn sort_ascending_is_default() {
-        let q = QueryExpr::parse("['t' starts-with ''] sort 'rank'").unwrap();
-        assert_eq!(q.sort(), Some(("rank", true)));
     }
 
     #[test]
@@ -866,10 +791,9 @@ pub(crate) mod tests {
     /// which the parser must refuse.
     type Term = (u8, u8, Vec<(usize, usize, usize, u8)>);
 
-    /// Renders generated terms, a `sort` clause when `sort.0` is odd
-    /// (its case and direction picked by the rest of `sort.0`), and cuts
-    /// the text to `cut.1` characters when `cut.0 == 0`.
-    fn render(terms: &[Term], sort: (u8, usize), cut: (u8, usize)) -> String {
+    /// Renders generated terms, and cuts the text to `cut.1` characters
+    /// when `cut.0 == 0`.
+    fn render(terms: &[Term], cut: (u8, usize)) -> String {
         let mut out = String::new();
         for (i, (setop, not, comparisons)) in terms.iter().enumerate() {
             if i > 0 {
@@ -895,14 +819,6 @@ pub(crate) mod tests {
                 out += &format!("'{}' {} '{}'", ATTRS[attr].0, OPS[op], VALUES[value].0);
             }
             out += "]";
-        }
-        if sort.0 % 2 == 1 {
-            let direction = ["", " asc", " desc", " DESC"][usize::from(sort.0 / 6) % 4];
-            out += &format!(
-                " {} '{}'{direction}",
-                cased("sort", sort.0 / 2),
-                ATTRS[sort.1].0
-            );
         }
         if cut.0 == 0 {
             out = out
@@ -944,16 +860,23 @@ pub(crate) mod tests {
 
         // Well-formed and truncated expressions: 1–6 terms, `union`,
         // `intersection` and `not`, `and`/`or` inside brackets, `''`
-        // escapes, upper-case keywords, `sort 'x' desc`.
+        // escapes, upper-case keywords. The same text with the 2009
+        // service's `sort 'x' desc` after it is refused by both alike.
         #[test]
         fn the_parser_reads_expressions_as_the_oracle_does(
             terms in terms(),
-            sort in (0u8..24, 0..ATTRS.len()),
+            sort in (0u8..12, 0..ATTRS.len()),
             cut in (0u8..4, 0usize..400),
         ) {
-            let input = render(&terms, sort, cut);
+            let input = render(&terms, cut);
             let (new, old) = (parsed(&input), parsed_by_oracle(&input));
             prop_assert!(new == old, "{input:?}\n  parsed: {new:?}\n  oracle: {old:?}");
+            let (keyword, attr) = (cased("sort", sort.0), ATTRS[sort.1].0);
+            let direction = ["", " asc", " desc", " DESC"][usize::from(sort.0 / 3)];
+            let sorted = format!("{input} {keyword} '{attr}'{direction}");
+            let (new, old) = (parsed(&sorted), parsed_by_oracle(&sorted));
+            prop_assert!(new.is_err(), "{sorted:?} parsed: {new:?}");
+            prop_assert!(new == old, "{sorted:?}\n  parsed: {new:?}\n  oracle: {old:?}");
         }
 
         #[test]
@@ -978,7 +901,7 @@ pub(crate) mod tests {
                 1..6,
             ),
         ) {
-            let Ok(expr) = QueryExpr::parse(&render(&terms, (0, 0), (1, 0))) else {
+            let Ok(expr) = QueryExpr::parse(&render(&terms, (1, 0))) else {
                 return Ok(()); // two attributes in one predicate
             };
             for pairs in items {
@@ -996,14 +919,19 @@ pub(crate) mod tests {
                 (0, 3, vec![(3, 0, 4, 1), (3, 6, 7, 3)]),
                 (1, 0, vec![(4, 5, 0, 0)]),
             ],
-            (13, 0),
             (1, 0),
         );
         assert_eq!(
             text,
-            "NOT ['o''q' = 'o''b' OR 'o''q' starts-with 'ΣA'] union ['Type' >= ''] sort 'a' desc"
+            "NOT ['o''q' = 'o''b' OR 'o''q' starts-with 'ΣA'] union ['Type' >= '']"
         );
         assert_eq!(parsed(&text), parsed_by_oracle(&text));
         assert!(parsed(&text).is_ok());
+        let sorted = format!("{text} sort 'a' desc");
+        assert_eq!(parsed(&sorted), parsed_by_oracle(&sorted));
+        assert_eq!(
+            parsed(&sorted).unwrap_err(),
+            "invalid query expression: expected intersection/union, got Word(\"sort\")"
+        );
     }
 }

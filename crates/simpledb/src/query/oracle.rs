@@ -3,7 +3,8 @@
 //! every token an owned `String`, lexed up front into a `Vec` and
 //! cloned out of it by `next`, every term evaluated. Kept as the
 //! definition the rewritten ones are held to (`super::tests`): if the
-//! two disagree, the rewrite is wrong, not this.
+//! two disagree, the rewrite is wrong, not this. Neither accepts a
+//! `sort` clause.
 
 use super::{CmpOp, Predicate, QueryExpr, SetOp};
 use crate::error::{Result, SdbError};
@@ -72,7 +73,6 @@ impl Parser {
         let mut terms = Vec::new();
         let (negated, pred) = self.parse_term()?;
         terms.push((SetOp::First, negated, pred));
-        let mut sort = None;
         loop {
             match self.next() {
                 None => break,
@@ -85,35 +85,10 @@ impl Parser {
                     let (negated, pred) = self.parse_term()?;
                     terms.push((setop, negated, pred));
                 }
-                Some(Tok::Word(w)) if w == "sort" => {
-                    let attr = match self.next() {
-                        Some(Tok::Str(s)) => s,
-                        other => {
-                            return self
-                                .err(format!("sort expects a quoted attribute, got {other:?}"))
-                        }
-                    };
-                    let asc = match self.peek() {
-                        Some(Tok::Word(w)) if w == "asc" => {
-                            self.next();
-                            true
-                        }
-                        Some(Tok::Word(w)) if w == "desc" => {
-                            self.next();
-                            false
-                        }
-                        _ => true,
-                    };
-                    sort = Some((attr, asc));
-                    if let Some(t) = self.peek() {
-                        return self.err(format!("unexpected token after sort: {t:?}"));
-                    }
-                    break;
-                }
-                Some(t) => return self.err(format!("expected intersection/union/sort, got {t:?}")),
+                Some(t) => return self.err(format!("expected intersection/union, got {t:?}")),
             }
         }
-        Ok(QueryExpr { terms, sort })
+        Ok(QueryExpr { terms })
     }
 
     fn parse_term(&mut self) -> Result<(bool, Predicate)> {

@@ -4,7 +4,7 @@
 //! Supported grammar (case-insensitive keywords):
 //!
 //! ```text
-//! select <output> from <domain> [where <expr>] [order by <operand> [asc|desc]] [limit N]
+//! select <output> from <domain> [where <expr>] [limit N]
 //!
 //! output  := * | itemName() | count(*) | attr [, attr ...]
 //! expr    := disjunction of conjunctions of [not] primaries
@@ -20,7 +20,10 @@
 //!
 //! Multi-valued semantics as in the real service: a plain comparison is
 //! satisfied when *any* value of the attribute matches; `every()` demands
-//! all values match; `is null` means the attribute is absent.
+//! all values match; `is null` means the attribute is absent. Rows come
+//! in item-name order: the real service's `order by` clause is not
+//! simulated, and is an [`SdbError::InvalidQuery`] like any other
+//! unknown syntax.
 
 use std::fmt;
 
@@ -190,8 +193,6 @@ pub struct SelectStatement {
     pub domain: String,
     /// `where` clause, if any.
     pub condition: Option<Cond>,
-    /// `order by` clause: operand and ascending flag.
-    pub order_by: Option<(Operand, bool)>,
     /// `limit` clause (defaults to [`DEFAULT_LIMIT`], capped at
     /// [`MAX_LIMIT`]).
     pub limit: usize,
@@ -205,52 +206,6 @@ impl SelectStatement {
     /// [`SdbError::InvalidQuery`] describing the first syntax problem.
     pub fn parse(sql: &str) -> Result<SelectStatement> {
         Parser::new(sql)?.parse_select()
-    }
-
-    /// `true` when this statement's result set includes the row: the
-    /// `where` clause matches and, when ordering by an attribute, the
-    /// item carries it (the real service requires the sort attribute to
-    /// be constrained; dropping attribute-less items is the equivalent
-    /// observable behaviour). The single source of truth for both
-    /// [`SelectStatement::apply`] and the `count(*)` fast path.
-    pub fn selects_row(&self, name: &str, item: &ItemState) -> bool {
-        if !self
-            .condition
-            .as_ref()
-            .map(|c| c.matches(name, item))
-            .unwrap_or(true)
-        {
-            return false;
-        }
-        match &self.order_by {
-            Some((Operand::Attr(attr) | Operand::Every(attr), _)) => item.contains_key(attr),
-            _ => true,
-        }
-    }
-
-    /// Filters, orders and projects `(name, item)` rows. Returns the rows
-    /// this statement selects, before pagination.
-    pub fn apply(&self, rows: Vec<(String, ItemState)>) -> Vec<(String, ItemState)> {
-        let mut out: Vec<(String, ItemState)> = rows
-            .into_iter()
-            .filter(|(n, i)| self.selects_row(n, i))
-            .collect();
-        if let Some((operand, asc)) = &self.order_by {
-            match operand {
-                Operand::ItemName => out.sort_by(|(a, _), (b, _)| a.cmp(b)),
-                Operand::Attr(attr) | Operand::Every(attr) => {
-                    out.sort_by(|(an, a), (bn, b)| {
-                        let av = a.get(attr).first().map(|p| &p.value);
-                        let bv = b.get(attr).first().map(|p| &p.value);
-                        av.cmp(&bv).then_with(|| an.cmp(bn))
-                    });
-                }
-            }
-            if !asc {
-                out.reverse();
-            }
-        }
-        out
     }
 }
 
@@ -439,19 +394,6 @@ impl Parser {
         } else {
             None
         };
-        let order_by = if self.eat_keyword("order") {
-            self.expect_keyword("by")?;
-            let operand = self.parse_operand()?;
-            let asc = if self.eat_keyword("desc") {
-                false
-            } else {
-                self.eat_keyword("asc");
-                true
-            };
-            Some((operand, asc))
-        } else {
-            None
-        };
         let limit = if self.eat_keyword("limit") {
             match self.next() {
                 Some(Tok::Word(w)) => match w.parse::<usize>() {
@@ -470,7 +412,6 @@ impl Parser {
             output,
             domain,
             condition,
-            order_by,
             limit,
         })
     }
@@ -780,31 +721,12 @@ mod tests {
     }
 
     #[test]
-    fn order_by_and_limit() {
-        let s = parses("select * from d where a is not null order by a desc limit 7");
-        assert_eq!(s.limit, 7);
-        let rows = vec![
-            ("one".to_string(), item(&[("a", "1")])),
-            ("three".to_string(), item(&[("a", "3")])),
-            ("none".to_string(), item(&[("b", "9")])),
-            ("two".to_string(), item(&[("a", "2")])),
-        ];
-        let out = s.apply(rows);
-        let names: Vec<_> = out.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["three", "two", "one"]);
-    }
-
-    #[test]
-    fn order_by_itemname() {
-        let s = parses("select itemName() from d order by itemName()");
-        let rows = vec![("b".to_string(), item(&[])), ("a".to_string(), item(&[]))];
-        let out = s.apply(rows);
-        assert_eq!(out[0].0, "a");
-    }
-
-    #[test]
     fn limit_clamped_to_service_max() {
         assert_eq!(parses("select * from d limit 99999").limit, MAX_LIMIT);
+        assert_eq!(
+            parses("select * from d where a is not null limit 7").limit,
+            7
+        );
         assert_eq!(parses("select * from d").limit, DEFAULT_LIMIT);
     }
 
@@ -820,6 +742,7 @@ mod tests {
             "select * from d where a between '1'",
             "select * from d where a in ('1',",
             "select * from d where a = 'unterminated",
+            "select * from d order by a",
         ] {
             assert!(
                 matches!(

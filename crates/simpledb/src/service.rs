@@ -28,18 +28,16 @@
 //! # Shard-aware pagination tokens
 //!
 //! A `next_token` encodes one **pinned replica per shard, keyed by
-//! stable shard id**, and a cursor. Pinning replicas means every page of
-//! one logical scan reads the same replica view per shard (the
-//! single-replica contract of one `EcMap::visible_page_on` call,
-//! stretched across pages);
-//! keying by stable id — rather than by shard index, as before range
-//! routing — means the pin survives shards splitting mid-scan: a shard
-//! born after the token was minted resolves to its nearest pinned
-//! ancestor. Unsorted scans use a *resume-after-name* cursor, so a
-//! paginated scan neither skips nor duplicates an item no matter what is
-//! inserted, deleted, or split between pages; sorted scans (whose global
-//! order can shift under writes) fall back to an offset cursor over the
-//! pinned views.
+//! stable shard id**, and the last item name served. Pinning replicas
+//! means every page of one logical scan reads the same replica view per
+//! shard (the single-replica contract of one `EcMap::visible_page_on`
+//! call, stretched across pages); keying by stable id — rather than by
+//! shard index, as before range routing — means the pin survives shards
+//! splitting mid-scan: a shard born after the token was minted resolves
+//! to its nearest pinned ancestor. Every page is in item-name order and
+//! resumes strictly after the name in its token, so a paginated scan
+//! neither skips nor duplicates an item no matter what is inserted,
+//! deleted, or split between pages.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -85,8 +83,7 @@ const ITEM_ENTRY_OVERHEAD: u64 = 32;
 /// Result of `Query`: item names only.
 #[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct QueryResult {
-    /// Matching item names, in item-name order unless the expression
-    /// carried a `sort`.
+    /// Matching item names, in item-name order.
     pub item_names: Vec<String>,
     /// Present when more results remain; feed back in to continue.
     pub next_token: Option<String>,
@@ -598,6 +595,8 @@ impl SimpleDb {
             // foreign-layout token must fail on every API the same way.
             let token = decode_token(next_token, view, &self.world)?;
             let touched = view.sorted_ids();
+            let cond = stmt.condition.as_ref();
+            let selects = |name: &str, item: &ItemState| cond.is_none_or(|c| c.matches(name, item));
 
             let (items, count, next_token, bytes, scanned) = if stmt.output == Output::Count {
                 // count(*) is unpaginated: one fan-out over freshly
@@ -612,9 +611,8 @@ impl SimpleDb {
                         .resolve_pin(&pin, pos)
                         .expect("a fresh pin covers every shard");
                     view.with_cells_at(pos, |map| {
-                        let (m, examined) = map.visible_count_on(replica, now, |name, item| {
-                            stmt.selects_row(name, item)
-                        });
+                        let (m, examined) =
+                            map.visible_count_on(replica, now, |name, item| selects(name, item));
                         matched += m;
                         scanned = scanned.max(examined);
                     });
@@ -628,18 +626,10 @@ impl SimpleDb {
                     Output::Attrs(list) => item.only(|p| list.iter().any(|n| *n == *p.name)),
                     Output::Count => unreachable!("count handled above"),
                 };
-                let (page, next, scanned) = if stmt.order_by.is_some() {
-                    let matches = |name: &str, item: &ItemState| stmt.selects_row(name, item);
-                    let sort = |rows| stmt.apply(rows);
-                    self.sorted_page(view, token, stmt.limit, matches, sort, project)?
-                } else {
-                    // Name-ordered output: cursor-based merge across shards.
-                    let cond = stmt.condition.as_ref();
+                let (page, next, scanned) =
                     self.merged_page(view, &touched, token, stmt.limit, cond, |name, item| {
-                        let matches = cond.is_none_or(|c| c.matches(name, item));
-                        matches.then(|| project(item))
-                    })?
-                };
+                        selects(name, item).then(|| project(item))
+                    })?;
                 let items = result_items(page);
                 let bytes = result_bytes(&items);
                 (items, None, next, bytes, scanned)
@@ -702,82 +692,6 @@ impl SimpleDb {
             })
     }
 
-    /// Fans out over every shard, collecting the entries visible on each
-    /// shard's pinned replica that `pred` accepts, merged in item-name
-    /// order; only accepted entries are cloned out of the shard.
-    fn collect_entries<F>(
-        &self,
-        view: &MapView<'_, ItemState>,
-        pin: &ReplicaPin,
-        mut pred: F,
-    ) -> Result<(Vec<(String, ItemState)>, u64)>
-    where
-        F: FnMut(&str, &ItemState) -> bool,
-    {
-        let now = self.world.now();
-        let mut rows: Vec<(String, ItemState)> = Vec::new();
-        let mut scanned = 0u64;
-        for pos in 0..view.shard_count() {
-            let replica = view
-                .resolve_pin(pin, pos)
-                .ok_or(SdbError::InvalidNextToken)?;
-            view.with_cells_at(pos, |map| {
-                // Shards scan in parallel: the largest one gates the call.
-                scanned = scanned.max(map.cell_count() as u64);
-                let (matched, _) =
-                    map.visible_page_on(replica, now, None, usize::MAX, None, |k, v| {
-                        pred(k, v).then(|| v.clone())
-                    });
-                rows.extend(matched);
-            });
-        }
-        // Shards hold disjoint key ranges only in hash space; restore
-        // global item-name order.
-        rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        Ok((rows, scanned))
-    }
-
-    /// One page of a sorted scan. Global order can interleave shards
-    /// arbitrarily, so the page is an offset into everything `matches`
-    /// accepts on the pinned views, ordered by `sort`; the returned token
-    /// carries the same pin and the next offset.
-    fn sorted_page<T>(
-        &self,
-        view: &MapView<'_, ItemState>,
-        token: Option<PageToken>,
-        page_size: usize,
-        matches: impl FnMut(&str, &ItemState) -> bool,
-        sort: impl FnOnce(Vec<(String, ItemState)>) -> Vec<(String, ItemState)>,
-        emit: impl Fn(&ItemState) -> T,
-    ) -> Result<Page<T>> {
-        let (pin, offset) = match token {
-            Some(PageToken {
-                pin,
-                cursor: Cursor::Offset(o),
-            }) => (pin, o),
-            Some(_) => return Err(SdbError::InvalidNextToken),
-            None => (view.pin_replicas(&self.world, &view.sorted_ids()), 0),
-        };
-        let (rows, scanned) = self.collect_entries(view, &pin, matches)?;
-        let rows = sort(rows);
-        let total = rows.len();
-        let page: Vec<(String, T)> = rows
-            .into_iter()
-            .skip(offset)
-            .take(page_size)
-            .map(|(name, state)| (name, emit(&state)))
-            .collect();
-        let consumed = offset + page.len();
-        let next = (consumed < total).then(|| {
-            PageToken {
-                pin,
-                cursor: Cursor::Offset(consumed),
-            }
-            .encode()
-        });
-        Ok((page, next, scanned))
-    }
-
     /// One page of a name-ordered scan: each shard contributes its next
     /// visible matches after the cursor under the shared adaptive-quota
     /// merge ([`simworld::merged_shard_page`] — the same machinery the
@@ -810,11 +724,7 @@ impl SimpleDb {
         mut select: impl FnMut(&str, &ItemState) -> Option<T>,
     ) -> Result<Page<T>> {
         let (pin, after) = match token {
-            Some(PageToken {
-                pin,
-                cursor: Cursor::After(name),
-            }) => (pin, Some(name)),
-            Some(_) => return Err(SdbError::InvalidNextToken),
+            Some(PageToken { pin, after }) => (pin, Some(after)),
             None => (view.pin_replicas(&self.world, ids), None),
         };
         let now = self.world.now();
@@ -869,21 +779,13 @@ impl SimpleDb {
                     map.visible_page_on(replicas[i], now, cursor, quota, cover, |k, v| select(k, v))
                 })
             });
-        let next = if more {
+        let next = more.then(|| {
             let last = candidates
                 .last()
                 .map(|(n, _)| n.clone())
                 .expect("page_size >= 1, so a truncated page is non-empty");
-            Some(
-                PageToken {
-                    pin,
-                    cursor: Cursor::After(last),
-                }
-                .encode(),
-            )
-        } else {
-            None
-        };
+            PageToken { pin, after: last }.encode()
+        });
         Ok((candidates, next, scanned))
     }
 
@@ -907,16 +809,9 @@ impl SimpleDb {
             let token = decode_token(next_token, view, &self.world)?;
             let touched = view.sorted_ids();
             let query = parsed.as_ref();
-            let page = match query.filter(|q| q.sort().is_some()) {
-                Some(q) => {
-                    let matches = |_: &str, item: &ItemState| q.matches(item);
-                    let sort = |rows| q.apply_sort(rows);
-                    self.sorted_page(view, token, page_size, matches, sort, emit)?
-                }
-                None => self.merged_page(view, &touched, token, page_size, query, |_, item| {
-                    query.is_none_or(|q| q.matches(item)).then(|| emit(item))
-                })?,
-            };
+            let page = self.merged_page(view, &touched, token, page_size, query, |_, item| {
+                query.is_none_or(|q| q.matches(item)).then(|| emit(item))
+            })?;
             Ok((page, touched))
         })?;
         dom.note_ops(&out.1);
@@ -1023,31 +918,22 @@ fn check_batch_shape<T>(items: &[(String, T)]) -> Result<()> {
 
 // --- shard-aware pagination tokens ---
 
-/// Cursor half of a [`PageToken`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Cursor {
-    /// Resume strictly after this item name (name-ordered scans).
-    After(String),
-    /// Global offset into the sorted row set (sorted scans).
-    Offset(usize),
-}
-
 /// A decoded `next_token`: one pinned replica per stable shard id plus
-/// a cursor.
+/// the name to resume after.
 #[derive(Clone, PartialEq, Eq, Debug)]
 struct PageToken {
     /// Replica pinned per shard id at the scan's first page.
     pin: ReplicaPin,
-    cursor: Cursor,
+    /// The next page starts strictly after this item name.
+    after: String,
 }
 
 impl PageToken {
-    /// Wire format: `s<pins>;p<id:r.id:r...>;a<hex(name)>` for
-    /// resume-after-name cursors, `s<pins>;p<...>;o<offset>` for offset
-    /// cursors. Pins are keyed by stable shard id (ascending), which is
-    /// what lets a token minted before a split keep working after it.
-    /// The item name is hex-encoded so the token survives any byte the
-    /// 1 KB item-name budget allows.
+    /// Wire format: `s<pins>;p<id:r.id:r...>;a<hex(name)>`. Pins are
+    /// keyed by stable shard id (ascending), which is what lets a token
+    /// minted before a split keep working after it. The item name is
+    /// hex-encoded so the token survives any byte the 1 KB item-name
+    /// budget allows.
     fn encode(&self) -> String {
         let pins = self
             .pin
@@ -1055,12 +941,8 @@ impl PageToken {
             .map(|(id, r)| format!("{id}:{r}"))
             .collect::<Vec<_>>()
             .join(".");
-        match &self.cursor {
-            Cursor::After(name) => {
-                format!("s{};p{};a{}", self.pin.len(), pins, hex_encode(name))
-            }
-            Cursor::Offset(o) => format!("s{};p{};o{}", self.pin.len(), pins, o),
-        }
+        let after = hex_encode(&self.after);
+        format!("s{};p{};a{}", self.pin.len(), pins, after)
     }
 
     fn decode(token: &str) -> Option<PageToken> {
@@ -1083,14 +965,8 @@ impl PageToken {
         if pin.len() != count {
             return None;
         }
-        let cursor = if let Some(hex) = cursor.strip_prefix('a') {
-            Cursor::After(hex_decode(hex)?)
-        } else if let Some(o) = cursor.strip_prefix('o') {
-            Cursor::Offset(o.parse().ok()?)
-        } else {
-            return None;
-        };
-        Some(PageToken { pin, cursor })
+        let after = hex_decode(cursor.strip_prefix('a')?)?;
+        Some(PageToken { pin, after })
     }
 }
 

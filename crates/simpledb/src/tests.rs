@@ -352,6 +352,85 @@ fn invalid_next_token_rejected() {
     ));
 }
 
+/// Calls `Query` (`api` 0) or `QueryWithAttributes` (1) on domain `d`
+/// with the bracket expression `expr`, or `Select` (2) with `sql`.
+fn call(
+    db: &SimpleDb,
+    api: usize,
+    (expr, sql): (&str, &str),
+    token: Option<&str>,
+) -> crate::Result<()> {
+    match api {
+        0 => db.query("d", Some(expr), None, token).map(drop),
+        1 => db
+            .query_with_attributes("d", Some(expr), None, None, token)
+            .map(drop),
+        _ => db.select(sql, token).map(drop),
+    }
+}
+
+#[test]
+fn a_rejected_call_charges_nothing_and_draws_nothing() {
+    // One of two identical worlds makes the rejected call; the other
+    // never does. Latency is on, so a charge would move the clock.
+    let twin = || {
+        let world = SimWorld::with_config(SimConfig {
+            seed: 11,
+            consistency: Consistency::eventual(SimDuration::from_secs(30)),
+            latency: LatencyModel::default(),
+            replicas: 3,
+        });
+        let db = SimpleDb::with_shards(&world, 4);
+        db.create_domain("d").unwrap();
+        for i in 0..12 {
+            let attrs = [add("t", "x"), add("rank", i.to_string())];
+            db.put_attributes("d", &format!("i{i:02}"), &attrs).unwrap();
+        }
+        world.settle();
+        let token = db.query("d", None, Some(5), None).unwrap().next_token;
+        (world, db, token.expect("more pages"))
+    };
+    let (_, _, token) = twin();
+    let (pin, _) = token.rsplit_once(";a").expect("a resume-after-name token");
+    let offset = format!("{pin};o5");
+
+    let unsupported = (
+        "['t' = 'x'] sort 'rank'",
+        "select * from d where t = 'x' order by rank",
+    );
+    let malformed = ("['t' = ]", "select * from d where");
+    let valid = ("['t' = 'x']", "select * from d where t = 'x'");
+    let count = ("['t' = 'x']", "select count(*) from d where t = 'x'");
+    let mut cases: Vec<(usize, (&str, &str), Option<&str>, fn(&SdbError) -> bool)> = Vec::new();
+    let invalid_query = |e: &SdbError| matches!(e, SdbError::InvalidQuery { .. });
+    let invalid_token = |e: &SdbError| matches!(e, SdbError::InvalidNextToken);
+    for api in 0..3 {
+        cases.push((api, unsupported, None, invalid_query));
+        cases.push((api, malformed, None, invalid_query));
+        for statement in [valid, count] {
+            cases.push((api, statement, Some("garbage"), invalid_token));
+            cases.push((api, statement, Some(&offset), invalid_token));
+        }
+    }
+    for (api, statement, token, expected) in cases {
+        let (world, db, _) = twin();
+        let (untouched, ..) = twin();
+        let err = call(&db, api, statement, token).unwrap_err();
+        let case = format!("api {api}, {statement:?}, token {token:?}");
+        assert!(expected(&err), "{case}: {err:?}");
+        assert_eq!(world.meters(), untouched.meters(), "{case}: billed");
+        assert_eq!(world.now(), untouched.now(), "{case}: clock moved");
+        assert_eq!(world.rand_u64(), untouched.rand_u64(), "{case}: drew");
+    }
+
+    // The twins do tell a served call apart.
+    let (world, db, token) = twin();
+    let (untouched, ..) = twin();
+    call(&db, 0, valid, Some(&token)).unwrap();
+    assert_ne!(world.meters(), untouched.meters());
+    assert_ne!(world.now(), untouched.now());
+}
+
 #[test]
 fn query_with_attributes_and_filter() {
     let (_, db) = counting();
@@ -485,19 +564,6 @@ fn select_on_missing_domain_errors_before_billing_items() {
     let (_, db) = counting();
     let err = db.select("select * from nowhere", None).unwrap_err();
     assert!(matches!(err, SdbError::NoSuchDomain { .. }));
-}
-
-#[test]
-fn query_sort_via_expression() {
-    let (_, db) = counting();
-    db.put_attributes("d", "low", &[add("t", "x"), add("rank", "1")])
-        .unwrap();
-    db.put_attributes("d", "high", &[add("t", "x"), add("rank", "9")])
-        .unwrap();
-    let r = db
-        .query("d", Some("['t' = 'x'] sort 'rank' desc"), None, None)
-        .unwrap();
-    assert_eq!(r.item_names, vec!["high", "low"]);
 }
 
 #[test]

@@ -146,9 +146,17 @@ proptest! {
                 (r.items, r.next_token)
             })
         };
+        // `count(*)` and the page fetch share one predicate: the count
+        // must be the length of the walk it summarises.
+        let count = |db: &SimpleDb| {
+            let sql = format!("select count(*) from d where {condition} limit 2500");
+            db.select(&sql, None).unwrap().count
+        };
         let unsharded = build(1, &items, &churn);
         let (query_answer, select_answer) = (query(&unsharded, 250, None), select(&unsharded, 250, None));
+        let select_count = Some(select_answer.len() as u64);
         for shards in [1usize, 4, 16] {
+            prop_assert_eq!(count(&build(shards, &items, &churn)), select_count);
             for page in [1usize, 3, 250] {
                 // A split changes the layout for good: each walk gets its own store.
                 let split = (split_after < 4).then_some(split_after);
@@ -156,6 +164,9 @@ proptest! {
                 prop_assert_eq!(&query(&db, page, split), &query_answer);
                 let db = build(shards, &items, &churn);
                 prop_assert_eq!(&select(&db, page, split), &select_answer);
+                if split.is_some() {
+                    prop_assert_eq!(count(&db), select_count);
+                }
             }
         }
     }
