@@ -41,9 +41,6 @@ use crate::harness::{
     Size, Sweep,
 };
 
-/// Ring capacity for the per-request sample log.
-const SAMPLE_CAPACITY: usize = 1 << 17;
-
 /// One fleet scenario.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetParams {
@@ -171,7 +168,7 @@ pub type FleetRun = (FleetRow, FleetFingerprint);
 /// counted, not fatal — an exhausted persist abandons that arrival).
 pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
     let world = priced_world(params.seed);
-    world.enable_latency_samples(SAMPLE_CAPACITY);
+    world.enable_latency_samples();
 
     let plan = params.shard_plan();
     let mut stores: Vec<S3SimpleDbSqs> = (0..params.tenants)

@@ -1,11 +1,11 @@
 //! Pipelined vs synchronous persist experiments: the in-flight depth
-//! sweep behind the event-driven completion scheduler.
+//! sweep over `SimWorld`'s pipelined region.
 //!
 //! The batched path cut round trips; this sweep cuts *waiting*. The
 //! same flush groups drive `provenance_cloud::persist_groups` (through
 //! [`persist_grouped`], the batch sweep's persist) with up to `depth`
-//! requests per service in flight: completion time follows the
-//! scheduler's event order (`max(channel-free, issue) + latency`)
+//! requests per service in flight: each completion lands at
+//! `max(channel-free, issue) + latency`
 //! instead of the serial latency sum, so virtual completion time falls
 //! as the depth rises while the final store stays identical.
 //! [`DepthSpec::Sync`] denotes the synchronous batch baseline (no
@@ -33,8 +33,8 @@
 //!   receive rounds, so only the state is invariant there;
 //! * virtual completion time falls strictly from `sync` through every
 //!   fixed depth;
-//! * the adaptive row lands within 10% of the best fixed depth (nobody
-//!   hand-tuned its window) and reports the depth it converged to.
+//! * the adaptive row lands within 10% of the best fixed depth of 1–8
+//!   (the sweep runs no deeper) and reports the depth it converged to.
 
 use std::fmt;
 

@@ -868,7 +868,7 @@ impl ProvenanceStore for S3SimpleDbSqs {
     /// transaction costs ⌈5/10⌉ send requests instead of 5. The same
     /// holds inside a pipelined region ([`crate::persist_groups`]): the
     /// WAL queue's sends are completion-ordered per queue by the
-    /// scheduler (see [`simworld::Charge::order_key`]), so
+    /// world (see [`simworld::Charge::order_key`]), so
     /// however deep the pipeline runs, BEGIN/payload/COMMIT never
     /// complete out of order.
     fn persist_batch(&mut self, flushes: &[FileFlush]) -> Result<()> {

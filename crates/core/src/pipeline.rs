@@ -116,14 +116,14 @@ mod tests {
             Some(&mut AdaptiveDepth::fixed(8)),
         );
 
-        let mut ctl = AdaptiveDepth::with_bounds(1, 1, 32);
+        let mut ctl = AdaptiveDepth::new();
         let adaptive = drive(&SimWorld::new(2009), 40, 5, Some(&mut ctl));
         assert_eq!(
             adaptive, fixed,
             "the depth policy must not change the store"
         );
         assert!(
-            ctl.depth() > 1,
+            ctl.depth() > AdaptiveDepth::new().depth(),
             "stalled windows must have grown the depth: {}",
             ctl.depth()
         );

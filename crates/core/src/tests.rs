@@ -416,22 +416,19 @@ fn key_miss_and_stale_md5_share_one_retry_counter() {
     // SimpleDB answers from a replica without the item (no MD5 to match),
     // the third round agrees. Both kinds of retry pace off one counter,
     // so the pauses are backoff 1 then backoff 2 — not 1 and 1.
-    use simworld::{Op, SchedEvent};
+    use simworld::Op;
     let world = eventual(43, 30);
     let mut store = S3SimpleDb::new(&world);
     let flush = FileFlush::builder("f").data(Blob::from("data")).build();
     store.persist(&flush).unwrap();
 
     let t0 = world.now();
-    world.set_event_trace(true);
+    world.enable_latency_samples();
     let read = store.read("f").unwrap();
     let requests: Vec<(u64, Op)> = world
-        .take_event_trace()
+        .take_latency_samples()
         .into_iter()
-        .map(|fired| {
-            let SchedEvent::Completion(op) = fired.event;
-            ((fired.at - t0).as_micros(), op)
-        })
+        .map(|s| ((s.completed_at - t0).as_micros(), s.op))
         .collect();
 
     assert_eq!(read.status, ReadStatus::VerifiedConsistent { retries: 2 });

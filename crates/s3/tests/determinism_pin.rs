@@ -2,10 +2,10 @@
 //!
 //! Same shape as `sim-simpledb`'s `tests/determinism_pin.rs`: a fixed
 //! script on an eventually-consistent world with the default latency
-//! model and the scheduler's event trace on, digested — every answer,
-//! the meters after every step (ops, bytes, per-shard touches, 503s,
-//! stored bytes), the final clock, the event trace and one trailing RNG
-//! draw — and compared with constants.
+//! model and latency samples on, digested — every answer, the meters
+//! after every step (ops, bytes, per-shard touches, 503s, stored bytes),
+//! the final clock, every request's sample and one trailing RNG draw —
+//! and compared with constants.
 //!
 //! The constants were captured on `569462a`, the commit *before* the
 //! service's charging was rewritten onto the single `SimWorld::charge`
@@ -14,12 +14,17 @@
 //! touches and its stored-bytes delta are all in the digest, so any
 //! reordering of a draw, a charge or a clock read moves it.
 //!
-//! The log digest's length and hash were re-derived once since, when
-//! `PipelineStats` lost its write-only per-service stall split: the
+//! The log digest's length and hash were re-derived twice since. Once
+//! when `PipelineStats` lost its write-only per-service stall split: the
 //! pipelined region's `drain` line prints that struct, and lost the
 //! field's text. The new pair is what the previous commit's script gives
-//! with that one field cut from the `drain` line; the line count, the
-//! final clock and the trailing draw did not move.
+//! with that one field cut from the `drain` line. And once when the
+//! world's event trace was deleted: the script now ends with one
+//! `sample` line per charged request (in issue order) where it ended
+//! with one `event` line per fired completion, and the new pair is what
+//! `19e986f` (which still had the trace) prints for the script with that
+//! one edit. Neither time did the line count, the final clock or the
+//! trailing draw move.
 
 use std::fmt::Write as _;
 
@@ -56,7 +61,7 @@ impl Script {
             latency: LatencyModel::default(),
             replicas: 3,
         });
-        world.set_event_trace(true);
+        world.enable_latency_samples();
         let s3 = S3::with_shard_plan(&world, plan);
         Script {
             world,
@@ -149,8 +154,8 @@ impl Script {
         }
         writeln!(self.log, "meters {:?}", self.world.meters()).unwrap();
         writeln!(self.log, "clock {:?}", self.world.now()).unwrap();
-        for fired in self.world.take_event_trace() {
-            writeln!(self.log, "event {fired:?}").unwrap();
+        for sample in self.world.take_latency_samples() {
+            writeln!(self.log, "sample {sample:?}").unwrap();
         }
         (
             (
@@ -299,7 +304,7 @@ fn scripted_run_matches_the_pre_charge_constants() {
     assert_eq!(
         s.finish(),
         (
-            (1501, 194_978, 12_186_407_251_233_312_336),
+            (1501, 233_588, 15_121_661_673_473_213_779),
             127_381_675,
             3_746_812_193_377_224_976
         ),
@@ -338,7 +343,7 @@ fn throttled_run_with_rejection_splits_matches_the_pre_charge_constants() {
     assert_eq!(
         s.finish(),
         (
-            (329, 72_305, 2_707_966_192_939_416_862),
+            (329, 75_780, 14_919_596_439_995_423_833),
             6_652_387,
             9_181_291_661_597_789_613
         ),

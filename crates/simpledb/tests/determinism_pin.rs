@@ -2,7 +2,7 @@
 //!
 //! The attribute postings under `Query`/`Select` change *where candidates
 //! come from*, never what the service models: answers, `next_token`s,
-//! meters, virtual time and the scheduler's event trace must all be
+//! meters, virtual time and every request's latency sample must all be
 //! exactly what a full scan of every shard produced. This test replays a
 //! fixed script on an eventually-consistent world and compares a digest
 //! of everything observable against constants captured on the commit
@@ -11,7 +11,14 @@
 //! A query's `scanned` count is the `rows` of its `Cost::Scan` charge,
 //! which feeds the scan term of the latency model, so every query's
 //! examined-cell count is folded into the final clock and the
-//! completion instants of the event trace.
+//! completion instants of the samples.
+//!
+//! Both digests were re-derived when the world's event trace was
+//! deleted: a transcript now ends with one `sample` line per charged
+//! request (in issue order) where it ended with one `event` line per
+//! fired completion. The new lengths and hashes are what `19e986f`
+//! (which still had the trace) prints for the transcript with that one
+//! edit; the line counts and the final clocks did not move.
 
 use std::fmt::Write as _;
 
@@ -282,7 +289,7 @@ fn transcript(shards: usize, sweep: Sweep) -> (String, SimWorld) {
         latency: LatencyModel::default(),
         replicas: 3,
     });
-    world.set_event_trace(true);
+    world.enable_latency_samples();
     let db = SimpleDb::with_shards(&world, shards);
     db.create_domain("d").unwrap();
     let mut log = String::new();
@@ -302,8 +309,8 @@ fn transcript(shards: usize, sweep: Sweep) -> (String, SimWorld) {
     writeln!(log, "shards {:?}", db.domain_shard_ids("d")).unwrap();
     writeln!(log, "meters {:?}", world.meters()).unwrap();
     writeln!(log, "clock {:?}", world.now()).unwrap();
-    for fired in world.take_event_trace() {
-        writeln!(log, "event {fired:?}").unwrap();
+    for sample in world.take_latency_samples() {
+        writeln!(log, "sample {sample:?}").unwrap();
     }
     (log, world)
 }
@@ -317,7 +324,7 @@ fn scripted_run_matches_the_scan_era_constants() {
     // meter, a latency draw or a scan charge — not merely its speed.
     assert_eq!(
         (digest, world.now().as_micros()),
-        ((2364, 693_457, 14_857_770_622_361_962_220), 121_216_632),
+        ((2364, 737_090, 6_788_976_581_398_263_326), 121_216_632),
         "SimpleDB's observable behaviour diverged from the pinned script"
     );
 }
@@ -330,7 +337,7 @@ fn covered_small_page_walks_match_the_fetch_everywhere_constants() {
     // and fetched on every shard.
     assert_eq!(
         (digest, world.now().as_micros()),
-        ((1996, 304_155, 5_922_911_941_620_439_376), 109_806_347),
+        ((1996, 341_717, 17_526_879_358_385_670_249), 109_806_347),
         "covered pagination diverged from the pinned script"
     );
 }

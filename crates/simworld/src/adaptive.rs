@@ -55,24 +55,18 @@ pub struct AdaptiveDepth {
 
 impl AdaptiveDepth {
     /// Depth a fresh controller starts probing from.
-    pub const DEFAULT_START: usize = 2;
-    /// Default upper bound on the window.
-    pub const DEFAULT_MAX: usize = 32;
+    const DEFAULT_START: usize = 2;
+    /// Upper bound on a fresh controller's window.
+    const DEFAULT_MAX: usize = 32;
 
-    /// A controller starting at [`AdaptiveDepth::DEFAULT_START`],
-    /// bounded by `[1, DEFAULT_MAX]`.
+    /// A controller starting at depth 2, bounded by `[1, 32]`.
     pub fn new() -> AdaptiveDepth {
         AdaptiveDepth::with_bounds(AdaptiveDepth::DEFAULT_START, 1, AdaptiveDepth::DEFAULT_MAX)
     }
 
-    /// A controller starting at `start`, clamped to `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= min <= max`.
-    pub fn with_bounds(start: usize, min: usize, max: usize) -> AdaptiveDepth {
-        assert!(min >= 1, "depth bounds must be positive");
-        assert!(min <= max, "min depth must not exceed max depth");
+    /// A controller starting at `start`, clamped to `[min, max]`
+    /// (`1 <= min <= max`).
+    fn with_bounds(start: usize, min: usize, max: usize) -> AdaptiveDepth {
         AdaptiveDepth {
             depth: start.clamp(min, max),
             min,

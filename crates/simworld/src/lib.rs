@@ -6,10 +6,10 @@
 //!
 //! * a **virtual clock** ([`SimInstant`], [`SimDuration`]) — nothing reads
 //!   wall time, so runs replay bit-for-bit;
-//! * an **event-driven completion scheduler** (the pipelined in-flight
-//!   model on [`SimWorld::begin_pipeline`]) so overlapping requests
-//!   complete in one deterministic `(instant, seq)` order, which
-//!   [`SimWorld::set_event_trace`] records as [`FiredEvent`]s;
+//! * a **pipelined in-flight model** ([`SimWorld::begin_pipeline`]) so
+//!   overlapping requests complete in one deterministic order, and one
+//!   per-request log ([`SimWorld::enable_latency_samples`]) of
+//!   [`LatencySample`]s in issue order;
 //! * a **seeded RNG** and **latency model** so request timing is realistic
 //!   yet reproducible;
 //! * **metering** ([`MeterBook`], [`MeterSnapshot`]) of every billable
@@ -53,7 +53,6 @@ mod md5;
 mod merge;
 mod metering;
 mod samples;
-mod sched;
 mod shardmap;
 mod throttle;
 mod world;
@@ -70,8 +69,7 @@ pub use merge::merged_shard_page;
 pub use metering::{
     format_bytes, MeterBook, MeterSnapshot, Op, Service, ServiceMeter, ShardImbalance,
 };
-pub use samples::{percentiles, LatencySample, Percentiles, SampleLog};
-pub use sched::{FiredEvent, SchedEvent};
+pub use samples::{percentiles, LatencySample, Percentiles};
 pub use shardmap::{
     clamp_shards, ring_position, MapView, ReplicaPin, ShardCells, ShardMap, ShardPlan,
     ShardRegistry, SplitEvent, SplitPolicy, MAX_SHARDS,

@@ -1,11 +1,10 @@
 //! Per-request latency samples and exact percentile reduction.
 //!
 //! The fleet benches need tail latencies (p50/p99/p999), not totals, and
-//! they need them *per service and per tenant* without replaying the
-//! event trace after every run. The world therefore records one
-//! [`LatencySample`] per charged request — issue instant, completion
-//! instant, the `Op`, and the tenant id that was current when the request
-//! was issued — into a bounded [`SampleLog`] ring. [`percentiles`]
+//! they need them *per service and per tenant*. The world therefore
+//! records one [`LatencySample`] per charged request — issue instant,
+//! completion instant, the `Op`, and the tenant id that was current when
+//! the request was issued — in issue order. [`percentiles`]
 //! reduces a batch of latencies exactly (nearest-rank over the sorted
 //! samples), so a p999 is a real observed request, never an interpolated
 //! fiction.
@@ -20,9 +19,9 @@ use crate::metering::{Op, Service};
 /// was, and which tenant issued it.
 ///
 /// In pipelined mode `issued_at` is the instant the request entered the
-/// wire (after any backpressure stall) and `completed_at` the instant
-/// the completion scheduler retires it; in serial mode the two bracket
-/// the latency charge directly.
+/// wire (after any backpressure stall) and `completed_at` the instant it
+/// completes, which may lie past the clock until the region drains; in
+/// serial mode the two bracket the latency charge directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencySample {
     /// The operation that was charged.
@@ -44,113 +43,6 @@ impl LatencySample {
     /// Issue-to-completion latency.
     pub fn latency(&self) -> SimDuration {
         self.completed_at.saturating_since(self.issued_at)
-    }
-}
-
-/// A bounded ring of [`LatencySample`]s.
-///
-/// Once `capacity` samples have been recorded the oldest are overwritten,
-/// so long fleet runs keep a recent window instead of growing without
-/// bound. [`SampleLog::recorded`] still counts every push.
-///
-/// # Examples
-///
-/// ```
-/// use simworld::{LatencySample, Op, SampleLog, SimInstant};
-///
-/// let mut log = SampleLog::new(2);
-/// for i in 0..3 {
-///     log.push(LatencySample {
-///         op: Op::S3Put,
-///         tenant: i,
-///         issued_at: SimInstant::from_micros(i),
-///         completed_at: SimInstant::from_micros(i + 10),
-///     });
-/// }
-/// assert_eq!(log.recorded(), 3);
-/// let kept = log.drain();
-/// assert_eq!(kept.len(), 2);
-/// // Oldest sample was overwritten; order of the survivors is preserved.
-/// assert_eq!(kept[0].tenant, 1);
-/// assert_eq!(kept[1].tenant, 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SampleLog {
-    capacity: usize,
-    buf: Vec<LatencySample>,
-    /// Next slot to overwrite once the ring is full.
-    head: usize,
-    recorded: u64,
-}
-
-impl SampleLog {
-    /// An empty log that keeps at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> SampleLog {
-        assert!(capacity > 0, "SampleLog capacity must be nonzero");
-        SampleLog {
-            capacity,
-            buf: Vec::new(),
-            head: 0,
-            recorded: 0,
-        }
-    }
-
-    /// Records one sample, overwriting the oldest if the ring is full.
-    pub fn push(&mut self, sample: LatencySample) {
-        self.recorded += 1;
-        if self.buf.len() < self.capacity {
-            self.buf.push(sample);
-        } else {
-            self.buf[self.head] = sample;
-            self.head = (self.head + 1) % self.capacity;
-        }
-    }
-
-    /// Samples currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total samples ever pushed, including overwritten ones.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Rewrites the most recently pushed sample's `issued_at` to an
-    /// earlier instant. Retry loops use this after a success to stretch
-    /// the winning request's span back to the *first* attempt's issue,
-    /// so the recorded latency is what the client experienced — backoff
-    /// pauses and rejected attempts included. A later `issued_at` is
-    /// ignored; an empty log is a no-op.
-    pub fn backdate_last(&mut self, issued_at: SimInstant) {
-        let last = if self.buf.len() < self.capacity {
-            self.buf.len().wrapping_sub(1)
-        } else {
-            (self.head + self.capacity - 1) % self.capacity
-        };
-        if let Some(sample) = self.buf.get_mut(last) {
-            if issued_at < sample.issued_at {
-                sample.issued_at = issued_at;
-            }
-        }
-    }
-
-    /// Removes and returns the held samples in record order (oldest
-    /// survivor first). The log stays usable and keeps recording.
-    pub fn drain(&mut self) -> Vec<LatencySample> {
-        let head = std::mem::take(&mut self.head);
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.rotate_left(head);
-        buf
     }
 }
 
@@ -209,52 +101,27 @@ pub fn percentiles(mut latencies: Vec<SimDuration>) -> Option<Percentiles> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimWorld;
 
     #[test]
     fn backdating_stretches_only_the_last_sample_and_never_forward() {
-        let mut log = SampleLog::new(2);
-        let sample = |issued: u64, done: u64| LatencySample {
-            op: Op::S3Put,
-            tenant: 0,
-            issued_at: SimInstant::from_micros(issued),
-            completed_at: SimInstant::from_micros(done),
-        };
-        log.backdate_last(SimInstant::EPOCH); // empty: no-op
-        log.push(sample(100, 110));
-        log.push(sample(200, 210));
-        log.push(sample(300, 310)); // wraps; overwrites the first
-        log.backdate_last(SimInstant::from_micros(250));
-        log.backdate_last(SimInstant::from_micros(400)); // forward: ignored
-        let kept = log.drain();
-        assert_eq!(kept[0].issued_at, SimInstant::from_micros(200));
-        assert_eq!(kept[1].issued_at, SimInstant::from_micros(250));
-        assert_eq!(kept[1].completed_at, SimInstant::from_micros(310));
-    }
-
-    fn sample(t: u64, micros: u64) -> LatencySample {
-        LatencySample {
-            op: Op::S3Put,
-            tenant: t,
-            issued_at: SimInstant::EPOCH,
-            completed_at: SimInstant::from_micros(micros),
-        }
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_preserves_order() {
-        let mut log = SampleLog::new(3);
-        for i in 0..5 {
-            log.push(sample(i, i));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.recorded(), 5);
-        let tenants: Vec<u64> = log.drain().iter().map(|s| s.tenant).collect();
-        assert_eq!(tenants, vec![2, 3, 4]);
-        // Draining resets the window but not the lifetime count.
-        assert!(log.is_empty());
-        assert_eq!(log.recorded(), 5);
-        log.push(sample(9, 9));
-        assert_eq!(log.drain().len(), 1);
+        let at = SimInstant::from_micros;
+        let w = SimWorld::counting();
+        w.advance(SimDuration::from_micros(100));
+        w.backdate_last_sample(SimInstant::EPOCH); // sampling off: no-op
+        w.enable_latency_samples();
+        w.backdate_last_sample(SimInstant::EPOCH); // empty log: no-op
+        assert!(w.take_latency_samples().is_empty());
+        w.record_op(Op::S3Put, 0, 0);
+        w.advance(SimDuration::from_micros(100));
+        w.record_op(Op::S3Put, 0, 0);
+        w.backdate_last_sample(at(150));
+        w.backdate_last_sample(at(400)); // forward: ignored
+        let kept = w.take_latency_samples();
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept[0].issued_at, at(100));
+        assert_eq!(kept[1].issued_at, at(150));
+        assert_eq!(kept[1].completed_at, at(200));
     }
 
     #[test]
@@ -294,11 +161,5 @@ mod tests {
         };
         assert_eq!(s.latency(), SimDuration::ZERO);
         assert_eq!(s.service(), Service::Sqs);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_capacity_panics() {
-        SampleLog::new(0);
     }
 }

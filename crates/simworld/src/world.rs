@@ -19,8 +19,7 @@ use crate::clock::{SimDuration, SimInstant};
 use crate::faults::{CrashSite, Crashed, FaultPlan};
 use crate::latency::{Cost, LatencyModel};
 use crate::metering::{MeterBook, MeterSnapshot, Op, Service};
-use crate::samples::{LatencySample, SampleLog};
-use crate::sched::{FiredEvent, SchedEvent, Scheduler};
+use crate::samples::LatencySample;
 
 /// The consistency regime the simulated services run under.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -200,39 +199,28 @@ struct WorldState {
     meters: MeterBook,
     faults: FaultPlan,
     config: SimConfig,
-    sched: Scheduler,
     pipeline: Option<PipelineState>,
-    trace: Option<Vec<FiredEvent>>,
     /// Tenant id stamped onto latency samples (0 outside fleet runs).
     tenant: u64,
-    /// Per-request latency sample ring; `None` keeps recording free.
-    samples: Option<SampleLog>,
+    /// One sample per charged request, in issue order; `None` keeps
+    /// recording free.
+    samples: Option<Vec<LatencySample>>,
     /// Client-side 503 backoff retries (see `note_throttle_retry`).
     throttle_retries: u64,
 }
 
 impl WorldState {
     /// Issues one request of `latency` against the clock. Serial mode
-    /// (no open pipeline): the clock advances to the completion — the
-    /// classic behaviour, now expressed as "issue, schedule the
-    /// completion event, wait for it". Pipeline mode: the request takes
-    /// the earliest-free of its service's channels, the clock stays at
-    /// issue time (advancing only on backpressure, when every channel
-    /// is busy), and the completion is left pending in the scheduler
-    /// until [`SimWorld::drain_pipeline`].
+    /// (no open pipeline): the clock advances to the completion. Pipeline
+    /// mode: the request takes the earliest-free of its service's
+    /// channels, the clock stays at issue time (advancing only on
+    /// backpressure, when every channel is busy), and the completion
+    /// stays in the in-flight set until [`SimWorld::drain_pipeline`].
     fn issue(&mut self, op: Op, latency: SimDuration, order_key: Option<u64>) {
-        // Completion events exist for the deterministic trace (and for
-        // a pipeline's drain ordering); with tracing off they would be
-        // scheduled and immediately discarded, so the hot path skips
-        // the heap round-trip entirely.
-        let tracing = self.trace.is_some();
         let (issued_at, completed_at) = match self.pipeline.as_mut() {
             None => {
                 let issued_at = self.now;
                 self.now += latency;
-                if tracing {
-                    self.sched.schedule(self.now, SchedEvent::Completion(op));
-                }
                 (issued_at, self.now)
             }
             Some(p) => {
@@ -265,9 +253,6 @@ impl WorldState {
                 }
                 p.inflight[svc].push(completes);
                 p.stats.requests += 1;
-                if tracing {
-                    self.sched.schedule(completes, SchedEvent::Completion(op));
-                }
                 p.stats.peak_in_flight = p.stats.peak_in_flight.max(p.in_flight(self.now));
                 (start, completes)
             }
@@ -279,18 +264,6 @@ impl WorldState {
                 issued_at,
                 completed_at,
             });
-        }
-        self.fire_due_events();
-    }
-
-    /// Pops every scheduled event that is due at the current clock, in
-    /// deterministic `(instant, seq)` order, appending to the event
-    /// trace when one is being kept.
-    fn fire_due_events(&mut self) {
-        while let Some(fired) = self.sched.pop_due(self.now) {
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(fired);
-            }
         }
     }
 }
@@ -363,9 +336,7 @@ impl SimWorld {
                     meters: MeterBook::new(),
                     faults: FaultPlan::new(),
                     config,
-                    sched: Scheduler::default(),
                     pipeline: None,
-                    trace: None,
                     tenant: 0,
                     samples: None,
                     throttle_retries: 0,
@@ -386,12 +357,9 @@ impl SimWorld {
     }
 
     /// Moves the clock forward (e.g. to let eventual consistency settle or
-    /// retention windows expire). Scheduled events that fall due fire in
-    /// deterministic `(instant, seq)` order.
+    /// retention windows expire).
     pub fn advance(&self, d: SimDuration) {
-        let mut st = self.inner.lock();
-        st.now += d;
-        st.fire_due_events();
+        self.inner.lock().now += d;
     }
 
     /// The active configuration.
@@ -423,9 +391,9 @@ impl SimWorld {
     /// meets the world. Under one lock acquisition, in this order: the
     /// request is metered per its [`Cost`] (a batch also counts its
     /// entries, a rejection also bumps the 503 counter), one jitter draw
-    /// prices it through [`LatencyModel::sample`], and the latency goes
-    /// through the completion scheduler — with no pipeline open the
-    /// clock advances to the completion; inside
+    /// prices it through [`LatencyModel::sample`], and the request is
+    /// issued — with no pipeline open the clock advances to the
+    /// completion; inside
     /// [`SimWorld::begin_pipeline`] the request joins the in-flight set
     /// and the clock stays at issue time. Then the commutative counters:
     /// one touch per listed shard and the stored-bytes delta.
@@ -516,8 +484,7 @@ impl SimWorld {
     }
 
     /// Closes the pipelined region: the clock advances to the last
-    /// in-flight completion (firing every pending completion event in
-    /// deterministic order) and the region's statistics are returned.
+    /// in-flight completion and the region's statistics are returned.
     /// A no-op returning default stats when no pipeline is open.
     pub fn drain_pipeline(&self) -> PipelineStats {
         let mut st = self.inner.lock();
@@ -531,7 +498,6 @@ impl SimWorld {
             .max()
             .unwrap_or(st.now);
         st.now = st.now.max(last);
-        st.fire_due_events();
         let mut stats = p.stats;
         stats.completed_at = st.now;
         stats
@@ -543,28 +509,6 @@ impl SimWorld {
         st.pipeline.as_ref().map(|p| p.depth)
     }
 
-    /// Turns the deterministic event trace on or off. While on, every
-    /// request completion is scheduled, and appended as it fires to a
-    /// log retrievable with [`SimWorld::take_event_trace`] —
-    /// equal seeds and equal call sequences produce equal traces.
-    pub fn set_event_trace(&self, on: bool) {
-        let mut st = self.inner.lock();
-        st.trace = if on {
-            Some(st.trace.take().unwrap_or_default())
-        } else {
-            None
-        };
-    }
-
-    /// Takes the accumulated event trace (empty when tracing is off).
-    pub fn take_event_trace(&self) -> Vec<FiredEvent> {
-        let mut st = self.inner.lock();
-        match st.trace.as_mut() {
-            Some(trace) => std::mem::take(trace),
-            None => Vec::new(),
-        }
-    }
-
     /// Sets the tenant id stamped onto subsequent latency samples. The
     /// fleet driver calls this before issuing each tenant's work;
     /// single-client runs leave it at the default `0`.
@@ -572,39 +516,36 @@ impl SimWorld {
         self.inner.lock().tenant = tenant;
     }
 
-    /// The tenant id current requests are attributed to.
-    pub fn tenant(&self) -> u64 {
-        self.inner.lock().tenant
+    /// Starts logging one [`LatencySample`] per charged request, in
+    /// issue order — the world's one per-request record. Off by default;
+    /// recording costs nothing while disabled. Re-enabling starts an
+    /// empty log.
+    pub fn enable_latency_samples(&self) {
+        self.inner.lock().samples = Some(Vec::new());
     }
 
-    /// Turns on per-request latency sampling with a ring of `capacity`
-    /// samples (see [`SampleLog`]). Off by default; recording costs
-    /// nothing while disabled. Re-enabling replaces any prior ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_latency_samples(&self, capacity: usize) {
-        self.inner.lock().samples = Some(SampleLog::new(capacity));
-    }
-
-    /// Takes the samples recorded so far (oldest survivor first) and
-    /// keeps sampling. Empty when sampling is off.
+    /// Takes the samples recorded so far, in issue order, and keeps
+    /// sampling. Inside an open pipeline this includes requests still in
+    /// flight, whose `completed_at` lies past [`SimWorld::now`]. Empty
+    /// when sampling is off.
     pub fn take_latency_samples(&self) -> Vec<LatencySample> {
-        match self.inner.lock().samples.as_mut() {
-            Some(log) => log.drain(),
-            None => Vec::new(),
-        }
+        self.inner
+            .lock()
+            .samples
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
-    /// Backdates the most recent latency sample to `issued_at` (see
-    /// [`SampleLog::backdate_last`]): after a retried call finally
-    /// succeeds, the winning request's recorded span is stretched to
-    /// the first attempt's issue so percentiles reflect client-observed
-    /// latency. No-op while sampling is off.
+    /// Backdates the most recent latency sample to `issued_at`: after a
+    /// retried call finally succeeds, the winning request's recorded
+    /// span is stretched to the first attempt's issue so percentiles
+    /// reflect client-observed latency. A later `issued_at` is ignored;
+    /// a no-op while sampling is off or the log is empty.
     pub fn backdate_last_sample(&self, issued_at: SimInstant) {
-        if let Some(log) = self.inner.lock().samples.as_mut() {
-            log.backdate_last(issued_at);
+        let mut st = self.inner.lock();
+        if let Some(last) = st.samples.as_mut().and_then(|log| log.last_mut()) {
+            last.issued_at = last.issued_at.min(issued_at);
         }
     }
 
@@ -920,7 +861,7 @@ mod tests {
     #[test]
     fn keyed_requests_complete_in_issue_order() {
         let w = SimWorld::new(9); // jittered latencies
-        w.set_event_trace(true);
+        w.enable_latency_samples();
         w.begin_pipeline(8);
         for _ in 0..20 {
             w.charge(Charge {
@@ -929,16 +870,13 @@ mod tests {
             });
         }
         w.drain_pipeline();
-        let trace = w.take_event_trace();
-        let completions: Vec<_> = trace
-            .iter()
-            .filter(|e| matches!(e.event, SchedEvent::Completion(Op::SqsSendMessage)))
-            .collect();
-        assert_eq!(completions.len(), 20);
-        // Completion order == issue (seq) order, and instants are
-        // monotone: the per-key FIFO constraint held at depth 8.
-        assert!(completions.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(completions.windows(2).all(|w| w[0].at <= w[1].at));
+        let samples = w.take_latency_samples();
+        assert_eq!(samples.len(), 20);
+        // Samples are in issue order, and their completion instants never
+        // fall: the per-key FIFO constraint held at depth 8.
+        assert!(samples
+            .windows(2)
+            .all(|w| w[0].completed_at <= w[1].completed_at));
     }
 
     #[test]
@@ -1056,7 +994,7 @@ mod tests {
     fn event_trace_is_deterministic_across_runs() {
         let run = || {
             let w = SimWorld::new(7);
-            w.set_event_trace(true);
+            w.enable_latency_samples();
             w.begin_pipeline(3);
             for i in 0..12u64 {
                 let op = if i % 2 == 0 {
@@ -1067,19 +1005,19 @@ mod tests {
                 w.record_op(op, i * 512, 0);
             }
             w.drain_pipeline();
-            (w.now(), w.take_event_trace())
+            (w.now(), w.take_latency_samples())
         };
-        let (now_a, trace_a) = run();
-        let (now_b, trace_b) = run();
+        let (now_a, samples_a) = run();
+        let (now_b, samples_b) = run();
         assert_eq!(now_a, now_b);
-        assert!(!trace_a.is_empty());
-        assert_eq!(trace_a, trace_b);
+        assert_eq!(samples_a.len(), 12);
+        assert_eq!(samples_a, samples_b);
     }
 
     #[test]
     fn latency_samples_bracket_serial_charges() {
         let w = flat_world();
-        w.enable_latency_samples(16);
+        w.enable_latency_samples();
         w.record_op(Op::S3Put, 0, 0);
         w.record_op(Op::SdbPutAttributes, 0, 0);
         let samples = w.take_latency_samples();
@@ -1096,14 +1034,18 @@ mod tests {
     #[test]
     fn pipelined_samples_record_issue_not_drain() {
         let w = flat_world();
-        w.enable_latency_samples(16);
+        w.enable_latency_samples();
         w.begin_pipeline(2);
         for _ in 0..3 {
             w.record_op(Op::S3Put, 0, 0);
         }
-        w.drain_pipeline();
+        // A take inside the open region returns every issued request,
+        // the ones still in flight included.
         let samples = w.take_latency_samples();
         assert_eq!(samples.len(), 3);
+        assert!(samples.iter().any(|s| s.completed_at > w.now()));
+        w.drain_pipeline();
+        assert!(w.take_latency_samples().is_empty());
         // First two overlap at t=0; the third waited for a channel.
         assert_eq!(samples[0].issued_at, SimInstant::EPOCH);
         assert_eq!(samples[1].issued_at, SimInstant::EPOCH);
@@ -1122,25 +1064,29 @@ mod tests {
         let w = flat_world();
         w.record_op(Op::S3Put, 0, 0);
         assert!(w.take_latency_samples().is_empty());
-        w.enable_latency_samples(8);
-        assert_eq!(w.tenant(), 0);
+        w.enable_latency_samples();
+        w.record_op(Op::S3Put, 0, 0);
         w.set_tenant(7);
         w.record_op(Op::S3Put, 0, 0);
-        let samples = w.take_latency_samples();
-        assert_eq!(samples[0].tenant, 7);
+        let tenants: Vec<u64> = w.take_latency_samples().iter().map(|s| s.tenant).collect();
+        assert_eq!(tenants, [0, 7]);
     }
 
     #[test]
     fn throttled_requests_cost_time_and_meter_but_apply_nothing() {
         let w = flat_world();
+        w.enable_latency_samples();
         let t0 = w.now();
         w.charge(Charge {
             cost: Cost::Rejected,
             ..Charge::point(Op::SdbPutAttributes, 256, 0)
         });
         assert_eq!(w.now() - t0, SimDuration::from_millis(10));
+        w.record_op(Op::SdbPutAttributes, 256, 0);
         let m = w.meters();
-        assert_eq!(m.op_count(Op::SdbPutAttributes), 1);
+        // One sample per billed request, the rejected one included.
+        assert_eq!(w.take_latency_samples().len() as u64, m.total_ops());
+        assert_eq!(m.op_count(Op::SdbPutAttributes), 2);
         assert_eq!(m.throttled(Service::SimpleDb), 1);
         assert_eq!(m.total_throttled(), 1);
         assert_eq!(w.throttle_retries(), 0);

@@ -2,10 +2,10 @@
 //!
 //! Same shape as `sim-simpledb`'s and `sim-s3`'s `determinism_pin.rs`: a
 //! fixed script on an eventually-consistent world with the default
-//! latency model and the event trace on, digested — every answer, the
+//! latency model and latency samples on, digested — every answer, the
 //! meters after every step (ops, bytes, batch entries, 503s, stored
-//! bytes), the final clock, the event trace and one trailing RNG draw —
-//! and compared with constants.
+//! bytes), the final clock, every request's sample and one trailing RNG
+//! draw — and compared with constants.
 //!
 //! The constants were captured on `569462a`, the commit *before* the
 //! service's charging was rewritten onto the single `SimWorld::charge`
@@ -14,12 +14,17 @@
 //! stream its latency jitter comes from, so a charge that moved before
 //! or after one of those draws changes every later answer.
 //!
-//! The log digest's length and hash were re-derived once since, when
-//! `PipelineStats` lost its write-only per-service stall split: the
+//! The log digest's length and hash were re-derived twice since. Once
+//! when `PipelineStats` lost its write-only per-service stall split: the
 //! pipelined region's `drain` line prints that struct, and lost the
 //! field's text. The new pair is what the previous commit's script gives
-//! with that one field cut from the `drain` line; the line count, the
-//! final clock and the trailing draw did not move.
+//! with that one field cut from the `drain` line. And once when the
+//! world's event trace was deleted: the script now ends with one
+//! `sample` line per charged request (in issue order) where it ended
+//! with one `event` line per fired completion, and the new pair is what
+//! `19e986f` (which still had the trace) prints for the script with that
+//! one edit. Neither time did the line count, the final clock or the
+//! trailing draw move.
 
 use std::fmt::Write as _;
 
@@ -104,7 +109,7 @@ fn scripted_run_matches_the_pre_charge_constants() {
         latency: LatencyModel::default(),
         replicas: 3,
     });
-    world.set_event_trace(true);
+    world.enable_latency_samples();
     let sqs = Sqs::new(&world);
     let mut s = Script {
         world,
@@ -224,14 +229,14 @@ fn scripted_run_matches_the_pre_charge_constants() {
 
     writeln!(s.log, "meters {:?}", s.world.meters()).unwrap();
     writeln!(s.log, "clock {:?}", s.world.now()).unwrap();
-    for fired in s.world.take_event_trace() {
-        writeln!(s.log, "event {fired:?}").unwrap();
+    for sample in s.world.take_latency_samples() {
+        writeln!(s.log, "sample {sample:?}").unwrap();
     }
     let digest = (s.log.lines().count(), s.log.len(), fnv1a_64(&s.log));
     assert_eq!(
         (digest, s.world.now().as_micros(), s.world.rand_u64()),
         (
-            (180, 48_096, 18_339_989_041_880_982_967),
+            (180, 49_742, 2_954_024_987_739_257_899),
             1_036_806_495_076,
             11_098_517_189_545_764_407
         ),

@@ -2,8 +2,8 @@
 //! `persist_groups` inside a pipeline region must produce
 //! **byte-identical** final store state and provenance graph to the
 //! synchronous batch path — while virtual completion time strictly
-//! falls as the in-flight depth rises, and the event-driven scheduler
-//! replays bit-for-bit at a fixed seed.
+//! falls as the in-flight depth rises, and the per-request log replays
+//! bit-for-bit at a fixed seed.
 //! This is the acceptance bar of the pipelining issue; `BASELINE.md`
 //! records the medium-scale depth sweep.
 //!
@@ -27,20 +27,20 @@ fn graph_of(store: &mut dyn ProvenanceStore) -> ProvGraph {
 }
 
 /// What a run's schedule came to: the virtual clock (µs), the billable
-/// requests, and an FNV-1a digest of the scheduler's fired-event trace.
+/// requests, and an FNV-1a digest of their latency samples.
 type Pin = (u64, u64, u64);
 
 fn pin_of(world: &SimWorld) -> Pin {
     (
         world.now().as_micros(),
         world.meters().total_ops(),
-        fnv1a_64(&format!("{:?}", world.take_event_trace())),
+        fnv1a_64(&format!("{:?}", world.take_latency_samples())),
     )
 }
 
-fn traced_world() -> SimWorld {
+fn sampled_world() -> SimWorld {
     let world = priced_world(2009);
-    world.set_event_trace(true);
+    world.enable_latency_samples();
     world
 }
 
@@ -86,7 +86,7 @@ fn run(
 }
 
 fn run_arch2(depth: Option<AdaptiveDepth>) -> Run {
-    let world = traced_world();
+    let world = sampled_world();
     let mut store = S3SimpleDb::new(&world);
     let services = (store.s3().clone(), store.simpledb().clone());
     run(&world, &mut store, services, depth)
@@ -95,7 +95,7 @@ fn run_arch2(depth: Option<AdaptiveDepth>) -> Run {
 /// The client persists under `client`, the commit daemon steps under
 /// `daemon` (`None` is the pre-pipelining behaviour).
 fn run_arch3(client: Option<AdaptiveDepth>, daemon: Option<AdaptiveDepth>) -> Run {
-    let world = traced_world();
+    let world = sampled_world();
     let mut store = S3SimpleDbSqs::new(&world, "pin");
     store.set_config(Arch3Config {
         daemon_depth: daemon,
@@ -193,21 +193,21 @@ fn daemon_pipelined_arch3_is_byte_identical_and_clears_3x() {
 #[test]
 fn scheduler_event_order_is_deterministic_at_fixed_seed() {
     let run = || {
-        let world = traced_world();
+        let world = sampled_world();
         let mut store = S3SimpleDbSqs::new(&world, "det");
         let (flushes, _) = Combined::small().flushes();
         let fixed = &mut AdaptiveDepth::fixed(4);
         persist_groups(&world, &mut store, &flushes[..100], 10, Some(fixed)).unwrap();
         store.run_daemons_until_idle().unwrap();
-        (world.now(), world.take_event_trace())
+        (world.now(), world.take_latency_samples())
     };
-    let (now_a, trace_a) = run();
-    let (now_b, trace_b) = run();
+    let (now_a, samples_a) = run();
+    let (now_b, samples_b) = run();
     assert_eq!(now_a, now_b, "same seed, same config ⇒ same virtual clock");
-    assert!(!trace_a.is_empty(), "the run must schedule events");
+    assert!(!samples_a.is_empty(), "the run must issue requests");
     assert_eq!(
-        trace_a, trace_b,
-        "same seed, same config ⇒ identical event order"
+        samples_a, samples_b,
+        "same seed, same config ⇒ identical request log"
     );
 }
 
@@ -246,24 +246,28 @@ fn pipelined_run_survives_eventual_consistency() {
 /// every one of them. The other tests in this file only assert
 /// `time < last_time`; a change that reorders one request, one RNG draw
 /// or one controller observation moves these numbers and nothing else.
+/// The third component was re-derived once, when the world's event
+/// trace gave way to latency samples: each is what `19e986f` (which
+/// still had the trace) prints for the samples digest; no clock or bill
+/// moved.
 #[test]
 fn virtual_time_bill_and_event_trace_are_pinned_per_depth_policy() {
     let adaptive = Some(AdaptiveDepth::new());
     // The same policy on the client and (arch3) on the daemon.
     let arch2: [(Option<AdaptiveDepth>, Pin); 4] = [
-        (None, (14_125_008, 256, 5460834121658852689)),
-        (fixed(1), (13_616_829, 256, 14806679240028899493)),
-        (fixed(4), (3_509_189, 256, 12448829594715870539)),
-        (adaptive, (1_736_294, 256, 14202720938543594552)),
+        (None, (14_125_008, 256, 11627268480247574404)),
+        (fixed(1), (13_616_829, 256, 10301359064235802160)),
+        (fixed(4), (3_509_189, 256, 18298261186654410304)),
+        (adaptive, (1_736_294, 256, 12492969134038310336)),
     ];
     for (depth, pin) in arch2 {
         assert_eq!(run_arch2(depth).pin, pin, "arch2 under {depth:?}");
     }
     let arch3: [(Option<AdaptiveDepth>, Pin); 4] = [
-        (None, (51_657_076, 1036, 5615200506171380020)),
-        (fixed(1), (39_917_848, 1036, 10423331348871585515)),
-        (fixed(4), (9_754_002, 958, 16982933936697771235)),
-        (adaptive, (4_152_832, 919, 4772439730463418679)),
+        (None, (51_657_076, 1036, 9816516624370353870)),
+        (fixed(1), (39_917_848, 1036, 11491134288497138346)),
+        (fixed(4), (9_754_002, 958, 7580588185689606200)),
+        (adaptive, (4_152_832, 919, 10166888195619217908)),
     ];
     for (depth, pin) in arch3 {
         assert_eq!(run_arch3(depth, depth).pin, pin, "arch3 under {depth:?}");
