@@ -16,7 +16,7 @@
 //! throttling moves the percentiles and the bill, never the final
 //! store ([`FleetFingerprint`], one [`store_fingerprint`] per tenant).
 //!
-//! [`FleetSweep`] runs six scenarios per tenant count ([`FleetGroup`]);
+//! [`FleetSweep`] runs five scenarios per tenant count ([`FleetGroup`]);
 //! [`FleetSweep::check`] asserts, per group:
 //!
 //! * every service's percentiles are ordered (p50 ≤ p99 ≤ p999 ≤ max)
@@ -26,14 +26,11 @@
 //!   store fingerprint;
 //! * under the same throttle the skewed fleet's overall p99 is above
 //!   the uniform fleet's;
-//! * on the store-only-throttled hot fleet the static run rejects and
-//!   never splits, the split run splits, sheds 503s, lowers the overall
-//!   p99 and converges to the static run's store fingerprint.
+//! * the store-only throttle rejects on the hot fleet.
 
 use pass::FileFlush;
-use provenance_cloud::layout::{BUCKET, DOMAIN};
 use provenance_cloud::{store_fingerprint, CloudError, ProvenanceStore, Result, S3SimpleDbSqs};
-use simworld::{Blob, Percentiles, Service, ShardPlan, SplitPolicy, ThrottleConfig};
+use simworld::{Blob, Percentiles, Service, ThrottleConfig};
 use workloads::{fleet_schedule, ArrivalProcess, FleetSpec};
 
 use crate::harness::{
@@ -59,20 +56,15 @@ pub struct FleetParams {
     /// services of every tenant; `None` runs unthrottled.
     pub throttle: Option<ThrottleConfig>,
     /// When `false`, the WAL queue (SQS) is exempt from `throttle`: the
-    /// store-only variant the hot-shard-splitting comparison uses, so
-    /// rejections land on the range-sharded services that can split —
-    /// a queue has no shard map to grow.
+    /// store-only variant the hot fleet runs, so every rejection lands
+    /// on a shard of S3 or SimpleDB.
     pub throttle_wal: bool,
-    /// `Some(policy)` arms hot-shard splitting on every tenant's bucket
-    /// and domain — rejection-triggered policies let a throttled hot
-    /// tenant outgrow its 503s; `None` keeps the shard maps static.
-    pub split: Option<SplitPolicy>,
     /// Seed for the world and the arrival schedule.
     pub seed: u64,
 }
 
 impl FleetParams {
-    /// A short human label ("uniform" / "zipf(0.99)+throttle+split").
+    /// A short human label ("uniform" / "zipf(0.99)+throttle").
     pub fn label(&self) -> String {
         let skew = match self.skew {
             Some(theta) => format!("zipf({theta})"),
@@ -86,18 +78,7 @@ impl FleetParams {
                 "+storethrottle"
             });
         }
-        if self.split.is_some() {
-            label.push_str("+split");
-        }
         label
-    }
-
-    /// The shard plan each tenant's endpoints are provisioned with.
-    pub fn shard_plan(&self) -> ShardPlan {
-        match self.split {
-            Some(policy) => ShardPlan::fixed(self.shards).with_split(policy),
-            None => ShardPlan::fixed(self.shards),
-        }
     }
 }
 
@@ -121,9 +102,6 @@ pub struct FleetRow {
     pub retries: u64,
     /// Persists abandoned with [`CloudError::RetryExhausted`].
     pub exhausted: u64,
-    /// Hot-shard splits performed across every tenant's bucket and
-    /// domain (zero when the shard maps are static).
-    pub splits: u64,
     /// Billable requests issued (rejections included).
     pub requests: u64,
     /// USD bill for those requests (January 2009 prices, ops only).
@@ -136,8 +114,7 @@ pub struct FleetRow {
 /// each tenant's [`store_fingerprint`], in tenant order — unbilled, over
 /// every committed item, object, ETag and metadata value, and blind to
 /// shard placement. Two runs with the same schedule must match
-/// fingerprints no matter how much throttling slowed one of them down or
-/// how far its shards split.
+/// fingerprints no matter how much throttling slowed one of them down.
 pub type FleetFingerprint = Vec<u64>;
 
 /// The flush tenant `t` persists as its `seq`-th arrival: a fresh file
@@ -170,9 +147,8 @@ pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
     let world = priced_world(params.seed);
     world.enable_latency_samples();
 
-    let plan = params.shard_plan();
     let mut stores: Vec<S3SimpleDbSqs> = (0..params.tenants)
-        .map(|t| S3SimpleDbSqs::with_shard_plan(&world, &format!("t{t}"), plan))
+        .map(|t| S3SimpleDbSqs::with_shards(&world, &format!("t{t}"), params.shards))
         .collect();
     if let Some(cfg) = params.throttle {
         for store in &stores {
@@ -224,13 +200,6 @@ pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
     let samples = world.take_latency_samples();
     let per_service = per_service_percentiles(&samples);
     let overall = overall_percentiles(&samples);
-    let splits: u64 = stores
-        .iter()
-        .map(|store| {
-            store.s3().bucket_split_count(BUCKET).unwrap_or(0)
-                + store.simpledb().domain_split_count(DOMAIN).unwrap_or(0)
-        })
-        .sum();
     let meters = world.meters();
     let bill = costmodel::cost_of(&meters, 0.0, &costmodel::PriceBook::january_2009());
     let row = FleetRow {
@@ -242,7 +211,6 @@ pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
         throttled: meters.total_throttled(),
         retries: world.throttle_retries(),
         exhausted,
-        splits,
         requests: meters.total_ops(),
         bill_usd: bill.operations_total(),
         virtual_secs,
@@ -255,7 +223,7 @@ pub fn run_fleet(params: &FleetParams) -> Result<FleetRun> {
     Ok((row, fingerprint))
 }
 
-/// The six scenarios `--mode=fleet` runs at one tenant count: 16 shards,
+/// The five scenarios `--mode=fleet` runs at one tenant count: 16 shards,
 /// 50 arrivals/s per tenant, seed 2009.
 #[derive(Clone, Debug)]
 pub struct FleetGroup {
@@ -267,17 +235,10 @@ pub struct FleetGroup {
     pub zipf: FleetRun,
     /// zipf(0.99) tenants under the same throttle.
     pub zipf_throttled: FleetRun,
-    /// The hot fleet for the split comparison: 8x the arrivals, and only
-    /// the range-sharded stores throttled (the WAL queue has no shard
-    /// map to grow) at 1/s per shard — tight enough that the hot
-    /// tenant's shards reject, sustained enough that a split's doubled
-    /// refill matters (a single pending retry per shard gains nothing
-    /// from one).
-    pub hot_static: FleetRun,
-    /// The same hot fleet with every rejecting shard splitting (up to
-    /// 64), doubling that range's admission capacity until the 503s dry
-    /// up.
-    pub hot_split: FleetRun,
+    /// The hot fleet: zipf(0.99) tenants, 8x the arrivals, and only S3
+    /// and SimpleDB throttled, at 1/s per shard — tight enough that the
+    /// hot tenant's shards reject.
+    pub hot: FleetRun,
 }
 
 impl FleetGroup {
@@ -290,7 +251,6 @@ impl FleetGroup {
             skew: None,
             throttle: None,
             throttle_wal: true,
-            split: None,
             seed: 2009,
         };
         let throttle = Some(ThrottleConfig::per_shard(4.0).with_burst(8.0));
@@ -313,23 +273,18 @@ impl FleetGroup {
                 throttle,
                 ..base
             })?,
-            hot_static: run_fleet(&hot)?,
-            hot_split: run_fleet(&FleetParams {
-                split: Some(SplitPolicy::by_rejections(1).with_max_shards(64)),
-                ..hot
-            })?,
+            hot: run_fleet(&hot)?,
         })
     }
 
     /// The runs in table order.
-    fn runs(&self) -> [&FleetRun; 6] {
+    fn runs(&self) -> [&FleetRun; 5] {
         [
             &self.uniform,
             &self.uniform_throttled,
             &self.zipf,
             &self.zipf_throttled,
-            &self.hot_static,
-            &self.hot_split,
+            &self.hot,
         ]
     }
 }
@@ -374,11 +329,10 @@ impl Sweep for FleetSweep {
                 }
                 out.push_str(&render_percentile_rows(&latency_rows));
                 out.push_str(&format!(
-                    "503s {} | retries {} | exhausted {} | splits {} | requests {} | ops bill {}\n\n",
+                    "503s {} | retries {} | exhausted {} | requests {} | ops bill {}\n\n",
                     row.throttled,
                     row.retries,
                     row.exhausted,
-                    row.splits,
                     row.requests,
                     costmodel::format_usd(row.bill_usd),
                 ));
@@ -427,28 +381,9 @@ impl Sweep for FleetSweep {
                 p99(&group.zipf_throttled),
                 p99(&group.uniform_throttled)
             );
-            let ((stat, stat_store), (split, split_store)) = (&group.hot_static, &group.hot_split);
-            ensure!(stat.throttled > 0, "the store-only throttle never rejected");
-            ensure!(stat.splits == 0, "the static fleet grew shards");
             ensure!(
-                split.splits > 0,
-                "the hot fleet's rejections never triggered a split"
-            );
-            ensure!(
-                split.throttled < stat.throttled,
-                "splitting did not shed 503s ({} vs {})",
-                split.throttled,
-                stat.throttled
-            );
-            ensure!(
-                p99(&group.hot_split) < p99(&group.hot_static),
-                "split fleet p99 {:?} not below static p99 {:?}",
-                p99(&group.hot_split),
-                p99(&group.hot_static)
-            );
-            ensure!(
-                split_store == stat_store,
-                "splitting changed the hot fleet's final store"
+                group.hot.0.throttled > 0,
+                "the store-only throttle never rejected"
             );
         }
         Ok(())
@@ -470,7 +405,6 @@ mod tests {
             skew,
             throttle,
             throttle_wal: true,
-            split: None,
             seed: 7,
         }
     }

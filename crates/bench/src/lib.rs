@@ -17,7 +17,6 @@
 //! | `sqs` | [`shardbench::SqsSweep`] |
 //! | `batch` | [`batchbench::BatchSweep`] |
 //! | `pipeline` | [`pipebench::PipelineSweep`] |
-//! | `split` | [`shardbench::SplitSweep`] |
 //! | `query` | [`querybench::QuerySweep`] |
 //! | `fleet` | [`fleetbench::FleetSweep`] |
 //!
@@ -58,7 +57,7 @@ use batchbench::BatchSweep;
 use fleetbench::FleetSweep;
 use pipebench::PipelineSweep;
 use querybench::QuerySweep;
-use shardbench::{S3Sweep, SimpleDbSweep, SkewSweep, SplitSweep, SqsSweep};
+use shardbench::{S3Sweep, SimpleDbSweep, SkewSweep, SqsSweep};
 
 /// Runs one sweep at `size`: its rendered tables, and `check`'s verdict
 /// on them (a failed run is a violation too).
@@ -83,7 +82,6 @@ pub const MODES: &[(&str, &[Drive])] = &[
     ("sqs", &[drive::<SqsSweep>]),
     ("batch", &[drive::<BatchSweep>]),
     ("pipeline", &[drive::<PipelineSweep>]),
-    ("split", &[drive::<SplitSweep>]),
     ("query", &[drive::<QuerySweep>]),
     ("fleet", &[drive::<FleetSweep>]),
 ];

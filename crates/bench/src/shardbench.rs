@@ -1,6 +1,6 @@
 //! Shard-scaling sweeps: deterministic virtual-time latency against the
 //! shard/queue count for all three sharded backends, plus the key-skew
-//! and hot-shard-splitting pictures of one SimpleDB domain.
+//! picture of one SimpleDB domain.
 //!
 //! The claim behind per-shard locking is that it unlocks parallel
 //! service paths: with N shards (SimpleDB domains, S3 buckets) or
@@ -15,11 +15,6 @@
 //! * [`SkewSweep`] (second table of `--mode=simpledb`): every op lands
 //!   on exactly one shard, every Zipf row is more imbalanced than the
 //!   uniform control, and zipf(0.99) by more than 1.5x.
-//! * [`SplitSweep`] (`--mode=split`): static legs never split, split
-//!   legs do, splitting lowers the windowed imbalance and leaves the
-//!   converged state fingerprint unchanged; the 100k-key corpus goes
-//!   from ≥ 1.9x to ≤ 1.3x and the 5k-key corpus stays ≤ 1.8x (its
-//!   hottest single key is an unsplittable ~1.7x floor).
 //! * [`S3Sweep`] (`--mode=s3`): hits agree across shard counts and
 //!   LIST-class virtual latency falls strictly.
 //! * [`SqsSweep`] (`--mode=sqs`): every layout receives every message
@@ -32,13 +27,11 @@
 use std::thread;
 use std::time::Instant;
 
-use provenance_cloud::{domain_fingerprint, layout, ProvenanceStore, Result, S3SimpleDb};
+use provenance_cloud::{layout, ProvenanceStore, Result, S3SimpleDb};
 use sim_s3::{Metadata, S3};
 use sim_simpledb::{ReplaceableAttribute, SimpleDb};
 use sim_sqs::Sqs;
-use simworld::{
-    Blob, MeterSnapshot, Service, ShardImbalance, ShardPlan, SimDuration, SimWorld, SplitPolicy,
-};
+use simworld::{Blob, Service, SimDuration, SimWorld};
 use workloads::{Combined, ZipfKeys};
 
 use crate::harness::{ensure, priced_world, Size, Sweep, SEED};
@@ -269,9 +262,8 @@ pub struct SkewRow {
     pub max_shard_ops: u64,
     /// Mean ops per shard.
     pub mean_shard_ops: f64,
-    /// `max / mean` — 1.0 is perfect balance; the paper-era answer to a
-    /// hot domain was splitting or throttling, which is what this
-    /// number argues for (ROADMAP: shard rebalancing).
+    /// `max / mean` — 1.0 is perfect balance. Hashing balances keys,
+    /// not popularity, so a hot key loads its one shard harder.
     pub imbalance: f64,
 }
 
@@ -315,8 +307,8 @@ pub fn shard_skew(shards: usize, ops: usize, keys: usize, theta: Option<f64>) ->
 
 /// `--mode=simpledb`, second table: how a hot-key stream loads the 16
 /// shards of one domain — a uniform control row plus zipf(0.9) and
-/// zipf(0.99). `max/mean` is the number shard rebalancing needs data
-/// for: hashing balances *keys*, not *popularity*.
+/// zipf(0.99). `max/mean` shows what a fixed layout cannot fix:
+/// hashing balances *keys*, not *popularity*.
 #[derive(Clone, Debug)]
 pub struct SkewSweep {
     /// The uniform control row, then one row per θ, ascending.
@@ -367,242 +359,6 @@ impl Sweep for SkewSweep {
             "{} must load its hottest shard >1.5x harder than uniform: {:?}",
             hottest.label,
             self.rows
-        );
-        Ok(())
-    }
-}
-
-// --- Hot-shard splitting sweep ---
-
-/// Warmup writes before the split sweep's measurement window — splits
-/// are expected to happen (and finish) in here.
-pub const SPLIT_WARMUP_OPS: usize = 40_000;
-
-/// Writes inside the measurement window itself.
-pub const SPLIT_WINDOW_OPS: usize = 20_000;
-
-/// The split policy the sweep arms: split any shard whose windowed op
-/// share exceeds 8% (just above the ~7.9% share of the hottest single
-/// key at the 100k-key corpus — a single item can't be split apart, so
-/// triggering below that would thrash), with a 4096-op window floor and
-/// a 64-shard growth cap.
-pub fn sweep_split_policy() -> SplitPolicy {
-    SplitPolicy::by_share(0.08)
-        .with_min_ops(4096)
-        .with_max_shards(64)
-}
-
-/// One row of the hot-shard splitting table.
-#[derive(Clone, Debug)]
-pub struct SplitRow {
-    /// `static` or `split`.
-    pub label: String,
-    /// Distinct keys the zipf stream draws from.
-    pub keys: usize,
-    /// Shards the domain started with.
-    pub shards_start: usize,
-    /// Shards the domain ended with (grows only in split runs).
-    pub shards_final: usize,
-    /// Splits performed.
-    pub splits: u64,
-    /// Writes in the measurement window.
-    pub window_ops: u64,
-    /// Window ops on the busiest shard.
-    pub max_ops: u64,
-    /// Window `max / mean` against the **starting** shard count's fair
-    /// share — the static run's own yardstick, so "2.37x → ≤1.3x" is
-    /// apples to apples even though splitting grew the live count.
-    pub imbalance: f64,
-    /// FNV-1a fingerprint of the domain's converged latest state — must
-    /// be byte-identical between the static and split runs.
-    pub fingerprint: u64,
-}
-
-/// Window load reduced through the shared [`ShardImbalance`] type: the
-/// per-shard op deltas between two meter snapshots, with the *baseline*
-/// shard count as the fair-share denominator.
-pub fn window_imbalance(
-    before: &MeterSnapshot,
-    after: &MeterSnapshot,
-    service: Service,
-    ids: &[u32],
-    baseline_shards: usize,
-) -> ShardImbalance {
-    let mut total_ops = 0u64;
-    let mut max_ops = 0u64;
-    let mut max_shard = None;
-    let mut shards_touched = 0usize;
-    for &id in ids {
-        let delta = after
-            .shard_op_count(service, id)
-            .saturating_sub(before.shard_op_count(service, id));
-        if delta == 0 {
-            continue;
-        }
-        shards_touched += 1;
-        total_ops += delta;
-        if delta > max_ops {
-            max_ops = delta;
-            max_shard = Some(id);
-        }
-    }
-    ShardImbalance {
-        baseline_shards,
-        shards_touched,
-        total_ops,
-        max_ops,
-        max_shard,
-    }
-}
-
-/// Runs one leg of the split experiment: `SPLIT_WARMUP_OPS` zipf(θ)
-/// point writes to warm the policy up (splits land here), then
-/// `SPLIT_WINDOW_OPS` more inside a metered window. Returns the window
-/// imbalance against the *starting* shard count plus the converged
-/// state fingerprint.
-///
-/// # Errors
-///
-/// Propagates SimpleDB errors.
-pub fn split_leg(
-    shards: usize,
-    keys: usize,
-    theta: f64,
-    policy: Option<SplitPolicy>,
-) -> Result<SplitRow> {
-    let world = SimWorld::counting();
-    let plan = match policy {
-        Some(p) => ShardPlan::fixed(shards).with_split(p),
-        None => ShardPlan::fixed(shards),
-    };
-    let db = SimpleDb::with_shard_plan(&world, plan);
-    db.create_domain("skew")?;
-    let mut gen = ZipfKeys::new(keys, theta, 2009);
-    let mut write = |i: usize| -> Result<()> {
-        let key = gen.next_index();
-        db.put_attributes(
-            "skew",
-            &format!("item-{key:06}"),
-            &[ReplaceableAttribute::replace("v", i.to_string())],
-        )?;
-        Ok(())
-    };
-    for i in 0..SPLIT_WARMUP_OPS {
-        write(i)?;
-    }
-    let before = world.meters();
-    for i in 0..SPLIT_WINDOW_OPS {
-        write(SPLIT_WARMUP_OPS + i)?;
-    }
-    let after = world.meters();
-    let ids = db.domain_shard_ids("skew").expect("domain exists");
-    let imb = window_imbalance(&before, &after, Service::SimpleDb, &ids, shards);
-    world.settle();
-    Ok(SplitRow {
-        label: if policy.is_some() { "split" } else { "static" }.to_string(),
-        keys,
-        shards_start: shards,
-        shards_final: db.domain_shard_count("skew").expect("domain exists"),
-        splits: db.domain_split_count("skew").expect("domain exists"),
-        window_ops: imb.total_ops,
-        max_ops: imb.max_ops,
-        imbalance: imb.imbalance(),
-        fingerprint: domain_fingerprint(&db, "skew"),
-    })
-}
-
-/// `--mode=split`: static and split legs of a zipf(0.99) point-write
-/// stream over a 16-shard domain, for a 5k-key corpus (the top key alone
-/// carries ~10.7% of ops — an item can't be split, so ~1.7x of a
-/// 16-shard fair share is irreducible) and a 100k-key corpus (where the
-/// ≤ 1.3x target is honestly reachable). The same run at both sizes.
-#[derive(Clone, Debug)]
-pub struct SplitSweep {
-    /// `(static, split)` row pairs, one pair per corpus.
-    pub rows: Vec<SplitRow>,
-}
-
-impl Sweep for SplitSweep {
-    fn run(_size: Size) -> Result<Self> {
-        let mut rows = Vec::new();
-        for keys in [5_000, 100_000] {
-            rows.push(split_leg(16, keys, 0.99, None)?);
-            rows.push(split_leg(16, keys, 0.99, Some(sweep_split_policy()))?);
-        }
-        Ok(SplitSweep { rows })
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Hot-shard splitting — zipf(0.99) point writes, windowed imbalance\n");
-        out.push_str(&format!(
-            "(warmup {SPLIT_WARMUP_OPS} ops, window {SPLIT_WINDOW_OPS} ops; imbalance vs the starting fair share)\n",
-        ));
-        out.push_str(
-            "  mode |   keys | shards start→final | splits | max shard ops | max/mean | state fingerprint\n",
-        );
-        out.push_str(
-            "-------|--------|--------------------|--------|---------------|----------|------------------\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>6} | {:>6} | {:>11}→{:<6} | {:>6} | {:>13} | {:>7.2}x | {:016x}\n",
-                r.label,
-                r.keys,
-                r.shards_start,
-                r.shards_final,
-                r.splits,
-                r.max_ops,
-                r.imbalance,
-                r.fingerprint,
-            ));
-        }
-        out
-    }
-
-    fn check(&self) -> std::result::Result<(), String> {
-        for pair in self.rows.chunks(2) {
-            let (stat, split) = (&pair[0], &pair[1]);
-            ensure!(
-                stat.shards_final == stat.shards_start && stat.splits == 0,
-                "the static leg grew shards: {stat:?}"
-            );
-            ensure!(
-                split.splits > 0 && split.shards_final > split.shards_start,
-                "the split policy never fired: {split:?}"
-            );
-            ensure!(
-                split.imbalance < stat.imbalance,
-                "splitting did not reduce imbalance at {} keys ({:.2}x vs {:.2}x)",
-                split.keys,
-                split.imbalance,
-                stat.imbalance
-            );
-            ensure!(
-                split.fingerprint == stat.fingerprint,
-                "splitting changed the converged state at {} keys",
-                split.keys
-            );
-        }
-        let [_, small_split, large_static, large_split] = &self.rows[..] else {
-            return Err(format!(
-                "expected two corpora, two legs each: {:?}",
-                self.rows
-            ));
-        };
-        ensure!(
-            large_static.imbalance >= 1.9,
-            "static 100k-key imbalance unexpectedly below 1.9x: {large_static:?}"
-        );
-        ensure!(
-            large_split.imbalance <= 1.3,
-            "split 100k-key imbalance {:.2}x above the 1.3x target",
-            large_split.imbalance
-        );
-        ensure!(
-            small_split.imbalance <= 1.8,
-            "split 5k-key imbalance {:.2}x above the ~1.7x single-key floor",
-            small_split.imbalance
         );
         Ok(())
     }

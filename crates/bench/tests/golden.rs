@@ -80,11 +80,6 @@ fn shards_pipeline_smoke_matches_golden() {
 }
 
 #[test]
-fn shards_split_smoke_matches_golden() {
-    assert_mode("split");
-}
-
-#[test]
 fn shards_query_smoke_matches_golden() {
     assert_mode("query");
 }

@@ -17,7 +17,7 @@
 use pass::{FileFlush, ObjectRef};
 use sim_s3::{Metadata, S3Error, S3};
 use sim_simpledb::{DeletableAttribute, ReplaceableAttribute, SimpleDb, MAX_ATTRS_PER_CALL};
-use simworld::{CrashSite, ShardPlan, SimWorld};
+use simworld::{CrashSite, SimWorld};
 
 use crate::arch1::put_plain;
 use crate::closure::{ClosureIndex, ClosureMode};
@@ -116,13 +116,13 @@ pub(crate) struct WriteSide {
 }
 
 impl WriteSide {
-    /// Fresh S3 and SimpleDB endpoints provisioned per `plan`, holding
-    /// the bucket and the provenance domain.
-    pub(crate) fn provision(world: &SimWorld, plan: ShardPlan) -> (S3, SimpleDb) {
-        let s3 = S3::with_shard_plan(world, plan);
+    /// Fresh S3 and SimpleDB endpoints with `shards` shards per bucket
+    /// and domain, holding the bucket and the provenance domain.
+    pub(crate) fn provision(world: &SimWorld, shards: usize) -> (S3, SimpleDb) {
+        let s3 = S3::with_shards(world, shards);
         s3.create_bucket(BUCKET)
             .expect("fresh endpoint has no buckets");
-        let db = SimpleDb::with_shard_plan(world, plan);
+        let db = SimpleDb::with_shards(world, shards);
         db.create_domain(DOMAIN)
             .expect("fresh endpoint has no domains");
         (s3, db)
@@ -267,18 +267,11 @@ impl S3SimpleDb {
     }
 
     /// Creates the store with fresh endpoints whose SimpleDB domains
-    /// *and* S3 buckets are split into `shards` hash shards — the knob
-    /// behind the parallel query/select and multi-client scaling
+    /// *and* S3 buckets are divided into `shards` hash shards — the
+    /// knob behind the parallel query/select and multi-client scaling
     /// experiments.
     pub fn with_shards(world: &SimWorld, shards: usize) -> S3SimpleDb {
-        S3SimpleDb::with_shard_plan(world, ShardPlan::fixed(shards))
-    }
-
-    /// Creates the store with fresh endpoints provisioned per `plan` —
-    /// initial shard count plus an optional hot-shard split policy,
-    /// applied to both the S3 bucket and the SimpleDB domain.
-    pub fn with_shard_plan(world: &SimWorld, plan: ShardPlan) -> S3SimpleDb {
-        let (s3, db) = WriteSide::provision(world, plan);
+        let (s3, db) = WriteSide::provision(world, shards);
         S3SimpleDb::with_services(world, &s3, &db)
     }
 

@@ -23,7 +23,7 @@ use pass::FileFlush;
 use sim_s3::{Metadata, MetadataDirective, S3Error, MAX_DELETE_KEYS, S3};
 use sim_simpledb::SimpleDb;
 use sim_sqs::{Sqs, MAX_BATCH_ENTRIES, RETENTION};
-use simworld::{AdaptiveDepth, Blob, CrashSite, ShardPlan, SimInstant, SimWorld};
+use simworld::{AdaptiveDepth, Blob, CrashSite, SimInstant, SimWorld};
 
 use crate::arch1::put_plain;
 use crate::arch2::{data_meta, Arch2Config, ProvItem, PutProtocol, PutSites, WriteSide};
@@ -607,16 +607,9 @@ impl S3SimpleDbSqs {
     }
 
     /// Creates the store with fresh endpoints whose SimpleDB domains
-    /// *and* S3 buckets are split into `shards` hash shards.
+    /// *and* S3 buckets are divided into `shards` hash shards.
     pub fn with_shards(world: &SimWorld, client_id: &str, shards: usize) -> S3SimpleDbSqs {
-        S3SimpleDbSqs::with_shard_plan(world, client_id, ShardPlan::fixed(shards))
-    }
-
-    /// Creates the store with fresh endpoints provisioned per `plan` —
-    /// initial shard count plus an optional hot-shard split policy,
-    /// applied to both the S3 bucket and the SimpleDB domain.
-    pub fn with_shard_plan(world: &SimWorld, client_id: &str, plan: ShardPlan) -> S3SimpleDbSqs {
-        let (s3, db) = WriteSide::provision(world, plan);
+        let (s3, db) = WriteSide::provision(world, shards);
         S3SimpleDbSqs::with_services(world, &s3, &db, &Sqs::new(world), client_id)
     }
 

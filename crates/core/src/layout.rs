@@ -23,7 +23,7 @@ pub const DOMAIN: &str = "provenance";
 
 /// SimpleDB domain holding the materialized ancestry-closure index
 /// (PR 9). Lives beside [`DOMAIN`] on the same sharded endpoint, so the
-/// shardmap layer routes and splits it like any other domain — and so
+/// shardmap layer routes it like any other domain — and so
 /// the data/provenance fingerprints are byte-identical whether the
 /// index exists or not.
 ///

@@ -323,7 +323,7 @@ pub fn store_fingerprint(s3: &S3, db: &SimpleDb) -> u64 {
 
 /// FNV-1a fingerprint of one SimpleDB domain's authoritative latest
 /// state. Placement is invisible to it — identical state fingerprints
-/// identically at any shard layout, split or not.
+/// identically at any shard layout.
 pub fn domain_fingerprint(db: &SimpleDb, domain: &str) -> u64 {
     let mut hash = Fnv1a::new();
     fold_domain(&mut hash, db, domain);

@@ -2,17 +2,14 @@
 //!
 //! # Sharded storage layout
 //!
-//! Each bucket is a [`simworld::ShardMap`]: a **range-routed** set of
-//! shards, each owning a contiguous span of the 64-bit key-hash ring and
-//! sitting behind its own lock (default [`DEFAULT_SHARDS`] shards,
-//! configurable via [`S3::with_shards`] / [`S3::with_shard_plan`]).
-//! Point operations (PUT/GET/HEAD/COPY/DELETE) contend only for one
-//! shard while LIST fans out across all shards and merges the per-shard
-//! key pages in lexicographic order — the same shared layer the sharded
-//! SimpleDB simulator routes through. With a [`simworld::SplitPolicy`]
-//! armed, a hot shard splits its hash range in two in the background;
-//! placement changes, but converged state is byte-identical with
-//! splitting on or off.
+//! Each bucket is a [`simworld::ShardMap`]: a fixed, **range-routed**
+//! set of shards, each owning a contiguous span of the 64-bit key-hash
+//! ring and sitting behind its own lock (default [`DEFAULT_SHARDS`]
+//! shards, configurable via [`S3::with_shards`]). Point operations
+//! (PUT/GET/HEAD/COPY/DELETE) contend only for one shard while LIST fans
+//! out across all shards and merges the per-shard key pages in
+//! lexicographic order — the same shared layer the sharded SimpleDB
+//! simulator routes through.
 //!
 //! Shard-count requests are validated by the one shared rule
 //! ([`simworld::clamp_shards`], identical in SimpleDB): `with_shards(0)`
@@ -27,10 +24,8 @@
 //! vanish from the page. [`S3::list_all`] pins the replicas once for its
 //! *entire* internal pagination walk, so a marker-based scan is one
 //! coherent view per shard — a stale replica sampled mid-walk can no
-//! longer hide keys an earlier page's replica had already promised, and
-//! because pins are keyed by stable id (not shard index), a shard that
-//! splits mid-walk keeps serving the walk from its parent's pinned
-//! replica: the walk neither skips nor duplicates a key.
+//! longer hide keys an earlier page's replica had already promised, so
+//! the walk neither skips nor duplicates a key.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -38,8 +33,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use simworld::{
-    Blob, Charge, Cost, Md5Digest, Op, ReplicaPin, ShardMap, ShardPlan, ShardRegistry, SimInstant,
-    SimWorld, SplitEvent, ThrottleConfig,
+    Blob, Charge, Cost, Md5Digest, Op, ReplicaPin, ShardMap, ShardRegistry, SimInstant, SimWorld,
+    ThrottleConfig,
 };
 
 use crate::error::{Result, S3Error};
@@ -173,61 +168,28 @@ impl S3 {
         S3::with_shards(world, DEFAULT_SHARDS)
     }
 
-    /// Connects an endpoint whose buckets are split into `shards` hash
+    /// Connects an endpoint whose buckets are divided into `shards` hash
     /// shards, validated by the shared rule ([`simworld::clamp_shards`]:
     /// zero becomes 1, oversized caps at [`MAX_SHARDS`]). More shards
     /// mean less lock contention between concurrent point operations and
-    /// more fan-out parallelism for LIST. The layout is static — no
-    /// splitting.
+    /// more fan-out parallelism for LIST. The layout is fixed for the
+    /// life of each bucket.
     pub fn with_shards(world: &SimWorld, shards: usize) -> S3 {
-        S3::with_shard_plan(world, ShardPlan::fixed(shards))
-    }
-
-    /// Connects an endpoint provisioning each bucket per `plan`: the
-    /// initial shard count plus, optionally, a hot-shard
-    /// [`simworld::SplitPolicy`].
-    pub fn with_shard_plan(world: &SimWorld, plan: ShardPlan) -> S3 {
         S3 {
             world: world.clone(),
-            buckets: Arc::new(ShardRegistry::new(plan)),
+            buckets: Arc::new(ShardRegistry::new(shards)),
         }
     }
 
-    /// Initial (post-clamp) hash shards per bucket on this endpoint.
-    /// Splitting can grow an individual bucket past this — see
-    /// [`S3::bucket_shard_count`].
+    /// Hash shards per bucket on this endpoint (post-clamp).
     pub fn shard_count(&self) -> usize {
-        simworld::clamp_shards(self.buckets.plan().shards)
+        self.buckets.shards()
     }
 
-    /// The shard plan buckets are provisioned with.
-    pub fn shard_plan(&self) -> ShardPlan {
-        self.buckets.plan()
-    }
-
-    /// Shards `bucket` currently holds (grows as hot shards split), or
-    /// `None` for an unknown bucket. Unbilled.
-    pub fn bucket_shard_count(&self, bucket: &str) -> Option<usize> {
-        Some(self.buckets.get(bucket)?.shard_count())
-    }
-
-    /// Splits performed on `bucket` so far, or `None` for an unknown
-    /// bucket. Unbilled.
-    pub fn bucket_split_count(&self, bucket: &str) -> Option<u64> {
-        Some(self.buckets.get(bucket)?.split_count())
-    }
-
-    /// Stable ids of `bucket`'s current shards in hash-range order, or
-    /// `None` for an unknown bucket. Unbilled.
+    /// Stable ids of `bucket`'s shards in hash-range order, or `None`
+    /// for an unknown bucket. Unbilled.
     pub fn bucket_shard_ids(&self, bucket: &str) -> Option<Vec<u32>> {
         Some(self.buckets.get(bucket)?.shard_ids())
-    }
-
-    /// Test/bench hook: force-splits the shard of `bucket` currently
-    /// holding the most cells, policy or not. Returns the split record,
-    /// or `None` when the bucket is unknown or nothing can split.
-    pub fn split_hottest(&self, bucket: &str) -> Option<SplitEvent> {
-        self.buckets.get(bucket)?.force_split()
     }
 
     /// Installs (or, with `None`, removes) a per-shard write-rate limit.
@@ -374,7 +336,7 @@ impl S3 {
         key: &str,
         miss: Charge<'_>,
     ) -> Result<(u32, Stored)> {
-        let (shard, stored) = bkt.point_op(key, |shard, map| (shard, map.read(&self.world, key)));
+        let (shard, stored) = bkt.with_cells(key, |shard, map| (shard, map.read(&self.world, key)));
         let Some(stored) = stored else {
             self.world.charge(Charge {
                 shards: &[shard],
@@ -517,7 +479,7 @@ impl S3 {
     /// Deleting an absent key is billed and writes nothing.
     fn write(&self, bkt: &Bucket, key: &str, value: Option<Stored>, charge: Charge<'_>) {
         debug_assert!(charge.shards.len() <= 1, "at most a copy's source shard");
-        bkt.point_op(key, |shard, map| {
+        bkt.with_cells(key, |shard, map| {
             let prev = map.read_latest_with(key, Stored::footprint);
             let next = value.as_ref().map(Stored::footprint);
             let mut touched = [shard; 2];
@@ -618,7 +580,6 @@ impl S3 {
             }
             doomed.len() as u64
         });
-        bkt.note_ops(&shards);
         Ok(removed)
     }
 
@@ -638,16 +599,8 @@ impl S3 {
         max_keys: usize,
     ) -> Result<Listing> {
         let bkt = self.bucket(bucket)?;
-        let (listing, touched) = bkt.read_view(|view| {
-            let ids = view.sorted_ids();
-            let pin = view.pin_replicas(&self.world, &ids);
-            (
-                self.list_page_on(view, &ids, &pin, prefix, marker, max_keys),
-                ids,
-            )
-        });
-        bkt.note_ops(&touched);
-        Ok(listing)
+        let pin = bkt.pin_replicas(&self.world);
+        Ok(self.list_page_on(&bkt, &pin, prefix, marker, max_keys))
     }
 
     /// Lists *every* key with `prefix`, driving pagination internally.
@@ -655,25 +608,18 @@ impl S3 {
     /// for the **whole walk**, keyed by stable shard id, so the result
     /// is a coherent per-shard view: a fresh (possibly stale) replica
     /// sampled mid-walk can no longer hide keys that an earlier page
-    /// counted toward its cap, and a shard that splits between pages
-    /// keeps serving the walk from its parent's pinned replica.
+    /// counted toward its cap.
     ///
     /// # Errors
     ///
     /// [`S3Error::NoSuchBucket`].
     pub fn list_all(&self, bucket: &str, prefix: &str) -> Result<Vec<ObjectSummary>> {
         let bkt = self.bucket(bucket)?;
-        let pin = bkt.read_view(|view| view.pin_replicas(&self.world, &view.sorted_ids()));
+        let pin = bkt.pin_replicas(&self.world);
         let mut out = Vec::new();
         let mut marker: Option<String> = None;
         loop {
-            let (page, touched) = bkt.read_view(|view| {
-                let ids = view.sorted_ids();
-                let page =
-                    self.list_page_on(view, &ids, &pin, prefix, marker.as_deref(), MAX_LIST_KEYS);
-                (page, ids)
-            });
-            bkt.note_ops(&touched);
+            let page = self.list_page_on(&bkt, &pin, prefix, marker.as_deref(), MAX_LIST_KEYS);
             let truncated = page.is_truncated;
             marker = page.objects.last().map(|o| o.key.clone());
             out.extend(page.objects);
@@ -683,18 +629,16 @@ impl S3 {
         }
     }
 
-    /// One LIST page over the shard fan-out, on explicitly pinned
-    /// replicas (a shard born after the pin was minted resolves to its
-    /// nearest pinned ancestor). The cross-shard machinery is the same
+    /// One LIST page over the shard fan-out, on the replicas `pin` holds
+    /// (minted on `bkt`). The cross-shard machinery is the same
     /// adaptive-quota merge the sharded SimpleDB `Query` uses
     /// ([`simworld::merged_shard_page`]); per shard, the scan is
     /// range-bounded to the prefix's contiguous key range, so a
     /// narrow-prefix LIST examines (and is charged for) only the cells
-    /// that could match. `ids` are the view's stable shard ids, ascending.
+    /// that could match.
     fn list_page_on(
         &self,
-        view: &simworld::MapView<'_, Stored>,
-        ids: &[u32],
+        bkt: &Bucket,
         pin: &ReplicaPin,
         prefix: &str,
         marker: Option<&str>,
@@ -703,16 +647,9 @@ impl S3 {
         use std::ops::Bound;
         let cap = max_keys.clamp(1, MAX_LIST_KEYS);
         let now = self.world.now();
-        let shard_count = view.shard_count();
-        let replicas: Vec<usize> = (0..shard_count)
-            .map(|pos| {
-                view.resolve_pin(pin, pos)
-                    .expect("ids never disappear, so every shard reaches a pinned ancestor")
-            })
-            .collect();
         let prefix_key = prefix.to_string();
         let (page, more, scanned) = simworld::merged_shard_page(
-            shard_count,
+            bkt.shard_count(),
             marker.map(str::to_string),
             cap,
             |i, cursor, quota| {
@@ -724,9 +661,9 @@ impl S3 {
                     _ if !prefix.is_empty() => Bound::Included(&prefix_key),
                     _ => Bound::Unbounded,
                 };
-                view.with_cells_at(i, |map| {
+                bkt.with_cells_at(i, |map| {
                     map.visible_page_from(
-                        replicas[i],
+                        bkt.pinned_replica(pin, i),
                         now,
                         start,
                         quota,
@@ -752,7 +689,7 @@ impl S3 {
         // deterministic virtual-time LIST speedup.
         self.world.charge(Charge {
             cost: Cost::Scan { rows: scanned },
-            shards: ids,
+            shards: bkt.sorted_ids(),
             ..Charge::point(Op::S3List, 0, bytes_out)
         });
         Listing {

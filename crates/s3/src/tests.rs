@@ -850,8 +850,8 @@ mod throttle {
     fn copy_refused_for_oversized_metadata_leaves_no_fingerprints() {
         // Twin worlds: one issues a COPY whose replacement metadata is
         // over the limit, the other never does. The refusal is unbilled,
-        // so it must not draw a replica, touch a shard, feed the split
-        // window or take the destination shard's one throttle token.
+        // so it must not draw a replica, touch a shard or take the
+        // destination shard's one throttle token.
         let run = |refused_copy: bool| {
             let world = SimWorld::new(77);
             let s3 = S3::new(&world);
@@ -874,35 +874,4 @@ mod throttle {
         };
         assert_eq!(run(true), run(false));
     }
-}
-
-#[test]
-fn list_marker_walk_spans_a_split() {
-    // A LIST walk started before a split must neither skip nor
-    // duplicate keys: pages re-pin by stable shard id and children
-    // created mid-walk resolve through their parent's pin.
-    let world = SimWorld::counting();
-    let s3 = S3::with_shards(&world, 4);
-    s3.create_bucket("b").unwrap();
-    for i in 0..40 {
-        s3.put_object("b", &format!("k{i:02}"), Blob::from("x"), Metadata::new())
-            .unwrap();
-    }
-    world.settle();
-    let mut keys = Vec::new();
-    let mut marker: Option<String> = None;
-    loop {
-        let page = s3.list_objects("b", "", marker.as_deref(), 7).unwrap();
-        keys.extend(page.objects.iter().map(|o| o.key.clone()));
-        // Re-shape the bucket between every page.
-        s3.split_hottest("b")
-            .expect("a populated shard can always split");
-        if !page.is_truncated {
-            break;
-        }
-        marker = Some(page.objects.last().unwrap().key.clone());
-    }
-    assert!(s3.bucket_shard_count("b").unwrap() > 4, "splits happened");
-    assert_eq!(keys.len(), 40, "no skips, no duplicates");
-    assert!(keys.windows(2).all(|w| w[0] < w[1]), "still key-ordered");
 }

@@ -2,11 +2,10 @@
 //!
 //! # Sharded storage layout
 //!
-//! Each domain is a [`simworld::ShardMap`]: a **range-routed** set of
-//! shards, each owning a contiguous span of the 64-bit key-hash ring and
-//! sitting behind its own lock (default [`DEFAULT_SHARDS`] shards,
-//! configurable via [`SimpleDb::with_shards`] /
-//! [`SimpleDb::with_shard_plan`]). Point operations
+//! Each domain is a [`simworld::ShardMap`]: a fixed, **range-routed**
+//! set of shards, each owning a contiguous span of the 64-bit key-hash
+//! ring and sitting behind its own lock (default [`DEFAULT_SHARDS`]
+//! shards, configurable via [`SimpleDb::with_shards`]). Point operations
 //! (`PutAttributes`/`GetAttributes`/`DeleteAttributes`) contend only for
 //! one shard. `Query`/`Select` merge per-shard results in item-name
 //! order: an expression with `=` terms *weighs* every shard — one probe
@@ -15,10 +14,7 @@
 //! Shards are visited one at a time, never under a cross-shard snapshot,
 //! and a covered shard's read point is its weigh visit: an item a
 //! concurrent writer lands on a shard already weighed can miss the page
-//! being served, exactly as it could land behind a scan's cursor. With a
-//! [`simworld::SplitPolicy`] armed, a hot shard splits its range in two
-//! in the background — placement changes, but converged state is
-//! byte-identical with splitting on or off.
+//! being served, exactly as it could land behind a scan's cursor.
 //!
 //! Shard-count requests are validated by the one shared rule
 //! ([`simworld::clamp_shards`], identical in S3): `with_shards(0)` is
@@ -31,21 +27,19 @@
 //! stable shard id**, and the last item name served. Pinning replicas
 //! means every page of one logical scan reads the same replica view per
 //! shard (the single-replica contract of one `EcMap::visible_page_on`
-//! call, stretched across pages); keying by stable id — rather than by
-//! shard index, as before range routing — means the pin survives shards
-//! splitting mid-scan: a shard born after the token was minted resolves
-//! to its nearest pinned ancestor. Every page is in item-name order and
-//! resumes strictly after the name in its token, so a paginated scan
-//! neither skips nor duplicates an item no matter what is inserted,
-//! deleted, or split between pages.
+//! call, stretched across pages). A token is accepted only by a domain
+//! whose shard ids are exactly the ids it pins; a token minted on another
+//! layout is [`SdbError::InvalidNextToken`]. Every page is in item-name
+//! order and resumes strictly after the name in its token, so a paginated
+//! scan neither skips nor duplicates an item no matter what is inserted
+//! or deleted between pages.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use simworld::{
-    Charge, Cost, MapView, Op, Pair, ReplicaPin, ShardMap, ShardPlan, ShardRegistry, SimWorld,
-    SplitEvent, ThrottleConfig,
+    Charge, Cost, Op, Pair, ReplicaPin, ShardMap, ShardRegistry, SimWorld, ThrottleConfig,
 };
 
 use crate::error::{Result, SdbError};
@@ -159,61 +153,28 @@ impl SimpleDb {
         SimpleDb::with_shards(world, DEFAULT_SHARDS)
     }
 
-    /// Connects an endpoint whose domains are split into `shards` hash
+    /// Connects an endpoint whose domains are divided into `shards` hash
     /// shards, validated by the shared rule ([`simworld::clamp_shards`]:
     /// zero becomes 1, oversized caps at [`MAX_SHARDS`]). More shards
     /// mean less lock contention between concurrent point operations and
     /// more fan-out parallelism for `Query`/`Select`. The layout is
-    /// static — no splitting.
+    /// fixed for the life of each domain.
     pub fn with_shards(world: &SimWorld, shards: usize) -> SimpleDb {
-        SimpleDb::with_shard_plan(world, ShardPlan::fixed(shards))
-    }
-
-    /// Connects an endpoint provisioning each domain per `plan`: the
-    /// initial shard count plus, optionally, a hot-shard
-    /// [`simworld::SplitPolicy`].
-    pub fn with_shard_plan(world: &SimWorld, plan: ShardPlan) -> SimpleDb {
         SimpleDb {
             world: world.clone(),
-            domains: Arc::new(ShardRegistry::new(plan)),
+            domains: Arc::new(ShardRegistry::new(shards)),
         }
     }
 
-    /// Initial (post-clamp) hash shards per domain on this endpoint.
-    /// Splitting can grow an individual domain past this — see
-    /// [`SimpleDb::domain_shard_count`].
+    /// Hash shards per domain on this endpoint (post-clamp).
     pub fn shard_count(&self) -> usize {
-        simworld::clamp_shards(self.domains.plan().shards)
+        self.domains.shards()
     }
 
-    /// The shard plan domains are provisioned with.
-    pub fn shard_plan(&self) -> ShardPlan {
-        self.domains.plan()
-    }
-
-    /// Shards `domain` currently holds (grows as hot shards split), or
-    /// `None` for an unknown domain. Unbilled.
-    pub fn domain_shard_count(&self, domain: &str) -> Option<usize> {
-        Some(self.domains.get(domain)?.shard_count())
-    }
-
-    /// Splits performed on `domain` so far, or `None` for an unknown
-    /// domain. Unbilled.
-    pub fn domain_split_count(&self, domain: &str) -> Option<u64> {
-        Some(self.domains.get(domain)?.split_count())
-    }
-
-    /// Stable ids of `domain`'s current shards in hash-range order, or
-    /// `None` for an unknown domain. Unbilled.
+    /// Stable ids of `domain`'s shards in hash-range order, or `None`
+    /// for an unknown domain. Unbilled.
     pub fn domain_shard_ids(&self, domain: &str) -> Option<Vec<u32>> {
         Some(self.domains.get(domain)?.shard_ids())
-    }
-
-    /// Test/bench hook: force-splits the shard of `domain` currently
-    /// holding the most cells, policy or not. Returns the split record,
-    /// or `None` when the domain is unknown or nothing can split.
-    pub fn split_hottest(&self, domain: &str) -> Option<SplitEvent> {
-        self.domains.get(domain)?.force_split()
     }
 
     /// Installs (or, with `None`, removes) a per-shard write-rate limit.
@@ -278,7 +239,7 @@ impl SimpleDb {
         let dom = self.domain(domain)?;
         let op = Op::SdbPutAttributes;
         self.admit(&dom, domain, op, bytes_in, &[dom.route(item_name)])?;
-        dom.point_op(item_name, |shard, map| {
+        dom.with_cells(item_name, |shard, map| {
             let (item, stored_delta) = apply_put(item_name, map.read_latest(item_name), attrs)?;
             self.world.charge(Charge {
                 shards: &[shard],
@@ -316,7 +277,7 @@ impl SimpleDb {
     ) -> Result<ItemState> {
         let dom = self.domain(domain)?;
         // The stored item itself, unless `names` filters pairs out.
-        let (shard, item) = dom.point_op(item_name, |shard, map| {
+        let (shard, item) = dom.with_cells(item_name, |shard, map| {
             let item = map.read_with(&self.world, item_name, |item| {
                 let keep = |p: &Pair| names.is_none_or(|f| f.contains(&&*p.name));
                 item.map_or_else(ItemState::default, |item| item.only(keep))
@@ -351,7 +312,7 @@ impl SimpleDb {
         let op = Op::SdbDeleteAttributes;
         let bytes_in = item_name.len() as u64;
         self.admit(&dom, domain, op, bytes_in, &[dom.route(item_name)])?;
-        dom.point_op(item_name, |shard, map| {
+        dom.with_cells(item_name, |shard, map| {
             let change = map
                 .read_latest(item_name)
                 .map(|item| apply_delete(item, attrs));
@@ -410,7 +371,7 @@ impl SimpleDb {
         // Every touched shard's lock is taken exactly once, in ascending
         // id order (a deterministic order keeps concurrent batches
         // deadlock-free).
-        let touched = dom.with_cells_multi(&shards, |guards| -> Result<Vec<u32>> {
+        dom.with_cells_multi(&shards, |guards| -> Result<()> {
             // Stage phase: compute every item's new state against the
             // locked shards. Any failure returns here — nothing has been
             // written.
@@ -423,23 +384,20 @@ impl SimpleDb {
                 staged.push((shard, item_name, item));
             }
             // Apply phase: meter one request, then write every entry.
-            let touched = self.charge_batch(op, bytes_in, &shards, stored_delta);
+            self.charge_batch(op, bytes_in, &shards, stored_delta);
             for (shard, item_name, item) in staged {
                 guards
                     .get_mut(shard)
                     .write(&self.world, item_name.to_string(), Some(item));
             }
-            Ok(touched)
-        })?;
-        dom.note_ops(&touched);
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Charges one batch request whose entries landed on `shards` (one
     /// routed id per entry): shards apply their entries in parallel, so
-    /// the busiest one's entry count gates the response. Returns the
-    /// distinct shards touched.
-    fn charge_batch(&self, op: Op, bytes_in: u64, shards: &[u32], stored_delta: i64) -> Vec<u32> {
+    /// the busiest one's entry count gates the response.
+    fn charge_batch(&self, op: Op, bytes_in: u64, shards: &[u32], stored_delta: i64) {
         let mut per_shard = BTreeMap::<u32, u64>::new();
         for &shard in shards {
             *per_shard.entry(shard).or_insert(0) += 1;
@@ -455,7 +413,6 @@ impl SimpleDb {
             stored_delta,
             ..Charge::point(op, bytes_in, 0)
         });
-        touched
     }
 
     /// `BatchDeleteAttributes`: deletes attributes (or, with `None`
@@ -480,7 +437,7 @@ impl SimpleDb {
         let bytes_in: u64 = items.iter().map(|(name, _)| name.len() as u64).sum();
         let op = Op::SdbBatchDeleteAttributes;
         self.admit(&dom, domain, op, bytes_in, &shards)?;
-        let touched = dom.with_cells_multi(&shards, |guards| {
+        dom.with_cells_multi(&shards, |guards| {
             // Stage, then charge, then write, as in the batch put; a
             // batch names an item at most once, so staged states are
             // what a one-by-one apply would compute.
@@ -494,7 +451,7 @@ impl SimpleDb {
                 stored_delta += delta;
                 staged.push((shard, item_name, new_state));
             }
-            let touched = self.charge_batch(op, bytes_in, &shards, stored_delta);
+            self.charge_batch(op, bytes_in, &shards, stored_delta);
             let now = self.world.now();
             // One sweep per written shard, after its writes: `gc` walks
             // the whole shard.
@@ -508,9 +465,7 @@ impl SimpleDb {
             for shard in written {
                 guards.get_mut(shard).gc(now);
             }
-            touched
         });
-        dom.note_ops(&touched);
         Ok(())
     }
 
@@ -529,7 +484,7 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
     ) -> Result<QueryResult> {
-        let ((rows, next, scanned), touched) =
+        let ((rows, next, scanned), dom) =
             self.run_query(domain, expression, max_items, next_token, |_| ())?;
         let item_names: Vec<String> = rows.into_iter().map(|(n, ())| n).collect();
         let bytes: u64 = item_names
@@ -537,7 +492,7 @@ impl SimpleDb {
             .map(|n| n.len() as u64 + ITEM_ENTRY_OVERHEAD)
             .sum();
         let request = expression.map_or(0, str::len);
-        self.charge_scan(Op::SdbQuery, request, bytes, scanned, &touched);
+        self.charge_scan(Op::SdbQuery, request, bytes, scanned, dom.sorted_ids());
         Ok(QueryResult {
             item_names,
             next_token: next,
@@ -559,7 +514,7 @@ impl SimpleDb {
         next_token: Option<&str>,
     ) -> Result<QueryWithAttributesResult> {
         let keep = |p: &Pair| attribute_filter.is_none_or(|f| f.iter().any(|n| *n == *p.name));
-        let ((rows, next, scanned), touched) =
+        let ((rows, next, scanned), dom) =
             self.run_query(domain, expression, max_items, next_token, |item| {
                 item.only(keep)
             })?;
@@ -571,7 +526,7 @@ impl SimpleDb {
             request,
             bytes,
             scanned,
-            &touched,
+            dom.sorted_ids(),
         );
         Ok(QueryWithAttributesResult {
             items,
@@ -589,61 +544,53 @@ impl SimpleDb {
     pub fn select(&self, sql: &str, next_token: Option<&str>) -> Result<SelectResult> {
         let stmt = SelectStatement::parse(sql)?;
         let dom = self.domain(&stmt.domain)?;
-        let (result, touched) = dom.read_view(|view| -> Result<(SelectResult, Vec<u32>)> {
-            // Validate any client token up front — `count(*)` is
-            // unpaginated and ignores the cursor, but a malformed or
-            // foreign-layout token must fail on every API the same way.
-            let token = decode_token(next_token, view, &self.world)?;
-            let touched = view.sorted_ids();
-            let cond = stmt.condition.as_ref();
-            let selects = |name: &str, item: &ItemState| cond.is_none_or(|c| c.matches(name, item));
+        // Validate any client token up front — `count(*)` is unpaginated
+        // and ignores the cursor, but a malformed or foreign-layout token
+        // must fail on every API the same way.
+        let token = decode_token(next_token, &dom, &self.world)?;
+        let cond = stmt.condition.as_ref();
+        let selects = |name: &str, item: &ItemState| cond.is_none_or(|c| c.matches(name, item));
 
-            let (items, count, next_token, bytes, scanned) = if stmt.output == Output::Count {
-                // count(*) is unpaginated: one fan-out over freshly
-                // sampled replica views, counting matches without
-                // materialising a single item.
-                let pin = view.pin_replicas(&self.world, &touched);
-                let now = self.world.now();
-                let mut matched = 0u64;
-                let mut scanned = 0u64;
-                for pos in 0..view.shard_count() {
-                    let replica = view
-                        .resolve_pin(&pin, pos)
-                        .expect("a fresh pin covers every shard");
-                    view.with_cells_at(pos, |map| {
-                        let (m, examined) =
-                            map.visible_count_on(replica, now, |name, item| selects(name, item));
-                        matched += m;
-                        scanned = scanned.max(examined);
-                    });
-                }
-                let count = matched.min(stmt.limit as u64);
-                (Vec::new(), Some(count), None, 16, scanned)
-            } else {
-                let project = |item: &ItemState| match &stmt.output {
-                    Output::ItemName => ItemState::default(),
-                    Output::All => item.clone(),
-                    Output::Attrs(list) => item.only(|p| list.iter().any(|n| *n == *p.name)),
-                    Output::Count => unreachable!("count handled above"),
-                };
-                let (page, next, scanned) =
-                    self.merged_page(view, &touched, token, stmt.limit, cond, |name, item| {
-                        selects(name, item).then(|| project(item))
-                    })?;
-                let items = result_items(page);
-                let bytes = result_bytes(&items);
-                (items, None, next, bytes, scanned)
+        let (items, count, next_token, bytes, scanned) = if stmt.output == Output::Count {
+            // count(*) is unpaginated: one fan-out over freshly sampled
+            // replica views, counting matches without materialising a
+            // single item.
+            let pin = dom.pin_replicas(&self.world);
+            let now = self.world.now();
+            let mut matched = 0u64;
+            let mut scanned = 0u64;
+            for pos in 0..dom.shard_count() {
+                let replica = dom.pinned_replica(&pin, pos);
+                dom.with_cells_at(pos, |map| {
+                    let (m, examined) =
+                        map.visible_count_on(replica, now, |name, item| selects(name, item));
+                    matched += m;
+                    scanned = scanned.max(examined);
+                });
+            }
+            let count = matched.min(stmt.limit as u64);
+            (Vec::new(), Some(count), None, 16, scanned)
+        } else {
+            let project = |item: &ItemState| match &stmt.output {
+                Output::ItemName => ItemState::default(),
+                Output::All => item.clone(),
+                Output::Attrs(list) => item.only(|p| list.iter().any(|n| *n == *p.name)),
+                Output::Count => unreachable!("count handled above"),
             };
-            self.charge_scan(Op::SdbSelect, sql.len(), bytes, scanned, &touched);
-            let result = SelectResult {
-                items,
-                count,
-                next_token,
-            };
-            Ok((result, touched))
-        })?;
-        dom.note_ops(&touched);
-        Ok(result)
+            let (page, next, scanned) =
+                self.merged_page(&dom, token, stmt.limit, cond, |name, item| {
+                    selects(name, item).then(|| project(item))
+                });
+            let items = result_items(page);
+            let bytes = result_bytes(&items);
+            (items, None, next, bytes, scanned)
+        };
+        self.charge_scan(Op::SdbSelect, sql.len(), bytes, scanned, dom.sorted_ids());
+        Ok(SelectResult {
+            items,
+            count,
+            next_token,
+        })
     }
 
     /// Charges one `Query`/`Select` page: a scan whose busiest shard
@@ -678,10 +625,8 @@ impl SimpleDb {
     /// property validators only.
     pub fn domain_cell_count(&self, domain: &str) -> Option<usize> {
         let dom = self.domains.get(domain)?;
-        Some(dom.read_view(|view| {
-            let cells = |pos| view.with_cells_at(pos, |map| map.cell_count());
-            (0..view.shard_count()).map(cells).sum()
-        }))
+        let cells = |pos| dom.with_cells_at(pos, |map| map.cell_count());
+        Some((0..dom.shard_count()).map(cells).sum())
     }
 
     fn domain(&self, domain: &str) -> Result<Arc<Domain>> {
@@ -699,9 +644,7 @@ impl SimpleDb {
     /// of the merge. `select` sees each visible item under its shard's
     /// lock and returns the row to serve for a match, so nothing but the
     /// row is copied out. The returned token resumes strictly after the
-    /// last name served, carrying the same replica pin — so a shard that
-    /// splits between pages keeps serving the walk from its parent's
-    /// pinned replica.
+    /// last name served, carrying the same replica pin.
     ///
     /// When `expr` has `=` pairs, a **weigh** pass first probes every
     /// shard's attribute postings — built, under the shard lock, the
@@ -712,28 +655,22 @@ impl SimpleDb {
     /// first page, to price the scan behind the cursor): a shard with
     /// nothing posted is charged its cell count, which is what fetching
     /// nothing from it charged. Every candidate is re-checked by `select`
-    /// on the pinned replica, whichever cover found it. `ids` are the
-    /// view's stable shard ids, ascending.
+    /// on the pinned replica, whichever cover found it. A `token` has
+    /// been checked against `dom`'s layout ([`decode_token`]).
     fn merged_page<T>(
         &self,
-        view: &MapView<'_, ItemState>,
-        ids: &[u32],
+        dom: &Domain,
         token: Option<PageToken>,
         page_size: usize,
         expr: Option<&impl EqCover>,
         mut select: impl FnMut(&str, &ItemState) -> Option<T>,
-    ) -> Result<Page<T>> {
+    ) -> Page<T> {
         let (pin, after) = match token {
             Some(PageToken { pin, after }) => (pin, Some(after)),
-            None => (view.pin_replicas(&self.world, ids), None),
+            None => (dom.pin_replicas(&self.world), None),
         };
         let now = self.world.now();
-        let shards = view.shard_count();
-        let mut replicas = Vec::with_capacity(shards);
-        for pos in 0..shards {
-            let replica = view.resolve_pin(&pin, pos);
-            replicas.push(replica.ok_or(SdbError::InvalidNextToken)?);
-        }
+        let shards = dom.shard_count();
 
         let probes: Vec<(&str, u64)> = expr.map_or_else(Vec::new, |e| {
             e.eq_pairs(|attr, value| (attr, simworld::value_hash(value)))
@@ -752,7 +689,7 @@ impl SimpleDb {
         let (totals, cells) = rest.split_at_mut(pairs);
         if pairs > 0 {
             for pos in 0..shards {
-                view.with_cells_at(pos, |map| {
+                dom.with_cells_at(pos, |map| {
                     cells[pos] = map.cell_count();
                     let posted = &mut posted[pos * pairs..][..pairs];
                     map.posting_counts(ItemState::get, &probes, posted);
@@ -774,9 +711,10 @@ impl SimpleDb {
                 if cursor.is_none() && cover.as_ref().is_some_and(idle) {
                     return (Vec::new(), cells[i] as u64);
                 }
-                view.with_cells_at(i, |map| {
+                dom.with_cells_at(i, |map| {
                     let cover = cover_probes.as_deref();
-                    map.visible_page_on(replicas[i], now, cursor, quota, cover, |k, v| select(k, v))
+                    let replica = dom.pinned_replica(&pin, i);
+                    map.visible_page_on(replica, now, cursor, quota, cover, |k, v| select(k, v))
                 })
             });
         let next = more.then(|| {
@@ -786,12 +724,12 @@ impl SimpleDb {
                 .expect("page_size >= 1, so a truncated page is non-empty");
             PageToken { pin, after: last }.encode()
         });
-        Ok((candidates, next, scanned))
+        (candidates, next, scanned)
     }
 
     /// Shared implementation of `Query`/`QueryWithAttributes`: `emit`
     /// builds what a call returns of a matching item. Returns the page
-    /// and the shards the fan-out touched, for the caller's charge.
+    /// and the domain, whose shards the caller's charge touches.
     fn run_query<T>(
         &self,
         domain: &str,
@@ -799,23 +737,18 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
         emit: impl Fn(&ItemState) -> T,
-    ) -> Result<(Page<T>, Vec<u32>)> {
+    ) -> Result<(Page<T>, Arc<Domain>)> {
         let parsed = expression.map(QueryExpr::parse).transpose()?;
         let page_size = max_items
             .unwrap_or(QUERY_DEFAULT_PAGE)
             .clamp(1, QUERY_MAX_PAGE);
         let dom = self.domain(domain)?;
-        let out = dom.read_view(|view| -> Result<(Page<T>, Vec<u32>)> {
-            let token = decode_token(next_token, view, &self.world)?;
-            let touched = view.sorted_ids();
-            let query = parsed.as_ref();
-            let page = self.merged_page(view, &touched, token, page_size, query, |_, item| {
-                query.is_none_or(|q| q.matches(item)).then(|| emit(item))
-            })?;
-            Ok((page, touched))
-        })?;
-        dom.note_ops(&out.1);
-        Ok(out)
+        let token = decode_token(next_token, &dom, &self.world)?;
+        let query = parsed.as_ref();
+        let page = self.merged_page(&dom, token, page_size, query, |_, item| {
+            query.is_none_or(|q| q.matches(item)).then(|| emit(item))
+        });
+        Ok((page, dom))
     }
 }
 
@@ -930,10 +863,8 @@ struct PageToken {
 
 impl PageToken {
     /// Wire format: `s<pins>;p<id:r.id:r...>;a<hex(name)>`. Pins are
-    /// keyed by stable shard id (ascending), which is what lets a token
-    /// minted before a split keep working after it. The item name is
-    /// hex-encoded so the token survives any byte the 1 KB item-name
-    /// budget allows.
+    /// keyed by stable shard id (ascending). The item name is hex-encoded
+    /// so the token survives any byte the 1 KB item-name budget allows.
     fn encode(&self) -> String {
         let pins = self
             .pin
@@ -970,27 +901,17 @@ impl PageToken {
     }
 }
 
-/// Decodes and validates a client token against the domain's current
-/// shard layout and the world's replica count: every pinned id must
-/// name a live shard (ids never disappear — shards split, never merge)
-/// and every current shard must resolve to a pinned ancestor.
-fn decode_token(
-    token: Option<&str>,
-    view: &MapView<'_, ItemState>,
-    world: &SimWorld,
-) -> Result<Option<PageToken>> {
+/// Decodes and validates a client token against the domain's shard
+/// layout and the world's replica count: the pinned ids must be exactly
+/// the domain's shard ids, and every pinned replica must exist.
+fn decode_token(token: Option<&str>, dom: &Domain, world: &SimWorld) -> Result<Option<PageToken>> {
     let Some(token) = token else {
         return Ok(None);
     };
     let parsed = PageToken::decode(token).ok_or(SdbError::InvalidNextToken)?;
     let replica_bound = world.replicas().max(1);
-    if parsed.pin.iter().any(|(_, r)| r >= replica_bound) || !view.pin_ids_known(&parsed.pin) {
+    if parsed.pin.iter().any(|(_, r)| r >= replica_bound) || !dom.pin_matches(&parsed.pin) {
         return Err(SdbError::InvalidNextToken);
-    }
-    for pos in 0..view.shard_count() {
-        if view.resolve_pin(&parsed.pin, pos).is_none() {
-            return Err(SdbError::InvalidNextToken);
-        }
     }
     Ok(Some(parsed))
 }

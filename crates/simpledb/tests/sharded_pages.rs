@@ -1,5 +1,5 @@
-//! Sharding must be invisible in answers: whatever the shard count, the
-//! page size, or a split between two pages, the pages of a name-ordered
+//! Sharding must be invisible in answers: whatever the shard count or
+//! the page size, the pages of a name-ordered
 //! `Query`/`Select` concatenate to exactly what one shard answers in one
 //! page — nothing skipped, nothing served twice, every token accepted.
 //!
@@ -92,17 +92,14 @@ fn select_where((form, x, y, zr): Pick) -> String {
     }
 }
 
-/// Pages `fetch` to the end, force-splitting the fullest shard after
-/// page `split_after`. Every page but the last must be full.
+/// Pages `fetch` to the end. Every page but the last must be full.
 fn walk(
-    db: &SimpleDb,
     page_size: usize,
-    split_after: Option<usize>,
     fetch: impl Fn(Option<&str>) -> (Vec<ResultItem>, Option<String>),
 ) -> Vec<ResultItem> {
     let mut rows = Vec::new();
     let mut token: Option<String> = None;
-    for page in 0.. {
+    loop {
         let (items, next) = fetch(token.as_deref());
         assert!(items.len() <= page_size);
         assert!(
@@ -110,15 +107,11 @@ fn walk(
             "a short page ends the walk"
         );
         rows.extend(items);
-        if split_after == Some(page) {
-            db.split_hottest("d");
-        }
         match next {
             Some(next) => token = Some(next),
-            None => break,
+            None => return rows,
         }
     }
-    rows
 }
 
 proptest! {
@@ -129,19 +122,18 @@ proptest! {
         items in proptest::collection::vec((0usize..4, 0usize..4, 0u8..8, 0usize..10), 30..90),
         churn in proptest::collection::vec((0usize..90, 0u8..3, 0usize..4), 0..20),
         pick in (0usize..35, 0usize..4, 0usize..4, 0usize..30),
-        split_after in 0usize..6,
     ) {
         let expr = query_expr(pick);
         let condition = select_where(pick);
-        let query = |db: &SimpleDb, page: usize, split| {
-            walk(db, page, split, |token| {
+        let query = |db: &SimpleDb, page: usize| {
+            walk(page, |token| {
                 let r = db.query_with_attributes("d", Some(&expr), None, Some(page), token).unwrap();
                 (r.items, r.next_token)
             })
         };
-        let select = |db: &SimpleDb, page: usize, split| {
+        let select = |db: &SimpleDb, page: usize| {
             let sql = format!("select * from d where {condition} limit {page}");
-            walk(db, page, split, |token| {
+            walk(page, |token| {
                 let r = db.select(&sql, token).unwrap();
                 (r.items, r.next_token)
             })
@@ -153,20 +145,14 @@ proptest! {
             db.select(&sql, None).unwrap().count
         };
         let unsharded = build(1, &items, &churn);
-        let (query_answer, select_answer) = (query(&unsharded, 250, None), select(&unsharded, 250, None));
+        let (query_answer, select_answer) = (query(&unsharded, 250), select(&unsharded, 250));
         let select_count = Some(select_answer.len() as u64);
         for shards in [1usize, 4, 16] {
-            prop_assert_eq!(count(&build(shards, &items, &churn)), select_count);
+            let db = build(shards, &items, &churn);
+            prop_assert_eq!(count(&db), select_count);
             for page in [1usize, 3, 250] {
-                // A split changes the layout for good: each walk gets its own store.
-                let split = (split_after < 4).then_some(split_after);
-                let db = build(shards, &items, &churn);
-                prop_assert_eq!(&query(&db, page, split), &query_answer);
-                let db = build(shards, &items, &churn);
-                prop_assert_eq!(&select(&db, page, split), &select_answer);
-                if split.is_some() {
-                    prop_assert_eq!(count(&db), select_count);
-                }
+                prop_assert_eq!(&query(&db, page), &query_answer);
+                prop_assert_eq!(&select(&db, page), &select_answer);
             }
         }
     }

@@ -71,8 +71,7 @@ pub use metering::{
 };
 pub use samples::{percentiles, LatencySample, Percentiles};
 pub use shardmap::{
-    clamp_shards, ring_position, MapView, ReplicaPin, ShardCells, ShardMap, ShardPlan,
-    ShardRegistry, SplitEvent, SplitPolicy, MAX_SHARDS,
+    clamp_shards, ring_position, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
 };
 pub use throttle::{ThrottleConfig, TokenBucket};
 pub use world::{Charge, Consistency, PipelineStats, SimConfig, SimWorld};

@@ -205,9 +205,8 @@ impl ServiceMeter {
 
     /// Reduces [`ServiceMeter::shard_ops`] to the load-balance summary
     /// the skew tables print. `baseline_shards` is the denominator for
-    /// the mean — the provisioned (static) layout — so a run whose
-    /// splitting grew the live shard count is still measured against the
-    /// static fair share.
+    /// the mean: the layout's shard count, whose fair share the busiest
+    /// shard is measured against.
     pub fn shard_imbalance(&self, baseline_shards: usize) -> ShardImbalance {
         let total_ops: u64 = self.shard_ops.values().sum();
         let (max_ops, max_shard) = self
@@ -249,8 +248,7 @@ impl ServiceMeter {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShardImbalance {
-    /// Denominator shard count (at least 1): the provisioned layout,
-    /// even when splitting has grown the live count past it.
+    /// Denominator shard count (at least 1): the layout's shard count.
     pub baseline_shards: usize,
     /// Distinct shard ids that recorded at least one op.
     pub shards_touched: usize,

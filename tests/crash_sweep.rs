@@ -586,83 +586,3 @@ fn index_crash_sites_replay_to_a_from_scratch_closure() {
         }
     }
 }
-
-/// Satellite of the dynamic-shard-map issue: daemon crashes replayed
-/// over a domain/bucket that split mid-run must converge to the exact
-/// store a static-shard run converges to. The split runs force a few
-/// splits after the persists and keep an aggressive share policy armed
-/// for the drain, so replay routes through shards that did not exist
-/// when the WAL records were written.
-#[test]
-fn daemon_crashes_with_splitting_converge_to_the_static_store() {
-    use pass_cloud::cloud::layout::{BUCKET, DOMAIN, TMP_PREFIX};
-    use pass_cloud::cloud::store_fingerprint;
-    use pass_cloud::simworld::{ShardPlan, SplitPolicy};
-
-    // A converged store reduced to its fingerprint, plus the `tmp/`
-    // residue the fingerprint leaves out (both runs draw the same
-    // txids, so a crashed drain strands the same temporaries).
-    let state_bytes = |store: &S3SimpleDbSqs| {
-        (
-            store_fingerprint(store.s3(), store.simpledb()),
-            store.s3().latest_keys(BUCKET, TMP_PREFIX),
-        )
-    };
-
-    let aggressive = SplitPolicy::by_share(0.3)
-        .with_min_ops(8)
-        .with_max_shards(32);
-    for &site in ArchKind::S3SimpleDbSqs.daemon_crash_sites() {
-        for ordinal in 0..2 {
-            let run = |plan: ShardPlan, force_splits: bool| {
-                let world = SimWorld::counting();
-                let mut store = S3SimpleDbSqs::with_shard_plan(&world, "crash-split", plan);
-                let mut work = flushes();
-                work.extend(independent_flushes());
-                for flush in &work {
-                    store.persist(flush).unwrap();
-                }
-                if force_splits {
-                    // The bucket holds the data objects already (arch3
-                    // clients write S3 directly); the domain fills only
-                    // as the daemon drains, so it splits later.
-                    for _ in 0..2 {
-                        store
-                            .s3()
-                            .split_hottest(BUCKET)
-                            .expect("a populated bucket shard can split");
-                    }
-                }
-                world.with_faults(|f| f.arm_after(site, ordinal));
-                // First drain may die; a restarted daemon finishes.
-                let _ = store.run_daemons_until_idle();
-                if force_splits {
-                    // Split whatever the crashed drain managed to apply,
-                    // so the replay routes through shards that did not
-                    // exist when it started (best-effort: an early crash
-                    // may have left too little to split).
-                    let _ = store.simpledb().split_hottest(DOMAIN);
-                }
-                store.run_daemons_until_idle().expect("replay converges");
-                world.settle();
-                let shards = store.s3().bucket_shard_count(BUCKET).unwrap()
-                    + store.simpledb().domain_shard_count(DOMAIN).unwrap();
-                (state_bytes(&store), shards)
-            };
-            let (static_state, static_shards) = run(ShardPlan::fixed(4), false);
-            let (split_state, split_shards) = run(ShardPlan::fixed(4).with_split(aggressive), true);
-            assert_eq!(
-                static_shards, 8,
-                "{site}/{ordinal}: static run must not split"
-            );
-            assert!(
-                split_shards >= 10,
-                "{site}/{ordinal}: the split run must have split"
-            );
-            assert_eq!(
-                static_state, split_state,
-                "{site}/{ordinal}: splitting changed the converged store"
-            );
-        }
-    }
-}
