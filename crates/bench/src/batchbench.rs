@@ -28,7 +28,6 @@ use simworld::{MeterSnapshot, Op, SimWorld};
 use workloads::Combined;
 
 use crate::harness::{ensure, metered, priced_world, Size, Sweep, SEED};
-use crate::pipebench::DepthSpec;
 
 /// One persist of the combined workload: a row of the batch-size sweep
 /// and of the in-flight depth sweep alike.
@@ -36,8 +35,8 @@ use crate::pipebench::DepthSpec;
 pub struct PersistRow {
     /// Flushes per group; 1 is the point path.
     pub group_size: usize,
-    /// How the row sized its in-flight window.
-    pub spec: DepthSpec,
+    /// The row's in-flight depth: `None` is the synchronous path.
+    pub depth: Option<usize>,
     /// Total billable requests of the persist phase (client + daemons).
     pub requests: u64,
     /// Requests on the provenance flush path alone: SimpleDB write
@@ -49,9 +48,6 @@ pub struct PersistRow {
     /// The final provenance graph — identical across the rows of a
     /// sweep (same workload), or grouping or overlap changed the store.
     pub graph: ProvGraph,
-    /// The depth the adaptive controller converged to (client side);
-    /// `None` unless the spec is [`DepthSpec::Adaptive`].
-    pub final_depth: Option<usize>,
 }
 
 /// Requests on the provenance flush path: every SimpleDB write request
@@ -69,13 +65,13 @@ pub fn flush_path_requests(meters: &MeterSnapshot) -> u64 {
 }
 
 /// Builds the store for one row. Architecture 3 gets its commit daemon
-/// depth wired to the spec; the other architectures have no daemon to
+/// depth wired to the row's; the other architectures have no daemon to
 /// pipeline.
-fn build_store(kind: ArchKind, world: &SimWorld, spec: DepthSpec) -> Box<dyn ProvenanceStore> {
+fn build_store(kind: ArchKind, world: &SimWorld, depth: Option<usize>) -> Box<dyn ProvenanceStore> {
     if kind == ArchKind::S3SimpleDbSqs {
         let mut store = S3SimpleDbSqs::new(world, "prop-client");
         store.set_config(Arch3Config {
-            daemon_depth: spec.depth(),
+            daemon_depth: depth,
             ..Arch3Config::default()
         });
         Box::new(store)
@@ -86,9 +82,8 @@ fn build_store(kind: ArchKind, world: &SimWorld, spec: DepthSpec) -> Box<dyn Pro
 
 /// Persists `dataset` into a fresh `kind` store on a priced world and
 /// returns the sweep row. Group size 1 is the point path, one `persist`
-/// per flush; a larger size drives [`persist_groups`] under `spec`'s
-/// depth policy. On Architecture 3 the spec sizes the commit daemon's
-/// window too.
+/// per flush; a larger size drives [`persist_groups`] at `depth`. On
+/// Architecture 3 `depth` sizes the commit daemon's window too.
 ///
 /// # Errors
 ///
@@ -97,31 +92,27 @@ pub fn persist_grouped(
     kind: ArchKind,
     dataset: &Combined,
     group_size: usize,
-    spec: DepthSpec,
+    depth: Option<usize>,
 ) -> Result<PersistRow> {
     let world = priced_world(SEED);
-    let mut store = build_store(kind, &world, spec);
+    let mut store = build_store(kind, &world, depth);
     let (flushes, _) = dataset.flushes();
-    let mut depth = spec.depth();
     let ((), meters, elapsed) = metered(&world, || {
         if group_size == 1 {
             flushes.iter().try_for_each(|flush| store.persist(flush))?;
         } else {
-            persist_groups(&world, store.as_mut(), &flushes, group_size, depth.as_mut())?;
+            persist_groups(&world, store.as_mut(), &flushes, group_size, depth)?;
         }
         store.run_daemons_until_idle()
     })?;
     world.settle();
     Ok(PersistRow {
         group_size,
-        spec,
+        depth,
         requests: meters.total_ops(),
         flush_requests: flush_path_requests(&meters),
         virtual_secs: elapsed.as_secs_f64(),
         graph: ProvGraph::from_answer(&store.query(&ProvQuery::ProvenanceOfAll)?),
-        final_depth: depth
-            .filter(|_| spec == DepthSpec::Adaptive)
-            .map(|ctl| ctl.depth()),
     })
 }
 
@@ -143,7 +134,7 @@ impl Sweep for BatchSweep {
         for kind in [ArchKind::S3SimpleDb, ArchKind::S3SimpleDbSqs] {
             let rows: Result<Vec<PersistRow>> = group_sizes
                 .iter()
-                .map(|&n| persist_grouped(kind, &dataset, n, DepthSpec::Sync))
+                .map(|&n| persist_grouped(kind, &dataset, n, None))
                 .collect();
             legs.push((kind, rows?));
         }
@@ -221,7 +212,7 @@ mod tests {
     fn group_size_one_is_the_point_path() {
         // The sweep's baseline row must not touch a batch API.
         let dataset = Combined::small();
-        let row = persist_grouped(ArchKind::S3SimpleDb, &dataset, 1, DepthSpec::Sync).unwrap();
+        let row = persist_grouped(ArchKind::S3SimpleDb, &dataset, 1, None).unwrap();
         assert_eq!(row.group_size, 1);
         let world = priced_world(SEED);
         let mut store = ArchKind::S3SimpleDb.build(&world);

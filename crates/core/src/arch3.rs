@@ -23,7 +23,7 @@ use pass::FileFlush;
 use sim_s3::{Metadata, MetadataDirective, S3Error, MAX_DELETE_KEYS, S3};
 use sim_simpledb::SimpleDb;
 use sim_sqs::{Sqs, MAX_BATCH_ENTRIES, RETENTION};
-use simworld::{AdaptiveDepth, Blob, CrashSite, SimInstant, SimWorld};
+use simworld::{Blob, CrashSite, SimInstant, SimWorld};
 
 use crate::arch1::put_plain;
 use crate::arch2::{data_meta, Arch2Config, ProvItem, PutProtocol, PutSites, WriteSide};
@@ -97,14 +97,11 @@ pub struct Arch3Config {
     /// How the commit daemon overlaps its receive/assemble/apply loop.
     /// `None` (the default) is the paper's serial daemon: one receive
     /// round and serial applies per step, no region — the baseline
-    /// every pipelined run must match byte for byte. `Some(controller)`
-    /// runs each step inside a pipeline region at the controller's
-    /// depth: up to that many receive rounds issue back to back, the
-    /// apply chains of the ready transactions overlap up to the same
-    /// per-service cap, and the controller reads the region's stall
-    /// counts after every step ([`AdaptiveDepth::fixed`] for a fixed
-    /// depth, [`AdaptiveDepth::new`] for an AIMD-steered one).
-    pub daemon_depth: Option<AdaptiveDepth>,
+    /// every pipelined run must match byte for byte. `Some(n)` runs
+    /// each step inside a pipeline region `n` deep: up to `n` receive
+    /// rounds issue back to back, and the apply chains of the ready
+    /// transactions overlap up to the same per-service cap.
+    pub daemon_depth: Option<usize>,
     /// Ancestry-closure index behaviour (off by default, so the
     /// request counts and fingerprints of the plain §4.3 protocol are
     /// untouched).
@@ -206,14 +203,10 @@ pub struct CommitDaemon {
     wal_url: String,
     /// [`Arch3Config::commit_threshold`].
     commit_threshold: usize,
-    /// [`Arch3Config::daemon_depth`] as configured.
-    configured_depth: Option<AdaptiveDepth>,
+    /// [`Arch3Config::daemon_depth`].
+    depth: Option<usize>,
     assemblies: HashMap<u64, Assembly>,
     applied_total: u64,
-    /// The live copy of `configured_depth`, carrying what the controller
-    /// has learned; reset to the configured one on a crash, like the rest
-    /// of the daemon's memory.
-    controller: Option<AdaptiveDepth>,
 }
 
 const PUT_SITES: PutSites = PutSites {
@@ -229,10 +222,9 @@ impl CommitDaemon {
             sqs: sqs.clone(),
             wal_url,
             commit_threshold: config.commit_threshold,
-            configured_depth: config.daemon_depth,
+            depth: config.daemon_depth,
             assemblies: HashMap::new(),
             applied_total: 0,
-            controller: config.daemon_depth,
         }
     }
 
@@ -249,7 +241,7 @@ impl CommitDaemon {
 
     /// One daemon iteration: check the queue depth (unless `force`),
     /// receive, assemble, apply complete transactions. With a
-    /// [`Arch3Config::daemon_depth`] controller the whole step runs
+    /// [`Arch3Config::daemon_depth`] of `Some(n)` the whole step runs
     /// inside a pipeline region — several receive rounds issue back to
     /// back, and the apply chains of the ready transactions overlap
     /// with the region's per-service cap, each transaction's copies
@@ -261,37 +253,30 @@ impl CommitDaemon {
     /// site fires — in-memory assembly state is dropped, as a process
     /// death would.
     pub fn step(&mut self, force: bool) -> Result<DaemonProgress> {
-        let result = match self.controller {
+        let result = match self.depth {
             None => self.step_inner(force, 1),
-            Some(controller) => self.step_pipelined(force, controller),
+            Some(depth) => self.step_pipelined(force, depth),
         };
         if let Err(e) = &result {
             if e.is_crash() {
-                // The daemon process died: its in-memory assemblies —
-                // and the controller's learned depth — are gone.
-                // Undelivered messages become visible again after the
-                // visibility timeout.
+                // The daemon process died: its in-memory assemblies are
+                // gone. Undelivered messages become visible again after
+                // the visibility timeout.
                 self.assemblies.clear();
-                self.controller = self.configured_depth;
                 self.side.forget();
             }
         }
         result
     }
 
-    /// One step inside a pipeline region of `controller.depth()`
-    /// requests per service. Receives are idempotent (an undeleted
-    /// message simply redelivers) and every apply step already is, so
-    /// overlapping them cannot change the final store — only when the
-    /// requests complete. When the shared world already has a region
-    /// open (a pipelined client driving `poll_daemon` mid-burst), the
-    /// step rides that region instead: pipelines do not nest.
-    fn step_pipelined(
-        &mut self,
-        force: bool,
-        mut controller: AdaptiveDepth,
-    ) -> Result<DaemonProgress> {
-        let depth = controller.depth();
+    /// One step inside a pipeline region of `depth` requests per
+    /// service. Receives are idempotent (an undeleted message simply
+    /// redelivers) and every apply step already is, so overlapping them
+    /// cannot change the final store — only when the requests complete.
+    /// When the shared world already has a region open (a pipelined
+    /// client driving `poll_daemon` mid-burst), the step rides that
+    /// region instead: pipelines do not nest.
+    fn step_pipelined(&mut self, force: bool, depth: usize) -> Result<DaemonProgress> {
         let world = self.side.parts.world.clone();
         let opened = world.pipeline_depth().is_none();
         if opened {
@@ -301,10 +286,7 @@ impl CommitDaemon {
         if opened {
             // Drain even when a crash fired: issued requests are on the
             // wire regardless of the daemon dying.
-            let stats = world.drain_pipeline();
-            controller.observe(&stats);
-            controller.region_complete();
-            self.controller = Some(controller);
+            world.drain_pipeline();
         }
         result
     }
@@ -631,13 +613,11 @@ impl S3SimpleDbSqs {
         }
     }
 
-    /// Replaces the configuration (also reconfigures the daemon, whose
-    /// depth controller restarts from the configured one).
+    /// Replaces the configuration (also reconfigures the daemon).
     pub fn set_config(&mut self, config: Arch3Config) {
         self.daemon.side.configure(config.store_side());
         self.daemon.commit_threshold = config.commit_threshold;
-        self.daemon.configured_depth = config.daemon_depth;
-        self.daemon.controller = config.daemon_depth;
+        self.daemon.depth = config.daemon_depth;
     }
 
     /// The read side: the service handles and read knobs.

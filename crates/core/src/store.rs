@@ -161,11 +161,10 @@ pub trait ProvenanceStore {
     /// Drives any background daemons until quiescent. A no-op for
     /// architectures without daemons. Architecture 3's commit daemon
     /// honours [`crate::Arch3Config::daemon_depth`] here: with
-    /// `Some(controller)` each step runs its receive/assemble/apply
-    /// loop inside a pipelined region steered by that controller,
-    /// overlapping WAL drains and per-transaction applies instead of
-    /// paying the serial latency sum; `None` is the paper's serial
-    /// daemon.
+    /// `Some(n)` each step runs its receive/assemble/apply loop inside
+    /// a pipelined region `n` deep, overlapping WAL drains and
+    /// per-transaction applies instead of paying the serial latency sum;
+    /// `None` is the paper's serial daemon.
     ///
     /// # Errors
     ///

@@ -24,7 +24,11 @@
 //! with one `event` line per fired completion, and the new pair is what
 //! `19e986f` (which still had the trace) prints for the script with that
 //! one edit. Neither time did the line count, the final clock or the
-//! trailing draw move.
+//! trailing draw move. The scripted run's pair was re-derived the same
+//! way a third time when `PipelineStats` lost its stall and peak
+//! counters with the adaptive depth controller: it is what `fcbaca4`
+//! prints with their text cut from the `drain` line, and again only the
+//! length and the hash moved.
 //!
 //! Both digests were re-captured when hot-shard splitting was deleted:
 //! the scripts lost their split steps (the mid-walk split of `b`, the
@@ -304,7 +308,7 @@ fn scripted_run_matches_the_pre_charge_constants() {
     assert_eq!(
         s.finish(),
         (
-            (1498, 232_163, 15_560_412_482_194_367_312),
+            (1498, 232_133, 3_457_645_690_990_482_304),
             127_586_769,
             3_746_812_193_377_224_976
         ),

@@ -42,7 +42,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod adaptive;
 mod blob;
 mod clock;
 mod ecstore;
@@ -57,7 +56,6 @@ mod shardmap;
 mod throttle;
 mod world;
 
-pub use adaptive::AdaptiveDepth;
 pub use blob::{Blob, Chunks, CHUNK};
 pub use clock::{SimDuration, SimInstant};
 pub use ecstore::{value_hash, EcMap, Pair, ValuesOf};

@@ -88,11 +88,6 @@ impl SimConfig {
 pub struct PipelineStats {
     /// Requests issued while the pipeline was open.
     pub requests: u64,
-    /// Times the issuer blocked because every channel of a service was
-    /// busy (the `max_in_flight` cap doing its job).
-    pub stalls: u64,
-    /// Largest number of requests simultaneously in flight.
-    pub peak_in_flight: usize,
     /// When the last in-flight request completed (the drain instant).
     pub completed_at: SimInstant,
 }
@@ -102,10 +97,7 @@ pub struct PipelineStats {
 /// starts at `max(t, earliest completion when the service is full,
 /// same-key predecessor)` and completes `latency` later — the
 /// "completion = max(channel-free time, issue time) + sampled latency"
-/// rule that replaces the serial sum. Tracking in-flight completions
-/// (rather than fixed channel slots) lets the depth limit be resized
-/// mid-region without losing accounting — the lever an adaptive
-/// controller pulls.
+/// rule that replaces the serial sum.
 struct PipelineState {
     /// Per-service cap on concurrently in-flight requests.
     depth: usize,
@@ -115,15 +107,8 @@ struct PipelineState {
     /// same key never completes earlier (WAL sends to one queue stay
     /// BEGIN..COMMIT-ordered however deep the pipeline runs).
     keyed: HashMap<(usize, u64), SimInstant>,
-    stats: PipelineStats,
-}
-
-impl PipelineState {
-    /// Requests of every service still on the wire at `now`.
-    fn in_flight(&self, now: SimInstant) -> usize {
-        let pending = |q: &Vec<SimInstant>| q.iter().filter(|t| **t > now).count();
-        self.inflight.iter().map(pending).sum()
-    }
+    /// Requests issued while the region was open.
+    requests: u64,
 }
 
 fn service_index(service: Service) -> usize {
@@ -237,7 +222,6 @@ impl WorldState {
                         .min()
                         .expect("a full service has in-flight requests");
                     self.now = free;
-                    p.stats.stalls += 1;
                     let now = self.now;
                     p.inflight[svc].retain(|t| *t > now);
                 }
@@ -252,8 +236,7 @@ impl WorldState {
                     *slot = completes;
                 }
                 p.inflight[svc].push(completes);
-                p.stats.requests += 1;
-                p.stats.peak_in_flight = p.stats.peak_in_flight.max(p.in_flight(self.now));
+                p.requests += 1;
                 (start, completes)
             }
         };
@@ -451,36 +434,8 @@ impl SimWorld {
             depth: max_in_flight,
             inflight: std::array::from_fn(|_| Vec::new()),
             keyed: HashMap::new(),
-            stats: PipelineStats::default(),
+            requests: 0,
         });
-    }
-
-    /// Resizes the open pipeline's per-service in-flight cap without
-    /// draining it: requests already on the wire keep their completion
-    /// instants, only the backpressure threshold moves. This is the
-    /// lever an adaptive-depth controller pulls between groups (see
-    /// `AdaptiveDepth`). A no-op when no pipeline is open.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_in_flight` is zero.
-    pub fn set_pipeline_depth(&self, max_in_flight: usize) {
-        assert!(max_in_flight > 0, "pipeline depth must be positive");
-        if let Some(p) = self.inner.lock().pipeline.as_mut() {
-            p.depth = max_in_flight;
-        }
-    }
-
-    /// Snapshot of the open pipeline's statistics so far (cumulative
-    /// since [`SimWorld::begin_pipeline`]; `completed_at` is the
-    /// current instant). `None` when no pipeline is open.
-    pub fn pipeline_stats(&self) -> Option<PipelineStats> {
-        let st = self.inner.lock();
-        st.pipeline.as_ref().map(|p| {
-            let mut stats = p.stats;
-            stats.completed_at = st.now;
-            stats
-        })
     }
 
     /// Closes the pipelined region: the clock advances to the last
@@ -498,9 +453,10 @@ impl SimWorld {
             .max()
             .unwrap_or(st.now);
         st.now = st.now.max(last);
-        let mut stats = p.stats;
-        stats.completed_at = st.now;
-        stats
+        PipelineStats {
+            requests: p.requests,
+            completed_at: st.now,
+        }
     }
 
     /// Depth of the currently open pipeline, if any.
@@ -806,13 +762,11 @@ mod tests {
             w.record_op(Op::S3Put, 0, 0);
         }
         // Four 10 ms requests on four channels: all issued at t=0.
-        assert_eq!(w.pipeline_stats().map(|s| s.peak_in_flight), Some(4));
         assert_eq!(w.now(), SimInstant::EPOCH);
         let stats = w.drain_pipeline();
         assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(10));
         assert_eq!(stats.requests, 4);
-        assert_eq!(stats.stalls, 0);
-        assert_eq!(stats.peak_in_flight, 4);
+        assert_eq!(stats.completed_at, w.now());
     }
 
     #[test]
@@ -824,8 +778,7 @@ mod tests {
         }
         // Third request had to wait for a channel: issued at t=10ms.
         assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(10));
-        let stats = w.drain_pipeline();
-        assert_eq!(stats.stalls, 1);
+        w.drain_pipeline();
         assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(20));
     }
 
@@ -837,9 +790,10 @@ mod tests {
         w.record_op(Op::SdbPutAttributes, 0, 0);
         w.record_op(Op::SqsSendMessage, 0, 0);
         // Depth 1 per service still overlaps across services.
+        assert_eq!(w.now(), SimInstant::EPOCH);
         let stats = w.drain_pipeline();
         assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(10));
-        assert_eq!(stats.peak_in_flight, 3);
+        assert_eq!(stats.requests, 3);
     }
 
     #[test]
@@ -913,41 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn set_pipeline_depth_resizes_backpressure_mid_region() {
-        let w = flat_world();
-        w.begin_pipeline(2);
-        w.record_op(Op::S3Put, 0, 0);
-        w.record_op(Op::S3Put, 0, 0);
-        // At depth 2 the next two puts would stall; raising the cap
-        // mid-region lets them join the in-flight set at t=0.
-        w.set_pipeline_depth(4);
-        assert_eq!(w.pipeline_depth(), Some(4));
-        w.record_op(Op::S3Put, 0, 0);
-        w.record_op(Op::S3Put, 0, 0);
-        assert_eq!(w.now(), SimInstant::EPOCH);
-        assert_eq!(w.pipeline_stats().map(|s| s.peak_in_flight), Some(4));
-        let stats = w.drain_pipeline();
-        assert_eq!(stats.stalls, 0);
-        assert_eq!(stats.peak_in_flight, 4);
-        assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn shrinking_the_depth_reinstates_backpressure() {
-        let w = flat_world();
-        w.begin_pipeline(4);
-        w.record_op(Op::S3Put, 0, 0);
-        w.record_op(Op::S3Put, 0, 0);
-        w.set_pipeline_depth(1);
-        // Two requests already in flight exceed the new cap of 1: the
-        // next issue blocks until the earliest completion.
-        w.record_op(Op::S3Put, 0, 0);
-        assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(10));
-        let stats = w.drain_pipeline();
-        assert_eq!(stats.stalls, 1);
-    }
-
-    #[test]
     fn stalls_are_attributed_to_the_gating_service() {
         let w = flat_world();
         w.begin_pipeline(1);
@@ -956,22 +875,13 @@ mod tests {
         }
         w.record_op(Op::SqsSendMessage, 0, 0);
         w.record_op(Op::SqsSendMessage, 0, 0);
-        let stats = w.drain_pipeline();
-        assert_eq!(stats.stalls, 3, "two S3 stalls and one SQS stall");
-    }
-
-    #[test]
-    fn pipeline_stats_snapshots_the_open_region() {
-        let w = flat_world();
-        assert!(w.pipeline_stats().is_none());
-        w.begin_pipeline(2);
-        w.record_op(Op::S3Put, 0, 0);
-        let mid = w.pipeline_stats().expect("region is open");
-        assert_eq!(mid.requests, 1);
-        assert_eq!(mid.completed_at, w.now());
-        let final_stats = w.drain_pipeline();
-        assert_eq!(final_stats.requests, 1);
-        assert!(w.pipeline_stats().is_none());
+        // The third put issues at 20 ms; the first send finds SQS idle
+        // and issues beside it, the second waits for the first (30 ms).
+        // Had S3's busy channel gated SQS, the sends would have issued
+        // at 30 and 40 ms.
+        assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(30));
+        w.drain_pipeline();
+        assert_eq!(w.now(), SimInstant::EPOCH + SimDuration::from_millis(40));
     }
 
     #[test]

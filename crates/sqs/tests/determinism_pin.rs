@@ -24,7 +24,11 @@
 //! with one `event` line per fired completion, and the new pair is what
 //! `19e986f` (which still had the trace) prints for the script with that
 //! one edit. Neither time did the line count, the final clock or the
-//! trailing draw move.
+//! trailing draw move. The pair was re-derived the same way a third
+//! time when `PipelineStats` lost its stall and peak counters with the
+//! adaptive depth controller: it is what `fcbaca4` prints with their
+//! text cut from the `drain` line, and again only the length and the
+//! hash moved.
 
 use std::fmt::Write as _;
 
@@ -236,7 +240,7 @@ fn scripted_run_matches_the_pre_charge_constants() {
     assert_eq!(
         (digest, s.world.now().as_micros(), s.world.rand_u64()),
         (
-            (180, 49_742, 2_954_024_987_739_257_899),
+            (180, 49_712, 15_662_654_994_842_946_322),
             1_036_806_495_076,
             11_098_517_189_545_764_407
         ),

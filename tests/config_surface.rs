@@ -58,7 +58,7 @@ fn arch3_config_has_five_options() {
         use_nonce: true,
         // ablations.rs: the commit-threshold sweep (0, 2, 8, 32, 128).
         commit_threshold: 8,
-        // pipebench.rs: `spec.depth()`, fixed and AIMD controllers.
+        // batchbench.rs `build_store`: the pipeline sweep's row depth.
         daemon_depth: None,
         // benchmark/src/stack.rs (`spec.closure`).
         closure: ClosureMode::Off,

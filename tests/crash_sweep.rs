@@ -11,7 +11,7 @@ use pass_cloud::cloud::{
     S3SimpleDbSqs, A3_BEFORE_COMMIT,
 };
 use pass_cloud::pass::FileFlush;
-use pass_cloud::simworld::{AdaptiveDepth, Blob, CrashSite, Op, SimDuration, SimWorld};
+use pass_cloud::simworld::{Blob, CrashSite, Op, SimDuration, SimWorld};
 
 fn flushes() -> Vec<FileFlush> {
     // Three chained files plus a process with an oversized env, so every
@@ -140,7 +140,7 @@ fn every_daemon_crash_site_replays_under_a_pipelined_daemon() {
                 let world = SimWorld::counting();
                 let mut store = S3SimpleDbSqs::new(&world, "piped");
                 store.set_config(Arch3Config {
-                    daemon_depth: Some(AdaptiveDepth::fixed(depth)),
+                    daemon_depth: Some(depth),
                     ..Arch3Config::default()
                 });
                 for flush in flushes() {
@@ -286,7 +286,7 @@ fn persist_in_pairs(
     store: &mut dyn ProvenanceStore,
     flushes: &[FileFlush],
 ) -> Result<()> {
-    persist_groups(world, store, flushes, 2, Some(&mut AdaptiveDepth::fixed(4)))
+    persist_groups(world, store, flushes, 2, Some(4))
 }
 
 /// How often a clean `kind` client visits `site` while it persists the
