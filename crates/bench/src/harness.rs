@@ -1,13 +1,11 @@
 //! Shared experiment plumbing: the [`Sweep`] shape and its sizes, the
 //! binary's strict command line, the priced world and the meter/clock
-//! bracket every sweep measures with, dataset persistence, and the
-//! fleet's percentile table.
+//! bracket every sweep measures with, and dataset persistence.
 
 use provenance_cloud::{ArchKind, ProvenanceStore, Result};
 use sim_s3::{Metadata, S3};
 use simworld::{
-    format_bytes, percentiles, Consistency, LatencyModel, LatencySample, MeterSnapshot,
-    Percentiles, Service, SimConfig, SimDuration, SimWorld,
+    format_bytes, Consistency, LatencyModel, MeterSnapshot, SimConfig, SimDuration, SimWorld,
 };
 use workloads::{Combined, DatasetStats};
 
@@ -250,49 +248,6 @@ pub fn persist_raw_baseline(dataset: &Combined) -> Result<(MeterSnapshot, Datase
     Ok((meters, stats))
 }
 
-/// Reduces a per-request sample log to `(service, percentiles)` rows.
-/// Only services that recorded samples appear, in [`Service::ALL`]
-/// order.
-pub fn per_service_percentiles(samples: &[LatencySample]) -> Vec<(Service, Percentiles)> {
-    let mut out = Vec::new();
-    for service in Service::ALL {
-        let lat: Vec<_> = samples
-            .iter()
-            .filter(|s| s.service() == service)
-            .map(|s| s.latency())
-            .collect();
-        if let Some(p) = percentiles(lat) {
-            out.push((service, p));
-        }
-    }
-    out
-}
-
-/// Exact percentiles over every sample in the log.
-pub fn overall_percentiles(samples: &[LatencySample]) -> Option<Percentiles> {
-    percentiles(samples.iter().map(|s| s.latency()).collect())
-}
-
-/// Renders labelled percentile rows as the fleet's latency table
-/// (`service | samples | p50 | p99 | p999 | max`, in milliseconds).
-pub fn render_percentile_rows(rows: &[(String, Percentiles)]) -> String {
-    let ms = |d: SimDuration| d.as_micros() as f64 / 1_000.0;
-    let mut out = String::new();
-    out.push_str("service  | samples |  p50 ms |  p99 ms | p999 ms |  max ms\n");
-    out.push_str("---------|---------|---------|---------|---------|--------\n");
-    for (label, p) in rows {
-        out.push_str(&format!(
-            "{label:<8} | {:>7} | {:>7.2} | {:>7.2} | {:>7.2} | {:>7.2}\n",
-            p.count,
-            ms(p.p50),
-            ms(p.p99),
-            ms(p.p999),
-            ms(p.max),
-        ));
-    }
-    out
-}
-
 /// `value/base` rendered like the paper's bracketed multipliers
 /// (`5.4x`).
 pub fn ratio(value: u64, base: u64) -> String {
@@ -367,37 +322,6 @@ mod tests {
         assert_eq!(ratio(5, 0), "-");
         assert_eq!(percent(93, 1000), "9.3%");
         assert_eq!(percent(1, 0), "-");
-    }
-
-    #[test]
-    fn percentile_reduction_groups_by_service() {
-        use simworld::{Op, SimInstant};
-        let sample = |op: Op, micros: u64| LatencySample {
-            op,
-            tenant: 0,
-            issued_at: SimInstant::EPOCH,
-            completed_at: SimInstant::from_micros(micros),
-        };
-        let samples = vec![
-            sample(Op::S3Put, 1_000),
-            sample(Op::S3Put, 3_000),
-            sample(Op::SdbPutAttributes, 2_000),
-        ];
-        let per_service = per_service_percentiles(&samples);
-        assert_eq!(per_service.len(), 2, "only sampled services appear");
-        assert_eq!(per_service[0].0, Service::S3);
-        assert_eq!(per_service[0].1.count, 2);
-        assert_eq!(per_service[0].1.max, SimDuration::from_micros(3_000));
-        let overall = overall_percentiles(&samples).unwrap();
-        assert_eq!(overall.count, 3);
-
-        let rows: Vec<(String, Percentiles)> = per_service
-            .iter()
-            .map(|(s, p)| (format!("{s:?}"), *p))
-            .collect();
-        let table = render_percentile_rows(&rows);
-        assert!(table.starts_with("service  | samples |"));
-        assert!(table.contains("S3       |       2 |"));
     }
 
     #[test]

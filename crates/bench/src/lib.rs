@@ -18,11 +18,10 @@
 //! | `batch` | [`batchbench::BatchSweep`] |
 //! | `pipeline` | [`pipebench::PipelineSweep`] |
 //! | `query` | [`querybench::QuerySweep`] |
-//! | `fleet` | [`fleetbench::FleetSweep`] |
 //!
 //! ```sh
 //! cargo run --release -p prov-bench --bin tables -- \
-//!     [--mode=table1|…|fleet|all] [--smoke] [--scale=small|medium|paper]
+//!     [--mode=table1|…|query|all] [--smoke] [--scale=small|medium|paper]
 //! ```
 //!
 //! Each mode prints its sweeps' tables to stdout, then runs their checks
@@ -42,7 +41,6 @@
 
 pub mod ablations;
 pub mod batchbench;
-pub mod fleetbench;
 pub mod harness;
 pub mod pipebench;
 pub mod querybench;
@@ -54,7 +52,6 @@ pub use harness::{persist_dataset, PersistedStore, Scale, Size, Sweep};
 pub use tables::{Table1, Table2, Table3};
 
 use batchbench::BatchSweep;
-use fleetbench::FleetSweep;
 use pipebench::PipelineSweep;
 use querybench::QuerySweep;
 use shardbench::{S3Sweep, SimpleDbSweep, SkewSweep, SqsSweep};
@@ -83,5 +80,4 @@ pub const MODES: &[(&str, &[Drive])] = &[
     ("batch", &[drive::<BatchSweep>]),
     ("pipeline", &[drive::<PipelineSweep>]),
     ("query", &[drive::<QuerySweep>]),
-    ("fleet", &[drive::<FleetSweep>]),
 ];

@@ -83,8 +83,3 @@ fn shards_pipeline_smoke_matches_golden() {
 fn shards_query_smoke_matches_golden() {
     assert_mode("query");
 }
-
-#[test]
-fn shards_fleet_smoke_matches_golden() {
-    assert_mode("fleet");
-}

@@ -24,7 +24,7 @@ use crate::graph::ProvGraph;
 use crate::layout::{data_key, parse_data_key, BUCKET, DATA_PREFIX, PROV_PREFIX};
 use crate::query::{graph_query, ProvQuery, QueryAnswer};
 use crate::readpath::{fetch_overflow, get_object_with_retry};
-use crate::retry::{with_throttle_retry, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::serialize::{decode_metadata, encode_metadata, encode_records, read_version};
 use crate::store::{ProvenanceStore, ReadOutcome, ReadStatus, RecoveryReport};
 
@@ -36,18 +36,10 @@ pub const A1_BEFORE_OVERFLOW_PUT: CrashSite = CrashSite::new("arch1.before_overf
 pub const A1_BEFORE_DATA_PUT: CrashSite = CrashSite::new("arch1.before_data_put");
 
 /// PUTs an object that carries no metadata — a provenance overflow or
-/// continuation object, an arch3 temporary — riding out 503s. The one
-/// such PUT in the crate: every architecture's write path calls it.
-pub(crate) fn put_plain(
-    world: &SimWorld,
-    s3: &S3,
-    retry: &RetryPolicy,
-    key: &str,
-    blob: &Blob,
-) -> Result<()> {
-    with_throttle_retry(world, retry, || {
-        Ok(s3.put_object(BUCKET, key, blob.clone(), Metadata::new())?)
-    })
+/// continuation object, an arch3 temporary. The one such PUT in the
+/// crate: every architecture's write path calls it.
+pub(crate) fn put_plain(s3: &S3, key: &str, blob: &Blob) -> Result<()> {
+    Ok(s3.put_object(BUCKET, key, blob.clone(), Metadata::new())?)
 }
 
 /// The Standalone-S3 provenance store.
@@ -137,20 +129,18 @@ impl ProvenanceStore for StandaloneS3 {
         let (metadata, overflows) = encode_metadata(&flush.object, encoded);
         for (key, blob) in overflows {
             self.world.crash_point(A1_BEFORE_OVERFLOW_PUT)?;
-            put_plain(&self.world, &self.s3, &self.retry, &key, &blob)?;
+            put_plain(&self.s3, &key, &blob)?;
         }
 
         // Step 3: data and provenance in a single PUT — the atomicity
         // story of this architecture.
         self.world.crash_point(A1_BEFORE_DATA_PUT)?;
-        with_throttle_retry(&self.world, &self.retry, || {
-            Ok(self.s3.put_object(
-                BUCKET,
-                &data_key(&flush.object.name),
-                flush.data.clone(),
-                metadata.clone(),
-            )?)
-        })?;
+        self.s3.put_object(
+            BUCKET,
+            &data_key(&flush.object.name),
+            flush.data.clone(),
+            metadata,
+        )?;
         Ok(())
     }
 
@@ -217,9 +207,7 @@ impl ProvenanceStore for StandaloneS3 {
             // Live overflow objects describe the version the data object
             // currently has; anything else is residue.
             if current != Some(object.version) {
-                with_throttle_retry(&self.world, &self.retry, || {
-                    Ok(self.s3.delete_object(BUCKET, &summary.key)?)
-                })?;
+                self.s3.delete_object(BUCKET, &summary.key)?;
                 report.objects_removed += 1;
             }
         }

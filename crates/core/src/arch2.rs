@@ -178,7 +178,7 @@ impl WriteSide {
             if let Some(site) = before_put {
                 parts.world.crash_point(site)?;
             }
-            put_plain(&parts.world, &parts.s3, &parts.retry, &key, &blob)?;
+            put_plain(&parts.s3, &key, &blob)?;
         }
         let add = |(name, value)| ReplaceableAttribute::add(name, value);
         Ok(pairs.into_iter().map(add).collect())
@@ -202,16 +202,14 @@ impl WriteSide {
             PutProtocol::Point => {
                 for (item_name, attrs) in &items {
                     for chunk in attrs.chunks(MAX_ATTRS_PER_CALL) {
-                        parts.retrying(|| {
-                            Ok(parts.db.put_attributes(DOMAIN, item_name, chunk)?)
-                        })?;
+                        parts.db.put_attributes(DOMAIN, item_name, chunk)?;
                         parts.world.crash_point(sites.mid_put)?;
                     }
                 }
             }
             PutProtocol::Batched => {
                 for group in pack_attr_batches(items) {
-                    parts.retrying(|| Ok(parts.db.batch_put_attributes(DOMAIN, &group)?))?;
+                    parts.db.batch_put_attributes(DOMAIN, &group)?;
                     parts.world.crash_point(sites.mid_put)?;
                 }
             }
@@ -308,7 +306,7 @@ impl S3SimpleDb {
         let parts = &self.side.parts;
         for (key, blob) in &encoded.overflows {
             parts.world.crash_point(A2_BEFORE_OVERFLOW_PUT)?;
-            put_plain(&parts.world, &parts.s3, &parts.retry, key, blob)?;
+            put_plain(&parts.s3, key, blob)?;
         }
         let item_name = flush.object.item_name();
         let before_put = Some(A2_BEFORE_OVERFLOW_PUT);
@@ -329,13 +327,10 @@ impl S3SimpleDb {
         parts.world.crash_point(A2_BEFORE_DATA_PUT)?;
         let key = data_key(&flush.object.name);
         let nonce = nonce_for(&flush.object);
-        // Built per attempt: the first one takes it, nothing is cloned.
-        let meta = || data_meta(flush.object.version, &nonce);
-        parts.retrying(|| {
-            Ok(parts
-                .s3
-                .put_object(BUCKET, &key, flush.data.clone(), meta())?)
-        })
+        let meta = data_meta(flush.object.version, &nonce);
+        Ok(parts
+            .s3
+            .put_object(BUCKET, &key, flush.data.clone(), meta)?)
     }
 
     /// Steps 1–4 for a group of flushes: every item is staged, then all
@@ -423,7 +418,7 @@ impl ProvenanceStore for S3SimpleDb {
         })?;
         for item_name in orphans {
             let whole = None::<&[DeletableAttribute]>;
-            parts.retrying(|| Ok(parts.db.delete_attributes(DOMAIN, &item_name, whole)?))?;
+            parts.db.delete_attributes(DOMAIN, &item_name, whole)?;
             report.orphan_provenance_removed += 1;
         }
         Ok(report)

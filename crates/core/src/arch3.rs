@@ -472,8 +472,7 @@ impl CommitDaemon {
         // transaction's ≥ 4 records cost one round trip, not four.
         for handles in tx_handles {
             for chunk in handles.chunks(MAX_BATCH_ENTRIES) {
-                let outcomes = parts
-                    .retrying(|| Ok(self.sqs.delete_message_batch(&self.wal_url, chunk)?))?;
+                let outcomes = self.sqs.delete_message_batch(&self.wal_url, chunk)?;
                 for outcome in outcomes {
                     outcome?;
                 }
@@ -488,10 +487,10 @@ impl CommitDaemon {
         // point DELETE: same round trip, cheaper request class.
         match temp_keys.len() {
             0 => {}
-            1 => parts.retrying(|| Ok(parts.s3.delete_object(BUCKET, &temp_keys[0])?))?,
+            1 => parts.s3.delete_object(BUCKET, &temp_keys[0])?,
             _ => {
                 for chunk in temp_keys.chunks(MAX_DELETE_KEYS) {
-                    parts.retrying(|| Ok(parts.s3.delete_objects(BUCKET, chunk)?))?;
+                    parts.s3.delete_objects(BUCKET, chunk)?;
                 }
             }
         }
@@ -515,19 +514,17 @@ impl CommitDaemon {
         let parts = &self.side.parts;
         let mut attempts = 0;
         loop {
-            let outcome = parts.retrying(|| {
-                Ok(parts.s3.copy_object_ordered(
-                    BUCKET,
-                    src,
-                    BUCKET,
-                    dst,
-                    MetadataDirective::Replace(meta()),
-                    txid,
-                )?)
-            });
+            let outcome = parts.s3.copy_object_ordered(
+                BUCKET,
+                src,
+                BUCKET,
+                dst,
+                MetadataDirective::Replace(meta()),
+                txid,
+            );
             match outcome {
                 Ok(()) => return Ok(()),
-                Err(CloudError::S3(S3Error::NoSuchKey { .. })) => {
+                Err(S3Error::NoSuchKey { .. }) => {
                     // Replayed transaction whose temp was already
                     // garbage-collected: the destination exists, so the
                     // work is done.
@@ -545,7 +542,7 @@ impl CommitDaemon {
                     attempts += 1;
                     parts.retry.pause(&parts.world, attempts);
                 }
-                Err(e) => return Err(e),
+                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -692,12 +689,12 @@ impl S3SimpleDbSqs {
         const MULTI_DELETE_BREAK_EVEN: usize = 10;
         if doomed.len() < MULTI_DELETE_BREAK_EVEN {
             for key in &doomed {
-                parts.retrying(|| Ok(parts.s3.delete_object(BUCKET, key)?))?;
+                parts.s3.delete_object(BUCKET, key)?;
                 removed += 1;
             }
         } else {
             for chunk in doomed.chunks(MAX_DELETE_KEYS) {
-                removed += parts.retrying(|| Ok(parts.s3.delete_objects(BUCKET, chunk)?))?;
+                removed += parts.s3.delete_objects(BUCKET, chunk)?;
             }
         }
         Ok(removed)
@@ -766,7 +763,7 @@ impl S3SimpleDbSqs {
         let parts = self.parts();
         parts.world.crash_point(A3_BEFORE_TEMP_PUT)?;
         for (key, blob) in temps {
-            put_plain(&parts.world, &parts.s3, &parts.retry, key, blob)?;
+            put_plain(&parts.s3, key, blob)?;
         }
         parts.world.crash_point(A3_AFTER_TEMP_PUT)?;
         Ok(())
@@ -775,8 +772,7 @@ impl S3SimpleDbSqs {
     /// Logs one WAL record with its own `SendMessage` — the point
     /// protocol's unit of logging.
     fn log(&self, record: &WalRecord) -> Result<()> {
-        let send = || Ok(self.sqs().send_message(self.wal_url(), record.encode())?);
-        self.parts().retrying(send)?;
+        self.sqs().send_message(self.wal_url(), record.encode())?;
         Ok(())
     }
 
@@ -863,8 +859,7 @@ impl ProvenanceStore for S3SimpleDbSqs {
                 // The group's final commit rides in this batch.
                 self.parts().world.crash_point(A3_BEFORE_COMMIT)?;
             }
-            let send = || Ok(self.sqs().send_message_batch(self.wal_url(), batch)?);
-            let outcomes = self.parts().retrying(send)?;
+            let outcomes = self.sqs().send_message_batch(self.wal_url(), batch)?;
             // Entry failures cannot happen (the chunker caps every
             // record at one message); surface them if they ever do.
             for outcome in outcomes {

@@ -337,7 +337,7 @@ impl ClosureIndex {
             })
             .collect();
         for batch in pack_attr_batches(batch_items) {
-            parts.retrying(|| Ok(parts.db.batch_put_attributes(CLOSURE_DOMAIN, &batch)?))?;
+            parts.db.batch_put_attributes(CLOSURE_DOMAIN, &batch)?;
             parts.world.crash_point(mid_site)?;
         }
         Ok(())
@@ -407,7 +407,7 @@ impl ClosureIndex {
         // domain (eventual consistency may also return nothing here; an
         // absent node then contributes no ancestors, which a later
         // commit through this path will heal again).
-        let stored = parts.retrying(|| Ok(parts.db.get_attributes(DOMAIN, item, None)?))?;
+        let stored = parts.db.get_attributes(DOMAIN, item, None)?;
         if stored.is_empty() {
             return Ok(BTreeSet::new());
         }
@@ -435,15 +435,13 @@ impl ClosureIndex {
         for batch in renders.chunks(UNION_BATCH) {
             let expr = union_of_equals(CLOSURE_ATTR_ANC, batch.iter().copied());
             page_through(|token| {
-                let page = parts.retrying(|| {
-                    Ok(parts.db.query_with_attributes(
-                        CLOSURE_DOMAIN,
-                        Some(&expr),
-                        Some(&filter),
-                        Some(250),
-                        token,
-                    )?)
-                })?;
+                let page = parts.db.query_with_attributes(
+                    CLOSURE_DOMAIN,
+                    Some(&expr),
+                    Some(&filter),
+                    Some(250),
+                    token,
+                )?;
                 for hit in page.items {
                     let Some(desc) = ObjectRef::parse_item_name(closure_row_name(&hit.name)) else {
                         continue;
@@ -469,9 +467,7 @@ impl ClosureIndex {
         parts: &ServeParts,
         item: &str,
     ) -> Result<Option<BTreeSet<String>>> {
-        let get = |item: &str| {
-            parts.retrying(|| Ok(parts.db.get_attributes(CLOSURE_DOMAIN, item, None)?))
-        };
+        let get = |item: &str| parts.db.get_attributes(CLOSURE_DOMAIN, item, None);
         let mut ancestors = BTreeSet::new();
         let mut buckets = Vec::new();
         let mut marked = false;

@@ -32,8 +32,8 @@ pub enum CloudError {
     },
     /// A bounded retry loop spent its whole budget without the error
     /// clearing — the structured "gave up after N attempts" outcome, so
-    /// callers (the fleet bench in particular) can count retry
-    /// exhaustion instead of misattributing the last transient error.
+    /// callers can count retry exhaustion instead of misattributing the
+    /// last transient error.
     RetryExhausted {
         /// Tries made, the initial attempt included.
         attempts: u32,
@@ -102,18 +102,6 @@ impl CloudError {
         matches!(self, CloudError::Crashed(_))
     }
 
-    /// `true` when the error is a provider-side 503 rate rejection, on
-    /// whichever service — the retriable class the throttle-aware write
-    /// path backs off on.
-    pub fn is_throttle(&self) -> bool {
-        match self {
-            CloudError::S3(e) => e.is_throttle(),
-            CloudError::SimpleDb(e) => e.is_throttle(),
-            CloudError::Sqs(e) => e.is_throttle(),
-            _ => false,
-        }
-    }
-
     /// `true` when the error means the object is not stored — directly,
     /// or as the last error of an exhausted retry loop. Callers that
     /// treat "missing" as a soft outcome should match on this rather
@@ -167,26 +155,14 @@ mod tests {
     }
 
     #[test]
-    fn throttles_are_recognised_across_services() {
-        let e: CloudError = S3Error::ServiceUnavailable { bucket: "b".into() }.into();
-        assert!(e.is_throttle());
-        let e: CloudError = SdbError::ServiceUnavailable { domain: "d".into() }.into();
-        assert!(e.is_throttle());
-        let e: CloudError = sim_sqs::SqsError::ServiceUnavailable { url: "u".into() }.into();
-        assert!(e.is_throttle());
-        assert!(!CloudError::NotFound { name: "x".into() }.is_throttle());
-    }
-
-    #[test]
     fn retry_exhaustion_keeps_the_last_error_and_not_found_transparency() {
         let e = CloudError::give_up(7, CloudError::NotFound { name: "x".into() });
         assert!(e.to_string().contains("gave up after 7 attempts"));
         assert!(e.to_string().contains("object not found: x"));
         assert!(e.is_not_found());
-        assert!(!e.is_throttle(), "exhaustion is terminal, not retriable");
         assert!(std::error::Error::source(&e).is_some());
 
-        let e = CloudError::give_up(3, S3Error::ServiceUnavailable { bucket: "b".into() }.into());
+        let e = CloudError::give_up(3, S3Error::NoSuchBucket { bucket: "b".into() }.into());
         assert!(!e.is_not_found());
     }
 }

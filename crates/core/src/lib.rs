@@ -94,7 +94,7 @@ pub use properties::{
     full_property_table, property_matrix, ArchKind, AtomicityReport, PropertyMatrix,
 };
 pub use query::{ProvQuery, QueryAnswer, QueryItem};
-pub use retry::{with_throttle_retry, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use serialize::{
     decode_attributes, decode_metadata, encode_metadata, encode_records, pack_attr_batches,
     read_nonce, read_version, to_simpledb_attributes, EncodedProvenance,

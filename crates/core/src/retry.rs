@@ -18,8 +18,6 @@
 use serde::{Deserialize, Serialize};
 use simworld::{SimDuration, SimWorld};
 
-use crate::error::{CloudError, Result};
-
 /// Bounds and pacing for read-retry loops.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct RetryPolicy {
@@ -93,48 +91,6 @@ impl RetryPolicy {
     }
 }
 
-/// Runs `op`, retrying provider-side 503 rate rejections
-/// ([`CloudError::is_throttle`]) under `policy`'s exponential backoff —
-/// the client-side half of throttling. Throttling must cost *time,
-/// never state*: the rejected request applied nothing, so reissuing it
-/// after a pause converges on the same final store an unthrottled run
-/// reaches. Every pause is tallied on the world
-/// ([`SimWorld::note_throttle_retry`](simworld::SimWorld::note_throttle_retry)),
-/// and a spent budget surfaces as [`CloudError::RetryExhausted`]
-/// wrapping the final 503, so fleet runs count exhaustion instead of
-/// misattributing it.
-///
-/// Non-throttle errors (and successes) pass straight through.
-pub fn with_throttle_retry<T>(
-    world: &SimWorld,
-    policy: &RetryPolicy,
-    mut op: impl FnMut() -> Result<T>,
-) -> Result<T> {
-    let issued_at = world.now();
-    let mut retries = 0u32;
-    loop {
-        match op() {
-            Err(e) if e.is_throttle() => {
-                if retries >= policy.max_retries {
-                    return Err(CloudError::give_up(retries + 1, e));
-                }
-                retries += 1;
-                world.note_throttle_retry();
-                policy.pause(world, retries);
-            }
-            other => {
-                if retries > 0 {
-                    // The winning attempt's latency sample should span
-                    // the whole client-observed wait — rejected attempts
-                    // and backoff included — not just the final charge.
-                    world.backdate_last_sample(issued_at);
-                }
-                return other;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,68 +146,6 @@ mod tests {
         assert_eq!(p.backoff_for(1), SimDuration::from_millis(100));
         assert_eq!(p.backoff_for(3), SimDuration::from_millis(100));
         assert_eq!(p.total_bound(), SimDuration::from_millis(300));
-    }
-
-    #[test]
-    fn throttle_retry_reissues_until_clear_and_tallies() {
-        let world = SimWorld::counting();
-        let policy = RetryPolicy::default();
-        let mut rejections = 3;
-        let out = with_throttle_retry(&world, &policy, || {
-            if rejections > 0 {
-                rejections -= 1;
-                return Err(sim_s3::S3Error::ServiceUnavailable { bucket: "b".into() }.into());
-            }
-            Ok(99)
-        });
-        assert_eq!(out.unwrap(), 99);
-        assert_eq!(world.throttle_retries(), 3);
-        // Backoff advanced the clock: 1 + 2 + 4 ms.
-        assert_eq!(
-            world.now() - simworld::SimInstant::EPOCH,
-            SimDuration::from_millis(7)
-        );
-    }
-
-    #[test]
-    fn throttle_retry_exhaustion_is_structured_and_none_gives_up_loudly() {
-        let world = SimWorld::counting();
-        // RetryPolicy::none() must not swallow the transient error: the
-        // very first 503 surfaces as a structured give-up.
-        let out: crate::error::Result<()> =
-            with_throttle_retry(&world, &RetryPolicy::none(), || {
-                Err(sim_s3::S3Error::ServiceUnavailable { bucket: "b".into() }.into())
-            });
-        let err = out.unwrap_err();
-        assert!(matches!(
-            err,
-            crate::error::CloudError::RetryExhausted { attempts: 1, .. }
-        ));
-        assert!(err.to_string().contains("gave up after 1 attempts"));
-
-        // A bounded budget gives up after max_retries + 1 tries.
-        let policy = RetryPolicy::flat(2, SimDuration::from_millis(1));
-        let out: crate::error::Result<()> = with_throttle_retry(&world, &policy, || {
-            Err(sim_s3::S3Error::ServiceUnavailable { bucket: "b".into() }.into())
-        });
-        assert!(matches!(
-            out.unwrap_err(),
-            crate::error::CloudError::RetryExhausted { attempts: 3, .. }
-        ));
-    }
-
-    #[test]
-    fn non_throttle_errors_pass_straight_through() {
-        let world = SimWorld::counting();
-        let out: crate::error::Result<()> =
-            with_throttle_retry(&world, &RetryPolicy::default(), || {
-                Err(crate::error::CloudError::NotFound { name: "x".into() })
-            });
-        assert!(matches!(
-            out.unwrap_err(),
-            crate::error::CloudError::NotFound { .. }
-        ));
-        assert_eq!(world.throttle_retries(), 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::error::Result;
 use crate::layout::{BUCKET, CLOSURE_DOMAIN, DOMAIN, TMP_PREFIX};
 use crate::query::{ProvQuery, QueryAnswer};
 use crate::readpath::verified_read;
-use crate::retry::{with_throttle_retry, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::store::{ProvenanceStore, ReadOutcome, RecoveryReport};
 
 /// The read side of an arch2/arch3 store: its service handles and
@@ -57,12 +57,6 @@ pub struct ServeParts {
 }
 
 impl ServeParts {
-    /// Runs one service write under this side's retry policy, riding out
-    /// 503s ([`with_throttle_retry`]).
-    pub(crate) fn retrying<T>(&self, op: impl FnMut() -> Result<T>) -> Result<T> {
-        with_throttle_retry(&self.world, &self.retry, op)
-    }
-
     /// The §4.2 read: fetch data from S3 and provenance from SimpleDB,
     /// then compare `MD5(data ‖ nonce)` against the stored record; on
     /// mismatch, reissue both reads until they agree or the retry

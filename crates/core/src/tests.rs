@@ -680,35 +680,6 @@ fn arch1_recover_cleans_orphaned_overflow_objects() {
     );
 }
 
-/// Recovery's deletes are writes, so the S3 throttle admits them; a 503
-/// must cost a backoff, not abort the scan. The counting world's clock
-/// stands still between deletes, so with a burst of 1 the second residue
-/// object on any shard is rejected — and 20 objects over 16 shards put
-/// at least two on one.
-#[test]
-fn arch1_recover_rides_out_throttled_deletes() {
-    let world = counting();
-    let mut store = StandaloneS3::new(&world);
-    world.with_faults(|f| f.arm_after(crate::A1_BEFORE_DATA_PUT, 0));
-    let mut builder = FileFlush::builder("f").data(Blob::from("content"));
-    for i in 0..20 {
-        builder = builder.record(&format!("note{i}"), &"n".repeat(1100));
-    }
-    assert!(store.persist(&builder.build()).unwrap_err().is_crash());
-    let residue = store.s3().latest_keys(BUCKET, crate::layout::PROV_PREFIX);
-    assert_eq!(residue.len(), 20, "one overflow object per record");
-
-    let throttle = simworld::ThrottleConfig::per_shard(100.0).with_burst(1.0);
-    store.s3().set_throttle(Some(throttle));
-    let report = store.recover().unwrap();
-    assert_eq!(report.objects_removed, 20);
-    assert!(world.throttle_retries() > 0, "the throttle must bite");
-    assert!(store
-        .s3()
-        .latest_keys(BUCKET, crate::layout::PROV_PREFIX)
-        .is_empty());
-}
-
 #[test]
 fn arch3_cleaner_spares_fresh_temp_objects() {
     let world = counting();
@@ -728,98 +699,6 @@ fn arch3_cleaner_spares_fresh_temp_objects() {
 }
 
 // --- batched persist path ---
-
-mod throttled_writes {
-    use super::*;
-
-    fn throttle_all(store: &S3SimpleDbSqs, cfg: simworld::ThrottleConfig) {
-        store.s3().set_throttle(Some(cfg));
-        store.simpledb().set_throttle(Some(cfg));
-        store.sqs().set_throttle(Some(cfg));
-    }
-
-    #[test]
-    fn throttling_costs_time_never_state() {
-        // Tentpole invariant: a throttled run retries its way to the
-        // exact same final store as an unthrottled run — 503s cost
-        // virtual time, never state.
-        let flushes = pipeline_flushes();
-        let run = |throttle: bool| {
-            let world = counting();
-            let mut store = S3SimpleDbSqs::new(&world, "c");
-            if throttle {
-                throttle_all(
-                    &store,
-                    simworld::ThrottleConfig::per_shard(100.0).with_burst(1.0),
-                );
-            }
-            for flush in &flushes {
-                store.persist(flush).unwrap();
-            }
-            let persist_done = world.now();
-            store.run_daemons_until_idle().unwrap();
-            (world, store, persist_done)
-        };
-        let (plain_world, plain, plain_elapsed) = run(false);
-        let (slow_world, slow, slow_elapsed) = run(true);
-
-        assert_eq!(plain_world.throttle_retries(), 0);
-        assert!(
-            slow_world.meters().total_throttled() > 0,
-            "the throttle must actually bite"
-        );
-        assert!(slow_world.throttle_retries() > 0, "503s must be retried");
-        assert!(
-            slow_elapsed > plain_elapsed,
-            "backoff must cost virtual time: slow={slow_elapsed:?} plain={plain_elapsed:?}"
-        );
-
-        for name in ["in.dat", "mid.dat", "out.dat"] {
-            let p = plain.read(name).unwrap();
-            let s = slow.read(name).unwrap();
-            assert!(s.consistent(), "{name}");
-            assert_eq!(p.data.md5(), s.data.md5(), "{name}");
-            let mut pr: Vec<_> = p.records.iter().map(|r| r.to_pair()).collect();
-            let mut sr: Vec<_> = s.records.iter().map(|r| r.to_pair()).collect();
-            pr.sort();
-            sr.sort();
-            assert_eq!(pr, sr, "{name}");
-        }
-        let pg = plain.query(&ProvQuery::ProvenanceOfAll).unwrap();
-        let sg = slow.query(&ProvQuery::ProvenanceOfAll).unwrap();
-        assert!(
-            crate::ProvGraph::from_answer(&pg)
-                .diff(&crate::ProvGraph::from_answer(&sg))
-                .is_empty(),
-            "throttling changed the provenance graph"
-        );
-    }
-
-    #[test]
-    fn retry_none_surfaces_structured_exhaustion_under_throttle() {
-        // A RetryPolicy::none() client hitting a 503 must fail loudly
-        // with the structured give-up, not a bare service error.
-        let world = counting();
-        let mut store = S3SimpleDbSqs::new(&world, "c");
-        let config = Arch3Config {
-            retry: RetryPolicy::none(),
-            ..Arch3Config::default()
-        };
-        store.set_config(config);
-        store.sqs().set_throttle(Some(
-            simworld::ThrottleConfig::per_shard(100.0).with_burst(1.0),
-        ));
-        let err = store.persist(&pipeline_flushes()[0]).unwrap_err();
-        match err {
-            crate::CloudError::RetryExhausted { attempts, ref last } => {
-                assert_eq!(attempts, 1, "none() makes exactly one attempt");
-                assert!(last.is_throttle(), "the last error is the 503: {last}");
-            }
-            ref other => panic!("expected structured exhaustion, got {other}"),
-        }
-        assert!(err.to_string().contains("gave up after 1 attempts"));
-    }
-}
 
 mod batched_persist {
     use super::*;

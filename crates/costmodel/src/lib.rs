@@ -226,42 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn throttled_requests_bill_like_accepted_ones() {
-        // AWS charges for 503-rejected requests. Two runs doing the
-        // same useful work — 100 accepted puts — differ only in that
-        // one ate 40 rejections along the way; its bill must be
-        // strictly larger, by exactly the rejections' request charges.
-        let useful = snapshot_with(|b| {
-            for _ in 0..100 {
-                b.record(Op::S3Put, 1024, 0);
-            }
-        });
-        let throttled = snapshot_with(|b| {
-            for _ in 0..100 {
-                b.record(Op::S3Put, 1024, 0);
-            }
-            for _ in 0..40 {
-                b.record_throttled(Op::S3Put, 1024);
-            }
-        });
-        let book = PriceBook::january_2009();
-        let clean_bill = cost_of(&useful, 0.0, &book).operations_total();
-        let slow_bill = cost_of(&throttled, 0.0, &book).operations_total();
-        assert!(
-            slow_bill > clean_bill,
-            "equal useful work must cost more under throttling: {slow_bill} vs {clean_bill}"
-        );
-        let rejects_only = snapshot_with(|b| {
-            for _ in 0..40 {
-                b.record_throttled(Op::S3Put, 1024);
-            }
-        });
-        let reject_bill = cost_of(&rejects_only, 0.0, &book).operations_total();
-        assert!((slow_bill - clean_bill - reject_bill).abs() < 1e-12);
-        assert_eq!(throttled.total_throttled(), 40);
-    }
-
-    #[test]
     fn s3_put_class_vs_get_class_rates() {
         let snap = snapshot_with(|b| {
             for _ in 0..1_000 {

@@ -67,20 +67,6 @@ pub enum S3Error {
         /// Keys submitted.
         submitted: usize,
     },
-    /// The request rate on the key's partition exceeded the provisioned
-    /// limit and the request was rejected without applying (`SlowDown`,
-    /// HTTP 503). Retry with backoff.
-    ServiceUnavailable {
-        /// Bucket whose partition throttled the request.
-        bucket: String,
-    },
-}
-
-impl S3Error {
-    /// `true` for the retriable 503 rejection.
-    pub fn is_throttle(&self) -> bool {
-        matches!(self, S3Error::ServiceUnavailable { .. })
-    }
 }
 
 impl fmt::Display for S3Error {
@@ -111,12 +97,6 @@ impl fmt::Display for S3Error {
                 write!(
                     f,
                     "{submitted} keys submitted; a multi-object delete carries at most 1000"
-                )
-            }
-            S3Error::ServiceUnavailable { bucket } => {
-                write!(
-                    f,
-                    "503 SlowDown: request rate exceeded on bucket {bucket:?}; retry with backoff"
                 )
             }
         }

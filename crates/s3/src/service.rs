@@ -34,7 +34,6 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use simworld::{
     Blob, Charge, Cost, Md5Digest, Op, ReplicaPin, ShardMap, ShardRegistry, SimInstant, SimWorld,
-    ThrottleConfig,
 };
 
 use crate::error::{Result, S3Error};
@@ -192,31 +191,6 @@ impl S3 {
         Some(self.buckets.get(bucket)?.shard_ids())
     }
 
-    /// Installs (or, with `None`, removes) a per-shard write-rate limit.
-    /// Above the limit, write-path calls return
-    /// [`S3Error::ServiceUnavailable`] without applying — the rejection
-    /// is still a billable, metered request. Read paths (GET/HEAD/LIST)
-    /// are not throttled. Replaces any prior limit and resets bucket
-    /// state.
-    pub fn set_throttle(&self, config: Option<ThrottleConfig>) {
-        self.buckets.set_throttle(config);
-    }
-
-    /// The active per-shard write-rate limit, if any.
-    pub fn throttle(&self) -> Option<ThrottleConfig> {
-        self.buckets.throttle()
-    }
-
-    /// [`ShardMap::admit_or_reject`] under this endpoint's throttle.
-    fn admit(&self, bkt: &Bucket, bucket: &str, op: Op, bytes_in: u64, ids: &[u32]) -> Result<()> {
-        if bkt.admit_or_reject(&self.world, self.buckets.throttle(), op, bytes_in, ids) {
-            return Ok(());
-        }
-        Err(S3Error::ServiceUnavailable {
-            bucket: bucket.to_string(),
-        })
-    }
-
     /// Creates a bucket.
     ///
     /// # Errors
@@ -269,7 +243,6 @@ impl S3 {
             metadata,
         };
         let bytes_in = stored.footprint();
-        self.admit(&bkt, bucket, Op::S3Put, bytes_in, &[bkt.route(key)])?;
         let put = Charge::point(Op::S3Put, bytes_in, 0);
         self.write(&bkt, key, Some(stored), put);
         Ok(())
@@ -441,15 +414,10 @@ impl S3 {
             m.check_limit()?;
         }
         // Validate and resolve both buckets before touching any state,
-        // so an unbilled refusal leaves no fingerprints (no throttle
-        // token, no shard touch, no RNG draw) on the simulation.
+        // so an unbilled refusal leaves no fingerprints (no shard touch,
+        // no RNG draw) on the simulation.
         let src_bkt = self.bucket(src_bucket)?;
         let dst_bkt = self.bucket(dst_bucket)?;
-        // Throttling gates the *write* side: admission is checked on the
-        // destination shard before the source is even read, so a rejected
-        // copy burns no source shard touch or replica sample.
-        let dst_shard = dst_bkt.route(dst_key);
-        self.admit(&dst_bkt, dst_bucket, Op::S3Copy, 0, &[dst_shard])?;
         let copy = Charge {
             order_key,
             ..Charge::point(Op::S3Copy, 0, 0)
@@ -503,7 +471,6 @@ impl S3 {
     /// [`S3Error::NoSuchBucket`] only.
     pub fn delete_object(&self, bucket: &str, key: &str) -> Result<()> {
         let bkt = self.bucket(bucket)?;
-        self.admit(&bkt, bucket, Op::S3Delete, 0, &[bkt.route(key)])?;
         self.write(&bkt, key, None, Charge::point(Op::S3Delete, 0, 0));
         Ok(())
     }
@@ -548,7 +515,6 @@ impl S3 {
         let gating = by_shard.values().map(Vec::len).max().unwrap_or(0) as u64;
         let bytes_in: u64 = keys.iter().map(|k| k.len() as u64).sum();
         let shards: Vec<u32> = by_shard.keys().copied().collect();
-        self.admit(&bkt, bucket, Op::S3DeleteObjects, bytes_in, &shards)?;
         let removed = bkt.with_cells_multi(&shards, |guards| {
             // Stage: the keys that hold an object (a key submitted twice
             // is deleted once) and the bytes deleting them frees.

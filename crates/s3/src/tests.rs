@@ -251,6 +251,32 @@ fn copy_missing_source_errors() {
 }
 
 #[test]
+fn copy_refused_for_oversized_metadata_leaves_no_fingerprints() {
+    // Twin worlds: one issues a COPY whose replacement metadata is
+    // over the limit, the other never does. The refusal is unbilled,
+    // so it must not draw a replica or touch a shard.
+    let run = |refused_copy: bool| {
+        let world = SimWorld::new(77);
+        let s3 = S3::new(&world);
+        s3.create_bucket("b").unwrap();
+        s3.put_object("b", "src", Blob::from("v"), Metadata::new())
+            .unwrap();
+        world.settle();
+        if refused_copy {
+            let fat = Metadata::from_pairs([("k", "v".repeat(3000))]);
+            let err = s3
+                .copy_object("b", "src", "b", "dst", MetadataDirective::Replace(fat))
+                .unwrap_err();
+            assert!(matches!(err, S3Error::MetadataTooLarge { .. }), "{err}");
+        }
+        s3.put_object("b", "dst", Blob::from("w"), Metadata::new())
+            .unwrap();
+        (world.meters(), world.now(), world.rand_u64())
+    };
+    assert_eq!(run(true), run(false));
+}
+
+#[test]
 fn failed_copy_into_missing_bucket_mutates_no_state() {
     // A copy into a bucket that does not exist must fail before it
     // touches anything — no shard touch, no RNG draw, no billed op.
@@ -693,185 +719,5 @@ mod delete_objects {
             batch * 5 < point,
             "batch {batch}µs must undercut point deletes {point}µs by >5x"
         );
-    }
-}
-
-mod throttle {
-    use super::*;
-    use crate::DEFAULT_SHARDS;
-    use simworld::ThrottleConfig;
-
-    /// A throttled endpoint: 1 req/s per shard, burst 1, on a world
-    /// whose clock only moves when the test advances it.
-    fn throttled() -> (SimWorld, S3) {
-        let (world, s3) = counting();
-        s3.set_throttle(Some(ThrottleConfig::per_shard(1.0)));
-        (world, s3)
-    }
-
-    #[test]
-    fn second_put_to_a_hot_shard_is_rejected_billed_and_unapplied() {
-        let (world, s3) = throttled();
-        s3.put_object("b", "k", Blob::from("v1"), Metadata::new())
-            .unwrap();
-        let before = world.meters();
-        let err = s3
-            .put_object("b", "k", Blob::from("v2"), Metadata::new())
-            .unwrap_err();
-        assert!(err.is_throttle(), "got {err}");
-        assert!(matches!(err, S3Error::ServiceUnavailable { ref bucket } if bucket == "b"));
-        // The rejection is billed as a request…
-        let phase = world.meters() - before;
-        assert_eq!(phase.op_count(Op::S3Put), 1);
-        assert_eq!(phase.throttled(Service::S3), 1);
-        // …but nothing was applied.
-        let obj = s3.latest_object("b", "k").unwrap();
-        assert_eq!(&obj.body.to_bytes()[..], b"v1");
-    }
-
-    #[test]
-    fn tokens_refill_with_virtual_time() {
-        let (world, s3) = throttled();
-        s3.put_object("b", "k", Blob::from("1"), Metadata::new())
-            .unwrap();
-        assert!(s3
-            .put_object("b", "k", Blob::from("2"), Metadata::new())
-            .is_err());
-        world.advance(SimDuration::from_secs(1));
-        s3.put_object("b", "k", Blob::from("3"), Metadata::new())
-            .unwrap();
-    }
-
-    #[test]
-    fn copies_and_deletes_drain_the_destination_shard_bucket() {
-        let (world, s3) = throttled();
-        s3.put_object("b", "src", Blob::from("v"), Metadata::new())
-            .unwrap();
-        world.advance(SimDuration::from_secs(10));
-        // Find a destination key on the same shard as a probe key so the
-        // copy and the delete contend for one bucket.
-        let shard_of = |k: &str| simworld::fnv1a_64(k) % DEFAULT_SHARDS as u64;
-        let dst = "dst".to_string();
-        // Copy drains dst's shard…
-        s3.copy_object("b", "src", "b", &dst, MetadataDirective::Copy)
-            .unwrap();
-        let same_shard = (0..200)
-            .map(|i| format!("k{i}"))
-            .find(|k| shard_of(k) == shard_of(&dst))
-            .unwrap();
-        // …so an immediate write to the same shard is rejected.
-        let err = s3
-            .put_object("b", &same_shard, Blob::from("x"), Metadata::new())
-            .unwrap_err();
-        assert!(err.is_throttle());
-        // Deletes are throttled writes too.
-        world.advance(SimDuration::from_secs(1));
-        s3.delete_object("b", &dst).unwrap();
-        assert!(s3.delete_object("b", &dst).unwrap_err().is_throttle());
-    }
-
-    #[test]
-    fn rejected_batch_delete_applies_nothing_and_drains_no_bucket() {
-        let (world, s3) = throttled();
-        let keys: Vec<String> = (0..10).map(|i| format!("k{i}")).collect();
-        for key in &keys {
-            s3.put_object("b", key, Blob::from("v"), Metadata::new())
-                .unwrap();
-            world.advance(SimDuration::from_secs(1));
-        }
-        // Exhaust one shard's token with a point put.
-        s3.put_object("b", "k0", Blob::from("v2"), Metadata::new())
-            .unwrap();
-        // The batch spanning the hot shard is rejected whole…
-        let err = s3.delete_objects("b", &keys).unwrap_err();
-        assert!(err.is_throttle());
-        for key in &keys {
-            assert!(s3.latest_object("b", key).is_some(), "{key} vanished");
-        }
-        // …and a key off the hot shard still deletes immediately (its
-        // bucket was not drained by the rejected batch).
-        let shard_of = |k: &str| simworld::fnv1a_64(k) % DEFAULT_SHARDS as u64;
-        let cold = keys.iter().find(|k| shard_of(k) != shard_of("k0")).unwrap();
-        s3.delete_object("b", cold).unwrap();
-    }
-
-    #[test]
-    fn reads_are_never_throttled() {
-        let (_, s3) = throttled();
-        s3.put_object("b", "k", Blob::from("v"), Metadata::new())
-            .unwrap();
-        assert!(s3
-            .put_object("b", "k", Blob::from("w"), Metadata::new())
-            .is_err());
-        // GET, HEAD and LIST sail through an exhausted bucket.
-        s3.get_object("b", "k").unwrap();
-        s3.head_object("b", "k").unwrap();
-        s3.list_objects("b", "", None, 10).unwrap();
-    }
-
-    #[test]
-    fn clearing_the_throttle_restores_unlimited_admission() {
-        let (_, s3) = throttled();
-        s3.put_object("b", "k", Blob::from("v"), Metadata::new())
-            .unwrap();
-        assert!(s3
-            .put_object("b", "k", Blob::from("w"), Metadata::new())
-            .is_err());
-        assert!(s3.throttle().is_some());
-        s3.set_throttle(None);
-        assert!(s3.throttle().is_none());
-        for i in 0..10 {
-            s3.put_object("b", "k", Blob::from(format!("{i}")), Metadata::new())
-                .unwrap();
-        }
-    }
-
-    #[test]
-    fn throttle_off_runs_draw_identical_rng_streams() {
-        // The admission check must not perturb the RNG when disabled —
-        // pinned by comparing a plain run with a set_throttle(None) run.
-        let run = |configure: bool| {
-            let world = SimWorld::new(1234);
-            let s3 = S3::new(&world);
-            if configure {
-                s3.set_throttle(None);
-            }
-            s3.create_bucket("b").unwrap();
-            for i in 0..10 {
-                s3.put_object("b", &format!("k{i}"), Blob::from("v"), Metadata::new())
-                    .unwrap();
-            }
-            (world.now(), world.rand_u64())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn copy_refused_for_oversized_metadata_leaves_no_fingerprints() {
-        // Twin worlds: one issues a COPY whose replacement metadata is
-        // over the limit, the other never does. The refusal is unbilled,
-        // so it must not draw a replica, touch a shard or take the
-        // destination shard's one throttle token.
-        let run = |refused_copy: bool| {
-            let world = SimWorld::new(77);
-            let s3 = S3::new(&world);
-            s3.create_bucket("b").unwrap();
-            s3.put_object("b", "src", Blob::from("v"), Metadata::new())
-                .unwrap();
-            world.settle();
-            s3.set_throttle(Some(ThrottleConfig::per_shard(1.0)));
-            if refused_copy {
-                let fat = Metadata::from_pairs([("k", "v".repeat(3000))]);
-                let err = s3
-                    .copy_object("b", "src", "b", "dst", MetadataDirective::Replace(fat))
-                    .unwrap_err();
-                assert!(matches!(err, S3Error::MetadataTooLarge { .. }), "{err}");
-            }
-            // The destination shard's single token is still there.
-            s3.put_object("b", "dst", Blob::from("w"), Metadata::new())
-                .unwrap();
-            (world.meters(), world.now(), world.rand_u64())
-        };
-        assert_eq!(run(true), run(false));
     }
 }

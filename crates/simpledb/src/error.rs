@@ -78,20 +78,6 @@ pub enum SdbError {
     /// A pagination token was not produced by this domain
     /// (`InvalidNextToken`).
     InvalidNextToken,
-    /// The request rate on one of the domain's partitions exceeded the
-    /// provisioned limit and the request was rejected without applying
-    /// (`ServiceUnavailable`, HTTP 503). Retry with backoff.
-    ServiceUnavailable {
-        /// Domain whose partition throttled the request.
-        domain: String,
-    },
-}
-
-impl SdbError {
-    /// `true` for the retriable 503 rejection.
-    pub fn is_throttle(&self) -> bool {
-        matches!(self, SdbError::ServiceUnavailable { .. })
-    }
 }
 
 impl fmt::Display for SdbError {
@@ -144,12 +130,6 @@ impl fmt::Display for SdbError {
             }
             SdbError::InvalidQuery { message } => write!(f, "invalid query expression: {message}"),
             SdbError::InvalidNextToken => f.write_str("invalid pagination token"),
-            SdbError::ServiceUnavailable { domain } => {
-                write!(
-                    f,
-                    "503 ServiceUnavailable: request rate exceeded on domain {domain:?}; retry with backoff"
-                )
-            }
         }
     }
 }

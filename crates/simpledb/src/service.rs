@@ -38,9 +38,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use simworld::{
-    Charge, Cost, Op, Pair, ReplicaPin, ShardMap, ShardRegistry, SimWorld, ThrottleConfig,
-};
+use simworld::{Charge, Cost, Op, Pair, ReplicaPin, ShardMap, ShardRegistry, SimWorld};
 
 use crate::error::{Result, SdbError};
 use crate::model::{
@@ -177,20 +175,6 @@ impl SimpleDb {
         Some(self.domains.get(domain)?.shard_ids())
     }
 
-    /// Installs (or, with `None`, removes) a per-shard write-rate limit.
-    /// Above the limit, write-path calls return
-    /// [`SdbError::ServiceUnavailable`] without applying — the rejection
-    /// is still a billable, metered request. Read paths are not
-    /// throttled. Replaces any prior limit and resets bucket state.
-    pub fn set_throttle(&self, config: Option<ThrottleConfig>) {
-        self.domains.set_throttle(config);
-    }
-
-    /// The active per-shard write-rate limit, if any.
-    pub fn throttle(&self) -> Option<ThrottleConfig> {
-        self.domains.throttle()
-    }
-
     /// Creates a domain. Idempotent, as in the real service.
     ///
     /// # Errors
@@ -238,7 +222,6 @@ impl SimpleDb {
         let bytes_in = check_put(item_name, attrs)?;
         let dom = self.domain(domain)?;
         let op = Op::SdbPutAttributes;
-        self.admit(&dom, domain, op, bytes_in, &[dom.route(item_name)])?;
         dom.with_cells(item_name, |shard, map| {
             let (item, stored_delta) = apply_put(item_name, map.read_latest(item_name), attrs)?;
             self.world.charge(Charge {
@@ -248,16 +231,6 @@ impl SimpleDb {
             });
             map.write(&self.world, item_name.to_string(), Some(item));
             Ok(())
-        })
-    }
-
-    /// [`ShardMap::admit_or_reject`] under this endpoint's throttle.
-    fn admit(&self, dom: &Domain, domain: &str, op: Op, bytes_in: u64, ids: &[u32]) -> Result<()> {
-        if dom.admit_or_reject(&self.world, self.domains.throttle(), op, bytes_in, ids) {
-            return Ok(());
-        }
-        Err(SdbError::ServiceUnavailable {
-            domain: domain.to_string(),
         })
     }
 
@@ -311,7 +284,6 @@ impl SimpleDb {
         let dom = self.domain(domain)?;
         let op = Op::SdbDeleteAttributes;
         let bytes_in = item_name.len() as u64;
-        self.admit(&dom, domain, op, bytes_in, &[dom.route(item_name)])?;
         dom.with_cells(item_name, |shard, map| {
             let change = map
                 .read_latest(item_name)
@@ -366,7 +338,6 @@ impl SimpleDb {
 
         let shards: Vec<u32> = dom.route_all(items.iter().map(|(n, _)| n.as_str()));
         let op = Op::SdbBatchPutAttributes;
-        self.admit(&dom, domain, op, bytes_in, &shards)?;
 
         // Every touched shard's lock is taken exactly once, in ascending
         // id order (a deterministic order keeps concurrent batches
@@ -436,7 +407,6 @@ impl SimpleDb {
         let shards: Vec<u32> = dom.route_all(items.iter().map(|(n, _)| n.as_str()));
         let bytes_in: u64 = items.iter().map(|(name, _)| name.len() as u64).sum();
         let op = Op::SdbBatchDeleteAttributes;
-        self.admit(&dom, domain, op, bytes_in, &shards)?;
         dom.with_cells_multi(&shards, |guards| {
             // Stage, then charge, then write, as in the batch put; a
             // batch names an item at most once, so staged states are

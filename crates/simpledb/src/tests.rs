@@ -1039,138 +1039,6 @@ mod batch {
     }
 }
 
-// --- provider-side throttling ---
-
-mod throttle {
-    use super::*;
-    use simworld::ThrottleConfig;
-
-    /// A throttled endpoint: 1 req/s per shard, burst 1, on a world
-    /// whose clock only moves when the test advances it.
-    fn throttled() -> (SimWorld, SimpleDb) {
-        let (world, db) = counting();
-        db.set_throttle(Some(ThrottleConfig::per_shard(1.0)));
-        (world, db)
-    }
-
-    #[test]
-    fn second_write_to_a_hot_shard_is_rejected_billed_and_unapplied() {
-        let (world, db) = throttled();
-        db.put_attributes("d", "item", &[add("a", "1")]).unwrap();
-        let before = world.meters();
-        let err = db
-            .put_attributes("d", "item", &[add("a", "2")])
-            .unwrap_err();
-        assert!(err.is_throttle(), "got {err}");
-        assert!(matches!(err, SdbError::ServiceUnavailable { ref domain } if domain == "d"));
-        // The rejection is billed as a request…
-        let phase = world.meters() - before;
-        assert_eq!(phase.op_count(Op::SdbPutAttributes), 1);
-        assert_eq!(phase.throttled(Service::SimpleDb), 1);
-        // …but nothing was applied.
-        let attrs = db.latest_item("d", "item").unwrap();
-        assert_eq!(pairs(&attrs), vec![("a", "1")]);
-    }
-
-    #[test]
-    fn tokens_refill_with_virtual_time() {
-        let (world, db) = throttled();
-        db.put_attributes("d", "item", &[add("a", "1")]).unwrap();
-        assert!(db.put_attributes("d", "item", &[add("a", "2")]).is_err());
-        world.advance(SimDuration::from_secs(1));
-        db.put_attributes("d", "item", &[add("a", "3")]).unwrap();
-    }
-
-    #[test]
-    fn different_shards_throttle_independently() {
-        let (_, db) = throttled();
-        // Find two items on different shards.
-        let dom_shard = |name: &str| simworld::fnv1a_64(name) % DEFAULT_SHARDS as u64;
-        let a = "item-a".to_string();
-        let b = (0..100)
-            .map(|i| format!("item-{i}"))
-            .find(|n| dom_shard(n) != dom_shard(&a))
-            .unwrap();
-        db.put_attributes("d", &a, &[add("x", "1")]).unwrap();
-        // a's shard is out of tokens; b's shard is untouched.
-        assert!(db.put_attributes("d", &a, &[add("x", "2")]).is_err());
-        db.put_attributes("d", &b, &[add("x", "1")]).unwrap();
-    }
-
-    #[test]
-    fn rejected_batch_applies_nothing_and_drains_no_bucket() {
-        let (_, db) = throttled();
-        // Exhaust one shard's token with a point put.
-        db.put_attributes("d", "hot", &[add("x", "1")]).unwrap();
-        // A batch spanning the hot shard and (very likely) others is
-        // rejected whole…
-        let items: Vec<_> = (0..10)
-            .map(|i| {
-                let name = if i == 0 {
-                    "hot".to_string()
-                } else {
-                    format!("cold-{i}")
-                };
-                (name, vec![add("y", "1")])
-            })
-            .collect();
-        let err = db.batch_put_attributes("d", &items).unwrap_err();
-        assert!(err.is_throttle());
-        for (name, _) in &items[1..] {
-            assert!(db.latest_item("d", name).is_none(), "{name} leaked");
-        }
-        // …and the cold shards' tokens survive: each cold item still
-        // writes individually.
-        for (name, attrs) in &items[1..] {
-            db.put_attributes("d", name, attrs).unwrap();
-        }
-    }
-
-    #[test]
-    fn reads_are_never_throttled() {
-        let (_, db) = throttled();
-        db.put_attributes("d", "item", &[add("a", "1")]).unwrap();
-        assert!(db.put_attributes("d", "item", &[add("a", "2")]).is_err());
-        // Reads and queries sail through an exhausted bucket.
-        db.get_attributes("d", "item", None).unwrap();
-        db.query("d", None, None, None).unwrap();
-    }
-
-    #[test]
-    fn clearing_the_throttle_restores_unlimited_admission() {
-        let (_, db) = throttled();
-        db.put_attributes("d", "item", &[add("a", "1")]).unwrap();
-        assert!(db.put_attributes("d", "item", &[add("a", "2")]).is_err());
-        assert!(db.throttle().is_some());
-        db.set_throttle(None);
-        assert!(db.throttle().is_none());
-        for i in 0..10 {
-            db.put_attributes("d", "item", &[add("a", format!("{i}"))])
-                .unwrap();
-        }
-    }
-
-    #[test]
-    fn throttle_off_runs_draw_identical_rng_streams() {
-        // The admission check must not perturb the RNG when disabled —
-        // pinned by comparing a plain run with a set_throttle(None) run.
-        let run = |configure: bool| {
-            let world = SimWorld::new(1234);
-            let db = SimpleDb::new(&world);
-            if configure {
-                db.set_throttle(None);
-            }
-            db.create_domain("d").unwrap();
-            for i in 0..10 {
-                db.put_attributes("d", &format!("i{i}"), &[add("a", "1")])
-                    .unwrap();
-            }
-            (world.now(), world.rand_u64())
-        };
-        assert_eq!(run(false), run(true));
-    }
-}
-
 mod sharing {
     use std::collections::BTreeSet;
 

@@ -25,6 +25,12 @@
 //! per phase, so those walks and every later request run on the fixed
 //! layout. The constants are what `1edd029` (which still split) prints
 //! for the transcripts with the split steps dropped.
+//!
+//! Both lengths and hashes were re-derived when provider rate limiting
+//! was deleted: each meters line lost its always-zero 503 counter and
+//! each sample line its always-zero client id. The new pairs are what
+//! `25e0a0b` prints with those two fields' text cut from the
+//! transcript; the line counts and the final clocks did not move.
 
 use std::fmt::Write as _;
 
@@ -300,7 +306,7 @@ fn scripted_run_matches_the_scan_era_constants() {
     // meter, a latency draw or a scan charge — not merely its speed.
     assert_eq!(
         (digest, world.now().as_micros()),
-        ((2374, 729_792, 9_287_209_148_809_497_517), 121_832_557),
+        ((2374, 715_120, 5_332_999_603_385_754_331), 121_832_557),
         "SimpleDB's observable behaviour diverged from the pinned script"
     );
 }
@@ -313,7 +319,7 @@ fn covered_small_page_walks_match_the_fetch_everywhere_constants() {
     // and fetched on every shard.
     assert_eq!(
         (digest, world.now().as_micros()),
-        ((1958, 329_861, 8_354_019_290_672_554_668), 109_037_873),
+        ((1958, 317_477, 6_561_973_192_166_470_790), 109_037_873),
         "covered pagination diverged from the pinned script"
     );
 }

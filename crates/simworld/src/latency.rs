@@ -61,10 +61,6 @@ pub enum Cost {
         /// Entries landing on the busiest partition.
         gating: u64,
     },
-    /// A request the provider refused with a 503: metered and billed —
-    /// AWS charges for throttled requests — and a full round trip on the
-    /// clock, but nothing is applied and no response bytes flow.
-    Rejected,
 }
 
 /// Latency model for the whole cloud.
@@ -156,7 +152,7 @@ impl LatencyModel {
             (p.jitter.as_micros() as f64 * jitter_draw.clamp(0.0, 1.0)) as u64,
         );
         let server_side = match cost {
-            Cost::Point | Cost::Rejected => SimDuration::ZERO,
+            Cost::Point => SimDuration::ZERO,
             Cost::Scan { rows } => p.per_scanned_row.saturating_mul(rows),
             Cost::Batch { gating, .. } => p.per_batch_entry.saturating_mul(gating),
         };

@@ -53,7 +53,6 @@ mod merge;
 mod metering;
 mod samples;
 mod shardmap;
-mod throttle;
 mod world;
 
 pub use blob::{Blob, Chunks, CHUNK};
@@ -67,9 +66,8 @@ pub use merge::merged_shard_page;
 pub use metering::{
     format_bytes, MeterBook, MeterSnapshot, Op, Service, ServiceMeter, ShardImbalance,
 };
-pub use samples::{percentiles, LatencySample, Percentiles};
+pub use samples::LatencySample;
 pub use shardmap::{
     clamp_shards, ring_position, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
 };
-pub use throttle::{ThrottleConfig, TokenBucket};
 pub use world::{Charge, Consistency, PipelineStats, SimConfig, SimWorld};

@@ -174,12 +174,6 @@ pub struct ServiceMeter {
     /// by its entry count, so `batch_entries / ops` is the realised
     /// batch fill — the number the paper's round-trip argument turns on.
     pub batch_entries: BTreeMap<Op, u64>,
-    /// Requests the provider rejected with a 503 (`ServiceUnavailable`).
-    /// Each rejection is *also* counted in [`ServiceMeter::ops`] — AWS
-    /// bills throttled requests — so this counter isolates how many of
-    /// the billed requests did no useful work.
-    #[serde(default)]
-    pub throttled: u64,
 }
 
 impl ServiceMeter {
@@ -320,14 +314,6 @@ impl MeterBook {
             .or_insert(0) += entries;
     }
 
-    /// Records a request the provider rejected with a 503: one billable
-    /// op (AWS charges for throttled requests, request bytes included)
-    /// plus a bump of the service's [`ServiceMeter::throttled`] counter.
-    pub fn record_throttled(&mut self, op: Op, bytes_in: u64) {
-        self.record(op, bytes_in, 0);
-        self.service_mut(op.service()).throttled += 1;
-    }
-
     /// Records that an operation touched `shard` of `service`'s storage.
     /// Point ops report their single shard; fan-out queries report every
     /// shard they read.
@@ -453,19 +439,6 @@ impl MeterSnapshot {
         self.book.service(op.service()).batch_entry_count(op)
     }
 
-    /// Requests one service rejected with a 503.
-    pub fn throttled(&self, service: Service) -> u64 {
-        self.book.service(service).throttled
-    }
-
-    /// 503 rejections across all services.
-    pub fn total_throttled(&self) -> u64 {
-        Service::ALL
-            .iter()
-            .map(|s| self.book.service(*s).throttled)
-            .sum()
-    }
-
     /// Iterates `(op, count)` over every nonzero counter.
     pub fn iter_ops(&self) -> impl Iterator<Item = (Op, u64)> + '_ {
         Service::ALL
@@ -488,7 +461,6 @@ impl Sub for MeterSnapshot {
             meter.bytes_in = now.bytes_in.saturating_sub(then.bytes_in);
             meter.bytes_out = now.bytes_out.saturating_sub(then.bytes_out);
             meter.stored_bytes = now.stored_bytes;
-            meter.throttled = now.throttled.saturating_sub(then.throttled);
             meter.ops = now
                 .ops
                 .iter()
@@ -657,34 +629,6 @@ mod tests {
         assert_eq!(Op::S3DeleteObjects.service(), Service::S3);
         assert_eq!(Op::SdbBatchPutAttributes.service(), Service::SimpleDb);
         assert_eq!(Op::SqsDeleteMessageBatch.service(), Service::Sqs);
-    }
-
-    #[test]
-    fn throttled_rejections_are_billed_and_counted() {
-        let mut book = MeterBook::new();
-        book.record(Op::SdbPutAttributes, 100, 0);
-        book.record_throttled(Op::SdbPutAttributes, 100);
-        let snap = book.snapshot();
-        // The rejection is a billable request with its payload bytes…
-        assert_eq!(snap.op_count(Op::SdbPutAttributes), 2);
-        assert_eq!(snap.bytes_in(), 200);
-        // …and is separately countable as useless work.
-        assert_eq!(snap.throttled(Service::SimpleDb), 1);
-        assert_eq!(snap.throttled(Service::S3), 0);
-        assert_eq!(snap.total_throttled(), 1);
-    }
-
-    #[test]
-    fn throttled_counts_subtract_per_phase() {
-        let mut book = MeterBook::new();
-        book.record_throttled(Op::S3Put, 10);
-        let mid = book.snapshot();
-        book.record_throttled(Op::S3Put, 10);
-        book.record_throttled(Op::SqsSendMessage, 5);
-        let phase = book.snapshot() - mid;
-        assert_eq!(phase.throttled(Service::S3), 1);
-        assert_eq!(phase.throttled(Service::Sqs), 1);
-        assert_eq!(phase.total_throttled(), 2);
     }
 
     #[test]

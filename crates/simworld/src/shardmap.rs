@@ -3,8 +3,8 @@
 //! SimpleDB domains and S3 buckets are each a [`ShardMap`]: a set of
 //! shards, each owning a contiguous span of the 64-bit key-hash ring and
 //! holding its cells in its own `Mutex<EcMap>`, plus an ordered
-//! batch-locking helper, per-shard write admission and per-shard replica
-//! pinning for pagination tokens. The layout is fixed when the map is
+//! batch-locking helper and per-shard replica pinning for pagination
+//! tokens. The layout is fixed when the map is
 //! created: no shard is ever added, removed or moved, so nothing on the
 //! access path takes a layout lock.
 //!
@@ -30,13 +30,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use crate::clock::SimInstant;
 use crate::ecstore::EcMap;
 use crate::hash::fnv1a_64;
-use crate::latency::Cost;
-use crate::metering::Op;
-use crate::throttle::{ThrottleConfig, TokenBucket};
-use crate::world::{Charge, SimWorld};
+use crate::world::SimWorld;
 
 /// Hard cap on the number of shards a map may hold. Requests beyond it
 /// are silently clamped — the same rule in SimpleDB and S3.
@@ -131,9 +127,6 @@ pub struct ShardMap<V> {
     /// Stable ids ascending (`0..n`): the order replica draws are
     /// assigned in and the order batches lock shards in.
     ids: Box<[u32]>,
-    /// One token bucket per stable id, created full on the shard's first
-    /// admission under a throttle.
-    buckets: Mutex<Box<[Option<TokenBucket>]>>,
 }
 
 impl<V> fmt::Debug for ShardMap<V> {
@@ -177,7 +170,6 @@ impl<V: Clone> ShardMap<V> {
                 })
                 .collect(),
             ids: (0..n as u32).collect(),
-            buckets: Mutex::new(vec![None; n].into_boxed_slice()),
         }
     }
 
@@ -307,75 +299,15 @@ impl<V: Clone> ShardMap<V> {
         pin.get(self.shards[position].id)
             .expect("the pin was minted on, or checked against, this layout")
     }
-
-    /// Clears all token-bucket state (an endpoint replacing its throttle
-    /// config starts every bucket full again).
-    fn reset_throttle(&self) {
-        self.buckets.lock().fill(None);
-    }
-
-    /// All-or-nothing admission across `distinct` shard ids under one
-    /// hold of the bucket lock: either every shard has a token — and one
-    /// is taken from each — or no bucket gives one up and the request is
-    /// rejected. Every bucket is refilled either way.
-    fn admit(&self, now: SimInstant, cfg: ThrottleConfig, distinct: &[u32]) -> bool {
-        let mut buckets = self.buckets.lock();
-        let mut ok = true;
-        for &id in distinct {
-            let bucket = buckets[id as usize].get_or_insert_with(|| TokenBucket::new(cfg, now));
-            ok &= bucket.peek(now);
-        }
-        if ok {
-            for &id in distinct {
-                buckets[id as usize]
-                    .as_mut()
-                    .expect("bucket created during peek")
-                    .take();
-            }
-        }
-        ok
-    }
-
-    /// The write path's admission step under the endpoint's throttle
-    /// `config` (`None` admits everything): the request needs a token
-    /// from every distinct shard in `ids`, as of the world's clock, and a
-    /// rejected batch drains none. On rejection this is the whole 503 —
-    /// one [`Cost::Rejected`] charge of `op` carrying those shards
-    /// (billed, one latency draw, nothing else) — and `false` tells the
-    /// caller to return its `ServiceUnavailable`.
-    pub fn admit_or_reject(
-        &self,
-        world: &SimWorld,
-        config: Option<ThrottleConfig>,
-        op: Op,
-        bytes_in: u64,
-        ids: &[u32],
-    ) -> bool {
-        let Some(cfg) = config else { return true };
-        let mut distinct: Vec<u32> = ids.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        if self.admit(world.now(), cfg, &distinct) {
-            return true;
-        }
-        world.charge(Charge {
-            cost: Cost::Rejected,
-            shards: &distinct,
-            ..Charge::point(op, bytes_in, 0)
-        });
-        false
-    }
 }
 
 /// The named [`ShardMap`]s of one service endpoint — S3's buckets,
-/// SimpleDB's domains — with the shard count new maps are built with and
-/// the endpoint's one optional [`ThrottleConfig`] (the per-shard token
-/// buckets live inside each map). Lookups clone the map's `Arc` out, so
-/// the name table is locked only for the lookup.
+/// SimpleDB's domains — with the shard count new maps are built with.
+/// Lookups clone the map's `Arc` out, so the name table is locked only
+/// for the lookup.
 pub struct ShardRegistry<V> {
     shards: usize,
     maps: RwLock<BTreeMap<String, Arc<ShardMap<V>>>>,
-    throttle: Mutex<Option<ThrottleConfig>>,
 }
 
 impl<V> fmt::Debug for ShardRegistry<V> {
@@ -394,7 +326,6 @@ impl<V: Clone> ShardRegistry<V> {
         ShardRegistry {
             shards: clamp_shards(shards),
             maps: RwLock::new(BTreeMap::new()),
-            throttle: Mutex::new(None),
         }
     }
 
@@ -432,21 +363,6 @@ impl<V: Clone> ShardRegistry<V> {
             maps.insert(name, Arc::new(ShardMap::new(self.shards)));
         }
         Ok(())
-    }
-
-    /// Installs (or, with `None`, removes) the endpoint's per-shard
-    /// write-rate limit, replacing any prior one and refilling every
-    /// token bucket.
-    pub fn set_throttle(&self, config: Option<ThrottleConfig>) {
-        *self.throttle.lock() = config;
-        for map in self.maps.read().values() {
-            map.reset_throttle();
-        }
-    }
-
-    /// The active per-shard write-rate limit, if any.
-    pub fn throttle(&self) -> Option<ThrottleConfig> {
-        *self.throttle.lock()
     }
 }
 

@@ -144,15 +144,14 @@ pub struct Charge<'a> {
     pub op: Op,
     /// Request payload bytes.
     pub bytes_in: u64,
-    /// Response payload bytes (none flow for [`Cost::Rejected`]).
+    /// Response payload bytes.
     pub bytes_out: u64,
     /// How the request is metered and priced.
     pub cost: Cost,
     /// Completion-order key: requests of one service carrying the same
     /// key complete in issue order even when pipelined (WAL sends to one
     /// SQS queue, a transaction's apply-chain copies). Serial behaviour
-    /// is identical with or without it. A rejected request carries
-    /// none: one that did not land constrains no successor.
+    /// is identical with or without it.
     pub order_key: Option<u64>,
     /// Stable ids of the storage shards of `op`'s service the request
     /// touched, one touch counted per listed id — load accounting,
@@ -185,13 +184,9 @@ struct WorldState {
     faults: FaultPlan,
     config: SimConfig,
     pipeline: Option<PipelineState>,
-    /// Tenant id stamped onto latency samples (0 outside fleet runs).
-    tenant: u64,
     /// One sample per charged request, in issue order; `None` keeps
     /// recording free.
     samples: Option<Vec<LatencySample>>,
-    /// Client-side 503 backoff retries (see `note_throttle_retry`).
-    throttle_retries: u64,
 }
 
 impl WorldState {
@@ -243,7 +238,6 @@ impl WorldState {
         if let Some(log) = self.samples.as_mut() {
             log.push(LatencySample {
                 op,
-                tenant: self.tenant,
                 issued_at,
                 completed_at,
             });
@@ -320,9 +314,7 @@ impl SimWorld {
                     faults: FaultPlan::new(),
                     config,
                     pipeline: None,
-                    tenant: 0,
                     samples: None,
-                    throttle_retries: 0,
                 }),
                 faults_idle: AtomicBool::new(true),
             }),
@@ -373,7 +365,7 @@ impl SimWorld {
     /// Charges one request — the single place a simulated service call
     /// meets the world. Under one lock acquisition, in this order: the
     /// request is metered per its [`Cost`] (a batch also counts its
-    /// entries, a rejection also bumps the 503 counter), one jitter draw
+    /// entries), one jitter draw
     /// prices it through [`LatencyModel::sample`], and the request is
     /// issued — with no pipeline open the clock advances to the
     /// completion; inside
@@ -388,7 +380,6 @@ impl SimWorld {
                 st.meters
                     .record_batch(c.op, entries, c.bytes_in, c.bytes_out);
             }
-            Cost::Rejected => st.meters.record_throttled(c.op, c.bytes_in),
         }
         let draw: f64 = st.rng.gen();
         let latency = st
@@ -465,13 +456,6 @@ impl SimWorld {
         st.pipeline.as_ref().map(|p| p.depth)
     }
 
-    /// Sets the tenant id stamped onto subsequent latency samples. The
-    /// fleet driver calls this before issuing each tenant's work;
-    /// single-client runs leave it at the default `0`.
-    pub fn set_tenant(&self, tenant: u64) {
-        self.inner.lock().tenant = tenant;
-    }
-
     /// Starts logging one [`LatencySample`] per charged request, in
     /// issue order — the world's one per-request record. Off by default;
     /// recording costs nothing while disabled. Re-enabling starts an
@@ -491,29 +475,6 @@ impl SimWorld {
             .as_mut()
             .map(std::mem::take)
             .unwrap_or_default()
-    }
-
-    /// Backdates the most recent latency sample to `issued_at`: after a
-    /// retried call finally succeeds, the winning request's recorded
-    /// span is stretched to the first attempt's issue so percentiles
-    /// reflect client-observed latency. A later `issued_at` is ignored;
-    /// a no-op while sampling is off or the log is empty.
-    pub fn backdate_last_sample(&self, issued_at: SimInstant) {
-        let mut st = self.inner.lock();
-        if let Some(last) = st.samples.as_mut().and_then(|log| log.last_mut()) {
-            last.issued_at = last.issued_at.min(issued_at);
-        }
-    }
-
-    /// Counts one client-side backoff retry after a 503 (called by the
-    /// retry machinery in `core`; pure accounting).
-    pub fn note_throttle_retry(&self) {
-        self.inner.lock().throttle_retries += 1;
-    }
-
-    /// Total client-side 503 backoff retries so far.
-    pub fn throttle_retries(&self) -> u64 {
-        self.inner.lock().throttle_retries
     }
 
     /// Adjusts a service's stored-bytes gauge outside any request —
@@ -970,38 +931,15 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_off_by_default_and_tags_tenants() {
+    fn sampling_is_off_by_default() {
         let w = flat_world();
         w.record_op(Op::S3Put, 0, 0);
         assert!(w.take_latency_samples().is_empty());
         w.enable_latency_samples();
         w.record_op(Op::S3Put, 0, 0);
-        w.set_tenant(7);
-        w.record_op(Op::S3Put, 0, 0);
-        let tenants: Vec<u64> = w.take_latency_samples().iter().map(|s| s.tenant).collect();
-        assert_eq!(tenants, [0, 7]);
-    }
-
-    #[test]
-    fn throttled_requests_cost_time_and_meter_but_apply_nothing() {
-        let w = flat_world();
-        w.enable_latency_samples();
-        let t0 = w.now();
-        w.charge(Charge {
-            cost: Cost::Rejected,
-            ..Charge::point(Op::SdbPutAttributes, 256, 0)
-        });
-        assert_eq!(w.now() - t0, SimDuration::from_millis(10));
-        w.record_op(Op::SdbPutAttributes, 256, 0);
-        let m = w.meters();
-        // One sample per billed request, the rejected one included.
-        assert_eq!(w.take_latency_samples().len() as u64, m.total_ops());
-        assert_eq!(m.op_count(Op::SdbPutAttributes), 2);
-        assert_eq!(m.throttled(Service::SimpleDb), 1);
-        assert_eq!(m.total_throttled(), 1);
-        assert_eq!(w.throttle_retries(), 0);
-        w.note_throttle_retry();
-        assert_eq!(w.throttle_retries(), 1);
+        w.record_op(Op::SdbPutAttributes, 0, 0);
+        let ops: Vec<Op> = w.take_latency_samples().iter().map(|s| s.op).collect();
+        assert_eq!(ops, [Op::S3Put, Op::SdbPutAttributes]);
     }
 
     #[test]

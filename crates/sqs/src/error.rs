@@ -48,20 +48,6 @@ pub enum SqsError {
         /// The enforced limit.
         limit: usize,
     },
-    /// The request rate on the queue exceeded the provisioned limit and
-    /// the request was rejected without applying (`ServiceUnavailable`,
-    /// HTTP 503). Retry with backoff.
-    ServiceUnavailable {
-        /// URL of the queue that throttled the request.
-        url: String,
-    },
-}
-
-impl SqsError {
-    /// `true` for the retriable 503 rejection.
-    pub fn is_throttle(&self) -> bool {
-        matches!(self, SqsError::ServiceUnavailable { .. })
-    }
 }
 
 impl fmt::Display for SqsError {
@@ -91,12 +77,6 @@ impl fmt::Display for SqsError {
                 write!(
                     f,
                     "batch payload of {size} bytes exceeds the {limit}-byte limit"
-                )
-            }
-            SqsError::ServiceUnavailable { url } => {
-                write!(
-                    f,
-                    "503 ServiceUnavailable: request rate exceeded on queue {url:?}; retry with backoff"
                 )
             }
         }

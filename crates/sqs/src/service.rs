@@ -10,16 +10,13 @@
 //! simulators (a queue is its own "shard": the real service partitions
 //! by queue too).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use simworld::{
-    fnv1a_64, Charge, Cost, Op, Service, SimDuration, SimInstant, SimWorld, ThrottleConfig,
-    TokenBucket,
-};
+use simworld::{fnv1a_64, Charge, Cost, Op, Service, SimDuration, SimInstant, SimWorld};
 
 use crate::error::{Result, SqsError};
 
@@ -116,16 +113,6 @@ impl Queue {
     }
 }
 
-/// Provider-side rate limiting: one lazily-created token bucket per
-/// queue URL (the real service partitions by queue), governed by a
-/// single optional config. `None` (the default) admits everything with
-/// one cheap check.
-#[derive(Default)]
-struct ThrottleState {
-    config: Option<ThrottleConfig>,
-    buckets: HashMap<String, TokenBucket>,
-}
-
 struct Inner {
     /// Queues keyed by URL, each behind its own lock so operations on
     /// different queues run concurrently.
@@ -133,7 +120,6 @@ struct Inner {
     /// Global send sequence; atomic so sends on different queues never
     /// serialise on it.
     next_seq: AtomicU64,
-    throttle: Mutex<ThrottleState>,
 }
 
 /// The simulated Simple Queueing Service.
@@ -192,53 +178,8 @@ impl Sqs {
             inner: Arc::new(Inner {
                 queues: RwLock::new(BTreeMap::new()),
                 next_seq: AtomicU64::new(0),
-                throttle: Mutex::new(ThrottleState::default()),
             }),
         }
-    }
-
-    /// Installs (or, with `None`, removes) a per-queue request-rate
-    /// limit on the write path (sends and deletes). Above the limit,
-    /// those calls return [`SqsError::ServiceUnavailable`] without
-    /// applying — the rejection is still a billable, metered request.
-    /// Receives are not throttled. Replaces any prior limit and resets
-    /// bucket state.
-    pub fn set_throttle(&self, config: Option<ThrottleConfig>) {
-        let mut t = self.inner.throttle.lock();
-        t.config = config;
-        t.buckets.clear();
-    }
-
-    /// The active per-queue request-rate limit, if any.
-    pub fn throttle(&self) -> Option<ThrottleConfig> {
-        self.inner.throttle.lock().config
-    }
-
-    /// Admission check for one request against `url`'s token bucket.
-    /// Checked *before* any RNG draw or sequence-number reservation, so
-    /// a rejected request leaves the simulation exactly as it found it
-    /// but for its own 503: billed, one round trip, nothing applied.
-    fn admit(&self, url: &str, op: Op, bytes_in: u64) -> Result<()> {
-        let mut t = self.inner.throttle.lock();
-        let Some(cfg) = t.config else {
-            return Ok(());
-        };
-        let now = self.world.now();
-        let bucket = t
-            .buckets
-            .entry(url.to_string())
-            .or_insert_with(|| TokenBucket::new(cfg, now));
-        if bucket.try_admit(now) {
-            return Ok(());
-        }
-        drop(t);
-        self.world.charge(Charge {
-            cost: Cost::Rejected,
-            ..Charge::point(op, bytes_in, 0)
-        });
-        Err(SqsError::ServiceUnavailable {
-            url: url.to_string(),
-        })
     }
 
     /// Creates a queue (idempotent) and returns its URL.
@@ -289,7 +230,6 @@ impl Sqs {
             });
         }
         let queue = self.queue(url)?;
-        self.admit(url, Op::SqsSendMessage, body.len() as u64)?;
         let size = body.len() as u64;
         let (seq, _) = self.enqueue(&queue, 1, [Arc::from(body)]);
         // Keyed by queue: pipelined sends to one queue complete in
@@ -383,7 +323,6 @@ impl Sqs {
             });
         }
         let queue = self.queue(url)?;
-        self.admit(url, Op::SqsSendMessageBatch, total as u64)?;
 
         // Per-entry validation first: only the accepted entries draw
         // RNG (server placement) and consume sequence numbers.
@@ -496,7 +435,6 @@ impl Sqs {
         let seq = parse_receipt_seq(receipt_handle)?;
         let queue = self.queue(url)?;
         let bytes_in = receipt_handle.len() as u64;
-        self.admit(url, Op::SqsDeleteMessage, bytes_in)?;
         let removed = queue.lock().remove(seq);
         self.world.charge(Charge {
             stored_delta: -(removed.map_or(0, |msg| msg.body.len()) as i64),
@@ -531,7 +469,6 @@ impl Sqs {
         }
         let queue = self.queue(url)?;
         let bytes_in: u64 = receipt_handles.iter().map(|h| h.len() as u64).sum();
-        self.admit(url, Op::SqsDeleteMessageBatch, bytes_in)?;
         let mut freed = 0u64;
         let mut per_server = [0u64; QUEUE_SERVERS];
         let mut entries = 0u64;

@@ -612,130 +612,3 @@ fn batch_send_is_cheaper_than_point_sends_in_virtual_time() {
         "batch {elapsed_batch:?} must undercut point sends {elapsed_point:?} by >2x"
     );
 }
-
-mod throttle {
-    use super::*;
-    use simworld::ThrottleConfig;
-
-    /// A throttled endpoint: 1 req/s per queue, burst 1, on a world
-    /// whose clock only moves when the test advances it.
-    fn throttled() -> (SimWorld, Sqs, String) {
-        let world = SimWorld::counting();
-        let sqs = Sqs::new(&world);
-        let url = sqs.create_queue("q");
-        sqs.set_throttle(Some(ThrottleConfig::per_shard(1.0)));
-        (world, sqs, url)
-    }
-
-    #[test]
-    fn second_send_to_a_hot_queue_is_rejected_billed_and_unapplied() {
-        let (world, sqs, url) = throttled();
-        sqs.send_message(&url, "one").unwrap();
-        let before = world.meters();
-        let err = sqs.send_message(&url, "two").unwrap_err();
-        assert!(err.is_throttle(), "got {err}");
-        assert!(matches!(err, SqsError::ServiceUnavailable { url: ref u } if *u == url));
-        // The rejection is billed as a request…
-        let phase = world.meters() - before;
-        assert_eq!(phase.op_count(Op::SqsSendMessage), 1);
-        assert_eq!(phase.throttled(Service::Sqs), 1);
-        // …but nothing was enqueued.
-        assert_eq!(sqs.peek_all(&url), vec!["one"]);
-    }
-
-    #[test]
-    fn tokens_refill_with_virtual_time() {
-        let (world, sqs, url) = throttled();
-        sqs.send_message(&url, "one").unwrap();
-        assert!(sqs.send_message(&url, "two").unwrap_err().is_throttle());
-        world.advance(SimDuration::from_secs(1));
-        sqs.send_message(&url, "three").unwrap();
-    }
-
-    #[test]
-    fn different_queues_throttle_independently() {
-        let (_, sqs, url_a) = throttled();
-        let url_b = sqs.create_queue("other");
-        sqs.send_message(&url_a, "m").unwrap();
-        assert!(sqs.send_message(&url_a, "m").unwrap_err().is_throttle());
-        sqs.send_message(&url_b, "m").unwrap();
-    }
-
-    #[test]
-    fn rejected_send_burns_no_sequence_number_or_rng_draw() {
-        // A throttled run's accepted messages must carry the same ids
-        // (and server placements) as an unthrottled run of the accepted
-        // sends alone.
-        let run = |reject_in_the_middle: bool| {
-            let world = SimWorld::counting();
-            let sqs = Sqs::new(&world);
-            let url = sqs.create_queue("q");
-            if reject_in_the_middle {
-                sqs.set_throttle(Some(ThrottleConfig::per_shard(1.0)));
-            }
-            let mut ids = vec![sqs.send_message(&url, "a").unwrap()];
-            if reject_in_the_middle {
-                assert!(sqs.send_message(&url, "x").unwrap_err().is_throttle());
-                world.advance(SimDuration::from_secs(1));
-            }
-            ids.push(sqs.send_message(&url, "b").unwrap());
-            (ids, world.rand_u64())
-        };
-        // Strip the extra latency draw the rejection itself makes: both
-        // runs' *accepted* sends must burn identical seqs. The RNG tail
-        // will differ (the rejection draws a latency sample), so compare
-        // only the ids.
-        assert_eq!(run(false).0, run(true).0);
-    }
-
-    #[test]
-    fn batch_send_and_deletes_are_throttled_whole() {
-        let (world, sqs, url) = throttled();
-        let bodies: Vec<String> = (0..3).map(|i| format!("m{i}")).collect();
-        sqs.send_message_batch(&url, &bodies).unwrap();
-        // The queue's token is spent: the next batch is rejected whole.
-        let err = sqs.send_message_batch(&url, &bodies).unwrap_err();
-        assert!(err.is_throttle());
-        assert_eq!(sqs.exact_message_count(&url), 3);
-        // Deletes are throttled writes too.
-        world.advance(SimDuration::from_secs(1));
-        let got = sqs.receive_message(&url, 10).unwrap();
-        assert!(!got.is_empty());
-        let handles: Vec<String> = got.iter().map(|m| m.receipt_handle.clone()).collect();
-        sqs.delete_message_batch(&url, &handles).unwrap();
-        assert!(sqs
-            .delete_message_batch(&url, &handles)
-            .unwrap_err()
-            .is_throttle());
-    }
-
-    #[test]
-    fn receives_are_never_throttled() {
-        let (_, sqs, url) = throttled();
-        sqs.send_message(&url, "m").unwrap();
-        assert!(sqs.send_message(&url, "m").unwrap_err().is_throttle());
-        // Receives sail through an exhausted bucket.
-        for _ in 0..20 {
-            sqs.receive_message(&url, 10).unwrap();
-        }
-    }
-
-    #[test]
-    fn throttle_off_runs_draw_identical_rng_streams() {
-        // The admission check must not perturb the RNG when disabled —
-        // pinned by comparing a plain run with a set_throttle(None) run.
-        let run = |configure: bool| {
-            let world = SimWorld::new(77);
-            let sqs = Sqs::new(&world);
-            if configure {
-                sqs.set_throttle(None);
-            }
-            let url = sqs.create_queue("q");
-            for i in 0..10 {
-                sqs.send_message(&url, format!("m{i}")).unwrap();
-            }
-            (world.now(), world.rand_u64())
-        };
-        assert_eq!(run(false), run(true));
-    }
-}

@@ -16,9 +16,7 @@
 //!   supplying Table 2's "Raw" column.
 //!
 //! [`ZipfKeys`] supplements the trace generators with a skewed
-//! (hot-key) index stream for the shard-imbalance experiments, and
-//! [`fleet_schedule`] turns a [`FleetSpec`] into the open-loop
-//! multi-tenant arrival timeline the fleet bench drives.
+//! (hot-key) index stream for the shard-imbalance experiments.
 //!
 //! Generators are deterministic in their seed, produce
 //! [`pass::TraceEvent`] streams consumable by [`pass::Observer`], and
@@ -44,7 +42,6 @@ mod builder;
 mod challenge;
 mod combined;
 mod compile;
-mod fleet;
 mod zipf;
 
 pub use blast::Blast;
@@ -52,5 +49,4 @@ pub use builder::TraceBuilder;
 pub use challenge::{ProvenanceChallenge, ANATOMY_PAIRS, SLICE_AXES};
 pub use combined::{Combined, DatasetStats};
 pub use compile::LinuxCompile;
-pub use fleet::{fleet_schedule, ArrivalClock, ArrivalProcess, FleetArrival, FleetSpec};
 pub use zipf::ZipfKeys;

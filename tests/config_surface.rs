@@ -48,8 +48,8 @@ fn arch2_config_has_three_options() {
 #[test]
 fn arch3_config_has_five_options() {
     let ledger = Arch3Config {
-        // No caller outside tests (core's
-        // `retry_none_surfaces_structured_exhaustion_under_throttle`
+        // No caller outside tests (`tests/end_to_end.rs`'s
+        // `a_lost_temporary_surfaces_as_structured_retry_exhaustion`
         // sets `none()`); kept because it is `Arch2Config::retry` for
         // the side the two architectures share.
         retry: default_retry(),

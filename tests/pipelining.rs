@@ -217,26 +217,29 @@ fn pipelined_run_survives_eventual_consistency() {
 /// every one of them. The other tests in this file only assert
 /// `time < last_time`; a change that reorders one request or one RNG
 /// draw moves these numbers and nothing else.
-/// The third component was re-derived once, when the world's event
-/// trace gave way to latency samples: each is what `19e986f` (which
-/// still had the trace) prints for the samples digest; no clock or bill
-/// moved. The two adaptive-controller rows left with the controller;
-/// the six rows here did not move when it went.
+/// The third component was re-derived twice: when the world's event
+/// trace gave way to latency samples (each is what `19e986f`, which
+/// still had the trace, prints for the samples digest), and when each
+/// sample lost its always-zero client id with provider rate limiting
+/// (each is what `25e0a0b` prints with that field's text cut from the
+/// digested log). No clock or bill moved either time. The two
+/// adaptive-controller rows left with the controller; the six rows here
+/// did not move when it went.
 #[test]
-fn virtual_time_bill_and_event_trace_are_pinned_per_depth_policy() {
+fn virtual_time_bill_and_request_log_are_pinned_per_depth_policy() {
     // The same depth on the client and (arch3) on the daemon.
     let arch2: [(Option<usize>, Pin); 3] = [
-        (None, (14_125_008, 256, 11627268480247574404)),
-        (Some(1), (13_616_829, 256, 10301359064235802160)),
-        (Some(4), (3_509_189, 256, 18298261186654410304)),
+        (None, (14_125_008, 256, 5994277162873253966)),
+        (Some(1), (13_616_829, 256, 5436715231277510190)),
+        (Some(4), (3_509_189, 256, 2175130880026385108)),
     ];
     for (depth, pin) in arch2 {
         assert_eq!(run_arch2(depth).pin, pin, "arch2 under {depth:?}");
     }
     let arch3: [(Option<usize>, Pin); 3] = [
-        (None, (51_657_076, 1036, 9816516624370353870)),
-        (Some(1), (39_917_848, 1036, 11491134288497138346)),
-        (Some(4), (9_754_002, 958, 7580588185689606200)),
+        (None, (51_657_076, 1036, 9692627683445623990)),
+        (Some(1), (39_917_848, 1036, 9121264260446368018)),
+        (Some(4), (9_754_002, 958, 8446950065596799896)),
     ];
     for (depth, pin) in arch3 {
         assert_eq!(run_arch3(depth, depth).pin, pin, "arch3 under {depth:?}");
