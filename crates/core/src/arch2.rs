@@ -185,11 +185,12 @@ impl WriteSide {
     }
 
     /// Puts finished items to [`DOMAIN`] by `protocol`, then — when the
-    /// store keeps the closure index — indexes their edges. The index
-    /// write sits after the provenance rows and before the caller's point
-    /// of no return (arch2: the data PUT a client retries from its cache;
-    /// arch3: the WAL deletes), so a crash in either window replays the
-    /// whole step, and every write in it is an idempotent add.
+    /// store keeps the closure index — indexes their edges (gathered
+    /// before the puts take the items). The index write sits after the
+    /// provenance rows and before the caller's point of no return (arch2:
+    /// the data PUT a client retries from its cache; arch3: the WAL
+    /// deletes), so a crash in either window replays the whole step, and
+    /// every write in it is an idempotent add.
     pub(crate) fn put_items(
         &mut self,
         items: Vec<ProvItem>,
@@ -197,7 +198,10 @@ impl WriteSide {
         sites: PutSites,
     ) -> Result<()> {
         let parts = &self.parts;
-        let index_src = self.closure.as_mut().map(|index| (index, items.clone()));
+        let indexing = self.closure.as_mut().map(|index| {
+            let group = index.gather(&items);
+            (index, group)
+        });
         match protocol {
             PutProtocol::Point => {
                 for (item_name, attrs) in &items {
@@ -214,9 +218,9 @@ impl WriteSide {
                 }
             }
         }
-        if let Some((index, src)) = index_src {
+        if let Some((index, group)) = indexing {
             parts.world.crash_point(sites.before_index)?;
-            index.index_items(parts, &src, sites.mid_index)?;
+            index.index_group(parts, group, sites.mid_index)?;
         }
         Ok(())
     }

@@ -76,7 +76,11 @@ pub(crate) fn closure_mark_bucket(mark: &str) -> Option<u64> {
 /// `bucket` (`bucket >= 1`; bucket 0 is the base item itself): the base
 /// name, the separator, then the fragment's mark.
 pub fn closure_frag_name(base: &str, bucket: u64) -> String {
-    format!("{base}{CLOSURE_FRAG_SEP}{}", closure_frag_mark(bucket))
+    // Room for the separator, the attribute and two digits.
+    let mut name = String::with_capacity(base.len() + 4);
+    write!(name, "{base}{CLOSURE_FRAG_SEP}{CLOSURE_ATTR_ANC}{bucket}")
+        .expect("writing to a String cannot fail");
+    name
 }
 
 /// Inverse of [`closure_frag_name`]: the `(base, bucket)` of a fragment

@@ -250,16 +250,19 @@ pub fn pack_attr_batches(
     items: Vec<(String, Vec<ReplaceableAttribute>)>,
 ) -> Vec<Vec<(String, Vec<ReplaceableAttribute>)>> {
     let mut groups: Vec<Vec<(String, Vec<ReplaceableAttribute>)>> = Vec::new();
-    let mut group: Vec<(String, Vec<ReplaceableAttribute>)> = Vec::new();
+    let room = |left: usize| Vec::with_capacity(left.min(sim_simpledb::MAX_BATCH_ITEMS));
+    let mut group: Vec<(String, Vec<ReplaceableAttribute>)> = room(items.len());
     let mut group_pairs = 0usize;
+    let mut left = items.len();
     for (name, attrs) in items {
         let overfull = group.len() == sim_simpledb::MAX_BATCH_ITEMS
             || group_pairs + attrs.len() > sim_simpledb::MAX_PAIRS_PER_BATCH
             || group.iter().any(|(n, _)| n == &name);
         if overfull && !group.is_empty() {
-            groups.push(std::mem::take(&mut group));
+            groups.push(std::mem::replace(&mut group, room(left)));
             group_pairs = 0;
         }
+        left -= 1;
         group_pairs += attrs.len();
         group.push((name, attrs));
     }

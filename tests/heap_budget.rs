@@ -194,10 +194,21 @@ fn a_stored_record_stays_within_its_heap_budget() {
     // arch2 with the closure served, the `mixed_closure` preload shape:
     // 100 pipelines in batches, then the index read back. An item here
     // is one flush: its object, its provenance item, its closure rows
-    // and their postings. Measured 3 140 B (the items' shared slices carry
-    // their reference counts); 3 047 B with unshared ones; 10 654 B before.
+    // and their postings. Measured 2 882 B (the indexer's cache an id list
+    // per node); 3 140 B while it kept a `BTreeSet<String>` of renders per
+    // node (the items' shared slices carry their reference counts);
+    // 3 047 B with unshared ones; 10 654 B before.
     const ITEM_BUDGET: usize = 3_500;
+    // The same run counts allocator calls per record around each
+    // `record_batch`: the plain arch2 write plus the closure maintenance
+    // of its group. Measured 128.3; 239.1 (at `f276dc7`, where this test
+    // fails; 44.5 of them the plain write) while the indexer computed on strings — ancestor sets as
+    // `BTreeSet<String>`s cloned at every step, each edge re-parsed and
+    // re-rendered per pass, the emitted rows gathered in a map of sets —
+    // and the write side cloned every item's attributes for it.
+    const INDEXED_CALL_BUDGET: usize = 140;
     let mut items = 0usize;
+    let mut batch_calls = 0usize;
     // The walk oracle and a second handle share the store's services and
     // allocate nothing of their own; they keep the store for the read
     // path's count below.
@@ -216,7 +227,7 @@ fn a_stored_record_stays_within_its_heap_budget() {
         let mut seed = 7u64;
         for p in 0..100 {
             let flushes = pipeline(p, &mut seed);
-            handle.record_batch(&flushes).expect("record_batch");
+            batch_calls += calls_in(|| handle.record_batch(&flushes).expect("record_batch"));
             items += flushes.len();
         }
         for stage in 0..STAGES {
@@ -231,6 +242,12 @@ fn a_stored_record_stays_within_its_heap_budget() {
     assert!(
         per_item <= ITEM_BUDGET,
         "arch2 + closure holds {per_item} B per item ({held} B / {items}), budget {ITEM_BUDGET}"
+    );
+    assert!(
+        batch_calls <= INDEXED_CALL_BUDGET * items,
+        "arch2 + closure makes {:.1} allocator calls per record ({items} records), budget \
+         {INDEXED_CALL_BUDGET}",
+        batch_calls as f64 / items as f64,
     );
 
     // The read path on that corpus: allocator calls per query, for the
