@@ -74,15 +74,6 @@ fn bench_simpledb(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    group.bench_function("select_over_500", |b| {
-        b.iter(|| {
-            db.select(
-                "select itemName() from d where `input` like 'src01%' limit 250",
-                None,
-            )
-            .unwrap()
-        });
-    });
     group.finish();
 }
 

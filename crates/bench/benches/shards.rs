@@ -1,6 +1,7 @@
-//! Criterion bench: the multi-thread query/select and S3 LIST/GET
+//! Criterion bench: the multi-thread SimpleDB query and S3 LIST/GET
 //! bursts at three shard counts — the wall-clock view of per-shard
-//! locking.
+//! locking. The query burst keeps its `query_select_burst_4thr` id,
+//! though its mix has been `Query` forms only since `Select` went.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prov_bench::shardbench::{burst, prepare, prepare_s3, s3_burst};

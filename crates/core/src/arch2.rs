@@ -270,7 +270,7 @@ impl S3SimpleDb {
 
     /// Creates the store with fresh endpoints whose SimpleDB domains
     /// *and* S3 buckets are divided into `shards` hash shards — the
-    /// knob behind the parallel query/select and multi-client scaling
+    /// knob behind the parallel query and multi-client scaling
     /// experiments.
     pub fn with_shards(world: &SimWorld, shards: usize) -> S3SimpleDb {
         let (s3, db) = WriteSide::provision(world, shards);

@@ -191,7 +191,6 @@ pub fn cost_of(snapshot: &MeterSnapshot, months_stored: f64, book: &PriceBook) -
                 // paper's ship-provenance-in-few-round-trips argument.
                 Op::SdbPutAttributes
                 | Op::SdbBatchPutAttributes
-                | Op::SdbBatchDeleteAttributes
                 | Op::SdbDeleteAttributes
                 | Op::SdbCreateDomain => sdb_writes += count,
                 _ => sdb_reads += count,
@@ -206,12 +205,6 @@ pub fn cost_of(snapshot: &MeterSnapshot, months_stored: f64, book: &PriceBook) -
     report.simpledb.requests = machine_hours * book.sdb_per_machine_hour;
     report.sqs.requests = sqs_requests as f64 / 10_000.0 * book.sqs_per_10k_requests;
     report
-}
-
-/// Formats USD amounts the way the paper's discussion reads naturally
-/// (four decimal places; operations are fractions of a cent).
-pub fn format_usd(amount: f64) -> String {
-    format!("${amount:.4}")
 }
 
 #[cfg(test)]
@@ -311,7 +304,7 @@ mod tests {
     fn simpledb_batch_is_one_write_request() {
         let snap = snapshot_with(|b| {
             b.record_batch(Op::SdbBatchPutAttributes, 25, 0, 0);
-            b.record_batch(Op::SdbBatchDeleteAttributes, 25, 0, 0);
+            b.record_batch(Op::SdbBatchPutAttributes, 25, 0, 0);
         });
         let report = cost_of(&snap, 0.0, &PriceBook::january_2009());
         let expected = 2.0 * 0.0000219907 * 0.14; // two write requests
@@ -361,11 +354,5 @@ mod tests {
         let report = cost_of(&snap, 2.0, &PriceBook::january_2009());
         let sum = report.s3.total() + report.simpledb.total() + report.sqs.total();
         assert!((report.total() - sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn format_usd_is_stable() {
-        assert_eq!(format_usd(0.25), "$0.2500");
-        assert_eq!(format_usd(0.0), "$0.0000");
     }
 }

@@ -204,11 +204,6 @@ impl Observer {
         self.events_seen
     }
 
-    /// Number of object versions flushed so far.
-    pub fn versions_flushed(&self) -> usize {
-        self.flushed.len()
-    }
-
     /// Consumes one event; returns the flushes it triggered, ancestors
     /// first.
     ///

@@ -302,11 +302,12 @@ fn error_paths() {
 #[test]
 fn stats_track_events_and_flushes() {
     let mut obs = Observer::new();
+    let mut flushed = 0;
     for ev in simple_pipeline() {
-        let _ = obs.observe(ev).unwrap();
+        flushed += obs.observe(ev).unwrap().len();
     }
     assert_eq!(obs.events_seen(), 6);
-    assert_eq!(obs.versions_flushed(), 3);
+    assert_eq!(flushed, 3);
 }
 
 #[test]

@@ -43,16 +43,6 @@ pub enum S3Error {
         /// Key length in bytes.
         length: usize,
     },
-    /// A ranged GET asked for bytes outside the object
-    /// (`InvalidRange`).
-    InvalidRange {
-        /// Requested start offset.
-        start: u64,
-        /// Requested end offset (exclusive).
-        end: u64,
-        /// Actual object length.
-        len: u64,
-    },
     /// Malformed bucket name (`InvalidBucketName`).
     InvalidBucketName {
         /// The rejected name.
@@ -85,9 +75,6 @@ impl fmt::Display for S3Error {
             }
             S3Error::KeyTooLong { length } => {
                 write!(f, "key of {length} bytes exceeds the 1024-byte limit")
-            }
-            S3Error::InvalidRange { start, end, len } => {
-                write!(f, "range {start}..{end} invalid for object of {len} bytes")
             }
             S3Error::InvalidBucketName { bucket } => {
                 write!(f, "invalid bucket name: {bucket:?}")

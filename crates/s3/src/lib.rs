@@ -7,7 +7,7 @@
 //!   per bucket behind per-shard locks ([`S3::with_shards`]);
 //! * up to **2 KB of user metadata** stored *atomically with* the object
 //!   on the same PUT — the foundation of the paper's Architecture 1;
-//! * `PUT`, `GET` (whole or ranged), `HEAD`, `COPY`, `DELETE`, `LIST`;
+//! * `PUT`, `GET`, `HEAD`, `COPY`, `DELETE`, `LIST`;
 //! * **eventual consistency**: a GET right after a PUT may return the
 //!   older object, and concurrent PUTs resolve last-writer-wins;
 //! * idempotent deletes; COPY unbilled for transfer;

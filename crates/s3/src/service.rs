@@ -28,7 +28,6 @@
 //! the walk neither skips nor duplicates a key.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -65,7 +64,7 @@ const LIST_ENTRY_OVERHEAD: u64 = 64;
 /// A stored object as returned by GET.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Object {
-    /// Object content (possibly a sub-range for ranged GETs).
+    /// Object content.
     pub body: Blob,
     /// User metadata.
     pub metadata: Metadata,
@@ -255,49 +254,23 @@ impl S3 {
     /// [`S3Error::NoSuchKey`] when absent *or not yet visible on the
     /// sampled replica* — retrying after the propagation lag succeeds.
     pub fn get_object(&self, bucket: &str, key: &str) -> Result<Object> {
-        self.get(bucket, key, None)
-    }
-
-    /// Retrieves a byte range of an object. Metadata and the full-body
-    /// ETag still accompany the response.
-    ///
-    /// # Errors
-    ///
-    /// [`S3Error::InvalidRange`] if the range does not fit the object;
-    /// otherwise as [`S3::get_object`].
-    pub fn get_object_range(&self, bucket: &str, key: &str, range: Range<u64>) -> Result<Object> {
-        self.get(bucket, key, Some(range))
-    }
-
-    fn get(&self, bucket: &str, key: &str, range: Option<Range<u64>>) -> Result<Object> {
         let bkt = self.bucket(bucket)?;
         let miss = Charge::point(Op::S3Get, 0, 0);
         let (shard, stored) = self.read_visible(&bkt, bucket, key, miss)?;
-        let body = match range {
-            None => stored.body,
-            Some(range) if range.start > range.end || range.end > stored.body.len() => {
-                return Err(S3Error::InvalidRange {
-                    start: range.start,
-                    end: range.end,
-                    len: stored.body.len(),
-                });
-            }
-            Some(range) => stored.body.slice(range),
-        };
-        let bytes_out = body.len() + stored.metadata.byte_size();
+        let bytes_out = stored.body.len() + stored.metadata.byte_size();
         self.world.charge(Charge {
             shards: &[shard],
             ..Charge::point(Op::S3Get, 0, bytes_out)
         });
         Ok(Object {
-            body,
+            body: stored.body,
             metadata: stored.metadata,
             etag: stored.etag,
             last_modified: stored.last_modified,
         })
     }
 
-    /// The body GET, ranged GET, HEAD and the source side of COPY share:
+    /// The body GET, HEAD and the source side of COPY share:
     /// the version of `key` visible on a sampled replica, and the shard
     /// it lives on for the caller's charge. A miss is itself a billed
     /// request — `miss` is charged with that shard — and returns

@@ -166,36 +166,6 @@ fn head_returns_metadata_without_body_transfer() {
 }
 
 #[test]
-fn ranged_get_returns_slice_and_bills_slice() {
-    let (world, s3) = counting();
-    s3.put_object("b", "k", Blob::synthetic(9, 10_000), Metadata::new())
-        .unwrap();
-    let before = world.meters();
-    let obj = s3.get_object_range("b", "k", 100..200).unwrap();
-    let delta = world.meters() - before;
-    assert_eq!(obj.body.len(), 100);
-    assert_eq!(
-        obj.body.to_bytes(),
-        Blob::synthetic(9, 10_000).slice(100..200).to_bytes()
-    );
-    assert_eq!(delta.bytes_out(), 100);
-}
-
-#[test]
-fn ranged_get_out_of_bounds_is_invalid_range() {
-    let (world, s3) = counting();
-    s3.put_object("b", "k", Blob::from("abc"), Metadata::new())
-        .unwrap();
-    let before = world.meters();
-    assert!(matches!(
-        s3.get_object_range("b", "k", 2..9),
-        Err(S3Error::InvalidRange { len: 3, .. })
-    ));
-    // The refusal is unbilled, so it is not counted as shard load either.
-    assert_eq!(world.meters(), before);
-}
-
-#[test]
 fn copy_preserves_body_and_can_replace_metadata() {
     let (world, s3) = counting();
     let meta = Metadata::from_pairs([("x-amz-meta-src", "yes")]);

@@ -69,7 +69,7 @@ pub enum SdbError {
         /// Total attributes submitted across the batch's items.
         submitted: usize,
     },
-    /// The query/select expression failed to parse
+    /// The query expression failed to parse
     /// (`InvalidQueryExpression`).
     InvalidQuery {
         /// Human-readable parse error.

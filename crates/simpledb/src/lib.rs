@@ -7,16 +7,16 @@
 //!   **domains**, with SimpleDB's automatic indexing: each shard keeps
 //!   `attribute → value hash → items` postings (built the first time a query
 //!   names the attribute, maintained by writes from then on), so a
-//!   `Query`/`Select` pinned down by `=` terms costs time proportional
-//!   to its answer, not to the domain — while being *billed and timed*
-//!   exactly like the scan it replaces;
+//!   `Query` pinned down by `=` terms costs time proportional to its
+//!   answer, not to the domain — while being *billed and timed* exactly
+//!   like the scan it replaces;
 //! * the 2009 limits that shape the paper's protocols: 1 KB attribute
 //!   names and values (provenance larger than this spills to S3), 256
 //!   pairs per item, **100 attributes per `PutAttributes`** (so storing a
 //!   big provenance record may take several calls — §4.2 step 3);
-//! * `Query` (bracket syntax), `QueryWithAttributes` and SQL-form
-//!   `Select`, all paginated in item-name order (the `sort` / `order by`
-//!   clauses are not simulated and fail to parse);
+//! * `Query` (bracket syntax) and `QueryWithAttributes`, both paginated
+//!   in item-name order (the `sort` clause is not simulated and fails to
+//!   parse);
 //! * **idempotent** `PutAttributes`/`DeleteAttributes` (§2.2) — the
 //!   property Architecture 3's replaying commit daemon relies on;
 //! * **eventual consistency**: an insert may not appear in an immediately
@@ -40,9 +40,8 @@
 //!     ReplaceableAttribute::add("type", "file"),
 //! ])?;
 //!
-//! let hits = db.select(
-//!     "select itemName() from provenance where input = 'bar:2'", None)?;
-//! assert_eq!(hits.items[0].name, "foo_2");
+//! let hits = db.query("provenance", Some("['input' = 'bar:2']"), None, None)?;
+//! assert_eq!(hits.item_names, ["foo_2"]);
 //! # Ok::<(), sim_simpledb::SdbError>(())
 //! ```
 
@@ -53,7 +52,6 @@
 mod error;
 mod model;
 mod query;
-mod select;
 mod service;
 
 pub use error::{Result, SdbError};
@@ -62,10 +60,9 @@ pub use model::{
     ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
 };
 pub use query::{CmpOp, Predicate, QueryExpr};
-pub use select::{Cond, Operand, Output, SelectStatement, DEFAULT_LIMIT, MAX_LIMIT};
 pub use service::{
-    QueryResult, QueryWithAttributesResult, ResultItem, SelectResult, SimpleDb, DEFAULT_SHARDS,
-    MAX_BATCH_ITEMS, MAX_PAIRS_PER_BATCH, MAX_SHARDS, QUERY_DEFAULT_PAGE, QUERY_MAX_PAGE,
+    QueryResult, QueryWithAttributesResult, ResultItem, SimpleDb, DEFAULT_SHARDS, MAX_BATCH_ITEMS,
+    MAX_PAIRS_PER_BATCH, MAX_SHARDS, QUERY_DEFAULT_PAGE, QUERY_MAX_PAGE,
 };
 
 #[cfg(test)]

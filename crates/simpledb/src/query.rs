@@ -25,11 +25,11 @@
 //! # Equality covers
 //!
 //! SimpleDB indexes every attribute, so an expression pinned down by
-//! `=` comparisons is an index lookup, not a scan. [`EqCover`] derives
-//! what to look up: a set of `(attribute, value)` pairs of which every
-//! matching item carries at least one. The store draws its candidates
-//! from the postings of those pairs and still evaluates the full
-//! expression on each, so a cover only has to be *necessary* for a
+//! `=` comparisons is an index lookup, not a scan. `QueryExpr::cover`
+//! derives what to look up: a set of `(attribute, value)` pairs of which
+//! every matching item carries at least one. The store draws its
+//! candidates from the postings of those pairs and still evaluates the
+//! full expression on each, so a cover only has to be *necessary* for a
 //! match, never sufficient.
 
 use std::borrow::Cow;
@@ -92,7 +92,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A cover — equality pairs, named by their index in
-/// [`EqCover::eq_pairs`] — together with the postings behind it (the
+/// [`QueryExpr::eq_pairs`] — together with the postings behind it (the
 /// candidates a fetch over it has to check). The first pair is held
 /// inline, so a cover of one pair allocates nothing.
 #[derive(Debug)]
@@ -104,15 +104,15 @@ pub(crate) struct Weighed {
 }
 
 impl Weighed {
-    /// The cover of nothing at all — the identity of [`Weighed::plus`].
-    pub(crate) const EMPTY: Weighed = Weighed {
+    /// The cover of nothing at all — the identity of [`Weighed::both`].
+    const EMPTY: Weighed = Weighed {
         first: None,
         rest: Vec::new(),
         postings: 0,
     };
 
     /// The cover of pair `pair` alone, with `postings` behind it.
-    pub(crate) fn pair(pair: usize, postings: usize) -> Weighed {
+    fn pair(pair: usize, postings: usize) -> Weighed {
         Weighed {
             first: Some(pair),
             rest: Vec::new(),
@@ -127,69 +127,31 @@ impl Weighed {
 
     /// Covers `a and b`: either side's cover will do, so take the one
     /// with fewer postings.
-    pub(crate) fn either(a: Option<Weighed>, b: Option<Weighed>) -> Option<Weighed> {
+    fn either(a: Option<Weighed>, b: Option<Weighed>) -> Option<Weighed> {
         match (a, b) {
             (Some(a), Some(b)) => Some(if b.postings < a.postings { b } else { a }),
             (a, b) => a.or(b),
         }
     }
 
-    /// Covers `self or other`: candidates are drawn from both.
-    pub(crate) fn plus(mut self, other: Weighed) -> Weighed {
-        self.postings += other.postings;
-        if self.first.is_none() {
-            return Weighed {
-                postings: self.postings,
-                ..other
-            };
+    /// Covers `a or b`, which needs both sides covered: candidates are
+    /// drawn from both.
+    fn both(a: Option<Weighed>, b: Option<Weighed>) -> Option<Weighed> {
+        let (mut a, b) = (a?, b?);
+        a.postings += b.postings;
+        if a.first.is_none() {
+            return Some(Weighed {
+                postings: a.postings,
+                ..b
+            });
         }
-        self.rest.extend(other.pairs());
-        self
-    }
-
-    /// Covers `a or b`, which needs both sides covered.
-    pub(crate) fn both(a: Option<Weighed>, b: Option<Weighed>) -> Option<Weighed> {
-        Some(a?.plus(b?))
+        a.rest.extend(b.pairs());
+        Some(a)
     }
 }
 
-/// Weighs one `(attribute, value)` pair for [`EqCover::derive`].
-pub(crate) type WeighPair<'f, 'a> = &'f mut dyn FnMut(&'a str, &'a str) -> Weighed;
-
-/// An expression the store can serve from attribute postings.
-pub(crate) trait EqCover {
-    /// The one walk behind both methods below: folds the expression's
-    /// `=` pairs into a cover, or `None` when it has none and only a scan
-    /// can answer it. `pair` is asked about every pair a cover could draw
-    /// on, once each, in an order (and with a `None`-or-not outcome) that
-    /// the expression alone decides — never what `pair` answers.
-    fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed>;
-
-    /// The `(attribute, value)` pairs a cover could draw on, in the
-    /// order [`EqCover::derive`] meets them, each as `each` makes it.
-    fn eq_pairs<'a, T>(&'a self, mut each: impl FnMut(&'a str, &'a str) -> T) -> Vec<T> {
-        let mut pairs = Vec::new();
-        self.derive(&mut |attr, value| {
-            pairs.push(each(attr, value));
-            Weighed::EMPTY
-        });
-        pairs
-    }
-
-    /// The equality cover, its [`Weighed::pairs`] indices into
-    /// [`EqCover::eq_pairs`], where `postings[i]` items are posted under
-    /// pair `i`.
-    fn cover(&self, postings: &[usize]) -> Option<Weighed> {
-        let mut met = 0;
-        let cover = self.derive(&mut |_, _| {
-            let pair = met;
-            met += 1;
-            Weighed::pair(pair, postings[pair])
-        });
-        debug_assert_eq!(met, postings.len(), "one weight per pair of eq_pairs()");
-        cover
-    }
-}
+/// Weighs one `(attribute, value)` pair for [`QueryExpr::derive`].
+type WeighPair<'f, 'a> = &'f mut dyn FnMut(&'a str, &'a str) -> Weighed;
 
 /// One `['attr' op 'value' and/or ...]` predicate.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -301,10 +263,16 @@ impl QueryExpr {
     }
 }
 
+/// How the store serves an expression from attribute postings:
 /// `intersection` keeps whichever side's cover has fewer postings,
 /// `union` needs both sides covered, and `not`, `!=`, ranges and
 /// `starts-with` cover nothing.
-impl EqCover for QueryExpr {
+impl QueryExpr {
+    /// The one walk behind both methods below: folds the expression's
+    /// `=` pairs into a cover, or `None` when it has none and only a scan
+    /// can answer it. `pair` is asked about every pair a cover could draw
+    /// on, once each, in an order (and with a `None`-or-not outcome) that
+    /// the expression alone decides — never what `pair` answers.
     fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
         let mut acc = None;
         for (setop, negated, pred) in &self.terms {
@@ -316,6 +284,31 @@ impl EqCover for QueryExpr {
             };
         }
         acc
+    }
+
+    /// The `(attribute, value)` pairs a cover could draw on, in the
+    /// order [`QueryExpr::derive`] meets them, each as `each` makes it.
+    pub(crate) fn eq_pairs<'a, T>(&'a self, mut each: impl FnMut(&'a str, &'a str) -> T) -> Vec<T> {
+        let mut pairs = Vec::new();
+        self.derive(&mut |attr, value| {
+            pairs.push(each(attr, value));
+            Weighed::EMPTY
+        });
+        pairs
+    }
+
+    /// The equality cover, its [`Weighed::pairs`] indices into
+    /// [`QueryExpr::eq_pairs`], where `postings[i]` items are posted
+    /// under pair `i`.
+    pub(crate) fn cover(&self, postings: &[usize]) -> Option<Weighed> {
+        let mut met = 0;
+        let cover = self.derive(&mut |_, _| {
+            let pair = met;
+            met += 1;
+            Weighed::pair(pair, postings[pair])
+        });
+        debug_assert_eq!(met, postings.len(), "one weight per pair of eq_pairs()");
+        cover
     }
 }
 
@@ -529,7 +522,7 @@ fn lowercased(word: &str) -> Cow<'_, str> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     fn item(pairs: &[(&str, &str)]) -> ItemState {
@@ -658,10 +651,7 @@ pub(crate) mod tests {
     }
 
     /// An expression's cover by name, weighing each pair with `counts`.
-    pub(crate) fn cover_of(
-        expr: &impl EqCover,
-        counts: impl Fn(&str, &str) -> usize,
-    ) -> Option<Vec<(&str, &str)>> {
+    fn cover_of(expr: &QueryExpr) -> Option<Vec<(&str, &str)>> {
         let pairs = expr.eq_pairs(|attr, value| (attr, value));
         let postings: Vec<usize> = pairs.iter().map(|(a, v)| counts(a, v)).collect();
         let cover = expr.cover(&postings)?;
@@ -670,7 +660,7 @@ pub(crate) mod tests {
 
     fn assert_cover(expr: &str, expected: Option<&[(&str, &str)]>) {
         let q = QueryExpr::parse(expr).unwrap();
-        assert_eq!(cover_of(&q, counts).as_deref(), expected, "{expr}");
+        assert_eq!(cover_of(&q).as_deref(), expected, "{expr}");
     }
 
     #[test]
@@ -746,7 +736,7 @@ pub(crate) mod tests {
         // No single value equals both, so nothing matches — but the
         // cover still names a pair the item carries. The re-check decides.
         let q = QueryExpr::parse("['x' = 'a' and 'x' = 'b']").unwrap();
-        assert_eq!(cover_of(&q, counts), Some(vec![("x", "a")]));
+        assert_eq!(cover_of(&q), Some(vec![("x", "a")]));
         assert!(!q.matches(&item(&[("x", "a"), ("x", "b")])));
     }
 

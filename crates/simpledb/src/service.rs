@@ -7,10 +7,10 @@
 //! ring and sitting behind its own lock (default [`DEFAULT_SHARDS`]
 //! shards, configurable via [`SimpleDb::with_shards`]). Point operations
 //! (`PutAttributes`/`GetAttributes`/`DeleteAttributes`) contend only for
-//! one shard. `Query`/`Select` merge per-shard results in item-name
-//! order: an expression with `=` terms *weighs* every shard — one probe
-//! of its attribute postings per term — then *fetches* only where the
-//! chosen cover has something posted; anything else scans every shard.
+//! one shard. `Query` merges per-shard results in item-name order: an
+//! expression with `=` terms *weighs* every shard — one probe of its
+//! attribute postings per term — then *fetches* only where the chosen
+//! cover has something posted; anything else scans every shard.
 //! Shards are visited one at a time, never under a cross-shard snapshot,
 //! and a covered shard's read point is its weigh visit: an item a
 //! concurrent writer lands on a shard already weighed can miss the page
@@ -45,8 +45,7 @@ use crate::model::{
     byte_size, DeletableAttribute, ItemState, ReplaceableAttribute, ITEM_NAME_LIMIT,
     MAX_ATTRS_PER_CALL, MAX_DOMAINS,
 };
-use crate::query::{EqCover, QueryExpr, Weighed};
-use crate::select::{Output, SelectStatement};
+use crate::query::{QueryExpr, Weighed};
 
 /// Default page size for `Query`/`QueryWithAttributes`.
 pub const QUERY_DEFAULT_PAGE: usize = 100;
@@ -54,7 +53,7 @@ pub const QUERY_DEFAULT_PAGE: usize = 100;
 /// Maximum page size for `Query`/`QueryWithAttributes`.
 pub const QUERY_MAX_PAGE: usize = 250;
 
-/// Maximum items per `BatchPutAttributes`/`BatchDeleteAttributes` call.
+/// Maximum items per `BatchPutAttributes` call.
 pub const MAX_BATCH_ITEMS: usize = 25;
 
 /// Maximum attribute name-value pairs summed across one batch call's
@@ -81,13 +80,13 @@ pub struct QueryResult {
     pub next_token: Option<String>,
 }
 
-/// One item of a `QueryWithAttributes`/`Select` response.
+/// One item of a `QueryWithAttributes` response.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ResultItem {
     /// Item name.
     pub name: String,
-    /// The item's attributes (possibly filtered/projected): the stored
-    /// item itself when nothing was filtered out.
+    /// The item's attributes (possibly filtered): the stored item itself
+    /// when nothing was filtered out.
     pub attributes: ItemState,
 }
 
@@ -96,17 +95,6 @@ pub struct ResultItem {
 pub struct QueryWithAttributesResult {
     /// Matching items with their attributes.
     pub items: Vec<ResultItem>,
-    /// Present when more results remain.
-    pub next_token: Option<String>,
-}
-
-/// Result of `Select`.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct SelectResult {
-    /// Matching items (empty for `count(*)`).
-    pub items: Vec<ResultItem>,
-    /// Populated for `select count(*)`.
-    pub count: Option<u64>,
     /// Present when more results remain.
     pub next_token: Option<String>,
 }
@@ -155,7 +143,7 @@ impl SimpleDb {
     /// shards, validated by the shared rule ([`simworld::clamp_shards`]:
     /// zero becomes 1, oversized caps at [`MAX_SHARDS`]). More shards
     /// mean less lock contention between concurrent point operations and
-    /// more fan-out parallelism for `Query`/`Select`. The layout is
+    /// more fan-out parallelism for `Query`. The layout is
     /// fixed for the life of each domain.
     pub fn with_shards(world: &SimWorld, shards: usize) -> SimpleDb {
         SimpleDb {
@@ -189,14 +177,6 @@ impl SimpleDb {
             }
             Ok(!exists)
         })
-    }
-
-    /// Lists domain names.
-    pub fn list_domains(&self) -> Vec<String> {
-        let names = self.domains.names();
-        let bytes: u64 = names.iter().map(|n| n.len() as u64).sum();
-        self.world.record_op(Op::SdbListDomains, 0, bytes);
-        names
     }
 
     /// Inserts or updates attributes of an item. Idempotent: re-running
@@ -337,7 +317,6 @@ impl SimpleDb {
         let dom = self.domain(domain)?;
 
         let shards: Vec<u32> = dom.route_all(items.iter().map(|(n, _)| n.as_str()));
-        let op = Op::SdbBatchPutAttributes;
 
         // Every touched shard's lock is taken exactly once, in ascending
         // id order (a deterministic order keeps concurrent batches
@@ -355,7 +334,7 @@ impl SimpleDb {
                 staged.push((shard, item_name, item));
             }
             // Apply phase: meter one request, then write every entry.
-            self.charge_batch(op, bytes_in, &shards, stored_delta);
+            self.charge_batch(bytes_in, &shards, stored_delta);
             for (shard, item_name, item) in staged {
                 guards
                     .get_mut(shard)
@@ -368,7 +347,7 @@ impl SimpleDb {
     /// Charges one batch request whose entries landed on `shards` (one
     /// routed id per entry): shards apply their entries in parallel, so
     /// the busiest one's entry count gates the response.
-    fn charge_batch(&self, op: Op, bytes_in: u64, shards: &[u32], stored_delta: i64) {
+    fn charge_batch(&self, bytes_in: u64, shards: &[u32], stored_delta: i64) {
         let mut per_shard = BTreeMap::<u32, u64>::new();
         for &shard in shards {
             *per_shard.entry(shard).or_insert(0) += 1;
@@ -382,61 +361,8 @@ impl SimpleDb {
             },
             shards: &touched,
             stored_delta,
-            ..Charge::point(op, bytes_in, 0)
+            ..Charge::point(Op::SdbBatchPutAttributes, bytes_in, 0)
         });
-    }
-
-    /// `BatchDeleteAttributes`: deletes attributes (or, with `None`
-    /// specs, whole items) from up to [`MAX_BATCH_ITEMS`] items in one
-    /// billable request, with the same single-acquisition shard locking
-    /// as [`SimpleDb::batch_put_attributes`]. Idempotent per entry, like
-    /// [`SimpleDb::delete_attributes`].
-    ///
-    /// # Errors
-    ///
-    /// Batch-shape errors mutate nothing: [`SdbError::EmptyBatch`],
-    /// [`SdbError::TooManyItemsInBatch`],
-    /// [`SdbError::DuplicateItemInBatch`], [`SdbError::NoSuchDomain`].
-    pub fn batch_delete_attributes(
-        &self,
-        domain: &str,
-        items: &[(String, Option<Vec<DeletableAttribute>>)],
-    ) -> Result<()> {
-        check_batch_shape(items)?;
-        let dom = self.domain(domain)?;
-        let shards: Vec<u32> = dom.route_all(items.iter().map(|(n, _)| n.as_str()));
-        let bytes_in: u64 = items.iter().map(|(name, _)| name.len() as u64).sum();
-        let op = Op::SdbBatchDeleteAttributes;
-        dom.with_cells_multi(&shards, |guards| {
-            // Stage, then charge, then write, as in the batch put; a
-            // batch names an item at most once, so staged states are
-            // what a one-by-one apply would compute.
-            let mut staged: Vec<(u32, &str, Option<ItemState>)> = Vec::new();
-            let mut stored_delta = 0i64;
-            for ((item_name, specs), &shard) in items.iter().zip(&shards) {
-                let Some(item) = guards.get_mut(shard).read_latest(item_name.as_str()) else {
-                    continue;
-                };
-                let (new_state, delta) = apply_delete(item, specs.as_deref());
-                stored_delta += delta;
-                staged.push((shard, item_name, new_state));
-            }
-            self.charge_batch(op, bytes_in, &shards, stored_delta);
-            let now = self.world.now();
-            // One sweep per written shard, after its writes: `gc` walks
-            // the whole shard.
-            let mut written: Vec<u32> = staged.iter().map(|(shard, ..)| *shard).collect();
-            written.sort_unstable();
-            written.dedup();
-            for (shard, item_name, new_state) in staged {
-                let map = guards.get_mut(shard);
-                map.write(&self.world, item_name.to_string(), new_state);
-            }
-            for shard in written {
-                guards.get_mut(shard).gc(now);
-            }
-        });
-        Ok(())
     }
 
     /// `Query`: returns matching item names. `expression = None` matches
@@ -504,66 +430,7 @@ impl SimpleDb {
         })
     }
 
-    /// `Select`: the SQL-form interface. Fans out across shards like
-    /// [`SimpleDb::query`], with the same shard-aware tokens.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimpleDb::query`]; the domain named in the statement must
-    /// exist.
-    pub fn select(&self, sql: &str, next_token: Option<&str>) -> Result<SelectResult> {
-        let stmt = SelectStatement::parse(sql)?;
-        let dom = self.domain(&stmt.domain)?;
-        // Validate any client token up front — `count(*)` is unpaginated
-        // and ignores the cursor, but a malformed or foreign-layout token
-        // must fail on every API the same way.
-        let token = decode_token(next_token, &dom, &self.world)?;
-        let cond = stmt.condition.as_ref();
-        let selects = |name: &str, item: &ItemState| cond.is_none_or(|c| c.matches(name, item));
-
-        let (items, count, next_token, bytes, scanned) = if stmt.output == Output::Count {
-            // count(*) is unpaginated: one fan-out over freshly sampled
-            // replica views, counting matches without materialising a
-            // single item.
-            let pin = dom.pin_replicas(&self.world);
-            let now = self.world.now();
-            let mut matched = 0u64;
-            let mut scanned = 0u64;
-            for pos in 0..dom.shard_count() {
-                let replica = dom.pinned_replica(&pin, pos);
-                dom.with_cells_at(pos, |map| {
-                    let (m, examined) =
-                        map.visible_count_on(replica, now, |name, item| selects(name, item));
-                    matched += m;
-                    scanned = scanned.max(examined);
-                });
-            }
-            let count = matched.min(stmt.limit as u64);
-            (Vec::new(), Some(count), None, 16, scanned)
-        } else {
-            let project = |item: &ItemState| match &stmt.output {
-                Output::ItemName => ItemState::default(),
-                Output::All => item.clone(),
-                Output::Attrs(list) => item.only(|p| list.iter().any(|n| *n == *p.name)),
-                Output::Count => unreachable!("count handled above"),
-            };
-            let (page, next, scanned) =
-                self.merged_page(&dom, token, stmt.limit, cond, |name, item| {
-                    selects(name, item).then(|| project(item))
-                });
-            let items = result_items(page);
-            let bytes = result_bytes(&items);
-            (items, None, next, bytes, scanned)
-        };
-        self.charge_scan(Op::SdbSelect, sql.len(), bytes, scanned, dom.sorted_ids());
-        Ok(SelectResult {
-            items,
-            count,
-            next_token,
-        })
-    }
-
-    /// Charges one `Query`/`Select` page: a scan whose busiest shard
+    /// Charges one `Query` page: a scan whose busiest shard
     /// examined `scanned` cells, touching every shard of the fan-out.
     fn charge_scan(&self, op: Op, request: usize, bytes_out: u64, scanned: u64, touched: &[u32]) {
         self.world.charge(Charge {
@@ -611,7 +478,7 @@ impl SimpleDb {
     /// visible matches after the cursor under the shared adaptive-quota
     /// merge ([`simworld::merged_shard_page`] — the same machinery the
     /// sharded S3 LIST runs on), and the page is the first `page_size`
-    /// of the merge. `select` sees each visible item under its shard's
+    /// of the merge. `row` sees each visible item under its shard's
     /// lock and returns the row to serve for a match, so nothing but the
     /// row is copied out. The returned token resumes strictly after the
     /// last name served, carrying the same replica pin.
@@ -624,7 +491,7 @@ impl SimpleDb {
     /// to a shard only if it posts a pair of that cover (or, past the
     /// first page, to price the scan behind the cursor): a shard with
     /// nothing posted is charged its cell count, which is what fetching
-    /// nothing from it charged. Every candidate is re-checked by `select`
+    /// nothing from it charged. Every candidate is re-checked by `row`
     /// on the pinned replica, whichever cover found it. A `token` has
     /// been checked against `dom`'s layout ([`decode_token`]).
     fn merged_page<T>(
@@ -632,8 +499,8 @@ impl SimpleDb {
         dom: &Domain,
         token: Option<PageToken>,
         page_size: usize,
-        expr: Option<&impl EqCover>,
-        mut select: impl FnMut(&str, &ItemState) -> Option<T>,
+        expr: Option<&QueryExpr>,
+        mut row: impl FnMut(&ItemState) -> Option<T>,
     ) -> Page<T> {
         let (pin, after) = match token {
             Some(PageToken { pin, after }) => (pin, Some(after)),
@@ -684,7 +551,7 @@ impl SimpleDb {
                 dom.with_cells_at(i, |map| {
                     let cover = cover_probes.as_deref();
                     let replica = dom.pinned_replica(&pin, i);
-                    map.visible_page_on(replica, now, cursor, quota, cover, |k, v| select(k, v))
+                    map.visible_page_on(replica, now, cursor, quota, cover, |_, v| row(v))
                 })
             });
         let next = more.then(|| {
@@ -715,7 +582,7 @@ impl SimpleDb {
         let dom = self.domain(domain)?;
         let token = decode_token(next_token, &dom, &self.world)?;
         let query = parsed.as_ref();
-        let page = self.merged_page(&dom, token, page_size, query, |_, item| {
+        let page = self.merged_page(&dom, token, page_size, query, |item| {
             query.is_none_or(|q| q.matches(item)).then(|| emit(item))
         });
         Ok((page, dom))
@@ -800,8 +667,8 @@ fn apply_delete(
     (Some(item), stored_delta)
 }
 
-/// Shared batch-shape validation: item count, duplicate names.
-fn check_batch_shape<T>(items: &[(String, T)]) -> Result<()> {
+/// Batch-shape validation: item count, duplicate names.
+fn check_batch_shape(items: &[(String, Vec<ReplaceableAttribute>)]) -> Result<()> {
     if items.is_empty() {
         return Err(SdbError::EmptyBatch);
     }

@@ -154,10 +154,6 @@ fn missing_domain_errors() {
         db.query("zzz", None, None, None),
         Err(SdbError::NoSuchDomain { .. })
     ));
-    assert!(matches!(
-        db.select("select * from zzz", None),
-        Err(SdbError::NoSuchDomain { .. })
-    ));
 }
 
 #[test]
@@ -171,7 +167,6 @@ fn create_domain_is_idempotent_but_limited() {
         db.create_domain("one-too-many"),
         Err(SdbError::TooManyDomains { .. })
     ));
-    assert_eq!(db.list_domains().len(), MAX_DOMAINS);
 }
 
 #[test]
@@ -261,14 +256,8 @@ fn covered_queries_follow_writes_made_after_their_postings_exist() {
     db.batch_put_attributes("d", &[("f3".to_string(), vec![add("type", "file")])])
         .unwrap();
     assert_eq!(files(&db), vec!["f3", "p1"]);
-    let sql = "select itemName() from d where type in ('file', 'process')";
-    let names: Vec<String> = db
-        .select(sql, None)
-        .unwrap()
-        .items
-        .into_iter()
-        .map(|i| i.name)
-        .collect();
+    let either = "['type' = 'file' or 'type' = 'process']";
+    let names = db.query("d", Some(either), None, None).unwrap().item_names;
     assert_eq!(names, vec!["f3", "p1"]);
 }
 
@@ -353,19 +342,13 @@ fn invalid_next_token_rejected() {
 }
 
 /// Calls `Query` (`api` 0) or `QueryWithAttributes` (1) on domain `d`
-/// with the bracket expression `expr`, or `Select` (2) with `sql`.
-fn call(
-    db: &SimpleDb,
-    api: usize,
-    (expr, sql): (&str, &str),
-    token: Option<&str>,
-) -> crate::Result<()> {
+/// with the bracket expression `expr`.
+fn call(db: &SimpleDb, api: usize, expr: &str, token: Option<&str>) -> crate::Result<()> {
     match api {
         0 => db.query("d", Some(expr), None, token).map(drop),
-        1 => db
+        _ => db
             .query_with_attributes("d", Some(expr), None, None, token)
             .map(drop),
-        _ => db.select(sql, token).map(drop),
     }
 }
 
@@ -394,29 +377,23 @@ fn a_rejected_call_charges_nothing_and_draws_nothing() {
     let (pin, _) = token.rsplit_once(";a").expect("a resume-after-name token");
     let offset = format!("{pin};o5");
 
-    let unsupported = (
-        "['t' = 'x'] sort 'rank'",
-        "select * from d where t = 'x' order by rank",
-    );
-    let malformed = ("['t' = ]", "select * from d where");
-    let valid = ("['t' = 'x']", "select * from d where t = 'x'");
-    let count = ("['t' = 'x']", "select count(*) from d where t = 'x'");
-    let mut cases: Vec<(usize, (&str, &str), Option<&str>, fn(&SdbError) -> bool)> = Vec::new();
+    let unsupported = "['t' = 'x'] sort 'rank'";
+    let malformed = "['t' = ]";
+    let valid = "['t' = 'x']";
+    let mut cases: Vec<(usize, &str, Option<&str>, fn(&SdbError) -> bool)> = Vec::new();
     let invalid_query = |e: &SdbError| matches!(e, SdbError::InvalidQuery { .. });
     let invalid_token = |e: &SdbError| matches!(e, SdbError::InvalidNextToken);
-    for api in 0..3 {
+    for api in 0..2 {
         cases.push((api, unsupported, None, invalid_query));
         cases.push((api, malformed, None, invalid_query));
-        for statement in [valid, count] {
-            cases.push((api, statement, Some("garbage"), invalid_token));
-            cases.push((api, statement, Some(&offset), invalid_token));
-        }
+        cases.push((api, valid, Some("garbage"), invalid_token));
+        cases.push((api, valid, Some(&offset), invalid_token));
     }
-    for (api, statement, token, expected) in cases {
+    for (api, expr, token, expected) in cases {
         let (world, db, _) = twin();
         let (untouched, ..) = twin();
-        let err = call(&db, api, statement, token).unwrap_err();
-        let case = format!("api {api}, {statement:?}, token {token:?}");
+        let err = call(&db, api, expr, token).unwrap_err();
+        let case = format!("api {api}, {expr:?}, token {token:?}");
         assert!(expected(&err), "{case}: {err:?}");
         assert_eq!(world.meters(), untouched.meters(), "{case}: billed");
         assert_eq!(world.now(), untouched.now(), "{case}: clock moved");
@@ -447,58 +424,6 @@ fn query_with_attributes_and_filter() {
         .unwrap();
     assert_eq!(r.items.len(), 1);
     assert_eq!(pairs(&r.items[0].attributes), vec![("b", "2")]);
-}
-
-#[test]
-fn select_projection_forms() {
-    let (_, db) = counting();
-    db.put_attributes("d", "i1", &[add("a", "1"), add("b", "2")])
-        .unwrap();
-    db.put_attributes("d", "i2", &[add("a", "9")]).unwrap();
-
-    let all = db.select("select * from d where a = '1'", None).unwrap();
-    assert_eq!(all.items[0].attributes.len(), 2);
-
-    let names = db.select("select itemName() from d", None).unwrap();
-    assert!(names.items.iter().all(|i| i.attributes.is_empty()));
-    assert_eq!(names.items.len(), 2);
-
-    let proj = db.select("select b from d where a = '1'", None).unwrap();
-    assert_eq!(pairs(&proj.items[0].attributes), vec![("b", "2")]);
-
-    let count = db.select("select count(*) from d", None).unwrap();
-    assert_eq!(count.count, Some(2));
-    assert!(count.items.is_empty());
-}
-
-#[test]
-fn count_rejects_malformed_tokens_like_every_other_path() {
-    let (_, db) = counting();
-    db.put_attributes("d", "i1", &[add("a", "1")]).unwrap();
-    assert!(matches!(
-        db.select("select count(*) from d", Some("garbage")),
-        Err(SdbError::InvalidNextToken)
-    ));
-}
-
-#[test]
-fn select_pagination() {
-    let (_, db) = counting();
-    for i in 0..12 {
-        db.put_attributes("d", &format!("i{i:02}"), &[add("t", "x")])
-            .unwrap();
-    }
-    let p1 = db.select("select itemName() from d limit 5", None).unwrap();
-    assert_eq!(p1.items.len(), 5);
-    let p2 = db
-        .select("select itemName() from d limit 5", p1.next_token.as_deref())
-        .unwrap();
-    assert_eq!(p2.items.len(), 5);
-    let p3 = db
-        .select("select itemName() from d limit 5", p2.next_token.as_deref())
-        .unwrap();
-    assert_eq!(p3.items.len(), 2);
-    assert!(p3.next_token.is_none());
 }
 
 #[test]
@@ -557,13 +482,6 @@ fn stored_bytes_gauge_tracks_item_size() {
     assert_eq!(world.meters().stored_bytes(Service::SimpleDb), 4);
     db.delete_attributes("d", "i", None).unwrap();
     assert_eq!(world.meters().stored_bytes(Service::SimpleDb), 0);
-}
-
-#[test]
-fn select_on_missing_domain_errors_before_billing_items() {
-    let (_, db) = counting();
-    let err = db.select("select * from nowhere", None).unwrap_err();
-    assert!(matches!(err, SdbError::NoSuchDomain { .. }));
 }
 
 #[test]
@@ -722,53 +640,6 @@ fn paginated_query_never_skips_or_duplicates_under_concurrent_writes() {
                     .unwrap();
             }
         });
-
-        let mut seen = std::collections::BTreeSet::new();
-        for name in &names {
-            assert!(seen.insert(name.clone()), "seed {seed}: duplicate {name}");
-        }
-        for name in &stable {
-            assert!(
-                seen.contains(name),
-                "seed {seed}: stable item {name} skipped"
-            );
-        }
-    }
-}
-
-#[test]
-fn paginated_select_never_skips_or_duplicates_under_concurrent_writes() {
-    for seed in [3u64, 11] {
-        let (world, db) = eventual_sharded(seed, 8);
-        let stable: Vec<String> = (0..30).map(|i| format!("stable{i:02}")).collect();
-        for name in &stable {
-            db.put_attributes("d", name, &[add("t", "x")]).unwrap();
-        }
-        world.settle();
-
-        let mut names = Vec::new();
-        let mut token: Option<String> = None;
-        let mut round = 0u32;
-        loop {
-            let r = db
-                .select(
-                    "select itemName() from d where t = 'x' limit 7",
-                    token.as_deref(),
-                )
-                .unwrap();
-            names.extend(r.items.into_iter().map(|i| i.name));
-            db.put_attributes("d", &format!("mid-churn{round:02}"), &[add("t", "x")])
-                .unwrap();
-            if round > 0 {
-                db.delete_attributes("d", &format!("mid-churn{:02}", round - 1), None)
-                    .unwrap();
-            }
-            round += 1;
-            match r.next_token {
-                Some(t) => token = Some(t),
-                None => break,
-            }
-        }
 
         let mut seen = std::collections::BTreeSet::new();
         for name in &names {
@@ -964,44 +835,6 @@ mod batch {
     }
 
     #[test]
-    fn batch_delete_removes_items_and_attributes() {
-        let (world, db) = counting();
-        let items: Vec<_> = (0..6).map(|i| put_entry(&format!("g{i}"), 2)).collect();
-        db.batch_put_attributes("d", &items).unwrap();
-        let before = world.meters();
-        db.batch_delete_attributes(
-            "d",
-            &[
-                ("g0".to_string(), None), // whole item
-                (
-                    "g1".to_string(),
-                    Some(vec![DeletableAttribute::all_of("a0")]), // one name
-                ),
-                ("absent".to_string(), None), // idempotent
-            ],
-        )
-        .unwrap();
-        let delta = world.meters() - before;
-        assert_eq!(delta.op_count(Op::SdbBatchDeleteAttributes), 1);
-        assert_eq!(delta.batch_entry_count(Op::SdbBatchDeleteAttributes), 3);
-        assert!(db.latest_item("d", "g0").is_none());
-        assert_eq!(db.latest_item("d", "g1").unwrap().len(), 1);
-        assert_eq!(db.latest_item("d", "g2").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn batch_delete_settles_stored_bytes_exactly() {
-        let (world, db) = counting();
-        let items: Vec<_> = (0..4).map(|i| put_entry(&format!("h{i}"), 3)).collect();
-        db.batch_put_attributes("d", &items).unwrap();
-        let entries: Vec<(String, Option<Vec<DeletableAttribute>>)> =
-            (0..4).map(|i| (format!("h{i}"), None)).collect();
-        db.batch_delete_attributes("d", &entries).unwrap();
-        assert_eq!(world.meters().stored_bytes(Service::SimpleDb), 0);
-        assert!(db.latest_item_names("d").is_empty());
-    }
-
-    #[test]
     fn batch_pairs_cap_admits_a_full_single_item() {
         // A single 256-pair item is exactly one legal batch.
         let (_, db) = counting();
@@ -1061,9 +894,9 @@ mod sharing {
     // Every read hands out the stored slice itself, so a write that edited
     // a slice in place would show through each answer read before it.
     // Random puts, replaces, deletes and batch puts, each preceded by a read
-    // of every item through `GetAttributes`, `QueryWithAttributes` and
-    // `Select`: after each op, every answer read so far still holds exactly
-    // the pairs it was read with.
+    // of every item through `GetAttributes` and `QueryWithAttributes`:
+    // after each op, every answer read so far still holds exactly the pairs
+    // it was read with.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1081,9 +914,7 @@ mod sharing {
                     answers.push(snapshot(&db.get_attributes("d", name, None).unwrap()));
                 }
                 let query = db.query_with_attributes("d", None, None, None, None).unwrap();
-                let select = db.select("select * from d", None).unwrap();
-                let rows = query.items.iter().chain(&select.items);
-                answers.extend(rows.map(|row| snapshot(&row.attributes)));
+                answers.extend(query.items.iter().map(|row| snapshot(&row.attributes)));
 
                 let attrs: Vec<ReplaceableAttribute> = picks
                     .iter()

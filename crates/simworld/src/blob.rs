@@ -4,12 +4,11 @@
 //! memory would be wasteful. [`Blob`] therefore supports two
 //! representations: small payloads held inline ([`bytes::Bytes`]) and
 //! *synthetic* payloads whose bytes are a deterministic function of a seed,
-//! generated on demand. Both support length, ranged slicing, chunked
-//! iteration and MD5 — which is all the simulated services need — so
-//! gigabyte-scale objects cost a few machine words.
+//! generated on demand. Both support length, chunked iteration and MD5
+//! — which is all the simulated services need — so gigabyte-scale
+//! objects cost a few machine words.
 
 use std::fmt;
-use std::ops::Range;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -22,11 +21,10 @@ pub const CHUNK: usize = 8 * 1024;
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 enum Repr {
     Inline(#[serde(with = "serde_bytes_compat")] Bytes),
-    /// `len` pseudo-random bytes: bytes `start .. start + len` of the
-    /// stream [`extend_synthetic`] generates for `seed`.
+    /// `len` pseudo-random bytes: the first `len` bytes of the stream
+    /// [`extend_synthetic`] generates for `seed`.
     Synthetic {
         seed: u64,
-        start: u64,
         len: u64,
     },
 }
@@ -69,11 +67,7 @@ impl Blob {
     /// Two blobs with the same `seed` and `len` have identical content.
     pub fn synthetic(seed: u64, len: u64) -> Blob {
         Blob {
-            repr: Repr::Synthetic {
-                seed,
-                start: 0,
-                len,
-            },
+            repr: Repr::Synthetic { seed, len },
         }
     }
 
@@ -90,30 +84,6 @@ impl Blob {
         self.len() == 0
     }
 
-    /// A sub-range of the blob, cheaply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or inverted.
-    pub fn slice(&self, range: Range<u64>) -> Blob {
-        assert!(range.start <= range.end, "inverted range {range:?}");
-        assert!(
-            range.end <= self.len(),
-            "range {range:?} out of bounds for len {}",
-            self.len()
-        );
-        match &self.repr {
-            Repr::Inline(b) => Blob::from_bytes(b.slice(range.start as usize..range.end as usize)),
-            Repr::Synthetic { seed, start, .. } => Blob {
-                repr: Repr::Synthetic {
-                    seed: *seed,
-                    start: start + range.start,
-                    len: range.end - range.start,
-                },
-            },
-        }
-    }
-
     /// Materialises the blob into contiguous bytes.
     ///
     /// Intended for small payloads (metadata, provenance records, message
@@ -122,9 +92,9 @@ impl Blob {
     pub fn to_bytes(&self) -> Bytes {
         match &self.repr {
             Repr::Inline(b) => b.clone(),
-            Repr::Synthetic { seed, start, len } => {
+            Repr::Synthetic { seed, len } => {
                 let mut out = Vec::with_capacity(*len as usize);
-                extend_synthetic(&mut out, *seed, *start, *len);
+                extend_synthetic(&mut out, *seed, 0, *len);
                 Bytes::from(out)
             }
         }
@@ -171,8 +141,8 @@ impl fmt::Debug for Blob {
         match &self.repr {
             Repr::Inline(b) if b.len() <= 32 => write!(f, "Blob::inline({b:?})"),
             Repr::Inline(b) => write!(f, "Blob::inline(len={})", b.len()),
-            Repr::Synthetic { seed, start, len } => {
-                write!(f, "Blob::synthetic(seed={seed}, start={start}, len={len})")
+            Repr::Synthetic { seed, len } => {
+                write!(f, "Blob::synthetic(seed={seed}, len={len})")
             }
         }
     }
@@ -216,9 +186,9 @@ impl Iterator for Chunks<'_> {
         let take = remaining.min(CHUNK as u64);
         let out = match &self.blob.repr {
             Repr::Inline(b) => b.slice(self.offset as usize..(self.offset + take) as usize),
-            Repr::Synthetic { seed, start, .. } => {
+            Repr::Synthetic { seed, .. } => {
                 let mut buf = Vec::with_capacity(take as usize);
-                extend_synthetic(&mut buf, *seed, start + self.offset, take);
+                extend_synthetic(&mut buf, *seed, self.offset, take);
                 Bytes::from(buf)
             }
         };
@@ -230,7 +200,7 @@ impl Iterator for Chunks<'_> {
 /// Bytes `8 * block .. 8 * block + 8` of the synthetic stream for `seed`.
 ///
 /// SplitMix64 over the 8-byte block index, so any byte is addressable in
-/// O(1) — which is what makes `slice` cheap.
+/// O(1) — which is what lets [`Blob::chunks`] start mid-stream.
 fn synthetic_block(seed: u64, block: u64) -> [u8; 8] {
     let mut state = seed ^ block.wrapping_mul(0x9e3779b97f4a7c15);
     crate::hash::splitmix64(&mut state).to_le_bytes()
@@ -295,12 +265,13 @@ mod tests {
                     extend_synthetic(&mut filled, seed, from, len);
                     assert_eq!(filled[0], 0xAA, "appends, never overwrites");
                     assert_eq!(filled[1..], expected, "seed {seed} from {from} len {len}");
-                    // And through the public surface: a slice's bytes,
+                    // And through the public surface: a blob's bytes,
                     // chunked or whole.
-                    let blob = Blob::synthetic(seed, from + len).slice(from..from + len);
-                    assert_eq!(blob.to_bytes(), expected);
+                    let blob = Blob::synthetic(seed, from + len);
+                    let whole = blob.to_bytes();
+                    assert_eq!(whole[from as usize..], expected);
                     let chunked: Vec<u8> = blob.chunks().flat_map(|c| c.to_vec()).collect();
-                    assert_eq!(chunked, expected);
+                    assert_eq!(chunked, whole[..]);
                 }
             }
         }
@@ -322,43 +293,6 @@ mod tests {
         assert_eq!(a.md5(), b.md5());
         let c = Blob::synthetic(8, 1000);
         assert_ne!(a.md5(), c.md5());
-    }
-
-    #[test]
-    fn synthetic_slice_matches_materialised_slice() {
-        let blob = Blob::synthetic(99, 10_000);
-        let all = blob.to_bytes();
-        for range in [
-            0..0u64,
-            0..1,
-            100..200,
-            9_999..10_000,
-            0..10_000,
-            4_095..4_097,
-        ] {
-            let sliced = blob.slice(range.clone()).to_bytes();
-            assert_eq!(&sliced[..], &all[range.start as usize..range.end as usize]);
-        }
-    }
-
-    #[test]
-    fn nested_slices_compose() {
-        let blob = Blob::synthetic(3, 1_000);
-        let outer = blob.slice(100..900);
-        let inner = outer.slice(50..150);
-        assert_eq!(inner.to_bytes(), blob.slice(150..250).to_bytes());
-    }
-
-    #[test]
-    fn slice_of_inline_matches() {
-        let blob = Blob::from_bytes((0u8..=255).collect::<Vec<_>>());
-        assert_eq!(&blob.slice(10..13).to_bytes()[..], &[10, 11, 12]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slice_out_of_bounds_panics() {
-        Blob::from_bytes(vec![1, 2, 3]).slice(0..4);
     }
 
     #[test]

@@ -596,26 +596,6 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         self.cells.len()
     }
 
-    /// Counts the live entries visible on `replica` that `pred` accepts,
-    /// without cloning any value — the engine under `count(*)`. Returns
-    /// `(matches, cells examined)`.
-    pub fn visible_count_on<F>(&self, replica: usize, now: SimInstant, mut pred: F) -> (u64, u64)
-    where
-        F: FnMut(&K, &V) -> bool,
-    {
-        let mut matched = 0u64;
-        let mut scanned = 0u64;
-        for (k, c) in &self.cells {
-            scanned += 1;
-            if let Some(v) = c.visible(replica, now).and_then(|w| w.value.as_ref()) {
-                if pred(k, v) {
-                    matched += 1;
-                }
-            }
-        }
-        (matched, scanned)
-    }
-
     /// Drops tombstoned keys whose deletion has reached every replica and
     /// compacts remaining history. Call opportunistically.
     pub fn gc(&mut self, now: SimInstant) {

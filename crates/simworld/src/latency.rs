@@ -44,7 +44,7 @@ pub struct ServiceLatency {
 pub enum Cost {
     /// One request, one round trip.
     Point,
-    /// A scanning call (`Query`/`Select`/`LIST`/`ReceiveMessage`):
+    /// A scanning call (`Query`/`LIST`/`ReceiveMessage`):
     /// [`ServiceLatency::per_scanned_row`] for each of the `rows` the
     /// largest partition examined.
     Scan {

@@ -1,6 +1,6 @@
 //! One page of a key-ordered merge across hash shards.
 //!
-//! Shared by every sharded simulated backend (SimpleDB `Query`/`Select`,
+//! Shared by every sharded simulated backend (SimpleDB `Query`,
 //! S3 `LIST`): shards hold disjoint key sets, so one page of a global
 //! key-ordered scan is the first `page_size` keys of a merge of
 //! per-shard pages. The subtle parts — when a candidate is *final*, how

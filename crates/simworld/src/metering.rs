@@ -43,7 +43,7 @@ impl fmt::Display for Service {
 pub enum Op {
     /// S3 `PUT Object` (stores data plus up to 2 KB of metadata).
     S3Put,
-    /// S3 `GET Object`, whole or ranged.
+    /// S3 `GET Object`.
     S3Get,
     /// S3 `HEAD Object` (metadata only).
     S3Head,
@@ -61,8 +61,6 @@ pub enum Op {
     /// SimpleDB `BatchPutAttributes` (≤ 25 items per call): one billable
     /// request however many items it carries.
     SdbBatchPutAttributes,
-    /// SimpleDB `BatchDeleteAttributes` (≤ 25 items per call).
-    SdbBatchDeleteAttributes,
     /// SimpleDB `GetAttributes`.
     SdbGetAttributes,
     /// SimpleDB `DeleteAttributes`.
@@ -71,12 +69,8 @@ pub enum Op {
     SdbQuery,
     /// SimpleDB `QueryWithAttributes`.
     SdbQueryWithAttributes,
-    /// SimpleDB `Select` (SQL-form query).
-    SdbSelect,
     /// SimpleDB `CreateDomain`.
     SdbCreateDomain,
-    /// SimpleDB `ListDomains`.
-    SdbListDomains,
     /// SQS `CreateQueue`.
     SqsCreateQueue,
     /// SQS `SendMessage` (≤ 8 KB body).
@@ -102,14 +96,11 @@ impl Op {
             S3Put | S3Get | S3Head | S3Copy | S3Delete | S3DeleteObjects | S3List => Service::S3,
             SdbPutAttributes
             | SdbBatchPutAttributes
-            | SdbBatchDeleteAttributes
             | SdbGetAttributes
             | SdbDeleteAttributes
             | SdbQuery
             | SdbQueryWithAttributes
-            | SdbSelect
-            | SdbCreateDomain
-            | SdbListDomains => Service::SimpleDb,
+            | SdbCreateDomain => Service::SimpleDb,
             SqsCreateQueue
             | SqsSendMessage
             | SqsSendMessageBatch
@@ -140,7 +131,6 @@ impl Op {
             self,
             Op::S3DeleteObjects
                 | Op::SdbBatchPutAttributes
-                | Op::SdbBatchDeleteAttributes
                 | Op::SqsSendMessageBatch
                 | Op::SqsDeleteMessageBatch
         )
@@ -551,7 +541,7 @@ mod tests {
     fn op_service_mapping_is_total() {
         // Every op maps to the service its name implies.
         assert_eq!(Op::S3Copy.service(), Service::S3);
-        assert_eq!(Op::SdbSelect.service(), Service::SimpleDb);
+        assert_eq!(Op::SdbQuery.service(), Service::SimpleDb);
         assert_eq!(Op::SqsReceiveMessage.service(), Service::Sqs);
     }
 
@@ -619,7 +609,6 @@ mod tests {
     fn batch_op_classification() {
         assert!(Op::S3DeleteObjects.is_batch());
         assert!(Op::SdbBatchPutAttributes.is_batch());
-        assert!(Op::SdbBatchDeleteAttributes.is_batch());
         assert!(Op::SqsSendMessageBatch.is_batch());
         assert!(Op::SqsDeleteMessageBatch.is_batch());
         assert!(!Op::S3Delete.is_batch());

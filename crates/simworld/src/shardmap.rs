@@ -339,11 +339,6 @@ impl<V: Clone> ShardRegistry<V> {
         self.maps.read().get(name).cloned()
     }
 
-    /// Names of every map, ascending.
-    pub fn names(&self) -> Vec<String> {
-        self.maps.read().keys().cloned().collect()
-    }
-
     /// Creates the map `name` if `gate` allows it.
     /// `gate` is told whether `name` already exists and how many maps
     /// there are, and runs with the name table write-locked, so no

@@ -604,7 +604,7 @@ mod tests {
     fn counting_world_keeps_clock_still() {
         let w = SimWorld::counting();
         w.record_op(Op::S3Put, 1 << 20, 0);
-        w.record_op(Op::SdbSelect, 0, 4096);
+        w.record_op(Op::SdbQuery, 0, 4096);
         assert_eq!(w.now(), SimInstant::EPOCH);
     }
 

@@ -159,64 +159,3 @@ fn batched_path_survives_eventual_consistency() {
     }
     assert!(checked > 10, "the trace prefix must contain real files");
 }
-
-#[test]
-fn a_batch_delete_sweeps_its_shard_like_point_deletes() {
-    use pass_cloud::cloud::domain_fingerprint;
-    use pass_cloud::simpledb::{DeletableAttribute, ReplaceableAttribute, SimpleDb};
-    use pass_cloud::simworld::{Consistency, LatencyModel, SimConfig};
-
-    // 40 items on one shard, so every entry of the batch lands where the
-    // sweep runs. Items 35.. were deleted a generation ago — settled
-    // tombstones, which the next delete's sweep reclaims; then 25 entries
-    // (20 whole items, 5 single attributes) go as one batch or as 25
-    // point deletes.
-    let run = |batched: bool| {
-        let world = SimWorld::with_config(SimConfig {
-            seed: 11,
-            consistency: Consistency::eventual(SimDuration::from_secs(30)),
-            latency: LatencyModel::zero(),
-            replicas: 3,
-        });
-        let db = SimpleDb::with_shards(&world, 1);
-        db.create_domain("d").unwrap();
-        let name = |i: usize| format!("item{i:02}");
-        let pairs = [
-            ReplaceableAttribute::add("kind", "file"),
-            ReplaceableAttribute::add("input", "src:1"),
-        ];
-        for i in 0..40 {
-            db.put_attributes("d", &name(i), &pairs).unwrap();
-        }
-        let whole = None::<&[DeletableAttribute]>;
-        for i in 35..40 {
-            db.delete_attributes("d", &name(i), whole).unwrap();
-        }
-        world.settle();
-        assert_eq!(
-            db.domain_cell_count("d"),
-            Some(40),
-            "nothing swept them yet"
-        );
-
-        let entries: Vec<(String, Option<Vec<DeletableAttribute>>)> = (0..25)
-            .map(|i| {
-                let spec = (i >= 20).then(|| vec![DeletableAttribute::all_of("input")]);
-                (name(i), spec)
-            })
-            .collect();
-        if batched {
-            db.batch_delete_attributes("d", &entries).unwrap();
-        } else {
-            for (item, spec) in &entries {
-                db.delete_attributes("d", item, spec.as_deref()).unwrap();
-            }
-        }
-        world.settle();
-        (domain_fingerprint(&db, "d"), db.domain_cell_count("d"))
-    };
-    let batched = run(true);
-    assert_eq!(batched, run(false));
-    // The settled tombstones went; the fresh ones are still cells.
-    assert_eq!(batched.1, Some(35));
-}

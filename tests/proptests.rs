@@ -29,20 +29,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn blob_slice_matches_materialised_slice(
-        seed in any::<u64>(),
-        len in 0u64..20_000,
-        a in 0u64..20_000,
-        b in 0u64..20_000,
-    ) {
-        let blob = Blob::synthetic(seed, len);
-        let (lo, hi) = (a.min(b).min(len), a.max(b).min(len));
-        let sliced = blob.slice(lo..hi).to_bytes();
-        let whole = blob.to_bytes();
-        prop_assert_eq!(&sliced[..], &whole[lo as usize..hi as usize]);
-    }
-
-    #[test]
     fn md5_streaming_equals_oneshot(data in proptest::collection::vec(any::<u8>(), 0..4096), split in 0usize..4096) {
         let split = split.min(data.len());
         let mut h = Md5::new();
@@ -283,12 +269,11 @@ proptest! {
         prop_assert_eq!(wal_oracle::chunk_pairs(txid, &item, &pairs), chunk_pairs(txid, &item, pairs));
     }
 
-    // --- SimpleDB query parsers never panic ---
+    // --- the SimpleDB query parser never panics ---
 
     #[test]
     fn simpledb_parsers_never_panic(input in "\\PC{0,200}") {
         let _ = sim_simpledb::QueryExpr::parse(&input);
-        let _ = sim_simpledb::SelectStatement::parse(&input);
     }
 }
 
@@ -467,11 +452,11 @@ proptest! {
             1..50,
         ),
     ) {
-        // The sharded SimpleDB settles its gauge per shard; the batch
-        // ops settle a whole group under several shard locks at once.
-        // Interleave point puts/deletes with batch puts/deletes and pin
-        // the gauge against a shadow that replays SimpleDB's
-        // multi-valued-set semantics exactly.
+        // The sharded SimpleDB settles its gauge per shard; a batch put
+        // settles a whole group under several shard locks at once.
+        // Interleave point puts and deletes (whole items and single
+        // attributes) with batch puts and pin the gauge against a shadow
+        // that replays SimpleDB's multi-valued-set semantics exactly.
         use pass_cloud::simpledb::{DeletableAttribute, ReplaceableAttribute, SimpleDb};
         use pass_cloud::simworld::Service;
         use std::collections::{BTreeMap, BTreeSet};
@@ -551,27 +536,14 @@ proptest! {
                     shadow.remove(item);
                 }
                 _ => {
-                    // Batch delete: one whole item, one single
-                    // attribute name off the neighbour.
+                    // Point delete: one attribute name off the neighbour.
                     let other = items[((islot + 2) % 5) as usize];
-                    db.batch_delete_attributes(
-                        "d",
-                        &[
-                            (item.to_string(), None),
-                            (
-                                other.to_string(),
-                                Some(vec![DeletableAttribute::all_of(format!("attr{attr}"))]),
-                            ),
-                        ],
-                    )
-                    .unwrap();
-                    shadow.remove(item);
-                    if item != other {
-                        if let Some(entry) = shadow.get_mut(other) {
-                            entry.remove(&format!("attr{attr}"));
-                            if entry.is_empty() {
-                                shadow.remove(other);
-                            }
+                    let spec = [DeletableAttribute::all_of(format!("attr{attr}"))];
+                    db.delete_attributes("d", other, Some(&spec[..])).unwrap();
+                    if let Some(entry) = shadow.get_mut(other) {
+                        entry.remove(&format!("attr{attr}"));
+                        if entry.is_empty() {
+                            shadow.remove(other);
                         }
                     }
                 }
