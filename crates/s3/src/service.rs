@@ -591,6 +591,7 @@ impl S3 {
             bkt.shard_count(),
             marker.map(str::to_string),
             cap,
+            |_| false,
             |i, cursor, quota| {
                 // Seek straight to the prefix range; keys that share the
                 // prefix are contiguous under byte-wise string order, so

@@ -4,9 +4,10 @@
 //! paper *Making a Cloud Provenance-Aware* (TaPP '09) depends on:
 //!
 //! * **items** described by multi-valued **attribute** pairs, grouped in
-//!   **domains**, with SimpleDB's automatic indexing: each shard keeps
-//!   `attribute → value hash → items` postings (built the first time a query
-//!   names the attribute, maintained by writes from then on), so a
+//!   **domains**, with SimpleDB's automatic indexing: each domain keeps
+//!   one table of `attribute → value hash → items` postings for all of its
+//!   shards (built the first time a query names the attribute, maintained
+//!   by writes from then on), so a
 //!   `Query` pinned down by `=` terms costs time proportional to its
 //!   answer, not to the domain — while being *billed and timed* exactly
 //!   like the scan it replaces;
@@ -59,7 +60,7 @@ pub use model::{
     byte_size, pairs, DeletableAttribute, ItemState, ReplaceableAttribute, ATTR_LIMIT,
     ITEM_NAME_LIMIT, MAX_ATTRS_PER_CALL, MAX_DOMAINS, MAX_PAIRS_PER_ITEM,
 };
-pub use query::{CmpOp, Predicate, QueryExpr};
+pub use query::{CmpOp, QueryExpr};
 pub use service::{
     QueryResult, QueryWithAttributesResult, ResultItem, SimpleDb, DEFAULT_SHARDS, MAX_BATCH_ITEMS,
     MAX_PAIRS_PER_BATCH, MAX_SHARDS, QUERY_DEFAULT_PAGE, QUERY_MAX_PAGE,

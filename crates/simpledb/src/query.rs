@@ -35,6 +35,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::iter::Peekable;
+use std::ops::Range;
 
 use simworld::Pair;
 
@@ -103,6 +104,16 @@ pub(crate) struct Weighed {
     postings: usize,
 }
 
+impl IntoIterator for Weighed {
+    type Item = usize;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<usize>, std::vec::IntoIter<usize>>;
+
+    /// The cover's pairs, in the order they were met.
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
 impl Weighed {
     /// The cover of nothing at all — the identity of [`Weighed::both`].
     const EMPTY: Weighed = Weighed {
@@ -118,11 +129,6 @@ impl Weighed {
             rest: Vec::new(),
             postings,
         }
-    }
-
-    /// The cover's pairs, in the order they were met.
-    pub(crate) fn pairs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.first.into_iter().chain(self.rest.iter().copied())
     }
 
     /// Covers `a and b`: either side's cover will do, so take the one
@@ -145,7 +151,7 @@ impl Weighed {
                 ..b
             });
         }
-        a.rest.extend(b.pairs());
+        a.rest.extend(b);
         Some(a)
     }
 }
@@ -153,22 +159,34 @@ impl Weighed {
 /// Weighs one `(attribute, value)` pair for [`QueryExpr::derive`].
 type WeighPair<'f, 'a> = &'f mut dyn FnMut(&'a str, &'a str) -> Weighed;
 
-/// One `['attr' op 'value' and/or ...]` predicate.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Predicate {
+/// One `['attr' op 'value' and/or ...]` predicate, read out of its
+/// expression's buffers.
+#[derive(Clone, Copy)]
+struct Predicate<'a> {
     /// The single attribute every comparison references.
-    pub attribute: String,
+    attribute: &'a str,
     /// Comparisons in source order.
-    pub comparisons: Vec<(CmpOp, String)>,
-    /// Connectives between consecutive comparisons (`true` = and);
-    /// length is `comparisons.len() - 1`. `and` binds tighter than `or`.
-    pub connectives: Vec<bool>,
+    comparisons: &'a [Comparison],
+    /// The expression's text, which holds the operands.
+    text: &'a str,
 }
 
-impl Predicate {
+/// One comparison of a predicate.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct Comparison {
+    op: CmpOp,
+    /// Where the operand is in the expression's text.
+    operand: Range<usize>,
+    /// `and` (not `or`) joins it to the next comparison, if one follows.
+    /// `and` binds tighter than `or`.
+    and_next: bool,
+}
+
+impl<'a> Predicate<'a> {
     /// Does any single attribute value satisfy the combination?
-    pub fn matches(&self, item: &ItemState) -> bool {
-        self.matches_run(item.get(&self.attribute))
+    #[cfg(test)]
+    fn matches(&self, item: &ItemState) -> bool {
+        self.matches_run(item.get(self.attribute))
     }
 
     /// [`Predicate::matches`] on the item's run of this attribute.
@@ -176,18 +194,21 @@ impl Predicate {
         values.iter().any(|p| self.eval_on_value(&p.value))
     }
 
+    fn operand(&self, c: &Comparison) -> &'a str {
+        &self.text[c.operand.clone()]
+    }
+
     /// A single value has to satisfy one `or`-separated run of `and`ed
     /// comparisons; a run containing `= x` pins that value to `x`. So
     /// the predicate is covered when every run has an `=`.
-    fn cover<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
+    fn cover(&self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
         let mut cover = Some(Weighed::EMPTY);
         let mut run = None;
-        for (i, (op, operand)) in self.comparisons.iter().enumerate() {
-            if *op == CmpOp::Eq {
-                run = Weighed::either(run, Some(pair(&self.attribute, operand)));
+        for c in self.comparisons {
+            if c.op == CmpOp::Eq {
+                run = Weighed::either(run, Some(pair(self.attribute, self.operand(c))));
             }
-            // `connectives[i]` joins comparison `i` to `i + 1`; `false` is `or`.
-            if self.connectives.get(i) != Some(&true) {
+            if !c.and_next {
                 cover = Weighed::both(cover, run.take());
             }
         }
@@ -199,11 +220,9 @@ impl Predicate {
         // runs at `or` connectives; each run is a conjunction.
         let mut any = false;
         let mut run = true;
-        for (i, (op, operand)) in self.comparisons.iter().enumerate() {
-            run &= op.eval(v, operand);
-            let is_last = i + 1 == self.comparisons.len();
-            let or_next = !is_last && !self.connectives[i];
-            if is_last || or_next {
+        for c in self.comparisons {
+            run &= c.op.eval(v, self.operand(c));
+            if !c.and_next {
                 any |= run;
                 run = true;
             }
@@ -212,10 +231,27 @@ impl Predicate {
     }
 }
 
-/// A parsed Query expression.
+/// A parsed Query expression. Its terms, their comparisons and their
+/// text each live in one buffer, however many terms there are.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct QueryExpr {
-    terms: Vec<(SetOp, bool, Predicate)>, // (combine-with-previous, negated, pred)
+    terms: Vec<Term>,
+    /// Every term's comparisons, term after term.
+    comparisons: Vec<Comparison>,
+    /// Every attribute name and operand, unescaped, back to back.
+    text: String,
+}
+
+/// One term of a [`QueryExpr`]: how it combines with the result so
+/// far, whether it is negated, and where its predicate is.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct Term {
+    setop: SetOp,
+    negated: bool,
+    /// Where the attribute is in the text.
+    attribute: Range<usize>,
+    /// Where the comparisons are.
+    comparisons: Range<usize>,
 }
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -235,6 +271,24 @@ impl QueryExpr {
         Parser::new(input).parse_query()
     }
 
+    /// Appends `s` to the text and says where it went.
+    fn push_text(&mut self, s: &str) -> Range<usize> {
+        self.text.push_str(s);
+        self.text.len() - s.len()..self.text.len()
+    }
+
+    /// The terms, each with its predicate.
+    fn terms(&self) -> impl Iterator<Item = (SetOp, bool, Predicate<'_>)> {
+        self.terms.iter().map(|term| {
+            let predicate = Predicate {
+                attribute: &self.text[term.attribute.clone()],
+                comparisons: &self.comparisons[term.comparisons.clone()],
+                text: &self.text,
+            };
+            (term.setop, term.negated, predicate)
+        })
+    }
+
     /// Evaluates against one item. Terms fold left, so a `union` term
     /// after a true result and an `intersection` term after a false one
     /// cannot change it and are skipped; every other term decides the
@@ -243,7 +297,7 @@ impl QueryExpr {
     pub fn matches(&self, item: &ItemState) -> bool {
         let mut acc = false;
         let mut run: Option<(&str, &[Pair])> = None;
-        for (setop, negated, pred) in &self.terms {
+        for (setop, negated, pred) in self.terms() {
             match setop {
                 SetOp::Union if acc => continue,
                 SetOp::Intersection if !acc => continue,
@@ -252,12 +306,12 @@ impl QueryExpr {
             let values = match run {
                 Some((attr, values)) if attr == pred.attribute => values,
                 _ => {
-                    let values = item.get(&pred.attribute);
-                    run = Some((&pred.attribute, values));
+                    let values = item.get(pred.attribute);
+                    run = Some((pred.attribute, values));
                     values
                 }
             };
-            acc = pred.matches_run(values) != *negated;
+            acc = pred.matches_run(values) != negated;
         }
         acc
     }
@@ -275,8 +329,8 @@ impl QueryExpr {
     /// the expression alone decides — never what `pair` answers.
     fn derive<'a>(&'a self, pair: WeighPair<'_, 'a>) -> Option<Weighed> {
         let mut acc = None;
-        for (setop, negated, pred) in &self.terms {
-            let term = if *negated { None } else { pred.cover(pair) };
+        for (setop, negated, pred) in self.terms() {
+            let term = if negated { None } else { pred.cover(pair) };
             acc = match setop {
                 SetOp::First => term,
                 SetOp::Intersection => Weighed::either(acc, term),
@@ -297,7 +351,7 @@ impl QueryExpr {
         pairs
     }
 
-    /// The equality cover, its [`Weighed::pairs`] indices into
+    /// The equality cover, which iterates as indices into
     /// [`QueryExpr::eq_pairs`], where `postings[i]` items are posted
     /// under pair `i`.
     pub(crate) fn cover(&self, postings: &[usize]) -> Option<Weighed> {
@@ -330,6 +384,8 @@ struct Parser<'a> {
     toks: Peekable<Lexer<'a>>,
     /// At most as many terms as the text has `[`s.
     brackets: usize,
+    /// The text's length, which bounds what its strings unescape to.
+    len: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -337,6 +393,7 @@ impl<'a> Parser<'a> {
         Parser {
             toks: Lexer { input, at: 0 }.peekable(),
             brackets: input.bytes().filter(|&b| b == b'[').count(),
+            len: input.len(),
         }
     }
 
@@ -354,10 +411,15 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Parses the whole expression into buffers sized once: at most as
+    /// many terms as `[`s, and no more text than the input has.
     fn parse_query(&mut self) -> Result<QueryExpr> {
-        let mut terms = Vec::with_capacity(self.brackets);
-        let (negated, pred) = self.parse_term()?;
-        terms.push((SetOp::First, negated, pred));
+        let mut expr = QueryExpr {
+            terms: Vec::with_capacity(self.brackets),
+            comparisons: Vec::with_capacity(self.brackets),
+            text: String::with_capacity(self.len),
+        };
+        self.parse_term(&mut expr, SetOp::First)?;
         loop {
             match self.next() {
                 None => break,
@@ -367,44 +429,45 @@ impl<'a> Parser<'a> {
                     } else {
                         SetOp::Union
                     };
-                    let (negated, pred) = self.parse_term()?;
-                    terms.push((setop, negated, pred));
+                    self.parse_term(&mut expr, setop)?;
                 }
                 Some(t) => return self.err(format!("expected intersection/union, got {t:?}")),
             }
         }
-        Ok(QueryExpr { terms })
+        Ok(expr)
     }
 
-    fn parse_term(&mut self) -> Result<(bool, Predicate)> {
+    fn parse_term(&mut self, expr: &mut QueryExpr, setop: SetOp) -> Result<()> {
         let negated = matches!(self.peek(), Some(Tok::Word(w)) if w == "not");
         if negated {
             self.next();
         }
-        Ok((negated, self.parse_predicate()?))
+        self.parse_predicate(expr, setop, negated)
     }
 
-    fn parse_predicate(&mut self) -> Result<Predicate> {
+    /// Parses one predicate onto the end of `expr`: its attribute and
+    /// operands into the text, its comparisons after the others.
+    fn parse_predicate(&mut self, expr: &mut QueryExpr, setop: SetOp, negated: bool) -> Result<()> {
         match self.next() {
             Some(Tok::LBracket) => {}
             other => return self.err(format!("expected '[', got {other:?}")),
         }
-        let mut attribute: Option<String> = None;
-        let mut comparisons = Vec::new();
-        let mut connectives = Vec::new();
+        let mut attribute: Option<Range<usize>> = None;
+        let from = expr.comparisons.len();
         loop {
             let attr = match self.next() {
                 Some(Tok::Str(s)) => s,
                 other => return self.err(format!("expected quoted attribute name, got {other:?}")),
             };
             match &attribute {
-                None => attribute = Some(attr.into_owned()),
-                Some(a) if *a == attr => {}
+                None => attribute = Some(expr.push_text(&attr)),
+                Some(a) if expr.text[a.clone()] == *attr => {}
                 Some(a) => {
+                    let a = &expr.text[a.clone()];
                     return self.err(format!(
                         "all comparisons in a predicate must use the same attribute \
                          (saw {a:?} and {attr:?})"
-                    ))
+                    ));
                 }
             }
             let op = match self.next() {
@@ -420,23 +483,32 @@ impl<'a> Parser<'a> {
                 },
                 other => return self.err(format!("expected operator, got {other:?}")),
             };
-            let value = match self.next() {
-                Some(Tok::Str(s)) => s.into_owned(),
+            let operand = match self.next() {
+                Some(Tok::Str(s)) => expr.push_text(&s),
                 other => return self.err(format!("expected quoted value, got {other:?}")),
             };
-            comparisons.push((op, value));
-            match self.next() {
-                Some(Tok::RBracket) => break,
-                Some(Tok::Word(w)) if w == "and" => connectives.push(true),
-                Some(Tok::Word(w)) if w == "or" => connectives.push(false),
+            let and_next = match self.next() {
+                Some(Tok::RBracket) => None,
+                Some(Tok::Word(w)) if w == "and" => Some(true),
+                Some(Tok::Word(w)) if w == "or" => Some(false),
                 other => return self.err(format!("expected and/or/']', got {other:?}")),
+            };
+            expr.comparisons.push(Comparison {
+                op,
+                operand,
+                and_next: and_next == Some(true),
+            });
+            if and_next.is_none() {
+                break;
             }
         }
-        Ok(Predicate {
+        expr.terms.push(Term {
+            setop,
+            negated,
             attribute: attribute.expect("at least one comparison parsed"),
-            comparisons,
-            connectives,
-        })
+            comparisons: from..expr.comparisons.len(),
+        });
+        Ok(())
     }
 }
 
@@ -655,7 +727,7 @@ mod tests {
         let pairs = expr.eq_pairs(|attr, value| (attr, value));
         let postings: Vec<usize> = pairs.iter().map(|(a, v)| counts(a, v)).collect();
         let cover = expr.cover(&postings)?;
-        Some(cover.pairs().map(|i| pairs[i]).collect())
+        Some(cover.into_iter().map(|i| pairs[i]).collect())
     }
 
     fn assert_cover(expr: &str, expected: Option<&[(&str, &str)]>) {

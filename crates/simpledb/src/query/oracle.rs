@@ -4,9 +4,11 @@
 //! cloned out of it by `next`, every term evaluated. Kept as the
 //! definition the rewritten ones are held to (`super::tests`): if the
 //! two disagree, the rewrite is wrong, not this. Neither accepts a
-//! `sort` clause.
+//! `sort` clause. It parses into owned predicates (an attribute `String`,
+//! a `Vec` of comparisons with their values, a `Vec` of connectives), and
+//! lays them out as a [`QueryExpr`] only once the whole text has parsed.
 
-use super::{CmpOp, Predicate, QueryExpr, SetOp};
+use super::{CmpOp, Comparison, QueryExpr, SetOp, Term};
 use crate::error::{Result, SdbError};
 use crate::model::ItemState;
 
@@ -18,8 +20,8 @@ pub(crate) fn parse(input: &str) -> Result<QueryExpr> {
 /// `QueryExpr::matches` with every term evaluated and folded in order.
 pub(crate) fn matches(expr: &QueryExpr, item: &ItemState) -> bool {
     let mut acc = false;
-    for (i, (setop, negated, pred)) in expr.terms.iter().enumerate() {
-        let hit = pred.matches(item) != *negated;
+    for (i, (setop, negated, pred)) in expr.terms().enumerate() {
+        let hit = pred.matches(item) != negated;
         acc = match (i, setop) {
             (0, _) => hit,
             (_, SetOp::Intersection) => acc && hit,
@@ -28,6 +30,45 @@ pub(crate) fn matches(expr: &QueryExpr, item: &ItemState) -> bool {
         };
     }
     acc
+}
+
+/// One parsed predicate, every string owned.
+struct Predicate {
+    attribute: String,
+    comparisons: Vec<(CmpOp, String)>,
+    /// Between consecutive comparisons, `true` for `and`.
+    connectives: Vec<bool>,
+}
+
+/// Lays parsed terms out as a [`QueryExpr`]: the attribute, then each
+/// operand, appended to the text term after term.
+fn layout(terms: Vec<(SetOp, bool, Predicate)>) -> QueryExpr {
+    let mut expr = QueryExpr {
+        terms: Vec::new(),
+        comparisons: Vec::new(),
+        text: String::new(),
+    };
+    for (setop, negated, pred) in terms {
+        let attribute = expr.push_text(&pred.attribute);
+        let from = expr.comparisons.len();
+        for (i, (op, value)) in pred.comparisons.iter().enumerate() {
+            let operand = expr.push_text(value);
+            let and_next = pred.connectives.get(i) == Some(&true);
+            expr.comparisons.push(Comparison {
+                op: *op,
+                operand,
+                and_next,
+            });
+        }
+        let comparisons = from..expr.comparisons.len();
+        expr.terms.push(Term {
+            setop,
+            negated,
+            attribute,
+            comparisons,
+        });
+    }
+    expr
 }
 
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -88,7 +129,7 @@ impl Parser {
                 Some(t) => return self.err(format!("expected intersection/union, got {t:?}")),
             }
         }
-        Ok(QueryExpr { terms })
+        Ok(layout(terms))
     }
 
     fn parse_term(&mut self) -> Result<(bool, Predicate)> {

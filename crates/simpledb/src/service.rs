@@ -8,12 +8,12 @@
 //! shards, configurable via [`SimpleDb::with_shards`]). Point operations
 //! (`PutAttributes`/`GetAttributes`/`DeleteAttributes`) contend only for
 //! one shard. `Query` merges per-shard results in item-name order: an
-//! expression with `=` terms *weighs* every shard — one probe of its
-//! attribute postings per term — then *fetches* only where the chosen
-//! cover has something posted; anything else scans every shard.
-//! Shards are visited one at a time, never under a cross-shard snapshot,
-//! and a covered shard's read point is its weigh visit: an item a
-//! concurrent writer lands on a shard already weighed can miss the page
+//! expression with `=` terms *weighs* the domain's one attribute posting
+//! table — one probe per term, covering every shard — then *fetches*
+//! only where the chosen cover has something posted; anything else
+//! scans every shard. Shards are visited one at a time, never under a
+//! cross-shard snapshot, and the weigh reads the table at one point: an
+//! item a concurrent writer lands after the weigh can miss the page
 //! being served, exactly as it could land behind a scan's cursor.
 //!
 //! Shard-count requests are validated by the one shared rule
@@ -45,7 +45,7 @@ use crate::model::{
     byte_size, DeletableAttribute, ItemState, ReplaceableAttribute, ITEM_NAME_LIMIT,
     MAX_ATTRS_PER_CALL, MAX_DOMAINS,
 };
-use crate::query::{QueryExpr, Weighed};
+use crate::query::QueryExpr;
 
 /// Default page size for `Query`/`QueryWithAttributes`.
 pub const QUERY_DEFAULT_PAGE: usize = 100;
@@ -483,77 +483,44 @@ impl SimpleDb {
     /// row is copied out. The returned token resumes strictly after the
     /// last name served, carrying the same replica pin.
     ///
-    /// When `expr` has `=` pairs, a **weigh** pass first probes every
-    /// shard's attribute postings — built, under the shard lock, the
-    /// first time an equality term names the attribute — once per pair,
-    /// each value hashed once for the page, and one equality cover is
-    /// derived from the counts summed over shards. The fetch then returns
-    /// to a shard only if it posts a pair of that cover (or, past the
-    /// first page, to price the scan behind the cursor): a shard with
-    /// nothing posted is charged its cell count, which is what fetching
-    /// nothing from it charged. Every candidate is re-checked by `row`
-    /// on the pinned replica, whichever cover found it. A `token` has
-    /// been checked against `dom`'s layout ([`decode_token`]).
+    /// When `expr` has `=` pairs, a **weigh** pass first probes the
+    /// domain's one posting table ([`ShardMap::weigh`]) once per pair,
+    /// each value hashed once for the page, and derives one equality
+    /// cover from the counts, summed over shards. The postings live in
+    /// that table, not in the shards; an attribute is posted the first
+    /// time an equality term names it, shard by shard, under the shard's
+    /// lock and then the table's — the one lock order. The fetch then
+    /// returns to a shard only if it posts a pair of that cover (or, past
+    /// the first page, to price the scan behind the cursor), reading the
+    /// shard's keys from the table under the shard's lock; a shard with
+    /// nothing posted is charged its cell count, which the table keeps
+    /// and which is what fetching nothing from it examines. The charges
+    /// cannot move with where the postings live: a probe yields per shard
+    /// the keys a shard-local index held, every candidate is re-checked
+    /// by `row` on the pinned replica, and `scanned` counts cells, never
+    /// postings. A `token` has been checked against `dom`'s layout
+    /// ([`decode_token`]).
     fn merged_page<T>(
         &self,
         dom: &Domain,
         token: Option<PageToken>,
         page_size: usize,
         expr: Option<&QueryExpr>,
-        mut row: impl FnMut(&ItemState) -> Option<T>,
+        row: impl FnMut(&ItemState) -> Option<T>,
     ) -> Page<T> {
         let (pin, after) = match token {
             Some(PageToken { pin, after }) => (pin, Some(after)),
             None => (dom.pin_replicas(&self.world), None),
         };
         let now = self.world.now();
-        let shards = dom.shard_count();
-
         let probes: Vec<(&str, u64)> = expr.map_or_else(Vec::new, |e| {
             e.eq_pairs(|attr, value| (attr, simworld::value_hash(value)))
         });
-        let pairs = probes.len();
-        // One buffer, weighed only when there are pairs: per shard its
-        // postings of each pair (`posted[shard * pairs + pair]`), per pair
-        // their sum over shards, per shard its cell count.
-        let weighed = if pairs > 0 {
-            (shards + 1) * pairs + shards
-        } else {
-            0
-        };
-        let mut weights = vec![0usize; weighed];
-        let (posted, rest) = weights.split_at_mut(shards * pairs);
-        let (totals, cells) = rest.split_at_mut(pairs);
-        if pairs > 0 {
-            for pos in 0..shards {
-                dom.with_cells_at(pos, |map| {
-                    cells[pos] = map.cell_count();
-                    let posted = &mut posted[pos * pairs..][..pairs];
-                    map.posting_counts(ItemState::get, &probes, posted);
-                    for (total, count) in totals.iter_mut().zip(posted) {
-                        *total += *count;
-                    }
-                });
-            }
-        }
-        let cover = expr.and_then(|e| e.cover(totals));
-        let cover_probes: Option<Vec<(&str, u64)>> = cover
-            .as_ref()
-            .map(|cover| cover.pairs().map(|pair| probes[pair]).collect());
-
+        let cover = expr
+            .filter(|_| !probes.is_empty())
+            .and_then(|e| dom.weigh(ItemState::get, &probes, |totals| e.cover(totals)));
         let (candidates, more, scanned) =
-            simworld::merged_shard_page(shards, after, page_size, |i, cursor, quota| {
-                let idle =
-                    |cover: &Weighed| cover.pairs().all(|pair| posted[i * pairs + pair] == 0);
-                if cursor.is_none() && cover.as_ref().is_some_and(idle) {
-                    return (Vec::new(), cells[i] as u64);
-                }
-                dom.with_cells_at(i, |map| {
-                    let cover = cover_probes.as_deref();
-                    let replica = dom.pinned_replica(&pin, i);
-                    map.visible_page_on(replica, now, cursor, quota, cover, |_, v| row(v))
-                })
-            });
+            dom.merged_page(&pin, now, after, page_size, cover.as_ref(), row);
         let next = more.then(|| {
             let last = candidates
                 .last()

@@ -1,38 +1,62 @@
 //! A replicated, eventually-consistent key/value map.
 //!
 //! This is the storage engine under all three service simulators. Each
-//! key keeps a short history of writes; each write carries per-replica
-//! visibility instants sampled from [`crate::SimWorld::sample_visibility`].
-//! A read picks a replica and serves the newest write *visible on that
-//! replica*, so a read issued immediately after a write may observe the
-//! previous value — exactly the anomaly the paper's consistency property
-//! is about. Writes are last-writer-wins, deletes are tombstones, and
-//! fully-propagated history is compacted away.
+//! key keeps a short history of writes; each write carries when each
+//! replica starts serving it, sampled from
+//! [`crate::SimWorld::sample_visibility`] — one instant for all of them
+//! on a strong world. A read picks a replica and serves the newest write
+//! *visible on that replica*, so a read issued immediately after a write
+//! may observe the previous value — exactly the anomaly the paper's
+//! consistency property is about. Writes are last-writer-wins, deletes
+//! are tombstones, and fully-propagated history is compacted away.
 //!
 //! # Attribute postings
 //!
 //! A map whose values are attribute sets (SimpleDB items) can answer
 //! "which keys carry `(attribute, value)`?" from a secondary index
-//! instead of a scan. Postings are **lazy per attribute**: nothing is
-//! kept until [`EcMap::posting_counts`] is first asked about an
-//! attribute; from then on every write maintains that attribute's
-//! postings. They cover a cell's whole *history*, not just its newest
-//! write — a replica may still serve an older one — so they are a
-//! superset of what any replica can see, and the page fetch re-checks
-//! visibility and the caller's predicate on every candidate. A pair
-//! leaves the postings only when compaction drops the last write that
-//! carried it.
+//! instead of a scan. The index does not live in an `EcMap`: a
+//! [`crate::ShardMap`] keeps **one table for all of its shards**
+//! ([`Postings`]), keyed by attribute and value hash. Each entry holds,
+//! for every shard that posts the value, that shard's keys ascending —
+//! the list a shard-local index would hold — so inserting a key moves
+//! no more than one shard's share of a popular value's keys. A map never
+//! queried has no table, and its writes take no lock but their shard's.
+//!
+//! Postings are **lazy per attribute**: nothing is kept until a query
+//! first weighs an attribute ([`crate::ShardMap::weigh`]), which posts
+//! it from every cell's full history, shard by shard; from then on
+//! every write to a shard maintains it. They cover a cell's whole
+//! *history*, not just its newest write — a replica may still serve an
+//! older one — so they are a superset of what any replica can see, and
+//! the page fetch re-checks visibility and the caller's predicate on
+//! every candidate. A pair leaves the postings only when compaction
+//! drops the last write that carried it.
+//!
+//! **Lock order: the shard, then the table.** A writer holds its
+//! shard's lock and then takes the table's; a first build visits the
+//! shards one at a time the same way. A page fetch from shard *i* holds
+//! *i*'s lock and then reads the table, so *i*'s run cannot change under
+//! it and the shard stays atomic. The weigh pass reads the table alone:
+//! one probe per `=` pair gives each pair's keys on every shard at once.
+//!
+//! **Charges cannot move.** A probe yields, shard for shard, the same
+//! keys a shard-local index holds, so the cover chosen and the
+//! candidates fetched are the same. A page charges the cells a scan
+//! would have examined, counted over the cells, not the postings; and a
+//! shard the cover posts nothing on is charged its whole cell count,
+//! which the table keeps per shard — every writer sets it under both
+//! locks — so the weigh pass needs no shard lock for it either.
 //!
 //! Values are posted under a 64-bit hash ([`value_hash`]), not under a
 //! copy of the string: a query hashes each value it asks about once and
-//! every shard is probed with that integer. Two values that collide share
-//! a key list, which only makes the list a larger superset — the extra
+//! probes the table with that integer. Two values that collide share a
+//! key list, which only makes the list a larger superset — the extra
 //! candidates carry some other value and fail the predicate re-check like
-//! any stale one, and [`EcMap::posting_counts`] stays the upper bound it
-//! is documented to be. The hash map is only ever probed, never
-//! iterated, so its order cannot reach an answer, a charge or a token —
-//! which is also why it can take its key, a hash already, as the table
-//! hash ([`PostedHash`]) instead of running SipHash over it.
+//! any stale one, and a weighed count stays an upper bound. The hash map
+//! is only ever probed, never iterated, so its order cannot reach an
+//! answer, a charge or a token — which is also why it can take its key,
+//! a hash already, as the table hash ([`PostedHash`]) instead of running
+//! SipHash over it.
 
 use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
@@ -42,6 +66,7 @@ use std::ops::Bound;
 
 use crate::clock::SimInstant;
 use crate::hash::fnv1a_64;
+use crate::shardmap::MAX_SHARDS;
 use crate::world::SimWorld;
 
 /// One attribute name–value pair. Ordered by name, then value: a slice
@@ -73,10 +98,42 @@ impl Pair {
     }
 }
 
+/// When each replica starts serving a write.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Visibility {
+    /// Every replica at this instant: a strong world's every write.
+    All(SimInstant),
+    /// Replica `r` at `[r]`; a replica past the end serves it at once.
+    Each(Vec<SimInstant>),
+}
+
+impl Visibility {
+    /// True when `replica` serves the write at `now`.
+    fn on(&self, replica: usize, now: SimInstant) -> bool {
+        match self {
+            Visibility::All(at) => *at <= now,
+            Visibility::Each(at) => at.get(replica).is_none_or(|t| *t <= now),
+        }
+    }
+
+    /// True once every replica serves the write.
+    fn everywhere(&self, now: SimInstant) -> bool {
+        match self {
+            Visibility::All(at) => *at <= now,
+            Visibility::Each(at) => at.iter().all(|t| *t <= now),
+        }
+    }
+}
+
+impl From<Vec<SimInstant>> for Visibility {
+    fn from(at: Vec<SimInstant>) -> Visibility {
+        Visibility::Each(at)
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Write<V> {
-    /// `visible_at[r]` is when replica `r` starts serving this write.
-    visible_at: Vec<SimInstant>,
+    visible_at: Visibility,
     /// `None` is a delete tombstone.
     value: Option<V>,
 }
@@ -85,11 +142,6 @@ impl<V> Write<V> {
     /// The pairs this write's state carries for `attr`.
     fn values(&self, values_of: ValuesOf<V>, attr: &str) -> &[Pair] {
         self.value.as_ref().map_or(&[], |v| values_of(v, attr))
-    }
-
-    /// True once every replica serves this write.
-    fn settled(&self, now: SimInstant) -> bool {
-        self.visible_at.iter().all(|t| *t <= now)
     }
 }
 
@@ -110,18 +162,17 @@ impl<V> Cell<V> {
 
     /// The newest write visible on `replica` at `now`.
     fn visible(&self, replica: usize, now: SimInstant) -> Option<&Write<V>> {
-        self.writes()
-            .rev()
-            .find(|w| w.visible_at.get(replica).map(|t| *t <= now).unwrap_or(true))
+        self.writes().rev().find(|w| w.visible_at.on(replica, now))
     }
 
     /// How many of the oldest writes can never be served again: all
     /// those before the newest one that every replica has reached.
     fn settled_prefix(&self, now: SimInstant) -> usize {
-        if self.latest.settled(now) {
+        if self.latest.visible_at.everywhere(now) {
             return self.older.len();
         }
-        self.older.iter().rposition(|w| w.settled(now)).unwrap_or(0)
+        let settled = |w: &Write<V>| w.visible_at.everywhere(now);
+        self.older.iter().rposition(settled).unwrap_or(0)
     }
 
     /// Drops the first `cut` writes (at most all of `older`).
@@ -135,24 +186,25 @@ impl<V> Cell<V> {
 
     /// True when the only remaining state is a fully-propagated tombstone.
     fn fully_deleted(&self, now: SimInstant) -> bool {
-        self.older.is_empty() && self.latest.value.is_none() && self.latest.settled(now)
+        let latest = &self.latest;
+        self.older.is_empty() && latest.value.is_none() && latest.visible_at.everywhere(now)
     }
 }
 
 /// Reads the run of pairs `state` carries for an attribute (empty when
-/// it carries none) — how an [`EcMap`] looks inside an otherwise opaque
-/// `V` to keep attribute postings.
+/// it carries none) — how [`Postings`] look inside an otherwise opaque
+/// `V`.
 pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> &'a [Pair];
 
 /// The hash attribute values are posted under (see the module docs).
-/// Callers hash a value once and probe every shard with the result.
+/// Callers hash a value once and probe the postings with the result.
 pub fn value_hash(value: &str) -> u64 {
     fnv1a_64(value)
 }
 
 /// The table hash of a [`value_hash`]: the key itself, times an odd
 /// constant so that the table's control bits (the top seven) depend on
-/// every bit of a key and a narrowed [`Postings::mask`] still spreads.
+/// every bit of a key and a narrowed [`Postings`] mask still spreads.
 #[derive(Clone, Copy, Default, Debug)]
 struct PostedHash(u64);
 
@@ -170,38 +222,44 @@ impl Hasher for PostedHash {
     }
 }
 
-/// One attribute's postings: value hash → the keys, ascending.
-type PostedKeys<K> = HashMap<u64, Vec<K>, BuildHasherDefault<PostedHash>>;
+/// One value's posted keys: for each shard that posts it, in shard
+/// order, the shard and its keys, ascending.
+type PostedKeys<K> = Vec<(u32, Vec<K>)>;
 
-/// The secondary index: attribute → value hash → the keys, ascending,
-/// whose write history carries a pair hashing there (see the module docs).
+/// One attribute's postings: value hash → its posted keys.
+type ByValue<K> = HashMap<u64, PostedKeys<K>, BuildHasherDefault<PostedHash>>;
+
+/// The attribute postings of every shard of one map (see the module
+/// docs); a shard is its range position. Attributes join `attrs` in the
+/// order queries first ask about them, and shard `s` posts the first
+/// `built[s]` of them.
 #[derive(Clone, Debug)]
-struct Postings<K, V> {
-    by_attr: BTreeMap<String, PostedKeys<K>>,
-    /// Set by the first build; `by_attr` is empty until then.
-    values_of: Option<ValuesOf<V>>,
+pub(crate) struct Postings<K, V> {
+    values_of: ValuesOf<V>,
+    attrs: Vec<(Box<str>, ByValue<K>)>,
+    built: Vec<usize>,
+    /// Per shard: the cells it holds, live or tombstoned.
+    cells: Vec<u64>,
     /// And-ed onto every hash, stored or probed. All ones, except in the
     /// tests that narrow it until nearly every probe collides.
-    mask: u64,
+    pub(crate) mask: u64,
 }
 
-impl<K, V> Default for Postings<K, V> {
-    fn default() -> Self {
-        Postings {
-            by_attr: BTreeMap::new(),
-            values_of: None,
-            mask: u64::MAX,
-        }
-    }
-}
-
-/// Posts `key` under `hash`, keeping the key list ascending and
-/// duplicate-free.
-fn post<K: Ord + Clone>(by_value: &mut PostedKeys<K>, hash: u64, key: &K) {
+/// Posts `key`, of `shard`, under `hash`, keeping the shard's keys
+/// ascending and duplicate-free.
+fn post<K: Ord + Clone>(by_value: &mut ByValue<K>, hash: u64, shard: u32, key: &K) {
     // Most values are carried by one key: a first push would reserve four.
-    let keys = by_value
+    let runs = by_value
         .entry(hash)
         .or_insert_with(|| Vec::with_capacity(1));
+    let at = match runs.binary_search_by_key(&shard, |(s, _)| *s) {
+        Ok(at) => at,
+        Err(at) => {
+            runs.insert(at, (shard, Vec::with_capacity(1)));
+            at
+        }
+    };
+    let keys = &mut runs[at].1;
     if let Err(at) = keys.binary_search(key) {
         keys.insert(at, key.clone());
     }
@@ -219,80 +277,208 @@ fn posted_hashes<'a, V: 'a>(
 }
 
 impl<K: Ord + Clone, V> Postings<K, V> {
-    /// Posts `key` under every indexed pair `state` carries.
-    fn add(&mut self, key: &K, state: &V) {
-        let Some(values_of) = self.values_of else {
-            return;
-        };
-        let mask = self.mask;
-        for (attr, by_value) in &mut self.by_attr {
+    /// An empty table over `shards` shards.
+    pub(crate) fn new(shards: usize, values_of: ValuesOf<V>) -> Self {
+        Postings {
+            values_of,
+            attrs: Vec::new(),
+            built: vec![0; shards],
+            cells: vec![0; shards],
+            mask: u64::MAX,
+        }
+    }
+
+    /// Indexes every attribute `probes` name, then brings `shard`, whose
+    /// cells are `map`, up to date: every indexed attribute it does not
+    /// post yet is posted from every cell's full history.
+    pub(crate) fn build(&mut self, shard: u32, map: &EcMap<K, V>, probes: &[(&str, u64)]) {
+        for (attr, _) in probes {
+            if !self.attrs.iter().any(|(a, _)| **a == **attr) {
+                self.attrs.push(((*attr).into(), ByValue::default()));
+            }
+        }
+        let (values_of, mask, s) = (self.values_of, self.mask, shard as usize);
+        self.cells[s] = map.cells.len() as u64;
+        for (attr, by_value) in &mut self.attrs[self.built[s]..] {
+            for (key, cell) in &map.cells {
+                for hash in posted_hashes(cell.writes(), values_of, attr, mask) {
+                    post(by_value, hash, shard, key);
+                }
+            }
+        }
+        self.built[s] = self.attrs.len();
+    }
+
+    /// The attributes `shard` posts, with their postings.
+    fn posted_on(&mut self, shard: u32) -> &mut [(Box<str>, ByValue<K>)] {
+        &mut self.attrs[..self.built[shard as usize]]
+    }
+
+    /// Posts `key`, of `shard`, under every pair `state` carries for an
+    /// attribute the shard posts.
+    fn add(&mut self, shard: u32, key: &K, state: &V) {
+        let (values_of, mask) = (self.values_of, self.mask);
+        for (attr, by_value) in self.posted_on(shard) {
             for pair in values_of(state, attr) {
-                post(by_value, value_hash(&pair.value) & mask, key);
+                post(by_value, value_hash(&pair.value) & mask, shard, key);
             }
         }
     }
 
-    /// Unposts `key` from every indexed hash that a pair of one of its
-    /// cell's first `cut` writes — the ones about to be dropped — landed
-    /// on and no pair of a later write still does.
-    fn forget(&mut self, key: &K, cell: &Cell<V>, cut: usize) {
-        let (true, Some(values_of)) = (cut > 0, self.values_of) else {
+    /// Unposts `key`, of `shard`, from every hash that a pair of one of
+    /// its cell's first `cut` writes — the ones about to be dropped —
+    /// landed on and no pair of a later write still does.
+    fn forget(&mut self, shard: u32, key: &K, cell: &Cell<V>, cut: usize) {
+        if cut == 0 {
             return;
-        };
-        let mask = self.mask;
-        for (attr, by_value) in &mut self.by_attr {
+        }
+        let (values_of, mask) = (self.values_of, self.mask);
+        for (attr, by_value) in self.posted_on(shard) {
             for hash in posted_hashes(cell.writes().take(cut), values_of, attr, mask) {
                 let mut kept = posted_hashes(cell.writes().skip(cut), values_of, attr, mask);
                 if kept.any(|k| k == hash) {
                     continue;
                 }
-                let Some(keys) = by_value.get_mut(&hash) else {
+                let Some(runs) = by_value.get_mut(&hash) else {
                     continue;
                 };
-                if let Ok(at) = keys.binary_search(key) {
-                    keys.remove(at);
+                if let Ok(run) = runs.binary_search_by_key(&shard, |(s, _)| *s) {
+                    let keys = &mut runs[run].1;
+                    if let Ok(at) = keys.binary_search(key) {
+                        keys.remove(at);
+                    }
+                    if keys.is_empty() {
+                        runs.remove(run);
+                    }
                 }
-                if keys.is_empty() {
+                if runs.is_empty() {
                     by_value.remove(&hash);
                 }
             }
         }
     }
 
-    /// The keys from `start` on posted under any `(attribute, value
-    /// hash)` pair of `cover`, ascending and deduplicated — or `None`
-    /// when the cover names an attribute that has no postings (yet).
-    fn candidates<'a>(
+    /// Where `attr` is in `attrs`, if it is indexed.
+    fn at(&self, attr: &str) -> Option<usize> {
+        self.attrs.iter().position(|(a, _)| **a == *attr)
+    }
+
+    /// The keys posted under the `at`th attribute and `hash`, shard by
+    /// shard.
+    fn keys_at(&self, at: usize, hash: u64) -> &[(u32, Vec<K>)] {
+        let keys = self.attrs[at].1.get(&(hash & self.mask));
+        keys.map_or(&[], Vec::as_slice)
+    }
+
+    /// [`Postings::keys_at`] by attribute name.
+    fn keys(&self, attr: &str, hash: u64) -> &[(u32, Vec<K>)] {
+        self.at(attr).map_or(&[], |at| self.keys_at(at, hash))
+    }
+
+    /// How many keys each of `probes` — `(attribute, value hash)` pairs —
+    /// has posted, summed over the shards: an upper bound on the
+    /// candidates a cover drawing on it fetches. One lookup each; `None`
+    /// while a probe names an attribute some shard does not post.
+    pub(crate) fn totals(&self, probes: &[(&str, u64)]) -> Option<Vec<usize>> {
+        let total = |(attr, hash): &(&str, u64)| {
+            let at = self.at(attr)?;
+            let everywhere = self.built.iter().all(|b| *b > at);
+            let runs = everywhere.then(|| self.keys_at(at, *hash))?;
+            Some(runs.iter().map(|(_, keys)| keys.len()).sum())
+        };
+        probes.iter().map(total).collect()
+    }
+
+    /// The cover made of `pairs`, indices into `probes` (whose
+    /// attributes every shard posts): which shards post any of them, and
+    /// the most cells any other shard holds.
+    pub(crate) fn cover<'p>(
+        &self,
+        probes: &[(&'p str, u64)],
+        pairs: impl IntoIterator<Item = usize>,
+    ) -> Cover<'p> {
+        let pairs: Vec<(&'p str, u64)> = pairs.into_iter().map(|i| probes[i]).collect();
+        let mut busy = ShardSet::default();
+        for (attr, hash) in &pairs {
+            for (shard, _) in self.keys(attr, *hash) {
+                busy.insert(*shard);
+            }
+        }
+        let idle = (0..self.cells.len()).filter(|s| !busy.contains(*s));
+        let idle_cells = idle.map(|s| self.cells[s]).max().unwrap_or(0);
+        Cover {
+            pairs,
+            busy,
+            idle_cells,
+        }
+    }
+
+    /// The keys of `shard` from `start` on posted under any pair of
+    /// `cover`, ascending and deduplicated.
+    pub(crate) fn candidates<'a>(
         &'a self,
+        shard: u32,
         cover: &[(&str, u64)],
         start: Bound<&K>,
-    ) -> Option<impl Iterator<Item = &'a K>> {
-        let mut heads = Vec::with_capacity(cover.len());
-        for (attr, hash) in cover {
-            let keys = self
-                .by_attr
-                .get(*attr)?
-                .get(&(hash & self.mask))
-                .map_or(&[][..], Vec::as_slice);
+    ) -> impl Iterator<Item = &'a K> {
+        let run = |(attr, hash): &(&str, u64)| {
+            let runs = self.keys(attr, *hash);
+            let at = runs.binary_search_by_key(&shard, |(s, _)| *s);
+            let keys = at.map_or(&[][..], |at| &runs[at].1[..]);
             let from = match start {
                 Bound::Unbounded => 0,
                 Bound::Included(s) => keys.partition_point(|k| k < s),
                 Bound::Excluded(s) => keys.partition_point(|k| k <= s),
             };
-            heads.push(keys[from..].iter().peekable());
-        }
-        // A merge of the sorted lists; an item carrying two pairs of the
-        // cover is posted under both and must come out once.
-        Some(std::iter::from_fn(move || {
-            let next = heads.iter_mut().filter_map(|h| h.peek().copied()).min()?;
-            for head in &mut heads {
-                if head.peek() == Some(&next) {
-                    head.next();
+            keys[from..].iter()
+        };
+        // One pair's run is the answer; more are merged. An item carrying
+        // two pairs of the cover is posted under both and comes out once.
+        let one = match cover {
+            [pair] => Some(run(pair)),
+            _ => None,
+        };
+        let merged = (one.is_none()).then(|| {
+            let mut heads: Vec<_> = cover.iter().map(|pair| run(pair).peekable()).collect();
+            std::iter::from_fn(move || {
+                let next = heads.iter_mut().filter_map(|h| h.peek().copied()).min()?;
+                for head in &mut heads {
+                    if head.peek() == Some(&next) {
+                        head.next();
+                    }
                 }
-            }
-            Some(next)
-        }))
+                Some(next)
+            })
+        });
+        one.into_iter()
+            .flatten()
+            .chain(merged.into_iter().flatten())
     }
+}
+
+/// A set of shards, each below [`MAX_SHARDS`].
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct ShardSet([u64; MAX_SHARDS / 64]);
+
+impl ShardSet {
+    fn insert(&mut self, shard: u32) {
+        self.0[shard as usize / 64] |= 1 << (shard % 64);
+    }
+
+    pub(crate) fn contains(&self, shard: usize) -> bool {
+        self.0[shard / 64] & (1 << (shard % 64)) != 0
+    }
+}
+
+/// The equality cover a posted page draws its candidates from, as
+/// [`crate::ShardMap::weigh`] weighed it: the `(attribute, value hash)`
+/// pairs, the shards that post any of them, and the most cells any other
+/// shard holds — its charge for a first page it contributes nothing to.
+#[derive(Clone, Debug)]
+pub struct Cover<'p> {
+    pub(crate) pairs: Vec<(&'p str, u64)>,
+    pub(crate) busy: ShardSet,
+    pub(crate) idle_cells: u64,
 }
 
 /// An eventually-consistent map from `K` to `V`.
@@ -312,15 +498,17 @@ impl<K: Ord + Clone, V> Postings<K, V> {
 #[derive(Clone, Debug, Default)]
 pub struct EcMap<K: Ord, V> {
     cells: BTreeMap<K, Cell<V>>,
-    postings: Postings<K, V>,
 }
+
+/// The postings a write or a sweep keeps current: a table, and the shard
+/// the map is in it.
+type PostedIn<'a, K, V> = Option<(&'a mut Postings<K, V>, u32)>;
 
 impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// An empty map.
     pub fn new() -> EcMap<K, V> {
         EcMap {
             cells: BTreeMap::new(),
-            postings: Postings::default(),
         }
     }
 
@@ -331,19 +519,32 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     }
 
     /// Applies a write with an explicit propagation schedule: replica `i`
-    /// starts serving the write at `visible_at[i]`. This is the
-    /// deterministic core of [`EcMap::write`]; tests (notably the
-    /// compaction-invariant proptest) use it to inject adversarial
-    /// schedules without going through the world RNG.
+    /// starts serving the write at `visible_at[i]` (a `Vec` of instants
+    /// converts). This is the deterministic core of [`EcMap::write`];
+    /// tests (notably the compaction-invariant proptest) use it to inject
+    /// adversarial schedules without going through the world RNG.
     pub fn write_at(
         &mut self,
         now: SimInstant,
-        visible_at: Vec<SimInstant>,
+        visible_at: impl Into<Visibility>,
         key: K,
         value: Option<V>,
     ) {
-        if let Some(state) = &value {
-            self.postings.add(&key, state);
+        self.apply(now, visible_at.into(), key, value, None);
+    }
+
+    /// [`EcMap::write_at`], keeping `postings` current when the map is a
+    /// shard of a posted map.
+    pub(crate) fn apply(
+        &mut self,
+        now: SimInstant,
+        visible_at: Visibility,
+        key: K,
+        value: Option<V>,
+        mut postings: PostedIn<'_, K, V>,
+    ) {
+        if let (Some(state), Some((table, shard))) = (&value, &mut postings) {
+            table.add(*shard, &key, state);
         }
         let write = Write { visible_at, value };
         match self.cells.entry(key) {
@@ -358,9 +559,14 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
                 let previous = std::mem::replace(&mut cell.latest, write);
                 cell.older.push(previous);
                 let cut = cell.settled_prefix(now);
-                self.postings.forget(slot.key(), slot.get(), cut);
+                if let Some((table, shard)) = &mut postings {
+                    table.forget(*shard, slot.key(), slot.get(), cut);
+                }
                 slot.get_mut().drop_oldest(cut);
             }
+        }
+        if let Some((table, shard)) = postings {
+            table.cells[shard as usize] = self.cells.len() as u64;
         }
     }
 
@@ -434,45 +640,6 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
             .filter_map(|(k, c)| c.latest.value.clone().map(|v| (k, v)))
     }
 
-    /// For each `(attribute, hash)` probe — the [`value_hash`] of the
-    /// value asked about — the number of keys posted there, written to
-    /// the same index of `counts`: an upper bound on the candidates a page
-    /// fetch covered by that pair has to check. Consecutive probes of one
-    /// attribute (the terms of a `union`) share one lookup of it. The
-    /// first probe naming an attribute builds its postings from every
-    /// cell's full history; writes keep them current from then on.
-    pub fn posting_counts(
-        &mut self,
-        values_of: ValuesOf<V>,
-        probes: &[(&str, u64)],
-        counts: &mut [usize],
-    ) {
-        let mask = self.postings.mask;
-        let mut counts = counts.iter_mut();
-        for run in probes.chunk_by(|a, b| a.0 == b.0) {
-            let attr = run[0].0;
-            let by_value = match self.postings.by_attr.get(attr) {
-                Some(by_value) => by_value,
-                None => {
-                    let mut by_value = PostedKeys::default();
-                    for (key, cell) in &self.cells {
-                        for posted in posted_hashes(cell.writes(), values_of, attr, mask) {
-                            post(&mut by_value, posted, key);
-                        }
-                    }
-                    self.postings.values_of = Some(values_of);
-                    self.postings
-                        .by_attr
-                        .entry(attr.to_string())
-                        .or_insert(by_value)
-                }
-            };
-            for ((_, hash), count) in run.iter().zip(&mut counts) {
-                *count = by_value.get(&(hash & mask)).map_or(0, Vec::len);
-            }
-        }
-    }
-
     /// Up to `limit` live entries visible on `replica`, in key order,
     /// strictly after `after` (`None` starts from the beginning). `select`
     /// sees each visible entry in place and returns the row to serve for
@@ -482,32 +649,49 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// strictly after the last key served can neither skip nor duplicate
     /// a key, no matter what was inserted or deleted between pages.
     ///
-    /// `cover` is an *equality cover* of `select`: `(attribute, value
-    /// hash)` pairs of which every entry `select` keeps carries at least
-    /// one. With a cover whose attributes all have postings (see
-    /// [`EcMap::posting_counts`]) the candidates come from the postings
-    /// instead of a walk over every cell; the result is the same either
-    /// way, because every candidate still passes through the visibility
-    /// check and `select`.
-    ///
-    /// Also returns how many cells a scan of the range examines — up to
-    /// and including the entry that filled the page, else to the end —
-    /// so callers can charge a scan cost proportional to the modelled
-    /// work, whichever way the candidates were found.
+    /// Also returns how many cells the scan examined — up to and
+    /// including the entry that filled the page, else to the end — so
+    /// callers can charge a scan cost proportional to the modelled work.
     pub fn visible_page_on<T>(
         &self,
         replica: usize,
         now: SimInstant,
         after: Option<&K>,
         limit: usize,
-        cover: Option<&[(&str, u64)]>,
         select: impl FnMut(&K, &V) -> Option<T>,
     ) -> (Vec<(K, T)>, u64) {
-        let start = match after {
-            Some(k) => Bound::Excluded(k),
-            None => Bound::Unbounded,
-        };
-        self.page(replica, now, start, limit, cover, |_| false, select)
+        let (start, none) = (after_bound(after), None::<std::iter::Empty<&K>>);
+        self.page(replica, now, start, limit, none, |_| false, select)
+    }
+
+    /// [`EcMap::visible_page_on`] over `candidates` alone: the keys after
+    /// `after`, ascending, that the postings of an *equality cover* of
+    /// `select` hold — every entry `select` keeps is among them. The
+    /// result is the scan's, because every candidate still passes
+    /// through the visibility check and `select`, and so is the examined
+    /// count: what the scan would have examined, counted over the cells.
+    pub(crate) fn posted_page_on<'c, T>(
+        &self,
+        replica: usize,
+        now: SimInstant,
+        after: Option<&K>,
+        limit: usize,
+        candidates: impl Iterator<Item = &'c K>,
+        select: impl FnMut(&K, &V) -> Option<T>,
+    ) -> (Vec<(K, T)>, u64)
+    where
+        K: 'c,
+    {
+        let start = after_bound(after);
+        self.page(
+            replica,
+            now,
+            start,
+            limit,
+            Some(candidates),
+            |_| false,
+            select,
+        )
     }
 
     /// Range-bounded form of [`EcMap::visible_page_on`], serving whole
@@ -530,26 +714,29 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         G: FnMut(&K) -> bool,
     {
         let whole = |k: &K, v: &V| pred(k, v).then(|| v.clone());
-        self.page(replica, now, start, limit, None, beyond, whole)
+        let none = None::<std::iter::Empty<&K>>;
+        self.page(replica, now, start, limit, none, beyond, whole)
     }
 
     /// The one page loop. Candidates are every cell from `start`, or —
-    /// under a posted `cover` — only the cells posted under it; what
-    /// happens to a candidate does not depend on where it came from.
-    /// (`beyond` and `cover` never meet: a posted fetch cannot tell how
-    /// many unposted cells lie before the first key `beyond` accepts.)
+    /// when `posted` — only those keys; what happens to a candidate does
+    /// not depend on where it came from. (`beyond` and `posted` never
+    /// meet: a posted fetch cannot tell how many unposted cells lie before
+    /// the first key `beyond` accepts.)
     #[allow(clippy::too_many_arguments)]
-    fn page<T>(
+    fn page<'c, T>(
         &self,
         replica: usize,
         now: SimInstant,
         start: Bound<&K>,
         limit: usize,
-        cover: Option<&[(&str, u64)]>,
+        mut posted: Option<impl Iterator<Item = &'c K>>,
         mut beyond: impl FnMut(&K) -> bool,
         mut select: impl FnMut(&K, &V) -> Option<T>,
-    ) -> (Vec<(K, T)>, u64) {
-        let mut posted = cover.and_then(|c| self.postings.candidates(c, start));
+    ) -> (Vec<(K, T)>, u64)
+    where
+        K: 'c,
+    {
         let from_postings = posted.is_some();
         let mut scan = self.cells.range::<K, _>((start, Bound::Unbounded));
         let candidates = std::iter::from_fn(|| match &mut posted {
@@ -599,23 +786,52 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
     /// Drops tombstoned keys whose deletion has reached every replica and
     /// compacts remaining history. Call opportunistically.
     pub fn gc(&mut self, now: SimInstant) {
-        let postings = &mut self.postings;
+        self.sweep(now, None);
+    }
+
+    /// [`EcMap::gc`], keeping `postings` current when the map is a shard
+    /// of a posted map.
+    pub(crate) fn sweep(&mut self, now: SimInstant, mut postings: PostedIn<'_, K, V>) {
         self.cells.retain(|key, cell| {
             let cut = cell.settled_prefix(now);
             // A cell about to be reclaimed is down to one tombstone, which
             // carries no pairs: the writes cut are everything left to unpost.
-            postings.forget(key, cell, cut);
+            if let Some((table, shard)) = &mut postings {
+                table.forget(*shard, key, cell, cut);
+            }
             cell.drop_oldest(cut);
             !cell.fully_deleted(now)
         });
+        if let Some((table, shard)) = postings {
+            table.cells[shard as usize] = self.cells.len() as u64;
+        }
     }
+}
+
+/// Where a page resuming strictly after `after` starts.
+fn after_bound<K>(after: Option<&K>) -> Bound<&K> {
+    after.map_or(Bound::Unbounded, Bound::Excluded)
 }
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
-
     use super::*;
+
+    /// Two tables are equal when they post the same keys under the same
+    /// attributes and hashes, with the same builds and cell counts.
+    impl<K: PartialEq, V> PartialEq for Postings<K, V> {
+        fn eq(&self, other: &Self) -> bool {
+            (self.attrs == other.attrs && self.built == other.built)
+                && (self.cells == other.cells && self.mask == other.mask)
+        }
+    }
+
+    impl<K, V> Postings<K, V> {
+        /// The indexed attributes, first asked about first.
+        pub(crate) fn indexed(&self) -> Vec<String> {
+            self.attrs.iter().map(|(a, _)| a.to_string()).collect()
+        }
+    }
     use crate::clock::SimDuration;
     use crate::latency::LatencyModel;
     use crate::world::{Consistency, SimConfig};
@@ -735,7 +951,7 @@ mod tests {
         let wrote_at = world.now();
         map.write(&world, "a", Some(1));
         let list = |replica, now| {
-            let (page, _) = map.visible_page_on(replica, now, None, 10, None, |_, v| Some(*v));
+            let (page, _) = map.visible_page_on(replica, now, None, 10, |_, v| Some(*v));
             page
         };
         // Before settling, a list includes "a" on the replicas the write
@@ -820,7 +1036,7 @@ mod tests {
         }
         map.write(&world, "k05".to_string(), None); // delete one
         let keys_on = |replica, now| {
-            let (page, _) = map.visible_page_on(replica, now, None, 100, None, |_, _| Some(()));
+            let (page, _) = map.visible_page_on(replica, now, None, 100, |_, _| Some(()));
             page.into_iter().map(|(k, ())| k).collect::<Vec<String>>()
         };
         // At any staleness level a key listing agrees, key for key, with
@@ -862,199 +1078,96 @@ mod tests {
         item_values(item, attr).iter().any(|p| *p.value == *value)
     }
 
-    /// A cover as the map takes it: values replaced by their hashes.
-    fn hashed<'a>(cover: &[(&'a str, &str)]) -> Vec<(&'a str, u64)> {
-        let hash = |(attr, value): &(&'a str, &str)| (*attr, value_hash(value));
-        cover.iter().map(hash).collect()
+    /// One map as the only shard of a table of postings.
+    struct Posted<K: Ord> {
+        map: EcMap<K, Item>,
+        table: Postings<K, Item>,
     }
 
-    fn count(map: &mut EcMap<impl Ord + Clone, Item>, attr: &str, value: &str) -> usize {
-        let mut count = [0];
-        map.posting_counts(item_values, &[(attr, value_hash(value))], &mut count);
-        count[0]
-    }
+    impl<K: Ord + Clone> Posted<K> {
+        fn new() -> Self {
+            Posted {
+                map: EcMap::new(),
+                table: Postings::new(1, item_values),
+            }
+        }
 
-    /// Serves whole items `pred` accepts.
-    fn whole<K>(mut pred: impl FnMut(&K, &Item) -> bool) -> impl FnMut(&K, &Item) -> Option<Item> {
-        move |k, v| pred(k, v).then(|| v.clone())
-    }
+        fn write_at(&mut self, now: SimInstant, at: Visibility, key: K, value: Option<Item>) {
+            self.map
+                .apply(now, at, key, value, Some((&mut self.table, 0)));
+        }
 
-    #[test]
-    fn unqueried_maps_keep_no_postings() {
-        let world = SimWorld::counting();
-        let mut map = EcMap::new();
-        map.write(&world, "k", Some(item(&[("a", "x")])));
-        assert!(map.postings.by_attr.is_empty());
-        // A cover over an attribute nobody asked about falls back to the scan.
-        let cover = hashed(&[("a", "x")]);
-        let now = world.now();
-        let all = whole(|_, _| true);
-        let (hits, examined) = map.visible_page_on(0, now, None, 10, Some(&cover), all);
-        assert_eq!((hits.len(), examined), (1, 1));
-        assert!(map.postings.by_attr.is_empty());
+        /// Keys posted under `attr = value`, the attribute posted first.
+        fn count(&mut self, attr: &str, value: &str) -> usize {
+            let probe = [(attr, value_hash(value))];
+            self.table.build(0, &self.map, &probe);
+            self.table.totals(&probe).expect("posted")[0]
+        }
+
+        /// The page served from the postings of `cover`, whole items.
+        fn page(
+            &self,
+            replica: usize,
+            now: SimInstant,
+            cover: &[(&str, &str)],
+            mut pred: impl FnMut(&Item) -> bool,
+        ) -> (Vec<(K, Item)>, u64) {
+            let cover: Vec<(&str, u64)> = cover.iter().map(|(a, v)| (*a, value_hash(v))).collect();
+            let candidates = self.table.candidates(0, &cover, Bound::Unbounded);
+            let whole = |_: &K, v: &Item| pred(v).then(|| v.clone());
+            self.map
+                .posted_page_on(replica, now, None, 10, candidates, whole)
+        }
     }
 
     #[test]
     fn postings_reach_an_older_write_a_lagging_replica_still_serves() {
         let t0 = SimInstant::EPOCH;
         let later = t0 + SimDuration::from_secs(10);
-        let mut map = EcMap::new();
-        map.write_at(t0, vec![t0, t0], "k", Some(item(&[("a", "x")])));
-        map.write_at(t0, vec![t0, t0], "other", Some(item(&[("a", "z")])));
-        assert_eq!(count(&mut map, "a", "x"), 1);
+        let mut posted = Posted::new();
+        posted.write_at(t0, Visibility::All(t0), "k", Some(item(&[("a", "x")])));
+        posted.write_at(t0, Visibility::All(t0), "other", Some(item(&[("a", "z")])));
+        assert_eq!(posted.count("a", "x"), 1);
         // The overwrite reaches replica 0 at once and replica 1 in 10 s.
-        map.write_at(t0, vec![t0, later], "k", Some(item(&[("a", "y")])));
-        assert_eq!(count(&mut map, "a", "x"), 1);
-        assert_eq!(count(&mut map, "a", "y"), 1);
+        let lagging = Visibility::Each(vec![t0, later]);
+        posted.write_at(t0, lagging, "k", Some(item(&[("a", "y")])));
+        assert_eq!(posted.count("a", "x"), 1);
+        assert_eq!(posted.count("a", "y"), 1);
 
-        let cover = hashed(&[("a", "x")]);
-        let is_x = |_: &&str, v: &Item| carries(v, "a", "x");
+        let is_x = |v: &Item| carries(v, "a", "x");
         // Replica 1 still serves a=x, though the newest write says a=y.
-        let (hits, examined) = map.visible_page_on(1, t0, None, 10, Some(&cover), whole(is_x));
+        let (hits, examined) = posted.page(1, t0, &[("a", "x")], is_x);
         assert_eq!(hits, vec![("k", item(&[("a", "x")]))]);
         assert_eq!(examined, 2, "charged as the scan of both cells");
         // Replica 0 has moved on: the candidate fails the re-check.
-        let (hits, _) = map.visible_page_on(0, t0, None, 10, Some(&cover), whole(is_x));
+        let (hits, _) = posted.page(0, t0, &[("a", "x")], is_x);
         assert!(hits.is_empty());
 
         // Once every replica serves a=y the old write compacts away, and
         // with it the last reason to post `k` under a=x.
-        map.gc(later);
-        assert_eq!(count(&mut map, "a", "x"), 0);
-        assert_eq!(count(&mut map, "a", "y"), 1);
+        posted.map.sweep(later, Some((&mut posted.table, 0)));
+        assert_eq!(posted.count("a", "x"), 0);
+        assert_eq!(posted.count("a", "y"), 1);
     }
 
     #[test]
     fn a_collision_inflates_the_count_but_not_the_page() {
-        let world = SimWorld::counting();
-        let mut map = EcMap::new();
-        map.postings.mask = 0; // every value of an attribute shares one key list
+        let now = SimInstant::EPOCH;
+        let mut posted = Posted::new();
+        posted.table.mask = 0; // every value of an attribute shares one key list
         for k in 0..9u64 {
             let value = ["x", "y", "z"][k as usize % 3];
-            map.write(&world, k, Some(item(&[("a", value)])));
+            posted.write_at(now, Visibility::All(now), k, Some(item(&[("a", value)])));
         }
-        assert_eq!(count(&mut map, "a", "x"), 9, "an upper bound: 3 carry a=x");
-        assert_eq!(count(&mut map, "a", "nobody-has-this-value"), 9);
-        let cover = hashed(&[("a", "x")]);
-        let is_x = whole(|_: &u64, v: &Item| carries(v, "a", "x"));
-        let (hits, examined) = map.visible_page_on(0, world.now(), None, 10, Some(&cover), is_x);
+        assert_eq!(posted.count("a", "x"), 9, "an upper bound: 3 carry a=x");
+        assert_eq!(posted.count("a", "nobody-has-this-value"), 9);
+        let is_x = |v: &Item| carries(v, "a", "x");
+        let (hits, examined) = posted.page(0, now, &[("a", "x")], is_x);
         let keys: Vec<u64> = hits.into_iter().map(|(k, _)| k).collect();
         assert_eq!((keys, examined), (vec![0, 3, 6], 9));
         // Overwriting a=x with a=y drops a pair whose hash a kept one
         // still lands on: the key must stay posted there.
-        map.write(&world, 0, Some(item(&[("a", "y")])));
-        assert_eq!(count(&mut map, "a", "y"), 9);
-    }
-
-    /// The covers the proptest probes with; every `pred` it pairs them
-    /// with implies "carries one of these pairs".
-    const COVERS: &[&[(&str, &str)]] = &[
-        &[("a", "x")],
-        &[("a", "x"), ("a", "y")],
-        &[("b", "p")],
-        &[("a", "y"), ("b", "q")],
-        &[("a", "nobody-has-this-value")],
-        &[("c", "nobody-has-this-attribute")],
-        &[("a", "x"), ("a", "x")],
-    ];
-
-    /// Index-fed and scan-fed fetches of one map must agree on entries
-    /// *and* on the examined count, and the postings must be exactly
-    /// what a rebuild from the surviving histories would give.
-    fn check_postings(
-        map: &mut EcMap<u64, Item>,
-        now: SimInstant,
-        (replica, cursor, limit, shape): (usize, u64, usize, usize),
-    ) -> Result<(), proptest::test_runner::TestCaseError> {
-        let cover = COVERS[shape % COVERS.len()];
-        let mut true_counts = Vec::new();
-        for (attr, value) in cover {
-            let carrying = map.cells.values().filter(|c| {
-                let mut states = c.writes().filter_map(|w| w.value.as_ref());
-                states.any(|v| carries(v, attr, value))
-            });
-            true_counts.push(carrying.count());
-        }
-        for ((attr, value), carrying) in cover.iter().zip(true_counts) {
-            prop_assert!(count(map, attr, value) >= carrying);
-        }
-        let hashes = hashed(cover);
-        prop_assert!(map.postings.candidates(&hashes, Bound::Unbounded).is_some());
-        let after = (cursor < 12).then_some(cursor);
-        let pred = |_: &u64, v: &Item| {
-            cover.iter().any(|(attr, value)| carries(v, attr, value))
-                && (limit % 2 == 0 || carries(v, "b", "p"))
-        };
-        let (after, cover) = (after.as_ref(), Some(&hashes[..]));
-        let posted = map.visible_page_on(replica, now, after, limit, cover, whole(pred));
-        let scanned = map.visible_page_on(replica, now, after, limit, None, whole(pred));
-        prop_assert_eq!(posted, scanned);
-
-        let mut rebuilt = map.clone();
-        rebuilt.postings.by_attr.clear();
-        for attr in map.postings.by_attr.keys() {
-            rebuilt.posting_counts(item_values, &[(attr, 0)], &mut [0]);
-        }
-        prop_assert_eq!(&rebuilt.postings.by_attr, &map.postings.by_attr);
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn posted_fetch_equals_scanned_fetch(
-            ops in proptest::collection::vec(
-                (
-                    (0u64..12, 0u8..7, 0u8..8),
-                    (0u64..5_000, 0u64..5_000, 0u64..5_000),
-                    (0usize..3, 0u64..14, 1usize..6, 0usize..7),
-                ),
-                1..60,
-            ),
-        ) {
-            // Once as deployed, once with the hash cut to two bits — two
-            // on which `x`, `y` and the value nobody has all agree — so
-            // nearly every probe lands on a list other values share.
-            for mask in [u64::MAX, 0x84] {
-                run_ops(&ops, mask)?;
-            }
-        }
-    }
-
-    type Op = ((u64, u8, u8), (u64, u64, u64), (usize, u64, usize, usize));
-
-    fn run_ops(ops: &[Op], mask: u64) -> Result<(), proptest::test_runner::TestCaseError> {
-        let ms = SimDuration::from_millis;
-        let mut now = SimInstant::EPOCH;
-        let mut map: EcMap<u64, Item> = EcMap::new();
-        map.postings.mask = mask;
-        for &((key, kind, bits), (l0, l1, l2), probe) in ops {
-            // Adversarial, even out-of-order, propagation: an older
-            // write can outlive a newer one on some replica.
-            let visible_at = vec![now + ms(l0), now + ms(l1), now + ms(l2)];
-            match kind {
-                0..=3 => {
-                    let mut pairs = vec![("b", if bits & 4 == 0 { "p" } else { "q" })];
-                    for (bit, value) in [(1, "x"), (2, "y")] {
-                        if bits & bit != 0 {
-                            pairs.push(("a", value));
-                        }
-                    }
-                    map.write_at(now, visible_at, key, Some(item(&pairs)));
-                }
-                4 => map.write_at(now, visible_at, key, None),
-                _ => {
-                    now += ms(l0);
-                    map.gc(now);
-                }
-            }
-            // Skipping some probes varies how much history exists
-            // when an attribute's postings are first built.
-            if l2 % 3 != 0 {
-                check_postings(&mut map, now, probe)?;
-            }
-        }
-        Ok(())
+        posted.write_at(now, Visibility::All(now), 0, Some(item(&[("a", "y")])));
+        assert_eq!(posted.count("a", "y"), 9);
     }
 }

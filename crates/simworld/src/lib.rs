@@ -57,7 +57,7 @@ mod world;
 
 pub use blob::{Blob, Chunks, CHUNK};
 pub use clock::{SimDuration, SimInstant};
-pub use ecstore::{value_hash, EcMap, Pair, ValuesOf};
+pub use ecstore::{value_hash, Cover, EcMap, Pair, ValuesOf, Visibility};
 pub use faults::{CrashSite, Crashed, FaultPlan};
 pub use hash::{fnv1a_64, splitmix64, Fnv1a};
 pub use latency::{Cost, LatencyModel, ServiceLatency};
@@ -68,6 +68,6 @@ pub use metering::{
 };
 pub use samples::LatencySample;
 pub use shardmap::{
-    clamp_shards, ring_position, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
+    clamp_shards, ring_position, Cells, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
 };
 pub use world::{Charge, Consistency, PipelineStats, SimConfig, SimWorld};

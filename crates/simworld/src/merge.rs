@@ -20,6 +20,10 @@
 /// unexhausted shard's fetch horizon — no shard can still produce a
 /// smaller key, because shards hold disjoint key sets.
 ///
+/// A shard `skip` accepts is known to hold nothing after `after`: it is
+/// taken as exhausted without a fetch, having examined nothing, and still
+/// counts towards the shares of the first round.
+///
 /// Returns `(page, more, scanned)`: the first `page_size` merged
 /// entries, whether more entries remain past the page, and the cells
 /// the busiest shard examined (shards scan in parallel, so the busiest
@@ -28,6 +32,7 @@ pub fn merged_shard_page<K, V, F>(
     shard_count: usize,
     after: Option<K>,
     page_size: usize,
+    skip: impl Fn(usize) -> bool,
     mut fetch: F,
 ) -> (Vec<(K, V)>, bool, u64)
 where
@@ -39,7 +44,8 @@ where
     // nothing yet, so it resumes after `after`), whether it is
     // exhausted, and the cells it examined. Entries are only ever
     // appended to the pool, so an index stays valid while the merge runs.
-    let mut cursors: Vec<(Option<usize>, bool, u64)> = vec![(None, false, 0); shard_count];
+    let cursors = (0..shard_count).map(|i| (None, skip(i), 0));
+    let mut cursors: Vec<(Option<usize>, bool, u64)> = cursors.collect();
     let mut pool: Vec<(K, V)> = Vec::new();
     let mut quota = need.div_ceil(shard_count).max(1);
     // First round: every shard contributes its proportional share.
@@ -127,7 +133,7 @@ mod tests {
         let mut after = None;
         let mut walked = Vec::new();
         loop {
-            let (page, more, _) = merged_shard_page(7, after, 9, fetch_from(&shards));
+            let (page, more, _) = merged_shard_page(7, after, 9, |_| false, fetch_from(&shards));
             walked.extend(page.iter().map(|(k, _)| *k));
             if !more {
                 break;
@@ -140,7 +146,7 @@ mod tests {
     #[test]
     fn single_shard_degenerates_to_plain_pagination() {
         let shards = shards_of(10, 1);
-        let (page, more, scanned) = merged_shard_page(1, None, 4, fetch_from(&shards));
+        let (page, more, scanned) = merged_shard_page(1, None, 4, |_| false, fetch_from(&shards));
         assert_eq!(
             page.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
             [0, 1, 2, 3]
@@ -152,7 +158,7 @@ mod tests {
     #[test]
     fn empty_shards_produce_an_empty_final_page() {
         let shards = shards_of(0, 4);
-        let (page, more, scanned) = merged_shard_page(4, None, 5, fetch_from(&shards));
+        let (page, more, scanned) = merged_shard_page(4, None, 5, |_| false, fetch_from(&shards));
         assert!(page.is_empty());
         assert!(!more);
         assert_eq!(scanned, 0);
@@ -164,7 +170,7 @@ mod tests {
         // whole scan, as a skewed layout deserves.
         let mut shards = vec![Vec::new(); 4];
         shards[2] = (0..20).collect();
-        let (page, more, scanned) = merged_shard_page(4, None, 6, fetch_from(&shards));
+        let (page, more, scanned) = merged_shard_page(4, None, 6, |_| false, fetch_from(&shards));
         assert_eq!(page.len(), 6);
         assert!(more);
         assert!(scanned >= 7);

@@ -220,10 +220,8 @@ impl ServiceMeter {
 /// use simworld::{MeterBook, Service};
 ///
 /// let mut book = MeterBook::new();
-/// book.record_shard_touch(Service::SimpleDb, 0);
-/// book.record_shard_touch(Service::SimpleDb, 0);
-/// book.record_shard_touch(Service::SimpleDb, 1);
-/// book.record_shard_touch(Service::SimpleDb, 3);
+/// book.record_shard_touches(Service::SimpleDb, &[0, 1, 3]);
+/// book.record_shard_touches(Service::SimpleDb, &[0]);
 /// let skew = book.snapshot().shard_imbalance(Service::SimpleDb, 4);
 /// assert_eq!(skew.total_ops, 4);
 /// assert_eq!(skew.max_ops, 2);
@@ -304,15 +302,19 @@ impl MeterBook {
             .or_insert(0) += entries;
     }
 
-    /// Records that an operation touched `shard` of `service`'s storage.
-    /// Point ops report their single shard; fan-out queries report every
-    /// shard they read.
-    pub fn record_shard_touch(&mut self, service: Service, shard: u32) {
-        *self
-            .service_mut(service)
-            .shard_ops
-            .entry(shard)
-            .or_insert(0) += 1;
+    /// Records that an operation touched each of `shards` of `service`'s
+    /// storage. Point ops report their single shard; fan-out queries
+    /// report every shard they read — all the shards counted so far, in
+    /// order, once the first fan-out has run, so that case takes one walk.
+    pub fn record_shard_touches(&mut self, service: Service, shards: &[u32]) {
+        let ops = &mut self.service_mut(service).shard_ops;
+        if shards.len() == ops.len() && shards.iter().eq(ops.keys()) {
+            ops.values_mut().for_each(|n| *n += 1);
+            return;
+        }
+        for &shard in shards {
+            *ops.entry(shard).or_insert(0) += 1;
+        }
     }
 
     /// Adjusts the stored-bytes gauge for `service` by `delta`.
@@ -569,17 +571,24 @@ mod tests {
     #[test]
     fn shard_touches_accumulate_and_subtract() {
         let mut book = MeterBook::new();
-        book.record_shard_touch(Service::SimpleDb, 0);
-        book.record_shard_touch(Service::SimpleDb, 3);
-        book.record_shard_touch(Service::SimpleDb, 3);
+        book.record_shard_touches(Service::SimpleDb, &[0, 3]);
+        book.record_shard_touches(Service::SimpleDb, &[3]);
         let mid = book.snapshot();
         assert_eq!(mid.shard_op_count(Service::SimpleDb, 3), 2);
         assert_eq!(mid.shard_op_count(Service::SimpleDb, 1), 0);
         assert_eq!(mid.shard_op_count(Service::S3, 0), 0);
-        book.record_shard_touch(Service::SimpleDb, 3);
+        book.record_shard_touches(Service::SimpleDb, &[3]);
         let phase = book.snapshot() - mid;
         assert_eq!(phase.shard_op_count(Service::SimpleDb, 3), 1);
         assert_eq!(phase.shard_op_count(Service::SimpleDb, 0), 0);
+        // A fan-out over exactly the shards counted so far, and one over
+        // more of them, count as the touches one by one would.
+        book.record_shard_touches(Service::SimpleDb, &[0, 3]);
+        book.record_shard_touches(Service::SimpleDb, &[0, 1, 3]);
+        let counts: Vec<u64> = (0..4)
+            .map(|s| book.snapshot().shard_op_count(Service::SimpleDb, s))
+            .collect();
+        assert_eq!(counts, [3, 1, 0, 5]);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::clock::{SimDuration, SimInstant};
+use crate::ecstore::Visibility;
 use crate::faults::{CrashSite, Crashed, FaultPlan};
 use crate::latency::{Cost, LatencyModel};
 use crate::metering::{MeterBook, MeterSnapshot, Op, Service};
@@ -388,9 +389,7 @@ impl SimWorld {
             .sample(c.op, c.bytes_in + c.bytes_out, c.cost, draw);
         st.issue(c.op, latency, c.order_key);
         let service = c.op.service();
-        for &shard in c.shards {
-            st.meters.record_shard_touch(service, shard);
-        }
+        st.meters.record_shard_touches(service, c.shards);
         st.meters.adjust_stored(service, c.stored_delta);
     }
 
@@ -489,31 +488,29 @@ impl SimWorld {
         self.inner.lock().meters.snapshot()
     }
 
-    /// Samples per-replica visibility instants for a write performed now.
+    /// Samples when each replica starts serving a write performed now.
     ///
-    /// Index `i` is when replica `i` will serve the write. Under
-    /// [`Consistency::Strong`] every entry is `now`. Under eventual
-    /// consistency one randomly chosen replica (the one that accepted the
-    /// write) serves it immediately; the rest lag by an independent
-    /// uniform delay.
-    pub fn sample_visibility(&self) -> Vec<SimInstant> {
+    /// Under [`Consistency::Strong`] every replica serves it at once:
+    /// one instant, `now`, and no draw. Under eventual consistency one
+    /// randomly chosen replica (the one that accepted the write) serves
+    /// it immediately; the rest lag by an independent uniform delay.
+    pub fn sample_visibility(&self) -> Visibility {
         let mut st = self.inner.lock();
         let now = st.now;
         let replicas = st.config.replicas.max(1);
         match st.config.consistency {
-            Consistency::Strong => vec![now; replicas],
+            Consistency::Strong => Visibility::All(now),
             Consistency::Eventual { max_lag } => {
                 let primary = st.rng.gen_range(0..replicas);
-                (0..replicas)
-                    .map(|r| {
-                        if r == primary {
-                            now
-                        } else {
-                            let lag = st.rng.gen_range(0..=max_lag.as_micros());
-                            now + SimDuration::from_micros(lag)
-                        }
-                    })
-                    .collect()
+                let at = (0..replicas).map(|r| {
+                    if r == primary {
+                        now
+                    } else {
+                        let lag = st.rng.gen_range(0..=max_lag.as_micros());
+                        now + SimDuration::from_micros(lag)
+                    }
+                });
+                Visibility::Each(at.collect())
             }
         }
     }
@@ -525,12 +522,13 @@ impl SimWorld {
         st.rng.gen_range(0..replicas)
     }
 
-    /// Samples `n` independent read replicas under one lock acquisition
-    /// — one per shard of a fan-out scan.
-    pub fn sample_read_replicas(&self, n: usize) -> Vec<usize> {
+    /// Samples one independent read replica per id of `ids`, in order,
+    /// under one lock acquisition — one per shard of a fan-out scan.
+    pub fn sample_read_replicas(&self, ids: &[u32]) -> Vec<(u32, usize)> {
         let mut st = self.inner.lock();
         let replicas = st.config.replicas.max(1);
-        (0..n).map(|_| st.rng.gen_range(0..replicas)).collect()
+        let draw = |id: &u32| (*id, st.rng.gen_range(0..replicas));
+        ids.iter().map(draw).collect()
     }
 
     /// Declares a protocol step boundary; returns `Err` if a test armed a
@@ -623,9 +621,7 @@ mod tests {
             replicas: 4,
             ..SimConfig::default()
         });
-        let vis = w.sample_visibility();
-        assert_eq!(vis.len(), 4);
-        assert!(vis.iter().all(|t| *t == w.now()));
+        assert_eq!(w.sample_visibility(), Visibility::All(w.now()));
     }
 
     #[test]
@@ -637,7 +633,9 @@ mod tests {
             ..SimConfig::default()
         });
         let now = w.now();
-        let vis = w.sample_visibility();
+        let Visibility::Each(vis) = w.sample_visibility() else {
+            panic!("an eventual write reaches its replicas one by one");
+        };
         assert_eq!(vis.len(), 5);
         assert!(vis.contains(&now), "primary replica is immediate");
         assert!(vis.iter().all(|t| *t <= now + SimDuration::from_secs(10)));
