@@ -279,7 +279,10 @@ pub fn shard_skew(shards: usize, ops: usize, keys: usize, theta: Option<f64>) ->
             &[ReplaceableAttribute::replace("v", i.to_string())],
         )?;
     }
-    let imb = world.meters().shard_imbalance(Service::SimpleDb, shards);
+    let meters = world.meters();
+    let touches = &meters.service(Service::SimpleDb).shard_ops;
+    let max_shard_ops = touches.values().copied().max().unwrap_or(0);
+    let mean_shard_ops = touches.values().sum::<u64>() as f64 / shards as f64;
     Ok(SkewRow {
         label: match theta {
             Some(t) => format!("zipf({t})"),
@@ -287,9 +290,9 @@ pub fn shard_skew(shards: usize, ops: usize, keys: usize, theta: Option<f64>) ->
         },
         shards,
         ops: ops as u64,
-        max_shard_ops: imb.max_ops,
-        mean_shard_ops: imb.mean_ops(),
-        imbalance: imb.imbalance(),
+        max_shard_ops,
+        mean_shard_ops,
+        imbalance: max_shard_ops as f64 / mean_shard_ops,
     })
 }
 

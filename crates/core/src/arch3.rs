@@ -35,7 +35,6 @@ use crate::layout::{
 };
 use crate::query::{ProvQuery, QueryAnswer};
 use crate::readpath::consistency_md5;
-use crate::retry::RetryPolicy;
 use crate::serialize::encode_records;
 use crate::serve::{ServeParts, Serveable};
 use crate::store::{ProvenanceStore, ReadOutcome, RecoveryReport};
@@ -86,11 +85,6 @@ pub const D3_MID_INDEX_PUT: CrashSite = CrashSite::new("daemon3.mid_index_put");
 /// Tunables for [`S3SimpleDbSqs`].
 #[derive(Copy, Clone, Debug)]
 pub struct Arch3Config {
-    /// Read retry policy.
-    pub retry: RetryPolicy,
-    /// Include the nonce in the hash (ablation: without it, overwriting
-    /// a file with identical content is undetectable).
-    pub use_nonce: bool,
     /// The commit daemon runs its commit phase once
     /// `ApproximateNumberOfMessages` exceeds this (§4.3).
     pub commit_threshold: usize,
@@ -111,8 +105,6 @@ pub struct Arch3Config {
 impl Default for Arch3Config {
     fn default() -> Self {
         Arch3Config {
-            retry: RetryPolicy::default(),
-            use_nonce: true,
             commit_threshold: 8,
             daemon_depth: None,
             closure: ClosureMode::Off,
@@ -122,12 +114,11 @@ impl Default for Arch3Config {
 
 impl Arch3Config {
     /// The values §4.3 shares with §4.2: the configuration of the S3 +
-    /// SimpleDB side.
+    /// SimpleDB side, whose read retries and nonce keep §4.2's defaults.
     fn store_side(&self) -> Arch2Config {
         Arch2Config {
-            retry: self.retry,
-            use_nonce: self.use_nonce,
             closure: self.closure,
+            ..Default::default()
         }
     }
 }

@@ -2,14 +2,13 @@
 //!
 //! # Sharded storage layout
 //!
-//! Each bucket is a [`simworld::ShardMap`]: a fixed, **range-routed**
-//! set of shards, each owning a contiguous span of the 64-bit key-hash
-//! ring and sitting behind its own lock (default [`DEFAULT_SHARDS`]
-//! shards, configurable via [`S3::with_shards`]). Point operations
-//! (PUT/GET/HEAD/COPY/DELETE) contend only for one shard while LIST fans
-//! out across all shards and merges the per-shard key pages in
-//! lexicographic order — the same shared layer the sharded SimpleDB
-//! simulator routes through.
+//! Each bucket is a [`simworld::ShardMap`]: a fixed set of shards, an
+//! object living on shard `fnv1a_64(key) % n`, each shard behind its
+//! own lock (default [`DEFAULT_SHARDS`] shards, configurable via
+//! [`S3::with_shards`]). Point operations (PUT/GET/HEAD/COPY/DELETE)
+//! contend only for one shard while LIST fans out across all shards and
+//! merges the per-shard key pages in lexicographic order — the same
+//! shared layer the sharded SimpleDB simulator routes through.
 //!
 //! Shard-count requests are validated by the one shared rule
 //! ([`simworld::clamp_shards`], identical in SimpleDB): `with_shards(0)`
@@ -18,14 +17,14 @@
 //!
 //! # LIST consistency
 //!
-//! A LIST pins **one replica per shard, keyed by stable shard id**, for
-//! the whole call: the key listing and the per-key sizes come from the
-//! same per-shard view, so a key counted toward the page cap can never
-//! vanish from the page. [`S3::list_all`] pins the replicas once for its
-//! *entire* internal pagination walk, so a marker-based scan is one
-//! coherent view per shard — a stale replica sampled mid-walk can no
-//! longer hide keys an earlier page's replica had already promised, so
-//! the walk neither skips nor duplicates a key.
+//! A LIST pins **one replica per shard** for the whole call: the key
+//! listing and the per-key sizes come from the same per-shard view, so
+//! a key counted toward the page cap can never vanish from the page.
+//! [`S3::list_all`] pins the replicas once for its *entire* internal
+//! pagination walk, so a marker-based scan is one coherent view per
+//! shard — a stale replica sampled mid-walk can no longer hide keys an
+//! earlier page's replica had already promised, so the walk neither
+//! skips nor duplicates a key.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -182,12 +181,6 @@ impl S3 {
     /// Hash shards per bucket on this endpoint (post-clamp).
     pub fn shard_count(&self) -> usize {
         self.buckets.shards()
-    }
-
-    /// Stable ids of `bucket`'s shards in hash-range order, or `None`
-    /// for an unknown bucket. Unbilled.
-    pub fn bucket_shard_ids(&self, bucket: &str) -> Option<Vec<u32>> {
-        Some(self.buckets.get(bucket)?.shard_ids())
     }
 
     /// Creates a bucket.
@@ -479,7 +472,7 @@ impl S3 {
         let bkt = self.bucket(bucket)?;
 
         // Group keys per shard; every touched shard's lock is taken
-        // exactly once, in ascending id order (deadlock-free against
+        // exactly once, in ascending shard order (deadlock-free against
         // concurrent batches).
         let mut by_shard: BTreeMap<u32, Vec<&String>> = BTreeMap::new();
         for key in keys {
@@ -544,10 +537,9 @@ impl S3 {
 
     /// Lists *every* key with `prefix`, driving pagination internally.
     /// Each page is a billed LIST op. One replica per shard is pinned
-    /// for the **whole walk**, keyed by stable shard id, so the result
-    /// is a coherent per-shard view: a fresh (possibly stale) replica
-    /// sampled mid-walk can no longer hide keys that an earlier page
-    /// counted toward its cap.
+    /// for the **whole walk**, so the result is a coherent per-shard
+    /// view: a fresh (possibly stale) replica sampled mid-walk can no
+    /// longer hide keys that an earlier page counted toward its cap.
     ///
     /// # Errors
     ///
@@ -603,7 +595,7 @@ impl S3 {
                 };
                 bkt.with_cells_at(i, |map| {
                     map.visible_page_from(
-                        bkt.pinned_replica(pin, i),
+                        pin.get(i),
                         now,
                         start,
                         quota,
@@ -629,7 +621,7 @@ impl S3 {
         // deterministic virtual-time LIST speedup.
         self.world.charge(Charge {
             cost: Cost::Scan { rows: scanned },
-            shards: bkt.sorted_ids(),
+            shards: bkt.ids(),
             ..Charge::point(Op::S3List, 0, bytes_out)
         });
         Listing {

@@ -2,19 +2,20 @@
 //!
 //! # Sharded storage layout
 //!
-//! Each domain is a [`simworld::ShardMap`]: a fixed, **range-routed**
-//! set of shards, each owning a contiguous span of the 64-bit key-hash
-//! ring and sitting behind its own lock (default [`DEFAULT_SHARDS`]
-//! shards, configurable via [`SimpleDb::with_shards`]). Point operations
-//! (`PutAttributes`/`GetAttributes`/`DeleteAttributes`) contend only for
-//! one shard. `Query` merges per-shard results in item-name order: an
-//! expression with `=` terms *weighs* the domain's one attribute posting
-//! table — one probe per term, covering every shard — then *fetches*
-//! only where the chosen cover has something posted; anything else
-//! scans every shard. Shards are visited one at a time, never under a
-//! cross-shard snapshot, and the weigh reads the table at one point: an
-//! item a concurrent writer lands after the weigh can miss the page
-//! being served, exactly as it could land behind a scan's cursor.
+//! Each domain is a [`simworld::ShardMap`]: a fixed set of shards, an
+//! item living on shard `fnv1a_64(name) % n`, each shard behind its own
+//! lock (default [`DEFAULT_SHARDS`] shards, configurable via
+//! [`SimpleDb::with_shards`]). Point operations
+//! (`PutAttributes`/`GetAttributes`/`DeleteAttributes`) contend only
+//! for one shard. `Query` merges per-shard results in item-name order:
+//! an expression with `=` terms *weighs* the domain's one attribute
+//! posting table — one probe per term, covering every shard — then
+//! *fetches* only where the chosen cover has something posted; anything
+//! else scans every shard. Shards are visited one at a time, never
+//! under a cross-shard snapshot, and the weigh reads the table at one
+//! point: an item a concurrent writer lands after the weigh can miss
+//! the page being served, exactly as it could land behind a scan's
+//! cursor.
 //!
 //! Shard-count requests are validated by the one shared rule
 //! ([`simworld::clamp_shards`], identical in S3): `with_shards(0)` is
@@ -23,16 +24,16 @@
 //!
 //! # Shard-aware pagination tokens
 //!
-//! A `next_token` encodes one **pinned replica per shard, keyed by
-//! stable shard id**, and the last item name served. Pinning replicas
-//! means every page of one logical scan reads the same replica view per
-//! shard (the single-replica contract of one `EcMap::visible_page_on`
-//! call, stretched across pages). A token is accepted only by a domain
-//! whose shard ids are exactly the ids it pins; a token minted on another
-//! layout is [`SdbError::InvalidNextToken`]. Every page is in item-name
-//! order and resumes strictly after the name in its token, so a paginated
-//! scan neither skips nor duplicates an item no matter what is inserted
-//! or deleted between pages.
+//! A `next_token` encodes one **pinned replica per shard** and the last
+//! item name served. Pinning replicas means every page of one logical
+//! scan reads the same replica view per shard (the single-replica
+//! contract of one `EcMap::visible_page_on` call, stretched across
+//! pages). A token is accepted only by a domain with as many shards as
+//! it pins, each pinned once; a token minted on another layout is
+//! [`SdbError::InvalidNextToken`]. Every page is in item-name order and
+//! resumes strictly after the name in its token, so a paginated scan
+//! neither skips nor duplicates an item no matter what is inserted or
+//! deleted between pages.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -155,12 +156,6 @@ impl SimpleDb {
     /// Hash shards per domain on this endpoint (post-clamp).
     pub fn shard_count(&self) -> usize {
         self.domains.shards()
-    }
-
-    /// Stable ids of `domain`'s shards in hash-range order, or `None`
-    /// for an unknown domain. Unbilled.
-    pub fn domain_shard_ids(&self, domain: &str) -> Option<Vec<u32>> {
-        Some(self.domains.get(domain)?.shard_ids())
     }
 
     /// Creates a domain. Idempotent, as in the real service.
@@ -388,7 +383,7 @@ impl SimpleDb {
             .map(|n| n.len() as u64 + ITEM_ENTRY_OVERHEAD)
             .sum();
         let request = expression.map_or(0, str::len);
-        self.charge_scan(Op::SdbQuery, request, bytes, scanned, dom.sorted_ids());
+        self.charge_scan(Op::SdbQuery, request, bytes, scanned, dom.ids());
         Ok(QueryResult {
             item_names,
             next_token: next,
@@ -422,7 +417,7 @@ impl SimpleDb {
             request,
             bytes,
             scanned,
-            dom.sorted_ids(),
+            dom.ids(),
         );
         Ok(QueryWithAttributesResult {
             items,
@@ -462,7 +457,7 @@ impl SimpleDb {
     /// property validators only.
     pub fn domain_cell_count(&self, domain: &str) -> Option<usize> {
         let dom = self.domains.get(domain)?;
-        let cells = |pos| dom.with_cells_at(pos, |map| map.cell_count());
+        let cells = |shard| dom.with_cells_at(shard, |map| map.cell_count());
         Some((0..dom.shard_count()).map(cells).sum())
     }
 
@@ -655,69 +650,67 @@ fn check_batch_shape(items: &[(String, Vec<ReplaceableAttribute>)]) -> Result<()
 
 // --- shard-aware pagination tokens ---
 
-/// A decoded `next_token`: one pinned replica per stable shard id plus
-/// the name to resume after.
+/// A decoded `next_token`: one pinned replica per shard plus the name to
+/// resume after.
 #[derive(Clone, PartialEq, Eq, Debug)]
 struct PageToken {
-    /// Replica pinned per shard id at the scan's first page.
+    /// Replica pinned per shard at the scan's first page.
     pin: ReplicaPin,
     /// The next page starts strictly after this item name.
     after: String,
 }
 
 impl PageToken {
-    /// Wire format: `s<pins>;p<id:r.id:r...>;a<hex(name)>`. Pins are
-    /// keyed by stable shard id (ascending). The item name is hex-encoded
-    /// so the token survives any byte the 1 KB item-name budget allows.
+    /// Wire format: `s<pins>;p<shard:r.shard:r...>;a<hex(name)>`, the
+    /// shards ascending. The item name is hex-encoded so the token
+    /// survives any byte the 1 KB item-name budget allows.
     fn encode(&self) -> String {
-        let pins = self
-            .pin
+        let replicas = self.pin.replicas();
+        let pins = replicas
             .iter()
-            .map(|(id, r)| format!("{id}:{r}"))
+            .enumerate()
+            .map(|(shard, r)| format!("{shard}:{r}"))
             .collect::<Vec<_>>()
             .join(".");
         let after = hex_encode(&self.after);
-        format!("s{};p{};a{}", self.pin.len(), pins, after)
+        format!("s{};p{};a{}", replicas.len(), pins, after)
     }
 
-    fn decode(token: &str) -> Option<PageToken> {
+    /// Decodes a token minted on a map of `shards` shards in a world of
+    /// `replicas` replicas: its count is `shards`, it pins every shard
+    /// exactly once, in any order, and each replica exists.
+    fn decode(token: &str, shards: usize, replicas: usize) -> Option<PageToken> {
         let rest = token.strip_prefix('s')?;
         let (count, rest) = rest.split_once(';')?;
-        let count: usize = count.parse().ok()?;
-        let rest = rest.strip_prefix('p')?;
-        let (pins, cursor) = rest.split_once(';')?;
-        let mut pin = ReplicaPin::new();
-        if !pins.is_empty() {
-            for entry in pins.split('.') {
-                let (id, r) = entry.split_once(':')?;
-                let id: u32 = id.parse().ok()?;
-                if pin.get(id).is_some() {
-                    return None; // duplicate shard id
-                }
-                pin.insert(id, r.parse::<usize>().ok()?);
-            }
-        }
-        if pin.len() != count {
+        if count.parse::<usize>().ok()? != shards {
             return None;
         }
+        let rest = rest.strip_prefix('p')?;
+        let (pins, cursor) = rest.split_once(';')?;
+        let mut pinned: Vec<Option<usize>> = vec![None; shards];
+        for entry in pins.split('.') {
+            let (shard, r) = entry.split_once(':')?;
+            let slot = pinned.get_mut(shard.parse::<usize>().ok()?)?;
+            let r = r.parse::<usize>().ok().filter(|&r| r < replicas)?;
+            if slot.replace(r).is_some() {
+                return None; // duplicate shard
+            }
+        }
+        let pin = ReplicaPin::new(pinned.into_iter().collect::<Option<_>>()?);
         let after = hex_decode(cursor.strip_prefix('a')?)?;
         Some(PageToken { pin, after })
     }
 }
 
 /// Decodes and validates a client token against the domain's shard
-/// layout and the world's replica count: the pinned ids must be exactly
-/// the domain's shard ids, and every pinned replica must exist.
+/// count and the world's replica count ([`PageToken::decode`]).
 fn decode_token(token: Option<&str>, dom: &Domain, world: &SimWorld) -> Result<Option<PageToken>> {
     let Some(token) = token else {
         return Ok(None);
     };
-    let parsed = PageToken::decode(token).ok_or(SdbError::InvalidNextToken)?;
-    let replica_bound = world.replicas().max(1);
-    if parsed.pin.iter().any(|(_, r)| r >= replica_bound) || !dom.pin_matches(&parsed.pin) {
-        return Err(SdbError::InvalidNextToken);
-    }
-    Ok(Some(parsed))
+    let replicas = world.replicas().max(1);
+    let parsed = PageToken::decode(token, dom.shard_count(), replicas);
+    parsed.map(Some).ok_or(SdbError::InvalidNextToken)
 }
 
 fn hex_encode(s: &str) -> String {

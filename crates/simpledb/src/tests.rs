@@ -588,6 +588,48 @@ fn token_from_a_different_shard_layout_is_rejected() {
             "token {token} on {shards} shards"
         );
     }
+
+    // A pin names every shard once, in any order, each with a replica
+    // the world has; its count is its number of entries.
+    let world = SimWorld::with_config(SimConfig {
+        replicas: 3,
+        ..SimConfig::counting()
+    });
+    let db = SimpleDb::with_shards(&world, 2);
+    db.create_domain("d").unwrap();
+    for i in 0..10 {
+        db.put_attributes("d", &format!("i{i}"), &[add("t", "x")])
+            .unwrap();
+    }
+    let token = db.query("d", None, Some(3), None).unwrap().next_token;
+    let token = token.expect("more pages");
+    let (count, rest) = token.split_once(";p").unwrap();
+    let (pins, after) = rest.split_once(';').unwrap();
+    let (first, second) = pins.split_once('.').unwrap();
+    let forge = |count: &str, pins: &str| format!("{count};p{pins};{after}");
+    let served = db.query("d", None, Some(3), Some(&token)).unwrap();
+    let reordered = forge(count, &format!("{second}.{first}"));
+    assert_eq!(
+        db.query("d", None, Some(3), Some(&reordered)).unwrap(),
+        served
+    );
+    let rejected = [
+        forge(count, &format!("{first}.{first}")),
+        forge(count, &format!("{first}.2:0")),
+        forge("s3", pins),
+        forge("s1", pins),
+        forge("s3", &format!("{pins}.2:0")),
+        forge(count, &format!("0:{}.{second}", world.replicas())),
+    ];
+    for token in &rejected {
+        assert!(
+            matches!(
+                db.query("d", None, Some(3), Some(token)),
+                Err(SdbError::InvalidNextToken)
+            ),
+            "token {token} on 2 shards"
+        );
+    }
 }
 
 /// Runs one full paginated `Query` scan, mutating the domain between

@@ -192,7 +192,7 @@ impl<V> Cell<V> {
 }
 
 /// Reads the run of pairs `state` carries for an attribute (empty when
-/// it carries none) — how [`Postings`] look inside an otherwise opaque
+/// it carries none) — how `Postings` look inside an otherwise opaque
 /// `V`.
 pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> &'a [Pair];
 
@@ -230,7 +230,7 @@ type PostedKeys<K> = Vec<(u32, Vec<K>)>;
 type ByValue<K> = HashMap<u64, PostedKeys<K>, BuildHasherDefault<PostedHash>>;
 
 /// The attribute postings of every shard of one map (see the module
-/// docs); a shard is its range position. Attributes join `attrs` in the
+/// docs); a shard is its index in the map. Attributes join `attrs` in the
 /// order queries first ask about them, and shard `s` posts the first
 /// `built[s]` of them.
 #[derive(Clone, Debug)]

@@ -63,11 +63,9 @@ pub use hash::{fnv1a_64, splitmix64, Fnv1a};
 pub use latency::{Cost, LatencyModel, ServiceLatency};
 pub use md5::{Md5, Md5Digest};
 pub use merge::merged_shard_page;
-pub use metering::{
-    format_bytes, MeterBook, MeterSnapshot, Op, Service, ServiceMeter, ShardImbalance,
-};
+pub use metering::{format_bytes, MeterBook, MeterSnapshot, Op, Service, ServiceMeter};
 pub use samples::LatencySample;
 pub use shardmap::{
-    clamp_shards, ring_position, Cells, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
+    clamp_shards, Cells, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
 };
 pub use world::{Charge, Consistency, PipelineStats, SimConfig, SimWorld};

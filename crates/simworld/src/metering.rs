@@ -186,87 +186,6 @@ impl ServiceMeter {
     pub fn batch_entry_count(&self, op: Op) -> u64 {
         self.batch_entries.get(&op).copied().unwrap_or(0)
     }
-
-    /// Reduces [`ServiceMeter::shard_ops`] to the load-balance summary
-    /// the skew tables print. `baseline_shards` is the denominator for
-    /// the mean: the layout's shard count, whose fair share the busiest
-    /// shard is measured against.
-    pub fn shard_imbalance(&self, baseline_shards: usize) -> ShardImbalance {
-        let total_ops: u64 = self.shard_ops.values().sum();
-        let (max_ops, max_shard) = self
-            .shard_ops
-            .iter()
-            .map(|(shard, n)| (*n, *shard))
-            .max()
-            .map(|(n, shard)| (n, Some(shard)))
-            .unwrap_or((0, None));
-        ShardImbalance {
-            baseline_shards: baseline_shards.max(1),
-            shards_touched: self.shard_ops.len(),
-            total_ops,
-            max_ops,
-            max_shard,
-        }
-    }
-}
-
-/// Shard load-balance summary for one service: the reusable reducer
-/// behind every skew table (max/mean shard-op imbalance plus the
-/// hottest shard's share), so the benches stop recomputing it ad hoc.
-///
-/// # Examples
-///
-/// ```
-/// use simworld::{MeterBook, Service};
-///
-/// let mut book = MeterBook::new();
-/// book.record_shard_touches(Service::SimpleDb, &[0, 1, 3]);
-/// book.record_shard_touches(Service::SimpleDb, &[0]);
-/// let skew = book.snapshot().shard_imbalance(Service::SimpleDb, 4);
-/// assert_eq!(skew.total_ops, 4);
-/// assert_eq!(skew.max_ops, 2);
-/// assert_eq!(skew.imbalance(), 2.0); // 2 / (4/4)
-/// assert_eq!(skew.max_share(), 0.5);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShardImbalance {
-    /// Denominator shard count (at least 1): the layout's shard count.
-    pub baseline_shards: usize,
-    /// Distinct shard ids that recorded at least one op.
-    pub shards_touched: usize,
-    /// Shard touches summed over all ids.
-    pub total_ops: u64,
-    /// Touches on the busiest shard.
-    pub max_ops: u64,
-    /// Stable id of the busiest shard (`None` when nothing recorded).
-    pub max_shard: Option<u32>,
-}
-
-impl ShardImbalance {
-    /// Mean ops per baseline shard (the static fair share).
-    pub fn mean_ops(&self) -> f64 {
-        self.total_ops as f64 / self.baseline_shards as f64
-    }
-
-    /// Max/mean imbalance (`0.0` when nothing was recorded). `1.0` is a
-    /// perfectly balanced layout.
-    pub fn imbalance(&self) -> f64 {
-        if self.total_ops == 0 {
-            0.0
-        } else {
-            self.max_ops as f64 / self.mean_ops()
-        }
-    }
-
-    /// The busiest shard's share of all touches (`0.0` when nothing was
-    /// recorded).
-    pub fn max_share(&self) -> f64 {
-        if self.total_ops == 0 {
-            0.0
-        } else {
-            self.max_ops as f64 / self.total_ops as f64
-        }
-    }
 }
 
 /// The ledger for the whole simulated cloud.
@@ -418,12 +337,6 @@ impl MeterSnapshot {
     /// Operations that touched one storage shard of `service`.
     pub fn shard_op_count(&self, service: Service, shard: u32) -> u64 {
         self.book.service(service).shard_op_count(shard)
-    }
-
-    /// Load-balance summary of `service`'s shard touches against a
-    /// `baseline_shards`-wide fair share (see [`ShardImbalance`]).
-    pub fn shard_imbalance(&self, service: Service, baseline_shards: usize) -> ShardImbalance {
-        self.book.service(service).shard_imbalance(baseline_shards)
     }
 
     /// Entries shipped through one batch op kind.

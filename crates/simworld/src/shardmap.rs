@@ -1,8 +1,7 @@
-//! Range-routed shard maps with a fixed layout.
+//! Hash-sharded maps with a fixed layout.
 //!
-//! SimpleDB domains and S3 buckets are each a [`ShardMap`]: a set of
-//! shards, each owning a contiguous span of the 64-bit key-hash ring and
-//! holding its cells in its own `Mutex<EcMap>`, plus an ordered
+//! SimpleDB domains and S3 buckets are each a [`ShardMap`]: `n` shards,
+//! each holding its cells in its own `Mutex<EcMap>`, plus an ordered
 //! batch-locking helper and per-shard replica pinning for pagination
 //! tokens. A map that has been queried also keeps one attribute posting
 //! table for all of its shards, behind a lock taken after a shard's
@@ -12,12 +11,10 @@
 //!
 //! # Routing
 //!
-//! A key's ring position is [`ring_position`]: FNV-1a, bit-reversed.
-//! The bit-reversal turns the low modulo bits into the high range bits,
-//! so a power-of-two layout places every key on **exactly the shard
-//! `fnv1a_64(key) % n` chose** under the old modulo router (and
-//! [`stable ids`](ShardMap::new) are assigned so the id equals the old
-//! modulo index). An `n`-shard map's ids are `0..n`.
+//! A key lives on shard `fnv1a_64(key) % n`. A shard's index `0..n` is
+//! its only identity: the meters count touches under it, batches lock
+//! shards in its order, and a pagination token pins one replica per
+//! index.
 //!
 //! # Shard-count clamping
 //!
@@ -49,68 +46,37 @@ pub fn clamp_shards(requested: usize) -> usize {
     requested.clamp(1, MAX_SHARDS)
 }
 
-/// A key's position on the 64-bit hash ring: FNV-1a, bit-reversed.
-///
-/// The bit-reversal makes an even power-of-two range layout reproduce
-/// the historical `fnv1a_64(key) % n` placement exactly (the low modulo
-/// bits become the high range bits), which keeps every pre-existing
-/// baseline number intact.
-pub fn ring_position(key: &str) -> u64 {
-    fnv1a_64(key).reverse_bits()
-}
-
-/// One read replica pinned per shard, keyed by **stable shard id** — the
-/// payload of a pagination token. A scan pins its replicas once at the
-/// first page, and every later page reads the same replica per shard.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// One read replica pinned per shard, indexed by shard — the payload of
+/// a pagination token. A scan pins its replicas once at the first page,
+/// and every later page reads the same replica per shard.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplicaPin {
-    /// `(shard id, replica)`, ascending by id, each id once.
-    entries: Vec<(u32, usize)>,
+    replicas: Vec<usize>,
 }
 
 impl ReplicaPin {
-    /// An empty pin.
-    pub fn new() -> ReplicaPin {
-        ReplicaPin::default()
+    /// Pins `replicas[i]` for shard `i`.
+    pub fn new(replicas: Vec<usize>) -> ReplicaPin {
+        ReplicaPin { replicas }
     }
 
-    /// Pins `replica` for shard `id` (overwrites any prior pin).
-    pub fn insert(&mut self, id: u32, replica: usize) {
-        match self.entries.binary_search_by_key(&id, |&(id, _)| id) {
-            Ok(at) => self.entries[at].1 = replica,
-            Err(at) => self.entries.insert(at, (id, replica)),
-        }
+    /// The replica pinned for `shard`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the pin covers `shard`: pass a pin of as many
+    /// shards as the map it reads.
+    pub fn get(&self, shard: usize) -> usize {
+        self.replicas[shard]
     }
 
-    /// The replica pinned for shard `id`, if any.
-    pub fn get(&self, id: u32) -> Option<usize> {
-        let at = self.entries.binary_search_by_key(&id, |&(id, _)| id);
-        at.ok().map(|at| self.entries[at].1)
-    }
-
-    /// Number of pinned shards.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is pinned.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates `(shard id, replica)` in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        self.entries.iter().copied()
+    /// The pinned replicas in shard order.
+    pub fn replicas(&self) -> &[usize] {
+        &self.replicas
     }
 }
 
-struct Shard<V> {
-    id: u32,
-    start: u64,
-    cells: Mutex<EcMap<String, V>>,
-}
-
-/// A range-routed table of per-shard [`EcMap`]s — the one sharding layer
+/// A hash-sharded table of per-shard [`EcMap`]s — the one sharding layer
 /// both SimpleDB domains and S3 buckets are built on.
 ///
 /// # Examples
@@ -127,10 +93,9 @@ struct Shard<V> {
 /// assert_eq!(map.shard_count(), 4);
 /// ```
 pub struct ShardMap<V> {
-    /// Range order: ascending by `start`, `shards[0].start == 0`.
-    shards: Box<[Shard<V>]>,
-    /// Stable ids ascending (`0..n`): the order replica draws are
-    /// assigned in and the order batches lock shards in.
+    /// Shard `i` holds the keys with `fnv1a_64(key) % n == i`.
+    shards: Box<[Mutex<EcMap<String, V>>]>,
+    /// `0..n`: every shard, as a fan-out's charge names them.
     ids: Box<[u32]>,
     /// The attribute postings of every shard, made by the first
     /// [`ShardMap::weigh`]: a map never queried has none.
@@ -145,38 +110,12 @@ impl<V> fmt::Debug for ShardMap<V> {
     }
 }
 
-/// Range start of position `p` in an `n`-shard layout: an even slicing
-/// of the ring.
-fn initial_start(p: usize, n: usize) -> u64 {
-    (((p as u128) << 64) / n as u128) as u64
-}
-
-/// Stable id of the shard at range position `p` in an `n`-shard layout.
-/// For power-of-two `n` the position bits are reversed so the id equals
-/// the historical modulo shard index (`fnv1a_64(key) % n`); otherwise
-/// ids simply follow range order.
-fn initial_id(p: usize, n: usize) -> u32 {
-    if n.is_power_of_two() && n > 1 {
-        let k = n.trailing_zeros();
-        (p as u32).reverse_bits() >> (32 - k)
-    } else {
-        p as u32
-    }
-}
-
 impl<V: Clone> ShardMap<V> {
-    /// Builds a map of `shards` shards, clamped by [`clamp_shards`],
-    /// slicing the ring evenly.
+    /// Builds a map of `shards` shards, clamped by [`clamp_shards`].
     pub fn new(shards: usize) -> ShardMap<V> {
         let n = clamp_shards(shards);
         ShardMap {
-            shards: (0..n)
-                .map(|p| Shard {
-                    id: initial_id(p, n),
-                    start: initial_start(p, n),
-                    cells: Mutex::new(EcMap::new()),
-                })
-                .collect(),
+            shards: (0..n).map(|_| Mutex::new(EcMap::new())).collect(),
             ids: (0..n as u32).collect(),
             postings: OnceLock::new(),
         }
@@ -187,26 +126,14 @@ impl<V: Clone> ShardMap<V> {
         self.shards.len()
     }
 
-    /// Stable shard ids in range order.
-    pub fn shard_ids(&self) -> Vec<u32> {
-        self.shards.iter().map(|s| s.id).collect()
-    }
-
-    /// Stable ids in ascending **id** order — the deterministic order
-    /// replica draws are assigned in, and the shards a fan-out touches.
-    pub fn sorted_ids(&self) -> &[u32] {
+    /// Every shard index, ascending — the shards a fan-out touches.
+    pub fn ids(&self) -> &[u32] {
         &self.ids
     }
 
-    /// Range position of the shard owning `key`.
-    fn position(&self, key: &str) -> usize {
-        let ring = ring_position(key);
-        self.shards.partition_point(|s| s.start <= ring) - 1
-    }
-
-    /// Stable id of the shard owning `key`.
+    /// The shard owning `key`: `fnv1a_64(key) % n`.
     pub fn route(&self, key: &str) -> u32 {
-        self.shards[self.position(key)].id
+        (fnv1a_64(key) % self.shards.len() as u64) as u32
     }
 
     /// Routes every key.
@@ -219,54 +146,49 @@ impl<V: Clone> ShardMap<V> {
     }
 
     /// Runs `f` against the cells of the shard owning `key`, under its
-    /// lock, passing the shard's stable id alongside.
+    /// lock, passing the shard's index alongside.
     pub fn with_cells<R>(&self, key: &str, f: impl FnOnce(u32, &mut Cells<'_, V>) -> R) -> R {
-        let position = self.position(key);
-        let shard = &self.shards[position];
-        let mut map = shard.cells.lock();
-        f(shard.id, &mut self.cells(&mut map, position))
+        let shard = self.route(key);
+        let mut map = self.shards[shard as usize].lock();
+        f(shard, &mut self.cells(&mut map, shard))
     }
 
-    /// The cells of the shard at `position`, whose lock the caller holds
-    /// as `map`. The postings are looked up only now, under that lock: a
-    /// first build that made them has visited the shard, or waits for it.
-    fn cells<'a>(&'a self, map: &'a mut EcMap<String, V>, position: usize) -> Cells<'a, V> {
+    /// The cells of `shard`, whose lock the caller holds as `map`. The
+    /// postings are looked up only now, under that lock: a first build
+    /// that made them has visited the shard, or waits for it.
+    fn cells<'a>(&'a self, map: &'a mut EcMap<String, V>, shard: u32) -> Cells<'a, V> {
         Cells {
             map,
             postings: self.postings.get(),
-            position: position as u32,
+            shard,
         }
     }
 
-    /// Locks the listed shards in ascending-id order — the one global
-    /// order that keeps concurrent batches deadlock-free — and hands `f`
-    /// an accessor over all of them.
+    /// Locks the listed shards in ascending order — the one global order
+    /// that keeps concurrent batches deadlock-free — and hands `f` an
+    /// accessor over all of them.
     ///
     /// # Panics
     ///
-    /// Panics on an id the map does not hold; callers route first.
+    /// Panics on a shard the map does not hold; callers route first.
     pub fn with_cells_multi<R>(
         &self,
-        ids: &[u32],
+        shards: &[u32],
         f: impl FnOnce(&mut ShardCells<'_, V>) -> R,
     ) -> R {
-        let mut order: Vec<u32> = ids.to_vec();
+        let mut order: Vec<u32> = shards.to_vec();
         order.sort_unstable();
         order.dedup();
         let guards = order
             .into_iter()
-            .map(|id| {
-                let position = self.shards.iter().position(|s| s.id == id);
-                let position = position.expect("unknown shard id");
-                (id, (position, self.shards[position].cells.lock()))
-            })
+            .map(|shard| (shard, self.shards[shard as usize].lock()))
             .collect();
         f(&mut ShardCells { map: self, guards })
     }
 
-    /// Runs `f` against the cell map at range `position`, under its lock.
-    pub fn with_cells_at<R>(&self, position: usize, f: impl FnOnce(&EcMap<String, V>) -> R) -> R {
-        f(&self.shards[position].cells.lock())
+    /// Runs `f` against the cell map of `shard`, under its lock.
+    pub fn with_cells_at<R>(&self, shard: usize, f: impl FnOnce(&EcMap<String, V>) -> R) -> R {
+        f(&self.shards[shard].lock())
     }
 
     /// Weighs a query's `=` pairs on the map's attribute postings: one
@@ -293,9 +215,9 @@ impl<V: Clone> ShardMap<V> {
             Some(totals) => totals,
             None => {
                 drop(posted);
-                for (position, shard) in self.shards.iter().enumerate() {
-                    let map = shard.cells.lock();
-                    table.write().build(position as u32, &map, probes);
+                for (shard, cells) in self.shards.iter().enumerate() {
+                    let map = cells.lock();
+                    table.write().build(shard as u32, &map, probes);
                 }
                 posted = table.read();
                 posted
@@ -334,13 +256,13 @@ impl<V: Clone> ShardMap<V> {
         let skip = |i| idle.is_some_and(|c| !c.busy.contains(i));
         let idle_cells = idle.map_or(0, |c| c.idle_cells);
         let fetch = |i: usize, cursor: Option<&String>, quota| {
-            let replica = self.pinned_replica(pin, i);
+            let replica = pin.get(i);
             let row = |_: &String, v: &V| select(v);
             let Some(cover) = cover else {
-                let map = self.shards[i].cells.lock();
+                let map = self.shards[i].lock();
                 return map.visible_page_on(replica, now, cursor, quota, row);
             };
-            let map = self.shards[i].cells.lock();
+            let map = self.shards[i].lock();
             let table = self.postings.get().expect("a cover is weighed on a table");
             let table = table.read();
             let start = cursor.map_or(Bound::Unbounded, Bound::Excluded);
@@ -358,7 +280,7 @@ impl<V: Clone> ShardMap<V> {
     pub fn latest_keys(&self, mut keep: impl FnMut(&str) -> bool) -> Vec<String> {
         let mut keys: Vec<String> = Vec::new();
         for shard in &self.shards {
-            let cells = shard.cells.lock();
+            let cells = shard.lock();
             keys.extend(
                 cells
                     .iter_latest()
@@ -372,31 +294,9 @@ impl<V: Clone> ShardMap<V> {
     }
 
     /// Pins one read replica per shard: one draw from the world per
-    /// shard, assigned in ascending-id order — which on a power-of-two
-    /// layout reproduces the historical draw-per-index assignment
-    /// exactly.
+    /// shard, in shard order.
     pub fn pin_replicas(&self, world: &SimWorld) -> ReplicaPin {
-        ReplicaPin {
-            entries: world.sample_read_replicas(&self.ids),
-        }
-    }
-
-    /// `true` when `pin` pins exactly this map's shard ids. Anything
-    /// else is a token minted against another layout.
-    pub fn pin_matches(&self, pin: &ReplicaPin) -> bool {
-        pin.iter().map(|(id, _)| id).eq(self.ids.iter().copied())
-    }
-
-    /// The replica `pin` holds for the shard at range `position`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the pin covers the shard: pass a pin from
-    /// [`ShardMap::pin_replicas`] or one [`ShardMap::pin_matches`]
-    /// accepted.
-    pub fn pinned_replica(&self, pin: &ReplicaPin, position: usize) -> usize {
-        pin.get(self.shards[position].id)
-            .expect("the pin was minted on, or checked against, this layout")
+        ReplicaPin::new(world.sample_read_replicas(self.shards.len()))
     }
 }
 
@@ -461,30 +361,29 @@ impl<V: Clone> ShardRegistry<V> {
 }
 
 /// Accessor over the shards a [`ShardMap::with_cells_multi`] call
-/// locked, keyed by stable shard id.
+/// locked, keyed by shard.
 pub struct ShardCells<'a, V> {
     map: &'a ShardMap<V>,
-    /// Per id: the shard's range position and its lock.
-    guards: BTreeMap<u32, (usize, MutexGuard<'a, EcMap<String, V>>)>,
+    guards: BTreeMap<u32, MutexGuard<'a, EcMap<String, V>>>,
 }
 
 impl<V> fmt::Debug for ShardCells<'_, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardCells")
-            .field("ids", &self.guards.keys().collect::<Vec<_>>())
+            .field("shards", &self.guards.keys().collect::<Vec<_>>())
             .finish()
     }
 }
 
 impl<V: Clone> ShardCells<'_, V> {
-    /// The cells locked for shard `id`.
+    /// The cells locked for `shard`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not in the locked set.
-    pub fn get_mut(&mut self, id: u32) -> Cells<'_, V> {
-        let (position, map) = self.guards.get_mut(&id).expect("shard id not locked");
-        self.map.cells(map, *position)
+    /// Panics if `shard` was not in the locked set.
+    pub fn get_mut(&mut self, shard: u32) -> Cells<'_, V> {
+        let map = self.guards.get_mut(&shard).expect("shard not locked");
+        self.map.cells(map, shard)
     }
 }
 
@@ -495,13 +394,13 @@ impl<V: Clone> ShardCells<'_, V> {
 pub struct Cells<'a, V> {
     map: &'a mut EcMap<String, V>,
     postings: Option<&'a RwLock<Postings<String, V>>>,
-    position: u32,
+    shard: u32,
 }
 
 impl<V> fmt::Debug for Cells<'_, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cells")
-            .field("position", &self.position)
+            .field("shard", &self.shard)
             .field("posted", &self.postings.is_some())
             .finish_non_exhaustive()
     }
@@ -520,14 +419,14 @@ impl<V: Clone> Cells<'_, V> {
     pub fn write(&mut self, world: &SimWorld, key: String, value: Option<V>) {
         let (now, visible_at) = (world.now(), world.sample_visibility());
         let mut table = self.postings.map(RwLock::write);
-        let posted = table.as_deref_mut().map(|table| (table, self.position));
+        let posted = table.as_deref_mut().map(|table| (table, self.shard));
         self.map.apply(now, visible_at, key, value, posted);
     }
 
     /// [`EcMap::gc`].
     pub fn gc(&mut self, now: SimInstant) {
         let mut table = self.postings.map(RwLock::write);
-        let posted = table.as_deref_mut().map(|table| (table, self.position));
+        let posted = table.as_deref_mut().map(|table| (table, self.shard));
         self.map.sweep(now, posted);
     }
 }
@@ -554,28 +453,43 @@ mod tests {
         assert_eq!(clamp_shards(10_000), MAX_SHARDS);
     }
 
+    /// Checks that each of 500 keys routes to shard `fnv1a_64(key) % n`
+    /// and that `with_cells` hands over, and writes into, that same shard.
+    fn assert_modulo_placement(n: usize) {
+        let world = SimWorld::counting();
+        let map: ShardMap<u32> = ShardMap::new(n);
+        assert_eq!(map.shard_count(), n);
+        for k in keys(500) {
+            let expect = (fnv1a_64(&k) % n as u64) as u32;
+            assert_eq!(map.route(&k), expect, "key {k} in {n} shards");
+            let handed = map.with_cells(&k, |shard, cells| {
+                cells.write(&world, k.clone(), Some(shard));
+                shard
+            });
+            assert_eq!(handed, expect, "key {k} in {n} shards");
+            let held = map.with_cells_at(expect as usize, |cells| cells.read_latest(&k));
+            assert_eq!(held, Some(expect), "key {k} in {n} shards");
+        }
+    }
+
     #[test]
     fn power_of_two_layouts_reproduce_modulo_placement() {
-        // The whole point of the bit-reversed ring: a fresh 2^k layout
-        // routes every key to the stable id `fnv1a_64(key) % n`.
-        for n in [1usize, 2, 4, 8, 16, 64] {
-            let map: ShardMap<u32> = ShardMap::new(n);
-            for k in keys(200) {
-                let expect = (fnv1a_64(&k) % n as u64) as u32;
-                assert_eq!(map.route(&k), expect, "key {k} in {n} shards");
-            }
+        for n in [1usize, 2, 8, 16, 64, 256] {
+            assert_modulo_placement(n);
         }
     }
 
     #[test]
     fn non_power_of_two_layouts_cover_the_ring() {
-        let map: ShardMap<u32> = ShardMap::new(5);
-        assert_eq!(map.shard_count(), 5);
-        let mut seen = std::collections::BTreeSet::new();
-        for k in keys(500) {
-            seen.insert(map.route(&k));
+        // Modulo placement over the whole hash space: every shard of an
+        // odd layout receives keys, each exactly where `% n` puts it.
+        for n in [3usize, 5, 7] {
+            assert_modulo_placement(n);
+            let map: ShardMap<u32> = ShardMap::new(n);
+            let seen: std::collections::BTreeSet<u32> =
+                keys(500).iter().map(|k| map.route(k)).collect();
+            assert_eq!(seen.len(), n, "500 keys should touch all {n} shards");
         }
-        assert_eq!(seen.len(), 5, "500 keys should touch all 5 shards");
     }
 
     #[test]
@@ -733,8 +647,8 @@ mod tests {
                 }
                 5 => {
                     let now = world.now();
-                    map.with_cells_multi(map.sorted_ids(), |cells| {
-                        for id in map.sorted_ids() {
+                    map.with_cells_multi(map.ids(), |cells| {
+                        for id in map.ids() {
                             cells.get_mut(*id).gc(now);
                         }
                     });
@@ -781,10 +695,8 @@ mod tests {
             (table.indexed(), rebuilt)
         };
         let indexed: Vec<(&str, u64)> = indexed.iter().map(|a| (a.as_str(), 0)).collect();
-        for position in 0..map.shard_count() {
-            map.with_cells_at(position, |cells| {
-                rebuilt.build(position as u32, cells, &indexed)
-            });
+        for shard in 0..map.shard_count() {
+            map.with_cells_at(shard, |cells| rebuilt.build(shard as u32, cells, &indexed));
         }
         prop_assert!(
             rebuilt == *table.read(),

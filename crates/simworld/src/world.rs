@@ -522,13 +522,12 @@ impl SimWorld {
         st.rng.gen_range(0..replicas)
     }
 
-    /// Samples one independent read replica per id of `ids`, in order,
-    /// under one lock acquisition — one per shard of a fan-out scan.
-    pub fn sample_read_replicas(&self, ids: &[u32]) -> Vec<(u32, usize)> {
+    /// Samples `n` independent read replicas, in order, under one lock
+    /// acquisition — one per shard of a fan-out scan.
+    pub fn sample_read_replicas(&self, n: usize) -> Vec<usize> {
         let mut st = self.inner.lock();
         let replicas = st.config.replicas.max(1);
-        let draw = |id: &u32| (*id, st.rng.gen_range(0..replicas));
-        ids.iter().map(draw).collect()
+        (0..n).map(|_| st.rng.gen_range(0..replicas)).collect()
     }
 
     /// Declares a protocol step boundary; returns `Err` if a test armed a

@@ -45,17 +45,12 @@ fn arch2_config_has_three_options() {
     assert_eq!(ledger.closure, default.closure);
 }
 
+/// arch3's S3 + SimpleDB side keeps `Arch2Config::default()`'s retry
+/// policy and nonce: no caller outside the tests ever set either on
+/// arch3, so neither is an arch3 option.
 #[test]
-fn arch3_config_has_five_options() {
+fn arch3_config_has_three_options() {
     let ledger = Arch3Config {
-        // No caller outside tests (`tests/end_to_end.rs`'s
-        // `a_lost_temporary_surfaces_as_structured_retry_exhaustion`
-        // sets `none()`); kept because it is `Arch2Config::retry` for
-        // the side the two architectures share.
-        retry: default_retry(),
-        // No caller at all sets it on arch3 (the nonce ablation runs
-        // arch2); shared with arch2 as above.
-        use_nonce: true,
         // ablations.rs: the commit-threshold sweep (0, 2, 8, 32, 128).
         commit_threshold: 8,
         // batchbench.rs `build_store`: the pipeline sweep's row depth.
@@ -64,8 +59,6 @@ fn arch3_config_has_five_options() {
         closure: ClosureMode::Off,
     };
     let default = Arch3Config::default();
-    assert_eq!(ledger.retry, default.retry);
-    assert_eq!(ledger.use_nonce, default.use_nonce);
     assert_eq!(ledger.commit_threshold, default.commit_threshold);
     assert!(ledger.daemon_depth.is_none() && default.daemon_depth.is_none());
     assert_eq!(ledger.closure, default.closure);

@@ -237,38 +237,31 @@ fn provenance_chain_depth_spans_the_fmri_workflow() {
 }
 
 /// arch3's daemon copies each transaction's `tmp/` object into place
-/// under the store's `RetryPolicy`. With the temporary gone and the
+/// under the default `RetryPolicy`. With the temporary gone and the
 /// destination never written, every copy misses, and the daemon gives
-/// up with the structured exhaustion error — one attempt under `none()`,
-/// `max_retries + 1` under the default — which the wire reports as
-/// `FaultCode::RetryExhausted`.
+/// up with the structured exhaustion error after `max_retries + 1`
+/// attempts, which the wire reports as `FaultCode::RetryExhausted`.
 #[test]
 fn a_lost_temporary_surfaces_as_structured_retry_exhaustion() {
     use pass_cloud::cloud::layout::{BUCKET, TMP_PREFIX};
-    use pass_cloud::cloud::{Arch3Config, CloudError, RetryPolicy, S3SimpleDbSqs};
+    use pass_cloud::cloud::{CloudError, S3SimpleDbSqs};
     use pass_cloud::frontend::{FaultCode, WireFault};
 
-    for (retry, expected) in [(RetryPolicy::none(), 1), (RetryPolicy::default(), 51)] {
-        let world = counting();
-        let mut store = S3SimpleDbSqs::new(&world, "c");
-        store.set_config(Arch3Config {
-            retry,
-            ..Arch3Config::default()
-        });
-        let flush = FileFlush::builder("f").data("x".into()).build();
-        store.persist(&flush).unwrap();
-        let temps = store.s3().latest_keys(BUCKET, TMP_PREFIX);
-        assert_eq!(temps.len(), 1, "one flush stages one temporary");
-        store.s3().delete_object(BUCKET, &temps[0]).unwrap();
+    let world = counting();
+    let mut store = S3SimpleDbSqs::new(&world, "c");
+    let flush = FileFlush::builder("f").data("x".into()).build();
+    store.persist(&flush).unwrap();
+    let temps = store.s3().latest_keys(BUCKET, TMP_PREFIX);
+    assert_eq!(temps.len(), 1, "one flush stages one temporary");
+    store.s3().delete_object(BUCKET, &temps[0]).unwrap();
 
-        let err = store.run_daemons_until_idle().unwrap_err();
-        match &err {
-            CloudError::RetryExhausted { attempts, last } => {
-                assert_eq!(*attempts, expected, "{retry:?}");
-                assert!(last.is_not_found(), "the last error is the miss: {last}");
-            }
-            other => panic!("expected structured exhaustion, got {other}"),
+    let err = store.run_daemons_until_idle().unwrap_err();
+    match &err {
+        CloudError::RetryExhausted { attempts, last } => {
+            assert_eq!(*attempts, 51, "the default policy's 50 retries + 1");
+            assert!(last.is_not_found(), "the last error is the miss: {last}");
         }
-        assert_eq!(WireFault::from(&err).code, FaultCode::RetryExhausted);
+        other => panic!("expected structured exhaustion, got {other}"),
     }
+    assert_eq!(WireFault::from(&err).code, FaultCode::RetryExhausted);
 }
