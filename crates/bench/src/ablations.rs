@@ -174,7 +174,7 @@ fn nonce_ablation(seed: u64) -> Result<(u32, u32, u32)> {
                     .latest_item("provenance", &format!("{name} {version}"))
                     .expect("item stored")
                     .get("md5")
-                    .first()
+                    .next()
                     .expect("md5 attribute")
                     .value
                     .to_string()

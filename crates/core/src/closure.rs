@@ -580,8 +580,8 @@ impl ClosureIndex {
             return Ok(());
         }
         let at = work.parents.len();
-        for pair in stored.iter().filter(|pair| &*pair.name == "input") {
-            work.parents.extend(self.value_id(&pair.value, true));
+        for pair in stored.iter().filter(|pair| pair.name == "input") {
+            work.parents.extend(self.value_id(pair.value, true));
         }
         let mut parents = work.parents.split_off(at);
         parents.sort_unstable_by(|a, b| {
@@ -628,7 +628,7 @@ impl ClosureIndex {
                     };
                     for term in hit.attributes.iter() {
                         let found =
-                            members.binary_search_by(|(render, _)| (**render).cmp(&term.value));
+                            members.binary_search_by(|(render, _)| (**render).cmp(term.value));
                         if let Ok(i) = found {
                             descs.push((members[i].1, desc));
                         }
@@ -648,21 +648,21 @@ impl ClosureIndex {
         let get = |item: &str| parts.db.get_attributes(CLOSURE_DOMAIN, item, None);
         let base = get(item)?;
         let is_marker = |name: &str| name != CLOSURE_ATTR_ANC && name != CLOSURE_ATTR_FRAGS;
-        if !base.iter().any(|pair| is_marker(&pair.name)) {
+        if !base.iter().any(|pair| is_marker(pair.name)) {
             return Ok(None);
         }
         let mut ancestors = Vec::new();
         let mut buckets = Vec::new();
         for pair in base.iter() {
-            match &*pair.name {
-                CLOSURE_ATTR_ANC => ancestors.extend(self.value_id(&pair.value, false)),
-                CLOSURE_ATTR_FRAGS => buckets.extend(closure_mark_bucket(&pair.value)),
+            match pair.name {
+                CLOSURE_ATTR_ANC => ancestors.extend(self.value_id(pair.value, false)),
+                CLOSURE_ATTR_FRAGS => buckets.extend(closure_mark_bucket(pair.value)),
                 _ => {}
             }
         }
         for bucket in buckets {
             for pair in get(&closure_frag_name(item, bucket))?.iter() {
-                ancestors.extend(self.value_id(&pair.value, false));
+                ancestors.extend(self.value_id(pair.value, false));
             }
         }
         ancestors.sort_unstable();

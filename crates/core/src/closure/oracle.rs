@@ -285,7 +285,7 @@ impl OracleIndex {
         if stored.is_empty() {
             return Ok(BTreeSet::new());
         }
-        let pairs = stored.iter().map(|p| (&*p.name, &*p.value));
+        let pairs = stored.iter().map(|p| (p.name, p.value));
         group.insert(item.to_string(), NodeInfo::from_pairs(pairs));
         self.resolve(parts, item, group, resolved, stack)
     }
@@ -317,7 +317,7 @@ impl OracleIndex {
                         continue;
                     };
                     for term in hit.attributes.iter() {
-                        if let Some(&item) = by_render.get(&*term.value) {
+                        if let Some(&item) = by_render.get(term.value) {
                             descs.entry(item.clone()).or_default().insert(desc.render());
                         }
                     }
@@ -340,11 +340,11 @@ impl OracleIndex {
         let mut buckets = Vec::new();
         let mut marked = false;
         for pair in get(item)?.iter() {
-            match &*pair.name {
+            match pair.name {
                 CLOSURE_ATTR_ANC => {
                     ancestors.insert(pair.value.to_string());
                 }
-                CLOSURE_ATTR_FRAGS => buckets.extend(closure_mark_bucket(&pair.value)),
+                CLOSURE_ATTR_FRAGS => buckets.extend(closure_mark_bucket(pair.value)),
                 _ => marked = true,
             }
         }

@@ -40,7 +40,7 @@ pub(crate) fn verified_read(ctx: &ServeParts, name: &str) -> Result<ReadOutcome>
         let item = ctx
             .db
             .get_attributes(DOMAIN, &object_ref.item_name(), None)?;
-        let stored_md5 = item.get(ATTR_MD5).first().map(|p| &*p.value);
+        let stored_md5 = item.get(ATTR_MD5).next().map(|p| p.value);
 
         let computed = consistency_md5(&object.body, &nonce, ctx.use_nonce);
         let status = if stored_md5 == Some(computed.as_str()) {

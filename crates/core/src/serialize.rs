@@ -108,35 +108,43 @@ pub fn encode_metadata(
     encoded: EncodedProvenance,
 ) -> (Metadata, Vec<(String, Blob)>) {
     let mut overflows = encoded.overflows;
+    let version = object.version.to_string();
+    let keys: Vec<String> = encoded
+        .pairs
+        .iter()
+        .enumerate()
+        .map(|(i, (name, _))| format!("p{i}-{name}"))
+        .collect();
+    let values = encoded.pairs.iter().map(|(_, value)| value.as_str());
+    let pairs = || keys.iter().map(String::as_str).zip(values.clone());
+    let cost = |(key, value): (&str, &str)| (key.len() + value.len()) as u64;
 
     // Fast path: everything fits inline.
-    let mut meta = Metadata::new();
-    meta.insert(META_VERSION, object.version.to_string());
-    for (i, (name, value)) in encoded.pairs.iter().enumerate() {
-        meta.insert(format!("p{i}-{name}"), value.clone());
-    }
-    if meta.byte_size() <= METADATA_LIMIT {
+    let head = [(META_VERSION, version.as_str())];
+    if head.into_iter().chain(pairs()).map(cost).sum::<u64>() <= METADATA_LIMIT {
+        let meta = Metadata::from_pairs(head.into_iter().chain(pairs()));
         return (meta, overflows);
     }
 
-    // Slow path: keep a prefix of the records inline, spill the rest
-    // into one continuation object.
+    // Slow path: keep the longest prefix of the records that fits
+    // inline, spill the rest into one continuation object.
     let key = continuation_key(object);
-    let mut meta = Metadata::new();
-    meta.insert(META_VERSION, object.version.to_string());
-    meta.insert(META_MORE, pointer(&key));
-    let mut inline_budget = METADATA_LIMIT.saturating_sub(meta.byte_size());
-    let mut spilled = String::new();
-    for (i, (name, value)) in encoded.pairs.iter().enumerate() {
-        let meta_key = format!("p{i}-{name}");
-        let cost = (meta_key.len() + value.len()) as u64;
-        if spilled.is_empty() && cost <= inline_budget {
-            inline_budget -= cost;
-            meta.insert(meta_key, value.clone());
-        } else {
-            push_entry(&mut spilled, &[&i.to_string(), name, value]);
+    let more = pointer(&key);
+    let head = [(META_VERSION, version.as_str()), (META_MORE, more.as_str())];
+    let mut inline_budget = METADATA_LIMIT.saturating_sub(head.into_iter().map(cost).sum());
+    let fits = |&pair: &(&str, &str)| {
+        let fits = cost(pair) <= inline_budget;
+        if fits {
+            inline_budget -= cost(pair);
         }
+        fits
+    };
+    let kept = pairs().take_while(fits).count();
+    let mut spilled = String::new();
+    for (i, (name, value)) in encoded.pairs.iter().enumerate().skip(kept) {
+        push_entry(&mut spilled, &[&i.to_string(), name, value]);
     }
+    let meta = Metadata::from_pairs(head.into_iter().chain(pairs().take(kept)));
     overflows.push((key, Blob::from(spilled)));
     debug_assert!(meta.byte_size() <= METADATA_LIMIT);
     (meta, overflows)
@@ -287,7 +295,7 @@ pub fn decode_attributes(
     let mut records = Vec::with_capacity(item.len());
     let mut continuation: Vec<(String, String)> = Vec::new();
     for pair in item.iter() {
-        let (name, value) = (&*pair.name, &*pair.value);
+        let (name, value) = (pair.name, pair.value);
         if name == ATTR_MD5 || name == ATTR_NONCE {
             continue;
         }

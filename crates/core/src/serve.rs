@@ -336,7 +336,7 @@ fn fold_domain(hash: &mut Fnv1a, db: &SimpleDb, domain: &str) {
             continue;
         };
         for pair in item.iter() {
-            for field in [domain, name.as_str(), &pair.name] {
+            for field in [domain, name.as_str(), pair.name] {
                 hash.write(field.as_bytes());
                 hash.write(b"\x1f");
             }

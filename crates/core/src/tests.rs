@@ -459,7 +459,9 @@ fn nonce_distinguishes_same_content_overwrites() {
             .simpledb()
             .latest_item(DOMAIN, item)
             .unwrap()
-            .get("md5")[0]
+            .get("md5")
+            .next()
+            .unwrap()
             .value
             .to_string()
     }

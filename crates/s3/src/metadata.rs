@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use simworld::Pair;
+use simworld::{Pair, PairSet};
 
 use crate::error::{Result, S3Error};
 
@@ -35,9 +35,11 @@ pub const METADATA_LIMIT: u64 = 2048;
 /// ```
 #[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Metadata {
-    /// Ascending by key, one pair per key, sized to exactly the pairs
-    /// held: a data object's two cost one small block, not a map node.
-    entries: Box<[Pair]>,
+    /// One pair per key, ascending by key, packed into a [`PairSet`]:
+    /// every key and value back to back in one text, with a table of
+    /// where each ends — two heap blocks however many pairs, and a clone
+    /// shares both. A change builds a new set, once, at exact size.
+    entries: PairSet,
 }
 
 impl Metadata {
@@ -48,65 +50,53 @@ impl Metadata {
 
     /// Builds metadata from `(key, value)` pairs; a repeated key keeps
     /// its last value, as repeated [`Metadata::insert`]s would. The pairs
-    /// are collected once and sorted, not inserted one by one.
+    /// are collected once, sorted and packed, not inserted one by one.
     pub fn from_pairs<K, V, I>(pairs: I) -> Metadata
     where
-        K: Into<String>,
-        V: Into<String>,
+        K: AsRef<str>,
+        V: AsRef<str>,
         I: IntoIterator<Item = (K, V)>,
     {
-        let mut entries: Vec<Pair> = pairs
-            .into_iter()
-            .map(|(k, v)| Pair::new(k.into(), v.into()))
-            .collect();
+        let mut pairs: Vec<(K, V)> = pairs.into_iter().collect();
         // Stable, so a run of one key stays in insertion order; each run
-        // then collapses onto its first slot carrying its last value.
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        entries.dedup_by(|later, kept| {
-            let same = later.name == kept.name;
-            if same {
-                std::mem::swap(&mut later.value, &mut kept.value);
+        // then keeps its last value.
+        pairs.sort_by(|(a, _), (b, _)| a.as_ref().cmp(b.as_ref()));
+        let runs = pairs.chunk_by(|(a, _), (b, _)| a.as_ref() == b.as_ref());
+        let last = runs.map(|run| {
+            let (key, value) = run.last().expect("a run holds a pair");
+            Pair {
+                name: key.as_ref(),
+                value: value.as_ref(),
             }
-            same
         });
         Metadata {
-            entries: entries.into(),
+            entries: PairSet::from_sorted(last),
         }
-    }
-
-    /// Where `key`'s pair is, or where it would go.
-    fn position(&self, key: &str) -> std::result::Result<usize, usize> {
-        self.entries.binary_search_by(|p| (*p.name).cmp(key))
     }
 
     /// Inserts or replaces one pair, returning the previous value if any.
-    pub fn insert(&mut self, key: impl Into<String>, value: impl Into<String>) -> Option<String> {
-        let (key, value) = (key.into(), value.into().into_boxed_str());
-        match self.position(&key) {
-            Ok(at) => Some(std::mem::replace(&mut self.entries[at].value, value).into()),
-            Err(at) => {
-                let mut entries = std::mem::take(&mut self.entries).into_vec();
-                entries.reserve_exact(1);
-                entries.insert(at, Pair::new(key, value));
-                self.entries = entries.into();
-                None
-            }
-        }
+    pub fn insert(&mut self, key: impl AsRef<str>, value: impl AsRef<str>) -> Option<String> {
+        let (name, value) = (key.as_ref(), value.as_ref());
+        let previous = self.get(name).map(str::to_string);
+        let held = self.entries.iter();
+        let before = held.filter(|p| p.name < name);
+        let after = held.filter(|p| p.name > name);
+        let entries = before.chain([Pair { name, value }]).chain(after);
+        self.entries = PairSet::from_sorted(entries);
+        previous
     }
 
     /// Looks up a value.
     pub fn get(&self, key: &str) -> Option<&str> {
-        let at = self.position(key).ok()?;
-        Some(&self.entries[at].value)
+        self.entries.named(key).next().map(|p| p.value)
     }
 
     /// Removes a pair, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<String> {
-        let at = self.position(key).ok()?;
-        let mut entries = std::mem::take(&mut self.entries).into_vec();
-        let removed = entries.remove(at);
-        self.entries = entries.into();
-        Some(removed.value.into())
+        let removed = self.get(key)?.to_string();
+        let kept = self.entries.iter().filter(|p| p.name != key);
+        self.entries = PairSet::from_sorted(kept);
+        Some(removed)
     }
 
     /// Number of pairs.
@@ -121,12 +111,12 @@ impl Metadata {
 
     /// Iterates pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|p| (&*p.name, &*p.value))
+        self.entries.iter().map(|p| (p.name, p.value))
     }
 
     /// Total size as S3 accounts it: UTF-8 bytes of all keys and values.
     pub fn byte_size(&self) -> u64 {
-        self.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum()
+        self.entries.text_len() as u64
     }
 
     /// Enforces the service limit.
@@ -163,17 +153,20 @@ impl fmt::Display for Metadata {
     }
 }
 
-impl<K: Into<String>, V: Into<String>> FromIterator<(K, V)> for Metadata {
+impl<K: AsRef<str>, V: AsRef<str>> FromIterator<(K, V)> for Metadata {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Metadata {
         Metadata::from_pairs(iter)
     }
 }
 
-impl<K: Into<String>, V: Into<String>> Extend<(K, V)> for Metadata {
+impl<K: AsRef<str>, V: AsRef<str>> Extend<(K, V)> for Metadata {
+    /// Packs the held pairs and the new ones once; a new pair replaces
+    /// a held one of its key, as [`Metadata::insert`] would.
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
-        for (k, v) in iter {
-            self.insert(k, v);
-        }
+        let held = std::mem::take(self);
+        let added: Vec<(K, V)> = iter.into_iter().collect();
+        let added = added.iter().map(|(k, v)| (k.as_ref(), v.as_ref()));
+        *self = Metadata::from_pairs(held.iter().chain(added));
     }
 }
 
@@ -265,25 +258,28 @@ mod tests {
         assert_eq!(m.byte_size(), 3);
     }
 
-    // The map the pair slice replaced, kept as its oracle: random
+    // The map the packed set replaced, kept as its oracle: random
     // `insert`s (new keys and overwrites, keys that are prefixes of each
-    // other, an empty one, non-ASCII ones), `remove`s (present and
-    // absent) and `extend`s answer alike through every method.
+    // other, an empty one, non-ASCII ones; empty and multi-byte values),
+    // `remove`s (present and absent), `extend`s and `from_pairs` (a
+    // repeated key keeps its last value) answer alike through every
+    // method.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn the_pair_slice_is_the_map(
+        fn the_packed_set_is_the_map(
             ops in proptest::collection::vec(
-                (0u8..6, proptest::collection::vec((0usize..8, "[a-c]{0,3}"), 1..4)),
+                (0u8..7, proptest::collection::vec((0usize..8, "[a-cé値]{0,3}"), 1..5)),
                 1..40,
             ),
         ) {
-            const KEYS: &[&str] = &["k", "ke", "key", "nonce", "version", "", "é", "名"];
+            const KEYS: &[&str] = &["k", "ke", "key", "k1", "version", "", "é", "名"];
             let mut meta = Metadata::new();
             let mut model = BTreeMap::<String, String>::new();
             for (kind, picks) in ops {
                 let pairs = picks.iter().map(|(k, v)| (KEYS[*k], v.as_str()));
+                let owned = pairs.clone().map(|(k, v)| (k.to_string(), v.to_string()));
                 match kind {
                     0..=2 => for (k, v) in pairs {
                         prop_assert_eq!(meta.insert(k, v), model.insert(k.into(), v.into()));
@@ -292,12 +288,16 @@ mod tests {
                         prop_assert_eq!(meta.remove(k), model.remove(k));
                     },
                     4 => {
-                        meta.extend(pairs.clone());
-                        model.extend(pairs.map(|(k, v)| (k.to_string(), v.to_string())));
+                        meta.extend(pairs);
+                        model.extend(owned);
+                    }
+                    5 => {
+                        meta = pairs.collect();
+                        model = owned.collect();
                     }
                     _ => {
-                        meta = pairs.clone().collect();
-                        model = pairs.map(|(k, v)| (k.to_string(), v.to_string())).collect();
+                        meta = Metadata::from_pairs(owned.clone());
+                        model = owned.collect();
                     }
                 }
                 let entries = model.iter().map(|(k, v)| (k.as_str(), v.as_str()));
@@ -306,7 +306,7 @@ mod tests {
                 prop_assert_eq!((meta.len(), meta.is_empty()), (model.len(), model.is_empty()));
                 let bytes = entries.map(|(k, v)| (k.len() + v.len()) as u64);
                 prop_assert_eq!(meta.byte_size(), bytes.sum::<u64>());
-                for key in KEYS.iter().copied().chain(["j", "kf", "z"]) {
+                for key in KEYS.iter().copied().chain(["j", "k0", "kf", "z"]) {
                     prop_assert_eq!(meta.get(key), model.get(key).map(String::as_str));
                 }
             }

@@ -1,9 +1,7 @@
 //! Data model: items described by multi-valued attribute pairs.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
-use simworld::Pair;
+use simworld::{Pair, PairSet, Pairs};
 
 use crate::error::{Result, SdbError};
 
@@ -107,36 +105,45 @@ impl DeletableAttribute {
 ///
 /// SimpleDB attributes are multi-valued; the pair set is unordered and
 /// duplicate-free, which is what makes `PutAttributes` idempotent (§2.2
-/// of the paper). It is held as one slice sorted by name, then value,
-/// sized to exactly the pairs it holds: the values of a name are one
-/// run of it. The slice is shared: every read hands out the stored item
-/// itself (a clone is a reference-count bump), and a write builds a new
-/// slice rather than editing one a reader may hold.
+/// of the paper). It is held as one [`PairSet`]: the pairs sorted by
+/// name, then value, every name and value packed back to back in one
+/// text with a table of where each ends, sized to exactly the pairs it
+/// holds — two heap blocks, however many pairs. The values of a name are
+/// one run of it. The set is shared: every read hands out the stored
+/// item itself (a clone is two reference-count bumps), and a write
+/// builds a new set rather than editing one a reader may hold.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ItemState {
-    pairs: Arc<[Pair]>,
+    pairs: PairSet,
 }
 
 impl ItemState {
     /// An item holding `pairs`, each once.
     pub fn from_pairs<N, V>(pairs: impl IntoIterator<Item = (N, V)>) -> ItemState
     where
-        N: Into<Box<str>>,
-        V: Into<Box<str>>,
+        N: AsRef<str>,
+        V: AsRef<str>,
     {
-        let mut pairs: Vec<Pair> = pairs.into_iter().map(|(n, v)| Pair::new(n, v)).collect();
+        let owned: Vec<(N, V)> = pairs.into_iter().collect();
+        let mut pairs: Vec<Pair<'_>> = owned
+            .iter()
+            .map(|(n, v)| Pair {
+                name: n.as_ref(),
+                value: v.as_ref(),
+            })
+            .collect();
         pairs.sort_unstable();
         pairs.dedup();
         ItemState {
-            pairs: pairs.into(),
+            pairs: PairSet::from_sorted(pairs.into_iter()),
         }
     }
 
     /// The pairs named `attr`, values ascending; empty when the item
     /// carries none. This is the [`simworld::ValuesOf`] the store's
     /// attribute postings are built from.
-    pub fn get(&self, attr: &str) -> &[Pair] {
-        Pair::run(&self.pairs, attr)
+    pub fn get(&self, attr: &str) -> Pairs<'_> {
+        self.pairs.named(attr)
     }
 
     /// `true` when the item carries a pair named `attr`.
@@ -145,7 +152,7 @@ impl ItemState {
     }
 
     /// Every pair, by name, then value.
-    pub fn iter(&self) -> std::slice::Iter<'_, Pair> {
+    pub fn iter(&self) -> Pairs<'_> {
         self.pairs.iter()
     }
 
@@ -161,34 +168,21 @@ impl ItemState {
 
     /// The pairs `keep` accepts: this same shared item when it accepts
     /// every pair, otherwise a new item holding only those.
-    pub(crate) fn only(&self, keep: impl Fn(&Pair) -> bool) -> ItemState {
-        let kept = self.iter().filter(|p| keep(p)).count();
-        if kept == self.len() {
+    pub(crate) fn only(&self, keep: impl Fn(Pair<'_>) -> bool) -> ItemState {
+        let kept = self.iter().filter(|&p| keep(p));
+        if kept.clone().count() == self.len() {
             return self.clone();
         }
-        if kept == 0 {
-            return ItemState::default();
-        }
-        let mut pairs = self.iter().filter(|p| keep(p)).cloned();
-        // A counted range has an exact length, so the slice is allocated
-        // once, at the size it keeps.
-        let pairs = (0..kept).map(|_| pairs.next().expect("counted above"));
         ItemState {
-            pairs: pairs.collect(),
+            pairs: PairSet::from_sorted(kept),
         }
-    }
-
-    fn carries(&self, name: &str, value: &str) -> bool {
-        let sought = (name, value);
-        let order = |p: &Pair| (&*p.name, &*p.value).cmp(&sought);
-        self.pairs.binary_search_by(order).is_ok()
     }
 
     /// Applies one `PutAttributes` attribute list: the replace-once rule
     /// (existing values of a `replace`d name drop once per call, before
     /// any of this call's values land), then the 256-pair item cap. The
-    /// new slice is laid out as borrows first, then allocated once, at
-    /// the size the call leaves.
+    /// new set is laid out as borrows first, then packed once, at the
+    /// size the call leaves.
     ///
     /// # Errors
     ///
@@ -198,13 +192,16 @@ impl ItemState {
         let replace = attrs.iter().filter(|a| a.replace);
         let replaced: Vec<&str> = replace.map(|a| a.name.as_str()).collect();
         let replaced = |name: &str| replaced.contains(&name);
-        let dropped = self.iter().filter(|p| replaced(&p.name)).count();
+        let dropped = self.iter().filter(|p| replaced(p.name)).count();
         let kept = self.len() - dropped;
         // What the call adds: its pairs, each once, that the item will
         // not still be carrying when they land.
-        let mut laid: Vec<(&str, &str)> = Vec::with_capacity(kept + attrs.len());
-        let pairs = attrs.iter().map(|a| (a.name.as_str(), a.value.as_str()));
-        laid.extend(pairs.filter(|&(n, v)| replaced(n) || !self.carries(n, v)));
+        let mut laid: Vec<Pair<'_>> = Vec::with_capacity(kept + attrs.len());
+        let pairs = attrs.iter().map(|a| Pair {
+            name: &a.name,
+            value: &a.value,
+        });
+        laid.extend(pairs.filter(|&p| replaced(p.name) || !self.pairs.contains(p)));
         laid.sort_unstable();
         laid.dedup();
         let added = laid.len();
@@ -212,10 +209,9 @@ impl ItemState {
             return Err(kept + added);
         }
         if dropped + added > 0 {
-            let kept = self.iter().filter(|p| !replaced(&p.name));
-            laid.extend(kept.map(|p| (&*p.name, &*p.value)));
+            laid.extend(self.iter().filter(|p| !replaced(p.name)));
             laid.sort_unstable();
-            self.pairs = laid.iter().map(|&(n, v)| Pair::new(n, v)).collect();
+            self.pairs = PairSet::from_sorted(laid.into_iter());
         }
         Ok(())
     }
@@ -224,9 +220,9 @@ impl ItemState {
     /// are passed over.
     pub(crate) fn delete(&mut self, specs: &[DeletableAttribute]) {
         *self = self.only(|p| {
-            let names = |s: &&DeletableAttribute| *s.name == *p.name;
+            let names = |s: &&DeletableAttribute| s.name == p.name;
             let mut named = specs.iter().filter(names);
-            !named.any(|s| s.value.as_deref().is_none_or(|v| *v == *p.value))
+            !named.any(|s| s.value.as_deref().is_none_or(|v| v == p.value))
         });
     }
 }
@@ -234,20 +230,18 @@ impl ItemState {
 /// Serialized size of an item in bytes (names + values), used for
 /// storage accounting and for billing the pairs a read returns.
 pub fn byte_size(item: &ItemState) -> u64 {
-    item.iter()
-        .map(|p| (p.name.len() + p.value.len()) as u64)
-        .sum()
+    item.pairs.text_len() as u64
 }
 
 /// Every pair of `item` as borrowed `(name, value)`, in order: an answer
 /// in the shape a literal is written in.
 pub fn pairs(item: &ItemState) -> Vec<(&str, &str)> {
-    item.iter().map(|p| (&*p.name, &*p.value)).collect()
+    item.iter().map(|p| (p.name, p.value)).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     use proptest::prelude::*;
 
@@ -288,95 +282,85 @@ mod tests {
         assert_eq!(pairs(&item), vec![("a", "1"), ("b", "2")]);
     }
 
-    // --- the tree of trees the pair slice replaced, kept as its oracle ---
+    // --- a plain set of owned pairs, the oracle of the packed set ---
 
-    type Model = BTreeMap<String, BTreeSet<String>>;
+    type Model = BTreeSet<(String, String)>;
 
-    /// `PutAttributes` as it was written against the map of sets.
+    /// `PutAttributes` on the set of pairs: the replaced names drop once,
+    /// then every pair lands, then the cap is checked.
     fn model_put(
         model: &mut Model,
         attrs: &[ReplaceableAttribute],
     ) -> std::result::Result<(), usize> {
         let mut next = model.clone();
-        let mut replaced: Vec<&str> = Vec::new();
-        for a in attrs {
-            if a.replace && !replaced.contains(&a.name.as_str()) {
-                next.remove(&a.name);
-                replaced.push(&a.name);
-            }
-        }
-        for a in attrs {
-            next.entry(a.name.clone())
-                .or_default()
-                .insert(a.value.clone());
-        }
-        let pairs = next.values().map(BTreeSet::len).sum();
-        if pairs > MAX_PAIRS_PER_ITEM {
-            return Err(pairs);
+        let replaced: Vec<&str> = attrs
+            .iter()
+            .filter(|a| a.replace)
+            .map(|a| a.name.as_str())
+            .collect();
+        next.retain(|(n, _)| !replaced.contains(&n.as_str()));
+        next.extend(attrs.iter().map(|a| (a.name.clone(), a.value.clone())));
+        if next.len() > MAX_PAIRS_PER_ITEM {
+            return Err(next.len());
         }
         *model = next;
         Ok(())
     }
 
-    /// `DeleteAttributes` as it was written against the map of sets.
+    /// `DeleteAttributes` on the set of pairs.
     fn model_delete(model: &mut Model, specs: &[DeletableAttribute]) {
-        for spec in specs {
-            match &spec.value {
-                None => {
-                    model.remove(&spec.name);
-                }
-                Some(v) => {
-                    if let Some(values) = model.get_mut(&spec.name) {
-                        values.remove(v);
-                        if values.is_empty() {
-                            model.remove(&spec.name);
-                        }
-                    }
-                }
-            }
-        }
+        model.retain(|(n, v)| {
+            let named = specs.iter().filter(|s| s.name == *n);
+            !named
+                .clone()
+                .any(|s| s.value.as_ref().is_none_or(|sv| sv == v))
+        });
     }
 
     /// Names that are prefixes of each other, an empty one, non-ASCII
     /// ones sorting after every ASCII one.
-    const NAMES: &[&str] = &["a", "ab", "abc", "b", "", "é", "éa", "名"];
+    const NAMES: &[&str] = &["a", "a1", "ab", "b", "", "é", "éa", "名"];
     const VALUES: &[&str] = &["", "1", "10", "2", "x", "xy", "é", "値"];
 
     fn check(item: &ItemState, model: &Model) -> std::result::Result<(), TestCaseError> {
-        let flat = || {
-            let runs = model.iter();
-            runs.flat_map(|(n, vs)| vs.iter().map(move |v| (n.as_str(), v.as_str())))
-        };
+        let flat = || model.iter().map(|(n, v)| (n.as_str(), v.as_str()));
         prop_assert_eq!(pairs(item), flat().collect::<Vec<_>>());
         prop_assert_eq!(item, &ItemState::from_pairs(flat()));
         prop_assert_eq!(item.is_empty(), model.is_empty());
-        prop_assert_eq!(item.len(), flat().count());
+        prop_assert_eq!((item.len(), item.iter().len()), (model.len(), model.len()));
         let bytes = flat().map(|(n, v)| (n.len() + v.len()) as u64);
         prop_assert_eq!(byte_size(item), bytes.sum::<u64>());
-        for name in NAMES.iter().copied().chain(["a\0", "c", "z"]) {
-            let values: Vec<&str> = item.get(name).iter().map(|p| &*p.value).collect();
-            let expected = model.get(name).into_iter().flatten();
+        for name in NAMES.iter().copied().chain(["a\0", "a0", "c", "z"]) {
+            let run = item.get(name);
+            let values: Vec<&str> = run.map(|p| p.value).collect();
+            let expected = flat().filter(|(n, _)| *n == name).map(|(_, v)| v);
             prop_assert_eq!(values, expected.collect::<Vec<_>>());
-            prop_assert!(item.get(name).iter().all(|p| &*p.name == name));
-            prop_assert_eq!(item.contains_key(name), model.contains_key(name));
+            prop_assert!(item.get(name).all(|p| p.name == name));
+            prop_assert_eq!(run.len(), run.count());
+            prop_assert_eq!(item.contains_key(name), flat().any(|(n, _)| n == name));
+            for value in VALUES {
+                let pair = Pair { name, value };
+                let held = model.contains(&(name.to_string(), value.to_string()));
+                prop_assert_eq!(item.pairs.contains(pair), held);
+            }
         }
         Ok(())
     }
 
-    // Random `put`s (adds and replaces, repeated pairs, many-valued
-    // names, enough values to cross the 256-pair cap) and `delete`s
-    // (a whole name, one pair, pairs and names the item lacks, the
-    // whole item) leave the pair slice holding exactly what the map
-    // of sets holds, in its order, after every call. The slice is an
-    // `Arc<[Pair]>`: it has no capacity beyond its length to drift.
+    // Random `from_pairs` (repeated pairs, any order), `put`s (adds and
+    // replaces, repeated pairs, many-valued names, enough values to
+    // cross the 256-pair cap), `delete`s (a whole name, one pair, pairs
+    // and names the item lacks, the whole item) and `only`s leave the
+    // packed set holding exactly what the set of owned pairs holds, in
+    // its order, through every reader, after every call.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn the_pair_slice_is_the_map_of_sets(
+        fn the_packed_set_is_a_set_of_pairs(
             ops in proptest::collection::vec(
                 (
-                    0u8..10,
+                    0u8..12,
                     proptest::collection::vec((0usize..8, 0usize..8, 0u8..4), 1..7),
                     (0usize..8, 0usize..300, 0usize..101),
                 ),
@@ -413,6 +397,17 @@ mod tests {
                         item.delete(&specs);
                         model_delete(&mut model, &specs);
                     }
+                    9 => {
+                        // Keep the names picked.
+                        let kept = |n: &str| picks.iter().any(|&(k, _, _)| NAMES[k] == n);
+                        item = item.only(|p| kept(p.name));
+                        model.retain(|(n, _)| kept(n));
+                    }
+                    10 => {
+                        let pairs = picks.iter().map(|&(n, v, _)| (NAMES[n], VALUES[v]));
+                        item = ItemState::from_pairs(pairs.clone());
+                        model = pairs.map(|(n, v)| (n.to_string(), v.to_string())).collect();
+                    }
                     _ => {
                         // `DeleteAttributes` without specs erases the item.
                         item = ItemState::default();
@@ -425,7 +420,7 @@ mod tests {
     }
 
     // `only` keeps exactly what a plain filter keeps, in order; it hands
-    // back the very slice it was called on when `keep` accepts every
+    // back the very set it was called on when `keep` accepts every
     // pair, and a new one otherwise.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -436,15 +431,15 @@ mod tests {
             kept_names in proptest::collection::vec(any::<bool>(), 8..9),
         ) {
             let item = ItemState::from_pairs(picks.iter().map(|&(n, v)| (NAMES[n], VALUES[v])));
-            let keep = |p: &Pair| NAMES.iter().position(|n| *n == &*p.name).is_some_and(|i| kept_names[i]);
+            let keep = |p: Pair| NAMES.iter().position(|n| *n == p.name).is_some_and(|i| kept_names[i]);
             let only = item.only(keep);
             let filtered: Vec<(&str, &str)> =
-                pairs(&item).into_iter().filter(|&(n, v)| keep(&Pair::new(n, v))).collect();
+                pairs(&item).into_iter().filter(|&(name, value)| keep(Pair { name, value })).collect();
             prop_assert_eq!(pairs(&only), filtered);
             let everything = item.iter().all(keep);
-            prop_assert_eq!(Arc::ptr_eq(&only.pairs, &item.pairs), everything);
+            prop_assert_eq!(only.pairs.shares(&item.pairs), everything);
             let all = item.only(|_| true);
-            prop_assert!(Arc::ptr_eq(&all.pairs, &item.pairs));
+            prop_assert!(all.pairs.shares(&item.pairs));
         }
     }
 }

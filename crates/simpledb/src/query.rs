@@ -37,7 +37,7 @@ use std::fmt;
 use std::iter::Peekable;
 use std::ops::Range;
 
-use simworld::Pair;
+use simworld::Pairs;
 
 use crate::error::{Result, SdbError};
 use crate::model::ItemState;
@@ -190,8 +190,8 @@ impl<'a> Predicate<'a> {
     }
 
     /// [`Predicate::matches`] on the item's run of this attribute.
-    fn matches_run(&self, values: &[Pair]) -> bool {
-        values.iter().any(|p| self.eval_on_value(&p.value))
+    fn matches_run(&self, mut values: Pairs<'_>) -> bool {
+        values.any(|p| self.eval_on_value(p.value))
     }
 
     fn operand(&self, c: &Comparison) -> &'a str {
@@ -296,7 +296,7 @@ impl QueryExpr {
     /// of its run.
     pub fn matches(&self, item: &ItemState) -> bool {
         let mut acc = false;
-        let mut run: Option<(&str, &[Pair])> = None;
+        let mut run: Option<(&str, Pairs)> = None;
         for (setop, negated, pred) in self.terms() {
             match setop {
                 SetOp::Union if acc => continue,

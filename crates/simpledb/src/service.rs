@@ -227,7 +227,7 @@ impl SimpleDb {
         // The stored item itself, unless `names` filters pairs out.
         let (shard, item) = dom.with_cells(item_name, |shard, map| {
             let item = map.read_with(&self.world, item_name, |item| {
-                let keep = |p: &Pair| names.is_none_or(|f| f.contains(&&*p.name));
+                let keep = |p: Pair| names.is_none_or(|f| f.contains(&p.name));
                 item.map_or_else(ItemState::default, |item| item.only(keep))
             });
             (shard, item)
@@ -404,7 +404,7 @@ impl SimpleDb {
         max_items: Option<usize>,
         next_token: Option<&str>,
     ) -> Result<QueryWithAttributesResult> {
-        let keep = |p: &Pair| attribute_filter.is_none_or(|f| f.iter().any(|n| *n == *p.name));
+        let keep = |p: Pair| attribute_filter.is_none_or(|f| f.iter().any(|n| n == p.name));
         let ((rows, next, scanned), dom) =
             self.run_query(domain, expression, max_items, next_token, |item| {
                 item.only(keep)

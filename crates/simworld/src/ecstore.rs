@@ -61,42 +61,212 @@
 use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::clock::SimInstant;
 use crate::hash::fnv1a_64;
 use crate::shardmap::MAX_SHARDS;
 use crate::world::SimWorld;
 
-/// One attribute name–value pair. Ordered by name, then value: a slice
-/// sorted that way keeps every pair of one name in one run, values
-/// ascending — the order a map from name to a set of values iterates in.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct Pair {
+/// One attribute name–value pair, borrowed from the [`PairSet`] that
+/// holds it. Ordered by name, then value: a set sorted that way keeps
+/// every pair of one name in one run, values ascending — the order a map
+/// from name to a set of values iterates in.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct Pair<'a> {
     /// Attribute name.
-    pub name: Box<str>,
+    pub name: &'a str,
     /// Attribute value.
-    pub value: Box<str>,
+    pub value: &'a str,
 }
 
-impl Pair {
-    /// Builds a pair.
-    pub fn new(name: impl Into<Box<str>>, value: impl Into<Box<str>>) -> Pair {
-        Pair {
-            name: name.into(),
-            value: value.into(),
+/// Pairs ascending by [`Pair`] order, each once, packed: every name and
+/// value back to back in one text, and beside it a table of where each
+/// one ends. A set of any size is those two blocks, both shared, so a
+/// clone is two reference-count bumps; a write builds a new set rather
+/// than editing one a reader may hold.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct PairSet {
+    text: Arc<str>,
+    /// Pair `i`'s name ends at `[2i]` and its value at `[2i + 1]`; each
+    /// starts where the one before it ends.
+    ends: Arc<[u32]>,
+}
+
+impl PairSet {
+    /// Packs `pairs`, which must ascend strictly, into a set allocated
+    /// once, at the size it holds.
+    pub fn from_sorted<'p>(pairs: impl Iterator<Item = Pair<'p>> + Clone) -> PairSet {
+        let count = |(n, bytes), p: Pair<'_>| (n + 1, bytes + p.name.len() + p.value.len());
+        let (n, bytes) = pairs.clone().fold((0, 0), count);
+        if n == 0 {
+            return PairSet::default();
+        }
+        let mut text = String::with_capacity(bytes);
+        let mut parts = pairs.flat_map(|p| [p.name, p.value]);
+        // A counted range has an exact length, so the table is allocated
+        // once, at the size it keeps.
+        let ends = (0..2 * n)
+            .map(|_| {
+                text.push_str(parts.next().expect("counted above"));
+                u32::try_from(text.len()).expect("a pair set's text fits a u32 offset")
+            })
+            .collect();
+        let set = PairSet {
+            text: text.into(),
+            ends,
+        };
+        debug_assert!(
+            set.iter().is_sorted_by(|a, b| a < b),
+            "{set:?} does not ascend"
+        );
+        set
+    }
+
+    /// Every pair, ascending.
+    pub fn iter(&self) -> Pairs<'_> {
+        Pairs {
+            text: &self.text,
+            ends: &self.ends,
+            start: 0,
         }
     }
 
-    /// The run of `sorted` (ascending, see [`Pair`]) named `name`; empty
-    /// when no pair is.
-    pub fn run<'a>(sorted: &'a [Pair], name: &str) -> &'a [Pair] {
-        let from = sorted.partition_point(|p| *p.name < *name);
-        let len = sorted[from..].partition_point(|p| *p.name == *name);
-        &sorted[from..from + len]
+    /// Pairs in the set.
+    pub fn len(&self) -> usize {
+        self.ends.len() / 2
+    }
+
+    /// `true` when the set holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The run of pairs named `name`, values ascending; empty when no
+    /// pair is.
+    pub fn named(&self, name: &str) -> Pairs<'_> {
+        let all = self.iter();
+        let from = all.partition_point(|p| p.name < name);
+        let to = all.partition_point(|p| p.name <= name);
+        all.slice(from, to)
+    }
+
+    /// `true` when the set holds `pair`.
+    pub fn contains(&self, pair: Pair<'_>) -> bool {
+        let all = self.iter();
+        let at = all.partition_point(|p| p < pair);
+        at < self.len() && all.at(at) == pair
+    }
+
+    /// Bytes of every name and value together.
+    pub fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
+    /// `true` when `other` is a clone of this very set, not merely an
+    /// equal one.
+    pub fn shares(&self, other: &PairSet) -> bool {
+        Arc::ptr_eq(&self.text, &other.text) && Arc::ptr_eq(&self.ends, &other.ends)
     }
 }
+
+/// Renders the pairs as the list they are: `[Pair { name: "a", value:
+/// "1" }, ..]`.
+impl fmt::Debug for PairSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A run of a [`PairSet`]'s pairs, ascending: an iterator that hands out
+/// each pair as a [`Pair`] borrowed from the set.
+#[derive(Clone, Copy, Debug)]
+pub struct Pairs<'a> {
+    text: &'a str,
+    /// The run's part of the set's table, two ends per pair.
+    ends: &'a [u32],
+    /// Where the run's first name starts.
+    start: usize,
+}
+
+impl<'a> Pairs<'a> {
+    /// The run of no pair.
+    pub const EMPTY: Pairs<'static> = Pairs {
+        text: "",
+        ends: &[],
+        start: 0,
+    };
+
+    /// `true` when the run holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Where pair `i` of the run starts.
+    fn start_of(&self, i: usize) -> usize {
+        if i == 0 {
+            self.start
+        } else {
+            self.ends[2 * i - 1] as usize
+        }
+    }
+
+    /// Pair `i` of the run.
+    fn at(&self, i: usize) -> Pair<'a> {
+        let (name_end, value_end) = (self.ends[2 * i] as usize, self.ends[2 * i + 1] as usize);
+        Pair {
+            name: &self.text[self.start_of(i)..name_end],
+            value: &self.text[name_end..value_end],
+        }
+    }
+
+    /// Pairs `from..to` of the run.
+    fn slice(&self, from: usize, to: usize) -> Pairs<'a> {
+        Pairs {
+            text: self.text,
+            ends: &self.ends[2 * from..2 * to],
+            start: self.start_of(from),
+        }
+    }
+
+    /// How many of the run's first pairs `pred` holds for, when it holds
+    /// for a prefix of the run and for nothing after it.
+    fn partition_point(&self, pred: impl Fn(Pair<'a>) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.at(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+impl<'a> Iterator for Pairs<'a> {
+    type Item = Pair<'a>;
+
+    fn next(&mut self) -> Option<Pair<'a>> {
+        if self.ends.is_empty() {
+            return None;
+        }
+        let pair = self.at(0);
+        *self = self.slice(1, self.len());
+        Some(pair)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.ends.len() / 2;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Pairs<'_> {}
 
 /// When each replica starts serving a write.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -140,8 +310,10 @@ struct Write<V> {
 
 impl<V> Write<V> {
     /// The pairs this write's state carries for `attr`.
-    fn values(&self, values_of: ValuesOf<V>, attr: &str) -> &[Pair] {
-        self.value.as_ref().map_or(&[], |v| values_of(v, attr))
+    fn values(&self, values_of: ValuesOf<V>, attr: &str) -> Pairs<'_> {
+        self.value
+            .as_ref()
+            .map_or(Pairs::EMPTY, |v| values_of(v, attr))
     }
 }
 
@@ -194,7 +366,7 @@ impl<V> Cell<V> {
 /// Reads the run of pairs `state` carries for an attribute (empty when
 /// it carries none) — how `Postings` look inside an otherwise opaque
 /// `V`.
-pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> &'a [Pair];
+pub type ValuesOf<V> = for<'a> fn(&'a V, &str) -> Pairs<'a>;
 
 /// The hash attribute values are posted under (see the module docs).
 /// Callers hash a value once and probe the postings with the result.
@@ -273,7 +445,7 @@ fn posted_hashes<'a, V: 'a>(
     mask: u64,
 ) -> impl Iterator<Item = u64> + 'a {
     let carried = writes.flat_map(move |w| w.values(values_of, attr));
-    carried.map(move |pair| value_hash(&pair.value) & mask)
+    carried.map(move |pair| value_hash(pair.value) & mask)
 }
 
 impl<K: Ord + Clone, V> Postings<K, V> {
@@ -320,7 +492,7 @@ impl<K: Ord + Clone, V> Postings<K, V> {
         let (values_of, mask) = (self.values_of, self.mask);
         for (attr, by_value) in self.posted_on(shard) {
             for pair in values_of(state, attr) {
-                post(by_value, value_hash(&pair.value) & mask, shard, key);
+                post(by_value, value_hash(pair.value) & mask, shard, key);
             }
         }
     }
@@ -1061,21 +1233,24 @@ mod tests {
     // --- attribute postings ---
 
     /// Sorted and duplicate-free, as `ValuesOf` needs it.
-    type Item = Vec<Pair>;
+    type Item = PairSet;
 
     fn item(pairs: &[(&str, &str)]) -> Item {
-        let mut item: Item = pairs.iter().map(|(a, v)| Pair::new(*a, *v)).collect();
-        item.sort();
-        item.dedup();
-        item
+        let mut pairs: Vec<Pair> = pairs
+            .iter()
+            .map(|&(name, value)| Pair { name, value })
+            .collect();
+        pairs.sort();
+        pairs.dedup();
+        PairSet::from_sorted(pairs.into_iter())
     }
 
-    fn item_values<'a>(item: &'a Item, attr: &str) -> &'a [Pair] {
-        Pair::run(item, attr)
+    fn item_values<'a>(item: &'a Item, attr: &str) -> Pairs<'a> {
+        item.named(attr)
     }
 
     fn carries(item: &Item, attr: &str, value: &str) -> bool {
-        item_values(item, attr).iter().any(|p| *p.value == *value)
+        item_values(item, attr).any(|p| p.value == value)
     }
 
     /// One map as the only shard of a table of postings.

@@ -57,7 +57,7 @@ mod world;
 
 pub use blob::{Blob, Chunks, CHUNK};
 pub use clock::{SimDuration, SimInstant};
-pub use ecstore::{value_hash, Cover, EcMap, Pair, ValuesOf, Visibility};
+pub use ecstore::{value_hash, Cover, EcMap, Pair, PairSet, Pairs, ValuesOf, Visibility};
 pub use faults::{CrashSite, Crashed, FaultPlan};
 pub use hash::{fnv1a_64, splitmix64, Fnv1a};
 pub use latency::{Cost, LatencyModel, ServiceLatency};

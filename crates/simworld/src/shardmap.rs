@@ -437,7 +437,7 @@ mod tests {
 
     use super::*;
     use crate::clock::SimDuration;
-    use crate::ecstore::{value_hash, Pair};
+    use crate::ecstore::{value_hash, Pair, PairSet, Pairs};
     use crate::latency::LatencyModel;
     use crate::world::{Consistency, SimConfig, SimWorld};
 
@@ -512,21 +512,24 @@ mod tests {
     // --- attribute postings ---
 
     /// Sorted and duplicate-free, as `ValuesOf` needs it.
-    type Item = Vec<Pair>;
+    type Item = PairSet;
 
     fn item(pairs: &[(&str, &str)]) -> Item {
-        let mut item: Item = pairs.iter().map(|(a, v)| Pair::new(*a, *v)).collect();
-        item.sort();
-        item.dedup();
-        item
+        let mut pairs: Vec<Pair> = pairs
+            .iter()
+            .map(|&(name, value)| Pair { name, value })
+            .collect();
+        pairs.sort();
+        pairs.dedup();
+        PairSet::from_sorted(pairs.into_iter())
     }
 
-    fn item_values<'a>(item: &'a Item, attr: &str) -> &'a [Pair] {
-        Pair::run(item, attr)
+    fn item_values<'a>(item: &'a Item, attr: &str) -> Pairs<'a> {
+        item.named(attr)
     }
 
     fn carries(item: &Item, attr: &str, value: &str) -> bool {
-        item_values(item, attr).iter().any(|p| *p.value == *value)
+        item_values(item, attr).any(|p| p.value == value)
     }
 
     #[test]
@@ -622,11 +625,13 @@ mod tests {
             match kind {
                 // Put: the pairs join what the item holds.
                 0 | 1 => map.with_cells(&name(key), |_, cells| {
-                    let mut held = cells.read_latest(&name(key)).unwrap_or_default();
-                    held.extend(pairs(bits));
-                    held.sort();
-                    held.dedup();
-                    cells.write(&world, name(key), Some(held));
+                    let held = cells.read_latest(&name(key)).unwrap_or_default();
+                    let added = pairs(bits);
+                    let mut joined: Vec<Pair> = held.iter().chain(added.iter()).collect();
+                    joined.sort();
+                    joined.dedup();
+                    let joined = PairSet::from_sorted(joined.into_iter());
+                    cells.write(&world, name(key), Some(joined));
                 }),
                 // Replace.
                 2 => map.with_cells(&name(key), |_, cells| {

@@ -9,6 +9,9 @@
 //! every item, object and message on the heap, so that difference is
 //! their representation: pairs, cells, metadata. Around the same runs it
 //! counts allocator calls, per record written and per query answered.
+//! Every figure is printed to stderr beside its budget, so `cargo test
+//! --release --test heap_budget -- --nocapture` reads them all, pass or
+//! fail.
 //!
 //! Every measurement lives in one `#[test]`: the counters are
 //! process-wide, and a second test running beside it would be counted
@@ -133,25 +136,28 @@ fn calls_in(work: impl FnOnce()) -> usize {
 fn a_stored_record_stays_within_its_heap_budget() {
     // arch3, the `ingest_wal` shape: point records through the WAL, a
     // flush (commit-daemon drain) every 64. 2 000 records and up.
-    // Measured 1 108 B; 1 092 B before an item's shared slice carried its
-    // reference counts; 4 289 B when an item was a map of sets, a cell a
-    // `Vec` of writes and metadata a map.
-    const RECORD_BUDGET: usize = 1_260;
+    // Measured 1 028 B; 1 083 B (at `50e0319`, where this test fails)
+    // while every name and value of an item or of metadata was a box of
+    // its own; 1 108 B earlier; 1 092 B before an item's shared slice
+    // carried its reference counts; 4 289 B when an item was a map of
+    // sets, a cell a `Vec` of writes and metadata a map.
+    const RECORD_BUDGET: usize = 1_060;
     // The same run also counts allocator calls: what the write path costs
     // in `malloc`s, where the bytes above are what it leaves behind. A
     // record is logged by `record` and applied by its share of a `flush`.
-    // Measured 110.1 (42.2 + 67.9); 114.1 (43.2 + 70.9, at `6ec1513`,
-    // where this test fails) while every write carried a `Vec` of one
-    // visibility instant per replica, strong world or not; 114.4 (43.2 +
-    // 71.3) while a put
-    // gathered its pairs in a growing `Vec`; 179.4 (83.6 + 95.8) while SQS
-    // built three `Vec`s per send, formatted every id and handle and copied
-    // each body out per delivery, `chunk_pairs` copied its pairs, S3 looked keys
-    // up by `key.to_string()` and the daemon cloned each data object's
-    // metadata per copy; 394.2 (234.6 + 159.6) when the WAL codec built a
+    // Measured 102.5 (42.2 + 60.4); 110.1 (42.2 + 67.9, at `50e0319`,
+    // where this test fails) while a put boxed every name and value it
+    // stored; 114.1 (43.2 + 70.9, at `6ec1513`) while every write carried
+    // a `Vec` of one visibility instant per replica, strong world or not;
+    // 114.4 (43.2 + 71.3) while a put gathered its pairs in a growing
+    // `Vec`; 179.4 (83.6 + 95.8) while SQS built three `Vec`s per send,
+    // formatted every id and handle and copied each body out per delivery,
+    // `chunk_pairs` copied its pairs, S3 looked keys up by
+    // `key.to_string()` and the daemon cloned each data object's metadata
+    // per copy; 394.2 (234.6 + 159.6) when the WAL codec built a
     // `Vec<String>` per record, the chunker trial-encoded per pair and the
     // daemon cloned what it had decoded.
-    const CALL_BUDGET: usize = 113;
+    const CALL_BUDGET: usize = 105;
     let mut records = 0usize;
     let (mut record_calls, mut flush_calls) = (0usize, 0usize);
     let arch3 = || {
@@ -180,11 +186,18 @@ fn a_stored_record_stays_within_its_heap_budget() {
         flush_calls += calls_in(|| handle.flush().expect("flush"));
     });
     let per_record = held / records;
+    let per = |calls: usize| calls as f64 / records as f64;
+    eprintln!(
+        "arch3: {per_record} B per record ({held} B / {records}), budget {RECORD_BUDGET}; \
+         {:.1} allocator calls per record (record {:.1} + flush {:.1}), budget {CALL_BUDGET}",
+        per(record_calls + flush_calls),
+        per(record_calls),
+        per(flush_calls),
+    );
     assert!(
         per_record <= RECORD_BUDGET,
         "arch3 holds {per_record} B per record ({held} B / {records}), budget {RECORD_BUDGET}"
     );
-    let per = |calls: usize| calls as f64 / records as f64;
     assert!(
         record_calls + flush_calls <= CALL_BUDGET * records,
         "arch3 makes {:.1} allocator calls per record (record {:.1} + flush {:.1}, {records} \
@@ -197,21 +210,26 @@ fn a_stored_record_stays_within_its_heap_budget() {
     // arch2 with the closure served, the `mixed_closure` preload shape:
     // 100 pipelines in batches, then the index read back. An item here
     // is one flush: its object, its provenance item, its closure rows
-    // and their postings. Measured 2 887 B (the indexer's cache an id list
-    // per node, the postings one table per domain); 3 140 B while it kept a `BTreeSet<String>` of renders per
-    // node (the items' shared slices carry their reference counts);
+    // and their postings. Measured 2 824 B (every item's pairs one packed
+    // text and one table of offsets); 2 886 B (at `50e0319`, where this
+    // test fails) while each name and value was a box of its own, with
+    // the indexer's cache an id list per node and the postings one table
+    // per domain; 3 140 B while it kept a `BTreeSet<String>` of renders
+    // per node (the items' shared slices carry their reference counts);
     // 3 047 B with unshared ones; 10 654 B before.
-    const ITEM_BUDGET: usize = 3_500;
+    const ITEM_BUDGET: usize = 2_860;
     // The same run counts allocator calls per record around each
     // `record_batch`: the plain arch2 write plus the closure maintenance
-    // of its group. Measured 120.7; 128.3 (at `6ec1513`, where this test
-    // fails) while each write carried a `Vec` of visibility instants and
-    // each lookup's parse three copies per term; 239.1 (at `f276dc7`, where this test
-    // fails; 44.5 of them the plain write) while the indexer computed on strings — ancestor sets as
-    // `BTreeSet<String>`s cloned at every step, each edge re-parsed and
-    // re-rendered per pass, the emitted rows gathered in a map of sets —
-    // and the write side cloned every item's attributes for it.
-    const INDEXED_CALL_BUDGET: usize = 124;
+    // of its group. Measured 110.0; 120.7 (at `50e0319`, where this test
+    // fails) while a batch put boxed every name and value it stored;
+    // 128.3 (at `6ec1513`) while each write carried a `Vec` of visibility
+    // instants and each lookup's parse three copies per term; 239.1 (at
+    // `f276dc7`; 44.5 of them the plain write) while the indexer computed
+    // on strings — ancestor sets as `BTreeSet<String>`s cloned at every
+    // step, each edge re-parsed and re-rendered per pass, the emitted rows
+    // gathered in a map of sets — and the write side cloned every item's
+    // attributes for it.
+    const INDEXED_CALL_BUDGET: usize = 113;
     let mut items = 0usize;
     let mut batch_calls = 0usize;
     // The walk oracle and a second handle share the store's services and
@@ -244,15 +262,19 @@ fn a_stored_record_stays_within_its_heap_budget() {
         kept = Some(handle.clone());
     });
     let per_item = held / items;
+    let per_batched = batch_calls as f64 / items as f64;
+    eprintln!(
+        "arch2 + closure: {per_item} B per item ({held} B / {items}), budget {ITEM_BUDGET}; \
+         {per_batched:.1} allocator calls per record, budget {INDEXED_CALL_BUDGET}"
+    );
     assert!(
         per_item <= ITEM_BUDGET,
         "arch2 + closure holds {per_item} B per item ({held} B / {items}), budget {ITEM_BUDGET}"
     );
     assert!(
         batch_calls <= INDEXED_CALL_BUDGET * items,
-        "arch2 + closure makes {:.1} allocator calls per record ({items} records), budget \
-         {INDEXED_CALL_BUDGET}",
-        batch_calls as f64 / items as f64,
+        "arch2 + closure makes {per_batched:.1} allocator calls per record ({items} records), \
+         budget {INDEXED_CALL_BUDGET}"
     );
 
     // The read path on that corpus: allocator calls per query, for the
@@ -300,6 +322,7 @@ fn a_stored_record_stays_within_its_heap_budget() {
             Q3_INDEX_BUDGET,
         ),
     ] {
+        eprintln!("{what}: {calls:.1} allocator calls per query, budget {budget}");
         assert!(
             calls <= budget as f64,
             "{what} makes {calls:.1} allocator calls per query, budget {budget}"
