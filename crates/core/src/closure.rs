@@ -613,7 +613,7 @@ impl ClosureIndex {
         let filter = [CLOSURE_ATTR_ANC.to_string()];
         let mut descs = Vec::new();
         for batch in members.chunks(UNION_BATCH) {
-            let expr = union_of_equals(CLOSURE_ATTR_ANC, batch.iter().map(|(render, _)| render));
+            let expr = union_of_equals(CLOSURE_ATTR_ANC, batch.iter().map(|(render, _)| &**render));
             page_through(|token| {
                 let page = parts.db.query_with_attributes(
                     CLOSURE_DOMAIN,

@@ -303,7 +303,7 @@ impl OracleIndex {
         let filter = [CLOSURE_ATTR_ANC.to_string()];
         let mut descs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for batch in renders.chunks(UNION_BATCH) {
-            let expr = union_of_equals(CLOSURE_ATTR_ANC, batch.iter().copied());
+            let expr = union_of_equals(CLOSURE_ATTR_ANC, batch.iter().map(|r| r.as_str()));
             page_through(|token| {
                 let page = parts.db.query_with_attributes(
                     CLOSURE_DOMAIN,

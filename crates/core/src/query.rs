@@ -24,7 +24,6 @@
 //! [`ServeParts::walking`] turns the index off again.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::{self, Write as _};
 
 use pass::{ObjectRef, ProvenanceRecord, RecordKey};
 use serde::{Deserialize, Serialize};
@@ -134,19 +133,51 @@ fn is_file(records: &[ProvenanceRecord]) -> bool {
     })
 }
 
-/// Writes into an expression with every `'` doubled, the escape the
-/// SimpleDB query language reads inside a quoted string.
-struct Quoting<'a>(&'a mut String);
+/// Appends `text` to an expression with every `'` doubled, the escape
+/// the SimpleDB query language reads inside a quoted string.
+fn push_quoted(expr: &mut String, text: &str) {
+    let mut parts = text.split('\'');
+    expr.push_str(parts.next().unwrap_or_default());
+    for part in parts {
+        expr.push_str("''");
+        expr.push_str(part);
+    }
+}
 
-impl fmt::Write for Quoting<'_> {
-    fn write_str(&mut self, text: &str) -> fmt::Result {
-        for (i, part) in text.split('\'').enumerate() {
-            if i > 0 {
-                self.0.push_str("''");
+/// A value a lookup compares against, written into the expression as its
+/// quoted string says it — without going through `fmt`.
+pub(crate) trait TermValue {
+    /// Appends the value with every `'` doubled.
+    fn push_quoted(&self, expr: &mut String);
+}
+
+impl TermValue for str {
+    fn push_quoted(&self, expr: &mut String) {
+        push_quoted(expr, self);
+    }
+}
+
+/// `name:version`: the name quoted, the version in decimal digits.
+impl TermValue for ObjectRef {
+    fn push_quoted(&self, expr: &mut String) {
+        push_quoted(expr, &self.name);
+        expr.push(':');
+        let (mut digits, mut at, mut rest) = ([0u8; 10], 10, self.version);
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
             }
-            self.0.push_str(part);
         }
-        Ok(())
+        expr.extend(digits[at..].iter().map(|&d| char::from(d)));
+    }
+}
+
+impl<T: TermValue + ?Sized> TermValue for &T {
+    fn push_quoted(&self, expr: &mut String) {
+        (**self).push_quoted(expr);
     }
 }
 
@@ -154,7 +185,7 @@ impl fmt::Write for Quoting<'_> {
 /// `values` under `attr`, as one posted lookup, each value written
 /// straight into the one string. `Query` bills the expression's length,
 /// so this text is part of the bill.
-pub(crate) fn union_of_equals<V: fmt::Display>(
+pub(crate) fn union_of_equals<V: TermValue>(
     attr: &str,
     values: impl IntoIterator<Item = V>,
 ) -> String {
@@ -168,7 +199,7 @@ pub(crate) fn union_of_equals<V: fmt::Display>(
         expr.push_str("['");
         expr.push_str(attr);
         expr.push_str("' = '");
-        write!(Quoting(&mut expr), "{value}").expect("writing to a String cannot fail");
+        value.push_quoted(&mut expr);
         expr.push_str("']");
     }
     expr
@@ -177,7 +208,7 @@ pub(crate) fn union_of_equals<V: fmt::Display>(
 /// The walk's phase-1 expression: the process versions running `program`.
 fn processes_named(program: &str) -> String {
     let mut expr = String::from("['type' = 'process'] intersection ['name' = '");
-    write!(Quoting(&mut expr), "{program}").expect("writing to a String cannot fail");
+    push_quoted(&mut expr, program);
     expr.push_str("']");
     expr
 }
@@ -566,9 +597,14 @@ mod tests {
     #[test]
     fn quote_escapes_quotes() {
         let mut expr = String::from("'");
-        let (name, version) = ("o'brien''", 1);
-        write!(Quoting(&mut expr), "{name}:{version}").unwrap();
+        ObjectRef::new("o'brien''", 1).push_quoted(&mut expr);
         assert_eq!(expr, "'o''brien'''':1");
+        // A version is its decimal digits, as `Display` writes it.
+        for version in [0, 7, 10, 4_096, u32::MAX] {
+            let (mut expr, object) = (String::new(), ObjectRef::new("n", version));
+            object.push_quoted(&mut expr);
+            assert_eq!(expr, object.to_string());
+        }
     }
 
     /// `Query` bills `expression.len()` as request bytes: the text of a

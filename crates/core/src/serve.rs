@@ -21,10 +21,16 @@
 //!   serialize there whatever the shard count.
 //!
 //! The handle is `Clone + Send + Sync`; every clone shares the same
-//! store. [`ServeHandle::fingerprint`] hashes the authoritative
+//! store. [`ServeHandle::fingerprint`] digests the authoritative
 //! data/provenance state (temporaries excluded), which is how the
 //! wall-clock harness proves a networked run converged to the same
-//! bytes as an in-process one.
+//! bytes as an in-process one, and how the tests prove arch2 and arch3
+//! commit the same state. It walks nothing: every shard of every domain
+//! and bucket keeps a running sum of a hash of each live key's newest
+//! state, updated by each write ([`simworld::ShardMap::digest`]), so a
+//! fingerprint reads one sum per shard — about fifty locked loads on
+//! the default 16-shard layout, a few microseconds whatever the store
+//! holds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -32,7 +38,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use pass::FileFlush;
 use sim_s3::S3;
 use sim_simpledb::SimpleDb;
-use simworld::{Fnv1a, SimWorld};
+use simworld::{SimWorld, WordHash};
 
 use crate::error::Result;
 use crate::layout::{BUCKET, CLOSURE_DOMAIN, DOMAIN, TMP_PREFIX};
@@ -91,7 +97,9 @@ pub struct ServeStats {
     pub bytes_in: u64,
     /// Bytes the simulated services returned.
     pub bytes_out: u64,
-    /// Authoritative state fingerprint ([`ServeHandle::fingerprint`]).
+    /// Authoritative state fingerprint ([`ServeHandle::fingerprint`]):
+    /// read from the services' running digests, so a `Stats` request
+    /// costs the same on an empty store and a full one.
     pub fingerprint: u64,
 }
 
@@ -256,12 +264,12 @@ impl ServeHandle {
         self.inner.requests.load(Ordering::Relaxed)
     }
 
-    /// The authoritative state fingerprint: FNV-1a over every committed
-    /// provenance item (provenance + closure domains) and every live,
-    /// non-temporary S3 object (key, ETag, metadata), all in sorted
-    /// order. Placement-, RNG- and interleaving-invariant: two runs
-    /// that committed the same logical state hash identically, however
-    /// their requests raced.
+    /// The authoritative state fingerprint ([`store_fingerprint`]) over
+    /// every committed provenance item (provenance + closure domains) and
+    /// every live, non-temporary S3 object (key, ETag, metadata).
+    /// Placement-, RNG- and interleaving-invariant: two runs that
+    /// committed the same logical state digest identically, however
+    /// their requests raced. Reads one running sum per shard.
     pub fn fingerprint(&self) -> u64 {
         store_fingerprint(&self.inner.parts.s3, &self.inner.parts.db)
     }
@@ -281,69 +289,30 @@ impl ServeHandle {
     }
 }
 
-/// FNV-1a fingerprint of a store's authoritative state: all committed
-/// SimpleDB items in the provenance and closure domains plus all
-/// non-`tmp/` S3 objects, via the services' unbilled latest-state
-/// views, folded straight into the hash state. Shared by
+/// The fingerprint of a store's authoritative state: the running
+/// digests ([`SimpleDb::latest_digest`], [`S3::latest_digest`]) of the
+/// provenance domain, the closure domain and the bucket less its live
+/// `tmp/` keys, folded in that order, so the same item in another domain
+/// fingerprints apart. Each digest is a wrapping sum over live keys of a
+/// hash of the key and its newest state, kept by every write; reading
+/// one locks each shard once, walks only the `tmp/` range of each bucket
+/// shard, and allocates nothing. Shared by
 /// [`ServeHandle::fingerprint`] and the wall-clock harness's in-process
 /// driver.
 pub fn store_fingerprint(s3: &S3, db: &SimpleDb) -> u64 {
-    let mut hash = Fnv1a::new();
+    let mut hash = WordHash::new();
     for domain in [DOMAIN, CLOSURE_DOMAIN] {
-        fold_domain(&mut hash, db, domain);
+        hash.word(db.latest_digest(domain));
     }
-    let mut keys = s3.latest_keys(BUCKET, "");
-    keys.sort_unstable();
-    for key in &keys {
-        if key.starts_with(TMP_PREFIX) {
-            continue;
-        }
-        let Some(object) = s3.latest_object(BUCKET, key) else {
-            continue;
-        };
-        hash.write(key.as_bytes());
-        hash.write(b"\x1f");
-        hash.write(object.etag.to_hex().as_bytes());
-        for (meta_key, meta_value) in object.metadata.iter() {
-            hash.write(b"\x1f");
-            hash.write(meta_key.as_bytes());
-            hash.write(b"=");
-            hash.write(meta_value.as_bytes());
-        }
-        hash.write(b"\x1e");
-    }
+    hash.word(s3.latest_digest(BUCKET, Some(TMP_PREFIX)));
     hash.finish()
 }
 
-/// FNV-1a fingerprint of one SimpleDB domain's authoritative latest
-/// state. Placement is invisible to it — identical state fingerprints
-/// identically at any shard layout.
+/// The fingerprint of one SimpleDB domain's authoritative latest state:
+/// its running digest. Placement is invisible to it — identical state
+/// fingerprints identically at any shard layout.
 pub fn domain_fingerprint(db: &SimpleDb, domain: &str) -> u64 {
-    let mut hash = Fnv1a::new();
-    fold_domain(&mut hash, db, domain);
-    hash.finish()
-}
-
-/// The one walk over a SimpleDB domain for fingerprinting: every live
-/// item in name order, its attributes in `(name, value)` order, one
-/// `domain ␟ item ␟ attribute ␟ value ␞` record per pair.
-fn fold_domain(hash: &mut Fnv1a, db: &SimpleDb, domain: &str) {
-    let mut names = db.latest_item_names(domain);
-    names.sort_unstable();
-    for name in &names {
-        // An item's pairs are stored in `(name, value)` order.
-        let Some(item) = db.latest_item(domain, name) else {
-            continue;
-        };
-        for pair in item.iter() {
-            for field in [domain, name.as_str(), pair.name] {
-                hash.write(field.as_bytes());
-                hash.write(b"\x1f");
-            }
-            hash.write(pair.value.as_bytes());
-            hash.write(b"\x1e");
-        }
-    }
+    db.latest_digest(domain)
 }
 
 #[cfg(test)]
@@ -351,7 +320,51 @@ mod tests {
     use super::*;
     use crate::arch2::S3SimpleDb;
     use crate::arch3::S3SimpleDbSqs;
-    use simworld::Blob;
+    use simworld::{Blob, Fnv1a};
+
+    /// The fingerprint as a full walk, the oracle the running digests
+    /// replaced: FNV-1a over every live item of both domains in name
+    /// order, its pairs in `(name, value)` order, one `domain ␟ item ␟
+    /// attribute ␟ value ␞` record per pair, then every live non-`tmp/`
+    /// object in key order as `key ␟ hex(ETag) (␟ name = value)* ␞`.
+    /// Two states it tells apart must fingerprint apart.
+    fn walk(s3: &S3, db: &SimpleDb) -> u64 {
+        let mut hash = Fnv1a::new();
+        for domain in [DOMAIN, CLOSURE_DOMAIN] {
+            for name in &db.latest_item_names(domain) {
+                let Some(item) = db.latest_item(domain, name) else {
+                    continue;
+                };
+                for pair in item.iter() {
+                    for field in [domain, name.as_str(), pair.name] {
+                        hash.write(field.as_bytes());
+                        hash.write(b"\x1f");
+                    }
+                    hash.write(pair.value.as_bytes());
+                    hash.write(b"\x1e");
+                }
+            }
+        }
+        for key in &s3.latest_keys(BUCKET, "") {
+            if key.starts_with(TMP_PREFIX) {
+                continue;
+            }
+            let Some(object) = s3.latest_object(BUCKET, key) else {
+                continue;
+            };
+            hash.write(key.as_bytes());
+            hash.write(b"\x1f");
+            hash.write(object.etag.to_hex().as_bytes());
+            for (meta_key, meta_value) in object.metadata.iter() {
+                hash.write(b"\x1f");
+                hash.write(meta_key.as_bytes());
+                hash.write(b"=");
+                hash.write(meta_value.as_bytes());
+            }
+            hash.write(b"\x1e");
+        }
+        hash.finish()
+    }
 
     fn flush(name: &str, seed: u64, parent: Option<&str>) -> FileFlush {
         let mut b = FileFlush::builder(name).data(Blob::synthetic(seed, 2048));
@@ -422,28 +435,62 @@ mod tests {
     #[test]
     fn fingerprint_is_pinned_and_moves_with_exactly_the_authoritative_state() {
         use crate::layout::{data_key, ATTR_NONCE, CLOSURE_ATTR_NODE, META_NONCE};
+        use crate::{Arch2Config, Arch3Config, ClosureMode};
         use sim_simpledb::ReplaceableAttribute;
 
-        let world = SimWorld::counting();
-        let mut store = S3SimpleDb::new(&world);
-        store.set_config(crate::Arch2Config {
-            closure: crate::ClosureMode::Serve,
-            ..crate::Arch2Config::default()
-        });
-        store.persist(&flush("a.dat", 1, None)).unwrap();
-        store.persist(&flush("b.dat", 2, Some("a.dat"))).unwrap();
+        let flushes = [flush("a.dat", 1, None), flush("b.dat", 2, Some("a.dat"))];
+        let arch2 = |closure| {
+            let mut store = S3SimpleDb::new(&SimWorld::counting());
+            store.set_config(Arch2Config {
+                closure,
+                ..Arch2Config::default()
+            });
+            flushes.iter().for_each(|f| store.persist(f).unwrap());
+            store
+        };
+        let store = arch2(ClosureMode::Serve);
         let (s3, db) = (store.s3(), store.simpledb());
-        // Pins the encoding. The value covers the closure domain's
-        // physical items, so it moves with the closure layout (last
-        // re-captured when rows stopped holding descendants, outputs
-        // and process names; the same store with the index off still
-        // hashed to 0x69fa8215fa440eeb before and after).
+        // Pins the encoding: the running digests of the two domains and
+        // the bucket, folded. It covers the closure domain's physical
+        // items, so it moves with the closure layout too. The walk it
+        // replaced still gives its own pin on this store, so the state is
+        // the one pinned before; what holds of that state still holds of
+        // its digest:
         let mut last = store_fingerprint(s3, db);
-        assert_eq!(last, 0x2f9a_4389_d4ff_c18b);
+        assert_eq!(last, 0x7472_0589_e4c5_ab6d);
+        assert_eq!(walk(s3, db), 0x2f9a_4389_d4ff_c18b);
+        // arch3 commits what arch2 commits, ...
+        let mut arch3 = S3SimpleDbSqs::new(&SimWorld::counting(), "pin");
+        arch3.set_config(Arch3Config {
+            closure: ClosureMode::Serve,
+            ..Arch3Config::default()
+        });
+        flushes.iter().for_each(|f| arch3.persist(f).unwrap());
+        arch3.run_daemons_until_idle().unwrap();
+        assert_eq!(store_fingerprint(arch3.s3(), arch3.simpledb()), last);
+        // ... and the closure index adds its own domain and changes
+        // nothing in the provenance domain or the bucket.
+        let plain = arch2(ClosureMode::Off);
+        let (plain_s3, plain_db) = (plain.s3(), plain.simpledb());
+        assert_eq!(walk(plain_s3, plain_db), 0x69fa_8215_fa44_0eeb);
+        assert_eq!(
+            domain_fingerprint(plain_db, DOMAIN),
+            domain_fingerprint(db, DOMAIN)
+        );
+        assert_eq!(domain_fingerprint(plain_db, CLOSURE_DOMAIN), 0);
+        assert_ne!(domain_fingerprint(db, CLOSURE_DOMAIN), 0);
+        assert_eq!(
+            plain_s3.latest_digest(BUCKET, Some(TMP_PREFIX)),
+            s3.latest_digest(BUCKET, Some(TMP_PREFIX))
+        );
+
+        // Each edit moves the fingerprint exactly when it moves the walk.
+        let mut last_walk = walk(s3, db);
         let mut moved = |what: &str, expected: bool| {
-            let now = store_fingerprint(s3, db);
+            let (now, now_walk) = (store_fingerprint(s3, db), walk(s3, db));
             assert_eq!(now != last, expected, "{what}");
-            last = now;
+            assert_eq!(now_walk != last_walk, expected, "{what}: the walk");
+            (last, last_walk) = (now, now_walk);
         };
 
         let data = s3.latest_object(BUCKET, &data_key("a.dat")).unwrap();
@@ -524,6 +571,10 @@ mod tests {
         assert_eq!(
             store_fingerprint(arch2.s3(), arch2.simpledb()),
             store_fingerprint(arch3.s3(), arch3.simpledb())
+        );
+        assert_eq!(
+            walk(arch2.s3(), arch2.simpledb()),
+            walk(arch3.s3(), arch3.simpledb())
         );
         let rows = arch2.simpledb().latest_item_names(CLOSURE_DOMAIN);
         assert!(rows.len() >= corpus.len(), "every node has a closure row");

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use simworld::{Pair, PairSet};
+use simworld::{Pair, PairSet, WordHash};
 
 use crate::error::{Result, S3Error};
 
@@ -112,6 +112,11 @@ impl Metadata {
     /// Iterates pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries.iter().map(|p| (p.name, p.value))
+    }
+
+    /// Folds the pairs into a store digest ([`PairSet::hash_into`]).
+    pub(crate) fn hash_into(&self, hash: &mut WordHash) {
+        self.entries.hash_into(hash);
     }
 
     /// Total size as S3 accounts it: UTF-8 bytes of all keys and values.

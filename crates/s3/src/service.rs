@@ -32,6 +32,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use simworld::{
     Blob, Charge, Cost, Md5Digest, Op, ReplicaPin, ShardMap, ShardRegistry, SimInstant, SimWorld,
+    WordHash,
 };
 
 use crate::error::{Result, S3Error};
@@ -126,6 +127,16 @@ impl Stored {
     fn footprint(&self) -> u64 {
         self.body.len() + self.metadata.byte_size()
     }
+
+    /// The bucket's [`simworld::DigestOf`]: the key, the ETag's bytes
+    /// and the metadata — the body enters through its ETag.
+    fn digest(key: &str, stored: &Stored) -> u64 {
+        let mut hash = WordHash::new();
+        hash.write(key.as_bytes());
+        hash.write(&stored.etag.0);
+        stored.metadata.hash_into(&mut hash);
+        hash.finish()
+    }
 }
 
 type Bucket = ShardMap<Stored>;
@@ -174,7 +185,7 @@ impl S3 {
     pub fn with_shards(world: &SimWorld, shards: usize) -> S3 {
         S3 {
             world: world.clone(),
-            buckets: Arc::new(ShardRegistry::new(shards)),
+            buckets: Arc::new(ShardRegistry::new(shards, Stored::digest)),
         }
     }
 
@@ -652,6 +663,17 @@ impl S3 {
         self.buckets.get(bucket).map_or_else(Vec::new, |bkt| {
             bkt.latest_keys(|key| key.starts_with(prefix))
         })
+    }
+
+    /// The bucket's running digest ([`simworld::ShardMap::digest`]): the
+    /// wrapping sum, over its live objects, of a hash of each key, ETag
+    /// and metadata, less the keys under `leave_out`; 0 for a bucket that
+    /// does not exist. Reads one sum per shard, unbilled, allocating
+    /// nothing. Equal live objects digest alike at any shard count.
+    pub fn latest_digest(&self, bucket: &str, leave_out: Option<&str>) -> u64 {
+        self.buckets
+            .get(bucket)
+            .map_or(0, |bkt| bkt.digest(leave_out))
     }
 
     fn bucket(&self, bucket: &str) -> Result<Arc<Bucket>> {

@@ -1,7 +1,7 @@
 //! Data model: items described by multi-valued attribute pairs.
 
 use serde::{Deserialize, Serialize};
-use simworld::{Pair, PairSet, Pairs};
+use simworld::{Pair, PairSet, Pairs, WordHash};
 
 use crate::error::{Result, SdbError};
 
@@ -144,6 +144,15 @@ impl ItemState {
     /// attribute postings are built from.
     pub fn get(&self, attr: &str) -> Pairs<'_> {
         self.pairs.named(attr)
+    }
+
+    /// The domain's [`simworld::DigestOf`]: the item's name, then its
+    /// packed pairs ([`PairSet::hash_into`]).
+    pub(crate) fn digest(name: &str, item: &ItemState) -> u64 {
+        let mut hash = WordHash::new();
+        hash.write(name.as_bytes());
+        item.pairs.hash_into(&mut hash);
+        hash.finish()
     }
 
     /// `true` when the item carries a pair named `attr`.

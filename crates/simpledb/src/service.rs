@@ -149,7 +149,7 @@ impl SimpleDb {
     pub fn with_shards(world: &SimWorld, shards: usize) -> SimpleDb {
         SimpleDb {
             world: world.clone(),
-            domains: Arc::new(ShardRegistry::new(shards)),
+            domains: Arc::new(ShardRegistry::new(shards, ItemState::digest)),
         }
     }
 
@@ -450,6 +450,15 @@ impl SimpleDb {
         self.domains
             .get(domain)
             .map_or_else(Vec::new, |dom| dom.latest_keys(|_| true))
+    }
+
+    /// The domain's running digest ([`simworld::ShardMap::digest`]): the
+    /// wrapping sum, over its live items, of a hash of each name and its
+    /// pairs; 0 for a domain that does not exist. Reads one sum per
+    /// shard, unbilled, allocating nothing. Equal live items digest alike
+    /// at any shard count.
+    pub fn latest_digest(&self, domain: &str) -> u64 {
+        self.domains.get(domain).map_or(0, |dom| dom.digest(None))
     }
 
     /// Cells `domain` physically holds, live or tombstoned, summed over

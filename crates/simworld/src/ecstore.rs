@@ -67,7 +67,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::clock::SimInstant;
-use crate::hash::fnv1a_64;
+use crate::hash::{fnv1a_64, WordHash};
 use crate::shardmap::MAX_SHARDS;
 use crate::world::SimWorld;
 
@@ -164,6 +164,16 @@ impl PairSet {
     /// Bytes of every name and value together.
     pub fn text_len(&self) -> usize {
         self.text.len()
+    }
+
+    /// Folds the set into `hash`: its text, then its table of ends, two
+    /// to a word. Equal sets hash alike, however they were built.
+    pub fn hash_into(&self, hash: &mut WordHash) {
+        hash.write(self.text.as_bytes());
+        for ends in self.ends.chunks_exact(2) {
+            hash.word(u64::from(ends[0]) | u64::from(ends[1]) << 32);
+        }
+        hash.word(self.ends.len() as u64);
     }
 
     /// `true` when `other` is a clone of this very set, not merely an
@@ -702,11 +712,13 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         key: K,
         value: Option<V>,
     ) {
-        self.apply(now, visible_at.into(), key, value, None);
+        self.apply(now, visible_at.into(), key, value, None, |_, _, _| {});
     }
 
     /// [`EcMap::write_at`], keeping `postings` current when the map is a
-    /// shard of a posted map.
+    /// shard of a posted map. `replaced` sees the key, the newest state
+    /// it held and the one it now holds (`None`: absent or deleted), from
+    /// the one lookup the write makes.
     pub(crate) fn apply(
         &mut self,
         now: SimInstant,
@@ -714,6 +726,7 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         key: K,
         value: Option<V>,
         mut postings: PostedIn<'_, K, V>,
+        replaced: impl FnOnce(&K, Option<&V>, Option<&V>),
     ) {
         if let (Some(state), Some((table, shard))) = (&value, &mut postings) {
             table.add(*shard, &key, state);
@@ -721,12 +734,15 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         let write = Write { visible_at, value };
         match self.cells.entry(key) {
             Entry::Vacant(slot) => {
+                replaced(slot.key(), None, write.value.as_ref());
                 slot.insert(Cell {
                     older: Vec::new(),
                     latest: write,
                 });
             }
             Entry::Occupied(mut slot) => {
+                let held = slot.get().latest.value.as_ref();
+                replaced(slot.key(), held, write.value.as_ref());
                 let cell = slot.get_mut();
                 let previous = std::mem::replace(&mut cell.latest, write);
                 cell.older.push(previous);
@@ -810,6 +826,20 @@ impl<K: Ord + Clone, V: Clone> EcMap<K, V> {
         self.cells
             .iter()
             .filter_map(|(k, c)| c.latest.value.clone().map(|v| (k, v)))
+    }
+
+    /// The authoritative live entries from `from` on, in key order, in
+    /// place: a prefix's keys are the run from the prefix itself up to
+    /// the first key without it.
+    pub fn latest_from<Q>(&self, from: &Q) -> impl Iterator<Item = (&K, &V)> + '_
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let cells = self
+            .cells
+            .range::<Q, _>((Bound::Included(from), Bound::Unbounded));
+        cells.filter_map(|(k, c)| c.latest.value.as_ref().map(|v| (k, v)))
     }
 
     /// Up to `limit` live entries visible on `replica`, in key order,
@@ -1268,8 +1298,14 @@ mod tests {
         }
 
         fn write_at(&mut self, now: SimInstant, at: Visibility, key: K, value: Option<Item>) {
-            self.map
-                .apply(now, at, key, value, Some((&mut self.table, 0)));
+            self.map.apply(
+                now,
+                at,
+                key,
+                value,
+                Some((&mut self.table, 0)),
+                |_, _, _| {},
+            );
         }
 
         /// Keys posted under `attr = value`, the attribute posted first.

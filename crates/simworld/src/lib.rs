@@ -59,13 +59,13 @@ pub use blob::{Blob, Chunks, CHUNK};
 pub use clock::{SimDuration, SimInstant};
 pub use ecstore::{value_hash, Cover, EcMap, Pair, PairSet, Pairs, ValuesOf, Visibility};
 pub use faults::{CrashSite, Crashed, FaultPlan};
-pub use hash::{fnv1a_64, splitmix64, Fnv1a};
+pub use hash::{fnv1a_64, splitmix64, Fnv1a, WordHash};
 pub use latency::{Cost, LatencyModel, ServiceLatency};
 pub use md5::{Md5, Md5Digest};
 pub use merge::merged_shard_page;
 pub use metering::{format_bytes, MeterBook, MeterSnapshot, Op, Service, ServiceMeter};
 pub use samples::LatencySample;
 pub use shardmap::{
-    clamp_shards, Cells, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
+    clamp_shards, Cells, DigestOf, ReplicaPin, ShardCells, ShardMap, ShardRegistry, MAX_SHARDS,
 };
 pub use world::{Charge, Consistency, PipelineStats, SimConfig, SimWorld};

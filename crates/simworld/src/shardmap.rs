@@ -9,6 +9,19 @@
 //! is created: no shard is ever added, removed or moved, so nothing on
 //! the access path takes a layout lock.
 //!
+//! # Digests
+//!
+//! Every shard keeps a running digest of its live state: the wrapping
+//! sum, over its live keys, of a 64-bit hash of each key's newest state
+//! (a set hash in the style of Clarke et al., "Incremental Multiset
+//! Hash Functions", ASIACRYPT 2003). The hash belongs to the map
+//! ([`DigestOf`]); [`Cells::write`] subtracts the old state's hash and
+//! adds the new one's, under the shard lock and from the one lookup the
+//! write makes. A sum does not depend on the order keys were written
+//! in, nor on which shard holds them, so [`ShardMap::digest`] — the sum
+//! over the shards — is the same for the same live state at any shard
+//! count, and reading it is one locked load per shard.
+//!
 //! # Routing
 //!
 //! A key lives on shard `fnv1a_64(key) % n`. A shard's index `0..n` is
@@ -26,6 +39,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Bound, Deref};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -76,6 +90,11 @@ impl ReplicaPin {
     }
 }
 
+/// How a map hashes one live key and its newest state into the running
+/// digests (see the module docs): a well-mixed 64-bit value, so that
+/// sums of them collide no more than the hashes do.
+pub type DigestOf<V> = fn(&str, &V) -> u64;
+
 /// A hash-sharded table of per-shard [`EcMap`]s — the one sharding layer
 /// both SimpleDB domains and S3 buckets are built on.
 ///
@@ -85,21 +104,30 @@ impl ReplicaPin {
 /// use simworld::{ShardMap, SimWorld};
 ///
 /// let world = SimWorld::counting();
-/// let map: ShardMap<u32> = ShardMap::new(4);
+/// let digest_of = |key: &str, value: &u32| simworld::fnv1a_64(key) ^ u64::from(*value);
+/// let map: ShardMap<u32> = ShardMap::new(4, digest_of);
 /// map.with_cells("key", |shard, cells| {
 ///     cells.write(&world, "key".to_string(), Some(7));
 ///     assert!(shard < 4);
 /// });
 /// assert_eq!(map.shard_count(), 4);
+/// assert_eq!(map.digest(None), digest_of("key", &7));
 /// ```
 pub struct ShardMap<V> {
     /// Shard `i` holds the keys with `fnv1a_64(key) % n == i`.
     shards: Box<[Mutex<EcMap<String, V>>]>,
+    /// Shard `i`'s digest: the wrapping sum of `digest_of(key, newest
+    /// state)` over its live keys. Written only under shard `i`'s lock,
+    /// and kept beside the shards rather than in them, so a shard's lock
+    /// and cells stay where its readers expect them.
+    digests: Box<[AtomicU64]>,
     /// `0..n`: every shard, as a fan-out's charge names them.
     ids: Box<[u32]>,
     /// The attribute postings of every shard, made by the first
     /// [`ShardMap::weigh`]: a map never queried has none.
     postings: OnceLock<RwLock<Postings<String, V>>>,
+    /// How a live key's state enters its shard's digest.
+    digest_of: DigestOf<V>,
 }
 
 impl<V> fmt::Debug for ShardMap<V> {
@@ -111,13 +139,16 @@ impl<V> fmt::Debug for ShardMap<V> {
 }
 
 impl<V: Clone> ShardMap<V> {
-    /// Builds a map of `shards` shards, clamped by [`clamp_shards`].
-    pub fn new(shards: usize) -> ShardMap<V> {
+    /// Builds a map of `shards` shards, clamped by [`clamp_shards`],
+    /// whose digests hash each live key's state with `digest_of`.
+    pub fn new(shards: usize, digest_of: DigestOf<V>) -> ShardMap<V> {
         let n = clamp_shards(shards);
         ShardMap {
             shards: (0..n).map(|_| Mutex::new(EcMap::new())).collect(),
+            digests: (0..n).map(|_| AtomicU64::new(0)).collect(),
             ids: (0..n as u32).collect(),
             postings: OnceLock::new(),
+            digest_of,
         }
     }
 
@@ -159,6 +190,8 @@ impl<V: Clone> ShardMap<V> {
     fn cells<'a>(&'a self, map: &'a mut EcMap<String, V>, shard: u32) -> Cells<'a, V> {
         Cells {
             map,
+            digest: &self.digests[shard as usize],
+            digest_of: self.digest_of,
             postings: self.postings.get(),
             shard,
         }
@@ -189,6 +222,28 @@ impl<V: Clone> ShardMap<V> {
     /// Runs `f` against the cell map of `shard`, under its lock.
     pub fn with_cells_at<R>(&self, shard: usize, f: impl FnOnce(&EcMap<String, V>) -> R) -> R {
         f(&self.shards[shard].lock())
+    }
+
+    /// The map's digest: the wrapping sum, over every live key, of
+    /// `digest_of(key, newest state)` — less, with `leave_out`, the keys
+    /// under that prefix, found by a range on each shard. Each shard is
+    /// read under its lock, its sum and the range it leaves out together.
+    /// Equal live states digest alike at any shard count; an empty map,
+    /// or one whose every key is left out, digests to 0.
+    pub fn digest(&self, leave_out: Option<&str>) -> u64 {
+        let live =
+            |sum: u64, (key, state): (&String, &V)| sum.wrapping_add((self.digest_of)(key, state));
+        let shards = self.shards.iter().zip(&self.digests);
+        shards.fold(0, |sum, (shard, digest)| {
+            let map = shard.lock();
+            let left_out = leave_out.map_or(0, |prefix| {
+                let run = map.latest_from(prefix);
+                run.take_while(|(key, _)| key.starts_with(prefix))
+                    .fold(0, live)
+            });
+            let digest = digest.load(Ordering::Relaxed);
+            sum.wrapping_add(digest).wrapping_sub(left_out)
+        })
     }
 
     /// Weighs a query's `=` pairs on the map's attribute postings: one
@@ -306,6 +361,7 @@ impl<V: Clone> ShardMap<V> {
 /// for the lookup.
 pub struct ShardRegistry<V> {
     shards: usize,
+    digest_of: DigestOf<V>,
     maps: RwLock<BTreeMap<String, Arc<ShardMap<V>>>>,
 }
 
@@ -320,10 +376,11 @@ impl<V> fmt::Debug for ShardRegistry<V> {
 
 impl<V: Clone> ShardRegistry<V> {
     /// An empty registry whose maps will hold `shards` shards each,
-    /// clamped by [`clamp_shards`].
-    pub fn new(shards: usize) -> ShardRegistry<V> {
+    /// clamped by [`clamp_shards`], and digest with `digest_of`.
+    pub fn new(shards: usize, digest_of: DigestOf<V>) -> ShardRegistry<V> {
         ShardRegistry {
             shards: clamp_shards(shards),
+            digest_of,
             maps: RwLock::new(BTreeMap::new()),
         }
     }
@@ -354,7 +411,7 @@ impl<V: Clone> ShardRegistry<V> {
     ) -> Result<(), E> {
         let mut maps = self.maps.write();
         if gate(&name, maps.contains_key(&name), maps.len())? {
-            maps.insert(name, Arc::new(ShardMap::new(self.shards)));
+            maps.insert(name, Arc::new(ShardMap::new(self.shards, self.digest_of)));
         }
         Ok(())
     }
@@ -389,10 +446,13 @@ impl<V: Clone> ShardCells<'_, V> {
 
 /// One locked shard's cells. Reads go to its [`EcMap`] (`Deref`);
 /// writes and sweeps go through [`Cells::write`] and [`Cells::gc`], which
-/// keep the map's attribute postings current once it has any — taking
-/// the table's lock after the shard's, and no lock at all before.
+/// keep the shard's digest current, and the map's attribute postings
+/// once it has any — taking the table's lock after the shard's, and no
+/// lock at all before.
 pub struct Cells<'a, V> {
     map: &'a mut EcMap<String, V>,
+    digest: &'a AtomicU64,
+    digest_of: DigestOf<V>,
     postings: Option<&'a RwLock<Postings<String, V>>>,
     shard: u32,
 }
@@ -415,15 +475,30 @@ impl<V> Deref for Cells<'_, V> {
 }
 
 impl<V: Clone> Cells<'_, V> {
-    /// [`EcMap::write`].
+    /// [`EcMap::write`]. The shard's digest trades the hash of the
+    /// key's newest state for that of the state written; a delete, or a
+    /// key that held none, trades against nothing.
     pub fn write(&mut self, world: &SimWorld, key: String, value: Option<V>) {
         let (now, visible_at) = (world.now(), world.sample_visibility());
         let mut table = self.postings.map(RwLock::write);
         let posted = table.as_deref_mut().map(|table| (table, self.shard));
-        self.map.apply(now, visible_at, key, value, posted);
+        let (digest_of, digest) = (self.digest_of, self.digest);
+        self.map
+            .apply(now, visible_at, key, value, posted, |key, held, written| {
+                let of = |state| digest_of(key, state);
+                let (held, written) = (held.map_or(0, of), written.map_or(0, of));
+                // Only this shard's lock holder writes its digest.
+                let sum = digest.load(Ordering::Relaxed);
+                digest.store(
+                    sum.wrapping_sub(held).wrapping_add(written),
+                    Ordering::Relaxed,
+                );
+            });
     }
 
-    /// [`EcMap::gc`].
+    /// [`EcMap::gc`]. The digest stays as it is: a sweep drops history no
+    /// replica can serve and tombstones every replica has reached, never
+    /// a live key's newest state.
     pub fn gc(&mut self, now: SimInstant) {
         let mut table = self.postings.map(RwLock::write);
         let posted = table.as_deref_mut().map(|table| (table, self.shard));
@@ -438,11 +513,23 @@ mod tests {
     use super::*;
     use crate::clock::SimDuration;
     use crate::ecstore::{value_hash, Pair, PairSet, Pairs};
+    use crate::hash::WordHash;
     use crate::latency::LatencyModel;
     use crate::world::{Consistency, SimConfig, SimWorld};
 
     fn keys(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("key-{i:05}")).collect()
+    }
+
+    fn number_digest(key: &str, value: &u32) -> u64 {
+        let mut hash = WordHash::new();
+        hash.write(key.as_bytes());
+        hash.word(u64::from(*value));
+        hash.finish()
+    }
+
+    fn numbers(shards: usize) -> ShardMap<u32> {
+        ShardMap::new(shards, number_digest)
     }
 
     #[test]
@@ -457,7 +544,7 @@ mod tests {
     /// and that `with_cells` hands over, and writes into, that same shard.
     fn assert_modulo_placement(n: usize) {
         let world = SimWorld::counting();
-        let map: ShardMap<u32> = ShardMap::new(n);
+        let map = numbers(n);
         assert_eq!(map.shard_count(), n);
         for k in keys(500) {
             let expect = (fnv1a_64(&k) % n as u64) as u32;
@@ -485,7 +572,7 @@ mod tests {
         // odd layout receives keys, each exactly where `% n` puts it.
         for n in [3usize, 5, 7] {
             assert_modulo_placement(n);
-            let map: ShardMap<u32> = ShardMap::new(n);
+            let map = numbers(n);
             let seen: std::collections::BTreeSet<u32> =
                 keys(500).iter().map(|k| map.route(k)).collect();
             assert_eq!(seen.len(), n, "500 keys should touch all {n} shards");
@@ -495,7 +582,7 @@ mod tests {
     #[test]
     fn batch_locking_is_id_ordered_and_reaches_every_shard() {
         let world = SimWorld::counting();
-        let map: ShardMap<u32> = ShardMap::new(8);
+        let map = numbers(8);
         let ks = keys(32);
         let ids = map.route_all(&ks);
         map.with_cells_multi(&ids, |cells| {
@@ -528,6 +615,13 @@ mod tests {
         item.named(attr)
     }
 
+    fn item_digest(key: &str, item: &Item) -> u64 {
+        let mut hash = WordHash::new();
+        hash.write(key.as_bytes());
+        item.hash_into(&mut hash);
+        hash.finish()
+    }
+
     fn carries(item: &Item, attr: &str, value: &str) -> bool {
         item_values(item, attr).any(|p| p.value == value)
     }
@@ -535,7 +629,7 @@ mod tests {
     #[test]
     fn unqueried_maps_keep_no_postings() {
         let world = SimWorld::counting();
-        let map: ShardMap<Item> = ShardMap::new(4);
+        let map: ShardMap<Item> = ShardMap::new(4, item_digest);
         for k in keys(8) {
             map.with_cells(&k, |_, cells| {
                 assert!(cells.postings.is_none(), "a write takes no table lock");
@@ -583,8 +677,14 @@ mod tests {
     /// `(kind, key, pair bits, (cover, cursor, page size))`.
     type Op = (u8, u64, u8, (usize, u64, usize));
 
+    /// `k07`; one key in four lives under `tmp/`, and another beside
+    /// that prefix, as `tmpk…`, past its range.
     fn name(key: u64) -> String {
-        format!("k{key:02}")
+        match key % 4 {
+            1 => format!("tmp/k{key:02}"),
+            2 => format!("tmpk{key:02}"),
+            _ => format!("k{key:02}"),
+        }
     }
 
     /// `b` always, `a=x` and `a=y` by bit.
@@ -598,23 +698,26 @@ mod tests {
         item(&pairs)
     }
 
-    /// Runs `ops` on a fresh `shards`-shard map over an eventual world.
-    /// From step `b_from` on, covers may name `b`: it is first indexed
-    /// there, mid-schedule. `mask` narrows the posted hashes.
+    /// Runs `ops` on a fresh `shards`-shard map over an eventual world,
+    /// checking the digests after every step, and returns the last one.
+    /// From step `weigh_from` on, each step weighs and pages a cover: the
+    /// map has no posting table before (unless `mask` narrows the posted
+    /// hashes, which makes one at the start). From step `b_from` on,
+    /// covers may name `b`: it is first indexed there, mid-schedule.
     fn run_ops(
         shards: usize,
         mask: u64,
         seed: u64,
         ops: &[Op],
-        b_from: usize,
-    ) -> Result<(), TestCaseError> {
+        (weigh_from, b_from): (usize, usize),
+    ) -> Result<u64, TestCaseError> {
         let world = SimWorld::with_config(SimConfig {
             seed,
             consistency: Consistency::eventual(SimDuration::from_secs(5)),
             latency: LatencyModel::zero(),
             replicas: 3,
         });
-        let map: ShardMap<Item> = ShardMap::new(shards);
+        let map: ShardMap<Item> = ShardMap::new(shards, item_digest);
         if mask != u64::MAX {
             let table = map
                 .postings
@@ -660,8 +763,31 @@ mod tests {
                 }
                 _ => world.advance(SimDuration::from_millis(key * 500)),
             }
-            check_page(&world, &map, step >= b_from, probe)?;
+            check_digests(&map)?;
+            if step >= weigh_from {
+                check_page(&world, &map, step >= b_from, probe)?;
+            }
         }
+        Ok(map.digest(None))
+    }
+
+    /// The running digests must equal the sums recomputed from every
+    /// live key, whole and with the `tmp/` keys left out.
+    fn check_digests(map: &ShardMap<Item>) -> Result<(), TestCaseError> {
+        let (mut all, mut kept) = (0u64, 0u64);
+        for shard in 0..map.shard_count() {
+            map.with_cells_at(shard, |cells| {
+                for (key, item) in cells.iter_latest() {
+                    let digest = item_digest(key, &item);
+                    all = all.wrapping_add(digest);
+                    if !key.starts_with("tmp/") {
+                        kept = kept.wrapping_add(digest);
+                    }
+                }
+            });
+        }
+        prop_assert_eq!(map.digest(None), all);
+        prop_assert_eq!(map.digest(Some("tmp/")), kept);
         Ok(())
     }
 
@@ -727,9 +853,31 @@ mod tests {
             // nearly every probe lands on a list other values share.
             for shards in [1, 2, 16] {
                 for mask in [u64::MAX, 0x84] {
-                    run_ops(shards, mask, seed, &ops, b_from)?;
+                    run_ops(shards, mask, seed, &ops, (0, b_from))?;
                 }
             }
+        }
+
+        #[test]
+        fn running_digests_equal_the_recomputed_sums(
+            seed in any::<u64>(),
+            weigh_from in 0usize..40,
+            b_from in 0usize..40,
+            ops in proptest::collection::vec(
+                (0u8..8, 0u64..12, 0u8..8, (0usize..7, 0u64..14, 1usize..6)),
+                1..40,
+            ),
+        ) {
+            // Put, replace, delete, batch put and `gc`, `tmp/` keys among
+            // them, with the map first weighed mid-schedule: every running
+            // digest equals the sum recomputed from the live keys after
+            // every step, and one schedule digests alike at every shard
+            // count.
+            let mut digests = Vec::new();
+            for shards in [1, 2, 16] {
+                digests.push(run_ops(shards, u64::MAX, seed, &ops, (weigh_from, b_from))?);
+            }
+            prop_assert!(digests.iter().all(|d| *d == digests[0]), "{:x?}", digests);
         }
     }
 }

@@ -328,4 +328,24 @@ fn a_stored_record_stays_within_its_heap_budget() {
             "{what} makes {calls:.1} allocator calls per query, budget {budget}"
         );
     }
+
+    // The store fingerprint on that corpus: the running digest of each
+    // shard of both domains and the bucket, less a range over each bucket
+    // shard's `tmp/` keys. Measured 0; 7 071 at `bc18941`, where this test
+    // fails, while it collected and sorted every key, cloned every item
+    // and object and rendered each ETag to hex.
+    const FINGERPRINT_CALL_BUDGET: usize = 0;
+    let fingerprint_calls = calls_in(|| {
+        std::hint::black_box(index.fingerprint());
+    });
+    eprintln!(
+        "fingerprint: {fingerprint_calls} allocator calls per read, \
+         budget {FINGERPRINT_CALL_BUDGET}"
+    );
+    // The budget is none at all, so "within" is "equal".
+    assert_eq!(
+        fingerprint_calls, FINGERPRINT_CALL_BUDGET,
+        "a fingerprint read makes {fingerprint_calls} allocator calls, \
+         budget {FINGERPRINT_CALL_BUDGET}"
+    );
 }
