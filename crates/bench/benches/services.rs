@@ -112,6 +112,13 @@ fn bench_md5(c: &mut Criterion) {
         let blob = Blob::from_bytes(vec![0x5au8; 1024]);
         b.iter(|| blob.md5());
     });
+    // What every persist and every verified read pays for the consistency
+    // token: `MD5(data ‖ nonce)` of a synthetic blob of about 1 KiB, the
+    // nonce being the object's version number.
+    group.bench_function("with_suffix_1k", |b| {
+        let blob = Blob::synthetic(1, 1024);
+        b.iter(|| blob.md5_with_suffix(b"3"));
+    });
     // Every process flush hashes the empty blob.
     group.bench_function("empty", |b| {
         let blob = Blob::empty();

@@ -318,7 +318,7 @@ impl S3SimpleDb {
             .side
             .finish_item(&item_name, encoded.pairs, before_put)?;
         let nonce = nonce_for(&flush.object);
-        let md5 = consistency_md5(&flush.data, &nonce, parts.use_nonce);
+        let md5 = consistency_md5(&flush.data, &nonce, parts.use_nonce).to_hex();
         attrs.push(ReplaceableAttribute::add(ATTR_MD5, md5));
         attrs.push(ReplaceableAttribute::add(ATTR_NONCE, nonce));
         Ok((item_name, attrs))

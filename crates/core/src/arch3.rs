@@ -740,7 +740,7 @@ impl S3SimpleDbSqs {
         records.push(WalRecord::Md5 {
             txid,
             item_name,
-            md5_hex: consistency_md5(&flush.data, &nonce, self.parts().use_nonce),
+            md5_hex: consistency_md5(&flush.data, &nonce, self.parts().use_nonce).to_hex(),
             nonce,
         });
         records.push(WalRecord::Commit { txid });

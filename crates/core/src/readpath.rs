@@ -5,7 +5,7 @@
 
 use pass::ObjectRef;
 use sim_s3::{S3Error, S3};
-use simworld::{Blob, SimWorld};
+use simworld::{Blob, Md5Digest, SimWorld};
 
 use crate::error::{CloudError, Result};
 use crate::layout::{data_key, ATTR_MD5, BUCKET, DOMAIN};
@@ -14,14 +14,14 @@ use crate::serialize::{decode_attributes, read_nonce, read_version};
 use crate::serve::ServeParts;
 use crate::store::{ReadOutcome, ReadStatus};
 
-/// The consistency token stored in SimpleDB and recomputed by every
-/// verified read: `MD5(data ‖ nonce)`, or `MD5(data)` under the
-/// no-nonce ablation.
-pub(crate) fn consistency_md5(data: &Blob, nonce: &str, use_nonce: bool) -> String {
+/// The consistency token stored in SimpleDB (as lowercase hex) and
+/// recomputed by every verified read: `MD5(data ‖ nonce)`, or `MD5(data)`
+/// under the no-nonce ablation.
+pub(crate) fn consistency_md5(data: &Blob, nonce: &str, use_nonce: bool) -> Md5Digest {
     if use_nonce {
-        data.md5_with_suffix(nonce.as_bytes()).to_hex()
+        data.md5_with_suffix(nonce.as_bytes())
     } else {
-        data.md5().to_hex()
+        data.md5()
     }
 }
 
@@ -42,8 +42,10 @@ pub(crate) fn verified_read(ctx: &ServeParts, name: &str) -> Result<ReadOutcome>
             .get_attributes(DOMAIN, &object_ref.item_name(), None)?;
         let stored_md5 = item.get(ATTR_MD5).next().map(|p| p.value);
 
-        let computed = consistency_md5(&object.body, &nonce, ctx.use_nonce);
-        let status = if stored_md5 == Some(computed.as_str()) {
+        // Byte for byte against the hex rendered on the stack: a stored
+        // token matches only as the lowercase hex the write side stored.
+        let computed = consistency_md5(&object.body, &nonce, ctx.use_nonce).hex_bytes();
+        let status = if stored_md5.map(str::as_bytes) == Some(&computed[..]) {
             ReadStatus::VerifiedConsistent { retries }
         } else if retries >= ctx.retry.max_retries {
             ReadStatus::InconsistencyDetected { retries }

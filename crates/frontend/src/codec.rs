@@ -423,10 +423,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn put_blob(out: &mut Vec<u8>, blob: &Blob) {
     put_u64(out, blob.len());
-    out.reserve(blob.len() as usize);
-    for chunk in blob.chunks() {
-        out.extend_from_slice(&chunk);
-    }
+    blob.write_to(out);
 }
 
 /// Each record as its [`ProvenanceRecord::to_pair`] strings, written in

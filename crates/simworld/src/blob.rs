@@ -4,9 +4,11 @@
 //! memory would be wasteful. [`Blob`] therefore supports two
 //! representations: small payloads held inline ([`bytes::Bytes`]) and
 //! *synthetic* payloads whose bytes are a deterministic function of a seed,
-//! generated on demand. Both support length, chunked iteration and MD5
-//! — which is all the simulated services need — so gigabyte-scale
-//! objects cost a few machine words.
+//! generated on demand. Both support length, writing their bytes out and
+//! MD5 — which is all the simulated services need — so gigabyte-scale
+//! objects cost a few machine words. A synthetic blob's digest takes its
+//! generator's words straight into MD5's message words, a block at a
+//! time, so hashing one allocates nothing whatever its length.
 
 use std::fmt;
 
@@ -15,14 +17,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::md5::{Md5, Md5Digest};
 
-/// How many bytes [`Blob::chunks`] yields per step.
-pub const CHUNK: usize = 8 * 1024;
-
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 enum Repr {
     Inline(#[serde(with = "serde_bytes_compat")] Bytes),
-    /// `len` pseudo-random bytes: the first `len` bytes of the stream
-    /// [`extend_synthetic`] generates for `seed`.
+    /// `len` pseudo-random bytes: the first `len` bytes of the stream of
+    /// little-endian [`synthetic_word`]s for `seed`.
     Synthetic {
         seed: u64,
         len: u64,
@@ -42,7 +41,7 @@ enum Repr {
 /// // A 100 MB object that occupies a few words of memory:
 /// let big = Blob::synthetic(42, 100 * 1024 * 1024);
 /// assert_eq!(big.len(), 100 * 1024 * 1024);
-/// let _etag = big.md5(); // streams without materialising
+/// let _etag = big.md5(); // streams, allocating nothing
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Blob {
@@ -92,29 +91,31 @@ impl Blob {
     pub fn to_bytes(&self) -> Bytes {
         match &self.repr {
             Repr::Inline(b) => b.clone(),
-            Repr::Synthetic { seed, len } => {
-                let mut out = Vec::with_capacity(*len as usize);
-                extend_synthetic(&mut out, *seed, 0, *len);
+            Repr::Synthetic { .. } => {
+                let mut out = Vec::new();
+                self.write_to(&mut out);
                 Bytes::from(out)
             }
         }
     }
 
-    /// Iterates the content in chunks of at most [`CHUNK`] bytes without
-    /// materialising the whole payload.
-    pub fn chunks(&self) -> Chunks<'_> {
-        Chunks {
-            blob: self,
-            offset: 0,
+    /// Appends the blob's bytes to `out`, a synthetic blob's a whole
+    /// generator word at a time.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        match &self.repr {
+            Repr::Inline(b) => out.extend_from_slice(b),
+            Repr::Synthetic { seed, len } => {
+                let start = out.len();
+                out.resize(start + *len as usize, 0);
+                fill_synthetic(&mut out[start..], *seed, 0);
+            }
         }
     }
 
     /// Streaming MD5 of the content.
     pub fn md5(&self) -> Md5Digest {
         let mut h = Md5::new();
-        for chunk in self.chunks() {
-            h.update(&chunk);
-        }
+        self.hash_into(&mut h);
         h.finalize()
     }
 
@@ -122,11 +123,17 @@ impl Blob {
     /// `MD5(data ‖ nonce)` consistency token.
     pub fn md5_with_suffix(&self, suffix: &[u8]) -> Md5Digest {
         let mut h = Md5::new();
-        for chunk in self.chunks() {
-            h.update(&chunk);
-        }
+        self.hash_into(&mut h);
         h.update(suffix);
         h.finalize()
+    }
+
+    /// Feeds the content to `h`.
+    fn hash_into(&self, h: &mut Md5) {
+        match &self.repr {
+            Repr::Inline(b) => h.update(b),
+            Repr::Synthetic { seed, len } => hash_synthetic(h, *seed, *len),
+        }
     }
 }
 
@@ -166,59 +173,45 @@ impl From<String> for Blob {
     }
 }
 
-/// Iterator over a blob's content in [`CHUNK`]-byte steps.
+/// Word `index` of the synthetic stream for `seed`: its bytes `8 * index
+/// .. 8 * index + 8`, little-endian.
 ///
-/// Produced by [`Blob::chunks`].
-#[derive(Debug)]
-pub struct Chunks<'a> {
-    blob: &'a Blob,
-    offset: u64,
+/// SplitMix64 over the word index, so any word is addressable in O(1).
+fn synthetic_word(seed: u64, index: u64) -> u64 {
+    let mut state = seed ^ index.wrapping_mul(0x9e3779b97f4a7c15);
+    crate::hash::splitmix64(&mut state)
 }
 
-impl Iterator for Chunks<'_> {
-    type Item = Bytes;
+/// Fills `out` with the synthetic stream for `seed` from word `first` on,
+/// a whole word at a time but for a partial last one.
+fn fill_synthetic(out: &mut [u8], seed: u64, first: u64) {
+    let last = first + (out.len() / 8) as u64;
+    let mut words = out.chunks_exact_mut(8);
+    for (index, bytes) in (first..).zip(&mut words) {
+        bytes.copy_from_slice(&synthetic_word(seed, index).to_le_bytes());
+    }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&synthetic_word(seed, last).to_le_bytes()[..tail.len()]);
+}
 
-    fn next(&mut self) -> Option<Bytes> {
-        let remaining = self.blob.len() - self.offset;
-        if remaining == 0 {
-            return None;
+/// Feeds the synthetic stream's first `len` bytes for `seed` to `h`. Its
+/// whole 64-byte blocks go in as message words, each generator word two
+/// of them; only the partial last block goes through a stack buffer.
+fn hash_synthetic(h: &mut Md5, seed: u64, len: u64) {
+    let blocks = len / 64;
+    for block in 0..blocks {
+        let mut words = [0u32; 16];
+        for (index, halves) in (8 * block..).zip(words.chunks_exact_mut(2)) {
+            let word = synthetic_word(seed, index);
+            halves[0] = word as u32;
+            halves[1] = (word >> 32) as u32;
         }
-        let take = remaining.min(CHUNK as u64);
-        let out = match &self.blob.repr {
-            Repr::Inline(b) => b.slice(self.offset as usize..(self.offset + take) as usize),
-            Repr::Synthetic { seed, .. } => {
-                let mut buf = Vec::with_capacity(take as usize);
-                extend_synthetic(&mut buf, *seed, self.offset, take);
-                Bytes::from(buf)
-            }
-        };
-        self.offset += take;
-        Some(out)
+        h.update_words(&words);
     }
-}
-
-/// Bytes `8 * block .. 8 * block + 8` of the synthetic stream for `seed`.
-///
-/// SplitMix64 over the 8-byte block index, so any byte is addressable in
-/// O(1) — which is what lets [`Blob::chunks`] start mid-stream.
-fn synthetic_block(seed: u64, block: u64) -> [u8; 8] {
-    let mut state = seed ^ block.wrapping_mul(0x9e3779b97f4a7c15);
-    crate::hash::splitmix64(&mut state).to_le_bytes()
-}
-
-/// Appends bytes `from .. from + len` of the synthetic stream for `seed`,
-/// one SplitMix64 step per 8-byte block touched; `from` and the end need
-/// not fall on block boundaries.
-fn extend_synthetic(out: &mut Vec<u8>, seed: u64, from: u64, len: u64) {
-    let end = from + len;
-    let mut at = from;
-    while at < end {
-        let block = synthetic_block(seed, at / 8);
-        let block_start = at - at % 8;
-        let upto = (end - block_start).min(8);
-        out.extend_from_slice(&block[(at - block_start) as usize..upto as usize]);
-        at = block_start + upto;
-    }
+    let mut tail = [0u8; 64];
+    let tail = &mut tail[..(len % 64) as usize];
+    fill_synthetic(tail, seed, 8 * blocks);
+    h.update(tail);
 }
 
 // Only reachable through the `#[serde(with = ...)]` attribute, which the
@@ -245,7 +238,7 @@ mod tests {
     use super::*;
 
     /// Byte `index` of the synthetic stream for `seed`, one SplitMix64
-    /// step per byte: what the block filler has to reproduce.
+    /// step per byte: what the word writer has to reproduce.
     fn synthetic_byte(seed: u64, index: u64) -> u8 {
         let block = index / 8;
         let mut state = seed ^ block.wrapping_mul(0x9e3779b97f4a7c15);
@@ -256,23 +249,14 @@ mod tests {
     #[test]
     fn block_filler_matches_the_bytewise_stream_on_unaligned_slices() {
         for seed in [0, 7, u64::MAX] {
-            for from in (0..20).chain([CHUNK as u64 - 3, CHUNK as u64 + 5]) {
-                for len in (0..27).chain([CHUNK as u64 - 1, CHUNK as u64 + 9]) {
-                    let expected: Vec<u8> = (from..from + len)
-                        .map(|i| synthetic_byte(seed, i))
-                        .collect();
-                    let mut filled = vec![0xAA];
-                    extend_synthetic(&mut filled, seed, from, len);
-                    assert_eq!(filled[0], 0xAA, "appends, never overwrites");
-                    assert_eq!(filled[1..], expected, "seed {seed} from {from} len {len}");
-                    // And through the public surface: a blob's bytes,
-                    // chunked or whole.
-                    let blob = Blob::synthetic(seed, from + len);
-                    let whole = blob.to_bytes();
-                    assert_eq!(whole[from as usize..], expected);
-                    let chunked: Vec<u8> = blob.chunks().flat_map(|c| c.to_vec()).collect();
-                    assert_eq!(chunked, whole[..]);
-                }
+            for len in (0..47).chain([8189, 8191, 8192, 8193, 8201]) {
+                let expected: Vec<u8> = (0..len).map(|i| synthetic_byte(seed, i)).collect();
+                let blob = Blob::synthetic(seed, len);
+                let mut written = vec![0xAA; 3];
+                blob.write_to(&mut written);
+                assert_eq!(written[..3], [0xAA; 3], "appends, never overwrites");
+                assert_eq!(written[3..], expected, "seed {seed} len {len}");
+                assert_eq!(blob.to_bytes()[..], expected, "seed {seed} len {len}");
             }
         }
     }
@@ -310,19 +294,12 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_exactly_once() {
-        let blob = Blob::synthetic(5, (CHUNK * 2 + 17) as u64);
-        let total: u64 = blob.chunks().map(|c| c.len() as u64).sum();
-        assert_eq!(total, blob.len());
-        let glued: Vec<u8> = blob.chunks().flat_map(|c| c.to_vec()).collect();
-        assert_eq!(Bytes::from(glued), blob.to_bytes());
-    }
-
-    #[test]
     fn empty_blob_behaves() {
         let b = Blob::empty();
         assert!(b.is_empty());
-        assert_eq!(b.chunks().count(), 0);
+        let mut out = Vec::new();
+        b.write_to(&mut out);
+        assert!(out.is_empty());
         assert_eq!(b.md5().to_hex(), "d41d8cd98f00b204e9800998ecf8427e");
     }
 

@@ -55,7 +55,7 @@ mod samples;
 mod shardmap;
 mod world;
 
-pub use blob::{Blob, Chunks, CHUNK};
+pub use blob::Blob;
 pub use clock::{SimDuration, SimInstant};
 pub use ecstore::{value_hash, Cover, EcMap, Pair, PairSet, Pairs, ValuesOf, Visibility};
 pub use faults::{CrashSite, Crashed, FaultPlan};

@@ -145,10 +145,12 @@ fn a_stored_record_stays_within_its_heap_budget() {
     // The same run also counts allocator calls: what the write path costs
     // in `malloc`s, where the bytes above are what it leaves behind. A
     // record is logged by `record` and applied by its share of a `flush`.
-    // Measured 102.5 (42.2 + 60.4); 110.1 (42.2 + 67.9, at `50e0319`,
-    // where this test fails) while a put boxed every name and value it
-    // stored; 114.1 (43.2 + 70.9, at `6ec1513`) while every write carried
-    // a `Vec` of one visibility instant per replica, strong world or not;
+    // Measured 100.3 (40.0 + 60.4); 102.5 (42.2 + 60.4, at `a507526`,
+    // where this test fails) while each digest of a synthetic blob
+    // allocated a buffer per 8 KiB step; 110.1 (42.2 + 67.9, at
+    // `50e0319`) while a put boxed every name and value it stored; 114.1
+    // (43.2 + 70.9, at `6ec1513`) while every write carried a `Vec` of
+    // one visibility instant per replica, strong world or not;
     // 114.4 (43.2 + 71.3) while a put gathered its pairs in a growing
     // `Vec`; 179.4 (83.6 + 95.8) while SQS built three `Vec`s per send,
     // formatted every id and handle and copied each body out per delivery,
@@ -157,7 +159,7 @@ fn a_stored_record_stays_within_its_heap_budget() {
     // per copy; 394.2 (234.6 + 159.6) when the WAL codec built a
     // `Vec<String>` per record, the chunker trial-encoded per pair and the
     // daemon cloned what it had decoded.
-    const CALL_BUDGET: usize = 105;
+    const CALL_BUDGET: usize = 102;
     let mut records = 0usize;
     let (mut record_calls, mut flush_calls) = (0usize, 0usize);
     let arch3 = || {
@@ -220,16 +222,17 @@ fn a_stored_record_stays_within_its_heap_budget() {
     const ITEM_BUDGET: usize = 2_860;
     // The same run counts allocator calls per record around each
     // `record_batch`: the plain arch2 write plus the closure maintenance
-    // of its group. Measured 110.0; 120.7 (at `50e0319`, where this test
-    // fails) while a batch put boxed every name and value it stored;
-    // 128.3 (at `6ec1513`) while each write carried a `Vec` of visibility
-    // instants and each lookup's parse three copies per term; 239.1 (at
-    // `f276dc7`; 44.5 of them the plain write) while the indexer computed
-    // on strings — ancestor sets as `BTreeSet<String>`s cloned at every
-    // step, each edge re-parsed and re-rendered per pass, the emitted rows
-    // gathered in a map of sets — and the write side cloned every item's
-    // attributes for it.
-    const INDEXED_CALL_BUDGET: usize = 113;
+    // of its group. Measured 107.8; 110.0 (at `a507526`, where this test
+    // fails) while each digest of a synthetic blob allocated a buffer per
+    // 8 KiB step; 120.7 (at `50e0319`) while a batch put boxed every name
+    // and value it stored; 128.3 (at `6ec1513`) while each write carried
+    // a `Vec` of visibility instants and each lookup's parse three copies
+    // per term; 239.1 (at `f276dc7`; 44.5 of them the plain write) while
+    // the indexer computed on strings — ancestor sets as
+    // `BTreeSet<String>`s cloned at every step, each edge re-parsed and
+    // re-rendered per pass, the emitted rows gathered in a map of sets —
+    // and the write side cloned every item's attributes for it.
+    const INDEXED_CALL_BUDGET: usize = 109;
     let mut items = 0usize;
     let mut batch_calls = 0usize;
     // The walk oracle and a second handle share the store's services and
@@ -348,4 +351,26 @@ fn a_stored_record_stays_within_its_heap_budget() {
         "a fingerprint read makes {fingerprint_calls} allocator calls, \
          budget {FINGERPRINT_CALL_BUDGET}"
     );
+
+    // Both digests of a synthetic blob — S3's ETag and the client's
+    // `MD5(data ‖ nonce)` — empty, on either side of a block, past 8 KiB
+    // and at 1 MiB. Measured 0; at `a507526`, where this test fails, each
+    // digest allocated and filled a buffer per 8 KiB step of the blob.
+    const DIGEST_CALL_BUDGET: usize = 0;
+    for len in [0, 63, 1_024, 2_048, 8_193, 1 << 20] {
+        let blob = Blob::synthetic(11, len);
+        let digest_calls = calls_in(|| {
+            std::hint::black_box(blob.md5());
+            std::hint::black_box(blob.md5_with_suffix(b"nonce"));
+        });
+        eprintln!(
+            "digest: {digest_calls} allocator calls for both digests of {len} B, \
+             budget {DIGEST_CALL_BUDGET}"
+        );
+        assert_eq!(
+            digest_calls, DIGEST_CALL_BUDGET,
+            "both digests of a {len} B synthetic blob make {digest_calls} allocator calls, \
+             budget {DIGEST_CALL_BUDGET}"
+        );
+    }
 }
